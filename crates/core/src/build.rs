@@ -1,32 +1,47 @@
 //! Builders for the Shift-Table layers (Algorithm 2 and its variants).
 //!
 //! The sequential builder is a single pass over the sorted keys plus a
-//! backward pass over the layer (the paper's `O(N · F_θ + M)` complexity).
+//! backward pass over the layer (the paper's `O(N · F_θ + M)` complexity),
+//! both over the 8-byte `(i32 Δ, u32 C)` layout the wide tier is served
+//! from ([`crate::entry`]): the backward pass hands the tier choice the
+//! extremes it saw, so packing is either free (wide) or one narrowing pass
+//! (narrow).
 //! A scoped-thread parallel builder splits the key array into contiguous
 //! chunks — valid because for a monotone model the predictions of a sorted
 //! chunk cover a contiguous range of partitions, so per-chunk partial layers
 //! can be merged with `min`/`sum` at the seams (the parallelisation the paper
-//! suggests for expensive models in §3.3).
+//! suggests for expensive models in §3.3). It shares the working layout and
+//! the backward pass with the sequential builder.
 
-use crate::entry::ShiftEntry;
+use crate::entry::{EntryExtent, WideEntry, MAX_KEYS};
 use learned_index::model::CdfModel;
 use sosd_data::key::Key;
 
-/// Sentinel used while accumulating minima.
-const UNSET: i64 = i64::MAX;
+/// A partition no key has been predicted into yet: any drift is smaller.
+const UNSET: WideEntry = (i32::MAX, 0);
 
-/// Compute the raw `<Δ, C>` entries of a full-resolution (`M = N`) range-mode
+/// A blank working layer for `n` keys.
+fn blank_layer(n: usize) -> Vec<WideEntry> {
+    // lint: allow(panic) the validating builders turn longer columns into BuildError::TooManyKeys; past them a drift would silently truncate
+    assert!(
+        n <= MAX_KEYS,
+        "a range layer covers at most {MAX_KEYS} keys"
+    );
+    vec![UNSET; n]
+}
+
+/// Compute the `<Δ, C>` entries of a full-resolution (`M = N`) range-mode
 /// Shift-Table, *including* the pseudo-entries for empty partitions
-/// (Algorithm 2 lines 3–15).
+/// (Algorithm 2 lines 3–15), and their extremes.
 pub(crate) fn compute_range_entries<K: Key, M: CdfModel<K> + ?Sized>(
     model: &M,
     keys: &[K],
-) -> Vec<ShiftEntry> {
+) -> (Vec<WideEntry>, EntryExtent) {
     let n = keys.len();
-    let mut entries = vec![ShiftEntry::new(UNSET, 0); n];
+    let mut entries = blank_layer(n);
     accumulate_range(model, keys, 0, n, &mut entries);
-    fill_empty_partitions(&mut entries, n);
-    entries
+    let extent = fill_empty_partitions(&mut entries);
+    (entries, extent)
 }
 
 /// Accumulate drift minima and cardinalities for `keys[lo..hi]` into
@@ -37,7 +52,7 @@ fn accumulate_range<K: Key, M: CdfModel<K> + ?Sized>(
     keys: &[K],
     lo: usize,
     hi: usize,
-    entries: &mut [ShiftEntry],
+    entries: &mut [WideEntry],
 ) {
     let mut first_occurrence = lo;
     for i in lo..hi {
@@ -47,35 +62,34 @@ fn accumulate_range<K: Key, M: CdfModel<K> + ?Sized>(
             first_occurrence = i;
         }
         let prediction = model.predict_clamped(keys[i]);
-        let drift = first_occurrence as i64 - prediction as i64;
-        let e = &mut entries[prediction];
-        e.delta = e.delta.min(drift);
-        e.count += 1;
+        // Both terms are below `n <= MAX_KEYS`: the drift fits an `i32`.
+        let drift = (first_occurrence as i64 - prediction as i64) as i32;
+        let (delta, count) = &mut entries[prediction];
+        *delta = (*delta).min(drift);
+        *count += 1;
     }
 }
 
 /// Backward pass: give empty partitions pseudo-entries that point at the
 /// search region of the first non-empty partition to their right (§3.1).
 /// Trailing empty partitions (nothing to their right) point at the very last
-/// record.
-fn fill_empty_partitions(entries: &mut [ShiftEntry], n: usize) {
-    if n == 0 {
-        return;
-    }
-    let last = entries.len() - 1;
-    if entries[last].count == 0 {
-        entries[last] = ShiftEntry::new(n as i64 - 1 - last as i64, 1);
-    } else if entries[last].delta == UNSET {
-        entries[last].delta = 0;
-    }
-    for k in (0..last).rev() {
-        if entries[k].count == 0 {
-            // Same absolute region as the partition to the right: that
-            // partition's window starts at (k+1) + Δ_{k+1}; expressed
-            // relative to k this is Δ_k = Δ_{k+1} + 1.
-            entries[k] = ShiftEntry::new(entries[k + 1].delta + 1, entries[k + 1].count);
+/// record. Every entry is final once this pass has visited it, so it also
+/// reports the extremes of the finished layer.
+fn fill_empty_partitions(entries: &mut [WideEntry]) -> EntryExtent {
+    let mut extent = EntryExtent::default();
+    // Same absolute region as the partition to the right: that partition's
+    // window starts at (k+1) + Δ_{k+1}; expressed relative to k this is
+    // Δ_k = Δ_{k+1} + 1. Right of the last partition there is only the last
+    // record itself, at drift −1 from the (virtual) partition `n`.
+    let mut right: WideEntry = (-1, 1);
+    for e in entries.iter_mut().rev() {
+        if e.1 == 0 {
+            *e = (right.0 + 1, right.1);
         }
+        right = *e;
+        extent.include(right);
     }
+    extent
 }
 
 /// Parallel variant of [`compute_range_entries`] using `threads` scoped
@@ -85,7 +99,7 @@ pub(crate) fn compute_range_entries_parallel<K: Key, M: CdfModel<K> + Sync + ?Si
     model: &M,
     keys: &[K],
     threads: usize,
-) -> Vec<ShiftEntry> {
+) -> (Vec<WideEntry>, EntryExtent) {
     let n = keys.len();
     if threads <= 1 || n < 4096 || !model.is_monotonic() {
         return compute_range_entries(model, keys);
@@ -107,13 +121,13 @@ pub(crate) fn compute_range_entries_parallel<K: Key, M: CdfModel<K> + Sync + ?Si
 
     // Each worker fills its own partial layer; partials are merged with
     // min/sum which is associative, so seams are handled for free.
-    let mut partials: Vec<Vec<ShiftEntry>> = Vec::with_capacity(bounds.len() - 1);
+    let mut partials: Vec<Vec<WideEntry>> = Vec::with_capacity(bounds.len() - 1);
     std::thread::scope(|scope| {
         let mut handles = Vec::new();
         for w in bounds.windows(2) {
             let (lo, hi) = (w[0], w[1]);
             handles.push(scope.spawn(move || {
-                let mut local = vec![ShiftEntry::new(UNSET, 0); n];
+                let mut local = blank_layer(n);
                 accumulate_range(model, keys, lo, hi, &mut local);
                 local
             }));
@@ -132,14 +146,13 @@ pub(crate) fn compute_range_entries_parallel<K: Key, M: CdfModel<K> + Sync + ?Si
     let mut entries = partials.next().expect("at least one build chunk");
     for partial in partials {
         for (e, p) in entries.iter_mut().zip(partial) {
-            if p.count > 0 {
-                e.delta = e.delta.min(p.delta);
-                e.count += p.count;
-            }
+            // An untouched partition holds `UNSET`, the identity of min/sum.
+            e.0 = e.0.min(p.0);
+            e.1 += p.1;
         }
     }
-    fill_empty_partitions(&mut entries, n);
-    entries
+    let extent = fill_empty_partitions(&mut entries);
+    (entries, extent)
 }
 
 /// Compute the midpoint drifts `Δ̄` of a compact (S-X) layer with `m`
@@ -283,17 +296,14 @@ mod tests {
         assert_eq!(keys.len(), 100);
         assert!(keys.is_sorted());
 
-        let entries = compute_range_entries(&DivTen, &keys);
+        let (entries, _) = compute_range_entries(&DivTen, &keys);
         // Partition 77 receives keys 770, 771 and 779-ish? -> in our data 770
         // and 771 (positions 36, 37): Δ = 36 - 77 = -41, C = 2.
-        assert_eq!(entries[77].delta, -41);
-        assert_eq!(entries[77].count, 2);
+        assert_eq!(entries[77], (-41, 2));
         // Partition 76 receives key 769 (position 35): Δ = 35 - 76 = -41.
-        assert_eq!(entries[76].delta, -41);
-        assert_eq!(entries[76].count, 1);
+        assert_eq!(entries[76], (-41, 1));
         // Partition 78 receives keys 782 and 785 (positions 38, 39).
-        assert_eq!(entries[78].delta, -40);
-        assert_eq!(entries[78].count, 2);
+        assert_eq!(entries[78], (-40, 2));
     }
 
     #[test]
@@ -321,16 +331,22 @@ mod tests {
         }
         let keys = vec![1u64, 2, 3, 35];
         // Predictions: 0,0,0,3 → partitions 1 and 2 empty.
-        let entries = compute_range_entries(&Quarter, &keys);
-        assert_eq!(entries[0], ShiftEntry::new(0, 3));
-        assert_eq!(entries[3], ShiftEntry::new(0, 1));
+        let (entries, extent) = compute_range_entries(&Quarter, &keys);
+        assert_eq!(entries[0], (0, 3));
+        assert_eq!(entries[3], (0, 1));
         // Pseudo-entries: partition 2 mirrors partition 3 shifted by one,
         // partition 1 mirrors partition 2 shifted by one.
-        assert_eq!(entries[2], ShiftEntry::new(1, 1));
-        assert_eq!(entries[1], ShiftEntry::new(2, 1));
+        assert_eq!(entries[2], (1, 1));
+        assert_eq!(entries[1], (2, 1));
         // They all resolve to the same absolute window start (position 3).
-        assert_eq!(2 + entries[2].delta, 3);
-        assert_eq!(1 + entries[1].delta, 3);
+        assert_eq!(2 + entries[2].0, 3);
+        assert_eq!(1 + entries[1].0, 3);
+        // The backward pass saw every final entry, pseudo-entries included.
+        assert_eq!(extent, EntryExtent::of(&entries));
+
+        // Trailing empty partitions point at the very last record.
+        let (entries, _) = compute_range_entries(&Quarter, &[1u64, 2, 3, 4]);
+        assert_eq!(entries, [(0, 4), (2, 1), (1, 1), (0, 1)]);
     }
 
     #[cfg_attr(miri, ignore = "dataset too large for Miri")]
@@ -339,7 +355,7 @@ mod tests {
         for name in SosdName::all() {
             let d: Dataset<u64> = name.generate(20_000, 3);
             let model = InterpolationModel::build(&d);
-            let entries = compute_range_entries(&model, d.as_slice());
+            let (entries, _) = compute_range_entries(&model, d.as_slice());
             let keys = d.as_slice();
             let mut first_occurrence = 0usize;
             for (i, &k) in keys.iter().enumerate() {
@@ -349,13 +365,13 @@ mod tests {
                     first_occurrence = i;
                 }
                 let pred = model.predict_clamped(k);
-                let e = entries[pred];
-                let start = pred as i64 + e.delta;
+                let (delta, count) = entries[pred];
+                let start = pred as i64 + delta as i64;
                 assert!(
                     start <= first_occurrence as i64
-                        && (first_occurrence as i64) < start + e.count as i64,
+                        && (first_occurrence as i64) < start + count as i64,
                     "{name}: key {k} pos {first_occurrence} outside window [{start}, {})",
-                    start + e.count as i64
+                    start + count as i64
                 );
             }
         }
@@ -429,6 +445,16 @@ mod tests {
             let par = compute_range_entries_parallel(&model, &keys, threads);
             assert_eq!(seq, par, "mega-run with {threads} threads");
         }
+    }
+
+    #[test]
+    fn parallel_build_merges_seams_at_the_smallest_parallel_size() {
+        // 4096 keys is the smallest column the scoped-thread path accepts —
+        // small enough for Miri to run the partial-layer merge.
+        let keys: Vec<u64> = (0..4096u64).map(|i| i * i / 7).collect();
+        let model = InterpolationModel::from_sorted_keys(&keys);
+        let seq = compute_range_entries(&model, &keys);
+        assert_eq!(seq, compute_range_entries_parallel(&model, &keys, 3));
     }
 
     #[test]
@@ -515,7 +541,7 @@ mod tests {
     fn empty_keys_produce_empty_layers() {
         let d: Dataset<u64> = Dataset::from_keys("e", vec![]);
         let model = InterpolationModel::build(&d);
-        assert!(compute_range_entries(&model, d.as_slice()).is_empty());
+        assert!(compute_range_entries(&model, d.as_slice()).0.is_empty());
         let (deltas, residual) = compute_midpoint_deltas_and_residual(&model, d.as_slice(), 4, 1);
         assert_eq!(deltas, vec![0, 0, 0, 0]);
         assert_eq!(residual, 0.0);

@@ -211,7 +211,6 @@ pub enum LocalSearchChoice {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::entry::ShiftEntry;
     use learned_index::linear::InterpolationModel;
     use learned_index::ModelErrorStats;
     use sosd_data::prelude::*;
@@ -244,8 +243,7 @@ mod tests {
     fn eq9_eq10_favour_the_layer_when_the_model_is_bad() {
         // Model with a large bias: without the layer every lookup searches a
         // huge area; with the layer every lookup searches its window only.
-        let entries: Vec<ShiftEntry> = (0..1_000).map(|_| ShiftEntry::new(-500_000, 2)).collect();
-        let table = ShiftTable::from_entries(entries, 1_000);
+        let table = ShiftTable::from_entries(vec![(-500_000, 2); 1_000]);
         let m = LatencyModel::default();
         let with = m.latency_with_layer(100.0, &table);
         let without = m.latency_without_layer(100.0, &table);
@@ -264,8 +262,7 @@ mod tests {
     fn eq9_eq10_favour_the_model_alone_when_it_is_already_accurate() {
         // A near-perfect model: windows of 1, drift 0 → the layer only adds
         // its 40 ns lookup.
-        let entries: Vec<ShiftEntry> = (0..1_000).map(|_| ShiftEntry::new(0, 1)).collect();
-        let table = ShiftTable::from_entries(entries, 1_000);
+        let table = ShiftTable::from_entries(vec![(0, 1); 1_000]);
         let m = LatencyModel::default();
         let with = m.latency_with_layer(100.0, &table);
         let without = m.latency_without_layer(100.0, &table);
@@ -345,7 +342,7 @@ mod tests {
 
     #[test]
     fn empty_table_latency_is_just_the_model() {
-        let table = ShiftTable::from_entries(vec![], 0);
+        let table = ShiftTable::from_entries(vec![]);
         let m = LatencyModel::default();
         assert_eq!(m.latency_without_layer(70.0, &table), 70.0);
         assert_eq!(m.latency_with_layer(70.0, &table), 70.0 + 40.0);

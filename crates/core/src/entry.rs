@@ -2,9 +2,25 @@
 //!
 //! One entry per possible model prediction: the signed drift `Δ` and the
 //! local-search window length `C`. The paper observes (§3.9) that the entry
-//! width can follow the model's maximum error — if every drift fits in 16
-//! bits, a `(i16, u16)` entry halves the layer's footprint. The storage enum
-//! below picks the narrow encoding automatically when it is lossless.
+//! width can follow the model's maximum error, so the layer is stored in one
+//! of two tiers chosen from the data:
+//!
+//! | tier   | entry        | bytes | chosen when                              |
+//! |--------|--------------|-------|------------------------------------------|
+//! | narrow | `(i16, u16)` | 4     | every `Δ` fits `i16` and every `C` `u16` |
+//! | wide   | `(i32, u32)` | 8     | otherwise                                |
+//!
+//! The wide tier is also the layout the builders work in
+//! ([`crate::build`]): a layer over `N` keys has `|Δ| < N` and `C ≤ N`, so
+//! up to [`ShiftTable::MAX_KEYS`](crate::ShiftTable::MAX_KEYS) keys nothing
+//! is ever truncated, a finished wide layer is served from the very array
+//! it was built in, and a narrow one costs a single conversion pass —
+//! decided in O(1) from the extremes the builder's backward pass tracked.
+
+/// The most keys a range-mode layer can cover: drifts and window lengths
+/// are stored in at most 32 bits. Public as
+/// [`ShiftTable::MAX_KEYS`](crate::ShiftTable::MAX_KEYS).
+pub(crate) const MAX_KEYS: usize = i32::MAX as usize;
 
 /// A single correction entry: the drift of the first key of the partition and
 /// the length of the local-search window.
@@ -25,34 +41,60 @@ impl ShiftEntry {
     }
 }
 
+/// `(Δ, C)` in the 8-byte layout the builders work in and the wide tier is
+/// served from.
+pub(crate) type WideEntry = (i32, u32);
+
+/// The extremes of a finished entry array — all the tier choice needs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub(crate) struct EntryExtent {
+    min_delta: i32,
+    max_delta: i32,
+    max_count: u32,
+}
+
+impl EntryExtent {
+    /// Widen the extent to cover `entry`.
+    #[inline]
+    pub fn include(&mut self, (delta, count): WideEntry) {
+        self.min_delta = self.min_delta.min(delta);
+        self.max_delta = self.max_delta.max(delta);
+        self.max_count = self.max_count.max(count);
+    }
+
+    /// The extent of a whole array, by one sweep — for layers that were
+    /// written by hand rather than finished by the builder's backward pass.
+    #[cfg(test)]
+    pub fn of(entries: &[WideEntry]) -> Self {
+        let mut extent = Self::default();
+        entries.iter().for_each(|&e| extent.include(e));
+        extent
+    }
+
+    fn fits_narrow(&self) -> bool {
+        self.min_delta >= i16::MIN as i32
+            && self.max_delta <= i16::MAX as i32
+            && self.max_count <= u16::MAX as u32
+    }
+}
+
 /// Packed storage for the entry array, chosen at build time.
 #[derive(Debug, Clone)]
 pub(crate) enum EntryStorage {
     /// 4-byte entries: `(i16 delta, u16 count)` — used when every value fits.
     Narrow(Vec<(i16, u16)>),
-    /// 12-byte entries: `(i64 delta, u32 count)`.
-    Wide(Vec<(i64, u32)>),
+    /// 8-byte entries: `(i32 delta, u32 count)`.
+    Wide(Vec<WideEntry>),
 }
 
 impl EntryStorage {
-    /// Pack a vector of entries, choosing the narrowest lossless encoding.
-    pub fn pack(entries: &[ShiftEntry]) -> Self {
-        let narrow_ok = entries.iter().all(|e| {
-            e.delta >= i16::MIN as i64 && e.delta <= i16::MAX as i64 && e.count <= u16::MAX as u64
-        });
-        if narrow_ok {
-            Self::Narrow(
-                entries
-                    .iter()
-                    .map(|e| (e.delta as i16, e.count as u16))
-                    .collect(),
-            )
+    /// Choose the narrowest lossless tier for a finished working array whose
+    /// extremes are `extent`: kept as it is, or narrowed in one pass.
+    pub fn from_wide(entries: Vec<WideEntry>, extent: EntryExtent) -> Self {
+        if extent.fits_narrow() {
+            Self::Narrow(entries.iter().map(|&(d, c)| (d as i16, c as u16)).collect())
         } else {
-            debug_assert!(
-                entries.iter().all(|e| e.count <= u32::MAX as u64),
-                "window lengths beyond u32 are not supported"
-            );
-            Self::Wide(entries.iter().map(|e| (e.delta, e.count as u32)).collect())
+            Self::Wide(entries)
         }
     }
 
@@ -82,7 +124,7 @@ impl EntryStorage {
             }
             Self::Wide(v) => {
                 let (d, c) = v[i];
-                ShiftEntry::new(d, c as u64)
+                ShiftEntry::new(d as i64, c as u64)
             }
         }
     }
@@ -91,8 +133,8 @@ impl EntryStorage {
     #[inline]
     pub fn size_bytes(&self) -> usize {
         match self {
-            Self::Narrow(v) => v.len() * std::mem::size_of::<(i16, u16)>(),
-            Self::Wide(v) => v.len() * std::mem::size_of::<(i64, u32)>(),
+            Self::Narrow(v) => std::mem::size_of_val(v.as_slice()),
+            Self::Wide(v) => std::mem::size_of_val(v.as_slice()),
         }
     }
 
@@ -163,45 +205,72 @@ impl MidpointStorage {
 mod tests {
     use super::*;
 
+    fn pack(entries: &[WideEntry]) -> EntryStorage {
+        EntryStorage::from_wide(entries.to_vec(), EntryExtent::of(entries))
+    }
+
+    fn assert_round_trips(packed: &EntryStorage, entries: &[WideEntry]) {
+        assert_eq!(packed.len(), entries.len());
+        for (i, &(d, c)) in entries.iter().enumerate() {
+            assert_eq!(packed.get(i), ShiftEntry::new(d as i64, c as u64));
+        }
+    }
+
+    #[test]
+    fn the_two_tiers_are_four_and_eight_bytes() {
+        assert_eq!(std::mem::size_of::<(i16, u16)>(), 4);
+        assert_eq!(std::mem::size_of::<WideEntry>(), 8);
+    }
+
     #[test]
     fn narrow_encoding_is_chosen_when_lossless() {
-        let entries = vec![
-            ShiftEntry::new(-41, 2),
-            ShiftEntry::new(14, 1),
-            ShiftEntry::new(0, 65_535),
-        ];
-        let packed = EntryStorage::pack(&entries);
+        let entries = [(-41, 2), (14, 1), (0, 65_535)];
+        let packed = pack(&entries);
         assert!(packed.is_narrow());
         assert_eq!(packed.size_bytes(), 3 * 4);
-        for (i, e) in entries.iter().enumerate() {
-            assert_eq!(packed.get(i), *e);
-        }
+        assert_round_trips(&packed, &entries);
     }
 
     #[test]
     fn wide_encoding_is_chosen_when_values_overflow_narrow() {
-        let entries = vec![ShiftEntry::new(-28_000_000, 3), ShiftEntry::new(5, 200_000)];
-        let packed = EntryStorage::pack(&entries);
+        let entries = [(-28_000_000, 3), (5, 200_000)];
+        let packed = pack(&entries);
         assert!(!packed.is_narrow());
-        for (i, e) in entries.iter().enumerate() {
-            assert_eq!(packed.get(i), *e);
-        }
-        assert_eq!(packed.size_bytes(), 2 * std::mem::size_of::<(i64, u32)>());
+        assert_eq!(packed.size_bytes(), 2 * 8);
+        assert_round_trips(&packed, &entries);
     }
 
     #[test]
-    fn boundary_values_roundtrip() {
-        let entries = vec![
-            ShiftEntry::new(i16::MAX as i64, u16::MAX as u64),
-            ShiftEntry::new(i16::MIN as i64, 0),
-        ];
-        let packed = EntryStorage::pack(&entries);
+    fn narrow_tier_boundaries() {
+        let at_edge = [(i16::MAX as i32, u16::MAX as u32), (i16::MIN as i32, 0)];
+        let packed = pack(&at_edge);
         assert!(packed.is_narrow());
-        assert_eq!(packed.get(0), entries[0]);
-        assert_eq!(packed.get(1), entries[1]);
+        assert_round_trips(&packed, &at_edge);
 
-        let just_over = vec![ShiftEntry::new(i16::MAX as i64 + 1, 1)];
-        assert!(!EntryStorage::pack(&just_over).is_narrow());
+        // One past any of the three edges tips the whole array wide.
+        for over in [
+            (i16::MAX as i32 + 1, 1),
+            (i16::MIN as i32 - 1, 1),
+            (0, u16::MAX as u32 + 1),
+        ] {
+            let entries = [at_edge[0], over, at_edge[1]];
+            let packed = pack(&entries);
+            assert!(!packed.is_narrow(), "{over:?}");
+            assert_round_trips(&packed, &entries);
+        }
+    }
+
+    #[test]
+    fn wide_tier_boundaries() {
+        // The extremes a layer over MAX_KEYS keys can hold.
+        let entries = [
+            (i32::MAX, u32::MAX),
+            (i32::MIN, 0),
+            (-(MAX_KEYS as i32), MAX_KEYS as u32),
+        ];
+        let packed = pack(&entries);
+        assert!(!packed.is_narrow());
+        assert_round_trips(&packed, &entries);
     }
 
     #[test]
@@ -223,7 +292,7 @@ mod tests {
 
     #[test]
     fn empty_storage() {
-        let packed = EntryStorage::pack(&[]);
+        let packed = pack(&[]);
         assert!(packed.is_empty());
         assert_eq!(packed.size_bytes(), 0);
     }

@@ -13,14 +13,24 @@ use sosd_data::key::Key;
 /// Why an index could not be built.
 ///
 /// Construction validates its input instead of `debug_assert!`-ing it: feeding
-/// unsorted keys to a release build used to silently produce a wrong index,
-/// now it is a hard error.
+/// unsorted keys — or more keys than a layer's entries can address — to a
+/// release build used to silently produce a wrong index, now it is a hard
+/// error.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum BuildError {
     /// The key column is not sorted in non-decreasing order.
     UnsortedKeys {
         /// Index of the first key that is smaller than its predecessor.
         position: usize,
+    },
+    /// The key column is too long for a range-mode Shift-Table, whose
+    /// entries hold drifts and window lengths in at most 32 bits.
+    TooManyKeys {
+        /// Number of keys in the rejected column.
+        len: usize,
+        /// The most keys one range layer covers
+        /// ([`crate::ShiftTable::MAX_KEYS`]).
+        max: usize,
     },
 }
 
@@ -31,6 +41,10 @@ impl std::fmt::Display for BuildError {
                 f,
                 "keys are not sorted: keys[{position}] is smaller than keys[{}]",
                 position - 1
+            ),
+            Self::TooManyKeys { len, max } => write!(
+                f,
+                "{len} keys are too many for one range-mode Shift-Table (at most {max})"
             ),
         }
     }

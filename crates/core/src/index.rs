@@ -129,16 +129,21 @@ impl<K: Key, M: CdfModel<K>, S: AsRef<[K]> + Send + Sync> CorrectedIndexBuilder<
     /// # Errors
     /// Returns [`BuildError::UnsortedKeys`] if the key column is not in
     /// non-decreasing order (the layer invariants — and every query — would
-    /// be silently wrong otherwise).
+    /// be silently wrong otherwise), and [`BuildError::TooManyKeys`] if a
+    /// range layer is asked for over more than [`ShiftTable::MAX_KEYS`] keys.
     pub fn build(self) -> Result<CorrectedIndex<K, M, S>, BuildError> {
+        if matches!(self.layer, LayerChoice::Range | LayerChoice::Auto) {
+            ShiftTable::check_len(self.keys.as_ref().len())?;
+        }
         if let Some(position) = first_unsorted(self.keys.as_ref()) {
             return Err(BuildError::UnsortedKeys { position });
         }
         Ok(self.build_prevalidated())
     }
 
-    /// Build without re-running the sortedness scan — for callers (e.g.
-    /// [`crate::spec::IndexSpec`]) that already validated the key column.
+    /// Build without re-running the validation — for callers (e.g.
+    /// [`crate::spec::IndexSpec`]) that already checked the key column's
+    /// order and length.
     pub(crate) fn build_prevalidated(self) -> CorrectedIndex<K, M, S> {
         let keys = self.keys.as_ref();
         // The raw-model error statistic backs the probe-count proxy whenever
@@ -649,6 +654,73 @@ mod tests {
         .err()
         .unwrap();
         assert_eq!(err, BuildError::UnsortedKeys { position: 2 });
+    }
+
+    /// A key that occupies no memory, so a column past
+    /// [`ShiftTable::MAX_KEYS`] can exist in a test.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
+    struct Unit;
+
+    impl std::fmt::Display for Unit {
+        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+            f.write_str("unit")
+        }
+    }
+
+    impl Key for Unit {
+        const BITS: u32 = 0;
+        const MIN_KEY: Self = Unit;
+        const MAX_KEY: Self = Unit;
+        fn to_u64(self) -> u64 {
+            0
+        }
+        fn from_u64_saturating(_: u64) -> Self {
+            Unit
+        }
+    }
+
+    struct UnitModel(usize);
+
+    impl CdfModel<Unit> for UnitModel {
+        fn predict(&self, _: Unit) -> usize {
+            0
+        }
+        fn key_count(&self) -> usize {
+            self.0
+        }
+        fn size_bytes(&self) -> usize {
+            0
+        }
+        fn is_monotonic(&self) -> bool {
+            true
+        }
+        fn name(&self) -> &'static str {
+            "unit"
+        }
+    }
+
+    #[test]
+    fn a_column_past_max_keys_is_a_typed_error_for_range_layers_only() {
+        const LEN: usize = ShiftTable::MAX_KEYS + 1;
+        let column = [Unit; LEN];
+        let builder = || CorrectedIndex::builder(&column[..], UnitModel(LEN));
+        let too_many = BuildError::TooManyKeys {
+            len: LEN,
+            max: ShiftTable::MAX_KEYS,
+        };
+        assert_eq!(
+            builder().with_range_table().build().err(),
+            Some(too_many.clone())
+        );
+        assert_eq!(builder().with_auto_tuning().build().err(), Some(too_many));
+        // (Nothing else is built here: validating 2^31 keys for order is
+        // slow unoptimised.) The other layers hold 64-bit drifts.
+        let spec = |s: &str| crate::spec::IndexSpec::parse(s).unwrap();
+        assert!(spec("im+r1").check_key_count(LEN).is_err());
+        assert!(spec("im+auto").check_key_count(LEN).is_err());
+        assert!(spec("im+r1").check_key_count(LEN - 1).is_ok());
+        assert!(spec("im+s64").check_key_count(LEN).is_ok());
+        assert!(spec("im+none").check_key_count(LEN).is_ok());
     }
 
     #[cfg_attr(miri, ignore = "dataset too large for Miri")]

@@ -164,7 +164,8 @@ impl IndexSpec {
     /// API — error reporting, layer toggling — is still needed).
     ///
     /// # Errors
-    /// [`BuildError::UnsortedKeys`] if the keys are not sorted.
+    /// [`BuildError::UnsortedKeys`] if the keys are not sorted,
+    /// [`BuildError::TooManyKeys`] if the spec's layer cannot cover them.
     pub fn build_corrected<K: Key>(
         &self,
         keys: impl Into<Arc<[K]>>,
@@ -183,18 +184,35 @@ impl IndexSpec {
         let keys: Arc<[K]> = keys.into();
         // Validate once, before training: models fitted to unsorted data
         // would waste work, and the builder skips its own scan below.
+        self.check_key_count(keys.len())?;
         if let Some(position) = crate::error::first_unsorted(keys.as_ref()) {
             return Err(BuildError::UnsortedKeys { position });
         }
         Ok(self.build_corrected_prevalidated_with(keys, config, threads))
     }
 
+    /// `Err` when this spec cannot index a column of `len` keys: a range
+    /// layer (`r1`, `auto`) covers at most
+    /// [`ShiftTable::MAX_KEYS`](crate::ShiftTable::MAX_KEYS). The check the
+    /// validating builders run, exposed for callers of the prevalidated
+    /// ones (the store checks every shard it cuts from a seed column).
+    ///
+    /// # Errors
+    /// [`BuildError::TooManyKeys`].
+    pub fn check_key_count(&self, len: usize) -> Result<(), BuildError> {
+        match self.layer {
+            LayerSpec::Range | LayerSpec::Auto => crate::ShiftTable::check_len(len),
+            LayerSpec::None | LayerSpec::Midpoint { .. } => Ok(()),
+        }
+    }
+
     /// [`IndexSpec::build_corrected_with`] for callers that *guarantee* the
-    /// key column is already sorted — a rebuild merging sorted inputs, or a
-    /// shard cut from a column validated as a whole — skipping the O(n)
+    /// key column is already sorted and passes
+    /// [`IndexSpec::check_key_count`] — a rebuild merging sorted inputs, or
+    /// a shard cut from a column validated as a whole — skipping the O(n)
     /// sortedness scan. Feeding unsorted keys violates the contract and
-    /// produces a silently wrong index; debug builds still assert the
-    /// invariant.
+    /// produces a silently wrong index (debug builds still assert the
+    /// invariant); an over-long column panics in the layer builder.
     pub fn build_corrected_prevalidated_with<K: Key>(
         &self,
         keys: impl Into<Arc<[K]>>,

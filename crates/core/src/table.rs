@@ -8,7 +8,8 @@
 
 use crate::build;
 use crate::correction::{Correction, SearchHint};
-use crate::entry::{EntryStorage, ShiftEntry};
+use crate::entry::{EntryExtent, EntryStorage, ShiftEntry, WideEntry};
+use crate::error::BuildError;
 use learned_index::model::CdfModel;
 use sosd_data::key::Key;
 
@@ -20,13 +21,34 @@ pub struct ShiftTable {
 }
 
 impl ShiftTable {
+    /// The most keys one layer can cover (drifts and window lengths are
+    /// stored in at most 32 bits). The validating builders
+    /// ([`crate::CorrectedIndexBuilder::build`], [`crate::spec::IndexSpec`])
+    /// reject longer columns with [`BuildError::TooManyKeys`].
+    pub const MAX_KEYS: usize = crate::entry::MAX_KEYS;
+
+    /// `Err` when a column of `len` keys is too long for a range layer.
+    pub(crate) fn check_len(len: usize) -> Result<(), BuildError> {
+        if len > Self::MAX_KEYS {
+            return Err(BuildError::TooManyKeys {
+                len,
+                max: Self::MAX_KEYS,
+            });
+        }
+        Ok(())
+    }
+
     /// Build the layer for `model` over the sorted `keys` (Algorithm 2).
     ///
     /// Complexity: `O(N · cost(F_θ) + N)` — one model execution per key and
-    /// one backward pass over the layer.
+    /// one backward pass over the layer, both over 8-byte entries; a layer
+    /// whose entries all fit the narrow tier pays one more pass to narrow.
+    ///
+    /// # Panics
+    /// If `keys` is longer than [`ShiftTable::MAX_KEYS`].
     pub fn build<K: Key, M: CdfModel<K> + ?Sized>(model: &M, keys: &[K]) -> Self {
-        let entries = build::compute_range_entries(model, keys);
-        Self::from_entries(entries, keys.len())
+        let (entries, extent) = build::compute_range_entries(model, keys);
+        Self::from_wide(entries, extent)
     }
 
     /// Build the layer in parallel with `threads` scoped worker threads.
@@ -37,18 +59,24 @@ impl ShiftTable {
         keys: &[K],
         threads: usize,
     ) -> Self {
-        let entries = build::compute_range_entries_parallel(model, keys, threads);
-        Self::from_entries(entries, keys.len())
+        let (entries, extent) = build::compute_range_entries_parallel(model, keys, threads);
+        Self::from_wide(entries, extent)
     }
 
-    /// Assemble a layer from precomputed entries (used by the builders and by
-    /// tests that construct layers directly).
-    pub fn from_entries(entries: Vec<ShiftEntry>, n: usize) -> Self {
-        debug_assert_eq!(entries.len(), n, "range mode requires M == N");
+    /// Pack a finished working array (range mode: `M == N`).
+    fn from_wide(entries: Vec<WideEntry>, extent: EntryExtent) -> Self {
+        let n = entries.len();
         Self {
-            entries: EntryStorage::pack(&entries),
+            entries: EntryStorage::from_wide(entries, extent),
             n,
         }
+    }
+
+    /// Assemble a layer from hand-written `(Δ, C)` entries.
+    #[cfg(test)]
+    pub(crate) fn from_entries(entries: Vec<WideEntry>) -> Self {
+        let extent = EntryExtent::of(&entries);
+        Self::from_wide(entries, extent)
     }
 
     /// Number of keys (== number of entries, `M = N`).
@@ -158,15 +186,7 @@ mod tests {
     #[test]
     fn expected_error_matches_hand_computation() {
         // Construct entries directly: windows of length 1, 3 and 2 over 6 keys.
-        let entries = vec![
-            ShiftEntry::new(0, 1),
-            ShiftEntry::new(0, 3),
-            ShiftEntry::new(0, 2),
-            ShiftEntry::new(0, 0),
-            ShiftEntry::new(0, 0),
-            ShiftEntry::new(0, 0),
-        ];
-        let table = ShiftTable::from_entries(entries, 6);
+        let table = ShiftTable::from_entries(vec![(0, 1), (0, 3), (0, 2), (0, 0), (0, 0), (0, 0)]);
         // Eq. 8: (1² + 3² + 2²) / (2 · 6) = 14 / 12.
         assert!((table.expected_error() - 14.0 / 12.0).abs() < 1e-12);
     }
@@ -186,7 +206,7 @@ mod tests {
     #[cfg_attr(miri, ignore = "dataset too large for Miri")]
     #[test]
     fn wide_encoding_used_for_huge_drift() {
-        // A model with an enormous bias forces i64 deltas.
+        // A model with an enormous bias forces the wide tier.
         struct AlwaysZero(usize);
         impl CdfModel<u64> for AlwaysZero {
             fn predict(&self, _key: u64) -> usize {
@@ -239,11 +259,50 @@ mod tests {
     #[cfg_attr(miri, ignore = "dataset too large for Miri")]
     #[test]
     fn size_bytes_reflects_encoding() {
-        let d: Dataset<u64> = SosdName::Uden64.generate(10_000, 1);
-        let model = InterpolationModel::build(&d);
-        let table = ShiftTable::build(&model, d.as_slice());
-        let expected = if table.is_narrow() { 4 } else { 12 } * d.len();
-        assert_eq!(Correction::size_bytes(&table), expected);
-        assert_eq!(table.entry_count(), d.len());
+        // A near-perfect model packs narrow; IM over 70k lognormal keys
+        // drifts past `i16` and stays in the 8-byte layout it was built in.
+        for (name, n, narrow) in [
+            (SosdName::Uden64, 10_000, true),
+            (SosdName::Logn64, 70_000, false),
+        ] {
+            let d: Dataset<u64> = name.generate(n, 1);
+            let model = InterpolationModel::build(&d);
+            let table = ShiftTable::build(&model, d.as_slice());
+            assert_eq!(table.is_narrow(), narrow, "{name}");
+            let entry_bytes = if narrow { 4 } else { 8 };
+            assert_eq!(Correction::size_bytes(&table), entry_bytes * d.len());
+            assert_eq!(table.entry_count(), d.len());
+        }
+    }
+
+    #[cfg_attr(miri, ignore = "dataset too large for Miri")]
+    #[test]
+    fn parallel_build_packs_the_same_table_on_every_generator() {
+        // Sizes on both sides of the narrow tier's reach, so the seams are
+        // checked in the packed form of either tier.
+        for n in [6_000, 70_000] {
+            for name in SosdName::all() {
+                let d: Dataset<u64> = name.generate(n, 13);
+                let model = InterpolationModel::build(&d);
+                let seq = ShiftTable::build(&model, d.as_slice());
+                for threads in [2, 7] {
+                    let par = ShiftTable::build_parallel(&model, d.as_slice(), threads);
+                    assert_eq!(par.is_narrow(), seq.is_narrow(), "{name} n={n}");
+                    assert!(par.entries().eq(seq.entries()), "{name} n={n} x{threads}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn only_columns_past_max_keys_are_rejected() {
+        assert_eq!(ShiftTable::check_len(ShiftTable::MAX_KEYS), Ok(()));
+        assert_eq!(
+            ShiftTable::check_len(ShiftTable::MAX_KEYS + 1),
+            Err(BuildError::TooManyKeys {
+                len: ShiftTable::MAX_KEYS + 1,
+                max: i32::MAX as usize,
+            })
+        );
     }
 }

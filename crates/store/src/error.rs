@@ -1,6 +1,7 @@
 //! Store-level error types.
 //!
-//! The in-memory build paths fail only with [`BuildError`] (unsorted keys);
+//! The in-memory build paths fail only with [`BuildError`] (unsorted keys, or
+//! a shard too long for its layer);
 //! the durable paths added by the persistence subsystem can also fail with
 //! I/O errors, on-disk corruption, or a spec string that no longer parses.
 //! [`StoreError`] is the union every fallible [`crate::ShardedStore`] method
@@ -12,7 +13,8 @@ use std::path::PathBuf;
 /// Any error a [`crate::ShardedStore`] operation can surface.
 #[derive(Debug)]
 pub enum StoreError {
-    /// An index (re)build failed — today only unsorted input keys.
+    /// An index (re)build failed: unsorted input keys, or more keys in one
+    /// shard than its correction layer can cover.
     Build(BuildError),
     /// An I/O error from the write-ahead log, a snapshot or the manifest.
     Io(std::io::Error),

@@ -223,6 +223,15 @@
 //! identical bytes ([`DurabilityStats::checkpoint_shards_skipped`] and
 //! [`DurabilityStats::snapshot_bytes_reused`] account the savings).
 //!
+//! Every checksum above is one function, [`persist::crc32`] (IEEE,
+//! reflected): it consumes eight bytes per step (slice-by-8) and yields the
+//! values of the bytewise definition, so the formats are unchanged in both
+//! directions. The snapshot writer is a single pass over the shard: a hot
+//! shard with an empty delta chain lends its base column to the writer
+//! ([`ShardState::merged_view`]) instead of copying it, keys are widened
+//! straight into the file image, and each block is checksummed while its
+//! bytes are still in cache.
+//!
 //! **Recovery** ([`ShardedStore::open`]) loads the newest manifest that
 //! validates, rebuilds each shard from its snapshot, and replays the WAL
 //! tail through the recovered fence router. Replay is *idempotent*: a

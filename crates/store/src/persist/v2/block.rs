@@ -7,6 +7,7 @@
 
 use super::{BLOCK_HEADER_LEN, INDEX_ENTRY_LEN};
 use crate::persist::crc32;
+use sosd_data::key::Key;
 
 /// One parsed block-index entry: where a block lives and what it holds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -53,15 +54,16 @@ impl BlockMeta {
     }
 }
 
-/// Append one encoded block (`crc │ count │ keys`) for `keys` (already
-/// widened to `u64`) to `out`, returning the header's absolute offset given
-/// that `out` will land at file offset 0.
-pub fn encode_block(keys: &[u64], out: &mut Vec<u8>) {
+/// Append one encoded block (`crc │ count │ keys`) for `keys` to `out`,
+/// widening each key to `u64` LE as it is written into the image.
+pub fn encode_block<K: Key>(keys: &[K], out: &mut Vec<u8>) {
     let header_at = out.len();
     out.extend_from_slice(&[0u8; 4]); // crc placeholder
     out.extend_from_slice(&(keys.len() as u32).to_le_bytes());
-    for k in keys {
-        out.extend_from_slice(&k.to_le_bytes());
+    let keys_at = out.len();
+    out.resize(keys_at + keys.len() * 8, 0);
+    for (slot, k) in out[keys_at..].chunks_exact_mut(8).zip(keys) {
+        slot.copy_from_slice(&k.to_u64().to_le_bytes());
     }
     let crc = crc32(&out[header_at + 4..]);
     out[header_at..header_at + 4].copy_from_slice(&crc.to_le_bytes());

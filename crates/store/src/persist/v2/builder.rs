@@ -4,10 +4,11 @@
 //! `block_keys` keys (the [`crate::DurabilityConfig::snapshot_block_keys`]
 //! knob), encodes each under its own CRC32, records an index entry per
 //! block, and closes the file with the checksummed index and footer — see
-//! the [`super`] module docs for the byte layout. The whole image is
-//! assembled in memory and written with one `write_all` + `fsync`, exactly
-//! like the v1 writer: the manifest must never reference a snapshot that
-//! could still be lost.
+//! the [`super`] module docs for the byte layout. Keys are widened to
+//! `u64` LE directly into the file image, each block is checksummed while
+//! its bytes are still cache-resident, and the whole image is written with
+//! one `write_all` + `fsync`, exactly like the v1 writer: the manifest must
+//! never reference a snapshot that could still be lost.
 
 use super::block::{encode_block, BlockMeta};
 use super::{FOOTER_LEN, FORMAT_VERSION, MAGIC};
@@ -32,17 +33,13 @@ pub(crate) fn write_snapshot<K: Key>(
     out.extend_from_slice(&MAGIC);
 
     let mut metas: Vec<BlockMeta> = Vec::with_capacity(keys.len().div_ceil(block_keys));
-    let mut widened: Vec<u64> = Vec::with_capacity(block_keys.min(keys.len()));
     for chunk in keys.chunks(block_keys) {
-        widened.clear();
-        widened.extend(chunk.iter().map(|k| k.to_u64()));
-        let offset = out.len() as u64;
-        encode_block(&widened, &mut out);
         metas.push(BlockMeta {
-            first_key: widened[0],
-            offset,
+            first_key: chunk[0].to_u64(),
+            offset: out.len() as u64,
             count: chunk.len() as u32,
         });
+        encode_block(chunk, &mut out);
     }
 
     let index_offset = out.len() as u64;

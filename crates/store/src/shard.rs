@@ -45,6 +45,7 @@ use algo_index::search::{DynRangeIndex, RangeIndex};
 use shift_table::error::BuildError;
 use shift_table::spec::IndexSpec;
 use sosd_data::key::Key;
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -242,28 +243,24 @@ impl<K: Key> ShardState<K> {
         }
     }
 
-    /// Materialise this state's merged key column (base with the chain
-    /// folded in) — what rebuilds, splits, merges and checkpoints cut
-    /// their output from. Skips the merge for an entry-less chain; a cold
-    /// base is decoded on demand.
-    pub fn merged_keys(&self) -> Vec<K> {
+    /// This state's merged key column (base with the chain folded in) —
+    /// what rebuilds, splits, merges and checkpoints cut their output from.
+    /// A hot base under an entry-less chain *is* the merged column and is
+    /// lent out as it stands; anything else is materialised (a cold base is
+    /// decoded on demand).
+    pub fn merged_view(&self) -> Cow<'_, [K]> {
+        let clean = self.delta.entry_count() == 0;
         match self.snapshot.cold() {
-            Some(base) => {
-                let decoded = base.decode_all();
-                if self.delta.entry_count() == 0 {
-                    decoded
-                } else {
-                    self.delta.merge_into(&decoded)
-                }
-            }
-            None => {
-                if self.delta.entry_count() == 0 {
-                    self.snapshot.keys().to_vec()
-                } else {
-                    self.delta.merge_into(self.snapshot.keys())
-                }
-            }
+            Some(base) if clean => Cow::Owned(base.decode_all()),
+            Some(base) => Cow::Owned(self.delta.merge_into(&base.decode_all())),
+            None if clean => Cow::Borrowed(self.snapshot.keys()),
+            None => Cow::Owned(self.delta.merge_into(self.snapshot.keys())),
         }
+    }
+
+    /// [`ShardState::merged_view`] as an owned column.
+    pub fn merged_keys(&self) -> Vec<K> {
+        self.merged_view().into_owned()
     }
 
     /// Materialise the merged keys in `lo ..= hi` only — the snapshot-scan
@@ -333,7 +330,8 @@ impl<K: Key> StoreShard<K> {
     /// threshold.
     ///
     /// # Errors
-    /// [`BuildError::UnsortedKeys`] if `keys` is not sorted.
+    /// [`BuildError::UnsortedKeys`] if `keys` is not sorted,
+    /// [`BuildError::TooManyKeys`] if `spec`'s layer cannot cover them.
     pub fn build(
         spec: IndexSpec,
         keys: impl Into<Arc<[K]>>,
@@ -341,6 +339,7 @@ impl<K: Key> StoreShard<K> {
         build_threads: usize,
     ) -> Result<Self, BuildError> {
         let keys: Arc<[K]> = keys.into();
+        spec.check_key_count(keys.len())?;
         if let Some(position) = keys.windows(2).position(|w| w[0] > w[1]) {
             return Err(BuildError::UnsortedKeys {
                 position: position + 1,

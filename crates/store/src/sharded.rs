@@ -141,11 +141,14 @@ impl<K: Key> ShardedIndex<K> {
     /// Shards are built concurrently with scoped threads (one per shard).
     ///
     /// # Errors
-    /// [`BuildError::UnsortedKeys`] if `keys` is not sorted.
+    /// [`BuildError::UnsortedKeys`] if `keys` is not sorted,
+    /// [`BuildError::TooManyKeys`] if a shard's chunk is longer than `spec`'s
+    /// layer can cover.
     pub fn build(spec: IndexSpec, keys: &[K], shards: usize) -> Result<Self, BuildError> {
         // `build_chunked` validated the whole column; each chunk takes the
         // prevalidated build path rather than re-scanning.
         let (router, offsets, built) = build_chunked(keys, shards, |chunk| {
+            spec.check_key_count(chunk.len())?;
             Ok::<DynRangeIndex<K>, BuildError>(spec.build_dyn_prevalidated_with(
                 Arc::<[K]>::from(chunk),
                 Default::default(),
@@ -645,7 +648,7 @@ impl<K: Key> StoreCore<K> {
                     snapshot_bytes += v2::write_snapshot(
                         &p.dir().join(&name),
                         cv,
-                        &state.merged_keys(),
+                        &state.merged_view(),
                         block_keys,
                     )?;
                     written += 1;
@@ -1145,7 +1148,9 @@ impl<K: Key> ShardedStore<K> {
     /// store is dropped.
     ///
     /// # Errors
-    /// [`BuildError::UnsortedKeys`] if `keys` is not sorted.
+    /// [`BuildError::UnsortedKeys`] if `keys` is not sorted,
+    /// [`BuildError::TooManyKeys`] if a shard's chunk is longer than the
+    /// spec's layer can cover.
     pub fn build(config: StoreConfig, keys: impl AsRef<[K]>) -> Result<Self, BuildError> {
         let table = Self::table_from_keys(&config, keys.as_ref())?;
         Ok(Self::assemble(config, table, None, None, None))
@@ -1222,7 +1227,7 @@ impl<K: Key> ShardedStore<K> {
     ///
     /// # Errors
     /// As [`ShardedStore::open`], plus [`StoreError::Build`] if `keys` is
-    /// not sorted.
+    /// not sorted or a shard's chunk is too long for the spec's layer.
     pub fn open_seeded(
         path: impl AsRef<Path>,
         config: StoreConfig,
@@ -1251,6 +1256,7 @@ impl<K: Key> ShardedStore<K> {
     /// takes the prevalidated shard constructor rather than re-scanning).
     fn table_from_keys(config: &StoreConfig, keys: &[K]) -> Result<StoreTable<K>, BuildError> {
         let (router, _offsets, shards) = build_chunked(keys, config.shards, |chunk| {
+            config.spec.check_key_count(chunk.len())?;
             Ok::<_, BuildError>(Arc::new(
                 StoreShard::build_prevalidated(
                     config.spec,

@@ -1,11 +1,14 @@
 //! Snapshot-format-v2 acceptance tests: incremental checkpoints (clean
 //! shards skipped, bytes reused, cross-restart memo), streaming cold-start
 //! opens (cold reads equal hot reads, hydration converges), block-confined
-//! corruption detection, v1 backward compatibility, and online WAL repair.
+//! corruption detection, v1 backward compatibility, byte-for-byte
+//! compatibility with a checked-in store directory, and online WAL repair.
 
 use algo_index::RangeIndex;
 use shift_store::persist::{manifest, snapshot, wal};
-use shift_store::{DurabilityConfig, ShardedStore, StoreConfig, StoreError, SyncPolicy};
+use shift_store::{
+    DurabilityConfig, ShardedStore, StoreConfig, StoreError, SyncPolicy, WriteBatch,
+};
 use shift_table::spec::IndexSpec;
 use sosd_data::prelude::*;
 use std::path::{Path, PathBuf};
@@ -89,6 +92,115 @@ fn await_hydration(store: &ShardedStore<u64>) {
         std::thread::sleep(Duration::from_millis(2));
     }
     assert!(!store.is_hydrating());
+}
+
+/// The store configuration the golden directory was written under.
+fn golden_config() -> StoreConfig {
+    StoreConfig::new(IndexSpec::parse("rmi:16+r1").unwrap())
+        .shards(2)
+        .delta_threshold(1_000)
+        .durability(
+            DurabilityConfig::new()
+                .sync(SyncPolicy::EveryN(4))
+                .checkpoint_ops(0)
+                .snapshot_block_keys(64),
+        )
+}
+
+/// The fixed write history behind `tests/data/parent-store`: a two-shard
+/// seed, single-op frames, batch frames and a transaction, one checkpoint
+/// mid-way and a WAL tail after it. Returns the final sorted content.
+fn write_golden_store(dir: &Path) -> Vec<u64> {
+    let mut rng = SplitMix64::new(0x601D);
+    let mut oracle: Vec<u64> = (0..300).map(|_| rng.next_below(1 << 40)).collect();
+    oracle.sort_unstable();
+    let store = ShardedStore::open_seeded(dir, golden_config(), &oracle).unwrap();
+    let mut write = |store: &ShardedStore<u64>, oracle: &mut Vec<u64>, round: u64| {
+        for i in 0..20 {
+            let k = rng.next_below(1 << 40);
+            store.insert(k).unwrap();
+            oracle.push(k);
+            if i % 3 == 0 {
+                let victim = oracle[(rng.next_below(oracle.len() as u64)) as usize];
+                assert!(store.delete(victim).unwrap());
+                let at = oracle.iter().position(|&x| x == victim).unwrap();
+                oracle.remove(at);
+            }
+        }
+        let mut batch = WriteBatch::new();
+        for i in 0..9 {
+            let k = (round << 32) + i * 7;
+            batch.insert(k);
+            oracle.push(k);
+        }
+        store.apply(&batch).unwrap();
+        let mut txn = store.begin();
+        let k = (round << 33) + 5;
+        txn.get(k);
+        txn.insert(k);
+        oracle.push(k);
+        txn.commit().unwrap();
+    };
+    write(&store, &mut oracle, 1);
+    store.checkpoint().unwrap();
+    write(&store, &mut oracle, 2); // stays in the WAL tail
+    drop(store);
+    oracle.sort_unstable();
+    oracle
+}
+
+/// On-disk compatibility across the CRC32 and snapshot-writer rewrite:
+/// `tests/data/parent-store` holds the manifest, v2 snapshots and WAL tail
+/// the commit *before* that rewrite produced for `write_golden_store`.
+/// This commit must produce the same bytes (so everything it writes
+/// verifies under the old bytewise checksum and reader), and must recover
+/// the old files — eagerly and cold — to the same content.
+#[test]
+fn store_directory_written_by_the_parent_commit_is_reproduced_and_recovered() {
+    let golden = Path::new(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/data/parent-store"
+    ));
+    let files = |dir: &Path| {
+        let mut names: Vec<String> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        names.sort();
+        names
+    };
+
+    let fresh = scratch("golden-fresh");
+    let oracle = write_golden_store(&fresh);
+    assert_eq!(files(&fresh), files(golden));
+    assert_eq!(
+        files(golden).len(),
+        4,
+        "manifest, two snapshots, one WAL segment"
+    );
+    for name in files(golden) {
+        assert_eq!(
+            std::fs::read(fresh.join(&name)).unwrap(),
+            std::fs::read(golden.join(&name)).unwrap(),
+            "{name} differs from the bytes the parent commit wrote"
+        );
+    }
+
+    for cold in [false, true] {
+        let image = scratch(if cold { "golden-cold" } else { "golden-eager" });
+        clone_dir(golden, &image);
+        let store: ShardedStore<u64> =
+            ShardedStore::open(&image, golden_config().cold_start(cold)).unwrap();
+        assert!(store.durability_stats().unwrap().replayed_records > 0);
+        assert_eq!(store.scan(0, u64::MAX), oracle, "cold={cold}");
+        if cold {
+            await_hydration(&store);
+            assert_eq!(store.scan(0, u64::MAX), oracle, "after hydration");
+        }
+        drop(store);
+        let _ = std::fs::remove_dir_all(&image);
+    }
+    let _ = std::fs::remove_dir_all(&fresh);
 }
 
 /// The tentpole oracle test: the same disk image opened eagerly and opened
