@@ -41,6 +41,15 @@
 //! long background hydration took to finish. Both modes must answer the
 //! probe set identically — asserted unconditionally.
 //!
+//! A fifth table measures **seeding**: `open_seeded` on a fresh directory
+//! writes the seed snapshot on one thread while the caller's builds the
+//! shards, and each row — one per dataset and shard count — reports the
+//! wall time of the two lanes (`seed_build_ms`, `seed_write_ms`, from
+//! [`shift_store::OpenBreakdown`]), the time the whole call took
+//! (`setup_ms`) and `overlap = (build + write) ÷ setup`: 1.0 or less means
+//! the lanes ran one after the other (a one-core box), towards 2.0 means
+//! the shorter lane was hidden behind the longer.
+//!
 //! Scratch directories live under the system temp dir and are removed
 //! after each row. The optional `DURABLE_SYNC` environment variable
 //! (`always` | `every64` | `os`) restricts the per-policy trace sweep to
@@ -49,8 +58,9 @@
 //! cross-policy comparison. Setting `COLD_START_ASSERT=1` (CI's cold-start
 //! job does, on a large store) additionally asserts the acceptance
 //! signals: incremental checkpoints skip and reuse, cold opens mount every
-//! shard cold, the first read precedes model training, and the cold open's
-//! foreground retrain time is a small fraction of the eager open's.
+//! shard cold, the first read precedes model training, the cold open's
+//! foreground retrain time is a small fraction of the eager open's, and —
+//! on a box with two or more cores — the seeding lanes overlapped.
 
 use crate::datasets::{dataset_u64, BenchConfig};
 use crate::report::{fmt_ns, percentile_cells, Table};
@@ -191,6 +201,7 @@ pub fn run(cfg: BenchConfig) -> Vec<Table> {
         group_commit_table(cfg, spec),
         incremental_checkpoint_table(cfg, spec),
         cold_start_table(cfg, spec),
+        seeding_table(cfg, spec),
     ]
 }
 
@@ -394,6 +405,83 @@ fn cold_start_table(cfg: BenchConfig, spec: IndexSpec) -> Table {
     table
 }
 
+/// The datasets the seeding table sweeps (the repo benchmark's four).
+pub const SEEDING_DATASETS: [SosdName; 4] = [
+    SosdName::Amzn64,
+    SosdName::Face64,
+    SosdName::Osmc64,
+    SosdName::Wiki64,
+];
+
+/// Shard counts the seeding table sweeps: one shard is the pipeline at its
+/// plainest (one build thread beside the writer), eight is a store's.
+pub const SEEDING_SHARDS: [usize; 2] = [1, 8];
+
+/// `open_seeded` on a fresh directory, lane by lane (see the module docs).
+/// Each row is the run with the median `setup_ms` of three.
+fn seeding_table(cfg: BenchConfig, spec: IndexSpec) -> Table {
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let mut table = Table::new(
+        format!(
+            "Store — seeding a fresh directory: build lane beside write lane (n = {}, spec {spec}, {cores} cores)",
+            cfg.keys
+        ),
+        &[
+            "dataset",
+            "shards",
+            "seed_build_ms",
+            "seed_write_ms",
+            "setup_ms",
+            "overlap",
+        ],
+    );
+    let ms = |d: std::time::Duration| d.as_secs_f64() * 1e3;
+    for name in SEEDING_DATASETS {
+        let d = dataset_u64(name, cfg);
+        for shards in SEEDING_SHARDS {
+            let config = StoreConfig::new(spec).shards(shards).durability(
+                DurabilityConfig::new()
+                    .sync(SyncPolicy::Os)
+                    .checkpoint_ops(0),
+            );
+            let mut runs: Vec<[f64; 3]> = (0..3)
+                .map(|_| {
+                    let dir = scratch_dir("seeding");
+                    let start = Instant::now();
+                    let store =
+                        ShardedStore::open_seeded(&dir, config, d.as_slice()).expect("fresh dir");
+                    let setup = start.elapsed();
+                    let lanes = store.open_breakdown().expect("a seeding open is timed");
+                    assert_eq!(store.len(), d.len());
+                    drop(store);
+                    let _ = std::fs::remove_dir_all(&dir);
+                    [ms(lanes.seed_build), ms(lanes.seed_write), ms(setup)]
+                })
+                .collect();
+            runs.sort_by(|a, b| a[2].total_cmp(&b[2]));
+            let [build, write, setup] = runs[1];
+            let overlap = (build + write) / setup;
+            if assert_acceptance() && cores >= 2 {
+                assert!(
+                    overlap > 1.0,
+                    "{} x{shards}: the seeding lanes must overlap on {cores} cores \
+                     (build {build:.1} ms + write {write:.1} ms vs setup {setup:.1} ms)",
+                    d.name()
+                );
+            }
+            table.add_row(vec![
+                d.name().into(),
+                shards.to_string(),
+                format!("{build:.1}"),
+                format!("{write:.1}"),
+                format!("{setup:.1}"),
+                format!("{overlap:.2}"),
+            ]);
+        }
+    }
+    table
+}
+
 /// The group-commit variants the multi-writer table sweeps: label, policy,
 /// group commit on/off.
 pub const GROUP_VARIANTS: [(&str, SyncPolicy, bool); 4] = [
@@ -499,7 +587,7 @@ mod tests {
             queries: 400,
             seed: 42,
         });
-        assert_eq!(tables.len(), 4);
+        assert_eq!(tables.len(), 5);
         if std::env::var("DURABLE_SYNC").is_err() {
             assert_eq!(tables[0].row_count(), SYNC_POLICIES.len());
         }
@@ -517,6 +605,11 @@ mod tests {
             tables[3].row_count(),
             2,
             "cold-start table: eager + cold rows"
+        );
+        assert_eq!(
+            tables[4].row_count(),
+            SEEDING_DATASETS.len() * SEEDING_SHARDS.len(),
+            "seeding table: a row per dataset and shard count"
         );
     }
 }

@@ -13,7 +13,7 @@
 
 use crate::metrics::Histogram;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Deterministic 1-in-N sampler (N rounded up to a power of two).
 ///
@@ -100,6 +100,13 @@ impl SampledTimer {
         self.start.is_some()
     }
 
+    /// Time elapsed since the timer was armed (zero for a disarmed timer) —
+    /// for one-off stage timings reported as a value, not a distribution.
+    #[inline]
+    pub fn elapsed(&self) -> Duration {
+        self.start.map_or(Duration::ZERO, |t0| t0.elapsed())
+    }
+
     /// Record the elapsed nanoseconds into `hist` if this call was sampled.
     #[inline]
     pub fn finish(self, hist: &Histogram) {
@@ -154,5 +161,13 @@ mod tests {
         assert!(t.armed());
         t.finish(&h);
         assert_eq!(h.snapshot().count(), 1);
+    }
+
+    #[test]
+    fn elapsed_is_zero_when_disarmed_and_monotone_when_armed() {
+        assert_eq!(SampledTimer::disarmed().elapsed(), Duration::ZERO);
+        let t = SampledTimer::armed_now();
+        let first = t.elapsed();
+        assert!(t.elapsed() >= first);
     }
 }

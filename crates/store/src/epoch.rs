@@ -229,9 +229,11 @@ mod tests {
         assert_eq!(clock.version(), 2);
 
         // Two cells written together under the clock must always be read
-        // as a pair, never half-updated.
-        let a = EpochCell::new(Arc::new(0u64));
-        let b = EpochCell::new(Arc::new(0u64));
+        // as a pair, never half-updated. They start at the clock's current
+        // version, so a read that wins the race against the first write
+        // still holds "the last write" the cut names.
+        let a = EpochCell::new(Arc::new(clock.version()));
+        let b = EpochCell::new(Arc::new(clock.version()));
         std::thread::scope(|scope| {
             let clock = &clock;
             let (a, b) = (&a, &b);

@@ -209,28 +209,47 @@
 //!   fence table, snapshot files, checkpoint version — written to a temp
 //!   file and atomically renamed, so no crash can expose a torn root.
 //!
-//! Checkpoints are **epoch-consistent**: the maintenance worker (or an
-//! explicit [`ShardedStore::checkpoint`]) briefly takes the WAL lock,
-//! rotates to a fresh segment and pins every shard's immutable state —
-//! because durable writes apply under that same lock, the pinned set is an
-//! exact cut at one version `cv`. Snapshot writing then proceeds entirely
-//! off-lock, and WAL segments whose records all sit at or below `cv` are
-//! deleted once the new manifest is durable. Checkpoints are also
-//! **incremental** by default
+//! A checkpoint is three steps — **cut → write → publish** — and the
+//! maintenance worker, an explicit [`ShardedStore::checkpoint`] and the
+//! seeding of a fresh directory all run the same three functions. The
+//! *cut* briefly takes the WAL lock, rotates to a fresh segment and pins
+//! every shard's immutable state; because durable writes apply under that
+//! same lock, the pinned set is an exact cut at one version `cv` — that is
+//! what makes checkpoints **epoch-consistent**. The *write* step runs
+//! entirely off-lock: one snapshot file per shard, each fsynced. *Publish*
+//! makes the manifest durable, remembers what it references, and deletes
+//! the WAL segments whose records all sit at or below `cv`. Until the
+//! manifest rename nothing refers to the new files, so a failure or crash
+//! in any step leaves the previous checkpoint in force. Checkpoints are
+//! also **incremental** by default
 //! ([`DurabilityConfig::incremental_checkpoints`]): a shard whose merged
 //! view has not moved since the previous checkpoint is *skipped* — the new
 //! manifest re-references the prior snapshot file instead of rewriting
 //! identical bytes ([`DurabilityStats::checkpoint_shards_skipped`] and
-//! [`DurabilityStats::snapshot_bytes_reused`] account the savings).
+//! [`DurabilityStats::snapshot_bytes_reused`] account the savings) — unless
+//! that file has gone missing, in which case the shard is written again.
+//!
+//! **Seeding is a pipeline.** The seed snapshot of
+//! [`ShardedStore::open_seeded`] depends on the key chunks alone (models
+//! and Shift-Tables are never persisted), so after the column is validated
+//! and the cut is taken, one writer thread runs the *write* step over the
+//! borrowed chunks while the calling thread builds the shards; the store
+//! is assembled and the checkpoint published when both are done, and
+//! [`ShardedStore::open_breakdown`] reports the wall time of each lane. A
+//! seeding that fails or is killed leaves no manifest and no WAL record, so
+//! the directory still counts as unseeded and the retry overwrites whatever
+//! snapshot files were left.
 //!
 //! Every checksum above is one function, [`persist::crc32`] (IEEE,
 //! reflected): it consumes eight bytes per step (slice-by-8) and yields the
 //! values of the bytewise definition, so the formats are unchanged in both
-//! directions. The snapshot writer is a single pass over the shard: a hot
-//! shard with an empty delta chain lends its base column to the writer
-//! ([`ShardState::merged_view`]) instead of copying it, keys are widened
-//! straight into the file image, and each block is checksummed while its
-//! bytes are still in cache.
+//! directions. The snapshot writer is a single pass over the shard in
+//! **bounded memory**: a hot shard with an empty delta chain lends its base
+//! column to the writer ([`ShardState::merged_view`]) instead of copying
+//! it, keys are widened into a reused 1 MiB staging buffer, each block is
+//! checksummed there while its bytes are still in cache, and the buffer is
+//! handed to the file whenever the next block would not fit — no
+//! allocation in the writer grows with the shard.
 //!
 //! **Recovery** ([`ShardedStore::open`]) loads the newest manifest that
 //! validates, rebuilds each shard from its snapshot, and replays the WAL

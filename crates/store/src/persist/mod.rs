@@ -25,17 +25,53 @@
 //!   version. Written to a temp file and atomically renamed, so a crash can
 //!   never leave a half-written root.
 //!
-//! ## Epoch-consistent checkpoints
+//! ## Checkpointing: cut → write → publish
 //!
-//! Because every durable write applies while holding the WAL lock, holding
-//! that lock is a *global barrier*: a checkpoint takes it, rotates the WAL
-//! to a fresh segment, pins every shard's published [`crate::ShardState`],
-//! and releases it. The pinned set is then an exact cut — it contains every
-//! write with version `<= cv` (the checkpoint version) and none above —
-//! even though the snapshot files themselves are written leisurely after
-//! the lock is dropped (pinned states are immutable). Once the manifest
-//! referencing them is durable, every WAL segment whose records all carry
-//! versions `<= cv` is deleted.
+//! A checkpoint is three steps, each its own function, and every caller —
+//! [`crate::ShardedStore::checkpoint`], the maintenance worker's duty and
+//! the seeding pipeline below — runs the same three:
+//!
+//! 1. **Cut** (`Persistence::begin_checkpoint`). Because every durable
+//!    write applies while holding the WAL lock, holding that lock is a
+//!    *global barrier*: the cut takes it, flushes and rotates the WAL to a
+//!    fresh segment, pins every shard's published [`crate::ShardState`],
+//!    and releases it. The pinned set is an exact cut — it contains every
+//!    write with version `<= cv` (the checkpoint version) and none above.
+//! 2. **Write** (`write_shard_files`). With the lock released (pinned
+//!    states are immutable, so this can take its time), one snapshot file
+//!    per shard that needs one is streamed out and fsynced. The step is a
+//!    function of `(dir, seq, cv, block_keys, key columns)` alone. Its
+//!    memory is the writer's staging buffer ([`v2::builder`]), whatever the
+//!    shard size. Only the checkpoint gate — which serialises whole
+//!    checkpoints and which no writer ever takes — is held here.
+//! 3. **Publish**. The manifest referencing the files is written and
+//!    renamed into place; then the checkpoint memo (below) is replaced,
+//!    the counters are bumped, and `gc` deletes what the manifest
+//!    superseded — including every WAL segment whose records all carry
+//!    versions `<= cv`.
+//!
+//! Nothing refers to a new snapshot file before the manifest rename, so an
+//! error or a crash in any step leaves the previous manifest in force and
+//! the new files as garbage for the next checkpoint's GC.
+//!
+//! ## The seeding pipeline
+//!
+//! [`crate::ShardedStore::open_seeded`] on a fresh directory has to make
+//! the seed column snapshot-durable before it hands the store out (the
+//! seed never transits the WAL). The snapshot depends on the key chunks
+//! alone — the model and the Shift-Table are never persisted — so it does
+//! not wait for the index: the column is validated and cut into chunks
+//! once, the *cut* is taken over the empty log, and then one writer thread
+//! runs the *write* step over the borrowed chunks **while** the calling
+//! thread builds the shards. When both lanes have finished the store is
+//! assembled and the checkpoint *published*, memo included, so the next
+//! checkpoint skips every clean shard. Failure semantics: validation
+//! errors are raised before the directory holds any file; a writer-lane
+//! error is returned after the build lane has been joined; a panic on
+//! either lane is re-raised; and in every case, as after a kill at any
+//! point before the manifest rename, the directory holds no manifest and
+//! no WAL record, so it still counts as unseeded
+//! (`recovery::has_store_data`) and a retry overwrites the debris.
 //!
 //! ## Incremental checkpoints and their GC invariants
 //!
@@ -59,7 +95,10 @@
 //!    snapshot **and** the topology (fence table) is unchanged — rebuilds
 //!    and compaction never move `applied_cv` precisely because they never
 //!    change the merged view, so "same `applied_cv`, same fences" implies
-//!    byte-identical merged keys. Replay keeps its per-shard gate
+//!    byte-identical merged keys. The file must also still *exist*: an
+//!    entry whose file cannot be found is not carried forward (garbage
+//!    collection is about to delete the only other manifest that knows
+//!    the shard), the shard is written again. Replay keeps its per-shard gate
 //!    (`version <= shard.applied`), so a WAL record covered by a reused
 //!    snapshot is a no-op on recovery exactly as before.
 //!
@@ -159,25 +198,47 @@ const CRC32_TABLES: [[u32; 256]; 8] = {
 /// the values of the bytewise definition, so files written by either
 /// implementation verify under the other.
 pub fn crc32(bytes: &[u8]) -> u32 {
-    const T: &[[u32; 256]; 8] = &CRC32_TABLES;
-    let mut c = !0u32;
-    let mut words = bytes.chunks_exact(8);
-    for w in &mut words {
-        let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
-        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
-        c = T[7][(lo & 0xFF) as usize]
-            ^ T[6][((lo >> 8) & 0xFF) as usize]
-            ^ T[5][((lo >> 16) & 0xFF) as usize]
-            ^ T[4][(lo >> 24) as usize]
-            ^ T[3][(hi & 0xFF) as usize]
-            ^ T[2][((hi >> 8) & 0xFF) as usize]
-            ^ T[1][((hi >> 16) & 0xFF) as usize]
-            ^ T[0][(hi >> 24) as usize];
+    let mut crc = Crc32::new();
+    crc.update(bytes);
+    crc.finish()
+}
+
+/// A running [`crc32`]: feeding a region piece by piece gives the checksum
+/// of the whole region, so a writer can checksum bytes it no longer holds.
+pub(crate) struct Crc32(u32);
+
+impl Crc32 {
+    pub(crate) fn new() -> Self {
+        Self(!0)
     }
-    for &b in words.remainder() {
-        c = T[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+
+    /// Fold the next `bytes` of the region into the checksum.
+    pub(crate) fn update(&mut self, bytes: &[u8]) {
+        const T: &[[u32; 256]; 8] = &CRC32_TABLES;
+        let mut c = self.0;
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+            let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+            c = T[7][(lo & 0xFF) as usize]
+                ^ T[6][((lo >> 8) & 0xFF) as usize]
+                ^ T[5][((lo >> 16) & 0xFF) as usize]
+                ^ T[4][(lo >> 24) as usize]
+                ^ T[3][(hi & 0xFF) as usize]
+                ^ T[2][((hi >> 8) & 0xFF) as usize]
+                ^ T[1][((hi >> 16) & 0xFF) as usize]
+                ^ T[0][(hi >> 24) as usize];
+        }
+        for &b in words.remainder() {
+            c = T[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        }
+        self.0 = c;
     }
-    !c
+
+    /// The checksum of everything fed so far.
+    pub(crate) fn finish(&self) -> u32 {
+        !self.0
+    }
 }
 
 /// Cumulative I/O counters of a durable store, for write-amplification
@@ -553,27 +614,18 @@ impl Persistence {
         Ok((cv, inner.manifest_seq, pinned))
     }
 
-    /// Record a finished checkpoint in the counters: bytes written, plus
-    /// the incremental accounting — shards rewritten vs. skipped, and the
-    /// bytes of prior snapshots re-referenced instead of rewritten.
-    pub(crate) fn finish_checkpoint(
-        &self,
-        cv: u64,
-        snapshot_bytes: u64,
-        shards_written: u64,
-        shards_skipped: u64,
-        bytes_reused: u64,
-    ) {
+    /// Record a finished checkpoint in the counters.
+    pub(crate) fn finish_checkpoint(&self, cv: u64, tally: CheckpointTally) {
         self.checkpoints.fetch_add(1, Ordering::Relaxed); // lint: ordering(Relaxed) monotonic stats counter; no synchronising role
         self.snapshot_bytes
-            .fetch_add(snapshot_bytes, Ordering::Relaxed); // lint: ordering(Relaxed) monotonic stats counter; no synchronising role
+            .fetch_add(tally.snapshot_bytes, Ordering::Relaxed); // lint: ordering(Relaxed) monotonic stats counter; no synchronising role
         self.last_checkpoint_version.store(cv, Ordering::Relaxed); // lint: ordering(Relaxed) stats gauge; no synchronising role
         self.checkpoint_shards_written
-            .fetch_add(shards_written, Ordering::Relaxed); // lint: ordering(Relaxed) monotonic stats counter; no synchronising role
+            .fetch_add(tally.shards_written, Ordering::Relaxed); // lint: ordering(Relaxed) monotonic stats counter; no synchronising role
         self.checkpoint_shards_skipped
-            .fetch_add(shards_skipped, Ordering::Relaxed); // lint: ordering(Relaxed) monotonic stats counter; no synchronising role
+            .fetch_add(tally.shards_skipped, Ordering::Relaxed); // lint: ordering(Relaxed) monotonic stats counter; no synchronising role
         self.snapshot_bytes_reused
-            .fetch_add(bytes_reused, Ordering::Relaxed); // lint: ordering(Relaxed) monotonic stats counter; no synchronising role
+            .fetch_add(tally.bytes_reused, Ordering::Relaxed); // lint: ordering(Relaxed) monotonic stats counter; no synchronising role
     }
 
     /// Online WAL-poison repair: if the writer is poisoned, rotate to a
@@ -655,6 +707,49 @@ impl Drop for Persistence {
     }
 }
 
+/// What one checkpoint wrote and what it carried forward: bytes and shards
+/// rewritten, shards skipped, and the bytes of prior snapshot files
+/// re-referenced instead of rewritten.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct CheckpointTally {
+    pub snapshot_bytes: u64,
+    pub shards_written: u64,
+    pub shards_skipped: u64,
+    pub bytes_reused: u64,
+}
+
+/// The *write* step of a checkpoint: one v2 snapshot file per
+/// `(shard index, key column)` of `shards`, named under manifest sequence
+/// `seq` and exact at version `cv`, each fsynced before the next is
+/// started. Returns the manifest entries in input order and the bytes
+/// written.
+///
+/// A function of its arguments alone — no store, no lock — so it runs
+/// equally under [`crate::ShardedStore::checkpoint`], over the pinned
+/// states of the cut, and on the writer thread of a seeding, over the
+/// borrowed chunks of the seed column while the shards are still being
+/// built. Columns are pulled from the iterator one at a time, so a merged
+/// view that has to be materialised lives only while its file is written.
+pub(crate) fn write_shard_files<K: sosd_data::key::Key, V: AsRef<[K]>>(
+    dir: &Path,
+    seq: u64,
+    cv: u64,
+    block_keys: usize,
+    shards: impl Iterator<Item = (usize, V)>,
+) -> Result<(Vec<manifest::ManifestShard>, u64), StoreError> {
+    let mut entries = Vec::new();
+    let mut bytes = 0u64;
+    for (shard, keys) in shards {
+        let name = snapshot::snapshot_name(seq, shard);
+        bytes += v2::write_snapshot(&dir.join(&name), cv, keys.as_ref(), block_keys)?;
+        entries.push(manifest::ManifestShard {
+            snapshot: name,
+            applied: cv,
+        });
+    }
+    Ok((entries, bytes))
+}
+
 /// Best-effort removal of files superseded by the manifest `m`: older
 /// manifests, snapshot files it does not reference, and WAL segments whose
 /// records all sit at or below its checkpoint version. Failures are ignored
@@ -725,6 +820,21 @@ mod tests {
                     crc32_bytewise(bytes),
                     "start {start} len {len}"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn crc32_fed_in_pieces_is_the_crc32_of_the_whole() {
+        let mut rng = sosd_data::rng::SplitMix64::new(0x5EED);
+        let buf: Vec<u8> = (0..101).map(|_| rng.next_u64() as u8).collect();
+        for first in 0..=buf.len() {
+            for second in [first, (first + 13).min(buf.len()), buf.len()] {
+                let mut crc = Crc32::new();
+                crc.update(&buf[..first]);
+                crc.update(&buf[first..second]);
+                crc.update(&buf[second..]);
+                assert_eq!(crc.finish(), crc32(&buf), "cuts at {first}, {second}");
             }
         }
     }

@@ -50,10 +50,17 @@ use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Where a [`crate::ShardedStore::open`] spent its time, plus how much
-/// work was deferred to background hydration. All phases are measured on
+/// Where a [`crate::ShardedStore::open`] or
+/// [`crate::ShardedStore::open_seeded`] spent its time, plus how much work
+/// was deferred to background hydration.
+///
+/// A **recovering** open fills the four recovery phases, all measured on
 /// the opening thread: `retrain` is the *foreground* model-training time —
 /// near zero for a cold start, where training happens after open returns.
+/// A **seeding** open (a fresh directory) fills the two `seed_*` lanes
+/// instead, each the wall time of one lane of the seeding pipeline; the
+/// lanes run side by side, so `seed_build + seed_write` is more than the
+/// call took wherever they overlapped. Phases of the other kind are zero.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OpenBreakdown {
     /// Parsing and validating the manifest (including its spec string).
@@ -66,6 +73,12 @@ pub struct OpenBreakdown {
     pub retrain: Duration,
     /// Shards published cold (0 on an eager open): the hydrator's backlog.
     pub cold_shards: usize,
+    /// Seeding, build lane: copying each chunk into its shard, training the
+    /// models and building the Shift-Tables (all shards, start to join).
+    pub seed_build: Duration,
+    /// Seeding, write lane: encoding, checksumming, writing and fsyncing
+    /// the seed snapshot files (all shards, on the one writer thread).
+    pub seed_write: Duration,
 }
 
 /// Everything `ShardedStore::open` needs to assemble a recovered store.
@@ -431,6 +444,7 @@ pub(crate) fn recover<K: Key>(
             replay: replay_time,
             retrain: retrain_start.elapsed(),
             cold_shards,
+            ..OpenBreakdown::default()
         },
     })
 }

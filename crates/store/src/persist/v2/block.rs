@@ -54,17 +54,29 @@ impl BlockMeta {
     }
 }
 
-/// Append one encoded block (`crc │ count │ keys`) for `keys` to `out`,
-/// widening each key to `u64` LE as it is written into the image.
-pub fn encode_block<K: Key>(keys: &[K], out: &mut Vec<u8>) {
-    let header_at = out.len();
-    out.extend_from_slice(&[0u8; 4]); // crc placeholder
-    out.extend_from_slice(&(keys.len() as u32).to_le_bytes());
+/// Append `keys` to `out`, each widened to `u64` LE — the body encoding of
+/// a block, or of one staging-buffer-sized piece of an oversized block.
+pub fn encode_keys<K: Key>(keys: &[K], out: &mut Vec<u8>) {
     let keys_at = out.len();
     out.resize(keys_at + keys.len() * 8, 0);
     for (slot, k) in out[keys_at..].chunks_exact_mut(8).zip(keys) {
         slot.copy_from_slice(&k.to_u64().to_le_bytes());
     }
+}
+
+/// Append a block header (`crc │ count`) to `out`.
+pub fn encode_block_header(crc: u32, count: u32, out: &mut Vec<u8>) {
+    out.extend_from_slice(&crc.to_le_bytes());
+    out.extend_from_slice(&count.to_le_bytes());
+}
+
+/// Append one encoded block (`crc │ count │ keys`) for `keys` to `out`,
+/// widening each key to `u64` LE as it is written and checksumming the
+/// block right after, while its bytes are still cache-resident.
+pub fn encode_block<K: Key>(keys: &[K], out: &mut Vec<u8>) {
+    let header_at = out.len();
+    encode_block_header(0, keys.len() as u32, out); // crc patched below
+    encode_keys(keys, out);
     let crc = crc32(&out[header_at + 4..]);
     out[header_at..header_at + 4].copy_from_slice(&crc.to_le_bytes());
 }

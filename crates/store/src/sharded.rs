@@ -26,7 +26,7 @@ use crate::obs::{self, HydrationReason, StoreObs, TraceEvent, TraceKind};
 use crate::persist::manifest::{Manifest, ManifestShard};
 use crate::persist::recovery::OpenBreakdown;
 use crate::persist::wal::WalOp;
-use crate::persist::{self, recovery, snapshot, v2, DurabilityStats, Persistence};
+use crate::persist::{self, recovery, CheckpointTally, DurabilityStats, Persistence};
 use crate::router::ShardRouter;
 use crate::shard::{build_index, ShardSnapshot, StoreShard};
 use crate::snapshot::{PinnedCut, SnapshotHook, StoreSnapshot};
@@ -34,7 +34,7 @@ use crate::txn::{ReadSet, Txn};
 use crate::versions::{diff_cuts, VersionRing, VersionStats};
 use crate::worker::{HydrationWorker, MaintenanceWorker, WorkerSignal};
 use algo_index::search::{DynRangeIndex, RangeIndex};
-use shift_obs::{MetricsProvider, MetricsReport, MetricsServer};
+use shift_obs::{MetricsProvider, MetricsReport, MetricsServer, SampledTimer};
 use shift_table::error::BuildError;
 use shift_table::spec::IndexSpec;
 use sosd_data::key::Key;
@@ -43,18 +43,16 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
-/// What [`build_chunked`] hands back: the router, the chunk start offsets
-/// and the built shards.
-type ChunkedBuild<K, T> = (ShardRouter<K>, Vec<usize>, Vec<T>);
-
-/// Shared construction path of both sharded types: validate sortedness once,
-/// partition into duplicate-run-aligned chunks, and build one shard value per
-/// chunk with scoped worker threads.
-fn build_chunked<K: Key, T: Send>(
+/// The chunk plan shared by both sharded types: `keys` checked sorted once,
+/// cut into duplicate-run-aligned chunks, each checked against the capacity
+/// of `spec`'s layer. Everything that can fail in a sharded build fails
+/// here — before any shard is built and, for a seeding, before any file is
+/// written — so the builds over the returned chunks are infallible.
+fn plan_chunks<K: Key>(
+    spec: IndexSpec,
     keys: &[K],
     shards: usize,
-    build: impl Fn(&[K]) -> Result<T, BuildError> + Sync,
-) -> Result<ChunkedBuild<K, T>, BuildError> {
+) -> Result<(ShardRouter<K>, Vec<&[K]>), BuildError> {
     if let Some(position) = keys.windows(2).position(|w| w[0] > w[1]) {
         return Err(BuildError::UnsortedKeys {
             position: position + 1,
@@ -62,19 +60,27 @@ fn build_chunked<K: Key, T: Send>(
     }
     let (router, bounds) = ShardRouter::partition(keys, shards);
     let chunks: Vec<&[K]> = bounds.windows(2).map(|w| &keys[w[0]..w[1]]).collect();
-    let mut built: Vec<T> = Vec::with_capacity(chunks.len());
+    for chunk in &chunks {
+        spec.check_key_count(chunk.len())?;
+    }
+    Ok((router, chunks))
+}
+
+/// Build one shard value per planned chunk on scoped worker threads, one
+/// per chunk.
+fn build_chunks<K: Key, T: Send>(chunks: &[&[K]], build: impl Fn(&[K]) -> T + Sync) -> Vec<T> {
     let build = &build;
     std::thread::scope(|scope| {
         let handles: Vec<_> = chunks
             .iter()
             .map(|&chunk| scope.spawn(move || build(chunk)))
             .collect();
-        for h in handles {
-            built.push(h.join().expect("shard build worker panicked")?); // lint: allow(panic) join fails only when the child panicked; re-raising preserves the failure
-        }
-        Ok::<(), BuildError>(())
-    })?;
-    Ok((router, bounds[..bounds.len() - 1].to_vec(), built))
+        handles
+            .into_iter()
+            // lint: allow(panic) join fails only when the child panicked; re-raising preserves the failure
+            .map(|h| h.join().expect("shard build worker panicked"))
+            .collect()
+    })
 }
 
 /// Shared batched-read path of both sharded types: bucket the queries by
@@ -145,16 +151,20 @@ impl<K: Key> ShardedIndex<K> {
     /// [`BuildError::TooManyKeys`] if a shard's chunk is longer than `spec`'s
     /// layer can cover.
     pub fn build(spec: IndexSpec, keys: &[K], shards: usize) -> Result<Self, BuildError> {
-        // `build_chunked` validated the whole column; each chunk takes the
+        // The plan validated the whole column; each chunk takes the
         // prevalidated build path rather than re-scanning.
-        let (router, offsets, built) = build_chunked(keys, shards, |chunk| {
-            spec.check_key_count(chunk.len())?;
-            Ok::<DynRangeIndex<K>, BuildError>(spec.build_dyn_prevalidated_with(
-                Arc::<[K]>::from(chunk),
-                Default::default(),
-                1,
-            ))
-        })?;
+        let (router, chunks) = plan_chunks(spec, keys, shards)?;
+        let offsets = chunks
+            .iter()
+            .scan(0usize, |next, chunk| {
+                let start = *next;
+                *next += chunk.len();
+                Some(start)
+            })
+            .collect();
+        let built = build_chunks(&chunks, |chunk| {
+            spec.build_dyn_prevalidated_with(Arc::<[K]>::from(chunk), Default::default(), 1)
+        });
         Ok(Self {
             router,
             offsets,
@@ -273,6 +283,23 @@ struct MemoShard {
     /// forces a rewrite (a fresh store, or a reopen that replayed WAL-tail
     /// records into the shard).
     entry: Option<ManifestShard>,
+}
+
+/// What the *cut* and *write* steps of a checkpoint hand to
+/// [`StoreCore::publish_checkpoint`].
+struct WrittenCheckpoint {
+    /// The checkpoint version: every write `<= cv` is inside the files.
+    cv: u64,
+    /// The manifest sequence to publish under.
+    seq: u64,
+    /// The fence keys (widened) of the topology the cut was taken over.
+    fences: Vec<u64>,
+    /// Per shard, the `applied_cv` stamp of the state the cut pinned.
+    state_cvs: Vec<u64>,
+    /// Per shard, the snapshot file the manifest will reference — written
+    /// by this checkpoint or carried forward from the previous one.
+    entries: Vec<ManifestShard>,
+    tally: CheckpointTally,
 }
 
 /// The store state shared between the public handle and the maintenance
@@ -585,10 +612,13 @@ impl<K: Key> StoreCore<K> {
         self.obs.push_error(None, self.clock.version(), e);
     }
 
-    /// Take an epoch-consistent checkpoint (see [`crate::persist`]): rotate
-    /// the WAL and pin every shard state under the WAL lock (an exact cut —
-    /// durable writes apply under that lock), then write the snapshots and
-    /// manifest off-lock and truncate the covered WAL prefix.
+    /// Take an epoch-consistent checkpoint (see [`crate::persist`]) in its
+    /// three steps. **Cut**: rotate the WAL and pin every shard state under
+    /// the WAL lock (an exact cut — durable writes apply under that lock).
+    /// **Write**: off-lock, one snapshot file per shard that needs one
+    /// ([`persist::write_shard_files`]). **Publish**: the manifest, the
+    /// memo, the counters and the truncation of the covered WAL prefix
+    /// ([`StoreCore::publish_checkpoint`]).
     ///
     /// With [`crate::DurabilityConfig::incremental_checkpoints`] (the
     /// default), a shard whose `applied_cv` stamp has not moved since the
@@ -596,7 +626,9 @@ impl<K: Key> StoreCore<K> {
     /// the previous snapshot file (old name, old `applied` floor) instead
     /// of rewriting identical bytes, and garbage collection keeps every
     /// file the newest manifest references regardless of its sequence
-    /// number. Any topology change invalidates the whole memo.
+    /// number. A file that can no longer be found is not re-referenced —
+    /// the shard is written again. Any topology change invalidates the
+    /// whole memo.
     pub(crate) fn checkpoint(&self) -> Result<u64, StoreError> {
         let Some(p) = &self.persist else {
             return Err(StoreError::NotDurable);
@@ -625,64 +657,86 @@ impl<K: Key> StoreCore<K> {
                     && m.shards.len() == states.len()
             })
             .map(|m| m.shards);
-        let block_keys = p.durability().snapshot_block_keys;
-        let mut shards = Vec::with_capacity(states.len());
-        let mut new_memo = Vec::with_capacity(states.len());
-        let mut snapshot_bytes = 0u64;
-        let (mut written, mut skipped, mut reused_bytes) = (0u64, 0u64, 0u64);
-        for (i, state) in states.iter().enumerate() {
-            let state_cv = state.applied_cv();
-            let reuse = prior
-                .as_ref()
-                .and_then(|m| m[i].entry.clone().filter(|_| m[i].state_cv == state_cv));
-            let entry = match reuse {
-                Some(entry) => {
-                    skipped += 1;
-                    reused_bytes += std::fs::metadata(p.dir().join(&entry.snapshot))
-                        .map(|meta| meta.len())
-                        .unwrap_or(0);
-                    entry
-                }
-                None => {
-                    let name = snapshot::snapshot_name(seq, i);
-                    snapshot_bytes += v2::write_snapshot(
-                        &p.dir().join(&name),
-                        cv,
-                        &state.merged_view(),
-                        block_keys,
-                    )?;
-                    written += 1;
-                    ManifestShard {
-                        snapshot: name,
-                        applied: cv,
-                    }
-                }
-            };
-            new_memo.push(MemoShard {
-                state_cv,
-                entry: Some(entry.clone()),
-            });
-            shards.push(entry);
-        }
-        let m = Manifest {
+        let state_cvs: Vec<u64> = states.iter().map(|s| s.applied_cv()).collect();
+        let mut tally = CheckpointTally::default();
+        // Per shard, the previous entry when it can be carried forward: the
+        // merged view has not moved and the file is still there to point at.
+        let reused: Vec<Option<ManifestShard>> = (0..states.len())
+            .map(|i| {
+                let m = &prior.as_ref()?[i];
+                let entry = m.entry.clone().filter(|_| m.state_cv == state_cvs[i])?;
+                let file = std::fs::metadata(p.dir().join(&entry.snapshot)).ok()?;
+                tally.shards_skipped += 1;
+                tally.bytes_reused += file.len();
+                Some(entry)
+            })
+            .collect();
+        let (written, snapshot_bytes) = persist::write_shard_files(
+            p.dir(),
             seq,
-            version: cv,
+            cv,
+            p.durability().snapshot_block_keys,
+            (0..states.len())
+                .filter(|&i| reused[i].is_none())
+                .map(|i| (i, states[i].merged_view())),
+        )?;
+        tally.shards_written = written.len() as u64;
+        tally.snapshot_bytes = snapshot_bytes;
+        let mut written = written.into_iter();
+        let entries: Vec<ManifestShard> = reused
+            .into_iter()
+            .filter_map(|entry| entry.or_else(|| written.next()))
+            .collect();
+        debug_assert_eq!(entries.len(), states.len());
+        self.publish_checkpoint(WrittenCheckpoint {
+            cv,
+            seq,
+            fences,
+            state_cvs,
+            entries,
+            tally,
+        })?;
+        self.obs.phase_done(t0, &self.obs.checkpoint_ns);
+        Ok(cv)
+    }
+
+    /// The *publish* step of a checkpoint, shared by
+    /// [`StoreCore::checkpoint`] and the seeding pipeline of
+    /// [`ShardedStore::open_seeded`]: make the manifest durable, remember
+    /// what it references (the next checkpoint's skip oracle), count the
+    /// checkpoint and collect what it superseded. The caller holds the
+    /// checkpoint gate and every file in `done.entries` is already synced;
+    /// until the manifest lands nothing refers to them.
+    fn publish_checkpoint(&self, done: WrittenCheckpoint) -> Result<(), StoreError> {
+        let Some(p) = &self.persist else {
+            return Err(StoreError::NotDurable);
+        };
+        let m = Manifest {
+            seq: done.seq,
+            version: done.cv,
             spec: self.config.spec.to_string(),
-            fences: fences.clone(),
-            shards,
+            fences: done.fences,
+            shards: done.entries,
         };
         persist::manifest::write_manifest(p.dir(), &m)?;
-        // The manifest is durable: these entries are now safe to skip from.
+        p.finish_checkpoint(done.cv, done.tally);
+        persist::gc(p.dir(), &m);
+        // The manifest is durable: its entries are now safe to skip from.
         // lint: allow(panic) lock poisoning propagates a holder's panic; no sound continuation
         *self.ckpt_memo.lock().expect("checkpoint memo poisoned") = Some(CheckpointMemo {
-            fences,
-            shards: new_memo,
+            fences: m.fences,
+            shards: done
+                .state_cvs
+                .into_iter()
+                .zip(m.shards)
+                .map(|(state_cv, entry)| MemoShard {
+                    state_cv,
+                    entry: Some(entry),
+                })
+                .collect(),
         });
-        p.finish_checkpoint(cv, snapshot_bytes, written, skipped, reused_bytes);
-        persist::gc(p.dir(), &m);
-        self.obs.phase_done(t0, &self.obs.checkpoint_ns);
-        self.emit_event(TraceKind::Checkpoint, None, snapshot_bytes);
-        Ok(cv)
+        self.emit_event(TraceKind::Checkpoint, None, done.tally.snapshot_bytes);
+        Ok(())
     }
 
     /// Background-hydrate every cold shard (see
@@ -1152,7 +1206,9 @@ impl<K: Key> ShardedStore<K> {
     /// [`BuildError::TooManyKeys`] if a shard's chunk is longer than the
     /// spec's layer can cover.
     pub fn build(config: StoreConfig, keys: impl AsRef<[K]>) -> Result<Self, BuildError> {
-        let table = Self::table_from_keys(&config, keys.as_ref())?;
+        let (router, chunks) = plan_chunks(config.spec, keys.as_ref(), config.shards)?;
+        let shards = Self::build_shards(&config, &chunks);
+        let table = StoreTable { router, shards };
         Ok(Self::assemble(config, table, None, None, None))
     }
 
@@ -1218,12 +1274,33 @@ impl<K: Key> ShardedStore<K> {
     }
 
     /// [`ShardedStore::open`] that seeds a **fresh** directory with the
-    /// sorted `keys` and checkpoints them immediately (the seed never
-    /// transits the WAL, so it must be snapshot-durable before the store is
-    /// handed out). A directory that already holds store data — a manifest,
-    /// or a WAL segment with at least one valid record — recovers normally
-    /// and ignores `keys`; a seeding that crashed before its first
-    /// checkpoint leaves neither, so retrying it seeds again.
+    /// sorted `keys` and checkpoints them before the store is handed out
+    /// (the seed never transits the WAL, so it must be snapshot-durable
+    /// first). A directory that already holds store data — a manifest, or a
+    /// WAL segment with at least one valid record — recovers normally and
+    /// ignores `keys`.
+    ///
+    /// Seeding is a **two-lane pipeline**, because the seed snapshot is a
+    /// function of the key chunks alone (the model and the Shift-Table are
+    /// never persisted). The column is validated and cut into chunks once;
+    /// the checkpoint *cut* is taken over the fresh directory; then one
+    /// writer thread streams a snapshot file per chunk
+    /// (`persist::write_shard_files`, bounded memory) **while** the
+    /// calling thread builds the shards over the same borrowed chunks. When
+    /// both lanes are done the store is assembled and the checkpoint is
+    /// *published* — manifest, then the memo, so an immediate
+    /// [`ShardedStore::checkpoint`] skips every shard. The wall time of
+    /// each lane is reported by [`ShardedStore::open_breakdown`]
+    /// ([`OpenBreakdown::seed_build`], [`OpenBreakdown::seed_write`]); on a
+    /// box with two or more cores their sum exceeds the time the call took.
+    ///
+    /// **Failure.** Unsorted keys and over-long chunks are rejected before
+    /// anything is created in the directory. An I/O error in the writer
+    /// lane is returned once both lanes have finished. In every failing
+    /// case — and after a crash anywhere before the manifest rename — the
+    /// directory holds no manifest and no WAL record, so it still counts as
+    /// unseeded: whatever snapshot files the attempt left are overwritten
+    /// by the retry. A panic on either lane is re-raised.
     ///
     /// # Errors
     /// As [`ShardedStore::open`], plus [`StoreError::Build`] if `keys` is
@@ -1238,7 +1315,7 @@ impl<K: Key> ShardedStore<K> {
         if recovery::has_store_data(dir)? {
             return Self::open(dir, config);
         }
-        let table = Self::table_from_keys(&config, keys.as_ref())?;
+        let (router, chunks) = plan_chunks(config.spec, keys.as_ref(), config.shards)?;
         let persistence = Persistence::create(
             dir.to_path_buf(),
             config.durability.unwrap_or_default(),
@@ -1246,18 +1323,67 @@ impl<K: Key> ShardedStore<K> {
             0,
             0,
         )?;
-        let store = Self::assemble(config, table, Some(persistence), None, None);
-        store.checkpoint()?;
+        // The cut of an empty log: nothing to pin, the chunks are the cut.
+        // The WAL lock is released again before the first file is written.
+        let (cv, seq, ()) = persistence.begin_checkpoint(|| ())?;
+        let block_keys = persistence.durability().snapshot_block_keys;
+        let (shards, seed_build, written, seed_write) = std::thread::scope(|scope| {
+            let writer = scope.spawn(|| {
+                let timer = SampledTimer::armed_now();
+                let written = persist::write_shard_files(
+                    dir,
+                    seq,
+                    cv,
+                    block_keys,
+                    chunks.iter().copied().enumerate(),
+                );
+                (written, timer.elapsed())
+            });
+            let timer = SampledTimer::armed_now();
+            let shards = Self::build_shards(&config, &chunks);
+            let seed_build = timer.elapsed();
+            // lint: allow(panic) join fails only when the child panicked; re-raising preserves the failure
+            let (written, seed_write) = writer.join().expect("seed snapshot writer panicked");
+            (shards, seed_build, written, seed_write)
+        });
+        let (entries, snapshot_bytes) = written?;
+        let done = WrittenCheckpoint {
+            cv,
+            seq,
+            fences: router.fences().iter().map(|f| f.to_u64()).collect(),
+            state_cvs: shards.iter().map(|s| s.state().applied_cv()).collect(),
+            tally: CheckpointTally {
+                snapshot_bytes,
+                shards_written: entries.len() as u64,
+                ..CheckpointTally::default()
+            },
+            entries,
+        };
+        let breakdown = OpenBreakdown {
+            seed_build,
+            seed_write,
+            ..OpenBreakdown::default()
+        };
+        let store = Self::assemble(
+            config,
+            StoreTable { router, shards },
+            Some(persistence),
+            None,
+            Some(breakdown),
+        );
+        {
+            let _gate = store.core.persist.as_ref().map(|p| p.checkpoint_gate());
+            store.core.publish_checkpoint(done)?;
+        }
         Ok(store)
     }
 
-    /// Shared constructor: chunk the validated column and build one shard
-    /// per chunk (`build_chunked` validated the whole column; each chunk
-    /// takes the prevalidated shard constructor rather than re-scanning).
-    fn table_from_keys(config: &StoreConfig, keys: &[K]) -> Result<StoreTable<K>, BuildError> {
-        let (router, _offsets, shards) = build_chunked(keys, config.shards, |chunk| {
-            config.spec.check_key_count(chunk.len())?;
-            Ok::<_, BuildError>(Arc::new(
+    /// Build one shard per planned chunk (`plan_chunks` validated the
+    /// column and every chunk's length, so each takes the prevalidated
+    /// shard constructor rather than re-scanning).
+    fn build_shards(config: &StoreConfig, chunks: &[&[K]]) -> Vec<Arc<StoreShard<K>>> {
+        build_chunks(chunks, |chunk| {
+            Arc::new(
                 StoreShard::build_prevalidated(
                     config.spec,
                     Arc::<[K]>::from(chunk),
@@ -1265,9 +1391,8 @@ impl<K: Key> ShardedStore<K> {
                     config.build_threads,
                 )
                 .with_chain_tuning(config.max_run_len, config.compact_runs),
-            ))
-        })?;
-        Ok(StoreTable { router, shards })
+            )
+        })
     }
 
     /// Wrap a table (built or recovered) into a live store, spawning the
@@ -1970,9 +2095,11 @@ impl<K: Key> ShardedStore<K> {
         Ok(self.core.rebuild_where(|s| s.snapshot().is_cold())?)
     }
 
-    /// Where [`ShardedStore::open`] spent its time, and how many shards it
-    /// mounted cold (`None` for in-memory stores). The reopen-latency
-    /// breakdown the `store_durable` bench reports.
+    /// Where the open spent its time (`None` for in-memory stores): the
+    /// recovery phases and the shards mounted cold for a store
+    /// [`ShardedStore::open`] recovered, the two pipeline lanes for one
+    /// [`ShardedStore::open_seeded`] seeded. The reopen and seeding
+    /// breakdowns the `store_durable` bench reports.
     pub fn open_breakdown(&self) -> Option<OpenBreakdown> {
         self.breakdown
     }

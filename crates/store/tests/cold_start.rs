@@ -371,6 +371,166 @@ fn incremental_checkpoints_skip_clean_shards_and_survive_reopen() {
     assert_eq!(s6.checkpoint_shards_skipped, 0);
 }
 
+/// Names of the files in `dir` that start with `prefix`, sorted.
+fn files_named(dir: &Path, prefix: &str) -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .filter(|n| n.starts_with(prefix))
+        .collect();
+    names.sort();
+    names
+}
+
+/// A snapshot file the memo points at can go missing (an operator's
+/// clean-up, a restore that dropped files). The next checkpoint must write
+/// the shard again instead of publishing a manifest that references
+/// nothing — GC removes the older manifest, so nothing else could recover.
+#[test]
+fn checkpoint_rewrites_a_shard_whose_reused_snapshot_file_is_gone() {
+    let dir = scratch("reuse-missing");
+    let (store, base) = seeded(&dir);
+    let shard_count = store.shard_count() as u64;
+    store.checkpoint().unwrap();
+    let before = store.durability_stats().unwrap();
+    assert_eq!(before.checkpoint_shards_skipped, shard_count);
+
+    std::fs::remove_file(dir.join(snapshot::snapshot_name(1, 1))).unwrap();
+    store.checkpoint().unwrap();
+    let after = store.durability_stats().unwrap();
+    assert_eq!(
+        after.checkpoint_shards_written,
+        before.checkpoint_shards_written + 1,
+        "the shard whose file is gone is written again"
+    );
+    assert_eq!(
+        after.checkpoint_shards_skipped,
+        before.checkpoint_shards_skipped + shard_count - 1
+    );
+    assert!(dir.join(snapshot::snapshot_name(3, 1)).exists());
+    drop(store);
+
+    let reopened = ShardedStore::<u64>::open(&dir, durable_config()).unwrap();
+    assert_eq!(reopened.len(), base.len());
+    assert_eq!(reopened.scan(0, u64::MAX), base);
+}
+
+/// A seeded open reports the wall time of both pipeline lanes, leaves the
+/// recovery phases at zero, and publishes the checkpoint memo: a
+/// checkpoint right after it has nothing to write.
+#[test]
+fn seeded_open_reports_both_lanes_and_primes_the_checkpoint_memo() {
+    let dir = scratch("seed-lanes");
+    let (store, base) = seeded(&dir);
+    let shard_count = store.shard_count() as u64;
+    let lanes = store.open_breakdown().expect("a seeding open is timed");
+    assert!(lanes.seed_build > Duration::ZERO);
+    assert!(lanes.seed_write > Duration::ZERO);
+    assert_eq!(
+        (lanes.manifest, lanes.mount, lanes.replay, lanes.retrain),
+        (
+            Duration::ZERO,
+            Duration::ZERO,
+            Duration::ZERO,
+            Duration::ZERO
+        )
+    );
+    assert_eq!(lanes.cold_shards, 0);
+
+    let seed = store.durability_stats().unwrap();
+    assert_eq!(seed.checkpoints, 1);
+    assert_eq!(seed.checkpoint_shards_written, shard_count);
+    assert_eq!(seed.last_checkpoint_version, 0);
+    store.checkpoint().unwrap();
+    let next = store.durability_stats().unwrap();
+    assert_eq!(next.checkpoint_shards_skipped, shard_count);
+    assert_eq!(
+        next.checkpoint_shards_written,
+        seed.checkpoint_shards_written
+    );
+    assert_eq!(next.snapshot_bytes, seed.snapshot_bytes, "0 bytes written");
+    drop(store);
+
+    // Recovering the same directory — through either entry point — times
+    // the recovery phases and no seeding lane.
+    let reopened = ShardedStore::open_seeded(&dir, durable_config(), [1u64]).unwrap();
+    assert_eq!(reopened.len(), base.len());
+    let phases = reopened.open_breakdown().unwrap();
+    assert_eq!(
+        (phases.seed_build, phases.seed_write),
+        (Duration::ZERO, Duration::ZERO)
+    );
+}
+
+/// Every way a seeding can fail leaves a directory that still counts as
+/// unseeded, and seeding it again gives the files a clean seeding gives.
+#[test]
+fn failed_and_interrupted_seedings_leave_a_directory_that_seeds_again() {
+    let mut rng = SplitMix64::new(0xD3B215);
+    let mut keys: Vec<u64> = (0..5_000).map(|_| rng.next_below(1 << 30)).collect();
+    keys.sort_unstable();
+    let clean = scratch("seed-clean");
+    drop(ShardedStore::open_seeded(&clean, durable_config(), &keys).unwrap());
+    let clean_files = files_named(&clean, "");
+    let assert_seeds_like_clean = |dir: &Path, tag: &str| {
+        let store = ShardedStore::open_seeded(dir, durable_config(), &keys).unwrap();
+        assert_eq!(store.scan(0, u64::MAX), keys, "{tag}");
+        drop(store);
+        assert_eq!(files_named(dir, ""), clean_files, "{tag}: file set");
+        for name in files_named(dir, "snap-")
+            .into_iter()
+            .chain(files_named(dir, "manifest-"))
+        {
+            assert!(
+                std::fs::read(dir.join(&name)).unwrap()
+                    == std::fs::read(clean.join(&name)).unwrap(),
+                "{tag}: {name} differs from a clean seeding"
+            );
+        }
+        let reopened = ShardedStore::<u64>::open(dir, durable_config()).unwrap();
+        assert_eq!(reopened.scan(0, u64::MAX), keys, "{tag}: recovered");
+    };
+
+    // (a) A column that cannot be built is rejected by the chunk plan (the
+    // step that also checks every chunk against the layer's capacity),
+    // before the directory holds a WAL segment, a snapshot or a manifest.
+    let unsorted = scratch("seed-unsorted");
+    let mut bad = keys.clone();
+    bad.swap(10, 4_000);
+    let err = ShardedStore::open_seeded(&unsorted, durable_config(), &bad)
+        .err()
+        .expect("unsorted keys must not seed");
+    assert!(matches!(err, StoreError::Build(_)), "{err}");
+    assert_eq!(files_named(&unsorted, ""), Vec::<String>::new());
+    assert_seeds_like_clean(&unsorted, "after unsorted keys");
+
+    // (b) A seeding killed mid-write: a torn first snapshot, a record-less
+    // WAL segment, no manifest.
+    let killed = scratch("seed-killed");
+    std::fs::create_dir_all(&killed).unwrap();
+    let whole = std::fs::read(clean.join(snapshot::snapshot_name(1, 0))).unwrap();
+    std::fs::write(
+        killed.join(snapshot::snapshot_name(1, 0)),
+        &whole[..whole.len() / 3],
+    )
+    .unwrap();
+    std::fs::write(killed.join(wal::segment_name(1)), b"").unwrap();
+    assert_seeds_like_clean(&killed, "after a kill mid-write");
+
+    // (d) The writer lane cannot create its second file (a directory sits
+    // on the name): the I/O error surfaces, typed, and no manifest lands.
+    let blocked = scratch("seed-blocked");
+    let obstacle = blocked.join(snapshot::snapshot_name(1, 1));
+    std::fs::create_dir_all(&obstacle).unwrap();
+    let err = ShardedStore::open_seeded(&blocked, durable_config(), &keys)
+        .err()
+        .expect("the writer lane must fail");
+    assert!(matches!(err, StoreError::Io(_)), "{err}");
+    assert!(manifest::list_manifests(&blocked).unwrap().is_empty());
+    std::fs::remove_dir(&obstacle).unwrap();
+    assert_seeds_like_clean(&blocked, "after a writer-lane I/O error");
+}
+
 /// Corruption anywhere in a v2 snapshot — a bent block, a truncated index
 /// or footer — surfaces as a typed `Corrupt` error naming the damaged
 /// file, on both eager and cold opens.
