@@ -42,13 +42,14 @@
 //! probe set identically — asserted unconditionally.
 //!
 //! A fifth table measures **seeding**: `open_seeded` on a fresh directory
-//! writes the seed snapshot on one thread while the caller's builds the
-//! shards, and each row — one per dataset and shard count — reports the
-//! wall time of the two lanes (`seed_build_ms`, `seed_write_ms`, from
-//! [`shift_store::OpenBreakdown`]), the time the whole call took
+//! queues two tasks per shard — write its snapshot file, build its index —
+//! on the store's task pool, and each row — one per dataset and shard
+//! count — reports the pool's `workers`, the time the build tasks and the
+//! write tasks were busy, each summed (`seed_build_ms`, `seed_write_ms`,
+//! from [`shift_store::OpenBreakdown`]), the time the whole call took
 //! (`setup_ms`) and `overlap = (build + write) ÷ setup`: 1.0 or less means
-//! the lanes ran one after the other (a one-core box), towards 2.0 means
-//! the shorter lane was hidden behind the longer.
+//! one worker did everything (a one-core box), towards `workers` means
+//! every worker was busy for the whole call.
 //!
 //! Scratch directories live under the system temp dir and are removed
 //! after each row. The optional `DURABLE_SYNC` environment variable
@@ -60,7 +61,7 @@
 //! signals: incremental checkpoints skip and reuse, cold opens mount every
 //! shard cold, the first read precedes model training, the cold open's
 //! foreground retrain time is a small fraction of the eager open's, and —
-//! on a box with two or more cores — the seeding lanes overlapped.
+//! on a box with two or more cores — the seeding tasks overlapped.
 
 use crate::datasets::{dataset_u64, BenchConfig};
 use crate::report::{fmt_ns, percentile_cells, Table};
@@ -413,22 +414,24 @@ pub const SEEDING_DATASETS: [SosdName; 4] = [
     SosdName::Wiki64,
 ];
 
-/// Shard counts the seeding table sweeps: one shard is the pipeline at its
-/// plainest (one build thread beside the writer), eight is a store's.
-pub const SEEDING_SHARDS: [usize; 2] = [1, 8];
+/// Shard counts the seeding table sweeps: one shard is two tasks (its file
+/// beside its build), eight and sixteen are a store's — more tasks than
+/// any worker count this runs on.
+pub const SEEDING_SHARDS: [usize; 3] = [1, 8, 16];
 
-/// `open_seeded` on a fresh directory, lane by lane (see the module docs).
-/// Each row is the run with the median `setup_ms` of three.
+/// `open_seeded` on a fresh directory, by kind of task (see the module
+/// docs). Each row is the run with the median `setup_ms` of three.
 fn seeding_table(cfg: BenchConfig, spec: IndexSpec) -> Table {
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut table = Table::new(
         format!(
-            "Store — seeding a fresh directory: build lane beside write lane (n = {}, spec {spec}, {cores} cores)",
+            "Store — seeding a fresh directory: build tasks beside write tasks (n = {}, spec {spec}, {cores} cores)",
             cfg.keys
         ),
         &[
             "dataset",
             "shards",
+            "workers",
             "seed_build_ms",
             "seed_write_ms",
             "setup_ms",
@@ -451,11 +454,11 @@ fn seeding_table(cfg: BenchConfig, spec: IndexSpec) -> Table {
                     let store =
                         ShardedStore::open_seeded(&dir, config, d.as_slice()).expect("fresh dir");
                     let setup = start.elapsed();
-                    let lanes = store.open_breakdown().expect("a seeding open is timed");
+                    let tasks = store.open_breakdown().expect("a seeding open is timed");
                     assert_eq!(store.len(), d.len());
                     drop(store);
                     let _ = std::fs::remove_dir_all(&dir);
-                    [ms(lanes.seed_build), ms(lanes.seed_write), ms(setup)]
+                    [ms(tasks.seed_build), ms(tasks.seed_write), ms(setup)]
                 })
                 .collect();
             runs.sort_by(|a, b| a[2].total_cmp(&b[2]));
@@ -464,7 +467,7 @@ fn seeding_table(cfg: BenchConfig, spec: IndexSpec) -> Table {
             if assert_acceptance() && cores >= 2 {
                 assert!(
                     overlap > 1.0,
-                    "{} x{shards}: the seeding lanes must overlap on {cores} cores \
+                    "{} x{shards}: the seeding tasks must overlap on {cores} cores \
                      (build {build:.1} ms + write {write:.1} ms vs setup {setup:.1} ms)",
                     d.name()
                 );
@@ -472,6 +475,8 @@ fn seeding_table(cfg: BenchConfig, spec: IndexSpec) -> Table {
             table.add_row(vec![
                 d.name().into(),
                 shards.to_string(),
+                // The pool's rule: one worker per core, never more than tasks.
+                cores.min(2 * shards).to_string(),
                 format!("{build:.1}"),
                 format!("{write:.1}"),
                 format!("{setup:.1}"),

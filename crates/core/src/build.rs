@@ -20,6 +20,10 @@ use sosd_data::key::Key;
 /// A partition no key has been predicted into yet: any drift is smaller.
 const UNSET: WideEntry = (i32::MAX, 0);
 
+/// Keys per [`CdfModel::predict_clamped_into`] call of the accumulation
+/// pass: the predictions of one run (4 KiB) stay in L1 beside the keys.
+const PREDICT_RUN: usize = 1024;
+
 /// A blank working layer for `n` keys.
 fn blank_layer(n: usize) -> Vec<WideEntry> {
     // lint: allow(panic) the validating builders turn longer columns into BuildError::TooManyKeys; past them a drift would silently truncate
@@ -54,19 +58,26 @@ fn accumulate_range<K: Key, M: CdfModel<K> + ?Sized>(
     hi: usize,
     entries: &mut [WideEntry],
 ) {
+    // Predictions come a run at a time: through a `dyn` model that is one
+    // virtual call per run, with the model's arithmetic inlined behind it.
+    let mut predictions = [0u32; PREDICT_RUN];
     let mut first_occurrence = lo;
-    for i in lo..hi {
-        if i > lo && keys[i] == keys[i - 1] {
-            // duplicate: the CDF target stays at the first occurrence (§3.2)
-        } else {
-            first_occurrence = i;
+    for start in (lo..hi).step_by(PREDICT_RUN) {
+        let run = &keys[start..hi.min(start + PREDICT_RUN)];
+        let predictions = &mut predictions[..run.len()];
+        model.predict_clamped_into(run, predictions);
+        for (i, &prediction) in (start..).zip(predictions.iter()) {
+            if i > lo && keys[i] == keys[i - 1] {
+                // duplicate: the CDF target stays at the first occurrence (§3.2)
+            } else {
+                first_occurrence = i;
+            }
+            // Both terms are below `n <= MAX_KEYS`: the drift fits an `i32`.
+            let drift = (first_occurrence as i64 - prediction as i64) as i32;
+            let (delta, count) = &mut entries[prediction as usize];
+            *delta = (*delta).min(drift);
+            *count += 1;
         }
-        let prediction = model.predict_clamped(keys[i]);
-        // Both terms are below `n <= MAX_KEYS`: the drift fits an `i32`.
-        let drift = (first_occurrence as i64 - prediction as i64) as i32;
-        let (delta, count) = &mut entries[prediction];
-        *delta = (*delta).min(drift);
-        *count += 1;
     }
 }
 

@@ -49,6 +49,24 @@ pub trait CdfModel<K: Key>: Send + Sync {
             self.predict(key).min(n - 1)
         }
     }
+
+    /// [`CdfModel::predict_clamped`] for a run of keys:
+    /// `out[i] == predict_clamped(keys[i])` for every `i`, nothing more.
+    /// It exists so a builder holding a `Box<dyn CdfModel>` pays one
+    /// virtual call per run instead of one per key — behind that call the
+    /// loop is compiled against the concrete model and `predict` inlines.
+    /// Positions are narrowed to `u32`, so this is for models of at most
+    /// 2³² keys (a Shift-Table covers 2³¹).
+    ///
+    /// # Panics
+    /// If `keys` and `out` differ in length.
+    fn predict_clamped_into(&self, keys: &[K], out: &mut [u32]) {
+        assert_eq!(keys.len(), out.len(), "one output slot per key");
+        debug_assert!(self.key_count() as u64 <= 1 << 32);
+        for (slot, &key) in out.iter_mut().zip(keys) {
+            *slot = self.predict_clamped(key) as u32;
+        }
+    }
 }
 
 /// Blanket implementation so `&M`, `Box<M>` and `Arc<M>` are models too.
@@ -71,6 +89,9 @@ impl<K: Key, M: CdfModel<K> + ?Sized> CdfModel<K> for &M {
     fn name(&self) -> &'static str {
         (**self).name()
     }
+    fn predict_clamped_into(&self, keys: &[K], out: &mut [u32]) {
+        (**self).predict_clamped_into(keys, out)
+    }
 }
 
 impl<K: Key, M: CdfModel<K> + ?Sized> CdfModel<K> for Box<M> {
@@ -92,6 +113,9 @@ impl<K: Key, M: CdfModel<K> + ?Sized> CdfModel<K> for Box<M> {
     fn name(&self) -> &'static str {
         (**self).name()
     }
+    fn predict_clamped_into(&self, keys: &[K], out: &mut [u32]) {
+        (**self).predict_clamped_into(keys, out)
+    }
 }
 
 impl<K: Key, M: CdfModel<K> + ?Sized> CdfModel<K> for std::sync::Arc<M> {
@@ -112,6 +136,9 @@ impl<K: Key, M: CdfModel<K> + ?Sized> CdfModel<K> for std::sync::Arc<M> {
     }
     fn name(&self) -> &'static str {
         (**self).name()
+    }
+    fn predict_clamped_into(&self, keys: &[K], out: &mut [u32]) {
+        (**self).predict_clamped_into(keys, out)
     }
 }
 

@@ -317,6 +317,42 @@ mod tests {
     }
 
     #[test]
+    fn predict_clamped_into_equals_predict_clamped_key_by_key() {
+        // The contract a table builder leans on: through the box (one
+        // virtual call for the run) and through a reference to it, every
+        // slot holds what the scalar call returns — on every generator,
+        // for the model families a sharded store is built from.
+        for name in SosdName::all() {
+            let d: Dataset<u64> = name.generate(6_000, 17);
+            for spec in ["im", "linear", "rmi:64", "rmi:4096", "rmi:64:cubic"] {
+                let model = ModelSpec::parse(spec).unwrap().build(d.as_slice());
+                let want: Vec<u32> = d
+                    .as_slice()
+                    .iter()
+                    .map(|&k| model.predict_clamped(k) as u32)
+                    .collect();
+                let mut got = vec![u32::MAX; d.len()];
+                model.predict_clamped_into(d.as_slice(), &mut got);
+                assert!(got == want, "{name} {spec}: boxed");
+                got.fill(u32::MAX);
+                // Runs of uneven length, through `&Box<dyn _>` as the model.
+                fn run(model: impl CdfModel<u64>, keys: &[u64], out: &mut [u32]) {
+                    model.predict_clamped_into(keys, out);
+                }
+                for (keys, out) in d.as_slice().chunks(1_000).zip(got.chunks_mut(1_000)) {
+                    run(&model, &keys[..993], &mut out[..993]);
+                    run(&model, &keys[993..], &mut out[993..]);
+                }
+                assert!(got == want, "{name} {spec}: by reference, in runs");
+            }
+        }
+        let empty = ModelSpec::Im.build::<u64>(&[]);
+        let mut slots = [7u32; 3];
+        empty.predict_clamped_into(&[1, 2, 3], &mut slots);
+        assert_eq!(slots, [0; 3], "an empty model predicts position 0");
+    }
+
+    #[test]
     fn boxed_models_are_send_sync_static() {
         fn assert_owned<T: Send + Sync + 'static>(_: &T) {}
         let d: Dataset<u64> = SosdName::Uden64.generate(500, 3);

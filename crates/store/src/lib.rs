@@ -229,25 +229,30 @@
 //! [`DurabilityStats::snapshot_bytes_reused`] account the savings) — unless
 //! that file has gone missing, in which case the shard is written again.
 //!
-//! **Seeding is a pipeline.** The seed snapshot of
+//! **Seeding is a task queue.** The seed snapshot of
 //! [`ShardedStore::open_seeded`] depends on the key chunks alone (models
 //! and Shift-Tables are never persisted), so after the column is validated
-//! and the cut is taken, one writer thread runs the *write* step over the
-//! borrowed chunks while the calling thread builds the shards; the store
-//! is assembled and the checkpoint published when both are done, and
-//! [`ShardedStore::open_breakdown`] reports the wall time of each lane. A
-//! seeding that fails or is killed leaves no manifest and no WAL record, so
-//! the directory still counts as unseeded and the retry overwrites whatever
-//! snapshot files were left.
+//! and the cut is taken, each shard contributes two independent tasks —
+//! write its snapshot file, build its index — and the crate's one task
+//! pool (a worker per hardware thread, the caller among them; also behind
+//! sharded builds, `maintain()`'s rebuilds, a checkpoint's file writes and
+//! recovery's retraining) works through them in order. The store is
+//! assembled and the checkpoint published when the queue is drained, and
+//! [`ShardedStore::open_breakdown`] reports how long the build tasks and
+//! the write tasks were busy. A seeding that fails or is killed leaves no
+//! manifest and no WAL record, so the directory still counts as unseeded
+//! and the retry overwrites whatever snapshot files were left.
 //!
 //! Every checksum above is one function, [`persist::crc32`] (IEEE,
 //! reflected): it consumes eight bytes per step (slice-by-8) and yields the
 //! values of the bytewise definition, so the formats are unchanged in both
-//! directions. The snapshot writer is a single pass over the shard in
+//! directions. Snapshot blocks, which each carry their own checksum, are
+//! checksummed three at a time — by the writer and by the mount sweep —
+//! with the three dependency chains interleaved; the values are the same. The snapshot writer is a single pass over the shard in
 //! **bounded memory**: a hot shard with an empty delta chain lends its base
 //! column to the writer ([`ShardState::merged_view`]) instead of copying
-//! it, keys are widened into a reused 1 MiB staging buffer, each block is
-//! checksummed there while its bytes are still in cache, and the buffer is
+//! it, keys are widened into a reused 1 MiB staging buffer, blocks are
+//! checksummed there while their bytes are still in cache, and the buffer is
 //! handed to the file whenever the next block would not fit — no
 //! allocation in the writer grows with the shard.
 //!
@@ -404,6 +409,7 @@ pub mod epoch;
 pub mod error;
 pub mod obs;
 pub mod persist;
+mod pool;
 pub mod router;
 pub mod shard;
 pub mod sharded;

@@ -29,7 +29,7 @@
 //!
 //! A checkpoint is three steps, each its own function, and every caller —
 //! [`crate::ShardedStore::checkpoint`], the maintenance worker's duty and
-//! the seeding pipeline below — runs the same three:
+//! the seeding below — runs the same three:
 //!
 //! 1. **Cut** (`Persistence::begin_checkpoint`). Because every durable
 //!    write applies while holding the WAL lock, holding that lock is a
@@ -37,13 +37,18 @@
 //!    fresh segment, pins every shard's published [`crate::ShardState`],
 //!    and releases it. The pinned set is an exact cut — it contains every
 //!    write with version `<= cv` (the checkpoint version) and none above.
-//! 2. **Write** (`write_shard_files`). With the lock released (pinned
+//! 2. **Write** (`ShardFileWriter`). With the lock released (pinned
 //!    states are immutable, so this can take its time), one snapshot file
-//!    per shard that needs one is streamed out and fsynced. The step is a
-//!    function of `(dir, seq, cv, block_keys, key columns)` alone. Its
-//!    memory is the writer's staging buffer ([`v2::builder`]), whatever the
-//!    shard size. Only the checkpoint gate — which serialises whole
-//!    checkpoints and which no writer ever takes — is held here.
+//!    per shard that needs one is streamed out and fsynced — each file a
+//!    task of the crate's pool, so as many are in progress as the machine
+//!    has hardware threads. A file is a function of `(dir, seq, cv,
+//!    block_keys, key column)` alone. The step's memory is bounded by the
+//!    workers, not by the store: per worker, one merged view (materialised
+//!    inside its task, and only when the shard has an unfolded chain or a
+//!    cold base) and one 1 MiB staging buffer ([`v2::builder`]). A failed
+//!    write cancels the writes not yet started and fails the checkpoint.
+//!    Only the checkpoint gate — which serialises whole checkpoints and
+//!    which no writer ever takes — is held here.
 //! 3. **Publish**. The manifest referencing the files is written and
 //!    renamed into place; then the checkpoint memo (below) is replaced,
 //!    the counters are bumped, and `gc` deletes what the manifest
@@ -54,24 +59,28 @@
 //! error or a crash in any step leaves the previous manifest in force and
 //! the new files as garbage for the next checkpoint's GC.
 //!
-//! ## The seeding pipeline
+//! ## Seeding a fresh directory
 //!
 //! [`crate::ShardedStore::open_seeded`] on a fresh directory has to make
 //! the seed column snapshot-durable before it hands the store out (the
 //! seed never transits the WAL). The snapshot depends on the key chunks
-//! alone — the model and the Shift-Table are never persisted — so it does
-//! not wait for the index: the column is validated and cut into chunks
-//! once, the *cut* is taken over the empty log, and then one writer thread
-//! runs the *write* step over the borrowed chunks **while** the calling
-//! thread builds the shards. When both lanes have finished the store is
-//! assembled and the checkpoint *published*, memo included, so the next
-//! checkpoint skips every clean shard. Failure semantics: validation
-//! errors are raised before the directory holds any file; a writer-lane
-//! error is returned after the build lane has been joined; a panic on
-//! either lane is re-raised; and in every case, as after a kill at any
-//! point before the manifest rename, the directory holds no manifest and
-//! no WAL record, so it still counts as unseeded
-//! (`recovery::has_store_data`) and a retry overwrites the debris.
+//! alone — the model and the Shift-Table are never persisted — so a
+//! chunk's file does not wait for its index: the column is validated and
+//! cut into chunks once, the *cut* is taken over the empty log, and then
+//! the pool runs two tasks per shard, queued *write 0, build 0, write 1,
+//! build 1, …*: the write step's task over the borrowed chunk, and the
+//! shard build over the same chunk. Workers take the next task as they
+//! come free, so a core waiting on one file's fsync is given to the next
+//! build, and neither kind of work can starve the other. When the queue
+//! is drained the store is assembled and the checkpoint *published*, memo
+//! included, so the next checkpoint skips every clean shard. Failure
+//! semantics: validation errors are raised before the directory holds any
+//! file; the first failed write turns the writes behind it into no-ops and
+//! its error is returned after the queue has drained; a panicking task is
+//! re-raised; and in every case, as after a kill at any point before the
+//! manifest rename, the directory holds no manifest and no WAL record, so
+//! it still counts as unseeded (`recovery::has_store_data`) and a retry
+//! overwrites the debris.
 //!
 //! ## Incremental checkpoints and their GC invariants
 //!
@@ -112,9 +121,9 @@
 //! [`v2::ColdBlockIndex`] answering `lower_bound` off the per-block index,
 //! with the WAL tail replayed into the shard's delta chain. First reads are
 //! served in O(manifest + mount) time. A background hydrator then decodes
-//! and retrains shards (bounded parallelism, the same scaffolding as
-//! parallel recovery builds) and atomically swaps each hot via the ordinary
-//! rebuild path — readers never block, and a pinned cold state stays valid
+//! and retrains shards (in waves bounded by the machine's parallelism) and
+//! atomically swaps each hot via the ordinary rebuild path — readers never
+//! block, and a pinned cold state stays valid
 //! forever. Writes to a cold shard land in its delta chain unchanged, since
 //! write paths only consult the index. v1 snapshot files cannot be mounted
 //! (no block index) and are always loaded eagerly.
@@ -145,7 +154,7 @@ use crate::config::{DurabilityConfig, SyncPolicy};
 use crate::error::StoreError;
 use shift_obs::{Histogram, Metric, Sampler};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 use wal::{GroupCommitError, GroupCommitter, WalOp, WalRecord, WalWriter};
 
@@ -203,6 +212,45 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     crc.finish()
 }
 
+/// The checksum register `c` after the eight bytes of `w` (slice-by-8: eight
+/// independent table loads, no chain between them).
+#[inline(always)]
+fn fold_word(c: u32, w: &[u8]) -> u32 {
+    const T: &[[u32; 256]; 8] = &CRC32_TABLES;
+    let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+    let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+    T[7][(lo & 0xFF) as usize]
+        ^ T[6][((lo >> 8) & 0xFF) as usize]
+        ^ T[5][((lo >> 16) & 0xFF) as usize]
+        ^ T[4][(lo >> 24) as usize]
+        ^ T[3][(hi & 0xFF) as usize]
+        ^ T[2][((hi >> 8) & 0xFF) as usize]
+        ^ T[1][((hi >> 16) & 0xFF) as usize]
+        ^ T[0][(hi >> 24) as usize]
+}
+
+/// [`crc32`] of three regions at once (pass `&[]` for one there is none
+/// of). A lone checksum is a dependency chain — each word's table loads
+/// wait for the previous word's — so a core mostly waits; three chains
+/// interleaved fill those waits with each other's loads. The common length
+/// is folded in lockstep, each region's remainder on its own, and every
+/// value is [`crc32`] of its region: v2 blocks each carry their own
+/// checksum, so nothing is combined and no file changes.
+pub(crate) fn crc32_three(regions: [&[u8]; 3]) -> [u32; 3] {
+    let common = regions.map(<[u8]>::len).into_iter().min().unwrap_or(0) / 8 * 8;
+    let mut crcs = [Crc32::new(), Crc32::new(), Crc32::new()];
+    let [a, b, c] = regions.map(|region| region[..common].chunks_exact(8));
+    for ((wa, wb), wc) in a.zip(b).zip(c) {
+        crcs[0].0 = fold_word(crcs[0].0, wa);
+        crcs[1].0 = fold_word(crcs[1].0, wb);
+        crcs[2].0 = fold_word(crcs[2].0, wc);
+    }
+    std::array::from_fn(|lane| {
+        crcs[lane].update(&regions[lane][common..]);
+        crcs[lane].finish()
+    })
+}
+
 /// A running [`crc32`]: feeding a region piece by piece gives the checksum
 /// of the whole region, so a writer can checksum bytes it no longer holds.
 pub(crate) struct Crc32(u32);
@@ -214,25 +262,13 @@ impl Crc32 {
 
     /// Fold the next `bytes` of the region into the checksum.
     pub(crate) fn update(&mut self, bytes: &[u8]) {
-        const T: &[[u32; 256]; 8] = &CRC32_TABLES;
-        let mut c = self.0;
         let mut words = bytes.chunks_exact(8);
         for w in &mut words {
-            let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
-            let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
-            c = T[7][(lo & 0xFF) as usize]
-                ^ T[6][((lo >> 8) & 0xFF) as usize]
-                ^ T[5][((lo >> 16) & 0xFF) as usize]
-                ^ T[4][(lo >> 24) as usize]
-                ^ T[3][(hi & 0xFF) as usize]
-                ^ T[2][((hi >> 8) & 0xFF) as usize]
-                ^ T[1][((hi >> 16) & 0xFF) as usize]
-                ^ T[0][(hi >> 24) as usize];
+            self.0 = fold_word(self.0, w);
         }
         for &b in words.remainder() {
-            c = T[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+            self.0 = CRC32_TABLES[0][((self.0 ^ b as u32) & 0xFF) as usize] ^ (self.0 >> 8);
         }
-        self.0 = c;
     }
 
     /// The checksum of everything fed so far.
@@ -434,24 +470,7 @@ impl Persistence {
         ops: &[(WalOp, u64)],
         apply: impl FnOnce(u64) -> R,
     ) -> Result<R, StoreError> {
-        let timer = self.append_sampler.start();
-        let (result, ticket) = {
-            let mut inner = self.inner.lock().expect("wal lock poisoned"); // lint: allow(panic) WAL-lock poisoning means a writer died mid-frame; no sound continuation
-            if inner.wal.is_poisoned() {
-                return Err(StoreError::WalPoisoned);
-            }
-            let version = inner.next_version;
-            let bytes = inner.wal.append_batch(version, ops)?;
-            inner.next_version += 1;
-            inner.since_checkpoint += ops.len() as u64;
-            self.wal_records.fetch_add(1, Ordering::Relaxed); // lint: ordering(Relaxed) monotonic stats counter; no synchronising role
-            self.wal_ops.fetch_add(ops.len() as u64, Ordering::Relaxed); // lint: ordering(Relaxed) monotonic stats counter; no synchronising role
-            self.wal_bytes.fetch_add(bytes, Ordering::Relaxed); // lint: ordering(Relaxed) monotonic stats counter; no synchronising role
-            (apply(version), version)
-        };
-        timer.finish(&self.wal_append_ns);
-        self.group_commit(ticket)?;
-        Ok(result)
+        self.append_batch_validated(ops, || Ok(()), apply)
     }
 
     /// [`Persistence::append_batch`] with a validation hook run **under the
@@ -718,36 +737,73 @@ pub(crate) struct CheckpointTally {
     pub bytes_reused: u64,
 }
 
-/// The *write* step of a checkpoint: one v2 snapshot file per
-/// `(shard index, key column)` of `shards`, named under manifest sequence
-/// `seq` and exact at version `cv`, each fsynced before the next is
-/// started. Returns the manifest entries in input order and the bytes
-/// written.
-///
-/// A function of its arguments alone — no store, no lock — so it runs
-/// equally under [`crate::ShardedStore::checkpoint`], over the pinned
-/// states of the cut, and on the writer thread of a seeding, over the
-/// borrowed chunks of the seed column while the shards are still being
-/// built. Columns are pulled from the iterator one at a time, so a merged
-/// view that has to be materialised lives only while its file is written.
-pub(crate) fn write_shard_files<K: sosd_data::key::Key, V: AsRef<[K]>>(
-    dir: &Path,
+/// One task's snapshot file — its manifest entry and its length — or
+/// `None` for a file skipped because an earlier write had failed.
+pub(crate) type WrittenShard = Option<Result<(manifest::ManifestShard, u64), StoreError>>;
+
+/// The *write* step of one checkpoint, a file at a time: v2 snapshot files
+/// named under manifest sequence `seq` and exact at version `cv`, each
+/// fsynced before its task returns. A function of its arguments alone — no
+/// store, no lock — so [`crate::pool`] tasks run it equally over the pinned
+/// states of a [`crate::ShardedStore::checkpoint`] and, for a seeding, over
+/// the borrowed chunks of the seed column beside the shard builds.
+pub(crate) struct ShardFileWriter<'a> {
+    dir: &'a Path,
     seq: u64,
     cv: u64,
     block_keys: usize,
-    shards: impl Iterator<Item = (usize, V)>,
-) -> Result<(Vec<manifest::ManifestShard>, u64), StoreError> {
-    let mut entries = Vec::new();
-    let mut bytes = 0u64;
-    for (shard, keys) in shards {
-        let name = snapshot::snapshot_name(seq, shard);
-        bytes += v2::write_snapshot(&dir.join(&name), cv, keys.as_ref(), block_keys)?;
-        entries.push(manifest::ManifestShard {
-            snapshot: name,
-            applied: cv,
-        });
+    /// Raised by the first write that fails: writes not yet started become
+    /// no-ops, and [`ShardFileWriter::finish`] returns that error.
+    failed: AtomicBool,
+}
+
+impl<'a> ShardFileWriter<'a> {
+    pub(crate) fn new(dir: &'a Path, seq: u64, cv: u64, block_keys: usize) -> Self {
+        let failed = AtomicBool::new(false);
+        Self {
+            dir,
+            seq,
+            cv,
+            block_keys,
+            failed,
+        }
     }
-    Ok((entries, bytes))
+
+    /// Write shard `shard`'s file from `keys()`. The column is asked for
+    /// only if the file is going to be written, so a merged view that has
+    /// to be materialised lives only inside its own task.
+    pub(crate) fn write_shard_file<K: sosd_data::key::Key, V: AsRef<[K]>>(
+        &self,
+        shard: usize,
+        keys: impl FnOnce() -> V,
+    ) -> WrittenShard {
+        // lint: ordering(Relaxed) advisory flag: a stale read costs one more file nobody will reference
+        if self.failed.load(Ordering::Relaxed) {
+            return None;
+        }
+        let snapshot = snapshot::snapshot_name(self.seq, shard);
+        let path = self.dir.join(&snapshot);
+        let written = v2::write_snapshot(&path, self.cv, keys().as_ref(), self.block_keys);
+        // lint: ordering(Relaxed) advisory flag, as above; the error itself travels in the task's result
+        self.failed.fetch_or(written.is_err(), Ordering::Relaxed);
+        let applied = self.cv;
+        Some(match written {
+            Ok(bytes) => Ok((manifest::ManifestShard { snapshot, applied }, bytes)),
+            Err(e) => Err(e.into()),
+        })
+    }
+
+    /// The manifest entries, in the order of `written`, and the bytes
+    /// written — or the first error. (A skipped file implies a failed one,
+    /// so dropping it only shortens a list about to be discarded.)
+    pub(crate) fn finish(
+        written: impl IntoIterator<Item = WrittenShard>,
+    ) -> Result<(Vec<manifest::ManifestShard>, u64), StoreError> {
+        let files = written.into_iter().flatten();
+        let (entries, lens): (Vec<_>, Vec<u64>) =
+            files.collect::<Result<Vec<_>, _>>()?.into_iter().unzip();
+        Ok((entries, lens.iter().sum()))
+    }
 }
 
 /// Best-effort removal of files superseded by the manifest `m`: older
@@ -820,6 +876,31 @@ mod tests {
                     crc32_bytewise(bytes),
                     "start {start} len {len}"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn crc32_three_is_crc32_of_each_region_at_every_length_and_alignment() {
+        let mut rng = sosd_data::rng::SplitMix64::new(0x3C4C);
+        let buf: Vec<u8> = (0..3 * (8 + 257)).map(|_| rng.next_u64() as u8).collect();
+        let (a, rest) = buf.split_at(8 + 257);
+        let (b, c) = rest.split_at(8 + 257);
+        for start in 0..8 {
+            for len in 0..=257 {
+                // Equal lengths (the shape of three full blocks), then
+                // unequal ones: the common prefix is folded in lockstep and
+                // each region's tail on its own, whichever lane is shortest.
+                for lens in [[len; 3], [len, 257 - len, len / 2], [257, len, 257 - len]] {
+                    let [ra, rb, rc] = [(a, lens[0]), (b, lens[1]), (c, lens[2])]
+                        .map(|(region, len)| &region[start..start + len]);
+                    let tag = format!("start {start} lens {lens:?}");
+                    let want = [crc32(ra), crc32(rb), crc32(rc)];
+                    assert_eq!(crc32_three([ra, rb, rc]), want, "{tag}");
+                    // Two regions and one: the absent ones are empty.
+                    assert_eq!(crc32_three([ra, rb, &[]]), [want[0], want[1], 0], "{tag}");
+                    assert_eq!(crc32_three([&[], rb, &[]]), [0, want[1], 0], "{tag}");
+                }
             }
         }
     }

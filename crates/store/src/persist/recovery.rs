@@ -28,7 +28,7 @@
 //!    re-referenced incremental snapshot cost time, never correctness. A
 //!    torn tail ends the log.
 //! 4. Build each hot shard once over its final column, retraining the
-//!    persisted spec in bounded-parallel waves; a cold shard is assembled
+//!    persisted spec on the crate's task pool; a cold shard is assembled
 //!    in O(1) from its mounted base plus replayed chain.
 //!
 //! Recovery also reports *where the time went* ([`OpenBreakdown`]) and
@@ -41,13 +41,15 @@ use crate::error::StoreError;
 use crate::persist::manifest::{self, ManifestShard};
 use crate::persist::wal::{self, WalEntry, WalOp};
 use crate::persist::{snapshot, v2};
+use crate::pool;
 use crate::router::ShardRouter;
 use crate::shard::{ShardSnapshot, StoreShard};
+use crate::sharded::built_shard;
 use shift_table::spec::IndexSpec;
 use sosd_data::key::Key;
 use std::io::Read;
 use std::path::Path;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Where a [`crate::ShardedStore::open`] or
@@ -57,10 +59,12 @@ use std::time::{Duration, Instant};
 /// A **recovering** open fills the four recovery phases, all measured on
 /// the opening thread: `retrain` is the *foreground* model-training time —
 /// near zero for a cold start, where training happens after open returns.
-/// A **seeding** open (a fresh directory) fills the two `seed_*` lanes
-/// instead, each the wall time of one lane of the seeding pipeline; the
-/// lanes run side by side, so `seed_build + seed_write` is more than the
-/// call took wherever they overlapped. Phases of the other kind are zero.
+/// A **seeding** open (a fresh directory) fills the two `seed_*` fields
+/// instead: the time its pool tasks were busy, summed over the build tasks
+/// and over the write tasks. The tasks run side by side on as many workers
+/// as the machine has hardware threads, so `seed_build + seed_write` is
+/// more than the call took wherever two ran at once. Phases of the other
+/// kind are zero.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OpenBreakdown {
     /// Parsing and validating the manifest (including its spec string).
@@ -69,15 +73,15 @@ pub struct OpenBreakdown {
     pub mount: Duration,
     /// Scanning and applying the WAL tail.
     pub replay: Duration,
-    /// Foreground model retraining (the wave-parallel shard builds).
+    /// Foreground model retraining (the pooled shard builds).
     pub retrain: Duration,
     /// Shards published cold (0 on an eager open): the hydrator's backlog.
     pub cold_shards: usize,
-    /// Seeding, build lane: copying each chunk into its shard, training the
-    /// models and building the Shift-Tables (all shards, start to join).
+    /// Seeding, summed over the build tasks (one per shard): copying the
+    /// chunk into its shard, training the model, building the Shift-Table.
     pub seed_build: Duration,
-    /// Seeding, write lane: encoding, checksumming, writing and fsyncing
-    /// the seed snapshot files (all shards, on the one writer thread).
+    /// Seeding, summed over the write tasks (one per shard): encoding,
+    /// checksumming, writing and fsyncing the seed snapshot file.
     pub seed_write: Duration,
 }
 
@@ -161,23 +165,6 @@ struct LoadedCheckpoint<K: Key> {
     seq: u64,
     manifest_time: Duration,
     mount_time: Duration,
-}
-
-/// Build one hot shard over recovered keys with the store's tuning knobs.
-fn recovered_shard<K: Key>(
-    config: &StoreConfig,
-    spec: IndexSpec,
-    keys: Vec<K>,
-) -> Arc<StoreShard<K>> {
-    Arc::new(
-        StoreShard::build_prevalidated(
-            spec,
-            Arc::<[K]>::from(keys),
-            config.delta_threshold,
-            config.build_threads,
-        )
-        .with_chain_tuning(config.max_run_len, config.compact_runs),
-    )
 }
 
 /// Try to materialise the checkpoint a manifest describes, validating
@@ -372,63 +359,42 @@ pub(crate) fn recover<K: Key>(
     }
     let replay_time = replay_start.elapsed();
 
-    // 4. Assemble the shards. Cold backings are O(1) — mounted base plus
-    // replayed chain, no training. Hot columns build in parallel scoped
-    // threads: model retraining dominates reopen latency for large stores,
-    // and the columns are independent by construction. Concurrency is
-    // capped at the machine's parallelism (a long-lived store's split
-    // cascade can leave hundreds of shards; one OS thread per shard — each
-    // fanning out `build_threads` more — would oversubscribe the reopen).
+    // 4. Assemble the shards, one pool task each. A cold backing is O(1) —
+    // mounted base plus replayed chain, no training. A hot column retrains
+    // its model, which dominates reopen latency for large stores; the
+    // columns are independent by construction, and the pool caps the
+    // concurrency at the machine's parallelism (a long-lived store's split
+    // cascade can leave hundreds of shards). Each task takes its backing
+    // out of its slot, so a column is freed as soon as its shard is built.
     // lint: allow(timing) reopen retraining is cold; timed once per reopen
     let retrain_start = Instant::now();
     let spec = cp.spec;
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let shard_count = cp.backings.len();
-    let mut cold_shards = 0usize;
-    let mut slots: Vec<Option<Arc<StoreShard<K>>>> = Vec::with_capacity(shard_count);
-    slots.resize_with(shard_count, || None);
-    let mut hot: Vec<(usize, Vec<K>)> = Vec::new();
-    for (i, backing) in cp.backings.into_iter().enumerate() {
-        match backing {
-            ShardBacking::Hot(column) => hot.push((i, column)),
-            ShardBacking::Cold { base, delta } => {
-                cold_shards += 1;
-                slots[i] = Some(Arc::new(
-                    StoreShard::from_parts_at(
-                        spec,
-                        config.delta_threshold,
-                        config.build_threads,
-                        Arc::new(ShardSnapshot::new_cold(base, 0)),
-                        delta,
-                        0,
-                    )
-                    .with_chain_tuning(config.max_run_len, config.compact_runs),
-                ));
-            }
-        }
-    }
-    let mut hot = hot.into_iter().peekable();
-    while hot.peek().is_some() {
-        let wave: Vec<(usize, Vec<K>)> = hot.by_ref().take(workers).collect();
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = wave
-                .into_iter()
-                .map(|(i, column)| scope.spawn(move || (i, recovered_shard(config, spec, column))))
-                .collect();
-            for h in handles {
-                // lint: allow(panic) join fails only when the child panicked; re-raising preserves the failure
-                let (i, shard) = h.join().expect("shard retrain worker panicked");
-                slots[i] = Some(shard);
-            }
-        });
-    }
-    let shards: Vec<Arc<StoreShard<K>>> = slots
+    let cold = |b: &&ShardBacking<K>| matches!(b, ShardBacking::Cold { .. });
+    let cold_shards = cp.backings.iter().filter(cold).count();
+    let backings: Vec<Mutex<Option<ShardBacking<K>>>> = cp
+        .backings
         .into_iter()
-        // lint: allow(panic) the waves above cover every shard index exactly once; a hole is unreachable
-        .map(|s| s.expect("every shard slot filled"))
+        .map(|backing| Mutex::new(Some(backing)))
         .collect();
+    let shards = pool::run_tasks(backings.len(), |i| {
+        // lint: allow(panic) each slot is locked once, by the one task the pool hands index `i` to
+        let backing = backings[i].lock().expect("backing slot poisoned").take();
+        // lint: allow(panic) as above: the slot was filled and nothing else takes it
+        match backing.expect("every backing is assembled once") {
+            ShardBacking::Hot(column) => built_shard(config, spec, Arc::from(column)),
+            ShardBacking::Cold { base, delta } => Arc::new(
+                StoreShard::from_parts_at(
+                    spec,
+                    config.delta_threshold,
+                    config.build_threads,
+                    Arc::new(ShardSnapshot::new_cold(base, 0)),
+                    delta,
+                    0,
+                )
+                .with_chain_tuning(config.max_run_len, config.compact_runs),
+            ),
+        }
+    });
 
     Ok(Recovered {
         router: cp.router,

@@ -6,7 +6,7 @@
 //! property that keeps cold reads allocation-free.
 
 use super::{BLOCK_HEADER_LEN, INDEX_ENTRY_LEN};
-use crate::persist::crc32;
+use crate::persist::crc32_three;
 use sosd_data::key::Key;
 
 /// One parsed block-index entry: where a block lives and what it holds.
@@ -70,15 +70,29 @@ pub fn encode_block_header(crc: u32, count: u32, out: &mut Vec<u8>) {
     out.extend_from_slice(&count.to_le_bytes());
 }
 
-/// Append one encoded block (`crc │ count │ keys`) for `keys` to `out`,
-/// widening each key to `u64` LE as it is written and checksumming the
-/// block right after, while its bytes are still cache-resident.
-pub fn encode_block<K: Key>(keys: &[K], out: &mut Vec<u8>) {
-    let header_at = out.len();
-    encode_block_header(0, keys.len() as u32, out); // crc patched below
-    encode_keys(keys, out);
-    let crc = crc32(&out[header_at + 4..]);
-    out[header_at..header_at + 4].copy_from_slice(&crc.to_le_bytes());
+/// Append the encoded blocks (`crc │ count │ keys` each) to `out`, widening
+/// every key to `u64` LE as it is written: all are encoded first, then
+/// checksummed three at a time ([`block_crcs`]) — the builder passes three,
+/// so that their bytes are still cache-resident — and the checksums
+/// patched into the headers.
+pub fn encode_blocks<'k, K: Key>(blocks: impl Iterator<Item = &'k [K]>, out: &mut Vec<u8>) {
+    let first = out.len();
+    let mut metas = Vec::with_capacity(3);
+    for keys in blocks {
+        metas.push(BlockMeta {
+            first_key: keys.first().map_or(0, |k| k.to_u64()),
+            offset: (out.len() - first) as u64,
+            count: keys.len() as u32,
+        });
+        encode_block_header(0, keys.len() as u32, out); // crc patched below
+        encode_keys(keys, out);
+    }
+    for group in metas.chunks(3) {
+        for (meta, crc) in group.iter().zip(block_crcs(&out[first..], group)) {
+            let at = first + meta.offset as usize;
+            out[at..at + 4].copy_from_slice(&crc.to_le_bytes());
+        }
+    }
 }
 
 /// The raw key `u64` at index `i` of a block's key bytes.
@@ -102,11 +116,19 @@ pub fn block_lower_bound(data: &[u8], count: usize, q: u64) -> usize {
     lo
 }
 
-/// CRC32 of a block's checksummed region (count field + keys), given the
-/// full file bytes and the block's header offset.
-pub fn block_crc(file: &[u8], meta: &BlockMeta) -> u32 {
-    let start = meta.offset as usize + 4;
-    crc32(&file[start..meta.offset as usize + meta.encoded_len()])
+/// A block's checksummed region (count field + keys), given the full file
+/// bytes and the block's header offset.
+pub fn block_region<'f>(file: &'f [u8], meta: &BlockMeta) -> &'f [u8] {
+    &file[meta.offset as usize + 4..meta.offset as usize + meta.encoded_len()]
+}
+
+/// The CRC32s of up to three blocks of `file`, computed together.
+pub fn block_crcs(file: &[u8], blocks: &[BlockMeta]) -> [u32; 3] {
+    let mut regions: [&[u8]; 3] = [&[]; 3];
+    for (region, meta) in regions.iter_mut().zip(blocks) {
+        *region = block_region(file, meta);
+    }
+    crc32_three(regions)
 }
 
 /// The stored CRC of a block header.
@@ -124,14 +146,17 @@ mod tests {
     fn block_search_matches_partition_point_on_raw_bytes() {
         let keys: Vec<u64> = vec![2, 2, 5, 9, 9, 9, 14];
         let mut out = Vec::new();
-        encode_block(&keys, &mut out);
+        encode_blocks(std::iter::once(&keys[..]), &mut out);
         let meta = BlockMeta {
             first_key: 2,
             offset: 0,
             count: keys.len() as u32,
         };
         assert_eq!(out.len(), meta.encoded_len());
-        assert_eq!(block_crc(&out, &meta), stored_crc(&out, &meta));
+        assert_eq!(
+            crate::persist::crc32(block_region(&out, &meta)),
+            stored_crc(&out, &meta)
+        );
         let data = &out[meta.data_offset()..];
         for q in 0..20u64 {
             assert_eq!(

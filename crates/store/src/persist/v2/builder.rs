@@ -3,15 +3,16 @@
 //!
 //! The builder slices the merged key column into blocks of `block_keys`
 //! keys (the [`crate::DurabilityConfig::snapshot_block_keys`] knob) and
-//! encodes them one at a time into a reused staging buffer of
+//! encodes them three at a time into a reused staging buffer of
 //! `STAGE_BYTES` (1 MiB): keys are widened to `u64` LE straight into the buffer,
-//! the block is checksummed while its bytes are still cache-resident, and
-//! the buffer goes to the file with one `write_all` whenever the next
-//! block would not fit. The checksummed block index and the footer follow
-//! through the same buffer — see the [`super`] module docs for the byte
-//! layout — and a single `sync_all` closes the file before the builder
-//! returns: the manifest must never reference a snapshot that could still
-//! be lost.
+//! the three blocks are checksummed together while their bytes are still
+//! cache-resident (`crc32_three`: three interleaved chains, the values of
+//! three separate checksums), and the buffer goes to the file with one
+//! `write_all` whenever the next three would not fit. The checksummed
+//! block index and the footer follow through the same buffer — see the
+//! [`super`] module docs for the byte layout — and a single `sync_all`
+//! closes the file before the builder returns: the manifest must never
+//! reference a snapshot that could still be lost.
 //!
 //! **Memory is bounded by the buffer, not by the shard.** No file image is
 //! built, and the index keeps no per-block record while the blocks stream
@@ -26,7 +27,7 @@
 //! The bytes written are those of the whole-image encoder this replaced,
 //! which the tests below keep as the reference.
 
-use super::block::{encode_block, encode_block_header, encode_keys, BlockMeta};
+use super::block::{encode_block_header, encode_blocks, encode_keys, BlockMeta};
 use super::{BLOCK_HEADER_LEN, FOOTER_LEN, FORMAT_VERSION, INDEX_ENTRY_LEN, MAGIC};
 use crate::persist::{crc32, Crc32};
 use sosd_data::key::Key;
@@ -127,14 +128,18 @@ fn encode_snapshot<K: Key, W: Write>(
     };
     stage.buf.extend_from_slice(&MAGIC);
 
-    for (i, chunk) in keys.chunks(block_keys).enumerate() {
-        debug_assert_eq!(stage.offset(), meta(i).offset);
-        let len = BLOCK_HEADER_LEN + chunk.len() * 8;
+    // Blocks go into the buffer three at a time, so that their checksums
+    // are computed together; blocks too long for that go one at a time.
+    let block_len = BLOCK_HEADER_LEN + block_keys.min(keys.len()) * 8;
+    let together = if 3 * block_len <= STAGE_BYTES { 3 } else { 1 };
+    for (g, group) in keys.chunks(block_keys.saturating_mul(together)).enumerate() {
+        debug_assert_eq!(stage.offset(), meta(g * together).offset);
+        let len = group.len().div_ceil(block_keys) * BLOCK_HEADER_LEN + group.len() * 8;
         if len <= STAGE_BYTES {
             stage.make_room(len)?;
-            encode_block(chunk, &mut stage.buf);
+            encode_blocks(group.chunks(block_keys), &mut stage.buf);
         } else {
-            stage.oversized_block(chunk)?;
+            stage.oversized_block(group)?;
         }
     }
 
@@ -189,6 +194,15 @@ pub(crate) fn write_snapshot<K: Key>(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// One block as the format defines it, checksummed on its own.
+    fn encode_block<K: Key>(keys: &[K], out: &mut Vec<u8>) {
+        let header_at = out.len();
+        encode_block_header(0, keys.len() as u32, out);
+        encode_keys(keys, out);
+        let crc = crc32(&out[header_at + 4..]);
+        out[header_at..header_at + 4].copy_from_slice(&crc.to_le_bytes());
+    }
 
     /// The whole-image encoder the streaming writer replaced, kept as the
     /// reference for the file bytes: every block, then the index, then the

@@ -13,7 +13,7 @@
 //! model normally sits; hydration later decodes the keys
 //! ([`ColdBase::decode_all`]), retrains, and swaps the shard hot.
 
-use super::block::{block_crc, block_lower_bound, key_u64, stored_crc, BlockMeta};
+use super::block::{block_crcs, block_lower_bound, key_u64, stored_crc, BlockMeta};
 use super::{FOOTER_LEN, FORMAT_VERSION, INDEX_ENTRY_LEN, MAGIC};
 use crate::error::StoreError;
 use crate::persist::crc32;
@@ -129,12 +129,10 @@ impl<K: Key> ColdBase<K> {
             return Err(corrupt(path, "block index checksum mismatch"));
         }
 
+        // The index first: once every entry is known to describe a block
+        // inside the block region, the sweep below cannot index out of it.
         let mut blocks = Vec::with_capacity(block_count);
-        let mut first_keys = Vec::with_capacity(block_count);
-        let mut cum = Vec::with_capacity(block_count + 1);
         let mut expected_offset = MAGIC.len();
-        let mut keys_seen = 0usize;
-        let mut prev_key: Option<u64> = None;
         for entry in index.chunks_exact(INDEX_ENTRY_LEN) {
             let meta = BlockMeta::decode_entry(entry);
             if meta.count == 0 {
@@ -147,32 +145,44 @@ impl<K: Key> ColdBase<K> {
             if expected_offset > index_offset {
                 return Err(corrupt(path, "block overruns the index region"));
             }
-            if block_crc(&bytes, &meta) != stored_crc(&bytes, &meta) {
-                return Err(corrupt(
-                    path,
-                    format!("block at offset {} failed its checksum", meta.offset),
-                ));
-            }
-            // One sweep proves global sortedness and that the index entry's
-            // routing key matches the block body.
-            let data = &bytes[meta.data_offset()..meta.data_offset() + meta.count as usize * 8];
-            if key_u64(data, 0) != meta.first_key {
-                return Err(corrupt(path, "index first-key disagrees with block body"));
-            }
-            for i in 0..meta.count as usize {
-                let k = key_u64(data, i);
-                if prev_key.is_some_and(|p| p > k) {
-                    return Err(corrupt(path, "snapshot keys are not sorted"));
-                }
-                prev_key = Some(k);
-            }
-            cum.push(keys_seen);
-            keys_seen += meta.count as usize;
-            first_keys.push(K::from_u64_saturating(meta.first_key));
             blocks.push(meta);
         }
         if expected_offset != index_offset {
             return Err(corrupt(path, "gap between the last block and the index"));
+        }
+        // One sweep, three blocks at a time (their checksums are computed
+        // together, then their keys are walked while still in cache), proves
+        // every block checksum, global sortedness and that each index
+        // entry's routing key matches the block body.
+        let mut first_keys = Vec::with_capacity(block_count);
+        let mut cum = Vec::with_capacity(block_count + 1);
+        let mut keys_seen = 0usize;
+        let mut prev_key: Option<u64> = None;
+        for group in blocks.chunks(3) {
+            for (meta, crc) in group.iter().zip(block_crcs(&bytes, group)) {
+                if crc != stored_crc(&bytes, meta) {
+                    return Err(corrupt(
+                        path,
+                        format!("block at offset {} failed its checksum", meta.offset),
+                    ));
+                }
+            }
+            for meta in group {
+                let data = &bytes[meta.data_offset()..meta.data_offset() + meta.count as usize * 8];
+                if key_u64(data, 0) != meta.first_key {
+                    return Err(corrupt(path, "index first-key disagrees with block body"));
+                }
+                for i in 0..meta.count as usize {
+                    let k = key_u64(data, i);
+                    if prev_key.is_some_and(|p| p > k) {
+                        return Err(corrupt(path, "snapshot keys are not sorted"));
+                    }
+                    prev_key = Some(k);
+                }
+                cum.push(keys_seen);
+                keys_seen += meta.count as usize;
+                first_keys.push(K::from_u64_saturating(meta.first_key));
+            }
         }
         if keys_seen as u64 != total {
             return Err(corrupt(path, "footer total disagrees with block counts"));

@@ -26,7 +26,10 @@ use crate::obs::{self, HydrationReason, StoreObs, TraceEvent, TraceKind};
 use crate::persist::manifest::{Manifest, ManifestShard};
 use crate::persist::recovery::OpenBreakdown;
 use crate::persist::wal::WalOp;
-use crate::persist::{self, recovery, CheckpointTally, DurabilityStats, Persistence};
+use crate::persist::{
+    self, recovery, CheckpointTally, DurabilityStats, Persistence, ShardFileWriter, WrittenShard,
+};
+use crate::pool;
 use crate::router::ShardRouter;
 use crate::shard::{build_index, ShardSnapshot, StoreShard};
 use crate::snapshot::{PinnedCut, SnapshotHook, StoreSnapshot};
@@ -43,44 +46,41 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
-/// The chunk plan shared by both sharded types: `keys` checked sorted once,
-/// cut into duplicate-run-aligned chunks, each checked against the capacity
-/// of `spec`'s layer. Everything that can fail in a sharded build fails
-/// here — before any shard is built and, for a seeding, before any file is
+/// The chunk plan shared by both sharded types: `keys` cut into
+/// duplicate-run-aligned chunks, each checked against the capacity of
+/// `spec`'s layer (a comparison per chunk, so it goes first), then checked
+/// sorted once. Everything that can fail in a sharded build fails here —
+/// before any shard is built and, for a seeding, before any file is
 /// written — so the builds over the returned chunks are infallible.
 fn plan_chunks<K: Key>(
     spec: IndexSpec,
     keys: &[K],
     shards: usize,
 ) -> Result<(ShardRouter<K>, Vec<&[K]>), BuildError> {
-    if let Some(position) = keys.windows(2).position(|w| w[0] > w[1]) {
-        return Err(BuildError::UnsortedKeys {
-            position: position + 1,
-        });
-    }
     let (router, bounds) = ShardRouter::partition(keys, shards);
     let chunks: Vec<&[K]> = bounds.windows(2).map(|w| &keys[w[0]..w[1]]).collect();
     for chunk in &chunks {
         spec.check_key_count(chunk.len())?;
     }
+    if let Some(position) = keys.windows(2).position(|w| w[0] > w[1]) {
+        return Err(BuildError::UnsortedKeys {
+            position: position + 1,
+        });
+    }
     Ok((router, chunks))
 }
 
-/// Build one shard value per planned chunk on scoped worker threads, one
-/// per chunk.
-fn build_chunks<K: Key, T: Send>(chunks: &[&[K]], build: impl Fn(&[K]) -> T + Sync) -> Vec<T> {
-    let build = &build;
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = chunks
-            .iter()
-            .map(|&chunk| scope.spawn(move || build(chunk)))
-            .collect();
-        handles
-            .into_iter()
-            // lint: allow(panic) join fails only when the child panicked; re-raising preserves the failure
-            .map(|h| h.join().expect("shard build worker panicked"))
-            .collect()
-    })
+/// Build one hot shard over validated `keys` (a planned chunk, a recovered
+/// column) with the store's tuning knobs.
+pub(crate) fn built_shard<K: Key>(
+    config: &StoreConfig,
+    spec: IndexSpec,
+    keys: Arc<[K]>,
+) -> Arc<StoreShard<K>> {
+    Arc::new(
+        StoreShard::build_prevalidated(spec, keys, config.delta_threshold, config.build_threads)
+            .with_chain_tuning(config.max_run_len, config.compact_runs),
+    )
 }
 
 /// Shared batched-read path of both sharded types: bucket the queries by
@@ -144,7 +144,7 @@ pub struct ShardedIndex<K: Key> {
 
 impl<K: Key> ShardedIndex<K> {
     /// Build `shards` shard indexes from `spec` over the sorted `keys`.
-    /// Shards are built concurrently with scoped threads (one per shard).
+    /// Shards are built concurrently, at most one per hardware thread.
     ///
     /// # Errors
     /// [`BuildError::UnsortedKeys`] if `keys` is not sorted,
@@ -162,8 +162,8 @@ impl<K: Key> ShardedIndex<K> {
                 Some(start)
             })
             .collect();
-        let built = build_chunks(&chunks, |chunk| {
-            spec.build_dyn_prevalidated_with(Arc::<[K]>::from(chunk), Default::default(), 1)
+        let built = pool::run_tasks(chunks.len(), |i| {
+            spec.build_dyn_prevalidated_with(Arc::<[K]>::from(chunks[i]), Default::default(), 1)
         });
         Ok(Self {
             router,
@@ -300,6 +300,13 @@ struct WrittenCheckpoint {
     /// by this checkpoint or carried forward from the previous one.
     entries: Vec<ManifestShard>,
     tally: CheckpointTally,
+}
+
+/// What one task of a seeding produced: the snapshot file of a chunk, or
+/// the shard built over it.
+enum SeedTask<K: Key> {
+    Written(WrittenShard),
+    Built(Arc<StoreShard<K>>),
 }
 
 /// The store state shared between the public handle and the maintenance
@@ -538,27 +545,15 @@ impl<K: Key> StoreCore<K> {
         Ok(rebuilt)
     }
 
-    /// Rebuild every shard picked by `pick`, in parallel scoped threads.
+    /// Rebuild every shard picked by `pick`, at most one per hardware thread
+    /// at a time.
     fn rebuild_where(&self, pick: impl Fn(&StoreShard<K>) -> bool) -> Result<usize, BuildError> {
         let table = self.load_table();
         let targets: Vec<&Arc<StoreShard<K>>> = table.shards.iter().filter(|s| pick(s)).collect();
-        if targets.is_empty() {
-            return Ok(0);
-        }
         let mut rebuilt = 0usize;
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = targets
-                .iter()
-                .map(|&shard| scope.spawn(move || self.rebuild_shard(shard)))
-                .collect();
-            for h in handles {
-                // lint: allow(panic) join fails only when the child panicked; re-raising preserves the failure
-                if h.join().expect("shard rebuild worker panicked")? {
-                    rebuilt += 1;
-                }
-            }
-            Ok::<(), BuildError>(())
-        })?;
+        for outcome in pool::run_tasks(targets.len(), |i| self.rebuild_shard(targets[i])) {
+            rebuilt += usize::from(outcome?);
+        }
         Ok(rebuilt)
     }
 
@@ -616,7 +611,7 @@ impl<K: Key> StoreCore<K> {
     /// three steps. **Cut**: rotate the WAL and pin every shard state under
     /// the WAL lock (an exact cut — durable writes apply under that lock).
     /// **Write**: off-lock, one snapshot file per shard that needs one
-    /// ([`persist::write_shard_files`]). **Publish**: the manifest, the
+    /// ([`ShardFileWriter`]), a pool task each. **Publish**: the manifest, the
     /// memo, the counters and the truncation of the covered WAL prefix
     /// ([`StoreCore::publish_checkpoint`]).
     ///
@@ -671,15 +666,12 @@ impl<K: Key> StoreCore<K> {
                 Some(entry)
             })
             .collect();
-        let (written, snapshot_bytes) = persist::write_shard_files(
-            p.dir(),
-            seq,
-            cv,
-            p.durability().snapshot_block_keys,
-            (0..states.len())
-                .filter(|&i| reused[i].is_none())
-                .map(|i| (i, states[i].merged_view())),
-        )?;
+        let stale: Vec<usize> = (0..states.len()).filter(|&i| reused[i].is_none()).collect();
+        let files = ShardFileWriter::new(p.dir(), seq, cv, p.durability().snapshot_block_keys);
+        let (written, snapshot_bytes) =
+            ShardFileWriter::finish(pool::run_tasks(stale.len(), |i| {
+                files.write_shard_file(stale[i], || states[stale[i]].merged_view())
+            }))?;
         tally.shards_written = written.len() as u64;
         tally.snapshot_bytes = snapshot_bytes;
         let mut written = written.into_iter();
@@ -701,7 +693,7 @@ impl<K: Key> StoreCore<K> {
     }
 
     /// The *publish* step of a checkpoint, shared by
-    /// [`StoreCore::checkpoint`] and the seeding pipeline of
+    /// [`StoreCore::checkpoint`] and the seeding of
     /// [`ShardedStore::open_seeded`]: make the manifest durable, remember
     /// what it references (the next checkpoint's skip oracle), count the
     /// checkpoint and collect what it superseded. The caller holds the
@@ -746,9 +738,7 @@ impl<K: Key> StoreCore<K> {
     /// [`crate::ShardedStore::take_maintenance_errors`] and ends the pass —
     /// cold shards keep serving off their block index.
     pub(crate) fn hydrate_cold_shards(&self, stop: &std::sync::atomic::AtomicBool) {
-        let workers = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
+        let workers = pool::worker_count(usize::MAX);
         loop {
             // lint: ordering(Relaxed) advisory shutdown flag; a stale read costs one extra wave, thread join orders the rest
             if stop.load(Ordering::Relaxed) {
@@ -781,21 +771,12 @@ impl<K: Key> StoreCore<K> {
                     );
                 }
             }
-            let failed = std::thread::scope(|scope| {
-                let handles: Vec<_> = cold
-                    .iter()
-                    .map(|shard| scope.spawn(move || self.rebuild_shard(shard)))
-                    .collect();
-                let mut failed = false;
-                for h in handles {
-                    // lint: allow(panic) join fails only when the child panicked; re-raising preserves the failure
-                    if let Err(e) = h.join().expect("hydration worker panicked") {
-                        self.record_maintenance_error(e.into());
-                        failed = true;
-                    }
-                }
-                failed
-            });
+            let wave = pool::run_tasks(cold.len(), |i| self.rebuild_shard(&cold[i]));
+            let mut failed = false;
+            for e in wave.into_iter().filter_map(Result::err) {
+                self.record_maintenance_error(e.into());
+                failed = true;
+            }
             if failed {
                 return;
             }
@@ -1207,7 +1188,11 @@ impl<K: Key> ShardedStore<K> {
     /// spec's layer can cover.
     pub fn build(config: StoreConfig, keys: impl AsRef<[K]>) -> Result<Self, BuildError> {
         let (router, chunks) = plan_chunks(config.spec, keys.as_ref(), config.shards)?;
-        let shards = Self::build_shards(&config, &chunks);
+        // The plan validated the column and every chunk's length, so each
+        // chunk takes the prevalidated shard constructor.
+        let shards = pool::run_tasks(chunks.len(), |i| {
+            built_shard(&config, config.spec, Arc::from(chunks[i]))
+        });
         let table = StoreTable { router, shards };
         Ok(Self::assemble(config, table, None, None, None))
     }
@@ -1280,27 +1265,31 @@ impl<K: Key> ShardedStore<K> {
     /// WAL segment with at least one valid record — recovers normally and
     /// ignores `keys`.
     ///
-    /// Seeding is a **two-lane pipeline**, because the seed snapshot is a
+    /// Seeding runs on the crate's **task pool**. The seed snapshot is a
     /// function of the key chunks alone (the model and the Shift-Table are
-    /// never persisted). The column is validated and cut into chunks once;
-    /// the checkpoint *cut* is taken over the fresh directory; then one
-    /// writer thread streams a snapshot file per chunk
-    /// (`persist::write_shard_files`, bounded memory) **while** the
-    /// calling thread builds the shards over the same borrowed chunks. When
-    /// both lanes are done the store is assembled and the checkpoint is
-    /// *published* — manifest, then the memo, so an immediate
-    /// [`ShardedStore::checkpoint`] skips every shard. The wall time of
-    /// each lane is reported by [`ShardedStore::open_breakdown`]
-    /// ([`OpenBreakdown::seed_build`], [`OpenBreakdown::seed_write`]); on a
-    /// box with two or more cores their sum exceeds the time the call took.
+    /// never persisted), so writing a chunk's file and building its shard
+    /// are independent tasks. The column is validated and cut into chunks
+    /// once; the checkpoint *cut* is taken over the fresh directory; then
+    /// `2 × shards` tasks — *write 0, build 0, write 1, build 1, …* — are
+    /// handed, in that order, to one worker per hardware thread (the caller
+    /// is one of them), each taking the next task the moment it is free.
+    /// When the queue is drained the store is assembled and the checkpoint
+    /// is *published* — manifest, then the memo, so an immediate
+    /// [`ShardedStore::checkpoint`] skips every shard.
+    /// [`ShardedStore::open_breakdown`] reports the time the tasks were
+    /// busy, summed by kind: [`OpenBreakdown::seed_build`] over the build
+    /// tasks, [`OpenBreakdown::seed_write`] over the write tasks; with two
+    /// or more workers their total exceeds the time the call took.
     ///
     /// **Failure.** Unsorted keys and over-long chunks are rejected before
-    /// anything is created in the directory. An I/O error in the writer
-    /// lane is returned once both lanes have finished. In every failing
-    /// case — and after a crash anywhere before the manifest rename — the
+    /// anything is created in the directory. The first write task to hit
+    /// an I/O error turns the write tasks behind it into no-ops, and the
+    /// error is returned once the queue is drained. In every failing case
+    /// — and after a crash anywhere before the manifest rename — the
     /// directory holds no manifest and no WAL record, so it still counts as
     /// unseeded: whatever snapshot files the attempt left are overwritten
-    /// by the retry. A panic on either lane is re-raised.
+    /// by the retry. A panicking task is re-raised, also with nothing
+    /// published.
     ///
     /// # Errors
     /// As [`ShardedStore::open`], plus [`StoreError::Build`] if `keys` is
@@ -1327,26 +1316,35 @@ impl<K: Key> ShardedStore<K> {
         // The WAL lock is released again before the first file is written.
         let (cv, seq, ()) = persistence.begin_checkpoint(|| ())?;
         let block_keys = persistence.durability().snapshot_block_keys;
-        let (shards, seed_build, written, seed_write) = std::thread::scope(|scope| {
-            let writer = scope.spawn(|| {
-                let timer = SampledTimer::armed_now();
-                let written = persist::write_shard_files(
-                    dir,
-                    seq,
-                    cv,
-                    block_keys,
-                    chunks.iter().copied().enumerate(),
-                );
-                (written, timer.elapsed())
-            });
+        let files = ShardFileWriter::new(dir, seq, cv, block_keys);
+        // Two tasks per shard, a shard's file ahead of its build: the file
+        // is the task that can fail, and its fsync is a wait a build on the
+        // same core can fill.
+        let mut shards = Vec::with_capacity(chunks.len());
+        let mut written = Vec::with_capacity(chunks.len());
+        let mut breakdown = OpenBreakdown::default();
+        for (busy, done) in pool::run_tasks(2 * chunks.len(), |task| {
+            let chunk = chunks[task / 2];
             let timer = SampledTimer::armed_now();
-            let shards = Self::build_shards(&config, &chunks);
-            let seed_build = timer.elapsed();
-            // lint: allow(panic) join fails only when the child panicked; re-raising preserves the failure
-            let (written, seed_write) = writer.join().expect("seed snapshot writer panicked");
-            (shards, seed_build, written, seed_write)
-        });
-        let (entries, snapshot_bytes) = written?;
+            let done = if task % 2 == 0 {
+                SeedTask::Written(files.write_shard_file(task / 2, || chunk))
+            } else {
+                SeedTask::Built(built_shard(&config, config.spec, Arc::from(chunk)))
+            };
+            (timer.elapsed(), done)
+        }) {
+            match done {
+                SeedTask::Written(file) => {
+                    breakdown.seed_write += busy;
+                    written.push(file);
+                }
+                SeedTask::Built(shard) => {
+                    breakdown.seed_build += busy;
+                    shards.push(shard);
+                }
+            }
+        }
+        let (entries, snapshot_bytes) = ShardFileWriter::finish(written)?;
         let done = WrittenCheckpoint {
             cv,
             seq,
@@ -1358,11 +1356,6 @@ impl<K: Key> ShardedStore<K> {
                 ..CheckpointTally::default()
             },
             entries,
-        };
-        let breakdown = OpenBreakdown {
-            seed_build,
-            seed_write,
-            ..OpenBreakdown::default()
         };
         let store = Self::assemble(
             config,
@@ -1376,23 +1369,6 @@ impl<K: Key> ShardedStore<K> {
             store.core.publish_checkpoint(done)?;
         }
         Ok(store)
-    }
-
-    /// Build one shard per planned chunk (`plan_chunks` validated the
-    /// column and every chunk's length, so each takes the prevalidated
-    /// shard constructor rather than re-scanning).
-    fn build_shards(config: &StoreConfig, chunks: &[&[K]]) -> Vec<Arc<StoreShard<K>>> {
-        build_chunks(chunks, |chunk| {
-            Arc::new(
-                StoreShard::build_prevalidated(
-                    config.spec,
-                    Arc::<[K]>::from(chunk),
-                    config.delta_threshold,
-                    config.build_threads,
-                )
-                .with_chain_tuning(config.max_run_len, config.compact_runs),
-            )
-        })
     }
 
     /// Wrap a table (built or recovered) into a live store, spawning the
@@ -2097,9 +2073,9 @@ impl<K: Key> ShardedStore<K> {
 
     /// Where the open spent its time (`None` for in-memory stores): the
     /// recovery phases and the shards mounted cold for a store
-    /// [`ShardedStore::open`] recovered, the two pipeline lanes for one
-    /// [`ShardedStore::open_seeded`] seeded. The reopen and seeding
-    /// breakdowns the `store_durable` bench reports.
+    /// [`ShardedStore::open`] recovered, the busy time of the build and of
+    /// the write tasks for one [`ShardedStore::open_seeded`] seeded. The
+    /// reopen and seeding breakdowns the `store_durable` bench reports.
     pub fn open_breakdown(&self) -> Option<OpenBreakdown> {
         self.breakdown
     }

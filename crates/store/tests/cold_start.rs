@@ -531,6 +531,211 @@ fn failed_and_interrupted_seedings_leave_a_directory_that_seeds_again() {
     assert_seeds_like_clean(&blocked, "after a writer-lane I/O error");
 }
 
+/// Sixteen-shard seedings: the key column and configuration the pool tests
+/// below share.
+fn sixteen_shards() -> (StoreConfig, Vec<u64>) {
+    let mut rng = SplitMix64::new(0x16_5EED);
+    let mut keys: Vec<u64> = (0..16_000).map(|_| rng.next_below(1 << 34)).collect();
+    keys.sort_unstable();
+    (durable_config().shards(16), keys)
+}
+
+/// A write task in the *middle* of the queue fails (a directory squats on
+/// the eighth file of sixteen): the error is typed, the writes queued
+/// behind it become no-ops, nothing is published, and the retry produces
+/// the files of a clean seeding.
+#[test]
+fn a_failed_write_task_mid_queue_cancels_later_writes_and_the_retry_is_clean() {
+    let (config, keys) = sixteen_shards();
+    let clean = scratch("pool-clean");
+    drop(ShardedStore::open_seeded(&clean, config, &keys).unwrap());
+    assert_eq!(files_named(&clean, "snap-").len(), 16);
+
+    let blocked = scratch("pool-blocked");
+    let obstacle = blocked.join(snapshot::snapshot_name(1, 7));
+    assert_eq!(obstacle.file_name().unwrap(), "snap-0000000001-0007.snap");
+    std::fs::create_dir_all(&obstacle).unwrap();
+    let err = ShardedStore::open_seeded(&blocked, config, &keys)
+        .err()
+        .expect("the eighth write task must fail");
+    assert!(matches!(err, StoreError::Io(_)), "{err}");
+    assert!(manifest::list_manifests(&blocked).unwrap().is_empty());
+    assert!(wal::list_segments(&blocked)
+        .unwrap()
+        .iter()
+        .all(|(_, segment)| wal::read_segment(segment).unwrap().records.is_empty()));
+    // Seven files precede the failure; behind it only the writes already
+    // in flight on another worker can still land.
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let landed = files_named(&blocked, "snap-").len() - 1; // minus the obstacle
+    assert!(
+        landed < 7 + cores,
+        "{landed} snapshot files on {cores} cores"
+    );
+
+    std::fs::remove_dir(&obstacle).unwrap();
+    let store = ShardedStore::open_seeded(&blocked, config, &keys).unwrap();
+    assert_eq!(store.scan(0, u64::MAX), keys);
+    drop(store);
+    assert_eq!(files_named(&blocked, ""), files_named(&clean, ""));
+    for name in files_named(&clean, "snap-")
+        .into_iter()
+        .chain(files_named(&clean, "manifest-"))
+    {
+        assert!(
+            std::fs::read(blocked.join(&name)).unwrap()
+                == std::fs::read(clean.join(&name)).unwrap(),
+            "{name} differs from a clean seeding"
+        );
+    }
+}
+
+/// A key that panics when the model asks for a certain value as a float —
+/// which only a shard *build* does; planning, routing and the snapshot
+/// writer compare keys and widen them to `u64`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
+struct Tripwire(u64);
+
+/// The value no model may look at.
+const TRIPPED: u64 = 0xDEAD_0000;
+
+impl std::fmt::Display for Tripwire {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.0.fmt(f)
+    }
+}
+
+impl Key for Tripwire {
+    const BITS: u32 = 64;
+    const MIN_KEY: Self = Tripwire(0);
+    const MAX_KEY: Self = Tripwire(u64::MAX);
+    fn to_u64(self) -> u64 {
+        self.0
+    }
+    fn from_u64_saturating(v: u64) -> Self {
+        Tripwire(v)
+    }
+    fn to_f64(self) -> f64 {
+        assert_ne!(self.0, TRIPPED, "the model looked at the tripwire key");
+        self.0 as f64
+    }
+}
+
+/// A build task that panics is re-raised by `open_seeded` once the pool
+/// has drained — and, like every other failure, before anything is
+/// published: the directory seeds again.
+#[test]
+fn a_panicking_build_task_is_re_raised_and_leaves_the_directory_unseeded() {
+    let (config, mut keys) = sixteen_shards();
+    keys.push(TRIPPED); // lands in one of the middle chunks
+    keys.sort_unstable();
+    assert!(keys[1_000] < TRIPPED && TRIPPED < keys[15_000]);
+    let armed: Vec<Tripwire> = keys.iter().map(|&k| Tripwire(k)).collect();
+
+    let dir = scratch("pool-panic");
+    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        ShardedStore::open_seeded(&dir, config, &armed).map(drop)
+    }));
+    let panic = outcome.expect_err("the build task's panic must reach the caller");
+    let text = panic.downcast_ref::<String>().expect("an assert message");
+    assert!(text.contains("tripwire"), "{text}");
+    assert!(manifest::list_manifests(&dir).unwrap().is_empty());
+
+    let store = ShardedStore::open_seeded(&dir, config, &keys).unwrap();
+    assert_eq!(store.shard_count(), 16);
+    assert!(store.open_breakdown().unwrap().seed_write > Duration::ZERO);
+    assert_eq!(store.scan(0, u64::MAX), keys);
+}
+
+/// The thread fan-out is bounded: a 512-shard build and a 512-shard
+/// seeding (1024 tasks) run on the pool's few workers, and every result
+/// lands in its router slot — shard `i`, fence `i` and snapshot file `i`
+/// all hold chunk `i` of the oracle's partition.
+#[test]
+fn a_512_shard_build_and_seeding_agree_with_the_oracle_in_router_order() {
+    let mut rng = SplitMix64::new(0x512);
+    let mut keys: Vec<u64> = (0..40_000).map(|_| rng.next_below(1 << 36)).collect();
+    keys.sort_unstable();
+    let (router, bounds) = shift_store::ShardRouter::partition(&keys, 512);
+    assert_eq!(router.shard_count(), 512);
+    let config = durable_config().shards(512);
+    let dir = scratch("pool-512");
+    let built = ShardedStore::build(config, &keys).unwrap();
+    let seeded = ShardedStore::open_seeded(&dir, config, &keys).unwrap();
+    for (tag, store) in [("built", &built), ("seeded", &seeded)] {
+        assert_eq!(store.fences(), router.fences(), "{tag}");
+        let shards = store.shards();
+        assert_eq!(shards.len(), 512, "{tag}");
+        for (i, shard) in shards.iter().enumerate() {
+            let chunk = &keys[bounds[i]..bounds[i + 1]];
+            assert!(shard.state().merged_keys() == chunk, "{tag}: shard {i}");
+        }
+        let mut probes = vec![0u64, u64::MAX];
+        probes.extend((0..2_000).map(|_| rng.next_below(1 << 36)));
+        for q in probes {
+            assert_eq!(
+                store.lower_bound(q),
+                keys.partition_point(|&k| k < q),
+                "{tag}: q={q}"
+            );
+        }
+    }
+    drop(seeded);
+    let newest = &manifest::list_manifests(&dir).unwrap()[0].1;
+    let manifest = manifest::load_manifest(newest).unwrap();
+    assert_eq!(manifest.shards.len(), 512);
+    for (i, entry) in manifest.shards.iter().enumerate() {
+        assert_eq!(entry.snapshot, snapshot::snapshot_name(1, i));
+        let (_, chunk): (u64, Vec<u64>) =
+            shift_store::persist::v2::read_snapshot_v2(&dir.join(&entry.snapshot)).unwrap();
+        assert!(chunk == keys[bounds[i]..bounds[i + 1]], "file {i}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A key that occupies no memory, so a column longer than a range layer
+/// covers can exist in a test (as in `shift-table`'s own).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
+struct Unit;
+
+impl std::fmt::Display for Unit {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("unit")
+    }
+}
+
+impl Key for Unit {
+    const BITS: u32 = 0;
+    const MIN_KEY: Self = Unit;
+    const MAX_KEY: Self = Unit;
+    fn to_u64(self) -> u64 {
+        0
+    }
+    fn from_u64_saturating(_: u64) -> Self {
+        Unit
+    }
+}
+
+/// End to end through `open_seeded`: a chunk longer than the range layer
+/// can cover is refused by the chunk plan with the typed error, before the
+/// directory holds a WAL segment or a snapshot file.
+#[test]
+fn a_seed_column_past_max_keys_is_a_typed_error_that_writes_nothing() {
+    const LEN: usize = shift_table::table::ShiftTable::MAX_KEYS + 1;
+    let column = [Unit; LEN];
+    let dir = scratch("seed-too-many");
+    let err = ShardedStore::open_seeded(&dir, durable_config().shards(1), &column[..])
+        .err()
+        .expect("2^31 keys do not fit one range layer");
+    match err {
+        StoreError::Build(shift_table::error::BuildError::TooManyKeys { len, max }) => {
+            assert_eq!((len, max), (LEN, LEN - 1));
+        }
+        other => panic!("wrong error: {other}"),
+    }
+    assert_eq!(files_named(&dir, ""), Vec::<String>::new());
+}
+
 /// Corruption anywhere in a v2 snapshot — a bent block, a truncated index
 /// or footer — surfaces as a typed `Corrupt` error naming the damaged
 /// file, on both eager and cold opens.
@@ -573,6 +778,22 @@ fn v2_corruption_and_truncation_are_typed_and_name_the_file() {
     bent[pristine.len() / 2] ^= 0x01;
     std::fs::write(&damaged_snap, &bent).unwrap();
     expect_corrupt("mid-block flip", &work, &damaged_snap);
+
+    // The mount sweep checksums blocks three at a time: a flipped key byte
+    // in a block of each interleave slot (blocks 0, 1, 2 and, further in,
+    // 16) and in the short last block, which has no third neighbour, must
+    // each be caught.
+    let block_len = 8 + 64 * 8;
+    let footer = &pristine[pristine.len() - 52..];
+    let blocks = u32::from_le_bytes(footer[20..24].try_into().unwrap()) as usize;
+    assert_eq!(blocks % 3, 2, "the last group is an incomplete one");
+    for block in [0, 1, 2, 16, blocks - 1] {
+        clone_dir(&dir, &work);
+        let mut bent = pristine.clone();
+        bent[8 + block * block_len + 8 + 40] ^= 0x80;
+        std::fs::write(&damaged_snap, &bent).unwrap();
+        expect_corrupt(&format!("flip in block {block}"), &work, &damaged_snap);
+    }
 
     // Truncations: mid-block, mid-index, mid-footer, one byte short.
     for cut in [
