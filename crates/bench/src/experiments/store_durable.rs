@@ -39,7 +39,11 @@
 //! [`shift_store::ShardedStore::open_breakdown`]) and reports the first
 //! read's latency, how many shards were still cold when it ran, and how
 //! long background hydration took to finish. Both modes must answer the
-//! probe set identically — asserted unconditionally.
+//! probe set identically — asserted unconditionally. Two more eager rows
+//! reopen the image after its WAL tail has been grown to 2× and 4× the
+//! first rows' length: replay is a merge, so `replay ns/op` should stay
+//! roughly flat (or fall, as the per-shard column copy is shared by more
+//! operations) instead of doubling with the tail.
 //!
 //! A fifth table measures **seeding**: `open_seeded` on a fresh directory
 //! queues two tasks per shard — write its snapshot file, build its index —
@@ -289,6 +293,18 @@ fn incremental_checkpoint_table(cfg: BenchConfig, spec: IndexSpec) -> Table {
     table
 }
 
+/// WAL-tail length of the cold-start table's first two rows.
+pub const TAIL_OPS: usize = 256;
+
+/// The cold-start table's rows: label, cold open?, WAL-tail length. The
+/// eager and cold rows reopen the same image; the last two grow its tail.
+pub const COLD_START_ROWS: [(&str, bool, usize); 4] = [
+    ("eager", false, TAIL_OPS),
+    ("cold", true, TAIL_OPS),
+    ("eager 2x tail", false, 2 * TAIL_OPS),
+    ("eager 4x tail", false, 4 * TAIL_OPS),
+];
+
 /// Eager vs cold reopen of the same durable image: the reopen-latency
 /// breakdown table (see the module docs).
 fn cold_start_table(cfg: BenchConfig, spec: IndexSpec) -> Table {
@@ -311,27 +327,31 @@ fn cold_start_table(cfg: BenchConfig, spec: IndexSpec) -> Table {
             let k = d.as_slice()[rng.next_below(d.len() as u64) as usize];
             store.insert(k).expect("insert cannot fail");
         }
+        store.sync_wal().expect("sync cannot fail");
     };
     touch(&store, 512);
     store.checkpoint().expect("checkpoint cannot fail");
-    touch(&store, 256);
-    store.sync_wal().expect("sync cannot fail");
+    touch(&store, TAIL_OPS);
+    let mut tail_now = TAIL_OPS;
+    let mut probe_rng = SplitMix64::new(cfg.seed ^ 0x9E0B);
     let probes: Vec<u64> = (0..64)
-        .map(|_| d.as_slice()[rng.next_below(d.len() as u64) as usize])
+        .map(|_| d.as_slice()[probe_rng.next_below(d.len() as u64) as usize])
         .collect();
     drop(store);
 
     let mut table = Table::new(
         format!(
-            "Store — cold start: reopen breakdown on the same image (n = {}, 8 shards, spec {spec}, WAL tail of 256 ops)",
+            "Store — cold start: reopen breakdown on the same image (n = {}, 8 shards, spec {spec}, WAL tail of {TAIL_OPS} ops, then 2× and 4×)",
             d.len()
         ),
         &[
             "mode",
+            "tail ops",
             "open ms",
             "manifest ms",
             "mount ms",
             "replay ms",
+            "replay ns/op",
             "retrain ms",
             "first read µs",
             "cold@first read",
@@ -340,10 +360,20 @@ fn cold_start_table(cfg: BenchConfig, spec: IndexSpec) -> Table {
     );
     let mut reference: Option<(usize, u64)> = None;
     let mut eager_retrain_ms = 0.0f64;
-    for (label, cold) in [("eager", false), ("cold", true)] {
+    for (label, cold, tail) in COLD_START_ROWS {
         let open_config = StoreConfig::new(spec)
             .cold_start(cold)
             .durability(durability);
+        if tail > tail_now {
+            // Grow the tail on the same image: reopen, write on, drop
+            // without a checkpoint — the earlier segments stay. The rows
+            // before this one no longer describe the image.
+            let grown: ShardedStore<u64> =
+                ShardedStore::open(&dir, open_config).expect("recovery cannot fail");
+            touch(&grown, tail - tail_now);
+            tail_now = tail;
+            reference = None;
+        }
         let open = Instant::now();
         let reopened: ShardedStore<u64> =
             ShardedStore::open(&dir, open_config).expect("recovery cannot fail");
@@ -372,6 +402,11 @@ fn cold_start_table(cfg: BenchConfig, spec: IndexSpec) -> Table {
                 assert_eq!(sum, eager_sum, "cold reads must equal eager reads");
             }
         }
+        let replayed = reopened
+            .durability_stats()
+            .expect("durable store")
+            .replayed_records;
+        assert_eq!(replayed as usize, tail, "the whole tail replays");
         if cold {
             assert_eq!(b.cold_shards, 8, "cold_start must mount every shard cold");
             if assert_acceptance() {
@@ -387,14 +422,18 @@ fn cold_start_table(cfg: BenchConfig, spec: IndexSpec) -> Table {
             }
         } else {
             assert_eq!(cold_at_first, 0, "eager reopen has no cold shards");
-            eager_retrain_ms = retrain_ms;
+            if tail == TAIL_OPS {
+                eager_retrain_ms = retrain_ms;
+            }
         }
         table.add_row(vec![
             label.into(),
+            tail.to_string(),
             format!("{open_ms:.1}"),
             format!("{:.2}", b.manifest.as_secs_f64() * 1e3),
             format!("{:.2}", b.mount.as_secs_f64() * 1e3),
             format!("{:.2}", b.replay.as_secs_f64() * 1e3),
+            format!("{:.0}", b.replay.as_secs_f64() * 1e9 / tail as f64),
             format!("{retrain_ms:.2}"),
             format!("{first_us:.1}"),
             cold_at_first.to_string(),
@@ -608,8 +647,8 @@ mod tests {
         );
         assert_eq!(
             tables[3].row_count(),
-            2,
-            "cold-start table: eager + cold rows"
+            COLD_START_ROWS.len(),
+            "cold-start table: eager + cold rows, then the 2x and 4x tails"
         );
         assert_eq!(
             tables[4].row_count(),

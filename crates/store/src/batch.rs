@@ -25,6 +25,15 @@ pub enum BatchOp<K: Key> {
     Delete(K),
 }
 
+impl<K: Key> BatchOp<K> {
+    /// The key the operation inserts or deletes.
+    pub fn key(&self) -> K {
+        match *self {
+            Self::Insert(k) | Self::Delete(k) => k,
+        }
+    }
+}
+
 /// A staged group of writes applied atomically by
 /// [`crate::ShardedStore::apply`]: one commit version, one WAL record, one
 /// sync.

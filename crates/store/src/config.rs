@@ -150,8 +150,7 @@ impl RetainPolicy {
     }
 }
 
-/// Configuration of a [`crate::ShardedStore`] (and, minus the write-path
-/// knobs, of a read-only [`crate::ShardedIndex`]).
+/// Configuration of a [`crate::ShardedStore`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StoreConfig {
     /// The model×layer spec every shard index is built from.
@@ -172,13 +171,6 @@ pub struct StoreConfig {
     pub auto_rebuild: bool,
     /// Worker threads used to build each shard's correction layer.
     pub build_threads: usize,
-    /// Maximum entry count of the delta-chain head run a write may amend;
-    /// past it the write opens a fresh run. Bounds per-write copy cost.
-    pub max_run_len: usize,
-    /// Unsealed run count past which the writer folds the chain inline (and
-    /// at or past half of which the maintenance worker compacts it). Bounds
-    /// per-read merge cost at one binary search per run.
-    pub compact_runs: usize,
     /// When true, [`crate::ShardedStore::build`] spawns a background
     /// [`crate::MaintenanceWorker`] thread that compacts delta chains,
     /// rebuilds dirty shards and rebalances skewed ones while writers keep
@@ -247,9 +239,10 @@ pub struct StoreConfig {
 
 impl StoreConfig {
     /// A configuration with the given spec and the default knobs
-    /// (8 shards, 4096-op delta threshold, auto rebuild, 1 build thread,
-    /// 32-entry head runs folded past 8 runs, no background worker,
-    /// rebalancing at 4× mean skew).
+    /// (8 shards, 4096-op delta threshold, auto rebuild, 1 build thread, no
+    /// background worker, rebalancing at 4× mean skew). The delta chain's
+    /// shape is not a knob: [`crate::delta::MAX_RUN_LEN`] and
+    /// [`crate::delta::COMPACT_RUNS`] fix it.
     pub fn new(spec: IndexSpec) -> Self {
         Self {
             spec,
@@ -257,8 +250,6 @@ impl StoreConfig {
             delta_threshold: 4096,
             auto_rebuild: true,
             build_threads: 1,
-            max_run_len: 32,
-            compact_runs: 8,
             background_maintenance: false,
             maintenance_interval: Duration::from_millis(2),
             split_skew: 4,
@@ -294,19 +285,6 @@ impl StoreConfig {
     /// Set the per-shard builder thread count (clamped to at least 1).
     pub fn build_threads(mut self, threads: usize) -> Self {
         self.build_threads = threads.max(1);
-        self
-    }
-
-    /// Set the maximum amendable head-run length (clamped to at least 1).
-    pub fn max_run_len(mut self, len: usize) -> Self {
-        self.max_run_len = len.max(1);
-        self
-    }
-
-    /// Set the unsealed-run count that triggers inline chain compaction
-    /// (clamped to at least 2).
-    pub fn compact_runs(mut self, runs: usize) -> Self {
-        self.compact_runs = runs.max(2);
         self
     }
 
@@ -397,8 +375,6 @@ mod tests {
             .delta_threshold(0)
             .auto_rebuild(false)
             .build_threads(0)
-            .max_run_len(0)
-            .compact_runs(0)
             .background_maintenance(true)
             .maintenance_interval(Duration::from_millis(7))
             .split_skew(3)
@@ -408,8 +384,6 @@ mod tests {
         assert_eq!(c.delta_threshold, 1);
         assert!(!c.auto_rebuild);
         assert_eq!(c.build_threads, 1);
-        assert_eq!(c.max_run_len, 1);
-        assert_eq!(c.compact_runs, 2);
         assert!(c.background_maintenance);
         assert_eq!(c.maintenance_interval, Duration::from_millis(7));
         assert_eq!(c.split_skew, 3);

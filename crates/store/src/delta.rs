@@ -15,12 +15,18 @@
 //! where each per-run term is a binary search over an immutable array — no
 //! lock is required to evaluate either sum. Writers never mutate a published
 //! run: recording an operation produces a **new chain** that either replaces
-//! the small head run with an amended copy (bounded by the configured
-//! maximum run length) or prepends a fresh singleton run; every other run is
+//! the small head run with an amended copy (bounded by [`MAX_RUN_LEN`]) or
+//! prepends a fresh singleton run; every other run is
 //! shared by `Arc` with the previous chain. The chain is published to readers
 //! as part of the shard's immutable state (see `shard.rs`).
 //!
-//! Three structural operations support the maintenance machinery:
+//! The chain's shape is fixed by two constants rather than configuration:
+//! a head run is amended up to [`MAX_RUN_LEN`] entries, and a writer folds
+//! the unsealed runs inline once there are [`COMPACT_RUNS`] of them.
+//!
+//! Three structural operations support the maintenance machinery. The
+//! first two move an index over shared runs; the third combines runs, and
+//! like every merge in the crate it is a call into `merge.rs`:
 //!
 //! * [`DeltaChain::sealed`] marks every run *sealed* (writers then start a
 //!   fresh head instead of amending) — the freeze step of a rebuild or a
@@ -28,17 +34,33 @@
 //! * [`DeltaChain::strip_sealed`] removes a previously sealed suffix after
 //!   its contents were folded into a new base — what remains is exactly the
 //!   writes recorded since the seal.
-//! * [`DeltaChain::compact`] folds the unsealed runs into a single run so
-//!   chains stay short (reads pay one binary search per run).
+//! * [`DeltaChain::compact`] folds the unsealed runs into a single run
+//!   (`merge::consolidate` over their nets) so chains stay short — reads
+//!   pay one binary search per run.
+//!
+//! This module merges nothing itself: a run lends out its per-key nets as
+//! a borrowing iterator (`DeltaRun::nets`), and `compact`,
+//! [`DeltaChain::merge_into`] / [`DeltaChain::merge_range`] and the version
+//! diff hand those to `merge::consolidate` and `merge::splice`.
 //!
 //! The delete-path invariant from PR 2 is unchanged and still maintained by
 //! the shard's write path: a tombstone is only recorded when the merged
 //! count of its key is positive, so prefix sums of net deltas never drive a
 //! merged position negative.
 
+use crate::merge;
 use sosd_data::key::Key;
-use std::collections::BTreeMap;
+use std::ops::{Bound, RangeBounds};
 use std::sync::Arc;
+
+/// Entries the head run may hold and still be amended by a write; past it
+/// the write opens a fresh run. Bounds the per-write copy.
+pub const MAX_RUN_LEN: usize = 32;
+
+/// Unsealed runs at which a writer folds the chain inline (the maintenance
+/// worker compacts at half of it). Bounds the per-read merge at one binary
+/// search per run.
+pub const COMPACT_RUNS: usize = 8;
 
 /// One immutable, sorted run of net occurrence deltas.
 ///
@@ -87,7 +109,7 @@ impl<K: Key> DeltaRun<K> {
 
     /// A copy of this run with one more operation on `k` folded in. One
     /// `O(len)` pass and one allocation — this is the hot write path, which
-    /// bounds `len` by the configured maximum run length.
+    /// bounds `len` by [`MAX_RUN_LEN`].
     pub fn amended(&self, k: K, net: i64) -> Self {
         let mut entries: Vec<(K, i64)> = Vec::with_capacity(self.entries.len() + 1);
         let mut prev = 0i64; // previous *input* cumulative net
@@ -119,39 +141,31 @@ impl<K: Key> DeltaRun<K> {
         }
     }
 
-    /// The per-key net deltas of this run, sorted by key.
-    fn net_pairs(&self) -> Vec<(K, i64)> {
-        let mut prev = 0i64;
-        self.entries
-            .iter()
-            .map(|&(k, cum)| {
-                let net = cum - prev;
-                prev = cum;
-                (k, net)
-            })
-            .collect()
-    }
-
-    /// The per-key net deltas of the keys in `lo ..= hi` only: two binary
-    /// searches plus one pass over the in-range entries (the cumulative
-    /// just before the range start recovers each net exactly).
-    fn net_pairs_in(&self, lo: K, hi: K) -> Vec<(K, i64)> {
-        let start = self.entries.partition_point(|&(k, _)| k < lo);
-        // An inverted range (`hi < lo`) clamps to an empty sub-slice.
-        let end = self.entries.partition_point(|&(k, _)| k <= hi).max(start);
-        let mut prev = if start == 0 {
-            0
-        } else {
-            self.entries[start - 1].1
+    /// The per-key net deltas of the keys inside `range`, sorted by key,
+    /// borrowed from the run: two binary searches, then one pass over the
+    /// in-range entries (the cumulative just before the range start
+    /// recovers each net exactly). An inverted range is empty.
+    pub(crate) fn nets(&self, range: impl RangeBounds<K>) -> impl Iterator<Item = (K, i64)> + '_ {
+        let start = match range.start_bound() {
+            Bound::Included(&lo) => self.entries.partition_point(|&(k, _)| k < lo),
+            Bound::Excluded(&lo) => self.entries.partition_point(|&(k, _)| k <= lo),
+            Bound::Unbounded => 0,
         };
-        self.entries[start..end]
-            .iter()
-            .map(|&(k, cum)| {
-                let net = cum - prev;
-                prev = cum;
-                (k, net)
-            })
-            .collect()
+        let end = match range.end_bound() {
+            Bound::Included(&hi) => self.entries.partition_point(|&(k, _)| k <= hi),
+            Bound::Excluded(&hi) => self.entries.partition_point(|&(k, _)| k < hi),
+            Bound::Unbounded => self.entries.len(),
+        }
+        .max(start);
+        let mut prev = match start {
+            0 => 0,
+            _ => self.entries[start - 1].1,
+        };
+        self.entries[start..end].iter().map(move |&(k, cum)| {
+            let net = cum - prev;
+            prev = cum;
+            (k, net)
+        })
     }
 
     /// Sum of net deltas of all keys `< q`: one binary search.
@@ -246,10 +260,21 @@ impl<K: Key> DeltaChain<K> {
         }
     }
 
+    /// A chain of one unsealed run holding the consolidated `nets` and
+    /// accounting for `ops` operations (recovery's replayed WAL tail over a
+    /// cold base); the empty chain when nothing was applied.
+    pub(crate) fn from_nets(nets: Vec<(K, i64)>, ops: usize) -> Self {
+        if ops == 0 {
+            return Self::new();
+        }
+        Self::from_runs(vec![Arc::new(DeltaRun::from_net_pairs(nets, ops))], 1)
+    }
+
     /// Record one operation (`net` is `+1` insert / `-1` tombstone),
     /// returning the successor chain. The head run is amended in place-by-
-    /// copy while it stays below `max_run_len` and unsealed; otherwise a
-    /// fresh singleton run is prepended.
+    /// copy while it stays below `max_run_len` (the store passes
+    /// [`MAX_RUN_LEN`]) and unsealed; otherwise a fresh singleton run is
+    /// prepended.
     pub fn with_op(&self, k: K, net: i64, max_run_len: usize) -> Self {
         let mut runs = self.runs.clone();
         let mut unsealed = self.unsealed;
@@ -381,7 +406,7 @@ impl<K: Key> DeltaChain<K> {
         }
         let live = &self.runs[..self.unsealed];
         let ops = live.iter().map(|r| r.ops()).sum();
-        let folded = fold_runs(live);
+        let folded = merge::consolidate(live.iter().flat_map(|r| r.nets(..)));
         let mut runs: Vec<Arc<DeltaRun<K>>> =
             Vec::with_capacity(1 + self.runs.len() - self.unsealed);
         let folded = DeltaRun::from_net_pairs(folded, ops);
@@ -395,41 +420,33 @@ impl<K: Key> DeltaChain<K> {
         Self::from_runs(runs, unsealed)
     }
 
+    /// The chain's per-key nets inside `range`, run by run and **not** yet
+    /// folded — what a caller hands to `merge::consolidate`, alone or with
+    /// other sources (the version diff adds a second chain, negated). Each
+    /// run is sub-sliced by binary search, so a bounded range pays for the
+    /// entries inside it, never the whole chain.
+    pub(crate) fn nets<'a>(
+        &'a self,
+        range: impl RangeBounds<K> + Clone + 'a,
+    ) -> impl Iterator<Item = (K, i64)> + 'a {
+        self.runs.iter().flat_map(move |r| r.nets(range.clone()))
+    }
+
     /// Merge the chain's net deltas into a sorted base column, producing the
     /// new sorted key column: inserted occurrences are spliced in at their
     /// sorted positions, tombstoned occurrences are dropped from their
     /// duplicate run.
     pub fn merge_into(&self, base: &[K]) -> Vec<K> {
-        merge_pairs(base, &fold_runs(&self.runs))
-    }
-
-    /// The chain folded to sorted `(key, net occurrence delta)` pairs with
-    /// zero nets dropped — the structural form the version-diff engine
-    /// (`scan_between`) subtracts chains with.
-    pub(crate) fn net_pairs(&self) -> Vec<(K, i64)> {
-        fold_runs(&self.runs)
+        merge::splice(base, &merge::consolidate(self.nets(..)))
     }
 
     /// Merge only the chain entries with keys in `lo ..= hi` into `base`,
     /// which must be the base column restricted to exactly that key range
     /// (full duplicate runs included) — the bounded form
-    /// [`crate::ShardState::merged_range_keys`] (snapshot scans) uses. The
-    /// fold itself is range-bounded (each run is sub-sliced by binary
-    /// search before folding), so a short scan pays for the chain entries
-    /// *inside* the range, never the whole chain.
+    /// [`crate::ShardState::merged_range_keys`] (snapshot scans) uses. An
+    /// inverted range merges nothing.
     pub fn merge_range(&self, base: &[K], lo: K, hi: K) -> Vec<K> {
-        let mut net: BTreeMap<K, i64> = BTreeMap::new();
-        for run in &self.runs {
-            for (k, n) in run.net_pairs_in(lo, hi) {
-                let e = net.entry(k).or_insert(0);
-                *e += n;
-                if *e == 0 {
-                    net.remove(&k);
-                }
-            }
-        }
-        let net: Vec<(K, i64)> = net.into_iter().collect();
-        merge_pairs(base, &net)
+        merge::splice(base, &merge::consolidate(self.nets(lo..=hi)))
     }
 
     /// Split the chain at `split_key`: per-key nets strictly below the key
@@ -440,16 +457,13 @@ impl<K: Key> DeltaChain<K> {
     pub fn partition(&self, split_key: K) -> (Self, Self) {
         let mut left: Vec<Arc<DeltaRun<K>>> = Vec::new();
         let mut right: Vec<Arc<DeltaRun<K>>> = Vec::new();
+        let side = |nets: Vec<(K, i64)>| {
+            let ops = nets.iter().map(|&(_, n)| n.unsigned_abs() as usize).sum();
+            DeltaRun::from_net_pairs(nets, ops)
+        };
         for run in &self.runs {
-            let pairs = run.net_pairs();
-            let cut = pairs.partition_point(|&(k, _)| k < split_key);
-            let (l, r) = pairs.split_at(cut);
-            let side = |s: &[(K, i64)]| {
-                let ops = s.iter().map(|&(_, n)| n.unsigned_abs() as usize).sum();
-                DeltaRun::from_net_pairs(s.to_vec(), ops)
-            };
-            let l = side(l);
-            let r = side(r);
+            let l = side(run.nets(..split_key).collect());
+            let r = side(run.nets(split_key..).collect());
             if l.entry_count() > 0 {
                 left.push(Arc::new(l));
             }
@@ -477,66 +491,10 @@ impl<K: Key> DeltaChain<K> {
     }
 }
 
-/// Splice sorted `(key, net)` pairs into a sorted base column: inserted
-/// occurrences land at their sorted positions, tombstoned occurrences drop
-/// out of their duplicate run.
-fn merge_pairs<K: Key>(base: &[K], net: &[(K, i64)]) -> Vec<K> {
-    let expected = base.len() as i64 + net.iter().map(|&(_, c)| c).sum::<i64>();
-    let mut out = Vec::with_capacity(expected.max(0) as usize);
-    let mut deltas = net.iter().peekable();
-    let mut i = 0usize;
-    while i < base.len() {
-        match deltas.peek() {
-            Some(&&(k, c)) if k <= base[i] => {
-                if k < base[i] {
-                    // A key absent from the base: only inserts can be
-                    // buffered for it (tombstones require presence).
-                    debug_assert!(c > 0, "tombstone for an absent key");
-                    out.extend(std::iter::repeat_n(k, c.max(0) as usize));
-                } else {
-                    // k == base[i]: rewrite the whole duplicate run.
-                    let mut run = 0i64;
-                    while i < base.len() && base[i] == k {
-                        run += 1;
-                        i += 1;
-                    }
-                    let total = run + c;
-                    debug_assert!(total >= 0, "tombstones exceed the run");
-                    out.extend(std::iter::repeat_n(k, total.max(0) as usize));
-                }
-                deltas.next();
-            }
-            _ => {
-                out.push(base[i]);
-                i += 1;
-            }
-        }
-    }
-    for &(k, c) in deltas {
-        out.extend(std::iter::repeat_n(k, c.max(0) as usize));
-    }
-    debug_assert!(out.is_sorted());
-    out
-}
-
-/// Fold a set of runs into sorted `(key, net)` pairs with zero nets dropped.
-fn fold_runs<K: Key>(runs: &[Arc<DeltaRun<K>>]) -> Vec<(K, i64)> {
-    let mut net: BTreeMap<K, i64> = BTreeMap::new();
-    for run in runs {
-        for (k, n) in run.net_pairs() {
-            let e = net.entry(k).or_insert(0);
-            *e += n;
-            if *e == 0 {
-                net.remove(&k);
-            }
-        }
-    }
-    net.into_iter().collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
 
     fn chain_of(ops: &[(u64, i64)], max_run_len: usize) -> DeltaChain<u64> {
         let mut c = DeltaChain::new();

@@ -5,20 +5,19 @@
 //! sorted key column, one learned model, one correction layer. This crate
 //! turns those into a concurrent serving system:
 //!
-//! * [`ShardedIndex`] — a read-only index range-partitioned across `N`
-//!   shards behind a fence-key router; batched lookups are grouped by shard
-//!   so each shard's pipelined batch kernel is preserved.
 //! * [`StoreShard`] — the updatable building block: an epoch-stamped
 //!   [`ShardSnapshot`] (sorted base + learned index) paired with an
 //!   immutable [`DeltaChain`] of buffered writes, published together as one
 //!   [`ShardState`].
-//! * [`ShardedStore`] — the full store: an atomically republished
-//!   [`StoreTable`] (router + shards), write paths that transparently
-//!   re-route around splits/merges, and an optional background
-//!   [`MaintenanceWorker`].
+//! * [`ShardedStore`] — the full store: `N` shards range-partitioned
+//!   behind a fence-key router in an atomically republished [`StoreTable`]
+//!   (batched lookups are grouped by shard so each shard's pipelined batch
+//!   kernel is preserved), write paths that transparently re-route around
+//!   splits/merges, and an optional background [`MaintenanceWorker`]. Never
+//!   written to, it is the read-only sharded index.
 //!
-//! Both sharded types implement [`algo_index::RangeIndex`], so a store drops
-//! into every harness that benchmarks the static indexes.
+//! The store implements [`algo_index::RangeIndex`], so it drops into every
+//! harness that benchmarks the static indexes.
 //!
 //! ## Kernel-backed read path
 //!
@@ -49,9 +48,20 @@
 //!   chain skips the merge machinery entirely.
 //! * The delta chain is a short, newest-first list of immutable sorted
 //!   runs ([`DeltaRun`]). A write publishes a successor chain that amends
-//!   the small head run by copy (bounded by `max_run_len`) or prepends a
-//!   singleton; all other runs are shared by `Arc`. Writers are serialised
-//!   by a per-shard mutex that readers never take.
+//!   the small head run by copy (up to [`delta::MAX_RUN_LEN`] entries) or
+//!   prepends a singleton, folding the unsealed runs into one once there
+//!   are [`delta::COMPACT_RUNS`] of them; all other runs are shared by
+//!   `Arc`. Both bounds are constants, so live chains have one shape.
+//!   Writers are serialised by a per-shard mutex that readers never take.
+//! * **One merge path.** Everything that combines sorted deltas with a
+//!   sorted column — the rebuild, split, merge, checkpoint and scan views
+//!   of a dirty shard, chain compaction, the `scan_between` diff, a
+//!   transaction's read-your-writes scan, WAL replay — is a call into the
+//!   crate-private `merge` module: `consolidate` (sorted `(key, net)`
+//!   sources → one run, equal keys summed, zeros dropped), `splice` (one
+//!   run into one column, untouched stretches copied in bulk) and
+//!   `fold_ops` (ordered inserts/deletes → one run, with the write path's
+//!   delete semantics).
 //! * The store's topology — fences plus shard list — is one immutable
 //!   [`StoreTable`] behind its own [`EpochCell`]. Multi-shard reads (global
 //!   positions, batches, ranges) resolve entirely against one pinned table,
@@ -235,8 +245,9 @@
 //! and the cut is taken, each shard contributes two independent tasks —
 //! write its snapshot file, build its index — and the crate's one task
 //! pool (a worker per hardware thread, the caller among them; also behind
-//! sharded builds, `maintain()`'s rebuilds, a checkpoint's file writes and
-//! recovery's retraining) works through them in order. The store is
+//! sharded builds, `maintain()`'s rebuilds, a split's two child builds, a
+//! checkpoint's file writes and recovery's replay and retraining) works
+//! through them in order. The store is
 //! assembled and the checkpoint published when the queue is drained, and
 //! [`ShardedStore::open_breakdown`] reports how long the build tasks and
 //! the write tasks were busy. A seeding that fails or is killed leaves no
@@ -257,11 +268,16 @@
 //! allocation in the writer grows with the shard.
 //!
 //! **Recovery** ([`ShardedStore::open`]) loads the newest manifest that
-//! validates, rebuilds each shard from its snapshot, and replays the WAL
-//! tail through the recovered fence router. Replay is *idempotent*: a
-//! record at or below the routed shard's recovered version is a no-op, so
-//! stale segments are harmless; a torn tail (short frame or checksum
-//! mismatch) simply ends the log, recovering the exact durable prefix.
+//! validates, loads (or mounts) each shard's snapshot, and replays the WAL
+//! tail **as a merge**: one scan routes each operation through the
+//! recovered fence router into its shard's bucket, and the pool task that
+//! builds the shard first folds its bucket to one sorted net run and
+//! splices it into the key column in a single pass (a cold shard keeps the
+//! run as its delta chain) — linear in the tail plus the columns touched.
+//! Replay is *idempotent*: a record at or below the routed shard's
+//! recovered version never reaches a bucket, so stale segments are
+//! harmless; a torn tail (short frame or checksum mismatch) simply ends
+//! the log, recovering the exact durable prefix.
 //! With [`StoreConfig::cold_start`], reopen is **streaming**: v2 snapshots
 //! are *mounted* (footer + block index, no decode, no training) and served
 //! cold while a background hydrator retrains models shard by shard — first
@@ -407,6 +423,7 @@ pub mod config;
 pub mod delta;
 pub mod epoch;
 pub mod error;
+mod merge;
 pub mod obs;
 pub mod persist;
 mod pool;
@@ -428,7 +445,7 @@ pub use persist::recovery::OpenBreakdown;
 pub use persist::DurabilityStats;
 pub use router::ShardRouter;
 pub use shard::{ShardSnapshot, ShardState, StoreShard};
-pub use sharded::{ShardedIndex, ShardedStore, StoreTable};
+pub use sharded::{ShardedStore, StoreTable};
 pub use snapshot::StoreSnapshot;
 pub use txn::Txn;
 pub use versions::VersionStats;
@@ -452,7 +469,7 @@ pub mod prelude {
     pub use crate::persist::recovery::OpenBreakdown;
     pub use crate::persist::DurabilityStats;
     pub use crate::shard::{ShardSnapshot, ShardState, StoreShard};
-    pub use crate::sharded::{ShardedIndex, ShardedStore, StoreTable};
+    pub use crate::sharded::{ShardedStore, StoreTable};
     pub use crate::snapshot::StoreSnapshot;
     pub use crate::txn::Txn;
     pub use crate::versions::VersionStats;

@@ -19,25 +19,32 @@
 //!    checksum sweep, no decode, no training — the shard will serve reads
 //!    off the block index until the background hydrator retrains it. v1
 //!    files have no block index and always load eagerly.
-//! 3. Replay every WAL segment in version order through the recovered
-//!    fence router — editing hot key columns directly, and buffering into
-//!    a cold shard's delta chain (write paths never touch base keys, so a
-//!    cold base absorbs its tail without decoding). A record at or below
-//!    the routed shard's recovered `applied` floor is skipped — replay is
-//!    idempotent, so both stale segments and records already folded into a
-//!    re-referenced incremental snapshot cost time, never correctness. A
-//!    torn tail ends the log.
-//! 4. Build each hot shard once over its final column, retraining the
-//!    persisted spec on the crate's task pool; a cold shard is assembled
-//!    in O(1) from its mounted base plus replayed chain.
+//! 3. Scan every WAL segment once, in version order, routing each
+//!    operation through the recovered fence router into its shard's
+//!    **bucket**. An operation at or below the routed shard's recovered
+//!    `applied` floor is dropped here — replay is idempotent, so both stale
+//!    segments and records already folded into a re-referenced incremental
+//!    snapshot cost a scan, never correctness. A torn tail ends the log,
+//!    and a torn batch frame is dropped whole by the segment scan.
+//! 4. Assemble the shards, one pool task each. The task first replays its
+//!    bucket as a merge (`merge.rs`): `fold_ops` turns the ordered
+//!    operations into one sorted net run with the write path's delete
+//!    semantics, which is then `splice`d into a hot key column in one
+//!    linear pass, or becomes the single unsealed delta run of a cold shard
+//!    (write paths never touch base keys, so a cold base absorbs its tail
+//!    without decoding). Then a hot shard is built once over its final
+//!    column, retraining the persisted spec; a cold shard is assembled in
+//!    O(1) from its mounted base plus that run.
 //!
 //! Recovery also reports *where the time went* ([`OpenBreakdown`]) and
 //! which manifest entries are safe to re-reference at the next incremental
 //! checkpoint (shards whose WAL tail replayed nothing).
 
+use crate::batch::BatchOp;
 use crate::config::StoreConfig;
 use crate::delta::DeltaChain;
 use crate::error::StoreError;
+use crate::merge;
 use crate::persist::manifest::{self, ManifestShard};
 use crate::persist::wal::{self, WalEntry, WalOp};
 use crate::persist::{snapshot, v2};
@@ -56,9 +63,9 @@ use std::time::{Duration, Instant};
 /// [`crate::ShardedStore::open_seeded`] spent its time, plus how much work
 /// was deferred to background hydration.
 ///
-/// A **recovering** open fills the four recovery phases, all measured on
-/// the opening thread: `retrain` is the *foreground* model-training time —
-/// near zero for a cold start, where training happens after open returns.
+/// A **recovering** open fills the four recovery phases: `retrain` is the
+/// *foreground* model-training time — near zero for a cold start, where
+/// training happens after open returns.
 /// A **seeding** open (a fresh directory) fills the two `seed_*` fields
 /// instead: the time its pool tasks were busy, summed over the build tasks
 /// and over the write tasks. The tasks run side by side on as many workers
@@ -71,9 +78,13 @@ pub struct OpenBreakdown {
     pub manifest: Duration,
     /// Reading snapshot files: eager decode, or cold mount + checksum sweep.
     pub mount: Duration,
-    /// Scanning and applying the WAL tail.
+    /// Replaying the WAL tail: the time the opening thread took to scan and
+    /// bucket it, plus the time the pool tasks were busy folding and
+    /// splicing their buckets, summed over the tasks.
     pub replay: Duration,
-    /// Foreground model retraining (the pooled shard builds).
+    /// Foreground model retraining: the time the pooled shard tasks took on
+    /// the opening thread's clock, less the replay time inside them (which
+    /// `replay` already counts).
     pub retrain: Duration,
     /// Shards published cold (0 on an eager open): the hydrator's backlog.
     pub cold_shards: usize,
@@ -142,18 +153,15 @@ fn is_checkpoint_debris(e: &StoreError) -> bool {
 }
 
 /// One shard's recovered backing: a decoded (hot) key column that replay
-/// edits in place, or a mounted (cold) v2 base whose replayed tail buffers
-/// into a delta chain.
+/// splices its tail into, or a mounted (cold) v2 base whose replayed tail
+/// becomes its delta chain.
 enum ShardBacking<K: Key> {
     Hot(Vec<K>),
-    Cold {
-        base: Arc<v2::ColdBase<K>>,
-        delta: DeltaChain<K>,
-    },
+    Cold(Arc<v2::ColdBase<K>>),
 }
 
 /// A checkpoint loaded from one manifest: router, per-shard backings (not
-/// yet built — replay edits them first, so every hot shard trains its
+/// yet built — replay moves them first, so every hot shard trains its
 /// model exactly once) and the per-shard replay floors.
 struct LoadedCheckpoint<K: Key> {
     router: ShardRouter<K>,
@@ -195,13 +203,7 @@ fn load_checkpoint<K: Key>(
         let (shard_applied, backing) = if bytes.starts_with(&v2::MAGIC) {
             let base = v2::ColdBase::<K>::from_bytes(&snap_path, bytes)?;
             if cold {
-                (
-                    base.applied(),
-                    ShardBacking::Cold {
-                        base: Arc::new(base),
-                        delta: DeltaChain::new(),
-                    },
-                )
+                (base.applied(), ShardBacking::Cold(Arc::new(base)))
             } else {
                 (base.applied(), ShardBacking::Hot(base.decode_all()))
             }
@@ -245,30 +247,28 @@ fn load_checkpoint<K: Key>(
     })
 }
 
-/// Recover a store from `dir` (see the module docs for the sequence).
-pub(crate) fn recover<K: Key>(
+/// One shard's share of the WAL tail: the operations past its `applied`
+/// floor, in log (= version) order.
+type Bucket<K> = Vec<BatchOp<K>>;
+
+/// Step 1 of recovery: the newest manifest that validates wins; all
+/// corrupt is an error; none is a fresh directory (or a WAL-only one) —
+/// one empty shard under the config's spec.
+fn load_newest_checkpoint<K: Key>(
     dir: &Path,
     config: &StoreConfig,
-) -> Result<Recovered<K>, StoreError> {
-    // 1. Newest valid manifest wins; all-corrupt is an error, none is fresh.
-    let manifests = manifest::list_manifests(dir)?;
-    let mut checkpoint: Option<LoadedCheckpoint<K>> = None;
+) -> Result<LoadedCheckpoint<K>, StoreError> {
     let mut first_failure: Option<StoreError> = None;
-    for (_, path) in &manifests {
+    for (_, path) in &manifest::list_manifests(dir)? {
         match load_checkpoint(dir, path, config.cold_start) {
-            Ok(cp) => {
-                checkpoint = Some(cp);
-                break;
-            }
+            Ok(cp) => return Ok(cp),
             Err(e) if is_checkpoint_debris(&e) => first_failure = first_failure.or(Some(e)),
             Err(e) => return Err(e),
         }
     }
-    let mut cp = match (checkpoint, first_failure) {
-        (Some(cp), _) => cp,
-        (None, Some(e)) => return Err(e),
-        (None, None) => LoadedCheckpoint {
-            // Fresh directory (or WAL-only): one empty shard, config spec.
+    match first_failure {
+        Some(e) => Err(e),
+        None => Ok(LoadedCheckpoint {
             router: ShardRouter::from_fences(Vec::new()),
             backings: vec![ShardBacking::Hot(Vec::new())],
             applied: vec![0],
@@ -278,123 +278,138 @@ pub(crate) fn recover<K: Key>(
             seq: 0,
             manifest_time: Duration::ZERO,
             mount_time: Duration::ZERO,
-        },
-    };
+        }),
+    }
+}
 
-    // 2./3. Replay the WAL tail in version order, idempotently — applied
-    // straight into hot key columns (store delete semantics: one occurrence
-    // removed when present, else a no-op) and buffered into cold shards'
-    // delta chains, so the expensive model training below happens at most
-    // once per shard, replayed-into or not. A batch entry replays all of
-    // its operations under its single version — and a torn batch frame was
-    // already dropped whole by the segment scan, so a batch is never
-    // half-recovered. A replayed-into shard loses its re-reference memo:
-    // its merged view moved past the snapshot on disk.
-    // lint: allow(timing) WAL replay is cold; timing the whole pass is the point
-    let replay_start = Instant::now();
+/// Step 3 of recovery: scan the WAL segments of `dir` once and bucket the
+/// operations past each shard's `applied` floor by shard, in log (=
+/// version) order. A batch entry contributes all of its operations under
+/// its single version. Returns the buckets and the version the next WAL
+/// record must carry.
+fn bucket_tail<K: Key>(
+    dir: &Path,
+    cp: &LoadedCheckpoint<K>,
+) -> Result<(Vec<Bucket<K>>, u64), StoreError> {
     let mut next_version = cp.version + 1;
-    let mut replayed = 0usize;
-    let apply_one = |cp: &mut LoadedCheckpoint<K>, version: u64, op: WalOp, key: u64| {
+    let mut buckets: Vec<Bucket<K>> = vec![Vec::new(); cp.backings.len()];
+    let mut route = |version: u64, op: WalOp, key: u64| {
         let key = K::from_u64_saturating(key);
         let s = cp.router.shard_of(key);
-        if version <= cp.applied[s] {
-            return 0usize; // already inside the snapshot: replay is a no-op
+        if version > cp.applied[s] {
+            buckets[s].push(match op {
+                WalOp::Insert => BatchOp::Insert(key),
+                WalOp::Delete => BatchOp::Delete(key),
+            });
         }
-        let applied = match &mut cp.backings[s] {
-            ShardBacking::Hot(column) => {
-                let pos = column.partition_point(|&x| x < key);
-                match op {
-                    WalOp::Insert => {
-                        column.insert(pos, key);
-                        true
-                    }
-                    WalOp::Delete => {
-                        if column.get(pos) == Some(&key) {
-                            column.remove(pos);
-                            true
-                        } else {
-                            false
-                        }
-                    }
-                }
-            }
-            ShardBacking::Cold { base, delta } => {
-                let net = match op {
-                    WalOp::Insert => 1,
-                    // A delete applies only when the merged view still
-                    // holds an occurrence — same semantics as the write
-                    // path's count probe.
-                    WalOp::Delete if base.count_of(key) as i64 + delta.net_of(key) > 0 => -1,
-                    WalOp::Delete => 0,
-                };
-                if net != 0 {
-                    let mut next = delta.with_op(key, net, config.max_run_len);
-                    if next.unsealed_run_count() >= config.compact_runs {
-                        next = next.compact();
-                    }
-                    *delta = next;
-                }
-                net != 0
-            }
-        };
-        if applied {
-            // The on-disk snapshot no longer matches this shard's merged
-            // view: the next checkpoint must rewrite it.
-            cp.entries[s] = None;
-        }
-        1
     };
     for (_, segment) in wal::list_segments(dir)? {
         for entry in wal::read_segment(&segment)?.records {
             next_version = next_version.max(entry.version() + 1);
             match entry {
-                WalEntry::Op(r) => replayed += apply_one(&mut cp, r.version, r.op, r.key),
-                WalEntry::Batch(b) => {
-                    for &(op, key) in &b.ops {
-                        replayed += apply_one(&mut cp, b.version, op, key);
-                    }
-                }
+                WalEntry::Op(r) => route(r.version, r.op, r.key),
+                WalEntry::Batch(b) => b
+                    .ops
+                    .iter()
+                    .for_each(|&(op, key)| route(b.version, op, key)),
             }
         }
     }
-    let replay_time = replay_start.elapsed();
+    Ok((buckets, next_version))
+}
 
-    // 4. Assemble the shards, one pool task each. A cold backing is O(1) —
-    // mounted base plus replayed chain, no training. A hot column retrains
-    // its model, which dominates reopen latency for large stores; the
-    // columns are independent by construction, and the pool caps the
-    // concurrency at the machine's parallelism (a long-lived store's split
-    // cascade can leave hundreds of shards). Each task takes its backing
-    // out of its slot, so a column is freed as soon as its shard is built.
+/// One pool task of step 4. Replay the shard's bucket as a merge — fold
+/// the ordered operations to a net run (store delete semantics: one
+/// occurrence removed when present, else a no-op, as the write path's count
+/// probe), then splice it into a hot column or make it a cold base's delta
+/// chain, carrying the applied-op count — and build the shard over the
+/// result. Returns the time the replay took, how many operations took
+/// effect, and the shard.
+fn assemble_shard<K: Key>(
+    config: &StoreConfig,
+    spec: IndexSpec,
+    backing: ShardBacking<K>,
+    bucket: Bucket<K>,
+) -> (Duration, usize, Arc<StoreShard<K>>) {
+    // lint: allow(timing) per-shard replay is cold; timed once per shard per reopen
+    let replay_start = Instant::now();
+    match backing {
+        ShardBacking::Hot(column) => {
+            let (nets, applied) = merge::fold_ops(bucket, |k| merge::count_in(&column, k));
+            let column = match nets.is_empty() {
+                true => column,
+                false => merge::splice(&column, &nets),
+            };
+            let replay_busy = replay_start.elapsed();
+            let shard = built_shard(config, spec, Arc::from(column));
+            (replay_busy, applied, shard)
+        }
+        ShardBacking::Cold(base) => {
+            let (nets, applied) = merge::fold_ops(bucket, |k| base.count_of(k));
+            let delta = DeltaChain::from_nets(nets, applied);
+            let replay_busy = replay_start.elapsed();
+            let snapshot = Arc::new(ShardSnapshot::new_cold(base, 0));
+            let (threshold, threads) = (config.delta_threshold, config.build_threads);
+            let shard = StoreShard::from_parts_at(spec, threshold, threads, snapshot, delta, 0);
+            (replay_busy, applied, Arc::new(shard))
+        }
+    }
+}
+
+/// Recover a store from `dir` (see the module docs for the sequence).
+pub(crate) fn recover<K: Key>(
+    dir: &Path,
+    config: &StoreConfig,
+) -> Result<Recovered<K>, StoreError> {
+    // 1./2. Newest valid manifest, its snapshots loaded or mounted.
+    let mut cp = load_newest_checkpoint::<K>(dir, config)?;
+
+    // 3. One scan of the WAL tail, bucketed per shard.
+    // lint: allow(timing) WAL replay is cold; timing the whole scan is the point
+    let scan_start = Instant::now();
+    let (buckets, next_version) = bucket_tail(dir, &cp)?;
+    let replayed = buckets.iter().map(Vec::len).sum();
+    let scan_time = scan_start.elapsed();
+
+    // 4. Assemble the shards, one pool task each: replay the bucket into
+    // the backing, then build. A cold shard is O(tail) — mounted base plus
+    // replayed chain, no training. A hot column retrains its model, which
+    // dominates reopen latency for large stores; the columns are
+    // independent by construction, and the pool caps the concurrency at
+    // the machine's parallelism (a long-lived store's split cascade can
+    // leave hundreds of shards). Each task takes its backing out of its
+    // slot, so a column is freed as soon as its shard is built.
     // lint: allow(timing) reopen retraining is cold; timed once per reopen
-    let retrain_start = Instant::now();
+    let pool_start = Instant::now();
     let spec = cp.spec;
-    let cold = |b: &&ShardBacking<K>| matches!(b, ShardBacking::Cold { .. });
+    let cold = |b: &&ShardBacking<K>| matches!(b, ShardBacking::Cold(_));
     let cold_shards = cp.backings.iter().filter(cold).count();
-    let backings: Vec<Mutex<Option<ShardBacking<K>>>> = cp
+    let slots: Vec<_> = cp
         .backings
         .into_iter()
-        .map(|backing| Mutex::new(Some(backing)))
+        .zip(buckets)
+        .map(|slot| Mutex::new(Some(slot)))
         .collect();
-    let shards = pool::run_tasks(backings.len(), |i| {
+    let built = pool::run_tasks(slots.len(), |i| {
         // lint: allow(panic) each slot is locked once, by the one task the pool hands index `i` to
-        let backing = backings[i].lock().expect("backing slot poisoned").take();
+        let slot = slots[i].lock().expect("backing slot poisoned").take();
         // lint: allow(panic) as above: the slot was filled and nothing else takes it
-        match backing.expect("every backing is assembled once") {
-            ShardBacking::Hot(column) => built_shard(config, spec, Arc::from(column)),
-            ShardBacking::Cold { base, delta } => Arc::new(
-                StoreShard::from_parts_at(
-                    spec,
-                    config.delta_threshold,
-                    config.build_threads,
-                    Arc::new(ShardSnapshot::new_cold(base, 0)),
-                    delta,
-                    0,
-                )
-                .with_chain_tuning(config.max_run_len, config.compact_runs),
-            ),
-        }
+        let (backing, bucket) = slot.expect("every backing is assembled once");
+        assemble_shard(config, spec, backing, bucket)
     });
+    let pool_time = pool_start.elapsed();
+
+    let mut replay_busy = Duration::ZERO;
+    let mut shards = Vec::with_capacity(built.len());
+    for (i, (busy, applied, shard)) in built.into_iter().enumerate() {
+        replay_busy += busy;
+        if applied > 0 {
+            // The on-disk snapshot no longer matches this shard's merged
+            // view: the next checkpoint must rewrite it.
+            cp.entries[i] = None;
+        }
+        shards.push(shard);
+    }
 
     Ok(Recovered {
         router: cp.router,
@@ -407,10 +422,371 @@ pub(crate) fn recover<K: Key>(
         breakdown: OpenBreakdown {
             manifest: cp.manifest_time,
             mount: cp.mount_time,
-            replay: replay_time,
-            retrain: retrain_start.elapsed(),
+            replay: scan_time + replay_busy,
+            retrain: pool_time.saturating_sub(replay_busy),
             cold_shards,
             ..OpenBreakdown::default()
         },
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::SyncPolicy;
+    use crate::delta::{COMPACT_RUNS, MAX_RUN_LEN};
+    use crate::persist::manifest::Manifest;
+    use crate::persist::wal::{WalRecord, WalWriter};
+    use sosd_data::prelude::SplitMix64;
+    use std::path::PathBuf;
+
+    /// What the reference replay leaves behind, shard by shard: the edited
+    /// backing, and the chain a cold one grew.
+    struct Reference {
+        backings: Vec<ShardBacking<u64>>,
+        chains: Vec<DeltaChain<u64>>,
+        entries: Vec<Option<ManifestShard>>,
+        replayed: usize,
+        next_version: u64,
+    }
+
+    /// The per-op replay this module shipped before replay became a merge,
+    /// kept verbatim as the reference: every WAL operation edits its hot
+    /// column with `Vec::insert`/`remove`, or goes through the write path's
+    /// `with_op` + `compact` on a cold shard's chain.
+    fn recover_reference(dir: &Path, config: &StoreConfig) -> Reference {
+        let mut cp = load_newest_checkpoint::<u64>(dir, config).unwrap();
+        let mut chains = vec![DeltaChain::new(); cp.backings.len()];
+        let mut next_version = cp.version + 1;
+        let mut replayed = 0usize;
+        let mut apply_one = |cp: &mut LoadedCheckpoint<u64>, version: u64, op: WalOp, key: u64| {
+            let s = cp.router.shard_of(key);
+            if version <= cp.applied[s] {
+                return 0usize; // already inside the snapshot: replay is a no-op
+            }
+            let applied = match &mut cp.backings[s] {
+                ShardBacking::Hot(column) => {
+                    let pos = column.partition_point(|&x| x < key);
+                    match op {
+                        WalOp::Insert => {
+                            column.insert(pos, key);
+                            true
+                        }
+                        WalOp::Delete => {
+                            if column.get(pos) == Some(&key) {
+                                column.remove(pos);
+                                true
+                            } else {
+                                false
+                            }
+                        }
+                    }
+                }
+                ShardBacking::Cold(base) => {
+                    let delta = &mut chains[s];
+                    let net = match op {
+                        WalOp::Insert => 1,
+                        WalOp::Delete if base.count_of(key) as i64 + delta.net_of(key) > 0 => -1,
+                        WalOp::Delete => 0,
+                    };
+                    if net != 0 {
+                        let mut next = delta.with_op(key, net, MAX_RUN_LEN);
+                        if next.unsealed_run_count() >= COMPACT_RUNS {
+                            next = next.compact();
+                        }
+                        *delta = next;
+                    }
+                    net != 0
+                }
+            };
+            if applied {
+                cp.entries[s] = None;
+            }
+            1
+        };
+        for (_, segment) in wal::list_segments(dir).unwrap() {
+            for entry in wal::read_segment(&segment).unwrap().records {
+                next_version = next_version.max(entry.version() + 1);
+                match entry {
+                    WalEntry::Op(r) => replayed += apply_one(&mut cp, r.version, r.op, r.key),
+                    WalEntry::Batch(b) => {
+                        for &(op, key) in &b.ops {
+                            replayed += apply_one(&mut cp, b.version, op, key);
+                        }
+                    }
+                }
+            }
+        }
+        Reference {
+            backings: cp.backings,
+            chains,
+            entries: cp.entries,
+            replayed,
+            next_version: next_version.max(1),
+        }
+    }
+
+    fn scratch(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("shift-replay-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    /// Write a checkpoint by hand: one v2 snapshot per chunk, each with its
+    /// own `applied` floor, under a manifest at version `cv`.
+    fn write_checkpoint(dir: &Path, seq: u64, cv: u64, chunks: &[Vec<u64>], applied: &[u64]) {
+        let shards = (chunks.iter().zip(applied).enumerate())
+            .map(|(i, (chunk, &applied))| {
+                let snapshot = format!("snap-{seq}-{i}.snap");
+                v2::write_snapshot(&dir.join(&snapshot), applied, chunk, 16).unwrap();
+                ManifestShard { snapshot, applied }
+            })
+            .collect();
+        let manifest = Manifest {
+            seq,
+            version: cv,
+            spec: "im+r1".into(),
+            fences: chunks.iter().map(|c| c[0]).collect(),
+            shards,
+        };
+        manifest::write_manifest(dir, &manifest).unwrap();
+    }
+
+    /// Append `entries` to a fresh segment, versions ascending from `start`:
+    /// a one-op entry becomes a single-op frame, anything else a batch.
+    /// Returns the version after the last.
+    fn write_segment(dir: &Path, start: u64, entries: &[Vec<(WalOp, u64)>]) -> u64 {
+        let mut wal = WalWriter::create(dir, start, SyncPolicy::Os).unwrap();
+        let mut version = start;
+        for ops in entries {
+            match ops.as_slice() {
+                &[(op, key)] => wal.append(&WalRecord { version, op, key }).map(drop),
+                ops => wal.append_batch(version, ops).map(drop),
+            }
+            .unwrap();
+            version += 1;
+        }
+        version
+    }
+
+    /// Three chunks with duplicate runs, and the keys a tail should aim at:
+    /// present keys, absent ones, both sides of both fences, the extremes.
+    fn chunks() -> Vec<Vec<u64>> {
+        let chunk = |lo: u64| (0..60u64).map(|i| lo + (i / 3) * 10).collect::<Vec<_>>();
+        vec![chunk(1_000), chunk(5_000), chunk(9_000)]
+    }
+
+    /// Both sides of both fences of [`chunks`], and the extremes.
+    const EDGES: [u64; 8] = [999, 1_000, 4_999, 5_000, 8_999, 9_000, 0, u64::MAX];
+
+    /// A randomized tail: single-op and batch entries interleaved, keys one
+    /// time in four from `aimed`, else from `lo..hi` (half of them present
+    /// in [`chunks`]) — duplicate inserts, deletes of absent keys,
+    /// insert-then-delete and delete-then-insert of one key.
+    fn random_tail(
+        rng: &mut SplitMix64,
+        entries: usize,
+        aimed: &[u64],
+        (lo, hi): (u64, u64),
+    ) -> Vec<Vec<(WalOp, u64)>> {
+        let key = |rng: &mut SplitMix64| match rng.next_below(4) {
+            0 => aimed[rng.next_below(aimed.len() as u64) as usize],
+            _ => (lo + rng.next_below(hi - lo)) / 5 * 5,
+        };
+        (0..entries)
+            .map(|_| {
+                let k = key(rng);
+                match rng.next_below(8) {
+                    0 => vec![
+                        (WalOp::Insert, k),
+                        (WalOp::Insert, k),
+                        (WalOp::Delete, key(rng)),
+                    ],
+                    1 => vec![(WalOp::Insert, k), (WalOp::Delete, k)],
+                    2 => vec![(WalOp::Delete, k), (WalOp::Insert, k)],
+                    3 => vec![(WalOp::Delete, k), (WalOp::Delete, k), (WalOp::Delete, k)],
+                    4 | 5 => vec![(WalOp::Delete, k)],
+                    _ => vec![(WalOp::Insert, k)],
+                }
+            })
+            .collect()
+    }
+
+    /// Recover `dir` through the reference and through the shipped code,
+    /// eagerly and cold, and require the same store either way. Returns the
+    /// eager recovery for further checks.
+    fn assert_same_recovery(dir: &Path, tag: &str) -> Recovered<u64> {
+        let spec = IndexSpec::parse("im+r1").unwrap();
+        let mut eager = None;
+        for cold in [true, false] {
+            let config = StoreConfig::new(spec).cold_start(cold);
+            let reference = recover_reference(dir, &config);
+            let new = recover::<u64>(dir, &config).unwrap();
+            let tag = format!("{tag} cold={cold}");
+            assert_eq!(new.replayed, reference.replayed, "{tag}: replayed");
+            assert_eq!(
+                new.next_version, reference.next_version,
+                "{tag}: next version"
+            );
+            assert_eq!(new.memo_entries, reference.entries, "{tag}: memo");
+            assert_eq!(new.shards.len(), reference.backings.len(), "{tag}: shards");
+            for (s, (shard, backing)) in new.shards.iter().zip(&reference.backings).enumerate() {
+                let state = shard.state();
+                let delta = &reference.chains[s];
+                match backing {
+                    ShardBacking::Hot(column) => {
+                        assert_eq!(&state.merged_keys(), column, "{tag}: shard {s}");
+                        assert!(state.delta().is_clean(), "{tag}: shard {s} chain");
+                    }
+                    ShardBacking::Cold(base) => {
+                        assert!(state.snapshot().is_cold(), "{tag}: shard {s} mounted");
+                        let merged = delta.merge_into(&base.decode_all());
+                        assert_eq!(state.merged_keys(), merged, "{tag}: shard {s}");
+                        assert_eq!(state.delta().ops(), delta.ops(), "{tag}: shard {s} ops");
+                        assert_eq!(
+                            state.delta().len_delta(),
+                            delta.len_delta(),
+                            "{tag}: shard {s} len_delta"
+                        );
+                        assert_eq!(shard.len(), merged.len(), "{tag}: shard {s} len");
+                    }
+                }
+            }
+            eager = Some(new);
+        }
+        eager.unwrap()
+    }
+
+    #[test]
+    fn replay_as_a_merge_equals_the_per_op_reference() {
+        let mut rng = SplitMix64::new(0x7A11_0017);
+        // (tag, per-shard applied floors, checkpoint version, aimed keys, key range)
+        let cases = [
+            ("mixed", [12, 40, 0], 40, &EDGES[..], (900, 9_300)),
+            ("fresh", [0, 0, 0], 0, &EDGES[..], (0, 20_000)),
+            (
+                "one-shard",
+                [3, 3, 3],
+                3,
+                &[5_000, 8_999][..],
+                (5_000, 8_999),
+            ),
+            ("all-stale", [500, 500, 500], 500, &EDGES[..], (900, 9_300)),
+        ];
+        for (tag, applied, cv, aimed, range) in cases {
+            let dir = scratch(tag);
+            write_checkpoint(&dir, 1, cv, &chunks(), &applied);
+            // Two segments, the first starting below every floor.
+            let next = write_segment(&dir, 1, &random_tail(&mut rng, 60, aimed, range));
+            let end = write_segment(&dir, next, &random_tail(&mut rng, 90, aimed, range));
+            let recovered = assert_same_recovery(&dir, tag);
+            assert_eq!(recovered.next_version, end.max(cv + 1), "{tag}");
+            match tag {
+                "mixed" | "fresh" => {
+                    assert!(recovered.replayed > 100, "{tag}: the tail applies");
+                    assert!(recovered.memo_entries.iter().all(Option::is_none), "{tag}");
+                }
+                "one-shard" => {
+                    let kept: Vec<bool> =
+                        recovered.memo_entries.iter().map(Option::is_some).collect();
+                    assert_eq!(kept, [true, false, true], "only the middle shard moved");
+                }
+                _ => {
+                    assert_eq!(recovered.replayed, 0, "every op sits at or below its floor");
+                    assert!(recovered.memo_entries.iter().all(Option::is_some));
+                }
+            }
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    #[test]
+    fn an_empty_tail_and_a_wal_only_directory_recover_alike() {
+        // A checkpoint with no segment at all, then with an empty one.
+        let dir = scratch("empty-tail");
+        write_checkpoint(&dir, 1, 7, &chunks(), &[7, 7, 7]);
+        let bare = assert_same_recovery(&dir, "no segment");
+        assert_eq!((bare.replayed, bare.next_version), (0, 8));
+        write_segment(&dir, 8, &[]);
+        let empty = assert_same_recovery(&dir, "empty segment");
+        assert_eq!((empty.replayed, empty.next_version), (0, 8));
+        assert!(empty.memo_entries.iter().all(Option::is_some));
+        let _ = std::fs::remove_dir_all(&dir);
+        // No manifest: one empty shard absorbs the whole log.
+        let dir = scratch("wal-only");
+        let mut rng = SplitMix64::new(0x0A11);
+        let end = write_segment(&dir, 1, &random_tail(&mut rng, 80, &EDGES, (0, 500)));
+        let recovered = assert_same_recovery(&dir, "wal-only");
+        assert_eq!(recovered.next_version, end);
+        assert_eq!(recovered.memo_entries, [None]);
+        assert!(!recovered.shards[0].is_empty());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn replaying_an_absorbed_tail_again_is_a_no_op() {
+        let mut rng = SplitMix64::new(0x1DE4);
+        let dir = scratch("idempotent");
+        write_checkpoint(&dir, 1, 0, &chunks(), &[0, 0, 0]);
+        let end = write_segment(&dir, 1, &random_tail(&mut rng, 120, &EDGES, (900, 9_300)));
+        let first = assert_same_recovery(&dir, "first");
+        assert!(first.replayed > 0);
+        // The checkpoint a crash interrupts between its manifest and its
+        // WAL truncation: snapshots that already hold the tail, floors at
+        // its last version, the segment still there — and there twice.
+        let absorbed: Vec<Vec<u64>> = first
+            .shards
+            .iter()
+            .map(|s| s.state().merged_keys())
+            .collect();
+        write_checkpoint(&dir, 2, end - 1, &absorbed, &[end - 1; 3]);
+        let segment = dir.join(wal::segment_name(1));
+        std::fs::copy(&segment, dir.join(wal::segment_name(2))).unwrap();
+        let again = assert_same_recovery(&dir, "again");
+        assert_eq!(again.replayed, 0);
+        assert_eq!(again.next_version, end);
+        assert!(
+            again.memo_entries.iter().all(Option::is_some),
+            "no shard moved"
+        );
+        for (shard, column) in again.shards.iter().zip(&absorbed) {
+            assert_eq!(&shard.state().merged_keys(), column);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_torn_batch_frame_is_dropped_whole() {
+        let dir = scratch("torn-batch");
+        write_checkpoint(&dir, 1, 0, &chunks(), &[0, 0, 0]);
+        let batch = vec![
+            (WalOp::Insert, 1_005),
+            (WalOp::Insert, 5_005),
+            (WalOp::Delete, 9_000),
+        ];
+        write_segment(&dir, 1, &[vec![(WalOp::Insert, 42)], batch]);
+        let segment = dir.join(wal::segment_name(1));
+        let whole = assert_same_recovery(&dir, "whole");
+        assert_eq!(whole.replayed, 4);
+        // Cut the file inside the batch frame: past the first entry's end,
+        // short of the second's.
+        let ends = wal::read_segment(&segment).unwrap().boundaries;
+        let bytes = std::fs::read(&segment).unwrap();
+        std::fs::write(&segment, &bytes[..(ends[0] + ends[1]) as usize / 2]).unwrap();
+        let torn = assert_same_recovery(&dir, "torn");
+        assert_eq!((torn.replayed, torn.next_version), (1, 2));
+        let keys: Vec<Vec<u64>> = torn
+            .shards
+            .iter()
+            .map(|s| s.state().merged_keys())
+            .collect();
+        assert_eq!(keys[0][0], 42, "the single op before the batch survives");
+        assert_eq!(
+            keys[0].len() + keys[1].len() + keys[2].len(),
+            181,
+            "none of the batch does"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

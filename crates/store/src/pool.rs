@@ -1,8 +1,9 @@
 //! The crate's one fan-out: a scoped, bounded task pool.
 //!
-//! Sharded builds, dirty-shard rebuilds, the write step of a checkpoint,
-//! recovery's retraining and the seeding of a fresh directory are all "run
-//! these `n` independent tasks and give me the results in order". They
+//! Sharded builds, dirty-shard rebuilds, the two child builds of a split,
+//! the write step of a checkpoint, recovery's per-shard replay and
+//! retraining and the seeding of a fresh directory are all "run these `n`
+//! independent tasks and give me the results in order". They
 //! share [`run_tasks`]: at most one worker per hardware thread — a store
 //! with thousands of shards asks the OS for no more threads than one with
 //! two — and a worker that finishes early takes the next task instead of

@@ -38,7 +38,7 @@
 //! **hydration**: on a cold base it proceeds even with a clean chain,
 //! decoding + retraining off-lock and swapping in a hot epoch.
 
-use crate::delta::DeltaChain;
+use crate::delta::{DeltaChain, COMPACT_RUNS, MAX_RUN_LEN};
 use crate::epoch::{CommitClock, EpochCell};
 use crate::error::RetiredShard;
 use algo_index::search::{DynRangeIndex, RangeIndex};
@@ -294,8 +294,6 @@ pub struct StoreShard<K: Key> {
     spec: IndexSpec,
     threshold: usize,
     build_threads: usize,
-    max_run_len: usize,
-    compact_runs: usize,
     /// Commit clock for writes applied through the shard's own public API.
     /// Store-managed shards are written through the `*_clocked` / `*_at`
     /// crate paths instead, which stamp the **store's** clock so one
@@ -364,25 +362,14 @@ impl<K: Key> StoreShard<K> {
     ) -> Self {
         let index = build_index(&spec, keys.clone(), build_threads);
         let snapshot = Arc::new(ShardSnapshot::new(keys, index, 0));
-        Self::from_parts(spec, threshold, build_threads, snapshot, DeltaChain::new())
-    }
-
-    /// Assemble a shard from an already-built snapshot and a carried-over
-    /// delta chain — the constructor splits and merges use for their
-    /// children.
-    pub(crate) fn from_parts(
-        spec: IndexSpec,
-        threshold: usize,
-        build_threads: usize,
-        snapshot: Arc<ShardSnapshot<K>>,
-        delta: DeltaChain<K>,
-    ) -> Self {
+        let delta = DeltaChain::new();
         Self::from_parts_at(spec, threshold, build_threads, snapshot, delta, 0)
     }
 
-    /// [`StoreShard::from_parts`] with an inherited commit-version floor —
-    /// split/merge children start at their parent's `applied_cv` so the
-    /// stamp stays monotonic across topology changes.
+    /// Assemble a shard from an already-built snapshot, a carried-over
+    /// delta chain and an inherited commit-version floor — split/merge
+    /// children start at their parent's `applied_cv` so the stamp stays
+    /// monotonic across topology changes; recovery starts at 0.
     pub(crate) fn from_parts_at(
         spec: IndexSpec,
         threshold: usize,
@@ -397,8 +384,6 @@ impl<K: Key> StoreShard<K> {
             spec,
             threshold: threshold.max(1),
             build_threads: build_threads.max(1),
-            max_run_len: 32,
-            compact_runs: 8,
             own_clock: CommitClock::new(),
             state: EpochCell::new(Arc::new(ShardState {
                 snapshot,
@@ -456,15 +441,6 @@ impl<K: Key> StoreShard<K> {
     pub(crate) fn take_hydration_request(&self) -> bool {
         // lint: ordering(Relaxed) advisory priority flag — hydration correctness is carried by the rebuild guard
         self.hydration_requested.swap(false, Ordering::Relaxed)
-    }
-
-    /// Tune the delta-chain shape: `max_run_len` bounds the head run a write
-    /// amends (write cost), `compact_runs` caps the unsealed run count
-    /// before the writer folds the chain inline (read cost).
-    pub(crate) fn with_chain_tuning(mut self, max_run_len: usize, compact_runs: usize) -> Self {
-        self.max_run_len = max_run_len.max(1);
-        self.compact_runs = compact_runs.max(2);
-        self
     }
 
     /// Pin and return the current state (one epoch acquisition; see
@@ -636,10 +612,10 @@ impl<K: Key> StoreShard<K> {
     /// `applied_cv` backwards. Must hold `write`.
     fn publish_op(&self, k: K, net: i64, cv: u64) -> bool {
         let cur = self.state.load();
-        let mut delta = cur.delta.with_op(k, net, self.max_run_len);
-        if delta.unsealed_run_count() >= self.compact_runs {
+        let mut delta = cur.delta.with_op(k, net, MAX_RUN_LEN);
+        if delta.unsealed_run_count() >= COMPACT_RUNS {
             // Inline amortised compaction: O(chain entries) once every
-            // `compact_runs × max_run_len` ops keeps reads at a handful of
+            // `COMPACT_RUNS × MAX_RUN_LEN` ops keeps reads at a handful of
             // binary searches without waiting for the maintenance worker.
             delta = delta.compact();
         }
@@ -707,7 +683,7 @@ impl<K: Key> StoreShard<K> {
 
     /// Fold the chain's unsealed runs into one run, bounding per-read merge
     /// cost. Returns true when the chain shape changed. Called by the
-    /// maintenance worker; writers also compact inline past `compact_runs`.
+    /// maintenance worker; writers also compact inline past [`COMPACT_RUNS`].
     pub fn compact(&self) -> bool {
         // lint: allow(panic) lock poisoning propagates a writer panic; continuing would publish torn state
         let _w = self.write.lock().expect("write lock poisoned");
@@ -751,7 +727,7 @@ impl<K: Key> StoreShard<K> {
             self.publish(cur.snapshot.clone(), cur.delta.sealed())
         };
         // Build phase — no lock held; reads and writes proceed.
-        let merged: Arc<[K]> = frozen.merged_keys().into();
+        let merged: Arc<[K]> = frozen.merged_view().into();
         let index = build_index(&self.spec, merged.clone(), self.build_threads);
         let snapshot = Arc::new(ShardSnapshot::new(merged, index, frozen.snapshot.epoch + 1));
         // Swap phase: install the new epoch, keep only post-seal writes.
@@ -831,11 +807,6 @@ impl<K: Key> StoreShard<K> {
     /// The shard's builder thread count.
     pub(crate) fn build_threads(&self) -> usize {
         self.build_threads
-    }
-
-    /// The chain tuning pair `(max_run_len, compact_runs)`.
-    pub(crate) fn chain_tuning(&self) -> (usize, usize) {
-        (self.max_run_len, self.compact_runs)
     }
 }
 
@@ -973,20 +944,17 @@ mod tests {
     #[test]
     fn inline_compaction_bounds_the_chain() {
         let keys: Vec<u64> = (0..100u64).collect();
-        let shard = StoreShard::build(spec(), keys, 1_000_000, 1)
-            .unwrap()
-            .with_chain_tuning(1, 4);
-        for k in 0..64u64 {
+        let shard = StoreShard::build(spec(), keys, 1_000_000, 1).unwrap();
+        // Distinct keys: every MAX_RUN_LEN inserts fill a head run, so the
+        // chain would reach 2 × COMPACT_RUNS runs without the inline fold.
+        let writes = 2 * COMPACT_RUNS * MAX_RUN_LEN;
+        for k in 0..writes as u64 {
             shard.insert(500 + k).unwrap();
+            assert!(shard.state().delta().run_count() < COMPACT_RUNS);
         }
         let state = shard.state();
-        assert!(
-            state.delta().run_count() < 4,
-            "inline compaction must bound the chain, got {} runs",
-            state.delta().run_count()
-        );
-        assert_eq!(state.delta().ops(), 64, "compaction preserves churn");
-        assert_eq!(shard.lower_bound(u64::MAX), 164);
+        assert_eq!(state.delta().ops(), writes, "compaction preserves churn");
+        assert_eq!(shard.lower_bound(u64::MAX), 100 + writes);
     }
 
     #[test]

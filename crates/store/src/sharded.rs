@@ -1,11 +1,10 @@
-//! Range-sharded indexes: an atomically published shard table over
+//! The range-sharded store: an atomically published shard table over
 //! epoch-snapshot shards.
 //!
-//! [`ShardedIndex`] is the read-only form — `N` independently built
-//! [`DynRangeIndex`] shards over contiguous key chunks, with batched lookups
-//! grouped by shard so each shard's stage-blocked batch path stays intact.
-//!
-//! [`ShardedStore`] adds the write path and a *mutable topology*: the router
+//! [`ShardedStore`] is `N` independently built [`StoreShard`]s over
+//! contiguous key chunks — batched lookups are grouped by shard so each
+//! shard's stage-blocked batch path stays intact — with a write path and a
+//! *mutable topology*: the router
 //! and the shard list travel together as one immutable [`StoreTable`] behind
 //! an [`EpochCell`], so every read (scalar, batched, range) pins one table
 //! and sees a consistent fence/shard pairing even while the rebalancer is
@@ -19,7 +18,7 @@
 
 use crate::batch::{BatchOp, BatchReceipt, WriteBatch};
 use crate::config::StoreConfig;
-use crate::delta::DeltaChain;
+use crate::delta::{DeltaChain, COMPACT_RUNS};
 use crate::epoch::{CommitClock, EpochCell};
 use crate::error::StoreError;
 use crate::obs::{self, HydrationReason, StoreObs, TraceEvent, TraceKind};
@@ -36,7 +35,7 @@ use crate::snapshot::{PinnedCut, SnapshotHook, StoreSnapshot};
 use crate::txn::{ReadSet, Txn};
 use crate::versions::{diff_cuts, VersionRing, VersionStats};
 use crate::worker::{HydrationWorker, MaintenanceWorker, WorkerSignal};
-use algo_index::search::{DynRangeIndex, RangeIndex};
+use algo_index::search::RangeIndex;
 use shift_obs::{MetricsProvider, MetricsReport, MetricsServer, SampledTimer};
 use shift_table::error::BuildError;
 use shift_table::spec::IndexSpec;
@@ -46,7 +45,7 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
-/// The chunk plan shared by both sharded types: `keys` cut into
+/// The chunk plan of a sharded build or seeding: `keys` cut into
 /// duplicate-run-aligned chunks, each checked against the capacity of
 /// `spec`'s layer (a comparison per chunk, so it goes first), then checked
 /// sorted once. Everything that can fail in a sharded build fails here —
@@ -77,159 +76,12 @@ pub(crate) fn built_shard<K: Key>(
     spec: IndexSpec,
     keys: Arc<[K]>,
 ) -> Arc<StoreShard<K>> {
-    Arc::new(
-        StoreShard::build_prevalidated(spec, keys, config.delta_threshold, config.build_threads)
-            .with_chain_tuning(config.max_run_len, config.compact_runs),
-    )
-}
-
-/// Shared batched-read path of both sharded types: bucket the queries by
-/// shard, resolve each bucket through `per_shard` (one stage-blocked batch
-/// call per shard) and scatter the results back with the shard's global
-/// offset applied.
-pub(crate) fn dispatch_batch_by_shard<K: Key>(
-    router: &ShardRouter<K>,
-    shard_count: usize,
-    offsets: &[usize],
-    queries: &[K],
-    out: &mut [usize],
-    mut per_shard: impl FnMut(usize, &[K], &mut [usize]),
-) {
-    // lint: allow(panic) API contract: slices must be equal length — zip-truncating would silently serve wrong positions
-    assert_eq!(
-        queries.len(),
-        out.len(),
-        "lower_bound_batch requires queries and out of equal length"
-    );
-    if shard_count == 1 {
-        debug_assert_eq!(offsets[0], 0);
-        per_shard(0, queries, out);
-        return;
-    }
-    let mut buckets: Vec<Vec<usize>> = vec![Vec::new(); shard_count];
-    for (i, &q) in queries.iter().enumerate() {
-        buckets[router.shard_of(q)].push(i);
-    }
-    let mut shard_queries: Vec<K> = Vec::new();
-    let mut shard_out: Vec<usize> = Vec::new();
-    for (s, bucket) in buckets.iter().enumerate() {
-        if bucket.is_empty() {
-            continue;
-        }
-        shard_queries.clear();
-        shard_queries.extend(bucket.iter().map(|&i| queries[i]));
-        shard_out.clear();
-        shard_out.resize(bucket.len(), 0);
-        per_shard(s, &shard_queries, &mut shard_out);
-        for (&i, &pos) in bucket.iter().zip(shard_out.iter()) {
-            out[i] = offsets[s] + pos;
-        }
-    }
-}
-
-/// A read-only range index partitioned across shards by fence keys.
-///
-/// Each shard is an independently built [`DynRangeIndex`] over its chunk of
-/// the key column; a lookup touches the tiny router plus exactly one shard.
-/// Global positions are shard-local positions plus the shard's fixed offset.
-pub struct ShardedIndex<K: Key> {
-    router: ShardRouter<K>,
-    /// Cumulative key count before each shard (`offsets[i]` is the global
-    /// position of shard `i`'s first key).
-    offsets: Vec<usize>,
-    shards: Vec<DynRangeIndex<K>>,
-    total: usize,
-    spec: IndexSpec,
-}
-
-impl<K: Key> ShardedIndex<K> {
-    /// Build `shards` shard indexes from `spec` over the sorted `keys`.
-    /// Shards are built concurrently, at most one per hardware thread.
-    ///
-    /// # Errors
-    /// [`BuildError::UnsortedKeys`] if `keys` is not sorted,
-    /// [`BuildError::TooManyKeys`] if a shard's chunk is longer than `spec`'s
-    /// layer can cover.
-    pub fn build(spec: IndexSpec, keys: &[K], shards: usize) -> Result<Self, BuildError> {
-        // The plan validated the whole column; each chunk takes the
-        // prevalidated build path rather than re-scanning.
-        let (router, chunks) = plan_chunks(spec, keys, shards)?;
-        let offsets = chunks
-            .iter()
-            .scan(0usize, |next, chunk| {
-                let start = *next;
-                *next += chunk.len();
-                Some(start)
-            })
-            .collect();
-        let built = pool::run_tasks(chunks.len(), |i| {
-            spec.build_dyn_prevalidated_with(Arc::<[K]>::from(chunks[i]), Default::default(), 1)
-        });
-        Ok(Self {
-            router,
-            offsets,
-            shards: built,
-            total: keys.len(),
-            spec,
-        })
-    }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The fence keys (first key of each shard).
-    pub fn fences(&self) -> &[K] {
-        self.router.fences()
-    }
-
-    /// The spec every shard was built from.
-    pub fn spec(&self) -> IndexSpec {
-        self.spec
-    }
-}
-
-impl<K: Key> RangeIndex<K> for ShardedIndex<K> {
-    fn lower_bound(&self, q: K) -> usize {
-        let s = self.router.shard_of(q);
-        self.offsets[s] + self.shards[s].lower_bound(q)
-    }
-
-    /// Batched lookups grouped by shard: queries are bucketed through the
-    /// router first, each shard resolves its bucket through its own
-    /// stage-blocked [`RangeIndex::lower_bound_batch`], and results are
-    /// scattered back with the shard offset applied — per-shard stage
-    /// blocking is preserved instead of ping-ponging between shards.
-    fn lower_bound_batch(&self, queries: &[K], out: &mut [usize]) {
-        dispatch_batch_by_shard(
-            &self.router,
-            self.shards.len(),
-            &self.offsets,
-            queries,
-            out,
-            |s, qs, os| self.shards[s].lower_bound_batch(qs, os),
-        );
-    }
-
-    fn len(&self) -> usize {
-        self.total
-    }
-
-    fn index_size_bytes(&self) -> usize {
-        let routing = self.router.fences().len() * K::size_bytes()
-            + self.offsets.len() * std::mem::size_of::<usize>();
-        routing
-            + self
-                .shards
-                .iter()
-                .map(|s| s.index_size_bytes())
-                .sum::<usize>()
-    }
-
-    fn name(&self) -> &'static str {
-        "ShardedIndex"
-    }
+    Arc::new(StoreShard::build_prevalidated(
+        spec,
+        keys,
+        config.delta_threshold,
+        config.build_threads,
+    ))
 }
 
 /// One immutable topology epoch of a [`ShardedStore`]: the fence-key router
@@ -565,9 +417,9 @@ impl<K: Key> StoreCore<K> {
         let mut actions = 0usize;
         let table = self.load_table();
         // The worker compacts earlier than the writers' inline fold (at
-        // half the configured run bound, as the config documents) so idle
-        // shards converge to short chains without a write having to pay.
-        let worker_trigger = (self.config.compact_runs / 2).max(2);
+        // half its run bound) so idle shards converge to short chains
+        // without a write having to pay.
+        let worker_trigger = COMPACT_RUNS / 2;
         for (s, shard) in table.shards.iter().enumerate() {
             if shard.state().delta().unsealed_run_count() >= worker_trigger {
                 let t0 = self.obs.phase_start();
@@ -898,7 +750,7 @@ impl<K: Key> StoreCore<K> {
         }
         // Freeze: seal the chain; readers and writers proceed.
         let frozen = shard.seal();
-        let merged: Vec<K> = frozen.merged_keys();
+        let merged = frozen.merged_view();
         let n = merged.len();
         if n < 2 {
             // Abandoned split: roll the seal back, or every retried split of
@@ -922,42 +774,38 @@ impl<K: Key> StoreCore<K> {
             return Ok(false); // one duplicate run dominates the shard
         }
         let split_key = merged[p];
-        let left_keys: Arc<[K]> = merged[..p].to_vec().into();
-        let right_keys: Arc<[K]> = merged[p..].to_vec().into();
+        let halves: [Arc<[K]>; 2] = [merged[..p].into(), merged[p..].into()];
         drop(merged);
         // Build both child indexes off every lock but the topology/rebuild
         // guards; reads and writes to the shard continue meanwhile.
         let spec = shard.spec();
         let threads = shard.build_threads();
         let epoch = frozen.snapshot().epoch() + 1;
-        let (left_index, right_index) = std::thread::scope(|scope| {
-            let l = scope.spawn(|| build_index(&spec, left_keys.clone(), threads));
-            let r = scope.spawn(|| build_index(&spec, right_keys.clone(), threads));
-            (
-                l.join().expect("split build worker panicked"), // lint: allow(panic) join fails only when the child panicked; re-raising preserves the failure
-                r.join().expect("split build worker panicked"), // lint: allow(panic) join fails only when the child panicked; re-raising preserves the failure
-            )
+        let snaps = pool::run_tasks(halves.len(), |i| {
+            let index = build_index(&spec, halves[i].clone(), threads);
+            Arc::new(ShardSnapshot::new(halves[i].clone(), index, epoch))
         });
-        let left_snap = Arc::new(ShardSnapshot::new(left_keys, left_index, epoch));
-        let right_snap = Arc::new(ShardSnapshot::new(right_keys, right_index, epoch));
         // Commit: capture the residual chain, cut it at the fence, retire
         // the old shard and publish the new table — all under the shard's
         // write lock so no write can slip between residual and retirement.
         let _write = shard.lock_write();
         let residual = shard.residual_since(&frozen);
         let (left_delta, right_delta) = residual.partition(split_key);
-        let (max_run_len, compact_runs) = shard.chain_tuning();
         // Children start at the parent's commit-version floor so the
         // `applied_cv` stamp stays monotonic across the topology change.
         let parent_cv = shard.state().applied_cv();
         let child = |snap, delta: DeltaChain<K>| {
-            Arc::new(
-                StoreShard::from_parts_at(spec, shard.threshold(), threads, snap, delta, parent_cv)
-                    .with_chain_tuning(max_run_len, compact_runs),
-            )
+            Arc::new(StoreShard::from_parts_at(
+                spec,
+                shard.threshold(),
+                threads,
+                snap,
+                delta,
+                parent_cv,
+            ))
         };
-        let left = child(left_snap, left_delta);
-        let right = child(right_snap, right_delta);
+        let left = child(Arc::clone(&snaps[0]), left_delta);
+        let right = child(Arc::clone(&snaps[1]), right_delta);
         let first_left_key = left.snapshot().keys()[0];
         let mut shards = table.shards.clone();
         shards.splice(s..=s, [left, right]);
@@ -998,13 +846,10 @@ impl<K: Key> StoreCore<K> {
         }
         let frozen_a = a.seal();
         let frozen_b = b.seal();
-        let mut combined = frozen_a.merged_keys();
-        combined.extend(frozen_b.merged_keys());
-        debug_assert!(
-            combined.is_sorted(),
-            "adjacent shards must concatenate sorted"
-        );
-        let keys: Arc<[K]> = combined.into();
+        let keys: Arc<[K]> = [frozen_a.merged_view(), frozen_b.merged_view()]
+            .concat()
+            .into();
+        debug_assert!(keys.is_sorted(), "adjacent shards must concatenate sorted");
         let spec = a.spec();
         let threads = a.build_threads();
         let epoch = frozen_a.snapshot().epoch().max(frozen_b.snapshot().epoch()) + 1;
@@ -1016,12 +861,15 @@ impl<K: Key> StoreCore<K> {
         let residual = a
             .residual_since(&frozen_a)
             .concat(&b.residual_since(&frozen_b));
-        let (max_run_len, compact_runs) = a.chain_tuning();
         let parent_cv = a.state().applied_cv().max(b.state().applied_cv());
-        let child = Arc::new(
-            StoreShard::from_parts_at(spec, a.threshold(), threads, snapshot, residual, parent_cv)
-                .with_chain_tuning(max_run_len, compact_runs),
-        );
+        let child = Arc::new(StoreShard::from_parts_at(
+            spec,
+            a.threshold(),
+            threads,
+            snapshot,
+            residual,
+            parent_cv,
+        ));
         let mut shards = table.shards.clone();
         shards.splice(s..=s + 1, [child]);
         let mut fences = table.router.fences().to_vec();
@@ -1498,9 +1346,9 @@ impl<K: Key> ShardedStore<K> {
     /// positive net means occurrences inserted between the two cuts, a
     /// negative net occurrences deleted (swap the arguments to view the
     /// reverse direction). Cost is proportional to the writes between the
-    /// cuts for shards whose base epoch is shared, falling back to a merged
-    /// two-pointer walk when a rebuild or topology change rewrote the base
-    /// in between.
+    /// cuts for shards whose base epoch is shared, falling back to a diff
+    /// of the merged columns when a rebuild or topology change rewrote the
+    /// base in between.
     ///
     /// Both versions must be retained (the current version qualifies); the
     /// diff is exact because both cuts are immutable.
@@ -2182,7 +2030,7 @@ impl<K: Key> RangeIndex<K> for ShardedStore<K> {
     }
 
     /// Batched merged lookups, grouped by shard (see
-    /// [`ShardedIndex::lower_bound_batch`]), resolved entirely against one
+    /// [`StoreSnapshot::lower_bound_batch`]), resolved entirely against one
     /// pinned snapshot: exact even while writes race the batch.
     fn lower_bound_batch(&self, queries: &[K], out: &mut [usize]) {
         self.core.snapshot().lower_bound_batch(queries, out);
@@ -2222,10 +2070,11 @@ mod tests {
     }
 
     #[test]
-    fn sharded_index_matches_reference_on_every_workload() {
+    fn built_store_matches_reference_on_every_workload() {
         let d: Dataset<u64> = SosdName::Face64.generate(12_000, 3);
         for shards in [1usize, 4, 13] {
-            let index = ShardedIndex::build(spec(), d.as_slice(), shards).unwrap();
+            let config = StoreConfig::new(spec()).shards(shards);
+            let index = ShardedStore::build(config, d.as_slice()).unwrap();
             assert!(index.shard_count() <= shards.max(1));
             assert_eq!(index.len(), d.len());
             for w in [
@@ -2249,14 +2098,14 @@ mod tests {
     }
 
     #[test]
-    fn sharded_index_is_send_sync_and_boxable() {
+    fn store_is_send_sync_and_boxable() {
         fn assert_owned<T: Send + Sync + 'static>(_: &T) {}
         let keys: Vec<u64> = (0..5_000u64).map(|i| i * 3).collect();
-        let index = ShardedIndex::build(spec(), &keys, 4).unwrap();
-        assert_owned(&index);
-        let boxed: DynRangeIndex<u64> = Box::new(index);
+        let store = ShardedStore::build(StoreConfig::new(spec()).shards(4), &keys).unwrap();
+        assert_owned(&store);
+        let boxed: algo_index::search::DynRangeIndex<u64> = Box::new(store);
         assert_eq!(boxed.lower_bound(300), 100);
-        assert_eq!(boxed.name(), "ShardedIndex");
+        assert_eq!(boxed.name(), "ShardedStore");
         assert!(boxed.index_size_bytes() > 0);
     }
 

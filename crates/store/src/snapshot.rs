@@ -25,7 +25,7 @@
 
 use crate::obs::{HydrationReason, StoreObs, TraceEvent, TraceKind, ACCESS_SAMPLE_SHIFT};
 use crate::shard::ShardState;
-use crate::sharded::{dispatch_batch_by_shard, StoreTable};
+use crate::sharded::StoreTable;
 use crate::worker::WorkerSignal;
 use algo_index::search::RangeIndex;
 use shift_obs::SampledTimer;
@@ -209,24 +209,49 @@ impl<K: Key> RangeIndex<K> for StoreSnapshot<K> {
         pos
     }
 
-    /// Batched lookups grouped by shard — each group runs the shard's
-    /// pipelined batch kernel (see [`shift_table::kernel`]) over the pinned
-    /// state, so the prefetch-overlapped read path serves store-wide
-    /// batches too — resolved entirely against the pinned cut: exact even
-    /// while writers race the caller.
+    /// Batched lookups grouped by shard: the queries are bucketed through
+    /// the router, each bucket runs its shard's pipelined batch kernel (see
+    /// [`shift_table::kernel`]) over the pinned state — one stage-blocked
+    /// call per shard, so the prefetch-overlapped read path serves
+    /// store-wide batches too — and the results are scattered back with the
+    /// shard's global offset applied. Resolved entirely against the pinned
+    /// cut: exact even while writers race the caller.
     fn lower_bound_batch(&self, queries: &[K], out: &mut [usize]) {
-        let timer = self.reads_start(queries.len() as u64);
-        dispatch_batch_by_shard(
-            self.cut.table.router(),
-            self.cut.states.len(),
-            &self.cut.offsets,
-            queries,
-            out,
-            |s, qs, os| {
-                self.cut.states[s].lower_bound_batch(qs, os);
-                self.touch(s, qs.len() as u64);
-            },
+        // lint: allow(panic) API contract: slices must be equal length — zip-truncating would silently serve wrong positions
+        assert_eq!(
+            queries.len(),
+            out.len(),
+            "lower_bound_batch requires queries and out of equal length"
         );
+        let timer = self.reads_start(queries.len() as u64);
+        let states = &self.cut.states;
+        if states.len() == 1 {
+            states[0].lower_bound_batch(queries, out);
+            self.touch(0, queries.len() as u64);
+            self.reads_done(timer);
+            return;
+        }
+        let router = self.cut.table.router();
+        let mut buckets: Vec<Vec<usize>> = vec![Vec::new(); states.len()];
+        for (i, &q) in queries.iter().enumerate() {
+            buckets[router.shard_of(q)].push(i);
+        }
+        let mut shard_queries: Vec<K> = Vec::new();
+        let mut shard_out: Vec<usize> = Vec::new();
+        for (s, bucket) in buckets.iter().enumerate() {
+            if bucket.is_empty() {
+                continue;
+            }
+            shard_queries.clear();
+            shard_queries.extend(bucket.iter().map(|&i| queries[i]));
+            shard_out.clear();
+            shard_out.resize(bucket.len(), 0);
+            states[s].lower_bound_batch(&shard_queries, &mut shard_out);
+            self.touch(s, bucket.len() as u64);
+            for (&i, &pos) in bucket.iter().zip(shard_out.iter()) {
+                out[i] = self.cut.offsets[s] + pos;
+            }
+        }
         self.reads_done(timer);
     }
 

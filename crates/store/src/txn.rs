@@ -35,10 +35,10 @@
 
 use crate::batch::{BatchOp, WriteBatch};
 use crate::error::StoreError;
+use crate::merge;
 use crate::sharded::ShardedStore;
 use crate::snapshot::StoreSnapshot;
 use sosd_data::key::Key;
-use std::collections::BTreeMap;
 
 /// Everything a transaction observed, in a form that can be revalidated
 /// cheaply at commit: exact counts for points, fingerprints for ranges.
@@ -114,36 +114,17 @@ pub(crate) fn fingerprint<K: Key>(keys: &[K]) -> u64 {
 }
 
 /// Overlay a transaction's pending writes onto a snapshot scan of
-/// `lo ..= hi`: replay the staged ops (in staging order, deletes flooring
-/// at zero) over the occurrence counts the scan returned.
+/// `lo ..= hi`: fold the staged ops inside the range (in staging order,
+/// deletes flooring at zero) against the occurrence counts the scan
+/// returned, and splice the result into it.
 fn overlay_scan<K: Key>(snap_keys: Vec<K>, writes: &WriteBatch<K>, lo: K, hi: K) -> Vec<K> {
-    if writes.is_empty() {
+    let in_range = |op: &BatchOp<K>| lo <= op.key() && op.key() <= hi;
+    let staged: Vec<BatchOp<K>> = writes.ops().iter().copied().filter(in_range).collect();
+    if staged.is_empty() {
         return snap_keys;
     }
-    let mut counts: BTreeMap<K, usize> = BTreeMap::new();
-    for k in snap_keys {
-        *counts.entry(k).or_insert(0) += 1;
-    }
-    for op in writes.ops() {
-        match *op {
-            BatchOp::Insert(k) if lo <= k && k <= hi => {
-                *counts.entry(k).or_insert(0) += 1;
-            }
-            BatchOp::Delete(k) if lo <= k && k <= hi => {
-                if let Some(c) = counts.get_mut(&k) {
-                    *c -= 1;
-                    if *c == 0 {
-                        counts.remove(&k);
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
-    counts
-        .into_iter()
-        .flat_map(|(k, c)| std::iter::repeat_n(k, c))
-        .collect()
+    let (nets, _) = merge::fold_ops(staged, |k| merge::count_in(&snap_keys, k));
+    merge::splice(&snap_keys, &nets)
 }
 
 /// An open optimistic transaction — see the module docs for the protocol.

@@ -29,14 +29,16 @@
 //! `diff_cuts(a, b)` produces sorted `(key, count_at_b − count_at_a)` pairs
 //! with zero nets dropped. It exploits structure where it exists: per-shard
 //! state `Arc`s that are pointer-equal contribute nothing; states sharing a
-//! base snapshot diff their delta-chain folds (cost ∝ buffered writes, not
-//! shard size); everything else falls back to a two-pointer multiset walk
-//! of the merged key columns. When the two cuts pinned different topologies
-//! (a split or merge happened in between), the walk runs over the global
-//! key streams — shard key ranges are disjoint and router-ordered, so each
-//! cut's concatenated shards already form one sorted stream.
+//! base snapshot diff their delta chains (cost ∝ buffered writes, not shard
+//! size); everything else diffs the run lengths of the merged key columns.
+//! When the two cuts pinned different topologies (a split or merge happened
+//! in between), the columns are diffed as global key streams — shard key
+//! ranges are disjoint and router-ordered, so each cut's shards, visited one
+//! at a time, already form one sorted stream. Every case is the same call,
+//! `merge::consolidate(b ∪ −a)`.
 
 use crate::config::RetainPolicy;
+use crate::merge;
 use crate::shard::{ShardSnapshot, ShardState};
 use crate::snapshot::PinnedCut;
 use sosd_data::key::Key;
@@ -194,155 +196,51 @@ impl<K: Key> VersionRing<K> {
     }
 }
 
+/// A state's merged column as `(key, sign × occurrences)` pairs. The column
+/// is lent by the state (a clean hot shard) or materialised for as long as
+/// the iterator lives — one shard at a time when a caller chains them.
+fn column<K: Key>(state: &ShardState<K>, sign: i64) -> impl Iterator<Item = (K, i64)> + '_ {
+    merge::run_lengths(state.merged_view(), sign)
+}
+
+/// A cut's merged columns chained into one sorted stream (shard key ranges
+/// are disjoint and router-ordered), as [`column`] pairs.
+fn stream<K: Key>(cut: &PinnedCut<K>, sign: i64) -> impl Iterator<Item = (K, i64)> + '_ {
+    cut.states.iter().flat_map(move |s| column(s, sign))
+}
+
 /// Ordered key-level diff between two cuts of the *same store*: sorted
-/// `(key, count_at_b − count_at_a)` pairs, zero nets dropped. See the
-/// module docs for the structural shortcuts.
+/// `(key, count_at_b − count_at_a)` pairs, zero nets dropped — everywhere
+/// `merge::consolidate(b ∪ −a)`, over whichever form of `a` and `b` is
+/// cheapest. See the module docs for the structural shortcuts.
 pub(crate) fn diff_cuts<K: Key>(a: &PinnedCut<K>, b: &PinnedCut<K>) -> Vec<(K, i64)> {
     if a.version == b.version {
         return Vec::new();
     }
-    let mut out = Vec::new();
-    if Arc::ptr_eq(&a.table, &b.table) {
-        // Same topology: per-shard diffs concatenate into global key order
-        // because shard key ranges are disjoint and router-ordered.
-        for (sa, sb) in a.states.iter().zip(b.states.iter()) {
-            if Arc::ptr_eq(sa, sb) {
-                continue; // untouched shard: contributes nothing
-            }
-            if Arc::ptr_eq(sa.snapshot(), sb.snapshot()) {
-                // Same base epoch: the diff is the difference of the two
-                // delta-chain folds — cost ∝ buffered writes.
-                diff_net_pairs_into(&sa.delta().net_pairs(), &sb.delta().net_pairs(), &mut out);
-            } else {
-                // The base was rebuilt in between: walk both merged views.
-                diff_sorted_iters_into(
-                    sa.merged_keys().into_iter(),
-                    sb.merged_keys().into_iter(),
-                    &mut out,
-                );
-            }
-        }
-    } else {
+    if !Arc::ptr_eq(&a.table, &b.table) {
         // Topology changed (split/merge): diff the global key streams.
-        let stream = |cut: &PinnedCut<K>| {
-            cut.states
-                .iter()
-                .flat_map(|s| s.merged_keys())
-                .collect::<Vec<K>>()
-        };
-        diff_sorted_iters_into(stream(a).into_iter(), stream(b).into_iter(), &mut out);
+        return merge::consolidate(stream(b, 1).chain(stream(a, -1)));
+    }
+    // Same topology: per-shard diffs concatenate into global key order.
+    let mut out = Vec::new();
+    for (sa, sb) in a.states.iter().zip(b.states.iter()) {
+        if Arc::ptr_eq(sa, sb) {
+            continue; // untouched shard: contributes nothing
+        }
+        if Arc::ptr_eq(sa.snapshot(), sb.snapshot()) {
+            // Same base epoch: the diff is the difference of the two
+            // delta chains — cost ∝ buffered writes.
+            let (da, db) = (sa.delta(), sb.delta());
+            let negated = da.nets(..).map(|(k, n)| (k, -n));
+            out.extend(merge::consolidate(db.nets(..).chain(negated)));
+        } else {
+            // The base was rebuilt in between: diff both merged columns.
+            out.extend(merge::consolidate(column(sb, 1).chain(column(sa, -1))));
+        }
     }
     debug_assert!(
         out.windows(2).all(|w| w[0].0 < w[1].0),
         "diff must be sorted"
     );
     out
-}
-
-/// Merge two sorted `(key, net)` folds relative to the *same* base into
-/// `out` as `b − a` per key, dropping zeros.
-fn diff_net_pairs_into<K: Key>(a: &[(K, i64)], b: &[(K, i64)], out: &mut Vec<(K, i64)>) {
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < a.len() || j < b.len() {
-        match (a.get(i), b.get(j)) {
-            (Some(&(ka, na)), Some(&(kb, nb))) => {
-                if ka < kb {
-                    out.push((ka, -na));
-                    i += 1;
-                } else if kb < ka {
-                    out.push((kb, nb));
-                    j += 1;
-                } else {
-                    if nb != na {
-                        out.push((ka, nb - na));
-                    }
-                    i += 1;
-                    j += 1;
-                }
-            }
-            (Some(&(ka, na)), None) => {
-                out.push((ka, -na));
-                i += 1;
-            }
-            (None, Some(&(kb, nb))) => {
-                out.push((kb, nb));
-                j += 1;
-            }
-            (None, None) => break,
-        }
-    }
-}
-
-/// Two-pointer multiset diff of two sorted key streams into `out` as
-/// `count_in_b − count_in_a` per key, dropping zeros.
-fn diff_sorted_iters_into<K: Key>(
-    a: impl Iterator<Item = K>,
-    b: impl Iterator<Item = K>,
-    out: &mut Vec<(K, i64)>,
-) {
-    let mut a = a.peekable();
-    let mut b = b.peekable();
-    fn drain_run<K: Key, I: Iterator<Item = K>>(it: &mut std::iter::Peekable<I>, k: K) -> i64 {
-        let mut n = 0i64;
-        while it.peek() == Some(&k) {
-            it.next();
-            n += 1;
-        }
-        n
-    }
-    loop {
-        match (a.peek().copied(), b.peek().copied()) {
-            (None, None) => break,
-            (Some(ka), None) => out.push((ka, -drain_run(&mut a, ka))),
-            (None, Some(kb)) => out.push((kb, drain_run(&mut b, kb))),
-            (Some(ka), Some(kb)) => {
-                if ka < kb {
-                    out.push((ka, -drain_run(&mut a, ka)));
-                } else if kb < ka {
-                    out.push((kb, drain_run(&mut b, kb)));
-                } else {
-                    let net = drain_run(&mut b, kb) - drain_run(&mut a, ka);
-                    if net != 0 {
-                        out.push((ka, net));
-                    }
-                }
-            }
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn net_pair_folds_subtract_per_key() {
-        let a = vec![(2u64, 1i64), (5, -1), (9, 2)];
-        let b = vec![(2u64, 1i64), (7, 3), (9, 1)];
-        let mut out = Vec::new();
-        diff_net_pairs_into(&a, &b, &mut out);
-        // 2 cancels, 5's −1 reverts to +1, 7 appears, 9 shrinks by 1.
-        assert_eq!(out, vec![(5, 1), (7, 3), (9, -1)]);
-        out.clear();
-        diff_net_pairs_into(&[], &b, &mut out);
-        assert_eq!(out, b, "empty a passes b through");
-        out.clear();
-        diff_net_pairs_into(&a, &[], &mut out);
-        assert_eq!(out, vec![(2, -1), (5, 1), (9, -2)], "empty b negates a");
-    }
-
-    #[test]
-    fn multiset_streams_diff_by_occurrence_count() {
-        let a = vec![1u64, 4, 4, 4, 9, 12];
-        let b = vec![1u64, 4, 4, 7, 12, 12];
-        let mut out = Vec::new();
-        diff_sorted_iters_into(a.into_iter(), b.into_iter(), &mut out);
-        assert_eq!(out, vec![(4, -1), (7, 1), (9, -1), (12, 1)]);
-        let mut out = Vec::new();
-        diff_sorted_iters_into(std::iter::empty::<u64>(), [3, 3].into_iter(), &mut out);
-        assert_eq!(out, vec![(3, 2)]);
-        let mut out = Vec::new();
-        diff_sorted_iters_into([3u64, 3].into_iter(), std::iter::empty(), &mut out);
-        assert_eq!(out, vec![(3, -2)]);
-    }
 }

@@ -12,10 +12,10 @@
 //! * [`algo_index`] — the [`algo_index::RangeIndex`] trait (point, batched
 //!   and range lookups) and the algorithmic baselines (binary/interpolation/
 //!   TIP search, B+tree, FAST-style tree, ART, RBS),
-//! * [`shift_store`] — the serving layer: [`shift_store::ShardedIndex`]
-//!   (fence-key router over per-shard indexes) and
-//!   [`shift_store::ShardedStore`] (lock-free reads over epoch-pinned shard
-//!   states — immutable base snapshots plus immutable delta chains — with
+//! * [`shift_store`] — the serving layer: [`shift_store::ShardedStore`]
+//!   (a fence-key router over per-shard indexes; lock-free reads over
+//!   epoch-pinned shard states — immutable base snapshots plus immutable
+//!   delta chains, every merge of the two through one `merge` module — with
 //!   store-wide consistent reads behind [`shift_store::StoreSnapshot`],
 //!   atomic group-committed writes behind [`shift_store::WriteBatch`], a
 //!   background maintenance worker, skew-driven shard rebalancing, and an
