@@ -66,16 +66,16 @@ pub(crate) fn consolidate<K: Key>(nets: impl IntoIterator<Item = (K, i64)>) -> V
 
 /// Splice a consolidated run (the output of [`consolidate`] or
 /// [`fold_ops`]) into the sorted column `base`, returning the new sorted
-/// column. Cost is one bulk copy of `base` plus a binary search per net key.
+/// column. Cost is one bulk copy of `base` plus `O(log gap)` per net key.
 pub(crate) fn splice<K: Key>(base: &[K], nets: &[(K, i64)]) -> Vec<K> {
     let grown: i64 = nets.iter().map(|&(_, n)| n).sum();
     let mut out = Vec::with_capacity((base.len() as i64 + grown).max(0) as usize);
     let mut rest = base;
     for &(k, n) in nets {
-        let below = rest.partition_point(|&x| x < k);
+        let below = gallop(rest, |x| x < k);
         out.extend_from_slice(&rest[..below]);
         rest = &rest[below..];
-        let run = rest.partition_point(|&x| x == k);
+        let run = gallop(rest, |x| x == k);
         rest = &rest[run..];
         let total = run as i64 + n;
         debug_assert!(total >= 0, "tombstones exceed the key's occurrences");
@@ -84,6 +84,22 @@ pub(crate) fn splice<K: Key>(base: &[K], nets: &[(K, i64)]) -> Vec<K> {
     out.extend_from_slice(rest);
     debug_assert!(out.is_sorted());
     out
+}
+
+/// Length of the prefix of `sorted` on which `pred` holds (`pred` must be
+/// true on a prefix and false after it), found by doubling steps from the
+/// front: `O(log answer)` probes, all near the front. A plain binary search
+/// per net key misses the cache ~`log n` times on a multi-MiB column, where
+/// the next net key is typically a few hundred keys ahead and a key's own
+/// run a few long.
+fn gallop<K: Key>(sorted: &[K], pred: impl Fn(K) -> bool) -> usize {
+    let (mut lo, mut step) = (0usize, 1usize);
+    while lo + step <= sorted.len() && pred(sorted[lo + step - 1]) {
+        lo += step;
+        step *= 2;
+    }
+    let end = (lo + step - 1).min(sorted.len());
+    lo + sorted[lo..end].partition_point(|&x| pred(x))
 }
 
 /// Fold `ops` — in application order — to a consolidated run, given the
@@ -284,6 +300,17 @@ mod tests {
         let chain = crate::delta::DeltaChain::new().with_op(5u64, 1, 4);
         assert_eq!(chain.merge_range(&[], 10, 1), Vec::<u64>::new());
         assert_eq!(chain.merge_range(&[5], 5, 5), vec![5, 5]);
+    }
+
+    #[test]
+    fn galloping_finds_every_boundary() {
+        let column: Vec<u64> = (0..40u64).flat_map(|k| [k * 2; 3]).collect();
+        for q in 0..=81u64 {
+            let expect = column.partition_point(|&x| x < q);
+            assert_eq!(gallop(&column, |x| x < q), expect, "q={q}");
+            assert_eq!(gallop(&column[expect..], |x| x == q), count_in(&column, q));
+        }
+        assert_eq!(gallop::<u64>(&[], |_| true), 0);
     }
 
     /// The version diff over two chains of one base: `consolidate(b ∪ −a)`.
