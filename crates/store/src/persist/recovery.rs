@@ -84,7 +84,9 @@ pub struct OpenBreakdown {
     pub replay: Duration,
     /// Foreground model retraining: the time the pooled shard tasks took on
     /// the opening thread's clock, less the replay time inside them (which
-    /// `replay` already counts).
+    /// `replay` already counts) — so `replay + retrain` is what the two
+    /// steps took together, and where tasks ran side by side the split
+    /// between them leans towards `replay`, whose task time is summed.
     pub retrain: Duration,
     /// Shards published cold (0 on an eager open): the hydrator's backlog.
     pub cold_shards: usize,
