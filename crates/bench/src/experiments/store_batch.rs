@@ -95,7 +95,6 @@ fn batched_writes(cfg: BenchConfig, spec: IndexSpec, d: &Dataset<u64>) -> Table 
             .delta_threshold((ops / 10).clamp(64, 100_000))
             .auto_rebuild(false)
             .background_maintenance(true)
-            .maintenance_interval(std::time::Duration::from_millis(1))
             .durability(
                 DurabilityConfig::new()
                     .sync(SyncPolicy::Always)
@@ -169,8 +168,7 @@ fn snapshot_reads(cfg: BenchConfig, spec: IndexSpec, d: &Dataset<u64>) -> Table 
             .shards(shards)
             .delta_threshold(4_096)
             .auto_rebuild(false)
-            .background_maintenance(true)
-            .maintenance_interval(std::time::Duration::from_millis(1));
+            .background_maintenance(true);
         let store = ShardedStore::build(config, d.as_slice()).expect("sorted dataset");
         // Buffer some writes so the merge path is live, as in serving.
         for i in 0..512u64 {

@@ -130,7 +130,6 @@ pub fn run(cfg: BenchConfig) -> Vec<Table> {
             .delta_threshold((ops / 10).clamp(64, 100_000))
             .auto_rebuild(false)
             .background_maintenance(true)
-            .maintenance_interval(std::time::Duration::from_millis(1))
             .durability(
                 DurabilityConfig::new()
                     .sync(sync)

@@ -172,8 +172,7 @@ fn multi_threaded(cfg: BenchConfig, spec: IndexSpec, d: &Dataset<u64>) -> Table 
             .shards(shards)
             .delta_threshold(threshold)
             .auto_rebuild(false)
-            .background_maintenance(true)
-            .maintenance_interval(std::time::Duration::from_millis(1));
+            .background_maintenance(true);
         let store = ShardedStore::build(config, d.as_slice()).expect("sorted dataset");
         let before = store.len() as i64;
         let write_traces =

@@ -54,8 +54,7 @@ fn txn_store(spec: IndexSpec, d: &Dataset<u64>) -> ShardedStore<u64> {
         .shards(4)
         .delta_threshold(8_192)
         .auto_rebuild(false)
-        .background_maintenance(true)
-        .maintenance_interval(std::time::Duration::from_millis(1));
+        .background_maintenance(true);
     ShardedStore::build(config, d.as_slice()).expect("sorted dataset")
 }
 

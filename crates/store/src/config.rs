@@ -176,9 +176,6 @@ pub struct StoreConfig {
     /// rebuilds dirty shards and rebalances skewed ones while writers keep
     /// appending. The thread is shut down when the store is dropped.
     pub background_maintenance: bool,
-    /// How long the maintenance worker sleeps between passes when nothing
-    /// wakes it early (threshold-crossing writes poke it immediately).
-    pub maintenance_interval: Duration,
     /// Shard-size skew factor driving the rebalancer: a shard whose live
     /// key count exceeds `split_skew × mean` is split at a duplicate-run-
     /// aligned median fence, and a shard smaller than `mean / split_skew`
@@ -202,7 +199,7 @@ pub struct StoreConfig {
     /// hydrator thread, swapping each shard hot as it finishes (see the
     /// cold → hot lifecycle in [`crate::persist`]). When false (the
     /// default), open decodes and retrains everything before returning,
-    /// exactly as before. v1 snapshot files always load eagerly.
+    /// exactly as before.
     pub cold_start: bool,
     /// When true (the default), the store keeps its observability registry
     /// live: op counters, sampled latency histograms, maintenance trace
@@ -251,7 +248,6 @@ impl StoreConfig {
             auto_rebuild: true,
             build_threads: 1,
             background_maintenance: false,
-            maintenance_interval: Duration::from_millis(2),
             split_skew: 4,
             split_max_len: 0,
             durability: None,
@@ -291,12 +287,6 @@ impl StoreConfig {
     /// Enable or disable the background maintenance worker.
     pub fn background_maintenance(mut self, on: bool) -> Self {
         self.background_maintenance = on;
-        self
-    }
-
-    /// Set the worker's idle sleep between maintenance passes.
-    pub fn maintenance_interval(mut self, interval: Duration) -> Self {
-        self.maintenance_interval = interval;
         self
     }
 
@@ -376,7 +366,6 @@ mod tests {
             .auto_rebuild(false)
             .build_threads(0)
             .background_maintenance(true)
-            .maintenance_interval(Duration::from_millis(7))
             .split_skew(3)
             .split_max_len(10_000)
             .durability(DurabilityConfig::new().sync(SyncPolicy::EveryN(0)));
@@ -385,7 +374,6 @@ mod tests {
         assert!(!c.auto_rebuild);
         assert_eq!(c.build_threads, 1);
         assert!(c.background_maintenance);
-        assert_eq!(c.maintenance_interval, Duration::from_millis(7));
         assert_eq!(c.split_skew, 3);
         assert_eq!(c.split_max_len, 10_000);
         assert_eq!(

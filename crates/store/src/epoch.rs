@@ -70,24 +70,29 @@ impl<T> EpochCell<T> {
 /// a reader capture a **consistent vector of per-shard states** without
 /// blocking writers.
 ///
-/// Every applied write (or applied [`crate::WriteBatch`]) brackets its
-/// in-memory publication between [`CommitClock::begin`] — which also assigns
-/// the write's monotonic *commit version* — and [`CommitClock::end`]. A
+/// Every commit — a lone write or a whole [`crate::WriteBatch`] — brackets
+/// its in-memory publication between [`CommitClock::begin`] — which also
+/// assigns its monotonic *commit version* — and [`CommitClock::end`]. A
 /// snapshot acquisition ([`CommitClock::read_consistent`]) spins until no
-/// write is in flight (`begun == done`), pins whatever immutable state the
-/// caller's closure collects, and retries if any write *began* during the
+/// commit is in flight (`begun == done`), pins whatever immutable state the
+/// caller's closure collects, and retries if any commit *began* during the
 /// pinning window. On success the pinned vector reflects **exactly** the
-/// writes with commit version `<= v` for the returned `v` — a store-wide
+/// commits with version `<= v` for the returned `v` — a store-wide
 /// consistent cut, even though writers to different shards never serialise
 /// against each other.
 ///
 /// Why this is safe: commit versions are assigned by the same counter that
-/// tracks begun writes, and each shard applies its writes in commit-version
-/// order (the stamp happens under the shard's write mutex, immediately
-/// before the state publish). If no write was in flight when pinning started
-/// and none began before it finished, every assigned version has been fully
-/// published and nothing newer exists — so "all states as pinned" equals
-/// "all writes `<= begun`". Writers never wait on readers; a reader under a
+/// tracks begun commits, and a commit publishes every state carrying its
+/// version before it closes its window. If no window was open when pinning
+/// started and none opened before it finished, every assigned version has
+/// been fully published and nothing newer exists — so "all states as
+/// pinned" equals "all commits `<= begun`". Nothing here needs a shard to
+/// apply its commits in version order, and the store does not promise it
+/// (the version is assigned before the shard's write mutex is taken):
+/// commits that could reach a shard out of order had overlapping windows,
+/// and no cut falls inside an open window. The full argument, with what the
+/// `max`-folded per-shard stamp adds, is in `write.rs` next to the store's
+/// one commit function. Writers never wait on readers; a reader under a
 /// continuous write storm retries, which is bounded in practice by the
 /// nanosecond-scale begin→end window of a single publication (the loop
 /// yields the CPU after a burst of failed spins so a descheduled writer can

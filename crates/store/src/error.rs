@@ -148,26 +148,6 @@ impl From<std::io::Error> for StoreError {
     }
 }
 
-/// Error of a direct write to a shard that a split or merge has retired.
-///
-/// Returned by [`crate::StoreShard::insert`] / [`crate::StoreShard::delete`]
-/// on unmanaged shards; under a [`crate::ShardedStore`] the write paths use
-/// [`crate::StoreShard::try_insert`] / [`crate::StoreShard::try_delete`] and
-/// transparently re-route instead.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetiredShard;
-
-impl std::fmt::Display for RetiredShard {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "shard was retired by a split/merge; re-route via the store table"
-        )
-    }
-}
-
-impl std::error::Error for RetiredShard {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -184,7 +164,6 @@ mod tests {
         };
         assert!(e.to_string().contains("bad crc"));
         assert!(StoreError::NotDurable.to_string().contains("open"));
-        assert!(RetiredShard.to_string().contains("retired"));
         let e = StoreError::TxnConflict {
             point: Some(42),
             range: None,

@@ -12,9 +12,10 @@
 //! * [`ShardedStore`] — the full store: `N` shards range-partitioned
 //!   behind a fence-key router in an atomically republished [`StoreTable`]
 //!   (batched lookups are grouped by shard so each shard's pipelined batch
-//!   kernel is preserved), write paths that transparently re-route around
-//!   splits/merges, and an optional background [`MaintenanceWorker`]. Never
-//!   written to, it is the read-only sharded index.
+//!   kernel is preserved), one write path that transparently re-routes
+//!   around splits/merges, and an optional background
+//!   [`MaintenanceWorker`]. Never written to, it is the read-only sharded
+//!   index.
 //!
 //! The store implements [`algo_index::RangeIndex`], so it drops into every
 //! harness that benchmarks the static indexes.
@@ -81,8 +82,8 @@
 //! optional [`MaintenanceWorker`] thread (spawned by
 //! [`ShardedStore::build`] when
 //! [`StoreConfig::background_maintenance`] is set, stopped and joined on
-//! drop) runs compaction, dirty-shard rebuilds and rebalancing on an
-//! interval, kicked early by threshold-crossing writes.
+//! drop) runs compaction, dirty-shard rebuilds and rebalancing every
+//! [`worker::IDLE_INTERVAL`], kicked early by threshold-crossing writes.
 //!
 //! ## Consistency model
 //!
@@ -90,8 +91,14 @@
 //! of **consistency**, and [`WriteBatch`], the unit of **atomicity** — and
 //! every guarantee below is phrased in terms of the store-wide **commit
 //! version**: a monotonic counter ([`EpochCell`]'s sibling
-//! [`epoch::CommitClock`]) stamped on every applied write and on every
-//! applied batch as a whole.
+//! [`epoch::CommitClock`]) stamped on every commit as a whole. `insert`,
+//! `delete`, [`ShardedStore::apply`] and [`Txn::commit`] are four doors
+//! onto **one commit function** (`write.rs`: exclude writers → validate →
+//! log → stamp → publish per shard), and the invariant the guarantees rest
+//! on is stated next to it: a commit's window on the clock closes before
+//! any cut is taken, and a shard's `applied_cv` stamp is `max`-folded — not
+//! that a shard applies commits in version order, which an in-memory store
+//! does not promise.
 //!
 //! * **Snapshots are store-wide consistent cuts.** [`ShardedStore::snapshot`]
 //!   pins one topology epoch plus every shard's state inside one quiescent
@@ -113,9 +120,10 @@
 //!   store the batch is one multi-op WAL record under one checksum, synced
 //!   once — after a crash it recovers all-or-nothing.
 //! * **Per-shard reads are linearizable.** Each read observes exactly one
-//!   published `ShardState`; states are published in write order under the
-//!   shard's write mutex and stamped with a strictly monotonic version, so
-//!   a read sees every write published before its pin and none after.
+//!   published `ShardState`; states are published one at a time under the
+//!   shard's write mutex — that order *is* the shard's write order — and
+//!   stamped with a strictly monotonic publication version, so a read sees
+//!   every write published before its pin and none after.
 //! * **Reads never block, and are never blocked by, maintenance.** Sealing,
 //!   compaction, rebuilds, splits and merges only ever *publish new
 //!   values*; a pinned state (or snapshot) remains valid and immutable
@@ -195,11 +203,12 @@
 //! make up the on-disk format (full layouts in the [`persist`] module and
 //! its submodules):
 //!
-//! * **WAL segments** (`wal-<start-version>.log`): every insert/delete is
-//!   appended as a length-prefixed, CRC32-checksummed record *before* it is
-//!   applied in memory — and a whole [`WriteBatch`] is appended as **one
-//!   multi-op record** (format v2, see [`persist::wal`]) under one
-//!   checksum, so it is durable all-or-nothing. Records carry a
+//! * **WAL segments** (`wal-<start-version>.log`): every commit is
+//!   appended as one length-prefixed, CRC32-checksummed record *before* it
+//!   is applied in memory — a lone insert/delete in the compact encoding, a
+//!   whole [`WriteBatch`] or transaction as **one multi-op record** (one
+//!   record, two encodings; see [`persist::wal`]) under one checksum, so
+//!   it is durable all-or-nothing. Records carry a
 //!   monotonically increasing store version, assigned under the store-wide
 //!   WAL lock that also serialises the in-memory apply — so per-shard apply
 //!   order always equals version order. [`SyncPolicy`] controls fsync
@@ -213,8 +222,8 @@
 //!   independently and a cold start can serve `lower_bound` straight off
 //!   the index before decoding anything. The trained model is *not*
 //!   persisted — recovery retrains it from the keys and the spec string,
-//!   which round-trips losslessly through its display form. PR-4-era v1
-//!   files are still read (the loader dispatches on the leading magic).
+//!   which round-trips losslessly through its display form. It is the only
+//!   snapshot format: any other file is [`StoreError::Corrupt`].
 //! * **A manifest** (`manifest-<seq>`): the checkpoint root — spec string,
 //!   fence table, snapshot files, checkpoint version — written to a temp
 //!   file and atomically renamed, so no crash can expose a torn root.
@@ -434,12 +443,13 @@ pub mod snapshot;
 pub mod txn;
 pub mod versions;
 pub mod worker;
+mod write;
 
 pub use batch::{BatchOp, BatchReceipt, WriteBatch};
 pub use config::{DurabilityConfig, RetainPolicy, StoreConfig, SyncPolicy};
 pub use delta::{DeltaChain, DeltaRun};
 pub use epoch::{CommitClock, EpochCell};
-pub use error::{RetiredShard, StoreError};
+pub use error::StoreError;
 pub use obs::{HydrationReason, TraceEvent, TraceKind};
 pub use persist::recovery::OpenBreakdown;
 pub use persist::DurabilityStats;
@@ -464,7 +474,7 @@ pub mod prelude {
     pub use crate::batch::{BatchOp, BatchReceipt, WriteBatch};
     pub use crate::config::RetainPolicy;
     pub use crate::config::{DurabilityConfig, StoreConfig, SyncPolicy};
-    pub use crate::error::{RetiredShard, StoreError};
+    pub use crate::error::StoreError;
     pub use crate::obs::{HydrationReason, TraceEvent, TraceKind};
     pub use crate::persist::recovery::OpenBreakdown;
     pub use crate::persist::DurabilityStats;

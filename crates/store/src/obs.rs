@@ -672,10 +672,12 @@ impl StoreObs {
         self.enabled && self.reads.get() & ((1 << ACCESS_SAMPLE_SHIFT) - 1) == 0
     }
 
-    /// Count an exact, unsampled counter increment (no-op when disabled).
+    /// Count an exact, unsampled counter increment (no-op when disabled,
+    /// and for `n == 0`: a commit of inserts alone pays no RMW for its
+    /// delete count).
     #[inline]
     pub(crate) fn count(&self, counter: &Counter, n: u64) {
-        if self.enabled {
+        if self.enabled && n != 0 {
             counter.add(n);
         }
     }

@@ -34,7 +34,7 @@
 //! against truncation on filesystems that rename non-atomically.
 //!
 //! Versions count WAL *records*, and a multi-op batch record
-//! ([`crate::WriteBatch`], WAL format v2) consumes exactly one — so `cv`
+//! ([`crate::WriteBatch`], batch-encoded) consumes exactly one — so `cv`
 //! can never land in the middle of a batch: a checkpoint's snapshots
 //! contain whole batches, and replay past `cv` re-applies whole batches.
 
@@ -224,7 +224,7 @@ mod tests {
             fences: vec![17, 940, 52_001],
             shards: (0..3)
                 .map(|i| ManifestShard {
-                    snapshot: crate::persist::snapshot::snapshot_name(seq, i),
+                    snapshot: crate::persist::snapshot_name(seq, i),
                     applied: 1234,
                 })
                 .collect(),

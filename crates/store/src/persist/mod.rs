@@ -5,20 +5,23 @@
 //! files in its directory:
 //!
 //! * **WAL segments** (`wal-<start-version>.log`, [`wal`]) — the ordered
-//!   ledger of every insert/delete, length-prefixed and CRC32-checksummed.
-//!   Every durable write appends its record *before* it is applied in
-//!   memory, under one store-wide WAL lock that also assigns the record its
-//!   monotonically increasing store version.
+//!   ledger of every commit, length-prefixed and CRC32-checksummed: one
+//!   record per commit, whether it came through `insert`, `delete`,
+//!   `apply` or a transaction. Every durable commit appends its record
+//!   *before* it is applied in memory, under one store-wide WAL lock that
+//!   also assigns the record its monotonically increasing store version —
+//!   `Persistence::append`, called from the store's one commit function
+//!   (`write.rs`, which also states the ordering invariant snapshots and
+//!   checkpoint cuts rely on).
 //! * **Shard snapshots** (`snap-<checkpoint>-<shard>.snap`) — one file per
 //!   shard holding the shard's merged key column (base plus folded delta
-//!   chain). New checkpoints write the block-structured **format v2**
-//!   ([`v2`]): fixed-size key blocks each under its own CRC32, a trailing
-//!   block index, and a versioned footer — so recovery can *mount* a shard
-//!   cold and serve reads off the block index before any key is decoded.
-//!   The monolithic **v1** format ([`snapshot`]) is still read (PR-4-era
-//!   directories recover unchanged; the loader dispatches on the file
-//!   magic). In either format the trained model is *not* persisted:
-//!   recovery retrains it from the keys and the spec string.
+//!   chain), in the block-structured **format v2** ([`v2`], the only
+//!   snapshot format): fixed-size key blocks each under its own CRC32, a
+//!   trailing block index, and a versioned footer — so recovery can *mount*
+//!   a shard cold and serve reads off the block index before any key is
+//!   decoded. A file without the v2 magic is [`StoreError::Corrupt`]. The
+//!   trained model is *not* persisted: recovery retrains it from the keys
+//!   and the spec string.
 //! * **A manifest** (`manifest-<seq>`, [`manifest`]) — the root of every
 //!   checkpoint: the spec string, the fence table, the snapshot file of
 //!   each shard (with the shard's own applied version) and the checkpoint
@@ -125,8 +128,7 @@
 //! atomically swaps each hot via the ordinary rebuild path — readers never
 //! block, and a pinned cold state stays valid
 //! forever. Writes to a cold shard land in its delta chain unchanged, since
-//! write paths only consult the index. v1 snapshot files cannot be mounted
-//! (no block index) and are always loaded eagerly.
+//! write paths only consult the index.
 //!
 //! ## Recovery invariants ([`recovery`])
 //!
@@ -146,17 +148,17 @@
 
 pub mod manifest;
 pub mod recovery;
-pub mod snapshot;
 pub mod v2;
 pub mod wal;
 
+use crate::batch::BatchOp;
 use crate::config::{DurabilityConfig, SyncPolicy};
 use crate::error::StoreError;
 use shift_obs::{Histogram, Metric, Sampler};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
-use wal::{GroupCommitError, GroupCommitter, WalOp, WalRecord, WalWriter};
+use wal::{Frame, GroupCommitError, GroupCommitter, WalWriter};
 
 /// WAL appends pay the sampled latency timer 1-in-this-many times (power of
 /// two so the sampler's mask test stays one AND).
@@ -424,69 +426,29 @@ impl Persistence {
         self.durability
     }
 
-    /// Assign the next store version, append the record to the WAL
-    /// (honouring the sync policy) and run `apply` — the in-memory write —
-    /// **while still holding the WAL lock**. Holding the lock across the
-    /// apply is what makes per-shard apply order equal version order, the
-    /// invariant replay and the checkpoint cut both lean on.
+    /// The durable half of a commit: under the WAL lock, run `validate`,
+    /// assign the next store version, append `ops` as **one** record in the
+    /// `frame` encoding (honouring the sync policy) and run `apply` — the
+    /// in-memory write — **while still holding the lock**. Holding the lock
+    /// across the apply is what makes per-shard apply order equal version
+    /// order, the invariant replay and the checkpoint cut both lean on; it
+    /// also means no other durable write can be mid-publication while
+    /// `validate` runs, so a transaction's read-set check there sees exactly
+    /// the committed state it would serialize after. When `validate` fails,
+    /// no frame is appended and no version is consumed: a conflicting
+    /// transaction leaves no trace in the log.
     ///
     /// Under group commit ([`SyncPolicy::Always`] with
     /// [`DurabilityConfig::group_commit`]), the durability wait happens
     /// *after* the lock is released, so concurrent writers share one
     /// `fdatasync`; the call still only returns once this record is durable
     /// (or the sync failed, poisoning the writer).
-    pub(crate) fn append<R>(
+    pub(crate) fn append<K: sosd_data::key::Key, R>(
         &self,
-        op: WalOp,
-        key: u64,
-        apply: impl FnOnce(u64) -> R,
-    ) -> Result<R, StoreError> {
-        let timer = self.append_sampler.start();
-        let (result, ticket) = {
-            let mut inner = self.inner.lock().expect("wal lock poisoned"); // lint: allow(panic) WAL-lock poisoning means a writer died mid-frame; no sound continuation
-            if inner.wal.is_poisoned() {
-                return Err(StoreError::WalPoisoned);
-            }
-            let version = inner.next_version;
-            let bytes = inner.wal.append(&WalRecord { version, op, key })?;
-            inner.next_version += 1;
-            inner.since_checkpoint += 1;
-            self.wal_records.fetch_add(1, Ordering::Relaxed); // lint: ordering(Relaxed) monotonic stats counter; no synchronising role
-            self.wal_ops.fetch_add(1, Ordering::Relaxed); // lint: ordering(Relaxed) monotonic stats counter; no synchronising role
-            self.wal_bytes.fetch_add(bytes, Ordering::Relaxed); // lint: ordering(Relaxed) monotonic stats counter; no synchronising role
-            (apply(version), version)
-        };
-        timer.finish(&self.wal_append_ns);
-        self.group_commit(ticket)?;
-        Ok(result)
-    }
-
-    /// [`Persistence::append`] for a whole [`crate::WriteBatch`]: one
-    /// version, one multi-op frame, one durability wait. The batch is
-    /// applied in memory under the WAL lock, so a checkpoint cut always
-    /// contains whole batches.
-    pub(crate) fn append_batch<R>(
-        &self,
-        ops: &[(WalOp, u64)],
-        apply: impl FnOnce(u64) -> R,
-    ) -> Result<R, StoreError> {
-        self.append_batch_validated(ops, || Ok(()), apply)
-    }
-
-    /// [`Persistence::append_batch`] with a validation hook run **under the
-    /// WAL lock, before the frame is written**: the transaction-commit path.
-    ///
-    /// Holding the WAL lock across every durable apply means the commit
-    /// clock is quiescent while `validate` runs — no other durable write can
-    /// be mid-publication — so a read-set check here sees exactly the
-    /// committed state the transaction would serialize after. When
-    /// `validate` fails, no frame is appended and no version is consumed:
-    /// a conflicting transaction leaves no trace in the log.
-    pub(crate) fn append_batch_validated<R>(
-        &self,
-        ops: &[(WalOp, u64)],
+        ops: &[BatchOp<K>],
+        frame: Frame,
         validate: impl FnOnce() -> Result<(), StoreError>,
-        apply: impl FnOnce(u64) -> R,
+        apply: impl FnOnce() -> R,
     ) -> Result<R, StoreError> {
         let timer = self.append_sampler.start();
         let (result, ticket) = {
@@ -496,13 +458,13 @@ impl Persistence {
             }
             validate()?;
             let version = inner.next_version;
-            let bytes = inner.wal.append_batch(version, ops)?;
+            let bytes = inner.wal.append(version, ops, frame)?;
             inner.next_version += 1;
             inner.since_checkpoint += ops.len() as u64;
             self.wal_records.fetch_add(1, Ordering::Relaxed); // lint: ordering(Relaxed) monotonic stats counter; no synchronising role
             self.wal_ops.fetch_add(ops.len() as u64, Ordering::Relaxed); // lint: ordering(Relaxed) monotonic stats counter; no synchronising role
             self.wal_bytes.fetch_add(bytes, Ordering::Relaxed); // lint: ordering(Relaxed) monotonic stats counter; no synchronising role
-            (apply(version), version)
+            (apply(), version)
         };
         timer.finish(&self.wal_append_ns);
         self.group_commit(ticket)?;
@@ -741,6 +703,11 @@ pub(crate) struct CheckpointTally {
 /// `None` for a file skipped because an earlier write had failed.
 pub(crate) type WrittenShard = Option<Result<(manifest::ManifestShard, u64), StoreError>>;
 
+/// File name of shard `shard`'s snapshot under manifest sequence `seq`.
+pub fn snapshot_name(seq: u64, shard: usize) -> String {
+    format!("snap-{seq:010}-{shard:04}.snap")
+}
+
 /// The *write* step of one checkpoint, a file at a time: v2 snapshot files
 /// named under manifest sequence `seq` and exact at version `cv`, each
 /// fsynced before its task returns. A function of its arguments alone — no
@@ -781,7 +748,7 @@ impl<'a> ShardFileWriter<'a> {
         if self.failed.load(Ordering::Relaxed) {
             return None;
         }
-        let snapshot = snapshot::snapshot_name(self.seq, shard);
+        let snapshot = snapshot_name(self.seq, shard);
         let path = self.dir.join(&snapshot);
         let written = v2::write_snapshot(&path, self.cv, keys().as_ref(), self.block_keys);
         // lint: ordering(Relaxed) advisory flag, as above; the error itself travels in the task's result

@@ -17,8 +17,8 @@
 //!    [`StoreConfig::cold_start`] set, a v2 snapshot is instead **mounted**
 //!    ([`crate::persist::v2::ColdBase`]): footer + index parse plus one
 //!    checksum sweep, no decode, no training — the shard will serve reads
-//!    off the block index until the background hydrator retrains it. v1
-//!    files have no block index and always load eagerly.
+//!    off the block index until the background hydrator retrains it. A
+//!    file that is not a v2 snapshot is [`StoreError::Corrupt`] either way.
 //! 3. Scan every WAL segment once, in version order, routing each
 //!    operation through the recovered fence router into its shard's
 //!    **bucket**. An operation at or below the routed shard's recovered
@@ -46,8 +46,8 @@ use crate::delta::DeltaChain;
 use crate::error::StoreError;
 use crate::merge;
 use crate::persist::manifest::{self, ManifestShard};
-use crate::persist::wal::{self, WalEntry, WalOp};
-use crate::persist::{snapshot, v2};
+use crate::persist::v2;
+use crate::persist::wal;
 use crate::pool;
 use crate::router::ShardRouter;
 use crate::shard::{ShardSnapshot, StoreShard};
@@ -178,7 +178,7 @@ struct LoadedCheckpoint<K: Key> {
 }
 
 /// Try to materialise the checkpoint a manifest describes, validating
-/// every snapshot it references. With `cold` set, v2 snapshots are mounted
+/// every snapshot it references. With `cold` set, snapshots are mounted
 /// instead of decoded.
 fn load_checkpoint<K: Key>(
     dir: &Path,
@@ -202,16 +202,12 @@ fn load_checkpoint<K: Key>(
         let snap_path = dir.join(&entry.snapshot);
         let mut bytes = Vec::new();
         std::fs::File::open(&snap_path)?.read_to_end(&mut bytes)?;
-        let (shard_applied, backing) = if bytes.starts_with(&v2::MAGIC) {
-            let base = v2::ColdBase::<K>::from_bytes(&snap_path, bytes)?;
-            if cold {
-                (base.applied(), ShardBacking::Cold(Arc::new(base)))
-            } else {
-                (base.applied(), ShardBacking::Hot(base.decode_all()))
-            }
+        let base = v2::ColdBase::<K>::from_bytes(&snap_path, bytes)?;
+        let shard_applied = base.applied();
+        let backing = if cold {
+            ShardBacking::Cold(Arc::new(base))
         } else {
-            let (a, keys) = snapshot::read_snapshot_bytes::<K>(&snap_path, bytes)?;
-            (a, ShardBacking::Hot(keys))
+            ShardBacking::Hot(base.decode_all())
         };
         if shard_applied != entry.applied {
             return Err(StoreError::Corrupt {
@@ -295,25 +291,18 @@ fn bucket_tail<K: Key>(
 ) -> Result<(Vec<Bucket<K>>, u64), StoreError> {
     let mut next_version = cp.version + 1;
     let mut buckets: Vec<Bucket<K>> = vec![Vec::new(); cp.backings.len()];
-    let mut route = |version: u64, op: WalOp, key: u64| {
-        let key = K::from_u64_saturating(key);
-        let s = cp.router.shard_of(key);
-        if version > cp.applied[s] {
-            buckets[s].push(match op {
-                WalOp::Insert => BatchOp::Insert(key),
-                WalOp::Delete => BatchOp::Delete(key),
-            });
-        }
-    };
     for (_, segment) in wal::list_segments(dir)? {
         for entry in wal::read_segment(&segment)?.records {
-            next_version = next_version.max(entry.version() + 1);
-            match entry {
-                WalEntry::Op(r) => route(r.version, r.op, r.key),
-                WalEntry::Batch(b) => b
-                    .ops
-                    .iter()
-                    .for_each(|&(op, key)| route(b.version, op, key)),
+            next_version = next_version.max(entry.version + 1);
+            for op in entry.ops {
+                let key = K::from_u64_saturating(op.key());
+                let s = cp.router.shard_of(key);
+                if entry.version > cp.applied[s] {
+                    buckets[s].push(match op {
+                        BatchOp::Insert(_) => BatchOp::Insert(key),
+                        BatchOp::Delete(_) => BatchOp::Delete(key),
+                    });
+                }
             }
         }
     }
@@ -438,9 +427,10 @@ mod tests {
     use crate::config::SyncPolicy;
     use crate::delta::{COMPACT_RUNS, MAX_RUN_LEN};
     use crate::persist::manifest::Manifest;
-    use crate::persist::wal::{WalRecord, WalWriter};
+    use crate::persist::wal::{Frame, WalWriter};
     use sosd_data::prelude::SplitMix64;
     use std::path::PathBuf;
+    use BatchOp::{Delete, Insert};
 
     /// What the reference replay leaves behind, shard by shard: the edited
     /// backing, and the chain a cold one grew.
@@ -461,7 +451,8 @@ mod tests {
         let mut chains = vec![DeltaChain::new(); cp.backings.len()];
         let mut next_version = cp.version + 1;
         let mut replayed = 0usize;
-        let mut apply_one = |cp: &mut LoadedCheckpoint<u64>, version: u64, op: WalOp, key: u64| {
+        let mut apply_one = |cp: &mut LoadedCheckpoint<u64>, version: u64, op: BatchOp<u64>| {
+            let key = op.key();
             let s = cp.router.shard_of(key);
             if version <= cp.applied[s] {
                 return 0usize; // already inside the snapshot: replay is a no-op
@@ -470,11 +461,11 @@ mod tests {
                 ShardBacking::Hot(column) => {
                     let pos = column.partition_point(|&x| x < key);
                     match op {
-                        WalOp::Insert => {
+                        Insert(_) => {
                             column.insert(pos, key);
                             true
                         }
-                        WalOp::Delete => {
+                        Delete(_) => {
                             if column.get(pos) == Some(&key) {
                                 column.remove(pos);
                                 true
@@ -487,9 +478,9 @@ mod tests {
                 ShardBacking::Cold(base) => {
                     let delta = &mut chains[s];
                     let net = match op {
-                        WalOp::Insert => 1,
-                        WalOp::Delete if base.count_of(key) as i64 + delta.net_of(key) > 0 => -1,
-                        WalOp::Delete => 0,
+                        Insert(_) => 1,
+                        Delete(_) if base.count_of(key) as i64 + delta.net_of(key) > 0 => -1,
+                        Delete(_) => 0,
                     };
                     if net != 0 {
                         let mut next = delta.with_op(key, net, MAX_RUN_LEN);
@@ -508,14 +499,9 @@ mod tests {
         };
         for (_, segment) in wal::list_segments(dir).unwrap() {
             for entry in wal::read_segment(&segment).unwrap().records {
-                next_version = next_version.max(entry.version() + 1);
-                match entry {
-                    WalEntry::Op(r) => replayed += apply_one(&mut cp, r.version, r.op, r.key),
-                    WalEntry::Batch(b) => {
-                        for &(op, key) in &b.ops {
-                            replayed += apply_one(&mut cp, b.version, op, key);
-                        }
-                    }
+                next_version = next_version.max(entry.version + 1);
+                for &op in &entry.ops {
+                    replayed += apply_one(&mut cp, entry.version, op);
                 }
             }
         }
@@ -558,15 +544,15 @@ mod tests {
     /// Append `entries` to a fresh segment, versions ascending from `start`:
     /// a one-op entry becomes a single-op frame, anything else a batch.
     /// Returns the version after the last.
-    fn write_segment(dir: &Path, start: u64, entries: &[Vec<(WalOp, u64)>]) -> u64 {
+    fn write_segment(dir: &Path, start: u64, entries: &[Vec<BatchOp<u64>>]) -> u64 {
         let mut wal = WalWriter::create(dir, start, SyncPolicy::Os).unwrap();
         let mut version = start;
         for ops in entries {
-            match ops.as_slice() {
-                &[(op, key)] => wal.append(&WalRecord { version, op, key }).map(drop),
-                ops => wal.append_batch(version, ops).map(drop),
-            }
-            .unwrap();
+            let frame = match ops.len() {
+                1 => Frame::Op,
+                _ => Frame::Batch,
+            };
+            wal.append(version, ops, frame).unwrap();
             version += 1;
         }
         version
@@ -591,7 +577,7 @@ mod tests {
         entries: usize,
         aimed: &[u64],
         (lo, hi): (u64, u64),
-    ) -> Vec<Vec<(WalOp, u64)>> {
+    ) -> Vec<Vec<BatchOp<u64>>> {
         let key = |rng: &mut SplitMix64| match rng.next_below(4) {
             0 => aimed[rng.next_below(aimed.len() as u64) as usize],
             _ => (lo + rng.next_below(hi - lo)) / 5 * 5,
@@ -600,16 +586,12 @@ mod tests {
             .map(|_| {
                 let k = key(rng);
                 match rng.next_below(8) {
-                    0 => vec![
-                        (WalOp::Insert, k),
-                        (WalOp::Insert, k),
-                        (WalOp::Delete, key(rng)),
-                    ],
-                    1 => vec![(WalOp::Insert, k), (WalOp::Delete, k)],
-                    2 => vec![(WalOp::Delete, k), (WalOp::Insert, k)],
-                    3 => vec![(WalOp::Delete, k), (WalOp::Delete, k), (WalOp::Delete, k)],
-                    4 | 5 => vec![(WalOp::Delete, k)],
-                    _ => vec![(WalOp::Insert, k)],
+                    0 => vec![Insert(k), Insert(k), Delete(key(rng))],
+                    1 => vec![Insert(k), Delete(k)],
+                    2 => vec![Delete(k), Insert(k)],
+                    3 => vec![Delete(k), Delete(k), Delete(k)],
+                    4 | 5 => vec![Delete(k)],
+                    _ => vec![Insert(k)],
                 }
             })
             .collect()
@@ -762,12 +744,8 @@ mod tests {
     fn a_torn_batch_frame_is_dropped_whole() {
         let dir = scratch("torn-batch");
         write_checkpoint(&dir, 1, 0, &chunks(), &[0, 0, 0]);
-        let batch = vec![
-            (WalOp::Insert, 1_005),
-            (WalOp::Insert, 5_005),
-            (WalOp::Delete, 9_000),
-        ];
-        write_segment(&dir, 1, &[vec![(WalOp::Insert, 42)], batch]);
+        let batch = vec![Insert(1_005), Insert(5_005), Delete(9_000)];
+        write_segment(&dir, 1, &[vec![Insert(42)], batch]);
         let segment = dir.join(wal::segment_name(1));
         let whole = assert_same_recovery(&dir, "whole");
         assert_eq!(whole.replayed, 4);

@@ -365,20 +365,11 @@ impl<K: Key> RangeIndex<K> for ColdBlockIndex<K> {
 }
 
 /// Eagerly load a v2 snapshot: mount (full validation) and decode every
-/// key. Returns `(applied_version, keys)`, mirroring the v1 reader.
+/// key. Returns `(applied_version, keys)`.
 ///
 /// # Errors
 /// Exactly [`ColdBase::mount`]'s.
 pub fn read_snapshot_v2<K: Key>(path: &Path) -> Result<(u64, Vec<K>), StoreError> {
     let base = ColdBase::<K>::mount(path)?;
-    Ok((base.applied(), base.decode_all()))
-}
-
-/// [`read_snapshot_v2`] over bytes already in memory.
-pub(crate) fn read_snapshot_v2_bytes<K: Key>(
-    path: &Path,
-    bytes: Vec<u8>,
-) -> Result<(u64, Vec<K>), StoreError> {
-    let base = ColdBase::<K>::from_bytes(path, bytes)?;
     Ok((base.applied(), base.decode_all()))
 }

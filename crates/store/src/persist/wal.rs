@@ -11,7 +11,11 @@
 //! is started on every store open and on every checkpoint (rotation), and a
 //! segment is deleted once a checkpoint covers all of its records.
 //!
-//! Each record is one frame. A **v1 (single-op)** frame:
+//! Each record is one frame: a length prefix, a CRC32 and a payload. There
+//! is **one record** — a version and the operations committed under it —
+//! and it has **two encodings**, chosen by the front door the commit came
+//! through (`Frame`). The **compact** encoding is what a lone
+//! `insert`/`delete` appends, one operation with no count:
 //!
 //! ```text
 //! ┌──────────┬──────────┬───────────────────────────────────────────┐
@@ -20,9 +24,10 @@
 //! └──────────┴──────────┴───────────────────────────────────────────┘
 //! ```
 //!
-//! A **v2 (multi-op batch)** frame — what [`crate::WriteBatch`] appends —
-//! shares the outer framing and is discriminated by the tag byte where a v1
-//! frame keeps its op:
+//! The **batch** encoding — what [`crate::WriteBatch`] and
+//! [`crate::Txn::commit`] append, however many operations they hold —
+//! shares the outer framing and is discriminated by the tag byte where the
+//! compact encoding keeps its op:
 //!
 //! ```text
 //! ┌──────────┬──────────┬────────────────────────────────────────────────────────┐
@@ -33,9 +38,11 @@
 //!
 //! `crc` is the CRC32 (IEEE) of the payload. `op` is `0` for an insert,
 //! `1` for a delete tombstone; tag `2` marks a batch. Keys are widened to
-//! `u64` on disk regardless of the store's key width. Because a batch is
+//! `u64` on disk regardless of the store's key width. Because a record is
 //! one frame under one checksum, it is durable **all-or-nothing**: a crash
-//! can never persist a prefix of a batch.
+//! can never persist a prefix of a batch. Both encodings decode to the same
+//! [`WalEntry`], and one function writes them (`WalWriter::append`, under
+//! the store's one commit function — see `write.rs`).
 //!
 //! A reader stops at the first frame that is short, has an inconsistent
 //! length, carries an unknown tag, or fails its checksum: that is the torn
@@ -55,173 +62,114 @@
 //! leader's single sync, so `w` concurrent writers pay ~2 syncs per wave
 //! instead of `w`.
 
+use crate::batch::BatchOp;
 use crate::config::SyncPolicy;
 use crate::persist::crc32;
+use sosd_data::key::Key;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::{Condvar, Mutex};
 
-/// Payload bytes of a v1 record: version (8) + op (1) + key (8).
+/// Payload bytes of a compact record: version (8) + op (1) + key (8).
 pub const PAYLOAD_LEN: usize = 17;
-/// Total frame bytes of a v1 record: len (4) + crc (4) + payload.
+/// Total frame bytes of a compact record: len (4) + crc (4) + payload.
 pub const FRAME_LEN: usize = 8 + PAYLOAD_LEN;
-/// Payload tag byte marking a v2 multi-op batch record.
+/// Payload tag byte marking a batch-encoded record.
 pub const BATCH_TAG: u8 = 2;
-/// Payload bytes of a v2 batch record holding `n` operations.
+/// Payload bytes of a batch-encoded record holding `n` operations.
 pub const fn batch_payload_len(n: usize) -> usize {
     8 + 1 + 4 + 9 * n
 }
 
-/// The operation a WAL record describes.
+/// Which of the record's two encodings a commit is logged in. It follows
+/// the front door, not the operation count: a one-operation
+/// [`crate::WriteBatch`] or transaction has always been logged
+/// batch-encoded, and the bytes on disk stay what they were.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WalOp {
-    /// One inserted occurrence of the key.
-    Insert,
-    /// One deleted occurrence of the key (a no-op if absent at replay).
-    Delete,
+pub(crate) enum Frame {
+    /// A lone `insert` / `delete`: exactly one operation, no count.
+    Op,
+    /// A [`crate::WriteBatch`] or a transaction's writes.
+    Batch,
 }
 
-/// One decoded WAL record.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WalRecord {
-    /// The monotonic store version assigned to this write.
-    pub version: u64,
-    /// Insert or delete.
-    pub op: WalOp,
-    /// The key, widened to `u64`.
-    pub key: u64,
-}
-
-impl WalRecord {
-    /// Encode the record as one complete frame, on the stack — the
-    /// single-op append path runs under the store-wide WAL lock for every
-    /// durable write, so it must not allocate.
-    fn encode_frame(&self) -> [u8; FRAME_LEN] {
-        let mut payload = [0u8; PAYLOAD_LEN];
-        payload[..8].copy_from_slice(&self.version.to_le_bytes());
-        payload[8] = op_byte(self.op);
-        payload[9..17].copy_from_slice(&self.key.to_le_bytes());
-        let mut frame = [0u8; FRAME_LEN];
-        frame[..4].copy_from_slice(&(PAYLOAD_LEN as u32).to_le_bytes());
-        frame[4..8].copy_from_slice(&crc32(&payload).to_le_bytes());
-        frame[8..].copy_from_slice(&payload);
-        frame
-    }
-}
-
-/// One decoded multi-op (v2) WAL record: every operation of one applied
-/// [`crate::WriteBatch`], under a single version and a single checksum.
+/// One decoded WAL record, whichever way it was encoded: the operations
+/// committed under one store version, in application order, keys widened to
+/// `u64`.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WalBatchRecord {
-    /// The monotonic store version assigned to the whole batch.
+pub struct WalEntry {
+    /// The monotonic store version assigned to the commit.
     pub version: u64,
-    /// The batch's operations, in application order, keys widened to `u64`.
-    pub ops: Vec<(WalOp, u64)>,
-}
-
-/// Encode a batch payload from borrowed ops (the append path passes the
-/// caller's staged slice straight through — no intermediate record value).
-fn encode_batch_payload(version: u64, ops: &[(WalOp, u64)]) -> Vec<u8> {
-    let mut payload = Vec::with_capacity(batch_payload_len(ops.len()));
-    payload.extend_from_slice(&version.to_le_bytes());
-    payload.push(BATCH_TAG);
-    payload.extend_from_slice(&(ops.len() as u32).to_le_bytes());
-    for &(op, key) in ops {
-        payload.push(op_byte(op));
-        payload.extend_from_slice(&key.to_le_bytes());
-    }
-    payload
-}
-
-/// One decoded WAL entry: a single-op record or a multi-op batch.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum WalEntry {
-    /// A v1 single-operation record.
-    Op(WalRecord),
-    /// A v2 multi-operation batch record.
-    Batch(WalBatchRecord),
+    /// The commit's operations.
+    pub ops: Vec<BatchOp<u64>>,
 }
 
 impl WalEntry {
-    /// The store version the entry carries.
-    pub fn version(&self) -> u64 {
-        match self {
-            Self::Op(r) => r.version,
-            Self::Batch(b) => b.version,
-        }
-    }
-
     /// Number of logical operations the entry carries.
     pub fn op_count(&self) -> usize {
-        match self {
-            Self::Op(_) => 1,
-            Self::Batch(b) => b.ops.len(),
-        }
+        self.ops.len()
     }
 }
 
-fn op_byte(op: WalOp) -> u8 {
-    match op {
-        WalOp::Insert => 0,
-        WalOp::Delete => 1,
+/// Encode one record as a complete frame — length prefix, CRC32, payload —
+/// into `buf`, replacing what it held. The one encoder: the payload is the
+/// version, then (batch encoding only) the tag and the count, then every
+/// operation as `(op, key)`.
+fn encode_frame<K: Key>(buf: &mut Vec<u8>, version: u64, ops: &[BatchOp<K>], frame: Frame) {
+    debug_assert!(frame == Frame::Batch || ops.len() == 1);
+    buf.clear();
+    buf.extend_from_slice(&[0; 8]); // len and crc, filled in below
+    buf.extend_from_slice(&version.to_le_bytes());
+    if frame == Frame::Batch {
+        buf.push(BATCH_TAG);
+        buf.extend_from_slice(&(ops.len() as u32).to_le_bytes());
     }
+    for op in ops {
+        buf.push(matches!(op, BatchOp::Delete(_)) as u8);
+        buf.extend_from_slice(&op.key().to_u64().to_le_bytes());
+    }
+    let (head, payload) = buf.split_at_mut(8);
+    head[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+    head[4..].copy_from_slice(&crc32(payload).to_le_bytes());
 }
 
-fn byte_op(b: u8) -> Option<WalOp> {
-    match b {
-        0 => Some(WalOp::Insert),
-        1 => Some(WalOp::Delete),
+/// Decode one `(op, key)` pair of either encoding.
+fn decode_op(pair: &[u8]) -> Option<BatchOp<u64>> {
+    // lint: allow(panic) callers pass exactly 9 bytes; the key is the last 8
+    let key = u64::from_le_bytes(pair[1..9].try_into().expect("8 bytes"));
+    match pair[0] {
+        0 => Some(BatchOp::Insert(key)),
+        1 => Some(BatchOp::Delete(key)),
         _ => None,
     }
-}
-
-/// Frame a payload: length prefix, CRC32, body.
-fn encode_frame(payload: &[u8]) -> Vec<u8> {
-    let mut frame = Vec::with_capacity(8 + payload.len());
-    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    frame.extend_from_slice(&crc32(payload).to_le_bytes());
-    frame.extend_from_slice(payload);
-    frame
 }
 
 /// Decode one length- and CRC-validated payload into an entry. `None`
 /// means an unknown shape (treated as a torn tail by the reader).
 fn decode_payload(payload: &[u8]) -> Option<WalEntry> {
-    if payload.len() < 9 {
+    if payload.len() < batch_payload_len(0) {
         return None;
     }
     // lint: allow(panic) slice length is fixed by the bounds check/slicing above; try_into cannot fail
     let version = u64::from_le_bytes(payload[..8].try_into().expect("8 bytes"));
-    match payload[8] {
-        BATCH_TAG => {
-            if payload.len() < batch_payload_len(0) {
-                return None;
-            }
-            // lint: allow(panic) slice length is fixed by the bounds check/slicing above; try_into cannot fail
-            let count = u32::from_le_bytes(payload[9..13].try_into().expect("4 bytes")) as usize;
-            if count == 0 || payload.len() != batch_payload_len(count) {
-                return None;
-            }
-            let mut ops = Vec::with_capacity(count);
-            for chunk in payload[13..].chunks_exact(9) {
-                let op = byte_op(chunk[0])?;
-                ops.push((
-                    op,
-                    // lint: allow(panic) slice length is fixed by the bounds check/slicing above; try_into cannot fail
-                    u64::from_le_bytes(chunk[1..9].try_into().expect("8 bytes")),
-                ));
-            }
-            Some(WalEntry::Batch(WalBatchRecord { version, ops }))
+    let pairs = if payload[8] == BATCH_TAG {
+        // lint: allow(panic) slice length is fixed by the bounds check/slicing above; try_into cannot fail
+        let count = u32::from_le_bytes(payload[9..13].try_into().expect("4 bytes")) as usize;
+        if count == 0 || payload.len() != batch_payload_len(count) {
+            return None;
         }
-        b if payload.len() == PAYLOAD_LEN => Some(WalEntry::Op(WalRecord {
-            version,
-            op: byte_op(b)?,
-            // lint: allow(panic) slice length is fixed by the bounds check/slicing above; try_into cannot fail
-            key: u64::from_le_bytes(payload[9..17].try_into().expect("8 bytes")),
-        })),
-        _ => None,
-    }
+        &payload[13..]
+    } else if payload.len() == PAYLOAD_LEN {
+        &payload[8..]
+    } else {
+        return None;
+    };
+    let ops = pairs
+        .chunks_exact(9)
+        .map(decode_op)
+        .collect::<Option<_>>()?;
+    Some(WalEntry { version, ops })
 }
 
 /// File name of the segment whose first record carries `start`.
@@ -254,8 +202,8 @@ pub fn list_segments(dir: &Path) -> std::io::Result<Vec<(u64, PathBuf)>> {
 /// The decoded contents of one segment scan.
 #[derive(Debug, Clone, Default)]
 pub struct SegmentScan {
-    /// The validated entries (single-op records and batches), in append
-    /// (= version) order.
+    /// The validated entries (of either encoding), in append (= version)
+    /// order.
     pub records: Vec<WalEntry>,
     /// Byte offset of the end of each validated entry — `boundaries[i]` is
     /// where entry `i`'s frame ends, so truncating the file there keeps
@@ -324,6 +272,9 @@ pub(crate) struct WalWriter {
     /// (group) sync failed: the segment tail is in an unknown state, so no
     /// further record may land after it.
     poisoned: bool,
+    /// The frame being appended, reused from record to record so the append
+    /// path (which runs under the store-wide WAL lock) does not allocate.
+    frame: Vec<u8>,
 }
 
 impl WalWriter {
@@ -346,6 +297,7 @@ impl WalWriter {
             syncs: 0,
             len: 0,
             poisoned: false,
+            frame: Vec::new(),
         })
     }
 
@@ -371,31 +323,13 @@ impl WalWriter {
         self.poisoned = true;
     }
 
-    /// Append one single-op record and apply the sync policy. Returns the
-    /// bytes written (for write-amplification accounting). The frame is
-    /// encoded on the stack — this path runs once per durable write.
-    pub(crate) fn append(&mut self, record: &WalRecord) -> std::io::Result<u64> {
-        self.append_frame(&record.encode_frame(), 1)
-    }
-
-    /// Append one multi-op batch record and apply the sync policy. The
-    /// whole batch is one frame under one checksum — durable
+    /// Append the record `(version, ops)` as one frame in the given
+    /// encoding and apply the sync policy (unless deferred to the group
+    /// committer). Returns the bytes written (for write-amplification
+    /// accounting). The record is one frame under one checksum — durable
     /// all-or-nothing — but it advances the [`SyncPolicy::EveryN`] counter
     /// by its full operation count, so the documented "lose at most `n − 1`
     /// acknowledged *writes*" bound holds regardless of batching.
-    pub(crate) fn append_batch(
-        &mut self,
-        version: u64,
-        ops: &[(WalOp, u64)],
-    ) -> std::io::Result<u64> {
-        self.append_frame(
-            &encode_frame(&encode_batch_payload(version, ops)),
-            ops.len().min(u32::MAX as usize) as u32,
-        )
-    }
-
-    /// Append one encoded frame carrying `ops` logical operations and apply
-    /// the sync policy (unless deferred to the group committer).
     ///
     /// On a short write the frame is rolled back (durably — the truncate is
     /// fsynced) before the error is returned, so the caller's view ("this
@@ -405,18 +339,25 @@ impl WalWriter {
     /// while clearing the error, so no durability promise about this
     /// segment can be kept any more and continuing to append would silently
     /// widen the loss beyond the documented `n − 1` bound.
-    fn append_frame(&mut self, frame: &[u8], ops: u32) -> std::io::Result<u64> {
+    pub(crate) fn append<K: Key>(
+        &mut self,
+        version: u64,
+        ops: &[BatchOp<K>],
+        frame: Frame,
+    ) -> std::io::Result<u64> {
         if self.poisoned {
             return Err(std::io::Error::other(
                 "WAL writer poisoned by an earlier append or sync failure",
             ));
         }
-        if let Err(e) = self.file.write_all(frame) {
+        encode_frame(&mut self.frame, version, ops, frame);
+        if let Err(e) = self.file.write_all(&self.frame) {
             if self.rollback().is_err() {
                 self.poisoned = true;
             }
             return Err(e);
         }
+        let ops = ops.len().min(u32::MAX as usize) as u32;
         self.unsynced = self.unsynced.saturating_add(ops);
         let sync_due = match self.policy {
             SyncPolicy::Always => !self.defer_sync,
@@ -429,8 +370,8 @@ impl WalWriter {
                 return Err(e);
             }
         }
-        self.len += frame.len() as u64;
-        Ok(frame.len() as u64)
+        self.len += self.frame.len() as u64;
+        Ok(self.frame.len() as u64)
     }
 
     /// Truncate the segment back to the last accepted frame and make the
@@ -592,6 +533,7 @@ impl GroupCommitter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batch::BatchOp::{Delete, Insert};
 
     fn tmp_dir(tag: &str) -> PathBuf {
         let dir =
@@ -601,22 +543,115 @@ mod tests {
         dir
     }
 
-    fn records(n: u64) -> Vec<WalRecord> {
+    /// `n` single-op entries, versions from 1, every third a delete.
+    fn records(n: u64) -> Vec<WalEntry> {
         (0..n)
-            .map(|i| WalRecord {
+            .map(|i| WalEntry {
                 version: i + 1,
-                op: if i % 3 == 0 {
-                    WalOp::Delete
+                ops: vec![if i % 3 == 0 {
+                    Delete(i * 977)
                 } else {
-                    WalOp::Insert
-                },
-                key: i * 977,
+                    Insert(i * 977)
+                }],
             })
             .collect()
     }
 
-    fn entries(recs: &[WalRecord]) -> Vec<WalEntry> {
-        recs.iter().map(|&r| WalEntry::Op(r)).collect()
+    fn entry(version: u64, ops: &[BatchOp<u64>]) -> WalEntry {
+        let ops = ops.to_vec();
+        WalEntry { version, ops }
+    }
+
+    fn op_byte(op: BatchOp<u64>) -> u8 {
+        matches!(op, Delete(_)) as u8
+    }
+
+    /// The single-op frame encoder this module shipped before the two
+    /// encoders became one, kept verbatim as the reference.
+    fn reference_op_frame(version: u64, op: BatchOp<u64>) -> [u8; FRAME_LEN] {
+        let mut payload = [0u8; PAYLOAD_LEN];
+        payload[..8].copy_from_slice(&version.to_le_bytes());
+        payload[8] = op_byte(op);
+        payload[9..17].copy_from_slice(&op.key().to_le_bytes());
+        let mut frame = [0u8; FRAME_LEN];
+        frame[..4].copy_from_slice(&(PAYLOAD_LEN as u32).to_le_bytes());
+        frame[4..8].copy_from_slice(&crc32(&payload).to_le_bytes());
+        frame[8..].copy_from_slice(&payload);
+        frame
+    }
+
+    /// The batch payload encoder of the same vintage.
+    fn reference_batch_payload(version: u64, ops: &[BatchOp<u64>]) -> Vec<u8> {
+        let mut payload = Vec::with_capacity(batch_payload_len(ops.len()));
+        payload.extend_from_slice(&version.to_le_bytes());
+        payload.push(BATCH_TAG);
+        payload.extend_from_slice(&(ops.len() as u32).to_le_bytes());
+        for &op in ops {
+            payload.push(op_byte(op));
+            payload.extend_from_slice(&op.key().to_le_bytes());
+        }
+        payload
+    }
+
+    /// …and its framing: length prefix, CRC32, body.
+    fn reference_frame(payload: &[u8]) -> Vec<u8> {
+        let mut frame = Vec::with_capacity(8 + payload.len());
+        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        frame.extend_from_slice(&crc32(payload).to_le_bytes());
+        frame.extend_from_slice(payload);
+        frame
+    }
+
+    /// Decode a whole frame the way `read_segment` does one.
+    fn decode_frame(frame: &[u8]) -> Option<WalEntry> {
+        let len = u32::from_le_bytes(frame[..4].try_into().unwrap()) as usize;
+        let crc = u32::from_le_bytes(frame[4..8].try_into().unwrap());
+        assert_eq!(frame.len(), 8 + len);
+        assert_eq!(crc32(&frame[8..]), crc);
+        decode_payload(&frame[8..])
+    }
+
+    #[test]
+    fn the_one_encoder_reproduces_both_reference_encoders_byte_for_byte() {
+        let mut rng = sosd_data::rng::SplitMix64::new(0x0E0C);
+        // One buffer throughout, longest frame first, so every later frame
+        // is encoded over the remains of a longer one.
+        let mut buf = Vec::new();
+        for n in (1..=257usize).rev() {
+            let version = rng.next_u64();
+            let ops: Vec<BatchOp<u64>> = (0..n)
+                .map(|_| match rng.next_below(2) {
+                    0 => Insert(rng.next_u64()),
+                    _ => Delete(rng.next_u64()),
+                })
+                .collect();
+            encode_frame(&mut buf, version, &ops, Frame::Batch);
+            assert_eq!(
+                buf,
+                reference_frame(&reference_batch_payload(version, &ops)),
+                "batch of {n}"
+            );
+            assert_eq!(
+                decode_frame(&buf),
+                Some(entry(version, &ops)),
+                "batch of {n}"
+            );
+            // Every op of the batch on its own, in the compact encoding.
+            for &op in &ops[..n.min(4)] {
+                encode_frame(&mut buf, version, &[op], Frame::Op);
+                assert_eq!(buf, reference_op_frame(version, op), "{op:?}");
+                assert_eq!(decode_frame(&buf), Some(entry(version, &[op])), "{op:?}");
+            }
+        }
+        // A batch of one keeps the batch encoding (the golden directory's
+        // tail holds such a frame: a one-write transaction) and decodes to
+        // the entry the compact encoding of the same op decodes to.
+        encode_frame(&mut buf, 9, &[Delete(77u64)], Frame::Batch);
+        assert_eq!(buf.len(), 8 + batch_payload_len(1));
+        assert_eq!(decode_frame(&buf), Some(entry(9, &[Delete(77)])));
+        // Narrow keys are widened on disk.
+        encode_frame(&mut buf, 9, &[Delete(77u32)], Frame::Op);
+        assert_eq!(buf, reference_op_frame(9, Delete(77)));
     }
 
     #[test]
@@ -625,14 +660,15 @@ mod tests {
         let recs = records(20);
         let mut w = WalWriter::create(&dir, 1, SyncPolicy::EveryN(4)).unwrap();
         for r in &recs {
-            assert_eq!(w.append(r).unwrap(), FRAME_LEN as u64);
+            let bytes = w.append(r.version, &r.ops, Frame::Op).unwrap();
+            assert_eq!(bytes, FRAME_LEN as u64);
         }
         drop(w);
         let segments = list_segments(&dir).unwrap();
         assert_eq!(segments.len(), 1);
         assert_eq!(segments[0].0, 1);
         let scan = read_segment(&segments[0].1).unwrap();
-        assert_eq!(scan.records, entries(&recs));
+        assert_eq!(scan.records, recs);
         assert!(!scan.torn_tail);
         assert_eq!(scan.boundaries.len(), 20);
         assert_eq!(*scan.boundaries.last().unwrap(), 20 * FRAME_LEN as u64);
@@ -642,39 +678,24 @@ mod tests {
     #[test]
     fn batch_records_round_trip_interleaved_with_singles() {
         let dir = tmp_dir("batch-roundtrip");
-        let single = WalRecord {
-            version: 1,
-            op: WalOp::Insert,
-            key: 42,
-        };
-        let batch = WalBatchRecord {
-            version: 2,
-            ops: vec![(WalOp::Insert, 7), (WalOp::Delete, 42), (WalOp::Insert, 7)],
-        };
-        let tail = WalRecord {
-            version: 3,
-            op: WalOp::Delete,
-            key: 7,
-        };
+        let single = entry(1, &[Insert(42)]);
+        let batch = entry(2, &[Insert(7), Delete(42), Insert(7)]);
+        let tail = entry(3, &[Delete(7)]);
         let mut w = WalWriter::create(&dir, 1, SyncPolicy::Os).unwrap();
-        assert_eq!(w.append(&single).unwrap(), FRAME_LEN as u64);
         assert_eq!(
-            w.append_batch(batch.version, &batch.ops).unwrap(),
+            w.append(single.version, &single.ops, Frame::Op).unwrap(),
+            FRAME_LEN as u64
+        );
+        assert_eq!(
+            w.append(batch.version, &batch.ops, Frame::Batch).unwrap(),
             (8 + batch_payload_len(3)) as u64
         );
-        w.append(&tail).unwrap();
+        w.append(tail.version, &tail.ops, Frame::Op).unwrap();
         drop(w);
         let scan = read_segment(&dir.join(segment_name(1))).unwrap();
         assert!(!scan.torn_tail);
-        assert_eq!(
-            scan.records,
-            vec![
-                WalEntry::Op(single),
-                WalEntry::Batch(batch.clone()),
-                WalEntry::Op(tail),
-            ]
-        );
-        assert_eq!(scan.records[1].version(), 2);
+        assert_eq!(scan.records, vec![single, batch, tail]);
+        assert_eq!(scan.records[1].version, 2);
         assert_eq!(scan.records[1].op_count(), 3);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -686,27 +707,16 @@ mod tests {
         // would, not count as one record towards the threshold.
         let dir = tmp_dir("batch-everyn");
         let mut w = WalWriter::create(&dir, 1, SyncPolicy::EveryN(64)).unwrap();
-        let batch = WalBatchRecord {
-            version: 1,
-            ops: (0..64u64).map(|i| (WalOp::Insert, i)).collect(),
-        };
-        w.append_batch(batch.version, &batch.ops).unwrap();
+        let batch: Vec<BatchOp<u64>> = (0..64u64).map(Insert).collect();
+        w.append(1, &batch, Frame::Batch).unwrap();
         assert_eq!(w.sync_count(), 1, "64 batched ops hit the n = 64 bound");
         // A small batch leaves the counter partially filled…
-        let small = WalBatchRecord {
-            version: 2,
-            ops: (0..60u64).map(|i| (WalOp::Delete, i)).collect(),
-        };
-        w.append_batch(small.version, &small.ops).unwrap();
+        let small: Vec<BatchOp<u64>> = (0..60u64).map(Delete).collect();
+        w.append(2, &small, Frame::Batch).unwrap();
         assert_eq!(w.sync_count(), 1);
         // …and singles top it up to the next sync.
         for v in 3..7u64 {
-            w.append(&WalRecord {
-                version: v,
-                op: WalOp::Insert,
-                key: v,
-            })
-            .unwrap();
+            w.append(v, &[Insert(v)], Frame::Op).unwrap();
         }
         assert_eq!(w.sync_count(), 2, "60 + 4 ops crossed the bound");
         let _ = std::fs::remove_dir_all(&dir);
@@ -715,18 +725,11 @@ mod tests {
     #[test]
     fn torn_batch_records_drop_whole_not_prefix() {
         let dir = tmp_dir("batch-torn");
-        let single = WalRecord {
-            version: 1,
-            op: WalOp::Insert,
-            key: 9,
-        };
-        let batch = WalBatchRecord {
-            version: 2,
-            ops: (0..8u64).map(|i| (WalOp::Insert, i * 3)).collect(),
-        };
+        let single = entry(1, &[Insert(9)]);
+        let batch: Vec<BatchOp<u64>> = (0..8u64).map(|i| Insert(i * 3)).collect();
         let mut w = WalWriter::create(&dir, 1, SyncPolicy::Os).unwrap();
-        w.append(&single).unwrap();
-        w.append_batch(batch.version, &batch.ops).unwrap();
+        w.append(1, &single.ops, Frame::Op).unwrap();
+        w.append(2, &batch, Frame::Batch).unwrap();
         drop(w);
         let path = dir.join(segment_name(1));
         let full = std::fs::read(&path).unwrap();
@@ -736,18 +739,18 @@ mod tests {
         for cut in [1usize, 8, 13, 20, full.len() - FRAME_LEN - 1] {
             std::fs::write(&path, &full[..FRAME_LEN + cut]).unwrap();
             let scan = read_segment(&path).unwrap();
-            assert_eq!(scan.records, vec![WalEntry::Op(single)], "cut {cut}");
+            assert_eq!(scan.records, vec![single.clone()], "cut {cut}");
             assert!(scan.torn_tail, "cut {cut}");
         }
 
         // A checksum-valid frame with a lying op count is rejected whole.
-        let mut payload = encode_batch_payload(batch.version, &batch.ops);
+        let mut payload = reference_batch_payload(2, &batch);
         payload[9] = 7; // count 8 -> 7: length no longer matches
         let mut evil = full[..FRAME_LEN].to_vec();
-        evil.extend_from_slice(&encode_frame(&payload));
+        evil.extend_from_slice(&reference_frame(&payload));
         std::fs::write(&path, &evil).unwrap();
         let scan = read_segment(&path).unwrap();
-        assert_eq!(scan.records, vec![WalEntry::Op(single)]);
+        assert_eq!(scan.records, vec![single]);
         assert!(scan.torn_tail);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -758,7 +761,7 @@ mod tests {
         let recs = records(10);
         let mut w = WalWriter::create(&dir, 1, SyncPolicy::Os).unwrap();
         for r in &recs {
-            w.append(r).unwrap();
+            w.append(r.version, &r.ops, Frame::Op).unwrap();
         }
         drop(w);
         let path = dir.join(segment_name(1));
@@ -767,7 +770,7 @@ mod tests {
         // Truncate mid-record: the partial frame is discarded.
         std::fs::write(&path, &full[..4 * FRAME_LEN + 7]).unwrap();
         let scan = read_segment(&path).unwrap();
-        assert_eq!(scan.records, entries(&recs[..4]));
+        assert_eq!(scan.records, recs[..4]);
         assert!(scan.torn_tail);
 
         // Flip one payload byte of record 6: records 0..=5 survive.
@@ -775,7 +778,7 @@ mod tests {
         bent[6 * FRAME_LEN + 12] ^= 0xFF;
         std::fs::write(&path, &bent).unwrap();
         let scan = read_segment(&path).unwrap();
-        assert_eq!(scan.records, entries(&recs[..6]));
+        assert_eq!(scan.records, recs[..6]);
         assert!(scan.torn_tail);
 
         // A bogus op byte is rejected by decode, not just by the CRC: craft
@@ -783,12 +786,10 @@ mod tests {
         let mut payload = [0u8; PAYLOAD_LEN];
         payload[8] = 9;
         let mut evil = full[..2 * FRAME_LEN].to_vec();
-        evil.extend_from_slice(&(PAYLOAD_LEN as u32).to_le_bytes());
-        evil.extend_from_slice(&crc32(&payload).to_le_bytes());
-        evil.extend_from_slice(&payload);
+        evil.extend_from_slice(&reference_frame(&payload));
         std::fs::write(&path, &evil).unwrap();
         let scan = read_segment(&path).unwrap();
-        assert_eq!(scan.records, entries(&recs[..2]));
+        assert_eq!(scan.records, recs[..2]);
         assert!(scan.torn_tail);
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -12,8 +12,8 @@
 //!
 //! ## Locking protocol (write side only)
 //!
-//! * `write` — a per-shard mutex serialising *publishers*: every insert,
-//!   delete, compaction and state swap happens under it. It is never taken
+//! * `write` — a per-shard mutex serialising *publishers*: every applied
+//!   op, compaction and state swap happens under it. It is never taken
 //!   by a read, and it is never held across a merge or an index build.
 //! * `rebuild_guard` — serialises rebuilds (and, via the store, splits and
 //!   merges targeting this shard). Taken strictly before `write`.
@@ -38,9 +38,9 @@
 //! **hydration**: on a cold base it proceeds even with a clean chain,
 //! decoding + retraining off-lock and swapping in a hot epoch.
 
+use crate::batch::BatchOp;
 use crate::delta::{DeltaChain, COMPACT_RUNS, MAX_RUN_LEN};
-use crate::epoch::{CommitClock, EpochCell};
-use crate::error::RetiredShard;
+use crate::epoch::EpochCell;
 use algo_index::search::{DynRangeIndex, RangeIndex};
 use shift_table::error::BuildError;
 use shift_table::spec::IndexSpec;
@@ -158,7 +158,7 @@ impl<K: Key> ShardState<K> {
     }
 
     /// Highest store-wide commit version this state has absorbed (see
-    /// [`CommitClock`]): every write stamped at or below it and routed to
+    /// [`crate::CommitClock`]): every write stamped at or below it and routed to
     /// this shard is contained, and — at a quiescent cut — none above it is.
     /// 0 for a state that has never absorbed a write.
     pub fn applied_cv(&self) -> u64 {
@@ -294,11 +294,6 @@ pub struct StoreShard<K: Key> {
     spec: IndexSpec,
     threshold: usize,
     build_threads: usize,
-    /// Commit clock for writes applied through the shard's own public API.
-    /// Store-managed shards are written through the `*_clocked` / `*_at`
-    /// crate paths instead, which stamp the **store's** clock so one
-    /// store-wide snapshot can cut across every shard.
-    own_clock: CommitClock,
     state: EpochCell<ShardState<K>>,
     /// Serialises publishers (writes, compactions, swaps); never read-side.
     write: Mutex<()>,
@@ -384,7 +379,6 @@ impl<K: Key> StoreShard<K> {
             spec,
             threshold: threshold.max(1),
             build_threads: build_threads.max(1),
-            own_clock: CommitClock::new(),
             state: EpochCell::new(Arc::new(ShardState {
                 snapshot,
                 delta,
@@ -491,58 +485,18 @@ impl<K: Key> StoreShard<K> {
         self.state.load().range(lo, hi)
     }
 
-    /// Buffer one inserted occurrence of `k`. Returns `Some(dirty)` — true
-    /// when the write made (or left) the shard dirty — or `None` when the
-    /// shard has been retired by a split/merge (the caller re-routes).
-    pub fn try_insert(&self, k: K) -> Option<bool> {
-        self.try_insert_clocked(k, &self.own_clock)
-    }
-
-    /// [`StoreShard::try_insert`] stamped against the caller's commit clock
-    /// (the store's, so store-wide snapshots can cut across shards). The
-    /// clock window is opened under the shard's write lock, which is what
-    /// keeps per-shard apply order equal to commit-version order.
-    pub(crate) fn try_insert_clocked(&self, k: K, clock: &CommitClock) -> Option<bool> {
-        // lint: allow(panic) lock poisoning propagates a writer panic; continuing would publish torn state
-        let _w = self.write.lock().expect("write lock poisoned");
-        // lint: ordering(Relaxed) read under the shard write lock, which retire() also holds; the lock orders it
-        if self.retired.load(Ordering::Relaxed) {
-            return None;
-        }
-        let cv = clock.begin();
-        let dirty = self.publish_op(k, 1, cv);
-        self.merged_len.fetch_add(1, Ordering::AcqRel); // lint: ordering(AcqRel) release side of len()'s Acquire load: the count stays paired with the state published before it
-        clock.end();
-        Some(dirty)
-    }
-
-    /// Apply one insert that already owns an open clock window (a
-    /// [`crate::WriteBatch`] apply: the store brackets the whole batch in
-    /// one `begin`/`end` and stamps every op with the batch's single commit
-    /// version `cv`).
-    pub(crate) fn try_insert_at(&self, k: K, cv: u64) -> Option<bool> {
-        // lint: allow(panic) lock poisoning propagates a writer panic; continuing would publish torn state
-        let _w = self.write.lock().expect("write lock poisoned");
-        // lint: ordering(Relaxed) read under the shard write lock, which retire() also holds; the lock orders it
-        if self.retired.load(Ordering::Relaxed) {
-            return None;
-        }
-        let dirty = self.publish_op(k, 1, cv);
-        self.merged_len.fetch_add(1, Ordering::AcqRel); // lint: ordering(AcqRel) release side of len()'s Acquire load: the count stays paired with the state published before it
-        Some(dirty)
-    }
-
-    /// Buffer a tombstone for one occurrence of `k`. Returns
-    /// `Some((removed, dirty))`: `removed` is false (and nothing is
-    /// recorded) when the merged view holds no occurrence of `k`. `None`
-    /// means the shard was retired (the caller re-routes).
-    pub fn try_delete(&self, k: K) -> Option<(bool, bool)> {
-        self.try_delete_clocked(k, &self.own_clock)
-    }
-
-    /// [`StoreShard::try_delete`] stamped against the caller's commit clock
-    /// (see [`StoreShard::try_insert_clocked`]).
-    pub(crate) fn try_delete_clocked(&self, k: K, clock: &CommitClock) -> Option<(bool, bool)> {
+    /// Apply one op stamped with commit version `cv` — the version of the
+    /// clock window its caller holds open (the store's one commit function
+    /// in `write.rs`; a shard used on its own can pass any monotonic stamp)
+    /// — and publish the successor state. The shard's one write method:
+    /// returns `Some((applied, dirty))`, or `None` when a split/merge has
+    /// retired the shard (the caller re-routes against the new table).
+    /// `applied` is false, and nothing is published, for a delete of a key
+    /// the merged view holds no occurrence of; `dirty` is true when the
+    /// shard is at or over its rebuild threshold afterwards. The stamp is
+    /// `max`-folded so commits reaching the shard out of version order can
+    /// never move its `applied_cv` backwards.
+    pub fn try_apply(&self, op: BatchOp<K>, cv: u64) -> Option<(bool, bool)> {
         // lint: allow(panic) lock poisoning propagates a writer panic; continuing would publish torn state
         let _w = self.write.lock().expect("write lock poisoned");
         // lint: ordering(Relaxed) read under the shard write lock, which retire() also holds; the lock orders it
@@ -550,31 +504,27 @@ impl<K: Key> StoreShard<K> {
             return None;
         }
         let cur = self.state.load();
-        if cur.count_of(k) == 0 {
-            return Some((false, cur.delta.ops() >= self.threshold));
+        let net = match op {
+            BatchOp::Insert(_) => 1,
+            BatchOp::Delete(k) if cur.count_of(k) == 0 => {
+                return Some((false, cur.delta.ops() >= self.threshold));
+            }
+            BatchOp::Delete(_) => -1,
+        };
+        let mut delta = cur.delta.with_op(op.key(), net, MAX_RUN_LEN);
+        if delta.unsealed_run_count() >= COMPACT_RUNS {
+            // Inline amortised compaction: O(chain entries) once every
+            // `COMPACT_RUNS × MAX_RUN_LEN` ops keeps reads at a handful of
+            // binary searches without waiting for the maintenance worker.
+            delta = delta.compact();
         }
-        let cv = clock.begin();
-        let dirty = self.publish_op(k, -1, cv);
-        self.merged_len.fetch_sub(1, Ordering::AcqRel); // lint: ordering(AcqRel) release side of len()'s Acquire load: the count stays paired with the state published before it
-        clock.end();
-        Some((true, dirty))
-    }
-
-    /// Apply one delete inside an already-open clock window (see
-    /// [`StoreShard::try_insert_at`]).
-    pub(crate) fn try_delete_at(&self, k: K, cv: u64) -> Option<(bool, bool)> {
-        // lint: allow(panic) lock poisoning propagates a writer panic; continuing would publish torn state
-        let _w = self.write.lock().expect("write lock poisoned");
-        // lint: ordering(Relaxed) read under the shard write lock, which retire() also holds; the lock orders it
-        if self.retired.load(Ordering::Relaxed) {
-            return None;
+        let dirty = delta.ops() >= self.threshold;
+        self.publish_at(cur.snapshot.clone(), delta, cur.applied_cv.max(cv));
+        if net > 0 {
+            self.merged_len.fetch_add(1, Ordering::AcqRel); // lint: ordering(AcqRel) release side of len()'s Acquire load: the count stays paired with the state published before it
+        } else {
+            self.merged_len.fetch_sub(1, Ordering::AcqRel); // lint: ordering(AcqRel) release side of len()'s Acquire load: the count stays paired with the state published before it
         }
-        let cur = self.state.load();
-        if cur.count_of(k) == 0 {
-            return Some((false, cur.delta.ops() >= self.threshold));
-        }
-        let dirty = self.publish_op(k, -1, cv);
-        self.merged_len.fetch_sub(1, Ordering::AcqRel); // lint: ordering(AcqRel) release side of len()'s Acquire load: the count stays paired with the state published before it
         Some((true, dirty))
     }
 
@@ -604,65 +554,6 @@ impl<K: Key> StoreShard<K> {
     fn publish(&self, snapshot: Arc<ShardSnapshot<K>>, delta: DeltaChain<K>) -> Arc<ShardState<K>> {
         let applied_cv = self.state.load().applied_cv;
         self.publish_at(snapshot, delta, applied_cv)
-    }
-
-    /// Record one op stamped with commit version `cv` and publish the
-    /// successor state. The stamp is `max`-folded so a batch's single commit
-    /// version interleaving with later singles can never move a shard's
-    /// `applied_cv` backwards. Must hold `write`.
-    fn publish_op(&self, k: K, net: i64, cv: u64) -> bool {
-        let cur = self.state.load();
-        let mut delta = cur.delta.with_op(k, net, MAX_RUN_LEN);
-        if delta.unsealed_run_count() >= COMPACT_RUNS {
-            // Inline amortised compaction: O(chain entries) once every
-            // `COMPACT_RUNS × MAX_RUN_LEN` ops keeps reads at a handful of
-            // binary searches without waiting for the maintenance worker.
-            delta = delta.compact();
-        }
-        let dirty = delta.ops() >= self.threshold;
-        self.publish_at(cur.snapshot.clone(), delta, cur.applied_cv.max(cv));
-        dirty
-    }
-
-    /// Buffer one inserted occurrence of `k` on a shard that is not managed
-    /// by a store. Returns true when the write made (or left) the shard
-    /// dirty.
-    ///
-    /// Prefer [`StoreShard::try_insert`] whenever the shard might live under
-    /// a [`crate::ShardedStore`]: the store's rebalancer retires shards it
-    /// replaces, and the `try_*` form signals that with `None` so the caller
-    /// can re-route instead of failing.
-    ///
-    /// # Errors
-    /// [`RetiredShard`] if a split or merge has replaced this shard. Debug
-    /// builds assert first — writing to a retired shard directly is always a
-    /// routing bug — but release builds surface the typed error rather than
-    /// an ambient panic.
-    pub fn insert(&self, k: K) -> Result<bool, RetiredShard> {
-        let result = self.try_insert(k).ok_or(RetiredShard);
-        debug_assert!(
-            result.is_ok(),
-            "insert on a retired shard (re-route via the store table)"
-        );
-        result
-    }
-
-    /// Buffer a tombstone for one occurrence of `k` on an unmanaged shard.
-    /// Returns `(removed, dirty)`.
-    ///
-    /// Prefer [`StoreShard::try_delete`] under a [`crate::ShardedStore`];
-    /// see [`StoreShard::insert`] for the retirement contract.
-    ///
-    /// # Errors
-    /// [`RetiredShard`] if a split or merge has replaced this shard
-    /// (`debug_assert!`ed first, as for [`StoreShard::insert`]).
-    pub fn delete(&self, k: K) -> Result<(bool, bool), RetiredShard> {
-        let result = self.try_delete(k).ok_or(RetiredShard);
-        debug_assert!(
-            result.is_ok(),
-            "delete on a retired shard (re-route via the store table)"
-        );
-        result
     }
 
     /// True when the buffered operation count has reached the threshold
@@ -838,9 +729,16 @@ pub(crate) fn build_index<K: Key>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use BatchOp::{Delete, Insert};
 
     fn spec() -> IndexSpec {
         IndexSpec::parse("im+r1").unwrap()
+    }
+
+    /// Apply `op` to a live shard as the store's commit function would,
+    /// under a stamp of 0: `(applied, dirty)`.
+    fn apply(shard: &StoreShard<u64>, op: BatchOp<u64>) -> (bool, bool) {
+        shard.try_apply(op, 0).expect("the shard is live")
     }
 
     #[test]
@@ -849,15 +747,15 @@ mod tests {
         let shard = StoreShard::build(spec(), keys, 1_000, 1).unwrap();
         assert_eq!(shard.len(), 100);
         assert_eq!(shard.lower_bound(55), 6);
-        shard.insert(55).unwrap();
+        apply(&shard, Insert(55));
         assert_eq!(shard.len(), 101);
         assert_eq!(shard.lower_bound(55), 6);
         assert_eq!(shard.lower_bound(56), 7);
         assert_eq!(shard.count_of(55), 1);
-        let (removed, _) = shard.delete(55).unwrap();
+        let (removed, _) = apply(&shard, Delete(55));
         assert!(removed);
         assert_eq!(shard.count_of(55), 0);
-        let (removed, _) = shard.delete(55).unwrap();
+        let (removed, _) = apply(&shard, Delete(55));
         assert!(!removed, "deleting an absent key is a no-op");
         assert_eq!(shard.len(), 100);
     }
@@ -870,7 +768,7 @@ mod tests {
         assert!(!shard.rebuild().unwrap(), "clean shard does not rebuild");
         let mut dirty = false;
         for k in [1u64, 3, 5, 7, 9] {
-            dirty = shard.insert(k).unwrap();
+            dirty = apply(&shard, Insert(k)).1;
         }
         assert!(dirty);
         assert!(shard.is_dirty());
@@ -889,8 +787,8 @@ mod tests {
     fn delete_then_rebuild_shrinks_the_base() {
         let keys = vec![5u64, 5, 5, 9];
         let shard = StoreShard::build(spec(), keys, 100, 1).unwrap();
-        assert!(shard.delete(5).unwrap().0);
-        assert!(shard.delete(5).unwrap().0);
+        assert!(apply(&shard, Delete(5)).0);
+        assert!(apply(&shard, Delete(5)).0);
         assert_eq!(shard.len(), 2);
         shard.rebuild().unwrap();
         assert_eq!(shard.snapshot().keys(), &[5, 9]);
@@ -902,7 +800,7 @@ mod tests {
         let shard = StoreShard::build(spec(), Vec::<u64>::new(), 100, 1).unwrap();
         assert!(shard.is_empty());
         assert_eq!(shard.lower_bound(7), 0);
-        shard.insert(7).unwrap();
+        apply(&shard, Insert(7));
         assert_eq!(shard.len(), 1);
         assert_eq!(shard.lower_bound(7), 0);
         assert_eq!(shard.lower_bound(8), 1);
@@ -914,12 +812,12 @@ mod tests {
     fn a_pinned_state_is_immune_to_later_writes_and_rebuilds() {
         let keys: Vec<u64> = (0..100u64).collect();
         let shard = StoreShard::build(spec(), keys, 4, 1).unwrap();
-        shard.insert(1_000).unwrap();
+        apply(&shard, Insert(1_000));
         let pinned = shard.state();
         let v = pinned.version();
         assert_eq!(pinned.lower_bound(u64::MAX), 101);
         for k in 0..20u64 {
-            shard.insert(2_000 + k).unwrap(); // crosses the threshold — no rebuild yet
+            apply(&shard, Insert(2_000 + k)); // crosses the threshold — no rebuild yet
         }
         shard.rebuild().unwrap();
         // The pinned state still answers from its own epoch.
@@ -934,7 +832,7 @@ mod tests {
         let shard = StoreShard::build(spec(), vec![1u64, 2, 3], 1_000, 1).unwrap();
         let mut last = shard.state().version();
         for k in 0..10u64 {
-            shard.insert(k).unwrap();
+            apply(&shard, Insert(k));
             let v = shard.state().version();
             assert!(v > last);
             last = v;
@@ -949,7 +847,7 @@ mod tests {
         // chain would reach 2 × COMPACT_RUNS runs without the inline fold.
         let writes = 2 * COMPACT_RUNS * MAX_RUN_LEN;
         for k in 0..writes as u64 {
-            shard.insert(500 + k).unwrap();
+            apply(&shard, Insert(500 + k));
             assert!(shard.state().delta().run_count() < COMPACT_RUNS);
         }
         let state = shard.state();
@@ -984,9 +882,9 @@ mod tests {
 
         // Writes land in the chain of a cold shard exactly as a hot one.
         for shard in [&cold, &hot] {
-            shard.insert(10).unwrap();
-            shard.insert(9_001).unwrap();
-            assert!(shard.delete(6).unwrap().0);
+            apply(shard, Insert(10));
+            apply(shard, Insert(9_001));
+            assert!(apply(shard, Delete(6)).0);
         }
         let probes: Vec<u64> = (0..400).map(|i| i * 23).collect();
         for &q in &probes {
@@ -1020,15 +918,38 @@ mod tests {
     #[test]
     fn retired_shard_rejects_writes_but_still_serves_reads() {
         let shard = StoreShard::build(spec(), vec![1u64, 2, 3], 100, 1).unwrap();
-        shard.insert(10).unwrap();
+        apply(&shard, Insert(10));
         {
             let _w = shard.lock_write();
             shard.retire();
         }
         assert!(shard.is_retired());
-        assert_eq!(shard.try_insert(11), None);
-        assert_eq!(shard.try_delete(1), None);
+        let version = shard.state().version();
+        // Both op kinds, a key that is present and one that is not.
+        for op in [Insert(11), Delete(1), Delete(999)] {
+            assert_eq!(shard.try_apply(op, 7), None, "{op:?}");
+        }
+        assert_eq!(shard.state().version(), version, "nothing was published");
         assert_eq!(shard.lower_bound(u64::MAX), 4, "reads keep working");
         assert!(!shard.rebuild().unwrap(), "retired shards do not rebuild");
+    }
+
+    #[test]
+    fn deleting_an_absent_key_publishes_nothing() {
+        let shard = StoreShard::build(spec(), vec![1u64, 2, 3], 2, 1).unwrap();
+        let before = shard.state();
+        assert_eq!(shard.try_apply(Delete(9), 41), Some((false, false)));
+        let after = shard.state();
+        assert!(Arc::ptr_eq(&before, &after), "no successor state");
+        assert_eq!((after.version(), after.applied_cv()), (0, 0));
+        assert_eq!(shard.len(), 3);
+        // A delete that takes effect does stamp and publish; once the shard
+        // is at its threshold a no-op delete still reports it dirty.
+        assert_eq!(shard.try_apply(Delete(2), 41), Some((true, false)));
+        assert_eq!(shard.try_apply(Insert(5), 40), Some((true, true)));
+        let state = shard.state();
+        assert_eq!((state.version(), state.applied_cv()), (2, 41), "max-folded");
+        assert_eq!(shard.try_apply(Delete(2), 42), Some((false, true)));
+        assert_eq!(shard.state().version(), 2);
     }
 }

@@ -24,15 +24,15 @@ use crate::error::StoreError;
 use crate::obs::{self, HydrationReason, StoreObs, TraceEvent, TraceKind};
 use crate::persist::manifest::{Manifest, ManifestShard};
 use crate::persist::recovery::OpenBreakdown;
-use crate::persist::wal::WalOp;
+use crate::persist::wal::Frame;
 use crate::persist::{
     self, recovery, CheckpointTally, DurabilityStats, Persistence, ShardFileWriter, WrittenShard,
 };
 use crate::pool;
 use crate::router::ShardRouter;
-use crate::shard::{build_index, ShardSnapshot, StoreShard};
+use crate::shard::{build_index, ShardSnapshot, ShardState, StoreShard};
 use crate::snapshot::{PinnedCut, SnapshotHook, StoreSnapshot};
-use crate::txn::{ReadSet, Txn};
+use crate::txn::Txn;
 use crate::versions::{diff_cuts, VersionRing, VersionStats};
 use crate::worker::{HydrationWorker, MaintenanceWorker, WorkerSignal};
 use algo_index::search::RangeIndex;
@@ -165,13 +165,13 @@ enum SeedTask<K: Key> {
 /// worker: the published table, the configuration, the topology lock and
 /// the maintenance counters.
 pub(crate) struct StoreCore<K: Key> {
-    table: EpochCell<StoreTable<K>>,
-    config: StoreConfig,
+    pub(crate) table: EpochCell<StoreTable<K>>,
+    pub(crate) config: StoreConfig,
     /// The store-wide commit clock: assigns every applied write (and every
     /// applied batch) its monotonic commit version and lets snapshots
     /// capture a consistent per-shard state vector without blocking
     /// writers.
-    clock: CommitClock,
+    pub(crate) clock: CommitClock,
     /// Snapshot liveness gate: every write path holds a **read** guard
     /// across its commit-clock window, and a snapshot that keeps losing the
     /// seqlock race (a continuous write storm on few cores) takes the
@@ -179,35 +179,35 @@ pub(crate) struct StoreCore<K: Key> {
     /// and the capture succeeds immediately. Uncontended cost to writers is
     /// one atomic read-lock per op; the gate is never touched on the happy
     /// snapshot path.
-    write_gate: RwLock<()>,
+    pub(crate) write_gate: RwLock<()>,
     /// Serialises topology changes (splits and merges). Taken strictly
     /// before any shard's rebuild guard.
-    topology: Mutex<()>,
-    signal: Arc<WorkerSignal>,
+    pub(crate) topology: Mutex<()>,
+    pub(crate) signal: Arc<WorkerSignal>,
     /// The last captured consistent cut: while the commit clock still reads
     /// quiescent at its version, [`StoreCore::pin_cut`] reuses it instead
     /// of re-pinning every shard — snapshot acquisition (and transaction
     /// begin) is O(1) between writes instead of O(shards). Invalidated by
     /// topology changes (which republish the table without bumping the
     /// clock) so a stale cut never outlives its epoch unnoticed.
-    pin_cache: Mutex<Option<PinnedCut<K>>>,
+    pub(crate) pin_cache: Mutex<Option<PinnedCut<K>>>,
     /// Retained historical cuts serving
     /// [`crate::ShardedStore::snapshot_at`] and
     /// [`crate::ShardedStore::scan_between`]; empty (and never locked on
     /// the write path) unless [`StoreConfig::retain_versions`] is set.
-    versions: VersionRing<K>,
+    pub(crate) versions: VersionRing<K>,
     /// The durability layer — `Some` only for stores opened from a path.
-    persist: Option<Persistence>,
+    pub(crate) persist: Option<Persistence>,
     /// What the last checkpoint wrote (`None` until one ran, or after a
     /// failed one): the incremental checkpoint's skip oracle.
-    ckpt_memo: Mutex<Option<CheckpointMemo>>,
-    rebuilds: AtomicU64,
-    splits: AtomicU64,
-    merges: AtomicU64,
+    pub(crate) ckpt_memo: Mutex<Option<CheckpointMemo>>,
+    pub(crate) rebuilds: AtomicU64,
+    pub(crate) splits: AtomicU64,
+    pub(crate) merges: AtomicU64,
     /// The observability registry every instrumentation site records into:
     /// op counters, latency histograms, the maintenance trace ring and the
     /// bounded error ring (which replaced the old single-error slot).
-    obs: Arc<StoreObs>,
+    pub(crate) obs: Arc<StoreObs>,
 }
 
 impl<K: Key> StoreCore<K> {
@@ -219,7 +219,7 @@ impl<K: Key> StoreCore<K> {
         Arc::clone(&self.signal)
     }
 
-    fn load_table(&self) -> Arc<StoreTable<K>> {
+    pub(crate) fn load_table(&self) -> Arc<StoreTable<K>> {
         self.table.load()
     }
 
@@ -244,6 +244,15 @@ impl<K: Key> StoreCore<K> {
         }
     }
 
+    /// Pin the table and every shard's published state — the closure every
+    /// consistent cut runs inside a quiescent clock window, and what the
+    /// checkpoint cut and the metrics scrape take under their own rules.
+    pub(crate) fn pin_states(&self) -> (Arc<StoreTable<K>>, Vec<Arc<ShardState<K>>>) {
+        let table = self.load_table();
+        let states = table.shards.iter().map(|s| s.state()).collect();
+        (table, states)
+    }
+
     /// Capture (or reuse) the current consistent cut. The fast path serves
     /// the cached cut whenever the clock still reads quiescent at its
     /// version — no write happened since the cut was pinned, so it is still
@@ -259,12 +268,9 @@ impl<K: Key> StoreCore<K> {
                 }
             }
         }
-        let mut pin = || {
-            let table = self.load_table();
-            let states: Vec<_> = table.shards.iter().map(|s| s.state()).collect();
-            (table, states)
-        };
-        let (cut, failed_pins) = self.clock.try_read_consistent_counted(128, &mut pin);
+        let (cut, failed_pins) = self
+            .clock
+            .try_read_consistent_counted(128, || self.pin_states());
         if failed_pins > 0 {
             self.obs
                 .count(&self.obs.snap_pin_retries, u64::from(failed_pins));
@@ -275,7 +281,7 @@ impl<K: Key> StoreCore<K> {
                 self.obs.count(&self.obs.write_gate_fallbacks, 1);
                 let _gate = self.write_gate.write().expect("write gate poisoned"); // lint: allow(panic) lock poisoning propagates a holder's panic; no sound continuation
                                                                                    // No window can be open or opened: first attempt succeeds.
-                self.clock.read_consistent(&mut pin)
+                self.clock.read_consistent(|| self.pin_states())
             }
         };
         let cut = PinnedCut::new(table, states, version);
@@ -289,12 +295,8 @@ impl<K: Key> StoreCore<K> {
     /// under it) or the write gate's write side. No commit window can be
     /// open or opened, so the first seqlock attempt always succeeds. Never
     /// call this without that exclusion: it would spin under a write storm.
-    fn pin_cut_quiescent(&self) -> PinnedCut<K> {
-        let ((table, states), version) = self.clock.read_consistent(|| {
-            let table = self.load_table();
-            let states: Vec<_> = table.shards.iter().map(|s| s.state()).collect();
-            (table, states)
-        });
+    pub(crate) fn pin_cut_quiescent(&self) -> PinnedCut<K> {
+        let ((table, states), version) = self.clock.read_consistent(|| self.pin_states());
         let cut = PinnedCut::new(table, states, version);
         // lint: allow(panic) lock poisoning propagates a holder's panic; no sound continuation
         *self.pin_cache.lock().expect("pin cache poisoned") = Some(cut.clone());
@@ -311,21 +313,9 @@ impl<K: Key> StoreCore<K> {
         if !self.versions.enabled() {
             return;
         }
-        let pinned = self.clock.try_read_consistent(8, || {
-            let table = self.load_table();
-            let states: Vec<_> = table.shards.iter().map(|s| s.state()).collect();
-            (table, states)
-        });
+        let pinned = self.clock.try_read_consistent(8, || self.pin_states());
         if let Some(((table, states), version)) = pinned {
             let cut = PinnedCut::new(table, states, version);
-            self.record_evictions(self.versions.capture(cut));
-        }
-    }
-
-    /// Retain `cut` deterministically (the caller pinned it inside a
-    /// writer-excluded critical section) and account any evictions.
-    fn retain_cut(&self, cut: PinnedCut<K>) {
-        if self.versions.enabled() {
             self.record_evictions(self.versions.capture(cut));
         }
     }
@@ -344,11 +334,8 @@ impl<K: Key> StoreCore<K> {
     /// Count and trace version-ring evictions: one
     /// [`TraceKind::VersionEvicted`] per dropped cut, stamped with the
     /// evicted commit version and carrying the remaining retained count.
-    fn record_evictions(&self, evicted: Vec<(u64, usize)>) {
-        self.record_evictions_counted(evicted);
-    }
-
-    fn record_evictions_counted(&self, evicted: Vec<(u64, usize)>) -> usize {
+    /// Returns how many there were.
+    pub(crate) fn record_evictions(&self, evicted: Vec<(u64, usize)>) -> usize {
         let n = evicted.len();
         for (cv, remaining) in evicted {
             self.obs.count(&self.obs.version_evictions, 1);
@@ -363,7 +350,7 @@ impl<K: Key> StoreCore<K> {
 
     /// Push a maintenance trace event, pinned to a shard position when one
     /// is known, stamped with the newest assigned commit version.
-    fn emit_event(&self, kind: TraceKind, shard: Option<usize>, payload: u64) {
+    pub(crate) fn emit_event(&self, kind: TraceKind, shard: Option<usize>, payload: u64) {
         let cv = self.clock.version();
         self.obs.emit(match shard {
             Some(s) => TraceEvent::shard(kind, s, cv, payload),
@@ -376,7 +363,7 @@ impl<K: Key> StoreCore<K> {
     /// model — so it is additionally counted (and traced) as one; it still
     /// counts into [`crate::ShardedStore::total_rebuilds`], which has always
     /// included hydrations.
-    fn rebuild_shard(&self, shard: &Arc<StoreShard<K>>) -> Result<bool, BuildError> {
+    pub(crate) fn rebuild_shard(&self, shard: &Arc<StoreShard<K>>) -> Result<bool, BuildError> {
         let was_cold = shard.snapshot().is_cold();
         let t0 = self.obs.phase_start();
         let rebuilt = shard.rebuild()?;
@@ -443,7 +430,7 @@ impl<K: Key> StoreCore<K> {
         actions += self.rebalance()?;
         // Age out retained versions past the policy's max_age (count-bound
         // eviction already happened at capture time).
-        let aged = self.record_evictions_counted(self.versions.evict_stale());
+        let aged = self.record_evictions(self.versions.evict_stale());
         actions += aged;
         if self.persist.as_ref().is_some_and(|p| p.checkpoint_due()) {
             self.checkpoint()?;
@@ -482,13 +469,8 @@ impl<K: Key> StoreCore<K> {
         };
         let t0 = self.obs.phase_start();
         let _gate = p.checkpoint_gate();
-        let (cv, seq, (fences, states)) = p.begin_checkpoint(|| {
-            let table = self.load_table();
-            let fences: Vec<u64> = table.router.fences().iter().map(|f| f.to_u64()).collect();
-            let states: Vec<Arc<crate::shard::ShardState<K>>> =
-                table.shards.iter().map(|s| s.state()).collect();
-            (fences, states)
-        })?;
+        let (cv, seq, (table, states)) = p.begin_checkpoint(|| self.pin_states())?;
+        let fences: Vec<u64> = table.router.fences().iter().map(|f| f.to_u64()).collect();
         // Take the memo out for the duration: a checkpoint that fails
         // mid-write leaves `None` behind, and the next attempt rewrites
         // everything rather than trusting a cut that never finished.
@@ -913,7 +895,7 @@ impl<K: Key> StoreCore<K> {
             "store_merges_total",
             self.merges.load(Ordering::Relaxed), // lint: ordering(Relaxed) stats read; no synchronising role
         ));
-        let table = self.load_table();
+        let (table, live) = self.pin_states();
         let mut keys = 0u64;
         let mut cold = 0u64;
         let mut delta_runs = 0u64;
@@ -936,8 +918,6 @@ impl<K: Key> StoreCore<K> {
             delta_depth_max as f64,
         ));
         metrics.push(obs::gauge_metric("store_delta_keys", delta_keys as f64));
-        let live: Vec<Arc<crate::shard::ShardState<K>>> =
-            table.shards.iter().map(|s| s.state()).collect();
         let vs = self.versions.stats(&live);
         metrics.push(obs::gauge_metric(
             "store_retained_versions",
@@ -1008,9 +988,10 @@ impl<K: Key> StoreCore<K> {
 /// pinned table and is exact whenever no write races it.
 pub struct ShardedStore<K: Key> {
     core: Arc<StoreCore<K>>,
-    /// Background maintenance thread; dropped (stopped and joined) with the
-    /// store. `None` unless `background_maintenance` is configured.
-    worker: Option<MaintenanceWorker>,
+    /// Background maintenance thread, held only to be dropped (stopped and
+    /// joined) with the store. `None` unless `background_maintenance` is
+    /// configured.
+    _worker: Option<MaintenanceWorker>,
     /// Background hydration thread; `Some` only when a cold-start open
     /// mounted at least one cold shard. Dropped with the store.
     hydrator: Option<HydrationWorker>,
@@ -1273,7 +1254,7 @@ impl<K: Key> ShardedStore<K> {
             .then(|| HydrationWorker::spawn(Arc::clone(&core)));
         Self {
             core,
-            worker,
+            _worker: worker,
             hydrator,
             breakdown,
             metrics_server,
@@ -1334,10 +1315,7 @@ impl<K: Key> ShardedStore<K> {
     /// held and approximately how many heap bytes they pin beyond the live
     /// state (structures shared between cuts counted once).
     pub fn version_stats(&self) -> VersionStats {
-        let table = self.core.load_table();
-        let live: Vec<Arc<crate::shard::ShardState<K>>> =
-            table.shards.iter().map(|s| s.state()).collect();
-        self.core.versions.stats(&live)
+        self.core.versions.stats(&self.core.pin_states().1)
     }
 
     /// The ordered key-level diff between two retained commit versions —
@@ -1380,7 +1358,7 @@ impl<K: Key> ShardedStore<K> {
     /// never blocks writers; dropping an uncommitted transaction is free.
     pub fn begin(&self) -> Txn<'_, K> {
         self.core.obs.count(&self.core.obs.txn_begins, 1);
-        Txn::new(self, self.core.snapshot())
+        Txn::new(&self.core, self.core.snapshot())
     }
 
     /// Run `body` in a fresh transaction and commit, retrying up to
@@ -1520,20 +1498,9 @@ impl<K: Key> ShardedStore<K> {
     /// [`StoreError::Build`] from a shard rebuild (cannot happen for
     /// store-managed chains; see [`StoreShard::rebuild`]).
     pub fn insert(&self, k: K) -> Result<(), StoreError> {
-        // The sampled timer covers what the caller experiences: WAL append,
-        // in-memory apply, and any inline rebuild the write triggered.
-        let timer = self.core.obs.write_start();
-        let dirty = match &self.core.persist {
-            Some(p) => p.append(WalOp::Insert, k.to_u64(), |_version| self.apply_insert(k))?,
-            None => self.apply_insert(k),
-        };
-        self.core.obs.count(&self.core.obs.writes, 1);
-        self.core.retain_current();
-        if let Some(shard) = dirty {
-            self.on_dirty(&shard)?;
-        }
-        self.core.obs.write_done(timer);
-        Ok(())
+        self.core
+            .commit(&[BatchOp::Insert(k)], Frame::Op, None)
+            .map(drop)
     }
 
     /// Delete one occurrence of `k`. Returns true when an occurrence existed
@@ -1543,20 +1510,8 @@ impl<K: Key> ShardedStore<K> {
     /// # Errors
     /// As for [`ShardedStore::insert`].
     pub fn delete(&self, k: K) -> Result<bool, StoreError> {
-        let timer = self.core.obs.write_start();
-        let (removed, dirty) = match &self.core.persist {
-            Some(p) => p.append(WalOp::Delete, k.to_u64(), |_version| self.apply_delete(k))?,
-            None => self.apply_delete(k),
-        };
-        // A no-op delete (no occurrence) still counts: it was applied (and,
-        // durable, logged).
-        self.core.obs.count(&self.core.obs.deletes, 1);
-        self.core.retain_current();
-        if let Some(shard) = dirty {
-            self.on_dirty(&shard)?;
-        }
-        self.core.obs.write_done(timer);
-        Ok(removed)
+        let receipt = self.core.commit(&[BatchOp::Delete(k)], Frame::Op, None)?;
+        Ok(receipt.deleted == 1)
     }
 
     /// Apply the staged operations of `batch` **atomically**: one commit
@@ -1576,245 +1531,7 @@ impl<K: Key> ShardedStore<K> {
     /// As for [`ShardedStore::insert`]; a failed WAL append means *nothing*
     /// of the batch was applied.
     pub fn apply(&self, batch: &WriteBatch<K>) -> Result<BatchReceipt, StoreError> {
-        if batch.is_empty() {
-            return Ok(BatchReceipt::default());
-        }
-        let timer = self.core.obs.write_start();
-        let (receipt, dirty) = match &self.core.persist {
-            Some(p) => {
-                let ops: Vec<(WalOp, u64)> = batch
-                    .ops()
-                    .iter()
-                    .map(|op| match *op {
-                        BatchOp::Insert(k) => (WalOp::Insert, k.to_u64()),
-                        BatchOp::Delete(k) => (WalOp::Delete, k.to_u64()),
-                    })
-                    .collect();
-                p.append_batch(&ops, |_version| self.apply_batch_mem(batch))?
-            }
-            None => self.apply_batch_mem(batch),
-        };
-        if self.core.obs.enabled() {
-            let (ins, del) = batch
-                .ops()
-                .iter()
-                .fold((0u64, 0u64), |(i, d), op| match op {
-                    BatchOp::Insert(_) => (i + 1, d),
-                    BatchOp::Delete(_) => (i, d + 1),
-                });
-            self.core.obs.count(&self.core.obs.writes, ins);
-            self.core.obs.count(&self.core.obs.deletes, del);
-            self.core.obs.count(&self.core.obs.batches, 1);
-        }
-        self.core.retain_current();
-        for shard in dirty {
-            self.on_dirty(&shard)?;
-        }
-        self.core.obs.write_done(timer);
-        Ok(receipt)
-    }
-
-    /// Apply a batch in memory inside one commit-clock window: every op is
-    /// stamped with the batch's single commit version, and no snapshot can
-    /// cut between two ops of the batch. Returns the receipt and the shards
-    /// the batch made dirty (deduplicated).
-    fn apply_batch_mem(&self, batch: &WriteBatch<K>) -> (BatchReceipt, Vec<Arc<StoreShard<K>>>) {
-        let _gate = self.core.write_gate.read().expect("write gate poisoned"); // lint: allow(panic) lock poisoning propagates a holder's panic; no sound continuation
-        self.apply_batch_under_gate(batch)
-    }
-
-    /// [`ShardedStore::apply_batch_mem`] for a caller already holding the
-    /// write gate (either side — `std`'s `RwLock` is not reentrant, and the
-    /// in-memory transaction commit applies under the gate's *write* side).
-    fn apply_batch_under_gate(
-        &self,
-        batch: &WriteBatch<K>,
-    ) -> (BatchReceipt, Vec<Arc<StoreShard<K>>>) {
-        let cv = self.core.clock.begin();
-        let mut receipt = BatchReceipt {
-            commit_version: cv,
-            inserted: 0,
-            deleted: 0,
-        };
-        let mut dirty: Vec<Arc<StoreShard<K>>> = Vec::new();
-        let mut note_dirty = |shard: &Arc<StoreShard<K>>| {
-            if !dirty.iter().any(|s| Arc::ptr_eq(s, shard)) {
-                dirty.push(Arc::clone(shard));
-            }
-        };
-        for op in batch.ops() {
-            // Route against the freshest table, re-routing around shards a
-            // concurrent split/merge retires (as the single-op paths do).
-            loop {
-                let table = self.core.load_table();
-                match *op {
-                    BatchOp::Insert(k) => {
-                        let shard = &table.shards[table.router.shard_of(k)];
-                        if let Some(d) = shard.try_insert_at(k, cv) {
-                            receipt.inserted += 1;
-                            if d {
-                                note_dirty(shard);
-                            }
-                            break;
-                        }
-                    }
-                    BatchOp::Delete(k) => {
-                        let shard = &table.shards[table.router.shard_of(k)];
-                        if let Some((removed, d)) = shard.try_delete_at(k, cv) {
-                            receipt.deleted += removed as usize;
-                            if d {
-                                note_dirty(shard);
-                            }
-                            break;
-                        }
-                    }
-                }
-            }
-        }
-        self.core.clock.end();
-        (receipt, dirty)
-    }
-
-    /// Validate and commit an optimistic transaction (the engine behind
-    /// [`Txn::commit`]): inside the same serialization point every plain
-    /// write uses — the WAL frame lock for durable stores, the write gate's
-    /// write side for in-memory ones — revalidate the read set against the
-    /// store's current cut and, only if every recorded observation still
-    /// holds, apply the buffered batch. Validation runs *before* the WAL
-    /// frame is appended, so a conflicted transaction writes no bytes and
-    /// consumes no commit version; a validated one inherits the plain batch
-    /// path end to end (one frame, one sync, group commit, all-or-nothing
-    /// replay).
-    pub(crate) fn commit_txn(
-        &self,
-        snap: StoreSnapshot<K>,
-        reads: ReadSet<K>,
-        writes: WriteBatch<K>,
-    ) -> Result<BatchReceipt, StoreError> {
-        // A read-only transaction commits trivially: its snapshot reads
-        // were consistent at the snapshot version by construction.
-        if writes.is_empty() {
-            self.core.obs.count(&self.core.obs.txn_commits, 1);
-            return Ok(BatchReceipt::default());
-        }
-        let base_version = snap.version();
-        drop(snap); // the read set carries everything validation needs
-        let timer = self.core.obs.write_start();
-        // Validate at the store's current cut, pinned while the caller has
-        // writers excluded (the closure runs under the WAL frame lock /
-        // write gate, so the quiescent pin succeeds first try). The
-        // fast path skips validation when no write committed since the
-        // transaction began.
-        let validate = || -> Result<(), StoreError> {
-            if self.core.clock.version() == base_version {
-                return Ok(());
-            }
-            let at = StoreSnapshot::from_cut(self.core.pin_cut_quiescent(), None);
-            reads.validate(&at)
-        };
-        let result = match &self.core.persist {
-            Some(p) => {
-                let ops: Vec<(WalOp, u64)> = writes
-                    .ops()
-                    .iter()
-                    .map(|op| match *op {
-                        BatchOp::Insert(k) => (WalOp::Insert, k.to_u64()),
-                        BatchOp::Delete(k) => (WalOp::Delete, k.to_u64()),
-                    })
-                    .collect();
-                p.append_batch_validated(&ops, validate, |_version| {
-                    let out = self.apply_batch_mem(&writes);
-                    // Still under the WAL frame lock: retain this commit's
-                    // cut deterministically (the pin cannot race a writer).
-                    if self.core.versions.enabled() {
-                        let cut = self.core.pin_cut_quiescent();
-                        self.core.retain_cut(cut);
-                    }
-                    out
-                })
-            }
-            None => {
-                // In-memory: the gate's write side drains in-flight commit
-                // windows and blocks new ones — validation and apply become
-                // one atomic step against every other writer.
-                let _gate = self.core.write_gate.write().expect("write gate poisoned"); // lint: allow(panic) lock poisoning propagates a holder's panic; no sound continuation
-                validate().map(|()| {
-                    let out = self.apply_batch_under_gate(&writes);
-                    if self.core.versions.enabled() {
-                        let cut = self.core.pin_cut_quiescent();
-                        self.core.retain_cut(cut);
-                    }
-                    out
-                })
-            }
-        };
-        let (receipt, dirty) = match result {
-            Ok(out) => out,
-            Err(e) => {
-                if let StoreError::TxnConflict { point, .. } = &e {
-                    self.core.obs.count(&self.core.obs.txn_conflicts, 1);
-                    self.core
-                        .emit_event(TraceKind::TxnConflict, None, point.unwrap_or(u64::MAX));
-                }
-                self.core.obs.write_done(timer);
-                return Err(e);
-            }
-        };
-        if self.core.obs.enabled() {
-            let (ins, del) = writes
-                .ops()
-                .iter()
-                .fold((0u64, 0u64), |(i, d), op| match op {
-                    BatchOp::Insert(_) => (i + 1, d),
-                    BatchOp::Delete(_) => (i, d + 1),
-                });
-            self.core.obs.count(&self.core.obs.writes, ins);
-            self.core.obs.count(&self.core.obs.deletes, del);
-            self.core.obs.count(&self.core.obs.batches, 1);
-        }
-        self.core.obs.count(&self.core.obs.txn_commits, 1);
-        for shard in dirty {
-            self.on_dirty(&shard)?;
-        }
-        self.core.obs.write_done(timer);
-        Ok(receipt)
-    }
-
-    /// Apply an insert in memory, re-routing around retired shards (one
-    /// replaced by a concurrent split/merge refuses the write; reload the
-    /// freshly published table and retry). Returns the shard to maintain
-    /// when the write made it dirty.
-    fn apply_insert(&self, k: K) -> Option<Arc<StoreShard<K>>> {
-        let _gate = self.core.write_gate.read().expect("write gate poisoned"); // lint: allow(panic) lock poisoning propagates a holder's panic; no sound continuation
-        loop {
-            let table = self.core.load_table();
-            let shard = &table.shards[table.router.shard_of(k)];
-            if let Some(dirty) = shard.try_insert_clocked(k, &self.core.clock) {
-                return dirty.then(|| Arc::clone(shard));
-            }
-        }
-    }
-
-    /// Apply a delete in memory (see [`ShardedStore::apply_insert`]).
-    fn apply_delete(&self, k: K) -> (bool, Option<Arc<StoreShard<K>>>) {
-        let _gate = self.core.write_gate.read().expect("write gate poisoned"); // lint: allow(panic) lock poisoning propagates a holder's panic; no sound continuation
-        loop {
-            let table = self.core.load_table();
-            let shard = &table.shards[table.router.shard_of(k)];
-            if let Some((removed, dirty)) = shard.try_delete_clocked(k, &self.core.clock) {
-                return (removed, dirty.then(|| Arc::clone(shard)));
-            }
-        }
-    }
-
-    /// React to a shard crossing its delta threshold.
-    fn on_dirty(&self, shard: &Arc<StoreShard<K>>) -> Result<(), BuildError> {
-        if self.worker.is_some() {
-            self.core.signal.kick();
-        } else if self.core.config.auto_rebuild {
-            self.core.rebuild_shard(shard)?;
-        }
-        Ok(())
+        self.core.commit(batch.ops(), Frame::Batch, None)
     }
 
     /// Take an epoch-consistent checkpoint now: snapshot every shard's
@@ -1988,9 +1705,7 @@ impl<K: Key> ShardedStore<K> {
     /// Propagates the first shard rebuild failure.
     pub fn maintain(&self) -> Result<usize, StoreError> {
         let rebuilt = self.core.rebuild_where(|s| s.is_dirty())?;
-        let aged = self
-            .core
-            .record_evictions_counted(self.core.versions.evict_stale());
+        let aged = self.core.record_evictions(self.core.versions.evict_stale());
         Ok(rebuilt + aged)
     }
 
@@ -2346,8 +2061,7 @@ mod tests {
             .shards(2)
             .delta_threshold(64)
             .auto_rebuild(false)
-            .background_maintenance(true)
-            .maintenance_interval(std::time::Duration::from_millis(1));
+            .background_maintenance(true);
         let store = ShardedStore::build(config, &keys).unwrap();
         for i in 0..1_000u64 {
             store.insert(i * 7).unwrap();

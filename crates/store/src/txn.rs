@@ -36,7 +36,8 @@
 use crate::batch::{BatchOp, WriteBatch};
 use crate::error::StoreError;
 use crate::merge;
-use crate::sharded::ShardedStore;
+use crate::persist::wal::Frame;
+use crate::sharded::StoreCore;
 use crate::snapshot::StoreSnapshot;
 use sosd_data::key::Key;
 
@@ -44,6 +45,8 @@ use sosd_data::key::Key;
 /// cheaply at commit: exact counts for points, fingerprints for ranges.
 #[derive(Debug, Default)]
 pub(crate) struct ReadSet<K: Key> {
+    /// The commit version of the snapshot the observations were made at.
+    base_version: u64,
     /// `(key, occurrence count observed at the snapshot)`.
     points: Vec<(K, usize)>,
     /// `(lo, hi, fingerprint of the snapshot scan result)`.
@@ -51,6 +54,12 @@ pub(crate) struct ReadSet<K: Key> {
 }
 
 impl<K: Key> ReadSet<K> {
+    /// The commit version the transaction read at: while it is still the
+    /// store's newest, nothing can have invalidated an observation.
+    pub(crate) fn base_version(&self) -> u64 {
+        self.base_version
+    }
+
     /// `(point reads, range reads)` recorded so far.
     fn len(&self) -> (usize, usize) {
         (self.points.len(), self.ranges.len())
@@ -132,18 +141,22 @@ fn overlay_scan<K: Key>(snap_keys: Vec<K>, writes: &WriteBatch<K>, lo: K, hi: K)
 /// Dropping a `Txn` without committing abandons it: nothing was ever
 /// applied, logged or locked, so abort is free.
 pub struct Txn<'s, K: Key> {
-    store: &'s ShardedStore<K>,
+    core: &'s StoreCore<K>,
     snap: StoreSnapshot<K>,
     reads: ReadSet<K>,
     writes: WriteBatch<K>,
 }
 
 impl<'s, K: Key> Txn<'s, K> {
-    pub(crate) fn new(store: &'s ShardedStore<K>, snap: StoreSnapshot<K>) -> Self {
+    pub(crate) fn new(core: &'s StoreCore<K>, snap: StoreSnapshot<K>) -> Self {
+        let reads = ReadSet {
+            base_version: snap.version(),
+            ..ReadSet::default()
+        };
         Self {
-            store,
+            core,
             snap,
-            reads: ReadSet::default(),
+            reads,
             writes: WriteBatch::new(),
         }
     }
@@ -215,13 +228,10 @@ impl<'s, K: Key> Txn<'s, K> {
     /// without any validation cost; a read-only commit returns the empty
     /// receipt, exactly like applying an empty batch.
     pub fn commit(self) -> Result<crate::batch::BatchReceipt, StoreError> {
-        let Txn {
-            store,
-            snap,
-            reads,
-            writes,
-        } = self;
-        store.commit_txn(snap, reads, writes)
+        // The read set carries everything validation needs; the snapshot is
+        // dropped (unpinned) when `self` is.
+        self.core
+            .commit(self.writes.ops(), Frame::Batch, Some(&self.reads))
     }
 }
 

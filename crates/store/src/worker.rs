@@ -16,8 +16,7 @@
 //! contains whole [`crate::WriteBatch`]es, because batches apply under the
 //! same WAL lock the cut pins states under. Between passes it sleeps on a
 //! condition variable: a threshold-crossing write *kicks* it awake
-//! immediately, otherwise it wakes every
-//! [`crate::StoreConfig::maintenance_interval`].
+//! immediately, otherwise it wakes every [`IDLE_INTERVAL`].
 //!
 //! The worker owns nothing but a shared handle to the store's core; dropping
 //! the store signals the worker to stop and joins the thread, so no
@@ -29,6 +28,13 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
+
+/// How long the maintenance worker sleeps between passes when nothing wakes
+/// it early. Not a knob: a threshold-crossing write kicks the worker at
+/// once, so the interval only paces the duties no write announces (idle
+/// compaction, rebalancing, version ageing, the checkpoint trigger), and
+/// every caller that ever set it chose this value.
+pub const IDLE_INTERVAL: Duration = Duration::from_millis(1);
 
 /// Wake-up channel between the store's write path and the worker thread.
 #[derive(Debug, Default)]
@@ -62,15 +68,15 @@ impl WorkerSignal {
         self.cv.notify_one();
     }
 
-    /// Sleep until kicked, stopped or `interval` elapsed. Returns true when
-    /// the worker should exit.
-    fn wait(&self, interval: Duration) -> bool {
+    /// Sleep until kicked, stopped or [`IDLE_INTERVAL`] elapsed. Returns
+    /// true when the worker should exit.
+    fn wait(&self) -> bool {
         // lint: allow(panic) signal-lock poisoning means a worker panicked holding it; propagate
         let mut flags = self.flags.lock().expect("worker signal poisoned");
         if !flags.stop && !flags.kicked {
             let (guard, _timeout) = self
                 .cv
-                .wait_timeout(flags, interval)
+                .wait_timeout(flags, IDLE_INTERVAL)
                 // lint: allow(panic) signal-lock poisoning means a worker panicked holding it; propagate
                 .expect("worker signal poisoned");
             flags = guard;
@@ -99,12 +105,11 @@ impl MaintenanceWorker {
     /// [`crate::ShardedStore::take_maintenance_errors`] to surface.
     pub(crate) fn spawn<K: Key>(core: Arc<StoreCore<K>>) -> Self {
         let signal = core.signal();
-        let interval = core.config().maintenance_interval;
         let thread_signal = Arc::clone(&signal);
         let handle = std::thread::Builder::new()
             .name("shift-store-maintenance".into())
             .spawn(move || {
-                while !thread_signal.wait(interval) {
+                while !thread_signal.wait() {
                     if let Err(e) = core.maintenance_pass() {
                         core.record_maintenance_error(e);
                     }

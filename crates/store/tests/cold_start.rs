@@ -1,11 +1,12 @@
 //! Snapshot-format-v2 acceptance tests: incremental checkpoints (clean
 //! shards skipped, bytes reused, cross-restart memo), streaming cold-start
 //! opens (cold reads equal hot reads, hydration converges), block-confined
-//! corruption detection, v1 backward compatibility, byte-for-byte
-//! compatibility with a checked-in store directory, and online WAL repair.
+//! corruption detection, the typed rejection of files that are not v2
+//! snapshots, byte-for-byte compatibility with a checked-in store
+//! directory, and online WAL repair.
 
 use algo_index::RangeIndex;
-use shift_store::persist::{manifest, snapshot, wal};
+use shift_store::persist::{manifest, snapshot_name, wal};
 use shift_store::{
     DurabilityConfig, ShardedStore, StoreConfig, StoreError, SyncPolicy, WriteBatch,
 };
@@ -305,11 +306,11 @@ fn incremental_checkpoints_skip_clean_shards_and_survive_reopen() {
     let manifests = manifest::list_manifests(&dir).unwrap();
     assert_eq!(manifests.len(), 1);
     assert_eq!(manifests[0].0, 2);
-    assert!(!dir.join(snapshot::snapshot_name(1, 0)).exists());
-    assert!(dir.join(snapshot::snapshot_name(2, 0)).exists());
+    assert!(!dir.join(snapshot_name(1, 0)).exists());
+    assert!(dir.join(snapshot_name(2, 0)).exists());
     for shard in 1..shard_count as usize {
         assert!(
-            dir.join(snapshot::snapshot_name(1, shard)).exists(),
+            dir.join(snapshot_name(1, shard)).exists(),
             "shard {shard}'s seed snapshot must be re-referenced, not rewritten"
         );
     }
@@ -395,7 +396,7 @@ fn checkpoint_rewrites_a_shard_whose_reused_snapshot_file_is_gone() {
     let before = store.durability_stats().unwrap();
     assert_eq!(before.checkpoint_shards_skipped, shard_count);
 
-    std::fs::remove_file(dir.join(snapshot::snapshot_name(1, 1))).unwrap();
+    std::fs::remove_file(dir.join(snapshot_name(1, 1))).unwrap();
     store.checkpoint().unwrap();
     let after = store.durability_stats().unwrap();
     assert_eq!(
@@ -407,7 +408,7 @@ fn checkpoint_rewrites_a_shard_whose_reused_snapshot_file_is_gone() {
         after.checkpoint_shards_skipped,
         before.checkpoint_shards_skipped + shard_count - 1
     );
-    assert!(dir.join(snapshot::snapshot_name(3, 1)).exists());
+    assert!(dir.join(snapshot_name(3, 1)).exists());
     drop(store);
 
     let reopened = ShardedStore::<u64>::open(&dir, durable_config()).unwrap();
@@ -508,19 +509,15 @@ fn failed_and_interrupted_seedings_leave_a_directory_that_seeds_again() {
     // WAL segment, no manifest.
     let killed = scratch("seed-killed");
     std::fs::create_dir_all(&killed).unwrap();
-    let whole = std::fs::read(clean.join(snapshot::snapshot_name(1, 0))).unwrap();
-    std::fs::write(
-        killed.join(snapshot::snapshot_name(1, 0)),
-        &whole[..whole.len() / 3],
-    )
-    .unwrap();
+    let whole = std::fs::read(clean.join(snapshot_name(1, 0))).unwrap();
+    std::fs::write(killed.join(snapshot_name(1, 0)), &whole[..whole.len() / 3]).unwrap();
     std::fs::write(killed.join(wal::segment_name(1)), b"").unwrap();
     assert_seeds_like_clean(&killed, "after a kill mid-write");
 
     // (d) The writer lane cannot create its second file (a directory sits
     // on the name): the I/O error surfaces, typed, and no manifest lands.
     let blocked = scratch("seed-blocked");
-    let obstacle = blocked.join(snapshot::snapshot_name(1, 1));
+    let obstacle = blocked.join(snapshot_name(1, 1));
     std::fs::create_dir_all(&obstacle).unwrap();
     let err = ShardedStore::open_seeded(&blocked, durable_config(), &keys)
         .err()
@@ -552,7 +549,7 @@ fn a_failed_write_task_mid_queue_cancels_later_writes_and_the_retry_is_clean() {
     assert_eq!(files_named(&clean, "snap-").len(), 16);
 
     let blocked = scratch("pool-blocked");
-    let obstacle = blocked.join(snapshot::snapshot_name(1, 7));
+    let obstacle = blocked.join(snapshot_name(1, 7));
     assert_eq!(obstacle.file_name().unwrap(), "snap-0000000001-0007.snap");
     std::fs::create_dir_all(&obstacle).unwrap();
     let err = ShardedStore::open_seeded(&blocked, config, &keys)
@@ -685,7 +682,7 @@ fn a_512_shard_build_and_seeding_agree_with_the_oracle_in_router_order() {
     let manifest = manifest::load_manifest(newest).unwrap();
     assert_eq!(manifest.shards.len(), 512);
     for (i, entry) in manifest.shards.iter().enumerate() {
-        assert_eq!(entry.snapshot, snapshot::snapshot_name(1, i));
+        assert_eq!(entry.snapshot, snapshot_name(1, i));
         let (_, chunk): (u64, Vec<u64>) =
             shift_store::persist::v2::read_snapshot_v2(&dir.join(&entry.snapshot)).unwrap();
         assert!(chunk == keys[bounds[i]..bounds[i + 1]], "file {i}");
@@ -752,7 +749,7 @@ fn v2_corruption_and_truncation_are_typed_and_name_the_file() {
     let store = ShardedStore::open_seeded(&dir, config, &base).unwrap();
     drop(store);
 
-    let snap = dir.join(snapshot::snapshot_name(1, 0));
+    let snap = dir.join(snapshot_name(1, 0));
     let pristine = std::fs::read(&snap).unwrap();
     assert!(pristine.len() > 200, "need room for mid-file damage");
 
@@ -770,7 +767,7 @@ fn v2_corruption_and_truncation_are_typed_and_name_the_file() {
     };
 
     let work = scratch("v2-damage-work");
-    let damaged_snap = work.join(snapshot::snapshot_name(1, 0));
+    let damaged_snap = work.join(snapshot_name(1, 0));
 
     // A single flipped byte in the middle of a key block.
     clone_dir(&dir, &work);
@@ -814,67 +811,64 @@ fn v2_corruption_and_truncation_are_typed_and_name_the_file() {
     assert_eq!(store.len(), base.len());
 }
 
-/// A PR-4-era directory — v1 snapshots plus a hand-written v1 manifest —
-/// recovers unchanged, and the next incremental checkpoint re-references
-/// the v1 files rather than rewriting them.
+/// There is one snapshot format. A manifest entry whose file is a valid
+/// *v1* snapshot (the monolithic format PR 4 wrote, no longer read), or an
+/// empty file, fails the open with a typed `Corrupt` naming that file —
+/// eagerly and cold, without a panic — and the failed open leaves the
+/// directory exactly as it found it.
 #[test]
-fn v1_snapshot_directories_recover_and_are_re_referenced() {
-    let dir = scratch("v1-compat");
-    std::fs::create_dir_all(&dir).unwrap();
-    let shard0: Vec<u64> = (0..400u64).map(|i| i * 2).collect();
-    let shard1: Vec<u64> = (1_000..1_400u64).collect();
-    snapshot::write_snapshot(&dir.join(snapshot::snapshot_name(1, 0)), 5, &shard0).unwrap();
-    snapshot::write_snapshot(&dir.join(snapshot::snapshot_name(1, 1)), 5, &shard1).unwrap();
-    let text = format!(
-        "shift-store-manifest 1\nseq 1\nversion 5\nspec im+r1\nfences 2\nfence 0\nfence 1000\n\
-         shards 2\nshard {} 5\nshard {} 5\nend\n",
-        snapshot::snapshot_name(1, 0),
-        snapshot::snapshot_name(1, 1),
-    );
-    std::fs::write(dir.join(manifest::manifest_name(1)), text).unwrap();
+fn a_manifest_entry_that_is_not_a_v2_snapshot_fails_the_open_with_corrupt() {
+    let dir = scratch("not-v2");
+    let base: Vec<u64> = (0..800u64).map(|i| i * 2).collect();
+    let config = StoreConfig::new(spec())
+        .shards(2)
+        .durability(DurabilityConfig::new().checkpoint_ops(0));
+    drop(ShardedStore::open_seeded(&dir, config, &base).unwrap());
 
-    let expected_len = shard0.len() + shard1.len();
-    let check_reads = |store: &ShardedStore<u64>, tag: &str| {
-        assert_eq!(store.len(), expected_len, "{tag}");
-        assert_eq!(store.lower_bound(0), 0, "{tag}");
-        assert_eq!(store.lower_bound(799), 400, "{tag}");
-        assert_eq!(store.lower_bound(1_200), 600, "{tag}");
-        assert_eq!(store.count_of(1_399), 1, "{tag}");
-        assert_eq!(store.scan(798, 1_001), vec![798, 1_000, 1_001], "{tag}");
+    // Shard 0's keys as a v1 file: magic (the v2 magic with a `1`), CRC32
+    // and length of the body, then applied │ key_bits │ count │ keys.
+    let mut v1 = shift_store::persist::v2::MAGIC.to_vec();
+    v1[7] = b'1';
+    let mut body = Vec::new();
+    body.extend_from_slice(&0u64.to_le_bytes());
+    body.extend_from_slice(&64u32.to_le_bytes());
+    body.extend_from_slice(&400u64.to_le_bytes());
+    for k in &base[..400] {
+        body.extend_from_slice(&k.to_le_bytes());
+    }
+    v1.extend_from_slice(&shift_store::persist::crc32(&body).to_le_bytes());
+    v1.extend_from_slice(&(body.len() as u64).to_le_bytes());
+    v1.extend_from_slice(&body);
+
+    let contents = |dir: &Path| {
+        let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap())
+            .map(|e| {
+                let name = e.file_name().into_string().unwrap();
+                (name, std::fs::read(e.path()).unwrap())
+            })
+            .collect();
+        files.sort();
+        files
     };
-
-    let config = StoreConfig::new(spec()).durability(DurabilityConfig::new().checkpoint_ops(0));
-    let store = ShardedStore::<u64>::open(&dir, config).unwrap();
-    check_reads(&store, "eager v1 recovery");
-
-    // v1 files have no block index: a cold open serves them eagerly.
-    drop(store);
-    let store = ShardedStore::<u64>::open(&dir, config.cold_start(true)).unwrap();
-    assert_eq!(
-        store.cold_shards(),
-        0,
-        "v1 snapshots are never cold-mounted"
-    );
-    assert_eq!(store.open_breakdown().unwrap().cold_shards, 0);
-    check_reads(&store, "cold-config v1 recovery");
-
-    // An incremental checkpoint re-references both v1 files...
-    store.checkpoint().unwrap();
-    let s = store.durability_stats().unwrap();
-    assert_eq!(s.checkpoint_shards_written, 0);
-    assert_eq!(s.checkpoint_shards_skipped, 2);
-    assert!(dir.join(snapshot::snapshot_name(1, 0)).exists());
-
-    // ... and a write to one shard upgrades only that shard to v2.
-    store.insert(3).unwrap();
-    store.checkpoint().unwrap();
-    let s = store.durability_stats().unwrap();
-    assert_eq!(s.checkpoint_shards_written, 1);
-    assert_eq!(s.checkpoint_shards_skipped, 3);
-    drop(store);
-    let store = ShardedStore::<u64>::open(&dir, config).unwrap();
-    assert_eq!(store.len(), expected_len + 1);
-    assert_eq!(store.count_of(3), 1);
+    let victim = dir.join(snapshot_name(1, 0));
+    for (tag, image) in [("v1 file", v1.as_slice()), ("empty file", &[])] {
+        std::fs::write(&victim, image).unwrap();
+        let before = contents(&dir);
+        for cold in [false, true] {
+            match ShardedStore::<u64>::open(&dir, config.cold_start(cold)) {
+                Err(StoreError::Corrupt { path, .. }) => assert_eq!(path, victim, "{tag}"),
+                Err(e) => panic!("{tag} (cold={cold}): wrong error {e}"),
+                Ok(_) => panic!("{tag} (cold={cold}): opened"),
+            }
+            assert_eq!(
+                contents(&dir),
+                before,
+                "{tag} (cold={cold}): directory moved"
+            );
+        }
+    }
 }
 
 /// Online WAL repair: a poisoned store refuses writes, `repair_wal`

@@ -17,6 +17,10 @@
 //!    fence remains duplicate-run-aligned (no run of equal keys spans two
 //!    shards), and that reads stay exact across the new topology.
 //!
+//! 3. **One write path.** All four front doors race each other, a
+//!    rebalancer and a snapshotting reader; every snapshot must equal the
+//!    oracle at its commit version.
+//!
 //! Thread counts and per-thread op counts scale up for the CI release
 //! stress job via `STRESS_READERS` / `STRESS_WRITERS` / `STRESS_OPS`.
 
@@ -248,7 +252,6 @@ fn concurrent_reads_stay_between_oracle_epochs_for_every_spec() {
                 .delta_threshold(48)
                 .auto_rebuild(false)
                 .background_maintenance(true)
-                .maintenance_interval(Duration::from_millis(1))
                 .split_skew(2);
             let store = ShardedStore::build(config, &base).unwrap();
             let tag = format!("{spec_text} shards={shards}");
@@ -449,7 +452,6 @@ fn snapshots_freeze_consistent_cuts_under_write_and_rebalance_churn() {
         .delta_threshold(48)
         .auto_rebuild(false)
         .background_maintenance(true)
-        .maintenance_interval(Duration::from_millis(1))
         .split_skew(2);
     let store = ShardedStore::build(config, &base).unwrap();
 
@@ -562,6 +564,189 @@ fn snapshots_freeze_consistent_cuts_under_write_and_rebalance_churn() {
         store.commit_version() >= (writers * ops * 3) as u64,
         "every batch and single stamped a commit version"
     );
+}
+
+/// The one-write-path storm: ≥ 4 writers drive all four front doors —
+/// `insert`, `apply`, `Txn::commit`, `delete`, in that order, round after
+/// round — at keys of the same two shards of an in-memory store, while a
+/// rebalancer splits the growing shard under them and a reader pins
+/// snapshots. Writer `w` owns the keys of residue class `w`, and its
+/// commits are sequential, so what a snapshot holds of its class must be
+/// the state after some *prefix* of its commit stream; every commit
+/// consumes exactly one commit version, so the prefix lengths must add up
+/// to the snapshot's `version()` — the snapshot **equals the oracle at its
+/// version**. Each shard's `applied_cv` must never decrease from one pin to
+/// the next (children of a split inherit the parent's stamp), and after
+/// the storm the store holds exactly what the oracle holds: no op lost.
+#[test]
+fn one_commit_path_storm_keeps_every_snapshot_exact_at_its_version() {
+    let writers = env_usize("STRESS_WRITERS", 4).max(4);
+    let min_rounds = env_usize("STRESS_OPS", 200) / 4;
+    const MAX_ROUNDS: usize = 4_000;
+    let classes = writers as u64 + 1; // class 0 is the base, writer `w` has `w + 1`
+    let half = classes << 20; // keys below it route to shard 0, the rest to shard 1
+    let key = |class: usize, upper: bool, n: usize| {
+        u64::from(upper) * half + n as u64 * classes + class as u64
+    };
+    let mix = |k: u64| (k ^ (k >> 29)).wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+    let base: Vec<u64> = (0..1_000).map(|n| key(0, n >= 500, n % 500)).collect();
+    let config = StoreConfig::new(IndexSpec::parse("im+r1").unwrap())
+        .shards(2)
+        .delta_threshold(64)
+        .split_skew(2)
+        .split_max_len(600);
+    let store = ShardedStore::build(config, &base).unwrap();
+    assert_eq!(store.fences()[1], half, "two shards, cut at the half");
+
+    // Round `i` of writer `w`, commit `j`: the keys it adds and removes.
+    // A and C live in shard 0, B and D in shard 1; only D outlives its round.
+    let effect = |w: usize, i: usize, j: usize| -> (Vec<u64>, Vec<u64>) {
+        let [a, c] = [2 * i, 2 * i + 1].map(|n| key(w + 1, false, n));
+        let [b, d] = [2 * i, 2 * i + 1].map(|n| key(w + 1, true, n));
+        match j {
+            0 => (vec![a], vec![]),
+            1 => (vec![b, c], vec![a]),
+            2 => (vec![d], vec![c]),
+            _ => (vec![], vec![b]),
+        }
+    };
+    let split_raced = AtomicBool::new(false);
+    let running = AtomicUsize::new(writers);
+    let rounds_done: Vec<AtomicUsize> = (0..writers).map(|_| AtomicUsize::new(0)).collect();
+
+    std::thread::scope(|scope| {
+        for w in 0..writers {
+            let (store, split_raced, running, rounds_done) =
+                (&store, &split_raced, &running, &rounds_done);
+            scope.spawn(move || {
+                let mut i = 0;
+                // Keep the storm up until a split has raced it.
+                while i < min_rounds || !split_raced.load(Ordering::SeqCst) {
+                    assert!(i < MAX_ROUNDS, "no split raced {MAX_ROUNDS} rounds");
+                    let [a, c] = [2 * i, 2 * i + 1].map(|n| key(w + 1, false, n));
+                    let [b, d] = [2 * i, 2 * i + 1].map(|n| key(w + 1, true, n));
+                    store.insert(a).unwrap();
+                    let mut batch = WriteBatch::with_capacity(3);
+                    batch.insert(b).insert(c).delete(a);
+                    let receipt = store.apply(&batch).unwrap();
+                    assert_eq!((receipt.inserted, receipt.deleted), (2, 1));
+                    let mut txn = store.begin();
+                    assert_eq!(txn.get(c), 1, "own key, own snapshot");
+                    txn.insert(d).delete(c);
+                    let receipt = txn.commit().expect("nobody else writes class {w}");
+                    assert_eq!((receipt.inserted, receipt.deleted), (1, 1));
+                    assert!(store.delete(b).unwrap(), "own key must delete");
+                    i += 1;
+                    rounds_done[w].store(i, Ordering::SeqCst);
+                    std::thread::yield_now();
+                }
+                running.fetch_sub(1, Ordering::SeqCst);
+            });
+        }
+        // The rebalancer: a sweep that split something while every writer
+        // was still inside its loop raced the storm.
+        scope.spawn(|| {
+            while running.load(Ordering::SeqCst) > 0 {
+                let all_running = running.load(Ordering::SeqCst) == writers;
+                let splits = store.total_splits();
+                store.rebalance().unwrap();
+                let still_running = running.load(Ordering::SeqCst) == writers;
+                if all_running && still_running && store.total_splits() > splits {
+                    split_raced.store(true, Ordering::SeqCst);
+                }
+                std::thread::yield_now();
+            }
+        });
+        // The reader.
+        scope.spawn(|| {
+            // Per class: commits known applied, and the multiset they leave
+            // as (sum of mixed keys, count).
+            let mut prefix = vec![0usize; writers];
+            let mut state = vec![(0u64, 0usize); writers];
+            let base_state = base
+                .iter()
+                .fold((0u64, 0usize), |(f, n), &k| (f.wrapping_add(mix(k)), n + 1));
+            let mut stamps: Vec<(u64, u64, u64)> = Vec::new(); // (lo, hi, applied_cv)
+            loop {
+                let finished = running.load(Ordering::SeqCst) == 0;
+                let snap = store.snapshot();
+                let v = snap.version();
+                // Stamps: never above the cut, never below an earlier pin
+                // of any shard covering some of the same keys.
+                let fences = snap.table().router().fences();
+                let now: Vec<(u64, u64, u64)> = (snap.states().iter().enumerate())
+                    .map(|(s, state)| {
+                        let lo = if s == 0 { 0 } else { fences[s] };
+                        let hi = fences.get(s + 1).copied().unwrap_or(u64::MAX);
+                        (lo, hi, state.applied_cv())
+                    })
+                    .collect();
+                for &(lo, hi, cv) in &now {
+                    assert!(cv <= v, "shard [{lo}, {hi}) stamped {cv} in a cut at {v}");
+                    for &(plo, phi, pcv) in &stamps {
+                        let overlap = lo < phi && plo < hi;
+                        assert!(!overlap || cv >= pcv, "applied_cv fell: {pcv} -> {cv}");
+                    }
+                }
+                stamps = now;
+                // Content: a prefix of every writer's stream, v commits in all.
+                let mut seen = vec![(0u64, 0usize); writers + 1];
+                for k in snap.scan(0, u64::MAX) {
+                    let class = &mut seen[(k % classes) as usize];
+                    *class = (class.0.wrapping_add(mix(k)), class.1 + 1);
+                }
+                assert_eq!(seen[0], base_state, "the base moved at v{v}");
+                for w in 0..writers {
+                    while state[w] != seen[w + 1] {
+                        let (i, j) = (prefix[w] / 4, prefix[w] % 4);
+                        assert!(
+                            i < rounds_done[w].load(Ordering::SeqCst) + 1,
+                            "class {w} at v{v} is no prefix of its writer's commits"
+                        );
+                        let (added, removed) = effect(w, i, j);
+                        let (mut f, mut n) = state[w];
+                        for k in added {
+                            (f, n) = (f.wrapping_add(mix(k)), n + 1);
+                        }
+                        for k in removed {
+                            (f, n) = (f.wrapping_sub(mix(k)), n - 1);
+                        }
+                        state[w] = (f, n);
+                        prefix[w] += 1;
+                    }
+                }
+                assert_eq!(
+                    prefix.iter().sum::<usize>() as u64,
+                    v,
+                    "the snapshot at v{v} holds {prefix:?} commits per writer"
+                );
+                if finished {
+                    break;
+                }
+            }
+        });
+    });
+
+    assert!(store.total_splits() >= 1);
+    let rounds: Vec<usize> = (rounds_done.iter())
+        .map(|r| r.load(Ordering::SeqCst))
+        .collect();
+    assert_eq!(
+        store.commit_version(),
+        4 * rounds.iter().sum::<usize>() as u64,
+        "every front door stamped exactly one commit version"
+    );
+    let mut expected = base.clone();
+    for (w, &done) in rounds.iter().enumerate() {
+        expected.extend((0..done).map(|i| key(w + 1, true, 2 * i + 1)));
+    }
+    expected.sort_unstable();
+    assert_eq!(
+        store.scan(0, u64::MAX),
+        expected,
+        "an op was lost or doubled"
+    );
+    assert_eq!(store.len(), expected.len());
 }
 
 /// Regression: `range` / `count_of` (and every other read) taken

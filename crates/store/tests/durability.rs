@@ -601,7 +601,6 @@ fn sync_policies_and_the_worker_checkpoint_duty() {
             .shards(2)
             .auto_rebuild(false)
             .background_maintenance(true)
-            .maintenance_interval(std::time::Duration::from_millis(1))
             .durability(DurabilityConfig::new().sync(sync).checkpoint_ops(64));
         let keys: Vec<u64> = (0..1_000u64).collect();
         let store = ShardedStore::open_seeded(&dir, config, &keys).unwrap();

@@ -5,7 +5,6 @@
 //! Run with `cargo run --release --example sharded_store`.
 
 use shift_table_repro::prelude::*;
-use std::time::Duration;
 
 fn main() {
     // A "Facebook-like" key column and a store of 8 range shards, each an
@@ -19,7 +18,6 @@ fn main() {
         .delta_threshold(2_048)
         .auto_rebuild(false)
         .background_maintenance(true)
-        .maintenance_interval(Duration::from_millis(1))
         .split_skew(2);
     let store = ShardedStore::build(config, dataset.as_slice()).unwrap();
     println!(
