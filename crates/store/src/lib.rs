@@ -428,18 +428,25 @@
 #![warn(missing_docs)]
 
 pub mod batch;
+mod checkpoint;
 pub mod config;
+mod cut;
 pub mod delta;
 pub mod epoch;
 pub mod error;
+mod maintenance;
 mod merge;
+mod metrics_report;
 pub mod obs;
+mod open;
 pub mod persist;
 mod pool;
+mod rebalance;
 pub mod router;
 pub mod shard;
 pub mod sharded;
 pub mod snapshot;
+mod store_core;
 pub mod txn;
 pub mod versions;
 pub mod worker;

@@ -1,0 +1,329 @@
+//! Bringing a store up: the in-memory build, the recovering open, the
+//! seeding of a fresh directory on the task pool, and the assembly of a
+//! table into a live store with its background threads.
+
+use crate::checkpoint::{CheckpointMemo, MemoShard, WrittenCheckpoint};
+use crate::config::StoreConfig;
+use crate::epoch::{CommitClock, EpochCell};
+use crate::error::StoreError;
+use crate::obs::StoreObs;
+use crate::persist::recovery::{self, OpenBreakdown};
+use crate::persist::{CheckpointTally, Persistence, ShardFileWriter, WrittenShard};
+use crate::pool;
+use crate::router::ShardRouter;
+use crate::shard::StoreShard;
+use crate::sharded::{ShardedStore, StoreTable};
+use crate::store_core::StoreCore;
+use crate::versions::VersionRing;
+use crate::worker::{HydrationWorker, MaintenanceWorker, WorkerSignal};
+use shift_obs::{MetricsProvider, MetricsServer, SampledTimer};
+use shift_table::error::BuildError;
+use shift_table::spec::IndexSpec;
+use sosd_data::key::Key;
+use std::path::Path;
+use std::sync::atomic::AtomicU64;
+use std::sync::{Arc, Mutex, RwLock};
+
+/// The chunk plan of a sharded build or seeding: `keys` cut into
+/// duplicate-run-aligned chunks, each checked against the capacity of
+/// `spec`'s layer (a comparison per chunk, so it goes first), then checked
+/// sorted once. Everything that can fail in a sharded build fails here —
+/// before any shard is built and, for a seeding, before any file is
+/// written — so the builds over the returned chunks are infallible.
+fn plan_chunks<K: Key>(
+    spec: IndexSpec,
+    keys: &[K],
+    shards: usize,
+) -> Result<(ShardRouter<K>, Vec<&[K]>), BuildError> {
+    let (router, bounds) = ShardRouter::partition(keys, shards);
+    let chunks: Vec<&[K]> = bounds.windows(2).map(|w| &keys[w[0]..w[1]]).collect();
+    for chunk in &chunks {
+        spec.check_key_count(chunk.len())?;
+    }
+    if let Some(position) = keys.windows(2).position(|w| w[0] > w[1]) {
+        return Err(BuildError::UnsortedKeys {
+            position: position + 1,
+        });
+    }
+    Ok((router, chunks))
+}
+
+/// Build one hot shard over validated `keys` (a planned chunk, a recovered
+/// column) with the store's tuning knobs.
+pub(crate) fn built_shard<K: Key>(
+    config: &StoreConfig,
+    spec: IndexSpec,
+    keys: Arc<[K]>,
+) -> Arc<StoreShard<K>> {
+    Arc::new(StoreShard::build_prevalidated(
+        spec,
+        keys,
+        config.delta_threshold,
+        config.build_threads,
+    ))
+}
+
+/// What one task of a seeding produced: the snapshot file of a chunk, or
+/// the shard built over it.
+enum SeedTask<K: Key> {
+    Written(WrittenShard),
+    Built(Arc<StoreShard<K>>),
+}
+
+impl<K: Key> ShardedStore<K> {
+    /// Build an **in-memory** store over the sorted `keys` with the given
+    /// configuration — nothing is persisted (see [`ShardedStore::open`] for
+    /// the durable form). With [`StoreConfig::background_maintenance`] set
+    /// this also spawns the [`MaintenanceWorker`] thread, shut down when the
+    /// store is dropped.
+    ///
+    /// # Errors
+    /// [`BuildError::UnsortedKeys`] if `keys` is not sorted,
+    /// [`BuildError::TooManyKeys`] if a shard's chunk is longer than the
+    /// spec's layer can cover.
+    pub fn build(config: StoreConfig, keys: impl AsRef<[K]>) -> Result<Self, BuildError> {
+        let (router, chunks) = plan_chunks(config.spec, keys.as_ref(), config.shards)?;
+        // The plan validated the column and every chunk's length, so each
+        // chunk takes the prevalidated shard constructor.
+        let shards = pool::run_tasks(chunks.len(), |i| {
+            built_shard(&config, config.spec, Arc::from(chunks[i]))
+        });
+        let table = StoreTable { router, shards };
+        Ok(Self::assemble(config, table, None, None, None))
+    }
+
+    /// Open (or create) a **durable** store at directory `path`: load the
+    /// newest checkpoint manifest, rebuild each shard by retraining the
+    /// persisted spec over its snapshot keys, replay the WAL tail
+    /// idempotently, and start a fresh WAL segment for new writes. A fresh
+    /// directory starts an empty store. On-disk format, checkpointing and
+    /// the recovery invariants are documented in [`crate::persist`].
+    ///
+    /// For a recovered store the **persisted** spec wins over
+    /// `config.spec` (the shards must match what the snapshots were cut
+    /// from); every other knob — thresholds, shard tuning,
+    /// [`StoreConfig::durability`] — comes from `config`.
+    ///
+    /// # Errors
+    /// [`StoreError::Io`] on filesystem failures, [`StoreError::Corrupt`]
+    /// when a manifest or snapshot fails validation, [`StoreError::Spec`]
+    /// when the persisted spec no longer parses.
+    pub fn open(path: impl AsRef<Path>, config: StoreConfig) -> Result<Self, StoreError> {
+        let dir = path.as_ref();
+        std::fs::create_dir_all(dir)?;
+        let recovered = recovery::recover::<K>(dir, &config)?;
+        let mut config = config;
+        config.spec = recovered.spec;
+        let persistence = Persistence::create(
+            dir.to_path_buf(),
+            config.durability.unwrap_or_default(),
+            recovered.next_version,
+            recovered.manifest_seq,
+            recovered.replayed as u64,
+        )?;
+        // Seed the incremental-checkpoint memo: a shard the WAL tail
+        // replayed nothing into still matches its on-disk snapshot, and the
+        // recovered shard's `applied_cv` restarts at 0 — so the first
+        // post-reopen checkpoint can re-reference the file if no new write
+        // lands on the shard meanwhile.
+        let memo = CheckpointMemo {
+            fences: recovered
+                .router
+                .fences()
+                .iter()
+                .map(|f| f.to_u64())
+                .collect(),
+            shards: recovered
+                .memo_entries
+                .iter()
+                .map(|entry| MemoShard {
+                    state_cv: 0,
+                    entry: entry.clone(),
+                })
+                .collect(),
+        };
+        let breakdown = recovered.breakdown;
+        let table = StoreTable::new(recovered.router, recovered.shards);
+        Ok(Self::assemble(
+            config,
+            table,
+            Some(persistence),
+            Some(memo),
+            Some(breakdown),
+        ))
+    }
+
+    /// [`ShardedStore::open`] that seeds a **fresh** directory with the
+    /// sorted `keys` and checkpoints them before the store is handed out
+    /// (the seed never transits the WAL, so it must be snapshot-durable
+    /// first). A directory that already holds store data — a manifest, or a
+    /// WAL segment with at least one valid record — recovers normally and
+    /// ignores `keys`.
+    ///
+    /// Seeding runs on the crate's **task pool**. The seed snapshot is a
+    /// function of the key chunks alone (the model and the Shift-Table are
+    /// never persisted), so writing a chunk's file and building its shard
+    /// are independent tasks. The column is validated and cut into chunks
+    /// once; the checkpoint *cut* is taken over the fresh directory; then
+    /// `2 × shards` tasks — *write 0, build 0, write 1, build 1, …* — are
+    /// handed, in that order, to one worker per hardware thread (the caller
+    /// is one of them), each taking the next task the moment it is free.
+    /// When the queue is drained the store is assembled and the checkpoint
+    /// is *published* — manifest, then the memo, so an immediate
+    /// [`ShardedStore::checkpoint`] skips every shard.
+    /// [`ShardedStore::open_breakdown`] reports the time the tasks were
+    /// busy, summed by kind: [`OpenBreakdown::seed_build`] over the build
+    /// tasks, [`OpenBreakdown::seed_write`] over the write tasks; with two
+    /// or more workers their total exceeds the time the call took.
+    ///
+    /// **Failure.** Unsorted keys and over-long chunks are rejected before
+    /// anything is created in the directory. The first write task to hit
+    /// an I/O error turns the write tasks behind it into no-ops, and the
+    /// error is returned once the queue is drained. In every failing case
+    /// — and after a crash anywhere before the manifest rename — the
+    /// directory holds no manifest and no WAL record, so it still counts as
+    /// unseeded: whatever snapshot files the attempt left are overwritten
+    /// by the retry. A panicking task is re-raised, also with nothing
+    /// published.
+    ///
+    /// # Errors
+    /// As [`ShardedStore::open`], plus [`StoreError::Build`] if `keys` is
+    /// not sorted or a shard's chunk is too long for the spec's layer.
+    pub fn open_seeded(
+        path: impl AsRef<Path>,
+        config: StoreConfig,
+        keys: impl AsRef<[K]>,
+    ) -> Result<Self, StoreError> {
+        let dir = path.as_ref();
+        std::fs::create_dir_all(dir)?;
+        if recovery::has_store_data(dir)? {
+            return Self::open(dir, config);
+        }
+        let (router, chunks) = plan_chunks(config.spec, keys.as_ref(), config.shards)?;
+        let persistence = Persistence::create(
+            dir.to_path_buf(),
+            config.durability.unwrap_or_default(),
+            1,
+            0,
+            0,
+        )?;
+        // The cut of an empty log: nothing to pin, the chunks are the cut.
+        // The WAL lock is released again before the first file is written.
+        let (cv, seq, ()) = persistence.begin_checkpoint(|| ())?;
+        let block_keys = persistence.durability().snapshot_block_keys;
+        let files = ShardFileWriter::new(dir, seq, cv, block_keys);
+        // Two tasks per shard, a shard's file ahead of its build: the file
+        // is the task that can fail, and its fsync is a wait a build on the
+        // same core can fill.
+        let mut shards = Vec::with_capacity(chunks.len());
+        let mut written = Vec::with_capacity(chunks.len());
+        let mut breakdown = OpenBreakdown::default();
+        for (busy, done) in pool::run_tasks(2 * chunks.len(), |task| {
+            let chunk = chunks[task / 2];
+            let timer = SampledTimer::armed_now();
+            let done = if task % 2 == 0 {
+                SeedTask::Written(files.write_shard_file(task / 2, || chunk))
+            } else {
+                SeedTask::Built(built_shard(&config, config.spec, Arc::from(chunk)))
+            };
+            (timer.elapsed(), done)
+        }) {
+            match done {
+                SeedTask::Written(file) => {
+                    breakdown.seed_write += busy;
+                    written.push(file);
+                }
+                SeedTask::Built(shard) => {
+                    breakdown.seed_build += busy;
+                    shards.push(shard);
+                }
+            }
+        }
+        let (entries, snapshot_bytes) = ShardFileWriter::finish(written)?;
+        let done = WrittenCheckpoint {
+            cv,
+            seq,
+            fences: router.fences().iter().map(|f| f.to_u64()).collect(),
+            state_cvs: shards.iter().map(|s| s.state().applied_cv()).collect(),
+            tally: CheckpointTally {
+                snapshot_bytes,
+                shards_written: entries.len() as u64,
+                ..CheckpointTally::default()
+            },
+            entries,
+        };
+        let store = Self::assemble(
+            config,
+            StoreTable { router, shards },
+            Some(persistence),
+            None,
+            Some(breakdown),
+        );
+        {
+            let _gate = store.core.persist.as_ref().map(|p| p.checkpoint_gate());
+            store.core.publish_checkpoint(done)?;
+        }
+        Ok(store)
+    }
+
+    /// Wrap a table (built or recovered) into a live store, spawning the
+    /// maintenance worker when configured and the hydrator when the open
+    /// mounted cold shards.
+    fn assemble(
+        config: StoreConfig,
+        table: StoreTable<K>,
+        persist: Option<Persistence>,
+        memo: Option<CheckpointMemo>,
+        breakdown: Option<OpenBreakdown>,
+    ) -> Self {
+        let obs = Arc::new(StoreObs::new(&config));
+        if config.metrics {
+            // Kernel batch counters are process-wide; any metrics-enabled
+            // store turns them on (and leaves them on — another store in
+            // the process may be scraping them).
+            shift_table::stats::set_enabled(true);
+        }
+        let core = Arc::new(StoreCore {
+            table: EpochCell::new(Arc::new(table)),
+            config,
+            clock: CommitClock::new(),
+            write_gate: RwLock::new(()),
+            topology: Mutex::new(()),
+            signal: Arc::new(WorkerSignal::default()),
+            pin_cache: Mutex::new(None),
+            versions: VersionRing::new(config.retain_versions),
+            persist,
+            ckpt_memo: Mutex::new(memo),
+            rebuilds: AtomicU64::new(0),
+            splits: AtomicU64::new(0),
+            merges: AtomicU64::new(0),
+            obs,
+        });
+        let metrics_server = config
+            .metrics_addr
+            .filter(|_| config.metrics)
+            .and_then(|addr| {
+                let scrape = Arc::clone(&core);
+                let provider: MetricsProvider = Arc::new(move || scrape.metrics_report());
+                match MetricsServer::start(addr, provider) {
+                    Ok(server) => Some(server),
+                    Err(e) => {
+                        core.record_maintenance_error(StoreError::Io(e));
+                        None
+                    }
+                }
+            });
+        let worker = config
+            .background_maintenance
+            .then(|| MaintenanceWorker::spawn(Arc::clone(&core)));
+        let hydrator = (breakdown.is_some_and(|b| b.cold_shards > 0))
+            .then(|| HydrationWorker::spawn(Arc::clone(&core)));
+        Self {
+            core,
+            _worker: worker,
+            hydrator,
+            breakdown,
+            metrics_server,
+        }
+    }
+}

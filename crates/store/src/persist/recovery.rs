@@ -45,13 +45,13 @@ use crate::config::StoreConfig;
 use crate::delta::DeltaChain;
 use crate::error::StoreError;
 use crate::merge;
+use crate::open::built_shard;
 use crate::persist::manifest::{self, ManifestShard};
 use crate::persist::v2;
 use crate::persist::wal;
 use crate::pool;
 use crate::router::ShardRouter;
 use crate::shard::{ShardSnapshot, StoreShard};
-use crate::sharded::built_shard;
 use shift_table::spec::IndexSpec;
 use sosd_data::key::Key;
 use std::io::Read;

@@ -6,7 +6,7 @@
 //! shard's stage-blocked batch path stays intact — with a write path and a
 //! *mutable topology*: the router
 //! and the shard list travel together as one immutable [`StoreTable`] behind
-//! an [`EpochCell`], so every read (scalar, batched, range) pins one table
+//! an [`crate::EpochCell`], so every read (scalar, batched, range) pins one table
 //! and sees a consistent fence/shard pairing even while the rebalancer is
 //! splitting a hot shard or merging undersized neighbours. Writers load the
 //! table, route, and append to the target shard; a shard replaced by a
@@ -15,81 +15,41 @@
 //! are rebuilt inline on the crossing write (`auto_rebuild`), by the
 //! background [`MaintenanceWorker`], or via [`ShardedStore::maintain`] /
 //! [`ShardedStore::flush`].
+//!
+//! This module is the public façade. The state behind it is `StoreCore`
+//! (`store_core.rs`), and what the store *does* lives in sibling modules:
+//! `open` (build, recover, seed), `cut` (consistent cuts and retained
+//! versions), `write` (the one commit function), `maintenance`, `rebalance`,
+//! `checkpoint` and `metrics_report`.
 
 use crate::batch::{BatchOp, BatchReceipt, WriteBatch};
 use crate::config::StoreConfig;
-use crate::delta::{DeltaChain, COMPACT_RUNS};
-use crate::epoch::{CommitClock, EpochCell};
 use crate::error::StoreError;
-use crate::obs::{self, HydrationReason, StoreObs, TraceEvent, TraceKind};
-use crate::persist::manifest::{Manifest, ManifestShard};
+use crate::obs::{HydrationReason, TraceEvent, TraceKind};
 use crate::persist::recovery::OpenBreakdown;
 use crate::persist::wal::Frame;
-use crate::persist::{
-    self, recovery, CheckpointTally, DurabilityStats, Persistence, ShardFileWriter, WrittenShard,
-};
-use crate::pool;
+use crate::persist::DurabilityStats;
 use crate::router::ShardRouter;
-use crate::shard::{build_index, ShardSnapshot, ShardState, StoreShard};
-use crate::snapshot::{PinnedCut, SnapshotHook, StoreSnapshot};
+use crate::shard::StoreShard;
+use crate::snapshot::{PinnedCut, StoreSnapshot};
+use crate::store_core::StoreCore;
 use crate::txn::Txn;
-use crate::versions::{diff_cuts, VersionRing, VersionStats};
-use crate::worker::{HydrationWorker, MaintenanceWorker, WorkerSignal};
+use crate::versions::{diff_cuts, VersionStats};
+use crate::worker::{HydrationWorker, MaintenanceWorker};
 use algo_index::search::RangeIndex;
-use shift_obs::{MetricsProvider, MetricsReport, MetricsServer, SampledTimer};
-use shift_table::error::BuildError;
-use shift_table::spec::IndexSpec;
+use shift_obs::{MetricsReport, MetricsServer};
 use sosd_data::key::Key;
 use std::net::SocketAddr;
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
-
-/// The chunk plan of a sharded build or seeding: `keys` cut into
-/// duplicate-run-aligned chunks, each checked against the capacity of
-/// `spec`'s layer (a comparison per chunk, so it goes first), then checked
-/// sorted once. Everything that can fail in a sharded build fails here —
-/// before any shard is built and, for a seeding, before any file is
-/// written — so the builds over the returned chunks are infallible.
-fn plan_chunks<K: Key>(
-    spec: IndexSpec,
-    keys: &[K],
-    shards: usize,
-) -> Result<(ShardRouter<K>, Vec<&[K]>), BuildError> {
-    let (router, bounds) = ShardRouter::partition(keys, shards);
-    let chunks: Vec<&[K]> = bounds.windows(2).map(|w| &keys[w[0]..w[1]]).collect();
-    for chunk in &chunks {
-        spec.check_key_count(chunk.len())?;
-    }
-    if let Some(position) = keys.windows(2).position(|w| w[0] > w[1]) {
-        return Err(BuildError::UnsortedKeys {
-            position: position + 1,
-        });
-    }
-    Ok((router, chunks))
-}
-
-/// Build one hot shard over validated `keys` (a planned chunk, a recovered
-/// column) with the store's tuning knobs.
-pub(crate) fn built_shard<K: Key>(
-    config: &StoreConfig,
-    spec: IndexSpec,
-    keys: Arc<[K]>,
-) -> Arc<StoreShard<K>> {
-    Arc::new(StoreShard::build_prevalidated(
-        spec,
-        keys,
-        config.delta_threshold,
-        config.build_threads,
-    ))
-}
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
 
 /// One immutable topology epoch of a [`ShardedStore`]: the fence-key router
 /// and the shard list it addresses, published (and replaced) together so a
 /// pinned table always pairs fences with the shards they describe.
 pub struct StoreTable<K: Key> {
-    router: ShardRouter<K>,
-    shards: Vec<Arc<StoreShard<K>>>,
+    pub(crate) router: ShardRouter<K>,
+    pub(crate) shards: Vec<Arc<StoreShard<K>>>,
 }
 
 impl<K: Key> StoreTable<K> {
@@ -109,872 +69,8 @@ impl<K: Key> StoreTable<K> {
     }
 
     /// Locate a shard in this table by identity.
-    fn position_of(&self, shard: &Arc<StoreShard<K>>) -> Option<usize> {
+    pub(crate) fn position_of(&self, shard: &Arc<StoreShard<K>>) -> Option<usize> {
         self.shards.iter().position(|s| Arc::ptr_eq(s, shard))
-    }
-}
-
-/// What the previous checkpoint referenced per shard, kept so the next
-/// incremental checkpoint can *skip* shards whose merged view has not
-/// moved since (see the invariants in [`crate::persist`]). Invalidated
-/// whole by any topology change (the fences are part of the memo) and per
-/// shard by any `applied_cv` advance.
-pub(crate) struct CheckpointMemo {
-    /// The fence keys (widened) the memoised checkpoint was cut over.
-    fences: Vec<u64>,
-    /// One entry per shard, in the memoised topology's order.
-    shards: Vec<MemoShard>,
-}
-
-#[derive(Clone)]
-struct MemoShard {
-    /// The shard's `applied_cv` stamp at the memoised checkpoint's cut —
-    /// equal stamp now ⟹ identical merged view ⟹ identical snapshot file.
-    state_cv: u64,
-    /// The manifest entry written (or re-referenced) for the shard; `None`
-    /// forces a rewrite (a fresh store, or a reopen that replayed WAL-tail
-    /// records into the shard).
-    entry: Option<ManifestShard>,
-}
-
-/// What the *cut* and *write* steps of a checkpoint hand to
-/// [`StoreCore::publish_checkpoint`].
-struct WrittenCheckpoint {
-    /// The checkpoint version: every write `<= cv` is inside the files.
-    cv: u64,
-    /// The manifest sequence to publish under.
-    seq: u64,
-    /// The fence keys (widened) of the topology the cut was taken over.
-    fences: Vec<u64>,
-    /// Per shard, the `applied_cv` stamp of the state the cut pinned.
-    state_cvs: Vec<u64>,
-    /// Per shard, the snapshot file the manifest will reference — written
-    /// by this checkpoint or carried forward from the previous one.
-    entries: Vec<ManifestShard>,
-    tally: CheckpointTally,
-}
-
-/// What one task of a seeding produced: the snapshot file of a chunk, or
-/// the shard built over it.
-enum SeedTask<K: Key> {
-    Written(WrittenShard),
-    Built(Arc<StoreShard<K>>),
-}
-
-/// The store state shared between the public handle and the maintenance
-/// worker: the published table, the configuration, the topology lock and
-/// the maintenance counters.
-pub(crate) struct StoreCore<K: Key> {
-    pub(crate) table: EpochCell<StoreTable<K>>,
-    pub(crate) config: StoreConfig,
-    /// The store-wide commit clock: assigns every applied write (and every
-    /// applied batch) its monotonic commit version and lets snapshots
-    /// capture a consistent per-shard state vector without blocking
-    /// writers.
-    pub(crate) clock: CommitClock,
-    /// Snapshot liveness gate: every write path holds a **read** guard
-    /// across its commit-clock window, and a snapshot that keeps losing the
-    /// seqlock race (a continuous write storm on few cores) takes the
-    /// **write** side once — in-flight windows drain, no new one can open,
-    /// and the capture succeeds immediately. Uncontended cost to writers is
-    /// one atomic read-lock per op; the gate is never touched on the happy
-    /// snapshot path.
-    pub(crate) write_gate: RwLock<()>,
-    /// Serialises topology changes (splits and merges). Taken strictly
-    /// before any shard's rebuild guard.
-    pub(crate) topology: Mutex<()>,
-    pub(crate) signal: Arc<WorkerSignal>,
-    /// The last captured consistent cut: while the commit clock still reads
-    /// quiescent at its version, [`StoreCore::pin_cut`] reuses it instead
-    /// of re-pinning every shard — snapshot acquisition (and transaction
-    /// begin) is O(1) between writes instead of O(shards). Invalidated by
-    /// topology changes (which republish the table without bumping the
-    /// clock) so a stale cut never outlives its epoch unnoticed.
-    pub(crate) pin_cache: Mutex<Option<PinnedCut<K>>>,
-    /// Retained historical cuts serving
-    /// [`crate::ShardedStore::snapshot_at`] and
-    /// [`crate::ShardedStore::scan_between`]; empty (and never locked on
-    /// the write path) unless [`StoreConfig::retain_versions`] is set.
-    pub(crate) versions: VersionRing<K>,
-    /// The durability layer — `Some` only for stores opened from a path.
-    pub(crate) persist: Option<Persistence>,
-    /// What the last checkpoint wrote (`None` until one ran, or after a
-    /// failed one): the incremental checkpoint's skip oracle.
-    pub(crate) ckpt_memo: Mutex<Option<CheckpointMemo>>,
-    pub(crate) rebuilds: AtomicU64,
-    pub(crate) splits: AtomicU64,
-    pub(crate) merges: AtomicU64,
-    /// The observability registry every instrumentation site records into:
-    /// op counters, latency histograms, the maintenance trace ring and the
-    /// bounded error ring (which replaced the old single-error slot).
-    pub(crate) obs: Arc<StoreObs>,
-}
-
-impl<K: Key> StoreCore<K> {
-    pub(crate) fn config(&self) -> &StoreConfig {
-        &self.config
-    }
-
-    pub(crate) fn signal(&self) -> Arc<WorkerSignal> {
-        Arc::clone(&self.signal)
-    }
-
-    pub(crate) fn load_table(&self) -> Arc<StoreTable<K>> {
-        self.table.load()
-    }
-
-    /// Capture a store-wide consistent cut: pin the table and every shard's
-    /// state inside one quiescent commit-clock window (see
-    /// [`CommitClock::try_read_consistent`]). The returned snapshot is
-    /// exact at its commit version and repeatable forever.
-    ///
-    /// Liveness: the lock-free seqlock capture is retried a bounded number
-    /// of times; if a write window overlapped every attempt (possible only
-    /// under a continuous write storm with fewer cores than threads), the
-    /// capture falls back to taking the write gate — writers pause for the
-    /// microseconds one pin sweep takes, and the snapshot is guaranteed.
-    pub(crate) fn snapshot(&self) -> StoreSnapshot<K> {
-        StoreSnapshot::from_cut(self.pin_cut(), Some(self.hook()))
-    }
-
-    fn hook(&self) -> SnapshotHook {
-        SnapshotHook {
-            obs: Arc::clone(&self.obs),
-            signal: Arc::clone(&self.signal),
-        }
-    }
-
-    /// Pin the table and every shard's published state — the closure every
-    /// consistent cut runs inside a quiescent clock window, and what the
-    /// checkpoint cut and the metrics scrape take under their own rules.
-    pub(crate) fn pin_states(&self) -> (Arc<StoreTable<K>>, Vec<Arc<ShardState<K>>>) {
-        let table = self.load_table();
-        let states = table.shards.iter().map(|s| s.state()).collect();
-        (table, states)
-    }
-
-    /// Capture (or reuse) the current consistent cut. The fast path serves
-    /// the cached cut whenever the clock still reads quiescent at its
-    /// version — no write happened since the cut was pinned, so it is still
-    /// exact — making repeat snapshot/begin acquisition O(1) in the shard
-    /// count. A miss runs the full seqlock capture and refreshes the cache.
-    pub(crate) fn pin_cut(&self) -> PinnedCut<K> {
-        if let Some(qv) = self.clock.quiescent_version() {
-            // lint: allow(panic) lock poisoning propagates a holder's panic; no sound continuation
-            let cache = self.pin_cache.lock().expect("pin cache poisoned");
-            if let Some(cut) = cache.as_ref() {
-                if cut.version == qv {
-                    return cut.clone();
-                }
-            }
-        }
-        let (cut, failed_pins) = self
-            .clock
-            .try_read_consistent_counted(128, || self.pin_states());
-        if failed_pins > 0 {
-            self.obs
-                .count(&self.obs.snap_pin_retries, u64::from(failed_pins));
-        }
-        let ((table, states), version) = match cut {
-            Some(cut) => cut,
-            None => {
-                self.obs.count(&self.obs.write_gate_fallbacks, 1);
-                let _gate = self.write_gate.write().expect("write gate poisoned"); // lint: allow(panic) lock poisoning propagates a holder's panic; no sound continuation
-                                                                                   // No window can be open or opened: first attempt succeeds.
-                self.clock.read_consistent(|| self.pin_states())
-            }
-        };
-        let cut = PinnedCut::new(table, states, version);
-        // lint: allow(panic) lock poisoning propagates a holder's panic; no sound continuation
-        *self.pin_cache.lock().expect("pin cache poisoned") = Some(cut.clone());
-        cut
-    }
-
-    /// [`StoreCore::pin_cut`] for a caller that has writers excluded — it
-    /// holds a durable store's WAL frame lock (every durable write applies
-    /// under it) or the write gate's write side. No commit window can be
-    /// open or opened, so the first seqlock attempt always succeeds. Never
-    /// call this without that exclusion: it would spin under a write storm.
-    pub(crate) fn pin_cut_quiescent(&self) -> PinnedCut<K> {
-        let ((table, states), version) = self.clock.read_consistent(|| self.pin_states());
-        let cut = PinnedCut::new(table, states, version);
-        // lint: allow(panic) lock poisoning propagates a holder's panic; no sound continuation
-        *self.pin_cache.lock().expect("pin cache poisoned") = Some(cut.clone());
-        cut
-    }
-
-    /// Opportunistically retain the current cut after a write, when a
-    /// retention policy is configured. The pin attempt is bounded and
-    /// writers never wait on it — losing the race just means the *next*
-    /// write (or the next transaction commit, which captures
-    /// deterministically inside its writer-excluded critical section)
-    /// retains instead.
-    pub(crate) fn retain_current(&self) {
-        if !self.versions.enabled() {
-            return;
-        }
-        let pinned = self.clock.try_read_consistent(8, || self.pin_states());
-        if let Some(((table, states), version)) = pinned {
-            let cut = PinnedCut::new(table, states, version);
-            self.record_evictions(self.versions.capture(cut));
-        }
-    }
-
-    /// Drop the cached cut. Called by every maintenance path that
-    /// republishes shard state *without* opening a commit window (rebuild,
-    /// compaction, split, merge) — the old cut would stay *correct* (its
-    /// pinned states are immutable and complete) but would keep serving the
-    /// pre-maintenance structures and pinning their memory until the next
-    /// write moved the clock.
-    fn invalidate_pin_cache(&self) {
-        // lint: allow(panic) lock poisoning propagates a holder's panic; no sound continuation
-        *self.pin_cache.lock().expect("pin cache poisoned") = None;
-    }
-
-    /// Count and trace version-ring evictions: one
-    /// [`TraceKind::VersionEvicted`] per dropped cut, stamped with the
-    /// evicted commit version and carrying the remaining retained count.
-    /// Returns how many there were.
-    pub(crate) fn record_evictions(&self, evicted: Vec<(u64, usize)>) -> usize {
-        let n = evicted.len();
-        for (cv, remaining) in evicted {
-            self.obs.count(&self.obs.version_evictions, 1);
-            self.obs.emit(TraceEvent::store(
-                TraceKind::VersionEvicted,
-                cv,
-                remaining as u64,
-            ));
-        }
-        n
-    }
-
-    /// Push a maintenance trace event, pinned to a shard position when one
-    /// is known, stamped with the newest assigned commit version.
-    pub(crate) fn emit_event(&self, kind: TraceKind, shard: Option<usize>, payload: u64) {
-        let cv = self.clock.version();
-        self.obs.emit(match shard {
-            Some(s) => TraceEvent::shard(kind, s, cv, payload),
-            None => TraceEvent::store(kind, cv, payload),
-        });
-    }
-
-    /// Rebuild one shard, counting it on success. A *cold* shard's rebuild
-    /// is a hydration — it decodes the mounted snapshot and retrains the
-    /// model — so it is additionally counted (and traced) as one; it still
-    /// counts into [`crate::ShardedStore::total_rebuilds`], which has always
-    /// included hydrations.
-    pub(crate) fn rebuild_shard(&self, shard: &Arc<StoreShard<K>>) -> Result<bool, BuildError> {
-        let was_cold = shard.snapshot().is_cold();
-        let t0 = self.obs.phase_start();
-        let rebuilt = shard.rebuild()?;
-        if rebuilt {
-            self.invalidate_pin_cache();
-            self.rebuilds.fetch_add(1, Ordering::Relaxed); // lint: ordering(Relaxed) monotonic stats counter; no synchronising role
-            if self.obs.enabled() {
-                let (kind, hist) = if was_cold {
-                    self.obs.count(&self.obs.hydrations, 1);
-                    (TraceKind::Hydrated, &self.obs.hydration_ns)
-                } else {
-                    (TraceKind::Rebuild, &self.obs.rebuild_ns)
-                };
-                let ns = self.obs.phase_done(t0, hist);
-                self.emit_event(kind, self.load_table().position_of(shard), ns);
-            }
-        }
-        Ok(rebuilt)
-    }
-
-    /// Rebuild every shard picked by `pick`, at most one per hardware thread
-    /// at a time.
-    fn rebuild_where(&self, pick: impl Fn(&StoreShard<K>) -> bool) -> Result<usize, BuildError> {
-        let table = self.load_table();
-        let targets: Vec<&Arc<StoreShard<K>>> = table.shards.iter().filter(|s| pick(s)).collect();
-        let mut rebuilt = 0usize;
-        for outcome in pool::run_tasks(targets.len(), |i| self.rebuild_shard(targets[i])) {
-            rebuilt += usize::from(outcome?);
-        }
-        Ok(rebuilt)
-    }
-
-    /// One background maintenance pass: compact long chains, rebuild dirty
-    /// shards, rebalance skewed ones and — on a durable store whose WAL has
-    /// grown past the configured record budget — take a checkpoint. Returns
-    /// the number of actions taken.
-    pub(crate) fn maintenance_pass(&self) -> Result<usize, StoreError> {
-        let mut actions = 0usize;
-        let table = self.load_table();
-        // The worker compacts earlier than the writers' inline fold (at
-        // half its run bound) so idle shards converge to short chains
-        // without a write having to pay.
-        let worker_trigger = COMPACT_RUNS / 2;
-        for (s, shard) in table.shards.iter().enumerate() {
-            if shard.state().delta().unsealed_run_count() >= worker_trigger {
-                let t0 = self.obs.phase_start();
-                if shard.compact() {
-                    self.invalidate_pin_cache();
-                    let ns = self.obs.phase_done(t0, &self.obs.compaction_ns);
-                    self.obs.count(&self.obs.compactions, 1);
-                    self.emit_event(TraceKind::Compact, Some(s), ns);
-                    actions += 1;
-                }
-            }
-            // Halve the decayed access-frequency signal once per pass, so
-            // `store_shard_accesses` reads as a recency-weighted rate.
-            shard.decay_accesses();
-        }
-        // A cold shard whose first read requested its own hydration gets it
-        // here even when no hydrator thread is running (a cold shard can
-        // outlive the hydrator if its sweep was stopped by an error).
-        actions += self.rebuild_where(|s| s.hydration_requested() && s.snapshot().is_cold())?;
-        actions += self.rebuild_where(|s| s.is_dirty())?;
-        actions += self.rebalance()?;
-        // Age out retained versions past the policy's max_age (count-bound
-        // eviction already happened at capture time).
-        let aged = self.record_evictions(self.versions.evict_stale());
-        actions += aged;
-        if self.persist.as_ref().is_some_and(|p| p.checkpoint_due()) {
-            self.checkpoint()?;
-            actions += 1;
-        }
-        Ok(actions)
-    }
-
-    /// Capture a background-maintenance failure in the bounded error ring
-    /// (always on, even with metrics disabled) and the trace ring; drained
-    /// via [`crate::ShardedStore::take_maintenance_errors`].
-    pub(crate) fn record_maintenance_error(&self, e: StoreError) {
-        self.obs.push_error(None, self.clock.version(), e);
-    }
-
-    /// Take an epoch-consistent checkpoint (see [`crate::persist`]) in its
-    /// three steps. **Cut**: rotate the WAL and pin every shard state under
-    /// the WAL lock (an exact cut — durable writes apply under that lock).
-    /// **Write**: off-lock, one snapshot file per shard that needs one
-    /// ([`ShardFileWriter`]), a pool task each. **Publish**: the manifest, the
-    /// memo, the counters and the truncation of the covered WAL prefix
-    /// ([`StoreCore::publish_checkpoint`]).
-    ///
-    /// With [`crate::DurabilityConfig::incremental_checkpoints`] (the
-    /// default), a shard whose `applied_cv` stamp has not moved since the
-    /// previous checkpoint is **skipped**: the new manifest re-references
-    /// the previous snapshot file (old name, old `applied` floor) instead
-    /// of rewriting identical bytes, and garbage collection keeps every
-    /// file the newest manifest references regardless of its sequence
-    /// number. A file that can no longer be found is not re-referenced —
-    /// the shard is written again. Any topology change invalidates the
-    /// whole memo.
-    pub(crate) fn checkpoint(&self) -> Result<u64, StoreError> {
-        let Some(p) = &self.persist else {
-            return Err(StoreError::NotDurable);
-        };
-        let t0 = self.obs.phase_start();
-        let _gate = p.checkpoint_gate();
-        let (cv, seq, (table, states)) = p.begin_checkpoint(|| self.pin_states())?;
-        let fences: Vec<u64> = table.router.fences().iter().map(|f| f.to_u64()).collect();
-        // Take the memo out for the duration: a checkpoint that fails
-        // mid-write leaves `None` behind, and the next attempt rewrites
-        // everything rather than trusting a cut that never finished.
-        let memo = self
-            .ckpt_memo
-            .lock()
-            .expect("checkpoint memo poisoned") // lint: allow(panic) lock poisoning propagates a holder's panic; no sound continuation
-            .take();
-        let prior: Option<Vec<MemoShard>> = memo
-            .filter(|m| {
-                p.durability().incremental_checkpoints
-                    && m.fences == fences
-                    && m.shards.len() == states.len()
-            })
-            .map(|m| m.shards);
-        let state_cvs: Vec<u64> = states.iter().map(|s| s.applied_cv()).collect();
-        let mut tally = CheckpointTally::default();
-        // Per shard, the previous entry when it can be carried forward: the
-        // merged view has not moved and the file is still there to point at.
-        let reused: Vec<Option<ManifestShard>> = (0..states.len())
-            .map(|i| {
-                let m = &prior.as_ref()?[i];
-                let entry = m.entry.clone().filter(|_| m.state_cv == state_cvs[i])?;
-                let file = std::fs::metadata(p.dir().join(&entry.snapshot)).ok()?;
-                tally.shards_skipped += 1;
-                tally.bytes_reused += file.len();
-                Some(entry)
-            })
-            .collect();
-        let stale: Vec<usize> = (0..states.len()).filter(|&i| reused[i].is_none()).collect();
-        let files = ShardFileWriter::new(p.dir(), seq, cv, p.durability().snapshot_block_keys);
-        let (written, snapshot_bytes) =
-            ShardFileWriter::finish(pool::run_tasks(stale.len(), |i| {
-                files.write_shard_file(stale[i], || states[stale[i]].merged_view())
-            }))?;
-        tally.shards_written = written.len() as u64;
-        tally.snapshot_bytes = snapshot_bytes;
-        let mut written = written.into_iter();
-        let entries: Vec<ManifestShard> = reused
-            .into_iter()
-            .filter_map(|entry| entry.or_else(|| written.next()))
-            .collect();
-        debug_assert_eq!(entries.len(), states.len());
-        self.publish_checkpoint(WrittenCheckpoint {
-            cv,
-            seq,
-            fences,
-            state_cvs,
-            entries,
-            tally,
-        })?;
-        self.obs.phase_done(t0, &self.obs.checkpoint_ns);
-        Ok(cv)
-    }
-
-    /// The *publish* step of a checkpoint, shared by
-    /// [`StoreCore::checkpoint`] and the seeding of
-    /// [`ShardedStore::open_seeded`]: make the manifest durable, remember
-    /// what it references (the next checkpoint's skip oracle), count the
-    /// checkpoint and collect what it superseded. The caller holds the
-    /// checkpoint gate and every file in `done.entries` is already synced;
-    /// until the manifest lands nothing refers to them.
-    fn publish_checkpoint(&self, done: WrittenCheckpoint) -> Result<(), StoreError> {
-        let Some(p) = &self.persist else {
-            return Err(StoreError::NotDurable);
-        };
-        let m = Manifest {
-            seq: done.seq,
-            version: done.cv,
-            spec: self.config.spec.to_string(),
-            fences: done.fences,
-            shards: done.entries,
-        };
-        persist::manifest::write_manifest(p.dir(), &m)?;
-        p.finish_checkpoint(done.cv, done.tally);
-        persist::gc(p.dir(), &m);
-        // The manifest is durable: its entries are now safe to skip from.
-        // lint: allow(panic) lock poisoning propagates a holder's panic; no sound continuation
-        *self.ckpt_memo.lock().expect("checkpoint memo poisoned") = Some(CheckpointMemo {
-            fences: m.fences,
-            shards: done
-                .state_cvs
-                .into_iter()
-                .zip(m.shards)
-                .map(|(state_cv, entry)| MemoShard {
-                    state_cv,
-                    entry: Some(entry),
-                })
-                .collect(),
-        });
-        self.emit_event(TraceKind::Checkpoint, None, done.tally.snapshot_bytes);
-        Ok(())
-    }
-
-    /// Background-hydrate every cold shard (see
-    /// [`crate::worker::HydrationWorker`]): retrain models in waves capped
-    /// at the machine's parallelism, re-scanning until the table holds no
-    /// cold shard or `stop` is raised. A build failure is parked for
-    /// [`crate::ShardedStore::take_maintenance_errors`] and ends the pass —
-    /// cold shards keep serving off their block index.
-    pub(crate) fn hydrate_cold_shards(&self, stop: &std::sync::atomic::AtomicBool) {
-        let workers = pool::worker_count(usize::MAX);
-        loop {
-            // lint: ordering(Relaxed) advisory shutdown flag; a stale read costs one extra wave, thread join orders the rest
-            if stop.load(Ordering::Relaxed) {
-                return;
-            }
-            // One wave per sweep, re-scanned against the freshest table so
-            // first-touch requests arriving mid-hydration jump the queue:
-            // a shard a reader is actively waiting on hydrates before the
-            // sweep's positional order would reach it.
-            let table = self.load_table();
-            let mut cold: Vec<Arc<StoreShard<K>>> = table
-                .shards
-                .iter()
-                .filter(|s| s.snapshot().is_cold())
-                .cloned()
-                .collect();
-            if cold.is_empty() {
-                return;
-            }
-            cold.sort_by_key(|s| !s.hydration_requested());
-            cold.truncate(workers);
-            for shard in &cold {
-                // A first-touch request already emitted its trigger event
-                // (consuming the flag here keeps the two reasons disjoint).
-                if !shard.take_hydration_request() {
-                    self.emit_event(
-                        TraceKind::HydrationTriggered,
-                        table.position_of(shard),
-                        HydrationReason::BackgroundSweep.code(),
-                    );
-                }
-            }
-            let wave = pool::run_tasks(cold.len(), |i| self.rebuild_shard(&cold[i]));
-            let mut failed = false;
-            for e in wave.into_iter().filter_map(Result::err) {
-                self.record_maintenance_error(e.into());
-                failed = true;
-            }
-            if failed {
-                return;
-            }
-        }
-    }
-
-    // ---- rebalancing ----------------------------------------------------
-
-    /// One rebalance sweep: split every shard whose live size exceeds
-    /// `split_skew × mean` — or the absolute `split_max_len` ceiling, which
-    /// still fires when the peer-relative skew signal is inert (a 1-shard
-    /// store *is* its own mean) — at a duplicate-run-aligned median fence
-    /// (plus one catch-up split per sweep while the topology has fewer
-    /// shards than configured), then merge shards smaller than
-    /// `mean / split_skew` into their smaller neighbour. Returns the number
-    /// of topology changes.
-    fn rebalance(&self) -> Result<usize, BuildError> {
-        let skew = self.config.split_skew;
-        if skew == 0 {
-            return Ok(0);
-        }
-        let max_len = self.config.split_max_len;
-        let _topology = self.topology.lock().expect("topology lock poisoned"); // lint: allow(panic) lock poisoning propagates a holder's panic; no sound continuation
-        let mut actions = 0usize;
-
-        // Splits: pick candidates from one consistent sweep, then re-locate
-        // each by identity (earlier splits shift indices).
-        let table = self.load_table();
-        let lens: Vec<usize> = table.shards.iter().map(|s| s.len()).collect();
-        let total: usize = lens.iter().sum();
-        let mean = (total / lens.len().max(1)).max(1);
-        let oversized: Vec<Arc<StoreShard<K>>> = table
-            .shards
-            .iter()
-            .zip(lens.iter())
-            .filter(|&(_, &len)| len >= 2 && (len > skew * mean || (max_len > 0 && len > max_len)))
-            .map(|(s, _)| Arc::clone(s))
-            .collect();
-        for shard in oversized {
-            let table = self.load_table();
-            if let Some(s) = table.position_of(&shard) {
-                if self.split_shard(&table, s)? {
-                    actions += 1;
-                }
-            }
-        }
-
-        // Catch-up growth: a topology with fewer shards than the
-        // configuration requests (born small, grown from empty, or
-        // collapsed by merges) grows back one split per sweep, largest
-        // shard first — skew is relative to peers, so a single-shard store
-        // could otherwise never split at all.
-        let table = self.load_table();
-        if table.shards.len() < self.config.shards {
-            if let Some((s, _)) = table
-                .shards
-                .iter()
-                .enumerate()
-                .max_by_key(|(_, sh)| sh.len())
-            {
-                if table.shards[s].len() >= 2 && self.split_shard(&table, s)? {
-                    actions += 1;
-                }
-            }
-        }
-
-        // Merges: re-sweep against the post-split topology.
-        loop {
-            let table = self.load_table();
-            if table.shards.len() < 2 {
-                break;
-            }
-            let lens: Vec<usize> = table.shards.iter().map(|s| s.len()).collect();
-            let total: usize = lens.iter().sum();
-            let mean = (total / lens.len()).max(1);
-            let undersized = lens
-                .iter()
-                .enumerate()
-                .filter(|&(_, &len)| len * skew < mean)
-                .min_by_key(|&(_, &len)| len)
-                .map(|(s, _)| s);
-            let Some(s) = undersized else { break };
-            // Merge into the smaller neighbour, refusing to create a new
-            // oversized shard.
-            let left_ok = s > 0;
-            let right_ok = s + 1 < lens.len();
-            let partner = match (left_ok, right_ok) {
-                (true, true) if lens[s - 1] <= lens[s + 1] => s - 1,
-                (true, false) => s - 1,
-                (_, true) => s + 1,
-                _ => break,
-            };
-            let (a, b) = (s.min(partner), s.max(partner));
-            // Refuse to create a new oversized shard — by the skew signal or
-            // by the absolute ceiling (which would oscillate with the split
-            // fallback otherwise).
-            let merged = lens[a] + lens[b];
-            if merged > skew * mean
-                || (max_len > 0 && merged > max_len)
-                || !self.merge_shards(&table, a)?
-            {
-                break;
-            }
-            actions += 1;
-        }
-        Ok(actions)
-    }
-
-    /// Split shard `s` of `table` at a duplicate-run-aligned median fence.
-    /// Returns false when the shard cannot be split (a single duplicate run
-    /// dominates it, or it shrank below two keys). Must hold the topology
-    /// lock.
-    fn split_shard(&self, table: &StoreTable<K>, s: usize) -> Result<bool, BuildError> {
-        let shard = Arc::clone(&table.shards[s]);
-        let t0 = self.obs.phase_start();
-        let _rebuild = shard.lock_rebuild();
-        if shard.is_retired() {
-            return Ok(false);
-        }
-        // Freeze: seal the chain; readers and writers proceed.
-        let frozen = shard.seal();
-        let merged = frozen.merged_view();
-        let n = merged.len();
-        if n < 2 {
-            // Abandoned split: roll the seal back, or every retried split of
-            // an unsplittable shard would strand one more sealed (and thus
-            // uncompactable) run on the chain.
-            shard.unseal();
-            return Ok(false);
-        }
-        // Median fence, aligned down to the start of the median key's
-        // duplicate run (or up to the next run when the median run begins
-        // the shard) — a run of equal keys never spans two shards.
-        let mid_key = merged[n / 2];
-        let down = merged.partition_point(|&x| x < mid_key);
-        let p = if down > 0 {
-            down
-        } else {
-            merged.partition_point(|&x| x <= mid_key)
-        };
-        if p == 0 || p >= n {
-            shard.unseal();
-            return Ok(false); // one duplicate run dominates the shard
-        }
-        let split_key = merged[p];
-        let halves: [Arc<[K]>; 2] = [merged[..p].into(), merged[p..].into()];
-        drop(merged);
-        // Build both child indexes off every lock but the topology/rebuild
-        // guards; reads and writes to the shard continue meanwhile.
-        let spec = shard.spec();
-        let threads = shard.build_threads();
-        let epoch = frozen.snapshot().epoch() + 1;
-        let snaps = pool::run_tasks(halves.len(), |i| {
-            let index = build_index(&spec, halves[i].clone(), threads);
-            Arc::new(ShardSnapshot::new(halves[i].clone(), index, epoch))
-        });
-        // Commit: capture the residual chain, cut it at the fence, retire
-        // the old shard and publish the new table — all under the shard's
-        // write lock so no write can slip between residual and retirement.
-        let _write = shard.lock_write();
-        let residual = shard.residual_since(&frozen);
-        let (left_delta, right_delta) = residual.partition(split_key);
-        // Children start at the parent's commit-version floor so the
-        // `applied_cv` stamp stays monotonic across the topology change.
-        let parent_cv = shard.state().applied_cv();
-        let child = |snap, delta: DeltaChain<K>| {
-            Arc::new(StoreShard::from_parts_at(
-                spec,
-                shard.threshold(),
-                threads,
-                snap,
-                delta,
-                parent_cv,
-            ))
-        };
-        let left = child(Arc::clone(&snaps[0]), left_delta);
-        let right = child(Arc::clone(&snaps[1]), right_delta);
-        let first_left_key = left.snapshot().keys()[0];
-        let mut shards = table.shards.clone();
-        shards.splice(s..=s, [left, right]);
-        let mut fences = table.router.fences().to_vec();
-        if fences.is_empty() {
-            // A store born empty that grew: materialise the fence table.
-            fences = vec![first_left_key, split_key];
-        } else {
-            if s == 0 {
-                // fences[0] is nominal (never compared); keep it at or
-                // below every key the leftmost shard holds.
-                fences[0] = fences[0].min(first_left_key);
-            }
-            fences.insert(s + 1, split_key);
-        }
-        self.table.store(Arc::new(StoreTable {
-            router: ShardRouter::from_fences(fences),
-            shards,
-        }));
-        self.invalidate_pin_cache();
-        shard.retire();
-        self.splits.fetch_add(1, Ordering::Relaxed); // lint: ordering(Relaxed) monotonic stats counter; no synchronising role
-        let ns = self.obs.phase_ns(t0);
-        self.emit_event(TraceKind::Split, Some(s), ns);
-        Ok(true)
-    }
-
-    /// Merge shards `s` and `s + 1` of `table` into one. Must hold the
-    /// topology lock.
-    fn merge_shards(&self, table: &StoreTable<K>, s: usize) -> Result<bool, BuildError> {
-        let a = Arc::clone(&table.shards[s]);
-        let b = Arc::clone(&table.shards[s + 1]);
-        let t0 = self.obs.phase_start();
-        let _rebuild_a = a.lock_rebuild();
-        let _rebuild_b = b.lock_rebuild();
-        if a.is_retired() || b.is_retired() {
-            return Ok(false);
-        }
-        let frozen_a = a.seal();
-        let frozen_b = b.seal();
-        let keys: Arc<[K]> = [frozen_a.merged_view(), frozen_b.merged_view()]
-            .concat()
-            .into();
-        debug_assert!(keys.is_sorted(), "adjacent shards must concatenate sorted");
-        let spec = a.spec();
-        let threads = a.build_threads();
-        let epoch = frozen_a.snapshot().epoch().max(frozen_b.snapshot().epoch()) + 1;
-        let index = build_index(&spec, keys.clone(), threads);
-        let snapshot = Arc::new(ShardSnapshot::new(keys, index, epoch));
-        // Commit under both write locks (taken in shard order).
-        let _write_a = a.lock_write();
-        let _write_b = b.lock_write();
-        let residual = a
-            .residual_since(&frozen_a)
-            .concat(&b.residual_since(&frozen_b));
-        let parent_cv = a.state().applied_cv().max(b.state().applied_cv());
-        let child = Arc::new(StoreShard::from_parts_at(
-            spec,
-            a.threshold(),
-            threads,
-            snapshot,
-            residual,
-            parent_cv,
-        ));
-        let mut shards = table.shards.clone();
-        shards.splice(s..=s + 1, [child]);
-        let mut fences = table.router.fences().to_vec();
-        if !fences.is_empty() {
-            fences.remove(s + 1);
-        }
-        self.table.store(Arc::new(StoreTable {
-            router: ShardRouter::from_fences(fences),
-            shards,
-        }));
-        self.invalidate_pin_cache();
-        a.retire();
-        b.retire();
-        self.merges.fetch_add(1, Ordering::Relaxed); // lint: ordering(Relaxed) monotonic stats counter; no synchronising role
-        let ns = self.obs.phase_ns(t0);
-        self.emit_event(TraceKind::Merge, Some(s), ns);
-        Ok(true)
-    }
-
-    /// Assemble the full metrics report: the registry's own families, the
-    /// maintenance counters, the topology gauges and per-shard access
-    /// counters computed at scrape time from one pinned table, the
-    /// process-wide kernel batch stats, and — for durable stores — the WAL
-    /// and checkpoint families. Empty when [`StoreConfig::metrics`] is off.
-    pub(crate) fn metrics_report(&self) -> MetricsReport {
-        if !self.obs.enabled() {
-            return MetricsReport {
-                metrics: Vec::new(),
-            };
-        }
-        let mut metrics = self.obs.own_metrics();
-        metrics.push(obs::counter_metric(
-            "store_rebuilds_total",
-            self.rebuilds.load(Ordering::Relaxed), // lint: ordering(Relaxed) stats read; no synchronising role
-        ));
-        metrics.push(obs::counter_metric(
-            "store_splits_total",
-            self.splits.load(Ordering::Relaxed), // lint: ordering(Relaxed) stats read; no synchronising role
-        ));
-        metrics.push(obs::counter_metric(
-            "store_merges_total",
-            self.merges.load(Ordering::Relaxed), // lint: ordering(Relaxed) stats read; no synchronising role
-        ));
-        let (table, live) = self.pin_states();
-        let mut keys = 0u64;
-        let mut cold = 0u64;
-        let mut delta_runs = 0u64;
-        let mut delta_depth_max = 0u64;
-        let mut delta_keys = 0u64;
-        for shard in &table.shards {
-            keys += shard.len() as u64;
-            cold += u64::from(shard.snapshot().is_cold());
-            let runs = shard.state().delta().unsealed_run_count() as u64;
-            delta_runs += runs;
-            delta_depth_max = delta_depth_max.max(runs);
-            delta_keys += shard.buffered_ops() as u64;
-        }
-        metrics.push(obs::gauge_metric("store_shards", table.shards.len() as f64));
-        metrics.push(obs::gauge_metric("store_keys", keys as f64));
-        metrics.push(obs::gauge_metric("store_cold_shards", cold as f64));
-        metrics.push(obs::gauge_metric("store_delta_runs", delta_runs as f64));
-        metrics.push(obs::gauge_metric(
-            "store_delta_depth_max",
-            delta_depth_max as f64,
-        ));
-        metrics.push(obs::gauge_metric("store_delta_keys", delta_keys as f64));
-        let vs = self.versions.stats(&live);
-        metrics.push(obs::gauge_metric(
-            "store_retained_versions",
-            vs.retained as f64,
-        ));
-        metrics.push(obs::gauge_metric(
-            "store_retained_bytes",
-            vs.approx_bytes as f64,
-        ));
-        // One labelled member per shard; members of a family must stay
-        // adjacent for the Prometheus exporter's shared family header.
-        for (s, shard) in table.shards.iter().enumerate() {
-            metrics.push(
-                obs::gauge_metric("store_shard_accesses", shard.accesses() as f64)
-                    .with_label("shard", s.to_string()),
-            );
-        }
-        let kernel = shift_table::stats::snapshot();
-        metrics.push(obs::counter_metric("kernel_blocks_total", kernel.blocks));
-        metrics.push(obs::counter_metric("kernel_lanes_total", kernel.lanes));
-        metrics.push(obs::counter_metric(
-            "kernel_wide_lanes_total",
-            kernel.wide_lanes,
-        ));
-        metrics.push(obs::counter_metric(
-            "kernel_wave_levels_total",
-            kernel.wave_levels,
-        ));
-        metrics.push(obs::gauge_metric(
-            "kernel_wide_lane_fraction",
-            kernel.wide_lane_fraction(),
-        ));
-        if let Some(p) = &self.persist {
-            let d = p.stats();
-            metrics.push(obs::counter_metric("wal_records_total", d.wal_ops));
-            metrics.push(obs::counter_metric("wal_bytes_total", d.wal_bytes));
-            metrics.push(obs::counter_metric("wal_syncs_total", d.wal_syncs));
-            metrics.extend(p.obs_metrics());
-            metrics.push(obs::counter_metric("checkpoints_total", d.checkpoints));
-            metrics.push(obs::counter_metric(
-                "checkpoint_shards_written_total",
-                d.checkpoint_shards_written,
-            ));
-            metrics.push(obs::counter_metric(
-                "checkpoint_shards_skipped_total",
-                d.checkpoint_shards_skipped,
-            ));
-            metrics.push(obs::counter_metric(
-                "checkpoint_bytes_written_total",
-                d.snapshot_bytes,
-            ));
-            metrics.push(obs::counter_metric(
-                "checkpoint_bytes_reused_total",
-                d.snapshot_bytes_reused,
-            ));
-        }
-        MetricsReport { metrics }
     }
 }
 
@@ -987,280 +83,24 @@ impl<K: Key> StoreCore<K> {
 /// read (global position, batch, range) composes per-shard states from one
 /// pinned table and is exact whenever no write races it.
 pub struct ShardedStore<K: Key> {
-    core: Arc<StoreCore<K>>,
+    pub(crate) core: Arc<StoreCore<K>>,
     /// Background maintenance thread, held only to be dropped (stopped and
     /// joined) with the store. `None` unless `background_maintenance` is
     /// configured.
-    _worker: Option<MaintenanceWorker>,
+    pub(crate) _worker: Option<MaintenanceWorker>,
     /// Background hydration thread; `Some` only when a cold-start open
     /// mounted at least one cold shard. Dropped with the store.
-    hydrator: Option<HydrationWorker>,
+    pub(crate) hydrator: Option<HydrationWorker>,
     /// Where the open spent its time; `None` for in-memory stores.
-    breakdown: Option<OpenBreakdown>,
+    pub(crate) breakdown: Option<OpenBreakdown>,
     /// Live `/metrics` endpoint; `Some` only when
     /// [`StoreConfig::metrics_addr`] was set and the bind succeeded (a
     /// failed bind is parked in the maintenance-error ring instead of
     /// failing the open). Shut down when the store is dropped.
-    metrics_server: Option<MetricsServer>,
+    pub(crate) metrics_server: Option<MetricsServer>,
 }
 
 impl<K: Key> ShardedStore<K> {
-    /// Build an **in-memory** store over the sorted `keys` with the given
-    /// configuration — nothing is persisted (see [`ShardedStore::open`] for
-    /// the durable form). With [`StoreConfig::background_maintenance`] set
-    /// this also spawns the [`MaintenanceWorker`] thread, shut down when the
-    /// store is dropped.
-    ///
-    /// # Errors
-    /// [`BuildError::UnsortedKeys`] if `keys` is not sorted,
-    /// [`BuildError::TooManyKeys`] if a shard's chunk is longer than the
-    /// spec's layer can cover.
-    pub fn build(config: StoreConfig, keys: impl AsRef<[K]>) -> Result<Self, BuildError> {
-        let (router, chunks) = plan_chunks(config.spec, keys.as_ref(), config.shards)?;
-        // The plan validated the column and every chunk's length, so each
-        // chunk takes the prevalidated shard constructor.
-        let shards = pool::run_tasks(chunks.len(), |i| {
-            built_shard(&config, config.spec, Arc::from(chunks[i]))
-        });
-        let table = StoreTable { router, shards };
-        Ok(Self::assemble(config, table, None, None, None))
-    }
-
-    /// Open (or create) a **durable** store at directory `path`: load the
-    /// newest checkpoint manifest, rebuild each shard by retraining the
-    /// persisted spec over its snapshot keys, replay the WAL tail
-    /// idempotently, and start a fresh WAL segment for new writes. A fresh
-    /// directory starts an empty store. On-disk format, checkpointing and
-    /// the recovery invariants are documented in [`crate::persist`].
-    ///
-    /// For a recovered store the **persisted** spec wins over
-    /// `config.spec` (the shards must match what the snapshots were cut
-    /// from); every other knob — thresholds, shard tuning,
-    /// [`StoreConfig::durability`] — comes from `config`.
-    ///
-    /// # Errors
-    /// [`StoreError::Io`] on filesystem failures, [`StoreError::Corrupt`]
-    /// when a manifest or snapshot fails validation, [`StoreError::Spec`]
-    /// when the persisted spec no longer parses.
-    pub fn open(path: impl AsRef<Path>, config: StoreConfig) -> Result<Self, StoreError> {
-        let dir = path.as_ref();
-        std::fs::create_dir_all(dir)?;
-        let recovered = recovery::recover::<K>(dir, &config)?;
-        let mut config = config;
-        config.spec = recovered.spec;
-        let persistence = Persistence::create(
-            dir.to_path_buf(),
-            config.durability.unwrap_or_default(),
-            recovered.next_version,
-            recovered.manifest_seq,
-            recovered.replayed as u64,
-        )?;
-        // Seed the incremental-checkpoint memo: a shard the WAL tail
-        // replayed nothing into still matches its on-disk snapshot, and the
-        // recovered shard's `applied_cv` restarts at 0 — so the first
-        // post-reopen checkpoint can re-reference the file if no new write
-        // lands on the shard meanwhile.
-        let memo = CheckpointMemo {
-            fences: recovered
-                .router
-                .fences()
-                .iter()
-                .map(|f| f.to_u64())
-                .collect(),
-            shards: recovered
-                .memo_entries
-                .iter()
-                .map(|entry| MemoShard {
-                    state_cv: 0,
-                    entry: entry.clone(),
-                })
-                .collect(),
-        };
-        let breakdown = recovered.breakdown;
-        let table = StoreTable::new(recovered.router, recovered.shards);
-        Ok(Self::assemble(
-            config,
-            table,
-            Some(persistence),
-            Some(memo),
-            Some(breakdown),
-        ))
-    }
-
-    /// [`ShardedStore::open`] that seeds a **fresh** directory with the
-    /// sorted `keys` and checkpoints them before the store is handed out
-    /// (the seed never transits the WAL, so it must be snapshot-durable
-    /// first). A directory that already holds store data — a manifest, or a
-    /// WAL segment with at least one valid record — recovers normally and
-    /// ignores `keys`.
-    ///
-    /// Seeding runs on the crate's **task pool**. The seed snapshot is a
-    /// function of the key chunks alone (the model and the Shift-Table are
-    /// never persisted), so writing a chunk's file and building its shard
-    /// are independent tasks. The column is validated and cut into chunks
-    /// once; the checkpoint *cut* is taken over the fresh directory; then
-    /// `2 × shards` tasks — *write 0, build 0, write 1, build 1, …* — are
-    /// handed, in that order, to one worker per hardware thread (the caller
-    /// is one of them), each taking the next task the moment it is free.
-    /// When the queue is drained the store is assembled and the checkpoint
-    /// is *published* — manifest, then the memo, so an immediate
-    /// [`ShardedStore::checkpoint`] skips every shard.
-    /// [`ShardedStore::open_breakdown`] reports the time the tasks were
-    /// busy, summed by kind: [`OpenBreakdown::seed_build`] over the build
-    /// tasks, [`OpenBreakdown::seed_write`] over the write tasks; with two
-    /// or more workers their total exceeds the time the call took.
-    ///
-    /// **Failure.** Unsorted keys and over-long chunks are rejected before
-    /// anything is created in the directory. The first write task to hit
-    /// an I/O error turns the write tasks behind it into no-ops, and the
-    /// error is returned once the queue is drained. In every failing case
-    /// — and after a crash anywhere before the manifest rename — the
-    /// directory holds no manifest and no WAL record, so it still counts as
-    /// unseeded: whatever snapshot files the attempt left are overwritten
-    /// by the retry. A panicking task is re-raised, also with nothing
-    /// published.
-    ///
-    /// # Errors
-    /// As [`ShardedStore::open`], plus [`StoreError::Build`] if `keys` is
-    /// not sorted or a shard's chunk is too long for the spec's layer.
-    pub fn open_seeded(
-        path: impl AsRef<Path>,
-        config: StoreConfig,
-        keys: impl AsRef<[K]>,
-    ) -> Result<Self, StoreError> {
-        let dir = path.as_ref();
-        std::fs::create_dir_all(dir)?;
-        if recovery::has_store_data(dir)? {
-            return Self::open(dir, config);
-        }
-        let (router, chunks) = plan_chunks(config.spec, keys.as_ref(), config.shards)?;
-        let persistence = Persistence::create(
-            dir.to_path_buf(),
-            config.durability.unwrap_or_default(),
-            1,
-            0,
-            0,
-        )?;
-        // The cut of an empty log: nothing to pin, the chunks are the cut.
-        // The WAL lock is released again before the first file is written.
-        let (cv, seq, ()) = persistence.begin_checkpoint(|| ())?;
-        let block_keys = persistence.durability().snapshot_block_keys;
-        let files = ShardFileWriter::new(dir, seq, cv, block_keys);
-        // Two tasks per shard, a shard's file ahead of its build: the file
-        // is the task that can fail, and its fsync is a wait a build on the
-        // same core can fill.
-        let mut shards = Vec::with_capacity(chunks.len());
-        let mut written = Vec::with_capacity(chunks.len());
-        let mut breakdown = OpenBreakdown::default();
-        for (busy, done) in pool::run_tasks(2 * chunks.len(), |task| {
-            let chunk = chunks[task / 2];
-            let timer = SampledTimer::armed_now();
-            let done = if task % 2 == 0 {
-                SeedTask::Written(files.write_shard_file(task / 2, || chunk))
-            } else {
-                SeedTask::Built(built_shard(&config, config.spec, Arc::from(chunk)))
-            };
-            (timer.elapsed(), done)
-        }) {
-            match done {
-                SeedTask::Written(file) => {
-                    breakdown.seed_write += busy;
-                    written.push(file);
-                }
-                SeedTask::Built(shard) => {
-                    breakdown.seed_build += busy;
-                    shards.push(shard);
-                }
-            }
-        }
-        let (entries, snapshot_bytes) = ShardFileWriter::finish(written)?;
-        let done = WrittenCheckpoint {
-            cv,
-            seq,
-            fences: router.fences().iter().map(|f| f.to_u64()).collect(),
-            state_cvs: shards.iter().map(|s| s.state().applied_cv()).collect(),
-            tally: CheckpointTally {
-                snapshot_bytes,
-                shards_written: entries.len() as u64,
-                ..CheckpointTally::default()
-            },
-            entries,
-        };
-        let store = Self::assemble(
-            config,
-            StoreTable { router, shards },
-            Some(persistence),
-            None,
-            Some(breakdown),
-        );
-        {
-            let _gate = store.core.persist.as_ref().map(|p| p.checkpoint_gate());
-            store.core.publish_checkpoint(done)?;
-        }
-        Ok(store)
-    }
-
-    /// Wrap a table (built or recovered) into a live store, spawning the
-    /// maintenance worker when configured and the hydrator when the open
-    /// mounted cold shards.
-    fn assemble(
-        config: StoreConfig,
-        table: StoreTable<K>,
-        persist: Option<Persistence>,
-        memo: Option<CheckpointMemo>,
-        breakdown: Option<OpenBreakdown>,
-    ) -> Self {
-        let obs = Arc::new(StoreObs::new(&config));
-        if config.metrics {
-            // Kernel batch counters are process-wide; any metrics-enabled
-            // store turns them on (and leaves them on — another store in
-            // the process may be scraping them).
-            shift_table::stats::set_enabled(true);
-        }
-        let core = Arc::new(StoreCore {
-            table: EpochCell::new(Arc::new(table)),
-            config,
-            clock: CommitClock::new(),
-            write_gate: RwLock::new(()),
-            topology: Mutex::new(()),
-            signal: Arc::new(WorkerSignal::default()),
-            pin_cache: Mutex::new(None),
-            versions: VersionRing::new(config.retain_versions),
-            persist,
-            ckpt_memo: Mutex::new(memo),
-            rebuilds: AtomicU64::new(0),
-            splits: AtomicU64::new(0),
-            merges: AtomicU64::new(0),
-            obs,
-        });
-        let metrics_server = config
-            .metrics_addr
-            .filter(|_| config.metrics)
-            .and_then(|addr| {
-                let scrape = Arc::clone(&core);
-                let provider: MetricsProvider = Arc::new(move || scrape.metrics_report());
-                match MetricsServer::start(addr, provider) {
-                    Ok(server) => Some(server),
-                    Err(e) => {
-                        core.record_maintenance_error(StoreError::Io(e));
-                        None
-                    }
-                }
-            });
-        let worker = config
-            .background_maintenance
-            .then(|| MaintenanceWorker::spawn(Arc::clone(&core)));
-        let hydrator = (breakdown.is_some_and(|b| b.cold_shards > 0))
-            .then(|| HydrationWorker::spawn(Arc::clone(&core)));
-        Self {
-            core,
-            _worker: worker,
-            hydrator,
-            breakdown,
-            metrics_server,
-        }
-    }
-
     /// The store configuration.
     pub fn config(&self) -> &StoreConfig {
         self.core.config()
@@ -1778,6 +618,7 @@ impl<K: Key> RangeIndex<K> for ShardedStore<K> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use shift_table::spec::IndexSpec;
     use sosd_data::prelude::*;
 
     fn spec() -> IndexSpec {

@@ -37,8 +37,8 @@ use crate::batch::{BatchOp, WriteBatch};
 use crate::error::StoreError;
 use crate::merge;
 use crate::persist::wal::Frame;
-use crate::sharded::StoreCore;
 use crate::snapshot::StoreSnapshot;
+use crate::store_core::StoreCore;
 use sosd_data::key::Key;
 
 /// Everything a transaction observed, in a form that can be revalidated

@@ -22,7 +22,7 @@
 //! the store signals the worker to stop and joins the thread, so no
 //! maintenance pass can outlive the store it serves.
 
-use crate::sharded::StoreCore;
+use crate::store_core::StoreCore;
 use sosd_data::key::Key;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};

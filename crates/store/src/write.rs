@@ -46,8 +46,8 @@ use crate::error::StoreError;
 use crate::obs::TraceKind;
 use crate::persist::wal::Frame;
 use crate::shard::StoreShard;
-use crate::sharded::StoreCore;
 use crate::snapshot::StoreSnapshot;
+use crate::store_core::StoreCore;
 use crate::txn::ReadSet;
 use shift_table::error::BuildError;
 use sosd_data::key::Key;
