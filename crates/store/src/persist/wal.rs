@@ -272,9 +272,10 @@ pub(crate) struct WalWriter {
     /// (group) sync failed: the segment tail is in an unknown state, so no
     /// further record may land after it.
     poisoned: bool,
-    /// The frame being appended, reused from record to record so the append
-    /// path (which runs under the store-wide WAL lock) does not allocate.
-    frame: Vec<u8>,
+    /// The encoded frame being appended, reused from record to record so the
+    /// append path (which runs under the store-wide WAL lock) does not
+    /// allocate.
+    buf: Vec<u8>,
 }
 
 impl WalWriter {
@@ -297,7 +298,7 @@ impl WalWriter {
             syncs: 0,
             len: 0,
             poisoned: false,
-            frame: Vec::new(),
+            buf: Vec::new(),
         })
     }
 
@@ -350,8 +351,8 @@ impl WalWriter {
                 "WAL writer poisoned by an earlier append or sync failure",
             ));
         }
-        encode_frame(&mut self.frame, version, ops, frame);
-        if let Err(e) = self.file.write_all(&self.frame) {
+        encode_frame(&mut self.buf, version, ops, frame);
+        if let Err(e) = self.file.write_all(&self.buf) {
             if self.rollback().is_err() {
                 self.poisoned = true;
             }
@@ -370,8 +371,8 @@ impl WalWriter {
                 return Err(e);
             }
         }
-        self.len += self.frame.len() as u64;
-        Ok(self.frame.len() as u64)
+        self.len += self.buf.len() as u64;
+        Ok(self.buf.len() as u64)
     }
 
     /// Truncate the segment back to the last accepted frame and make the

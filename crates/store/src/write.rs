@@ -166,16 +166,14 @@ impl<K: Key> StoreCore<K> {
                 return Err(e);
             }
         };
-        if self.obs.enabled() {
-            // A no-op delete still counts: it was applied (and, durable,
-            // logged).
-            let deletes = ops.iter().filter(|op| matches!(op, BatchOp::Delete(_)));
-            let deletes = deletes.count() as u64;
-            self.obs.count(&self.obs.writes, ops.len() as u64 - deletes);
-            self.obs.count(&self.obs.deletes, deletes);
-            self.obs
-                .count(&self.obs.batches, u64::from(frame == Frame::Batch));
-        }
+        // Every op that is not an insert is a delete, and a no-op delete
+        // still counts: it was applied (and, durable, logged).
+        let inserts = receipt.inserted as u64;
+        self.obs.count(&self.obs.writes, inserts);
+        self.obs
+            .count(&self.obs.deletes, ops.len() as u64 - inserts);
+        self.obs
+            .count(&self.obs.batches, u64::from(frame == Frame::Batch));
         match reads {
             Some(_) => self.obs.count(&self.obs.txn_commits, 1),
             None => self.retain_current(),

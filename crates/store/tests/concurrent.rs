@@ -600,9 +600,13 @@ fn one_commit_path_storm_keeps_every_snapshot_exact_at_its_version() {
 
     // Round `i` of writer `w`, commit `j`: the keys it adds and removes.
     // A and C live in shard 0, B and D in shard 1; only D outlives its round.
-    let effect = |w: usize, i: usize, j: usize| -> (Vec<u64>, Vec<u64>) {
+    let round_keys = |w: usize, i: usize| {
         let [a, c] = [2 * i, 2 * i + 1].map(|n| key(w + 1, false, n));
         let [b, d] = [2 * i, 2 * i + 1].map(|n| key(w + 1, true, n));
+        [a, b, c, d]
+    };
+    let effect = |w: usize, i: usize, j: usize| -> (Vec<u64>, Vec<u64>) {
+        let [a, b, c, d] = round_keys(w, i);
         match j {
             0 => (vec![a], vec![]),
             1 => (vec![b, c], vec![a]),
@@ -623,8 +627,7 @@ fn one_commit_path_storm_keeps_every_snapshot_exact_at_its_version() {
                 // Keep the storm up until a split has raced it.
                 while i < min_rounds || !split_raced.load(Ordering::SeqCst) {
                     assert!(i < MAX_ROUNDS, "no split raced {MAX_ROUNDS} rounds");
-                    let [a, c] = [2 * i, 2 * i + 1].map(|n| key(w + 1, false, n));
-                    let [b, d] = [2 * i, 2 * i + 1].map(|n| key(w + 1, true, n));
+                    let [a, b, c, d] = round_keys(w, i);
                     store.insert(a).unwrap();
                     let mut batch = WriteBatch::with_capacity(3);
                     batch.insert(b).insert(c).delete(a);
