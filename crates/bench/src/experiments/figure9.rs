@@ -4,7 +4,9 @@
 //! midpoint layers S-1 / S-10 / S-100 / S-1000, and the bare model, reporting
 //! lookup latency (9a) and average prediction error (9b). The reproducible
 //! shape: R-1 and S-1 are the fastest, error and latency grow as the layer is
-//! compressed, and the bare model is far worse on the hard datasets.
+//! compressed, and the bare model is far worse on the hard datasets. A third
+//! table puts the price next to it: bytes per key of every layer, and the
+//! storage tier the R-1 layer is served from.
 
 use crate::datasets::{dataset_u32, dataset_u64, BenchConfig};
 use crate::report::{fmt_ns, Table};
@@ -68,16 +70,23 @@ impl LayerConfig {
     }
 }
 
+/// Lookup ns, mean absolute error after correction, and the layer's size
+/// as the size table prints it.
 fn measure_config<K: Key>(
     shared: &std::sync::Arc<[K]>,
     w: &Workload<K>,
     config: LayerConfig,
-) -> (f64, f64) {
+) -> (f64, f64, String) {
     let spec = IndexSpec::parse(&format!("im+{}", config.layer_spec())).unwrap();
     let index = spec.build_corrected(shared.clone()).expect("sorted keys");
     let (ns, _) = measure_lookups(w.queries(), |q| index.lower_bound(q));
     let err = index.correction_error().mean_abs;
-    (ns, err)
+    let per_key = index.layer().size_bytes() as f64 / shared.len().max(1) as f64;
+    let size = match index.layer() {
+        CorrectionLayer::Range(table) => format!("{per_key:.2} ({})", table.tier()),
+        _ => format!("{per_key:.3}"),
+    };
+    (ns, err, size)
 }
 
 /// Run the Figure 9 experiment over `datasets`.
@@ -94,10 +103,17 @@ pub fn run_subset(cfg: BenchConfig, datasets: &[SosdName]) -> Vec<Table> {
             "dataset", "R-1", "S-1", "S-10", "S-100", "S-1000", "without",
         ],
     );
+    let mut size = Table::new(
+        "Figure 9c — layer size (bytes per key; R-1 with its storage tier) (IM model)",
+        &[
+            "dataset", "R-1", "S-1", "S-10", "S-100", "S-1000", "without",
+        ],
+    );
 
     for &name in datasets {
         let mut ns_cells = vec![name.to_string()];
         let mut err_cells = vec![name.to_string()];
+        let mut size_cells = vec![name.to_string()];
         // One shared copy of the key column per dataset; each configuration
         // clones the Arc, not the keys.
         if name.bits() == 32 {
@@ -105,25 +121,28 @@ pub fn run_subset(cfg: BenchConfig, datasets: &[SosdName]) -> Vec<Table> {
             let w = Workload::uniform_keys(&d, cfg.queries, cfg.seed ^ 0x99);
             let shared = d.to_shared();
             for config in LayerConfig::all() {
-                let (ns, err) = measure_config(&shared, &w, config);
+                let (ns, err, bytes) = measure_config(&shared, &w, config);
                 ns_cells.push(fmt_ns(ns));
                 err_cells.push(format!("{err:.1}"));
+                size_cells.push(bytes);
             }
         } else {
             let d = dataset_u64(name, cfg);
             let w = Workload::uniform_keys(&d, cfg.queries, cfg.seed ^ 0x99);
             let shared = d.to_shared();
             for config in LayerConfig::all() {
-                let (ns, err) = measure_config(&shared, &w, config);
+                let (ns, err, bytes) = measure_config(&shared, &w, config);
                 ns_cells.push(fmt_ns(ns));
                 err_cells.push(format!("{err:.1}"));
+                size_cells.push(bytes);
             }
         }
         latency.add_row(ns_cells);
         error.add_row(err_cells);
+        size.add_row(size_cells);
     }
 
-    vec![latency, error]
+    vec![latency, error, size]
 }
 
 /// Run over the figure's eight datasets.
@@ -138,9 +157,9 @@ mod tests {
     #[test]
     fn figure9_smoke_produces_latency_and_error_tables() {
         let tables = run_subset(BenchConfig::smoke(), &[SosdName::Face32, SosdName::Osmc64]);
-        assert_eq!(tables.len(), 2);
-        assert_eq!(tables[0].row_count(), 2);
-        assert_eq!(tables[1].row_count(), 2);
+        // ... and the size table beside them.
+        assert_eq!(tables.len(), 3);
+        assert!(tables.iter().all(|table| table.row_count() == 2));
     }
 
     #[test]
@@ -150,9 +169,9 @@ mod tests {
         let d = dataset_u64(SosdName::Osmc64, cfg);
         let w = Workload::uniform_keys(&d, 1_000, 5);
         let shared = d.to_shared();
-        let (_, e1) = measure_config(&shared, &w, LayerConfig::S(1));
-        let (_, e1000) = measure_config(&shared, &w, LayerConfig::S(1000));
-        let (_, e_without) = measure_config(&shared, &w, LayerConfig::Without);
+        let (_, e1, _) = measure_config(&shared, &w, LayerConfig::S(1));
+        let (_, e1000, _) = measure_config(&shared, &w, LayerConfig::S(1000));
+        let (_, e_without, _) = measure_config(&shared, &w, LayerConfig::Without);
         assert!(e1 <= e1000);
         assert!(e1000 <= e_without);
     }

@@ -1,73 +1,379 @@
 //! Builders for the Shift-Table layers (Algorithm 2 and its variants).
 //!
-//! The sequential builder is a single pass over the sorted keys plus a
-//! backward pass over the layer (the paper's `O(N · F_θ + M)` complexity),
-//! both over the 8-byte `(i32 Δ, u32 C)` layout the wide tier is served
-//! from ([`crate::entry`]): the backward pass hands the tier choice the
-//! extremes it saw, so packing is either free (wide) or one narrowing pass
-//! (narrow).
-//! A scoped-thread parallel builder splits the key array into contiguous
-//! chunks — valid because for a monotone model the predictions of a sorted
-//! chunk cover a contiguous range of partitions, so per-chunk partial layers
-//! can be merged with `min`/`sum` at the seams (the parallelisation the paper
-//! suggests for expensive models in §3.3). It shares the working layout and
-//! the backward pass with the sequential builder.
+//! A range layer has two builders, and `build_range_layer` picks between
+//! them from what the model says about itself and what its predictions
+//! then show.
+//!
+//! **The run-boundary emitter** is the path of monotone models. Over a
+//! sorted column a monotone model's predictions never decrease, so the keys
+//! of one partition are consecutive and — equal keys being predicted alike —
+//! a duplicate run never straddles two partitions. The positions `s_p`
+//! where the prediction changes therefore *are* the layer: partition `p`,
+//! whose first key sits at `s_p`, holds `Δ_p = s_p − p` and
+//! `C_p = s_next − s_p`, and an empty partition `k` left of it points at the
+//! same window, `(s_p − k, C_p)` (§3.1). Per `PREDICT_RUN` keys the
+//! emitter predicts, compacts the change positions without a branch, stages
+//! every window's entries — pseudo-entries included — as one fixed-size
+//! store, and hands the staged blocks strictly left to right to a sink: no
+//! blank fill, no read-modify-write on the layer, no backward pass, no key
+//! read beyond the model's own. Sequentially the sink is the
+//! `TierEncoder`, so the layer is written once, block by block, in the
+//! tier it is served from. Monotonicity is *checked, not trusted*: the
+//! emitter compares every prediction with its predecessor (and with the
+//! last partition it may fill), and the first one out of order abandons the
+//! attempt — nothing of it is kept — for the other builder.
+//!
+//! **The scatter builder** takes any model: one pass scatters drift minima
+//! and cardinalities into a blank `(i32 Δ, u32 C)` array (Algorithm 2 lines
+//! 3–15, the paper's `O(N · F_θ + M)`), a backward pass gives the empty
+//! partitions their pseudo-entries and reports the finished array's
+//! `EntryExtent`, block spread included, so the array is kept (wide) or
+//! re-encoded in one pass. It is what a non-monotone RMI is built with, and
+//! the reference the emitter is tested against entry by entry.
+//!
+//! **In parallel** (the parallelisation the paper suggests for expensive
+//! models, §3.3) the emitter runs over key ranges cut where the prediction
+//! changes, each worker filling its own disjoint stretch of one `(i32, u32)`
+//! array and reporting the stretch's extent; the blocks two stretches share
+//! are looked at once more after the join.
 
-use crate::entry::{EntryExtent, WideEntry, MAX_KEYS};
+use crate::entry::{EntryExtent, EntryStorage, EntryTier, TierEncoder, WideEntry, BLOCK, MAX_KEYS};
 use learned_index::model::CdfModel;
 use sosd_data::key::Key;
+use std::ops::Range;
 
 /// A partition no key has been predicted into yet: any drift is smaller.
 const UNSET: WideEntry = (i32::MAX, 0);
 
-/// Keys per [`CdfModel::predict_clamped_into`] call of the accumulation
-/// pass: the predictions of one run (4 KiB) stay in L1 beside the keys.
+/// Keys per [`CdfModel::predict_clamped_into`] call: the predictions of
+/// one run (4 KiB) stay in L1 beside the keys.
 const PREDICT_RUN: usize = 1024;
 
-/// A blank working layer for `n` keys.
-fn blank_layer(n: usize) -> Vec<WideEntry> {
+/// The smallest column worth cutting into parallel stretches.
+const PARALLEL_MIN_KEYS: usize = 4096;
+
+/// Build the full-resolution (`M = N`) range layer of `model` over the
+/// sorted `keys`, on up to `threads` threads: the run-boundary emitter for
+/// a model whose predictions turn out monotone, the scatter builder
+/// otherwise (see the module docs).
+pub(crate) fn build_range_layer<K: Key, M: CdfModel<K> + ?Sized>(
+    model: &M,
+    keys: &[K],
+    threads: usize,
+) -> EntryStorage {
     // lint: allow(panic) the validating builders turn longer columns into BuildError::TooManyKeys; past them a drift would silently truncate
     assert!(
-        n <= MAX_KEYS,
+        keys.len() <= MAX_KEYS,
         "a range layer covers at most {MAX_KEYS} keys"
     );
-    vec![UNSET; n]
+    if model.is_monotonic() {
+        let emitted = if threads > 1 && keys.len() >= PARALLEL_MIN_KEYS {
+            compute_range_entries_parallel(model, keys, threads)
+                .map(|(entries, extent)| EntryStorage::from_wide(entries, extent))
+        } else {
+            emit_range_layer(model, keys)
+        };
+        if let Some(layer) = emitted {
+            return layer;
+        }
+    }
+    let (entries, extent) = compute_range_entries(model, keys);
+    EntryStorage::from_wide(entries, extent)
 }
 
-/// Compute the `<Δ, C>` entries of a full-resolution (`M = N`) range-mode
-/// Shift-Table, *including* the pseudo-entries for empty partitions
-/// (Algorithm 2 lines 3–15), and their extremes.
-pub(crate) fn compute_range_entries<K: Key, M: CdfModel<K> + ?Sized>(
+/// Where the emitter puts finished entries, in partition order.
+trait EntrySink {
+    /// Take the next entries: whole blocks counted from the sink's first
+    /// entry, except in the last call.
+    fn extend(&mut self, entries: &[WideEntry]);
+}
+
+impl EntrySink for TierEncoder {
+    #[inline]
+    fn extend(&mut self, entries: &[WideEntry]) {
+        TierEncoder::extend(self, entries);
+    }
+}
+
+/// Entries the emitter stages before handing them to its sink (8 KiB,
+/// L1-resident beside the predictions).
+const STAGE: usize = 1024;
+
+/// The emitter's staging buffer. Every window is written as a fixed
+/// [`BLOCK`] of entries, whether or not that many partitions point at it —
+/// the next window overwrites the surplus — so writing a window costs no
+/// branch that depends on its length, and the sink is fed whole blocks.
+struct Stage<'a, S> {
+    sink: &'a mut S,
+    entries: [WideEntry; STAGE + BLOCK],
+    len: usize,
+}
+
+impl<'a, S: EntrySink> Stage<'a, S> {
+    fn new(sink: &'a mut S) -> Self {
+        Self {
+            sink,
+            entries: [(0, 0); STAGE + BLOCK],
+            len: 0,
+        }
+    }
+
+    /// Stage the entries of `partitions`, which all point at the window of
+    /// `count` records starting at record `start`.
+    #[inline]
+    fn fill(&mut self, partitions: Range<usize>, start: usize, count: u32) {
+        let mut k = partitions.start;
+        while k < partitions.end {
+            // Both terms are below `n <= MAX_KEYS`: the drift fits an
+            // `i32`. The surplus slots may wrap; they are never read.
+            let drift = start as i32 - k as i32;
+            for (i, slot) in self.entries[self.len..][..BLOCK].iter_mut().enumerate() {
+                *slot = (drift.wrapping_sub(i as i32), count);
+            }
+            let staged = BLOCK.min(partitions.end - k);
+            k += staged;
+            self.len += staged;
+            if self.len >= STAGE {
+                self.drain();
+            }
+        }
+    }
+
+    /// Hand the staged whole blocks to the sink.
+    fn drain(&mut self) {
+        let whole = self.len - self.len % BLOCK;
+        self.sink.extend(&self.entries[..whole]);
+        self.entries.copy_within(whole..self.len, 0);
+        self.len -= whole;
+    }
+
+    /// Hand everything staged to the sink: the last call it gets.
+    fn finish(self) {
+        self.sink.extend(&self.entries[..self.len]);
+    }
+}
+
+/// A prediction was smaller than its predecessor's, or past the last
+/// partition its stretch may fill: the model is not monotone over the
+/// column, whatever it claims.
+struct NotMonotone;
+
+/// The run-boundary emitter: hand `sink` the entries of `partitions` — real
+/// and pseudo, in order, exactly `partitions.len()` of them — given that
+/// `keys[key_range]` are the keys predicted into them. A stretch ending
+/// with the column also covers the trailing empty partitions, which point
+/// at the very last record. On `Err` the sink holds an unfinished prefix.
+fn emit_stretch<K: Key, M: CdfModel<K> + ?Sized, S: EntrySink>(
     model: &M,
     keys: &[K],
-) -> (Vec<WideEntry>, EntryExtent) {
+    key_range: Range<usize>,
+    partitions: Range<usize>,
+    sink: &mut S,
+) -> Result<(), NotMonotone> {
     let n = keys.len();
-    let mut entries = blank_layer(n);
-    accumulate_range(model, keys, 0, n, &mut entries);
-    let extent = fill_empty_partitions(&mut entries);
-    (entries, extent)
-}
-
-/// Accumulate drift minima and cardinalities for `keys[lo..hi]` into
-/// `entries` (which spans all `n` partitions). `lo` must either be 0 or start
-/// a new distinct key run (the caller aligns chunk boundaries).
-fn accumulate_range<K: Key, M: CdfModel<K> + ?Sized>(
-    model: &M,
-    keys: &[K],
-    lo: usize,
-    hi: usize,
-    entries: &mut [WideEntry],
-) {
+    let (lo, hi) = (key_range.start, key_range.end);
+    // Partitions below `next` are staged. `open` is the partition whose
+    // keys are being counted; its first key sits at `open_start`. Once its
+    // last key is known, it and the empty partitions on its left all point
+    // at the window `[open_start, end)` (§3.1).
+    let mut next = partitions.start;
+    let mut open = model.predict_clamped(keys[lo]);
+    let mut open_start = lo;
+    if open < next {
+        return Err(NotMonotone);
+    }
+    let mut stage = Stage::new(sink);
     // Predictions come a run at a time: through a `dyn` model that is one
     // virtual call per run, with the model's arithmetic inlined behind it.
     let mut predictions = [0u32; PREDICT_RUN];
-    let mut first_occurrence = lo;
+    let mut changes = [0u16; PREDICT_RUN];
     for start in (lo..hi).step_by(PREDICT_RUN) {
         let run = &keys[start..hi.min(start + PREDICT_RUN)];
         let predictions = &mut predictions[..run.len()];
         model.predict_clamped_into(run, predictions);
+        // Compact the positions where the prediction changes: every
+        // position is written, the cursor moves on only past a change.
+        let mut found = 0;
+        let mut monotone = true;
+        let mut previous = open as u32;
+        for (i, &prediction) in predictions.iter().enumerate() {
+            changes[found] = i as u16;
+            found += usize::from(prediction != previous);
+            monotone &= prediction >= previous;
+            previous = prediction;
+        }
+        // Non-decreasing, so the last prediction is the run's largest.
+        if !monotone || previous as usize >= partitions.end {
+            return Err(NotMonotone);
+        }
+        for &i in &changes[..found] {
+            let end = start + usize::from(i);
+            stage.fill(next..open + 1, open_start, (end - open_start) as u32);
+            next = open + 1;
+            open = predictions[usize::from(i)] as usize;
+            open_start = end;
+        }
+    }
+    if hi < n && open + 1 != partitions.end {
+        return Err(NotMonotone);
+    }
+    stage.fill(next..open + 1, open_start, (hi - open_start) as u32);
+    // Right of the last partition with keys there is only the last record
+    // itself: a window of one at record `n − 1`.
+    stage.fill(open + 1..partitions.end, n - 1, 1);
+    stage.finish();
+    Ok(())
+}
+
+/// The emitter over the whole column, straight into the tier the layer is
+/// served from. `None` when the model turns out not to be monotone.
+fn emit_range_layer<K: Key, M: CdfModel<K> + ?Sized>(
+    model: &M,
+    keys: &[K],
+) -> Option<EntryStorage> {
+    let n = keys.len();
+    let mut encoder = TierEncoder::new(EntryTier::Narrow, n);
+    if n > 0 {
+        emit_stretch(model, keys, 0..n, 0..n, &mut encoder).ok()?;
+    }
+    Some(encoder.finish())
+}
+
+/// One worker's stretch of the `(i32, u32)` array of a parallel build:
+/// filled left to right, its extent taken block by block on the way.
+struct WideStretch<'a> {
+    out: &'a mut [WideEntry],
+    /// The partition `out[0]` belongs to — blocks are aligned to the
+    /// array, not to the stretch.
+    first: usize,
+    filled: usize,
+    /// Where the first block not yet in `extent` starts.
+    block_start: usize,
+    extent: EntryExtent,
+}
+
+impl EntrySink for WideStretch<'_> {
+    fn extend(&mut self, entries: &[WideEntry]) {
+        self.out[self.filled..][..entries.len()].copy_from_slice(entries);
+        self.filled += entries.len();
+        // Of the stretch's first and last block only the part inside the
+        // stretch is covered; the caller looks at those again.
+        while self.block_start < self.filled {
+            let block_len = BLOCK - (self.first + self.block_start) % BLOCK;
+            let block_end = self.out.len().min(self.block_start + block_len);
+            if block_end > self.filled {
+                break;
+            }
+            self.extent
+                .include_block(&self.out[self.block_start..block_end]);
+            self.block_start = block_end;
+        }
+    }
+}
+
+/// The emitter on `threads` scoped threads: the `<Δ, C>` entries of the
+/// layer in the working layout, and their extremes. The column is cut where
+/// the prediction changes, so every worker owns the partitions of its keys
+/// and the empty ones on their left — a disjoint stretch of the array.
+/// `None` when the model turns out not to be monotone.
+pub(crate) fn compute_range_entries_parallel<K: Key, M: CdfModel<K> + ?Sized>(
+    model: &M,
+    keys: &[K],
+    threads: usize,
+) -> Option<(Vec<WideEntry>, EntryExtent)> {
+    let n = keys.len();
+    if n == 0 {
+        return Some((Vec::new(), EntryExtent::default()));
+    }
+    // Stretch `t` reads keys `cuts[t]..cuts[t + 1]` and fills partitions
+    // `seams[t]..seams[t + 1]`.
+    let mut cuts = vec![0];
+    let mut seams = vec![0];
+    for t in 1..threads {
+        let nominal = n * t / threads;
+        if nominal <= cuts[cuts.len() - 1] {
+            continue;
+        }
+        // Move the cut right to the first key predicted past its left
+        // neighbour — for a monotone model a bisection finds it; for any
+        // other it finds *a* change, and the workers' checks do the rest.
+        let left = model.predict_clamped(keys[nominal - 1]);
+        let cut =
+            nominal + keys[nominal..].partition_point(|&key| model.predict_clamped(key) <= left);
+        if cut == n {
+            break;
+        }
+        let seam = model.predict_clamped(keys[cut - 1]) + 1;
+        if seam <= seams[seams.len() - 1] {
+            return None;
+        }
+        cuts.push(cut);
+        seams.push(seam);
+    }
+    cuts.push(n);
+    seams.push(n);
+
+    let mut entries: Vec<WideEntry> = vec![(0, 0); n];
+    let mut rest = entries.as_mut_slice();
+    let mut stretches = Vec::with_capacity(seams.len() - 1);
+    for (key_range, seam) in cuts.windows(2).zip(seams.windows(2)) {
+        let (out, right) = rest.split_at_mut(seam[1] - seam[0]);
+        rest = right;
+        stretches.push((key_range[0]..key_range[1], seam[0]..seam[1], out));
+    }
+    let extents: Vec<Result<EntryExtent, NotMonotone>> = std::thread::scope(|scope| {
+        let workers: Vec<_> = stretches
+            .into_iter()
+            .map(|(key_range, partitions, out)| {
+                scope.spawn(move || {
+                    let mut stretch = WideStretch {
+                        out,
+                        first: partitions.start,
+                        filled: 0,
+                        block_start: 0,
+                        extent: EntryExtent::default(),
+                    };
+                    emit_stretch(model, keys, key_range, partitions, &mut stretch)?;
+                    debug_assert_eq!(stretch.block_start, stretch.out.len());
+                    Ok(stretch.extent)
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            // lint: allow(panic) join fails only when the child panicked; re-raising preserves the failure
+            .map(|worker| worker.join().expect("shift-table build worker panicked"))
+            .collect()
+    });
+    let mut extent = EntryExtent::default();
+    for stretch in extents {
+        extent.merge(stretch.ok()?);
+    }
+    // A block two stretches share was seen in parts: include it whole.
+    for &seam in &seams[1..seams.len() - 1] {
+        let block = seam - seam % BLOCK;
+        extent.include_block(&entries[block..n.min(block + BLOCK)]);
+    }
+    Some((entries, extent))
+}
+
+/// The scatter builder: the `<Δ, C>` entries of the layer for *any* model,
+/// *including* the pseudo-entries for empty partitions (Algorithm 2 lines
+/// 3–15), in the working layout, and their extremes.
+pub(crate) fn compute_range_entries<K: Key, M: CdfModel<K> + ?Sized>(
+    model: &M,
+    keys: &[K],
+) -> (Vec<WideEntry>, EntryExtent) {
+    let mut entries = vec![UNSET; keys.len()];
+    // Predictions come a run at a time, as in the emitter.
+    let mut predictions = [0u32; PREDICT_RUN];
+    let mut first_occurrence = 0;
+    for start in (0..keys.len()).step_by(PREDICT_RUN) {
+        let run = &keys[start..keys.len().min(start + PREDICT_RUN)];
+        let predictions = &mut predictions[..run.len()];
+        model.predict_clamped_into(run, predictions);
         for (i, &prediction) in (start..).zip(predictions.iter()) {
-            if i > lo && keys[i] == keys[i - 1] {
+            if i > 0 && keys[i] == keys[i - 1] {
                 // duplicate: the CDF target stays at the first occurrence (§3.2)
             } else {
                 first_occurrence = i;
@@ -79,12 +385,14 @@ fn accumulate_range<K: Key, M: CdfModel<K> + ?Sized>(
             *count += 1;
         }
     }
+    let extent = fill_empty_partitions(&mut entries);
+    (entries, extent)
 }
 
 /// Backward pass: give empty partitions pseudo-entries that point at the
 /// search region of the first non-empty partition to their right (§3.1).
 /// Trailing empty partitions (nothing to their right) point at the very last
-/// record. Every entry is final once this pass has visited it, so it also
+/// record. Every block is final once this pass has left it, so it also
 /// reports the extremes of the finished layer.
 fn fill_empty_partitions(entries: &mut [WideEntry]) -> EntryExtent {
     let mut extent = EntryExtent::default();
@@ -93,77 +401,28 @@ fn fill_empty_partitions(entries: &mut [WideEntry]) -> EntryExtent {
     // Δ_k = Δ_{k+1} + 1. Right of the last partition there is only the last
     // record itself, at drift −1 from the (virtual) partition `n`.
     let mut right: WideEntry = (-1, 1);
-    for e in entries.iter_mut().rev() {
-        if e.1 == 0 {
-            *e = (right.0 + 1, right.1);
+    // One aligned block, right to left, its extremes taken on the way.
+    let mut fill_block = |block: &mut [WideEntry]| {
+        let mut extremes = (i32::MAX, i32::MIN, 0);
+        for e in block.iter_mut().rev() {
+            if e.1 == 0 {
+                *e = (right.0 + 1, right.1);
+            }
+            right = *e;
+            extremes = (
+                extremes.0.min(right.0),
+                extremes.1.max(right.0),
+                extremes.2.max(right.1),
+            );
         }
-        right = *e;
-        extent.include(right);
+        extent.include_extremes(extremes);
+    };
+    let (blocks, last) = entries.as_chunks_mut::<BLOCK>();
+    if !last.is_empty() {
+        fill_block(last);
     }
+    blocks.iter_mut().rev().for_each(|block| fill_block(block));
     extent
-}
-
-/// Parallel variant of [`compute_range_entries`] using `threads` scoped
-/// worker threads. Falls back to the sequential builder for non-monotonic
-/// models, tiny inputs or `threads <= 1`.
-pub(crate) fn compute_range_entries_parallel<K: Key, M: CdfModel<K> + Sync + ?Sized>(
-    model: &M,
-    keys: &[K],
-    threads: usize,
-) -> (Vec<WideEntry>, EntryExtent) {
-    let n = keys.len();
-    if threads <= 1 || n < 4096 || !model.is_monotonic() {
-        return compute_range_entries(model, keys);
-    }
-    // Chunk boundaries aligned so a duplicate run never spans two chunks
-    // (the first-occurrence position must be computable inside the chunk).
-    let mut bounds = vec![0usize];
-    for t in 1..threads {
-        let mut b = n * t / threads;
-        while b < n && b > 0 && keys[b] == keys[b - 1] {
-            b += 1;
-        }
-        // lint: allow(panic) bounds starts with one element and only grows; last() cannot fail
-        if b > *bounds.last().unwrap() && b < n {
-            bounds.push(b);
-        }
-    }
-    bounds.push(n);
-
-    // Each worker fills its own partial layer; partials are merged with
-    // min/sum which is associative, so seams are handled for free.
-    let mut partials: Vec<Vec<WideEntry>> = Vec::with_capacity(bounds.len() - 1);
-    std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for w in bounds.windows(2) {
-            let (lo, hi) = (w[0], w[1]);
-            handles.push(scope.spawn(move || {
-                let mut local = blank_layer(n);
-                accumulate_range(model, keys, lo, hi, &mut local);
-                local
-            }));
-        }
-        for h in handles {
-            // lint: allow(panic) join fails only when the child panicked; re-raising preserves the failure
-            partials.push(h.join().expect("shift-table build worker panicked"));
-        }
-    });
-
-    // Reduce in place into the first partial instead of allocating a fresh
-    // n-entry accumulator — one full-layer allocation saved per build, which
-    // the serving layer's rebuild path hits on every epoch swap.
-    let mut partials = partials.into_iter();
-    // lint: allow(panic) the chunking above yields at least one chunk for a non-empty layer
-    let mut entries = partials.next().expect("at least one build chunk");
-    for partial in partials {
-        for (e, p) in entries.iter_mut().zip(partial) {
-            // An untouched partition holds `UNSET`, the identity of min/sum.
-            e.0 = e.0.min(p.0);
-            e.1 += p.1;
-        }
-    }
-    let extent = fill_empty_partitions(&mut entries);
-    (entries, extent)
 }
 
 /// Compute the midpoint drifts `Δ̄` of a compact (S-X) layer with `m`
@@ -388,37 +647,233 @@ mod tests {
         }
     }
 
+    /// The scatter builder's layer: the reference the emitter must equal.
+    fn reference<K: Key, M: CdfModel<K> + ?Sized>(model: &M, keys: &[K]) -> EntryStorage {
+        let (entries, extent) = compute_range_entries(model, keys);
+        assert_eq!(extent, EntryExtent::of(&entries));
+        EntryStorage::from_wide(entries, extent)
+    }
+
+    /// Assert that the emitter — sequential, and cut into stretches for
+    /// each of `threads` — builds the scatter reference: same tier, same
+    /// arrays (so same entries and `size_bytes`), same extent.
+    fn assert_emitter_matches_reference<K: Key, M: CdfModel<K> + ?Sized>(
+        model: &M,
+        keys: &[K],
+        threads: &[usize],
+        tag: &str,
+    ) -> EntryStorage {
+        assert!(
+            model.is_monotonic(),
+            "{tag}: the emitter is for monotone models"
+        );
+        let (entries, extent) = compute_range_entries(model, keys);
+        let expected = EntryStorage::from_wide(entries.clone(), extent);
+        let emitted = emit_range_layer(model, keys).unwrap_or_else(|| panic!("{tag}: abandoned"));
+        assert_eq!(emitted.tier(), expected.tier(), "{tag}");
+        assert!(emitted == expected, "{tag}: emitted layer differs");
+        assert_eq!(emitted.size_bytes(), expected.size_bytes(), "{tag}");
+        for &t in threads {
+            let (par, par_extent) = compute_range_entries_parallel(model, keys, t)
+                .unwrap_or_else(|| panic!("{tag}: {t} threads abandoned"));
+            assert!(par == entries, "{tag}: {t} threads differ");
+            assert_eq!(par_extent, extent, "{tag}: extent with {t} threads");
+            assert!(build_range_layer(model, keys, t) == expected, "{tag} x{t}");
+        }
+        expected
+    }
+
+    #[cfg_attr(miri, ignore = "dataset too large for Miri")]
+    #[test]
+    fn emitter_matches_scatter_reference_on_every_generator_and_model() {
+        use learned_index::spec::ModelSpec;
+        use std::collections::BTreeSet;
+        // 6 k keys stay narrow under every model; under IM 70 k drift past
+        // `i16` on the skewed generators (relative: the drift is smooth),
+        // and at 200 k one lognormal partition takes more than `u16::MAX`
+        // keys (wide).
+        let mut tiers = BTreeSet::new();
+        let mut scattered = 0;
+        for spec in ["im", "linear", "rmi:64", "rmi:4096", "rmi:64:cubic"] {
+            let spec = ModelSpec::parse(spec).unwrap();
+            for n in [6_000, 70_000, 200_000] {
+                for name in SosdName::all() {
+                    let d: Dataset<u64> = name.generate(n, 17);
+                    let keys = d.as_slice();
+                    let model = spec.build(keys);
+                    let tag = format!("{name} {spec} n={n}");
+                    let layer = if model.is_monotonic() {
+                        assert_emitter_matches_reference(&*model, keys, &[2, 7], &tag)
+                    } else {
+                        // Not the emitter's business: both thread counts
+                        // take the scatter builder.
+                        scattered += 1;
+                        let expected = reference(&*model, keys);
+                        assert!(build_range_layer(&*model, keys, 1) == expected, "{tag}");
+                        assert!(build_range_layer(&*model, keys, 3) == expected, "{tag}");
+                        expected
+                    };
+                    tiers.insert(layer.tier().name());
+                }
+            }
+        }
+        assert_eq!(tiers.len(), 3, "the matrix reaches every tier: {tiers:?}");
+        assert!(scattered > 0, "the matrix holds non-monotone models");
+    }
+
+    /// A staircase over `0..n`: monotone, or with every `dip`-th key
+    /// predicted two steps too low while still claiming to be monotone.
+    struct Stairs {
+        n: usize,
+        step: u64,
+        dip: Option<u64>,
+    }
+    impl CdfModel<u64> for Stairs {
+        fn predict(&self, key: u64) -> usize {
+            let stair = (key / self.step * self.step) as usize;
+            match self.dip {
+                Some(dip) if key % dip == dip - 1 => stair.saturating_sub(2 * self.step as usize),
+                _ => stair,
+            }
+        }
+        fn key_count(&self) -> usize {
+            self.n
+        }
+        fn size_bytes(&self) -> usize {
+            0
+        }
+        fn is_monotonic(&self) -> bool {
+            true
+        }
+        fn name(&self) -> &'static str {
+            "stairs"
+        }
+    }
+
+    #[cfg_attr(miri, ignore = "dataset too large for Miri")]
+    #[test]
+    fn a_model_that_lies_about_monotonicity_falls_back_to_the_scatter_builder() {
+        let n = 5_000;
+        let keys: Vec<u64> = (0..n as u64).collect();
+        // One dip per 1 000 keys — inside a run, on a run's first and last
+        // key, and at the seams of a parallel build, depending on the step.
+        for (step, dip) in [(10, 1_000), (7, 1_024), (1, 1_025), (1_000, 999)] {
+            let liar = Stairs {
+                n,
+                step,
+                dip: Some(dip),
+            };
+            assert!(
+                !learned_index::model::verify_monotonic_on(&liar, &keys),
+                "step {step} dip {dip}: the model must actually dip"
+            );
+            assert!(emit_range_layer(&liar, &keys).is_none());
+            let expected = reference(&liar, &keys);
+            for threads in [1, 2, 3, 7] {
+                if threads > 1 {
+                    assert!(compute_range_entries_parallel(&liar, &keys, threads).is_none());
+                }
+                assert!(build_range_layer(&liar, &keys, threads) == expected);
+            }
+            // The same staircase without the dips is the emitter's.
+            let honest = Stairs { n, step, dip: None };
+            assert_emitter_matches_reference(&honest, &keys, &[2, 3, 7], "stairs");
+        }
+        // A lie only the last prediction of the column tells.
+        let liar = Stairs {
+            n,
+            step: 1,
+            dip: Some(n as u64),
+        };
+        assert!(emit_range_layer(&liar, &keys).is_none());
+        assert!(build_range_layer(&liar, &keys, 2) == reference(&liar, &keys));
+    }
+
+    #[cfg_attr(miri, ignore = "dataset too large for Miri")]
+    #[test]
+    fn an_over_wide_block_and_an_over_long_count_end_in_the_right_tier() {
+        // Stairs of 70 000 keys: Δ climbs to 69 999 inside a stair and
+        // falls back at its end, so a block around a stair's end spreads
+        // past `u16` — and every window is longer than `u16::MAX`.
+        let n = 150_000;
+        let keys: Vec<u64> = (0..n as u64).collect();
+        let model = Stairs {
+            n,
+            step: 70_000,
+            dip: None,
+        };
+        let layer = assert_emitter_matches_reference(&model, &keys, &[2], "long stairs");
+        assert_eq!(layer.tier(), EntryTier::Wide);
+        // Stairs of 40 000: counts fit, but the pseudo-entries before a
+        // stair drift 40 000 down to 1 — relative, as no block of 8 sees
+        // more than 8 of that — while one over-long duplicate run makes a
+        // window `u16` cannot hold.
+        let model = Stairs {
+            n,
+            step: 40_000,
+            dip: None,
+        };
+        let layer = assert_emitter_matches_reference(&model, &keys, &[3], "short stairs");
+        assert_eq!(layer.tier(), EntryTier::Relative);
+        let mut dups = keys.clone();
+        dups[50_000..120_000].fill(50_000);
+        let layer = assert_emitter_matches_reference(&model, &dups, &[3], "duplicate run");
+        assert_eq!(layer.tier(), EntryTier::Wide);
+    }
+
+    #[test]
+    fn small_columns_are_emitted_like_the_reference() {
+        let mut tiers = Vec::new();
+        for n in [0usize, 1, 7, 8, 9, 1_023, 1_024, 1_025, 2_049] {
+            let keys: Vec<u64> = (0..n as u64).map(|i| i * i / 3).collect();
+            let model = InterpolationModel::from_sorted_keys(&keys);
+            let layer = assert_emitter_matches_reference(&model, &keys, &[2], &format!("n={n}"));
+            assert_eq!(layer.len(), n);
+            tiers.push(layer.tier());
+        }
+        assert!(tiers.iter().all(|&t| t == EntryTier::Narrow));
+        // All keys in the first partition; all in the last; one duplicate.
+        let model = Stairs {
+            n: 9,
+            step: 100,
+            dip: None,
+        };
+        assert_emitter_matches_reference(&model, &[1, 2, 3, 4, 5, 6, 7, 8, 9], &[], "first");
+        assert_emitter_matches_reference(&model, &[900; 9], &[], "last");
+        // A model lying about its monotonicity, small enough for Miri.
+        let keys: Vec<u64> = (0..1_100).collect();
+        let liar = Stairs {
+            n: keys.len(),
+            step: 3,
+            dip: Some(500),
+        };
+        assert!(emit_range_layer(&liar, &keys).is_none());
+        assert!(build_range_layer(&liar, &keys, 1) == reference(&liar, &keys));
+    }
+
     #[cfg_attr(miri, ignore = "dataset too large for Miri")]
     #[test]
     fn parallel_build_matches_sequential() {
         for name in [SosdName::Face64, SosdName::Wiki64, SosdName::Logn64] {
             let d: Dataset<u64> = name.generate(30_000, 9);
             let model = InterpolationModel::build(&d);
-            let seq = compute_range_entries(&model, d.as_slice());
-            for threads in [2usize, 3, 8] {
-                let par = compute_range_entries_parallel(&model, d.as_slice(), threads);
-                assert_eq!(seq, par, "{name} with {threads} threads");
-            }
+            assert_emitter_matches_reference(&model, d.as_slice(), &[2, 3, 8], &name.to_string());
         }
     }
 
     #[cfg_attr(miri, ignore = "dataset too large for Miri")]
     #[test]
     fn parallel_build_is_equivalent_on_every_generator_and_thread_count() {
-        // The chunk-boundary audit as a property: `build_parallel ≡ build`
-        // over every SOSD generator, with 1 thread (sequential fallback), 2
-        // threads (one seam) and 7 threads (seams at non-power-of-two,
-        // non-divisor offsets). n exceeds the 4096-key fallback threshold so
-        // the scoped-thread path actually runs.
+        // The stretch-seam audit as a property: `build_parallel ≡ build`
+        // over every SOSD generator, with 1 thread (the sequential
+        // emitter), 2 threads (one seam) and 7 threads (seams at
+        // non-power-of-two, non-divisor offsets). n exceeds the 4096-key
+        // threshold so the scoped-thread path actually runs.
         let n = 6_000;
         for name in SosdName::all() {
             let d: Dataset<u64> = name.generate(n, 13);
             let model = InterpolationModel::build(&d);
-            let seq = compute_range_entries(&model, d.as_slice());
-            for threads in [1usize, 2, 7] {
-                let par = compute_range_entries_parallel(&model, d.as_slice(), threads);
-                assert_eq!(seq, par, "{name} with {threads} threads");
-            }
+            assert_emitter_matches_reference(&model, d.as_slice(), &[1, 2, 7], &name.to_string());
         }
     }
 
@@ -427,9 +882,9 @@ mod tests {
     fn parallel_build_never_splits_a_duplicate_run() {
         use sosd_data::rng::SplitMix64;
         // Duplicate-heavy key columns whose run boundaries land on (and far
-        // past) the naive n·t/threads chunk offsets: the boundary-alignment
-        // loop must push every seam to the start of a fresh run, or the
-        // per-chunk first-occurrence tracking diverges from the serial build.
+        // past) the naive n·t/threads cut offsets: every cut must move to
+        // where the prediction changes — the start of a fresh run — or a
+        // partition would be counted in two stretches.
         let mut rng = SplitMix64::new(0xD095);
         let mut keys: Vec<u64> = Vec::new();
         while keys.len() < 10_000 {
@@ -439,42 +894,43 @@ mod tests {
         }
         keys.sort_unstable();
         let model = InterpolationModel::from_sorted_keys(&keys);
-        let seq = compute_range_entries(&model, &keys);
-        for threads in [2usize, 3, 7, 16] {
-            let par = compute_range_entries_parallel(&model, &keys, threads);
-            assert_eq!(seq, par, "duplicate-heavy with {threads} threads");
-        }
+        assert_emitter_matches_reference(&model, &keys, &[2, 3, 7, 16], "duplicate-heavy");
 
-        // Degenerate: one run covering almost the whole column — every chunk
-        // boundary collapses into the run's end.
+        // Degenerate: one run covering almost the whole column — every cut
+        // collapses into the run's end, most stretches are empty and are
+        // dropped.
         let mut keys = vec![7u64; 9_000];
         keys.splice(0..0, [1u64, 2, 3]);
         keys.extend([9u64, 10]);
         let model = InterpolationModel::from_sorted_keys(&keys);
-        let seq = compute_range_entries(&model, &keys);
-        for threads in [2usize, 7] {
-            let par = compute_range_entries_parallel(&model, &keys, threads);
-            assert_eq!(seq, par, "mega-run with {threads} threads");
-        }
+        assert_emitter_matches_reference(&model, &keys, &[2, 3, 7], "mega-run");
+
+        // Two far clusters: every partition between them is empty, so the
+        // stretch right of a seam starts with a long run of pseudo-entries
+        // and the seam sits mid-block.
+        let mut keys: Vec<u64> = (0..3_001u64).collect();
+        keys.extend((0..3_002u64).map(|i| 1_000_000_000 + i));
+        let model = InterpolationModel::from_sorted_keys(&keys);
+        assert_emitter_matches_reference(&model, &keys, &[2, 3, 7], "two clusters");
     }
 
     #[test]
     fn parallel_build_merges_seams_at_the_smallest_parallel_size() {
         // 4096 keys is the smallest column the scoped-thread path accepts —
-        // small enough for Miri to run the partial-layer merge.
+        // small enough for Miri to run the stretch split and the seam-block
+        // merge of the extents.
         let keys: Vec<u64> = (0..4096u64).map(|i| i * i / 7).collect();
         let model = InterpolationModel::from_sorted_keys(&keys);
-        let seq = compute_range_entries(&model, &keys);
-        assert_eq!(seq, compute_range_entries_parallel(&model, &keys, 3));
+        assert_emitter_matches_reference(&model, &keys, &[3], "4096");
     }
 
     #[test]
     fn parallel_build_falls_back_for_tiny_input() {
         let d: Dataset<u64> = SosdName::Uden64.generate(100, 1);
         let model = InterpolationModel::build(&d);
-        let seq = compute_range_entries(&model, d.as_slice());
-        let par = compute_range_entries_parallel(&model, d.as_slice(), 4);
-        assert_eq!(seq, par);
+        let seq = build_range_layer(&model, d.as_slice(), 1);
+        let par = build_range_layer(&model, d.as_slice(), 4);
+        assert!(seq == par && seq == reference(&model, d.as_slice()));
     }
 
     #[test]
@@ -553,6 +1009,7 @@ mod tests {
         let d: Dataset<u64> = Dataset::from_keys("e", vec![]);
         let model = InterpolationModel::build(&d);
         assert!(compute_range_entries(&model, d.as_slice()).0.is_empty());
+        assert!(build_range_layer(&model, d.as_slice(), 2).is_empty());
         let (deltas, residual) = compute_midpoint_deltas_and_residual(&model, d.as_slice(), 4, 1);
         assert_eq!(deltas, vec![0, 0, 0, 0]);
         assert_eq!(residual, 0.0);

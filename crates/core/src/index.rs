@@ -156,14 +156,16 @@ impl<K: Key, M: CdfModel<K>, S: AsRef<[K]> + Send + Sync> CorrectedIndexBuilder<
         let model_expected_error = OnceLock::new();
         let layer = match self.layer {
             LayerChoice::None => CorrectionLayer::None,
-            LayerChoice::Range => {
-                CorrectionLayer::Range(build_range_table(&self.model, keys, self.build_threads))
-            }
+            LayerChoice::Range => CorrectionLayer::Range(ShiftTable::build_parallel(
+                &self.model,
+                keys,
+                self.build_threads,
+            )),
             LayerChoice::Midpoint { records_per_entry } => CorrectionLayer::Midpoint(
                 CompactShiftTable::build(&self.model, keys, records_per_entry),
             ),
             LayerChoice::Auto => {
-                let table = build_range_table(&self.model, keys, self.build_threads);
+                let table = ShiftTable::build_parallel(&self.model, keys, self.build_threads);
                 let before = ModelErrorStats::mean_abs_on_keys(&self.model, keys);
                 let _ = model_expected_error.set(before);
                 let advisor = TuningAdvisor::with(Default::default(), self.config);
@@ -182,14 +184,6 @@ impl<K: Key, M: CdfModel<K>, S: AsRef<[K]> + Send + Sync> CorrectedIndexBuilder<
             model_expected_error,
             _key: PhantomData,
         }
-    }
-}
-
-fn build_range_table<K: Key, M: CdfModel<K>>(model: &M, keys: &[K], threads: usize) -> ShiftTable {
-    if threads > 1 && model.is_monotonic() {
-        ShiftTable::build_parallel(model, keys, threads)
-    } else {
-        ShiftTable::build(model, keys)
     }
 }
 

@@ -23,7 +23,9 @@
 //! ## Crate layout
 //!
 //! * [`ShiftTable`] — the full-resolution `<Δ, C>` layer (the paper's R-1
-//!   configuration, Algorithm 2),
+//!   configuration, Algorithm 2), stored in the smallest [`EntryTier`] its
+//!   entries fit: 4 bytes per key (narrow), 4.5 (16-bit fields relative to
+//!   one base per block of 8) or 8 (wide) — see [`entry`],
 //! * [`CompactShiftTable`] — the compressed midpoint layer with one `Δ̄`
 //!   entry per `X` records (the S-X configurations, §3.4),
 //! * [`CorrectedIndex`] — a complete range index assembled from any
@@ -42,7 +44,9 @@
 //!   §3.7/§3.9 (should the layer be enabled? which local search?),
 //! * [`error`] — construction errors ([`BuildError`]), the error estimates of
 //!   §3.5 (Eq. 8) and empirical error measurement,
-//! * [`build`] — sequential and parallel (scoped-thread) builders.
+//! * [`build`] — the layer builders: the one-pass run-boundary emitter for
+//!   monotone models (sequential or over scoped threads) and the scatter
+//!   builder for every other.
 //!
 //! ## Batch kernel pipeline
 //!
@@ -122,7 +126,7 @@ pub use compact::CompactShiftTable;
 pub use config::ShiftTableConfig;
 pub use correction::{Correction, SearchHint};
 pub use cost::{LatencyModel, TuningAdvisor, TuningDecision};
-pub use entry::ShiftEntry;
+pub use entry::{EntryTier, ShiftEntry};
 pub use error::{BuildError, CorrectionErrorStats};
 pub use index::{BorrowedCorrectedIndex, CorrectedIndex, CorrectedIndexBuilder, CorrectionLayer};
 pub use snapshot::SnapshotRead;
@@ -135,6 +139,7 @@ pub mod prelude {
     pub use crate::config::ShiftTableConfig;
     pub use crate::correction::{Correction, SearchHint};
     pub use crate::cost::{LatencyModel, TuningAdvisor, TuningDecision};
+    pub use crate::entry::EntryTier;
     pub use crate::error::{BuildError, CorrectionErrorStats};
     pub use crate::index::{
         BorrowedCorrectedIndex, CorrectedIndex, CorrectedIndexBuilder, CorrectionLayer,

@@ -250,21 +250,6 @@ impl IndexSpec {
         Ok(Box::new(self.build_corrected(keys)?))
     }
 
-    /// [`IndexSpec::build`] for callers that *guarantee* the key column is
-    /// already sorted, skipping the O(n) sortedness scan and returning the
-    /// boxed trait object directly — the hook the serving layer's rebuild,
-    /// split and merge paths drive (their inputs are merges of sorted
-    /// columns). The prevalidation contract of
-    /// [`IndexSpec::build_corrected_prevalidated_with`] applies.
-    pub fn build_dyn_prevalidated_with<K: Key>(
-        &self,
-        keys: impl Into<Arc<[K]>>,
-        config: ShiftTableConfig,
-        threads: usize,
-    ) -> DynRangeIndex<K> {
-        Box::new(self.build_corrected_prevalidated_with(keys, config, threads))
-    }
-
     /// Every model-family × layer-family combination (with small default
     /// parameters) — the matrix the spec tests sweep.
     pub fn all_combinations() -> Vec<IndexSpec> {

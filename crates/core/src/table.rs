@@ -8,7 +8,7 @@
 
 use crate::build;
 use crate::correction::{Correction, SearchHint};
-use crate::entry::{EntryExtent, EntryStorage, ShiftEntry, WideEntry};
+use crate::entry::{EntryStorage, EntryTier, ShiftEntry};
 use crate::error::BuildError;
 use learned_index::model::CdfModel;
 use sosd_data::key::Key;
@@ -40,43 +40,41 @@ impl ShiftTable {
 
     /// Build the layer for `model` over the sorted `keys` (Algorithm 2).
     ///
-    /// Complexity: `O(N · cost(F_θ) + N)` — one model execution per key and
-    /// one backward pass over the layer, both over 8-byte entries; a layer
-    /// whose entries all fit the narrow tier pays one more pass to narrow.
+    /// Complexity: `O(N · cost(F_θ) + N)` — one model execution per key,
+    /// and for a monotone model one sequential write of the layer in the
+    /// tier it is served from; any other model pays a scatter pass, a
+    /// backward pass and, outside the wide tier, a re-encoding pass
+    /// ([`crate::build`]).
     ///
     /// # Panics
     /// If `keys` is longer than [`ShiftTable::MAX_KEYS`].
     pub fn build<K: Key, M: CdfModel<K> + ?Sized>(model: &M, keys: &[K]) -> Self {
-        let (entries, extent) = build::compute_range_entries(model, keys);
-        Self::from_wide(entries, extent)
+        Self::build_parallel(model, keys, 1)
     }
 
-    /// Build the layer in parallel with `threads` scoped worker threads.
-    /// Falls back to the sequential build for non-monotone models or small
-    /// inputs.
-    pub fn build_parallel<K: Key, M: CdfModel<K> + Sync + ?Sized>(
+    /// Build the layer on up to `threads` scoped threads. Only a monotone
+    /// model's layer over at least a few thousand keys is cut into
+    /// stretches; anything else builds as [`ShiftTable::build`] does.
+    pub fn build_parallel<K: Key, M: CdfModel<K> + ?Sized>(
         model: &M,
         keys: &[K],
         threads: usize,
     ) -> Self {
-        let (entries, extent) = build::compute_range_entries_parallel(model, keys, threads);
-        Self::from_wide(entries, extent)
-    }
-
-    /// Pack a finished working array (range mode: `M == N`).
-    fn from_wide(entries: Vec<WideEntry>, extent: EntryExtent) -> Self {
-        let n = entries.len();
         Self {
-            entries: EntryStorage::from_wide(entries, extent),
-            n,
+            entries: build::build_range_layer(model, keys, threads),
+            n: keys.len(),
         }
     }
 
     /// Assemble a layer from hand-written `(Δ, C)` entries.
     #[cfg(test)]
-    pub(crate) fn from_entries(entries: Vec<WideEntry>) -> Self {
-        let extent = EntryExtent::of(&entries);
-        Self::from_wide(entries, extent)
+    pub(crate) fn from_entries(entries: Vec<crate::entry::WideEntry>) -> Self {
+        let extent = crate::entry::EntryExtent::of(&entries);
+        let n = entries.len();
+        Self {
+            entries: EntryStorage::from_wide(entries, extent),
+            n,
+        }
     }
 
     /// Number of keys (== number of entries, `M = N`).
@@ -100,9 +98,15 @@ impl ShiftTable {
         self.entries.get(k.min(self.entries.len() - 1))
     }
 
+    /// The storage tier the layer is served from (§3.9): the smallest its
+    /// entries fit.
+    pub fn tier(&self) -> EntryTier {
+        self.entries.tier()
+    }
+
     /// True if the narrow `(i16, u16)` encoding was selected (§3.9).
     pub fn is_narrow(&self) -> bool {
-        self.entries.is_narrow()
+        self.tier() == EntryTier::Narrow
     }
 
     /// Iterate over the window lengths `C_k` (used by the cost model and by
@@ -163,24 +167,32 @@ mod tests {
     #[cfg_attr(miri, ignore = "dataset too large for Miri")]
     #[test]
     fn corrected_windows_cover_every_indexed_key() {
-        for name in SosdName::all() {
-            let d: Dataset<u64> = name.generate(10_000, 21);
-            let model = InterpolationModel::build(&d);
-            let table = ShiftTable::build(&model, d.as_slice());
-            assert_eq!(table.len(), d.len());
-            for (i, &k) in d.as_slice().iter().enumerate() {
-                let target = d.lower_bound(k);
-                let _ = i;
-                let hint = table.correct(model.predict_clamped(k));
-                let w = hint.window.unwrap();
-                assert!(
-                    hint.start <= target && target < hint.start + w.max(1),
-                    "{name}: key {k} target {target} outside window [{}, {})",
-                    hint.start,
-                    hint.start + w
-                );
+        // 10 k keys pack narrow everywhere; 200 k under IM drift past `i16`
+        // on half the generators, into the relative tier or — where one
+        // partition takes more than `u16::MAX` keys — into the wide one.
+        let mut tiers = std::collections::BTreeSet::new();
+        for n in [10_000, 200_000] {
+            for name in SosdName::all() {
+                let d: Dataset<u64> = name.generate(n, 21);
+                let model = InterpolationModel::build(&d);
+                let table = ShiftTable::build(&model, d.as_slice());
+                assert_eq!(table.len(), d.len());
+                tiers.insert(table.tier().name());
+                for &k in d.as_slice() {
+                    let target = d.lower_bound(k);
+                    let hint = table.correct(model.predict_clamped(k));
+                    let w = hint.window.unwrap();
+                    assert!(
+                        hint.start <= target && target < hint.start + w.max(1),
+                        "{name} n={n} ({}): key {k} target {target} outside window [{}, {})",
+                        table.tier(),
+                        hint.start,
+                        hint.start + w
+                    );
+                }
             }
         }
+        assert_eq!(tiers.len(), 3, "every tier is covered: {tiers:?}");
     }
 
     #[test]
@@ -260,17 +272,25 @@ mod tests {
     #[test]
     fn size_bytes_reflects_encoding() {
         // A near-perfect model packs narrow; IM over 70k lognormal keys
-        // drifts past `i16` and stays in the 8-byte layout it was built in.
-        for (name, n, narrow) in [
-            (SosdName::Uden64, 10_000, true),
-            (SosdName::Logn64, 70_000, false),
+        // drifts past `i16`, but smoothly: 4 bytes an entry plus 4 per
+        // block of 8; over 200k of them one partition takes more keys than
+        // a `u16` counts, and every entry takes 8 bytes.
+        for (name, n, tier) in [
+            (SosdName::Uden64, 10_000, EntryTier::Narrow),
+            (SosdName::Logn64, 70_000, EntryTier::Relative),
+            (SosdName::Logn64, 200_000, EntryTier::Wide),
         ] {
-            let d: Dataset<u64> = name.generate(n, 1);
+            let d: Dataset<u64> = name.generate(n, 21);
             let model = InterpolationModel::build(&d);
             let table = ShiftTable::build(&model, d.as_slice());
-            assert_eq!(table.is_narrow(), narrow, "{name}");
-            let entry_bytes = if narrow { 4 } else { 8 };
-            assert_eq!(Correction::size_bytes(&table), entry_bytes * d.len());
+            assert_eq!(table.tier(), tier, "{name}");
+            assert_eq!(table.is_narrow(), tier == EntryTier::Narrow);
+            let bytes = match tier {
+                EntryTier::Narrow => 4 * n,
+                EntryTier::Relative => 4 * n + 4 * n.div_ceil(8),
+                EntryTier::Wide => 8 * n,
+            };
+            assert_eq!(Correction::size_bytes(&table), bytes, "{name}");
             assert_eq!(table.entry_count(), d.len());
         }
     }
@@ -279,7 +299,7 @@ mod tests {
     #[test]
     fn parallel_build_packs_the_same_table_on_every_generator() {
         // Sizes on both sides of the narrow tier's reach, so the seams are
-        // checked in the packed form of either tier.
+        // checked in the packed form of more than one tier.
         for n in [6_000, 70_000] {
             for name in SosdName::all() {
                 let d: Dataset<u64> = name.generate(n, 13);
@@ -287,7 +307,7 @@ mod tests {
                 let seq = ShiftTable::build(&model, d.as_slice());
                 for threads in [2, 7] {
                     let par = ShiftTable::build_parallel(&model, d.as_slice(), threads);
-                    assert_eq!(par.is_narrow(), seq.is_narrow(), "{name} n={n}");
+                    assert_eq!(par.tier(), seq.tier(), "{name} n={n}");
                     assert!(par.entries().eq(seq.entries()), "{name} n={n} x{threads}");
                 }
             }

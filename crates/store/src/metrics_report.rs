@@ -4,6 +4,7 @@
 use crate::obs;
 use crate::store_core::StoreCore;
 use shift_obs::MetricsReport;
+use shift_table::EntryTier;
 use sosd_data::key::Key;
 use std::sync::atomic::Ordering;
 
@@ -35,12 +36,17 @@ impl<K: Key> StoreCore<K> {
         let (table, live) = self.pin_states();
         let mut keys = 0u64;
         let mut cold = 0u64;
+        let mut layer_bytes = 0u64;
+        let mut layer_tiers = Vec::with_capacity(table.shards.len());
         let mut delta_runs = 0u64;
         let mut delta_depth_max = 0u64;
         let mut delta_keys = 0u64;
         for shard in &table.shards {
             keys += shard.len() as u64;
-            cold += u64::from(shard.snapshot().is_cold());
+            let snapshot = shard.snapshot();
+            cold += u64::from(snapshot.is_cold());
+            layer_bytes += snapshot.layer_bytes() as u64;
+            layer_tiers.push(snapshot.layer_tier());
             let runs = shard.state().delta().unsealed_run_count() as u64;
             delta_runs += runs;
             delta_depth_max = delta_depth_max.max(runs);
@@ -49,6 +55,14 @@ impl<K: Key> StoreCore<K> {
         metrics.push(obs::gauge_metric("store_shards", table.shards.len() as f64));
         metrics.push(obs::gauge_metric("store_keys", keys as f64));
         metrics.push(obs::gauge_metric("store_cold_shards", cold as f64));
+        metrics.push(obs::gauge_metric("store_layer_bytes", layer_bytes as f64));
+        for tier in EntryTier::ALL {
+            let serving = layer_tiers.iter().filter(|&&served| served == Some(tier));
+            metrics.push(
+                obs::gauge_metric("store_layer_tier_shards", serving.count() as f64)
+                    .with_label("tier", tier.name()),
+            );
+        }
         metrics.push(obs::gauge_metric("store_delta_runs", delta_runs as f64));
         metrics.push(obs::gauge_metric(
             "store_delta_depth_max",

@@ -147,6 +147,16 @@ pub const CATALOGUE: &[(&str, &str, &str)] = &[
         "Shards still cold (mounted but not yet hydrated).",
     ),
     (
+        "store_layer_bytes",
+        "bytes",
+        "Bytes of the hot shards' correction layers (Shift-Tables), summed.",
+    ),
+    (
+        "store_layer_tier_shards",
+        "shards",
+        "Hot shards serving a Shift-Table range layer from each storage tier (label tier = narrow | relative | wide); cold shards and shards with another kind of layer count under none.",
+    ),
+    (
         "store_delta_runs",
         "runs",
         "Unsealed delta runs across all shards (each costs one binary search per read).",

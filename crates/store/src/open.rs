@@ -24,12 +24,36 @@ use std::path::Path;
 use std::sync::atomic::AtomicU64;
 use std::sync::{Arc, Mutex, RwLock};
 
+/// The shortest range of keys worth a pool task of its own in
+/// [`first_unsorted`]: scanning fewer takes less time than waking a worker.
+const SCAN_MIN_KEYS: usize = 1 << 16;
+
+/// The position of the first key smaller than its predecessor, if any: one
+/// range of the column per pool worker, each scanned with the pair across
+/// the seam on its right.
+fn first_unsorted<K: Key>(keys: &[K]) -> Option<usize> {
+    let ranges = pool::worker_count(keys.len().div_ceil(SCAN_MIN_KEYS)).max(1);
+    let per_range = keys.len().div_ceil(ranges);
+    let firsts = pool::run_tasks(ranges, |range| {
+        let start = range * per_range;
+        let end = keys.len().min(start + per_range + 1);
+        let first = keys[start.min(end)..end]
+            .windows(2)
+            .position(|w| w[0] > w[1]);
+        first.map(|pair| start + pair + 1)
+    });
+    // Ranges come back in column order: the first to object holds the
+    // first offender.
+    firsts.into_iter().flatten().next()
+}
+
 /// The chunk plan of a sharded build or seeding: `keys` cut into
 /// duplicate-run-aligned chunks, each checked against the capacity of
 /// `spec`'s layer (a comparison per chunk, so it goes first), then checked
-/// sorted once. Everything that can fail in a sharded build fails here —
-/// before any shard is built and, for a seeding, before any file is
-/// written — so the builds over the returned chunks are infallible.
+/// sorted once, on the task pool. Everything that can fail in a sharded
+/// build fails here — before any shard is built and, for a seeding, before
+/// any file is written — so the builds over the returned chunks are
+/// infallible.
 fn plan_chunks<K: Key>(
     spec: IndexSpec,
     keys: &[K],
@@ -40,10 +64,8 @@ fn plan_chunks<K: Key>(
     for chunk in &chunks {
         spec.check_key_count(chunk.len())?;
     }
-    if let Some(position) = keys.windows(2).position(|w| w[0] > w[1]) {
-        return Err(BuildError::UnsortedKeys {
-            position: position + 1,
-        });
+    if let Some(position) = first_unsorted(keys) {
+        return Err(BuildError::UnsortedKeys { position });
     }
     Ok((router, chunks))
 }
@@ -325,5 +347,52 @@ impl<K: Key> ShardedStore<K> {
             breakdown,
             metrics_server,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn the_pooled_sortedness_scan_reports_the_first_offender() {
+        // Long enough for a range per worker on any box, with offenders at
+        // the column's ends, around every possible seam and in pairs.
+        let n = if cfg!(miri) {
+            1_000
+        } else {
+            4 * SCAN_MIN_KEYS + 3
+        };
+        let sorted: Vec<u64> = (10..10 + n as u64).collect();
+        assert_eq!(first_unsorted(&sorted), None);
+        assert_eq!(first_unsorted::<u64>(&[]), None);
+        assert_eq!(first_unsorted(&[7u64]), None);
+        assert_eq!(first_unsorted(&[7u64, 7]), None);
+        assert_eq!(first_unsorted(&[7u64, 6]), Some(1));
+        let workers = pool::worker_count(usize::MAX);
+        let mut spots = vec![1, 2, n / 3, n - 2, n - 1];
+        for ranges in 1..=workers.max(4) {
+            let seam = n.div_ceil(ranges);
+            spots.extend([seam - 1, seam, seam + 1].into_iter().filter(|&s| s < n));
+        }
+        for &spot in &spots {
+            let mut keys = sorted.clone();
+            keys[spot] = keys[spot - 1] - 1;
+            assert_eq!(first_unsorted(&keys), Some(spot), "one offender");
+            // A later offender in any range changes nothing.
+            for &later in spots.iter().filter(|&&later| later > spot + 1) {
+                let mut both = keys.clone();
+                both[later] = both[later - 1] - 1;
+                assert_eq!(first_unsorted(&both), Some(spot), "{spot} then {later}");
+            }
+        }
+        // The public builders report it as they always did.
+        let mut keys = sorted;
+        keys[n / 2] = 0;
+        let config = StoreConfig::new(IndexSpec::parse("im+r1").unwrap()).shards(3);
+        assert_eq!(
+            ShardedStore::build(config, &keys).err(),
+            Some(BuildError::UnsortedKeys { position: n / 2 })
+        );
     }
 }

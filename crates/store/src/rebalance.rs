@@ -5,7 +5,7 @@ use crate::delta::DeltaChain;
 use crate::obs::TraceKind;
 use crate::pool;
 use crate::router::ShardRouter;
-use crate::shard::{build_index, ShardSnapshot, StoreShard};
+use crate::shard::{ShardSnapshot, StoreShard};
 use crate::sharded::StoreTable;
 use crate::store_core::StoreCore;
 use shift_table::error::BuildError;
@@ -159,8 +159,12 @@ impl<K: Key> StoreCore<K> {
         let threads = shard.build_threads();
         let epoch = frozen.snapshot().epoch() + 1;
         let snaps = pool::run_tasks(halves.len(), |i| {
-            let index = build_index(&spec, halves[i].clone(), threads);
-            Arc::new(ShardSnapshot::new(halves[i].clone(), index, epoch))
+            Arc::new(ShardSnapshot::build(
+                &spec,
+                halves[i].clone(),
+                threads,
+                epoch,
+            ))
         });
         // Commit: capture the residual chain, cut it at the fence, retire
         // the old shard and publish the new table — all under the shard's
@@ -230,8 +234,7 @@ impl<K: Key> StoreCore<K> {
         let spec = a.spec();
         let threads = a.build_threads();
         let epoch = frozen_a.snapshot().epoch().max(frozen_b.snapshot().epoch()) + 1;
-        let index = build_index(&spec, keys.clone(), threads);
-        let snapshot = Arc::new(ShardSnapshot::new(keys, index, epoch));
+        let snapshot = Arc::new(ShardSnapshot::build(&spec, keys, threads, epoch));
         // Commit under both write locks (taken in shard order).
         let _write_a = a.lock_write();
         let _write_b = b.lock_write();

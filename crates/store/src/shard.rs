@@ -44,6 +44,7 @@ use crate::epoch::EpochCell;
 use algo_index::search::{DynRangeIndex, RangeIndex};
 use shift_table::error::BuildError;
 use shift_table::spec::IndexSpec;
+use shift_table::{CorrectionLayer, EntryTier};
 use sosd_data::key::Key;
 use std::borrow::Cow;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -61,6 +62,11 @@ use std::sync::{Arc, Mutex, MutexGuard};
 pub struct ShardSnapshot<K: Key> {
     keys: Arc<[K]>,
     index: DynRangeIndex<K>,
+    /// What the index's correction layer occupies, noted before the index
+    /// went behind `dyn RangeIndex`: its bytes, and the storage tier of a
+    /// range layer. `(0, None)` on a cold snapshot.
+    layer_bytes: usize,
+    layer_tier: Option<EntryTier>,
     epoch: u64,
     /// `Some` while the base is still encoded in a mounted v2 snapshot
     /// file; hydration replaces the whole snapshot with a hot epoch.
@@ -68,11 +74,22 @@ pub struct ShardSnapshot<K: Key> {
 }
 
 impl<K: Key> ShardSnapshot<K> {
-    /// Assemble a hot snapshot (used by rebuilds, splits and merges).
-    pub(crate) fn new(keys: Arc<[K]>, index: DynRangeIndex<K>, epoch: u64) -> Self {
+    /// Build a hot snapshot — `spec`'s index over shared storage the
+    /// caller guarantees is sorted: initial builds validate up front,
+    /// rebuilds, splits and merges combine sorted inputs, so no O(n)
+    /// sortedness scan runs per (re)build.
+    pub(crate) fn build(spec: &IndexSpec, keys: Arc<[K]>, threads: usize, epoch: u64) -> Self {
+        let index =
+            spec.build_corrected_prevalidated_with(keys.clone(), Default::default(), threads);
+        let layer_tier = match index.layer() {
+            CorrectionLayer::Range(table) => Some(table.tier()),
+            CorrectionLayer::Midpoint(_) | CorrectionLayer::None => None,
+        };
         Self {
             keys,
-            index,
+            layer_bytes: index.layer().size_bytes(),
+            layer_tier,
+            index: Box::new(index),
             epoch,
             cold: None,
         }
@@ -85,6 +102,8 @@ impl<K: Key> ShardSnapshot<K> {
         Self {
             keys: Arc::from(Vec::new()),
             index: Box::new(crate::persist::v2::ColdBlockIndex(base.clone())),
+            layer_bytes: 0,
+            layer_tier: None,
             epoch,
             cold: Some(base),
         }
@@ -99,6 +118,18 @@ impl<K: Key> ShardSnapshot<K> {
     /// The index serving this epoch (a cold block index until hydration).
     pub fn index(&self) -> &DynRangeIndex<K> {
         &self.index
+    }
+
+    /// Bytes of the index's correction layer (0 while cold, or without a
+    /// layer) — part of what [`RangeIndex::index_size_bytes`] reports.
+    pub fn layer_bytes(&self) -> usize {
+        self.layer_bytes
+    }
+
+    /// The storage tier a Shift-Table range layer is served from; `None`
+    /// while cold and for every other kind of layer.
+    pub fn layer_tier(&self) -> Option<EntryTier> {
+        self.layer_tier
     }
 
     /// Number of keys in the base column, decoded or not.
@@ -355,8 +386,7 @@ impl<K: Key> StoreShard<K> {
         threshold: usize,
         build_threads: usize,
     ) -> Self {
-        let index = build_index(&spec, keys.clone(), build_threads);
-        let snapshot = Arc::new(ShardSnapshot::new(keys, index, 0));
+        let snapshot = Arc::new(ShardSnapshot::build(&spec, keys, build_threads, 0));
         let delta = DeltaChain::new();
         Self::from_parts_at(spec, threshold, build_threads, snapshot, delta, 0)
     }
@@ -619,8 +649,12 @@ impl<K: Key> StoreShard<K> {
         };
         // Build phase — no lock held; reads and writes proceed.
         let merged: Arc<[K]> = frozen.merged_view().into();
-        let index = build_index(&self.spec, merged.clone(), self.build_threads);
-        let snapshot = Arc::new(ShardSnapshot::new(merged, index, frozen.snapshot.epoch + 1));
+        let snapshot = Arc::new(ShardSnapshot::build(
+            &self.spec,
+            merged,
+            self.build_threads,
+            frozen.snapshot.epoch + 1,
+        ));
         // Swap phase: install the new epoch, keep only post-seal writes.
         // lint: allow(panic) lock poisoning propagates a writer panic; continuing would publish torn state
         let _w = self.write.lock().expect("write lock poisoned");
@@ -713,17 +747,6 @@ pub(crate) fn merged_len(base: usize, len_delta: i64) -> usize {
 #[inline]
 fn merged_position(base: usize, net_below: i64) -> usize {
     (base as i64 + net_below).max(0) as usize
-}
-
-/// Build a shard index from a spec over shared storage the caller
-/// guarantees is sorted — initial builds validate up front, rebuilds merge
-/// sorted inputs — so no redundant O(n) sortedness scan runs per (re)build.
-pub(crate) fn build_index<K: Key>(
-    spec: &IndexSpec,
-    keys: Arc<[K]>,
-    threads: usize,
-) -> DynRangeIndex<K> {
-    spec.build_dyn_prevalidated_with(keys, Default::default(), threads)
 }
 
 #[cfg(test)]
@@ -898,12 +921,21 @@ mod tests {
         );
         assert_eq!(cold.state().merged_keys(), hot.state().merged_keys());
         assert_eq!(cold.state().snapshot().index().name(), "cold-v2");
+        // No layer is built until hydration: a cold shard serves from no tier.
+        assert_eq!(cold.snapshot().layer_tier(), None);
+        assert_eq!(cold.snapshot().layer_bytes(), 0);
+        assert_eq!(hot.snapshot().layer_tier(), Some(EntryTier::Narrow));
 
         // Hydration: rebuild proceeds on a cold base, swaps it hot, and the
         // merged view is unchanged.
         assert!(cold.rebuild().unwrap());
         assert!(!cold.snapshot().is_cold());
         assert_eq!(cold.snapshot().epoch(), 1);
+        assert_eq!(cold.snapshot().layer_tier(), Some(EntryTier::Narrow));
+        assert_eq!(
+            cold.snapshot().layer_bytes(),
+            4 * cold.snapshot().base_len()
+        );
         assert!(
             !cold.rebuild().unwrap(),
             "hydrated + clean shard does not rebuild again"

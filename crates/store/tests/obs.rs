@@ -269,6 +269,66 @@ fn catalogue_is_complete_and_prometheus_roundtrips() {
         .any(|s| s.name == "store_shard_accesses" && !s.labels.is_empty()));
 }
 
+/// The layer gauges say which hot shards serve from which Shift-Table tier
+/// and what the layers weigh: 200 k amzn64 keys under `im+r1` drift past
+/// `i16` (relative: 4 bytes an entry and 4 per block of 8), 5 k stay narrow.
+#[test]
+fn layer_gauges_report_bytes_and_the_tier_of_every_hot_shard() {
+    use sosd_data::prelude::*;
+    let gauges = |store: &ShardedStore<u64>, name: &str| -> Vec<(String, f64)> {
+        let report = store.metrics();
+        let family = report.metrics.iter().filter(|m| m.name == name);
+        family
+            .map(|m| match &m.value {
+                MetricValue::Gauge(v) => {
+                    (m.labels.first().map_or(String::new(), |l| l.1.clone()), *v)
+                }
+                other => panic!("{name} is not a gauge: {other:?}"),
+            })
+            .collect()
+    };
+    let tiers = |narrow: f64, relative: f64, wide: f64| {
+        vec![
+            ("narrow".to_string(), narrow),
+            ("relative".to_string(), relative),
+            ("wide".to_string(), wide),
+        ]
+    };
+    let amzn: Dataset<u64> = SosdName::Amzn64.generate(400_000, 7);
+    let big = ShardedStore::build(StoreConfig::new(spec()).shards(2), amzn.as_slice()).unwrap();
+    assert_eq!(
+        gauges(&big, "store_layer_tier_shards"),
+        tiers(0.0, 2.0, 0.0)
+    );
+    let table = big.table();
+    let blocks = table.shards().iter().map(|s| s.len().div_ceil(8));
+    let bytes = 4 * 400_000 + 4 * blocks.sum::<usize>();
+    assert_eq!(
+        gauges(&big, "store_layer_bytes"),
+        [(String::new(), bytes as f64)]
+    );
+
+    let keys: Vec<u64> = (0..5_000u64).collect();
+    let small = ShardedStore::build(StoreConfig::new(spec()).shards(3), &keys).unwrap();
+    assert_eq!(
+        gauges(&small, "store_layer_tier_shards"),
+        tiers(3.0, 0.0, 0.0)
+    );
+    assert_eq!(
+        gauges(&small, "store_layer_bytes"),
+        [(String::new(), 20_000.0)]
+    );
+
+    // A shard whose layer is not a Shift-Table range layer counts under none.
+    let bare = IndexSpec::parse("im+none").unwrap();
+    let none = ShardedStore::build(StoreConfig::new(bare).shards(3), &keys).unwrap();
+    assert_eq!(
+        gauges(&none, "store_layer_tier_shards"),
+        tiers(0.0, 0.0, 0.0)
+    );
+    assert_eq!(gauges(&none, "store_layer_bytes"), [(String::new(), 0.0)]);
+}
+
 /// A read that touches a still-cold shard enqueues its own hydration and
 /// emits `HydrationTriggered{FirstTouch}`. The background hydrator races
 /// the reader, so the assertion retries over fresh opens; a run where the

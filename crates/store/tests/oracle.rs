@@ -4,8 +4,9 @@
 //! oracle, *before and after* background rebuild triggers.
 
 use algo_index::RangeIndex;
-use shift_store::{ShardedStore, StoreConfig};
+use shift_store::{DurabilityConfig, ShardedStore, StoreConfig, SyncPolicy};
 use shift_table::spec::IndexSpec;
+use shift_table::EntryTier;
 use sosd_data::prelude::*;
 
 /// The reference implementation: a plain sorted vector with the same
@@ -266,4 +267,145 @@ fn store_reads_match_a_sorted_vec_oracle_for_every_spec_and_shard_count() {
             assert_reads_match(&store, &oracle, &probes, &format!("{tag} post-flush"));
         }
     }
+}
+
+/// The tiers the store's hot shards serve their range layers from.
+fn layer_tiers(store: &ShardedStore<u64>) -> Vec<Option<EntryTier>> {
+    let table = store.table();
+    let tiers = table.shards().iter().map(|s| s.snapshot().layer_tier());
+    tiers.collect()
+}
+
+/// A relative-tier dataset end to end: amzn64 under `im+r1` drifts past
+/// `i16` within 200 k keys, smoothly, so shards of that size serve from
+/// `(u16, u16)` entries under block bases. The same trace — writes past
+/// `delta_threshold` (inline rebuilds), a split, and for the durable store
+/// a checkpoint and a reopen — must read like the sorted-`Vec` oracle at
+/// every stage, through `lower_bound`, the batch kernel, `range` and
+/// `scan`, with relative shards serving before and after the reopen.
+#[cfg_attr(miri, ignore = "dataset too large for Miri")]
+#[test]
+fn a_relative_tier_store_matches_the_oracle_through_rebuild_split_and_reopen() {
+    let base: Dataset<u64> = SosdName::Amzn64.generate(400_000, 7);
+    let base = base.as_slice();
+    let dir = std::path::PathBuf::from(env!("CARGO_TARGET_TMPDIR"))
+        .join(format!("oracle-relative-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    // Two shards of 200 k keys; the left one outgrows the ceiling once the
+    // trace has landed and splits in the next rebalance sweep.
+    let config = StoreConfig::new(IndexSpec::parse("im+r1").unwrap())
+        .shards(2)
+        .delta_threshold(512)
+        .split_max_len(200_400)
+        .durability(
+            DurabilityConfig::new()
+                .sync(SyncPolicy::Os)
+                .checkpoint_ops(0),
+        );
+    let in_memory = ShardedStore::build(config, base).unwrap();
+    let durable = ShardedStore::open_seeded(&dir, config, base).unwrap();
+
+    for (store, tag) in [(&in_memory, "in-memory"), (&durable, "durable")] {
+        let mut rng = SplitMix64::new(0x4E1A_71FE);
+        let mut oracle = Oracle {
+            keys: base.to_vec(),
+        };
+        // Probes in the gaps between keys, on keys, and at the extremes.
+        let probes = |rng: &mut SplitMix64, oracle: &Oracle| -> Vec<u64> {
+            let mut probes = vec![0, 1, u64::MAX];
+            for _ in 0..60 {
+                let key = oracle.keys[rng.next_below(oracle.keys.len() as u64) as usize];
+                probes.extend([key.saturating_sub(1), key, key.saturating_add(1)]);
+            }
+            probes
+        };
+        let check = |oracle: &Oracle, probes: &[u64], tag: &str| {
+            assert_reads_match(store, oracle, probes, tag);
+            for pair in probes.chunks(2).filter(|pair| pair.len() == 2).take(20) {
+                // Close-by endpoints: the scans stay short.
+                let lo = pair[0].min(pair[1]);
+                let hi = lo.saturating_add(1 << 24).min(pair[0].max(pair[1]));
+                assert_eq!(
+                    store.scan(lo, hi),
+                    oracle.keys[oracle.range(lo, hi)],
+                    "{tag}: scan [{lo}, {hi}]"
+                );
+            }
+        };
+        let tiers = layer_tiers(store);
+        assert_eq!(
+            tiers,
+            [Some(EntryTier::Relative); 2],
+            "{tag}: freshly built"
+        );
+        check(&oracle, &probes(&mut rng, &oracle), &format!("{tag} pre"));
+
+        // Writes into the left shard's key range, well past its threshold.
+        let left_max = base[base.len() / 2 - 1];
+        for step in 0..2_400 {
+            if step % 3 == 2 {
+                let key = oracle.keys[rng.next_below(150_000) as usize];
+                assert_eq!(store.delete(key).unwrap(), oracle.delete(key), "{tag}");
+            } else {
+                let key = rng.next_below(left_max);
+                store.insert(key).unwrap();
+                oracle.insert(key);
+            }
+            if step % 601 == 600 {
+                check(
+                    &oracle,
+                    &probes(&mut rng, &oracle),
+                    &format!("{tag} step {step}"),
+                );
+            }
+        }
+        assert!(store.total_rebuilds() >= 2, "{tag}: inline rebuilds");
+        assert_eq!(
+            layer_tiers(store)[0],
+            Some(EntryTier::Relative),
+            "{tag}: rebuilt"
+        );
+
+        assert_eq!(store.rebalance().unwrap(), 1, "{tag}: one topology change");
+        assert_eq!(store.total_splits(), 1, "{tag}: the left shard splits");
+        let tiers = layer_tiers(store);
+        assert_eq!(tiers.len(), 3, "{tag}");
+        assert_eq!(
+            tiers[2],
+            Some(EntryTier::Relative),
+            "{tag}: untouched shard"
+        );
+        check(
+            &oracle,
+            &probes(&mut rng, &oracle),
+            &format!("{tag} post-split"),
+        );
+    }
+
+    // Both stores ran the same trace: one oracle serves the reopen.
+    let mut oracle = Oracle {
+        keys: in_memory.scan(0, u64::MAX),
+    };
+    durable.checkpoint().unwrap();
+    let tail = oracle.keys[oracle.keys.len() / 2] + 1;
+    durable.insert(tail).unwrap();
+    oracle.insert(tail);
+    drop(durable);
+    let reopened = ShardedStore::<u64>::open(&dir, config).unwrap();
+    let tiers = layer_tiers(&reopened);
+    assert!(
+        tiers.contains(&Some(EntryTier::Relative)),
+        "reopened shards serve from {tiers:?}"
+    );
+    let mut rng = SplitMix64::new(0x0E09);
+    let mut probes = probe_set(&mut rng, &oracle);
+    probes.extend([tail - 1, tail, tail + 1]);
+    assert_reads_match(&reopened, &oracle, &probes, "reopened");
+    assert_eq!(
+        reopened.scan(0, u64::MAX),
+        oracle.keys,
+        "reopened: full scan"
+    );
+    drop(reopened);
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -34,11 +34,17 @@ fn main() {
         index.name(),
         index.correction_error()
     );
-    let narrow = matches!(index.layer(), CorrectionLayer::Range(t) if t.is_narrow());
+    // The layer is stored in the smallest tier its entries fit: 4 bytes an
+    // entry (narrow), 4.5 (relative to a base per block of 8) or 8 (wide).
+    let tier = match index.layer() {
+        CorrectionLayer::Range(table) => table.tier().name(),
+        _ => "no",
+    };
     println!(
-        "index footprint      : {:.1} MiB ({} entries, narrow encoding = {narrow})",
+        "index footprint      : {:.1} MiB ({} entries, {:.2} B/key, {tier} tier)",
         index.index_size_bytes() as f64 / (1024.0 * 1024.0),
         dataset.len(),
+        index.index_size_bytes() as f64 / dataset.len() as f64,
     );
 
     // 4. Point lookups: lower_bound(q) = first position with key >= q.

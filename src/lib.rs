@@ -5,8 +5,10 @@
 //! downstream users who want "everything" can depend on one crate:
 //!
 //! * [`shift_table`] — the Shift-Table correction layer (the paper's
-//!   contribution), the owned [`shift_table::CorrectedIndex`] and the
-//!   runtime [`shift_table::spec::IndexSpec`] composition layer,
+//!   contribution; 4, 4.5 or 8 bytes per key depending on the tier its
+//!   entries fit, [`shift_table::EntryTier`]), the owned
+//!   [`shift_table::CorrectedIndex`] and the runtime
+//!   [`shift_table::spec::IndexSpec`] composition layer,
 //! * [`learned_index`] — CDF models (IM, linear, cubic, RMI, RadixSpline,
 //!   PGM) plus [`learned_index::ModelSpec`] for choosing one at run time,
 //! * [`algo_index`] — the [`algo_index::RangeIndex`] trait (point, batched
