@@ -83,7 +83,13 @@ fn measure_config<K: Key>(
     let err = index.correction_error().mean_abs;
     let per_key = index.layer().size_bytes() as f64 / shared.len().max(1) as f64;
     let size = match index.layer() {
-        CorrectionLayer::Range(table) => format!("{per_key:.2} ({})", table.tier()),
+        CorrectionLayer::Range(table) => {
+            format!(
+                "{per_key:.2} ({}, {} patches)",
+                table.tier(),
+                table.patches()
+            )
+        }
         _ => format!("{per_key:.3}"),
     };
     (ns, err, size)
@@ -104,7 +110,7 @@ pub fn run_subset(cfg: BenchConfig, datasets: &[SosdName]) -> Vec<Table> {
         ],
     );
     let mut size = Table::new(
-        "Figure 9c — layer size (bytes per key; R-1 with its storage tier) (IM model)",
+        "Figure 9c — layer size (bytes per key; R-1 with its storage tier and patched entries) (IM model)",
         &[
             "dataset", "R-1", "S-1", "S-10", "S-100", "S-1000", "without",
         ],

@@ -18,7 +18,10 @@
 //! blank fill, no read-modify-write on the layer, no backward pass, no key
 //! read beyond the model's own. Sequentially the sink is the
 //! `TierEncoder`, so the layer is written once, block by block, in the
-//! tier it is served from. Monotonicity is *checked, not trusted*: the
+//! byte tier nearly every layer is served from — an entry that does not
+//! fit a byte is appended to the patch list, and only a layer the byte
+//! tier does not shrink is decoded into another tier at the end
+//! ([`crate::entry`]). Monotonicity is *checked, not trusted*: the
 //! emitter compares every prediction with its predecessor (and with the
 //! last partition it may fill), and the first one out of order abandons the
 //! attempt — nothing of it is kept — for the other builder.
@@ -26,18 +29,17 @@
 //! **The scatter builder** takes any model: one pass scatters drift minima
 //! and cardinalities into a blank `(i32 Δ, u32 C)` array (Algorithm 2 lines
 //! 3–15, the paper's `O(N · F_θ + M)`), a backward pass gives the empty
-//! partitions their pseudo-entries and reports the finished array's
-//! `EntryExtent`, block spread included, so the array is kept (wide) or
-//! re-encoded in one pass. It is what a non-monotone RMI is built with, and
-//! the reference the emitter is tested against entry by entry.
+//! partitions their pseudo-entries, and the finished array goes through the
+//! same encoder in one pass. It is what a non-monotone RMI is built with,
+//! and the reference the emitter is tested against entry by entry.
 //!
 //! **In parallel** (the parallelisation the paper suggests for expensive
 //! models, §3.3) the emitter runs over key ranges cut where the prediction
 //! changes, each worker filling its own disjoint stretch of one `(i32, u32)`
-//! array and reporting the stretch's extent; the blocks two stretches share
-//! are looked at once more after the join.
+//! array, which is encoded after the join.
 
-use crate::entry::{EntryExtent, EntryStorage, EntryTier, TierEncoder, WideEntry, BLOCK, MAX_KEYS};
+use crate::entry::{EntryStorage, TierEncoder, WideEntry, MAX_KEYS};
+use crate::packed::BLOCK;
 use learned_index::model::CdfModel;
 use sosd_data::key::Key;
 use std::ops::Range;
@@ -69,7 +71,7 @@ pub(crate) fn build_range_layer<K: Key, M: CdfModel<K> + ?Sized>(
     if model.is_monotonic() {
         let emitted = if threads > 1 && keys.len() >= PARALLEL_MIN_KEYS {
             compute_range_entries_parallel(model, keys, threads)
-                .map(|(entries, extent)| EntryStorage::from_wide(entries, extent))
+                .map(|entries| EntryStorage::from_wide(&entries))
         } else {
             emit_range_layer(model, keys)
         };
@@ -77,8 +79,7 @@ pub(crate) fn build_range_layer<K: Key, M: CdfModel<K> + ?Sized>(
             return layer;
         }
     }
-    let (entries, extent) = compute_range_entries(model, keys);
-    EntryStorage::from_wide(entries, extent)
+    EntryStorage::from_wide(&compute_range_entries(model, keys))
 }
 
 /// Where the emitter puts finished entries, in partition order.
@@ -225,54 +226,36 @@ fn emit_stretch<K: Key, M: CdfModel<K> + ?Sized, S: EntrySink>(
     Ok(())
 }
 
-/// The emitter over the whole column, straight into the tier the layer is
-/// served from. `None` when the model turns out not to be monotone.
+/// The emitter over the whole column, straight into the tier encoder.
+/// `None` when the model turns out not to be monotone.
 fn emit_range_layer<K: Key, M: CdfModel<K> + ?Sized>(
     model: &M,
     keys: &[K],
 ) -> Option<EntryStorage> {
     let n = keys.len();
-    let mut encoder = TierEncoder::new(EntryTier::Narrow, n);
+    let mut encoder = TierEncoder::new(n);
     if n > 0 {
         emit_stretch(model, keys, 0..n, 0..n, &mut encoder).ok()?;
     }
     Some(encoder.finish())
 }
 
-/// One worker's stretch of the `(i32, u32)` array of a parallel build:
-/// filled left to right, its extent taken block by block on the way.
+/// One worker's stretch of the `(i32, u32)` array of a parallel build,
+/// filled left to right.
 struct WideStretch<'a> {
     out: &'a mut [WideEntry],
-    /// The partition `out[0]` belongs to — blocks are aligned to the
-    /// array, not to the stretch.
-    first: usize,
     filled: usize,
-    /// Where the first block not yet in `extent` starts.
-    block_start: usize,
-    extent: EntryExtent,
 }
 
 impl EntrySink for WideStretch<'_> {
     fn extend(&mut self, entries: &[WideEntry]) {
         self.out[self.filled..][..entries.len()].copy_from_slice(entries);
         self.filled += entries.len();
-        // Of the stretch's first and last block only the part inside the
-        // stretch is covered; the caller looks at those again.
-        while self.block_start < self.filled {
-            let block_len = BLOCK - (self.first + self.block_start) % BLOCK;
-            let block_end = self.out.len().min(self.block_start + block_len);
-            if block_end > self.filled {
-                break;
-            }
-            self.extent
-                .include_block(&self.out[self.block_start..block_end]);
-            self.block_start = block_end;
-        }
     }
 }
 
 /// The emitter on `threads` scoped threads: the `<Δ, C>` entries of the
-/// layer in the working layout, and their extremes. The column is cut where
+/// layer in the working layout. The column is cut where
 /// the prediction changes, so every worker owns the partitions of its keys
 /// and the empty ones on their left — a disjoint stretch of the array.
 /// `None` when the model turns out not to be monotone.
@@ -280,10 +263,10 @@ pub(crate) fn compute_range_entries_parallel<K: Key, M: CdfModel<K> + ?Sized>(
     model: &M,
     keys: &[K],
     threads: usize,
-) -> Option<(Vec<WideEntry>, EntryExtent)> {
+) -> Option<Vec<WideEntry>> {
     let n = keys.len();
     if n == 0 {
-        return Some((Vec::new(), EntryExtent::default()));
+        return Some(Vec::new());
     }
     // Stretch `t` reads keys `cuts[t]..cuts[t + 1]` and fills partitions
     // `seams[t]..seams[t + 1]`.
@@ -321,21 +304,15 @@ pub(crate) fn compute_range_entries_parallel<K: Key, M: CdfModel<K> + ?Sized>(
         rest = right;
         stretches.push((key_range[0]..key_range[1], seam[0]..seam[1], out));
     }
-    let extents: Vec<Result<EntryExtent, NotMonotone>> = std::thread::scope(|scope| {
+    let stretches: Vec<Result<(), NotMonotone>> = std::thread::scope(|scope| {
         let workers: Vec<_> = stretches
             .into_iter()
             .map(|(key_range, partitions, out)| {
                 scope.spawn(move || {
-                    let mut stretch = WideStretch {
-                        out,
-                        first: partitions.start,
-                        filled: 0,
-                        block_start: 0,
-                        extent: EntryExtent::default(),
-                    };
+                    let mut stretch = WideStretch { out, filled: 0 };
                     emit_stretch(model, keys, key_range, partitions, &mut stretch)?;
-                    debug_assert_eq!(stretch.block_start, stretch.out.len());
-                    Ok(stretch.extent)
+                    debug_assert_eq!(stretch.filled, stretch.out.len());
+                    Ok(())
                 })
             })
             .collect();
@@ -345,25 +322,19 @@ pub(crate) fn compute_range_entries_parallel<K: Key, M: CdfModel<K> + ?Sized>(
             .map(|worker| worker.join().expect("shift-table build worker panicked"))
             .collect()
     });
-    let mut extent = EntryExtent::default();
-    for stretch in extents {
-        extent.merge(stretch.ok()?);
-    }
-    // A block two stretches share was seen in parts: include it whole.
-    for &seam in &seams[1..seams.len() - 1] {
-        let block = seam - seam % BLOCK;
-        extent.include_block(&entries[block..n.min(block + BLOCK)]);
-    }
-    Some((entries, extent))
+    stretches
+        .into_iter()
+        .all(|stretch| stretch.is_ok())
+        .then_some(entries)
 }
 
 /// The scatter builder: the `<Δ, C>` entries of the layer for *any* model,
 /// *including* the pseudo-entries for empty partitions (Algorithm 2 lines
-/// 3–15), in the working layout, and their extremes.
+/// 3–15), in the working layout.
 pub(crate) fn compute_range_entries<K: Key, M: CdfModel<K> + ?Sized>(
     model: &M,
     keys: &[K],
-) -> (Vec<WideEntry>, EntryExtent) {
+) -> Vec<WideEntry> {
     let mut entries = vec![UNSET; keys.len()];
     // Predictions come a run at a time, as in the emitter.
     let mut predictions = [0u32; PREDICT_RUN];
@@ -385,44 +356,26 @@ pub(crate) fn compute_range_entries<K: Key, M: CdfModel<K> + ?Sized>(
             *count += 1;
         }
     }
-    let extent = fill_empty_partitions(&mut entries);
-    (entries, extent)
+    fill_empty_partitions(&mut entries);
+    entries
 }
 
 /// Backward pass: give empty partitions pseudo-entries that point at the
 /// search region of the first non-empty partition to their right (§3.1).
 /// Trailing empty partitions (nothing to their right) point at the very last
-/// record. Every block is final once this pass has left it, so it also
-/// reports the extremes of the finished layer.
-fn fill_empty_partitions(entries: &mut [WideEntry]) -> EntryExtent {
-    let mut extent = EntryExtent::default();
+/// record.
+fn fill_empty_partitions(entries: &mut [WideEntry]) {
     // Same absolute region as the partition to the right: that partition's
     // window starts at (k+1) + Δ_{k+1}; expressed relative to k this is
     // Δ_k = Δ_{k+1} + 1. Right of the last partition there is only the last
     // record itself, at drift −1 from the (virtual) partition `n`.
     let mut right: WideEntry = (-1, 1);
-    // One aligned block, right to left, its extremes taken on the way.
-    let mut fill_block = |block: &mut [WideEntry]| {
-        let mut extremes = (i32::MAX, i32::MIN, 0);
-        for e in block.iter_mut().rev() {
-            if e.1 == 0 {
-                *e = (right.0 + 1, right.1);
-            }
-            right = *e;
-            extremes = (
-                extremes.0.min(right.0),
-                extremes.1.max(right.0),
-                extremes.2.max(right.1),
-            );
+    for e in entries.iter_mut().rev() {
+        if e.1 == 0 {
+            *e = (right.0 + 1, right.1);
         }
-        extent.include_extremes(extremes);
-    };
-    let (blocks, last) = entries.as_chunks_mut::<BLOCK>();
-    if !last.is_empty() {
-        fill_block(last);
+        right = *e;
     }
-    blocks.iter_mut().rev().for_each(|block| fill_block(block));
-    extent
 }
 
 /// Compute the midpoint drifts `Δ̄` of a compact (S-X) layer with `m`
@@ -522,6 +475,7 @@ pub(crate) fn partition_of(prediction: usize, m: usize, n: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::entry::EntryTier;
     use learned_index::linear::InterpolationModel;
     use sosd_data::prelude::*;
 
@@ -566,7 +520,7 @@ mod tests {
         assert_eq!(keys.len(), 100);
         assert!(keys.is_sorted());
 
-        let (entries, _) = compute_range_entries(&DivTen, &keys);
+        let entries = compute_range_entries(&DivTen, &keys);
         // Partition 77 receives keys 770, 771 and 779-ish? -> in our data 770
         // and 771 (positions 36, 37): Δ = 36 - 77 = -41, C = 2.
         assert_eq!(entries[77], (-41, 2));
@@ -601,7 +555,7 @@ mod tests {
         }
         let keys = vec![1u64, 2, 3, 35];
         // Predictions: 0,0,0,3 → partitions 1 and 2 empty.
-        let (entries, extent) = compute_range_entries(&Quarter, &keys);
+        let entries = compute_range_entries(&Quarter, &keys);
         assert_eq!(entries[0], (0, 3));
         assert_eq!(entries[3], (0, 1));
         // Pseudo-entries: partition 2 mirrors partition 3 shifted by one,
@@ -611,11 +565,9 @@ mod tests {
         // They all resolve to the same absolute window start (position 3).
         assert_eq!(2 + entries[2].0, 3);
         assert_eq!(1 + entries[1].0, 3);
-        // The backward pass saw every final entry, pseudo-entries included.
-        assert_eq!(extent, EntryExtent::of(&entries));
 
         // Trailing empty partitions point at the very last record.
-        let (entries, _) = compute_range_entries(&Quarter, &[1u64, 2, 3, 4]);
+        let entries = compute_range_entries(&Quarter, &[1u64, 2, 3, 4]);
         assert_eq!(entries, [(0, 4), (2, 1), (1, 1), (0, 1)]);
     }
 
@@ -625,7 +577,7 @@ mod tests {
         for name in SosdName::all() {
             let d: Dataset<u64> = name.generate(20_000, 3);
             let model = InterpolationModel::build(&d);
-            let (entries, _) = compute_range_entries(&model, d.as_slice());
+            let entries = compute_range_entries(&model, d.as_slice());
             let keys = d.as_slice();
             let mut first_occurrence = 0usize;
             for (i, &k) in keys.iter().enumerate() {
@@ -649,14 +601,12 @@ mod tests {
 
     /// The scatter builder's layer: the reference the emitter must equal.
     fn reference<K: Key, M: CdfModel<K> + ?Sized>(model: &M, keys: &[K]) -> EntryStorage {
-        let (entries, extent) = compute_range_entries(model, keys);
-        assert_eq!(extent, EntryExtent::of(&entries));
-        EntryStorage::from_wide(entries, extent)
+        EntryStorage::from_wide(&compute_range_entries(model, keys))
     }
 
     /// Assert that the emitter — sequential, and cut into stretches for
     /// each of `threads` — builds the scatter reference: same tier, same
-    /// arrays (so same entries and `size_bytes`), same extent.
+    /// arrays (entries, bases, directory and patches, so same `size_bytes`).
     fn assert_emitter_matches_reference<K: Key, M: CdfModel<K> + ?Sized>(
         model: &M,
         keys: &[K],
@@ -667,17 +617,16 @@ mod tests {
             model.is_monotonic(),
             "{tag}: the emitter is for monotone models"
         );
-        let (entries, extent) = compute_range_entries(model, keys);
-        let expected = EntryStorage::from_wide(entries.clone(), extent);
+        let entries = compute_range_entries(model, keys);
+        let expected = EntryStorage::from_wide(&entries);
         let emitted = emit_range_layer(model, keys).unwrap_or_else(|| panic!("{tag}: abandoned"));
         assert_eq!(emitted.tier(), expected.tier(), "{tag}");
         assert!(emitted == expected, "{tag}: emitted layer differs");
         assert_eq!(emitted.size_bytes(), expected.size_bytes(), "{tag}");
         for &t in threads {
-            let (par, par_extent) = compute_range_entries_parallel(model, keys, t)
+            let par = compute_range_entries_parallel(model, keys, t)
                 .unwrap_or_else(|| panic!("{tag}: {t} threads abandoned"));
             assert!(par == entries, "{tag}: {t} threads differ");
-            assert_eq!(par_extent, extent, "{tag}: extent with {t} threads");
             assert!(build_range_layer(model, keys, t) == expected, "{tag} x{t}");
         }
         expected
@@ -688,17 +637,19 @@ mod tests {
     fn emitter_matches_scatter_reference_on_every_generator_and_model() {
         use learned_index::spec::ModelSpec;
         use std::collections::BTreeSet;
-        // 6 k keys stay narrow under every model; under IM 70 k drift past
-        // `i16` on the skewed generators (relative: the drift is smooth),
-        // and at 200 k one lognormal partition takes more than `u16::MAX`
-        // keys (wide).
+        // Nearly every layer packs into the byte tier, patches and all. A
+        // least-squares line over lognormal keys crowds its predictions
+        // into long pseudo-runs that copy one long window — patches
+        // throughout — and stays narrow at 6 k keys, relative at 70 k. (The
+        // wide tier is the staircases' below.)
         let mut tiers = BTreeSet::new();
+        let mut patched = 0;
         let mut scattered = 0;
         for spec in ["im", "linear", "rmi:64", "rmi:4096", "rmi:64:cubic"] {
             let spec = ModelSpec::parse(spec).unwrap();
             for n in [6_000, 70_000, 200_000] {
                 for name in SosdName::all() {
-                    let d: Dataset<u64> = name.generate(n, 17);
+                    let d: Dataset<u64> = name.generate(n, 21);
                     let keys = d.as_slice();
                     let model = spec.build(keys);
                     let tag = format!("{name} {spec} n={n}");
@@ -714,10 +665,16 @@ mod tests {
                         expected
                     };
                     tiers.insert(layer.tier().name());
+                    patched += usize::from(layer.patches() > 0);
                 }
             }
         }
-        assert_eq!(tiers.len(), 3, "the matrix reaches every tier: {tiers:?}");
+        assert_eq!(
+            Vec::from_iter(tiers),
+            ["byte", "narrow", "relative"],
+            "the matrix reaches the three tiers real layers end in"
+        );
+        assert!(patched > 20, "and patch lists: {patched} layers hold one");
         assert!(scattered > 0, "the matrix holds non-monotone models");
     }
 
@@ -819,6 +776,36 @@ mod tests {
         dups[50_000..120_000].fill(50_000);
         let layer = assert_emitter_matches_reference(&model, &dups, &[3], "duplicate run");
         assert_eq!(layer.tier(), EntryTier::Wide);
+        // Every key predicted into the last partition: every entry is a
+        // pseudo-entry of the one window, which `u16` cannot count — a
+        // patch each, so the layer stays as it was built.
+        let n = 70_000;
+        let model = Stairs {
+            n,
+            step: 1,
+            dip: None,
+        };
+        let layer = assert_emitter_matches_reference(&model, &vec![n as u64; n], &[2], "last");
+        assert_eq!(layer.tier(), EntryTier::Wide);
+        assert_eq!(layer.get(0), crate::ShiftEntry::new(0, n as u64));
+    }
+
+    #[cfg_attr(miri, ignore = "dataset too large for Miri")]
+    #[test]
+    fn one_over_long_window_is_a_patch_not_a_wider_layer() {
+        // wiki64 under IM: the last partition with keys takes more of them
+        // than `u16` counts, which used to re-encode the whole layer wide
+        // when the encoder got there. Now it is one of a few patches in a
+        // layer that was written once.
+        let n = 512 * 1024;
+        let d: Dataset<u64> = SosdName::Wiki64.generate(n, 7);
+        let model = InterpolationModel::build(&d);
+        let layer = assert_emitter_matches_reference(&model, d.as_slice(), &[2], "wiki64");
+        let longest = (0..n).map(|k| layer.get(k).count).max().unwrap();
+        assert!(longest > u16::MAX as u64, "longest window {longest}");
+        assert_eq!(layer.tier(), EntryTier::Byte);
+        assert!((1..n / 1_000).contains(&layer.patches()));
+        assert!(layer.size_bytes() < n * 26 / 10);
     }
 
     #[test]
@@ -831,7 +818,9 @@ mod tests {
             assert_eq!(layer.len(), n);
             tiers.push(layer.tier());
         }
-        assert!(tiers.iter().all(|&t| t == EntryTier::Narrow));
+        // Two entries are no smaller with a base; three are.
+        assert_eq!(tiers[..2], [EntryTier::Narrow; 2]);
+        assert!(tiers[2..].iter().all(|&t| t == EntryTier::Byte));
         // All keys in the first partition; all in the last; one duplicate.
         let model = Stairs {
             n: 9,
@@ -1008,7 +997,7 @@ mod tests {
     fn empty_keys_produce_empty_layers() {
         let d: Dataset<u64> = Dataset::from_keys("e", vec![]);
         let model = InterpolationModel::build(&d);
-        assert!(compute_range_entries(&model, d.as_slice()).0.is_empty());
+        assert!(compute_range_entries(&model, d.as_slice()).is_empty());
         assert!(build_range_layer(&model, d.as_slice(), 2).is_empty());
         let (deltas, residual) = compute_midpoint_deltas_and_residual(&model, d.as_slice(), 4, 1);
         assert_eq!(deltas, vec![0, 0, 0, 0]);

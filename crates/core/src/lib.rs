@@ -23,9 +23,11 @@
 //! ## Crate layout
 //!
 //! * [`ShiftTable`] — the full-resolution `<Δ, C>` layer (the paper's R-1
-//!   configuration, Algorithm 2), stored in the smallest [`EntryTier`] its
-//!   entries fit: 4 bytes per key (narrow), 4.5 (16-bit fields relative to
-//!   one base per block of 8) or 8 (wide) — see [`entry`],
+//!   configuration, Algorithm 2), stored in the smallest [`EntryTier`]
+//!   encoding of its entries: nearly always 2.5 bytes per key (byte-wide
+//!   fields relative to one base per block of 8, the rare entry that does
+//!   not fit in a slot-addressed patch list), else 4 (narrow), 4.5 (the
+//!   same layout with 16-bit fields) or 8 (wide) — see [`entry`],
 //! * [`CompactShiftTable`] — the compressed midpoint layer with one `Δ̄`
 //!   entry per `X` records (the S-X configurations, §3.4),
 //! * [`CorrectedIndex`] — a complete range index assembled from any
@@ -46,7 +48,7 @@
 //!   §3.5 (Eq. 8) and empirical error measurement,
 //! * [`build`] — the layer builders: the one-pass run-boundary emitter for
 //!   monotone models (sequential or over scoped threads) and the scatter
-//!   builder for every other.
+//!   builder for every other, both ending in the one tier encoder.
 //!
 //! ## Batch kernel pipeline
 //!
@@ -117,6 +119,7 @@ pub mod error;
 pub mod index;
 pub mod kernel;
 pub mod local_search;
+mod packed;
 pub mod snapshot;
 pub mod spec;
 pub mod stats;

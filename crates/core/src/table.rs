@@ -41,10 +41,9 @@ impl ShiftTable {
     /// Build the layer for `model` over the sorted `keys` (Algorithm 2).
     ///
     /// Complexity: `O(N · cost(F_θ) + N)` — one model execution per key,
-    /// and for a monotone model one sequential write of the layer in the
-    /// tier it is served from; any other model pays a scatter pass, a
-    /// backward pass and, outside the wide tier, a re-encoding pass
-    /// ([`crate::build`]).
+    /// and for a monotone model one sequential write of the packed layer;
+    /// any other model pays a scatter pass, a backward pass and the
+    /// encoding pass ([`crate::build`]).
     ///
     /// # Panics
     /// If `keys` is longer than [`ShiftTable::MAX_KEYS`].
@@ -69,11 +68,9 @@ impl ShiftTable {
     /// Assemble a layer from hand-written `(Δ, C)` entries.
     #[cfg(test)]
     pub(crate) fn from_entries(entries: Vec<crate::entry::WideEntry>) -> Self {
-        let extent = crate::entry::EntryExtent::of(&entries);
-        let n = entries.len();
         Self {
-            entries: EntryStorage::from_wide(entries, extent),
-            n,
+            entries: EntryStorage::from_wide(&entries),
+            n: entries.len(),
         }
     }
 
@@ -98,15 +95,24 @@ impl ShiftTable {
         self.entries.get(k.min(self.entries.len() - 1))
     }
 
-    /// The storage tier the layer is served from (§3.9): the smallest its
-    /// entries fit.
+    /// The storage tier the layer is served from (§3.9): the smallest
+    /// encoding of its entries.
     pub fn tier(&self) -> EntryTier {
         self.entries.tier()
     }
 
-    /// True if the narrow `(i16, u16)` encoding was selected (§3.9).
+    /// True if the narrow `(i16, u16)` encoding was selected (§3.9) — by
+    /// few layers of more than a handful of entries: one that fits it
+    /// nearly always packs smaller still, into [`EntryTier::Byte`].
     pub fn is_narrow(&self) -> bool {
         self.tier() == EntryTier::Narrow
+    }
+
+    /// How many entries are served from the byte tier's patch list (they
+    /// cost 8 bytes more than the others, and a fetch of one reads the
+    /// patch instead of the block's base).
+    pub fn patches(&self) -> usize {
+        self.entries.patches()
     }
 
     /// Iterate over the window lengths `C_k` (used by the cost model and by
@@ -133,7 +139,12 @@ impl ShiftTable {
 }
 
 impl Correction for ShiftTable {
-    #[inline]
+    // Always, like the fetch under it (`EntryStorage::get`,
+    // `Packed::wide`): with four tiers to dispatch over, `#[inline]` alone
+    // left the batch kernel's correct stage or the scalar lookup calling
+    // one of the three out of line, which cost the batch path 6–11 % on
+    // the repository benchmark.
+    #[inline(always)]
     fn correct(&self, prediction: usize) -> SearchHint {
         if self.entries.is_empty() {
             return SearchHint::bounded(0, 0);
@@ -164,35 +175,132 @@ mod tests {
     use learned_index::linear::InterpolationModel;
     use sosd_data::prelude::*;
 
+    /// Predicts position `at` for every key.
+    struct Constant {
+        n: usize,
+        at: usize,
+    }
+    impl CdfModel<u64> for Constant {
+        fn predict(&self, _key: u64) -> usize {
+            self.at
+        }
+        fn key_count(&self) -> usize {
+            self.n
+        }
+        fn size_bytes(&self) -> usize {
+            0
+        }
+        fn is_monotonic(&self) -> bool {
+            true
+        }
+        fn name(&self) -> &'static str {
+            "constant"
+        }
+    }
+
+    type TieredLayer = (EntryTier, Box<dyn CdfModel<u64>>, Dataset<u64>);
+
+    /// The four tiers as layers of models over generated keys: IM packs
+    /// into the byte tier; a least-squares line over lognormal keys crowds
+    /// its predictions into long pseudo-runs copying one long window, which
+    /// patches most entries — narrow while the drift fits `i16`, relative
+    /// beyond; with every key predicted into the last partition the one
+    /// window is past `u16` too.
+    fn one_layer_per_tier() -> Vec<TieredLayer> {
+        use learned_index::linear::LinearModel;
+        let uden: Dataset<u64> = SosdName::Uden64.generate(10_000, 21);
+        let narrow: Dataset<u64> = SosdName::Logn32.generate(6_000, 21);
+        let relative: Dataset<u64> = SosdName::Logn64.generate(70_000, 21);
+        let wide: Dataset<u64> = SosdName::Uden64.generate(70_000, 21);
+        let last = Constant {
+            n: wide.len(),
+            at: wide.len() - 1,
+        };
+        vec![
+            (
+                EntryTier::Byte,
+                Box::new(InterpolationModel::build(&uden)),
+                uden,
+            ),
+            (
+                EntryTier::Narrow,
+                Box::new(LinearModel::build(&narrow)),
+                narrow,
+            ),
+            (
+                EntryTier::Relative,
+                Box::new(LinearModel::build(&relative)),
+                relative,
+            ),
+            (EntryTier::Wide, Box::new(last), wide),
+        ]
+    }
+
+    fn assert_windows_cover_every_key(model: &dyn CdfModel<u64>, d: &Dataset<u64>) -> ShiftTable {
+        let table = ShiftTable::build(model, d.as_slice());
+        assert_eq!(table.len(), d.len());
+        for &k in d.as_slice() {
+            let target = d.lower_bound(k);
+            let hint = table.correct(model.predict_clamped(k));
+            let w = hint.window.unwrap();
+            assert!(
+                hint.start <= target && target < hint.start + w.max(1),
+                "{} n={} ({}): key {k} target {target} outside window [{}, {})",
+                d.name(),
+                d.len(),
+                table.tier(),
+                hint.start,
+                hint.start + w
+            );
+        }
+        table
+    }
+
     #[cfg_attr(miri, ignore = "dataset too large for Miri")]
     #[test]
     fn corrected_windows_cover_every_indexed_key() {
-        // 10 k keys pack narrow everywhere; 200 k under IM drift past `i16`
-        // on half the generators, into the relative tier or — where one
-        // partition takes more than `u16::MAX` keys — into the wide one.
-        let mut tiers = std::collections::BTreeSet::new();
+        // Under IM every generator's layer packs into the byte tier, at
+        // 200 k keys half of them with a patch list (the drift is past
+        // `i16` and some windows past `u16`, which used to mean wide).
+        let mut patched = 0;
         for n in [10_000, 200_000] {
             for name in SosdName::all() {
                 let d: Dataset<u64> = name.generate(n, 21);
-                let model = InterpolationModel::build(&d);
-                let table = ShiftTable::build(&model, d.as_slice());
-                assert_eq!(table.len(), d.len());
-                tiers.insert(table.tier().name());
-                for &k in d.as_slice() {
-                    let target = d.lower_bound(k);
-                    let hint = table.correct(model.predict_clamped(k));
-                    let w = hint.window.unwrap();
-                    assert!(
-                        hint.start <= target && target < hint.start + w.max(1),
-                        "{name} n={n} ({}): key {k} target {target} outside window [{}, {})",
-                        table.tier(),
-                        hint.start,
-                        hint.start + w
-                    );
-                }
+                let table = assert_windows_cover_every_key(&InterpolationModel::build(&d), &d);
+                assert_eq!(table.tier(), EntryTier::Byte, "{name} n={n}");
+                patched += usize::from(table.patches() > 0);
             }
         }
-        assert_eq!(tiers.len(), 3, "every tier is covered: {tiers:?}");
+        assert!(patched >= 5, "{patched} layers with patches");
+        // And through the fetch of each of the four tiers.
+        for (tier, model, d) in one_layer_per_tier() {
+            let table = assert_windows_cover_every_key(&*model, &d);
+            assert_eq!(table.tier(), tier, "{}", d.name());
+        }
+    }
+
+    #[cfg_attr(miri, ignore = "dataset too large for Miri")]
+    #[test]
+    fn every_generator_packs_under_2_6_bytes_a_key() {
+        // The free model and the benchmark's RMI, monotone or not: two
+        // bytes an entry, half a byte of base, 1/64 of directory and at
+        // most 1 % of the entries in the patch list.
+        use learned_index::spec::ModelSpec;
+        let n = 200_000;
+        for spec in ["im", "rmi:4096"] {
+            let spec = ModelSpec::parse(spec).unwrap();
+            for name in SosdName::all() {
+                let d: Dataset<u64> = name.generate(n, 21);
+                let table = ShiftTable::build(&*spec.build(d.as_slice()), d.as_slice());
+                assert_eq!(table.tier(), EntryTier::Byte, "{name} {spec}");
+                let bytes = Correction::size_bytes(&table);
+                assert!(
+                    bytes * 10 < n * 26,
+                    "{name} {spec}: {bytes} bytes, {} patches",
+                    table.patches()
+                );
+            }
+        }
     }
 
     #[test]
@@ -211,40 +319,34 @@ mod tests {
         let table = ShiftTable::build(&model, d.as_slice());
         assert!(table.expected_error() <= 1.0);
         assert!(table.window_lengths().all(|c| c <= 2));
-        // A perfect model on small data also packs into the narrow encoding.
-        assert!(table.is_narrow());
+        // A perfect model's layer is two bytes an entry and half a byte of
+        // base: nothing to patch.
+        assert_eq!((table.tier(), table.patches()), (EntryTier::Byte, 0));
+        assert!(!table.is_narrow());
     }
 
     #[cfg_attr(miri, ignore = "dataset too large for Miri")]
     #[test]
     fn wide_encoding_used_for_huge_drift() {
-        // A model with an enormous bias forces the wide tier.
-        struct AlwaysZero(usize);
-        impl CdfModel<u64> for AlwaysZero {
-            fn predict(&self, _key: u64) -> usize {
-                0
-            }
-            fn key_count(&self) -> usize {
-                self.0
-            }
-            fn size_bytes(&self) -> usize {
-                0
-            }
-            fn is_monotonic(&self) -> bool {
-                true
-            }
-            fn name(&self) -> &'static str {
-                "zero"
-            }
-        }
+        // A model with an enormous bias, either way. Every key predicted
+        // at 0: one window over everything — a patch, and as its `Δ` of 0
+        // is its block's base, so are the block's other seven — and
+        // trailing pseudo-entries that step down from `n − 2` one by one.
         let n = 100_000;
         let keys: Vec<u64> = (0..n as u64).collect();
-        let table = ShiftTable::build(&AlwaysZero(n), &keys);
+        let table = ShiftTable::build(&Constant { n, at: 0 }, &keys);
         assert!(!table.is_narrow(), "drift up to n-1 cannot fit in i16");
-        // All keys predicted at 0: window covers everything.
+        assert_eq!((table.tier(), table.patches()), (EntryTier::Byte, 8));
         let hint = table.correct(0);
         assert_eq!(hint.start, 0);
         assert_eq!(hint.window, Some(n));
+        // Every key predicted at `n − 1`: every entry points at that
+        // window, and the layer is wide.
+        let table = ShiftTable::build(&Constant { n, at: n - 1 }, &keys);
+        assert_eq!((table.tier(), table.patches()), (EntryTier::Wide, 0));
+        for k in [0, n / 2, n - 1] {
+            assert_eq!(table.correct(k), SearchHint::bounded(0, n));
+        }
     }
 
     #[test]
@@ -271,28 +373,34 @@ mod tests {
     #[cfg_attr(miri, ignore = "dataset too large for Miri")]
     #[test]
     fn size_bytes_reflects_encoding() {
-        // A near-perfect model packs narrow; IM over 70k lognormal keys
-        // drifts past `i16`, but smoothly: 4 bytes an entry plus 4 per
-        // block of 8; over 200k of them one partition takes more keys than
-        // a `u16` counts, and every entry takes 8 bytes.
-        for (name, n, tier) in [
-            (SosdName::Uden64, 10_000, EntryTier::Narrow),
-            (SosdName::Logn64, 70_000, EntryTier::Relative),
-            (SosdName::Logn64, 200_000, EntryTier::Wide),
-        ] {
-            let d: Dataset<u64> = name.generate(n, 21);
-            let model = InterpolationModel::build(&d);
-            let table = ShiftTable::build(&model, d.as_slice());
-            assert_eq!(table.tier(), tier, "{name}");
+        for (tier, model, d) in one_layer_per_tier() {
+            let n = d.len();
+            let table = ShiftTable::build(&*model, d.as_slice());
+            assert_eq!(table.tier(), tier, "{}", d.name());
             assert_eq!(table.is_narrow(), tier == EntryTier::Narrow);
             let bytes = match tier {
+                EntryTier::Byte => 2 * n + 4 * n.div_ceil(8),
                 EntryTier::Narrow => 4 * n,
                 EntryTier::Relative => 4 * n + 4 * n.div_ceil(8),
                 EntryTier::Wide => 8 * n,
             };
-            assert_eq!(Correction::size_bytes(&table), bytes, "{name}");
-            assert_eq!(table.entry_count(), d.len());
+            assert_eq!(table.patches(), 0, "{}", d.name());
+            assert_eq!(Correction::size_bytes(&table), bytes, "{}", d.name());
+            assert_eq!(table.entry_count(), n);
         }
+        // IM over 200 k lognormal keys, 8 bytes an entry before the byte
+        // tier (its drift is past `i16` and a block of it spreads past
+        // `u16`): now 8 more for each of a few hundred patches and 4 for
+        // each bucket of 256 entries.
+        let n = 200_000;
+        let d: Dataset<u64> = SosdName::Logn64.generate(n, 21);
+        let table = ShiftTable::build(&InterpolationModel::build(&d), d.as_slice());
+        assert_eq!(table.tier(), EntryTier::Byte);
+        assert!((1..n / 100).contains(&table.patches()));
+        assert_eq!(
+            Correction::size_bytes(&table),
+            2 * n + 4 * n.div_ceil(8) + 4 * n.div_ceil(256) + 8 * table.patches()
+        );
     }
 
     #[cfg_attr(miri, ignore = "dataset too large for Miri")]

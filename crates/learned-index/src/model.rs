@@ -58,10 +58,17 @@ pub trait CdfModel<K: Key>: Send + Sync {
     /// Positions are narrowed to `u32`, so this is for models of at most
     /// 2³² keys (a Shift-Table covers 2³¹).
     ///
+    /// **A run is non-decreasing.** Its callers are the layer builders,
+    /// which walk a sorted column, and an implementation may lean on the
+    /// order — [`crate::rmi::RmiIndex`] looks up a leaf once for all the
+    /// consecutive keys routed to it. Keys out of order get unspecified
+    /// (in-range) predictions.
+    ///
     /// # Panics
     /// If `keys` and `out` differ in length.
     fn predict_clamped_into(&self, keys: &[K], out: &mut [u32]) {
         assert_eq!(keys.len(), out.len(), "one output slot per key");
+        debug_assert!(keys.is_sorted(), "a run is non-decreasing");
         debug_assert!(self.key_count() as u64 <= 1 << 32);
         for (slot, &key) in out.iter_mut().zip(keys) {
             *slot = self.predict_clamped(key) as u32;

@@ -293,6 +293,41 @@ impl<K: Key> CdfModel<K> for RmiIndex {
         clamp_pred(self.leaves[leaf].predict_f64(x), self.n)
     }
 
+    /// The leaf is looked up once per stretch of keys routed to it instead
+    /// of once per key: the root is evaluated at the stretch's ends only
+    /// and the inner loop holds the leaf's two parameters in registers.
+    fn predict_clamped_into(&self, keys: &[K], out: &mut [u32]) {
+        assert_eq!(keys.len(), out.len(), "one output slot per key");
+        debug_assert!(keys.is_sorted(), "a run is non-decreasing");
+        if self.n == 0 || self.leaves.is_empty() {
+            out.fill(0);
+            return;
+        }
+        let mut start = 0;
+        while start < keys.len() {
+            let leaf = self.leaf_for(keys[start]);
+            let rest = &keys[start..];
+            let len = match &self.root {
+                // A line that never falls routes a non-decreasing run to
+                // non-decreasing leaves: bisect for the stretch's end.
+                RootModel::Linear(root) => {
+                    debug_assert!(root.slope() >= 0.0);
+                    rest.partition_point(|&key| self.leaf_for(key) <= leaf)
+                }
+                // A cubic may turn: ask it key by key.
+                RootModel::Cubic(_) => rest
+                    .iter()
+                    .position(|&key| self.leaf_for(key) != leaf)
+                    .unwrap_or(rest.len()),
+            };
+            let model = &self.leaves[leaf];
+            for (slot, &key) in out[start..start + len].iter_mut().zip(rest) {
+                *slot = clamp_pred(model.predict_f64(key.to_f64()), self.n) as u32;
+            }
+            start += len;
+        }
+    }
+
     fn key_count(&self) -> usize {
         self.n
     }

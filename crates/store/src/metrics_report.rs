@@ -38,6 +38,7 @@ impl<K: Key> StoreCore<K> {
         let mut cold = 0u64;
         let mut layer_bytes = 0u64;
         let mut layer_tiers = Vec::with_capacity(table.shards.len());
+        let mut layer_patches = 0u64;
         let mut delta_runs = 0u64;
         let mut delta_depth_max = 0u64;
         let mut delta_keys = 0u64;
@@ -47,6 +48,7 @@ impl<K: Key> StoreCore<K> {
             cold += u64::from(snapshot.is_cold());
             layer_bytes += snapshot.layer_bytes() as u64;
             layer_tiers.push(snapshot.layer_tier());
+            layer_patches += snapshot.layer_patches() as u64;
             let runs = shard.state().delta().unsealed_run_count() as u64;
             delta_runs += runs;
             delta_depth_max = delta_depth_max.max(runs);
@@ -63,6 +65,10 @@ impl<K: Key> StoreCore<K> {
                     .with_label("tier", tier.name()),
             );
         }
+        metrics.push(obs::gauge_metric(
+            "store_layer_patches",
+            layer_patches as f64,
+        ));
         metrics.push(obs::gauge_metric("store_delta_runs", delta_runs as f64));
         metrics.push(obs::gauge_metric(
             "store_delta_depth_max",

@@ -63,10 +63,11 @@ pub struct ShardSnapshot<K: Key> {
     keys: Arc<[K]>,
     index: DynRangeIndex<K>,
     /// What the index's correction layer occupies, noted before the index
-    /// went behind `dyn RangeIndex`: its bytes, and the storage tier of a
-    /// range layer. `(0, None)` on a cold snapshot.
+    /// went behind `dyn RangeIndex`: its bytes, and the storage tier and
+    /// patched entries of a range layer. `(0, None, 0)` on a cold snapshot.
     layer_bytes: usize,
     layer_tier: Option<EntryTier>,
+    layer_patches: usize,
     epoch: u64,
     /// `Some` while the base is still encoded in a mounted v2 snapshot
     /// file; hydration replaces the whole snapshot with a hot epoch.
@@ -81,14 +82,15 @@ impl<K: Key> ShardSnapshot<K> {
     pub(crate) fn build(spec: &IndexSpec, keys: Arc<[K]>, threads: usize, epoch: u64) -> Self {
         let index =
             spec.build_corrected_prevalidated_with(keys.clone(), Default::default(), threads);
-        let layer_tier = match index.layer() {
-            CorrectionLayer::Range(table) => Some(table.tier()),
-            CorrectionLayer::Midpoint(_) | CorrectionLayer::None => None,
+        let (layer_tier, layer_patches) = match index.layer() {
+            CorrectionLayer::Range(table) => (Some(table.tier()), table.patches()),
+            CorrectionLayer::Midpoint(_) | CorrectionLayer::None => (None, 0),
         };
         Self {
             keys,
             layer_bytes: index.layer().size_bytes(),
             layer_tier,
+            layer_patches,
             index: Box::new(index),
             epoch,
             cold: None,
@@ -104,6 +106,7 @@ impl<K: Key> ShardSnapshot<K> {
             index: Box::new(crate::persist::v2::ColdBlockIndex(base.clone())),
             layer_bytes: 0,
             layer_tier: None,
+            layer_patches: 0,
             epoch,
             cold: Some(base),
         }
@@ -130,6 +133,12 @@ impl<K: Key> ShardSnapshot<K> {
     /// while cold and for every other kind of layer.
     pub fn layer_tier(&self) -> Option<EntryTier> {
         self.layer_tier
+    }
+
+    /// Entries a byte-tier range layer serves from its patch list (see
+    /// [`shift_table::ShiftTable::patches`]); 0 for every other layer.
+    pub fn layer_patches(&self) -> usize {
+        self.layer_patches
     }
 
     /// Number of keys in the base column, decoded or not.
@@ -924,18 +933,17 @@ mod tests {
         // No layer is built until hydration: a cold shard serves from no tier.
         assert_eq!(cold.snapshot().layer_tier(), None);
         assert_eq!(cold.snapshot().layer_bytes(), 0);
-        assert_eq!(hot.snapshot().layer_tier(), Some(EntryTier::Narrow));
+        assert_eq!(cold.snapshot().layer_patches(), 0);
+        assert_eq!(hot.snapshot().layer_tier(), Some(EntryTier::Byte));
 
         // Hydration: rebuild proceeds on a cold base, swaps it hot, and the
         // merged view is unchanged.
         assert!(cold.rebuild().unwrap());
         assert!(!cold.snapshot().is_cold());
         assert_eq!(cold.snapshot().epoch(), 1);
-        assert_eq!(cold.snapshot().layer_tier(), Some(EntryTier::Narrow));
-        assert_eq!(
-            cold.snapshot().layer_bytes(),
-            4 * cold.snapshot().base_len()
-        );
+        assert_eq!(cold.snapshot().layer_tier(), Some(EntryTier::Byte));
+        let n = cold.snapshot().base_len();
+        assert_eq!(cold.snapshot().layer_bytes(), 2 * n + 4 * n.div_ceil(8));
         assert!(
             !cold.rebuild().unwrap(),
             "hydrated + clean shard does not rebuild again"

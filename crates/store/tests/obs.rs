@@ -269,9 +269,12 @@ fn catalogue_is_complete_and_prometheus_roundtrips() {
         .any(|s| s.name == "store_shard_accesses" && !s.labels.is_empty()));
 }
 
-/// The layer gauges say which hot shards serve from which Shift-Table tier
-/// and what the layers weigh: 200 k amzn64 keys under `im+r1` drift past
-/// `i16` (relative: 4 bytes an entry and 4 per block of 8), 5 k stay narrow.
+/// The layer gauges say which hot shards serve from which Shift-Table tier,
+/// what the layers weigh and how many of their entries are patches: under
+/// `im+r1` two shards of 200 k amzn64 keys pack into the byte tier — 2 bytes
+/// an entry, 4 per block of 8, 4 per bucket of 256 and 8 per patch — as do
+/// three of evenly spaced keys, without a patch; a least-squares line over
+/// 70 k lognormal keys needs the relative tier, over 6 k the narrow one.
 #[test]
 fn layer_gauges_report_bytes_and_the_tier_of_every_hot_shard() {
     use sosd_data::prelude::*;
@@ -287,8 +290,9 @@ fn layer_gauges_report_bytes_and_the_tier_of_every_hot_shard() {
             })
             .collect()
     };
-    let tiers = |narrow: f64, relative: f64, wide: f64| {
+    let tiers = |byte: f64, narrow: f64, relative: f64, wide: f64| {
         vec![
+            ("byte".to_string(), byte),
             ("narrow".to_string(), narrow),
             ("relative".to_string(), relative),
             ("wide".to_string(), wide),
@@ -298,11 +302,24 @@ fn layer_gauges_report_bytes_and_the_tier_of_every_hot_shard() {
     let big = ShardedStore::build(StoreConfig::new(spec()).shards(2), amzn.as_slice()).unwrap();
     assert_eq!(
         gauges(&big, "store_layer_tier_shards"),
-        tiers(0.0, 2.0, 0.0)
+        tiers(2.0, 0.0, 0.0, 0.0)
     );
     let table = big.table();
-    let blocks = table.shards().iter().map(|s| s.len().div_ceil(8));
-    let bytes = 4 * 400_000 + 4 * blocks.sum::<usize>();
+    let patches: usize = table
+        .shards()
+        .iter()
+        .map(|s| s.snapshot().layer_patches())
+        .sum();
+    assert!((1..4_000).contains(&patches), "{patches} patches");
+    assert_eq!(
+        gauges(&big, "store_layer_patches"),
+        [(String::new(), patches as f64)]
+    );
+    let arrays = |per_entries: usize| -> usize {
+        let shards = table.shards().iter();
+        shards.map(|s| s.len().div_ceil(per_entries)).sum()
+    };
+    let bytes = 2 * 400_000 + 4 * arrays(8) + 4 * arrays(256) + 8 * patches;
     assert_eq!(
         gauges(&big, "store_layer_bytes"),
         [(String::new(), bytes as f64)]
@@ -312,19 +329,46 @@ fn layer_gauges_report_bytes_and_the_tier_of_every_hot_shard() {
     let small = ShardedStore::build(StoreConfig::new(spec()).shards(3), &keys).unwrap();
     assert_eq!(
         gauges(&small, "store_layer_tier_shards"),
-        tiers(3.0, 0.0, 0.0)
+        tiers(3.0, 0.0, 0.0, 0.0)
     );
+    let small_table = small.table();
+    let blocks = small_table.shards().iter().map(|s| s.len().div_ceil(8));
     assert_eq!(
         gauges(&small, "store_layer_bytes"),
-        [(String::new(), 20_000.0)]
+        [(String::new(), (10_000 + 4 * blocks.sum::<usize>()) as f64)]
     );
+    assert_eq!(
+        gauges(&small, "store_layer_patches"),
+        [(String::new(), 0.0)]
+    );
+
+    // The ladder below the byte tier: most entries of these layers would
+    // be patches (long pseudo-runs copying one long window).
+    let linear = IndexSpec::parse("linear+r1").unwrap();
+    for (name, n, expected) in [
+        (SosdName::Logn32, 6_000, tiers(0.0, 1.0, 0.0, 0.0)),
+        (SosdName::Logn64, 70_000, tiers(0.0, 0.0, 1.0, 0.0)),
+    ] {
+        let logn: Dataset<u64> = name.generate(n, 21);
+        let config = StoreConfig::new(linear).shards(1);
+        let store = ShardedStore::build(config, logn.as_slice()).unwrap();
+        assert_eq!(
+            gauges(&store, "store_layer_tier_shards"),
+            expected,
+            "{name}"
+        );
+        assert_eq!(
+            gauges(&store, "store_layer_patches"),
+            [(String::new(), 0.0)]
+        );
+    }
 
     // A shard whose layer is not a Shift-Table range layer counts under none.
     let bare = IndexSpec::parse("im+none").unwrap();
     let none = ShardedStore::build(StoreConfig::new(bare).shards(3), &keys).unwrap();
     assert_eq!(
         gauges(&none, "store_layer_tier_shards"),
-        tiers(0.0, 0.0, 0.0)
+        tiers(0.0, 0.0, 0.0, 0.0)
     );
     assert_eq!(gauges(&none, "store_layer_bytes"), [(String::new(), 0.0)]);
 }

@@ -269,39 +269,55 @@ fn store_reads_match_a_sorted_vec_oracle_for_every_spec_and_shard_count() {
     }
 }
 
-/// The tiers the store's hot shards serve their range layers from.
-fn layer_tiers(store: &ShardedStore<u64>) -> Vec<Option<EntryTier>> {
+/// The tier and the patched entries of every hot shard's range layer.
+fn layer_tiers(store: &ShardedStore<u64>) -> Vec<(Option<EntryTier>, usize)> {
     let table = store.table();
-    let tiers = table.shards().iter().map(|s| s.snapshot().layer_tier());
-    tiers.collect()
+    let shards = table.shards().iter().map(|s| s.snapshot());
+    shards
+        .map(|s| (s.layer_tier(), s.layer_patches()))
+        .collect()
 }
 
-/// A relative-tier dataset end to end: amzn64 under `im+r1` drifts past
-/// `i16` within 200 k keys, smoothly, so shards of that size serve from
-/// `(u16, u16)` entries under block bases. The same trace — writes past
-/// `delta_threshold` (inline rebuilds), a split, and for the durable store
-/// a checkpoint and a reopen — must read like the sorted-`Vec` oracle at
-/// every stage, through `lower_bound`, the batch kernel, `range` and
-/// `scan`, with relative shards serving before and after the reopen.
-#[cfg_attr(miri, ignore = "dataset too large for Miri")]
-#[test]
-fn a_relative_tier_store_matches_the_oracle_through_rebuild_split_and_reopen() {
-    let base: Dataset<u64> = SosdName::Amzn64.generate(400_000, 7);
-    let base = base.as_slice();
+/// One trace for a store whose shards serve from a tier worth watching:
+/// writes into shard `written` past `delta_threshold` (inline rebuilds), a
+/// split of that shard, and for the durable store a checkpoint, a WAL-tail
+/// write and a reopen — reading like the sorted-`Vec` oracle at every
+/// stage, through `lower_bound`, the batch kernel, `range` and `scan`.
+/// `expect(stage, layers)` checks what the shards serve from: `written`
+/// names the shard the writes went to, or `None` once it has split.
+fn a_store_matches_the_oracle_through_rebuild_split_and_reopen(
+    base: &[u64],
+    spec: &str,
+    shards: usize,
+    written: usize,
+    expect: impl Fn(&str, Option<usize>, &[(Option<EntryTier>, usize)]),
+) {
     let dir = std::path::PathBuf::from(env!("CARGO_TARGET_TMPDIR"))
-        .join(format!("oracle-relative-{}", std::process::id()));
+        .join(format!("oracle-{spec}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    // Two shards of 200 k keys; the left one outgrows the ceiling once the
-    // trace has landed and splits in the next rebalance sweep.
-    let config = StoreConfig::new(IndexSpec::parse("im+r1").unwrap())
-        .shards(2)
-        .delta_threshold(512)
-        .split_max_len(200_400)
-        .durability(
-            DurabilityConfig::new()
-                .sync(SyncPolicy::Os)
-                .checkpoint_ops(0),
-        );
+    let config = |split_max_len| {
+        StoreConfig::new(IndexSpec::parse(spec).unwrap())
+            .shards(shards)
+            .delta_threshold(512)
+            .split_max_len(split_max_len)
+            .durability(
+                DurabilityConfig::new()
+                    .sync(SyncPolicy::Os)
+                    .checkpoint_ops(0),
+            )
+    };
+    // The written shard outgrows the ceiling once the trace has landed
+    // (800 keys net) and splits in the next rebalance sweep; it is the
+    // longest, so no other does.
+    let lens: Vec<usize> = {
+        let probe = ShardedStore::build(config(usize::MAX), base).unwrap();
+        let table = probe.table();
+        table.shards().iter().map(|s| s.len()).collect()
+    };
+    let first = lens[..written].iter().sum::<usize>();
+    let len = lens[written];
+    assert_eq!(lens.iter().max(), Some(&len), "shards of {lens:?} keys");
+    let config = config(len + 400);
     let in_memory = ShardedStore::build(config, base).unwrap();
     let durable = ShardedStore::open_seeded(&dir, config, base).unwrap();
 
@@ -332,22 +348,21 @@ fn a_relative_tier_store_matches_the_oracle_through_rebuild_split_and_reopen() {
                 );
             }
         };
-        let tiers = layer_tiers(store);
-        assert_eq!(
-            tiers,
-            [Some(EntryTier::Relative); 2],
-            "{tag}: freshly built"
+        expect(
+            &format!("{tag}: freshly built"),
+            Some(written),
+            &layer_tiers(store),
         );
         check(&oracle, &probes(&mut rng, &oracle), &format!("{tag} pre"));
 
-        // Writes into the left shard's key range, well past its threshold.
-        let left_max = base[base.len() / 2 - 1];
+        // Writes into the shard's key range, well past its threshold.
+        let (min, max) = (base[first], base[first + len - 1]);
         for step in 0..2_400 {
             if step % 3 == 2 {
-                let key = oracle.keys[rng.next_below(150_000) as usize];
+                let key = oracle.keys[first + rng.next_below(len as u64 - 1_000) as usize];
                 assert_eq!(store.delete(key).unwrap(), oracle.delete(key), "{tag}");
             } else {
-                let key = rng.next_below(left_max);
+                let key = min + rng.next_below(max - min);
                 store.insert(key).unwrap();
                 oracle.insert(key);
             }
@@ -360,21 +375,17 @@ fn a_relative_tier_store_matches_the_oracle_through_rebuild_split_and_reopen() {
             }
         }
         assert!(store.total_rebuilds() >= 2, "{tag}: inline rebuilds");
-        assert_eq!(
-            layer_tiers(store)[0],
-            Some(EntryTier::Relative),
-            "{tag}: rebuilt"
+        expect(
+            &format!("{tag}: rebuilt"),
+            Some(written),
+            &layer_tiers(store),
         );
 
         assert_eq!(store.rebalance().unwrap(), 1, "{tag}: one topology change");
-        assert_eq!(store.total_splits(), 1, "{tag}: the left shard splits");
-        let tiers = layer_tiers(store);
-        assert_eq!(tiers.len(), 3, "{tag}");
-        assert_eq!(
-            tiers[2],
-            Some(EntryTier::Relative),
-            "{tag}: untouched shard"
-        );
+        assert_eq!(store.total_splits(), 1, "{tag}: the written shard splits");
+        let layers = layer_tiers(store);
+        assert_eq!(layers.len(), lens.len() + 1, "{tag}");
+        expect(&format!("{tag}: split"), None, &layers);
         check(
             &oracle,
             &probes(&mut rng, &oracle),
@@ -392,11 +403,7 @@ fn a_relative_tier_store_matches_the_oracle_through_rebuild_split_and_reopen() {
     oracle.insert(tail);
     drop(durable);
     let reopened = ShardedStore::<u64>::open(&dir, config).unwrap();
-    let tiers = layer_tiers(&reopened);
-    assert!(
-        tiers.contains(&Some(EntryTier::Relative)),
-        "reopened shards serve from {tiers:?}"
-    );
+    expect("reopened", None, &layer_tiers(&reopened));
     let mut rng = SplitMix64::new(0x0E09);
     let mut probes = probe_set(&mut rng, &oracle);
     probes.extend([tail - 1, tail, tail + 1]);
@@ -408,4 +415,59 @@ fn a_relative_tier_store_matches_the_oracle_through_rebuild_split_and_reopen() {
     );
     drop(reopened);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A relative-tier shard end to end: a least-squares line over the upper
+/// half of 400 k lognormal keys crowds its predictions into long
+/// pseudo-runs that copy one long window — most entries would be patches —
+/// and drifts past `i16`, so that shard serves from `(u16, u16)` entries
+/// under block bases, before and after its rebuilds; of its halves and of
+/// the reopened shards at least one still does.
+#[cfg_attr(miri, ignore = "dataset too large for Miri")]
+#[test]
+fn a_relative_tier_store_matches_the_oracle_through_rebuild_split_and_reopen() {
+    let base: Dataset<u64> = SosdName::Logn32.generate(400_000, 7);
+    a_store_matches_the_oracle_through_rebuild_split_and_reopen(
+        base.as_slice(),
+        "linear+r1",
+        2,
+        1,
+        |stage, written, layers| {
+            let relative = (Some(EntryTier::Relative), 0);
+            match written {
+                Some(shard) => assert_eq!(layers[shard], relative, "{stage}"),
+                None => assert!(layers.contains(&relative), "{stage}: {layers:?}"),
+            }
+        },
+    );
+}
+
+/// A patched byte-tier shard end to end: wiki64 under `im+r1`, whose last
+/// shard holds a duplicate run longer than `u16` counts — a wide layer
+/// until the byte tier, now a handful of patches. Every read of the trace
+/// that lands on one of those windows (the batch kernel's correct stage
+/// included) goes through the patch list, and every shard serves from the
+/// byte tier throughout.
+#[cfg_attr(miri, ignore = "dataset too large for Miri")]
+#[test]
+fn a_patched_byte_tier_store_matches_the_oracle_through_rebuild_split_and_reopen() {
+    let base: Dataset<u64> = SosdName::Wiki64.generate(400_000, 21);
+    a_store_matches_the_oracle_through_rebuild_split_and_reopen(
+        base.as_slice(),
+        "im+r1",
+        8,
+        6,
+        |stage, written, layers| {
+            let tiers = layers.iter().map(|&(tier, _)| tier);
+            assert!(
+                tiers.eq(layers.iter().map(|_| Some(EntryTier::Byte))),
+                "{stage}: {layers:?}"
+            );
+            let patched = match written {
+                Some(shard) => layers[shard].1,
+                None => layers.iter().map(|&(_, patches)| patches).sum(),
+            };
+            assert!(patched > 0, "{stage}: {layers:?}");
+        },
+    );
 }

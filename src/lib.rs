@@ -5,8 +5,9 @@
 //! downstream users who want "everything" can depend on one crate:
 //!
 //! * [`shift_table`] — the Shift-Table correction layer (the paper's
-//!   contribution; 4, 4.5 or 8 bytes per key depending on the tier its
-//!   entries fit, [`shift_table::EntryTier`]), the owned
+//!   contribution; 2.5 bytes per key plus 8 per patched outlier in the
+//!   byte tier nearly every layer packs into, else 4, 4.5 or 8 —
+//!   [`shift_table::EntryTier`]), the owned
 //!   [`shift_table::CorrectedIndex`] and the runtime
 //!   [`shift_table::spec::IndexSpec`] composition layer,
 //! * [`learned_index`] — CDF models (IM, linear, cubic, RMI, RadixSpline,
