@@ -6,7 +6,7 @@
 //! shape: R-1 and S-1 are the fastest, error and latency grow as the layer is
 //! compressed, and the bare model is far worse on the hard datasets. A third
 //! table puts the price next to it: bytes per key of every layer, and the
-//! storage tier the R-1 layer is served from.
+//! entries the R-1 layer serves from its patch list.
 
 use crate::datasets::{dataset_u32, dataset_u64, BenchConfig};
 use crate::report::{fmt_ns, Table};
@@ -84,11 +84,7 @@ fn measure_config<K: Key>(
     let per_key = index.layer().size_bytes() as f64 / shared.len().max(1) as f64;
     let size = match index.layer() {
         CorrectionLayer::Range(table) => {
-            format!(
-                "{per_key:.2} ({}, {} patches)",
-                table.tier(),
-                table.patches()
-            )
+            format!("{per_key:.2} ({} patches)", table.patches())
         }
         _ => format!("{per_key:.3}"),
     };
@@ -110,7 +106,7 @@ pub fn run_subset(cfg: BenchConfig, datasets: &[SosdName]) -> Vec<Table> {
         ],
     );
     let mut size = Table::new(
-        "Figure 9c — layer size (bytes per key; R-1 with its storage tier and patched entries) (IM model)",
+        "Figure 9c — layer size (bytes per key; R-1 with its patched entries) (IM model)",
         &[
             "dataset", "R-1", "S-1", "S-10", "S-100", "S-1000", "without",
         ],

@@ -16,12 +16,10 @@
 //! every window's entries — pseudo-entries included — as one fixed-size
 //! store, and hands the staged blocks strictly left to right to a sink: no
 //! blank fill, no read-modify-write on the layer, no backward pass, no key
-//! read beyond the model's own. Sequentially the sink is the
-//! `TierEncoder`, so the layer is written once, block by block, in the
-//! byte tier nearly every layer is served from — an entry that does not
-//! fit a byte is appended to the patch list, and only a layer the byte
-//! tier does not shrink is decoded into another tier at the end
-//! ([`crate::entry`]). Monotonicity is *checked, not trusted*: the
+//! read beyond the model's own. Sequentially the sink is the layer itself,
+//! written once, block by block, in the layout it is served from — an
+//! entry that does not fit is appended to the patch list, nothing stored is
+//! re-encoded ([`crate::entry`]). Monotonicity is *checked, not trusted*: the
 //! emitter compares every prediction with its predecessor (and with the
 //! last partition it may fill), and the first one out of order abandons the
 //! attempt — nothing of it is kept — for the other builder.
@@ -29,17 +27,17 @@
 //! **The scatter builder** takes any model: one pass scatters drift minima
 //! and cardinalities into a blank `(i32 Δ, u32 C)` array (Algorithm 2 lines
 //! 3–15, the paper's `O(N · F_θ + M)`), a backward pass gives the empty
-//! partitions their pseudo-entries, and the finished array goes through the
-//! same encoder in one pass. It is what a non-monotone RMI is built with,
+//! partitions their pseudo-entries, and the finished array is packed into
+//! the same layout in one pass. It is what a non-monotone RMI is built with,
 //! and the reference the emitter is tested against entry by entry.
 //!
 //! **In parallel** (the parallelisation the paper suggests for expensive
 //! models, §3.3) the emitter runs over key ranges cut where the prediction
 //! changes, each worker filling its own disjoint stretch of one `(i32, u32)`
-//! array, which is encoded after the join.
+//! array, which is packed after the join.
 
-use crate::entry::{EntryStorage, TierEncoder, WideEntry, MAX_KEYS};
-use crate::packed::BLOCK;
+use crate::entry::{WideEntry, MAX_KEYS};
+use crate::packed::{Packed, BLOCK};
 use learned_index::model::CdfModel;
 use sosd_data::key::Key;
 use std::ops::Range;
@@ -62,7 +60,7 @@ pub(crate) fn build_range_layer<K: Key, M: CdfModel<K> + ?Sized>(
     model: &M,
     keys: &[K],
     threads: usize,
-) -> EntryStorage {
+) -> Packed {
     // lint: allow(panic) the validating builders turn longer columns into BuildError::TooManyKeys; past them a drift would silently truncate
     assert!(
         keys.len() <= MAX_KEYS,
@@ -71,7 +69,7 @@ pub(crate) fn build_range_layer<K: Key, M: CdfModel<K> + ?Sized>(
     if model.is_monotonic() {
         let emitted = if threads > 1 && keys.len() >= PARALLEL_MIN_KEYS {
             compute_range_entries_parallel(model, keys, threads)
-                .map(|entries| EntryStorage::from_wide(&entries))
+                .map(|entries| Packed::from_wide(&entries))
         } else {
             emit_range_layer(model, keys)
         };
@@ -79,7 +77,7 @@ pub(crate) fn build_range_layer<K: Key, M: CdfModel<K> + ?Sized>(
             return layer;
         }
     }
-    EntryStorage::from_wide(&compute_range_entries(model, keys))
+    Packed::from_wide(&compute_range_entries(model, keys))
 }
 
 /// Where the emitter puts finished entries, in partition order.
@@ -89,10 +87,10 @@ trait EntrySink {
     fn extend(&mut self, entries: &[WideEntry]);
 }
 
-impl EntrySink for TierEncoder {
+impl EntrySink for Packed {
     #[inline]
     fn extend(&mut self, entries: &[WideEntry]) {
-        TierEncoder::extend(self, entries);
+        Packed::extend(self, entries);
     }
 }
 
@@ -226,18 +224,16 @@ fn emit_stretch<K: Key, M: CdfModel<K> + ?Sized, S: EntrySink>(
     Ok(())
 }
 
-/// The emitter over the whole column, straight into the tier encoder.
+/// The emitter over the whole column, straight into the layer's arrays.
 /// `None` when the model turns out not to be monotone.
-fn emit_range_layer<K: Key, M: CdfModel<K> + ?Sized>(
-    model: &M,
-    keys: &[K],
-) -> Option<EntryStorage> {
+fn emit_range_layer<K: Key, M: CdfModel<K> + ?Sized>(model: &M, keys: &[K]) -> Option<Packed> {
     let n = keys.len();
-    let mut encoder = TierEncoder::new(n);
+    let mut layer = Packed::with_capacity(n);
     if n > 0 {
-        emit_stretch(model, keys, 0..n, 0..n, &mut encoder).ok()?;
+        emit_stretch(model, keys, 0..n, 0..n, &mut layer).ok()?;
     }
-    Some(encoder.finish())
+    layer.finish();
+    Some(layer)
 }
 
 /// One worker's stretch of the `(i32, u32)` array of a parallel build,
@@ -475,7 +471,6 @@ pub(crate) fn partition_of(prediction: usize, m: usize, n: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::entry::EntryTier;
     use learned_index::linear::InterpolationModel;
     use sosd_data::prelude::*;
 
@@ -600,29 +595,27 @@ mod tests {
     }
 
     /// The scatter builder's layer: the reference the emitter must equal.
-    fn reference<K: Key, M: CdfModel<K> + ?Sized>(model: &M, keys: &[K]) -> EntryStorage {
-        EntryStorage::from_wide(&compute_range_entries(model, keys))
+    fn reference<K: Key, M: CdfModel<K> + ?Sized>(model: &M, keys: &[K]) -> Packed {
+        Packed::from_wide(&compute_range_entries(model, keys))
     }
 
     /// Assert that the emitter — sequential, and cut into stretches for
-    /// each of `threads` — builds the scatter reference: same tier, same
-    /// arrays (entries, bases, directory and patches, so same `size_bytes`).
+    /// each of `threads` — builds the scatter reference: the same arrays
+    /// (entries, bases, directory and patches, so the same `size_bytes`).
     fn assert_emitter_matches_reference<K: Key, M: CdfModel<K> + ?Sized>(
         model: &M,
         keys: &[K],
         threads: &[usize],
         tag: &str,
-    ) -> EntryStorage {
+    ) -> Packed {
         assert!(
             model.is_monotonic(),
             "{tag}: the emitter is for monotone models"
         );
         let entries = compute_range_entries(model, keys);
-        let expected = EntryStorage::from_wide(&entries);
+        let expected = Packed::from_wide(&entries);
         let emitted = emit_range_layer(model, keys).unwrap_or_else(|| panic!("{tag}: abandoned"));
-        assert_eq!(emitted.tier(), expected.tier(), "{tag}");
         assert!(emitted == expected, "{tag}: emitted layer differs");
-        assert_eq!(emitted.size_bytes(), expected.size_bytes(), "{tag}");
         for &t in threads {
             let par = compute_range_entries_parallel(model, keys, t)
                 .unwrap_or_else(|| panic!("{tag}: {t} threads abandoned"));
@@ -636,13 +629,9 @@ mod tests {
     #[test]
     fn emitter_matches_scatter_reference_on_every_generator_and_model() {
         use learned_index::spec::ModelSpec;
-        use std::collections::BTreeSet;
-        // Nearly every layer packs into the byte tier, patches and all. A
-        // least-squares line over lognormal keys crowds its predictions
-        // into long pseudo-runs that copy one long window — patches
-        // throughout — and stays narrow at 6 k keys, relative at 70 k. (The
-        // wide tier is the staircases' below.)
-        let mut tiers = BTreeSet::new();
+        // The matrix holds layers with patch lists and layers of coded
+        // counts throughout: a least-squares line over lognormal keys crowds
+        // its predictions into long pseudo-runs that copy one long window.
         let mut patched = 0;
         let mut scattered = 0;
         for spec in ["im", "linear", "rmi:64", "rmi:4096", "rmi:64:cubic"] {
@@ -664,16 +653,10 @@ mod tests {
                         assert!(build_range_layer(&*model, keys, 3) == expected, "{tag}");
                         expected
                     };
-                    tiers.insert(layer.tier().name());
                     patched += usize::from(layer.patches() > 0);
                 }
             }
         }
-        assert_eq!(
-            Vec::from_iter(tiers),
-            ["byte", "narrow", "relative"],
-            "the matrix reaches the three tiers real layers end in"
-        );
         assert!(patched > 20, "and patch lists: {patched} layers hold one");
         assert!(scattered > 0, "the matrix holds non-monotone models");
     }
@@ -748,37 +731,30 @@ mod tests {
 
     #[cfg_attr(miri, ignore = "dataset too large for Miri")]
     #[test]
-    fn an_over_wide_block_and_an_over_long_count_end_in_the_right_tier() {
-        // Stairs of 70 000 keys: Δ climbs to 69 999 inside a stair and
-        // falls back at its end, so a block around a stair's end spreads
-        // past `u16` — and every window is longer than `u16::MAX`.
+    fn an_over_wide_block_is_patched_and_an_over_long_count_coded() {
+        // Stairs of 70 000 keys: every window is 70 000 records, served as
+        // the code for 73 728, and `Δ` falls from 69 999 back to 0 at a
+        // stair's first partition — the base of its block, whose other
+        // seven entries are patches. Three stairs' worth.
         let n = 150_000;
         let keys: Vec<u64> = (0..n as u64).collect();
-        let model = Stairs {
-            n,
-            step: 70_000,
-            dip: None,
-        };
-        let layer = assert_emitter_matches_reference(&model, &keys, &[2], "long stairs");
-        assert_eq!(layer.tier(), EntryTier::Wide);
-        // Stairs of 40 000: counts fit, but the pseudo-entries before a
-        // stair drift 40 000 down to 1 — relative, as no block of 8 sees
-        // more than 8 of that — while one over-long duplicate run makes a
-        // window `u16` cannot hold.
-        let model = Stairs {
-            n,
-            step: 40_000,
-            dip: None,
-        };
-        let layer = assert_emitter_matches_reference(&model, &keys, &[3], "short stairs");
-        assert_eq!(layer.tier(), EntryTier::Relative);
+        let stairs = |step| Stairs { n, step, dip: None };
+        let bytes =
+            |patches: usize| 2 * n + 4 * n.div_ceil(BLOCK) + 4 * n.div_ceil(256) + 8 * patches;
+        let layer = assert_emitter_matches_reference(&stairs(70_000), &keys, &[2], "long stairs");
+        assert_eq!((layer.patches(), layer.size_bytes()), (21, bytes(21)));
+        assert_eq!(layer.wide(8), (69_992, 73_728));
+        // Stairs of 40 000, and one duplicate run of 70 000 among them.
+        let layer = assert_emitter_matches_reference(&stairs(40_000), &keys, &[3], "short stairs");
+        assert_eq!((layer.patches(), layer.size_bytes()), (28, bytes(28)));
         let mut dups = keys.clone();
         dups[50_000..120_000].fill(50_000);
-        let layer = assert_emitter_matches_reference(&model, &dups, &[3], "duplicate run");
-        assert_eq!(layer.tier(), EntryTier::Wide);
+        let layer = assert_emitter_matches_reference(&stairs(40_000), &dups, &[3], "duplicate run");
+        assert_eq!(layer.wide(40_000), (0, 81_920));
+        assert_eq!((layer.patches(), layer.size_bytes()), (21, bytes(21)));
         // Every key predicted into the last partition: every entry is a
-        // pseudo-entry of the one window, which `u16` cannot count — a
-        // patch each, so the layer stays as it was built.
+        // pseudo-entry of the one window, 70 000 records long. None is a
+        // patch, so there is no directory: 2.5 bytes a key.
         let n = 70_000;
         let model = Stairs {
             n,
@@ -786,41 +762,39 @@ mod tests {
             dip: None,
         };
         let layer = assert_emitter_matches_reference(&model, &vec![n as u64; n], &[2], "last");
-        assert_eq!(layer.tier(), EntryTier::Wide);
-        assert_eq!(layer.get(0), crate::ShiftEntry::new(0, n as u64));
+        assert_eq!(layer.wide(0), (0, 73_728));
+        assert_eq!((layer.patches(), layer.size_bytes()), (0, n * 5 / 2));
     }
 
     #[cfg_attr(miri, ignore = "dataset too large for Miri")]
     #[test]
-    fn one_over_long_window_is_a_patch_not_a_wider_layer() {
+    fn one_over_long_window_is_a_count_code_not_a_patch() {
         // wiki64 under IM: the last partition with keys takes more of them
-        // than `u16` counts, which used to re-encode the whole layer wide
-        // when the encoder got there. Now it is one of a few patches in a
-        // layer that was written once.
+        // than `u16` counts. Its window is served in place, as a code.
         let n = 512 * 1024;
         let d: Dataset<u64> = SosdName::Wiki64.generate(n, 7);
         let model = InterpolationModel::build(&d);
+        let entries = compute_range_entries(&model, d.as_slice());
         let layer = assert_emitter_matches_reference(&model, d.as_slice(), &[2], "wiki64");
-        let longest = (0..n).map(|k| layer.get(k).count).max().unwrap();
-        assert!(longest > u16::MAX as u64, "longest window {longest}");
-        assert_eq!(layer.tier(), EntryTier::Byte);
-        assert!((1..n / 1_000).contains(&layer.patches()));
+        let (at, &(delta, longest)) = (entries.iter().enumerate())
+            .max_by_key(|(_, entry)| entry.1)
+            .unwrap();
+        assert!(longest > u16::MAX as u32, "longest window {longest}");
+        let (served_delta, served) = layer.wide(at);
+        assert_eq!(served_delta, delta);
+        assert!(longest < served && served <= longest + longest / 8);
+        assert!(layer.patches() < n / 1_000);
         assert!(layer.size_bytes() < n * 26 / 10);
     }
 
     #[test]
     fn small_columns_are_emitted_like_the_reference() {
-        let mut tiers = Vec::new();
         for n in [0usize, 1, 7, 8, 9, 1_023, 1_024, 1_025, 2_049] {
             let keys: Vec<u64> = (0..n as u64).map(|i| i * i / 3).collect();
             let model = InterpolationModel::from_sorted_keys(&keys);
             let layer = assert_emitter_matches_reference(&model, &keys, &[2], &format!("n={n}"));
             assert_eq!(layer.len(), n);
-            tiers.push(layer.tier());
         }
-        // Two entries are no smaller with a base; three are.
-        assert_eq!(tiers[..2], [EntryTier::Narrow; 2]);
-        assert!(tiers[2..].iter().all(|&t| t == EntryTier::Byte));
         // All keys in the first partition; all in the last; one duplicate.
         let model = Stairs {
             n: 9,

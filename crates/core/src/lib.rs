@@ -23,11 +23,12 @@
 //! ## Crate layout
 //!
 //! * [`ShiftTable`] — the full-resolution `<Δ, C>` layer (the paper's R-1
-//!   configuration, Algorithm 2), stored in the smallest [`EntryTier`]
-//!   encoding of its entries: nearly always 2.5 bytes per key (byte-wide
-//!   fields relative to one base per block of 8, the rare entry that does
-//!   not fit in a slot-addressed patch list), else 4 (narrow), 4.5 (the
-//!   same layout with 16-bit fields) or 8 (wide) — see [`entry`],
+//!   configuration, Algorithm 2), stored at 2.5 bytes per key whatever
+//!   the model and the keys: a `u8` offset from one base per block of 8
+//!   for the exact `Δ`, a `u8` code for `C` that rounds windows past 127
+//!   records up by at most an eighth (sound: `C` only bounds the local
+//!   search), and the rare entry that fits neither in a slot-addressed
+//!   patch list — see [`entry`],
 //! * [`CompactShiftTable`] — the compressed midpoint layer with one `Δ̄`
 //!   entry per `X` records (the S-X configurations, §3.4),
 //! * [`CorrectedIndex`] — a complete range index assembled from any
@@ -48,7 +49,7 @@
 //!   §3.5 (Eq. 8) and empirical error measurement,
 //! * [`build`] — the layer builders: the one-pass run-boundary emitter for
 //!   monotone models (sequential or over scoped threads) and the scatter
-//!   builder for every other, both ending in the one tier encoder.
+//!   builder for every other, both writing the one packed layout.
 //!
 //! ## Batch kernel pipeline
 //!
@@ -129,7 +130,7 @@ pub use compact::CompactShiftTable;
 pub use config::ShiftTableConfig;
 pub use correction::{Correction, SearchHint};
 pub use cost::{LatencyModel, TuningAdvisor, TuningDecision};
-pub use entry::{EntryTier, ShiftEntry};
+pub use entry::ShiftEntry;
 pub use error::{BuildError, CorrectionErrorStats};
 pub use index::{BorrowedCorrectedIndex, CorrectedIndex, CorrectedIndexBuilder, CorrectionLayer};
 pub use snapshot::SnapshotRead;
@@ -142,7 +143,6 @@ pub mod prelude {
     pub use crate::config::ShiftTableConfig;
     pub use crate::correction::{Correction, SearchHint};
     pub use crate::cost::{LatencyModel, TuningAdvisor, TuningDecision};
-    pub use crate::entry::EntryTier;
     pub use crate::error::{BuildError, CorrectionErrorStats};
     pub use crate::index::{
         BorrowedCorrectedIndex, CorrectedIndex, CorrectedIndexBuilder, CorrectionLayer,

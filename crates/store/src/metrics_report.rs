@@ -4,7 +4,6 @@
 use crate::obs;
 use crate::store_core::StoreCore;
 use shift_obs::MetricsReport;
-use shift_table::EntryTier;
 use sosd_data::key::Key;
 use std::sync::atomic::Ordering;
 
@@ -37,7 +36,6 @@ impl<K: Key> StoreCore<K> {
         let mut keys = 0u64;
         let mut cold = 0u64;
         let mut layer_bytes = 0u64;
-        let mut layer_tiers = Vec::with_capacity(table.shards.len());
         let mut layer_patches = 0u64;
         let mut delta_runs = 0u64;
         let mut delta_depth_max = 0u64;
@@ -47,7 +45,6 @@ impl<K: Key> StoreCore<K> {
             let snapshot = shard.snapshot();
             cold += u64::from(snapshot.is_cold());
             layer_bytes += snapshot.layer_bytes() as u64;
-            layer_tiers.push(snapshot.layer_tier());
             layer_patches += snapshot.layer_patches() as u64;
             let runs = shard.state().delta().unsealed_run_count() as u64;
             delta_runs += runs;
@@ -58,13 +55,6 @@ impl<K: Key> StoreCore<K> {
         metrics.push(obs::gauge_metric("store_keys", keys as f64));
         metrics.push(obs::gauge_metric("store_cold_shards", cold as f64));
         metrics.push(obs::gauge_metric("store_layer_bytes", layer_bytes as f64));
-        for tier in EntryTier::ALL {
-            let serving = layer_tiers.iter().filter(|&&served| served == Some(tier));
-            metrics.push(
-                obs::gauge_metric("store_layer_tier_shards", serving.count() as f64)
-                    .with_label("tier", tier.name()),
-            );
-        }
         metrics.push(obs::gauge_metric(
             "store_layer_patches",
             layer_patches as f64,

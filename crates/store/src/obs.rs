@@ -152,14 +152,9 @@ pub const CATALOGUE: &[(&str, &str, &str)] = &[
         "Bytes of the hot shards' correction layers (Shift-Tables), summed.",
     ),
     (
-        "store_layer_tier_shards",
-        "shards",
-        "Hot shards serving a Shift-Table range layer from each storage tier (label tier = byte | narrow | relative | wide); cold shards and shards with another kind of layer count under none.",
-    ),
-    (
         "store_layer_patches",
         "entries",
-        "Entries the hot shards' byte-tier layers serve from their patch lists (8 bytes more than the others; a fetch of one reads the patch instead of the block's base).",
+        "Entries the hot shards' Shift-Table layers serve from their patch lists (8 bytes more than the others; a fetch of one reads the patch instead of the block's base).",
     ),
     (
         "store_delta_runs",

@@ -44,7 +44,7 @@ use crate::epoch::EpochCell;
 use algo_index::search::{DynRangeIndex, RangeIndex};
 use shift_table::error::BuildError;
 use shift_table::spec::IndexSpec;
-use shift_table::{CorrectionLayer, EntryTier};
+use shift_table::CorrectionLayer;
 use sosd_data::key::Key;
 use std::borrow::Cow;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -63,10 +63,9 @@ pub struct ShardSnapshot<K: Key> {
     keys: Arc<[K]>,
     index: DynRangeIndex<K>,
     /// What the index's correction layer occupies, noted before the index
-    /// went behind `dyn RangeIndex`: its bytes, and the storage tier and
-    /// patched entries of a range layer. `(0, None, 0)` on a cold snapshot.
+    /// went behind `dyn RangeIndex`: its bytes, and the patched entries of
+    /// a range layer. Both 0 on a cold snapshot.
     layer_bytes: usize,
-    layer_tier: Option<EntryTier>,
     layer_patches: usize,
     epoch: u64,
     /// `Some` while the base is still encoded in a mounted v2 snapshot
@@ -82,14 +81,13 @@ impl<K: Key> ShardSnapshot<K> {
     pub(crate) fn build(spec: &IndexSpec, keys: Arc<[K]>, threads: usize, epoch: u64) -> Self {
         let index =
             spec.build_corrected_prevalidated_with(keys.clone(), Default::default(), threads);
-        let (layer_tier, layer_patches) = match index.layer() {
-            CorrectionLayer::Range(table) => (Some(table.tier()), table.patches()),
-            CorrectionLayer::Midpoint(_) | CorrectionLayer::None => (None, 0),
+        let layer_patches = match index.layer() {
+            CorrectionLayer::Range(table) => table.patches(),
+            CorrectionLayer::Midpoint(_) | CorrectionLayer::None => 0,
         };
         Self {
             keys,
             layer_bytes: index.layer().size_bytes(),
-            layer_tier,
             layer_patches,
             index: Box::new(index),
             epoch,
@@ -105,7 +103,6 @@ impl<K: Key> ShardSnapshot<K> {
             keys: Arc::from(Vec::new()),
             index: Box::new(crate::persist::v2::ColdBlockIndex(base.clone())),
             layer_bytes: 0,
-            layer_tier: None,
             layer_patches: 0,
             epoch,
             cold: Some(base),
@@ -129,13 +126,7 @@ impl<K: Key> ShardSnapshot<K> {
         self.layer_bytes
     }
 
-    /// The storage tier a Shift-Table range layer is served from; `None`
-    /// while cold and for every other kind of layer.
-    pub fn layer_tier(&self) -> Option<EntryTier> {
-        self.layer_tier
-    }
-
-    /// Entries a byte-tier range layer serves from its patch list (see
+    /// Entries a Shift-Table range layer serves from its patch list (see
     /// [`shift_table::ShiftTable::patches`]); 0 for every other layer.
     pub fn layer_patches(&self) -> usize {
         self.layer_patches
@@ -930,18 +921,16 @@ mod tests {
         );
         assert_eq!(cold.state().merged_keys(), hot.state().merged_keys());
         assert_eq!(cold.state().snapshot().index().name(), "cold-v2");
-        // No layer is built until hydration: a cold shard serves from no tier.
-        assert_eq!(cold.snapshot().layer_tier(), None);
+        // No layer is built until hydration.
         assert_eq!(cold.snapshot().layer_bytes(), 0);
         assert_eq!(cold.snapshot().layer_patches(), 0);
-        assert_eq!(hot.snapshot().layer_tier(), Some(EntryTier::Byte));
+        assert!(hot.snapshot().layer_bytes() > 0);
 
         // Hydration: rebuild proceeds on a cold base, swaps it hot, and the
         // merged view is unchanged.
         assert!(cold.rebuild().unwrap());
         assert!(!cold.snapshot().is_cold());
         assert_eq!(cold.snapshot().epoch(), 1);
-        assert_eq!(cold.snapshot().layer_tier(), Some(EntryTier::Byte));
         let n = cold.snapshot().base_len();
         assert_eq!(cold.snapshot().layer_bytes(), 2 * n + 4 * n.div_ceil(8));
         assert!(

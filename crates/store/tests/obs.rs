@@ -269,41 +269,27 @@ fn catalogue_is_complete_and_prometheus_roundtrips() {
         .any(|s| s.name == "store_shard_accesses" && !s.labels.is_empty()));
 }
 
-/// The layer gauges say which hot shards serve from which Shift-Table tier,
-/// what the layers weigh and how many of their entries are patches: under
-/// `im+r1` two shards of 200 k amzn64 keys pack into the byte tier — 2 bytes
-/// an entry, 4 per block of 8, 4 per bucket of 256 and 8 per patch — as do
-/// three of evenly spaced keys, without a patch; a least-squares line over
-/// 70 k lognormal keys needs the relative tier, over 6 k the narrow one.
+/// The layer gauges say what the hot shards' Shift-Table layers weigh and
+/// how many of their entries are patches: under `im+r1` two shards of 200 k
+/// amzn64 keys take 2 bytes an entry, 4 per block of 8, 4 per bucket of 256
+/// and 8 per patch; three of evenly spaced keys hold no patch and no
+/// directory, and neither does a least-squares line over lognormal keys
+/// under 2.6 bytes a key.
 #[test]
-fn layer_gauges_report_bytes_and_the_tier_of_every_hot_shard() {
+fn layer_gauges_report_bytes_and_patches_of_every_hot_shard() {
     use sosd_data::prelude::*;
-    let gauges = |store: &ShardedStore<u64>, name: &str| -> Vec<(String, f64)> {
+    let gauge = |store: &ShardedStore<u64>, name: &str| -> f64 {
         let report = store.metrics();
-        let family = report.metrics.iter().filter(|m| m.name == name);
-        family
-            .map(|m| match &m.value {
-                MetricValue::Gauge(v) => {
-                    (m.labels.first().map_or(String::new(), |l| l.1.clone()), *v)
-                }
-                other => panic!("{name} is not a gauge: {other:?}"),
-            })
-            .collect()
-    };
-    let tiers = |byte: f64, narrow: f64, relative: f64, wide: f64| {
-        vec![
-            ("byte".to_string(), byte),
-            ("narrow".to_string(), narrow),
-            ("relative".to_string(), relative),
-            ("wide".to_string(), wide),
-        ]
+        let mut family = report.metrics.iter().filter(|m| m.name == name);
+        let value = match family.next().map(|m| &m.value) {
+            Some(MetricValue::Gauge(v)) => *v,
+            other => panic!("{name} is not a gauge: {other:?}"),
+        };
+        assert!(family.next().is_none(), "{name} has one member");
+        value
     };
     let amzn: Dataset<u64> = SosdName::Amzn64.generate(400_000, 7);
     let big = ShardedStore::build(StoreConfig::new(spec()).shards(2), amzn.as_slice()).unwrap();
-    assert_eq!(
-        gauges(&big, "store_layer_tier_shards"),
-        tiers(2.0, 0.0, 0.0, 0.0)
-    );
     let table = big.table();
     let patches: usize = table
         .shards()
@@ -311,66 +297,41 @@ fn layer_gauges_report_bytes_and_the_tier_of_every_hot_shard() {
         .map(|s| s.snapshot().layer_patches())
         .sum();
     assert!((1..4_000).contains(&patches), "{patches} patches");
-    assert_eq!(
-        gauges(&big, "store_layer_patches"),
-        [(String::new(), patches as f64)]
-    );
+    assert_eq!(gauge(&big, "store_layer_patches"), patches as f64);
     let arrays = |per_entries: usize| -> usize {
         let shards = table.shards().iter();
         shards.map(|s| s.len().div_ceil(per_entries)).sum()
     };
     let bytes = 2 * 400_000 + 4 * arrays(8) + 4 * arrays(256) + 8 * patches;
-    assert_eq!(
-        gauges(&big, "store_layer_bytes"),
-        [(String::new(), bytes as f64)]
-    );
+    assert_eq!(gauge(&big, "store_layer_bytes"), bytes as f64);
 
     let keys: Vec<u64> = (0..5_000u64).collect();
     let small = ShardedStore::build(StoreConfig::new(spec()).shards(3), &keys).unwrap();
-    assert_eq!(
-        gauges(&small, "store_layer_tier_shards"),
-        tiers(3.0, 0.0, 0.0, 0.0)
-    );
     let small_table = small.table();
     let blocks = small_table.shards().iter().map(|s| s.len().div_ceil(8));
     assert_eq!(
-        gauges(&small, "store_layer_bytes"),
-        [(String::new(), (10_000 + 4 * blocks.sum::<usize>()) as f64)]
+        gauge(&small, "store_layer_bytes"),
+        (10_000 + 4 * blocks.sum::<usize>()) as f64
     );
-    assert_eq!(
-        gauges(&small, "store_layer_patches"),
-        [(String::new(), 0.0)]
-    );
+    assert_eq!(gauge(&small, "store_layer_patches"), 0.0);
 
-    // The ladder below the byte tier: most entries of these layers would
-    // be patches (long pseudo-runs copying one long window).
+    // Long pseudo-runs copying one long window: coded counts, few patches.
     let linear = IndexSpec::parse("linear+r1").unwrap();
-    for (name, n, expected) in [
-        (SosdName::Logn32, 6_000, tiers(0.0, 1.0, 0.0, 0.0)),
-        (SosdName::Logn64, 70_000, tiers(0.0, 0.0, 1.0, 0.0)),
-    ] {
+    for (name, n) in [(SosdName::Logn32, 6_000), (SosdName::Logn64, 70_000)] {
         let logn: Dataset<u64> = name.generate(n, 21);
         let config = StoreConfig::new(linear).shards(1);
         let store = ShardedStore::build(config, logn.as_slice()).unwrap();
-        assert_eq!(
-            gauges(&store, "store_layer_tier_shards"),
-            expected,
-            "{name}"
-        );
-        assert_eq!(
-            gauges(&store, "store_layer_patches"),
-            [(String::new(), 0.0)]
-        );
+        let bytes = gauge(&store, "store_layer_bytes");
+        assert!(bytes < 2.6 * n as f64, "{name}: {bytes} bytes");
+        assert!(gauge(&store, "store_layer_patches") < n as f64 / 100.0);
     }
 
-    // A shard whose layer is not a Shift-Table range layer counts under none.
+    // A shard whose layer is not a Shift-Table range layer weighs what its
+    // layer weighs — here nothing.
     let bare = IndexSpec::parse("im+none").unwrap();
     let none = ShardedStore::build(StoreConfig::new(bare).shards(3), &keys).unwrap();
-    assert_eq!(
-        gauges(&none, "store_layer_tier_shards"),
-        tiers(0.0, 0.0, 0.0, 0.0)
-    );
-    assert_eq!(gauges(&none, "store_layer_bytes"), [(String::new(), 0.0)]);
+    assert_eq!(gauge(&none, "store_layer_bytes"), 0.0);
+    assert_eq!(gauge(&none, "store_layer_patches"), 0.0);
 }
 
 /// A read that touches a still-cold shard enqueues its own hydration and

@@ -6,7 +6,6 @@
 use algo_index::RangeIndex;
 use shift_store::{DurabilityConfig, ShardedStore, StoreConfig, SyncPolicy};
 use shift_table::spec::IndexSpec;
-use shift_table::EntryTier;
 use sosd_data::prelude::*;
 
 /// The reference implementation: a plain sorted vector with the same
@@ -269,16 +268,16 @@ fn store_reads_match_a_sorted_vec_oracle_for_every_spec_and_shard_count() {
     }
 }
 
-/// The tier and the patched entries of every hot shard's range layer.
-fn layer_tiers(store: &ShardedStore<u64>) -> Vec<(Option<EntryTier>, usize)> {
+/// Keys, layer bytes and patched entries of every shard's range layer.
+fn layers(store: &ShardedStore<u64>) -> Vec<(usize, usize, usize)> {
     let table = store.table();
     let shards = table.shards().iter().map(|s| s.snapshot());
     shards
-        .map(|s| (s.layer_tier(), s.layer_patches()))
+        .map(|s| (s.base_len(), s.layer_bytes(), s.layer_patches()))
         .collect()
 }
 
-/// One trace for a store whose shards serve from a tier worth watching:
+/// One trace for a store whose shards serve from layers worth watching:
 /// writes into shard `written` past `delta_threshold` (inline rebuilds), a
 /// split of that shard, and for the durable store a checkpoint, a WAL-tail
 /// write and a reopen — reading like the sorted-`Vec` oracle at every
@@ -290,7 +289,7 @@ fn a_store_matches_the_oracle_through_rebuild_split_and_reopen(
     spec: &str,
     shards: usize,
     written: usize,
-    expect: impl Fn(&str, Option<usize>, &[(Option<EntryTier>, usize)]),
+    expect: impl Fn(&str, Option<usize>, &[(usize, usize, usize)]),
 ) {
     let dir = std::path::PathBuf::from(env!("CARGO_TARGET_TMPDIR"))
         .join(format!("oracle-{spec}-{}", std::process::id()));
@@ -351,7 +350,7 @@ fn a_store_matches_the_oracle_through_rebuild_split_and_reopen(
         expect(
             &format!("{tag}: freshly built"),
             Some(written),
-            &layer_tiers(store),
+            &layers(store),
         );
         check(&oracle, &probes(&mut rng, &oracle), &format!("{tag} pre"));
 
@@ -375,17 +374,13 @@ fn a_store_matches_the_oracle_through_rebuild_split_and_reopen(
             }
         }
         assert!(store.total_rebuilds() >= 2, "{tag}: inline rebuilds");
-        expect(
-            &format!("{tag}: rebuilt"),
-            Some(written),
-            &layer_tiers(store),
-        );
+        expect(&format!("{tag}: rebuilt"), Some(written), &layers(store));
 
         assert_eq!(store.rebalance().unwrap(), 1, "{tag}: one topology change");
         assert_eq!(store.total_splits(), 1, "{tag}: the written shard splits");
-        let layers = layer_tiers(store);
-        assert_eq!(layers.len(), lens.len() + 1, "{tag}");
-        expect(&format!("{tag}: split"), None, &layers);
+        let split = layers(store);
+        assert_eq!(split.len(), lens.len() + 1, "{tag}");
+        expect(&format!("{tag}: split"), None, &split);
         check(
             &oracle,
             &probes(&mut rng, &oracle),
@@ -403,7 +398,7 @@ fn a_store_matches_the_oracle_through_rebuild_split_and_reopen(
     oracle.insert(tail);
     drop(durable);
     let reopened = ShardedStore::<u64>::open(&dir, config).unwrap();
-    expect("reopened", None, &layer_tiers(&reopened));
+    expect("reopened", None, &layers(&reopened));
     let mut rng = SplitMix64::new(0x0E09);
     let mut probes = probe_set(&mut rng, &oracle);
     probes.extend([tail - 1, tail, tail + 1]);
@@ -417,55 +412,46 @@ fn a_store_matches_the_oracle_through_rebuild_split_and_reopen(
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A relative-tier shard end to end: a least-squares line over the upper
-/// half of 400 k lognormal keys crowds its predictions into long
-/// pseudo-runs that copy one long window — most entries would be patches —
-/// and drifts past `i16`, so that shard serves from `(u16, u16)` entries
-/// under block bases, before and after its rebuilds; of its halves and of
-/// the reopened shards at least one still does.
+/// Coded counts end to end: a least-squares line over the upper half of
+/// 400 k lognormal keys crowds its predictions into long pseudo-runs that
+/// copy one long window — nearly every fetch decodes a count past 127, the
+/// batch kernel's correct stage included — and every shard's layer stays
+/// under 2.6 bytes a key, before and after its rebuilds, split and reopen.
 #[cfg_attr(miri, ignore = "dataset too large for Miri")]
 #[test]
-fn a_relative_tier_store_matches_the_oracle_through_rebuild_split_and_reopen() {
+fn a_coded_count_store_matches_the_oracle_through_rebuild_split_and_reopen() {
     let base: Dataset<u64> = SosdName::Logn32.generate(400_000, 7);
     a_store_matches_the_oracle_through_rebuild_split_and_reopen(
         base.as_slice(),
         "linear+r1",
         2,
         1,
-        |stage, written, layers| {
-            let relative = (Some(EntryTier::Relative), 0);
-            match written {
-                Some(shard) => assert_eq!(layers[shard], relative, "{stage}"),
-                None => assert!(layers.contains(&relative), "{stage}: {layers:?}"),
+        |stage, _, layers| {
+            for &(keys, bytes, _) in layers {
+                assert!(bytes * 10 <= keys * 26, "{stage}: {layers:?}");
             }
         },
     );
 }
 
-/// A patched byte-tier shard end to end: wiki64 under `im+r1`, whose last
-/// shard holds a duplicate run longer than `u16` counts — a wide layer
-/// until the byte tier, now a handful of patches. Every read of the trace
-/// that lands on one of those windows (the batch kernel's correct stage
-/// included) goes through the patch list, and every shard serves from the
-/// byte tier throughout.
+/// A patched shard end to end: amzn64 under `im+r1`, whose first shards
+/// hold dense regions that climb the drift past 255 inside one block of 8
+/// — a few hundred offset patches. Every read of the trace that lands on
+/// one of those entries (the batch kernel's correct stage included) goes
+/// through the patch list, before and after rebuild, split and reopen.
 #[cfg_attr(miri, ignore = "dataset too large for Miri")]
 #[test]
 fn a_patched_byte_tier_store_matches_the_oracle_through_rebuild_split_and_reopen() {
-    let base: Dataset<u64> = SosdName::Wiki64.generate(400_000, 21);
+    let base: Dataset<u64> = SosdName::Amzn64.generate(400_000, 21);
     a_store_matches_the_oracle_through_rebuild_split_and_reopen(
         base.as_slice(),
         "im+r1",
         8,
-        6,
+        0,
         |stage, written, layers| {
-            let tiers = layers.iter().map(|&(tier, _)| tier);
-            assert!(
-                tiers.eq(layers.iter().map(|_| Some(EntryTier::Byte))),
-                "{stage}: {layers:?}"
-            );
             let patched = match written {
-                Some(shard) => layers[shard].1,
-                None => layers.iter().map(|&(_, patches)| patches).sum(),
+                Some(shard) => layers[shard].2,
+                None => layers.iter().map(|&(_, _, patches)| patches).sum(),
             };
             assert!(patched > 0, "{stage}: {layers:?}");
         },

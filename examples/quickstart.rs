@@ -34,18 +34,16 @@ fn main() {
         index.name(),
         index.correction_error()
     );
-    // The layer is stored in its smallest encoding: nearly always 2.5 bytes
-    // an entry (byte-wide fields relative to a base per block of 8) and 8
-    // more for each entry that does not fit, kept in a patch list; failing
-    // that 4 (narrow), 4.5 (16-bit fields under block bases) or 8 (wide).
-    let tier = match index.layer() {
-        CorrectionLayer::Range(table) => {
-            format!("{} tier, {} patches", table.tier(), table.patches())
-        }
-        _ => "no tier".to_string(),
+    // The layer is 2.5 bytes an entry — a byte of drift relative to a base
+    // per block of 8, a byte of window length (windows past 127 records
+    // rounded up by at most an eighth) — and 8 more for each entry that
+    // does not fit, kept in a patch list.
+    let patches = match index.layer() {
+        CorrectionLayer::Range(table) => table.patches(),
+        _ => 0,
     };
     println!(
-        "index footprint      : {:.1} MiB ({} entries, {:.2} B/key, {tier})",
+        "index footprint      : {:.1} MiB ({} entries, {:.2} B/key, {patches} patches)",
         index.index_size_bytes() as f64 / (1024.0 * 1024.0),
         dataset.len(),
         index.index_size_bytes() as f64 / dataset.len() as f64,

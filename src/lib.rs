@@ -5,10 +5,9 @@
 //! downstream users who want "everything" can depend on one crate:
 //!
 //! * [`shift_table`] — the Shift-Table correction layer (the paper's
-//!   contribution; 2.5 bytes per key plus 8 per patched outlier in the
-//!   byte tier nearly every layer packs into, else 4, 4.5 or 8 —
-//!   [`shift_table::EntryTier`]), the owned
-//!   [`shift_table::CorrectedIndex`] and the runtime
+//!   contribution; 2.5 bytes per key plus 8 per patched outlier, in one
+//!   layout for every model and key column — [`shift_table::entry`]), the
+//!   owned [`shift_table::CorrectedIndex`] and the runtime
 //!   [`shift_table::spec::IndexSpec`] composition layer,
 //! * [`learned_index`] — CDF models (IM, linear, cubic, RMI, RadixSpline,
 //!   PGM) plus [`learned_index::ModelSpec`] for choosing one at run time,
