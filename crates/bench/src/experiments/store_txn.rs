@@ -15,9 +15,9 @@
 //!    then contended transfer workloads at three conflict levels:
 //!    disjoint per-thread key ranges (no conflicts possible), a moderate
 //!    shared pool, and a small hot set — their `×plain` additionally
-//!    folds in write-gate contention across the threads.
-//! 2. **Time travel** — pin cost of the *live* snapshot (the quiescent
-//!    cache makes it O(1): flat as the retained depth grows), pin cost of
+//!    folds in commit-window contention across the threads.
+//! 2. **Time travel** — pin cost of the *live* snapshot (it shares the
+//!    published cut: O(1), flat as the retained depth grows), pin cost of
 //!    a retained historical version, `scan_between` diff rate across the
 //!    whole ring, and the ring's memory readout.
 //!

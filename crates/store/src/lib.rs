@@ -94,16 +94,22 @@
 //! [`epoch::CommitClock`]) stamped on every commit as a whole. `insert`,
 //! `delete`, [`ShardedStore::apply`] and [`Txn::commit`] are four doors
 //! onto **one commit function** (`write.rs`: exclude writers → validate →
-//! log → stamp → publish per shard), and the invariant the guarantees rest
-//! on is stated next to it: a commit's window on the clock closes before
-//! any cut is taken, and a shard's `applied_cv` stamp is `max`-folded — not
-//! that a shard applies commits in version order, which an in-memory store
-//! does not promise.
+//! log → take the commit window → stamp → publish per shard), and the
+//! guarantees rest on one lock and one cell (`cut.rs`, with the lock order
+//! and the linearizability argument): every commit holds the store's
+//! **commit window** from the version stamp to its last shard publish, so
+//! commits are serial and nobody who holds the window sees half of one;
+//! a cut is pinned only under the window and then **published**, and a
+//! read shares the published cut for as long as its version is the
+//! clock's. What that costs: in-memory commits to different shards no
+//! longer overlap their publication (durable commits, serial under the WAL
+//! lock, never did), and the first read after a write waits for a commit
+//! that is mid-publication — microseconds of `Arc` swaps, never a WAL sync,
+//! which happens before the window is taken.
 //!
 //! * **Snapshots are store-wide consistent cuts.** [`ShardedStore::snapshot`]
-//!   pins one topology epoch plus every shard's state inside one quiescent
-//!   window of the commit clock (a seqlock-style capture that never blocks
-//!   writers): the snapshot contains **exactly** the writes with commit
+//!   pins one topology epoch plus every shard's state under the commit
+//!   window: the snapshot contains **exactly** the writes with commit
 //!   version `<= StoreSnapshot::version()`, across all shards at once, and
 //!   every read on it — scalar, batch, range, count, scan — is repeatable
 //!   forever. This closes the old "cross-shard composition is racy by
@@ -115,7 +121,7 @@
 //!   mid-`rebalance()`, where the old direct path could combine a retired
 //!   shard's final state with its successors'.
 //! * **Batches are atomic.** [`ShardedStore::apply`] stamps one commit
-//!   version on every operation of a [`WriteBatch`] inside one clock
+//!   version on every operation of a [`WriteBatch`] inside one commit
 //!   window: a snapshot observes all of a batch or none of it. On a durable
 //!   store the batch is one multi-op WAL record under one checksum, synced
 //!   once — after a crash it recovers all-or-nothing.
@@ -128,7 +134,9 @@
 //!   compaction, rebuilds, splits and merges only ever *publish new
 //!   values*; a pinned state (or snapshot) remains valid and immutable
 //!   forever. Maintenance never changes the merged view, so it carries a
-//!   state's `applied_cv` stamp forward unchanged.
+//!   state's `applied_cv` stamp forward unchanged; it never takes the
+//!   commit window, only marks the published cut stale, and the first read
+//!   after it pins the new structures.
 //! * **Writes are never lost.** A writer either lands in a live shard's
 //!   chain (and survives rebuilds as residual, splits via the fence-cut of
 //!   the residual) or is refused by a retired shard and retried against the
@@ -137,7 +145,9 @@
 //! ### MVCC: time travel and change capture
 //!
 //! With [`StoreConfig::retain_versions`] set, the store keeps a bounded
-//! ring of historical cuts (see [`versions`]) and three calls open up:
+//! ring of historical cuts (see [`versions`]) — every commit captures its
+//! own cut inside its commit window, so the ring holds each of the newest
+//! `count` versions — and three calls open up:
 //!
 //! * [`ShardedStore::snapshot_at`] pins a snapshot at any **retained**
 //!   commit version — as capable and as consistent as a live snapshot,
@@ -161,7 +171,7 @@
 //! writes buffer into a private [`WriteBatch`] that overlays the
 //! transaction's own reads. [`Txn::commit`] revalidates the read set at the
 //! store's current cut **inside the same serialization point every plain
-//! write uses** (the WAL frame lock / the write gate) and applies the batch
+//! write uses** (the WAL lock / the commit window) and applies the batch
 //! only if every recorded observation still holds — **first committer
 //! wins**; the loser gets [`StoreError::TxnConflict`] naming the key or
 //! range that moved, and its WAL carries no trace of the attempt.
@@ -361,8 +371,9 @@
 //!   actually used and its synchronisation role. The interesting pairings
 //!   are documented where they live: the retired-shard flag
 //!   (Release store / Acquire load), `merged_len` (AcqRel / Acquire), the
-//!   [`CommitClock`] seqlock (SeqCst throughout), and the `Relaxed` stats
-//!   counters that publish nothing. An unjustified `Relaxed` is a hard
+//!   [`CommitClock`] counter and the cut's maintenance generation (SeqCst;
+//!   what each load may conclude is argued in `cut.rs`), and the `Relaxed`
+//!   stats counters that publish nothing. An unjustified `Relaxed` is a hard
 //!   error.
 //! * **`panic-path`** — no `unwrap`/`expect`/`panic!`/`assert!` in this
 //!   crate's (or `shift-table`'s) non-test sources. Fallible conditions

@@ -24,7 +24,7 @@ impl<K: Key> StoreCore<K> {
         let t0 = self.obs.phase_start();
         let rebuilt = shard.rebuild()?;
         if rebuilt {
-            self.invalidate_pin_cache();
+            self.mark_cut_stale();
             self.rebuilds.fetch_add(1, Ordering::Relaxed); // lint: ordering(Relaxed) monotonic stats counter; no synchronising role
             if self.obs.enabled() {
                 let (kind, hist) = if was_cold {
@@ -70,7 +70,7 @@ impl<K: Key> StoreCore<K> {
             if shard.state().delta().unsealed_run_count() >= worker_trigger {
                 let t0 = self.obs.phase_start();
                 if shard.compact() {
-                    self.invalidate_pin_cache();
+                    self.mark_cut_stale();
                     let ns = self.obs.phase_done(t0, &self.obs.compaction_ns);
                     self.obs.count(&self.obs.compactions, 1);
                     self.emit_event(TraceKind::Compact, Some(s), ns);

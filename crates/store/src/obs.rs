@@ -71,14 +71,9 @@ pub const CATALOGUE: &[(&str, &str, &str)] = &[
         "Atomic write batches applied.",
     ),
     (
-        "store_snap_pin_retries_total",
-        "attempts",
-        "Failed seqlock pin attempts during snapshot acquisition (0 per snapshot in the uncontended case).",
-    ),
-    (
-        "store_write_gate_fallbacks_total",
+        "store_cut_refreshes_total",
         "events",
-        "Snapshot acquisitions that briefly gated writers out after exhausting lock-free pin retries.",
+        "Snapshot acquisitions that found the published cut stale (a write or a maintenance swap since) and re-pinned under the commit window.",
     ),
     (
         "store_rebuilds_total",
@@ -550,8 +545,7 @@ pub(crate) struct StoreObs {
     pub(crate) writes: Counter,
     pub(crate) deletes: Counter,
     pub(crate) batches: Counter,
-    pub(crate) snap_pin_retries: Counter,
-    pub(crate) write_gate_fallbacks: Counter,
+    pub(crate) cut_refreshes: Counter,
     pub(crate) compactions: Counter,
     pub(crate) hydrations: Counter,
     pub(crate) txn_begins: Counter,
@@ -594,8 +588,7 @@ impl StoreObs {
             writes: Counter::new(),
             deletes: Counter::new(),
             batches: Counter::new(),
-            snap_pin_retries: Counter::new(),
-            write_gate_fallbacks: Counter::new(),
+            cut_refreshes: Counter::new(),
             compactions: Counter::new(),
             hydrations: Counter::new(),
             txn_begins: Counter::new(),
@@ -789,11 +782,7 @@ impl StoreObs {
             counter_metric("store_writes_total", self.writes.get()),
             counter_metric("store_deletes_total", self.deletes.get()),
             counter_metric("store_batches_total", self.batches.get()),
-            counter_metric("store_snap_pin_retries_total", self.snap_pin_retries.get()),
-            counter_metric(
-                "store_write_gate_fallbacks_total",
-                self.write_gate_fallbacks.get(),
-            ),
+            counter_metric("store_cut_refreshes_total", self.cut_refreshes.get()),
             counter_metric("store_compactions_total", self.compactions.get()),
             counter_metric("store_hydrations_total", self.hydrations.get()),
             hist_metric("store_read_latency_ns", &self.read_latency),

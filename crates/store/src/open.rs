@@ -13,6 +13,7 @@ use crate::pool;
 use crate::router::ShardRouter;
 use crate::shard::StoreShard;
 use crate::sharded::{ShardedStore, StoreTable};
+use crate::snapshot::{PinnedCut, SnapshotHook};
 use crate::store_core::StoreCore;
 use crate::versions::VersionRing;
 use crate::worker::{HydrationWorker, MaintenanceWorker, WorkerSignal};
@@ -22,7 +23,7 @@ use shift_table::spec::IndexSpec;
 use sosd_data::key::Key;
 use std::path::Path;
 use std::sync::atomic::AtomicU64;
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex};
 
 /// The shortest range of keys worth a pool task of its own in
 /// [`first_unsorted`]: scanning fewer takes less time than waking a worker.
@@ -305,14 +306,21 @@ impl<K: Key> ShardedStore<K> {
             // the process may be scraping them).
             shift_table::stats::set_enabled(true);
         }
+        let table = Arc::new(table);
+        // Nothing else holds the table yet: its states are the cut at 0.
+        let published = PinnedCut::new(Arc::clone(&table), table.states(), 0, 0);
         let core = Arc::new(StoreCore {
-            table: EpochCell::new(Arc::new(table)),
+            table: EpochCell::new(table),
             config,
             clock: CommitClock::new(),
-            write_gate: RwLock::new(()),
+            window: Mutex::new(()),
+            published: EpochCell::new(Arc::new(published)),
+            swaps: AtomicU64::new(0),
             topology: Mutex::new(()),
-            signal: Arc::new(WorkerSignal::default()),
-            pin_cache: Mutex::new(None),
+            hook: Arc::new(SnapshotHook {
+                obs: Arc::clone(&obs),
+                signal: Arc::new(WorkerSignal::default()),
+            }),
             versions: VersionRing::new(config.retain_versions),
             persist,
             ckpt_memo: Mutex::new(memo),

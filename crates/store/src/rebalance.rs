@@ -206,7 +206,7 @@ impl<K: Key> StoreCore<K> {
             router: ShardRouter::from_fences(fences),
             shards,
         }));
-        self.invalidate_pin_cache();
+        self.mark_cut_stale();
         shard.retire();
         self.splits.fetch_add(1, Ordering::Relaxed); // lint: ordering(Relaxed) monotonic stats counter; no synchronising role
         let ns = self.obs.phase_ns(t0);
@@ -260,7 +260,7 @@ impl<K: Key> StoreCore<K> {
             router: ShardRouter::from_fences(fences),
             shards,
         }));
-        self.invalidate_pin_cache();
+        self.mark_cut_stale();
         a.retire();
         b.retire();
         self.merges.fetch_add(1, Ordering::Relaxed); // lint: ordering(Relaxed) monotonic stats counter; no synchronising role

@@ -190,7 +190,8 @@ impl<K: Key> ShardState<K> {
 
     /// Highest store-wide commit version this state has absorbed (see
     /// [`crate::CommitClock`]): every write stamped at or below it and routed to
-    /// this shard is contained, and — at a quiescent cut — none above it is.
+    /// this shard is contained, and — in a store snapshot's cut — none above
+    /// the snapshot's version is.
     /// 0 for a state that has never absorbed a write.
     pub fn applied_cv(&self) -> u64 {
         self.applied_cv
@@ -515,17 +516,17 @@ impl<K: Key> StoreShard<K> {
         self.state.load().range(lo, hi)
     }
 
-    /// Apply one op stamped with commit version `cv` — the version of the
-    /// clock window its caller holds open (the store's one commit function
-    /// in `write.rs`; a shard used on its own can pass any monotonic stamp)
-    /// — and publish the successor state. The shard's one write method:
+    /// Apply one op stamped with commit version `cv` — the version its
+    /// caller was assigned under the commit window it holds (the store's one
+    /// commit function in `write.rs`; a shard used on its own can pass any
+    /// stamp) — and publish the successor state. The shard's one write method:
     /// returns `Some((applied, dirty))`, or `None` when a split/merge has
     /// retired the shard (the caller re-routes against the new table).
     /// `applied` is false, and nothing is published, for a delete of a key
     /// the merged view holds no occurrence of; `dirty` is true when the
-    /// shard is at or over its rebuild threshold afterwards. The stamp is
-    /// `max`-folded so commits reaching the shard out of version order can
-    /// never move its `applied_cv` backwards.
+    /// shard is at or over its rebuild threshold afterwards. The store's
+    /// commits are serial and arrive in version order; the stamp is
+    /// `max`-folded so that no caller can move `applied_cv` backwards.
     pub fn try_apply(&self, op: BatchOp<K>, cv: u64) -> Option<(bool, bool)> {
         // lint: allow(panic) lock poisoning propagates a writer panic; continuing would publish torn state
         let _w = self.write.lock().expect("write lock poisoned");

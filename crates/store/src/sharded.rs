@@ -30,7 +30,7 @@ use crate::persist::recovery::OpenBreakdown;
 use crate::persist::wal::Frame;
 use crate::persist::DurabilityStats;
 use crate::router::ShardRouter;
-use crate::shard::StoreShard;
+use crate::shard::{ShardState, StoreShard};
 use crate::snapshot::{PinnedCut, StoreSnapshot};
 use crate::store_core::StoreCore;
 use crate::txn::Txn;
@@ -66,6 +66,12 @@ impl<K: Key> StoreTable<K> {
     /// The shards of this topology epoch.
     pub fn shards(&self) -> &[Arc<StoreShard<K>>] {
         &self.shards
+    }
+
+    /// Every shard's published state, in router order — a consistent
+    /// vector only while the caller excludes commits.
+    pub(crate) fn states(&self) -> Vec<Arc<ShardState<K>>> {
+        self.shards.iter().map(|s| s.state()).collect()
     }
 
     /// Locate a shard in this table by identity.
@@ -107,15 +113,16 @@ impl<K: Key> ShardedStore<K> {
     }
 
     /// Pin a **store-wide consistent snapshot**: one topology epoch plus
-    /// every shard's state, captured at a single quiescent cut of the
-    /// commit clock. Every read evaluated on the snapshot — scalar, batch,
+    /// every shard's state, pinned together while no commit was
+    /// part-published. Every read evaluated on the snapshot — scalar, batch,
     /// range, count, scan — is exact at [`StoreSnapshot::version`] and
     /// repeatable forever, no matter how many writers, rebuilds, splits or
-    /// merges race the caller. On the happy path acquisition is a lock-free
-    /// capture that never blocks writers; only when a continuous write
-    /// storm outlasts the bounded retries does it briefly gate new writes
-    /// out (for the microseconds one pin sweep takes) to guarantee
-    /// progress. Holding a snapshot only pins memory.
+    /// merges race the caller. Between writes acquisition shares the cut
+    /// the store already published (one cell load and a version check);
+    /// the first acquisition after a write or a maintenance swap takes the
+    /// commit window for one sweep of `Arc` loads — it can wait for a
+    /// commit's in-memory publication, never for a WAL sync or a rebuild.
+    /// Holding a snapshot only pins memory.
     ///
     /// The store's own read methods are thin one-shot delegations to a
     /// fresh snapshot; take an explicit one whenever two reads must agree.
@@ -135,7 +142,10 @@ impl<K: Key> ShardedStore<K> {
     /// has been evicted by the retention policy.
     pub fn snapshot_at(&self, cv: u64) -> Result<StoreSnapshot<K>, StoreError> {
         if let Some(cut) = self.core.versions.get(cv) {
-            return Ok(StoreSnapshot::from_cut(cut, Some(self.core.hook())));
+            return Ok(StoreSnapshot::from_cut(
+                cut,
+                Some(Arc::clone(&self.core.hook)),
+            ));
         }
         let live = self.core.snapshot();
         if live.version() == cv {
@@ -174,11 +184,11 @@ impl<K: Key> ShardedStore<K> {
     /// # Errors
     /// [`StoreError::VersionNotRetained`] naming the missing version.
     pub fn scan_between(&self, cv_a: u64, cv_b: u64) -> Result<Vec<(K, i64)>, StoreError> {
-        let cut_at = |cv: u64| -> Result<PinnedCut<K>, StoreError> {
+        let cut_at = |cv: u64| -> Result<Arc<PinnedCut<K>>, StoreError> {
             if let Some(cut) = self.core.versions.get(cv) {
                 return Ok(cut);
             }
-            let live = self.core.pin_cut();
+            let live = self.core.cut();
             if live.version == cv {
                 return Ok(live);
             }
@@ -194,8 +204,9 @@ impl<K: Key> ShardedStore<K> {
     /// the transaction's own reads; [`Txn::commit`] applies them atomically
     /// iff nothing the transaction read has since changed (first committer
     /// wins — see [`crate::txn`] for the full protocol). Beginning costs
-    /// one snapshot pin (O(1) between writes thanks to the cut cache) and
-    /// never blocks writers; dropping an uncommitted transaction is free.
+    /// one [`ShardedStore::snapshot`] — O(1) between writes, where it
+    /// shares the published cut; dropping an uncommitted transaction is
+    /// free.
     pub fn begin(&self) -> Txn<'_, K> {
         self.core.obs.count(&self.core.obs.txn_begins, 1);
         Txn::new(&self.core, self.core.snapshot())
@@ -228,7 +239,7 @@ impl<K: Key> ShardedStore<K> {
         Err(last)
     }
 
-    /// The newest assigned commit version (diagnostics; a concurrent writer
+    /// The newest assigned commit version (diagnostics; a commit in flight
     /// may not have published it yet — pin a [`ShardedStore::snapshot`] for
     /// an exact cut).
     pub fn commit_version(&self) -> u64 {

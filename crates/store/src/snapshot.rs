@@ -2,22 +2,23 @@
 //!
 //! A [`StoreSnapshot`] is the store's first-class **unit of consistency**:
 //! one pinned [`StoreTable`] (fence router + shard list) paired with a
-//! vector of per-shard [`ShardState`]s captured at a single quiescent cut of
-//! the store's [`CommitClock`](crate::epoch::CommitClock) — see
-//! [`crate::epoch::CommitClock`]. The snapshot therefore reflects **exactly**
-//! the writes with commit version `<= version()`, across every shard at
-//! once, and every read evaluated against it is repeatable forever: scalar
-//! lower bounds, batched lookups, ranges, counts and key scans all answer
-//! from the same immutable cut no matter how many writers, rebuilds, splits
-//! or merges race the caller.
+//! vector of per-shard [`ShardState`]s, pinned together while no commit was
+//! part-published (under the store's commit window — the protocol is in
+//! `cut.rs`). The snapshot therefore reflects **exactly** the writes with
+//! commit version `<= version()`, across every shard at once, and every
+//! read evaluated against it is repeatable forever: scalar lower bounds,
+//! batched lookups, ranges, counts and key scans all answer from the same
+//! immutable cut no matter how many writers, rebuilds, splits or merges
+//! race the caller.
 //!
-//! Acquiring a snapshot holds no lock while reading and, on the happy
-//! path, never blocks writers: it is a seqlock-guarded sweep of `Arc`
-//! loads (retried while a write is mid-publication), after which
-//! everything is pure probes over immutable state. A capture starved by a
-//! continuous write storm falls back to briefly gating new writes out, so
-//! progress is guaranteed either way. Holding a snapshot only pins memory
-//! — old epochs stay alive until the last snapshot referencing them drops.
+//! Acquiring a snapshot between writes shares the cut the store already
+//! published: one cell load and a version check, no lock held afterwards.
+//! The first acquisition after a write (or a maintenance swap) takes the
+//! commit window for the microseconds one sweep of `Arc` loads needs — it
+//! waits for a commit that is mid-publication, never for a WAL sync, a
+//! rebuild or a rebalance — and publishes what it pinned for the reads
+//! that follow. Holding a snapshot only pins memory — old epochs stay
+//! alive until the last snapshot referencing them drops.
 //!
 //! [`ShardedStore`](crate::ShardedStore)'s own read methods are one-shot
 //! conveniences that pin a fresh snapshot per call; take an explicit
@@ -34,34 +35,38 @@ use std::sync::Arc;
 
 /// The observability hook a store snapshot carries: the store's metric
 /// registry plus the maintenance-worker signal the hydrate-on-first-touch
-/// path kicks. `None` only for snapshots assembled outside a store.
+/// path kicks. Built once per store; a snapshot clones the one `Arc`.
+/// `None` only for a commit's own validation reads.
 pub(crate) struct SnapshotHook {
     pub(crate) obs: Arc<StoreObs>,
     pub(crate) signal: Arc<WorkerSignal>,
 }
 
 /// A consistent store-wide cut without the observability hook: the pinned
-/// table, the per-shard state vector and its precomputed offsets, all
-/// behind `Arc`s so a clone is two reference-count bumps. This is the
-/// structure the store's O(1) snapshot cache and the MVCC version ring
-/// retain; [`StoreSnapshot`] wraps one together with the metrics hook.
-#[derive(Clone)]
+/// table, the per-shard state vector and its precomputed offsets. Built
+/// once under the commit window and shared behind one `Arc` by the store's
+/// published-cut slot, every [`StoreSnapshot`] taken while it is current
+/// and the MVCC version ring.
 pub(crate) struct PinnedCut<K: Key> {
     pub(crate) table: Arc<StoreTable<K>>,
-    pub(crate) states: Arc<Vec<Arc<ShardState<K>>>>,
+    pub(crate) states: Vec<Arc<ShardState<K>>>,
     /// Global position offset of each shard in the merged view.
-    pub(crate) offsets: Arc<Vec<usize>>,
+    pub(crate) offsets: Vec<usize>,
     pub(crate) total: usize,
     pub(crate) version: u64,
+    /// The store's maintenance generation when the states were pinned: a
+    /// cut stamped below the live generation may hold pre-swap structures.
+    pub(crate) swaps: u64,
 }
 
 impl<K: Key> PinnedCut<K> {
-    /// Assemble a cut from a pinned table and its state vector (the store's
-    /// commit clock guarantees the pair is consistent).
+    /// Assemble a cut from a table and state vector pinned under the commit
+    /// window, which is what makes the pair consistent at `version`.
     pub(crate) fn new(
         table: Arc<StoreTable<K>>,
         states: Vec<Arc<ShardState<K>>>,
         version: u64,
+        swaps: u64,
     ) -> Self {
         let mut offsets = Vec::with_capacity(states.len());
         let mut total = 0usize;
@@ -71,10 +76,11 @@ impl<K: Key> PinnedCut<K> {
         }
         Self {
             table,
-            states: Arc::new(states),
-            offsets: Arc::new(offsets),
+            states,
+            offsets,
             total,
             version,
+            swaps,
         }
     }
 }
@@ -83,14 +89,13 @@ impl<K: Key> PinnedCut<K> {
 /// docs). Cheap to clone conceptually — but not `Clone`: take a fresh
 /// snapshot instead, or share one behind `Arc`.
 pub struct StoreSnapshot<K: Key> {
-    cut: PinnedCut<K>,
-    hook: Option<SnapshotHook>,
+    cut: Arc<PinnedCut<K>>,
+    hook: Option<Arc<SnapshotHook>>,
 }
 
 impl<K: Key> StoreSnapshot<K> {
-    /// Wrap an already-assembled cut (the cached-pin and `snapshot_at`
-    /// paths) — O(1): a handful of `Arc` clones inside the cut.
-    pub(crate) fn from_cut(cut: PinnedCut<K>, hook: Option<SnapshotHook>) -> Self {
+    /// Wrap a shared cut — the published one or a retained version.
+    pub(crate) fn from_cut(cut: Arc<PinnedCut<K>>, hook: Option<Arc<SnapshotHook>>) -> Self {
         Self { cut, hook }
     }
 

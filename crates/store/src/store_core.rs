@@ -10,12 +10,12 @@ use crate::error::StoreError;
 use crate::obs::{StoreObs, TraceEvent, TraceKind};
 use crate::persist::Persistence;
 use crate::sharded::StoreTable;
-use crate::snapshot::PinnedCut;
+use crate::snapshot::{PinnedCut, SnapshotHook};
 use crate::versions::VersionRing;
 use crate::worker::WorkerSignal;
 use sosd_data::key::Key;
 use std::sync::atomic::AtomicU64;
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex};
 
 /// The store state shared between the public handle and the maintenance
 /// worker: the published table, the configuration, the topology lock and
@@ -23,30 +23,32 @@ use std::sync::{Arc, Mutex, RwLock};
 pub(crate) struct StoreCore<K: Key> {
     pub(crate) table: EpochCell<StoreTable<K>>,
     pub(crate) config: StoreConfig,
-    /// The store-wide commit clock: assigns every applied write (and every
-    /// applied batch) its monotonic commit version and lets snapshots
-    /// capture a consistent per-shard state vector without blocking
-    /// writers.
+    /// The store-wide commit clock: assigns every commit its monotonic
+    /// commit version, under `window`.
     pub(crate) clock: CommitClock,
-    /// Snapshot liveness gate: every write path holds a **read** guard
-    /// across its commit-clock window, and a snapshot that keeps losing the
-    /// seqlock race (a continuous write storm on few cores) takes the
-    /// **write** side once — in-flight windows drain, no new one can open,
-    /// and the capture succeeds immediately. Uncontended cost to writers is
-    /// one atomic read-lock per op; the gate is never touched on the happy
-    /// snapshot path.
-    pub(crate) write_gate: RwLock<()>,
+    /// The commit window: held by every commit from `clock.begin()` to its
+    /// last shard publish, and by a read that has to pin a fresh cut — so a
+    /// cut never holds half a commit. Inside the WAL lock on a durable
+    /// store (a reader never waits on a sync); the whole writer exclusion
+    /// of an in-memory one. Protocol, lock order and the linearizability
+    /// argument are in `cut.rs`.
+    pub(crate) window: Mutex<()>,
+    /// The published cut: the last one pinned under `window`. A read
+    /// accepts it while its version is the clock's and its generation is
+    /// `swaps`, which makes snapshot acquisition (and transaction begin)
+    /// one cell load between writes instead of a pin of every shard.
+    pub(crate) published: EpochCell<PinnedCut<K>>,
+    /// The maintenance generation: bumped after every republication of
+    /// shard state or the table that is not a commit (rebuild, compaction,
+    /// split, merge), which marks the published cut stale.
+    pub(crate) swaps: AtomicU64,
     /// Serialises topology changes (splits and merges). Taken strictly
     /// before any shard's rebuild guard.
     pub(crate) topology: Mutex<()>,
-    pub(crate) signal: Arc<WorkerSignal>,
-    /// The last captured consistent cut: while the commit clock still reads
-    /// quiescent at its version, [`StoreCore::pin_cut`] reuses it instead
-    /// of re-pinning every shard — snapshot acquisition (and transaction
-    /// begin) is O(1) between writes instead of O(shards). Invalidated by
-    /// topology changes (which republish the table without bumping the
-    /// clock) so a stale cut never outlives its epoch unnoticed.
-    pub(crate) pin_cache: Mutex<Option<PinnedCut<K>>>,
+    /// What every snapshot carries of the store — the registry below and
+    /// the maintenance worker's signal behind one `Arc`, so a read clones
+    /// one reference, not two.
+    pub(crate) hook: Arc<SnapshotHook>,
     /// Retained historical cuts serving
     /// [`crate::ShardedStore::snapshot_at`] and
     /// [`crate::ShardedStore::scan_between`]; empty (and never locked on
@@ -72,7 +74,7 @@ impl<K: Key> StoreCore<K> {
     }
 
     pub(crate) fn signal(&self) -> Arc<WorkerSignal> {
-        Arc::clone(&self.signal)
+        Arc::clone(&self.hook.signal)
     }
 
     pub(crate) fn load_table(&self) -> Arc<StoreTable<K>> {

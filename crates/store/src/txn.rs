@@ -11,9 +11,9 @@
 //! (read-your-writes).
 //!
 //! [`Txn::commit`] revalidates the recorded read set against the store's
-//! *current* state inside the same serialization point every plain write
-//! uses — the WAL frame lock for durable stores, the write gate for
-//! in-memory ones. If any recorded observation changed, the commit aborts
+//! *current* cut inside the same serialization point every plain write
+//! uses — the WAL lock for durable stores, the commit window for in-memory
+//! ones. If any recorded observation changed, the commit aborts
 //! with [`crate::StoreError::TxnConflict`] naming the key or range that
 //! moved: the **first committer wins**, and the loser's WAL carries no
 //! trace of the attempt (validation runs before the frame is appended, so

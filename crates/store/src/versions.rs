@@ -11,7 +11,9 @@
 //! ## Retention
 //!
 //! The `VersionRing` holds pinned cuts — `Arc`s to the store table and
-//! the per-shard states of one quiescent cut — ordered by commit version.
+//! the per-shard states as one commit left them — ordered by commit
+//! version. With a policy set, every commit is captured inside its own
+//! commit window, so the ring holds *each* of the newest `count` versions.
 //! Holding a cut pins exactly the structures it references: sealed delta
 //! runs and base snapshots survive compaction, rebuilds and rebalancing for
 //! as long as a retained version needs them, because maintenance only ever
@@ -49,7 +51,7 @@ use std::time::Instant;
 /// One retained historical cut: the pinned structures plus its capture time
 /// (for age-based eviction).
 struct RetainedCut<K: Key> {
-    cut: PinnedCut<K>,
+    cut: Arc<PinnedCut<K>>,
     created: Instant,
 }
 
@@ -91,28 +93,18 @@ impl<K: Key> VersionRing<K> {
     }
 
     /// Retain `cut`, evicting the oldest versions past the count bound.
-    /// Duplicate versions are ignored (capture sites are opportunistic and
-    /// may race). Returns `(evicted cv, remaining count)` per eviction so
-    /// the caller can trace and count them.
-    pub(crate) fn capture(&self, cut: PinnedCut<K>) -> Vec<(u64, usize)> {
+    /// Every commit captures its own cut inside its commit window, so cuts
+    /// arrive in version order, each version once. Returns `(evicted cv,
+    /// remaining count)` per eviction so the caller can trace and count
+    /// them.
+    pub(crate) fn capture(&self, cut: Arc<PinnedCut<K>>) -> Vec<(u64, usize)> {
         if !self.enabled() {
             return Vec::new();
         }
         let created = Instant::now(); // lint: allow(timing) retention capture: policy-gated, once per retained version, not per op
         let mut ring = self.ring.lock().unwrap_or_else(|p| p.into_inner());
-        let cv = cut.version;
-        if ring.iter().any(|r| r.cut.version == cv) {
-            return Vec::new();
-        }
-        // Captures are near-monotonic; racing writers may deliver slightly
-        // out of order, so insert at the sorted position (scan from the
-        // back — the common case appends).
-        let pos = ring
-            .iter()
-            .rposition(|r| r.cut.version < cv)
-            .map(|p| p + 1)
-            .unwrap_or(0);
-        ring.insert(pos, RetainedCut { cut, created });
+        debug_assert!(ring.back().is_none_or(|r| r.cut.version < cut.version));
+        ring.push_back(RetainedCut { cut, created });
         let mut evicted = Vec::new();
         while ring.len() > self.policy.count {
             // lint: allow(panic) loop guard: len > count >= 0 implies non-empty
@@ -123,11 +115,11 @@ impl<K: Key> VersionRing<K> {
     }
 
     /// The retained cut at exactly `cv`, if any.
-    pub(crate) fn get(&self, cv: u64) -> Option<PinnedCut<K>> {
+    pub(crate) fn get(&self, cv: u64) -> Option<Arc<PinnedCut<K>>> {
         let ring = self.ring.lock().unwrap_or_else(|p| p.into_inner());
         ring.iter()
             .find(|r| r.cut.version == cv)
-            .map(|r| r.cut.clone())
+            .map(|r| Arc::clone(&r.cut))
     }
 
     /// Every retained commit version, oldest first.

@@ -3,55 +3,40 @@
 //!
 //! `insert`, `delete`, [`crate::ShardedStore::apply`] and
 //! [`crate::Txn::commit`] are four front doors onto one state transition:
-//! exclude conflicting writers → (validate a read set) → log one WAL record
-//! → stamp one commit version → publish every op on its shard
-//! ([`StoreShard::try_apply`]) → count → retain the version → react to
-//! shards that crossed their rebuild threshold. They differ in two places
-//! only, both a `match` in `commit`: *which lock excludes writers* (the WAL
-//! lock of a durable store, else the write gate) and *whether validation
-//! runs* (a transaction brings a [`ReadSet`]).
+//! exclude other writers → (validate a read set) → log one WAL record →
+//! take the commit window → stamp one commit version → publish every op on
+//! its shard ([`StoreShard::try_apply`]) → retain the version → count →
+//! react to shards that crossed their rebuild threshold. They differ in two
+//! places only: *which lock excludes writers* — a `match` in `commit`: the
+//! WAL lock of a durable store, with the window inside it, else the window
+//! itself — and *whether validation runs* (a transaction brings a
+//! [`ReadSet`]).
 //!
 //! ## The commit-version invariant
 //!
-//! A commit opens one window on the store's [`crate::CommitClock`] —
-//! `begin` assigns its commit version `cv` — publishes each of its ops
-//! under the target shard's write mutex, stamped `cv`, and closes the
-//! window. The version is assigned **before** any shard lock is taken, so
-//! on an in-memory store two commits whose windows overlap may reach one
-//! shard in either order: per-shard apply order is *not* commit-version
-//! order. What snapshots, retained versions and checkpoints rely on is
-//! weaker, and holds:
-//!
-//! * **Windows close before any cut is taken.** A consistent pin succeeds
-//!   only if no window was open when it started (`begun == done`) and none
-//!   opened before it finished. Every version `<= v` is then fully
-//!   published and no later one has begun, so the pinned states hold
-//!   exactly the commits `<= v` — a whole batch or none of it. Commits that
-//!   did overlap are concurrent: no cut can fall between them, so their
-//!   relative order inside a shard is unobservable.
-//! * **`applied_cv` is `max`-folded.** A shard's stamp never decreases,
-//!   whatever order commits reach it in, and at a quiescent cut it names
-//!   the newest commit that changed the shard. A commit that begins after
-//!   a cut at `v` is stamped above `v`, so between two cuts "same stamp"
-//!   implies "no op took effect in between" — what lets an incremental
-//!   checkpoint skip the shard.
-//!
-//! A durable store is stricter for free: the WAL lock is held from the
-//! record's append to the end of the in-memory apply, so commits are
-//! serial, apply order equals WAL-version order (which replay and the
-//! checkpoint cut need), and the clock never has two windows open.
+//! A commit holds the store's commit window from `clock.begin()`, which
+//! assigns its commit version `cv`, to its last shard publish, so **windows
+//! never overlap**: commits are serial, every shard applies them in version
+//! order, and a cut pinned under the window holds exactly the commits up to
+//! the clock's version — a whole batch or none of it (`cut.rs` has the
+//! protocol). A shard's `applied_cv` stamp names the newest commit that
+//! changed it: maintenance carries it forward unchanged, so between two cuts
+//! "same stamp" implies "no op took effect in between" — what lets an
+//! incremental checkpoint skip the shard. On a durable store the WAL lock
+//! is held from the record's append to the end of the apply, so apply order
+//! is also WAL-version order, which replay and the checkpoint cut need.
 
 use crate::batch::{BatchOp, BatchReceipt};
 use crate::error::StoreError;
 use crate::obs::TraceKind;
 use crate::persist::wal::Frame;
 use crate::shard::StoreShard;
-use crate::snapshot::StoreSnapshot;
+use crate::snapshot::{PinnedCut, StoreSnapshot};
 use crate::store_core::StoreCore;
 use crate::txn::ReadSet;
 use shift_table::error::BuildError;
 use sosd_data::key::Key;
-use std::sync::Arc;
+use std::sync::{Arc, MutexGuard};
 
 impl<K: Key> StoreCore<K> {
     /// Commit `ops` **atomically** under one commit version: a concurrent
@@ -87,17 +72,17 @@ impl<K: Key> StoreCore<K> {
         // The sampled timer covers what the caller experiences: WAL append,
         // in-memory apply, and any inline rebuild the commit triggered.
         let timer = self.obs.write_start();
-        // Runs with writers excluded, so the quiescent pin succeeds first
-        // try. Skipped when no write committed since the transaction began.
-        let validate = || match reads {
+        // Runs with writers excluded, against the cut `pin` hands it.
+        // Skipped when no write committed since the transaction began.
+        let validate = |pin: &dyn Fn() -> Arc<PinnedCut<K>>| match reads {
             Some(reads) if self.clock.version() != reads.base_version() => {
-                reads.validate(&StoreSnapshot::from_cut(self.pin_cut_quiescent(), None))
+                reads.validate(&StoreSnapshot::from_cut(pin(), None))
             }
             _ => Ok(()),
         };
-        // One clock window around every op: no snapshot can cut between two
-        // of them. Returns the receipt and the shards left dirty.
-        let apply = || {
+        // The window spans every op: no cut can fall between two of them.
+        // Returns the receipt and the shards left dirty.
+        let apply = |window: MutexGuard<'_, ()>| {
             let mut receipt = BatchReceipt {
                 commit_version: self.clock.begin(),
                 inserted: 0,
@@ -123,36 +108,28 @@ impl<K: Key> StoreCore<K> {
                     BatchOp::Delete(_) => receipt.deleted += usize::from(applied),
                 }
             }
-            self.clock.end();
-            if reads.is_some() && self.versions.enabled() {
-                // Writers are still excluded: retain this commit's cut
-                // deterministically (the pin cannot race one).
-                self.record_evictions(self.versions.capture(self.pin_cut_quiescent()));
+            if self.versions.enabled() {
+                // Still inside the window: this commit's cut, and so every
+                // commit's, in version order.
+                self.record_evictions(self.versions.capture(self.cut_locked(&window)));
             }
             (receipt, dirty)
         };
-        // lint: allow(panic) lock poisoning propagates a holder's panic; no sound continuation
-        let read_gate = || self.write_gate.read().expect("write gate poisoned");
-        let outcome = match (&self.persist, reads) {
+        let outcome = match &self.persist {
             // Durable: the WAL lock excludes every other writer from the
-            // validation to the end of the apply. The gate's read side only
-            // keeps a starved snapshot able to hold commits off.
-            (Some(p), _) => p.append(ops, frame, validate, || {
-                let _gate = read_gate();
-                apply()
-            }),
-            // In-memory transaction: the gate's write side drains the open
-            // windows and blocks new ones, so validation and apply are one
-            // step against every other writer.
-            (None, Some(_)) => {
-                let _gate = self.write_gate.write().expect("write gate poisoned"); // lint: allow(panic) lock poisoning propagates a holder's panic; no sound continuation
-                validate().map(|()| apply())
-            }
-            // In-memory plain write: commits to different shards proceed
-            // side by side.
-            (None, None) => {
-                let _gate = read_gate();
-                Ok(apply())
+            // validation to the end of the apply. The window opens after
+            // the append, so a reader never waits on a sync.
+            Some(p) => p.append(
+                ops,
+                frame,
+                || validate(&|| self.cut()),
+                || apply(self.lock_window()),
+            ),
+            // In-memory: the window is the writer exclusion, so validation
+            // and apply are one step against every other commit.
+            None => {
+                let window = self.lock_window();
+                validate(&|| self.cut_locked(&window)).map(|()| apply(window))
             }
         };
         let (receipt, dirty) = match outcome {
@@ -174,10 +151,8 @@ impl<K: Key> StoreCore<K> {
             .count(&self.obs.deletes, ops.len() as u64 - inserts);
         self.obs
             .count(&self.obs.batches, u64::from(frame == Frame::Batch));
-        match reads {
-            Some(_) => self.obs.count(&self.obs.txn_commits, 1),
-            None => self.retain_current(),
-        }
+        self.obs
+            .count(&self.obs.txn_commits, u64::from(reads.is_some()));
         for shard in dirty {
             self.on_dirty(&shard)?;
         }
@@ -189,7 +164,7 @@ impl<K: Key> StoreCore<K> {
     /// worker when there is one, else rebuild inline when configured to.
     fn on_dirty(&self, shard: &Arc<StoreShard<K>>) -> Result<(), BuildError> {
         if self.config.background_maintenance {
-            self.signal.kick();
+            self.hook.signal.kick();
         } else if self.config.auto_rebuild {
             self.rebuild_shard(shard)?;
         }

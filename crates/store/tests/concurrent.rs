@@ -25,10 +25,16 @@
 //! stress job via `STRESS_READERS` / `STRESS_WRITERS` / `STRESS_OPS`.
 
 use algo_index::RangeIndex;
-use shift_store::{ShardedStore, StoreConfig, WriteBatch};
+use shift_store::delta::{COMPACT_RUNS, MAX_RUN_LEN};
+use shift_store::{
+    DurabilityConfig, RetainPolicy, ShardedStore, StoreConfig, StoreSnapshot, SyncPolicy,
+    TraceKind, WriteBatch,
+};
 use shift_table::spec::IndexSpec;
 use sosd_data::prelude::*;
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
 const KEY_DOMAIN: u64 = 50_000;
@@ -564,6 +570,190 @@ fn snapshots_freeze_consistent_cuts_under_write_and_rebalance_churn() {
         store.commit_version() >= (writers * ops * 3) as u64,
         "every batch and single stamped a commit version"
     );
+}
+
+/// Maintenance republishes shard state (or the table) without a commit, so
+/// the clock does not move: only the cut's maintenance generation tells a
+/// read that the published cut is behind. After each of rebuild, split,
+/// merge and compaction — with a cut published just before and **no write
+/// in between** — the next `snapshot()` must pin exactly the live states,
+/// at the same version with the same answers, while the snapshot taken
+/// before keeps answering from the structures it pinned.
+#[test]
+fn the_first_snapshot_after_a_maintenance_swap_pins_the_live_states() {
+    let spec = IndexSpec::parse("im+r1").unwrap();
+    let answers = |s: &StoreSnapshot<u64>| {
+        let mut v: Vec<usize> = (0..64).map(|i| s.lower_bound(i * 311)).collect();
+        v.extend((0..64).map(|i| s.count_of(i * 311 + 1)));
+        v.push(s.len());
+        v
+    };
+    let assert_live = |store: &ShardedStore<u64>, tag: &str| {
+        let snap = store.snapshot();
+        let table = store.table();
+        assert!(Arc::ptr_eq(snap.table(), &table), "{tag}: stale table");
+        for (s, shard) in table.shards().iter().enumerate() {
+            let live = Arc::ptr_eq(&snap.states()[s], &shard.state());
+            assert!(live, "{tag}: shard {s} still pinned at its pre-swap state");
+        }
+        snap
+    };
+    let check = |store: &ShardedStore<u64>, tag: &str, swap: &dyn Fn()| {
+        let before = store.snapshot(); // publishes the pre-swap cut
+        let frozen = answers(&before);
+        swap();
+        let after = assert_live(store, tag);
+        assert_eq!(after.version(), before.version(), "{tag} is no commit");
+        assert_eq!(answers(&after), frozen, "{tag} moved the merged view");
+        assert_eq!(answers(&before), frozen, "{tag} moved a pinned snapshot");
+    };
+
+    let config = StoreConfig::new(spec)
+        .shards(4)
+        .delta_threshold(1_000_000)
+        .auto_rebuild(false)
+        .split_skew(2);
+    let base: Vec<u64> = (0..8_000u64).map(|i| i * 2).collect();
+    let store = ShardedStore::build(config, &base).unwrap();
+    for k in 0..500u64 {
+        store.insert(k * 31 + 1).unwrap();
+    }
+    check(&store, "rebuild", &|| assert!(store.flush().unwrap() > 0));
+    for k in 0..6_000u64 {
+        store.insert(14_001 + k % 1_000 * 2).unwrap();
+    }
+    check(&store, "split", &|| {
+        let splits = store.total_splits();
+        store.rebalance().unwrap();
+        assert!(store.total_splits() > splits, "the skew must split");
+    });
+    for &k in &base[10..4_000] {
+        assert!(store.delete(k).unwrap());
+    }
+    check(&store, "merge", &|| {
+        let merges = store.total_merges();
+        store.rebalance().unwrap();
+        assert!(
+            store.total_merges() > merges,
+            "the hollow shards must merge"
+        );
+    });
+
+    // Compaction is the background worker's alone. One run short of its
+    // trigger nothing is due; the next insert makes exactly one due, and
+    // its trace event is emitted after the cut was marked stale.
+    let config = StoreConfig::new(spec)
+        .shards(2)
+        .delta_threshold(1_000_000)
+        .split_skew(0)
+        .background_maintenance(true);
+    let store = ShardedStore::build(config, &base).unwrap();
+    let due = ((COMPACT_RUNS / 2 - 1) * MAX_RUN_LEN) as u64;
+    for k in 0..due {
+        store.insert(k * 2 + 1).unwrap();
+    }
+    let runs = |store: &ShardedStore<u64>| store.shards()[0].state().delta().unsealed_run_count();
+    assert_eq!(runs(&store), COMPACT_RUNS / 2 - 1, "no compaction due yet");
+    store.insert(due * 2 + 1).unwrap();
+    check(&store, "compaction", &|| {
+        let compacted = |e: &shift_store::TraceEvent| e.kind == TraceKind::Compact;
+        while !store.trace_events().iter().any(compacted) {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(runs(&store), 1);
+    });
+}
+
+/// Retention is deterministic: with a [`RetainPolicy`] set every commit
+/// captures its own cut inside its commit window, so two writers racing
+/// `N` plain commits into an in-memory store leave exactly the versions
+/// `1..=N` retained, each holding exactly its commits.
+#[test]
+fn racing_plain_commits_retain_every_version_once() {
+    let n = env_usize("STRESS_OPS", 200).clamp(2, 2_000) / 2 * 2;
+    let config = StoreConfig::new(IndexSpec::parse("im+r1").unwrap())
+        .shards(4)
+        .delta_threshold(1_000_000)
+        .auto_rebuild(false)
+        .retain_versions(RetainPolicy::last(n));
+    let base: Vec<u64> = (0..4_000u64).map(|i| i * 2).collect();
+    let store = ShardedStore::build(config, &base).unwrap();
+    let start = Barrier::new(2);
+    std::thread::scope(|scope| {
+        for w in 0..2u64 {
+            let (store, start) = (&store, &start);
+            scope.spawn(move || {
+                start.wait();
+                for i in 0..n as u64 / 2 {
+                    store.insert((i * 2 + w) * 2 + 1).unwrap();
+                }
+            });
+        }
+    });
+    let expected: Vec<u64> = (1..=n as u64).collect();
+    assert_eq!(store.retained_versions(), expected);
+    for &cv in &expected {
+        let at = store.snapshot_at(cv).unwrap();
+        assert_eq!(at.version(), cv);
+        assert_eq!(
+            at.len(),
+            base.len() + cv as usize,
+            "v{cv} holds {cv} commits"
+        );
+    }
+}
+
+/// A reader racing a durable writer that syncs every record: each pinned
+/// cut holds whole batches only — its length is the sum of its shards' and
+/// exactly two keys per commit up to its version — and versions never go
+/// backwards, whether the cut was shared from the slot or pinned behind a
+/// commit's window.
+#[test]
+fn a_reader_racing_a_synced_durable_writer_pins_whole_monotonic_cuts() {
+    let commits = env_usize("STRESS_OPS", 200).clamp(20, 400);
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR"))
+        .join(format!("synced-writer-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let config = StoreConfig::new(IndexSpec::parse("im+r1").unwrap())
+        .shards(4)
+        .durability(DurabilityConfig::new().sync(SyncPolicy::Always));
+    let base: Vec<u64> = (0..4_000u64).map(|i| i * 2).collect();
+    let store = ShardedStore::open_seeded(&dir, config, &base).unwrap();
+    let done = AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        scope.spawn(|| {
+            for i in 0..commits as u64 {
+                // One key in the first shard, one in the last.
+                let mut batch = WriteBatch::with_capacity(2);
+                batch.insert(i * 2 + 1).insert(KEY_DOMAIN + i);
+                store.apply(&batch).unwrap();
+            }
+            done.store(true, Ordering::SeqCst);
+        });
+        scope.spawn(|| {
+            let mut last = 0u64;
+            loop {
+                let finished = done.load(Ordering::SeqCst);
+                let snap = store.snapshot();
+                let v = snap.version();
+                assert!(v >= last, "pinned versions fell: {last} -> {v}");
+                last = v;
+                let by_shard: usize = snap.states().iter().map(|s| s.merged_len()).sum();
+                assert_eq!(snap.len(), by_shard, "v{v}: len is not the shards' sum");
+                assert_eq!(
+                    snap.len(),
+                    base.len() + 2 * v as usize,
+                    "v{v} split a batch"
+                );
+                if finished {
+                    assert_eq!(v, commits as u64);
+                    break;
+                }
+            }
+        });
+    });
+    drop(store);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// The one-write-path storm: ≥ 4 writers drive all four front doors —
