@@ -45,10 +45,6 @@ fn main() {
         let model = InterpolationModel::build(&d);
         ShiftTable::build(&model, keys)
     });
-    timed("IM+ShiftTable (par 4)", repeats, || {
-        let model = InterpolationModel::build(&d);
-        ShiftTable::build_parallel(&model, keys, 4)
-    });
     // Spec-driven end-to-end builds (model + layer over shared storage).
     for spec in ["im+r1", "rs:32+r1", "rmi:4096+none"] {
         let parsed = IndexSpec::parse(spec).unwrap();

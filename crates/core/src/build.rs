@@ -14,15 +14,15 @@
 //! same window, `(s_p − k, C_p)` (§3.1). Per `PREDICT_RUN` keys the
 //! emitter predicts, compacts the change positions without a branch, stages
 //! every window's entries — pseudo-entries included — as one fixed-size
-//! store, and hands the staged blocks strictly left to right to a sink: no
-//! blank fill, no read-modify-write on the layer, no backward pass, no key
-//! read beyond the model's own. Sequentially the sink is the layer itself,
-//! written once, block by block, in the layout it is served from — an
-//! entry that does not fit is appended to the patch list, nothing stored is
-//! re-encoded ([`crate::entry`]). Monotonicity is *checked, not trusted*: the
-//! emitter compares every prediction with its predecessor (and with the
-//! last partition it may fill), and the first one out of order abandons the
-//! attempt — nothing of it is kept — for the other builder.
+//! store, and appends the staged blocks strictly left to right to the layer
+//! itself: no blank fill, no read-modify-write on the layer, no backward
+//! pass, no key read beyond the model's own. The layer is written once,
+//! block by block, in the layout it is served from — an entry that does not
+//! fit is appended to the patch list, nothing stored is re-encoded
+//! ([`crate::entry`]). Monotonicity is *checked, not trusted*: the emitter
+//! compares every prediction with its predecessor (and with the last
+//! partition), and the first one out of order abandons the attempt —
+//! nothing of it is kept — for the other builder.
 //!
 //! **The scatter builder** takes any model: one pass scatters drift minima
 //! and cardinalities into a blank `(i32 Δ, u32 C)` array (Algorithm 2 lines
@@ -30,11 +30,6 @@
 //! partitions their pseudo-entries, and the finished array is packed into
 //! the same layout in one pass. It is what a non-monotone RMI is built with,
 //! and the reference the emitter is tested against entry by entry.
-//!
-//! **In parallel** (the parallelisation the paper suggests for expensive
-//! models, §3.3) the emitter runs over key ranges cut where the prediction
-//! changes, each worker filling its own disjoint stretch of one `(i32, u32)`
-//! array, which is packed after the join.
 
 use crate::entry::{WideEntry, MAX_KEYS};
 use crate::packed::{Packed, BLOCK};
@@ -49,69 +44,41 @@ const UNSET: WideEntry = (i32::MAX, 0);
 /// one run (4 KiB) stay in L1 beside the keys.
 const PREDICT_RUN: usize = 1024;
 
-/// The smallest column worth cutting into parallel stretches.
-const PARALLEL_MIN_KEYS: usize = 4096;
-
 /// Build the full-resolution (`M = N`) range layer of `model` over the
-/// sorted `keys`, on up to `threads` threads: the run-boundary emitter for
-/// a model whose predictions turn out monotone, the scatter builder
-/// otherwise (see the module docs).
-pub(crate) fn build_range_layer<K: Key, M: CdfModel<K> + ?Sized>(
-    model: &M,
-    keys: &[K],
-    threads: usize,
-) -> Packed {
+/// sorted `keys`: the run-boundary emitter for a model whose predictions turn
+/// out monotone, the scatter builder otherwise (see the module docs).
+pub(crate) fn build_range_layer<K: Key, M: CdfModel<K> + ?Sized>(model: &M, keys: &[K]) -> Packed {
     // lint: allow(panic) the validating builders turn longer columns into BuildError::TooManyKeys; past them a drift would silently truncate
     assert!(
         keys.len() <= MAX_KEYS,
         "a range layer covers at most {MAX_KEYS} keys"
     );
     if model.is_monotonic() {
-        let emitted = if threads > 1 && keys.len() >= PARALLEL_MIN_KEYS {
-            compute_range_entries_parallel(model, keys, threads)
-                .map(|entries| Packed::from_wide(&entries))
-        } else {
-            emit_range_layer(model, keys)
-        };
-        if let Some(layer) = emitted {
+        if let Some(layer) = emit_range_layer(model, keys) {
             return layer;
         }
     }
     Packed::from_wide(&compute_range_entries(model, keys))
 }
 
-/// Where the emitter puts finished entries, in partition order.
-trait EntrySink {
-    /// Take the next entries: whole blocks counted from the sink's first
-    /// entry, except in the last call.
-    fn extend(&mut self, entries: &[WideEntry]);
-}
-
-impl EntrySink for Packed {
-    #[inline]
-    fn extend(&mut self, entries: &[WideEntry]) {
-        Packed::extend(self, entries);
-    }
-}
-
-/// Entries the emitter stages before handing them to its sink (8 KiB,
+/// Entries the emitter stages before appending them to the layer (8 KiB,
 /// L1-resident beside the predictions).
 const STAGE: usize = 1024;
 
 /// The emitter's staging buffer. Every window is written as a fixed
 /// [`BLOCK`] of entries, whether or not that many partitions point at it —
 /// the next window overwrites the surplus — so writing a window costs no
-/// branch that depends on its length, and the sink is fed whole blocks.
-struct Stage<'a, S> {
-    sink: &'a mut S,
+/// branch that depends on its length, and the layer is fed whole blocks.
+struct Stage<'a> {
+    layer: &'a mut Packed,
     entries: [WideEntry; STAGE + BLOCK],
     len: usize,
 }
 
-impl<'a, S: EntrySink> Stage<'a, S> {
-    fn new(sink: &'a mut S) -> Self {
+impl<'a> Stage<'a> {
+    fn new(layer: &'a mut Packed) -> Self {
         Self {
-            sink,
+            layer,
             entries: [(0, 0); STAGE + BLOCK],
             len: 0,
         }
@@ -138,56 +105,47 @@ impl<'a, S: EntrySink> Stage<'a, S> {
         }
     }
 
-    /// Hand the staged whole blocks to the sink.
+    /// Append the staged whole blocks to the layer.
     fn drain(&mut self) {
         let whole = self.len - self.len % BLOCK;
-        self.sink.extend(&self.entries[..whole]);
+        self.layer.extend(&self.entries[..whole]);
         self.entries.copy_within(whole..self.len, 0);
         self.len -= whole;
     }
 
-    /// Hand everything staged to the sink: the last call it gets.
+    /// Append everything staged to the layer: the last call it gets.
     fn finish(self) {
-        self.sink.extend(&self.entries[..self.len]);
+        self.layer.extend(&self.entries[..self.len]);
     }
 }
 
-/// A prediction was smaller than its predecessor's, or past the last
-/// partition its stretch may fill: the model is not monotone over the
-/// column, whatever it claims.
-struct NotMonotone;
-
-/// The run-boundary emitter: hand `sink` the entries of `partitions` — real
-/// and pseudo, in order, exactly `partitions.len()` of them — given that
-/// `keys[key_range]` are the keys predicted into them. A stretch ending
-/// with the column also covers the trailing empty partitions, which point
-/// at the very last record. On `Err` the sink holds an unfinished prefix.
-fn emit_stretch<K: Key, M: CdfModel<K> + ?Sized, S: EntrySink>(
-    model: &M,
-    keys: &[K],
-    key_range: Range<usize>,
-    partitions: Range<usize>,
-    sink: &mut S,
-) -> Result<(), NotMonotone> {
+/// The run-boundary emitter over the whole column, straight into the
+/// layer's arrays: every partition's entry — real and pseudo, in order, the
+/// trailing empty partitions pointing at the very last record. `None` when a
+/// prediction is smaller than its predecessor's or past the last partition:
+/// the model is not monotone over the column, whatever it claims, and nothing
+/// of the attempt is kept.
+fn emit_range_layer<K: Key, M: CdfModel<K> + ?Sized>(model: &M, keys: &[K]) -> Option<Packed> {
     let n = keys.len();
-    let (lo, hi) = (key_range.start, key_range.end);
+    let mut layer = Packed::with_capacity(n);
+    if n == 0 {
+        layer.finish();
+        return Some(layer);
+    }
     // Partitions below `next` are staged. `open` is the partition whose
     // keys are being counted; its first key sits at `open_start`. Once its
     // last key is known, it and the empty partitions on its left all point
     // at the window `[open_start, end)` (§3.1).
-    let mut next = partitions.start;
-    let mut open = model.predict_clamped(keys[lo]);
-    let mut open_start = lo;
-    if open < next {
-        return Err(NotMonotone);
-    }
-    let mut stage = Stage::new(sink);
+    let mut next = 0;
+    let mut open = model.predict_clamped(keys[0]);
+    let mut open_start = 0;
+    let mut stage = Stage::new(&mut layer);
     // Predictions come a run at a time: through a `dyn` model that is one
     // virtual call per run, with the model's arithmetic inlined behind it.
     let mut predictions = [0u32; PREDICT_RUN];
     let mut changes = [0u16; PREDICT_RUN];
-    for start in (lo..hi).step_by(PREDICT_RUN) {
-        let run = &keys[start..hi.min(start + PREDICT_RUN)];
+    for start in (0..n).step_by(PREDICT_RUN) {
+        let run = &keys[start..n.min(start + PREDICT_RUN)];
         let predictions = &mut predictions[..run.len()];
         model.predict_clamped_into(run, predictions);
         // Compact the positions where the prediction changes: every
@@ -202,8 +160,8 @@ fn emit_stretch<K: Key, M: CdfModel<K> + ?Sized, S: EntrySink>(
             previous = prediction;
         }
         // Non-decreasing, so the last prediction is the run's largest.
-        if !monotone || previous as usize >= partitions.end {
-            return Err(NotMonotone);
+        if !monotone || previous as usize >= n {
+            return None;
         }
         for &i in &changes[..found] {
             let end = start + usize::from(i);
@@ -213,115 +171,13 @@ fn emit_stretch<K: Key, M: CdfModel<K> + ?Sized, S: EntrySink>(
             open_start = end;
         }
     }
-    if hi < n && open + 1 != partitions.end {
-        return Err(NotMonotone);
-    }
-    stage.fill(next..open + 1, open_start, (hi - open_start) as u32);
+    stage.fill(next..open + 1, open_start, (n - open_start) as u32);
     // Right of the last partition with keys there is only the last record
     // itself: a window of one at record `n − 1`.
-    stage.fill(open + 1..partitions.end, n - 1, 1);
+    stage.fill(open + 1..n, n - 1, 1);
     stage.finish();
-    Ok(())
-}
-
-/// The emitter over the whole column, straight into the layer's arrays.
-/// `None` when the model turns out not to be monotone.
-fn emit_range_layer<K: Key, M: CdfModel<K> + ?Sized>(model: &M, keys: &[K]) -> Option<Packed> {
-    let n = keys.len();
-    let mut layer = Packed::with_capacity(n);
-    if n > 0 {
-        emit_stretch(model, keys, 0..n, 0..n, &mut layer).ok()?;
-    }
     layer.finish();
     Some(layer)
-}
-
-/// One worker's stretch of the `(i32, u32)` array of a parallel build,
-/// filled left to right.
-struct WideStretch<'a> {
-    out: &'a mut [WideEntry],
-    filled: usize,
-}
-
-impl EntrySink for WideStretch<'_> {
-    fn extend(&mut self, entries: &[WideEntry]) {
-        self.out[self.filled..][..entries.len()].copy_from_slice(entries);
-        self.filled += entries.len();
-    }
-}
-
-/// The emitter on `threads` scoped threads: the `<Δ, C>` entries of the
-/// layer in the working layout. The column is cut where
-/// the prediction changes, so every worker owns the partitions of its keys
-/// and the empty ones on their left — a disjoint stretch of the array.
-/// `None` when the model turns out not to be monotone.
-pub(crate) fn compute_range_entries_parallel<K: Key, M: CdfModel<K> + ?Sized>(
-    model: &M,
-    keys: &[K],
-    threads: usize,
-) -> Option<Vec<WideEntry>> {
-    let n = keys.len();
-    if n == 0 {
-        return Some(Vec::new());
-    }
-    // Stretch `t` reads keys `cuts[t]..cuts[t + 1]` and fills partitions
-    // `seams[t]..seams[t + 1]`.
-    let mut cuts = vec![0];
-    let mut seams = vec![0];
-    for t in 1..threads {
-        let nominal = n * t / threads;
-        if nominal <= cuts[cuts.len() - 1] {
-            continue;
-        }
-        // Move the cut right to the first key predicted past its left
-        // neighbour — for a monotone model a bisection finds it; for any
-        // other it finds *a* change, and the workers' checks do the rest.
-        let left = model.predict_clamped(keys[nominal - 1]);
-        let cut =
-            nominal + keys[nominal..].partition_point(|&key| model.predict_clamped(key) <= left);
-        if cut == n {
-            break;
-        }
-        let seam = model.predict_clamped(keys[cut - 1]) + 1;
-        if seam <= seams[seams.len() - 1] {
-            return None;
-        }
-        cuts.push(cut);
-        seams.push(seam);
-    }
-    cuts.push(n);
-    seams.push(n);
-
-    let mut entries: Vec<WideEntry> = vec![(0, 0); n];
-    let mut rest = entries.as_mut_slice();
-    let mut stretches = Vec::with_capacity(seams.len() - 1);
-    for (key_range, seam) in cuts.windows(2).zip(seams.windows(2)) {
-        let (out, right) = rest.split_at_mut(seam[1] - seam[0]);
-        rest = right;
-        stretches.push((key_range[0]..key_range[1], seam[0]..seam[1], out));
-    }
-    let stretches: Vec<Result<(), NotMonotone>> = std::thread::scope(|scope| {
-        let workers: Vec<_> = stretches
-            .into_iter()
-            .map(|(key_range, partitions, out)| {
-                scope.spawn(move || {
-                    let mut stretch = WideStretch { out, filled: 0 };
-                    emit_stretch(model, keys, key_range, partitions, &mut stretch)?;
-                    debug_assert_eq!(stretch.filled, stretch.out.len());
-                    Ok(())
-                })
-            })
-            .collect();
-        workers
-            .into_iter()
-            // lint: allow(panic) join fails only when the child panicked; re-raising preserves the failure
-            .map(|worker| worker.join().expect("shift-table build worker panicked"))
-            .collect()
-    });
-    stretches
-        .into_iter()
-        .all(|stretch| stretch.is_ok())
-        .then_some(entries)
 }
 
 /// The scatter builder: the `<Δ, C>` entries of the layer for *any* model,
@@ -599,30 +455,55 @@ mod tests {
         Packed::from_wide(&compute_range_entries(model, keys))
     }
 
-    /// Assert that the emitter — sequential, and cut into stretches for
-    /// each of `threads` — builds the scatter reference: the same arrays
-    /// (entries, bases, directory and patches, so the same `size_bytes`).
+    /// Assert that the emitter builds the scatter reference, and that
+    /// `build_range_layer` picks it: the same arrays (entries, bases,
+    /// directory and patches, so the same `size_bytes`).
     fn assert_emitter_matches_reference<K: Key, M: CdfModel<K> + ?Sized>(
         model: &M,
         keys: &[K],
-        threads: &[usize],
         tag: &str,
     ) -> Packed {
         assert!(
             model.is_monotonic(),
             "{tag}: the emitter is for monotone models"
         );
-        let entries = compute_range_entries(model, keys);
-        let expected = Packed::from_wide(&entries);
+        let expected = reference(model, keys);
         let emitted = emit_range_layer(model, keys).unwrap_or_else(|| panic!("{tag}: abandoned"));
         assert!(emitted == expected, "{tag}: emitted layer differs");
-        for &t in threads {
-            let par = compute_range_entries_parallel(model, keys, t)
-                .unwrap_or_else(|| panic!("{tag}: {t} threads abandoned"));
-            assert!(par == entries, "{tag}: {t} threads differ");
-            assert!(build_range_layer(model, keys, t) == expected, "{tag} x{t}");
-        }
+        assert!(
+            build_range_layer(model, keys) == expected,
+            "{tag}: not emitted"
+        );
         expected
+    }
+
+    /// Duplicate-heavy columns no generator draws: runs of up to 900 equal
+    /// keys landing anywhere in a block or a prediction run; one run
+    /// covering almost the whole column; two far clusters, with every
+    /// partition between them empty, so a long stretch of pseudo-entries
+    /// starts mid-block; and a quadratic column of 4096 keys.
+    fn adversary_columns() -> Vec<(&'static str, Vec<u64>)> {
+        use sosd_data::rng::SplitMix64;
+        let mut rng = SplitMix64::new(0xD095);
+        let mut heavy: Vec<u64> = Vec::new();
+        while heavy.len() < 10_000 {
+            let v = rng.next_below(500);
+            let run = 1 + rng.next_below(900) as usize;
+            heavy.extend(std::iter::repeat_n(v, run));
+        }
+        heavy.sort_unstable();
+        let mut mega = vec![7u64; 9_000];
+        mega.splice(0..0, [1u64, 2, 3]);
+        mega.extend([9u64, 10]);
+        let mut clusters: Vec<u64> = (0..3_001u64).collect();
+        clusters.extend((0..3_002u64).map(|i| 1_000_000_000 + i));
+        let quadratic = (0..4096u64).map(|i| i * i / 7).collect();
+        vec![
+            ("duplicate-heavy", heavy),
+            ("mega-run", mega),
+            ("two clusters", clusters),
+            ("quadratic", quadratic),
+        ]
     }
 
     #[cfg_attr(miri, ignore = "dataset too large for Miri")]
@@ -634,31 +515,52 @@ mod tests {
         // its predictions into long pseudo-runs that copy one long window.
         let mut patched = 0;
         let mut scattered = 0;
+        let adversaries = adversary_columns();
         for spec in ["im", "linear", "rmi:64", "rmi:4096", "rmi:64:cubic"] {
             let spec = ModelSpec::parse(spec).unwrap();
-            for n in [6_000, 70_000, 200_000] {
+            let mut check = |keys: &[u64], tag: String| {
+                let model = spec.build(keys);
+                let layer = if model.is_monotonic() {
+                    assert_emitter_matches_reference(&*model, keys, &tag)
+                } else {
+                    // Not the emitter's business: the scatter builder's.
+                    scattered += 1;
+                    let expected = reference(&*model, keys);
+                    assert!(build_range_layer(&*model, keys) == expected, "{tag}");
+                    expected
+                };
+                patched += usize::from(layer.patches() > 0);
+            };
+            for n in [4_096, 6_000, 70_000, 200_000] {
                 for name in SosdName::all() {
                     let d: Dataset<u64> = name.generate(n, 21);
-                    let keys = d.as_slice();
-                    let model = spec.build(keys);
-                    let tag = format!("{name} {spec} n={n}");
-                    let layer = if model.is_monotonic() {
-                        assert_emitter_matches_reference(&*model, keys, &[2, 7], &tag)
-                    } else {
-                        // Not the emitter's business: both thread counts
-                        // take the scatter builder.
-                        scattered += 1;
-                        let expected = reference(&*model, keys);
-                        assert!(build_range_layer(&*model, keys, 1) == expected, "{tag}");
-                        assert!(build_range_layer(&*model, keys, 3) == expected, "{tag}");
-                        expected
-                    };
-                    patched += usize::from(layer.patches() > 0);
+                    check(d.as_slice(), format!("{name} {spec} n={n}"));
                 }
+            }
+            for (name, keys) in &adversaries {
+                check(keys, format!("{name} {spec}"));
             }
         }
         assert!(patched > 20, "and patch lists: {patched} layers hold one");
         assert!(scattered > 0, "the matrix holds non-monotone models");
+    }
+
+    #[cfg_attr(miri, ignore = "dataset too large for Miri")]
+    #[test]
+    fn emitter_matches_scatter_on_duplicate_runs_and_empty_stretches() {
+        for (name, keys) in adversary_columns() {
+            let model = InterpolationModel::from_sorted_keys(&keys);
+            assert_emitter_matches_reference(&model, &keys, name);
+        }
+    }
+
+    #[test]
+    fn emitter_matches_scatter_on_a_quadratic_column_of_4096_keys() {
+        // Small enough for Miri to run the emitter's staging and block
+        // appends end to end.
+        let keys: Vec<u64> = (0..4096u64).map(|i| i * i / 7).collect();
+        let model = InterpolationModel::from_sorted_keys(&keys);
+        assert_emitter_matches_reference(&model, &keys, "4096");
     }
 
     /// A staircase over `0..n`: monotone, or with every `dip`-th key
@@ -695,8 +597,8 @@ mod tests {
     fn a_model_that_lies_about_monotonicity_falls_back_to_the_scatter_builder() {
         let n = 5_000;
         let keys: Vec<u64> = (0..n as u64).collect();
-        // One dip per 1 000 keys — inside a run, on a run's first and last
-        // key, and at the seams of a parallel build, depending on the step.
+        // One dip per 1 000 keys — inside a run, or on a run's first or last
+        // key, depending on the step.
         for (step, dip) in [(10, 1_000), (7, 1_024), (1, 1_025), (1_000, 999)] {
             let liar = Stairs {
                 n,
@@ -708,16 +610,10 @@ mod tests {
                 "step {step} dip {dip}: the model must actually dip"
             );
             assert!(emit_range_layer(&liar, &keys).is_none());
-            let expected = reference(&liar, &keys);
-            for threads in [1, 2, 3, 7] {
-                if threads > 1 {
-                    assert!(compute_range_entries_parallel(&liar, &keys, threads).is_none());
-                }
-                assert!(build_range_layer(&liar, &keys, threads) == expected);
-            }
+            assert!(build_range_layer(&liar, &keys) == reference(&liar, &keys));
             // The same staircase without the dips is the emitter's.
             let honest = Stairs { n, step, dip: None };
-            assert_emitter_matches_reference(&honest, &keys, &[2, 3, 7], "stairs");
+            assert_emitter_matches_reference(&honest, &keys, "stairs");
         }
         // A lie only the last prediction of the column tells.
         let liar = Stairs {
@@ -726,7 +622,7 @@ mod tests {
             dip: Some(n as u64),
         };
         assert!(emit_range_layer(&liar, &keys).is_none());
-        assert!(build_range_layer(&liar, &keys, 2) == reference(&liar, &keys));
+        assert!(build_range_layer(&liar, &keys) == reference(&liar, &keys));
     }
 
     #[cfg_attr(miri, ignore = "dataset too large for Miri")]
@@ -741,15 +637,15 @@ mod tests {
         let stairs = |step| Stairs { n, step, dip: None };
         let bytes =
             |patches: usize| 2 * n + 4 * n.div_ceil(BLOCK) + 4 * n.div_ceil(256) + 8 * patches;
-        let layer = assert_emitter_matches_reference(&stairs(70_000), &keys, &[2], "long stairs");
+        let layer = assert_emitter_matches_reference(&stairs(70_000), &keys, "long stairs");
         assert_eq!((layer.patches(), layer.size_bytes()), (21, bytes(21)));
         assert_eq!(layer.wide(8), (69_992, 73_728));
         // Stairs of 40 000, and one duplicate run of 70 000 among them.
-        let layer = assert_emitter_matches_reference(&stairs(40_000), &keys, &[3], "short stairs");
+        let layer = assert_emitter_matches_reference(&stairs(40_000), &keys, "short stairs");
         assert_eq!((layer.patches(), layer.size_bytes()), (28, bytes(28)));
         let mut dups = keys.clone();
         dups[50_000..120_000].fill(50_000);
-        let layer = assert_emitter_matches_reference(&stairs(40_000), &dups, &[3], "duplicate run");
+        let layer = assert_emitter_matches_reference(&stairs(40_000), &dups, "duplicate run");
         assert_eq!(layer.wide(40_000), (0, 81_920));
         assert_eq!((layer.patches(), layer.size_bytes()), (21, bytes(21)));
         // Every key predicted into the last partition: every entry is a
@@ -761,7 +657,7 @@ mod tests {
             step: 1,
             dip: None,
         };
-        let layer = assert_emitter_matches_reference(&model, &vec![n as u64; n], &[2], "last");
+        let layer = assert_emitter_matches_reference(&model, &vec![n as u64; n], "last");
         assert_eq!(layer.wide(0), (0, 73_728));
         assert_eq!((layer.patches(), layer.size_bytes()), (0, n * 5 / 2));
     }
@@ -775,7 +671,7 @@ mod tests {
         let d: Dataset<u64> = SosdName::Wiki64.generate(n, 7);
         let model = InterpolationModel::build(&d);
         let entries = compute_range_entries(&model, d.as_slice());
-        let layer = assert_emitter_matches_reference(&model, d.as_slice(), &[2], "wiki64");
+        let layer = assert_emitter_matches_reference(&model, d.as_slice(), "wiki64");
         let (at, &(delta, longest)) = (entries.iter().enumerate())
             .max_by_key(|(_, entry)| entry.1)
             .unwrap();
@@ -792,7 +688,7 @@ mod tests {
         for n in [0usize, 1, 7, 8, 9, 1_023, 1_024, 1_025, 2_049] {
             let keys: Vec<u64> = (0..n as u64).map(|i| i * i / 3).collect();
             let model = InterpolationModel::from_sorted_keys(&keys);
-            let layer = assert_emitter_matches_reference(&model, &keys, &[2], &format!("n={n}"));
+            let layer = assert_emitter_matches_reference(&model, &keys, &format!("n={n}"));
             assert_eq!(layer.len(), n);
         }
         // All keys in the first partition; all in the last; one duplicate.
@@ -801,8 +697,8 @@ mod tests {
             step: 100,
             dip: None,
         };
-        assert_emitter_matches_reference(&model, &[1, 2, 3, 4, 5, 6, 7, 8, 9], &[], "first");
-        assert_emitter_matches_reference(&model, &[900; 9], &[], "last");
+        assert_emitter_matches_reference(&model, &[1, 2, 3, 4, 5, 6, 7, 8, 9], "first");
+        assert_emitter_matches_reference(&model, &[900; 9], "last");
         // A model lying about its monotonicity, small enough for Miri.
         let keys: Vec<u64> = (0..1_100).collect();
         let liar = Stairs {
@@ -811,89 +707,7 @@ mod tests {
             dip: Some(500),
         };
         assert!(emit_range_layer(&liar, &keys).is_none());
-        assert!(build_range_layer(&liar, &keys, 1) == reference(&liar, &keys));
-    }
-
-    #[cfg_attr(miri, ignore = "dataset too large for Miri")]
-    #[test]
-    fn parallel_build_matches_sequential() {
-        for name in [SosdName::Face64, SosdName::Wiki64, SosdName::Logn64] {
-            let d: Dataset<u64> = name.generate(30_000, 9);
-            let model = InterpolationModel::build(&d);
-            assert_emitter_matches_reference(&model, d.as_slice(), &[2, 3, 8], &name.to_string());
-        }
-    }
-
-    #[cfg_attr(miri, ignore = "dataset too large for Miri")]
-    #[test]
-    fn parallel_build_is_equivalent_on_every_generator_and_thread_count() {
-        // The stretch-seam audit as a property: `build_parallel ≡ build`
-        // over every SOSD generator, with 1 thread (the sequential
-        // emitter), 2 threads (one seam) and 7 threads (seams at
-        // non-power-of-two, non-divisor offsets). n exceeds the 4096-key
-        // threshold so the scoped-thread path actually runs.
-        let n = 6_000;
-        for name in SosdName::all() {
-            let d: Dataset<u64> = name.generate(n, 13);
-            let model = InterpolationModel::build(&d);
-            assert_emitter_matches_reference(&model, d.as_slice(), &[1, 2, 7], &name.to_string());
-        }
-    }
-
-    #[cfg_attr(miri, ignore = "dataset too large for Miri")]
-    #[test]
-    fn parallel_build_never_splits_a_duplicate_run() {
-        use sosd_data::rng::SplitMix64;
-        // Duplicate-heavy key columns whose run boundaries land on (and far
-        // past) the naive n·t/threads cut offsets: every cut must move to
-        // where the prediction changes — the start of a fresh run — or a
-        // partition would be counted in two stretches.
-        let mut rng = SplitMix64::new(0xD095);
-        let mut keys: Vec<u64> = Vec::new();
-        while keys.len() < 10_000 {
-            let v = rng.next_below(500);
-            let run = 1 + rng.next_below(900) as usize;
-            keys.extend(std::iter::repeat_n(v, run));
-        }
-        keys.sort_unstable();
-        let model = InterpolationModel::from_sorted_keys(&keys);
-        assert_emitter_matches_reference(&model, &keys, &[2, 3, 7, 16], "duplicate-heavy");
-
-        // Degenerate: one run covering almost the whole column — every cut
-        // collapses into the run's end, most stretches are empty and are
-        // dropped.
-        let mut keys = vec![7u64; 9_000];
-        keys.splice(0..0, [1u64, 2, 3]);
-        keys.extend([9u64, 10]);
-        let model = InterpolationModel::from_sorted_keys(&keys);
-        assert_emitter_matches_reference(&model, &keys, &[2, 3, 7], "mega-run");
-
-        // Two far clusters: every partition between them is empty, so the
-        // stretch right of a seam starts with a long run of pseudo-entries
-        // and the seam sits mid-block.
-        let mut keys: Vec<u64> = (0..3_001u64).collect();
-        keys.extend((0..3_002u64).map(|i| 1_000_000_000 + i));
-        let model = InterpolationModel::from_sorted_keys(&keys);
-        assert_emitter_matches_reference(&model, &keys, &[2, 3, 7], "two clusters");
-    }
-
-    #[test]
-    fn parallel_build_merges_seams_at_the_smallest_parallel_size() {
-        // 4096 keys is the smallest column the scoped-thread path accepts —
-        // small enough for Miri to run the stretch split and the seam-block
-        // merge of the extents.
-        let keys: Vec<u64> = (0..4096u64).map(|i| i * i / 7).collect();
-        let model = InterpolationModel::from_sorted_keys(&keys);
-        assert_emitter_matches_reference(&model, &keys, &[3], "4096");
-    }
-
-    #[test]
-    fn parallel_build_falls_back_for_tiny_input() {
-        let d: Dataset<u64> = SosdName::Uden64.generate(100, 1);
-        let model = InterpolationModel::build(&d);
-        let seq = build_range_layer(&model, d.as_slice(), 1);
-        let par = build_range_layer(&model, d.as_slice(), 4);
-        assert!(seq == par && seq == reference(&model, d.as_slice()));
+        assert!(build_range_layer(&liar, &keys) == reference(&liar, &keys));
     }
 
     #[test]
@@ -972,7 +786,7 @@ mod tests {
         let d: Dataset<u64> = Dataset::from_keys("e", vec![]);
         let model = InterpolationModel::build(&d);
         assert!(compute_range_entries(&model, d.as_slice()).is_empty());
-        assert!(build_range_layer(&model, d.as_slice(), 2).is_empty());
+        assert!(build_range_layer(&model, d.as_slice()).is_empty());
         let (deltas, residual) = compute_midpoint_deltas_and_residual(&model, d.as_slice(), 4, 1);
         assert_eq!(deltas, vec![0, 0, 0, 0]);
         assert_eq!(residual, 0.0);

@@ -35,12 +35,6 @@ pub struct ShiftTableConfig {
     /// wave `i`, so the next wave's DRAM latency overlaps the current wave's
     /// compute. Clamped to `1..=batch_block` at the kernel. Default 8.
     pub wave_depth: usize,
-    /// Record batch-kernel statistics (blocks, lanes, wide-lane counts,
-    /// wavefront probe levels) into the process-global [`crate::stats`]
-    /// registry for queries through this config, regardless of the global
-    /// [`crate::stats::set_enabled`] flag. Default off: the hot path then
-    /// pays one predicted branch per block and nothing else.
-    pub kernel_stats: bool,
 }
 
 impl Default for ShiftTableConfig {
@@ -51,7 +45,6 @@ impl Default for ShiftTableConfig {
             min_improvement_factor: 10.0,
             batch_block: DEFAULT_BATCH_BLOCK,
             wave_depth: DEFAULT_WAVE_DEPTH,
-            kernel_stats: false,
         }
     }
 }
@@ -88,13 +81,6 @@ impl ShiftTableConfig {
     /// block, a depth of 1 interleaves touch/resolve per lookup).
     pub fn with_wave_depth(mut self, depth: usize) -> Self {
         self.wave_depth = depth.clamp(1, MAX_BATCH_BLOCK);
-        self
-    }
-
-    /// Opt this config's batch-kernel queries into the process-global
-    /// statistics registry ([`crate::stats`]).
-    pub fn with_kernel_stats(mut self, on: bool) -> Self {
-        self.kernel_stats = on;
         self
     }
 }

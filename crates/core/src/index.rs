@@ -59,7 +59,6 @@ pub struct CorrectedIndexBuilder<K: Key, M: CdfModel<K>, S: AsRef<[K]> + Send + 
     model: M,
     layer: LayerChoice,
     config: ShiftTableConfig,
-    build_threads: usize,
     _key: PhantomData<fn(K) -> K>,
 }
 
@@ -78,7 +77,6 @@ impl<K: Key, M: CdfModel<K>, S: AsRef<[K]> + Send + Sync> CorrectedIndexBuilder<
             model,
             layer: LayerChoice::None,
             config: ShiftTableConfig::default(),
-            build_threads: 1,
             _key: PhantomData,
         }
     }
@@ -118,12 +116,6 @@ impl<K: Key, M: CdfModel<K>, S: AsRef<[K]> + Send + Sync> CorrectedIndexBuilder<
         self
     }
 
-    /// Build the layer with this many scoped worker threads.
-    pub fn build_threads(mut self, threads: usize) -> Self {
-        self.build_threads = threads.max(1);
-        self
-    }
-
     /// Build the corrected index, validating that the keys are sorted.
     ///
     /// # Errors
@@ -156,16 +148,12 @@ impl<K: Key, M: CdfModel<K>, S: AsRef<[K]> + Send + Sync> CorrectedIndexBuilder<
         let model_expected_error = OnceLock::new();
         let layer = match self.layer {
             LayerChoice::None => CorrectionLayer::None,
-            LayerChoice::Range => CorrectionLayer::Range(ShiftTable::build_parallel(
-                &self.model,
-                keys,
-                self.build_threads,
-            )),
+            LayerChoice::Range => CorrectionLayer::Range(ShiftTable::build(&self.model, keys)),
             LayerChoice::Midpoint { records_per_entry } => CorrectionLayer::Midpoint(
                 CompactShiftTable::build(&self.model, keys, records_per_entry),
             ),
             LayerChoice::Auto => {
-                let table = ShiftTable::build_parallel(&self.model, keys, self.build_threads);
+                let table = ShiftTable::build(&self.model, keys);
                 let before = ModelErrorStats::mean_abs_on_keys(&self.model, keys);
                 let _ = model_expected_error.set(before);
                 let advisor = TuningAdvisor::with(Default::default(), self.config);
@@ -735,28 +723,6 @@ mod tests {
             .build()
             .unwrap();
         check_index(&d, &index);
-    }
-
-    #[cfg_attr(miri, ignore = "dataset too large for Miri")]
-    #[test]
-    fn parallel_build_produces_an_equivalent_index() {
-        let d: Dataset<u64> = SosdName::Amzn64.generate(30_000, 59);
-        let model = InterpolationModel::build(&d);
-        let seq = CorrectedIndex::builder(d.as_slice(), model.clone())
-            .with_range_table()
-            .build()
-            .unwrap();
-        let par = CorrectedIndex::builder(d.as_slice(), model)
-            .with_range_table()
-            .build_threads(4)
-            .build()
-            .unwrap();
-        let w = Workload::uniform_domain(&d, 500, 61);
-        for (q, expected) in w.iter() {
-            assert_eq!(seq.lower_bound(q), expected);
-            assert_eq!(par.lower_bound(q), expected);
-        }
-        assert_eq!(seq.index_size_bytes(), par.index_size_bytes());
     }
 
     #[cfg_attr(miri, ignore = "dataset too large for Miri")]

@@ -40,15 +40,12 @@
 //!
 //! ## Why the touch stage is safe-Rust prefetch
 //!
-//! The default build issues no intrinsics: the touch stage performs ordinary
+//! The kernel issues no intrinsics: the touch stage performs ordinary
 //! bounds-checked reads (`keys[first] < q`) whose results accumulate into a
 //! counter fed to [`std::hint::black_box`] once per block. The loads are real
 //! (the black-box sink keeps them from being dead-code-eliminated), they
 //! carry no side effects, and their values are never used for an answer — so
-//! they behave exactly like a prefetch, in 100% safe code. With the
-//! off-by-default `prefetch` cargo feature (x86_64 only) the same helper
-//! issues `_mm_prefetch` intrinsics instead; that is the only `unsafe` in the
-//! crate and is audited at the call site.
+//! they behave exactly like a prefetch, in 100% safe code.
 //!
 //! ## Tail-truncation invariant
 //!
@@ -100,7 +97,6 @@ pub(crate) fn is_lower_bound<K: Key>(keys: &[K], pos: usize, q: K) -> bool {
 /// Touch the first and last key of a predicted window — the safe-Rust
 /// prefetch described in the module docs. Returns a value that must flow
 /// into a [`std::hint::black_box`] sink so the loads are not elided.
-#[cfg(not(all(feature = "prefetch", target_arch = "x86_64")))]
 #[inline]
 fn touch_span<K: Key>(keys: &[K], start: usize, window: usize, q: K) -> usize {
     let n = keys.len();
@@ -108,27 +104,6 @@ fn touch_span<K: Key>(keys: &[K], start: usize, window: usize, q: K) -> usize {
     let first = start.min(n - 1);
     let last = (start + window.saturating_sub(1)).min(n - 1);
     (keys[first] < q) as usize + (keys[last] < q) as usize
-}
-
-/// Touch via `_mm_prefetch` (the `prefetch` feature's x86_64 fast path): the
-/// same window endpoints are hinted into L1 without executing a comparison.
-#[cfg(all(feature = "prefetch", target_arch = "x86_64"))]
-#[allow(unsafe_code)]
-#[inline]
-fn touch_span<K: Key>(keys: &[K], start: usize, window: usize, _q: K) -> usize {
-    use core::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-    let n = keys.len();
-    debug_assert!(n > 0, "kernel entry points guard the empty-key case");
-    let first = start.min(n - 1);
-    let last = (start + window.saturating_sub(1)).min(n - 1);
-    // SAFETY: `first` and `last` are clamped to `n - 1` above, so both
-    // pointers lie inside the `keys` allocation; `_mm_prefetch` is a pure
-    // cache hint that performs no memory access and cannot fault.
-    unsafe {
-        _mm_prefetch::<_MM_HINT_T0>(keys.as_ptr().add(first).cast::<i8>());
-        _mm_prefetch::<_MM_HINT_T0>(keys.as_ptr().add(last).cast::<i8>());
-    }
-    0
 }
 
 /// Touch helper for a range-mode hint (window endpoints).
@@ -174,7 +149,7 @@ pub(crate) fn run_range<K: Key, M: CdfModel<K> + ?Sized>(
     // Kernel statistics: plain local accumulators in the loop, one set of
     // relaxed atomic adds at the end — and only when someone is listening
     // (the gate is a predicted branch per call when stats are off).
-    let stats_on = config.kernel_stats || crate::stats::enabled();
+    let stats_on = crate::stats::enabled();
     let (mut st_blocks, mut st_wide, mut st_levels) = (0u64, 0u64, 0u64);
     let mut predictions = [0usize; MAX_BATCH_BLOCK];
     let mut hints = [SearchHint::unbounded(0); MAX_BATCH_BLOCK];
@@ -662,16 +637,21 @@ mod tests {
         let table = ShiftTable::build(&model, keys);
         let w = Workload::uniform_domain(&d, 1_000, 5);
         let mut out = vec![0usize; w.len()];
-
-        let off = crate::stats::snapshot();
         let config = ShiftTableConfig::default();
-        run_range(&model, &table, keys, &config, w.queries(), &mut out);
-        // Other tests may run concurrently with global stats enabled, so
-        // only the opted-in delta below is asserted exactly.
-        let config = ShiftTableConfig::default().with_kernel_stats(true);
+
+        let _flag = crate::stats::FLAG_LOCK
+            .lock()
+            .unwrap_or_else(|e| e.into_inner());
+        let was = crate::stats::enabled();
+        let off = crate::stats::snapshot();
+        crate::stats::set_enabled(true);
+        assert!(crate::stats::enabled());
+        // Other tests record too while the flag is on, so the deltas are
+        // lower bounds.
         let before = crate::stats::snapshot();
         run_range(&model, &table, keys, &config, w.queries(), &mut out);
         let after = crate::stats::snapshot();
+        crate::stats::set_enabled(was);
         assert!(after.lanes - before.lanes >= 1_000);
         assert!(after.blocks - before.blocks >= 1_000_u64.div_ceil(64));
         assert!(after.wide_lanes >= off.wide_lanes);

@@ -48,8 +48,8 @@
 //! * [`error`] — construction errors ([`BuildError`]), the error estimates of
 //!   §3.5 (Eq. 8) and empirical error measurement,
 //! * [`build`] — the layer builders: the one-pass run-boundary emitter for
-//!   monotone models (sequential or over scoped threads) and the scatter
-//!   builder for every other, both writing the one packed layout.
+//!   monotone models and the scatter builder for every other, both writing
+//!   the one packed layout.
 //!
 //! ## Batch kernel pipeline
 //!
@@ -65,10 +65,7 @@
 //! loads per pass (block-wide memory-level parallelism instead of one
 //! lane's serial compare chain). The touch
 //! stage is plain safe Rust (bounds-checked reads into a
-//! [`std::hint::black_box`] sink — a prefetch without intrinsics); the
-//! off-by-default `prefetch` cargo feature swaps it for `_mm_prefetch` on
-//! x86_64, which is the only `unsafe` in the crate (audited, and the crate
-//! root escalates from `forbid` to `deny` only under that feature). See the
+//! [`std::hint::black_box`] sink — a prefetch without intrinsics). See the
 //! [`kernel`] module docs for the wave structure and the tail-truncation
 //! invariant its reused stage buffers rely on.
 //!
@@ -102,12 +99,7 @@
 //! assert_eq!(dynamic.lower_bound(data.key_at(500)), corrected.lower_bound(data.key_at(500)));
 //! ```
 
-// The default build is 100% safe Rust. The opt-in `prefetch` feature uses
-// `core::arch` prefetch intrinsics in the batch kernel's touch stage, so it
-// relaxes the crate-level `forbid` to `deny` + per-site audited
-// `#[allow(unsafe_code)]` with `// SAFETY:` comments (see `kernel.rs`).
-#![cfg_attr(not(feature = "prefetch"), forbid(unsafe_code))]
-#![cfg_attr(feature = "prefetch", deny(unsafe_code))]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod build;

@@ -174,12 +174,13 @@ impl IndexSpec {
     }
 
     /// [`IndexSpec::build_corrected`] with an explicit query-path
-    /// configuration and builder thread count.
+    /// configuration. `_threads` is ignored: a layer is built in one
+    /// sequential pass.
     pub fn build_corrected_with<K: Key>(
         &self,
         keys: impl Into<Arc<[K]>>,
         config: ShiftTableConfig,
-        threads: usize,
+        _threads: usize,
     ) -> Result<DynCorrectedIndex<K>, BuildError> {
         let keys: Arc<[K]> = keys.into();
         // Validate once, before training: models fitted to unsorted data
@@ -188,7 +189,7 @@ impl IndexSpec {
         if let Some(position) = crate::error::first_unsorted(keys.as_ref()) {
             return Err(BuildError::UnsortedKeys { position });
         }
-        Ok(self.build_corrected_prevalidated_with(keys, config, threads))
+        Ok(self.build_corrected_prevalidated_with(keys, config))
     }
 
     /// `Err` when this spec cannot index a column of `len` keys: a range
@@ -217,7 +218,6 @@ impl IndexSpec {
         &self,
         keys: impl Into<Arc<[K]>>,
         config: ShiftTableConfig,
-        threads: usize,
     ) -> DynCorrectedIndex<K> {
         let keys: Arc<[K]> = keys.into();
         debug_assert!(
@@ -235,10 +235,7 @@ impl IndexSpec {
             }
             LayerSpec::Auto => builder.with_auto_tuning(),
         };
-        builder
-            .config(config)
-            .build_threads(threads)
-            .build_prevalidated()
+        builder.config(config).build_prevalidated()
     }
 
     /// Train the model and build the layer over shared key storage, returning

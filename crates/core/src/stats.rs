@@ -7,12 +7,9 @@
 //! an enable flag that costs one predicted branch per *block* (64 queries)
 //! when off.
 //!
-//! Enablement is two-channel: [`set_enabled`] flips the global flag (the
-//! store does this when its metrics are on), and
-//! [`crate::ShiftTableConfig::kernel_stats`] opts a single index's queries
-//! in regardless of the global flag (benches and tests use this for
-//! deterministic control). Counters are cumulative for the process; readers
-//! that need a rate or a fraction take two snapshots and difference them.
+//! [`set_enabled`] flips the flag (the store does this when its metrics are
+//! on). Counters are cumulative for the process; readers that need a rate or
+//! a fraction take two snapshots and difference them.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
@@ -91,9 +88,25 @@ pub fn snapshot() -> KernelStatsSnapshot {
     }
 }
 
+/// Held by every test that flips the process-global flag, so no two of them
+/// race on it.
+#[cfg(test)]
+pub(crate) static FLAG_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn enable_flag_toggles() {
+        let _flag = FLAG_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let was = enabled();
+        set_enabled(true);
+        assert!(enabled());
+        set_enabled(false);
+        assert!(!enabled());
+        set_enabled(was);
+    }
 
     #[test]
     fn record_accumulates_and_fraction_divides() {
@@ -113,13 +126,5 @@ mod tests {
         };
         assert_eq!(s.wide_lane_fraction(), 0.25);
         assert_eq!(KernelStatsSnapshot::default().wide_lane_fraction(), 0.0);
-    }
-
-    #[test]
-    fn enable_flag_toggles() {
-        let was = enabled();
-        set_enabled(true);
-        assert!(enabled());
-        set_enabled(was);
     }
 }

@@ -49,19 +49,8 @@ impl ShiftTable {
     /// # Panics
     /// If `keys` is longer than [`ShiftTable::MAX_KEYS`].
     pub fn build<K: Key, M: CdfModel<K> + ?Sized>(model: &M, keys: &[K]) -> Self {
-        Self::build_parallel(model, keys, 1)
-    }
-
-    /// Build the layer on up to `threads` scoped threads. Only a monotone
-    /// model's layer over at least a few thousand keys is cut into
-    /// stretches; anything else builds as [`ShiftTable::build`] does.
-    pub fn build_parallel<K: Key, M: CdfModel<K> + ?Sized>(
-        model: &M,
-        keys: &[K],
-        threads: usize,
-    ) -> Self {
         Self {
-            entries: build::build_range_layer(model, keys, threads),
+            entries: build::build_range_layer(model, keys),
             n: keys.len(),
         }
     }
@@ -429,22 +418,6 @@ mod tests {
         let table = ShiftTable::build(&InterpolationModel::build(&d), d.as_slice());
         assert!((1..n / 100).contains(&table.patches()));
         assert_eq!(Correction::size_bytes(&table), size(&table, n));
-    }
-
-    #[cfg_attr(miri, ignore = "dataset too large for Miri")]
-    #[test]
-    fn parallel_build_packs_the_same_table_on_every_generator() {
-        for n in [6_000, 70_000] {
-            for name in SosdName::all() {
-                let d: Dataset<u64> = name.generate(n, 13);
-                let model = InterpolationModel::build(&d);
-                let seq = ShiftTable::build(&model, d.as_slice());
-                for threads in [2, 7] {
-                    let par = ShiftTable::build_parallel(&model, d.as_slice(), threads);
-                    assert!(par.entries == seq.entries, "{name} n={n} x{threads}");
-                }
-            }
-        }
     }
 
     #[test]

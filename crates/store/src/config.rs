@@ -169,8 +169,6 @@ pub struct StoreConfig {
     /// (see [`StoreConfig::background_maintenance`]) or explicitly via
     /// [`crate::ShardedStore::maintain`].
     pub auto_rebuild: bool,
-    /// Worker threads used to build each shard's correction layer.
-    pub build_threads: usize,
     /// When true, [`crate::ShardedStore::build`] spawns a background
     /// [`crate::MaintenanceWorker`] thread that compacts delta chains,
     /// rebuilds dirty shards and rebalances skewed ones while writers keep
@@ -236,9 +234,9 @@ pub struct StoreConfig {
 
 impl StoreConfig {
     /// A configuration with the given spec and the default knobs
-    /// (8 shards, 4096-op delta threshold, auto rebuild, 1 build thread, no
-    /// background worker, rebalancing at 4× mean skew). The delta chain's
-    /// shape is not a knob: [`crate::delta::MAX_RUN_LEN`] and
+    /// (8 shards, 4096-op delta threshold, auto rebuild, no background
+    /// worker, rebalancing at 4× mean skew). The delta chain's shape is not
+    /// a knob: [`crate::delta::MAX_RUN_LEN`] and
     /// [`crate::delta::COMPACT_RUNS`] fix it.
     pub fn new(spec: IndexSpec) -> Self {
         Self {
@@ -246,7 +244,6 @@ impl StoreConfig {
             shards: 8,
             delta_threshold: 4096,
             auto_rebuild: true,
-            build_threads: 1,
             background_maintenance: false,
             split_skew: 4,
             split_max_len: 0,
@@ -278,9 +275,10 @@ impl StoreConfig {
         self
     }
 
-    /// Set the per-shard builder thread count (clamped to at least 1).
-    pub fn build_threads(mut self, threads: usize) -> Self {
-        self.build_threads = threads.max(1);
+    /// Does nothing: a shard's layer is built in one sequential pass, and
+    /// the store's parallelism is its bounded task pool across shards.
+    #[deprecated(note = "a shard's layer is built on one thread; this setting is ignored")]
+    pub fn build_threads(self, _threads: usize) -> Self {
         self
     }
 
@@ -364,7 +362,6 @@ mod tests {
             .shards(0)
             .delta_threshold(0)
             .auto_rebuild(false)
-            .build_threads(0)
             .background_maintenance(true)
             .split_skew(3)
             .split_max_len(10_000)
@@ -372,7 +369,6 @@ mod tests {
         assert_eq!(c.shards, 1);
         assert_eq!(c.delta_threshold, 1);
         assert!(!c.auto_rebuild);
-        assert_eq!(c.build_threads, 1);
         assert!(c.background_maintenance);
         assert_eq!(c.split_skew, 3);
         assert_eq!(c.split_max_len, 10_000);

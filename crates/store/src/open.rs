@@ -72,7 +72,7 @@ fn plan_chunks<K: Key>(
 }
 
 /// Build one hot shard over validated `keys` (a planned chunk, a recovered
-/// column) with the store's tuning knobs.
+/// column) with the store's rebuild threshold.
 pub(crate) fn built_shard<K: Key>(
     config: &StoreConfig,
     spec: IndexSpec,
@@ -82,7 +82,6 @@ pub(crate) fn built_shard<K: Key>(
         spec,
         keys,
         config.delta_threshold,
-        config.build_threads,
     ))
 }
 

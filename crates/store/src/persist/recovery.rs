@@ -340,8 +340,7 @@ fn assemble_shard<K: Key>(
             let delta = DeltaChain::from_nets(nets, applied);
             let replay_busy = replay_start.elapsed();
             let snapshot = Arc::new(ShardSnapshot::new_cold(base, 0));
-            let (threshold, threads) = (config.delta_threshold, config.build_threads);
-            let shard = StoreShard::from_parts_at(spec, threshold, threads, snapshot, delta, 0);
+            let shard = StoreShard::from_parts_at(spec, config.delta_threshold, snapshot, delta, 0);
             (replay_busy, applied, Arc::new(shard))
         }
     }

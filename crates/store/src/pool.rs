@@ -7,8 +7,9 @@
 //! share [`run_tasks`]: at most one worker per hardware thread — a store
 //! with thousands of shards asks the OS for no more threads than one with
 //! two — and a worker that finishes early takes the next task instead of
-//! waiting for a wave to end. Nothing outlives the call: no persistent
-//! thread, no channel, no setting.
+//! waiting for a wave to end. A task builds its shard's layer on its own
+//! thread, so a wave runs at most [`worker_count`] threads. Nothing
+//! outlives the call: no persistent thread, no channel, no setting.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 

@@ -156,15 +156,9 @@ impl<K: Key> StoreCore<K> {
         // Build both child indexes off every lock but the topology/rebuild
         // guards; reads and writes to the shard continue meanwhile.
         let spec = shard.spec();
-        let threads = shard.build_threads();
         let epoch = frozen.snapshot().epoch() + 1;
         let snaps = pool::run_tasks(halves.len(), |i| {
-            Arc::new(ShardSnapshot::build(
-                &spec,
-                halves[i].clone(),
-                threads,
-                epoch,
-            ))
+            Arc::new(ShardSnapshot::build(&spec, halves[i].clone(), epoch))
         });
         // Commit: capture the residual chain, cut it at the fence, retire
         // the old shard and publish the new table — all under the shard's
@@ -179,7 +173,6 @@ impl<K: Key> StoreCore<K> {
             Arc::new(StoreShard::from_parts_at(
                 spec,
                 shard.threshold(),
-                threads,
                 snap,
                 delta,
                 parent_cv,
@@ -232,9 +225,8 @@ impl<K: Key> StoreCore<K> {
             .into();
         debug_assert!(keys.is_sorted(), "adjacent shards must concatenate sorted");
         let spec = a.spec();
-        let threads = a.build_threads();
         let epoch = frozen_a.snapshot().epoch().max(frozen_b.snapshot().epoch()) + 1;
-        let snapshot = Arc::new(ShardSnapshot::build(&spec, keys, threads, epoch));
+        let snapshot = Arc::new(ShardSnapshot::build(&spec, keys, epoch));
         // Commit under both write locks (taken in shard order).
         let _write_a = a.lock_write();
         let _write_b = b.lock_write();
@@ -245,7 +237,6 @@ impl<K: Key> StoreCore<K> {
         let child = Arc::new(StoreShard::from_parts_at(
             spec,
             a.threshold(),
-            threads,
             snapshot,
             residual,
             parent_cv,

@@ -78,9 +78,8 @@ impl<K: Key> ShardSnapshot<K> {
     /// caller guarantees is sorted: initial builds validate up front,
     /// rebuilds, splits and merges combine sorted inputs, so no O(n)
     /// sortedness scan runs per (re)build.
-    pub(crate) fn build(spec: &IndexSpec, keys: Arc<[K]>, threads: usize, epoch: u64) -> Self {
-        let index =
-            spec.build_corrected_prevalidated_with(keys.clone(), Default::default(), threads);
+    pub(crate) fn build(spec: &IndexSpec, keys: Arc<[K]>, epoch: u64) -> Self {
+        let index = spec.build_corrected_prevalidated_with(keys.clone(), Default::default());
         let layer_patches = match index.layer() {
             CorrectionLayer::Range(table) => table.patches(),
             CorrectionLayer::Midpoint(_) | CorrectionLayer::None => 0,
@@ -325,7 +324,6 @@ impl<K: Key> ShardState<K> {
 pub struct StoreShard<K: Key> {
     spec: IndexSpec,
     threshold: usize,
-    build_threads: usize,
     state: EpochCell<ShardState<K>>,
     /// Serialises publishers (writes, compactions, swaps); never read-side.
     write: Mutex<()>,
@@ -361,7 +359,6 @@ impl<K: Key> StoreShard<K> {
         spec: IndexSpec,
         keys: impl Into<Arc<[K]>>,
         threshold: usize,
-        build_threads: usize,
     ) -> Result<Self, BuildError> {
         let keys: Arc<[K]> = keys.into();
         spec.check_key_count(keys.len())?;
@@ -370,26 +367,15 @@ impl<K: Key> StoreShard<K> {
                 position: position + 1,
             });
         }
-        Ok(Self::build_prevalidated(
-            spec,
-            keys,
-            threshold,
-            build_threads,
-        ))
+        Ok(Self::build_prevalidated(spec, keys, threshold))
     }
 
     /// [`StoreShard::build`] for callers that already validated the keys
     /// (the sharded store validates its whole column once, then cuts it
     /// into chunks).
-    pub(crate) fn build_prevalidated(
-        spec: IndexSpec,
-        keys: Arc<[K]>,
-        threshold: usize,
-        build_threads: usize,
-    ) -> Self {
-        let snapshot = Arc::new(ShardSnapshot::build(&spec, keys, build_threads, 0));
-        let delta = DeltaChain::new();
-        Self::from_parts_at(spec, threshold, build_threads, snapshot, delta, 0)
+    pub(crate) fn build_prevalidated(spec: IndexSpec, keys: Arc<[K]>, threshold: usize) -> Self {
+        let snapshot = Arc::new(ShardSnapshot::build(&spec, keys, 0));
+        Self::from_parts_at(spec, threshold, snapshot, DeltaChain::new(), 0)
     }
 
     /// Assemble a shard from an already-built snapshot, a carried-over
@@ -399,7 +385,6 @@ impl<K: Key> StoreShard<K> {
     pub(crate) fn from_parts_at(
         spec: IndexSpec,
         threshold: usize,
-        build_threads: usize,
         snapshot: Arc<ShardSnapshot<K>>,
         delta: DeltaChain<K>,
         applied_cv: u64,
@@ -409,7 +394,6 @@ impl<K: Key> StoreShard<K> {
         Self {
             spec,
             threshold: threshold.max(1),
-            build_threads: build_threads.max(1),
             state: EpochCell::new(Arc::new(ShardState {
                 snapshot,
                 delta,
@@ -653,7 +637,6 @@ impl<K: Key> StoreShard<K> {
         let snapshot = Arc::new(ShardSnapshot::build(
             &self.spec,
             merged,
-            self.build_threads,
             frozen.snapshot.epoch + 1,
         ));
         // Swap phase: install the new epoch, keep only post-seal writes.
@@ -729,11 +712,6 @@ impl<K: Key> StoreShard<K> {
     pub(crate) fn threshold(&self) -> usize {
         self.threshold
     }
-
-    /// The shard's builder thread count.
-    pub(crate) fn build_threads(&self) -> usize {
-        self.build_threads
-    }
 }
 
 /// Merged length from a base length and a net delta.
@@ -768,7 +746,7 @@ mod tests {
     #[test]
     fn merged_reads_reflect_buffered_writes() {
         let keys: Vec<u64> = (0..100u64).map(|i| i * 10).collect();
-        let shard = StoreShard::build(spec(), keys, 1_000, 1).unwrap();
+        let shard = StoreShard::build(spec(), keys, 1_000).unwrap();
         assert_eq!(shard.len(), 100);
         assert_eq!(shard.lower_bound(55), 6);
         apply(&shard, Insert(55));
@@ -787,7 +765,7 @@ mod tests {
     #[test]
     fn rebuild_folds_the_chain_and_bumps_the_epoch() {
         let keys: Vec<u64> = (0..50u64).map(|i| i * 2).collect();
-        let shard = StoreShard::build(spec(), keys, 4, 1).unwrap();
+        let shard = StoreShard::build(spec(), keys, 4).unwrap();
         assert_eq!(shard.snapshot().epoch(), 0);
         assert!(!shard.rebuild().unwrap(), "clean shard does not rebuild");
         let mut dirty = false;
@@ -810,7 +788,7 @@ mod tests {
     #[test]
     fn delete_then_rebuild_shrinks_the_base() {
         let keys = vec![5u64, 5, 5, 9];
-        let shard = StoreShard::build(spec(), keys, 100, 1).unwrap();
+        let shard = StoreShard::build(spec(), keys, 100).unwrap();
         assert!(apply(&shard, Delete(5)).0);
         assert!(apply(&shard, Delete(5)).0);
         assert_eq!(shard.len(), 2);
@@ -821,7 +799,7 @@ mod tests {
 
     #[test]
     fn empty_shard_accepts_writes() {
-        let shard = StoreShard::build(spec(), Vec::<u64>::new(), 100, 1).unwrap();
+        let shard = StoreShard::build(spec(), Vec::<u64>::new(), 100).unwrap();
         assert!(shard.is_empty());
         assert_eq!(shard.lower_bound(7), 0);
         apply(&shard, Insert(7));
@@ -835,7 +813,7 @@ mod tests {
     #[test]
     fn a_pinned_state_is_immune_to_later_writes_and_rebuilds() {
         let keys: Vec<u64> = (0..100u64).collect();
-        let shard = StoreShard::build(spec(), keys, 4, 1).unwrap();
+        let shard = StoreShard::build(spec(), keys, 4).unwrap();
         apply(&shard, Insert(1_000));
         let pinned = shard.state();
         let v = pinned.version();
@@ -853,7 +831,7 @@ mod tests {
 
     #[test]
     fn versions_increase_with_every_published_write() {
-        let shard = StoreShard::build(spec(), vec![1u64, 2, 3], 1_000, 1).unwrap();
+        let shard = StoreShard::build(spec(), vec![1u64, 2, 3], 1_000).unwrap();
         let mut last = shard.state().version();
         for k in 0..10u64 {
             apply(&shard, Insert(k));
@@ -866,7 +844,7 @@ mod tests {
     #[test]
     fn inline_compaction_bounds_the_chain() {
         let keys: Vec<u64> = (0..100u64).collect();
-        let shard = StoreShard::build(spec(), keys, 1_000_000, 1).unwrap();
+        let shard = StoreShard::build(spec(), keys, 1_000_000).unwrap();
         // Distinct keys: every MAX_RUN_LEN inserts fill a head run, so the
         // chain would reach 2 × COMPACT_RUNS runs without the inline fold.
         let writes = 2 * COMPACT_RUNS * MAX_RUN_LEN;
@@ -890,11 +868,10 @@ mod tests {
         let base = Arc::new(crate::persist::v2::ColdBase::<u64>::mount(&path).unwrap());
         assert_eq!(base.applied(), 17);
 
-        let hot = StoreShard::build(spec(), keys.clone(), 1_000_000, 1).unwrap();
+        let hot = StoreShard::build(spec(), keys.clone(), 1_000_000).unwrap();
         let cold = StoreShard::from_parts_at(
             spec(),
             1_000_000,
-            1,
             Arc::new(ShardSnapshot::new_cold(base, 0)),
             DeltaChain::new(),
             17,
@@ -947,7 +924,7 @@ mod tests {
 
     #[test]
     fn retired_shard_rejects_writes_but_still_serves_reads() {
-        let shard = StoreShard::build(spec(), vec![1u64, 2, 3], 100, 1).unwrap();
+        let shard = StoreShard::build(spec(), vec![1u64, 2, 3], 100).unwrap();
         apply(&shard, Insert(10));
         {
             let _w = shard.lock_write();
@@ -966,7 +943,7 @@ mod tests {
 
     #[test]
     fn deleting_an_absent_key_publishes_nothing() {
-        let shard = StoreShard::build(spec(), vec![1u64, 2, 3], 2, 1).unwrap();
+        let shard = StoreShard::build(spec(), vec![1u64, 2, 3], 2).unwrap();
         let before = shard.state();
         assert_eq!(shard.try_apply(Delete(9), 41), Some((false, false)));
         let after = shard.state();

@@ -464,8 +464,8 @@ impl<K: Key> ShardedStore<K> {
             .count()
     }
 
-    /// Hydrate every cold shard **now**, in parallel scoped threads,
-    /// instead of waiting for the background hydrator (safe to race it:
+    /// Hydrate every cold shard **now**, on the task pool's bounded
+    /// workers, instead of waiting for the background hydrator (safe to race it:
     /// whoever takes a shard's rebuild guard first does the work). Returns
     /// the number of shards hydrated by this call.
     ///
@@ -547,8 +547,8 @@ impl<K: Key> ShardedStore<K> {
         self.core.snapshot().scan(lo, hi)
     }
 
-    /// Rebuild every *dirty* shard (chain at or over the threshold), in
-    /// parallel scoped threads, and age out retained versions past the
+    /// Rebuild every *dirty* shard (chain at or over the threshold), on the
+    /// task pool's bounded workers, and age out retained versions past the
     /// policy's `max_age` — the foreground maintenance entry point.
     /// Returns the number of actions taken (rebuilds + version evictions).
     ///
