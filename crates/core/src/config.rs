@@ -1,7 +1,5 @@
 //! Configuration knobs of the Shift-Table layer and its query path.
 
-use crate::kernel::{DEFAULT_BATCH_BLOCK, DEFAULT_WAVE_DEPTH, MAX_BATCH_BLOCK};
-
 /// Tunable thresholds used when building and querying a corrected index.
 ///
 /// The defaults are the values the paper uses in its evaluation:
@@ -10,10 +8,9 @@ use crate::kernel::{DEFAULT_BATCH_BLOCK, DEFAULT_WAVE_DEPTH, MAX_BATCH_BLOCK};
 /// already below 10 records, and it is also skipped when correction does not
 /// shrink the error by at least 10× (§4.1's tuning procedure).
 ///
-/// The batch-kernel knobs (`batch_block`, `wave_depth`) control the pipelined
-/// [`crate::kernel`]: the defaults (64-query blocks, 8-lookup waves) are
-/// tuned for one core of a commodity x86 box; see the `lookup_kernel` bench
-/// sweep for how to retune them on wider machines.
+/// The batch kernel's block size and wave depth are not configuration: they
+/// are the constants [`crate::kernel::BATCH_BLOCK`] and
+/// [`crate::kernel::WAVE_DEPTH`], whose docs say why.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ShiftTableConfig {
     /// Local-search windows smaller than this are scanned linearly;
@@ -25,16 +22,6 @@ pub struct ShiftTableConfig {
     /// Do not attach the layer unless it reduces the mean error by at least
     /// this factor (§4.1: "does not decrease by a factor of 10").
     pub min_improvement_factor: f64,
-    /// Queries per amortization block in the batch kernel: model prediction
-    /// and layer correction run as tight per-block loops whose stage state
-    /// lives in stack buffers. Clamped to `1..=`[`MAX_BATCH_BLOCK`]
-    /// (the stage buffers are fixed-capacity arrays). Default 64.
-    pub batch_block: usize,
-    /// Lookups per pipeline wave inside a block: the kernel touches the key
-    /// cache lines of wave `i + 1` while it resolves the local searches of
-    /// wave `i`, so the next wave's DRAM latency overlaps the current wave's
-    /// compute. Clamped to `1..=batch_block` at the kernel. Default 8.
-    pub wave_depth: usize,
 }
 
 impl Default for ShiftTableConfig {
@@ -43,8 +30,6 @@ impl Default for ShiftTableConfig {
             linear_to_binary_threshold: 8,
             min_error_to_enable: 10.0,
             min_improvement_factor: 10.0,
-            batch_block: DEFAULT_BATCH_BLOCK,
-            wave_depth: DEFAULT_WAVE_DEPTH,
         }
     }
 }
@@ -68,21 +53,6 @@ impl ShiftTableConfig {
         self.min_improvement_factor = factor.max(1.0);
         self
     }
-
-    /// Override the batch-kernel block size (clamped to the stage-buffer
-    /// capacity [`MAX_BATCH_BLOCK`]).
-    pub fn with_batch_block(mut self, block: usize) -> Self {
-        self.batch_block = block.clamp(1, MAX_BATCH_BLOCK);
-        self
-    }
-
-    /// Override the batch-kernel wave depth (clamped to the block size at
-    /// query time; a depth of `batch_block` disables pipelining within the
-    /// block, a depth of 1 interleaves touch/resolve per lookup).
-    pub fn with_wave_depth(mut self, depth: usize) -> Self {
-        self.wave_depth = depth.clamp(1, MAX_BATCH_BLOCK);
-        self
-    }
 }
 
 #[cfg(test)]
@@ -95,9 +65,9 @@ mod tests {
         assert_eq!(c.linear_to_binary_threshold, 8);
         assert_eq!(c.min_error_to_enable, 10.0);
         assert_eq!(c.min_improvement_factor, 10.0);
-        // Kernel knobs keep the historical stage-block size of 64.
-        assert_eq!(c.batch_block, 64);
-        assert_eq!(c.wave_depth, 8);
+        // The kernel keeps the historical stage-block size of 64.
+        assert_eq!(crate::kernel::BATCH_BLOCK, 64);
+        assert_eq!(crate::kernel::WAVE_DEPTH, 8);
     }
 
     #[test]
@@ -105,19 +75,9 @@ mod tests {
         let c = ShiftTableConfig::default()
             .with_linear_to_binary_threshold(0)
             .with_min_error_to_enable(-5.0)
-            .with_min_improvement_factor(0.1)
-            .with_batch_block(0)
-            .with_wave_depth(0);
+            .with_min_improvement_factor(0.1);
         assert_eq!(c.linear_to_binary_threshold, 1);
         assert_eq!(c.min_error_to_enable, 0.0);
         assert_eq!(c.min_improvement_factor, 1.0);
-        assert_eq!(c.batch_block, 1);
-        assert_eq!(c.wave_depth, 1);
-
-        let c = ShiftTableConfig::default()
-            .with_batch_block(100_000)
-            .with_wave_depth(100_000);
-        assert_eq!(c.batch_block, MAX_BATCH_BLOCK);
-        assert_eq!(c.wave_depth, MAX_BATCH_BLOCK);
     }
 }

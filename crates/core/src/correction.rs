@@ -49,6 +49,26 @@ pub trait Correction: Send + Sync {
     fn name(&self) -> &'static str;
 }
 
+/// The identity correction: the model's prediction, unbounded. It serves
+/// lookups when an index has no layer or has it switched off.
+pub(crate) struct Uncorrected;
+
+impl Correction for Uncorrected {
+    #[inline]
+    fn correct(&self, prediction: usize) -> SearchHint {
+        SearchHint::unbounded(prediction)
+    }
+    fn size_bytes(&self) -> usize {
+        0
+    }
+    fn entry_count(&self) -> usize {
+        0
+    }
+    fn name(&self) -> &'static str {
+        "uncorrected"
+    }
+}
+
 impl<T: Correction + ?Sized> Correction for &T {
     fn correct(&self, prediction: usize) -> SearchHint {
         (**self).correct(prediction)

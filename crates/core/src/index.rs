@@ -12,11 +12,10 @@
 
 use crate::compact::CompactShiftTable;
 use crate::config::ShiftTableConfig;
-use crate::correction::{Correction, SearchHint};
+use crate::correction::{Correction, SearchHint, Uncorrected};
 use crate::cost::{TuningAdvisor, TuningDecision};
 use crate::error::{first_unsorted, BuildError, CorrectionErrorStats};
 use crate::kernel;
-use crate::local_search::{binary_in_window, exponential_around, linear_in_window};
 use crate::table::ShiftTable;
 use algo_index::search::RangeIndex;
 use learned_index::model::CdfModel;
@@ -268,25 +267,8 @@ impl<K: Key, M: CdfModel<K>, S: AsRef<[K]> + Send + Sync> CorrectedIndex<K, M, S
         match &self.layer {
             CorrectionLayer::Range(t) => CorrectionErrorStats::compute(&self.model, t, keys),
             CorrectionLayer::Midpoint(t) => CorrectionErrorStats::compute(&self.model, t, keys),
-            CorrectionLayer::None => {
-                // The "correction" is the identity: measure the raw model.
-                struct Identity;
-                impl Correction for Identity {
-                    fn correct(&self, prediction: usize) -> SearchHint {
-                        SearchHint::unbounded(prediction)
-                    }
-                    fn size_bytes(&self) -> usize {
-                        0
-                    }
-                    fn entry_count(&self) -> usize {
-                        0
-                    }
-                    fn name(&self) -> &'static str {
-                        "identity"
-                    }
-                }
-                CorrectionErrorStats::compute(&self.model, &Identity, keys)
-            }
+            // The "correction" is the identity: measure the raw model.
+            CorrectionLayer::None => CorrectionErrorStats::compute(&self.model, &Uncorrected, keys),
         }
     }
 
@@ -332,30 +314,11 @@ impl<K: Key, M: CdfModel<K>, S: AsRef<[K]> + Send + Sync> CorrectedIndex<K, M, S
         }
     }
 
-    /// Algorithm 1 from a range-mode hint: bounded local search, with the
-    /// §3.8 repair path when the window missed (non-monotone model or far
-    /// out-of-range query).
-    #[inline]
-    fn search_range_hint(&self, keys: &[K], hint: SearchHint, q: K) -> usize {
-        let n = keys.len();
-        let window = hint.window.unwrap_or(0).max(1);
-        let pos = if window < self.config.linear_to_binary_threshold {
-            linear_in_window(keys, hint.start, window, q)
-        } else {
-            binary_in_window(keys, hint.start, window, q)
-        };
-        if kernel::is_lower_bound(keys, pos, q) {
-            pos
-        } else {
-            exponential_around(keys, pos.min(n - 1), q)
-        }
-    }
-
-    /// Batched lookups through the pre-pipeline **stage-blocked** loops: the
-    /// predict/correct/search stages run as per-block loops, but each local
-    /// search resolves serially with branchy routines. Kept as the benchmark
-    /// baseline the pipelined kernel is measured against and as a
-    /// differential-test oracle; production callers use
+    /// Batched lookups through the **stage-blocked** reference loop: the
+    /// predict and correct stages run as per-block loops, then each lane
+    /// resolves serially exactly as the scalar [`RangeIndex::lower_bound`]
+    /// does. Kept as the benchmark baseline the pipelined kernel is measured
+    /// against and as a differential-test oracle; production callers use
     /// [`RangeIndex::lower_bound_batch`], which routes through
     /// [`crate::kernel`].
     ///
@@ -368,15 +331,16 @@ impl<K: Key, M: CdfModel<K>, S: AsRef<[K]> + Send + Sync> CorrectedIndex<K, M, S
             out.len(),
             "lower_bound_batch_blocked requires queries and out of equal length"
         );
-        let keys = self.keys.as_ref();
+        let (model, keys) = (&self.model, self.keys.as_ref());
+        let threshold = self.config.linear_to_binary_threshold;
         match (&self.layer, self.enabled) {
-            (CorrectionLayer::Range(table), true) => {
-                kernel::run_range_blocked(&self.model, table, keys, &self.config, queries, out)
+            (CorrectionLayer::Range(t), true) => {
+                kernel::run_blocked(model, t, keys, threshold, queries, out)
             }
-            (CorrectionLayer::Midpoint(table), true) => {
-                kernel::run_midpoint_blocked(&self.model, table, keys, queries, out)
+            (CorrectionLayer::Midpoint(t), true) => {
+                kernel::run_blocked(model, t, keys, threshold, queries, out)
             }
-            _ => kernel::run_raw_blocked(&self.model, keys, queries, out),
+            _ => kernel::run_blocked(model, &Uncorrected, keys, threshold, queries, out),
         }
     }
 }
@@ -404,26 +368,26 @@ impl<K: Key, M: CdfModel<K>, S: AsRef<[K]> + Send + Sync> RangeIndex<K>
         if keys.is_empty() {
             return 0;
         }
-        let prediction = self.model.predict_clamped(q);
+        let p = self.model.predict_clamped(q);
+        let threshold = self.config.linear_to_binary_threshold;
         match (&self.layer, self.enabled) {
-            (CorrectionLayer::Range(table), true) => {
-                self.search_range_hint(keys, table.correct(prediction), q)
+            (CorrectionLayer::Range(t), true) => kernel::resolve(keys, t.correct(p), q, threshold),
+            (CorrectionLayer::Midpoint(t), true) => {
+                kernel::resolve(keys, t.correct(p), q, threshold)
             }
-            (CorrectionLayer::Midpoint(table), true) => {
-                let start = table.correct(prediction).start;
-                exponential_around(keys, start, q)
-            }
-            _ => exponential_around(keys, prediction, q),
+            _ => kernel::resolve(keys, SearchHint::unbounded(p), q, threshold),
         }
     }
 
     /// Batched lookups through the software-pipelined [`crate::kernel`]: the
-    /// predict and correct stages run as per-block loops (issuing their
-    /// independent loads back-to-back), and the local searches are cut into
-    /// waves — the kernel touches the key cache lines of wave `i + 1` while
-    /// it resolves the branch-free searches of wave `i`, so DRAM latency
-    /// overlaps compute. Block size and wave depth come from
-    /// [`ShiftTableConfig::batch_block`] / [`ShiftTableConfig::wave_depth`].
+    /// predict and correct stages run as per-block loops of
+    /// [`kernel::BATCH_BLOCK`] queries (issuing their independent loads
+    /// back-to-back). A block of narrow windows only then resolves each lane
+    /// in order with an early-exit scan and no touch; any other block splits
+    /// its lanes — narrow windows and unbounded hints resolve behind a
+    /// [`kernel::WAVE_DEPTH`]-lane lookahead touch, so their DRAM latency
+    /// overlaps the lanes ahead of them, and wide windows resolve
+    /// breadth-first across the block.
     fn lower_bound_batch(&self, queries: &[K], out: &mut [usize]) {
         // lint: allow(panic) API contract: unequal lengths would silently write predictions to wrong slots
         assert_eq!(
@@ -431,19 +395,16 @@ impl<K: Key, M: CdfModel<K>, S: AsRef<[K]> + Send + Sync> RangeIndex<K>
             out.len(),
             "lower_bound_batch requires queries and out of equal length"
         );
-        let keys = self.keys.as_ref();
-        if keys.is_empty() {
-            out.fill(0);
-            return;
-        }
+        let (model, keys) = (&self.model, self.keys.as_ref());
+        let threshold = self.config.linear_to_binary_threshold;
         match (&self.layer, self.enabled) {
-            (CorrectionLayer::Range(table), true) => {
-                kernel::run_range(&self.model, table, keys, &self.config, queries, out)
+            (CorrectionLayer::Range(t), true) => {
+                kernel::run(model, t, keys, threshold, queries, out)
             }
-            (CorrectionLayer::Midpoint(table), true) => {
-                kernel::run_midpoint(&self.model, table, keys, &self.config, queries, out)
+            (CorrectionLayer::Midpoint(t), true) => {
+                kernel::run(model, t, keys, threshold, queries, out)
             }
-            _ => kernel::run_raw(&self.model, keys, &self.config, queries, out),
+            _ => kernel::run(model, &Uncorrected, keys, threshold, queries, out),
         }
     }
 
@@ -486,7 +447,7 @@ impl<K: Key, M: CdfModel<K>, S: AsRef<[K]> + Send + Sync> RangeIndex<K>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernel::DEFAULT_BATCH_BLOCK as BATCH_BLOCK;
+    use crate::kernel::BATCH_BLOCK;
     use learned_index::prelude::*;
     use sosd_data::prelude::*;
 

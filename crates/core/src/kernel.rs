@@ -1,84 +1,90 @@
 //! # Batch kernel pipeline
 //!
 //! The software-pipelined batch lower-bound kernel behind
-//! [`crate::index::CorrectedIndex`]'s `lower_bound_batch`.
+//! [`crate::index::CorrectedIndex`]'s `lower_bound_batch`. It is one lookup
+//! for every layer: generic over the [`Correction`], it predicts, corrects
+//! once and resolves each hint — a bounded `<Δ, C>` window (R-1) or an
+//! unbounded position (S-X, or the raw prediction when no layer serves).
 //!
 //! ## Wave structure
 //!
-//! A batch is cut into blocks of [`ShiftTableConfig::batch_block`] queries
-//! (default [`DEFAULT_BATCH_BLOCK`]). Within a block the lookup is split into
-//! stages, and each stage runs as its own tight loop so its memory traffic is
-//! issued back-to-back instead of interleaved with unrelated work:
+//! A batch is cut into blocks of [`BATCH_BLOCK`] queries. Within a block the
+//! lookup is split into stages, and each stage runs as its own tight loop so
+//! its memory traffic is issued back-to-back instead of interleaved with
+//! unrelated work:
 //!
 //! 1. **Predict** — one model execution per query; model parameters stay hot
 //!    in registers/L1 across the whole block.
-//! 2. **Correct** — one Shift-Table slot load per prediction; the slots are
+//! 2. **Correct** — one layer slot load per prediction; the slots are
 //!    independent, so the block's layer loads all overlap in the memory
 //!    system (memory-level parallelism) instead of serializing.
-//! 3. **Small windows** — lookups whose corrected window is below the
-//!    linear/binary threshold (a cache line or two) resolve with an
-//!    early-exit linear scan. A block with no wide window — detected for
-//!    free during the correct stage — takes a fast path with no lane lists
-//!    at all; mixed blocks scan behind a [`ShiftTableConfig::wave_depth`]
-//!    lookahead touch that pulls wave `i + 1`'s lines while wave `i`
-//!    compares.
-//! 4. **Wavefront, large windows** — lookups with wide windows would each
-//!    serialize dependent loads down a binary-search chain, so they resolve
-//!    *breadth-first across the block*: a bracket-init pass loads every wide
-//!    lane's boundary keys back-to-back, then each level advances every
-//!    surviving lane by one iterated-interpolation probe (cached boundary
-//!    keys make the interpolant free; a lane whose probe shrank its bracket
-//!    by less than a quarter bisects on its next level instead, so
+//! 3. **Small lanes** — bounded windows below the linear/binary threshold (a
+//!    cache line or two) resolve with an early-exit linear scan; unbounded
+//!    hints gallop from their position. A block of bounded narrow windows
+//!    only — detected for free during the correct stage — takes a fast path
+//!    with no lane list and no touch; any other block resolves its small
+//!    lanes behind a [`WAVE_DEPTH`] lookahead touch that pulls lane
+//!    `j + WAVE_DEPTH`'s lines while lane `j` compares.
+//! 4. **Wavefront, wide windows** — bounded lookups with wide windows would
+//!    each serialize dependent loads down a binary-search chain, so they
+//!    resolve *breadth-first across the block*: a bracket-init pass loads
+//!    every wide lane's boundary keys back-to-back, then each level advances
+//!    every surviving lane by one iterated-interpolation probe (cached
+//!    boundary keys make the interpolant free; a lane whose probe shrank its
+//!    bracket by less than a quarter bisects on its next level instead, so
 //!    interpolation-hostile data still converges in `O(log w)` levels
-//!    without taxing the lanes where interpolation is working). A
-//!    level's loads are independent across lanes, so the block extracts
-//!    memory-level parallelism that a lane-at-a-time search cannot. Lanes
-//!    leave the wavefront at [`WAVEFRONT_FINISH`] wide and finish with an
-//!    early-exit scan from a line the probes already warmed. Both paths end
-//!    with the §3.8 repair gallop when the window missed (non-monotone model
-//!    or far out-of-range query).
+//!    without taxing the lanes where interpolation is working). A level's
+//!    loads are independent across lanes, so the block extracts memory-level
+//!    parallelism that a lane-at-a-time search cannot. Lanes leave the
+//!    wavefront at [`WAVEFRONT_FINISH`] wide and finish with an early-exit
+//!    scan from a line the probes already warmed. Unbounded lanes never
+//!    enter it. Every bounded path ends with the §3.8 repair gallop when the
+//!    window missed (non-monotone model or far out-of-range query).
 //!
 //! ## Why the touch stage is safe-Rust prefetch
 //!
 //! The kernel issues no intrinsics: the touch stage performs ordinary
 //! bounds-checked reads (`keys[first] < q`) whose results accumulate into a
-//! counter fed to [`std::hint::black_box`] once per block. The loads are real
+//! counter fed to [`std::hint::black_box`] once per call. The loads are real
 //! (the black-box sink keeps them from being dead-code-eliminated), they
 //! carry no side effects, and their values are never used for an answer — so
 //! they behave exactly like a prefetch, in 100% safe code.
 //!
 //! ## Tail-truncation invariant
 //!
-//! Stage state lives in fixed-capacity stack buffers
-//! (`[_; MAX_BATCH_BLOCK]`) reused across blocks, so entries past the current
-//! chunk length still hold values from the *previous* block. Every stage loop
-//! is therefore truncated to the chunk length up front — no loop may iterate
-//! the full buffer, or it would consume a stale prediction/hint and silently
-//! return a wrong position. (Regression-tested in `index.rs` and here.)
+//! Stage state lives in fixed-capacity stack buffers (`[_; BATCH_BLOCK]`)
+//! reused across blocks, so entries past the current chunk length still hold
+//! values from the *previous* block. Every stage loop is therefore truncated
+//! to the chunk length up front — no loop may iterate the full buffer, or it
+//! would consume a stale prediction/hint and silently return a wrong
+//! position. (Regression-tested in `index.rs` and here.)
 //!
-//! The stage-blocked predecessors of the pipelined kernel (`*_blocked`) are
-//! kept verbatim: they are the benchmark baseline the acceptance criterion
-//! compares against and the differential-test oracle.
+//! `run_blocked` is the one stage-blocked reference: the same predict and
+//! correct stages, then `resolve` lane by lane — exactly the scalar
+//! `lower_bound`'s search. It is the benchmark baseline the pipelined kernel
+//! is measured against and the differential-test oracle.
 
-use crate::compact::CompactShiftTable;
-use crate::config::ShiftTableConfig;
 use crate::correction::{Correction, SearchHint};
 use crate::local_search::{binary_in_window, exponential_around, linear_in_window};
-use crate::table::ShiftTable;
 use learned_index::model::CdfModel;
 use sosd_data::key::Key;
 
-/// Default queries per amortization block (the historical `BATCH_BLOCK`).
-pub const DEFAULT_BATCH_BLOCK: usize = 64;
+/// Queries per amortization block, and the capacity of the kernel's stack
+/// stage buffers. Model prediction and layer correction run as tight
+/// per-block loops; 64 lanes is enough to overlap a block's layer loads
+/// while the stage state stays a few KB of stack. Not a knob: the block/wave
+/// sweep this constant replaced (blocks of 16, 32, 64 and 128 at waves of 8,
+/// on uniform and osmc keys under `im+r1`, 2 M keys, 2-vCPU x86) put every
+/// block within 6 % of 64, either way — inside run-to-run noise.
+pub const BATCH_BLOCK: usize = 64;
 
-/// Capacity of the kernel's stack stage buffers; `batch_block` is clamped to
-/// this at query time.
-pub const MAX_BATCH_BLOCK: usize = 128;
-
-/// Default lookups per pipeline wave: deep enough that the touch stage runs
-/// a cache-miss latency ahead of the resolve stage, small enough that the
-/// touched lines are still resident when their wave resolves.
-pub const DEFAULT_WAVE_DEPTH: usize = 8;
+/// Lookups per pipeline wave: the small-lane loop touches lane
+/// `j + WAVE_DEPTH`'s key lines while lane `j` resolves. Deep enough that the
+/// touch runs a cache-miss latency ahead of the resolve, small enough that
+/// the touched lines are still resident when their lane resolves. The same
+/// sweep put waves of 1, 4, 16, 32 and 64 at a 64-query block within 6 % of
+/// 8, either way.
+pub const WAVE_DEPTH: usize = 8;
 
 /// Bracket width at which the wavefront search stops probing and hands the
 /// lane to an early-exit scan: six cache lines of `u64` keys. Below this
@@ -86,13 +92,6 @@ pub const DEFAULT_WAVE_DEPTH: usize = 8;
 /// lines while adding a level of bookkeeping to every surviving lane —
 /// measured across the SOSD sweep, 48 beat both 16 and 64.
 pub const WAVEFRONT_FINISH: usize = 48;
-
-/// Is `pos` the lower bound of `q` in `keys`?
-#[inline]
-pub(crate) fn is_lower_bound<K: Key>(keys: &[K], pos: usize, q: K) -> bool {
-    let n = keys.len();
-    (pos == n || keys[pos] >= q) && (pos == 0 || keys[pos - 1] < q)
-}
 
 /// Touch the first and last key of a predicted window — the safe-Rust
 /// prefetch described in the module docs. Returns a value that must flow
@@ -106,37 +105,92 @@ fn touch_span<K: Key>(keys: &[K], start: usize, window: usize, q: K) -> usize {
     (keys[first] < q) as usize + (keys[last] < q) as usize
 }
 
-/// Touch helper for a range-mode hint (window endpoints).
+/// Touch helper for a hint: a bounded window's endpoints, or an unbounded
+/// hint's one position.
 #[inline]
 fn touch_hint<K: Key>(keys: &[K], hint: SearchHint, q: K) -> usize {
     touch_span(keys, hint.start, hint.window.unwrap_or(1).max(1), q)
 }
 
-/// Validate a resolved position and fall back to the §3.8 repair gallop when
-/// the window missed (non-monotone model or far out-of-range query).
+/// Validate that `pos` is the lower bound of `q` and fall back to the §3.8
+/// repair gallop when the window missed (non-monotone model or far
+/// out-of-range query).
 #[inline]
 fn repair<K: Key>(keys: &[K], pos: usize, q: K) -> usize {
-    if is_lower_bound(keys, pos, q) {
+    let n = keys.len();
+    if (pos == n || keys[pos] >= q) && (pos == 0 || keys[pos - 1] < q) {
         pos
     } else {
         exponential_around(keys, pos.min(keys.len() - 1), q)
     }
 }
 
-/// The clamped `(block, wave)` pair for a config.
+/// Does `hint` go to the wavefront? Only bounded windows at or past the
+/// linear/binary threshold do.
 #[inline]
-fn block_and_wave(config: &ShiftTableConfig) -> (usize, usize) {
-    let block = config.batch_block.clamp(1, MAX_BATCH_BLOCK);
-    let wave = config.wave_depth.clamp(1, block);
-    (block, wave)
+fn is_wide(hint: SearchHint, threshold: usize) -> bool {
+    hint.window.is_some_and(|w| w.max(1) >= threshold)
 }
 
-/// Pipelined batch lower bounds through a range-mode (`<Δ, C>`) layer.
-pub(crate) fn run_range<K: Key, M: CdfModel<K> + ?Sized>(
-    model: &M,
-    table: &ShiftTable,
+/// Algorithm 1's local search from one hint, on a non-empty key column: a
+/// bounded window is scanned linearly below `threshold` and binary-searched
+/// at or above it, then repaired (§3.8); an unbounded hint gallops from its
+/// start. The scalar `lower_bound` and [`run_blocked`] both resolve here.
+#[inline]
+pub(crate) fn resolve<K: Key>(keys: &[K], hint: SearchHint, q: K, threshold: usize) -> usize {
+    let Some(window) = hint.window else {
+        return exponential_around(keys, hint.start, q);
+    };
+    let window = window.max(1);
+    let pos = if window < threshold {
+        linear_in_window(keys, hint.start, window, q)
+    } else {
+        binary_in_window(keys, hint.start, window, q)
+    };
+    repair(keys, pos, q)
+}
+
+/// Resolve lanes `lane(0..count)` behind a lookahead touch: the first wave
+/// is touched up front, then lane `lane(j + WAVE_DEPTH)`'s lines are
+/// requested while `lane(j)` resolves. Returns the touch sink. A small lane
+/// is `resolve` without the binary arm none takes (3 % faster on the
+/// benchmark's `static_narrow` kernel); `lane` is a closure so a block with
+/// no wide lane indexes directly (through a list, S-X on uniform keys was a
+/// quarter slower).
+#[inline]
+fn small_lanes<K: Key>(
     keys: &[K],
-    config: &ShiftTableConfig,
+    hints: &[SearchHint],
+    qs: &[K],
+    os: &mut [usize],
+    count: usize,
+    lane: impl Fn(usize) -> usize,
+) -> usize {
+    let mut touched = 0usize;
+    for t in (0..count.min(WAVE_DEPTH)).map(&lane) {
+        touched += touch_hint(keys, hints[t], qs[t]);
+    }
+    for j in 0..count {
+        if j + WAVE_DEPTH < count {
+            let t = lane(j + WAVE_DEPTH);
+            touched += touch_hint(keys, hints[t], qs[t]);
+        }
+        let i = lane(j);
+        let (h, q) = (hints[i], qs[i]);
+        os[i] = match h.window {
+            Some(w) => repair(keys, linear_in_window(keys, h.start, w.max(1), q), q),
+            None => exponential_around(keys, h.start, q),
+        };
+    }
+    touched
+}
+
+/// Pipelined batch lower bounds through any correction (module docs).
+pub(crate) fn run<K: Key, M: CdfModel<K> + ?Sized, C: Correction + ?Sized>(
+    model: &M,
+    correction: &C,
+    keys: &[K],
+    threshold: usize,
     queries: &[K],
     out: &mut [usize],
 ) {
@@ -144,29 +198,27 @@ pub(crate) fn run_range<K: Key, M: CdfModel<K> + ?Sized>(
         out.fill(0);
         return;
     }
-    let (block, wave) = block_and_wave(config);
-    let threshold = config.linear_to_binary_threshold;
     // Kernel statistics: plain local accumulators in the loop, one set of
     // relaxed atomic adds at the end — and only when someone is listening
     // (the gate is a predicted branch per call when stats are off).
     let stats_on = crate::stats::enabled();
     let (mut st_blocks, mut st_wide, mut st_levels) = (0u64, 0u64, 0u64);
-    let mut predictions = [0usize; MAX_BATCH_BLOCK];
-    let mut hints = [SearchHint::unbounded(0); MAX_BATCH_BLOCK];
+    let mut predictions = [0usize; BATCH_BLOCK];
+    let mut hints = [SearchHint::unbounded(0); BATCH_BLOCK];
     // Lane lists and wavefront state, indexed by cohort slot.
-    let mut small = [0usize; MAX_BATCH_BLOCK];
-    let mut big = [0usize; MAX_BATCH_BLOCK];
-    let mut blo = [0usize; MAX_BATCH_BLOCK];
-    let mut bhi = [0usize; MAX_BATCH_BLOCK];
-    let mut klo = [0.0f64; MAX_BATCH_BLOCK];
-    let mut khi = [0.0f64; MAX_BATCH_BLOCK];
-    let mut act = [0usize; MAX_BATCH_BLOCK];
+    let mut small = [0usize; BATCH_BLOCK];
+    let mut big = [0usize; BATCH_BLOCK];
+    let mut blo = [0usize; BATCH_BLOCK];
+    let mut bhi = [0usize; BATCH_BLOCK];
+    let mut klo = [0.0f64; BATCH_BLOCK];
+    let mut khi = [0.0f64; BATCH_BLOCK];
+    let mut act = [0usize; BATCH_BLOCK];
     // Per-lane adaptive-bisection flag: set when the lane's last
     // interpolation probe shrank its bracket by less than a quarter, making
     // the *next* level bisect instead (see the probe loop below).
-    let mut bis = [false; MAX_BATCH_BLOCK];
+    let mut bis = [false; BATCH_BLOCK];
     let mut touched = 0usize;
-    for (qs, os) in queries.chunks(block).zip(out.chunks_mut(block)) {
+    for (qs, os) in queries.chunks(BATCH_BLOCK).zip(out.chunks_mut(BATCH_BLOCK)) {
         // Tail-truncation invariant (module docs): every stage loop runs
         // over `..len` of the reused stage buffers.
         let len = qs.len();
@@ -178,53 +230,42 @@ pub(crate) fn run_range<K: Key, M: CdfModel<K> + ?Sized>(
             *p = model.predict_clamped(q);
         }
         // Stage 2: correct the whole block — independent layer-slot loads,
-        // issued back-to-back. Piggyback a count of wide windows so an
-        // all-small block (the common case on well-modelled data) can skip
-        // the lane-split stage entirely.
-        let mut wide = 0usize;
+        // issued back-to-back. Piggyback counts of wide and unbounded hints
+        // so a block of narrow windows only (the common case on
+        // well-modelled data) can skip the lane-split stage entirely.
+        let (mut wide, mut gallop) = (0usize, 0usize);
         for (h, &p) in hints.iter_mut().zip(predictions.iter()) {
-            let hint = table.correct(p);
-            wide += (hint.window.unwrap_or(0).max(1) >= threshold) as usize;
+            let hint = correction.correct(p);
+            wide += is_wide(hint, threshold) as usize;
+            gallop += hint.window.is_none() as usize;
             *h = hint;
         }
-        // Stage 3: split the block by window size. Small windows fit a cache
-        // line or two and resolve with an early-exit scan behind a touch
-        // wave; large windows go through the block-wide wavefront search.
         let cutoff = threshold.max(WAVEFRONT_FINISH);
-        let (mut ns, mut nb) = (0usize, 0usize);
-        if wide > 0 {
-            for (i, h) in hints.iter().enumerate() {
-                if h.window.unwrap_or(0).max(1) < threshold {
-                    small[ns] = i;
-                    ns += 1;
-                } else {
-                    big[nb] = i;
-                    nb += 1;
-                }
-            }
-        }
-        // Small lanes. A block with no wide windows resolves in lane order
-        // with no list indirection — each lane is one or two independent
-        // loads, which the core overlaps on its own. Mixed blocks go through
-        // the small-lane list behind a `wave_depth` lookahead touch: while
-        // lane `j` resolves, lane `j + wave`'s window lines are requested,
-        // so the scan finds them already in flight.
-        if wide == 0 {
-            for (i, (&q, o)) in qs.iter().zip(os.iter_mut()).enumerate() {
-                let window = hints[i].window.unwrap_or(0).max(1);
-                let pos = linear_in_window(keys, hints[i].start, window, q);
+        let mut nb = 0usize;
+        if wide == 0 && gallop == 0 {
+            // Narrow windows only: lane order, no touch — each lane is one
+            // or two independent loads, which the core overlaps on its own.
+            for ((&q, o), h) in qs.iter().zip(os.iter_mut()).zip(hints.iter()) {
+                let pos = linear_in_window(keys, h.start, h.window.unwrap_or(0).max(1), q);
                 *o = repair(keys, pos, q);
             }
+        } else if wide == 0 {
+            // No wide window: every lane is small, in lane order.
+            touched += small_lanes(keys, hints, qs, os, len, |j| j);
         } else {
-            for j in 0..ns {
-                if let Some(&t) = small[..ns].get(j + wave) {
-                    touched += touch_hint(keys, hints[t], qs[t]);
+            // Stage 3: split the block. Wide windows go through the
+            // block-wide wavefront search below; the rest resolve here.
+            let mut ns = 0usize;
+            for (i, &h) in hints.iter().enumerate() {
+                if is_wide(h, threshold) {
+                    big[nb] = i;
+                    nb += 1;
+                } else {
+                    small[ns] = i;
+                    ns += 1;
                 }
-                let i = small[j];
-                let window = hints[i].window.unwrap_or(0).max(1);
-                let pos = linear_in_window(keys, hints[i].start, window, qs[i]);
-                os[i] = repair(keys, pos, qs[i]);
             }
+            touched += small_lanes(keys, hints, qs, os, ns, |j| small[j]);
         }
         // Big lanes, level 0: bracket every lane's window and cache its
         // boundary keys — the two end loads of each lane issue back-to-back
@@ -325,14 +366,14 @@ pub(crate) fn run_range<K: Key, M: CdfModel<K> + ?Sized>(
     std::hint::black_box(touched);
 }
 
-/// Pipelined batch lower bounds through a midpoint (compact) layer: the
-/// corrected positions seed galloping searches, with the position's cache
-/// line touched one wave ahead.
-pub(crate) fn run_midpoint<K: Key, M: CdfModel<K> + ?Sized>(
+/// The stage-blocked reference: predict and correct per block, then
+/// [`resolve`] each lane serially — the benchmark baseline and
+/// differential-test oracle of [`run`].
+pub(crate) fn run_blocked<K: Key, M: CdfModel<K> + ?Sized, C: Correction + ?Sized>(
     model: &M,
-    table: &CompactShiftTable,
+    correction: &C,
     keys: &[K],
-    config: &ShiftTableConfig,
+    threshold: usize,
     queries: &[K],
     out: &mut [usize],
 ) {
@@ -340,190 +381,19 @@ pub(crate) fn run_midpoint<K: Key, M: CdfModel<K> + ?Sized>(
         out.fill(0);
         return;
     }
-    let (block, wave) = block_and_wave(config);
-    let mut starts = [0usize; MAX_BATCH_BLOCK];
-    let mut touched = 0usize;
-    for (qs, os) in queries.chunks(block).zip(out.chunks_mut(block)) {
-        let len = qs.len();
-        let starts = &mut starts[..len];
-        let os = &mut os[..len];
-        for (p, &q) in starts.iter_mut().zip(qs.iter()) {
-            *p = model.predict_clamped(q);
-        }
-        for p in starts.iter_mut() {
-            *p = table.correct(*p).start;
-        }
-        for i in 0..wave.min(len) {
-            touched += touch_span(keys, starts[i], 1, qs[i]);
-        }
-        let mut lo = 0usize;
-        while lo < len {
-            let hi = (lo + wave).min(len);
-            let next_hi = (hi + wave).min(len);
-            for i in hi..next_hi {
-                touched += touch_span(keys, starts[i], 1, qs[i]);
-            }
-            for i in lo..hi {
-                os[i] = exponential_around(keys, starts[i], qs[i]);
-            }
-            lo = hi;
-        }
-    }
-    std::hint::black_box(touched);
-}
-
-/// Pipelined batch lower bounds from raw model predictions (no layer, or the
-/// layer disabled at run time).
-pub(crate) fn run_raw<K: Key, M: CdfModel<K> + ?Sized>(
-    model: &M,
-    keys: &[K],
-    config: &ShiftTableConfig,
-    queries: &[K],
-    out: &mut [usize],
-) {
-    if keys.is_empty() {
-        out.fill(0);
-        return;
-    }
-    let (block, wave) = block_and_wave(config);
-    let mut predictions = [0usize; MAX_BATCH_BLOCK];
-    let mut touched = 0usize;
-    for (qs, os) in queries.chunks(block).zip(out.chunks_mut(block)) {
-        let len = qs.len();
-        let predictions = &mut predictions[..len];
-        let os = &mut os[..len];
-        for (p, &q) in predictions.iter_mut().zip(qs.iter()) {
-            *p = model.predict_clamped(q);
-        }
-        for i in 0..wave.min(len) {
-            touched += touch_span(keys, predictions[i], 1, qs[i]);
-        }
-        let mut lo = 0usize;
-        while lo < len {
-            let hi = (lo + wave).min(len);
-            let next_hi = (hi + wave).min(len);
-            for i in hi..next_hi {
-                touched += touch_span(keys, predictions[i], 1, qs[i]);
-            }
-            for i in lo..hi {
-                os[i] = exponential_around(keys, predictions[i], qs[i]);
-            }
-            lo = hi;
-        }
-    }
-    std::hint::black_box(touched);
-}
-
-/// One range-mode lookup exactly as the pre-kernel scalar path performs it:
-/// branchy bounded search, then the repair gallop.
-#[inline]
-fn resolve_range_blocked<K: Key>(
-    keys: &[K],
-    hint: SearchHint,
-    q: K,
-    config: &ShiftTableConfig,
-) -> usize {
-    let window = hint.window.unwrap_or(0).max(1);
-    let pos = if window < config.linear_to_binary_threshold {
-        linear_in_window(keys, hint.start, window, q)
-    } else {
-        binary_in_window(keys, hint.start, window, q)
-    };
-    if is_lower_bound(keys, pos, q) {
-        pos
-    } else {
-        exponential_around(keys, pos.min(keys.len() - 1), q)
-    }
-}
-
-/// The pre-pipeline stage-blocked range path, kept verbatim as the benchmark
-/// baseline and differential-test oracle.
-pub(crate) fn run_range_blocked<K: Key, M: CdfModel<K> + ?Sized>(
-    model: &M,
-    table: &ShiftTable,
-    keys: &[K],
-    config: &ShiftTableConfig,
-    queries: &[K],
-    out: &mut [usize],
-) {
-    if keys.is_empty() {
-        out.fill(0);
-        return;
-    }
-    let mut predictions = [0usize; DEFAULT_BATCH_BLOCK];
-    let mut hints = [SearchHint::unbounded(0); DEFAULT_BATCH_BLOCK];
-    for (qs, os) in queries
-        .chunks(DEFAULT_BATCH_BLOCK)
-        .zip(out.chunks_mut(DEFAULT_BATCH_BLOCK))
-    {
+    let mut predictions = [0usize; BATCH_BLOCK];
+    let mut hints = [SearchHint::unbounded(0); BATCH_BLOCK];
+    for (qs, os) in queries.chunks(BATCH_BLOCK).zip(out.chunks_mut(BATCH_BLOCK)) {
         let predictions = &mut predictions[..qs.len()];
         let hints = &mut hints[..qs.len()];
         for (p, &q) in predictions.iter_mut().zip(qs.iter()) {
             *p = model.predict_clamped(q);
         }
         for (h, &p) in hints.iter_mut().zip(predictions.iter()) {
-            *h = table.correct(p);
+            *h = correction.correct(p);
         }
         for ((o, &q), &h) in os.iter_mut().zip(qs.iter()).zip(hints.iter()) {
-            *o = resolve_range_blocked(keys, h, q, config);
-        }
-    }
-}
-
-/// The pre-pipeline stage-blocked midpoint path (baseline/oracle twin of
-/// [`run_midpoint`]).
-pub(crate) fn run_midpoint_blocked<K: Key, M: CdfModel<K> + ?Sized>(
-    model: &M,
-    table: &CompactShiftTable,
-    keys: &[K],
-    queries: &[K],
-    out: &mut [usize],
-) {
-    if keys.is_empty() {
-        out.fill(0);
-        return;
-    }
-    let mut predictions = [0usize; DEFAULT_BATCH_BLOCK];
-    for (qs, os) in queries
-        .chunks(DEFAULT_BATCH_BLOCK)
-        .zip(out.chunks_mut(DEFAULT_BATCH_BLOCK))
-    {
-        let predictions = &mut predictions[..qs.len()];
-        for (p, &q) in predictions.iter_mut().zip(qs.iter()) {
-            *p = model.predict_clamped(q);
-        }
-        for p in predictions.iter_mut() {
-            *p = table.correct(*p).start;
-        }
-        for ((o, &q), &start) in os.iter_mut().zip(qs.iter()).zip(predictions.iter()) {
-            *o = exponential_around(keys, start, q);
-        }
-    }
-}
-
-/// The pre-pipeline stage-blocked raw-model path (baseline/oracle twin of
-/// [`run_raw`]).
-pub(crate) fn run_raw_blocked<K: Key, M: CdfModel<K> + ?Sized>(
-    model: &M,
-    keys: &[K],
-    queries: &[K],
-    out: &mut [usize],
-) {
-    if keys.is_empty() {
-        out.fill(0);
-        return;
-    }
-    let mut predictions = [0usize; DEFAULT_BATCH_BLOCK];
-    for (qs, os) in queries
-        .chunks(DEFAULT_BATCH_BLOCK)
-        .zip(out.chunks_mut(DEFAULT_BATCH_BLOCK))
-    {
-        let predictions = &mut predictions[..qs.len()];
-        for (p, &q) in predictions.iter_mut().zip(qs.iter()) {
-            *p = model.predict_clamped(q);
-        }
-        for ((o, &q), &p) in os.iter_mut().zip(qs.iter()).zip(predictions.iter()) {
-            *o = exponential_around(keys, p, q);
+            *o = resolve(keys, h, q, threshold);
         }
     }
 }
@@ -531,86 +401,105 @@ pub(crate) fn run_raw_blocked<K: Key, M: CdfModel<K> + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compact::CompactShiftTable;
+    use crate::correction::Uncorrected;
+    use crate::table::ShiftTable;
     use learned_index::linear::InterpolationModel;
     use sosd_data::prelude::*;
 
-    /// Run every kernel path and its blocked twin over `queries` and assert
-    /// all of them match `partition_point`.
-    fn assert_all_paths(keys: &[u64], queries: &[u64], config: &ShiftTableConfig) {
+    /// The default linear/binary threshold.
+    const THRESHOLD: usize = 8;
+
+    /// Query lengths that cross the wave and block sizes: below, at and past
+    /// one wave, one block and two blocks, and a three-block run with a tail.
+    const LENGTHS: [usize; 11] = [1, 7, 8, 9, 63, 64, 65, 127, 128, 129, 3 * BATCH_BLOCK + 19];
+
+    /// Run `run` and `run_blocked` with each of the three corrections over
+    /// `queries` and assert all of them match `partition_point`.
+    fn assert_all_paths<M: CdfModel<u64>>(model: &M, keys: &[u64], queries: &[u64]) {
         let expected: Vec<usize> = queries
             .iter()
             .map(|&q| keys.partition_point(|&k| k < q))
             .collect();
-        let model = InterpolationModel::from_sorted_keys(keys);
-        let table = ShiftTable::build(&model, keys);
-        let compact = CompactShiftTable::build(&model, keys, 4);
+        let table = ShiftTable::build(model, keys);
+        let compact = CompactShiftTable::build(model, keys, 4);
+        let corrections: [(&str, &dyn Correction); 3] = [
+            ("range", &table),
+            ("midpoint", &compact),
+            ("uncorrected", &Uncorrected),
+        ];
         let mut out = vec![usize::MAX; queries.len()];
-
-        run_range(&model, &table, keys, config, queries, &mut out);
-        assert_eq!(out, expected, "run_range block={}", config.batch_block);
-        out.fill(usize::MAX);
-        run_range_blocked(&model, &table, keys, config, queries, &mut out);
-        assert_eq!(out, expected, "run_range_blocked");
-        out.fill(usize::MAX);
-        run_midpoint(&model, &compact, keys, config, queries, &mut out);
-        assert_eq!(out, expected, "run_midpoint block={}", config.batch_block);
-        out.fill(usize::MAX);
-        run_midpoint_blocked(&model, &compact, keys, queries, &mut out);
-        assert_eq!(out, expected, "run_midpoint_blocked");
-        out.fill(usize::MAX);
-        run_raw(&model, keys, config, queries, &mut out);
-        assert_eq!(out, expected, "run_raw block={}", config.batch_block);
-        out.fill(usize::MAX);
-        run_raw_blocked(&model, keys, queries, &mut out);
-        assert_eq!(out, expected, "run_raw_blocked");
-    }
-
-    fn block_wave_grid() -> Vec<ShiftTableConfig> {
-        let mut configs = Vec::new();
-        for block in [1usize, 2, 7, 63, 64, 65, MAX_BATCH_BLOCK, 100_000] {
-            for wave in [1usize, 3, 8, 64, 100_000] {
-                configs.push(
-                    ShiftTableConfig::default()
-                        .with_batch_block(block)
-                        .with_wave_depth(wave),
-                );
-            }
+        for (name, c) in corrections {
+            run(model, c, keys, THRESHOLD, queries, &mut out);
+            assert_eq!(out, expected, "run {name} len={}", queries.len());
+            out.fill(usize::MAX);
+            run_blocked(model, c, keys, THRESHOLD, queries, &mut out);
+            assert_eq!(out, expected, "run_blocked {name} len={}", queries.len());
+            out.fill(usize::MAX);
         }
-        configs
     }
 
     #[cfg_attr(miri, ignore = "dataset too large for Miri")]
     #[test]
-    fn every_block_wave_combination_matches_reference() {
-        let d: Dataset<u64> = SosdName::Face64.generate(4_000, 17);
-        let keys = d.as_slice();
-        let w = Workload::uniform_domain(&d, 3 * DEFAULT_BATCH_BLOCK + 19, 23);
-        for config in block_wave_grid() {
-            assert_all_paths(keys, w.queries(), &config);
+    fn every_length_across_wave_and_block_edges_matches_reference() {
+        // Uniform keys a thousand apart (narrow R-1 windows) plus a cluster
+        // of 300 keys inside 300 units (one prediction slot, a window far
+        // past `WAVEFRONT_FINISH`). The first block queries the uniform part
+        // only — the narrow fast path; from the second block on every fifth
+        // query hits the cluster, so blocks mix narrow, probing and tail
+        // lanes.
+        let mut keys: Vec<u64> = (0..4_000u64).map(|i| i * 1_000).collect();
+        keys.extend((0..300u64).map(|j| 2_000_000 + j));
+        keys.sort_unstable();
+        let model = InterpolationModel::from_sorted_keys(&keys);
+        let mut rng = SplitMix64::new(0x1E9);
+        let pool: Vec<u64> = (0..*LENGTHS.iter().max().unwrap())
+            .map(|i| {
+                if i >= BATCH_BLOCK && i % 5 == 0 {
+                    2_000_000 + rng.next_below(300)
+                } else {
+                    rng.next_below(4_000_000)
+                }
+            })
+            .collect();
+
+        let table = ShiftTable::build(&model, &keys);
+        let window = |q: u64| table.correct(model.predict_clamped(q)).window.unwrap();
+        let (head, rest) = pool.split_at(BATCH_BLOCK);
+        assert!(
+            head.iter().all(|&q| window(q) < THRESHOLD),
+            "fast-path block"
+        );
+        let second = &rest[..BATCH_BLOCK];
+        assert!(second.iter().any(|&q| window(q) > WAVEFRONT_FINISH));
+        assert!(second.iter().any(|&q| window(q) < THRESHOLD));
+
+        for len in LENGTHS {
+            assert_all_paths(&model, &keys, &pool[..len]);
         }
     }
 
     #[test]
     fn adversarial_shapes_match_reference() {
-        let config = ShiftTableConfig::default();
         // Empty keys.
         let mut out = vec![9usize; 3];
         let empty: Vec<u64> = vec![];
         let model = InterpolationModel::from_sorted_keys(&empty);
         let table = ShiftTable::build(&model, &empty);
-        run_range(&model, &table, &empty, &config, &[1, 2, 3], &mut out);
+        run(&model, &table, &empty, THRESHOLD, &[1, 2, 3], &mut out);
         assert_eq!(out, vec![0, 0, 0]);
 
         // Single key, duplicate runs, and swing queries across block tails.
         let single = vec![7u64];
-        assert_all_paths(&single, &[6, 7, 8], &config);
+        let model = InterpolationModel::from_sorted_keys(&single);
+        assert_all_paths(&model, &single, &[6, 7, 8]);
 
         let mut dups: Vec<u64> = Vec::new();
         for v in 0..150u64 {
             dups.extend(std::iter::repeat_n(v * 3, 1 + (v % 13) as usize));
         }
         let mut rng = SplitMix64::new(0x51D3);
-        let queries: Vec<u64> = (0..2 * DEFAULT_BATCH_BLOCK + 11)
+        let queries: Vec<u64> = (0..2 * BATCH_BLOCK + 11)
             .map(|i| {
                 if i % 2 == 0 {
                     dups[rng.next_below(dups.len() as u64) as usize]
@@ -619,14 +508,14 @@ mod tests {
                 }
             })
             .collect();
-        for config in block_wave_grid() {
-            assert_all_paths(&dups, &queries, &config);
+        let model = InterpolationModel::from_sorted_keys(&dups);
+        for len in LENGTHS.into_iter().filter(|&l| l <= queries.len()) {
+            assert_all_paths(&model, &dups, &queries[..len]);
         }
 
         // Empty query slice is a no-op.
-        let model = InterpolationModel::from_sorted_keys(&dups);
         let table = ShiftTable::build(&model, &dups);
-        run_range(&model, &table, &dups, &config, &[], &mut []);
+        run(&model, &table, &dups, THRESHOLD, &[], &mut []);
     }
 
     #[test]
@@ -635,9 +524,9 @@ mod tests {
         let keys = d.as_slice();
         let model = InterpolationModel::from_sorted_keys(keys);
         let table = ShiftTable::build(&model, keys);
+        let compact = CompactShiftTable::build(&model, keys, 10);
         let w = Workload::uniform_domain(&d, 1_000, 5);
         let mut out = vec![0usize; w.len()];
-        let config = ShiftTableConfig::default();
 
         let _flag = crate::stats::FLAG_LOCK
             .lock()
@@ -647,13 +536,15 @@ mod tests {
         crate::stats::set_enabled(true);
         assert!(crate::stats::enabled());
         // Other tests record too while the flag is on, so the deltas are
-        // lower bounds.
+        // lower bounds. Every layer's batches are recorded.
         let before = crate::stats::snapshot();
-        run_range(&model, &table, keys, &config, w.queries(), &mut out);
+        run(&model, &table, keys, THRESHOLD, w.queries(), &mut out);
+        run(&model, &compact, keys, THRESHOLD, w.queries(), &mut out);
+        run(&model, &Uncorrected, keys, THRESHOLD, w.queries(), &mut out);
         let after = crate::stats::snapshot();
         crate::stats::set_enabled(was);
-        assert!(after.lanes - before.lanes >= 1_000);
-        assert!(after.blocks - before.blocks >= 1_000_u64.div_ceil(64));
+        assert!(after.lanes - before.lanes >= 3_000);
+        assert!(after.blocks - before.blocks >= 3 * 1_000_u64.div_ceil(64));
         assert!(after.wide_lanes >= off.wide_lanes);
     }
 
@@ -687,24 +578,9 @@ mod tests {
         }
         let keys: Vec<u64> = (0..1_000u64).map(|i| i * 5).collect();
         let model = ZigZag(keys.len());
-        let table = ShiftTable::build(&model, &keys);
         let queries: Vec<u64> = (0..321u64).map(|i| i * 17 % 5_200).collect();
-        let expected: Vec<usize> = queries
-            .iter()
-            .map(|&q| keys.partition_point(|&k| k < q))
-            .collect();
-        let mut out = vec![0usize; queries.len()];
-        for config in [
-            ShiftTableConfig::default(),
-            ShiftTableConfig::default().with_wave_depth(1),
-            ShiftTableConfig::default()
-                .with_batch_block(5)
-                .with_wave_depth(2),
-        ] {
-            run_range(&model, &table, &keys, &config, &queries, &mut out);
-            assert_eq!(out, expected);
-            run_raw(&model, &keys, &config, &queries, &mut out);
-            assert_eq!(out, expected);
+        for len in [1, WAVE_DEPTH + 1, BATCH_BLOCK + 5, queries.len()] {
+            assert_all_paths(&model, &keys, &queries[..len]);
         }
     }
 }

@@ -50,9 +50,10 @@ pub(crate) fn record(blocks: u64, lanes: u64, wide_lanes: u64, wave_levels: u64)
 /// A point-in-time copy of the cumulative kernel counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct KernelStatsSnapshot {
-    /// Amortization blocks processed by the range-mode pipelined kernel.
+    /// Amortization blocks processed by the pipelined kernel, whatever the
+    /// layer: range, midpoint and uncorrected batches all count.
     pub blocks: u64,
-    /// Queries (lanes) those blocks covered.
+    /// Queries (lanes) those blocks covered, of every layer.
     pub lanes: u64,
     /// Lanes whose corrected window was wide enough for the wavefront
     /// search. `wide_lanes as f64 / lanes as f64` is the wide-lane fraction.

@@ -254,7 +254,7 @@ impl<K: Key> ColdBase<K> {
             out.fill(0);
             return;
         }
-        const BLOCK: usize = shift_table::kernel::DEFAULT_BATCH_BLOCK;
+        const BLOCK: usize = shift_table::kernel::BATCH_BLOCK;
         let mut routed = [0usize; BLOCK];
         let mut touched = 0u64;
         for (qs, os) in queries.chunks(BLOCK).zip(out.chunks_mut(BLOCK)) {

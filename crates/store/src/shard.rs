@@ -240,7 +240,7 @@ impl<K: Key> ShardState<K> {
         if self.delta.entry_count() == 0 {
             return;
         }
-        const BLOCK: usize = shift_table::kernel::DEFAULT_BATCH_BLOCK;
+        const BLOCK: usize = shift_table::kernel::BATCH_BLOCK;
         let mut acc = [0i64; BLOCK];
         for (qs, os) in queries.chunks(BLOCK).zip(out.chunks_mut(BLOCK)) {
             let acc = &mut acc[..qs.len()];

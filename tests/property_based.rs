@@ -234,31 +234,57 @@ fn batched_kernel_equals_blocked_and_reference_for_every_spec() {
     }
 }
 
-/// The kernel stays exact across the whole block/wave tuning grid (clamping
-/// included), not just the defaults: every configured index must equal the
-/// reference on the same adversarial query pool.
+/// The kernel and the blocked reference stay exact at every query length
+/// that crosses the constant wave and block sizes, for each layer family:
+/// below, at and past one wave, one block and two blocks, and a three-block
+/// run with a tail. Amazon keys under IM give blocks that mix narrow, wide
+/// and probing range windows; the pool interleaves hits, misses and extremes.
 #[test]
-fn batched_kernel_is_exact_across_the_tuning_grid() {
+fn batched_kernel_is_exact_across_wave_and_block_lengths() {
+    use shift_table::kernel::{BATCH_BLOCK, WAVE_DEPTH};
     let dataset: Dataset<u64> = SosdName::Amzn64.generate(2_000, 5);
     let shared = dataset.to_shared();
-    let mut workload = Workload::uniform_keys(&dataset, 150, 11).queries().to_vec();
-    workload.extend([0, 1, u64::MAX]);
-    let expected: Vec<usize> = workload
+    let lens = [
+        1,
+        WAVE_DEPTH - 1,
+        WAVE_DEPTH,
+        WAVE_DEPTH + 1,
+        BATCH_BLOCK - 1,
+        BATCH_BLOCK,
+        BATCH_BLOCK + 1,
+        2 * BATCH_BLOCK - 1,
+        2 * BATCH_BLOCK,
+        2 * BATCH_BLOCK + 1,
+        3 * BATCH_BLOCK + 19,
+    ];
+    let mut pool = Vec::new();
+    for (i, (hit, miss)) in Workload::uniform_keys(&dataset, 120, 11)
+        .queries()
+        .iter()
+        .zip(Workload::uniform_domain(&dataset, 120, 12).queries())
+        .enumerate()
+    {
+        pool.extend([*hit, *miss]);
+        if i % 40 == 0 {
+            pool.extend([0, 1, u64::MAX]);
+        }
+    }
+    let expected: Vec<usize> = pool
         .iter()
         .map(|&q| dataset.as_slice().partition_point(|&k| k < q))
         .collect();
-    let spec = IndexSpec::parse("im+r1").unwrap();
-    for block in [1usize, 2, 7, 64, 128, 100_000] {
-        for wave in [1usize, 3, 8, 64, 100_000] {
-            let config = ShiftTableConfig::default()
-                .with_batch_block(block)
-                .with_wave_depth(wave);
-            let index = spec
-                .build_corrected_with(shared.clone(), config, 1)
-                .unwrap();
-            let mut out = vec![0usize; workload.len()];
-            index.lower_bound_batch(&workload, &mut out);
-            assert_eq!(out, expected, "block={block} wave={wave}");
+    for spec in ["im+r1", "im+s10", "im+none"] {
+        let index = IndexSpec::parse(spec)
+            .unwrap()
+            .build_corrected(shared.clone())
+            .unwrap();
+        for len in lens {
+            let mut out = vec![usize::MAX; len];
+            index.lower_bound_batch(&pool[..len], &mut out);
+            assert_eq!(out, expected[..len], "{spec} kernel len={len}");
+            out.fill(usize::MAX);
+            index.lower_bound_batch_blocked(&pool[..len], &mut out);
+            assert_eq!(out, expected[..len], "{spec} blocked len={len}");
         }
     }
 }
