@@ -2,43 +2,44 @@
 //!
 //! A range layer has two builders, and `build_range_layer` picks between
 //! them from what the model says about itself and what its predictions
-//! then show.
+//! then show. Both write the drift of every partition `0..N` and of the
+//! virtual partition `N` — 0, the end of the column — and no window length:
+//! a window ends where the next partition's starts ([`crate::entry`]).
 //!
 //! **The run-boundary emitter** is the path of monotone models. Over a
 //! sorted column a monotone model's predictions never decrease, so the keys
 //! of one partition are consecutive and — equal keys being predicted alike —
 //! a duplicate run never straddles two partitions. The positions `s_p`
 //! where the prediction changes therefore *are* the layer: partition `p`,
-//! whose first key sits at `s_p`, holds `Δ_p = s_p − p` and
-//! `C_p = s_next − s_p`, and an empty partition `k` left of it points at the
-//! same window, `(s_p − k, C_p)` (§3.1). Per `PREDICT_RUN` keys the
-//! emitter predicts, compacts the change positions without a branch, stages
-//! every window's entries — pseudo-entries included — as one fixed-size
-//! store, and appends the staged blocks strictly left to right to the layer
-//! itself: no blank fill, no read-modify-write on the layer, no backward
-//! pass, no key read beyond the model's own. The layer is written once,
-//! block by block, in the layout it is served from — an entry that does not
-//! fit is appended to the patch list, nothing stored is re-encoded
-//! ([`crate::entry`]). Monotonicity is *checked, not trusted*: the emitter
-//! compares every prediction with its predecessor (and with the last
-//! partition), and the first one out of order abandons the attempt —
-//! nothing of it is kept — for the other builder.
+//! whose first key sits at `s_p`, holds `Δ_p = s_p − p`, and an empty
+//! partition `k` left of it starts there too, `Δ_k = s_p − k` (§3.1). Per
+//! `PREDICT_RUN` keys the emitter predicts, compacts the change positions
+//! without a branch, stages every window's drifts — empty partitions
+//! included — as one fixed-size store, and appends the staged blocks
+//! strictly left to right to the layer itself: no blank fill, no
+//! read-modify-write on the layer, no backward pass, no key read beyond the
+//! model's own. The layer is written once, block by block, in the layout it
+//! is served from — a block that does not fit is appended to the patch
+//! array, nothing stored is re-encoded. Monotonicity is *checked, not
+//! trusted*: the emitter compares every prediction with its predecessor
+//! (and with the last partition), and the first one out of order abandons
+//! the attempt — nothing of it is kept — for the other builder.
 //!
 //! **The scatter builder** takes any model: one pass scatters drift minima
-//! and cardinalities into a blank `(i32 Δ, u32 C)` array (Algorithm 2 lines
-//! 3–15, the paper's `O(N · F_θ + M)`), a backward pass gives the empty
-//! partitions their pseudo-entries, and the finished array is packed into
-//! the same layout in one pass. It is what a non-monotone RMI is built with,
-//! and the reference the emitter is tested against entry by entry.
+//! into a blank `i32` array (Algorithm 2 lines 3–15, the paper's
+//! `O(N · F_θ + M)`), a backward pass gives the empty partitions the start
+//! of the partition to their right, and the finished array is packed into
+//! the same layout in one pass. It is what a non-monotone RMI is built
+//! with, and the reference the emitter is tested against array by array.
 
-use crate::entry::{WideEntry, MAX_KEYS};
+use crate::entry::MAX_KEYS;
 use crate::packed::{Packed, BLOCK};
 use learned_index::model::CdfModel;
 use sosd_data::key::Key;
 use std::ops::Range;
 
 /// A partition no key has been predicted into yet: any drift is smaller.
-const UNSET: WideEntry = (i32::MAX, 0);
+const UNSET: i32 = i32::MAX;
 
 /// Keys per [`CdfModel::predict_clamped_into`] call: the predictions of
 /// one run (4 KiB) stay in L1 beside the keys.
@@ -58,20 +59,20 @@ pub(crate) fn build_range_layer<K: Key, M: CdfModel<K> + ?Sized>(model: &M, keys
             return layer;
         }
     }
-    Packed::from_wide(&compute_range_entries(model, keys))
+    Packed::from_drifts(&compute_range_drifts(model, keys))
 }
 
-/// Entries the emitter stages before appending them to the layer (8 KiB,
+/// Drifts the emitter stages before appending them to the layer (4 KiB,
 /// L1-resident beside the predictions).
 const STAGE: usize = 1024;
 
 /// The emitter's staging buffer. Every window is written as a fixed
-/// [`BLOCK`] of entries, whether or not that many partitions point at it —
+/// [`BLOCK`] of drifts, whether or not that many partitions start at it —
 /// the next window overwrites the surplus — so writing a window costs no
 /// branch that depends on its length, and the layer is fed whole blocks.
 struct Stage<'a> {
     layer: &'a mut Packed,
-    entries: [WideEntry; STAGE + BLOCK],
+    drifts: [i32; STAGE + BLOCK],
     len: usize,
 }
 
@@ -79,22 +80,21 @@ impl<'a> Stage<'a> {
     fn new(layer: &'a mut Packed) -> Self {
         Self {
             layer,
-            entries: [(0, 0); STAGE + BLOCK],
+            drifts: [0; STAGE + BLOCK],
             len: 0,
         }
     }
 
-    /// Stage the entries of `partitions`, which all point at the window of
-    /// `count` records starting at record `start`.
+    /// Stage the drifts of `partitions`, which all start at record `start`.
     #[inline]
-    fn fill(&mut self, partitions: Range<usize>, start: usize, count: u32) {
+    fn fill(&mut self, partitions: Range<usize>, start: usize) {
         let mut k = partitions.start;
         while k < partitions.end {
-            // Both terms are below `n <= MAX_KEYS`: the drift fits an
+            // Both terms are at most `n <= MAX_KEYS`: the drift fits an
             // `i32`. The surplus slots may wrap; they are never read.
             let drift = start as i32 - k as i32;
-            for (i, slot) in self.entries[self.len..][..BLOCK].iter_mut().enumerate() {
-                *slot = (drift.wrapping_sub(i as i32), count);
+            for (i, slot) in self.drifts[self.len..][..BLOCK].iter_mut().enumerate() {
+                *slot = drift.wrapping_sub(i as i32);
             }
             let staged = BLOCK.min(partitions.end - k);
             k += staged;
@@ -108,34 +108,32 @@ impl<'a> Stage<'a> {
     /// Append the staged whole blocks to the layer.
     fn drain(&mut self) {
         let whole = self.len - self.len % BLOCK;
-        self.layer.extend(&self.entries[..whole]);
-        self.entries.copy_within(whole..self.len, 0);
+        self.layer.extend(&self.drifts[..whole]);
+        self.drifts.copy_within(whole..self.len, 0);
         self.len -= whole;
     }
 
     /// Append everything staged to the layer: the last call it gets.
     fn finish(self) {
-        self.layer.extend(&self.entries[..self.len]);
+        self.layer.extend(&self.drifts[..self.len]);
     }
 }
 
 /// The run-boundary emitter over the whole column, straight into the
-/// layer's arrays: every partition's entry — real and pseudo, in order, the
-/// trailing empty partitions pointing at the very last record. `None` when a
+/// layer's arrays: every partition's drift — empty or not, in order, those
+/// right of the last key and the end itself starting at `n`. `None` when a
 /// prediction is smaller than its predecessor's or past the last partition:
 /// the model is not monotone over the column, whatever it claims, and nothing
 /// of the attempt is kept.
 fn emit_range_layer<K: Key, M: CdfModel<K> + ?Sized>(model: &M, keys: &[K]) -> Option<Packed> {
     let n = keys.len();
-    let mut layer = Packed::with_capacity(n);
     if n == 0 {
-        layer.finish();
-        return Some(layer);
+        return Some(Packed::with_capacity(0));
     }
+    let mut layer = Packed::with_capacity(n + 1);
     // Partitions below `next` are staged. `open` is the partition whose
-    // keys are being counted; its first key sits at `open_start`. Once its
-    // last key is known, it and the empty partitions on its left all point
-    // at the window `[open_start, end)` (§3.1).
+    // keys are being walked; its first key sits at `open_start`, where it
+    // and the empty partitions on its left all start (§3.1).
     let mut next = 0;
     let mut open = model.predict_clamped(keys[0]);
     let mut open_start = 0;
@@ -164,35 +162,39 @@ fn emit_range_layer<K: Key, M: CdfModel<K> + ?Sized>(model: &M, keys: &[K]) -> O
             return None;
         }
         for &i in &changes[..found] {
-            let end = start + usize::from(i);
-            stage.fill(next..open + 1, open_start, (end - open_start) as u32);
+            stage.fill(next..open + 1, open_start);
             next = open + 1;
             open = predictions[usize::from(i)] as usize;
-            open_start = end;
+            open_start = start + usize::from(i);
         }
     }
-    stage.fill(next..open + 1, open_start, (n - open_start) as u32);
-    // Right of the last partition with keys there is only the last record
-    // itself: a window of one at record `n − 1`.
-    stage.fill(open + 1..n, n - 1, 1);
+    stage.fill(next..open + 1, open_start);
+    // Right of the last partition with keys, every partition — and the
+    // end, partition `n` — starts past the last key.
+    stage.fill(open + 1..n + 1, n);
     stage.finish();
     layer.finish();
     Some(layer)
 }
 
-/// The scatter builder: the `<Δ, C>` entries of the layer for *any* model,
-/// *including* the pseudo-entries for empty partitions (Algorithm 2 lines
-/// 3–15), in the working layout.
-pub(crate) fn compute_range_entries<K: Key, M: CdfModel<K> + ?Sized>(
+/// The scatter builder: the drifts of the layer for *any* model, those of
+/// the empty partitions and of the end included (Algorithm 2 lines 3–15),
+/// `n + 1` of them over `n > 0` keys.
+pub(crate) fn compute_range_drifts<K: Key, M: CdfModel<K> + ?Sized>(
     model: &M,
     keys: &[K],
-) -> Vec<WideEntry> {
-    let mut entries = vec![UNSET; keys.len()];
+) -> Vec<i32> {
+    let n = keys.len();
+    if n == 0 {
+        return Vec::new();
+    }
+    let mut drifts = vec![UNSET; n + 1];
+    drifts[n] = 0;
     // Predictions come a run at a time, as in the emitter.
     let mut predictions = [0u32; PREDICT_RUN];
     let mut first_occurrence = 0;
-    for start in (0..keys.len()).step_by(PREDICT_RUN) {
-        let run = &keys[start..keys.len().min(start + PREDICT_RUN)];
+    for start in (0..n).step_by(PREDICT_RUN) {
+        let run = &keys[start..n.min(start + PREDICT_RUN)];
         let predictions = &mut predictions[..run.len()];
         model.predict_clamped_into(run, predictions);
         for (i, &prediction) in (start..).zip(predictions.iter()) {
@@ -201,32 +203,28 @@ pub(crate) fn compute_range_entries<K: Key, M: CdfModel<K> + ?Sized>(
             } else {
                 first_occurrence = i;
             }
-            // Both terms are below `n <= MAX_KEYS`: the drift fits an `i32`.
-            let drift = (first_occurrence as i64 - prediction as i64) as i32;
-            let (delta, count) = &mut entries[prediction as usize];
-            *delta = (*delta).min(drift);
-            *count += 1;
+            // Both terms are below `n <= MAX_KEYS`: the drift fits an
+            // `i32`. Keys arrive in position order, so the first one
+            // predicted into a partition holds its smallest drift; `min`
+            // keeps it without a branch on whether it was the first.
+            let drift = &mut drifts[prediction as usize];
+            *drift = (*drift).min(first_occurrence as i32 - prediction as i32);
         }
     }
-    fill_empty_partitions(&mut entries);
-    entries
+    fill_empty_partitions(&mut drifts);
+    drifts
 }
 
-/// Backward pass: give empty partitions pseudo-entries that point at the
-/// search region of the first non-empty partition to their right (§3.1).
-/// Trailing empty partitions (nothing to their right) point at the very last
-/// record.
-fn fill_empty_partitions(entries: &mut [WideEntry]) {
-    // Same absolute region as the partition to the right: that partition's
-    // window starts at (k+1) + Δ_{k+1}; expressed relative to k this is
-    // Δ_k = Δ_{k+1} + 1. Right of the last partition there is only the last
-    // record itself, at drift −1 from the (virtual) partition `n`.
-    let mut right: WideEntry = (-1, 1);
-    for e in entries.iter_mut().rev() {
-        if e.1 == 0 {
-            *e = (right.0 + 1, right.1);
+/// Backward pass: an empty partition starts where the partition to its
+/// right does (§3.1) — `k + Δ_k = (k + 1) + Δ_{k+1}`, so
+/// `Δ_k = Δ_{k+1} + 1`. The last drift, the end's, is set.
+fn fill_empty_partitions(drifts: &mut [i32]) {
+    let mut right = 0;
+    for drift in drifts.iter_mut().rev() {
+        if *drift == UNSET {
+            *drift = right + 1;
         }
-        right = *e;
+        right = *drift;
     }
 }
 
@@ -325,8 +323,11 @@ pub(crate) fn partition_of(prediction: usize, m: usize, n: usize) -> usize {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::correction::{Correction, SearchHint};
+    use crate::entry::ShiftEntry;
+    use crate::table::ShiftTable;
     use learned_index::linear::InterpolationModel;
     use sosd_data::prelude::*;
 
@@ -371,14 +372,19 @@ mod tests {
         assert_eq!(keys.len(), 100);
         assert!(keys.is_sorted());
 
-        let entries = compute_range_entries(&DivTen, &keys);
-        // Partition 77 receives keys 770, 771 and 779-ish? -> in our data 770
-        // and 771 (positions 36, 37): Δ = 36 - 77 = -41, C = 2.
-        assert_eq!(entries[77], (-41, 2));
-        // Partition 76 receives key 769 (position 35): Δ = 35 - 76 = -41.
-        assert_eq!(entries[76], (-41, 1));
-        // Partition 78 receives keys 782 and 785 (positions 38, 39).
-        assert_eq!(entries[78], (-40, 2));
+        let drifts = compute_range_drifts(&DivTen, &keys);
+        // Partition 77 receives keys 770 and 771 (positions 36, 37): Δ = 36 −
+        // 77 = −41. Partition 76 receives key 769 (position 35): Δ = 35 − 76
+        // = −41. Partition 78 receives keys 782 and 785 (positions 38, 39):
+        // Δ = 38 − 78 = −40.
+        assert_eq!(drifts[76..=78], [-41, -41, -40]);
+        // Each window ends where the next partition's starts: `C₇₇` = 38 −
+        // 36 = 2, the figure's window [36, 37].
+        let table = ShiftTable::build(&DivTen, &keys);
+        assert_eq!(table.entry(76), ShiftEntry::new(-41, 1));
+        assert_eq!(table.entry(77), ShiftEntry::new(-41, 2));
+        assert_eq!(table.entry(78), ShiftEntry::new(-40, 2));
+        assert_eq!(table.correct(77), SearchHint::bounded(36, 2));
     }
 
     #[test]
@@ -405,21 +411,24 @@ mod tests {
             }
         }
         let keys = vec![1u64, 2, 3, 35];
-        // Predictions: 0,0,0,3 → partitions 1 and 2 empty.
-        let entries = compute_range_entries(&Quarter, &keys);
-        assert_eq!(entries[0], (0, 3));
-        assert_eq!(entries[3], (0, 1));
-        // Pseudo-entries: partition 2 mirrors partition 3 shifted by one,
-        // partition 1 mirrors partition 2 shifted by one.
-        assert_eq!(entries[2], (1, 1));
-        assert_eq!(entries[1], (2, 1));
-        // They all resolve to the same absolute window start (position 3).
-        assert_eq!(2 + entries[2].0, 3);
-        assert_eq!(1 + entries[1].0, 3);
+        // Predictions: 0,0,0,3 → partitions 1 and 2 empty. Partition 2
+        // mirrors partition 3 shifted by one, partition 1 partition 2, and
+        // the end, partition 4, sits at the end of the column.
+        let drifts = compute_range_drifts(&Quarter, &keys);
+        assert_eq!(drifts, [0, 2, 1, 0, 0]);
+        // They all resolve to the same absolute start (position 3): the
+        // empty partitions' windows are empty there, partition 0's ends
+        // there.
+        let table = ShiftTable::build(&Quarter, &keys);
+        let windows: Vec<_> = (0..4).map(|k| table.correct(k)).collect();
+        assert_eq!(
+            windows,
+            [(0, 3), (3, 0), (3, 0), (3, 1)].map(|(start, len)| SearchHint::bounded(start, len))
+        );
 
-        // Trailing empty partitions point at the very last record.
-        let entries = compute_range_entries(&Quarter, &[1u64, 2, 3, 4]);
-        assert_eq!(entries, [(0, 4), (2, 1), (1, 1), (0, 1)]);
+        // Trailing empty partitions start past the last key.
+        let drifts = compute_range_drifts(&Quarter, &[1u64, 2, 3, 4]);
+        assert_eq!(drifts, [0, 3, 2, 1, 0]);
     }
 
     #[cfg_attr(miri, ignore = "dataset too large for Miri")]
@@ -428,7 +437,7 @@ mod tests {
         for name in SosdName::all() {
             let d: Dataset<u64> = name.generate(20_000, 3);
             let model = InterpolationModel::build(&d);
-            let entries = compute_range_entries(&model, d.as_slice());
+            let drifts = compute_range_drifts(&model, d.as_slice());
             let keys = d.as_slice();
             let mut first_occurrence = 0usize;
             for (i, &k) in keys.iter().enumerate() {
@@ -438,13 +447,11 @@ mod tests {
                     first_occurrence = i;
                 }
                 let pred = model.predict_clamped(k);
-                let (delta, count) = entries[pred];
-                let start = pred as i64 + delta as i64;
+                let start = pred as i64 + drifts[pred] as i64;
+                let end = pred as i64 + 1 + drifts[pred + 1] as i64;
                 assert!(
-                    start <= first_occurrence as i64
-                        && (first_occurrence as i64) < start + count as i64,
-                    "{name}: key {k} pos {first_occurrence} outside window [{start}, {})",
-                    start + count as i64
+                    start <= first_occurrence as i64 && (first_occurrence as i64) < end,
+                    "{name}: key {k} pos {first_occurrence} outside window [{start}, {end})",
                 );
             }
         }
@@ -452,12 +459,12 @@ mod tests {
 
     /// The scatter builder's layer: the reference the emitter must equal.
     fn reference<K: Key, M: CdfModel<K> + ?Sized>(model: &M, keys: &[K]) -> Packed {
-        Packed::from_wide(&compute_range_entries(model, keys))
+        Packed::from_drifts(&compute_range_drifts(model, keys))
     }
 
     /// Assert that the emitter builds the scatter reference, and that
-    /// `build_range_layer` picks it: the same arrays (entries, bases,
-    /// directory and patches, so the same `size_bytes`).
+    /// `build_range_layer` picks it: the same arrays (bases, offsets and
+    /// patches, so the same `size_bytes`).
     fn assert_emitter_matches_reference<K: Key, M: CdfModel<K> + ?Sized>(
         model: &M,
         keys: &[K],
@@ -480,9 +487,9 @@ mod tests {
     /// Duplicate-heavy columns no generator draws: runs of up to 900 equal
     /// keys landing anywhere in a block or a prediction run; one run
     /// covering almost the whole column; two far clusters, with every
-    /// partition between them empty, so a long stretch of pseudo-entries
+    /// partition between them empty, so a long stretch of empty partitions
     /// starts mid-block; and a quadratic column of 4096 keys.
-    fn adversary_columns() -> Vec<(&'static str, Vec<u64>)> {
+    pub(crate) fn adversary_columns() -> Vec<(&'static str, Vec<u64>)> {
         use sosd_data::rng::SplitMix64;
         let mut rng = SplitMix64::new(0xD095);
         let mut heavy: Vec<u64> = Vec::new();
@@ -510,9 +517,10 @@ mod tests {
     #[test]
     fn emitter_matches_scatter_reference_on_every_generator_and_model() {
         use learned_index::spec::ModelSpec;
-        // The matrix holds layers with patch lists and layers of coded
-        // counts throughout: a least-squares line over lognormal keys crowds
-        // its predictions into long pseudo-runs that copy one long window.
+        // The matrix holds layers with escaped blocks and layers of long
+        // windows throughout: a least-squares line over lognormal keys
+        // crowds its predictions into few partitions between long stretches
+        // of empty ones.
         let mut patched = 0;
         let mut scattered = 0;
         let adversaries = adversary_columns();
@@ -541,7 +549,7 @@ mod tests {
                 check(keys, format!("{name} {spec}"));
             }
         }
-        assert!(patched > 20, "and patch lists: {patched} layers hold one");
+        assert!(patched > 20, "and patches: {patched} layers hold some");
         assert!(scattered > 0, "the matrix holds non-monotone models");
     }
 
@@ -628,29 +636,31 @@ mod tests {
     #[cfg_attr(miri, ignore = "dataset too large for Miri")]
     #[test]
     fn an_over_wide_block_is_patched_and_an_over_long_count_coded() {
-        // Stairs of 70 000 keys: every window is 70 000 records, served as
-        // the code for 73 728, and `Δ` falls from 69 999 back to 0 at a
-        // stair's first partition — the base of its block, whose other
-        // seven entries are patches. Three stairs' worth.
+        // Stairs of 70 000 keys: every window is 70 000 records, and `Δ`
+        // falls from 69 999 back to 0 at a stair's first partition — its
+        // block's base beside seven drifts past a byte, so the block is
+        // escaped. Three stairs' worth; the end sits in a block of its own.
         let n = 150_000;
         let keys: Vec<u64> = (0..n as u64).collect();
         let stairs = |step| Stairs { n, step, dip: None };
-        let bytes =
-            |patches: usize| 2 * n + 4 * n.div_ceil(BLOCK) + 4 * n.div_ceil(256) + 8 * patches;
+        let bytes = |patches: usize| (n + 1) + 4 * (n + 1).div_ceil(BLOCK) + 4 * patches;
         let layer = assert_emitter_matches_reference(&stairs(70_000), &keys, "long stairs");
-        assert_eq!((layer.patches(), layer.size_bytes()), (21, bytes(21)));
-        assert_eq!(layer.wide(8), (69_992, 73_728));
+        assert_eq!((layer.patches(), layer.size_bytes()), (24, bytes(24)));
+        // The window ends where the next stair starts: served exactly.
+        assert_eq!(layer.pair(0), Some((0, 0, 69_999)));
+        assert_eq!(layer.delta(8), 69_992);
         // Stairs of 40 000, and one duplicate run of 70 000 among them.
         let layer = assert_emitter_matches_reference(&stairs(40_000), &keys, "short stairs");
-        assert_eq!((layer.patches(), layer.size_bytes()), (28, bytes(28)));
+        assert_eq!((layer.patches(), layer.size_bytes()), (32, bytes(32)));
         let mut dups = keys.clone();
         dups[50_000..120_000].fill(50_000);
         let layer = assert_emitter_matches_reference(&stairs(40_000), &dups, "duplicate run");
-        assert_eq!(layer.wide(40_000), (0, 81_920));
-        assert_eq!((layer.patches(), layer.size_bytes()), (21, bytes(21)));
-        // Every key predicted into the last partition: every entry is a
-        // pseudo-entry of the one window, 70 000 records long. None is a
-        // patch, so there is no directory: 2.5 bytes a key.
+        // Partition 40 000 takes 80 000 keys: its window ends at 120 000.
+        assert_eq!(layer.pair(40_000), Some((40_000, 0, 120_000 - 40_001)));
+        assert_eq!((layer.patches(), layer.size_bytes()), (24, bytes(24)));
+        // Every key predicted into the last partition: every other one is
+        // empty and starts at the first key, drifting down by one a
+        // partition. Nothing is escaped: 1.5 bytes a key.
         let n = 70_000;
         let model = Stairs {
             n,
@@ -658,29 +668,35 @@ mod tests {
             dip: None,
         };
         let layer = assert_emitter_matches_reference(&model, &vec![n as u64; n], "last");
-        assert_eq!(layer.wide(0), (0, 73_728));
-        assert_eq!((layer.patches(), layer.size_bytes()), (0, n * 5 / 2));
+        assert_eq!(layer.pair(n - 1), Some((n - 1, 1 - n as i32, 0)));
+        let bytes = (n + 1) + 4 * (n + 1).div_ceil(BLOCK);
+        assert_eq!((layer.patches(), layer.size_bytes()), (0, bytes));
     }
 
     #[cfg_attr(miri, ignore = "dataset too large for Miri")]
     #[test]
-    fn one_over_long_window_is_a_count_code_not_a_patch() {
+    fn one_over_long_window_is_served_exactly() {
         // wiki64 under IM: the last partition with keys takes more of them
-        // than `u16` counts. Its window is served in place, as a code.
+        // than `u16` counts. Its window is served at its exact length, from
+        // the drift of the partition after it.
         let n = 512 * 1024;
         let d: Dataset<u64> = SosdName::Wiki64.generate(n, 7);
         let model = InterpolationModel::build(&d);
-        let entries = compute_range_entries(&model, d.as_slice());
+        let mut counts = vec![0usize; n];
+        d.as_slice()
+            .iter()
+            .for_each(|&key| counts[model.predict_clamped(key)] += 1);
+        let (at, &longest) = counts.iter().enumerate().max_by_key(|c| c.1).unwrap();
+        assert!(longest > u16::MAX as usize, "longest window {longest}");
         let layer = assert_emitter_matches_reference(&model, d.as_slice(), "wiki64");
-        let (at, &(delta, longest)) = (entries.iter().enumerate())
-            .max_by_key(|(_, entry)| entry.1)
-            .unwrap();
-        assert!(longest > u16::MAX as u32, "longest window {longest}");
-        let (served_delta, served) = layer.wide(at);
-        assert_eq!(served_delta, delta);
-        assert!(longest < served && served <= longest + longest / 8);
-        assert!(layer.patches() < n / 1_000);
-        assert!(layer.size_bytes() < n * 26 / 10);
+        let table = ShiftTable::build(&model, d.as_slice());
+        let delta = compute_range_drifts(&model, d.as_slice())[at];
+        assert_eq!(
+            table.entry(at),
+            ShiftEntry::new(delta.into(), longest as u64)
+        );
+        assert!(layer.patches() < n / 1_000, "{} patches", layer.patches());
+        assert!(layer.size_bytes() < n * 16 / 10);
     }
 
     #[test]
@@ -689,7 +705,8 @@ mod tests {
             let keys: Vec<u64> = (0..n as u64).map(|i| i * i / 3).collect();
             let model = InterpolationModel::from_sorted_keys(&keys);
             let layer = assert_emitter_matches_reference(&model, &keys, &format!("n={n}"));
-            assert_eq!(layer.len(), n);
+            // A drift a partition, and the end's.
+            assert_eq!(layer.len(), if n == 0 { 0 } else { n + 1 });
         }
         // All keys in the first partition; all in the last; one duplicate.
         let model = Stairs {
@@ -785,7 +802,7 @@ mod tests {
     fn empty_keys_produce_empty_layers() {
         let d: Dataset<u64> = Dataset::from_keys("e", vec![]);
         let model = InterpolationModel::build(&d);
-        assert!(compute_range_entries(&model, d.as_slice()).is_empty());
+        assert!(compute_range_drifts(&model, d.as_slice()).is_empty());
         assert!(build_range_layer(&model, d.as_slice()).is_empty());
         let (deltas, residual) = compute_midpoint_deltas_and_residual(&model, d.as_slice(), 4, 1);
         assert_eq!(deltas, vec![0, 0, 0, 0]);

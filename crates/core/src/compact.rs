@@ -276,12 +276,14 @@ mod tests {
     #[test]
     fn s1_footprint_is_half_of_r1() {
         // §4.3: "the memory footprint of S-1 is half the size of R-1" — of
-        // the paper's 4-byte entries; beside 2.5 bytes it is still smaller.
+        // the paper's 4-byte `<Δ, C>` entries. Storing one `Δ` a partition
+        // and no `C` brings R-1 to 1.5 bytes, below S-1's 2.
         let d: Dataset<u64> = SosdName::Uspr64.generate(20_000, 3);
         let model = InterpolationModel::build(&d);
         let r1 = crate::table::ShiftTable::build(&model, d.as_slice());
         let s1 = CompactShiftTable::build(&model, d.as_slice(), 1);
-        assert!(Correction::size_bytes(&s1) < Correction::size_bytes(&r1));
+        assert_eq!(2 * Correction::size_bytes(&s1), 4 * d.len());
+        assert!(Correction::size_bytes(&r1) < Correction::size_bytes(&s1));
     }
 
     #[cfg_attr(miri, ignore = "dataset too large for Miri")]

@@ -9,6 +9,8 @@
 //!
 //! where `L(s)` is the measured latency of a last-mile search over `s`
 //! non-cached records — exactly the error-to-latency curve of Figure 2a.
+//! The sums run over the partitions holding keys — `C_k` is 0 for an empty
+//! one — so each key is counted once, in its own partition's window.
 //! [`LatencyModel`] holds that curve (either the built-in default calibrated
 //! from the paper's numbers, or one measured at runtime by the benchmark
 //! harness) and [`TuningAdvisor`] applies the §3.9 decision rules: skip the
@@ -91,7 +93,7 @@ impl LatencyModel {
 
     /// Eq. 9: expected lookup latency (ns) of `model + Shift-Table`.
     pub fn latency_with_layer(&self, model_latency_ns: f64, table: &ShiftTable) -> f64 {
-        let n: f64 = table.window_lengths().map(|c| c as f64).sum();
+        let n = table.len() as f64;
         if n == 0.0 {
             return model_latency_ns + self.layer_lookup_ns;
         }
@@ -106,7 +108,7 @@ impl LatencyModel {
     /// Eq. 10: expected lookup latency (ns) of the model alone, estimated
     /// from the layer's record of the model error (`|Δ̄_k| = |Δ_k + C_k/2|`).
     pub fn latency_without_layer(&self, model_latency_ns: f64, table: &ShiftTable) -> f64 {
-        let n: f64 = table.window_lengths().map(|c| c as f64).sum();
+        let n = table.len() as f64;
         if n == 0.0 {
             return model_latency_ns;
         }
@@ -241,9 +243,15 @@ mod tests {
     #[cfg_attr(miri, ignore = "dataset too large for Miri")]
     #[test]
     fn eq9_eq10_favour_the_layer_when_the_model_is_bad() {
-        // Model with a large bias: without the layer every lookup searches a
-        // huge area; with the layer every lookup searches its window only.
-        let table = ShiftTable::from_entries(vec![(-500_000, 2); 1_000]);
+        // Model with a large bias: it predicts key `i` at `n/2 + i/2`, so
+        // the lower half of the partitions is empty and the upper half holds
+        // two keys each, `|Δ|` up to `n/2` behind. Without the layer every
+        // lookup searches a huge area; with it every lookup searches its
+        // window of 2 only.
+        let n: usize = 100_000;
+        let starts: Vec<usize> = (0..n).map(|k| 2 * k.saturating_sub(n / 2)).collect();
+        let table = ShiftTable::from_starts(&starts);
+        assert_eq!(table.window_lengths().sum::<u64>(), n as u64);
         let m = LatencyModel::default();
         let with = m.latency_with_layer(100.0, &table);
         let without = m.latency_without_layer(100.0, &table);
@@ -262,7 +270,7 @@ mod tests {
     fn eq9_eq10_favour_the_model_alone_when_it_is_already_accurate() {
         // A near-perfect model: windows of 1, drift 0 → the layer only adds
         // its 40 ns lookup.
-        let table = ShiftTable::from_entries(vec![(0, 1); 1_000]);
+        let table = ShiftTable::from_starts(&(0..1_000).collect::<Vec<_>>());
         let m = LatencyModel::default();
         let with = m.latency_with_layer(100.0, &table);
         let without = m.latency_without_layer(100.0, &table);
@@ -342,7 +350,7 @@ mod tests {
 
     #[test]
     fn empty_table_latency_is_just_the_model() {
-        let table = ShiftTable::from_entries(vec![]);
+        let table = ShiftTable::from_starts(&[]);
         let m = LatencyModel::default();
         assert_eq!(m.latency_without_layer(70.0, &table), 70.0);
         assert_eq!(m.latency_with_layer(70.0, &table), 70.0 + 40.0);

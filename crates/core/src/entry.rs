@@ -3,46 +3,51 @@
 //! One entry per possible model prediction: the signed drift `Δ` and the
 //! local-search window length `C`. The paper's case against big models —
 //! parameters that miss the cache cost memory lookups — holds for the layer
-//! itself, so every range layer is stored in one layout of 2.5 bytes an
+//! itself, so every range layer is stored in one layout of 1.5 bytes an
 //! entry, the same for every model and every key column (the `packed`
 //! module has the arrays and the fetch):
 //!
+//! * **Only `Δ` is stored.** Under a valid-CDF model (§3.1, §3.8) the keys
+//!   of partition `k` are one run of positions starting at
+//!   `S_k = k + Δ_k`, so its window ends where partition `k + 1`'s starts:
+//!   `C_k = S_{k+1} − S_k`. An empty partition starts where the next one
+//!   does (`Δ_k = Δ_{k+1} + 1`), so its window is empty — at the lower
+//!   bound of every query predicted into it — and the partitions right of
+//!   the last key start at `S_n = N`. A fetch serves
+//!   `[S_k, max(S_k, S_{k+1}))`, inside the column: for a monotone model
+//!   exactly the paper's `<Δ_k, C_k>` window of a non-empty partition. A
+//!   non-monotone model's windows may miss a key; the §3.8 repair closes
+//!   every such lookup. What
+//!   [`ShiftTable::entries`](crate::ShiftTable::entries), `window_lengths`
+//!   and `expected_error` report are these served windows — 0 for an empty
+//!   partition, so over a monotone layer they sum to `N`.
 //! * **`Δ` is exact, and block-relative.** The drift of a model is
 //!   *locally* smooth even where it is globally large — the paper's own
-//!   premise — so an aligned block of 8 neighbouring entries carries one
-//!   `i32` base, its minimum `Δ`, and each entry a `u8` offset from it (on
-//!   the amzn64 IM layer, where `Δ` reaches 2.5 M, all but 0.1 % of the
-//!   entries sit within 255 of their block's minimum). Doubling the block
-//!   would save another quarter byte per entry and double the stretch of
-//!   drift one base has to cover.
-//! * **`C` is a `u8` code, rounded up.** Counts up to 127 are stored as
-//!   they are, longer ones as the next of eight steps per octave, so a
-//!   served window is at most an eighth longer than the exact one and
-//!   reaches 7 864 320 records. In Algorithm 1 `C_k` only bounds the local
-//!   search that starts at the exact `k + Δ_k` and is clamped to the
-//!   column: a longer window is a superset, and every lower bound is the
-//!   same. What [`ShiftTable::entries`](crate::ShiftTable::entries),
-//!   `window_lengths` and `expected_error` report are these served counts.
-//! * **The entry that does not fit is a patch**: an offset past 255, a
-//!   window no code reaches, or a hand-written empty window is stored in
-//!   full — `(i32, u32)`, exact — in a side array addressed by slot, at 8
-//!   bytes more (and 4 per 256 entries for the slot directory, kept only
-//!   by a layer with a patch).
+//!   premise — so an aligned block of 8 neighbouring drifts carries one
+//!   `i32` base, its minimum, and each drift a `u8` offset from it, below
+//!   255 (on the amzn64 IM layer, where `Δ` reaches 2.5 M, all but 0.2 %
+//!   of the blocks spread less than that). Doubling the block would save
+//!   another quarter byte per entry and double the stretch of drift one
+//!   base has to cover.
+//! * **The block that does not fit is escaped**: its 8 drifts are stored in
+//!   full — `i32`, exact — in a side array its base slot points into, at 32
+//!   bytes more.
 //!
 //! There is one layout and nothing to choose per layer: plain encodings
 //! of 4 to 8 bytes an entry (`(i16, u16)` up to `(i32, u32)`) are smaller
-//! for no layer of 14 key generators × 8 models × 4 sizes, only for a
-//! layer of a single entry — 6 bytes here (an entry and its base), 4 as a
-//! plain `(i16, u16)`.
+//! for no layer of 14 key generators × 8 models × 3 sizes, only for a
+//! layer of a single key — 6 bytes here (its drift, the end's and their
+//! base), 4 as a plain `(i16, u16)`.
 //!
 //! Both builders write the layout strictly left to right, block by block,
 //! nothing stored ever re-encoded ([`crate::build`]). A layer over `N` keys
-//! has `|Δ| < N` and `C ≤ N`, so up to
+//! has `N + 1` drifts — the last, of the virtual partition `N`, is 0 — and
+//! `|Δ| ≤ N`, so up to
 //! [`ShiftTable::MAX_KEYS`](crate::ShiftTable::MAX_KEYS) keys nothing
 //! truncates.
 
-/// The most keys a range-mode layer can cover: drifts and window lengths
-/// are stored in at most 32 bits. Public as
+/// The most keys a range-mode layer can cover: drifts are stored in at
+/// most 32 bits. Public as
 /// [`ShiftTable::MAX_KEYS`](crate::ShiftTable::MAX_KEYS).
 pub(crate) const MAX_KEYS: usize = i32::MAX as usize;
 
@@ -53,7 +58,8 @@ pub struct ShiftEntry {
     /// Signed drift `Δ_k`: how many records ahead (+) or behind (−) the
     /// partition's first key is relative to the prediction.
     pub delta: i64,
-    /// Window length `C_k`: how many records the local search must cover.
+    /// Window length `C_k`: how many records the local search must cover
+    /// (0 for an empty partition).
     pub count: u64,
 }
 
@@ -64,10 +70,6 @@ impl ShiftEntry {
         Self { delta, count }
     }
 }
-
-/// `(Δ, C)` in the 8-byte layout the builders work in and a patch is
-/// stored in.
-pub(crate) type WideEntry = (i32, u32);
 
 /// Packed storage for midpoint-only (`Δ̄`) tables.
 #[derive(Debug, Clone)]
@@ -129,66 +131,66 @@ impl MidpointStorage {
 mod tests {
     use super::*;
     use crate::packed::tests::pack;
-    use crate::packed::{BLOCK, BUCKET};
+    use crate::packed::BLOCK;
 
     #[test]
     fn byte_tier_sizes_at_the_small_lengths() {
         for n in [1usize, 7, 8, 9, 255, 256, 257] {
-            let entries: Vec<WideEntry> = (0..n)
-                .map(|i| (2_000_000 - 3 * i as i32, 1 + (i % 255) as u32))
-                .collect();
-            let packed = pack(&entries);
-            // Two bytes an entry and four a block of 8 — 6 bytes for a
-            // layer of one entry.
-            assert_eq!(packed.size_bytes(), 2 * n + 4 * n.div_ceil(BLOCK), "n={n}");
+            let drifts: Vec<i32> = (0..n).map(|i| 2_000_000 - 3 * i as i32).collect();
+            let packed = pack(&drifts);
+            // A byte a drift and four a block of 8.
+            assert_eq!(packed.size_bytes(), n + 4 * n.div_ceil(BLOCK), "n={n}");
             assert_eq!(packed.patches(), 0);
         }
-        assert_eq!(pack(&[(5, 1)]).size_bytes(), 6);
+        // A layer of one key: its drift and the end's under one base.
+        assert_eq!(pack(&[5, 0]).size_bytes(), 6);
     }
 
     #[test]
     fn the_encoder_patches_a_misfit_wherever_it_sits() {
         // A block far from its neighbours — the first, one mid-array, the
-        // short last one — costs nothing, it has its own base; a window past
-        // `u16` before, inside or after it costs nothing, it has a code; a
-        // window past the last code is one patch.
+        // short last one — costs nothing, it has its own base. A window of
+        // `C` records steps the drift up by `C − 1` from its partition to the
+        // next: past 254 that escapes the block they share, and costs
+        // nothing where the window closes a block.
         let n = 5 * BLOCK + 3;
         for far_block in [0, 2, 5] {
-            for (long, patches) in [(1 << 16, 0), (1 << 23, 1)] {
-                for long_count_at in [1, 2 * BLOCK + 4, n - 2] {
-                    let mut entries = vec![(7, 3); n];
-                    entries[far_block * BLOCK..n.min((far_block + 1) * BLOCK)].fill((1 << 20, 3));
-                    entries[long_count_at].1 = long;
-                    let packed = pack(&entries);
-                    assert_eq!(packed.patches(), patches, "{far_block} {long_count_at}");
+            for long in [255, 256, 1 << 23] {
+                for long_at in [1, 2 * BLOCK + 4, 3 * BLOCK - 1, n - 2] {
+                    let mut drifts = vec![7; n];
+                    drifts[far_block * BLOCK..n.min((far_block + 1) * BLOCK)].fill(1 << 20);
+                    drifts[long_at + 1..]
+                        .iter_mut()
+                        .for_each(|d| *d += long - 1);
+                    let packed = pack(&drifts);
+                    let block = long_at / BLOCK * BLOCK..n.min(long_at / BLOCK * BLOCK + BLOCK);
+                    let escaped = long > 255 && long_at + 1 < block.end;
+                    let patches = if escaped { block.len() } else { 0 };
+                    let tag = format!("{far_block} {long} {long_at}");
+                    assert_eq!(packed.patches(), patches, "{tag}");
                     assert_eq!(
                         packed.size_bytes(),
-                        2 * n + 4 * n.div_ceil(BLOCK) + 12 * patches
+                        n + 4 * n.div_ceil(BLOCK) + 4 * patches,
+                        "{tag}"
                     );
                 }
             }
         }
-        // 256 patches in one bucket, and a patch either side of the seam
-        // between two buckets.
-        let mut entries = vec![(-9, 2); 8 * BUCKET + 5];
-        entries[BUCKET..2 * BUCKET].fill((-9, 0));
-        entries[BUCKET - 1].0 = -9 + 256;
-        entries[2 * BUCKET].0 = -9 - 256;
-        let packed = pack(&entries);
-        // The low outlier at the head of bucket 2 is its block's base: the
-        // block's other seven are patched in its place.
-        assert_eq!(packed.patches(), 1 + BUCKET + 7);
     }
 
     #[test]
-    fn an_all_long_window_layer_is_two_and_a_half_bytes_an_entry() {
-        // Every partition a pseudo-entry of one window past `u16`: its
-        // count has a code, so no entry is a patch.
+    fn an_all_long_window_layer_is_one_and_a_half_bytes_an_entry() {
+        // Every key predicted into the last partition: every other
+        // partition is empty and starts at the first key, the last one's
+        // window is the whole column, and the end sits in its own block.
         let n = 70_000;
-        let entries: Vec<WideEntry> = (0..n).map(|k| (-k, n as u32)).collect();
-        let packed = pack(&entries);
+        let drifts: Vec<i32> = (0..n).map(|k| -k).chain([0]).collect();
+        let packed = pack(&drifts);
         assert_eq!(packed.patches(), 0);
-        assert_eq!(packed.size_bytes(), n as usize * 5 / 2);
+        let last = n as usize - 1;
+        assert_eq!(packed.pair(last), Some((last, 1 - n, 0)));
+        let entries = n as usize + 1;
+        assert_eq!(packed.size_bytes(), entries + 4 * entries.div_ceil(BLOCK));
     }
 
     #[test]

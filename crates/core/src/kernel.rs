@@ -414,8 +414,9 @@ mod tests {
     /// one wave, one block and two blocks, and a three-block run with a tail.
     const LENGTHS: [usize; 11] = [1, 7, 8, 9, 63, 64, 65, 127, 128, 129, 3 * BATCH_BLOCK + 19];
 
-    /// Run `run` and `run_blocked` with each of the three corrections over
-    /// `queries` and assert all of them match `partition_point`.
+    /// Run `run`, `run_blocked` and the scalar `resolve` with each of the
+    /// three corrections over `queries` and assert all of them match
+    /// `partition_point`.
     fn assert_all_paths<M: CdfModel<u64>>(model: &M, keys: &[u64], queries: &[u64]) {
         let expected: Vec<usize> = queries
             .iter()
@@ -436,6 +437,11 @@ mod tests {
             run_blocked(model, c, keys, THRESHOLD, queries, &mut out);
             assert_eq!(out, expected, "run_blocked {name} len={}", queries.len());
             out.fill(usize::MAX);
+            if !keys.is_empty() {
+                let scalar = |&q| resolve(keys, c.correct(model.predict_clamped(q)), q, THRESHOLD);
+                let out: Vec<usize> = queries.iter().map(scalar).collect();
+                assert_eq!(out, expected, "scalar {name} len={}", queries.len());
+            }
         }
     }
 
@@ -516,6 +522,35 @@ mod tests {
         // Empty query slice is a no-op.
         let table = ShiftTable::build(&model, &dups);
         run(&model, &table, &dups, THRESHOLD, &[], &mut []);
+    }
+
+    #[test]
+    fn predictions_into_empty_partitions_resolve_at_the_next_start() {
+        // Two far clusters under IM: every partition between them is empty,
+        // so most queries drawn from the domain are predicted into one and
+        // served an empty window where the second cluster starts.
+        let (_, keys) = crate::build::tests::adversary_columns()
+            .into_iter()
+            .find(|(name, _)| *name == "two clusters")
+            .unwrap();
+        let model = InterpolationModel::from_sorted_keys(&keys);
+        let table = ShiftTable::build(&model, &keys);
+        let mut rng = SplitMix64::new(0xE3F7);
+        let top = keys[keys.len() - 1] + 2;
+        let queries: Vec<u64> = (0..*LENGTHS.iter().max().unwrap())
+            .map(|i| match i % 8 {
+                0 => keys[rng.next_below(keys.len() as u64) as usize],
+                _ => rng.next_below(top),
+            })
+            .collect();
+        let empty = queries
+            .iter()
+            .filter(|&&q| table.correct(model.predict_clamped(q)).window == Some(0))
+            .count();
+        assert!(2 * empty > queries.len(), "{empty} empty windows");
+        for len in LENGTHS {
+            assert_all_paths(&model, &keys, &queries[..len]);
+        }
     }
 
     #[test]

@@ -23,12 +23,11 @@
 //! ## Crate layout
 //!
 //! * [`ShiftTable`] — the full-resolution `<Δ, C>` layer (the paper's R-1
-//!   configuration, Algorithm 2), stored at 2.5 bytes per key whatever
-//!   the model and the keys: a `u8` offset from one base per block of 8
-//!   for the exact `Δ`, a `u8` code for `C` that rounds windows past 127
-//!   records up by at most an eighth (sound: `C` only bounds the local
-//!   search), and the rare entry that fits neither in a slot-addressed
-//!   patch list — see [`entry`],
+//!   configuration, Algorithm 2), stored at 1.5 bytes per key whatever
+//!   the model and the keys: only the exact `Δ`, as a `u8` offset from one
+//!   base per block of 8 — a window ends where the next partition's
+//!   starts, so `C` is not stored — and the rare block whose drifts spread
+//!   past a byte in full in a patch array — see [`entry`],
 //! * [`CompactShiftTable`] — the compressed midpoint layer with one `Δ̄`
 //!   entry per `X` records (the S-X configurations, §3.4),
 //! * [`CorrectedIndex`] — a complete range index assembled from any

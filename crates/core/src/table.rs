@@ -1,10 +1,16 @@
 //! The full-resolution range-mode Shift-Table (the paper's R-1 layer).
 //!
-//! One `<Δ_k, C_k>` entry per possible model prediction (`M = N`): a query's
-//! prediction `k` is corrected to the window
-//! `[k + Δ_k, k + Δ_k + C_k − 1]`, which is guaranteed to contain the lower
-//! bound of every indexed key predicted at `k` (and, for valid monotone
-//! models, to contain-or-abut the lower bound of non-indexed queries, §3.1).
+//! One drift `Δ_k` per possible model prediction (`M = N`), and one for the
+//! end of the column, `Δ_N = 0`. Partition `k` starts at `S_k = k + Δ_k`
+//! and its window ends where partition `k + 1`'s starts: a query's
+//! prediction `k` is corrected to `[S_k, max(S_k, S_{k+1}))`, inside the
+//! column because every start is a key's position or `N`. For a valid
+//! monotone model that is exactly the paper's
+//! `[k + Δ_k, k + Δ_k + C_k − 1]` of a partition with keys, and an empty
+//! window at the lower bound of a query predicted into an empty one — so it
+//! contains the lower bound of every indexed key predicted at `k`, and
+//! contains or abuts that of every other query (§3.1). A non-monotone
+//! model's window may miss; the §3.8 repair closes the lookup.
 
 use crate::build;
 use crate::correction::{Correction, SearchHint};
@@ -14,16 +20,18 @@ use crate::packed::Packed;
 use learned_index::model::CdfModel;
 use sosd_data::key::Key;
 
-/// Range-mode Shift-Table: `<Δ, C>` pairs, one per prediction value.
+/// Range-mode Shift-Table: one `Δ` per prediction value, each window ending
+/// at the next one's start.
 #[derive(Debug, Clone)]
 pub struct ShiftTable {
-    entries: Packed,
+    /// `n + 1` drifts over `n > 0` keys, none over none.
+    drifts: Packed,
     n: usize,
 }
 
 impl ShiftTable {
-    /// The most keys one layer can cover (drifts and window lengths are
-    /// stored in at most 32 bits). The validating builders
+    /// The most keys one layer can cover (drifts are stored in at most 32
+    /// bits). The validating builders
     /// ([`crate::CorrectedIndexBuilder::build`], [`crate::spec::IndexSpec`])
     /// reject longer columns with [`BuildError::TooManyKeys`].
     pub const MAX_KEYS: usize = crate::entry::MAX_KEYS;
@@ -50,69 +58,89 @@ impl ShiftTable {
     /// If `keys` is longer than [`ShiftTable::MAX_KEYS`].
     pub fn build<K: Key, M: CdfModel<K> + ?Sized>(model: &M, keys: &[K]) -> Self {
         Self {
-            entries: build::build_range_layer(model, keys),
+            drifts: build::build_range_layer(model, keys),
             n: keys.len(),
         }
     }
 
-    /// Assemble a layer from hand-written `(Δ, C)` entries.
+    /// Assemble a layer from hand-written partition starts `S_k`, one per
+    /// key.
     #[cfg(test)]
-    pub(crate) fn from_entries(entries: Vec<crate::entry::WideEntry>) -> Self {
+    pub(crate) fn from_starts(starts: &[usize]) -> Self {
+        let drifts = starts.iter().enumerate().map(|(k, &s)| s as i32 - k as i32);
+        let end = (!starts.is_empty()).then_some(0);
         Self {
-            entries: Packed::from_wide(&entries),
-            n: entries.len(),
+            drifts: Packed::from_drifts(&drifts.chain(end).collect::<Vec<_>>()),
+            n: starts.len(),
         }
     }
 
     /// Number of keys (== number of entries, `M = N`).
     #[inline]
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.n
     }
 
     /// True if the layer has no entries.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.n == 0
     }
 
-    /// Fetch the entry for prediction `k` (clamped into range).
+    /// The partition `prediction` falls in — the last one past the end —
+    /// its drift, and its served window `(start, length)`: from its own
+    /// start to the next partition's, empty where that is not past it.
+    /// Every start is a key's position or the end of the column, so the
+    /// window lies inside the column. `None` for a layer over no keys.
+    #[inline]
+    fn window(&self, prediction: usize) -> Option<(i32, usize, usize)> {
+        let (k, delta, next) = self.drifts.pair(prediction)?;
+        let start = k.wrapping_add_signed(delta as isize);
+        let end = (k + 1).wrapping_add_signed(next as isize);
+        // `end > start` exactly when `next ≥ delta`: a select on the drifts
+        // compiles to a conditional move. Whether a query falls into an
+        // empty partition is data — gap queries often do — so a branch on it
+        // would be mispredicted.
+        let len = std::hint::select_unpredictable(next >= delta, end.wrapping_sub(start), 0);
+        Some((delta, start, len))
+    }
+
+    /// Fetch the entry for prediction `k` (clamped into range): its exact
+    /// `Δ_k` and its served window length — 0 for an empty partition.
     #[inline]
     pub fn entry(&self, k: usize) -> ShiftEntry {
-        if self.entries.is_empty() {
-            return ShiftEntry::default();
-        }
-        self.entries.get(k.min(self.entries.len() - 1))
+        self.window(k)
+            .map_or_else(ShiftEntry::default, |(delta, _, len)| {
+                ShiftEntry::new(delta as i64, len as u64)
+            })
     }
 
-    /// How many entries are served from the patch list: an offset past
-    /// 255 from its block's base, or a window no count code reaches (they
-    /// cost 8 bytes more than the others, and a fetch of one reads the
+    /// How many drifts are served from the patch array: those of the
+    /// escaped blocks, 8 a block, whose drifts spread past a byte (they
+    /// cost 4 bytes more than the others, and a fetch of one reads the
     /// patch instead of the block's base).
     pub fn patches(&self) -> usize {
-        self.entries.patches()
+        self.drifts.patches()
     }
 
-    /// Iterate over the window lengths `C_k` as the layer serves them
-    /// (used by the cost model and by the Eq. 8 error estimate): exact up
-    /// to 127 records and for a patched entry, else rounded up to the next
-    /// count code, at most an eighth longer (see [`crate::entry`]).
+    /// Iterate over the window lengths `C_k` as the layer serves them (used
+    /// by the cost model and by the Eq. 8 error estimate): 0 for an empty
+    /// partition, so over a monotone layer they sum to [`ShiftTable::len`].
     pub fn window_lengths(&self) -> impl Iterator<Item = u64> + '_ {
-        (0..self.entries.len()).map(move |k| self.entries.get(k).count)
+        self.entries().map(|entry| entry.count)
     }
 
     /// Iterate over the `<Δ_k, C_k>` entries as the layer serves them:
     /// every `Δ_k` exact, every `C_k` as [`ShiftTable::window_lengths`]
     /// reports it.
     pub fn entries(&self) -> impl Iterator<Item = ShiftEntry> + '_ {
-        (0..self.entries.len()).map(move |k| self.entries.get(k))
+        (0..self.n).map(move |k| self.entry(k))
     }
 
     /// The expected prediction error after correction under a
     /// uniformly-from-the-keys query distribution (Eq. 8):
-    /// `ē = (1 / 2N) · Σ_k C_k²`, over the served window lengths — what a
-    /// lookup searches — so up to 1.27× the exact windows' where they are
-    /// all past 127 records.
+    /// `ē = (1 / 2N) · Σ_k C_k²` over the served windows — those of the
+    /// partitions holding keys, an empty one adding 0.
     pub fn expected_error(&self) -> f64 {
         if self.n == 0 {
             return 0.0;
@@ -123,30 +151,23 @@ impl ShiftTable {
 }
 
 impl Correction for ShiftTable {
-    // Plain `#[inline]`, like the fetch under it: nothing is dispatched
-    // between here and the arrays, so the batch kernel's correct stage
-    // inlines both unforced (forcing them moved no batch metric of the
-    // repository benchmark outside its quartiles).
-    #[inline]
+    // Forced: the batch kernel's correct stage must inline the fetch. A
+    // build whose fetch tested both escapes at once and fell back to two
+    // single fetches got `correct` called out of line from the kernel, and
+    // the benchmark's `static_narrow` batch throughput fell 9 %.
+    #[inline(always)]
     fn correct(&self, prediction: usize) -> SearchHint {
-        if self.entries.is_empty() {
-            return SearchHint::bounded(0, 0);
-        }
-        let k = prediction.min(self.entries.len() - 1);
-        let (delta, count) = self.entries.wide(k);
-        // The served count may be rounded up: the clamp to the column is
-        // what keeps the longer window a valid one.
-        let start = (k as i64 + delta as i64).clamp(0, self.n as i64) as usize;
-        let window = (count as usize).min(self.n - start);
-        SearchHint::bounded(start, window)
+        // A layer over no keys serves the empty window at 0.
+        let (_, start, len) = self.window(prediction).unwrap_or_default();
+        SearchHint::bounded(start, len)
     }
 
     fn size_bytes(&self) -> usize {
-        self.entries.size_bytes()
+        self.drifts.size_bytes()
     }
 
     fn entry_count(&self) -> usize {
-        self.entries.len()
+        self.n
     }
 
     fn name(&self) -> &'static str {
@@ -185,10 +206,10 @@ mod tests {
 
     type HardLayer = (Box<dyn CdfModel<u64>>, Dataset<u64>);
 
-    /// Layers a plain `(u8, u8)` could not hold: a least-squares line over
-    /// lognormal keys crowds its predictions into long pseudo-runs copying
-    /// one long window, with a drift inside `i16` at 6 k keys and past it
-    /// at 70 k; with every key predicted into the last partition the one
+    /// Layers of long windows: a least-squares line over lognormal keys
+    /// crowds its predictions into few partitions between long stretches
+    /// of empty ones, with a drift inside `i16` at 6 k keys and past it at
+    /// 70 k; with every key predicted into the last partition the one
     /// window is past `u16` too.
     fn hard_layers() -> Vec<HardLayer> {
         use learned_index::linear::LinearModel;
@@ -206,53 +227,45 @@ mod tests {
         ]
     }
 
-    /// Bytes of the smallest plain encoding `entries` fit — `(i16, u16)`,
-    /// `(u16, u16)` under a base per block of 8, or `(i32, u32)`: what a
-    /// layer cost before counts were coded, and may not cost less than now.
-    fn plain_bytes(entries: &[crate::entry::WideEntry]) -> usize {
+    /// Bytes of the smallest plain encoding the served `<Δ, C>` entries fit
+    /// — `(i16, u16)`, `(u16, u16)` under a base per block of 8, or
+    /// `(i32, u32)`: what a layer that stores its counts costs, and the
+    /// drift-only layout may not cost more.
+    fn plain_bytes(table: &ShiftTable) -> usize {
+        let entries: Vec<ShiftEntry> = table.entries().collect();
         let n = entries.len();
-        let counts_fit = entries.iter().all(|e| e.1 <= u16::MAX as u32);
+        let counts_fit = entries.iter().all(|e| e.count <= u16::MAX as u64);
         let spreads_fit = entries.chunks(8).all(|block| {
-            let deltas = block.iter().map(|e| e.0);
-            deltas
-                .clone()
-                .max()
-                .unwrap()
-                .abs_diff(deltas.min().unwrap())
-                <= u16::MAX as u32
+            let deltas = block.iter().map(|e| e.delta);
+            deltas.clone().max().unwrap() - deltas.min().unwrap() <= u16::MAX as i64
         });
-        if counts_fit && entries.iter().all(|e| i16::try_from(e.0).is_ok()) {
+        if counts_fit && entries.iter().all(|e| i16::try_from(e.delta).is_ok()) {
             4 * n
-        } else if counts_fit && spreads_fit && entries.iter().all(|e| e.1 >= 1) {
+        } else if counts_fit && spreads_fit {
             4 * n + 4 * n.div_ceil(8)
         } else {
             8 * n
         }
     }
 
-    /// Build the layer and check it against the scatter builder's exact
-    /// entries: every start the same, every window no shorter and at most
-    /// an eighth longer, every indexed key inside its corrected window.
+    /// Bytes of a layer over `n` keys with `patches` drifts in escaped
+    /// blocks: a byte a drift — the end's included — 4 a block of 8, and 4
+    /// more a patched drift.
+    fn layer_bytes(n: usize, patches: usize) -> usize {
+        (n + 1) + 4 * (n + 1).div_ceil(8) + 4 * patches
+    }
+
+    /// Build the layer and check every indexed key lies inside its
+    /// corrected window, which lies inside the column.
     fn assert_windows_cover_every_key(model: &dyn CdfModel<u64>, d: &Dataset<u64>) -> ShiftTable {
         let table = ShiftTable::build(model, d.as_slice());
         assert_eq!(table.len(), d.len());
-        let exact = build::compute_range_entries(model, d.as_slice());
-        for (k, (served, &(delta, count))) in table.entries().zip(&exact).enumerate() {
-            let count = count as u64;
-            assert_eq!(served.delta, delta as i64, "{} entry {k}", d.name());
-            assert!(
-                count <= served.count && served.count <= count + count / 8,
-                "{} entry {k}: {count} served as {}",
-                d.name(),
-                served.count
-            );
-        }
         for &k in d.as_slice() {
             let target = d.lower_bound(k);
             let hint = table.correct(model.predict_clamped(k));
             let w = hint.window.unwrap();
             assert!(
-                hint.start <= target && target < hint.start + w.max(1),
+                hint.start <= target && target < hint.start + w,
                 "{} n={}: key {k} target {target} outside window [{}, {})",
                 d.name(),
                 d.len(),
@@ -267,8 +280,8 @@ mod tests {
     #[cfg_attr(miri, ignore = "dataset too large for Miri")]
     #[test]
     fn corrected_windows_cover_every_indexed_key() {
-        // Under IM at 200 k keys several generators' layers hold a patch
-        // list (a dense region climbs the drift past a block's byte).
+        // Under IM at 200 k keys several generators' layers hold escaped
+        // blocks (a dense region climbs the drift past a block's byte).
         let mut patched = 0;
         for n in [10_000, 200_000] {
             for name in SosdName::all() {
@@ -278,7 +291,7 @@ mod tests {
             }
         }
         assert!(patched >= 5, "{patched} layers with patches");
-        // And through count codes wherever one looks.
+        // And through long windows wherever one looks.
         for (model, d) in hard_layers() {
             assert_windows_cover_every_key(&*model, &d);
         }
@@ -286,22 +299,102 @@ mod tests {
 
     #[cfg_attr(miri, ignore = "dataset too large for Miri")]
     #[test]
-    fn every_generator_packs_under_2_6_bytes_a_key() {
-        // Two bytes an entry, half a byte of base, 1/64 of directory and the
-        // patches: under 2.6 bytes a key for the free model, the benchmark's
-        // RMI (monotone or not) and a least-squares line, under 3.4 for
-        // every model there is — and never more than the smallest plain
-        // encoding of the same entries.
+    fn monotone_layers_serve_exact_windows_and_empty_ones_at_the_next_start() {
+        // Every monotone model over every generator: a partition with keys
+        // serves exactly the run of positions predicted into it, an empty
+        // one an empty window where the next partition with keys starts (or
+        // at the end), and every indexed key and every query in a gap
+        // between keys lands in `[start, start + window]`. A model audited
+        // monotone over its keys only (an RMI, PGM, a cubic) may predict a
+        // gap query out of order with the keys beside it, which §3.8's
+        // repair is for; every other query is checked.
+        use learned_index::spec::ModelSpec;
+        let mut layers = 0;
+        let specs = [
+            "im", "linear", "cubic", "rmi:64", "rmi:4096", "rs:32", "pgm:64",
+        ];
+        for spec in specs.map(|spec| ModelSpec::parse(spec).unwrap()) {
+            for name in SosdName::all() {
+                let d: Dataset<u64> = name.generate(20_000, 21);
+                let (keys, n) = (d.as_slice(), d.len());
+                let model = spec.build(keys);
+                if !model.is_monotonic() {
+                    continue;
+                }
+                layers += 1;
+                let table = ShiftTable::build(&*model, keys);
+                let mut runs = vec![(n, 0); n];
+                for (i, &key) in keys.iter().enumerate() {
+                    let (first, count) = &mut runs[model.predict_clamped(key)];
+                    *first = (*first).min(i);
+                    *count += 1;
+                }
+                let mut next_start = n;
+                for (k, &(first, count)) in runs.iter().enumerate().rev() {
+                    let start = if count > 0 { first } else { next_start };
+                    let tag = format!("{name} {spec} partition {k}");
+                    assert_eq!(table.correct(k), SearchHint::bounded(start, count), "{tag}");
+                    assert_eq!(table.entry(k).count, count as u64, "{tag}");
+                    next_start = start;
+                }
+                let (mut queries, mut in_order) = (0, 0);
+                for &key in keys {
+                    for q in [key.saturating_sub(1), key, key.saturating_add(1)] {
+                        let target = d.lower_bound(q);
+                        let p = model.predict_clamped(q);
+                        let predicted = |i: usize| model.predict_clamped(keys[i]);
+                        queries += 1;
+                        if (target > 0 && predicted(target - 1) > p)
+                            || (target < n && predicted(target) < p)
+                        {
+                            continue;
+                        }
+                        in_order += 1;
+                        let hint = table.correct(p);
+                        assert!(
+                            hint.start <= target && target <= hint.start + hint.window.unwrap(),
+                            "{name} {spec}: query {q} target {target} outside {hint:?}"
+                        );
+                    }
+                }
+                assert!(
+                    100 * in_order >= 99 * queries,
+                    "{name} {spec}: {in_order}/{queries}"
+                );
+            }
+        }
+        assert!(layers > 4 * 14, "{layers} monotone layers");
+    }
+
+    #[test]
+    fn window_lengths_sum_to_the_key_count() {
+        // Eq. 8–10 sum over the keys: an empty partition's window is 0, so
+        // over a monotone layer the windows add up to `N` exactly.
+        let d: Dataset<u64> = SosdName::Amzn64.generate(4_000, 42);
+        let model = InterpolationModel::build(&d);
+        let table = ShiftTable::build(&model, d.as_slice());
+        assert!(table.window_lengths().any(|c| c == 0), "empty partitions");
+        assert_eq!(table.window_lengths().sum::<u64>(), d.len() as u64);
+    }
+
+    #[cfg_attr(miri, ignore = "dataset too large for Miri")]
+    #[test]
+    fn every_generator_packs_under_1_6_bytes_a_key() {
+        // A byte a drift, half a byte of base and 4 bytes a patched drift:
+        // under 1.6 bytes a key for the free model, the benchmark's RMI
+        // (monotone or not) and a least-squares line, under 2.3 for every
+        // model there is — and never more than the smallest plain encoding
+        // of the same served entries.
         use learned_index::spec::ModelSpec;
         let specs = [
-            ("im", 26),
-            ("rmi:4096", 26),
-            ("linear", 26),
-            ("cubic", 34),
-            ("rmi:64", 34),
-            ("rmi:64:cubic", 34),
-            ("rs:32", 34),
-            ("pgm:64", 34),
+            ("im", 16),
+            ("rmi:4096", 16),
+            ("linear", 16),
+            ("cubic", 23),
+            ("rmi:64", 23),
+            ("rmi:64:cubic", 23),
+            ("rs:32", 23),
+            ("pgm:64", 23),
         ];
         for (spec, tenths) in specs {
             let spec = ModelSpec::parse(spec).unwrap();
@@ -312,8 +405,9 @@ mod tests {
                     let table = ShiftTable::build(&*model, d.as_slice());
                     let bytes = Correction::size_bytes(&table);
                     let tag = format!("{name} {spec} n={n}: {} patches", table.patches());
+                    assert_eq!(bytes, layer_bytes(n, table.patches()), "{tag}");
                     assert!(bytes * 10 < n * tenths, "{tag}: {bytes} bytes");
-                    let plain = plain_bytes(&build::compute_range_entries(&*model, d.as_slice()));
+                    let plain = plain_bytes(&table);
                     assert!(bytes <= plain, "{tag}: {bytes} bytes, {plain} plain");
                 }
             }
@@ -322,8 +416,11 @@ mod tests {
 
     #[test]
     fn expected_error_matches_hand_computation() {
-        // Construct entries directly: windows of length 1, 3 and 2 over 6 keys.
-        let table = ShiftTable::from_entries(vec![(0, 1), (0, 3), (0, 2), (0, 0), (0, 0), (0, 0)]);
+        // Windows of length 1, 3 and 2 over 6 keys, then three empty
+        // partitions at the end.
+        let table = ShiftTable::from_starts(&[0, 1, 4, 6, 6, 6]);
+        let windows: Vec<u64> = table.window_lengths().collect();
+        assert_eq!(windows, [1, 3, 2, 0, 0, 0]);
         // Eq. 8: (1² + 3² + 2²) / (2 · 6) = 14 / 12.
         assert!((table.expected_error() - 14.0 / 12.0).abs() < 1e-12);
     }
@@ -336,10 +433,10 @@ mod tests {
         let table = ShiftTable::build(&model, d.as_slice());
         assert!(table.expected_error() <= 1.0);
         assert!(table.window_lengths().all(|c| c <= 2));
-        // A perfect model's layer is two bytes an entry and half a byte of
+        // A perfect model's layer is a byte a drift and half a byte of
         // base: nothing to patch.
         assert_eq!(table.patches(), 0);
-        assert_eq!(Correction::size_bytes(&table), 5_000 * 5 / 2);
+        assert_eq!(Correction::size_bytes(&table), layer_bytes(5_000, 0));
     }
 
     #[cfg_attr(miri, ignore = "dataset too large for Miri")]
@@ -347,25 +444,29 @@ mod tests {
     fn huge_drift_either_way_is_a_base_and_a_long_window_a_code() {
         // A model with an enormous bias, either way. Every key predicted
         // at 0: one window over everything — its `Δ` of 0 is its block's
-        // base, so the block's other seven, which drift `n − 2` and less,
-        // are patches — and trailing pseudo-entries that step down from
-        // there one by one.
+        // base, so the block, whose other seven drift `n − 1` and less, is
+        // escaped — and partitions right of it that start at the end.
         let n = 100_000;
         let keys: Vec<u64> = (0..n as u64).collect();
         let table = ShiftTable::build(&Constant { n, at: 0 }, &keys);
-        assert_eq!(table.patches(), 7);
-        assert_eq!(table.entry(0), ShiftEntry::new(0, 106_496));
+        assert_eq!(table.patches(), 8);
+        assert_eq!(table.entry(0), ShiftEntry::new(0, n as u64));
         assert_eq!(table.correct(0), SearchHint::bounded(0, n));
-        // Every key predicted at `n − 1`: every entry points at that
-        // window, rounded up in the entry and clamped to the column when
-        // served.
+        assert_eq!(table.entry(1), ShiftEntry::new(n as i64 - 1, 0));
+        assert_eq!(table.correct(n / 2), SearchHint::bounded(n, 0));
+        // Every key predicted at `n − 1`: every partition left of it is
+        // empty and starts at the first key; its window is the column, and
+        // the end sits in a block of its own.
         let table = ShiftTable::build(&Constant { n, at: n - 1 }, &keys);
         assert_eq!(table.patches(), 0);
-        assert_eq!(Correction::size_bytes(&table), n * 5 / 2);
-        for k in [0, n / 2, n - 1] {
-            assert_eq!(table.entry(k), ShiftEntry::new(-(k as i64), 106_496));
-            assert_eq!(table.correct(k), SearchHint::bounded(0, n));
+        assert_eq!(Correction::size_bytes(&table), layer_bytes(n, 0));
+        for k in [0, n / 2] {
+            assert_eq!(table.entry(k), ShiftEntry::new(-(k as i64), 0));
+            assert_eq!(table.correct(k), SearchHint::bounded(0, 0));
         }
+        let last = ShiftEntry::new(1 - n as i64, n as u64);
+        assert_eq!(table.entry(n - 1), last);
+        assert_eq!(table.correct(n - 1), SearchHint::bounded(0, n));
     }
 
     #[test]
@@ -392,24 +493,20 @@ mod tests {
     #[cfg_attr(miri, ignore = "dataset too large for Miri")]
     #[test]
     fn size_bytes_reflects_encoding() {
-        // Two bytes an entry, 4 a block of 8, and for a layer with patches
-        // 8 each and 4 a bucket of 256 entries — also where the smallest
-        // plain encoding is 4, 4.5 and 8 bytes an entry.
-        let size = |table: &ShiftTable, n: usize| {
-            let patched = 4 * n.div_ceil(256) + 8 * table.patches();
-            2 * n + 4 * n.div_ceil(8) + if table.patches() > 0 { patched } else { 0 }
-        };
+        // A byte a drift, 4 a block of 8 and 4 a patched drift — also where
+        // the smallest plain encoding of the served entries is 4, 4.5 and 8
+        // bytes an entry.
         for ((model, d), plain) in hard_layers().into_iter().zip([8, 9, 16]) {
             let n = d.len();
             let table = ShiftTable::build(&*model, d.as_slice());
-            let exact = build::compute_range_entries(&*model, d.as_slice());
-            assert_eq!(plain_bytes(&exact) * 2, plain * n, "{}", d.name());
-            assert_eq!(Correction::size_bytes(&table), size(&table, n));
+            assert_eq!(plain_bytes(&table) * 2, plain * n, "{}", d.name());
+            let bytes = layer_bytes(n, table.patches());
+            assert_eq!(Correction::size_bytes(&table), bytes);
             assert!(table.patches() < n / 100, "{}", d.name());
             assert_eq!(table.entry_count(), n);
             // All in the last partition: not one patch.
             if plain == 16 {
-                assert_eq!(Correction::size_bytes(&table), n * 5 / 2);
+                assert_eq!(table.patches(), 0);
             }
         }
         // IM over 200 k lognormal keys: a few hundred patches.
@@ -417,7 +514,10 @@ mod tests {
         let d: Dataset<u64> = SosdName::Logn64.generate(n, 21);
         let table = ShiftTable::build(&InterpolationModel::build(&d), d.as_slice());
         assert!((1..n / 100).contains(&table.patches()));
-        assert_eq!(Correction::size_bytes(&table), size(&table, n));
+        assert_eq!(
+            Correction::size_bytes(&table),
+            layer_bytes(n, table.patches())
+        );
     }
 
     #[test]

@@ -149,7 +149,7 @@ pub const CATALOGUE: &[(&str, &str, &str)] = &[
     (
         "store_layer_patches",
         "entries",
-        "Entries the hot shards' Shift-Table layers serve from their patch lists (8 bytes more than the others; a fetch of one reads the patch instead of the block's base).",
+        "Drifts the hot shards' Shift-Table layers serve from their patch arrays: the 8 of every escaped block, whose drifts spread past a byte (4 bytes more than the others; a fetch of one reads the patch instead of the block's base).",
     ),
     (
         "store_delta_runs",

@@ -63,8 +63,8 @@ pub struct ShardSnapshot<K: Key> {
     keys: Arc<[K]>,
     index: DynRangeIndex<K>,
     /// What the index's correction layer occupies, noted before the index
-    /// went behind `dyn RangeIndex`: its bytes, and the patched entries of
-    /// a range layer. Both 0 on a cold snapshot.
+    /// went behind `dyn RangeIndex`: its bytes, and the drifts a range
+    /// layer keeps in escaped blocks. Both 0 on a cold snapshot.
     layer_bytes: usize,
     layer_patches: usize,
     epoch: u64,
@@ -125,8 +125,9 @@ impl<K: Key> ShardSnapshot<K> {
         self.layer_bytes
     }
 
-    /// Entries a Shift-Table range layer serves from its patch list (see
-    /// [`shift_table::ShiftTable::patches`]); 0 for every other layer.
+    /// Drifts a Shift-Table range layer serves from its patch array, 8 an
+    /// escaped block (see [`shift_table::ShiftTable::patches`]); 0 for
+    /// every other layer.
     pub fn layer_patches(&self) -> usize {
         self.layer_patches
     }
@@ -910,7 +911,11 @@ mod tests {
         assert!(!cold.snapshot().is_cold());
         assert_eq!(cold.snapshot().epoch(), 1);
         let n = cold.snapshot().base_len();
-        assert_eq!(cold.snapshot().layer_bytes(), 2 * n + 4 * n.div_ceil(8));
+        // A byte a drift, the end's included, and 4 a block of 8.
+        assert_eq!(
+            cold.snapshot().layer_bytes(),
+            (n + 1) + 4 * (n + 1).div_ceil(8)
+        );
         assert!(
             !cold.rebuild().unwrap(),
             "hydrated + clean shard does not rebuild again"

@@ -270,11 +270,11 @@ fn catalogue_is_complete_and_prometheus_roundtrips() {
 }
 
 /// The layer gauges say what the hot shards' Shift-Table layers weigh and
-/// how many of their entries are patches: under `im+r1` two shards of 200 k
-/// amzn64 keys take 2 bytes an entry, 4 per block of 8, 4 per bucket of 256
-/// and 8 per patch; three of evenly spaced keys hold no patch and no
-/// directory, and neither does a least-squares line over lognormal keys
-/// under 2.6 bytes a key.
+/// how many of their drifts are patches: under `im+r1` two shards of 200 k
+/// amzn64 keys take a byte a drift (one a key and the end's), 4 per block
+/// of 8 and 4 more per drift of an escaped block; three of evenly spaced
+/// keys hold no patch, and a least-squares line over lognormal keys few,
+/// under 1.6 bytes a key.
 #[test]
 fn layer_gauges_report_bytes_and_patches_of_every_hot_shard() {
     use sosd_data::prelude::*;
@@ -298,31 +298,30 @@ fn layer_gauges_report_bytes_and_patches_of_every_hot_shard() {
         .sum();
     assert!((1..4_000).contains(&patches), "{patches} patches");
     assert_eq!(gauge(&big, "store_layer_patches"), patches as f64);
-    let arrays = |per_entries: usize| -> usize {
-        let shards = table.shards().iter();
-        shards.map(|s| s.len().div_ceil(per_entries)).sum()
-    };
-    let bytes = 2 * 400_000 + 4 * arrays(8) + 4 * arrays(256) + 8 * patches;
+    let layer_bytes = |len: usize| (len + 1) + 4 * (len + 1).div_ceil(8);
+    let bytes: usize = table.shards().iter().map(|s| layer_bytes(s.len())).sum();
+    let bytes = bytes + 4 * patches;
     assert_eq!(gauge(&big, "store_layer_bytes"), bytes as f64);
 
     let keys: Vec<u64> = (0..5_000u64).collect();
     let small = ShardedStore::build(StoreConfig::new(spec()).shards(3), &keys).unwrap();
     let small_table = small.table();
-    let blocks = small_table.shards().iter().map(|s| s.len().div_ceil(8));
+    let bytes = small_table.shards().iter().map(|s| layer_bytes(s.len()));
     assert_eq!(
         gauge(&small, "store_layer_bytes"),
-        (10_000 + 4 * blocks.sum::<usize>()) as f64
+        bytes.sum::<usize>() as f64
     );
     assert_eq!(gauge(&small, "store_layer_patches"), 0.0);
 
-    // Long pseudo-runs copying one long window: coded counts, few patches.
+    // Few partitions holding keys between long stretches of empty ones:
+    // long windows, few patches.
     let linear = IndexSpec::parse("linear+r1").unwrap();
     for (name, n) in [(SosdName::Logn32, 6_000), (SosdName::Logn64, 70_000)] {
         let logn: Dataset<u64> = name.generate(n, 21);
         let config = StoreConfig::new(linear).shards(1);
         let store = ShardedStore::build(config, logn.as_slice()).unwrap();
         let bytes = gauge(&store, "store_layer_bytes");
-        assert!(bytes < 2.6 * n as f64, "{name}: {bytes} bytes");
+        assert!(bytes < 1.6 * n as f64, "{name}: {bytes} bytes");
         assert!(gauge(&store, "store_layer_patches") < n as f64 / 100.0);
     }
 

@@ -34,10 +34,10 @@ fn main() {
         index.name(),
         index.correction_error()
     );
-    // The layer is 2.5 bytes an entry — a byte of drift relative to a base
-    // per block of 8, a byte of window length (windows past 127 records
-    // rounded up by at most an eighth) — and 8 more for each entry that
-    // does not fit, kept in a patch list.
+    // The layer is 1.5 bytes an entry — a byte of drift relative to a base
+    // per block of 8; a window ends where the next entry's starts, so its
+    // length costs nothing — and 4 more for each drift of a block whose
+    // drifts spread past a byte, kept in a patch array.
     let patches = match index.layer() {
         CorrectionLayer::Range(table) => table.patches(),
         _ => 0,

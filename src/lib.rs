@@ -5,7 +5,7 @@
 //! downstream users who want "everything" can depend on one crate:
 //!
 //! * [`shift_table`] — the Shift-Table correction layer (the paper's
-//!   contribution; 2.5 bytes per key plus 8 per patched outlier, in one
+//!   contribution; 1.5 bytes per key plus 32 per escaped block of 8, in one
 //!   layout for every model and key column — [`shift_table::entry`]), the
 //!   owned [`shift_table::CorrectedIndex`] and the runtime
 //!   [`shift_table::spec::IndexSpec`] composition layer,
