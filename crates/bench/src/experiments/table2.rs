@@ -82,15 +82,22 @@ pub fn run_subset(cfg: BenchConfig, datasets: &[SosdName]) -> Vec<Table> {
 
 /// Run over all 14 datasets (or the subset named in `SOSD_DATASETS`, a
 /// comma-separated list).
+///
+/// # Panics
+/// If `SOSD_DATASETS` names a dataset that does not exist: the message
+/// names the bad token and lists every known name.
 pub fn run(cfg: BenchConfig) -> Vec<Table> {
     let datasets: Vec<SosdName> = match std::env::var("SOSD_DATASETS") {
-        Ok(list) => list
-            .split(',')
-            .filter_map(|s| SosdName::parse(s.trim()))
-            .collect(),
+        Ok(list) => parse_datasets(&list).unwrap_or_else(|e| panic!("SOSD_DATASETS: {e}")),
         Err(_) => SosdName::all().to_vec(),
     };
     run_subset(cfg, &datasets)
+}
+
+/// Parse a comma-separated list of dataset names; the first unknown one is
+/// an error.
+fn parse_datasets(list: &str) -> Result<Vec<SosdName>, String> {
+    list.split(',').map(|s| s.trim().parse()).collect()
 }
 
 #[cfg(test)]
@@ -108,5 +115,15 @@ mod tests {
         assert!(rendered.contains("osmc64"));
         // FAST must be N/A on the 64-bit row.
         assert!(rendered.contains("N/A"));
+    }
+
+    #[test]
+    fn an_unknown_dataset_name_is_an_error_naming_it() {
+        assert_eq!(
+            parse_datasets(" uden32,osmc64"),
+            Ok(vec![SosdName::Uden32, SosdName::Osmc64])
+        );
+        let err = parse_datasets("uden32,bogus").unwrap_err();
+        assert!(err.contains("`bogus`") && err.contains("wiki64"), "{err}");
     }
 }

@@ -6,6 +6,13 @@
 //! virtual partition `N` — 0, the end of the column — and no window length:
 //! a window ends where the next partition's starts ([`crate::entry`]).
 //!
+//! Both read each key's clamped prediction from one of two sources. A
+//! trainer that audited every key already holds them (an RMI's does, see
+//! `learned_index::rmi`), and [`crate::spec::IndexSpec`]'s build hands them
+//! over, so the whole build evaluates the model once per key. Without them
+//! — every model with no audit pass, and [`crate::ShiftTable::build`] — the
+//! builders ask the model, `PREDICT_RUN` keys at a time.
+//!
 //! **The run-boundary emitter** is the path of monotone models. Over a
 //! sorted column a monotone model's predictions never decrease, so the keys
 //! of one partition are consecutive and — equal keys being predicted alike —
@@ -48,18 +55,62 @@ const PREDICT_RUN: usize = 1024;
 /// Build the full-resolution (`M = N`) range layer of `model` over the
 /// sorted `keys`: the run-boundary emitter for a model whose predictions turn
 /// out monotone, the scatter builder otherwise (see the module docs).
-pub(crate) fn build_range_layer<K: Key, M: CdfModel<K> + ?Sized>(model: &M, keys: &[K]) -> Packed {
+/// `audited`, when given, holds `model.predict_clamped(key)` for every key,
+/// and the builders read it instead of the model.
+pub(crate) fn build_range_layer<K: Key, M: CdfModel<K> + ?Sized>(
+    model: &M,
+    keys: &[K],
+    audited: Option<&[u32]>,
+) -> Packed {
     // lint: allow(panic) the validating builders turn longer columns into BuildError::TooManyKeys; past them a drift would silently truncate
     assert!(
         keys.len() <= MAX_KEYS,
         "a range layer covers at most {MAX_KEYS} keys"
     );
+    debug_assert!(audited.is_none_or(|audited| audited.len() == keys.len()));
     if model.is_monotonic() {
-        if let Some(layer) = emit_range_layer(model, keys) {
+        if let Some(layer) = emit_range_layer(model, keys, audited) {
             return layer;
         }
     }
-    Packed::from_drifts(&compute_range_drifts(model, keys))
+    Packed::from_drifts(&compute_range_drifts(model, keys, audited))
+}
+
+/// Where a builder reads the clamped predictions of a run of keys: the
+/// trainer's audited ones when it handed them over, else the model's,
+/// computed into an L1-resident buffer.
+struct Predictions<'a, M: ?Sized> {
+    model: &'a M,
+    audited: Option<&'a [u32]>,
+    buffer: [u32; PREDICT_RUN],
+}
+
+impl<'a, M: ?Sized> Predictions<'a, M> {
+    fn new(model: &'a M, audited: Option<&'a [u32]>) -> Self {
+        Self {
+            model,
+            audited,
+            buffer: [0; PREDICT_RUN],
+        }
+    }
+
+    /// The predictions of `run`, at most `PREDICT_RUN` keys from position
+    /// `start` on. Through a `dyn` model that is one virtual call per run,
+    /// with the model's arithmetic inlined behind it.
+    #[inline]
+    fn of<K: Key>(&mut self, start: usize, run: &[K]) -> &[u32]
+    where
+        M: CdfModel<K>,
+    {
+        match self.audited {
+            Some(audited) => &audited[start..start + run.len()],
+            None => {
+                let out = &mut self.buffer[..run.len()];
+                self.model.predict_clamped_into(run, out);
+                out
+            }
+        }
+    }
 }
 
 /// Drifts the emitter stages before appending them to the layer (4 KiB,
@@ -125,7 +176,11 @@ impl<'a> Stage<'a> {
 /// prediction is smaller than its predecessor's or past the last partition:
 /// the model is not monotone over the column, whatever it claims, and nothing
 /// of the attempt is kept.
-fn emit_range_layer<K: Key, M: CdfModel<K> + ?Sized>(model: &M, keys: &[K]) -> Option<Packed> {
+fn emit_range_layer<K: Key, M: CdfModel<K> + ?Sized>(
+    model: &M,
+    keys: &[K],
+    audited: Option<&[u32]>,
+) -> Option<Packed> {
     let n = keys.len();
     if n == 0 {
         return Some(Packed::with_capacity(0));
@@ -133,19 +188,18 @@ fn emit_range_layer<K: Key, M: CdfModel<K> + ?Sized>(model: &M, keys: &[K]) -> O
     let mut layer = Packed::with_capacity(n + 1);
     // Partitions below `next` are staged. `open` is the partition whose
     // keys are being walked; its first key sits at `open_start`, where it
-    // and the empty partitions on its left all start (§3.1).
+    // and the empty partitions on its left all start (§3.1). Partition 0
+    // opens at the first key: if that key is predicted past it, partition 0
+    // is one of those empty ones.
     let mut next = 0;
-    let mut open = model.predict_clamped(keys[0]);
+    let mut open = 0;
     let mut open_start = 0;
     let mut stage = Stage::new(&mut layer);
-    // Predictions come a run at a time: through a `dyn` model that is one
-    // virtual call per run, with the model's arithmetic inlined behind it.
-    let mut predictions = [0u32; PREDICT_RUN];
+    let mut predictions = Predictions::new(model, audited);
     let mut changes = [0u16; PREDICT_RUN];
     for start in (0..n).step_by(PREDICT_RUN) {
         let run = &keys[start..n.min(start + PREDICT_RUN)];
-        let predictions = &mut predictions[..run.len()];
-        model.predict_clamped_into(run, predictions);
+        let predictions = predictions.of(start, run);
         // Compact the positions where the prediction changes: every
         // position is written, the cursor moves on only past a change.
         let mut found = 0;
@@ -183,6 +237,7 @@ fn emit_range_layer<K: Key, M: CdfModel<K> + ?Sized>(model: &M, keys: &[K]) -> O
 pub(crate) fn compute_range_drifts<K: Key, M: CdfModel<K> + ?Sized>(
     model: &M,
     keys: &[K],
+    audited: Option<&[u32]>,
 ) -> Vec<i32> {
     let n = keys.len();
     if n == 0 {
@@ -191,12 +246,11 @@ pub(crate) fn compute_range_drifts<K: Key, M: CdfModel<K> + ?Sized>(
     let mut drifts = vec![UNSET; n + 1];
     drifts[n] = 0;
     // Predictions come a run at a time, as in the emitter.
-    let mut predictions = [0u32; PREDICT_RUN];
+    let mut predictions = Predictions::new(model, audited);
     let mut first_occurrence = 0;
     for start in (0..n).step_by(PREDICT_RUN) {
         let run = &keys[start..n.min(start + PREDICT_RUN)];
-        let predictions = &mut predictions[..run.len()];
-        model.predict_clamped_into(run, predictions);
+        let predictions = predictions.of(start, run);
         for (i, &prediction) in (start..).zip(predictions.iter()) {
             if i > 0 && keys[i] == keys[i - 1] {
                 // duplicate: the CDF target stays at the first occurrence (§3.2)
@@ -323,7 +377,7 @@ pub(crate) fn partition_of(prediction: usize, m: usize, n: usize) -> usize {
 }
 
 #[cfg(test)]
-pub(crate) mod tests {
+mod tests {
     use super::*;
     use crate::correction::{Correction, SearchHint};
     use crate::entry::ShiftEntry;
@@ -372,7 +426,7 @@ pub(crate) mod tests {
         assert_eq!(keys.len(), 100);
         assert!(keys.is_sorted());
 
-        let drifts = compute_range_drifts(&DivTen, &keys);
+        let drifts = compute_range_drifts(&DivTen, &keys, None);
         // Partition 77 receives keys 770 and 771 (positions 36, 37): Δ = 36 −
         // 77 = −41. Partition 76 receives key 769 (position 35): Δ = 35 − 76
         // = −41. Partition 78 receives keys 782 and 785 (positions 38, 39):
@@ -414,7 +468,7 @@ pub(crate) mod tests {
         // Predictions: 0,0,0,3 → partitions 1 and 2 empty. Partition 2
         // mirrors partition 3 shifted by one, partition 1 partition 2, and
         // the end, partition 4, sits at the end of the column.
-        let drifts = compute_range_drifts(&Quarter, &keys);
+        let drifts = compute_range_drifts(&Quarter, &keys, None);
         assert_eq!(drifts, [0, 2, 1, 0, 0]);
         // They all resolve to the same absolute start (position 3): the
         // empty partitions' windows are empty there, partition 0's ends
@@ -427,7 +481,7 @@ pub(crate) mod tests {
         );
 
         // Trailing empty partitions start past the last key.
-        let drifts = compute_range_drifts(&Quarter, &[1u64, 2, 3, 4]);
+        let drifts = compute_range_drifts(&Quarter, &[1u64, 2, 3, 4], None);
         assert_eq!(drifts, [0, 3, 2, 1, 0]);
     }
 
@@ -437,7 +491,7 @@ pub(crate) mod tests {
         for name in SosdName::all() {
             let d: Dataset<u64> = name.generate(20_000, 3);
             let model = InterpolationModel::build(&d);
-            let drifts = compute_range_drifts(&model, d.as_slice());
+            let drifts = compute_range_drifts(&model, d.as_slice(), None);
             let keys = d.as_slice();
             let mut first_occurrence = 0usize;
             for (i, &k) in keys.iter().enumerate() {
@@ -459,7 +513,7 @@ pub(crate) mod tests {
 
     /// The scatter builder's layer: the reference the emitter must equal.
     fn reference<K: Key, M: CdfModel<K> + ?Sized>(model: &M, keys: &[K]) -> Packed {
-        Packed::from_drifts(&compute_range_drifts(model, keys))
+        Packed::from_drifts(&compute_range_drifts(model, keys, None))
     }
 
     /// Assert that the emitter builds the scatter reference, and that
@@ -475,42 +529,14 @@ pub(crate) mod tests {
             "{tag}: the emitter is for monotone models"
         );
         let expected = reference(model, keys);
-        let emitted = emit_range_layer(model, keys).unwrap_or_else(|| panic!("{tag}: abandoned"));
+        let emitted =
+            emit_range_layer(model, keys, None).unwrap_or_else(|| panic!("{tag}: abandoned"));
         assert!(emitted == expected, "{tag}: emitted layer differs");
         assert!(
-            build_range_layer(model, keys) == expected,
+            build_range_layer(model, keys, None) == expected,
             "{tag}: not emitted"
         );
         expected
-    }
-
-    /// Duplicate-heavy columns no generator draws: runs of up to 900 equal
-    /// keys landing anywhere in a block or a prediction run; one run
-    /// covering almost the whole column; two far clusters, with every
-    /// partition between them empty, so a long stretch of empty partitions
-    /// starts mid-block; and a quadratic column of 4096 keys.
-    pub(crate) fn adversary_columns() -> Vec<(&'static str, Vec<u64>)> {
-        use sosd_data::rng::SplitMix64;
-        let mut rng = SplitMix64::new(0xD095);
-        let mut heavy: Vec<u64> = Vec::new();
-        while heavy.len() < 10_000 {
-            let v = rng.next_below(500);
-            let run = 1 + rng.next_below(900) as usize;
-            heavy.extend(std::iter::repeat_n(v, run));
-        }
-        heavy.sort_unstable();
-        let mut mega = vec![7u64; 9_000];
-        mega.splice(0..0, [1u64, 2, 3]);
-        mega.extend([9u64, 10]);
-        let mut clusters: Vec<u64> = (0..3_001u64).collect();
-        clusters.extend((0..3_002u64).map(|i| 1_000_000_000 + i));
-        let quadratic = (0..4096u64).map(|i| i * i / 7).collect();
-        vec![
-            ("duplicate-heavy", heavy),
-            ("mega-run", mega),
-            ("two clusters", clusters),
-            ("quadratic", quadratic),
-        ]
     }
 
     #[cfg_attr(miri, ignore = "dataset too large for Miri")]
@@ -523,7 +549,7 @@ pub(crate) mod tests {
         // of empty ones.
         let mut patched = 0;
         let mut scattered = 0;
-        let adversaries = adversary_columns();
+        let adversaries = sosd_data::generators::adversary_columns();
         for spec in ["im", "linear", "rmi:64", "rmi:4096", "rmi:64:cubic"] {
             let spec = ModelSpec::parse(spec).unwrap();
             let mut check = |keys: &[u64], tag: String| {
@@ -534,7 +560,7 @@ pub(crate) mod tests {
                     // Not the emitter's business: the scatter builder's.
                     scattered += 1;
                     let expected = reference(&*model, keys);
-                    assert!(build_range_layer(&*model, keys) == expected, "{tag}");
+                    assert!(build_range_layer(&*model, keys, None) == expected, "{tag}");
                     expected
                 };
                 patched += usize::from(layer.patches() > 0);
@@ -556,7 +582,7 @@ pub(crate) mod tests {
     #[cfg_attr(miri, ignore = "dataset too large for Miri")]
     #[test]
     fn emitter_matches_scatter_on_duplicate_runs_and_empty_stretches() {
-        for (name, keys) in adversary_columns() {
+        for (name, keys) in sosd_data::generators::adversary_columns() {
             let model = InterpolationModel::from_sorted_keys(&keys);
             assert_emitter_matches_reference(&model, &keys, name);
         }
@@ -617,8 +643,8 @@ pub(crate) mod tests {
                 !learned_index::model::verify_monotonic_on(&liar, &keys),
                 "step {step} dip {dip}: the model must actually dip"
             );
-            assert!(emit_range_layer(&liar, &keys).is_none());
-            assert!(build_range_layer(&liar, &keys) == reference(&liar, &keys));
+            assert!(emit_range_layer(&liar, &keys, None).is_none());
+            assert!(build_range_layer(&liar, &keys, None) == reference(&liar, &keys));
             // The same staircase without the dips is the emitter's.
             let honest = Stairs { n, step, dip: None };
             assert_emitter_matches_reference(&honest, &keys, "stairs");
@@ -629,8 +655,8 @@ pub(crate) mod tests {
             step: 1,
             dip: Some(n as u64),
         };
-        assert!(emit_range_layer(&liar, &keys).is_none());
-        assert!(build_range_layer(&liar, &keys) == reference(&liar, &keys));
+        assert!(emit_range_layer(&liar, &keys, None).is_none());
+        assert!(build_range_layer(&liar, &keys, None) == reference(&liar, &keys));
     }
 
     #[cfg_attr(miri, ignore = "dataset too large for Miri")]
@@ -690,7 +716,7 @@ pub(crate) mod tests {
         assert!(longest > u16::MAX as usize, "longest window {longest}");
         let layer = assert_emitter_matches_reference(&model, d.as_slice(), "wiki64");
         let table = ShiftTable::build(&model, d.as_slice());
-        let delta = compute_range_drifts(&model, d.as_slice())[at];
+        let delta = compute_range_drifts(&model, d.as_slice(), None)[at];
         assert_eq!(
             table.entry(at),
             ShiftEntry::new(delta.into(), longest as u64)
@@ -723,8 +749,8 @@ pub(crate) mod tests {
             step: 3,
             dip: Some(500),
         };
-        assert!(emit_range_layer(&liar, &keys).is_none());
-        assert!(build_range_layer(&liar, &keys) == reference(&liar, &keys));
+        assert!(emit_range_layer(&liar, &keys, None).is_none());
+        assert!(build_range_layer(&liar, &keys, None) == reference(&liar, &keys));
     }
 
     #[test]
@@ -802,8 +828,8 @@ pub(crate) mod tests {
     fn empty_keys_produce_empty_layers() {
         let d: Dataset<u64> = Dataset::from_keys("e", vec![]);
         let model = InterpolationModel::build(&d);
-        assert!(compute_range_drifts(&model, d.as_slice()).is_empty());
-        assert!(build_range_layer(&model, d.as_slice()).is_empty());
+        assert!(compute_range_drifts(&model, d.as_slice(), None).is_empty());
+        assert!(build_range_layer(&model, d.as_slice(), None).is_empty());
         let (deltas, residual) = compute_midpoint_deltas_and_residual(&model, d.as_slice(), 4, 1);
         assert_eq!(deltas, vec![0, 0, 0, 0]);
         assert_eq!(residual, 0.0);

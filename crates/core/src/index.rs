@@ -56,6 +56,9 @@ impl CorrectionLayer {
 pub struct CorrectedIndexBuilder<K: Key, M: CdfModel<K>, S: AsRef<[K]> + Send + Sync> {
     keys: S,
     model: M,
+    /// The model's clamped prediction of every key, when its trainer
+    /// computed them: the range layer is built from these.
+    predictions: Option<Vec<u32>>,
     layer: LayerChoice,
     config: ShiftTableConfig,
     _key: PhantomData<fn(K) -> K>,
@@ -74,10 +77,19 @@ impl<K: Key, M: CdfModel<K>, S: AsRef<[K]> + Send + Sync> CorrectedIndexBuilder<
         Self {
             keys,
             model,
+            predictions: None,
             layer: LayerChoice::None,
             config: ShiftTableConfig::default(),
             _key: PhantomData,
         }
+    }
+
+    /// Build a range layer from `predictions` instead of the model: the
+    /// caller guarantees `predictions[i] == model.predict_clamped(keys[i])`
+    /// for every key ([`crate::spec::IndexSpec`] hands over a trainer's).
+    pub(crate) fn predictions(mut self, predictions: Option<Vec<u32>>) -> Self {
+        self.predictions = predictions;
+        self
     }
 
     /// Attach a full-resolution `<Δ, C>` range layer (the paper's R-1 and the
@@ -145,14 +157,17 @@ impl<K: Key, M: CdfModel<K>, S: AsRef<[K]> + Send + Sync> CorrectedIndexBuilder<
         // needs the statistic for its tuning decision anyway, so it seeds the
         // cache for free.
         let model_expected_error = OnceLock::new();
+        let predictions = self.predictions.as_deref();
         let layer = match self.layer {
             LayerChoice::None => CorrectionLayer::None,
-            LayerChoice::Range => CorrectionLayer::Range(ShiftTable::build(&self.model, keys)),
+            LayerChoice::Range => {
+                CorrectionLayer::Range(ShiftTable::build_with(&self.model, keys, predictions))
+            }
             LayerChoice::Midpoint { records_per_entry } => CorrectionLayer::Midpoint(
                 CompactShiftTable::build(&self.model, keys, records_per_entry),
             ),
             LayerChoice::Auto => {
-                let table = ShiftTable::build(&self.model, keys);
+                let table = ShiftTable::build_with(&self.model, keys, predictions);
                 let before = ModelErrorStats::mean_abs_on_keys(&self.model, keys);
                 let _ = model_expected_error.set(before);
                 let advisor = TuningAdvisor::with(Default::default(), self.config);

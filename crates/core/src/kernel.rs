@@ -529,7 +529,7 @@ mod tests {
         // Two far clusters under IM: every partition between them is empty,
         // so most queries drawn from the domain are predicted into one and
         // served an empty window where the second cluster starts.
-        let (_, keys) = crate::build::tests::adversary_columns()
+        let (_, keys) = sosd_data::generators::adversary_columns()
             .into_iter()
             .find(|(name, _)| *name == "two clusters")
             .unwrap();

@@ -224,9 +224,11 @@ impl IndexSpec {
             crate::error::first_unsorted(keys.as_ref()).is_none(),
             "prevalidated build requires sorted keys"
         );
-        let model = self.model.build(keys.as_ref());
+        // A trainer that audited every key hands its predictions to the
+        // layer builder, which then evaluates no model.
+        let (model, predictions) = self.model.build_with_predictions(keys.as_ref());
         let builder: CorrectedIndexBuilder<K, Box<dyn CdfModel<K>>, Arc<[K]>> =
-            CorrectedIndex::builder(keys, model);
+            CorrectedIndex::builder(keys, model).predictions(predictions);
         let builder = match self.layer {
             LayerSpec::None => builder.without_correction(),
             LayerSpec::Range => builder.with_range_table(),

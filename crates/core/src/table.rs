@@ -57,8 +57,19 @@ impl ShiftTable {
     /// # Panics
     /// If `keys` is longer than [`ShiftTable::MAX_KEYS`].
     pub fn build<K: Key, M: CdfModel<K> + ?Sized>(model: &M, keys: &[K]) -> Self {
+        Self::build_with(model, keys, None)
+    }
+
+    /// [`ShiftTable::build`] reading each key's prediction from `audited`
+    /// — `model.predict_clamped(keys[i])` at `i`, as a trainer's audit
+    /// computed them — when given, instead of evaluating the model.
+    pub(crate) fn build_with<K: Key, M: CdfModel<K> + ?Sized>(
+        model: &M,
+        keys: &[K],
+        audited: Option<&[u32]>,
+    ) -> Self {
         Self {
-            drifts: build::build_range_layer(model, keys),
+            drifts: build::build_range_layer(model, keys, audited),
             n: keys.len(),
         }
     }
@@ -364,6 +375,50 @@ mod tests {
             }
         }
         assert!(layers > 4 * 14, "{layers} monotone layers");
+    }
+
+    #[cfg_attr(miri, ignore = "dataset too large for Miri")]
+    #[test]
+    fn a_layer_built_from_handed_over_predictions_equals_the_models() {
+        // An index spec's build hands an RMI trainer's audited predictions
+        // to the layer builder. Whichever builder the model's monotone flag
+        // picks, the layer is the one `ShiftTable::build` gets from the
+        // model — bases, offsets and patches — and the families with no
+        // audit pass, which hand nothing over, build it as before.
+        use crate::index::CorrectionLayer;
+        use crate::spec::{IndexSpec, LayerSpec};
+        use learned_index::spec::ModelSpec;
+        let rmis = ["rmi:4096", "rmi:64:cubic"].map(|spec| ModelSpec::parse(spec).unwrap());
+        let mut columns = sosd_data::generators::adversary_columns();
+        for n in [6_000, 70_000] {
+            for name in SosdName::all() {
+                columns.push((name.as_str(), name.generate::<u64>(n, 21).into_keys()));
+            }
+        }
+        let (mut emitted, mut scattered) = (0, 0);
+        for spec in rmis.into_iter().chain(ModelSpec::all_families()) {
+            for (name, keys) in &columns {
+                let tag = format!("{name} {spec} n={}", keys.len());
+                let index = IndexSpec::new(spec, LayerSpec::Range)
+                    .build_corrected(keys.as_slice())
+                    .unwrap();
+                let CorrectionLayer::Range(layer) = index.layer() else {
+                    panic!("{tag}: a range layer");
+                };
+                let expected = ShiftTable::build(index.model(), keys);
+                assert!(layer.drifts == expected.drifts, "{tag}: layers differ");
+                assert_eq!(layer.n, expected.n, "{tag}");
+                if matches!(spec, ModelSpec::Rmi { .. }) {
+                    let monotone = index.model().is_monotonic();
+                    emitted += usize::from(monotone);
+                    scattered += usize::from(!monotone);
+                }
+            }
+        }
+        assert!(
+            emitted > 0 && scattered > 0,
+            "{emitted} emitted, {scattered} scattered"
+        );
     }
 
     #[test]

@@ -61,8 +61,11 @@ pub trait CdfModel<K: Key>: Send + Sync {
     /// **A run is non-decreasing.** Its callers are the layer builders,
     /// which walk a sorted column, and an implementation may lean on the
     /// order — [`crate::rmi::RmiIndex`] looks up a leaf once for all the
-    /// consecutive keys routed to it. Keys out of order get unspecified
-    /// (in-range) predictions.
+    /// consecutive keys routed to it, with the stretch walker its trainer
+    /// and audit share. Keys out of order get unspecified (in-range)
+    /// predictions. A layer built through `IndexSpec` calls this only for
+    /// models whose trainer handed over no predictions
+    /// ([`crate::spec::ModelSpec::build_with_predictions`]).
     ///
     /// # Panics
     /// If `keys` and `out` differ in length.

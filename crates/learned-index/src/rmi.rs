@@ -15,11 +15,17 @@
 //!
 //! ## Training cost
 //!
-//! `O(n + L)` time and `4n + 40L` bytes of scratch for `n` keys and `L`
-//! leaves, whatever the root does: one pass routes each key and adds it to
-//! its leaf's least-squares sums, the leaves are solved from the sums, and
-//! one more pass over the stored routing measures the per-leaf error bound
-//! and the monotonicity flag. Empty leaves cost nothing, so sparse
+//! `O(n + L)` time for `n` keys and `L` leaves, two passes over the keys and
+//! one leaf evaluation per key. Both passes walk *leaf stretches* — maximal
+//! runs of consecutive keys routed to one leaf — so a linear root is
+//! evaluated at stretch ends only and a cubic one once per key a pass. The
+//! first pass adds each stretch to its leaf's least-squares sums, the
+//! leaves are solved from the sums, and the audit pass predicts every key
+//! from its leaf once, measuring the per-leaf error bound and the
+//! monotonicity flag. Scratch is `40L` bytes of sums; the audit's `4n`
+//! bytes of clamped predictions are the result
+//! [`RmiBuilder::build_with_predictions`] hands back, so a Shift-Table
+//! built from them evaluates no model. Empty leaves cost nothing, so sparse
 //! configurations (most of a [`RmiBuilder::tuned`] sweep on clustered data)
 //! train as fast as dense ones, and every key a non-monotone root routes to
 //! a leaf is inside that leaf's fit and its error bound.
@@ -29,6 +35,7 @@ use crate::linear::LinearModel;
 use crate::model::CdfModel;
 use sosd_data::dataset::Dataset;
 use sosd_data::key::Key;
+use std::ops::Range;
 
 /// Which model family the RMI root uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -76,9 +83,18 @@ impl RmiBuilder {
 
     /// Build the RMI over a sorted key slice.
     pub fn build_from_sorted_keys<K: Key>(self, keys: &[K]) -> RmiIndex {
+        self.build_with_predictions(keys).0
+    }
+
+    /// Build the RMI over a sorted key slice and return, beside it, the
+    /// clamped prediction of every key: `predictions[i] ==
+    /// predict_clamped(keys[i])`. The audit computes them anyway, so a layer
+    /// builder handed them evaluates no model at all. Positions are narrowed
+    /// to `u32`, as [`CdfModel::predict_clamped_into`]'s are.
+    pub fn build_with_predictions<K: Key>(self, keys: &[K]) -> (RmiIndex, Vec<u32>) {
         let n = keys.len();
         if n == 0 {
-            return RmiIndex {
+            let empty = RmiIndex {
                 root: RootModel::Linear(LinearModel::fit(std::iter::empty(), 0)),
                 leaves: Vec::new(),
                 leaf_errors: Vec::new(),
@@ -86,6 +102,7 @@ impl RmiBuilder {
                 monotonic: true,
                 max_error: 0,
             };
+            return (empty, Vec::new());
         }
         let leaf_count = self.leaf_count.min(n).max(1);
 
@@ -95,17 +112,19 @@ impl RmiBuilder {
             RootModelKind::Cubic => RootModel::Cubic(CubicModel::from_sorted_keys(keys)),
         };
 
-        // 2. One pass: route every key with the root's *raw* prediction
-        //    scaled to the leaf range and add it to its leaf's least-squares
-        //    sums. Indexing the sums by leaf puts the stragglers of a
-        //    non-monotone root in the right leaf without any gathering.
-        let mut assignments: Vec<u32> = Vec::with_capacity(n);
+        // 2. One walk over the leaf stretches: a stretch's keys are added to
+        //    its leaf's least-squares sums in registers, starting from the
+        //    leaf's running sums — the additions a per-key pass makes, in the
+        //    same order, so the same bits. Indexing the sums by leaf puts the
+        //    stragglers of a non-monotone root in the right leaf without any
+        //    gathering.
         let mut sums = vec![LeafSums::default(); leaf_count];
-        for (i, k) in keys.iter().enumerate() {
-            let x = k.to_f64();
-            let leaf = root.route(x, n, leaf_count);
-            assignments.push(leaf as u32);
-            sums[leaf].add(x, i as f64);
+        for (leaf, stretch) in Stretches::new(&root, n, leaf_count, keys) {
+            let mut leaf_sums = sums[leaf];
+            for (i, k) in stretch.clone().zip(&keys[stretch]) {
+                leaf_sums.add(k.to_f64(), i as f64);
+            }
+            sums[leaf] = leaf_sums;
         }
 
         // 3. Solve every leaf from its sums. An empty leaf reuses the
@@ -120,29 +139,32 @@ impl RmiBuilder {
             leaves.push(model);
         }
 
-        // 4. Second pass over the stored assignments: per-leaf max error
-        //    and the monotonicity audit over the training keys together.
+        // 4. The audit walks the stretches again: every key's clamped
+        //    prediction, from its leaf, into the buffer the caller gets;
+        //    then per-leaf max error and the monotonicity flag from it.
+        let mut predictions = vec![0u32; n];
         let mut leaf_errors: Vec<u32> = vec![0; leaf_count];
-        let mut monotonic = true;
-        let mut prev = 0usize;
-        for (i, (k, &leaf)) in keys.iter().zip(&assignments).enumerate() {
-            let leaf = leaf as usize;
-            let p = clamp_pred(leaves[leaf].predict_f64(k.to_f64()), n);
-            let err = (p as i64 - i as i64).unsigned_abs() as u32;
-            leaf_errors[leaf] = leaf_errors[leaf].max(err);
-            monotonic &= p >= prev;
-            prev = p;
+        for (leaf, stretch) in Stretches::new(&root, n, leaf_count, keys) {
+            let out = &mut predictions[stretch.clone()];
+            predict_stretch(&leaves[leaf], n, &keys[stretch.clone()], out);
+            let error = stretch
+                .zip(out.iter())
+                .map(|(i, &p)| (p as i64 - i as i64).unsigned_abs() as u32)
+                .fold(leaf_errors[leaf], u32::max);
+            leaf_errors[leaf] = error;
         }
+        let monotonic = predictions.is_sorted();
         let max_error = leaf_errors.iter().copied().max().unwrap_or(0) as usize;
 
-        RmiIndex {
+        let rmi = RmiIndex {
             root,
             leaves,
             leaf_errors,
             n,
             monotonic,
             max_error,
-        }
+        };
+        (rmi, predictions)
     }
 
     /// SOSD-style tuning: sweep leaf counts (and root kinds) and keep the
@@ -211,6 +233,72 @@ fn clamp_pred(p: f64, n: usize) -> usize {
         0
     } else {
         (p as usize).min(n - 1)
+    }
+}
+
+/// Write the clamped predictions of `keys`, all routed to `leaf`, into
+/// `out`: the leaf's two parameters stay in registers for the whole stretch.
+#[inline]
+fn predict_stretch<K: Key>(leaf: &LinearModel, n: usize, keys: &[K], out: &mut [u32]) {
+    for (slot, key) in out.iter_mut().zip(keys) {
+        *slot = clamp_pred(leaf.predict_f64(key.to_f64()), n) as u32;
+    }
+}
+
+/// The maximal stretches of consecutive keys a root routes to one leaf, in
+/// key order, as `(leaf, positions)`: the one walk that training, its audit
+/// and [`CdfModel::predict_clamped_into`] share. A line that never falls
+/// routes a non-decreasing run to non-decreasing leaves, so a stretch's end
+/// is found by galloping from its first key and bisecting the last step —
+/// `O(log len)` root evaluations a stretch; a cubic may turn (and a falling
+/// line would), so it is asked key by key.
+struct Stretches<'a, K> {
+    root: &'a RootModel,
+    n: usize,
+    leaf_count: usize,
+    keys: &'a [K],
+    start: usize,
+}
+
+impl<'a, K: Key> Stretches<'a, K> {
+    fn new(root: &'a RootModel, n: usize, leaf_count: usize, keys: &'a [K]) -> Self {
+        debug_assert!(keys.is_sorted(), "stretches are walked over sorted keys");
+        Self {
+            root,
+            n,
+            leaf_count,
+            keys,
+            start: 0,
+        }
+    }
+}
+
+impl<K: Key> Iterator for Stretches<'_, K> {
+    type Item = (usize, Range<usize>);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let rest = &self.keys[self.start..];
+        let route = |key: &K| self.root.route(key.to_f64(), self.n, self.leaf_count);
+        let leaf = route(rest.first()?);
+        let len = match self.root {
+            RootModel::Linear(line) if line.slope() >= 0.0 => {
+                let within = |key: &K| route(key) <= leaf;
+                // Every key before `probe / 2 + 1` is in the stretch.
+                let mut probe = 1;
+                while probe < rest.len() && within(&rest[probe]) {
+                    probe *= 2;
+                }
+                let known = probe / 2 + 1;
+                known + rest[known..probe.min(rest.len())].partition_point(within)
+            }
+            _ => rest
+                .iter()
+                .position(|key| route(key) != leaf)
+                .unwrap_or(rest.len()),
+        };
+        let stretch = self.start..self.start + len;
+        self.start += len;
+        Some((leaf, stretch))
     }
 }
 
@@ -294,8 +382,8 @@ impl<K: Key> CdfModel<K> for RmiIndex {
     }
 
     /// The leaf is looked up once per stretch of keys routed to it instead
-    /// of once per key: the root is evaluated at the stretch's ends only
-    /// and the inner loop holds the leaf's two parameters in registers.
+    /// of once per key — the stretch walk training uses — and the inner
+    /// loop holds the leaf's two parameters in registers.
     fn predict_clamped_into(&self, keys: &[K], out: &mut [u32]) {
         assert_eq!(keys.len(), out.len(), "one output slot per key");
         debug_assert!(keys.is_sorted(), "a run is non-decreasing");
@@ -303,28 +391,9 @@ impl<K: Key> CdfModel<K> for RmiIndex {
             out.fill(0);
             return;
         }
-        let mut start = 0;
-        while start < keys.len() {
-            let leaf = self.leaf_for(keys[start]);
-            let rest = &keys[start..];
-            let len = match &self.root {
-                // A line that never falls routes a non-decreasing run to
-                // non-decreasing leaves: bisect for the stretch's end.
-                RootModel::Linear(root) => {
-                    debug_assert!(root.slope() >= 0.0);
-                    rest.partition_point(|&key| self.leaf_for(key) <= leaf)
-                }
-                // A cubic may turn: ask it key by key.
-                RootModel::Cubic(_) => rest
-                    .iter()
-                    .position(|&key| self.leaf_for(key) != leaf)
-                    .unwrap_or(rest.len()),
-            };
-            let model = &self.leaves[leaf];
-            for (slot, &key) in out[start..start + len].iter_mut().zip(rest) {
-                *slot = clamp_pred(model.predict_f64(key.to_f64()), self.n) as u32;
-            }
-            start += len;
+        for (leaf, stretch) in Stretches::new(&self.root, self.n, self.leaves.len(), keys) {
+            let (keys, out) = (&keys[stretch.clone()], &mut out[stretch]);
+            predict_stretch(&self.leaves[leaf], self.n, keys, out);
         }
     }
 
@@ -425,12 +494,10 @@ mod tests {
         }
     }
 
-    /// The trainer this module shipped before the single-pass one: per leaf,
-    /// gather the contiguous run of keys routed to it (or, when that run is
-    /// empty, rescan the whole routing for stragglers), then fit and measure.
-    /// Quadratic in the number of empty leaves, and it drops the stragglers
-    /// of a leaf that also has a contiguous run — kept as the reference the
-    /// new trainer must match bit for bit whenever the root is monotone.
+    /// The per-key trainer the stretch trainer replaced: route every key
+    /// into an `n`-sized routing array and add it to its leaf's sums, solve
+    /// the leaves, then audit every key through the stored routing. Kept as
+    /// the reference the stretch trainer must equal bit for bit.
     fn train_reference(builder: RmiBuilder, keys: &[u64]) -> RmiIndex {
         let n = keys.len();
         let leaf_count = builder.leaf_count.min(n).max(1);
@@ -438,41 +505,34 @@ mod tests {
             RootModelKind::Linear => RootModel::Linear(LinearModel::from_sorted_keys(keys)),
             RootModelKind::Cubic => RootModel::Cubic(CubicModel::from_sorted_keys(keys)),
         };
-        let assignments: Vec<usize> = keys
-            .iter()
-            .map(|k| root.route(k.to_f64(), n, leaf_count))
-            .collect();
+        let mut assignments: Vec<u32> = Vec::with_capacity(n);
+        let mut sums = vec![LeafSums::default(); leaf_count];
+        for (i, k) in keys.iter().enumerate() {
+            let x = k.to_f64();
+            let leaf = root.route(x, n, leaf_count);
+            assignments.push(leaf as u32);
+            sums[leaf].add(x, i as f64);
+        }
         let mut leaves: Vec<LinearModel> = Vec::with_capacity(leaf_count);
-        let mut leaf_errors = vec![0u32; leaf_count];
-        let mut start = 0usize;
-        for (leaf, leaf_error) in leaf_errors.iter_mut().enumerate() {
-            let mut members: Vec<usize> =
-                (start..n).take_while(|&i| assignments[i] == leaf).collect();
-            if members.is_empty() {
-                members = (0..n).filter(|&i| assignments[i] == leaf).collect();
-            } else {
-                start += members.len();
-            }
-            let mut sums = LeafSums::default();
-            for &i in &members {
-                sums.add(keys[i].to_f64(), i as f64);
-            }
-            let model = match (members.is_empty(), leaves.last()) {
-                (true, Some(prev)) => prev.clone(),
-                _ => sums.solve(n),
+        for s in &sums {
+            let model = match (s.count, leaves.last()) {
+                (0, Some(prev)) => prev.clone(),
+                _ => s.solve(n),
             };
-            for &i in &members {
-                let p = clamp_pred(model.predict_f64(keys[i].to_f64()), n);
-                *leaf_error = (*leaf_error).max((p as i64 - i as i64).unsigned_abs() as u32);
-            }
             leaves.push(model);
         }
+        let mut leaf_errors: Vec<u32> = vec![0; leaf_count];
+        let mut monotonic = true;
+        let mut prev = 0usize;
+        for (i, (k, &leaf)) in keys.iter().zip(&assignments).enumerate() {
+            let leaf = leaf as usize;
+            let p = clamp_pred(leaves[leaf].predict_f64(k.to_f64()), n);
+            let err = (p as i64 - i as i64).unsigned_abs() as u32;
+            leaf_errors[leaf] = leaf_errors[leaf].max(err);
+            monotonic &= p >= prev;
+            prev = p;
+        }
         let max_error = leaf_errors.iter().copied().max().unwrap_or(0) as usize;
-        let predictions = keys
-            .iter()
-            .zip(&assignments)
-            .map(|(k, &leaf)| clamp_pred(leaves[leaf].predict_f64(k.to_f64()), n));
-        let monotonic = predictions.is_sorted();
         RmiIndex {
             root,
             leaves,
@@ -483,57 +543,59 @@ mod tests {
         }
     }
 
-    #[test]
-    fn single_pass_trainer_matches_the_reference_for_linear_roots() {
-        for name in SosdName::all() {
-            let d: Dataset<u64> = name.generate(6_000, 11);
-            for leaves in [1, 64, 4096] {
-                let builder = RmiIndex::builder().leaf_count(leaves);
-                let new = builder.clone().build(&d);
-                let old = train_reference(builder, d.as_slice());
-                assert_eq!(new.leaves, old.leaves, "{name} {leaves}: leaf models");
-                assert_eq!(new.leaf_errors, old.leaf_errors, "{name} {leaves}");
-                assert_eq!(new.max_error, old.max_error, "{name} {leaves}");
-                assert_eq!(new.monotonic, old.monotonic, "{name} {leaves}");
-                for &k in d.as_slice() {
-                    assert_eq!(
-                        CdfModel::<u64>::predict(&new, k),
-                        CdfModel::<u64>::predict(&old, k),
-                        "{name} {leaves}: key {k}"
-                    );
-                }
-            }
+    /// Assert the stretch trainer equals the per-key reference bit for bit
+    /// on `keys`, and hands back the reference's clamped predictions.
+    fn assert_trains_like_the_reference(builder: RmiBuilder, keys: &[u64], tag: &str) {
+        let bits = |rmi: &RmiIndex| -> Vec<(u64, u64)> {
+            let leaves = rmi.leaves.iter();
+            leaves
+                .map(|l| (l.intercept().to_bits(), l.slope().to_bits()))
+                .collect()
+        };
+        let (new, predictions) = builder.clone().build_with_predictions(keys);
+        let old = train_reference(builder, keys);
+        assert!(bits(&new) == bits(&old), "{tag}: leaf models");
+        assert!(new.leaf_errors == old.leaf_errors, "{tag}: leaf errors");
+        assert_eq!(new.max_error, old.max_error, "{tag}: max error");
+        assert_eq!(new.monotonic, old.monotonic, "{tag}: monotone flag");
+        assert_eq!(predictions.len(), keys.len(), "{tag}");
+        for (&p, &k) in predictions.iter().zip(keys) {
+            let want = CdfModel::<u64>::predict_clamped(&old, k);
+            assert_eq!(p as usize, want, "{tag}: key {k}");
         }
     }
 
     #[test]
-    fn reference_trainer_loses_stragglers_of_a_cubic_root() {
-        // The defect the single-pass trainer fixes, pinned so the reference
-        // is not mistaken for an oracle on non-monotone roots.
-        let d: Dataset<u64> = SosdName::Norm64.generate(20_000, 4);
-        let builder = RmiIndex::builder()
-            .leaf_count(64)
-            .root_model(RootModelKind::Cubic);
-        let over = |rmi: &RmiIndex| {
-            let keys = d.as_slice();
-            (0..keys.len())
-                .filter(|&i| i == 0 || keys[i - 1] != keys[i])
-                .filter(|&i| {
-                    let p = CdfModel::<u64>::predict(rmi, keys[i]);
-                    (p as i64 - i as i64).unsigned_abs() as usize > rmi.max_error
-                })
-                .count()
-        };
-        assert!(over(&train_reference(builder.clone(), d.as_slice())) > 0);
-        assert_eq!(over(&builder.build(&d)), 0);
+    fn stretch_trainer_equals_the_per_key_reference_bit_for_bit() {
+        // Past 65 536 keys, so the densest ladder is not capped; the cubic
+        // roots turn, so their stragglers are walked as stretches of their
+        // own.
+        let columns = SosdName::all()
+            .into_iter()
+            .map(|name| (name.as_str(), name.generate::<u64>(70_000, 11).into_keys()))
+            .chain(sosd_data::generators::adversary_columns());
+        let mut non_monotone = 0;
+        for (name, keys) in columns {
+            for root in [RootModelKind::Linear, RootModelKind::Cubic] {
+                for leaves in [1, 64, 4096, 65_536] {
+                    let builder = RmiIndex::builder().leaf_count(leaves).root_model(root);
+                    non_monotone +=
+                        usize::from(!builder.clone().build_from_sorted_keys(&keys).monotonic);
+                    let tag = format!("{name} {root:?} {leaves}");
+                    assert_trains_like_the_reference(builder, &keys, &tag);
+                }
+            }
+        }
+        assert!(non_monotone > 0, "the matrix holds non-monotone RMIs");
     }
 
     #[test]
     fn training_time_does_not_grow_with_empty_leaves() {
         // 64 tight clusters under 65 536 leaves: more than 90% of the leaves
-        // are empty. The reference trainer rescans all 2^18 routings once per
-        // empty leaf (minutes); one streaming pass takes milliseconds, so
-        // even a heavily loaded debug build stays far inside the bound.
+        // are empty. A trainer that rescanned all 2^18 keys once per empty
+        // leaf would take minutes; a walk over the leaf stretches takes
+        // milliseconds, so even a heavily loaded debug build stays far
+        // inside the bound.
         let keys: Vec<u64> = (0..1u64 << 18)
             .map(|i| (i >> 12 << 40) + (i & 0xFFF))
             .collect();

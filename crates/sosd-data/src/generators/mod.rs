@@ -240,9 +240,44 @@ impl std::fmt::Display for SosdName {
 impl std::str::FromStr for SosdName {
     type Err = String;
 
+    /// The error names the bad token and lists every known name.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        Self::parse(s).ok_or_else(|| format!("unknown SOSD dataset name: {s}"))
+        Self::parse(s).ok_or_else(|| {
+            let known: Vec<&str> = Self::all().iter().map(|n| n.as_str()).collect();
+            format!(
+                "unknown SOSD dataset name `{s}` (expected one of: {})",
+                known.join(", ")
+            )
+        })
     }
+}
+
+/// Sorted columns no generator draws, for testing builders and trainers
+/// at their edges: runs of up to 900 equal keys landing anywhere in a block
+/// or a prediction run; one run covering almost the whole column; two far
+/// clusters, with every partition between them empty, so a long stretch of
+/// empty partitions starts mid-block; and a quadratic column of 4096 keys.
+pub fn adversary_columns() -> Vec<(&'static str, Vec<u64>)> {
+    let mut rng = crate::rng::SplitMix64::new(0xD095);
+    let mut heavy: Vec<u64> = Vec::new();
+    while heavy.len() < 10_000 {
+        let v = rng.next_below(500);
+        let run = 1 + rng.next_below(900) as usize;
+        heavy.extend(std::iter::repeat_n(v, run));
+    }
+    heavy.sort_unstable();
+    let mut mega = vec![7u64; 9_000];
+    mega.splice(0..0, [1u64, 2, 3]);
+    mega.extend([9u64, 10]);
+    let mut clusters: Vec<u64> = (0..3_001u64).collect();
+    clusters.extend((0..3_002u64).map(|i| 1_000_000_000 + i));
+    let quadratic = (0..4096u64).map(|i| i * i / 7).collect();
+    vec![
+        ("duplicate-heavy", heavy),
+        ("mega-run", mega),
+        ("two clusters", clusters),
+        ("quadratic", quadratic),
+    ]
 }
 
 #[cfg(test)]
@@ -265,6 +300,9 @@ mod tests {
             assert_eq!(name.as_str().parse::<SosdName>().unwrap(), name);
         }
         assert_eq!(SosdName::parse("bogus"), None);
+        let err = "bogus".parse::<SosdName>().unwrap_err();
+        assert!(err.contains("`bogus`"), "{err}");
+        assert!(err.ends_with("(expected one of: logn32, norm32, uden32, uspr32, logn64, norm64, uden64, uspr64, amzn32, face32, amzn64, face64, osmc64, wiki64)"), "{err}");
     }
 
     #[test]

@@ -104,7 +104,13 @@ fn probe_set(rng: &mut SplitMix64, oracle: &Oracle) -> Vec<u64> {
 #[test]
 fn pinned_snapshots_serve_batched_reads_from_their_frozen_cut_during_churn() {
     let mut rng = SplitMix64::new(0xBA7C_4E11);
-    for spec_str in ["im+r1", "rmi:64+s8", "pgm:32+auto"] {
+    for spec_str in [
+        "im+r1",
+        "rmi:64+s8",
+        "pgm:32+auto",
+        "rmi:4096+r1",
+        "rmi:64:cubic+r1",
+    ] {
         let spec = IndexSpec::parse(spec_str).unwrap();
         for shards in [1usize, 5] {
             let mut base: Vec<u64> = (0..1_400).map(|_| rng.next_below(40_000)).collect();
@@ -433,6 +439,29 @@ fn a_coded_count_store_matches_the_oracle_through_rebuild_split_and_reopen() {
             }
         },
     );
+}
+
+/// Layers built from an RMI trainer's handed-over predictions end to end:
+/// the benchmark's `rmi:4096+r1` (monotone, the emitter's) and a cubic root
+/// (the scatter builder's) are seeded, rebuilt inline, split and reopened —
+/// every one of those a training that hands its audit to the layer builder.
+#[cfg_attr(miri, ignore = "dataset too large for Miri")]
+#[test]
+fn rmi_stores_match_the_oracle_through_rebuild_split_and_reopen() {
+    let base: Dataset<u64> = SosdName::Logn32.generate(400_000, 7);
+    for spec in ["rmi:4096+r1", "rmi:64:cubic+r1"] {
+        a_store_matches_the_oracle_through_rebuild_split_and_reopen(
+            base.as_slice(),
+            spec,
+            2,
+            1,
+            |stage, _, layers| {
+                for &(keys, bytes, _) in layers {
+                    assert!(bytes * 10 <= keys * 23, "{stage}: {layers:?}");
+                }
+            },
+        );
+    }
 }
 
 /// A patched shard end to end: amzn64 under `im+r1`, whose first shards

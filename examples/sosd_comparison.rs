@@ -26,16 +26,25 @@ fn measure<I: RangeIndex<u64>>(label: &str, index: &I, queries: &[u64], expected
     );
 }
 
+/// Exit with `message` on stderr: a bad argument is never replaced by a
+/// default.
+fn fail(message: &str) -> ! {
+    eprintln!("sosd_comparison: {message}");
+    std::process::exit(2);
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let name = args
-        .get(1)
-        .and_then(|s| SosdName::parse(s))
-        .unwrap_or(SosdName::Face64);
-    let n: usize = args
-        .get(2)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(2_000_000);
+    let name: SosdName = match args.get(1) {
+        Some(s) => s.parse().unwrap_or_else(|e: String| fail(&e)),
+        None => SosdName::Face64,
+    };
+    let n: usize = match args.get(2) {
+        Some(s) => s
+            .parse()
+            .unwrap_or_else(|_| fail(&format!("key count `{s}` is not a whole number"))),
+        None => 2_000_000,
+    };
 
     println!("dataset {name} with {n} keys\n");
     let dataset: Dataset<u64> = name.generate(n, 42);
