@@ -31,7 +31,12 @@ impl Default for BenchConfig {
 
 impl BenchConfig {
     /// Read the configuration from the `SOSD_N`, `SOSD_QUERIES` and
-    /// `SOSD_SEED` environment variables, falling back to the defaults.
+    /// `SOSD_SEED` environment variables, falling back to the defaults for
+    /// unset ones.
+    ///
+    /// # Panics
+    /// When a set variable is not a whole number (see [`parse_env_u64`]):
+    /// a bad value is never replaced by a default.
     pub fn from_env() -> Self {
         let mut cfg = Self::default();
         if let Some(n) = read_env("SOSD_N") {
@@ -57,9 +62,17 @@ impl BenchConfig {
 }
 
 fn read_env(name: &str) -> Option<u64> {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.replace('_', "").parse().ok())
+    let value = std::env::var(name).ok()?;
+    Some(parse_env_u64(name, &value).unwrap_or_else(|e| panic!("{e}")))
+}
+
+/// Parse the value of the environment variable `name` as a whole number
+/// (`_` separators allowed, as in `2_000_000`), or say which variable held
+/// what.
+pub fn parse_env_u64(name: &str, value: &str) -> Result<u64, String> {
+    value.replace('_', "").parse().map_err(|_| {
+        format!("{name}=`{value}` is not a whole number (digits, `_` separators allowed)")
+    })
 }
 
 type CacheKey = (SosdName, usize, u64);
@@ -102,6 +115,19 @@ mod tests {
         assert_eq!(cfg.queries, 100_000);
         assert_eq!(cfg.seed, 42);
         assert!(BenchConfig::smoke().keys < cfg.keys);
+    }
+
+    #[test]
+    fn env_numbers_parse_or_name_the_variable() {
+        assert_eq!(parse_env_u64("SOSD_N", "2_000_000"), Ok(2_000_000));
+        assert_eq!(parse_env_u64("SOSD_SEED", "7"), Ok(7));
+        for bad in ["2M", "", "-1", "1e6"] {
+            let e = parse_env_u64("SOSD_QUERIES", bad).unwrap_err();
+            assert!(
+                e.contains("SOSD_QUERIES") && e.contains(&format!("`{bad}`")),
+                "{e}"
+            );
+        }
     }
 
     #[test]

@@ -57,9 +57,10 @@
 //!
 //! Scratch directories live under the system temp dir and are removed
 //! after each row. The optional `DURABLE_SYNC` environment variable
-//! (`always` | `every64` | `os`) restricts the per-policy trace sweep to
-//! one policy — CI's durability smoke job pins `every64`; the (small)
-//! group-commit table always runs all rows, since its point *is* the
+//! (`always` | `every64` | `os`; any other value panics, naming it)
+//! restricts the per-policy trace sweep to one policy — CI's durability
+//! smoke job pins `every64`; the (small) group-commit table always runs
+//! all rows, since its point *is* the
 //! cross-policy comparison. Setting `COLD_START_ASSERT=1` (CI's cold-start
 //! job does, on a large store) additionally asserts the acceptance
 //! signals: incremental checkpoints skip and reuse, cold opens mount every
@@ -85,15 +86,33 @@ pub const SYNC_POLICIES: [(&str, SyncPolicy); 3] = [
     ("os", SyncPolicy::Os),
 ];
 
+/// The `DURABLE_SYNC` filter: `None` (unset) runs every policy, a
+/// [`SYNC_POLICIES`] label runs that one, anything else is an error naming
+/// the variable, the value and the accepted labels.
+pub fn sync_filter(value: Option<&str>) -> Result<Option<&'static str>, String> {
+    let Some(value) = value else { return Ok(None) };
+    match SYNC_POLICIES.iter().find(|(label, _)| *label == value) {
+        Some((label, _)) => Ok(Some(label)),
+        None => {
+            let labels: Vec<&str> = SYNC_POLICIES.iter().map(|(label, _)| *label).collect();
+            Err(format!(
+                "DURABLE_SYNC=`{value}` is not a sync policy; expected one of {}",
+                labels.join(", ")
+            ))
+        }
+    }
+}
+
 fn scratch_dir(label: &str) -> std::path::PathBuf {
     super::scratch_dir("shift-store-durable", label)
 }
 
 /// Run the durable-store benchmark.
 pub fn run(cfg: BenchConfig) -> Vec<Table> {
+    let filter = sync_filter(std::env::var("DURABLE_SYNC").ok().as_deref())
+        .unwrap_or_else(|e| panic!("{e}"));
     let spec = IndexSpec::parse("im+r1").expect("builtin spec parses");
     let d = dataset_u64(SosdName::Face64, cfg);
-    let filter = std::env::var("DURABLE_SYNC").ok();
     let mut table = Table::new(
         format!(
             "Store — durable insert-heavy trace on face64 (n = {}, spec {spec}, WAL + checkpoints)",
@@ -113,7 +132,7 @@ pub fn run(cfg: BenchConfig) -> Vec<Table> {
         ],
     );
     for (label, sync) in SYNC_POLICIES {
-        if filter.as_deref().is_some_and(|f| f != label) {
+        if filter.is_some_and(|f| f != label) {
             continue;
         }
         // `Always` costs one device round-trip per write; keep its trace
@@ -622,6 +641,17 @@ fn group_commit_table(cfg: BenchConfig, spec: IndexSpec) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn sync_filter_accepts_the_labels_and_names_a_bad_value() {
+        assert_eq!(sync_filter(None), Ok(None));
+        for (label, _) in SYNC_POLICIES {
+            assert_eq!(sync_filter(Some(label)), Ok(Some(label)));
+        }
+        let e = sync_filter(Some("every-64")).unwrap_err();
+        assert!(e.contains("DURABLE_SYNC=`every-64`"), "{e}");
+        assert!(e.contains("always, every64, os"), "{e}");
+    }
 
     #[test]
     fn smoke_run_produces_a_row_per_policy() {

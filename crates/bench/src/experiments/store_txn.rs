@@ -28,7 +28,7 @@
 use crate::datasets::{dataset_u64, BenchConfig};
 use crate::report::{fmt_ns, Table};
 use algo_index::RangeIndex;
-use shift_store::{RetainPolicy, ShardedStore, StoreConfig, WriteBatch};
+use shift_store::{ShardedStore, StoreConfig, WriteBatch};
 use shift_table::spec::IndexSpec;
 use sosd_data::prelude::*;
 use std::hint::black_box;
@@ -218,7 +218,7 @@ fn time_travel(cfg: BenchConfig, spec: IndexSpec, d: &Dataset<u64>) -> Table {
             .shards(4)
             .delta_threshold(8_192)
             .auto_rebuild(false)
-            .retain_versions(RetainPolicy::last(depth));
+            .retain_versions(depth);
         let store = ShardedStore::build(config, d.as_slice()).expect("sorted dataset");
         // Fill the ring: one 2-op transaction per retained slot, plus
         // slack so the oldest slots have really been evicted once.

@@ -124,6 +124,14 @@ impl LatencyModel {
     }
 }
 
+/// §4.1: skip the layer when the model's mean absolute error is already
+/// below this many records ("less than a threshold (10 records)").
+pub const MIN_ERROR_TO_ENABLE: f64 = 10.0;
+
+/// §4.1: skip the layer unless it cuts the mean error by at least this
+/// factor ("does not decrease by a factor of 10").
+pub const MIN_IMPROVEMENT_FACTOR: f64 = 10.0;
+
 /// The outcome of the §3.9 tuning procedure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TuningDecision {
@@ -160,13 +168,13 @@ impl TuningAdvisor {
     /// Decide whether to attach the layer, given the model's mean absolute
     /// error before correction and the expected error after correction
     /// (Eq. 8). Mirrors §4.1: skip when the model is already accurate
-    /// (error < `min_error_to_enable`) or when correction does not improve
-    /// the error by `min_improvement_factor`.
+    /// (error < [`MIN_ERROR_TO_ENABLE`]) or when correction does not
+    /// improve the error by [`MIN_IMPROVEMENT_FACTOR`].
     pub fn decide(&self, error_before: f64, error_after: f64) -> TuningDecision {
-        if error_before < self.config.min_error_to_enable {
+        if error_before < MIN_ERROR_TO_ENABLE {
             return TuningDecision::ModelAlone;
         }
-        if error_after > 0.0 && error_before / error_after < self.config.min_improvement_factor {
+        if error_after > 0.0 && error_before / error_after < MIN_IMPROVEMENT_FACTOR {
             return TuningDecision::ModelAlone;
         }
         TuningDecision::ModelWithShiftTable

@@ -16,6 +16,7 @@ use crate::correction::{Correction, SearchHint, Uncorrected};
 use crate::cost::{TuningAdvisor, TuningDecision};
 use crate::error::{first_unsorted, BuildError, CorrectionErrorStats};
 use crate::kernel;
+use crate::spec::LayerSpec;
 use crate::table::ShiftTable;
 use algo_index::search::RangeIndex;
 use learned_index::model::CdfModel;
@@ -59,17 +60,9 @@ pub struct CorrectedIndexBuilder<K: Key, M: CdfModel<K>, S: AsRef<[K]> + Send + 
     /// The model's clamped prediction of every key, when its trainer
     /// computed them: the range layer is built from these.
     predictions: Option<Vec<u32>>,
-    layer: LayerChoice,
+    layer: LayerSpec,
     config: ShiftTableConfig,
     _key: PhantomData<fn(K) -> K>,
-}
-
-/// Which layer the builder should construct.
-enum LayerChoice {
-    None,
-    Range,
-    Midpoint { records_per_entry: usize },
-    Auto,
 }
 
 impl<K: Key, M: CdfModel<K>, S: AsRef<[K]> + Send + Sync> CorrectedIndexBuilder<K, M, S> {
@@ -78,7 +71,7 @@ impl<K: Key, M: CdfModel<K>, S: AsRef<[K]> + Send + Sync> CorrectedIndexBuilder<
             keys,
             model,
             predictions: None,
-            layer: LayerChoice::None,
+            layer: LayerSpec::None,
             config: ShiftTableConfig::default(),
             _key: PhantomData,
         }
@@ -92,33 +85,36 @@ impl<K: Key, M: CdfModel<K>, S: AsRef<[K]> + Send + Sync> CorrectedIndexBuilder<
         self
     }
 
+    /// Construct the layer `layer` names ([`crate::spec::IndexSpec`]
+    /// forwards its own).
+    pub(crate) fn layer(mut self, layer: LayerSpec) -> Self {
+        self.layer = layer;
+        self
+    }
+
     /// Attach a full-resolution `<Δ, C>` range layer (the paper's R-1 and the
     /// recommended default, §3.9).
-    pub fn with_range_table(mut self) -> Self {
-        self.layer = LayerChoice::Range;
-        self
+    pub fn with_range_table(self) -> Self {
+        self.layer(LayerSpec::Range)
     }
 
     /// Attach a compressed midpoint layer with one entry per
     /// `records_per_entry` records (the paper's S-X).
-    pub fn with_compact_table(mut self, records_per_entry: usize) -> Self {
-        self.layer = LayerChoice::Midpoint {
+    pub fn with_compact_table(self, records_per_entry: usize) -> Self {
+        self.layer(LayerSpec::Midpoint {
             records_per_entry: records_per_entry.max(1),
-        };
-        self
+        })
     }
 
     /// Use the model alone (no correction layer).
-    pub fn without_correction(mut self) -> Self {
-        self.layer = LayerChoice::None;
-        self
+    pub fn without_correction(self) -> Self {
+        self.layer(LayerSpec::None)
     }
 
     /// Let the §3.9 tuning procedure decide: build a range layer, compare the
     /// model error before/after and keep the layer only if it pays off.
-    pub fn with_auto_tuning(mut self) -> Self {
-        self.layer = LayerChoice::Auto;
-        self
+    pub fn with_auto_tuning(self) -> Self {
+        self.layer(LayerSpec::Auto)
     }
 
     /// Override the query-path configuration.
@@ -135,7 +131,7 @@ impl<K: Key, M: CdfModel<K>, S: AsRef<[K]> + Send + Sync> CorrectedIndexBuilder<
     /// be silently wrong otherwise), and [`BuildError::TooManyKeys`] if a
     /// range layer is asked for over more than [`ShiftTable::MAX_KEYS`] keys.
     pub fn build(self) -> Result<CorrectedIndex<K, M, S>, BuildError> {
-        if matches!(self.layer, LayerChoice::Range | LayerChoice::Auto) {
+        if matches!(self.layer, LayerSpec::Range | LayerSpec::Auto) {
             ShiftTable::check_len(self.keys.as_ref().len())?;
         }
         if let Some(position) = first_unsorted(self.keys.as_ref()) {
@@ -159,14 +155,14 @@ impl<K: Key, M: CdfModel<K>, S: AsRef<[K]> + Send + Sync> CorrectedIndexBuilder<
         let model_expected_error = OnceLock::new();
         let predictions = self.predictions.as_deref();
         let layer = match self.layer {
-            LayerChoice::None => CorrectionLayer::None,
-            LayerChoice::Range => {
+            LayerSpec::None => CorrectionLayer::None,
+            LayerSpec::Range => {
                 CorrectionLayer::Range(ShiftTable::build_with(&self.model, keys, predictions))
             }
-            LayerChoice::Midpoint { records_per_entry } => CorrectionLayer::Midpoint(
+            LayerSpec::Midpoint { records_per_entry } => CorrectionLayer::Midpoint(
                 CompactShiftTable::build(&self.model, keys, records_per_entry),
             ),
-            LayerChoice::Auto => {
+            LayerSpec::Auto => {
                 let table = ShiftTable::build_with(&self.model, keys, predictions);
                 let before = ModelErrorStats::mean_abs_on_keys(&self.model, keys);
                 let _ = model_expected_error.set(before);

@@ -43,7 +43,7 @@
 
 use crate::config::ShiftTableConfig;
 use crate::error::BuildError;
-use crate::index::{CorrectedIndex, CorrectedIndexBuilder};
+use crate::index::CorrectedIndex;
 use algo_index::search::DynRangeIndex;
 use learned_index::model::CdfModel;
 use learned_index::spec::{ModelSpec, SpecParseError};
@@ -227,17 +227,11 @@ impl IndexSpec {
         // A trainer that audited every key hands its predictions to the
         // layer builder, which then evaluates no model.
         let (model, predictions) = self.model.build_with_predictions(keys.as_ref());
-        let builder: CorrectedIndexBuilder<K, Box<dyn CdfModel<K>>, Arc<[K]>> =
-            CorrectedIndex::builder(keys, model).predictions(predictions);
-        let builder = match self.layer {
-            LayerSpec::None => builder.without_correction(),
-            LayerSpec::Range => builder.with_range_table(),
-            LayerSpec::Midpoint { records_per_entry } => {
-                builder.with_compact_table(records_per_entry)
-            }
-            LayerSpec::Auto => builder.with_auto_tuning(),
-        };
-        builder.config(config).build_prevalidated()
+        CorrectedIndex::builder(keys, model)
+            .predictions(predictions)
+            .layer(self.layer)
+            .config(config)
+            .build_prevalidated()
     }
 
     /// Train the model and build the layer over shared key storage, returning

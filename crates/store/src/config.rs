@@ -1,7 +1,33 @@
 //! Store-level configuration.
+//!
+//! A value is settable only when two callers that are not tests or examples
+//! need different values, or when it is a deployment setting; everything
+//! else is a constant at the value every caller used (configuration chosen
+//! by cost, not exported). What is left, and who needs it:
+//!
+//! * `spec`, `shards`, `auto_rebuild`, `metrics`, `durability`, `cold_start`
+//!   — the repo benchmark's workloads set or pin each of them.
+//! * `delta_threshold`, `background_maintenance` — the `crates/bench` store
+//!   suites run non-default values.
+//! * `split_max_len` — the only way the oracle and concurrency suites force
+//!   a split deterministically (a one-shard store is its own mean, so the
+//!   skew signal never fires there).
+//! * `metrics_addr` — a deployment setting: where `/metrics` is served.
+//! * `retain_versions` — the `store_txn` bench sweeps the retention depth.
+//! * [`DurabilityConfig`]: `sync` and `checkpoint_ops` — the benchmark's
+//!   durable workloads set them; `group_commit` — the `always-solo` row of
+//!   the `store_durable` bench; `incremental_checkpoints` — its `full` row;
+//!   `snapshot_block_keys` — the golden directory `tests/data/parent-store`
+//!   was written with 64-key blocks and is reproduced byte for byte.
+//!
+//! Constants instead of knobs: the rebalancer's skew factor (`SPLIT_SKEW`,
+//! 4: split past 4× the mean shard size, merge below a quarter of it), the
+//! latency sampling stride
+//! ([`crate::obs::LATENCY_SAMPLE`], 1-in-1024) and the trace-ring size
+//! ([`crate::obs::TRACE_CAPACITY`], 1024 events). Retained versions are
+//! evicted by count only.
 
 use shift_table::spec::IndexSpec;
-use std::time::Duration;
 
 /// When the write-ahead log is flushed to stable storage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -107,49 +133,6 @@ impl DurabilityConfig {
     }
 }
 
-/// Retention policy of the MVCC version ring: which historical commit
-/// versions [`crate::ShardedStore::snapshot_at`] can still serve.
-///
-/// A retained version is a full store-wide pinned cut — it holds `Arc`s to
-/// the shard states (and thus the sealed delta runs and base snapshots) it
-/// needs, so compaction, rebuilds and rebalancing never invalidate it; the
-/// cost is the heap those structures would otherwise free (readable via
-/// [`crate::ShardedStore::version_stats`]).
-///
-/// `count == 0` (the default) disables retention entirely: no versions are
-/// captured and the write path pays nothing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct RetainPolicy {
-    /// Maximum number of retained versions; the oldest is evicted when a
-    /// newer capture would exceed it. `0` disables retention.
-    pub count: usize,
-    /// Maximum age of a retained version; the maintenance worker evicts
-    /// older ones each pass. `None` means age never evicts.
-    pub max_age: Option<Duration>,
-}
-
-impl RetainPolicy {
-    /// Retain up to `count` versions, no age bound.
-    pub fn last(count: usize) -> Self {
-        Self {
-            count,
-            max_age: None,
-        }
-    }
-
-    /// Add an age bound: the maintenance worker evicts versions older than
-    /// `age` each pass.
-    pub fn max_age(mut self, age: Duration) -> Self {
-        self.max_age = Some(age);
-        self
-    }
-
-    /// True when the policy retains nothing (the default).
-    pub fn is_disabled(&self) -> bool {
-        self.count == 0
-    }
-}
-
 /// Configuration of a [`crate::ShardedStore`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StoreConfig {
@@ -174,17 +157,12 @@ pub struct StoreConfig {
     /// rebuilds dirty shards and rebalances skewed ones while writers keep
     /// appending. The thread is shut down when the store is dropped.
     pub background_maintenance: bool,
-    /// Shard-size skew factor driving the rebalancer: a shard whose live
-    /// key count exceeds `split_skew × mean` is split at a duplicate-run-
-    /// aligned median fence, and a shard smaller than `mean / split_skew`
-    /// is merged into its smaller neighbour. `0` disables rebalancing.
-    pub split_skew: usize,
     /// Absolute shard-size ceiling: a shard whose live key count exceeds
-    /// this splits regardless of the skew signal. The skew signal is
-    /// peer-relative (`split_skew × mean`), so a store configured with one
-    /// shard — where the single shard *is* the mean — could otherwise grow
-    /// without bound. `0` disables the absolute fallback. Rebalancing as a
-    /// whole is still gated by `split_skew != 0`.
+    /// this splits regardless of the skew signal. The rebalancer splits a
+    /// shard past 4× the mean and merges one below a quarter of it; that
+    /// signal is peer-relative, so a store configured with one shard —
+    /// where the single shard *is* the mean — could otherwise grow without
+    /// bound. `0` disables the absolute fallback.
     pub split_max_len: usize,
     /// Durability knobs used when the store is opened from a path
     /// ([`crate::ShardedStore::open`]); ignored by the in-memory
@@ -203,21 +181,12 @@ pub struct StoreConfig {
     /// live: op counters, sampled latency histograms, maintenance trace
     /// events and per-shard access counters, all readable via
     /// [`crate::ShardedStore::metrics`] / `trace_events`. The hot-path cost
-    /// is one relaxed counter increment per operation plus a 1-in-N sampled
-    /// timer (see [`StoreConfig::latency_sample`]); the `store_mixed` bench
-    /// gates the end-to-end overhead below 3%. When false every
-    /// instrumentation site short-circuits on one branch and the registry
-    /// reports empty.
+    /// is one relaxed counter increment per operation plus a 1-in-1024
+    /// sampled timer (see [`crate::obs::LATENCY_SAMPLE`]); the
+    /// `store_mixed` bench gates the end-to-end overhead below 3%. When
+    /// false every instrumentation site short-circuits on one branch and
+    /// the registry reports empty.
     pub metrics: bool,
-    /// Sampling period for the latency histograms (rounded up to a power
-    /// of two): one in `latency_sample` reads/writes pays the two
-    /// `Instant::now()` calls. Counters are never sampled — they count
-    /// every operation exactly.
-    pub latency_sample: u64,
-    /// Capacity of the maintenance trace-event ring (rounded up to a power
-    /// of two, minimum 8). When full, the oldest events are dropped and
-    /// counted exactly.
-    pub trace_capacity: usize,
     /// When set, the store serves Prometheus text at
     /// `http://<addr>/metrics` (and JSON at `/metrics.json`) from a
     /// background thread for as long as the store lives. Use port 0 for an
@@ -225,17 +194,21 @@ pub struct StoreConfig {
     /// [`crate::ShardedStore::metrics_addr`]). Requires
     /// [`StoreConfig::metrics`]; ignored when metrics are off.
     pub metrics_addr: Option<std::net::SocketAddr>,
-    /// MVCC version retention: how many historical commit versions (and how
-    /// old) [`crate::ShardedStore::snapshot_at`] /
-    /// [`crate::ShardedStore::scan_between`] can serve. Disabled by default
-    /// (`count == 0`): nothing is captured and writes pay nothing.
-    pub retain_versions: RetainPolicy,
+    /// MVCC version retention: how many historical commit versions
+    /// [`crate::ShardedStore::snapshot_at`] /
+    /// [`crate::ShardedStore::scan_between`] can serve. Every commit
+    /// captures its own cut and the oldest is evicted past this count. A
+    /// retained version pins the delta runs and base snapshots it
+    /// references (see [`crate::ShardedStore::version_stats`]). `0` (the
+    /// default) disables retention: nothing is captured and writes pay
+    /// nothing.
+    pub retain_versions: usize,
 }
 
 impl StoreConfig {
     /// A configuration with the given spec and the default knobs
     /// (8 shards, 4096-op delta threshold, auto rebuild, no background
-    /// worker, rebalancing at 4× mean skew). The delta chain's shape is not
+    /// worker, no retained versions). The delta chain's shape is not
     /// a knob: [`crate::delta::MAX_RUN_LEN`] and
     /// [`crate::delta::COMPACT_RUNS`] fix it.
     pub fn new(spec: IndexSpec) -> Self {
@@ -245,15 +218,12 @@ impl StoreConfig {
             delta_threshold: 4096,
             auto_rebuild: true,
             background_maintenance: false,
-            split_skew: 4,
             split_max_len: 0,
             durability: None,
             cold_start: false,
             metrics: true,
-            latency_sample: 1024,
-            trace_capacity: 1024,
             metrics_addr: None,
-            retain_versions: RetainPolicy::default(),
+            retain_versions: 0,
         }
     }
 
@@ -288,12 +258,6 @@ impl StoreConfig {
         self
     }
 
-    /// Set the rebalancer's skew factor (`0` disables rebalancing).
-    pub fn split_skew(mut self, factor: usize) -> Self {
-        self.split_skew = factor;
-        self
-    }
-
     /// Set the absolute shard-size split ceiling (`0` disables the
     /// fallback; see [`StoreConfig::split_max_len`]).
     pub fn split_max_len(mut self, len: usize) -> Self {
@@ -322,20 +286,6 @@ impl StoreConfig {
         self
     }
 
-    /// Set the latency-histogram sampling period (clamped to at least 1,
-    /// rounded up to a power of two at use).
-    pub fn latency_sample(mut self, period: u64) -> Self {
-        self.latency_sample = period.max(1);
-        self
-    }
-
-    /// Set the trace-event ring capacity (rounded up to a power of two,
-    /// minimum 8, at use).
-    pub fn trace_capacity(mut self, events: usize) -> Self {
-        self.trace_capacity = events;
-        self
-    }
-
     /// Serve `/metrics` over HTTP from the given address for the life of
     /// the store — see [`StoreConfig::metrics_addr`].
     pub fn metrics_addr(mut self, addr: std::net::SocketAddr) -> Self {
@@ -343,10 +293,10 @@ impl StoreConfig {
         self
     }
 
-    /// Set the MVCC version-retention policy — see
+    /// Retain the newest `count` commit versions (`0` disables) — see
     /// [`StoreConfig::retain_versions`].
-    pub fn retain_versions(mut self, policy: RetainPolicy) -> Self {
-        self.retain_versions = policy;
+    pub fn retain_versions(mut self, count: usize) -> Self {
+        self.retain_versions = count;
         self
     }
 }
@@ -363,14 +313,12 @@ mod tests {
             .delta_threshold(0)
             .auto_rebuild(false)
             .background_maintenance(true)
-            .split_skew(3)
             .split_max_len(10_000)
             .durability(DurabilityConfig::new().sync(SyncPolicy::EveryN(0)));
         assert_eq!(c.shards, 1);
         assert_eq!(c.delta_threshold, 1);
         assert!(!c.auto_rebuild);
         assert!(c.background_maintenance);
-        assert_eq!(c.split_skew, 3);
         assert_eq!(c.split_max_len, 10_000);
         assert_eq!(
             c.durability,
@@ -404,37 +352,21 @@ mod tests {
         assert!(StoreConfig::new(spec).cold_start(true).cold_start);
         let d0 = StoreConfig::new(spec);
         assert!(d0.metrics, "metrics on by default");
-        assert_eq!(d0.latency_sample, 1024);
-        assert_eq!(d0.trace_capacity, 1024);
         assert_eq!(d0.metrics_addr, None, "no HTTP endpoint by default");
         let addr: std::net::SocketAddr = "127.0.0.1:0".parse().unwrap();
-        let m = StoreConfig::new(spec)
-            .metrics(false)
-            .latency_sample(0)
-            .trace_capacity(16)
-            .metrics_addr(addr);
+        let m = StoreConfig::new(spec).metrics(false).metrics_addr(addr);
         assert!(!m.metrics);
-        assert_eq!(m.latency_sample, 1, "sampling period clamps to 1");
-        assert_eq!(m.trace_capacity, 16);
         assert_eq!(m.metrics_addr, Some(addr));
         assert_eq!(c.spec, spec);
         let d = StoreConfig::new(spec);
         assert_eq!(d.shards, 8);
         assert!(d.auto_rebuild);
         assert!(!d.background_maintenance);
-        assert_eq!(d.split_skew, 4);
         assert_eq!(d.split_max_len, 0, "absolute split fallback off by default");
         assert_eq!(d.durability, None, "in-memory by default");
         assert_eq!(DurabilityConfig::new().sync, SyncPolicy::EveryN(64));
         assert_eq!(DurabilityConfig::new().checkpoint_ops(0).checkpoint_ops, 0);
-        assert!(
-            d.retain_versions.is_disabled(),
-            "version retention off by default"
-        );
-        let r = StoreConfig::new(spec)
-            .retain_versions(RetainPolicy::last(8).max_age(Duration::from_secs(60)));
-        assert_eq!(r.retain_versions.count, 8);
-        assert_eq!(r.retain_versions.max_age, Some(Duration::from_secs(60)));
-        assert!(!r.retain_versions.is_disabled());
+        assert_eq!(d.retain_versions, 0, "version retention off by default");
+        assert_eq!(StoreConfig::new(spec).retain_versions(8).retain_versions, 8);
     }
 }

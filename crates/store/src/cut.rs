@@ -111,9 +111,7 @@ impl<K: Key> StoreCore<K> {
     /// Count and trace version-ring evictions: one
     /// [`TraceKind::VersionEvicted`] per dropped cut, stamped with the
     /// evicted commit version and carrying the remaining retained count.
-    /// Returns how many there were.
-    pub(crate) fn record_evictions(&self, evicted: Vec<(u64, usize)>) -> usize {
-        let n = evicted.len();
+    pub(crate) fn record_evictions(&self, evicted: Vec<(u64, usize)>) {
         for (cv, remaining) in evicted {
             self.obs.count(&self.obs.version_evictions, 1);
             self.obs.emit(TraceEvent::store(
@@ -122,7 +120,6 @@ impl<K: Key> StoreCore<K> {
                 remaining as u64,
             ));
         }
-        n
     }
 }
 

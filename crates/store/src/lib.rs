@@ -326,7 +326,7 @@
 //!   hydrations with a [`HydrationReason`], checkpoints, WAL repair and
 //!   poisoning, captured maintenance errors), each stamped with the commit
 //!   version at which it was recorded. The ring holds
-//!   [`StoreConfig::trace_capacity`] events and drops **oldest first**;
+//!   [`obs::TRACE_CAPACITY`] (1024) events and drops **oldest first**;
 //!   drops are counted exactly in `store_trace_dropped_total`.
 //! * [`ShardedStore::take_maintenance_errors`] drains the bounded error
 //!   ring ([`obs::ERROR_RING_CAPACITY`] entries, always on — failures are
@@ -339,7 +339,7 @@
 //! **Cost discipline.** Every count is one relaxed `fetch_add`; nothing on
 //! the read or write path takes a lock or allocates. That same count
 //! drives every sampling decision: latency timers arm when the op counter
-//! crosses a 1-in-[`StoreConfig::latency_sample`] stride boundary, and
+//! crosses a multiple of [`obs::LATENCY_SAMPLE`] (1-in-1024), and
 //! per-shard access counters are sampled 1-in-64 off a relaxed load of
 //! the read count (sampled bumps scaled by the stride, so the decayed
 //! counter still estimates the true rate) — an unsampled read's entire
@@ -464,7 +464,7 @@ pub mod worker;
 mod write;
 
 pub use batch::{BatchOp, BatchReceipt, WriteBatch};
-pub use config::{DurabilityConfig, RetainPolicy, StoreConfig, SyncPolicy};
+pub use config::{DurabilityConfig, StoreConfig, SyncPolicy};
 pub use delta::{DeltaChain, DeltaRun};
 pub use epoch::{CommitClock, EpochCell};
 pub use error::StoreError;
@@ -490,7 +490,6 @@ impl<K: sosd_data::key::Key> shift_table::snapshot::SnapshotRead<K> for ShardedS
 /// Convenient glob import for downstream crates and examples.
 pub mod prelude {
     pub use crate::batch::{BatchOp, BatchReceipt, WriteBatch};
-    pub use crate::config::RetainPolicy;
     pub use crate::config::{DurabilityConfig, StoreConfig, SyncPolicy};
     pub use crate::error::StoreError;
     pub use crate::obs::{HydrationReason, TraceEvent, TraceKind};

@@ -87,10 +87,6 @@ impl<K: Key> StoreCore<K> {
         actions += self.rebuild_where(|s| s.hydration_requested() && s.snapshot().is_cold())?;
         actions += self.rebuild_where(|s| s.is_dirty())?;
         actions += self.rebalance()?;
-        // Age out retained versions past the policy's max_age (count-bound
-        // eviction already happened at capture time).
-        let aged = self.record_evictions(self.versions.evict_stale());
-        actions += aged;
         if self.persist.as_ref().is_some_and(|p| p.checkpoint_due()) {
             self.checkpoint()?;
             actions += 1;

@@ -15,7 +15,7 @@
 //!
 //! Counting is one relaxed `fetch_add` per operation — and on the read and
 //! write paths that *same* count drives every other decision: the
-//! 1-in-[`crate::StoreConfig::latency_sample`] latency timers arm off the
+//! 1-in-[`LATENCY_SAMPLE`] latency timers arm off the
 //! op counters (no dedicated sampler tick), and the per-shard access
 //! counters are sampled 1-in-64 off a relaxed load of the read count (with
 //! sampled bumps scaled by the stride), so an unsampled read's entire
@@ -36,6 +36,15 @@ use std::time::Instant;
 /// Maximum maintenance errors retained before the oldest is dropped (the
 /// drop is counted exactly in `store_maintenance_errors_dropped_total`).
 pub const ERROR_RING_CAPACITY: usize = 32;
+
+/// Maintenance trace events retained before the oldest is dropped (the drop
+/// is counted exactly in `store_trace_dropped_total`).
+pub const TRACE_CAPACITY: usize = 1024;
+
+/// One in this many reads (by key count) and writes (by call) pays the
+/// latency timer's two clock reads. Counters are never sampled — they count
+/// every operation exactly.
+pub const LATENCY_SAMPLE: u64 = 1024;
 
 /// Per-shard access counters are sampled 1-in-`2^ACCESS_SAMPLE_SHIFT`
 /// reads: the sampling decision is a relaxed load of the read counter the
@@ -103,12 +112,12 @@ pub const CATALOGUE: &[(&str, &str, &str)] = &[
     (
         "store_read_latency_ns",
         "ns",
-        "Sampled read latency (1-in-latency_sample snapshot reads pays the timer).",
+        "Sampled read latency (1-in-1024 snapshot reads pays the timer).",
     ),
     (
         "store_write_latency_ns",
         "ns",
-        "Sampled write latency (1-in-latency_sample inserts/deletes pays the timer).",
+        "Sampled write latency (1-in-1024 inserts/deletes pays the timer).",
     ),
     (
         "store_rebuild_duration_ns",
@@ -559,12 +568,6 @@ pub(crate) struct StoreObs {
     pub(crate) compaction_ns: Histogram,
     pub(crate) hydration_ns: Histogram,
     pub(crate) checkpoint_ns: Histogram,
-    // Latency-sampling stride (`latency_sample` rounded up to a power of
-    // two), as a shift for the read path and a mask for the write path. The
-    // sampling decisions are derived from the op counters above, so an
-    // unsampled operation pays exactly one atomic RMW — the count itself.
-    sample_shift: u32,
-    sample_mask: u64,
     trace: TraceRing,
     errors: Mutex<VecDeque<StoreError>>,
     errors_pushed: Counter,
@@ -576,12 +579,7 @@ impl StoreObs {
     /// [`StoreConfig::metrics`] is off — every record path then
     /// short-circuits and reports stay empty).
     pub(crate) fn new(config: &StoreConfig) -> Self {
-        let trace_capacity = if config.metrics {
-            config.trace_capacity.max(8)
-        } else {
-            8
-        };
-        let period = config.latency_sample.max(1).next_power_of_two();
+        let trace_capacity = if config.metrics { TRACE_CAPACITY } else { 8 };
         Self {
             enabled: config.metrics,
             reads: Counter::new(),
@@ -601,8 +599,6 @@ impl StoreObs {
             compaction_ns: Histogram::new(),
             hydration_ns: Histogram::new(),
             checkpoint_ns: Histogram::new(),
-            sample_shift: period.trailing_zeros(),
-            sample_mask: period - 1,
             trace: TraceRing::with_capacity(trace_capacity),
             errors: Mutex::new(VecDeque::new()),
             errors_pushed: Counter::new(),
@@ -619,17 +615,16 @@ impl StoreObs {
     /// Count `n` read operations and maybe start a sampled read timer.
     ///
     /// The sampling decision rides on the read count itself: the timer arms
-    /// when the add crosses a multiple of the sampling stride, so a scalar
-    /// read samples 1-in-`latency_sample` and a batch samples in proportion
-    /// to its key count — and the unsampled path's only atomic RMW is the
-    /// count. With a stride of 1 every call with `n > 0` arms.
+    /// when the add crosses a multiple of [`LATENCY_SAMPLE`], so a scalar
+    /// read samples 1-in-1024 and a batch samples in proportion to its key
+    /// count — and the unsampled path's only atomic RMW is the count.
     #[inline]
     pub(crate) fn reads_start(&self, n: u64) -> SampledTimer {
         if !self.enabled {
             return SampledTimer::disarmed();
         }
         let prev = self.reads.add_get(n);
-        if (prev >> self.sample_shift) != ((prev + n) >> self.sample_shift) {
+        if prev / LATENCY_SAMPLE != (prev + n) / LATENCY_SAMPLE {
             SampledTimer::armed_now()
         } else {
             SampledTimer::disarmed()
@@ -644,15 +639,15 @@ impl StoreObs {
 
     /// Maybe start a sampled write timer. The caller bumps the specific
     /// op counters itself; the sampling decision is a relaxed load of
-    /// their sum against the stride mask — no dedicated sampler tick. With
-    /// a stride of 1 every call arms.
+    /// their sum, arming on every multiple of [`LATENCY_SAMPLE`] — no
+    /// dedicated sampler tick.
     #[inline]
     pub(crate) fn write_start(&self) -> SampledTimer {
         if !self.enabled {
             return SampledTimer::disarmed();
         }
         let ops = self.writes.get() + self.deletes.get() + self.batches.get();
-        if ops & self.sample_mask == 0 {
+        if ops.is_multiple_of(LATENCY_SAMPLE) {
             SampledTimer::armed_now()
         } else {
             SampledTimer::disarmed()

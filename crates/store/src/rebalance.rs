@@ -13,20 +13,22 @@ use sosd_data::key::Key;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
+/// The rebalancer's skew factor: a shard whose live key count exceeds
+/// `SPLIT_SKEW × mean` splits, one smaller than `mean / SPLIT_SKEW` merges
+/// into its smaller neighbour, and no merge may create a shard past
+/// `SPLIT_SKEW × mean`.
+const SPLIT_SKEW: usize = 4;
+
 impl<K: Key> StoreCore<K> {
     /// One rebalance sweep: split every shard whose live size exceeds
-    /// `split_skew × mean` — or the absolute `split_max_len` ceiling, which
+    /// `SPLIT_SKEW × mean` — or the absolute `split_max_len` ceiling, which
     /// still fires when the peer-relative skew signal is inert (a 1-shard
     /// store *is* its own mean) — at a duplicate-run-aligned median fence
     /// (plus one catch-up split per sweep while the topology has fewer
     /// shards than configured), then merge shards smaller than
-    /// `mean / split_skew` into their smaller neighbour. Returns the number
+    /// `mean / SPLIT_SKEW` into their smaller neighbour. Returns the number
     /// of topology changes.
     pub(crate) fn rebalance(&self) -> Result<usize, BuildError> {
-        let skew = self.config.split_skew;
-        if skew == 0 {
-            return Ok(0);
-        }
         let max_len = self.config.split_max_len;
         let _topology = self.topology.lock().expect("topology lock poisoned"); // lint: allow(panic) lock poisoning propagates a holder's panic; no sound continuation
         let mut actions = 0usize;
@@ -41,7 +43,9 @@ impl<K: Key> StoreCore<K> {
             .shards
             .iter()
             .zip(lens.iter())
-            .filter(|&(_, &len)| len >= 2 && (len > skew * mean || (max_len > 0 && len > max_len)))
+            .filter(|&(_, &len)| {
+                len >= 2 && (len > SPLIT_SKEW * mean || (max_len > 0 && len > max_len))
+            })
             .map(|(s, _)| Arc::clone(s))
             .collect();
         for shard in oversized {
@@ -84,7 +88,7 @@ impl<K: Key> StoreCore<K> {
             let undersized = lens
                 .iter()
                 .enumerate()
-                .filter(|&(_, &len)| len * skew < mean)
+                .filter(|&(_, &len)| len * SPLIT_SKEW < mean)
                 .min_by_key(|&(_, &len)| len)
                 .map(|(s, _)| s);
             let Some(s) = undersized else { break };
@@ -103,7 +107,7 @@ impl<K: Key> StoreCore<K> {
             // by the absolute ceiling (which would oscillate with the split
             // fallback otherwise).
             let merged = lens[a] + lens[b];
-            if merged > skew * mean
+            if merged > SPLIT_SKEW * mean
                 || (max_len > 0 && merged > max_len)
                 || !self.merge_shards(&table, a)?
             {

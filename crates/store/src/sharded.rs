@@ -314,7 +314,7 @@ impl<K: Key> ShardedStore<K> {
     /// checkpoints, WAL repair/poison and captured errors, each stamped
     /// with its shard (when shard-scoped) and the commit version at the
     /// moment it was recorded. The ring holds
-    /// [`StoreConfig::trace_capacity`] events; on overflow the oldest is
+    /// [`crate::obs::TRACE_CAPACITY`] events; on overflow the oldest is
     /// dropped and counted exactly in `store_trace_dropped_total`. Empty
     /// when metrics are disabled.
     pub fn trace_events(&self) -> Vec<TraceEvent> {
@@ -548,16 +548,13 @@ impl<K: Key> ShardedStore<K> {
     }
 
     /// Rebuild every *dirty* shard (chain at or over the threshold), on the
-    /// task pool's bounded workers, and age out retained versions past the
-    /// policy's `max_age` — the foreground maintenance entry point.
-    /// Returns the number of actions taken (rebuilds + version evictions).
+    /// task pool's bounded workers — the foreground maintenance entry
+    /// point. Returns the number of shards rebuilt.
     ///
     /// # Errors
     /// Propagates the first shard rebuild failure.
     pub fn maintain(&self) -> Result<usize, StoreError> {
-        let rebuilt = self.core.rebuild_where(|s| s.is_dirty())?;
-        let aged = self.core.record_evictions(self.core.versions.evict_stale());
-        Ok(rebuilt + aged)
+        Ok(self.core.rebuild_where(|s| s.is_dirty())?)
     }
 
     /// Rebuild every shard with *any* buffered write, regardless of the
@@ -571,9 +568,9 @@ impl<K: Key> ShardedStore<K> {
         Ok(self.core.rebuild_where(|s| s.buffered_ops() > 0)?)
     }
 
-    /// Run one rebalance sweep: split shards grown past `split_skew × mean`
-    /// (or past the absolute [`StoreConfig::split_max_len`] ceiling), merge
-    /// shards shrunk below `mean / split_skew`. The background worker runs
+    /// Run one rebalance sweep: split shards grown past 4× the mean shard
+    /// size (or past the absolute [`StoreConfig::split_max_len`] ceiling),
+    /// merge shards shrunk below a quarter of it. The background worker runs
     /// this automatically; the method is public for deterministic tests and
     /// explicit maintenance. Returns the number of topology changes.
     ///
@@ -784,13 +781,12 @@ mod tests {
     fn skewed_inserts_split_the_hot_shard() {
         let keys: Vec<u64> = (0..8_000u64).collect();
         let config = StoreConfig::new(spec())
-            .shards(4)
+            .shards(8)
             .delta_threshold(1_000_000)
-            .auto_rebuild(false)
-            .split_skew(2);
+            .auto_rebuild(false);
         let store = ShardedStore::build(config, &keys).unwrap();
-        assert_eq!(store.shard_count(), 4);
-        // Hammer the last shard's range far past 2× the mean.
+        assert_eq!(store.shard_count(), 8);
+        // Hammer one shard's range far past 4× the mean.
         for i in 0..30_000u64 {
             store.insert(6_000 + (i % 1_000)).unwrap();
         }
@@ -825,7 +821,6 @@ mod tests {
             .shards(1)
             .delta_threshold(1_000_000)
             .auto_rebuild(false)
-            .split_skew(4)
             .split_max_len(1_500);
         let store = ShardedStore::build(config, &keys).unwrap();
         assert_eq!(store.shard_count(), 1);
@@ -863,8 +858,7 @@ mod tests {
         let config = StoreConfig::new(spec())
             .shards(4)
             .delta_threshold(1_000_000)
-            .auto_rebuild(false)
-            .split_skew(2);
+            .auto_rebuild(false);
         let store = ShardedStore::build(config, vec![5u64; 1_000]).unwrap();
         assert_eq!(store.shard_count(), 1);
         for _ in 0..100 {
@@ -888,8 +882,7 @@ mod tests {
         let config = StoreConfig::new(spec())
             .shards(3)
             .delta_threshold(1_000_000)
-            .auto_rebuild(false)
-            .split_skew(2);
+            .auto_rebuild(false);
         let store = ShardedStore::build(config, &keys).unwrap();
         assert_eq!(store.shard_count(), 3);
         // Drain the middle shard almost completely.

@@ -12,7 +12,7 @@
 //!
 //! The `VersionRing` holds pinned cuts — `Arc`s to the store table and
 //! the per-shard states as one commit left them — ordered by commit
-//! version. With a policy set, every commit is captured inside its own
+//! version. With retention on, every commit is captured inside its own
 //! commit window, so the ring holds *each* of the newest `count` versions.
 //! Holding a cut pins exactly the structures it references: sealed delta
 //! runs and base snapshots survive compaction, rebuilds and rebalancing for
@@ -21,10 +21,10 @@
 //! those epochs would otherwise free; [`VersionStats`] reports it with
 //! shared structures counted once and the live state excluded.
 //!
-//! Eviction is by count at capture time (oldest first, like a ring buffer)
-//! and by count/age in the maintenance pass. The policy
-//! ([`crate::RetainPolicy`]) defaults to disabled, in which case nothing is
-//! captured and the write path never takes the ring lock.
+//! Eviction is by count at capture time (oldest first, like a ring buffer).
+//! The count ([`crate::StoreConfig::retain_versions`]) defaults to 0, in
+//! which case nothing is captured and the write path never takes the ring
+//! lock.
 //!
 //! ## Diffing
 //!
@@ -39,21 +39,12 @@
 //! at a time, already form one sorted stream. Every case is the same call,
 //! `merge::consolidate(b ∪ −a)`.
 
-use crate::config::RetainPolicy;
 use crate::merge;
 use crate::shard::{ShardSnapshot, ShardState};
 use crate::snapshot::PinnedCut;
 use sosd_data::key::Key;
 use std::collections::{HashSet, VecDeque};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
-
-/// One retained historical cut: the pinned structures plus its capture time
-/// (for age-based eviction).
-struct RetainedCut<K: Key> {
-    cut: Arc<PinnedCut<K>>,
-    created: Instant,
-}
 
 /// Readout of the version ring's memory cost — see
 /// [`crate::ShardedStore::version_stats`].
@@ -74,14 +65,15 @@ pub struct VersionStats {
 
 /// The bounded, commit-version-ordered ring of retained cuts.
 pub(crate) struct VersionRing<K: Key> {
-    policy: RetainPolicy,
-    ring: Mutex<VecDeque<RetainedCut<K>>>,
+    /// Versions retained at most; `0` disables retention.
+    count: usize,
+    ring: Mutex<VecDeque<Arc<PinnedCut<K>>>>,
 }
 
 impl<K: Key> VersionRing<K> {
-    pub(crate) fn new(policy: RetainPolicy) -> Self {
+    pub(crate) fn new(count: usize) -> Self {
         Self {
-            policy,
+            count,
             ring: Mutex::new(VecDeque::new()),
         }
     }
@@ -89,7 +81,7 @@ impl<K: Key> VersionRing<K> {
     /// Is retention on at all? False short-circuits every capture site.
     #[inline]
     pub(crate) fn enabled(&self) -> bool {
-        !self.policy.is_disabled()
+        self.count != 0
     }
 
     /// Retain `cut`, evicting the oldest versions past the count bound.
@@ -101,15 +93,14 @@ impl<K: Key> VersionRing<K> {
         if !self.enabled() {
             return Vec::new();
         }
-        let created = Instant::now(); // lint: allow(timing) retention capture: policy-gated, once per retained version, not per op
         let mut ring = self.ring.lock().unwrap_or_else(|p| p.into_inner());
-        debug_assert!(ring.back().is_none_or(|r| r.cut.version < cut.version));
-        ring.push_back(RetainedCut { cut, created });
+        debug_assert!(ring.back().is_none_or(|r| r.version < cut.version));
+        ring.push_back(cut);
         let mut evicted = Vec::new();
-        while ring.len() > self.policy.count {
+        while ring.len() > self.count {
             // lint: allow(panic) loop guard: len > count >= 0 implies non-empty
             let old = ring.pop_front().expect("ring non-empty");
-            evicted.push((old.cut.version, ring.len()));
+            evicted.push((old.version, ring.len()));
         }
         evicted
     }
@@ -117,43 +108,13 @@ impl<K: Key> VersionRing<K> {
     /// The retained cut at exactly `cv`, if any.
     pub(crate) fn get(&self, cv: u64) -> Option<Arc<PinnedCut<K>>> {
         let ring = self.ring.lock().unwrap_or_else(|p| p.into_inner());
-        ring.iter()
-            .find(|r| r.cut.version == cv)
-            .map(|r| Arc::clone(&r.cut))
+        ring.iter().find(|r| r.version == cv).map(Arc::clone)
     }
 
     /// Every retained commit version, oldest first.
     pub(crate) fn versions(&self) -> Vec<u64> {
         let ring = self.ring.lock().unwrap_or_else(|p| p.into_inner());
-        ring.iter().map(|r| r.cut.version).collect()
-    }
-
-    /// Maintenance-pass eviction: drop cuts older than the policy's
-    /// `max_age` (and re-enforce the count bound). Returns
-    /// `(evicted cv, remaining count)` per eviction.
-    pub(crate) fn evict_stale(&self) -> Vec<(u64, usize)> {
-        if !self.enabled() {
-            return Vec::new();
-        }
-        let mut ring = self.ring.lock().unwrap_or_else(|p| p.into_inner());
-        let mut evicted = Vec::new();
-        while ring.len() > self.policy.count {
-            // lint: allow(panic) loop guard: len > count >= 0 implies non-empty
-            let old = ring.pop_front().expect("ring non-empty");
-            evicted.push((old.cut.version, ring.len()));
-        }
-        if let Some(max_age) = self.policy.max_age {
-            let now = Instant::now(); // lint: allow(timing) cold maintenance path — runs once per worker pass
-            while let Some(front) = ring.front() {
-                if now.duration_since(front.created) <= max_age {
-                    break;
-                }
-                // lint: allow(panic) front() just proved the ring non-empty
-                let old = ring.pop_front().expect("ring non-empty");
-                evicted.push((old.cut.version, ring.len()));
-            }
-        }
-        evicted
+        ring.iter().map(|r| r.version).collect()
     }
 
     /// Memory/extent readout, with everything the live state (or an earlier
@@ -167,8 +128,8 @@ impl<K: Key> VersionRing<K> {
             seen_snaps.insert(Arc::as_ptr(s.snapshot()));
         }
         let mut approx_bytes = 0usize;
-        for rc in ring.iter() {
-            for s in rc.cut.states.iter() {
+        for cut in ring.iter() {
+            for s in cut.states.iter() {
                 if seen_states.insert(Arc::as_ptr(s)) {
                     approx_bytes += s.delta().size_bytes();
                     let snap = s.snapshot();
@@ -181,8 +142,8 @@ impl<K: Key> VersionRing<K> {
         }
         VersionStats {
             retained: ring.len(),
-            oldest_cv: ring.front().map(|r| r.cut.version),
-            newest_cv: ring.back().map(|r| r.cut.version),
+            oldest_cv: ring.front().map(|r| r.version),
+            newest_cv: ring.back().map(|r| r.version),
             approx_bytes,
         }
     }

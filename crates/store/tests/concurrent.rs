@@ -27,8 +27,7 @@
 use algo_index::RangeIndex;
 use shift_store::delta::{COMPACT_RUNS, MAX_RUN_LEN};
 use shift_store::{
-    DurabilityConfig, RetainPolicy, ShardedStore, StoreConfig, StoreSnapshot, SyncPolicy,
-    TraceKind, WriteBatch,
+    DurabilityConfig, ShardedStore, StoreConfig, StoreSnapshot, SyncPolicy, TraceKind, WriteBatch,
 };
 use shift_table::spec::IndexSpec;
 use sosd_data::prelude::*;
@@ -257,8 +256,7 @@ fn concurrent_reads_stay_between_oracle_epochs_for_every_spec() {
                 .shards(shards)
                 .delta_threshold(48)
                 .auto_rebuild(false)
-                .background_maintenance(true)
-                .split_skew(2);
+                .background_maintenance(true);
             let store = ShardedStore::build(config, &base).unwrap();
             let tag = format!("{spec_text} shards={shards}");
 
@@ -351,18 +349,19 @@ fn assert_fences_aligned(store: &ShardedStore<u64>, tag: &str) {
 #[test]
 fn forced_skew_splits_deterministically_with_aligned_fences() {
     let spec = IndexSpec::parse("im+r1").unwrap();
+    // Sixteen shards of 500 keys: the one holding 7 000 grows past 4× the
+    // mean (a shard can never exceed 4× the mean of four shards).
     let config = StoreConfig::new(spec)
-        .shards(4)
+        .shards(16)
         .delta_threshold(1_000_000)
-        .auto_rebuild(false)
-        .split_skew(2);
+        .auto_rebuild(false);
     let base: Vec<u64> = (0..8_000u64).collect();
     let store = ShardedStore::build(config, &base).unwrap();
     let mut oracle: Vec<u64> = base.clone();
 
-    // Skew the last shard: a large duplicate run right at what will become
-    // the split median, plus spread around it — the aligned fence must not
-    // cut the run.
+    // Skew the shard of 7 000: a large duplicate run right at what will
+    // become the split median, plus spread around it — the aligned fence
+    // must not cut the run.
     for _ in 0..6_000 {
         store.insert(7_000).unwrap();
     }
@@ -457,8 +456,7 @@ fn snapshots_freeze_consistent_cuts_under_write_and_rebalance_churn() {
         .shards(4)
         .delta_threshold(48)
         .auto_rebuild(false)
-        .background_maintenance(true)
-        .split_skew(2);
+        .background_maintenance(true);
     let store = ShardedStore::build(config, &base).unwrap();
 
     // Pair keys: batch b of writer w inserts lo(w, b) — an *odd* key inside
@@ -609,17 +607,17 @@ fn the_first_snapshot_after_a_maintenance_swap_pins_the_live_states() {
     };
 
     let config = StoreConfig::new(spec)
-        .shards(4)
+        .shards(8)
         .delta_threshold(1_000_000)
-        .auto_rebuild(false)
-        .split_skew(2);
+        .auto_rebuild(false);
     let base: Vec<u64> = (0..8_000u64).map(|i| i * 2).collect();
     let store = ShardedStore::build(config, &base).unwrap();
     for k in 0..500u64 {
         store.insert(k * 31 + 1).unwrap();
     }
     check(&store, "rebuild", &|| assert!(store.flush().unwrap() > 0));
-    for k in 0..6_000u64 {
+    // The last of eight shards grows past 4× the mean.
+    for k in 0..12_000u64 {
         store.insert(14_001 + k % 1_000 * 2).unwrap();
     }
     check(&store, "split", &|| {
@@ -645,7 +643,6 @@ fn the_first_snapshot_after_a_maintenance_swap_pins_the_live_states() {
     let config = StoreConfig::new(spec)
         .shards(2)
         .delta_threshold(1_000_000)
-        .split_skew(0)
         .background_maintenance(true);
     let store = ShardedStore::build(config, &base).unwrap();
     let due = ((COMPACT_RUNS / 2 - 1) * MAX_RUN_LEN) as u64;
@@ -664,7 +661,7 @@ fn the_first_snapshot_after_a_maintenance_swap_pins_the_live_states() {
     });
 }
 
-/// Retention is deterministic: with a [`RetainPolicy`] set every commit
+/// Retention is deterministic: with retention on every commit
 /// captures its own cut inside its commit window, so two writers racing
 /// `N` plain commits into an in-memory store leave exactly the versions
 /// `1..=N` retained, each holding exactly its commits.
@@ -675,7 +672,7 @@ fn racing_plain_commits_retain_every_version_once() {
         .shards(4)
         .delta_threshold(1_000_000)
         .auto_rebuild(false)
-        .retain_versions(RetainPolicy::last(n));
+        .retain_versions(n);
     let base: Vec<u64> = (0..4_000u64).map(|i| i * 2).collect();
     let store = ShardedStore::build(config, &base).unwrap();
     let start = Barrier::new(2);
@@ -783,7 +780,6 @@ fn one_commit_path_storm_keeps_every_snapshot_exact_at_its_version() {
     let config = StoreConfig::new(IndexSpec::parse("im+r1").unwrap())
         .shards(2)
         .delta_threshold(64)
-        .split_skew(2)
         .split_max_len(600);
     let store = ShardedStore::build(config, &base).unwrap();
     assert_eq!(store.fences()[1], half, "two shards, cut at the half");
@@ -957,7 +953,6 @@ fn ranged_reads_stay_exact_while_rebalance_retires_shards() {
         .shards(1)
         .delta_threshold(1_000_000)
         .auto_rebuild(false)
-        .split_skew(2)
         .split_max_len(1_000);
     let keys: Vec<u64> = (0..n).map(|i| i * 3).collect();
     let store = ShardedStore::build(config, &keys).unwrap();
@@ -1029,8 +1024,7 @@ fn growth_from_a_single_shard_reaches_the_requested_count() {
     let config = StoreConfig::new(spec)
         .shards(4)
         .delta_threshold(1_000_000)
-        .auto_rebuild(false)
-        .split_skew(2);
+        .auto_rebuild(false);
     // Born with fewer shards than requested (too few keys to cut).
     let store = ShardedStore::build(config, [10u64, 20]).unwrap();
     assert!(store.shard_count() < 4);

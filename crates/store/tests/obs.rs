@@ -5,7 +5,7 @@
 
 use algo_index::RangeIndex;
 use shift_obs::{parse_prometheus, HistogramSnapshot, MetricValue, MetricsReport};
-use shift_store::obs::CATALOGUE;
+use shift_store::obs::{CATALOGUE, LATENCY_SAMPLE, TRACE_CAPACITY};
 use shift_store::{
     DurabilityConfig, HydrationReason, ShardedStore, StoreConfig, TraceKind, WriteBatch,
 };
@@ -139,13 +139,10 @@ fn op_counters_are_exact_under_concurrent_churn() {
 /// drop exactly: `pushed - dropped == drained`.
 #[test]
 fn trace_ring_overflow_drops_oldest_and_counts_exactly() {
-    const CAPACITY: usize = 8; // the configured floor
-    const ROUNDS: u64 = 30;
+    const CAPACITY: usize = TRACE_CAPACITY;
+    const ROUNDS: u64 = CAPACITY as u64 + 100;
 
-    let config = StoreConfig::new(spec())
-        .shards(1)
-        .delta_threshold(8)
-        .trace_capacity(CAPACITY);
+    let config = StoreConfig::new(spec()).shards(1).delta_threshold(8);
     let store = ShardedStore::build(config, (0..1_000u64).collect::<Vec<_>>().as_slice()).unwrap();
 
     for round in 0..ROUNDS {
@@ -178,29 +175,38 @@ fn trace_ring_overflow_drops_oldest_and_counts_exactly() {
     assert!(store.trace_events().is_empty(), "drain consumes");
 }
 
-/// With `latency_sample(1)` every call pays the timer, so histogram counts
-/// equal call counts exactly, and the log2-bucketed quantile readout is
-/// ordered and bounds the mean.
+/// The sampling stride is derived from the op counters, so histogram
+/// counts follow exactly from [`LATENCY_SAMPLE`]: a write samples when the
+/// op count before it is a multiple of the stride, a read when its keys
+/// carry the read count across one, and the log2-bucketed quantile readout
+/// is ordered and bounds the mean.
 #[test]
 fn latency_histograms_sample_exactly_and_bound_percentiles() {
-    let config = StoreConfig::new(spec()).shards(2).latency_sample(1);
+    const STRIDES: u64 = 4;
+    let config = StoreConfig::new(spec()).shards(2);
     let store = ShardedStore::build(config, (0..10_000u64).collect::<Vec<_>>().as_slice()).unwrap();
 
-    for i in 0..64u64 {
+    for i in 0..STRIDES * LATENCY_SAMPLE {
         store.insert(20_000 + i).unwrap();
     }
-    for i in 0..10u64 {
-        let _ = store.lower_bound(i * 100);
+    for i in 0..STRIDES * LATENCY_SAMPLE {
+        let _ = store.lower_bound(i * 3);
     }
-    let mut out = vec![0usize; 100];
-    store.lower_bound_batch(&(0..100u64).collect::<Vec<_>>(), &mut out);
+    // One batch spanning two strides still pays one timer: timers are per
+    // call, not per key.
+    let batch: Vec<u64> = (0..2 * LATENCY_SAMPLE).collect();
+    let mut out = vec![0usize; batch.len()];
+    store.lower_bound_batch(&batch, &mut out);
 
     let report = store.metrics();
     let writes = hist(&report, "store_write_latency_ns");
-    // One sample per write call; timers are per call, not per key.
-    assert_eq!(writes.count(), 64);
+    assert_eq!(writes.count(), STRIDES, "one write in {LATENCY_SAMPLE}");
     let reads = hist(&report, "store_read_latency_ns");
-    assert_eq!(reads.count(), 11, "10 scalar calls + 1 batch call");
+    assert_eq!(
+        reads.count(),
+        STRIDES + 1,
+        "one scalar read in {LATENCY_SAMPLE}, plus the batch"
+    );
 
     for h in [&writes, &reads] {
         let (p50, p90, p99) = (h.quantile(0.5), h.quantile(0.9), h.quantile(0.99));

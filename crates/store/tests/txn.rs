@@ -8,15 +8,12 @@
 use algo_index::RangeIndex;
 use shift_obs::{MetricValue, MetricsReport};
 use shift_store::persist::wal;
-use shift_store::{
-    DurabilityConfig, RetainPolicy, ShardedStore, StoreConfig, StoreError, TraceKind, WriteBatch,
-};
+use shift_store::{DurabilityConfig, ShardedStore, StoreConfig, StoreError, TraceKind, WriteBatch};
 use shift_table::spec::IndexSpec;
 use sosd_data::prelude::*;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
-use std::time::Duration;
 
 fn spec() -> IndexSpec {
     IndexSpec::parse("im+r1").unwrap()
@@ -312,9 +309,7 @@ fn concurrent_transfers_serialize_against_the_oracle() {
         }
     }
     base.sort_unstable();
-    let config = StoreConfig::new(spec())
-        .shards(4)
-        .retain_versions(RetainPolicy::last(8));
+    let config = StoreConfig::new(spec()).shards(4).retain_versions(8);
     let store = ShardedStore::build(config, &base).unwrap();
 
     // (commit_version, src, dst) per successful transfer, across threads.
@@ -426,9 +421,7 @@ fn concurrent_transfers_serialize_against_the_oracle() {
 #[test]
 fn retention_ring_serves_history_and_evicts_by_count() {
     let base: Vec<u64> = (0..100).collect();
-    let config = StoreConfig::new(spec())
-        .shards(2)
-        .retain_versions(RetainPolicy::last(4));
+    let config = StoreConfig::new(spec()).shards(2).retain_versions(4);
     let store = ShardedStore::build(config, &base).unwrap();
     assert!(store.retained_versions().is_empty(), "nothing written yet");
 
@@ -486,42 +479,6 @@ fn retention_ring_serves_history_and_evicts_by_count() {
     );
 }
 
-/// Age-based retention: `maintain()` re-enforces `max_age`, dropping every
-/// over-age cut while the live version stays servable.
-#[test]
-fn maintenance_evicts_cuts_past_max_age() {
-    let base: Vec<u64> = (0..200).collect();
-    let config = StoreConfig::new(spec())
-        .shards(2)
-        .retain_versions(RetainPolicy::last(8).max_age(Duration::from_millis(1)));
-    let store = ShardedStore::build(config, &base).unwrap();
-
-    for i in 0..5u64 {
-        store.insert(10_000 + i).unwrap();
-    }
-    assert_eq!(store.retained_versions().len(), 5);
-    std::thread::sleep(Duration::from_millis(10));
-    let actions = store.maintain().unwrap();
-    assert!(actions >= 5, "each aged eviction is a maintenance action");
-    assert!(store.retained_versions().is_empty());
-    assert_eq!(
-        counter(&store.metrics(), "store_version_evictions_total"),
-        5
-    );
-
-    let stats = store.version_stats();
-    assert_eq!(stats.retained, 0);
-    assert_eq!(stats.oldest_cv, None);
-    assert_eq!(stats.approx_bytes, 0);
-
-    // History is gone, the present is not.
-    assert!(store.snapshot_at(3).is_err());
-    assert_eq!(
-        store.snapshot_at(store.commit_version()).unwrap().len(),
-        205
-    );
-}
-
 /// The CDC property: for *every* ordered pair of retained versions,
 /// `scan_between` equals the brute-force multiset diff of the two full
 /// snapshot scans — across single writes, batches, transactions, and
@@ -534,7 +491,7 @@ fn scan_between_matches_brute_force_diff_for_all_retained_pairs() {
     let config = StoreConfig::new(spec())
         .shards(4)
         .delta_threshold(48)
-        .retain_versions(RetainPolicy::last(12));
+        .retain_versions(12);
     let store = ShardedStore::build(config, &base).unwrap();
 
     // The trace mixes every write path; `state_at[cv]` records the full

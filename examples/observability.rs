@@ -8,16 +8,14 @@ use shift_table_repro::prelude::*;
 use std::io::{Read as _, Write as _};
 
 fn main() {
-    // Metrics are on by default; sample 1-in-256 read/write latencies and
-    // keep the last 64 maintenance events. Port 0 picks a free port for
-    // the optional `/metrics` endpoint.
+    // Metrics are on by default: 1-in-1024 reads and writes pay the latency
+    // timer and the trace ring keeps the last 1024 maintenance events. Port
+    // 0 picks a free port for the optional `/metrics` endpoint.
     let dataset: Dataset<u64> = SosdName::Face64.generate(100_000, 42);
     let spec = IndexSpec::parse("im+r1").unwrap();
     let config = StoreConfig::new(spec)
         .shards(8)
         .delta_threshold(1_024)
-        .latency_sample(256)
-        .trace_capacity(64)
         .metrics_addr("127.0.0.1:0".parse().unwrap());
     let store = ShardedStore::build(config, dataset.as_slice()).unwrap();
 

@@ -17,8 +17,7 @@ fn main() {
         .shards(8)
         .delta_threshold(2_048)
         .auto_rebuild(false)
-        .background_maintenance(true)
-        .split_skew(2);
+        .background_maintenance(true);
     let store = ShardedStore::build(config, dataset.as_slice()).unwrap();
     println!(
         "store: {} keys across {} shards ({} aux bytes), fences at {:?}…",
@@ -54,13 +53,15 @@ fn main() {
     );
 
     // Skew one narrow key range hard enough that the rebalancer splits the
-    // hot shard at a duplicate-run-aligned median fence.
+    // hot shard — past 4× the mean shard size — at a duplicate-run-aligned
+    // median fence.
     let (lo, hi) = (dataset.min_key().unwrap(), dataset.max_key().unwrap());
     let hot = lo + (hi - lo) / 8 * 7;
-    for i in 0..120_000u64 {
+    for i in 0..250_000u64 {
         store.insert(hot + (i % 4_096)).unwrap();
     }
     store.rebalance().unwrap();
+    assert!(store.total_splits() >= 1, "the hot shard must split");
     println!(
         "after skew: {} shards ({} splits, {} merges, {} rebuilds so far)",
         store.shard_count(),

@@ -21,9 +21,7 @@ fn main() {
     }
     seed.sort_unstable();
     let spec = IndexSpec::parse("im+r1").unwrap();
-    let config = StoreConfig::new(spec)
-        .shards(4)
-        .retain_versions(RetainPolicy::last(16));
+    let config = StoreConfig::new(spec).shards(4).retain_versions(16);
     let store = ShardedStore::build(config, &seed).unwrap();
     println!(
         "opened: {} accounts × {OPENING} units, commit version {}",
