@@ -60,8 +60,7 @@
 //! (`always` | `every64` | `os`; any other value panics, naming it)
 //! restricts the per-policy trace sweep to one policy — CI's durability
 //! smoke job pins `every64`; the (small) group-commit table always runs
-//! all rows, since its point *is* the
-//! cross-policy comparison. Setting `COLD_START_ASSERT=1` (CI's cold-start
+//! all rows, since its point *is* the cross-policy comparison. Setting `COLD_START_ASSERT=1` (CI's cold-start
 //! job does, on a large store) additionally asserts the acceptance
 //! signals: incremental checkpoints skip and reuse, cold opens mount every
 //! shard cold, the first read precedes model training, the cold open's

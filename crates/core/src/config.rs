@@ -4,7 +4,8 @@
 ///
 /// The default is the value the paper uses in its evaluation: a local
 /// search window below 8 keys is scanned linearly instead of
-/// binary-searched (§3.8).
+/// binary-searched (§3.8). No caller sets another value; the field stays
+/// because the repository benchmark reads it back from a built index.
 ///
 /// The layer-enablement thresholds of §4.1 are not configuration: they are
 /// the constants [`crate::cost::MIN_ERROR_TO_ENABLE`] and

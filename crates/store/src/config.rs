@@ -22,10 +22,11 @@
 //!
 //! Constants instead of knobs: the rebalancer's skew factor (`SPLIT_SKEW`,
 //! 4: split past 4× the mean shard size, merge below a quarter of it), the
-//! latency sampling stride
-//! ([`crate::obs::LATENCY_SAMPLE`], 1-in-1024) and the trace-ring size
-//! ([`crate::obs::TRACE_CAPACITY`], 1024 events). Retained versions are
-//! evicted by count only.
+//! latency sampling stride ([`crate::obs::LATENCY_SAMPLE`], 1-in-1024) and
+//! the trace-ring size ([`crate::obs::TRACE_CAPACITY`], 1024 events). Retained versions are
+//! evicted by count only. The deprecated no-op
+//! [`StoreConfig::build_threads`] stays only because the repo benchmark
+//! still calls it.
 
 use shift_table::spec::IndexSpec;
 

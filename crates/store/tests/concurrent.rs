@@ -452,11 +452,15 @@ fn snapshots_freeze_consistent_cuts_under_write_and_rebalance_churn() {
         .map(|_| rng.next_below(KEY_DOMAIN / 2) * 2)
         .collect();
     base.sort_unstable();
+    // The pair batches' high keys all land in the last shard; no shard of
+    // four can pass 4× their mean, so the absolute ceiling is what makes the
+    // worker split it while the readers run.
     let config = StoreConfig::new(IndexSpec::parse("im+r1").unwrap())
         .shards(4)
         .delta_threshold(48)
         .auto_rebuild(false)
-        .background_maintenance(true);
+        .background_maintenance(true)
+        .split_max_len(1_000);
     let store = ShardedStore::build(config, &base).unwrap();
 
     // Pair keys: batch b of writer w inserts lo(w, b) — an *odd* key inside
