@@ -1,24 +1,23 @@
 //! Builders for the Shift-Table layers (Algorithm 2 and its variants).
 //!
-//! A range layer has two builders, and `build_range_layer` picks between
-//! them from what the model says about itself and what its predictions
-//! then show. Both write the drift of every partition `0..N` and of the
-//! virtual partition `N` — 0, the end of the column — and no window length:
-//! a window ends where the next partition's starts ([`crate::entry`]).
+//! A range layer has one builder, the **run-boundary emitter**. It writes
+//! the drift of every partition `0..N` and of the virtual partition `N` —
+//! 0, the end of the column — and no window length: a window ends where the
+//! next partition's starts ([`crate::entry`]).
 //!
-//! Both read each key's clamped prediction from one of two sources. A
+//! It reads each key's clamped prediction from one of two sources. A
 //! trainer that audited every key already holds them (an RMI's does, see
 //! `learned_index::rmi`), and [`crate::spec::IndexSpec`]'s build hands them
 //! over, so the whole build evaluates the model once per key. Without them
 //! — every model with no audit pass, and [`crate::ShiftTable::build`] — the
-//! builders ask the model, `PREDICT_RUN` keys at a time.
+//! emitter asks the model, `PREDICT_RUN` keys at a time.
 //!
-//! **The run-boundary emitter** is the path of monotone models. Over a
-//! sorted column a monotone model's predictions never decrease, so the keys
-//! of one partition are consecutive and — equal keys being predicted alike —
-//! a duplicate run never straddles two partitions. The positions `s_p`
-//! where the prediction changes therefore *are* the layer: partition `p`,
-//! whose first key sits at `s_p`, holds `Δ_p = s_p − p`, and an empty
+//! Over a sorted column a valid-CDF model's predictions never decrease —
+//! every model of `learned_index` is one, over every key (§3.8) — so the
+//! keys of one partition are consecutive and, equal keys being predicted
+//! alike, a duplicate run never straddles two partitions. The positions
+//! `s_p` where the prediction changes therefore *are* the layer: partition
+//! `p`, whose first key sits at `s_p`, holds `Δ_p = s_p − p`, and an empty
 //! partition `k` left of it starts there too, `Δ_k = s_p − k` (§3.1). Per
 //! `PREDICT_RUN` keys the emitter predicts, compacts the change positions
 //! without a branch, stages every window's drifts — empty partitions
@@ -27,17 +26,19 @@
 //! read-modify-write on the layer, no backward pass, no key read beyond the
 //! model's own. The layer is written once, block by block, in the layout it
 //! is served from — a block that does not fit is appended to the patch
-//! array, nothing stored is re-encoded. Monotonicity is *checked, not
-//! trusted*: the emitter compares every prediction with its predecessor
-//! (and with the last partition), and the first one out of order abandons
-//! the attempt — nothing of it is kept — for the other builder.
+//! array, nothing stored is re-encoded.
 //!
-//! **The scatter builder** takes any model: one pass scatters drift minima
-//! into a blank `i32` array (Algorithm 2 lines 3–15, the paper's
-//! `O(N · F_θ + M)`), a backward pass gives the empty partitions the start
-//! of the partition to their right, and the finished array is packed into
-//! the same layout in one pass. It is what a non-monotone RMI is built
-//! with, and the reference the emitter is tested against array by array.
+//! A model that does fall — one a caller wrote — is not trusted to rise:
+//! every prediction is taken at the largest one before it, so the layer is
+//! that of the model's running maximum over the column, and for a model
+//! that never falls its own. A key predicted below that maximum may then
+//! miss its window; the lookup's validating gallop (the §3.8 repair in
+//! [`crate::kernel`]) finds its lower bound all the same.
+//!
+//! The paper's scatter builder (Algorithm 2 lines 3–15: scatter drift
+//! minima into a blank array, fill the empty partitions backwards, pack) is
+//! kept as test-only reference code the emitter is checked against, array
+//! by array.
 
 use crate::entry::MAX_KEYS;
 use crate::packed::{Packed, BLOCK};
@@ -45,38 +46,11 @@ use learned_index::model::CdfModel;
 use sosd_data::key::Key;
 use std::ops::Range;
 
-/// A partition no key has been predicted into yet: any drift is smaller.
-const UNSET: i32 = i32::MAX;
-
 /// Keys per [`CdfModel::predict_clamped_into`] call: the predictions of
 /// one run (4 KiB) stay in L1 beside the keys.
 const PREDICT_RUN: usize = 1024;
 
-/// Build the full-resolution (`M = N`) range layer of `model` over the
-/// sorted `keys`: the run-boundary emitter for a model whose predictions turn
-/// out monotone, the scatter builder otherwise (see the module docs).
-/// `audited`, when given, holds `model.predict_clamped(key)` for every key,
-/// and the builders read it instead of the model.
-pub(crate) fn build_range_layer<K: Key, M: CdfModel<K> + ?Sized>(
-    model: &M,
-    keys: &[K],
-    audited: Option<&[u32]>,
-) -> Packed {
-    // lint: allow(panic) the validating builders turn longer columns into BuildError::TooManyKeys; past them a drift would silently truncate
-    assert!(
-        keys.len() <= MAX_KEYS,
-        "a range layer covers at most {MAX_KEYS} keys"
-    );
-    debug_assert!(audited.is_none_or(|audited| audited.len() == keys.len()));
-    if model.is_monotonic() {
-        if let Some(layer) = emit_range_layer(model, keys, audited) {
-            return layer;
-        }
-    }
-    Packed::from_drifts(&compute_range_drifts(model, keys, audited))
-}
-
-/// Where a builder reads the clamped predictions of a run of keys: the
+/// Where the emitter reads the clamped predictions of a run of keys: the
 /// trainer's audited ones when it handed them over, else the model's,
 /// computed into an L1-resident buffer.
 struct Predictions<'a, M: ?Sized> {
@@ -170,20 +144,27 @@ impl<'a> Stage<'a> {
     }
 }
 
-/// The run-boundary emitter over the whole column, straight into the
-/// layer's arrays: every partition's drift — empty or not, in order, those
-/// right of the last key and the end itself starting at `n`. `None` when a
-/// prediction is smaller than its predecessor's or past the last partition:
-/// the model is not monotone over the column, whatever it claims, and nothing
-/// of the attempt is kept.
-fn emit_range_layer<K: Key, M: CdfModel<K> + ?Sized>(
+/// Build the full-resolution (`M = N`) range layer of `model` over the
+/// sorted `keys` with the run-boundary emitter, straight into the layer's
+/// arrays: every partition's drift — empty or not, in order, those right
+/// of the last key and the end itself starting at `n`. `audited`, when
+/// given, holds `model.predict_clamped(key)` for every key, and the emitter
+/// reads it instead of the model. A prediction below the largest before it
+/// is taken at that largest (see the module docs).
+pub(crate) fn build_range_layer<K: Key, M: CdfModel<K> + ?Sized>(
     model: &M,
     keys: &[K],
     audited: Option<&[u32]>,
-) -> Option<Packed> {
+) -> Packed {
+    // lint: allow(panic) the validating builders turn longer columns into BuildError::TooManyKeys; past them a drift would silently truncate
+    assert!(
+        keys.len() <= MAX_KEYS,
+        "a range layer covers at most {MAX_KEYS} keys"
+    );
+    debug_assert!(audited.is_none_or(|audited| audited.len() == keys.len()));
     let n = keys.len();
     if n == 0 {
-        return Some(Packed::with_capacity(0));
+        return Packed::with_capacity(0);
     }
     let mut layer = Packed::with_capacity(n + 1);
     // Partitions below `next` are staged. `open` is the partition whose
@@ -194,6 +175,10 @@ fn emit_range_layer<K: Key, M: CdfModel<K> + ?Sized>(
     let mut next = 0;
     let mut open = 0;
     let mut open_start = 0;
+    // The last partition: a prediction past it — which a model keeping
+    // its `predict_clamped_into` contract never makes — is taken there, so
+    // the layer holds `n + 1` drifts whatever the model hands over.
+    let last = (n - 1) as u32;
     let mut stage = Stage::new(&mut layer);
     let mut predictions = Predictions::new(model, audited);
     let mut changes = [0u16; PREDICT_RUN];
@@ -203,22 +188,25 @@ fn emit_range_layer<K: Key, M: CdfModel<K> + ?Sized>(
         // Compact the positions where the prediction changes: every
         // position is written, the cursor moves on only past a change.
         let mut found = 0;
-        let mut monotone = true;
+        let mut falls = false;
         let mut previous = open as u32;
         for (i, &prediction) in predictions.iter().enumerate() {
             changes[found] = i as u16;
             found += usize::from(prediction != previous);
-            monotone &= prediction >= previous;
+            falls |= prediction < previous;
             previous = prediction;
         }
-        // Non-decreasing, so the last prediction is the run's largest.
-        if !monotone || previous as usize >= n {
-            return None;
+        // Unless the run falls, its last prediction is its largest. A run
+        // that falls, or passes the last partition, is compacted again at
+        // its running maximum.
+        if falls || previous > last {
+            found = rises_of_running_maximum(predictions, open as u32, last, &mut changes);
         }
+        // At a change of the running maximum it is the prediction itself.
         for &i in &changes[..found] {
             stage.fill(next..open + 1, open_start);
             next = open + 1;
-            open = predictions[usize::from(i)] as usize;
+            open = predictions[usize::from(i)].min(last) as usize;
             open_start = start + usize::from(i);
         }
     }
@@ -228,58 +216,29 @@ fn emit_range_layer<K: Key, M: CdfModel<K> + ?Sized>(
     stage.fill(open + 1..n + 1, n);
     stage.finish();
     layer.finish();
-    Some(layer)
+    layer
 }
 
-/// The scatter builder: the drifts of the layer for *any* model, those of
-/// the empty partitions and of the end included (Algorithm 2 lines 3–15),
-/// `n + 1` of them over `n > 0` keys.
-pub(crate) fn compute_range_drifts<K: Key, M: CdfModel<K> + ?Sized>(
-    model: &M,
-    keys: &[K],
-    audited: Option<&[u32]>,
-) -> Vec<i32> {
-    let n = keys.len();
-    if n == 0 {
-        return Vec::new();
+/// The emitter's compaction of a run of `predictions` from a model that
+/// falls (or predicts past `last`): the positions where their running
+/// maximum, from `open` on and capped at `last`, rises. Its own loop, so a
+/// model that never falls pays no dependency through the maximum.
+#[cold]
+fn rises_of_running_maximum(
+    predictions: &[u32],
+    open: u32,
+    last: u32,
+    changes: &mut [u16; PREDICT_RUN],
+) -> usize {
+    let mut found = 0;
+    let mut previous = open;
+    for (i, &prediction) in predictions.iter().enumerate() {
+        let prediction = prediction.min(last).max(previous);
+        changes[found] = i as u16;
+        found += usize::from(prediction != previous);
+        previous = prediction;
     }
-    let mut drifts = vec![UNSET; n + 1];
-    drifts[n] = 0;
-    // Predictions come a run at a time, as in the emitter.
-    let mut predictions = Predictions::new(model, audited);
-    let mut first_occurrence = 0;
-    for start in (0..n).step_by(PREDICT_RUN) {
-        let run = &keys[start..n.min(start + PREDICT_RUN)];
-        let predictions = predictions.of(start, run);
-        for (i, &prediction) in (start..).zip(predictions.iter()) {
-            if i > 0 && keys[i] == keys[i - 1] {
-                // duplicate: the CDF target stays at the first occurrence (§3.2)
-            } else {
-                first_occurrence = i;
-            }
-            // Both terms are below `n <= MAX_KEYS`: the drift fits an
-            // `i32`. Keys arrive in position order, so the first one
-            // predicted into a partition holds its smallest drift; `min`
-            // keeps it without a branch on whether it was the first.
-            let drift = &mut drifts[prediction as usize];
-            *drift = (*drift).min(first_occurrence as i32 - prediction as i32);
-        }
-    }
-    fill_empty_partitions(&mut drifts);
-    drifts
-}
-
-/// Backward pass: an empty partition starts where the partition to its
-/// right does (§3.1) — `k + Δ_k = (k + 1) + Δ_{k+1}`, so
-/// `Δ_k = Δ_{k+1} + 1`. The last drift, the end's, is set.
-fn fill_empty_partitions(drifts: &mut [i32]) {
-    let mut right = 0;
-    for drift in drifts.iter_mut().rev() {
-        if *drift == UNSET {
-            *drift = right + 1;
-        }
-        right = *drift;
-    }
+    found
 }
 
 /// Compute the midpoint drifts `Δ̄` of a compact (S-X) layer with `m`
@@ -376,8 +335,76 @@ pub(crate) fn partition_of(prediction: usize, m: usize, n: usize) -> usize {
     (((prediction as u128) * (m as u128)) / (n as u128)) as usize
 }
 
+/// Reference code the tests check the emitter and the packed layout
+/// against: the paper's scatter builder, and packing a finished drift
+/// array in one call.
+#[cfg(test)]
+pub(crate) mod testing {
+    use super::*;
+
+    /// A partition no key has been predicted into yet: any drift is smaller.
+    const UNSET: i32 = i32::MAX;
+
+    impl Packed {
+        /// Pack a finished drift array.
+        pub(crate) fn from_drifts(drifts: &[i32]) -> Self {
+            let mut packed = Self::with_capacity(drifts.len());
+            packed.extend(drifts);
+            packed.finish();
+            packed
+        }
+    }
+
+    /// The scatter builder: the drifts of the layer for *any* model, those
+    /// of the empty partitions and of the end included (Algorithm 2 lines
+    /// 3–15), `n + 1` of them over `n > 0` keys. One pass scatters drift
+    /// minima into a blank array, a backward pass gives the empty
+    /// partitions the start of the partition to their right. For a model
+    /// that never falls over `keys`, the emitter's layer.
+    pub(crate) fn compute_range_drifts<K: Key, M: CdfModel<K> + ?Sized>(
+        model: &M,
+        keys: &[K],
+    ) -> Vec<i32> {
+        let n = keys.len();
+        if n == 0 {
+            return Vec::new();
+        }
+        let mut drifts = vec![UNSET; n + 1];
+        drifts[n] = 0;
+        let mut first_occurrence = 0;
+        for (i, &key) in keys.iter().enumerate() {
+            if i > 0 && key == keys[i - 1] {
+                // duplicate: the CDF target stays at the first occurrence (§3.2)
+            } else {
+                first_occurrence = i;
+            }
+            // Keys arrive in position order, so the first one predicted
+            // into a partition holds its smallest drift.
+            let prediction = model.predict_clamped(key);
+            let drift = &mut drifts[prediction];
+            *drift = (*drift).min(first_occurrence as i32 - prediction as i32);
+        }
+        fill_empty_partitions(&mut drifts);
+        drifts
+    }
+
+    /// Backward pass: an empty partition starts where the partition to its
+    /// right does (§3.1) — `k + Δ_k = (k + 1) + Δ_{k+1}`, so
+    /// `Δ_k = Δ_{k+1} + 1`. The last drift, the end's, is set.
+    fn fill_empty_partitions(drifts: &mut [i32]) {
+        let mut right = 0;
+        for drift in drifts.iter_mut().rev() {
+            if *drift == UNSET {
+                *drift = right + 1;
+            }
+            right = *drift;
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::testing::compute_range_drifts;
     use super::*;
     use crate::correction::{Correction, SearchHint};
     use crate::entry::ShiftEntry;
@@ -402,9 +429,6 @@ mod tests {
             fn size_bytes(&self) -> usize {
                 0
             }
-            fn is_monotonic(&self) -> bool {
-                true
-            }
             fn name(&self) -> &'static str {
                 "div10"
             }
@@ -426,7 +450,7 @@ mod tests {
         assert_eq!(keys.len(), 100);
         assert!(keys.is_sorted());
 
-        let drifts = compute_range_drifts(&DivTen, &keys, None);
+        let drifts = compute_range_drifts(&DivTen, &keys);
         // Partition 77 receives keys 770 and 771 (positions 36, 37): Δ = 36 −
         // 77 = −41. Partition 76 receives key 769 (position 35): Δ = 35 − 76
         // = −41. Partition 78 receives keys 782 and 785 (positions 38, 39):
@@ -457,9 +481,6 @@ mod tests {
             fn size_bytes(&self) -> usize {
                 0
             }
-            fn is_monotonic(&self) -> bool {
-                true
-            }
             fn name(&self) -> &'static str {
                 "quarter"
             }
@@ -468,7 +489,7 @@ mod tests {
         // Predictions: 0,0,0,3 → partitions 1 and 2 empty. Partition 2
         // mirrors partition 3 shifted by one, partition 1 partition 2, and
         // the end, partition 4, sits at the end of the column.
-        let drifts = compute_range_drifts(&Quarter, &keys, None);
+        let drifts = compute_range_drifts(&Quarter, &keys);
         assert_eq!(drifts, [0, 2, 1, 0, 0]);
         // They all resolve to the same absolute start (position 3): the
         // empty partitions' windows are empty there, partition 0's ends
@@ -481,7 +502,7 @@ mod tests {
         );
 
         // Trailing empty partitions start past the last key.
-        let drifts = compute_range_drifts(&Quarter, &[1u64, 2, 3, 4], None);
+        let drifts = compute_range_drifts(&Quarter, &[1u64, 2, 3, 4]);
         assert_eq!(drifts, [0, 3, 2, 1, 0]);
     }
 
@@ -491,7 +512,7 @@ mod tests {
         for name in SosdName::all() {
             let d: Dataset<u64> = name.generate(20_000, 3);
             let model = InterpolationModel::build(&d);
-            let drifts = compute_range_drifts(&model, d.as_slice(), None);
+            let drifts = compute_range_drifts(&model, d.as_slice());
             let keys = d.as_slice();
             let mut first_occurrence = 0usize;
             for (i, &k) in keys.iter().enumerate() {
@@ -513,28 +534,20 @@ mod tests {
 
     /// The scatter builder's layer: the reference the emitter must equal.
     fn reference<K: Key, M: CdfModel<K> + ?Sized>(model: &M, keys: &[K]) -> Packed {
-        Packed::from_drifts(&compute_range_drifts(model, keys, None))
+        Packed::from_drifts(&compute_range_drifts(model, keys))
     }
 
-    /// Assert that the emitter builds the scatter reference, and that
-    /// `build_range_layer` picks it: the same arrays (bases, offsets and
-    /// patches, so the same `size_bytes`).
+    /// Assert that the emitter builds the scatter reference: the same
+    /// arrays (bases, offsets and patches, so the same `size_bytes`).
     fn assert_emitter_matches_reference<K: Key, M: CdfModel<K> + ?Sized>(
         model: &M,
         keys: &[K],
         tag: &str,
     ) -> Packed {
-        assert!(
-            model.is_monotonic(),
-            "{tag}: the emitter is for monotone models"
-        );
         let expected = reference(model, keys);
-        let emitted =
-            emit_range_layer(model, keys, None).unwrap_or_else(|| panic!("{tag}: abandoned"));
-        assert!(emitted == expected, "{tag}: emitted layer differs");
         assert!(
             build_range_layer(model, keys, None) == expected,
-            "{tag}: not emitted"
+            "{tag}: emitted layer differs"
         );
         expected
     }
@@ -543,26 +556,26 @@ mod tests {
     #[test]
     fn emitter_matches_scatter_reference_on_every_generator_and_model() {
         use learned_index::spec::ModelSpec;
-        // The matrix holds layers with escaped blocks and layers of long
-        // windows throughout: a least-squares line over lognormal keys
-        // crowds its predictions into few partitions between long stretches
-        // of empty ones.
+        // Every built-in model never falls, so the scatter builder's layer
+        // is the emitter's. The matrix holds layers with escaped blocks and
+        // layers of long windows throughout: a least-squares line over
+        // lognormal keys crowds its predictions into few partitions between
+        // long stretches of empty ones.
         let mut patched = 0;
-        let mut scattered = 0;
         let adversaries = sosd_data::generators::adversary_columns();
-        for spec in ["im", "linear", "rmi:64", "rmi:4096", "rmi:64:cubic"] {
-            let spec = ModelSpec::parse(spec).unwrap();
+        let specs = [
+            "im",
+            "linear",
+            "cubic",
+            "rmi:64",
+            "rmi:4096",
+            "rmi:64:cubic",
+            "rs:32",
+            "pgm:64",
+        ];
+        for spec in specs.map(|spec| ModelSpec::parse(spec).unwrap()) {
             let mut check = |keys: &[u64], tag: String| {
-                let model = spec.build(keys);
-                let layer = if model.is_monotonic() {
-                    assert_emitter_matches_reference(&*model, keys, &tag)
-                } else {
-                    // Not the emitter's business: the scatter builder's.
-                    scattered += 1;
-                    let expected = reference(&*model, keys);
-                    assert!(build_range_layer(&*model, keys, None) == expected, "{tag}");
-                    expected
-                };
+                let layer = assert_emitter_matches_reference(&*spec.build(keys), keys, &tag);
                 patched += usize::from(layer.patches() > 0);
             };
             for n in [4_096, 6_000, 70_000, 200_000] {
@@ -576,7 +589,6 @@ mod tests {
             }
         }
         assert!(patched > 20, "and patches: {patched} layers hold some");
-        assert!(scattered > 0, "the matrix holds non-monotone models");
     }
 
     #[cfg_attr(miri, ignore = "dataset too large for Miri")]
@@ -597,8 +609,8 @@ mod tests {
         assert_emitter_matches_reference(&model, &keys, "4096");
     }
 
-    /// A staircase over `0..n`: monotone, or with every `dip`-th key
-    /// predicted two steps too low while still claiming to be monotone.
+    /// A staircase over `0..n`: never falling, or with every `dip`-th key
+    /// predicted two steps too low.
     struct Stairs {
         n: usize,
         step: u64,
@@ -618,45 +630,91 @@ mod tests {
         fn size_bytes(&self) -> usize {
             0
         }
-        fn is_monotonic(&self) -> bool {
-            true
-        }
         fn name(&self) -> &'static str {
             "stairs"
         }
     }
 
+    /// Predicts `self.0[key]`: a model over the keys `0..n` given by its
+    /// predictions.
+    struct Listed(Vec<usize>);
+    impl CdfModel<u64> for Listed {
+        fn predict(&self, key: u64) -> usize {
+            self.0[key as usize]
+        }
+        fn key_count(&self) -> usize {
+            self.0.len()
+        }
+        fn size_bytes(&self) -> usize {
+            0
+        }
+        fn name(&self) -> &'static str {
+            "listed"
+        }
+    }
+
+    /// Assert that `model`, which falls somewhere over the keys `0..n`,
+    /// builds the scatter reference of its running maximum.
+    fn assert_builds_its_running_maximum(model: &dyn CdfModel<u64>, n: usize, tag: &str) {
+        let keys: Vec<u64> = (0..n as u64).collect();
+        assert!(
+            !learned_index::model::verify_monotonic_on(model, &keys),
+            "{tag}: the model must actually fall"
+        );
+        let maximum = keys.iter().scan(0, |maximum, &key| {
+            *maximum = model.predict_clamped(key).max(*maximum);
+            Some(*maximum)
+        });
+        let maximum = Listed(maximum.collect());
+        assert!(
+            build_range_layer(model, &keys, None) == reference(&maximum, &keys),
+            "{tag}: not the running maximum's layer"
+        );
+    }
+
     #[cfg_attr(miri, ignore = "dataset too large for Miri")]
     #[test]
-    fn a_model_that_lies_about_monotonicity_falls_back_to_the_scatter_builder() {
+    fn a_model_that_falls_builds_through_its_running_maximum_and_answers_exactly() {
+        use algo_index::RangeIndex;
         let n = 5_000;
         let keys: Vec<u64> = (0..n as u64).collect();
+        // Every key, and past the last.
+        let queries: Vec<u64> = (0..n as u64 + 2).chain([u64::MAX]).collect();
+        let expected: Vec<usize> = queries
+            .iter()
+            .map(|&q| keys.partition_point(|&k| k < q))
+            .collect();
         // One dip per 1 000 keys — inside a run, or on a run's first or last
-        // key, depending on the step.
-        for (step, dip) in [(10, 1_000), (7, 1_024), (1, 1_025), (1_000, 999)] {
+        // key, depending on the step — and one only the last key tells.
+        let dips = [
+            (10, 1_000),
+            (7, 1_024),
+            (1, 1_025),
+            (1_000, 999),
+            (1, n as u64),
+        ];
+        for (step, dip) in dips {
+            let tag = format!("step {step} dip {dip}");
             let liar = Stairs {
                 n,
                 step,
                 dip: Some(dip),
             };
-            assert!(
-                !learned_index::model::verify_monotonic_on(&liar, &keys),
-                "step {step} dip {dip}: the model must actually dip"
-            );
-            assert!(emit_range_layer(&liar, &keys, None).is_none());
-            assert!(build_range_layer(&liar, &keys, None) == reference(&liar, &keys));
-            // The same staircase without the dips is the emitter's.
+            assert_builds_its_running_maximum(&liar, n, &tag);
+            // Its windows miss some lower bounds; the lookups find them.
+            let index = crate::CorrectedIndex::builder(keys.as_slice(), &liar)
+                .with_range_table()
+                .build()
+                .unwrap();
+            let scalar: Vec<usize> = queries.iter().map(|&q| index.lower_bound(q)).collect();
+            assert!(scalar == expected, "{tag}: scalar lookups");
+            let mut batch = vec![0; queries.len()];
+            index.lower_bound_batch(&queries, &mut batch);
+            assert!(batch == expected, "{tag}: batch lookups");
+            // The same staircase without the dips builds the reference.
             let honest = Stairs { n, step, dip: None };
             assert_emitter_matches_reference(&honest, &keys, "stairs");
         }
-        // A lie only the last prediction of the column tells.
-        let liar = Stairs {
-            n,
-            step: 1,
-            dip: Some(n as u64),
-        };
-        assert!(emit_range_layer(&liar, &keys, None).is_none());
-        assert!(build_range_layer(&liar, &keys, None) == reference(&liar, &keys));
     }
 
     #[cfg_attr(miri, ignore = "dataset too large for Miri")]
@@ -716,7 +774,7 @@ mod tests {
         assert!(longest > u16::MAX as usize, "longest window {longest}");
         let layer = assert_emitter_matches_reference(&model, d.as_slice(), "wiki64");
         let table = ShiftTable::build(&model, d.as_slice());
-        let delta = compute_range_drifts(&model, d.as_slice(), None)[at];
+        let delta = compute_range_drifts(&model, d.as_slice())[at];
         assert_eq!(
             table.entry(at),
             ShiftEntry::new(delta.into(), longest as u64)
@@ -742,15 +800,35 @@ mod tests {
         };
         assert_emitter_matches_reference(&model, &[1, 2, 3, 4, 5, 6, 7, 8, 9], "first");
         assert_emitter_matches_reference(&model, &[900; 9], "last");
-        // A model lying about its monotonicity, small enough for Miri.
-        let keys: Vec<u64> = (0..1_100).collect();
+        // A model that falls, small enough for Miri.
         let liar = Stairs {
-            n: keys.len(),
+            n: 1_100,
             step: 3,
             dip: Some(500),
         };
-        assert!(emit_range_layer(&liar, &keys, None).is_none());
-        assert!(build_range_layer(&liar, &keys, None) == reference(&liar, &keys));
+        assert_builds_its_running_maximum(&liar, 1_100, "falls");
+        // A model whose runs break the range contract is held at the last
+        // partition: the layer has `n + 1` drifts all the same.
+        struct Past;
+        impl CdfModel<u64> for Past {
+            fn predict(&self, _key: u64) -> usize {
+                usize::MAX
+            }
+            fn key_count(&self) -> usize {
+                20
+            }
+            fn size_bytes(&self) -> usize {
+                0
+            }
+            fn name(&self) -> &'static str {
+                "past"
+            }
+            fn predict_clamped_into(&self, _keys: &[u64], out: &mut [u32]) {
+                out.fill(u32::MAX);
+            }
+        }
+        let keys: Vec<u64> = (0..20).collect();
+        assert!(build_range_layer(&Past, &keys, None) == reference(&Past, &keys));
     }
 
     #[test]
@@ -767,9 +845,6 @@ mod tests {
             }
             fn size_bytes(&self) -> usize {
                 0
-            }
-            fn is_monotonic(&self) -> bool {
-                true
             }
             fn name(&self) -> &'static str {
                 "zero"
@@ -828,7 +903,7 @@ mod tests {
     fn empty_keys_produce_empty_layers() {
         let d: Dataset<u64> = Dataset::from_keys("e", vec![]);
         let model = InterpolationModel::build(&d);
-        assert!(compute_range_drifts(&model, d.as_slice(), None).is_empty());
+        assert!(compute_range_drifts(&model, d.as_slice()).is_empty());
         assert!(build_range_layer(&model, d.as_slice(), None).is_empty());
         let (deltas, residual) = compute_midpoint_deltas_and_residual(&model, d.as_slice(), 4, 1);
         assert_eq!(deltas, vec![0, 0, 0, 0]);

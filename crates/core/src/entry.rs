@@ -14,13 +14,14 @@
 //!   does (`Δ_k = Δ_{k+1} + 1`), so its window is empty — at the lower
 //!   bound of every query predicted into it — and the partitions right of
 //!   the last key start at `S_n = N`. A fetch serves
-//!   `[S_k, max(S_k, S_{k+1}))`, inside the column: for a monotone model
-//!   exactly the paper's `<Δ_k, C_k>` window of a non-empty partition. A
-//!   non-monotone model's windows may miss a key; the §3.8 repair closes
-//!   every such lookup. What
-//!   [`ShiftTable::entries`](crate::ShiftTable::entries), `window_lengths`
-//!   and `expected_error` report are these served windows — 0 for an empty
-//!   partition, so over a monotone layer they sum to `N`.
+//!   `[S_k, max(S_k, S_{k+1}))`, inside the column: for a model that never
+//!   falls — every model of `learned_index` — exactly the paper's
+//!   `<Δ_k, C_k>` window of a non-empty partition. A model that falls gets
+//!   the layer of its running maximum, whose windows may miss a key it
+//!   predicts below that maximum; the §3.8 repair closes every such
+//!   lookup. What [`ShiftTable::entries`](crate::ShiftTable::entries),
+//!   `window_lengths` and `expected_error` report are these served windows
+//!   — 0 for an empty partition, so they sum to `N`.
 //! * **`Δ` is exact, and block-relative.** The drift of a model is
 //!   *locally* smooth even where it is globally large — the paper's own
 //!   premise — so an aligned block of 8 neighbouring drifts carries one
@@ -39,7 +40,7 @@
 //! layer of a single key — 6 bytes here (its drift, the end's and their
 //! base), 4 as a plain `(i16, u16)`.
 //!
-//! Both builders write the layout strictly left to right, block by block,
+//! The builder writes the layout strictly left to right, block by block,
 //! nothing stored ever re-encoded ([`crate::build`]). A layer over `N` keys
 //! has `N + 1` drifts — the last, of the virtual partition `N`, is 0 — and
 //! `|Δ| ≤ N`, so up to

@@ -211,9 +211,6 @@ mod tests {
             fn size_bytes(&self) -> usize {
                 0
             }
-            fn is_monotonic(&self) -> bool {
-                true
-            }
             fn name(&self) -> &'static str {
                 "coarse"
             }

@@ -645,9 +645,6 @@ mod tests {
         fn size_bytes(&self) -> usize {
             0
         }
-        fn is_monotonic(&self) -> bool {
-            true
-        }
         fn name(&self) -> &'static str {
             "unit"
         }
@@ -688,7 +685,7 @@ mod tests {
             .unwrap();
         check_index(&d, &index);
 
-        // RMI may be non-monotone; the repair path must keep it correct.
+        // And under an RMI, whose leaves are clamped to their own keys.
         let rmi = RmiIndex::builder().leaf_count(64).build(&d);
         let index = CorrectedIndex::builder(d.as_slice(), rmi)
             .with_range_table()
@@ -936,8 +933,9 @@ mod tests {
     #[cfg_attr(miri, ignore = "dataset too large for Miri")]
     #[test]
     fn adversarial_non_monotone_model_is_repaired() {
-        // A deliberately broken model that zig-zags: the range-mode windows
-        // may not contain the answer, the repair path must still be exact.
+        // A deliberately broken model that zig-zags builds the layer of its
+        // running maximum: the range-mode windows may not contain the
+        // answer, the repair path must still be exact.
         struct ZigZag(usize);
         impl CdfModel<u64> for ZigZag {
             fn predict(&self, key: u64) -> usize {
@@ -954,9 +952,6 @@ mod tests {
             }
             fn size_bytes(&self) -> usize {
                 0
-            }
-            fn is_monotonic(&self) -> bool {
-                false
             }
             fn name(&self) -> &'static str {
                 "zigzag"

@@ -39,7 +39,8 @@
 //!    wavefront at [`WAVEFRONT_FINISH`] wide and finish with an early-exit
 //!    scan from a line the probes already warmed. Unbounded lanes never
 //!    enter it. Every bounded path ends with the §3.8 repair gallop when the
-//!    window missed (non-monotone model or far out-of-range query).
+//!    window missed — which it never does under a model of
+//!    `learned_index`, and may under a caller's model that falls.
 //!
 //! ## Why the touch stage is safe-Rust prefetch
 //!
@@ -113,8 +114,8 @@ fn touch_hint<K: Key>(keys: &[K], hint: SearchHint, q: K) -> usize {
 }
 
 /// Validate that `pos` is the lower bound of `q` and fall back to the §3.8
-/// repair gallop when the window missed (non-monotone model or far
-/// out-of-range query).
+/// repair gallop when the window missed: under a model that falls, whose
+/// layer is that of its running maximum ([`crate::build`]).
 #[inline]
 fn repair<K: Key>(keys: &[K], pos: usize, q: K) -> usize {
     let n = keys.len();
@@ -585,8 +586,9 @@ mod tests {
 
     #[test]
     fn non_monotone_model_windows_are_repaired() {
-        // A zig-zag model produces windows that miss; the repair gallop must
-        // keep every path exact through the pipeline.
+        // A zig-zag model builds through its running maximum, so its
+        // windows miss; the repair gallop must keep every path exact
+        // through the pipeline.
         struct ZigZag(usize);
         impl CdfModel<u64> for ZigZag {
             fn predict(&self, key: u64) -> usize {
@@ -603,9 +605,6 @@ mod tests {
             }
             fn size_bytes(&self) -> usize {
                 0
-            }
-            fn is_monotonic(&self) -> bool {
-                false
             }
             fn name(&self) -> &'static str {
                 "zigzag"

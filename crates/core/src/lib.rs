@@ -46,9 +46,10 @@
 //!   §3.7/§3.9 (should the layer be enabled? which local search?),
 //! * [`error`] — construction errors ([`BuildError`]), the error estimates of
 //!   §3.5 (Eq. 8) and empirical error measurement,
-//! * [`build`] — the layer builders: the one-pass run-boundary emitter for
-//!   monotone models and the scatter builder for every other, both writing
-//!   the one packed layout.
+//! * [`build`] — the layer builders: the one-pass run-boundary emitter,
+//!   which writes the range layer's one packed layout for every model (one
+//!   that falls is taken at its running maximum), and the compact layer's
+//!   midpoint pass.
 //!
 //! ## Batch kernel pipeline
 //!

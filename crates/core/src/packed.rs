@@ -70,14 +70,6 @@ impl Packed {
         }
     }
 
-    /// Pack a finished drift array.
-    pub fn from_drifts(drifts: &[i32]) -> Self {
-        let mut packed = Self::with_capacity(drifts.len());
-        packed.extend(drifts);
-        packed.finish();
-        packed
-    }
-
     /// Append one aligned block.
     #[inline]
     fn push_block(&mut self, block: &Block) {

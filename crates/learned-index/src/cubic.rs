@@ -4,9 +4,13 @@
 //! cubic captures the S-shape of many CDFs better than a line while staying a
 //! handful of multiply-adds at query time. The paper notes (§3.8) that cubic
 //! RMI roots are one source of *non-monotonic* predictions, which matters for
-//! the Shift-Table's range mode; this implementation therefore reports its
-//! monotonicity honestly by checking the fitted derivative over the training
-//! key range.
+//! the Shift-Table's range mode. This one never decreases: it is evaluated
+//! at the normalised key clamped to `[0, 1]`, the span its training keys
+//! cover, and a fit whose derivative goes negative anywhere on that span is
+//! replaced by the least-squares line from the same moments. (That holds in
+//! exact arithmetic; where the slope is near zero, the rounding of the Horner
+//! evaluation could reorder two predictions an ulp apart — no test column
+//! has shown it.)
 
 use crate::model::CdfModel;
 use sosd_data::dataset::Dataset;
@@ -22,7 +26,6 @@ pub struct CubicModel {
     key_min: f64,
     key_span: f64,
     n: usize,
-    monotonic: bool,
 }
 
 impl CubicModel {
@@ -46,7 +49,6 @@ impl CubicModel {
                 key_min,
                 key_span: span,
                 n,
-                monotonic: true,
             };
         }
         let key_min = keys[0].to_f64();
@@ -77,36 +79,22 @@ impl CubicModel {
             row[..4].copy_from_slice(&s[r..r + 4]);
             row[4] = t[r];
         }
-        let coeffs = solve_4x4(&mut a).unwrap_or([0.0, (n - 1) as f64, 0.0, 0.0]);
-
-        // Monotonicity check: derivative b + 2c·t + 3d·t² must be ≥ 0 on
-        // [0, 1]. Check endpoints and the interior extremum.
-        let monotonic = {
-            let (b, c, d) = (coeffs[1], coeffs[2], coeffs[3]);
-            let deriv = |t: f64| b + 2.0 * c * t + 3.0 * d * t * t;
-            let mut ok = deriv(0.0) >= -1e-9 && deriv(1.0) >= -1e-9;
-            if d.abs() > 0.0 {
-                let t_ext = -c / (3.0 * d);
-                if (0.0..=1.0).contains(&t_ext) {
-                    ok &= deriv(t_ext) >= -1e-9;
-                }
-            }
-            ok
-        };
-
+        let coeffs = solve_4x4(&mut a)
+            .filter(never_falls)
+            .unwrap_or_else(|| least_squares_line(&s, &t));
         Self {
             coeffs,
             key_min,
             key_span: span,
             n,
-            monotonic,
         }
     }
 
-    /// Raw (unclamped) prediction as `f64`.
+    /// Raw (unclamped) prediction as `f64`, at the normalised key clamped
+    /// to the trained span `[0, 1]`.
     #[inline]
     pub fn predict_f64(&self, key: f64) -> f64 {
-        let t = (key - self.key_min) / self.key_span;
+        let t = ((key - self.key_min) / self.key_span).clamp(0.0, 1.0);
         let [a, b, c, d] = self.coeffs;
         // Horner evaluation.
         ((d * t + c) * t + b) * t + a
@@ -117,6 +105,30 @@ impl CubicModel {
     pub fn coefficients(&self) -> [f64; 4] {
         self.coeffs
     }
+}
+
+/// Whether the cubic `[a, b, c, d]` never falls on `[0, 1]`: its derivative
+/// `b + 2c·t + 3d·t²` is not negative at either end nor at its interior
+/// extremum.
+fn never_falls(&[_, b, c, d]: &[f64; 4]) -> bool {
+    let slope = |t: f64| b + 2.0 * c * t + 3.0 * d * t * t;
+    // `d == 0` puts the extremum at an infinity (or NaN), outside.
+    let extremum = -c / (3.0 * d);
+    let interior = (0.0..=1.0).contains(&extremum);
+    slope(0.0) >= 0.0 && slope(1.0) >= 0.0 && (!interior || slope(extremum) >= 0.0)
+}
+
+/// The least-squares line `a + b·t`, `b ≥ 0`, from the power sums `s` and
+/// the position moments `t` the cubic was solved from; flat at the mean
+/// position when the keys do not spread.
+fn least_squares_line(s: &[f64; 7], t: &[f64; 4]) -> [f64; 4] {
+    let denom = s[0] * s[2] - s[1] * s[1];
+    let slope = if denom > 0.0 {
+        ((s[0] * t[1] - s[1] * t[0]) / denom).max(0.0)
+    } else {
+        0.0
+    };
+    [(t[0] - slope * s[1]) / s[0], slope, 0.0, 0.0]
 }
 
 /// Gaussian elimination with partial pivoting for the 4x5 augmented system.
@@ -175,10 +187,6 @@ impl<K: Key> CdfModel<K> for CubicModel {
         6 * std::mem::size_of::<f64>()
     }
 
-    fn is_monotonic(&self) -> bool {
-        self.monotonic
-    }
-
     fn name(&self) -> &'static str {
         "Cubic"
     }
@@ -221,7 +229,6 @@ mod tests {
             let p = CdfModel::<u64>::predict(&m, k);
             assert!((p as i64 - i as i64).abs() <= 1, "pos {i} predicted {p}");
         }
-        assert!(CdfModel::<u64>::is_monotonic(&m));
     }
 
     #[test]

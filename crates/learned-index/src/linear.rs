@@ -78,10 +78,6 @@ impl<K: Key> CdfModel<K> for InterpolationModel {
         2 * std::mem::size_of::<f64>()
     }
 
-    fn is_monotonic(&self) -> bool {
-        true
-    }
-
     fn name(&self) -> &'static str {
         "IM"
     }
@@ -200,10 +196,6 @@ impl<K: Key> CdfModel<K> for LinearModel {
         2 * std::mem::size_of::<f64>()
     }
 
-    fn is_monotonic(&self) -> bool {
-        true
-    }
-
     fn name(&self) -> &'static str {
         "Linear"
     }
@@ -222,7 +214,6 @@ mod tests {
         for (i, &k) in d.as_slice().iter().enumerate() {
             assert_eq!(CdfModel::<u64>::predict(&m, k), i);
         }
-        assert!(CdfModel::<u64>::is_monotonic(&m));
         assert_eq!(CdfModel::<u64>::size_bytes(&m), 16);
     }
 

@@ -10,10 +10,14 @@ use sosd_data::key::Key;
 /// `[0, key_count())`, i.e. a prediction is always a valid record position
 /// for non-empty data.
 ///
-/// The Shift-Table layer (§3 of the paper) can correct any such model; the
-/// `<Δ, C>` range representation additionally requires the model to be a
-/// *valid CDF*, i.e. monotonically non-decreasing in the key (§3.8), which
-/// models advertise through [`CdfModel::is_monotonic`].
+/// The Shift-Table layer (§3 of the paper) can correct any such model. Its
+/// `<Δ, C>` range windows are exact for a *valid CDF* (§3.8): a model whose
+/// predictions never decrease as the key grows, over every key of `K` — not
+/// only the trained ones, since a query between two keys, below the first
+/// or past the last is predicted too. Every model of this crate is
+/// non-decreasing by construction. A model that is not still builds a
+/// layer, and the lookups whose window misses the answer are closed by the
+/// layer's validating gallop (§3.8 repair) — exact, only slower.
 pub trait CdfModel<K: Key>: Send + Sync {
     /// Predicted position (record index) of the lower bound of `key`.
     fn predict(&self, key: K) -> usize;
@@ -24,9 +28,6 @@ pub trait CdfModel<K: Key>: Send + Sync {
     /// Approximate size of the model parameters in bytes. Used by the
     /// Figure 8 index-size sweeps and the cost model.
     fn size_bytes(&self) -> usize;
-
-    /// `true` if predictions are guaranteed to be non-decreasing in the key.
-    fn is_monotonic(&self) -> bool;
 
     /// A guaranteed bound on `|predicted - actual|` over the training keys,
     /// if the model tracks one (e.g. error-bounded splines). `None` means
@@ -90,9 +91,6 @@ impl<K: Key, M: CdfModel<K> + ?Sized> CdfModel<K> for &M {
     fn size_bytes(&self) -> usize {
         (**self).size_bytes()
     }
-    fn is_monotonic(&self) -> bool {
-        (**self).is_monotonic()
-    }
     fn max_error_bound(&self) -> Option<usize> {
         (**self).max_error_bound()
     }
@@ -113,9 +111,6 @@ impl<K: Key, M: CdfModel<K> + ?Sized> CdfModel<K> for Box<M> {
     }
     fn size_bytes(&self) -> usize {
         (**self).size_bytes()
-    }
-    fn is_monotonic(&self) -> bool {
-        (**self).is_monotonic()
     }
     fn max_error_bound(&self) -> Option<usize> {
         (**self).max_error_bound()
@@ -138,9 +133,6 @@ impl<K: Key, M: CdfModel<K> + ?Sized> CdfModel<K> for std::sync::Arc<M> {
     fn size_bytes(&self) -> usize {
         (**self).size_bytes()
     }
-    fn is_monotonic(&self) -> bool {
-        (**self).is_monotonic()
-    }
     fn max_error_bound(&self) -> Option<usize> {
         (**self).max_error_bound()
     }
@@ -152,9 +144,11 @@ impl<K: Key, M: CdfModel<K> + ?Sized> CdfModel<K> for std::sync::Arc<M> {
     }
 }
 
-/// Verify that a model's predictions are non-decreasing over the training
-/// keys. Exhaustive over the given keys, so it is intended for tests and for
-/// validating third-party models before attaching a range-mode Shift-Table.
+/// Verify that a model's predictions are non-decreasing over the given
+/// sorted keys. Exhaustive over them, so it is intended for tests and for
+/// checking a third-party model before attaching a range-mode Shift-Table:
+/// one that fails still gets a layer, but the lookups its windows miss pay
+/// the repair gallop.
 pub fn verify_monotonic_on<K: Key, M: CdfModel<K> + ?Sized>(model: &M, keys: &[K]) -> bool {
     let mut prev = 0usize;
     let mut first = true;
@@ -188,9 +182,6 @@ mod tests {
         fn size_bytes(&self) -> usize {
             0
         }
-        fn is_monotonic(&self) -> bool {
-            true
-        }
         fn name(&self) -> &'static str {
             "half"
         }
@@ -217,7 +208,6 @@ mod tests {
         assert!(b.max_error_bound().is_none());
         let a = std::sync::Arc::new(Half { n: 4 });
         assert_eq!(a.predict(2), 1);
-        assert!(a.is_monotonic());
     }
 
     #[test]
@@ -232,9 +222,6 @@ mod tests {
             }
             fn size_bytes(&self) -> usize {
                 0
-            }
-            fn is_monotonic(&self) -> bool {
-                false
             }
             fn name(&self) -> &'static str {
                 "zigzag"

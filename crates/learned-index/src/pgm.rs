@@ -11,6 +11,13 @@
 //! level indexes the first-keys of the level below it, again within ±ε.
 //! Lookup descends from the single root segment, at each level correcting the
 //! predicted child segment with a small bounded scan.
+//!
+//! The model never decreases, over every key. Each upper level predicts,
+//! within ε + 1, the index of the last knot of the level below whose key is
+//! at most the query's, so the bounded scan finds that knot — which never
+//! moves left as the key grows — and the bottom level's interpolation is
+//! clamped to its segment's positions `[a.pos, b.pos]`, ending where the
+//! next segment starts.
 
 use crate::model::CdfModel;
 use crate::spline::{predict_from_points, GreedySplineCorridor, SplinePoint};
@@ -34,7 +41,6 @@ pub struct PgmModel {
     levels: Vec<Level>,
     epsilon: usize,
     n: usize,
-    monotonic: bool,
 }
 
 impl PgmModel {
@@ -57,7 +63,6 @@ impl PgmModel {
                 levels: Vec::new(),
                 epsilon,
                 n: 0,
-                monotonic: true,
             };
         }
         let corridor = GreedySplineCorridor::new(epsilon);
@@ -76,25 +81,7 @@ impl PgmModel {
             levels.push(Level { points: above });
         }
 
-        let mut model = Self {
-            levels,
-            epsilon,
-            n,
-            monotonic: true,
-        };
-        // Audit monotonicity over the training keys (like RMI, honesty first).
-        let mut prev = 0usize;
-        let mut monotonic = true;
-        for (i, k) in keys.iter().enumerate() {
-            let p = CdfModel::<K>::predict(&model, *k);
-            if i > 0 && p < prev {
-                monotonic = false;
-                break;
-            }
-            prev = p;
-        }
-        model.monotonic = monotonic;
-        model
+        Self { levels, epsilon, n }
     }
 
     /// The error bound ε.
@@ -136,7 +123,8 @@ impl PgmModel {
             if level_idx == 0 {
                 let a = points[seg_start];
                 let b = points[(seg_start + 1).min(points.len() - 1)];
-                return crate::spline::interpolate_segment(a, b, key).max(a.pos as f64);
+                let p = crate::spline::interpolate_segment(a, b, key);
+                return p.max(a.pos as f64).min(b.pos as f64);
             }
             // The knot position in an upper level *is* the index into the
             // level below (upper levels are built over the below level's
@@ -169,10 +157,6 @@ impl<K: Key> CdfModel<K> for PgmModel {
             .iter()
             .map(|l| l.points.len() * std::mem::size_of::<SplinePoint>())
             .sum()
-    }
-
-    fn is_monotonic(&self) -> bool {
-        self.monotonic
     }
 
     fn max_error_bound(&self) -> Option<usize> {

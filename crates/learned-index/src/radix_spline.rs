@@ -183,10 +183,6 @@ impl<K: Key> CdfModel<K> for RadixSpline {
             + self.radix_table.len() * std::mem::size_of::<u32>()
     }
 
-    fn is_monotonic(&self) -> bool {
-        true
-    }
-
     fn max_error_bound(&self) -> Option<usize> {
         Some(self.max_error)
     }
@@ -238,10 +234,18 @@ mod tests {
     }
 
     #[test]
-    fn is_monotonic_over_training_keys() {
+    fn never_decreases_over_training_and_gap_keys() {
         let d: Dataset<u64> = SosdName::Face64.generate(30_000, 2);
         let rs = RadixSpline::builder().max_error(16).build(&d);
         assert!(verify_monotonic_on::<u64, _>(&rs, d.as_slice()));
+        let mut probes: Vec<u64> = d
+            .as_slice()
+            .iter()
+            .flat_map(|&k| [k.saturating_sub(1), k, k.saturating_add(1)])
+            .chain([0, u64::MAX])
+            .collect();
+        probes.sort_unstable();
+        assert!(verify_monotonic_on::<u64, _>(&rs, &probes));
     }
 
     #[test]

@@ -2,6 +2,11 @@
 //! implements `learned_index::CdfModel` — here a deliberately tiny
 //! "histogram" model written from scratch in ~40 lines.
 //!
+//! The layer's windows are exact for a model that never decreases as the
+//! key grows, over every key a query may bring (§3.8). This one never does,
+//! by construction; one that did would still build, and the lookups its
+//! windows miss would find their answer through a slower gallop.
+//!
 //! Run with:
 //! ```text
 //! cargo run --release --example custom_model
@@ -55,9 +60,6 @@ impl learned_index::CdfModel<u64> for HistogramModel {
     }
     fn size_bytes(&self) -> usize {
         self.starts.len() * std::mem::size_of::<usize>() + 16
-    }
-    fn is_monotonic(&self) -> bool {
-        true
     }
     fn name(&self) -> &'static str {
         "Histogram256"
