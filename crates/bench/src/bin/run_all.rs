@@ -36,26 +36,6 @@ fn main() {
             experiments::lookup_kernel::run,
             "lookup_kernel",
         ),
-        (
-            "Store (mixed workloads)",
-            experiments::store_mixed::run,
-            "store_mixed",
-        ),
-        (
-            "Store (durability)",
-            experiments::store_durable::run,
-            "store_durable",
-        ),
-        (
-            "Store (batch + snapshot)",
-            experiments::store_batch::run,
-            "store_batch",
-        ),
-        (
-            "Store (transactions + MVCC)",
-            experiments::store_txn::run,
-            "store_txn",
-        ),
     ];
     for (name, run, stem) in all {
         println!("=== {name} ===");

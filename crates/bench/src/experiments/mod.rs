@@ -1,9 +1,9 @@
-//! One module per table/figure of the paper's evaluation.
+//! One module per table/figure of the paper's evaluation, plus
+//! `lookup_kernel`, the batch-kernel comparison.
 //!
 //! Every experiment exposes `run(cfg) -> Vec<Table>`: the returned tables are
 //! printed by the corresponding binary and written as CSV under
-//! `target/experiments/`. The experiment id ↔ module mapping is documented in
-//! DESIGN.md §2 and EXPERIMENTS.md.
+//! `target/experiments/`.
 
 pub mod figure2;
 pub mod figure3;
@@ -12,28 +12,9 @@ pub mod figure7;
 pub mod figure8;
 pub mod figure9;
 pub mod lookup_kernel;
-pub mod store_batch;
-pub mod store_durable;
-pub mod store_mixed;
-pub mod store_txn;
 pub mod table2;
 
 use crate::report::Table;
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Distinguishes scratch directories across rows and parallel test runs.
-static DIR_COUNTER: AtomicU64 = AtomicU64::new(0);
-
-/// A unique scratch directory under the system temp dir for one durable
-/// experiment row; the caller removes it when the row is done.
-pub(crate) fn scratch_dir(prefix: &str, label: &str) -> PathBuf {
-    std::env::temp_dir().join(format!(
-        "{prefix}-{label}-{}-{}",
-        std::process::id(),
-        DIR_COUNTER.fetch_add(1, Ordering::Relaxed), // lint: ordering(Relaxed) unique-suffix counter; no memory is published through it
-    ))
-}
 
 /// Print every table of an experiment and write the CSVs.
 pub fn emit(tables: &[Table], file_prefix: &str) {

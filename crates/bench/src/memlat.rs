@@ -145,9 +145,19 @@ mod tests {
 
     #[test]
     fn linear_beats_binary_on_tiny_windows() {
-        let curve = error_latency_curve(1 << 20, &[2, 16_384], 20_000, 5);
-        let tiny = &curve[0];
-        let large = &curve[1];
+        // Each side's minimum over several curves: a run preempted by a
+        // neighbour only ever adds time, so the minimum is the comparison
+        // a loaded machine cannot flip.
+        let mut best = error_latency_curve(1 << 20, &[2, 16_384], 20_000, 5);
+        for seed in 6..10 {
+            let curve = error_latency_curve(1 << 20, &[2, 16_384], 20_000, seed);
+            for (b, p) in best.iter_mut().zip(&curve) {
+                b.linear_ns = b.linear_ns.min(p.linear_ns);
+                b.binary_ns = b.binary_ns.min(p.binary_ns);
+            }
+        }
+        let tiny = &best[0];
+        let large = &best[1];
         assert!(
             tiny.linear_ns <= tiny.binary_ns * 2.0,
             "a 2-record window should not favour binary search dramatically"

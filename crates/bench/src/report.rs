@@ -132,37 +132,6 @@ pub fn fmt_ns(ns: f64) -> String {
     }
 }
 
-/// Format a mean ns/op as millions of operations per second.
-pub fn fmt_mops(ns_per_op: f64) -> String {
-    if ns_per_op <= 0.0 {
-        "N/A".to_string()
-    } else {
-        format!("{:.2}", 1_000.0 / ns_per_op)
-    }
-}
-
-/// Render the four serving percentiles as ready-made table cells
-/// (p50, p90, p99, p99.9 — each through [`fmt_ns`]).
-pub fn percentile_cells(p: &crate::timer::Percentiles) -> [String; 4] {
-    [fmt_ns(p.p50), fmt_ns(p.p90), fmt_ns(p.p99), fmt_ns(p.p999)]
-}
-
-/// Format a byte count with a binary-prefix unit.
-pub fn fmt_bytes(bytes: usize) -> String {
-    const UNITS: [&str; 5] = ["B", "KiB", "MiB", "GiB", "TiB"];
-    let mut value = bytes as f64;
-    let mut unit = 0usize;
-    while value >= 1024.0 && unit < UNITS.len() - 1 {
-        value /= 1024.0;
-        unit += 1;
-    }
-    if unit == 0 {
-        format!("{bytes} B")
-    } else {
-        format!("{value:.1} {}", UNITS[unit])
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -195,15 +164,5 @@ mod tests {
         assert_eq!(fmt_ns(0.0), "N/A");
         assert_eq!(fmt_ns(103.46), "103.5");
         assert_eq!(fmt_ns(1384.2), "1384");
-        assert_eq!(fmt_bytes(512), "512 B");
-        assert_eq!(fmt_bytes(1536), "1.5 KiB");
-        assert_eq!(fmt_bytes(3 * 1024 * 1024), "3.0 MiB");
-        assert_eq!(fmt_mops(100.0), "10.00");
-        assert_eq!(fmt_mops(0.0), "N/A");
-        let mut samples: Vec<u64> = vec![100, 200, 300, 4000];
-        let p = crate::timer::Percentiles::from_ns(&mut samples);
-        let cells = percentile_cells(&p);
-        assert_eq!(cells.len(), 4);
-        assert_eq!(cells[3], "4000");
     }
 }

@@ -127,8 +127,8 @@ pub fn measure_build<T, F: FnOnce() -> T>(build: F) -> (f64, T) {
 /// Latency percentiles of a per-operation sample, in nanoseconds.
 ///
 /// Serving latency is dominated by its tail — a mean hides the p99 stall a
-/// rebuild swap or a chain merge causes — so the store suites report the
-/// standard serving percentiles next to the mean.
+/// rebuild swap or a chain merge causes — so the store's metrics-overhead
+/// gate compares the p99 beside the mean.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Percentiles {
     /// Median latency.
@@ -174,7 +174,7 @@ impl Percentiles {
 /// Accumulates per-operation wall-clock samples for percentile reporting.
 ///
 /// The recorder times each closure with one `Instant` pair (~20–40 ns of
-/// overhead per op — acceptable for the store's serving-path suites, whose
+/// overhead per op — acceptable for the store's serving path, whose
 /// operations cost hundreds of nanoseconds). Pool recorders from several
 /// threads with [`LatencyRecorder::absorb`] before computing percentiles.
 #[derive(Debug, Clone, Default)]

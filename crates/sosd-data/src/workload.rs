@@ -5,12 +5,12 @@
 //! that workload plus three extensions used by the tests and ablations:
 //! domain-uniform queries, non-indexed ("miss") queries, and hot-range
 //! (skewed) queries — and, for the updatable store layer, [`MixedWorkload`]:
-//! reproducible read/write traces (read-heavy, insert-heavy, and Zipfian
-//! shard skew) over a dataset's key space.
+//! reproducible read-heavy and insert-heavy read/write traces over a
+//! dataset's key domain.
 
 use crate::dataset::Dataset;
 use crate::key::Key;
-use crate::rng::{SplitMix64, Xoshiro256, Zipf};
+use crate::rng::Xoshiro256;
 
 /// Which distribution the query keys are drawn from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -182,27 +182,15 @@ pub enum MixedKind {
     ReadHeavy,
     /// 50% inserts, 10% deletes, 35% lookups, 5% ranges — ingest-dominated.
     InsertHeavy,
-    /// Read-mostly, but with keys drawn Zipfian-skewed over contiguous
-    /// slices of the key space, so a range-sharded store sees a hot shard.
-    ZipfShardSkew,
-    /// YCSB-E-style scan-heavy mix: 95% short range scans whose start keys
-    /// are Zipfian-skewed over contiguous domain slices and whose lengths
-    /// are uniform in 1..=100 records (converted to a key span via the
-    /// dataset's mean gap), plus 5% inserts.
-    ScanHeavy,
 }
-
-/// Base hot-slice rotation of Zipf-shaped traces: thread 0 (and the
-/// single-threaded generator) places the hottest rank on this slice so it
-/// is not trivially the leftmost one; concurrent threads stagger from here.
-const ZIPF_BASE_ROTATION: u64 = 3;
 
 /// A reproducible mixed read/write trace over a dataset's key domain.
 ///
 /// The trace carries operations only (no ground truth): the truth of an
 /// updatable store depends on every preceding write, so consumers replay the
 /// trace against the store and an oracle side by side (as the store's
-/// property tests do) or just measure throughput (as the bench suite does).
+/// property tests do) or just measure it (as the examples and the store's
+/// metrics-overhead gate do).
 #[derive(Debug, Clone)]
 pub struct MixedWorkload<K: Key> {
     kind: MixedKind,
@@ -212,146 +200,27 @@ pub struct MixedWorkload<K: Key> {
 impl<K: Key> MixedWorkload<K> {
     /// Read-heavy trace (see [`MixedKind::ReadHeavy`]).
     pub fn read_heavy(dataset: &Dataset<K>, count: usize, seed: u64) -> Self {
-        Self::generate(dataset, count, seed, MixedKind::ReadHeavy, None)
+        Self::generate(dataset, count, seed, MixedKind::ReadHeavy)
     }
 
     /// Insert-heavy trace (see [`MixedKind::InsertHeavy`]).
     pub fn insert_heavy(dataset: &Dataset<K>, count: usize, seed: u64) -> Self {
-        Self::generate(dataset, count, seed, MixedKind::InsertHeavy, None)
+        Self::generate(dataset, count, seed, MixedKind::InsertHeavy)
     }
 
-    /// YCSB-E-style scan-heavy trace (see [`MixedKind::ScanHeavy`]): 95%
-    /// short scans with Zipf(0.99) start keys over 16 domain slices, 5%
-    /// inserts.
-    pub fn scan_heavy(dataset: &Dataset<K>, count: usize, seed: u64) -> Self {
-        Self::generate_zipf(
-            dataset,
-            count,
-            seed,
-            MixedKind::ScanHeavy,
-            Zipf::new(16, 0.99),
-            ZIPF_BASE_ROTATION,
-        )
-    }
-
-    /// One deterministic trace per concurrent worker thread: thread `t`'s
-    /// trace is derived from an independent [`SplitMix64`]-forked sub-seed
-    /// of `seed`, so a multi-threaded replay is reproducible *per thread*
-    /// regardless of how the scheduler interleaves them — the property the
-    /// concurrent store tests and the multi-threaded bench driver rely on.
-    /// Every thread's trace has the same shape (`kind`) and `ops_per_thread`
-    /// operations; Zipf-skewed traces rotate the hot slice per thread so
-    /// workers contend on overlapping but not identical key ranges.
-    pub fn concurrent(
-        dataset: &Dataset<K>,
-        threads: usize,
-        ops_per_thread: usize,
-        seed: u64,
-        kind: MixedKind,
-    ) -> Vec<Self> {
-        let mut root = SplitMix64::new(seed);
-        (0..threads.max(1))
-            .map(|t| {
-                // Each thread gets an independent sub-stream of the root
-                // seed, so trace `t` never depends on how many threads run.
-                let thread_seed = root.fork().next_u64();
-                match kind {
-                    MixedKind::ReadHeavy => Self::read_heavy(dataset, ops_per_thread, thread_seed),
-                    MixedKind::InsertHeavy => {
-                        Self::insert_heavy(dataset, ops_per_thread, thread_seed)
-                    }
-                    kind @ (MixedKind::ZipfShardSkew | MixedKind::ScanHeavy) => {
-                        Self::generate_zipf(
-                            dataset,
-                            ops_per_thread,
-                            thread_seed,
-                            kind,
-                            Zipf::new(16, 0.99),
-                            ZIPF_BASE_ROTATION + t as u64,
-                        )
-                    }
-                }
-            })
-            .collect()
-    }
-
-    /// Read-mostly trace whose keys are Zipfian-skewed (exponent `theta`,
-    /// ~0.99 is the YCSB default) over `slices` contiguous slices of the key
-    /// domain — the hot-shard scenario for a range-sharded store.
-    pub fn zipf_shard_skew(
-        dataset: &Dataset<K>,
-        count: usize,
-        slices: usize,
-        theta: f64,
-        seed: u64,
-    ) -> Self {
-        Self::generate_zipf(
-            dataset,
-            count,
-            seed,
-            MixedKind::ZipfShardSkew,
-            Zipf::new(slices.max(1), theta),
-            ZIPF_BASE_ROTATION,
-        )
-    }
-
-    /// Zipf-shaped trace with an explicit hot-slice rotation (the
-    /// per-thread stagger [`MixedWorkload::concurrent`] applies).
-    fn generate_zipf(
-        dataset: &Dataset<K>,
-        count: usize,
-        seed: u64,
-        kind: MixedKind,
-        zipf: Zipf,
-        rotation: u64,
-    ) -> Self {
-        Self::generate(dataset, count, seed, kind, Some((zipf, rotation)))
-    }
-
-    fn generate(
-        dataset: &Dataset<K>,
-        count: usize,
-        seed: u64,
-        kind: MixedKind,
-        zipf: Option<(Zipf, u64)>,
-    ) -> Self {
+    fn generate(dataset: &Dataset<K>, count: usize, seed: u64, kind: MixedKind) -> Self {
         let mut rng = Xoshiro256::new(seed);
         let (lo, hi) = match (dataset.min_key(), dataset.max_key()) {
             (Some(min), Some(max)) => (min.to_u64(), max.to_u64()),
             _ => (0, u64::MAX / 2),
         };
         let span = hi.saturating_sub(lo).max(1);
-        // Draw a key, restricted to the Zipf-selected domain slice when the
-        // trace is shard-skewed.
-        let draw_key = |rng: &mut Xoshiro256| -> K {
-            let (slice_lo, slice_span) = match &zipf {
-                Some((z, rotation)) => {
-                    let slices = z.len() as u64;
-                    // The sampled rank is remapped through a rotation so the
-                    // hot slice is not always the leftmost one (and
-                    // concurrent traces can stagger theirs per thread).
-                    // Addition is a bijection for every slice count (a
-                    // multiplicative mix would collapse ranks whenever the
-                    // factor shares a divisor with `slices`).
-                    let rank = z.rank_of(rng.next_f64()) as u64;
-                    let slice = (rank + rotation) % slices;
-                    let w = (span / slices).max(1);
-                    (lo + slice * w, w)
-                }
-                None => (lo, span),
-            };
-            K::from_u64_saturating(slice_lo + rng.next_below(slice_span.max(1)))
-        };
+        let draw_key =
+            |rng: &mut Xoshiro256| -> K { K::from_u64_saturating(lo + rng.next_below(span)) };
         let (insert_pct, delete_pct, range_pct) = match kind {
             MixedKind::ReadHeavy => (5, 3, 2),
             MixedKind::InsertHeavy => (50, 10, 5),
-            MixedKind::ZipfShardSkew => (10, 5, 5),
-            // YCSB-E: 95% scans, 5% inserts, no reads or deletes.
-            MixedKind::ScanHeavy => (5, 0, 95),
         };
-        // Mean key distance between consecutive records, for converting a
-        // record-count scan length into a key span.
-        let mean_gap = (span / (dataset.len().max(1) as u64)).max(1);
         let mut ops = Vec::with_capacity(count);
         for _ in 0..count {
             let roll = rng.next_below(100);
@@ -367,14 +236,9 @@ impl<K: Key> MixedWorkload<K> {
                 };
                 MixedOp::Delete(k)
             } else if roll < insert_pct + delete_pct + range_pct {
+                // Short scans: a span of ~0.1% of the domain.
                 let a = draw_key(&mut rng);
-                let scan_span = match kind {
-                    // YCSB-E scan lengths: uniform 1..=100 records.
-                    MixedKind::ScanHeavy => (1 + rng.next_below(100)).saturating_mul(mean_gap),
-                    // Short scans: a span of ~0.1% of the domain.
-                    _ => span / 1000,
-                };
-                let b = K::from_u64_saturating(a.to_u64().saturating_add(scan_span));
+                let b = K::from_u64_saturating(a.to_u64().saturating_add(span / 1000));
                 MixedOp::Range(a.min(b), a.max(b))
             } else {
                 MixedOp::Lookup(draw_key(&mut rng))
@@ -543,182 +407,6 @@ mod tests {
             "insert-heavy must be ~50% inserts: {w_inserts}"
         );
         assert!(w_inserts > w_lookups);
-    }
-
-    #[test]
-    fn scan_heavy_is_ycsb_e_shaped() {
-        let d = dataset();
-        let w = MixedWorkload::scan_heavy(&d, 10_000, 11);
-        assert_eq!(w.kind(), MixedKind::ScanHeavy);
-        let (lookups, inserts, deletes, ranges) = w.op_counts();
-        assert_eq!(lookups + inserts + deletes + ranges, 10_000);
-        assert!(ranges > 9_300, "scan-heavy must be ~95% scans: {ranges}");
-        assert!(inserts > 300, "scan-heavy keeps ~5% inserts: {inserts}");
-        assert_eq!(deletes, 0, "YCSB-E has no deletes");
-
-        // Scan lengths: short (1..=100 records via the mean gap), varied,
-        // and well-formed.
-        let span = d.max_key().unwrap() - d.min_key().unwrap();
-        let mean_gap = (span / d.len() as u64).max(1);
-        let mut spans = Vec::new();
-        for op in w.ops() {
-            if let MixedOp::Range(lo, hi) = *op {
-                assert!(lo <= hi);
-                spans.push(hi.saturating_sub(lo));
-            }
-        }
-        let max = *spans.iter().max().unwrap();
-        assert!(
-            max <= 100 * mean_gap,
-            "scan spans are capped at 100 mean gaps: {max} vs {}",
-            100 * mean_gap
-        );
-        let distinct: std::collections::HashSet<u64> = spans.iter().copied().collect();
-        assert!(distinct.len() > 50, "lengths are drawn, not fixed");
-
-        // Start keys are Zipf-skewed over 16 slices, like the shard-skew
-        // trace: the hot slice gets far more than the uniform share.
-        let lo_key = d.min_key().unwrap();
-        let width = (span / 16).max(1);
-        let mut counts = [0usize; 17];
-        for op in w.ops() {
-            if let MixedOp::Range(lo, _) = *op {
-                counts[((lo.saturating_sub(lo_key) / width).min(16)) as usize] += 1;
-            }
-        }
-        let hot = *counts.iter().max().unwrap();
-        assert!(
-            hot > 3 * spans.len() / 16,
-            "scan starts must be Zipf-skewed: {counts:?}"
-        );
-
-        // Determinism and the concurrent per-thread form.
-        assert_eq!(MixedWorkload::scan_heavy(&d, 500, 3).ops(), {
-            let again = MixedWorkload::scan_heavy(&d, 500, 3);
-            &again.ops().to_vec()[..]
-        });
-        let traces = MixedWorkload::concurrent(&d, 3, 400, 5, MixedKind::ScanHeavy);
-        assert_eq!(traces.len(), 3);
-        assert_ne!(traces[0].ops(), traces[1].ops());
-        assert!(traces.iter().all(|t| t.kind() == MixedKind::ScanHeavy));
-    }
-
-    #[test]
-    fn zipf_trace_concentrates_on_few_slices() {
-        let d = dataset();
-        let slices = 16usize;
-        let w = MixedWorkload::zipf_shard_skew(&d, 20_000, slices, 0.99, 9);
-        assert_eq!(w.kind(), MixedKind::ZipfShardSkew);
-        let (lo, hi) = (d.min_key().unwrap(), d.max_key().unwrap());
-        let span = (hi - lo).max(1);
-        let width = (span / slices as u64).max(1);
-        let mut counts = vec![0usize; slices + 1];
-        for op in w.ops() {
-            let k = match *op {
-                MixedOp::Lookup(k) | MixedOp::Insert(k) | MixedOp::Range(k, _) => k,
-                // Deletes are base-biased, not slice-restricted.
-                MixedOp::Delete(_) => continue,
-            };
-            counts[(k.saturating_sub(lo) / width).min(slices as u64) as usize] += 1;
-        }
-        let total: usize = counts.iter().sum();
-        let max = *counts.iter().max().unwrap();
-        // Zipf(0.99) over 16 ranks gives the top rank ~30% of the mass —
-        // roughly 5× the uniform share.
-        assert!(
-            max > 3 * total / slices,
-            "the hot slice should far exceed the uniform share: {counts:?}"
-        );
-    }
-
-    #[test]
-    fn zipf_rank_rotation_reaches_every_slice() {
-        // Regression: the rank → slice rotation must stay a bijection for
-        // every slice count (a multiplicative remap collapsed all ranks onto
-        // one slice whenever the factor divided `slices`). With theta = 0
-        // every slice must receive traffic.
-        let d = dataset();
-        let (lo, hi) = (d.min_key().unwrap(), d.max_key().unwrap());
-        let span = (hi - lo).max(1);
-        for slices in [7usize, 14, 16] {
-            let w = MixedWorkload::zipf_shard_skew(&d, 20_000, slices, 0.0, 9);
-            let width = (span / slices as u64).max(1);
-            let mut hit = vec![false; slices + 1];
-            for op in w.ops() {
-                let k = match *op {
-                    MixedOp::Lookup(k) | MixedOp::Insert(k) | MixedOp::Range(k, _) => k,
-                    MixedOp::Delete(_) => continue,
-                };
-                hit[(k.saturating_sub(lo) / width).min(slices as u64) as usize] = true;
-            }
-            let reached = hit[..slices].iter().filter(|&&h| h).count();
-            assert!(
-                reached == slices,
-                "theta = 0 over {slices} slices must reach all of them, got {reached}"
-            );
-        }
-    }
-
-    #[test]
-    fn concurrent_traces_are_deterministic_and_independent_per_thread() {
-        let d = dataset();
-        let a = MixedWorkload::concurrent(&d, 4, 300, 11, MixedKind::InsertHeavy);
-        let b = MixedWorkload::concurrent(&d, 4, 300, 11, MixedKind::InsertHeavy);
-        assert_eq!(a.len(), 4);
-        for (x, y) in a.iter().zip(b.iter()) {
-            assert_eq!(x.ops(), y.ops(), "same seed ⇒ identical per-thread traces");
-        }
-        // Thread t's trace does not depend on the total thread count.
-        let wide = MixedWorkload::concurrent(&d, 8, 300, 11, MixedKind::InsertHeavy);
-        for (x, y) in a.iter().zip(wide.iter()) {
-            assert_eq!(x.ops(), y.ops(), "prefix threads keep their streams");
-        }
-        // Distinct threads get distinct streams.
-        assert_ne!(a[0].ops(), a[1].ops());
-        // Other shapes and a different seed.
-        let c = MixedWorkload::concurrent(&d, 2, 300, 12, MixedKind::ReadHeavy);
-        assert_ne!(c[0].ops(), a[0].ops());
-        assert_eq!(c[0].kind(), MixedKind::ReadHeavy);
-        let z = MixedWorkload::concurrent(&d, 2, 300, 12, MixedKind::ZipfShardSkew);
-        assert_eq!(z[1].kind(), MixedKind::ZipfShardSkew);
-        assert_eq!(z[1].len(), 300);
-    }
-
-    #[test]
-    fn concurrent_zipf_threads_stagger_their_hot_slices() {
-        let d = dataset();
-        let (lo, hi) = (d.min_key().unwrap(), d.max_key().unwrap());
-        let span = (hi - lo).max(1);
-        let slices = 16u64;
-        let width = (span / slices).max(1);
-        let traces = MixedWorkload::concurrent(&d, 3, 20_000, 5, MixedKind::ZipfShardSkew);
-        let hot_slice_of = |w: &MixedWorkload<u64>| -> usize {
-            let mut counts = vec![0usize; slices as usize + 1];
-            for op in w.ops() {
-                let k = match *op {
-                    MixedOp::Lookup(k) | MixedOp::Insert(k) | MixedOp::Range(k, _) => k,
-                    MixedOp::Delete(_) => continue, // base-biased, not sliced
-                };
-                counts[((k.saturating_sub(lo) / width).min(slices)) as usize] += 1;
-            }
-            counts
-                .iter()
-                .enumerate()
-                .max_by_key(|&(_, &c)| c)
-                .unwrap()
-                .0
-        };
-        let hots: Vec<usize> = traces.iter().map(hot_slice_of).collect();
-        assert_eq!(
-            hots[1],
-            (hots[0] + 1) % slices as usize,
-            "thread hot slices must stagger by one: {hots:?}"
-        );
-        assert_eq!(
-            hots[2],
-            (hots[1] + 1) % slices as usize,
-            "thread hot slices must stagger by one: {hots:?}"
-        );
     }
 
     #[test]

@@ -7,18 +7,23 @@
 //!
 //! * `spec`, `shards`, `auto_rebuild`, `metrics`, `durability`, `cold_start`
 //!   — the repo benchmark's workloads set or pin each of them.
-//! * `delta_threshold`, `background_maintenance` — the `crates/bench` store
-//!   suites run non-default values.
+//! * `delta_threshold`, `background_maintenance` — justified only by the
+//!   repo benchmark pinning them at their defaults; no second non-test
+//!   caller needs a different value.
 //! * `split_max_len` — the only way the oracle and concurrency suites force
 //!   a split deterministically (a one-shard store is its own mean, so the
 //!   skew signal never fires there).
 //! * `metrics_addr` — a deployment setting: where `/metrics` is served.
-//! * `retain_versions` — the `store_txn` bench sweeps the retention depth.
+//! * `retain_versions` — a deployment setting: the history depth
+//!   (versions [`crate::ShardedStore::snapshot_at`] can serve) an operator
+//!   pays for in retained cuts.
 //! * [`DurabilityConfig`]: `sync` and `checkpoint_ops` — the benchmark's
-//!   durable workloads set them; `group_commit` — the `always-solo` row of
-//!   the `store_durable` bench; `incremental_checkpoints` — its `full` row;
-//!   `snapshot_block_keys` — the golden directory `tests/data/parent-store`
-//!   was written with 64-key blocks and is reproduced byte for byte.
+//!   durable workloads set them; `group_commit` and
+//!   `incremental_checkpoints` — justified only by the repo benchmark
+//!   pinning them at their defaults (`true`): setting either to `false`
+//!   has no caller outside the tests; `snapshot_block_keys` — the golden
+//!   directory `tests/data/parent-store` was written with 64-key blocks
+//!   and is reproduced byte for byte.
 //!
 //! Constants instead of knobs: the rebalancer's skew factor (`SPLIT_SKEW`,
 //! 4: split past 4× the mean shard size, merge below a quarter of it), the
@@ -183,8 +188,8 @@ pub struct StoreConfig {
     /// events and per-shard access counters, all readable via
     /// [`crate::ShardedStore::metrics`] / `trace_events`. The hot-path cost
     /// is one relaxed counter increment per operation plus a 1-in-1024
-    /// sampled timer (see [`crate::obs::LATENCY_SAMPLE`]); the
-    /// `store_mixed` bench gates the end-to-end overhead below 3%. When
+    /// sampled timer (see [`crate::obs::LATENCY_SAMPLE`]); the `obs_gate`
+    /// binary of `crates/bench` holds the read path's overhead below 3%. When
     /// false every instrumentation site short-circuits on one branch and
     /// the registry reports empty.
     pub metrics: bool,

@@ -351,8 +351,9 @@
 //! 2× of the true value. With [`StoreConfig::metrics`] off (or via
 //! `StoreConfig::metrics(false)`), every site short-circuits on one
 //! predicted branch, [`ShardedStore::metrics`] reports empty, and the CI
-//! overhead gate (`OBS_ASSERT=1`, `store_mixed` head-to-head) holds the
-//! metrics-on read path within 3% of metrics-off on both mean and p99.
+//! overhead gate (the `obs_gate` binary of `crates/bench`, a metrics-on vs
+//! metrics-off head-to-head) holds the metrics-on read path within 3% of
+//! metrics-off on both mean and p99.
 //!
 //! The full metric catalogue — name, unit, and help text for every family,
 //! including which appear only on durable stores — lives in

@@ -280,7 +280,7 @@ impl Crc32 {
 }
 
 /// Cumulative I/O counters of a durable store, for write-amplification
-/// accounting (see the `store_durable` bench experiment).
+/// accounting (the repo benchmark's `store.persist.*` metrics read them).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DurabilityStats {
     /// WAL records (frames) appended since the store was opened — a whole

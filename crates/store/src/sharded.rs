@@ -491,7 +491,7 @@ impl<K: Key> ShardedStore<K> {
     /// recovery phases and the shards mounted cold for a store
     /// [`ShardedStore::open`] recovered, the busy time of the build and of
     /// the write tasks for one [`ShardedStore::open_seeded`] seeded. The
-    /// reopen and seeding breakdowns the `store_durable` bench reports.
+    /// `cold_start_gate` binary of `crates/bench` reads both.
     pub fn open_breakdown(&self) -> Option<OpenBreakdown> {
         self.breakdown
     }

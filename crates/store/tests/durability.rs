@@ -177,6 +177,11 @@ fn kill_and_recover_matches_the_oracle_across_a_mid_trace_checkpoint() {
     }
     drop(recovered);
     let again: ShardedStore<u64> = ShardedStore::open(&dir, StoreConfig::new(spec())).unwrap();
+    assert_eq!(
+        again.durability_stats().unwrap().replayed_records,
+        302,
+        "a tail written across two sessions replays whole"
+    );
     assert_matches_oracle(&again, &oracle, "second recovery");
     drop(again);
     let _ = std::fs::remove_dir_all(&dir);
