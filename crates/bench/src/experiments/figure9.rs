@@ -6,7 +6,7 @@
 //! shape: R-1 and S-1 are the fastest, error and latency grow as the layer is
 //! compressed, and the bare model is far worse on the hard datasets. A third
 //! table puts the price next to it: bytes per key of every layer, and the
-//! drifts the R-1 layer serves from its patch array (8 per escaped block).
+//! drifts the R-1 layer keeps in its patch array (60 per escaped line).
 
 use crate::datasets::{dataset_u32, dataset_u64, BenchConfig};
 use crate::report::{fmt_ns, Table};
@@ -106,7 +106,7 @@ pub fn run_subset(cfg: BenchConfig, datasets: &[SosdName]) -> Vec<Table> {
         ],
     );
     let mut size = Table::new(
-        "Figure 9c — layer size (bytes per key; R-1 with its drifts in escaped blocks) (IM model)",
+        "Figure 9c — layer size (bytes per key; R-1 with its drifts in escaped lines) (IM model)",
         &[
             "dataset", "R-1", "S-1", "S-10", "S-100", "S-1000", "without",
         ],

@@ -21,12 +21,13 @@
 //! partition `k` left of it starts there too, `Δ_k = s_p − k` (§3.1). Per
 //! `PREDICT_RUN` keys the emitter predicts, compacts the change positions
 //! without a branch, stages every window's drifts — empty partitions
-//! included — as one fixed-size store, and appends the staged blocks
-//! strictly left to right to the layer itself: no blank fill, no
-//! read-modify-write on the layer, no backward pass, no key read beyond the
-//! model's own. The layer is written once, block by block, in the layout it
-//! is served from — a block that does not fit is appended to the patch
-//! array, nothing stored is re-encoded.
+//! included — as one fixed-size store, and appends the staged whole lines
+//! of 60 drifts strictly left to right to the layer itself: no blank fill,
+//! no read-modify-write on the layer, no backward pass, no key read beyond
+//! the model's own. The layer is written once, line by line, in the layout
+//! it is served from — a line that does not fit is appended to the patch
+//! array, nothing stored is re-encoded. The last drift of a line is the
+//! first of the next, so it stays staged until that line is appended.
 //!
 //! A model that does fall — one a caller wrote — is not trusted to rise:
 //! every prediction is taken at the largest one before it, so the layer is
@@ -41,7 +42,7 @@
 //! by array.
 
 use crate::entry::MAX_KEYS;
-use crate::packed::{Packed, BLOCK};
+use crate::packed::{Packed, PAIRS};
 use learned_index::model::CdfModel;
 use sosd_data::key::Key;
 use std::ops::Range;
@@ -91,13 +92,17 @@ impl<'a, M: ?Sized> Predictions<'a, M> {
 /// L1-resident beside the predictions).
 const STAGE: usize = 1024;
 
+/// Drifts the emitter writes a window at, whatever the window's count of
+/// partitions.
+const WIDTH: usize = 8;
+
 /// The emitter's staging buffer. Every window is written as a fixed
-/// [`BLOCK`] of drifts, whether or not that many partitions start at it —
+/// [`WIDTH`] of drifts, whether or not that many partitions start at it —
 /// the next window overwrites the surplus — so writing a window costs no
-/// branch that depends on its length, and the layer is fed whole blocks.
+/// branch that depends on its length, and the layer is fed whole lines.
 struct Stage<'a> {
     layer: &'a mut Packed,
-    drifts: [i32; STAGE + BLOCK],
+    drifts: [i32; STAGE + WIDTH],
     len: usize,
 }
 
@@ -105,7 +110,7 @@ impl<'a> Stage<'a> {
     fn new(layer: &'a mut Packed) -> Self {
         Self {
             layer,
-            drifts: [0; STAGE + BLOCK],
+            drifts: [0; STAGE + WIDTH],
             len: 0,
         }
     }
@@ -118,10 +123,10 @@ impl<'a> Stage<'a> {
             // Both terms are at most `n <= MAX_KEYS`: the drift fits an
             // `i32`. The surplus slots may wrap; they are never read.
             let drift = start as i32 - k as i32;
-            for (i, slot) in self.drifts[self.len..][..BLOCK].iter_mut().enumerate() {
+            for (i, slot) in self.drifts[self.len..][..WIDTH].iter_mut().enumerate() {
                 *slot = drift.wrapping_sub(i as i32);
             }
-            let staged = BLOCK.min(partitions.end - k);
+            let staged = WIDTH.min(partitions.end - k);
             k += staged;
             self.len += staged;
             if self.len >= STAGE {
@@ -130,10 +135,11 @@ impl<'a> Stage<'a> {
         }
     }
 
-    /// Append the staged whole blocks to the layer.
+    /// Append the staged whole lines to the layer, keeping the last drift
+    /// staged: it is also the first of the next line.
     fn drain(&mut self) {
-        let whole = self.len - self.len % BLOCK;
-        self.layer.extend(&self.drifts[..whole]);
+        let whole = (self.len - 1) / PAIRS * PAIRS;
+        self.layer.extend(&self.drifts[..=whole]);
         self.drifts.copy_within(whole..self.len, 0);
         self.len -= whole;
     }
@@ -538,7 +544,7 @@ mod tests {
     }
 
     /// Assert that the emitter builds the scatter reference: the same
-    /// arrays (bases, offsets and patches, so the same `size_bytes`).
+    /// lines and patches, so the same `size_bytes`.
     fn assert_emitter_matches_reference<K: Key, M: CdfModel<K> + ?Sized>(
         model: &M,
         keys: &[K],
@@ -557,7 +563,7 @@ mod tests {
     fn emitter_matches_scatter_reference_on_every_generator_and_model() {
         use learned_index::spec::ModelSpec;
         // Every built-in model never falls, so the scatter builder's layer
-        // is the emitter's. The matrix holds layers with escaped blocks and
+        // is the emitter's. The matrix holds layers with escaped lines and
         // layers of long windows throughout: a least-squares line over
         // lognormal keys crowds its predictions into few partitions between
         // long stretches of empty ones.
@@ -602,7 +608,7 @@ mod tests {
 
     #[test]
     fn emitter_matches_scatter_on_a_quadratic_column_of_4096_keys() {
-        // Small enough for Miri to run the emitter's staging and block
+        // Small enough for Miri to run the emitter's staging and line
         // appends end to end.
         let keys: Vec<u64> = (0..4096u64).map(|i| i * i / 7).collect();
         let model = InterpolationModel::from_sorted_keys(&keys);
@@ -721,30 +727,31 @@ mod tests {
     #[test]
     fn an_over_wide_block_is_patched_and_an_over_long_count_coded() {
         // Stairs of 70 000 keys: every window is 70 000 records, and `Δ`
-        // falls from 69 999 back to 0 at a stair's first partition — its
-        // block's base beside seven drifts past a byte, so the block is
-        // escaped. Three stairs' worth; the end sits in a block of its own.
+        // falls from 69 999 back to 0 at a stair's first partition — the
+        // line holding both drifts spreads past a byte and is escaped.
+        // Three stairs' worth, three escaped lines of 60 drifts.
         let n = 150_000;
         let keys: Vec<u64> = (0..n as u64).collect();
         let stairs = |step| Stairs { n, step, dip: None };
-        let bytes = |patches: usize| (n + 1) + 4 * (n + 1).div_ceil(BLOCK) + 4 * patches;
+        let bytes = |patches: usize| 64 * n.div_ceil(PAIRS) + 4 * patches;
         let layer = assert_emitter_matches_reference(&stairs(70_000), &keys, "long stairs");
-        assert_eq!((layer.patches(), layer.size_bytes()), (24, bytes(24)));
+        assert_eq!((layer.patches(), layer.size_bytes()), (180, bytes(180)));
         // The window ends where the next stair starts: served exactly.
         assert_eq!(layer.pair(0), Some((0, 0, 69_999)));
         assert_eq!(layer.delta(8), 69_992);
         // Stairs of 40 000, and one duplicate run of 70 000 among them.
         let layer = assert_emitter_matches_reference(&stairs(40_000), &keys, "short stairs");
-        assert_eq!((layer.patches(), layer.size_bytes()), (32, bytes(32)));
+        assert_eq!((layer.patches(), layer.size_bytes()), (240, bytes(240)));
         let mut dups = keys.clone();
         dups[50_000..120_000].fill(50_000);
         let layer = assert_emitter_matches_reference(&stairs(40_000), &dups, "duplicate run");
         // Partition 40 000 takes 80 000 keys: its window ends at 120 000.
         assert_eq!(layer.pair(40_000), Some((40_000, 0, 120_000 - 40_001)));
-        assert_eq!((layer.patches(), layer.size_bytes()), (24, bytes(24)));
+        assert_eq!((layer.patches(), layer.size_bytes()), (180, bytes(180)));
         // Every key predicted into the last partition: every other one is
         // empty and starts at the first key, drifting down by one a
-        // partition. Nothing is escaped: 1.5 bytes a key.
+        // partition. Only the last line, where the end's drift of 0 follows
+        // the last partition's `1 − n`, is escaped.
         let n = 70_000;
         let model = Stairs {
             n,
@@ -753,8 +760,8 @@ mod tests {
         };
         let layer = assert_emitter_matches_reference(&model, &vec![n as u64; n], "last");
         assert_eq!(layer.pair(n - 1), Some((n - 1, 1 - n as i32, 0)));
-        let bytes = (n + 1) + 4 * (n + 1).div_ceil(BLOCK);
-        assert_eq!((layer.patches(), layer.size_bytes()), (0, bytes));
+        let bytes = 64 * n.div_ceil(PAIRS) + 240;
+        assert_eq!((layer.patches(), layer.size_bytes()), (60, bytes));
     }
 
     #[cfg_attr(miri, ignore = "dataset too large for Miri")]
@@ -779,8 +786,9 @@ mod tests {
             table.entry(at),
             ShiftEntry::new(delta.into(), longest as u64)
         );
-        assert!(layer.patches() < n / 1_000, "{} patches", layer.patches());
-        assert!(layer.size_bytes() < n * 16 / 10);
+        // Every window past 255 records escapes its line: 3 % of them.
+        assert!(layer.patches() < n / 25, "{} patches", layer.patches());
+        assert!(layer.size_bytes() < n * 14 / 10);
     }
 
     #[test]

@@ -3,9 +3,10 @@
 //! One entry per possible model prediction: the signed drift `Δ` and the
 //! local-search window length `C`. The paper's case against big models —
 //! parameters that miss the cache cost memory lookups — holds for the layer
-//! itself, so every range layer is stored in one layout of 1.5 bytes an
-//! entry, the same for every model and every key column (the `packed`
-//! module has the arrays and the fetch):
+//! itself, so every range layer is stored in one layout of 64 bytes per 59
+//! entries (≈ 1.09 bytes an entry), the same for every model and every key
+//! column, and a fetch reads one cache line (the `packed` module has the
+//! lines and the fetch):
 //!
 //! * **Only `Δ` is stored.** Under a valid-CDF model (§3.1, §3.8) the keys
 //!   of partition `k` are one run of positions starting at
@@ -22,28 +23,28 @@
 //!   lookup. What [`ShiftTable::entries`](crate::ShiftTable::entries),
 //!   `window_lengths` and `expected_error` report are these served windows
 //!   — 0 for an empty partition, so they sum to `N`.
-//! * **`Δ` is exact, and block-relative.** The drift of a model is
+//! * **`Δ` is exact, and line-relative.** The drift of a model is
 //!   *locally* smooth even where it is globally large — the paper's own
-//!   premise — so an aligned block of 8 neighbouring drifts carries one
-//!   `i32` base, its minimum, and each drift a `u8` offset from it, below
-//!   255 (on the amzn64 IM layer, where `Δ` reaches 2.5 M, all but 0.2 %
-//!   of the blocks spread less than that). Doubling the block would save
-//!   another quarter byte per entry and double the stretch of drift one
-//!   base has to cover.
-//! * **The block that does not fit is escaped**: its 8 drifts are stored in
-//!   full — `i32`, exact — in a side array its base slot points into, at 32
-//!   bytes more.
+//!   premise — so a 64-byte, 64-aligned line of 60 neighbouring drifts
+//!   carries one `i32` base, its minimum, and each drift a `u8` offset from
+//!   it, below 255. A line's 60th drift repeats the next line's first, so
+//!   the two drifts of every window — `Δ_k` and `Δ_{k+1}` — lie in line
+//!   `k / 59`: one cache line a correction, with no second array to read.
+//! * **The line that does not fit is escaped**: its 60 drifts are stored in
+//!   full — `i32`, exact — in a side array its base points into, at 240
+//!   bytes more. A window longer than 255 records steps `Δ` past a byte
+//!   between its two drifts, so it escapes its line wherever it sits.
 //!
 //! There is one layout and nothing to choose per layer: plain encodings
 //! of 4 to 8 bytes an entry (`(i16, u16)` up to `(i32, u32)`) are smaller
-//! for no layer of 14 key generators × 8 models × 3 sizes, only for a
-//! layer of a single key — 6 bytes here (its drift, the end's and their
-//! base), 4 as a plain `(i16, u16)`.
+//! for no layer of 14 key generators × 8 models × 3 sizes, only for layers
+//! of fewer than 16 keys — one line, 64 bytes, against 4 a key as a plain
+//! `(i16, u16)`.
 //!
-//! The builder writes the layout strictly left to right, block by block,
+//! The builder writes the layout strictly left to right, line by line,
 //! nothing stored ever re-encoded ([`crate::build`]). A layer over `N` keys
-//! has `N + 1` drifts — the last, of the virtual partition `N`, is 0 — and
-//! `|Δ| ≤ N`, so up to
+//! has `N + 1` drifts — the last, of the virtual partition `N`, is 0 — in
+//! `⌈N / 59⌉` lines, and `|Δ| ≤ N`, so up to
 //! [`ShiftTable::MAX_KEYS`](crate::ShiftTable::MAX_KEYS) keys nothing
 //! truncates.
 
@@ -131,67 +132,63 @@ impl MidpointStorage {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::packed::tests::pack;
-    use crate::packed::BLOCK;
+    use crate::packed::tests::{line_count, pack};
+    use crate::packed::{LINE, PAIRS};
 
     #[test]
     fn byte_tier_sizes_at_the_small_lengths() {
-        for n in [1usize, 7, 8, 9, 255, 256, 257] {
+        for n in [1usize, 2, 59, 60, 61, 118, 119, 120, 255, 256, 257] {
             let drifts: Vec<i32> = (0..n).map(|i| 2_000_000 - 3 * i as i32).collect();
             let packed = pack(&drifts);
-            // A byte a drift and four a block of 8.
-            assert_eq!(packed.size_bytes(), n + 4 * n.div_ceil(BLOCK), "n={n}");
+            // 64 bytes a line of 59 pairs.
+            assert_eq!(packed.size_bytes(), 64 * line_count(n), "n={n}");
             assert_eq!(packed.patches(), 0);
         }
-        // A layer of one key: its drift and the end's under one base.
-        assert_eq!(pack(&[5, 0]).size_bytes(), 6);
+        // A layer of one key: its drift and the end's in one line.
+        assert_eq!(pack(&[5, 0]).size_bytes(), 64);
     }
 
     #[test]
     fn the_encoder_patches_a_misfit_wherever_it_sits() {
-        // A block far from its neighbours — the first, one mid-array, the
-        // short last one — costs nothing, it has its own base. A window of
-        // `C` records steps the drift up by `C − 1` from its partition to the
-        // next: past 254 that escapes the block they share, and costs
-        // nothing where the window closes a block.
-        let n = 5 * BLOCK + 3;
-        for far_block in [0, 2, 5] {
-            for long in [255, 256, 1 << 23] {
-                for long_at in [1, 2 * BLOCK + 4, 3 * BLOCK - 1, n - 2] {
-                    let mut drifts = vec![7; n];
-                    drifts[far_block * BLOCK..n.min((far_block + 1) * BLOCK)].fill(1 << 20);
-                    drifts[long_at + 1..]
-                        .iter_mut()
-                        .for_each(|d| *d += long - 1);
-                    let packed = pack(&drifts);
-                    let block = long_at / BLOCK * BLOCK..n.min(long_at / BLOCK * BLOCK + BLOCK);
-                    let escaped = long > 255 && long_at + 1 < block.end;
-                    let patches = if escaped { block.len() } else { 0 };
-                    let tag = format!("{far_block} {long} {long_at}");
-                    assert_eq!(packed.patches(), patches, "{tag}");
-                    assert_eq!(
-                        packed.size_bytes(),
-                        n + 4 * n.div_ceil(BLOCK) + 4 * patches,
-                        "{tag}"
-                    );
-                }
+        // A window of `C` records steps the drift up by `C − 1` from its
+        // partition to the next. Past 254 that escapes the one line holding
+        // both drifts — the first, a middle one, either side of a seam, the
+        // short last one — and no other.
+        let n = 5 * PAIRS + 3;
+        for long in [255, 256, 1 << 23] {
+            for long_at in [1, PAIRS - 1, PAIRS, PAIRS + 1, 2 * PAIRS + 4, n - 2] {
+                let mut drifts = vec![7; n];
+                drifts[long_at + 1..]
+                    .iter_mut()
+                    .for_each(|d| *d += long - 1);
+                let packed = pack(&drifts);
+                let patches = if long > 255 { LINE } else { 0 };
+                let tag = format!("{long} {long_at}");
+                assert_eq!(packed.patches(), patches, "{tag}");
+                let pair = Some((long_at, 7, 7 + long - 1));
+                assert_eq!(packed.pair(long_at), pair, "{tag}");
+                assert_eq!(
+                    packed.size_bytes(),
+                    64 * line_count(n) + 4 * patches,
+                    "{tag}"
+                );
             }
         }
     }
 
     #[test]
-    fn an_all_long_window_layer_is_one_and_a_half_bytes_an_entry() {
+    fn an_all_long_window_layer_escapes_only_its_last_line() {
         // Every key predicted into the last partition: every other
-        // partition is empty and starts at the first key, the last one's
-        // window is the whole column, and the end sits in its own block.
+        // partition is empty and starts at the first key, and the last
+        // one's window is the whole column — its drift and the end's share
+        // the last line, which is escaped.
         let n = 70_000;
         let drifts: Vec<i32> = (0..n).map(|k| -k).chain([0]).collect();
         let packed = pack(&drifts);
-        assert_eq!(packed.patches(), 0);
+        assert_eq!(packed.patches(), LINE);
         let last = n as usize - 1;
         assert_eq!(packed.pair(last), Some((last, 1 - n, 0)));
-        let entries = n as usize + 1;
-        assert_eq!(packed.size_bytes(), entries + 4 * entries.div_ceil(BLOCK));
+        assert_eq!(packed.size_bytes(), 64 * (n as usize).div_ceil(PAIRS) + 240);
     }
 
     #[test]

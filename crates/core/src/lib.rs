@@ -23,11 +23,12 @@
 //! ## Crate layout
 //!
 //! * [`ShiftTable`] — the full-resolution `<Δ, C>` layer (the paper's R-1
-//!   configuration, Algorithm 2), stored at 1.5 bytes per key whatever
+//!   configuration, Algorithm 2), stored at 64 bytes per 59 keys whatever
 //!   the model and the keys: only the exact `Δ`, as a `u8` offset from one
-//!   base per block of 8 — a window ends where the next partition's
-//!   starts, so `C` is not stored — and the rare block whose drifts spread
-//!   past a byte in full in a patch array — see [`entry`],
+//!   base per 64-byte line of 60 drifts, so a correction reads one cache
+//!   line — a window ends where the next partition's starts, so `C` is not
+//!   stored — and the rare line whose drifts spread past a byte in full in
+//!   a patch array — see [`entry`],
 //! * [`CompactShiftTable`] — the compressed midpoint layer with one `Δ̄`
 //!   entry per `X` records (the S-X configurations, §3.4),
 //! * [`CorrectedIndex`] — a complete range index assembled from any

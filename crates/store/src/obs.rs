@@ -158,7 +158,7 @@ pub const CATALOGUE: &[(&str, &str, &str)] = &[
     (
         "store_layer_patches",
         "entries",
-        "Drifts the hot shards' Shift-Table layers serve from their patch arrays: the 8 of every escaped block, whose drifts spread past a byte (4 bytes more than the others; a fetch of one reads the patch instead of the block's base).",
+        "Drifts the hot shards' Shift-Table layers keep in their patch arrays: the 60 of every escaped line, whose drifts spread past a byte (240 bytes more a line; a fetch from one reads two patches instead of the line's base and offsets).",
     ),
     (
         "store_delta_runs",

@@ -64,7 +64,7 @@ pub struct ShardSnapshot<K: Key> {
     index: DynRangeIndex<K>,
     /// What the index's correction layer occupies, noted before the index
     /// went behind `dyn RangeIndex`: its bytes, and the drifts a range
-    /// layer keeps in escaped blocks. Both 0 on a cold snapshot.
+    /// layer keeps in escaped lines. Both 0 on a cold snapshot.
     layer_bytes: usize,
     layer_patches: usize,
     epoch: u64,
@@ -125,8 +125,8 @@ impl<K: Key> ShardSnapshot<K> {
         self.layer_bytes
     }
 
-    /// Drifts a Shift-Table range layer serves from its patch array, 8 an
-    /// escaped block (see [`shift_table::ShiftTable::patches`]); 0 for
+    /// Drifts a Shift-Table range layer keeps in its patch array, 60 an
+    /// escaped line (see [`shift_table::ShiftTable::patches`]); 0 for
     /// every other layer.
     pub fn layer_patches(&self) -> usize {
         self.layer_patches
@@ -911,10 +911,11 @@ mod tests {
         assert!(!cold.snapshot().is_cold());
         assert_eq!(cold.snapshot().epoch(), 1);
         let n = cold.snapshot().base_len();
-        // A byte a drift, the end's included, and 4 a block of 8.
+        // 64 bytes a line of 59 keys and 240 an escaped line.
+        let escaped = cold.snapshot().layer_patches() / 60;
         assert_eq!(
             cold.snapshot().layer_bytes(),
-            (n + 1) + 4 * (n + 1).div_ceil(8)
+            64 * n.div_ceil(59) + 240 * escaped
         );
         assert!(
             !cold.rebuild().unwrap(),

@@ -277,10 +277,10 @@ fn catalogue_is_complete_and_prometheus_roundtrips() {
 
 /// The layer gauges say what the hot shards' Shift-Table layers weigh and
 /// how many of their drifts are patches: under `im+r1` two shards of 200 k
-/// amzn64 keys take a byte a drift (one a key and the end's), 4 per block
-/// of 8 and 4 more per drift of an escaped block; three of evenly spaced
-/// keys hold no patch, and a least-squares line over lognormal keys few,
-/// under 1.6 bytes a key.
+/// amzn64 keys take 64 bytes per line of 59 keys and 240 more per escaped
+/// line, whose 60 drifts are patches; three of evenly spaced keys hold no
+/// patch, and a least-squares line over lognormal keys few, under 1.4
+/// bytes a key.
 #[test]
 fn layer_gauges_report_bytes_and_patches_of_every_hot_shard() {
     use sosd_data::prelude::*;
@@ -302,11 +302,13 @@ fn layer_gauges_report_bytes_and_patches_of_every_hot_shard() {
         .iter()
         .map(|s| s.snapshot().layer_patches())
         .sum();
-    assert!((1..4_000).contains(&patches), "{patches} patches");
+    // A few hundred escaped lines of 60 drifts.
+    assert!((1..24_000).contains(&patches), "{patches} patches");
+    assert_eq!(patches % 60, 0, "60 patches an escaped line");
     assert_eq!(gauge(&big, "store_layer_patches"), patches as f64);
-    let layer_bytes = |len: usize| (len + 1) + 4 * (len + 1).div_ceil(8);
+    let layer_bytes = |len: usize| 64 * len.div_ceil(59);
     let bytes: usize = table.shards().iter().map(|s| layer_bytes(s.len())).sum();
-    let bytes = bytes + 4 * patches;
+    let bytes = bytes + 240 * (patches / 60);
     assert_eq!(gauge(&big, "store_layer_bytes"), bytes as f64);
 
     let keys: Vec<u64> = (0..5_000u64).collect();
@@ -320,15 +322,15 @@ fn layer_gauges_report_bytes_and_patches_of_every_hot_shard() {
     assert_eq!(gauge(&small, "store_layer_patches"), 0.0);
 
     // Few partitions holding keys between long stretches of empty ones:
-    // long windows, few patches.
+    // long windows, each past 255 records escaping its line: few patches.
     let linear = IndexSpec::parse("linear+r1").unwrap();
     for (name, n) in [(SosdName::Logn32, 6_000), (SosdName::Logn64, 70_000)] {
         let logn: Dataset<u64> = name.generate(n, 21);
         let config = StoreConfig::new(linear).shards(1);
         let store = ShardedStore::build(config, logn.as_slice()).unwrap();
         let bytes = gauge(&store, "store_layer_bytes");
-        assert!(bytes < 1.6 * n as f64, "{name}: {bytes} bytes");
-        assert!(gauge(&store, "store_layer_patches") < n as f64 / 100.0);
+        assert!(bytes < 1.4 * n as f64, "{name}: {bytes} bytes");
+        assert!(gauge(&store, "store_layer_patches") < n as f64 / 40.0);
     }
 
     // A shard whose layer is not a Shift-Table range layer weighs what its

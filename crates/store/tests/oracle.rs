@@ -422,7 +422,7 @@ fn a_store_matches_the_oracle_through_rebuild_split_and_reopen(
 /// 400 k lognormal keys crowds its predictions into few partitions between
 /// long stretches of empty ones — nearly every fetch serves a window past
 /// 127 records or an empty one at the next start, the batch kernel's
-/// correct stage included — and every shard's layer stays under 1.6 bytes
+/// correct stage included — and every shard's layer stays under 1.4 bytes
 /// a key, before and after its rebuilds, split and reopen.
 #[cfg_attr(miri, ignore = "dataset too large for Miri")]
 #[test]
@@ -435,7 +435,7 @@ fn a_coded_count_store_matches_the_oracle_through_rebuild_split_and_reopen() {
         1,
         |stage, _, layers| {
             for &(keys, bytes, _) in layers {
-                assert!(bytes * 10 <= keys * 16, "{stage}: {layers:?}");
+                assert!(bytes * 10 <= keys * 14, "{stage}: {layers:?}");
             }
         },
     );
@@ -457,7 +457,7 @@ fn rmi_stores_match_the_oracle_through_rebuild_split_and_reopen() {
             1,
             |stage, _, layers| {
                 for &(keys, bytes, _) in layers {
-                    assert!(bytes * 10 <= keys * 23, "{stage}: {layers:?}");
+                    assert!(bytes * 10 <= keys * 14, "{stage}: {layers:?}");
                 }
             },
         );
@@ -465,9 +465,9 @@ fn rmi_stores_match_the_oracle_through_rebuild_split_and_reopen() {
 }
 
 /// A patched shard end to end: amzn64 under `im+r1`, whose first shards
-/// hold dense regions that climb the drift past 254 inside one block of 8
-/// — a few hundred escaped blocks. Every read of the trace that lands on
-/// one of those blocks (the batch kernel's correct stage included) goes
+/// hold dense regions that climb the drift past 254 inside one line of 60
+/// — a few hundred escaped lines. Every read of the trace that lands on
+/// one of those lines (the batch kernel's correct stage included) goes
 /// through the patch array, before and after rebuild, split and reopen.
 #[cfg_attr(miri, ignore = "dataset too large for Miri")]
 #[test]

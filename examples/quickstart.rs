@@ -34,10 +34,11 @@ fn main() {
         index.name(),
         index.correction_error()
     );
-    // The layer is 1.5 bytes an entry — a byte of drift relative to a base
-    // per block of 8; a window ends where the next entry's starts, so its
-    // length costs nothing — and 4 more for each drift of a block whose
-    // drifts spread past a byte, kept in a patch array.
+    // The layer is 64-byte cache lines of one base and 60 byte offsets, 59
+    // entries a line (≈ 1.09 B/key) — a window ends where the next entry's
+    // starts, so its length costs nothing, and a correction reads one line
+    // — and 240 bytes more for each line whose drifts spread past a byte,
+    // its 60 drifts kept in full in a patch array.
     let patches = match index.layer() {
         CorrectionLayer::Range(table) => table.patches(),
         _ => 0,

@@ -5,8 +5,9 @@
 //! downstream users who want "everything" can depend on one crate:
 //!
 //! * [`shift_table`] — the Shift-Table correction layer (the paper's
-//!   contribution; 1.5 bytes per key plus 32 per escaped block of 8, in one
-//!   layout for every model and key column — [`shift_table::entry`]), the
+//!   contribution; 64 bytes per 59 keys plus 240 per escaped line, one
+//!   cache line a correction, in one layout for every model and key column
+//!   — [`shift_table::entry`]), the
 //!   owned [`shift_table::CorrectedIndex`] and the runtime
 //!   [`shift_table::spec::IndexSpec`] composition layer,
 //! * [`learned_index`] — CDF models (IM, linear, cubic, RMI, RadixSpline,
