@@ -31,11 +31,6 @@ fn main() {
         ("Figure 7", experiments::figure7::run, "figure7_build_times"),
         ("Figure 8", experiments::figure8::run, "figure8_index_size"),
         ("Figure 9", experiments::figure9::run, "figure9_layer_size"),
-        (
-            "Lookup kernel",
-            experiments::lookup_kernel::run,
-            "lookup_kernel",
-        ),
     ];
     for (name, run, stem) in all {
         println!("=== {name} ===");

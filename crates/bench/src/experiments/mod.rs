@@ -1,5 +1,4 @@
-//! One module per table/figure of the paper's evaluation, plus
-//! `lookup_kernel`, the batch-kernel comparison.
+//! One module per table/figure of the paper's evaluation.
 //!
 //! Every experiment exposes `run(cfg) -> Vec<Table>`: the returned tables are
 //! printed by the corresponding binary and written as CSV under
@@ -11,7 +10,6 @@ pub mod figure6;
 pub mod figure7;
 pub mod figure8;
 pub mod figure9;
-pub mod lookup_kernel;
 pub mod table2;
 
 use crate::report::Table;

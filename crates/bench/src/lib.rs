@@ -6,8 +6,7 @@
 //!
 //! * the `figure*`/`table2_sosd` binaries (one per table/figure) that print
 //!   the rows/series the paper reports and write CSVs under
-//!   `target/experiments/`, and `lookup_kernel`, the batch-kernel
-//!   comparison,
+//!   `target/experiments/`,
 //! * the `run_all` binary that executes every experiment in sequence,
 //! * the self-contained benches in `benches/` (`harness = false`), which
 //!   sample the same configurations through `cargo bench` using the
@@ -50,7 +49,5 @@ pub mod prelude {
     pub use crate::report::{experiments_dir, Table};
     pub use crate::store_gates;
     pub use crate::suites::{self, Competitor, MeasuredResult};
-    pub use crate::timer::{
-        measure_build, measure_lookups, measure_lookups_batched, measure_lookups_batched_pair,
-    };
+    pub use crate::timer::{measure_build, measure_lookups, measure_lookups_batched};
 }

@@ -70,51 +70,6 @@ pub fn measure_lookups_batched<Q: Copy, F: FnMut(&[Q], &mut [usize])>(
     (times[times.len() / 2], black_box(checksum))
 }
 
-/// Measure two *batched* lookup routines head-to-head, interleaved
-/// (`a, b, a, b, …` for `rounds` rounds) with the **minimum** ns/lookup of
-/// each reported.
-///
-/// Interleaving cancels slow drift (frequency scaling, a noisy neighbour on
-/// a shared vCPU) that would otherwise land entirely on whichever routine
-/// happened to run second, and the min is the standard robust estimator for
-/// a deterministic kernel: every sample is the true cost plus non-negative
-/// interference, so the smallest sample is the closest to the truth.
-/// Returns `((a_ns, a_checksum), (b_ns, b_checksum))`.
-pub fn measure_lookups_batched_pair<Q: Copy, FA, FB>(
-    queries: &[Q],
-    rounds: usize,
-    mut a: FA,
-    mut b: FB,
-) -> ((f64, u64), (f64, u64))
-where
-    FA: FnMut(&[Q], &mut [usize]),
-    FB: FnMut(&[Q], &mut [usize]),
-{
-    if queries.is_empty() {
-        return ((0.0, 0), (0.0, 0));
-    }
-    let mut out = vec![0usize; queries.len()];
-    let mut best = [(f64::INFINITY, 0u64); 2];
-    for _ in 0..rounds.max(1) {
-        for (slot, batch) in [
-            (0usize, &mut a as &mut dyn FnMut(&[Q], &mut [usize])),
-            (1usize, &mut b as &mut dyn FnMut(&[Q], &mut [usize])),
-        ] {
-            let start = Instant::now();
-            batch(black_box(queries), black_box(&mut out));
-            let elapsed = start.elapsed();
-            let ns = elapsed.as_nanos() as f64 / queries.len() as f64;
-            let checksum = out.iter().map(|&p| p as u64).fold(0u64, u64::wrapping_add);
-            if ns < best[slot].0 {
-                best[slot] = (ns, checksum);
-            } else {
-                best[slot].1 = checksum;
-            }
-        }
-    }
-    (best[0], best[1])
-}
-
 /// Measure the wall-clock time of a build closure, returning
 /// `(milliseconds, value)`.
 pub fn measure_build<T, F: FnOnce() -> T>(build: F) -> (f64, T) {
@@ -293,33 +248,6 @@ mod tests {
         });
         assert_eq!(scalar, batched);
         assert_eq!(measure_lookups_batched::<u64, _>(&[], |_, _| ()), (0.0, 0));
-    }
-
-    #[test]
-    fn interleaved_pair_returns_both_checksums_and_finite_times() {
-        let queries: Vec<u64> = (0..500).collect();
-        let ((a_ns, a_sum), (b_ns, b_sum)) = measure_lookups_batched_pair(
-            &queries,
-            3,
-            |qs, out| {
-                for (o, &q) in out.iter_mut().zip(qs.iter()) {
-                    *o = (q * 3) as usize;
-                }
-            },
-            |qs, out| {
-                for (o, &q) in out.iter_mut().zip(qs.iter()) {
-                    *o = (q * 3) as usize;
-                }
-            },
-        );
-        let expected: u64 = queries.iter().map(|q| q * 3).sum();
-        assert_eq!(a_sum, expected);
-        assert_eq!(b_sum, expected);
-        assert!(a_ns.is_finite() && a_ns >= 0.0);
-        assert!(b_ns.is_finite() && b_ns >= 0.0);
-        let empty: ((f64, u64), (f64, u64)) =
-            measure_lookups_batched_pair::<u64, _, _>(&[], 3, |_, _| (), |_, _| ());
-        assert_eq!(empty, ((0.0, 0), (0.0, 0)));
     }
 
     #[test]

@@ -10,9 +10,8 @@
 /// The layer-enablement thresholds of §4.1 are not configuration: they are
 /// the constants [`crate::cost::MIN_ERROR_TO_ENABLE`] and
 /// [`crate::cost::MIN_IMPROVEMENT_FACTOR`] beside the rule that applies
-/// them. Neither are the batch kernel's block size and wave depth: they are
-/// the constants [`crate::kernel::BATCH_BLOCK`] and
-/// [`crate::kernel::WAVE_DEPTH`], whose docs say why.
+/// them. Nor is the batch kernel's block size: it is the constant
+/// [`crate::kernel::BATCH_BLOCK`], whose docs say why.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShiftTableConfig {
     /// Local-search windows smaller than this are scanned linearly;
@@ -40,6 +39,5 @@ mod tests {
         assert_eq!(crate::cost::MIN_IMPROVEMENT_FACTOR, 10.0);
         // The kernel keeps the historical stage-block size of 64.
         assert_eq!(crate::kernel::BATCH_BLOCK, 64);
-        assert_eq!(crate::kernel::WAVE_DEPTH, 8);
     }
 }

@@ -325,34 +325,14 @@ impl<K: Key, M: CdfModel<K>, S: AsRef<[K]> + Send + Sync> CorrectedIndex<K, M, S
         }
     }
 
-    /// Batched lookups through the **stage-blocked** reference loop: the
-    /// predict and correct stages run as per-block loops, then each lane
-    /// resolves serially exactly as the scalar [`RangeIndex::lower_bound`]
-    /// does. Kept as the benchmark baseline the pipelined kernel is measured
-    /// against and as a differential-test oracle; production callers use
-    /// [`RangeIndex::lower_bound_batch`], which routes through
-    /// [`crate::kernel`].
+    /// The same batched lookups as [`RangeIndex::lower_bound_batch`], which
+    /// it forwards to: there is one batch loop.
     ///
     /// # Panics
     /// Panics if `queries` and `out` have different lengths.
+    #[deprecated(note = "there is one batch loop; call `lower_bound_batch`")]
     pub fn lower_bound_batch_blocked(&self, queries: &[K], out: &mut [usize]) {
-        // lint: allow(panic) API contract: unequal lengths would silently write predictions to wrong slots
-        assert_eq!(
-            queries.len(),
-            out.len(),
-            "lower_bound_batch_blocked requires queries and out of equal length"
-        );
-        let (model, keys) = (&self.model, self.keys.as_ref());
-        let threshold = self.config.linear_to_binary_threshold;
-        match (&self.layer, self.enabled) {
-            (CorrectionLayer::Range(t), true) => {
-                kernel::run_blocked(model, t, keys, threshold, queries, out)
-            }
-            (CorrectionLayer::Midpoint(t), true) => {
-                kernel::run_blocked(model, t, keys, threshold, queries, out)
-            }
-            _ => kernel::run_blocked(model, &Uncorrected, keys, threshold, queries, out),
-        }
+        self.lower_bound_batch(queries, out);
     }
 }
 
@@ -390,15 +370,12 @@ impl<K: Key, M: CdfModel<K>, S: AsRef<[K]> + Send + Sync> RangeIndex<K>
         }
     }
 
-    /// Batched lookups through the software-pipelined [`crate::kernel`]: the
+    /// Batched lookups through the stage-blocked [`crate::kernel`]: the
     /// predict and correct stages run as per-block loops of
     /// [`kernel::BATCH_BLOCK`] queries (issuing their independent loads
-    /// back-to-back). A block of narrow windows only then resolves each lane
-    /// in order with an early-exit scan and no touch; any other block splits
-    /// its lanes — narrow windows and unbounded hints resolve behind a
-    /// [`kernel::WAVE_DEPTH`]-lane lookahead touch, so their DRAM latency
-    /// overlaps the lanes ahead of them, and wide windows resolve
-    /// breadth-first across the block.
+    /// back-to-back), then each lane runs the scalar
+    /// [`RangeIndex::lower_bound`]'s local search. Every layer — R-1, S-X and
+    /// none — goes through this one loop.
     fn lower_bound_batch(&self, queries: &[K], out: &mut [usize]) {
         // lint: allow(panic) API contract: unequal lengths would silently write predictions to wrong slots
         assert_eq!(
@@ -474,16 +451,13 @@ mod tests {
             for (q, expected) in w.iter() {
                 assert_eq!(index.lower_bound(q), expected, "q={q}");
             }
-            // The batched (pipelined-kernel) path must agree with the scalar
-            // path everywhere — and so must the stage-blocked baseline.
+            // The batched (kernel) path must agree with the scalar path
+            // everywhere.
             assert_eq!(
                 index.lower_bound_many(w.queries()),
                 w.expected().to_vec(),
                 "batch mismatch"
             );
-            let mut blocked = vec![0usize; w.queries().len()];
-            index.lower_bound_batch_blocked(w.queries(), &mut blocked);
-            assert_eq!(blocked, w.expected().to_vec(), "blocked batch mismatch");
         }
         // Out-of-range queries.
         assert_eq!(index.lower_bound(0), d.lower_bound(0));
@@ -858,14 +832,6 @@ mod tests {
             ] {
                 let got = index.lower_bound_many(&queries[..len]);
                 assert_eq!(got, expected[..len], "{} len={len}", index.name());
-                let mut blocked = vec![0usize; len];
-                index.lower_bound_batch_blocked(&queries[..len], &mut blocked);
-                assert_eq!(
-                    blocked,
-                    expected[..len],
-                    "{} blocked len={len}",
-                    index.name()
-                );
                 for (&q, &e) in queries[..len].iter().zip(expected[..len].iter()) {
                     assert_eq!(index.lower_bound(q), e, "{} scalar q={q}", index.name());
                 }

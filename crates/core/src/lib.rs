@@ -52,23 +52,16 @@
 //!   that falls is taken at its running maximum), and the compact layer's
 //!   midpoint pass.
 //!
-//! ## Batch kernel pipeline
+//! ## Batch kernel
 //!
 //! Batched lookups ([`algo_index::RangeIndex::lower_bound_batch`]) run
-//! through the software-pipelined kernel in [`kernel`], one loop generic
-//! over the [`Correction`] for every layer: each block of
-//! [`kernel::BATCH_BLOCK`] queries is predicted and corrected in stage loops
-//! (so the independent model/layer loads overlap in the memory system), and
-//! the local searches split by hint. Cache-line-sized windows resolve with
-//! early-exit scans and unbounded hints (S-X, or no layer) gallop, behind a
-//! [`kernel::WAVE_DEPTH`]-lane lookahead touch unless the block holds
-//! narrow windows only. Wide windows resolve breadth-first across the whole
-//! block: one iterated-interpolation probe level of independent loads per
-//! pass (block-wide memory-level parallelism instead of one lane's serial
-//! compare chain). The touch stage is plain safe Rust (bounds-checked reads
-//! into a [`std::hint::black_box`] sink — a prefetch without intrinsics).
-//! See the [`kernel`] module docs for the wave structure and the
-//! tail-truncation invariant its reused stage buffers rely on.
+//! through the stage-blocked loop in [`kernel`], one loop generic over the
+//! [`Correction`] for every layer: each block of [`kernel::BATCH_BLOCK`]
+//! queries is predicted and corrected in stage loops (so the independent
+//! model/layer loads overlap in the memory system), then each lane runs
+//! Algorithm 1's local search exactly as the scalar `lower_bound` does.
+//! See the [`kernel`] module docs for the stages and the tail-truncation
+//! invariant its reused stage buffers rely on.
 //!
 //! ## Example: owned index, built at run time
 //!
@@ -116,7 +109,6 @@ pub mod local_search;
 mod packed;
 pub mod snapshot;
 pub mod spec;
-pub mod stats;
 pub mod table;
 
 pub use compact::CompactShiftTable;

@@ -12,29 +12,6 @@
 //! * [`exponential_around`] — galloping search from an unbounded hint; used
 //!   when only a corrected *position* (midpoint mode) is known, not a window.
 //!
-//! Three branch-free variants, whose loop structure is independent of the
-//! data, round out the toolbox (and served as stepping stones for the batch
-//! kernel's wavefront — see below):
-//!
-//! * [`branchless_count_in_window`] — the linear variant: the lower bound in
-//!   a sorted window is `start + |{k in window : k < q}|`, and the count is a
-//!   pure reduction LLVM autovectorizes (with a manual 4-wide unroll),
-//! * [`branchless_in_window`] — the binary variant: the classic conditional-
-//!   move formulation (`base += (keys[mid] < q) * half`) whose trip count
-//!   depends only on the window length,
-//! * [`interpolated_in_window`] — one interpolation probe splits the window
-//!   with a branch-free select, then [`branchless_in_window`] finishes the
-//!   surviving half. Interpolation is a *hint*, never trusted: the result is
-//!   exact for any key distribution.
-//!
-//! The batch kernel's wavefront ([`crate::kernel`]) generalizes the
-//! interpolated probe: it iterates interpolation level by level across every
-//! wide lane of a block (boundary keys cached from prior probes, every
-//! eighth level halving as a convergence guard), then finishes each lane
-//! with [`linear_in_window`] once the bracket is a few cache lines wide —
-//! measured block-wide, the early-exit scan beats both branch-free finishes
-//! because its compares are sequential and predictable.
-//!
 //! All routines return lower-bound positions over the whole array and are
 //! correct for any window/hint: if the true position lies outside the given
 //! window, the window variants return the window boundary, which the caller
@@ -54,29 +31,6 @@ pub fn linear_in_window<K: Key>(keys: &[K], start: usize, len: usize, q: K) -> u
         i += 1;
     }
     i
-}
-
-/// Branchless-count linear search of `keys[start..start + len]`: because the
-/// window is sorted, the lower bound is `start` plus the number of window
-/// keys smaller than `q`. The count is a data-independent reduction — no
-/// early exit, no branch to mispredict — written with a manual 4-wide unroll
-/// over [`slice::chunks_exact`] so LLVM vectorizes the comparison loop.
-/// Same contract as [`linear_in_window`] and always the same result.
-#[inline]
-pub fn branchless_count_in_window<K: Key>(keys: &[K], start: usize, len: usize, q: K) -> usize {
-    let start = start.min(keys.len());
-    let end = start.saturating_add(len).min(keys.len());
-    let window = &keys[start..end];
-    let mut below = 0usize;
-    let mut chunks = window.chunks_exact(4);
-    for c in &mut chunks {
-        below +=
-            (c[0] < q) as usize + (c[1] < q) as usize + (c[2] < q) as usize + (c[3] < q) as usize;
-    }
-    for &k in chunks.remainder() {
-        below += (k < q) as usize;
-    }
-    start + below
 }
 
 /// Binary search of `keys[start..start + len]`, returning the first position
@@ -103,74 +57,6 @@ pub fn binary_in_window<K: Key>(keys: &[K], start: usize, len: usize, q: K) -> u
     } else {
         base
     }
-}
-
-/// Branch-free binary search of `keys[start..start + len]` — same contract
-/// and result as [`binary_in_window`], but the window always shrinks by
-/// `half` regardless of the comparison outcome (`base` advances by a masked
-/// `half`, a conditional move), so the loop trip count is a function of the
-/// window length alone. That makes consecutive searches in a pipelined wave
-/// uniform: no data-dependent branch separates one lookup's loads from the
-/// next lookup's.
-#[inline]
-pub fn branchless_in_window<K: Key>(keys: &[K], start: usize, len: usize, q: K) -> usize {
-    let start = start.min(keys.len());
-    let end = start.saturating_add(len).min(keys.len());
-    let mut base = start;
-    let mut remaining = end - start;
-    while remaining > 1 {
-        let half = remaining / 2;
-        // Conditional-move idiom: keep the lower half or skip past it.
-        base += ((keys[base + half - 1] < q) as usize) * half;
-        remaining -= half;
-    }
-    if remaining == 1 {
-        base + (keys[base] < q) as usize
-    } else {
-        base
-    }
-}
-
-/// Interpolated search of `keys[start..start + len]` — same contract and
-/// result as [`binary_in_window`]. One interpolation probe estimates where
-/// `q` falls between the window's first and last key and splits the window
-/// there with a branch-free select; [`branchless_in_window`] then finishes
-/// the surviving part. On near-linear windows (the common case after a
-/// Shift-Table correction) the probe lands within a cache line of the
-/// answer, halving the comparison count; on adversarial windows it merely
-/// degrades to the branch-free binary search — the result is exact either
-/// way, because the probe only narrows the bracket, never decides it.
-#[inline]
-pub fn interpolated_in_window<K: Key>(keys: &[K], start: usize, len: usize, q: K) -> usize {
-    let start = start.min(keys.len());
-    let end = start.saturating_add(len).min(keys.len());
-    let n = end - start;
-    if n <= 1 {
-        return if n == 1 && keys[start] < q {
-            start + 1
-        } else {
-            start
-        };
-    }
-    let lo = keys[start].to_f64();
-    let hi = keys[end - 1].to_f64();
-    let span = hi - lo;
-    let (sub_start, sub_len) = if span > 0.0 {
-        let frac = ((q.to_f64() - lo) / span).clamp(0.0, 1.0);
-        let g = start + ((frac * (n - 1) as f64) as usize).min(n - 1);
-        // Branch-free select of the surviving sub-window: if keys[g] < q the
-        // answer is in (g, end], otherwise in [start, g].
-        let below = (keys[g] < q) as usize;
-        (
-            start + below * (g + 1 - start),
-            below * (end - g - 1) + (1 - below) * (g + 1 - start),
-        )
-    } else {
-        // Constant window (duplicate run or f64-indistinguishable keys):
-        // nothing to interpolate on.
-        (start, n)
-    };
-    branchless_in_window(keys, sub_start, sub_len, q)
 }
 
 /// Exponential (galloping) search from an unbounded position hint: doubles
@@ -265,9 +151,6 @@ mod tests {
             let len = 40.min(keys.len() - start);
             assert_eq!(linear_in_window(keys, start, len, q), expected);
             assert_eq!(binary_in_window(keys, start, len, q), expected);
-            assert_eq!(branchless_count_in_window(keys, start, len, q), expected);
-            assert_eq!(branchless_in_window(keys, start, len, q), expected);
-            assert_eq!(interpolated_in_window(keys, start, len, q), expected);
         }
     }
 
@@ -277,9 +160,6 @@ mod tests {
         let all = [
             linear_in_window as fn(&[u64], usize, usize, u64) -> usize,
             binary_in_window,
-            branchless_count_in_window,
-            branchless_in_window,
-            interpolated_in_window,
         ];
         for search in all {
             // Target (lower bound of 995 -> index 100) is right of the window.
@@ -329,9 +209,6 @@ mod tests {
         }
         assert_eq!(linear_in_window(&keys, 0, 6, 4), 1);
         assert_eq!(binary_in_window(&keys, 0, 6, 4), 1);
-        assert_eq!(branchless_count_in_window(&keys, 0, 6, 4), 1);
-        assert_eq!(branchless_in_window(&keys, 0, 6, 4), 1);
-        assert_eq!(interpolated_in_window(&keys, 0, 6, 4), 1);
     }
 
     #[test]
@@ -356,56 +233,6 @@ mod tests {
                     expected,
                     "q={q} hint={hint}"
                 );
-            }
-        }
-    }
-
-    #[test]
-    fn branch_free_variants_equal_binary_on_every_subwindow() {
-        // Exhaustive (start, len, q) sweep over a duplicate-heavy array: the
-        // three branch-free routines must return exactly what the reference
-        // window search returns for *every* window, including windows that
-        // miss the target, zero-length windows and windows past the end.
-        let keys = vec![2u64, 4, 4, 6, 8, 8, 8, 10, 10, 13];
-        for q in 0..=15u64 {
-            for start in 0..=keys.len() + 1 {
-                for len in 0..=keys.len() + 2 {
-                    let expected = binary_in_window(&keys, start, len, q);
-                    assert_eq!(
-                        branchless_in_window(&keys, start, len, q),
-                        expected,
-                        "branchless q={q} start={start} len={len}"
-                    );
-                    assert_eq!(
-                        branchless_count_in_window(&keys, start, len, q),
-                        expected,
-                        "count q={q} start={start} len={len}"
-                    );
-                    assert_eq!(
-                        interpolated_in_window(&keys, start, len, q),
-                        expected,
-                        "interpolated q={q} start={start} len={len}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[cfg_attr(miri, ignore = "dataset too large for Miri")]
-    #[test]
-    fn branch_free_variants_match_reference_on_skewed_data() {
-        // Heavy-tailed gaps stress the interpolation probe: it lands far from
-        // the answer, and correctness must not depend on probe quality.
-        let d: Dataset<u64> = SosdName::Osmc64.generate(5_000, 9);
-        let keys = d.as_slice();
-        let w = Workload::uniform_domain(&d, 400, 11);
-        for (q, expected) in w.iter() {
-            for (off, len) in [(0usize, keys.len()), (50, 200), (3, 9), (0, 1)] {
-                let start = expected.saturating_sub(off);
-                let want = binary_in_window(keys, start, len, q);
-                assert_eq!(branchless_in_window(keys, start, len, q), want);
-                assert_eq!(branchless_count_in_window(keys, start, len, q), want);
-                assert_eq!(interpolated_in_window(keys, start, len, q), want);
             }
         }
     }

@@ -307,8 +307,8 @@ impl<K: Key> DeltaChain<K> {
     /// Batched [`DeltaChain::net_below`]: accumulate the prefix sum of every
     /// query into `acc` (callers zero it first). The loop nest is
     /// **run-outer** so one run's entry array stays cache-resident across
-    /// the whole query block — the chain-side half of the store's pipelined
-    /// batch read path (see `shard.rs`).
+    /// the whole query block — the chain-side half of the store's batch
+    /// read path (see `shard.rs`).
     pub fn net_below_batch(&self, queries: &[K], acc: &mut [i64]) {
         debug_assert_eq!(queries.len(), acc.len());
         for run in &self.runs {

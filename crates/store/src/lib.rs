@@ -11,9 +11,9 @@
 //!   [`ShardState`].
 //! * [`ShardedStore`] — the full store: `N` shards range-partitioned
 //!   behind a fence-key router in an atomically republished [`StoreTable`]
-//!   (batched lookups are grouped by shard so each shard's pipelined batch
-//!   kernel is preserved), one write path that transparently re-routes
-//!   around splits/merges, and an optional background
+//!   (batched lookups are grouped by shard so each shard's batch kernel is
+//!   preserved), one write path that transparently re-routes around
+//!   splits/merges, and an optional background
 //!   [`MaintenanceWorker`]. Never written to, it is the read-only sharded
 //!   index.
 //!
@@ -22,9 +22,9 @@
 //!
 //! ## Kernel-backed read path
 //!
-//! Every batched read bottoms out in the core crate's software-pipelined
-//! lookup kernel ([`shift_table::kernel`]): per-shard query groups run the
-//! corrected index's predict → correct → touch → resolve wave pipeline, the
+//! Every batched read bottoms out in the core crate's stage-blocked lookup
+//! kernel ([`shift_table::kernel`]): per-shard query groups run the
+//! corrected index's predict → correct → resolve stages, the
 //! delta shift is accumulated **run-outer** per block
 //! ([`DeltaChain::net_below_batch`]) so a run's entry array stays
 //! cache-resident across the whole block, and a still-cold base answers
@@ -316,8 +316,8 @@
 //! * [`ShardedStore::metrics`] returns a [`shift_obs::MetricsReport`]
 //!   sampling every family in [`obs::CATALOGUE`] (op counters, sampled
 //!   read/write latency histograms, maintenance durations, topology
-//!   gauges, per-shard access counters, kernel batch statistics, and — on
-//!   durable stores — WAL/checkpoint families). `report.to_prometheus()`
+//!   gauges, per-shard access counters, and — on durable stores —
+//!   WAL/checkpoint families). `report.to_prometheus()`
 //!   renders text-format 0.0.4, `report.to_json()` a stable JSON shape;
 //!   [`shift_obs::parse_prometheus`] round-trips the former for tests and
 //!   scrapers.

@@ -10,9 +10,9 @@ use std::sync::atomic::Ordering;
 impl<K: Key> StoreCore<K> {
     /// Assemble the full metrics report: the registry's own families, the
     /// maintenance counters, the topology gauges and per-shard access
-    /// counters computed at scrape time from one pinned table, the
-    /// process-wide kernel batch stats, and — for durable stores — the WAL
-    /// and checkpoint families. Empty when [`StoreConfig::metrics`] is off.
+    /// counters computed at scrape time from one pinned table, and — for
+    /// durable stores — the WAL and checkpoint families. Empty when
+    /// [`StoreConfig::metrics`] is off.
     pub(crate) fn metrics_report(&self) -> MetricsReport {
         if !self.obs.enabled() {
             return MetricsReport {
@@ -82,21 +82,6 @@ impl<K: Key> StoreCore<K> {
                     .with_label("shard", s.to_string()),
             );
         }
-        let kernel = shift_table::stats::snapshot();
-        metrics.push(obs::counter_metric("kernel_blocks_total", kernel.blocks));
-        metrics.push(obs::counter_metric("kernel_lanes_total", kernel.lanes));
-        metrics.push(obs::counter_metric(
-            "kernel_wide_lanes_total",
-            kernel.wide_lanes,
-        ));
-        metrics.push(obs::counter_metric(
-            "kernel_wave_levels_total",
-            kernel.wave_levels,
-        ));
-        metrics.push(obs::gauge_metric(
-            "kernel_wide_lane_fraction",
-            kernel.wide_lane_fraction(),
-        ));
         if let Some(p) = &self.persist {
             let d = p.stats();
             metrics.push(obs::counter_metric("wal_records_total", d.wal_ops));

@@ -230,31 +230,6 @@ pub const CATALOGUE: &[(&str, &str, &str)] = &[
         "bytes",
         "Approximate heap pinned by retained versions beyond the live state (shared structures counted once).",
     ),
-    (
-        "kernel_blocks_total",
-        "blocks",
-        "Amortization blocks processed by the pipelined batch-lookup kernel (process-wide).",
-    ),
-    (
-        "kernel_lanes_total",
-        "lanes",
-        "Queries (lanes) the pipelined kernel resolved (process-wide).",
-    ),
-    (
-        "kernel_wide_lanes_total",
-        "lanes",
-        "Lanes resolved through the block-wide wavefront search (process-wide).",
-    ),
-    (
-        "kernel_wave_levels_total",
-        "levels",
-        "Iterated-interpolation probe levels run by the wavefront search (process-wide).",
-    ),
-    (
-        "kernel_wide_lane_fraction",
-        "ratio",
-        "Fraction of kernel lanes that took the wavefront path (0 when idle).",
-    ),
     // --- durable stores only, from here down ---
     (
         "wal_records_total",
@@ -769,7 +744,7 @@ impl StoreObs {
     }
 
     /// The metrics this registry owns directly, in catalogue order.
-    /// [`crate::ShardedStore::metrics`] appends the shard, kernel and
+    /// [`crate::ShardedStore::metrics`] appends the shard and
     /// durability families scraped from their owners.
     pub(crate) fn own_metrics(&self) -> Vec<Metric> {
         vec![

@@ -299,12 +299,6 @@ impl<K: Key> ShardedStore<K> {
         breakdown: Option<OpenBreakdown>,
     ) -> Self {
         let obs = Arc::new(StoreObs::new(&config));
-        if config.metrics {
-            // Kernel batch counters are process-wide; any metrics-enabled
-            // store turns them on (and leaves them on — another store in
-            // the process may be scraping them).
-            shift_table::stats::set_enabled(true);
-        }
         let table = Arc::new(table);
         // Nothing else holds the table yet: its states are the cut at 0.
         let published = PinnedCut::new(Arc::clone(&table), table.states(), 0, 0);

@@ -241,8 +241,8 @@ impl<K: Key> ColdBase<K> {
         self.cum[b - 1] + block_lower_bound(self.block_data(b - 1), meta.count as usize, q)
     }
 
-    /// Batched lower bounds with the same stage split as the core batch
-    /// kernel ([`shift_table::kernel`]): per block of queries, **route**
+    /// Batched lower bounds staged like the core batch kernel
+    /// ([`shift_table::kernel`]): per block of queries, **route**
     /// them all over the (cache-resident) first-key array, then **touch**
     /// the midpoint byte of every routed snapshot block — bounds-checked
     /// reads folded into a [`std::hint::black_box`] sink, so the raw block

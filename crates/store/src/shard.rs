@@ -224,7 +224,7 @@ impl<K: Key> ShardState<K> {
     }
 
     /// Batched lower bounds over this state's merged view: the base
-    /// positions go through the pinned index's pipelined batch kernel
+    /// positions go through the pinned index's batch kernel
     /// ([`shift_table::kernel`]), then each block of positions is shifted by
     /// the chain's prefix sums — accumulated run-outer into a stack scratch
     /// ([`DeltaChain::net_below_batch`]) so a run's entry array stays
@@ -256,7 +256,7 @@ impl<K: Key> ShardState<K> {
     /// Range query `lo <= key <= hi` over this state's merged view, as a
     /// half-open position range. Both endpoints resolve against the same
     /// immutable state by construction; they travel as one two-query batch
-    /// so the pinned index's pipelined kernel overlaps their probes.
+    /// so the pinned index's batch kernel overlaps their probes.
     pub fn range(&self, lo: K, hi: K) -> std::ops::Range<usize> {
         if lo > hi {
             return 0..0;
@@ -482,7 +482,7 @@ impl<K: Key> StoreShard<K> {
     }
 
     /// Batched lower bounds over the merged view: the base positions are
-    /// resolved through the pinned index's pipelined batch kernel, then
+    /// resolved through the pinned index's batch kernel, then
     /// each block is shifted by the chain's prefix sums. With an empty chain
     /// the shift stage is skipped entirely.
     pub fn lower_bound_batch(&self, queries: &[K], out: &mut [usize]) {

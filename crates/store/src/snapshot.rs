@@ -215,10 +215,10 @@ impl<K: Key> RangeIndex<K> for StoreSnapshot<K> {
     }
 
     /// Batched lookups grouped by shard: the queries are bucketed through
-    /// the router, each bucket runs its shard's pipelined batch kernel (see
+    /// the router, each bucket runs its shard's batch kernel (see
     /// [`shift_table::kernel`]) over the pinned state — one stage-blocked
-    /// call per shard, so the prefetch-overlapped read path serves
-    /// store-wide batches too — and the results are scattered back with the
+    /// call per shard, so the block-overlapped read path serves store-wide
+    /// batches too — and the results are scattered back with the
     /// shard's global offset applied. Resolved entirely against the pinned
     /// cut: exact even while writers race the caller.
     fn lower_bound_batch(&self, queries: &[K], out: &mut [usize]) {

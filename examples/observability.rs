@@ -19,8 +19,8 @@ fn main() {
         .metrics_addr("127.0.0.1:0".parse().unwrap());
     let store = ShardedStore::build(config, dataset.as_slice()).unwrap();
 
-    // A mixed trace: enough writes to force rebuilds, reads through the
-    // kernel-backed batch path so the kernel counters move too.
+    // A mixed trace: enough writes to force rebuilds, and reads through the
+    // kernel-backed batch path.
     let trace = MixedWorkload::insert_heavy(&dataset, 30_000, 7);
     let mut checksum = 0u64;
     for &op in trace.ops() {

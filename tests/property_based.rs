@@ -172,9 +172,8 @@ fn every_spec_combination_is_exact_on_all_sosd_generators() {
     }
 }
 
-/// For **every** `IndexSpec` combination, the pipelined batch kernel, the
-/// stage-blocked baseline and the scalar path all equal
-/// `slice::partition_point` — on SOSD-shaped data and on adversarial
+/// For **every** `IndexSpec` combination, the batch kernel and the scalar
+/// path both equal `slice::partition_point` — on SOSD-shaped data and on adversarial
 /// shapes (empty and single-key columns, duplicate-heavy runs), with query
 /// slices whose lengths are deliberately not multiples of the kernel's
 /// batch block (so the tail-truncation invariant is exercised every case).
@@ -221,11 +220,8 @@ fn batched_kernel_equals_blocked_and_reference_for_every_spec() {
             for &len in &lens {
                 let queries = &pool[..len];
                 let mut kernel = vec![0usize; len];
-                let mut blocked = vec![0usize; len];
                 index.lower_bound_batch(queries, &mut kernel);
-                index.lower_bound_batch_blocked(queries, &mut blocked);
                 assert_eq!(kernel, expected[..len], "{label} {spec} kernel len={len}");
-                assert_eq!(blocked, expected[..len], "{label} {spec} blocked len={len}");
                 for (&q, &e) in queries.iter().zip(expected.iter()) {
                     assert_eq!(index.lower_bound(q), e, "{label} {spec} scalar q={q}");
                 }
@@ -234,29 +230,16 @@ fn batched_kernel_equals_blocked_and_reference_for_every_spec() {
     }
 }
 
-/// The kernel and the blocked reference stay exact at every query length
-/// that crosses the constant wave and block sizes, for each layer family:
-/// below, at and past one wave, one block and two blocks, and a three-block
-/// run with a tail. Amazon keys under IM give blocks that mix narrow, wide
-/// and probing range windows; the pool interleaves hits, misses and extremes.
+/// The batch kernel stays exact at every query length that crosses its
+/// 64-query block, for each layer family: short batches, below, at and past
+/// one block and two blocks, and a three-block run with a tail. Amazon keys
+/// under IM give blocks that mix scanned and binary-searched range windows;
+/// the pool interleaves hits, misses and extremes.
 #[test]
 fn batched_kernel_is_exact_across_wave_and_block_lengths() {
-    use shift_table::kernel::{BATCH_BLOCK, WAVE_DEPTH};
     let dataset: Dataset<u64> = SosdName::Amzn64.generate(2_000, 5);
     let shared = dataset.to_shared();
-    let lens = [
-        1,
-        WAVE_DEPTH - 1,
-        WAVE_DEPTH,
-        WAVE_DEPTH + 1,
-        BATCH_BLOCK - 1,
-        BATCH_BLOCK,
-        BATCH_BLOCK + 1,
-        2 * BATCH_BLOCK - 1,
-        2 * BATCH_BLOCK,
-        2 * BATCH_BLOCK + 1,
-        3 * BATCH_BLOCK + 19,
-    ];
+    let lens = [1, 7, 8, 9, 63, 64, 65, 127, 128, 129, 211];
     let mut pool = Vec::new();
     for (i, (hit, miss)) in Workload::uniform_keys(&dataset, 120, 11)
         .queries()
@@ -282,11 +265,58 @@ fn batched_kernel_is_exact_across_wave_and_block_lengths() {
             let mut out = vec![usize::MAX; len];
             index.lower_bound_batch(&pool[..len], &mut out);
             assert_eq!(out, expected[..len], "{spec} kernel len={len}");
-            out.fill(usize::MAX);
-            index.lower_bound_batch_blocked(&pool[..len], &mut out);
-            assert_eq!(out, expected[..len], "{spec} blocked len={len}");
         }
     }
+}
+
+/// The batch kernel equals the scalar `lower_bound` and `partition_point`
+/// on 200 k-key SOSD columns under every layer family and a large RMI:
+/// indexed keys, queries in the gaps between keys and queries outside the
+/// key domain. wiki64's duplicate runs serve R-1 windows of thousands of
+/// keys, so the kernel's binary-search arm runs at full width.
+#[cfg_attr(miri, ignore = "dataset too large for Miri")]
+#[test]
+fn batch_lower_bound_equals_scalar_on_sosd_columns() {
+    let mut widest = 0usize;
+    for name in [
+        SosdName::Amzn64,
+        SosdName::Wiki64,
+        SosdName::Osmc64,
+        SosdName::Face64,
+    ] {
+        let dataset: Dataset<u64> = name.generate(200_000, 34);
+        let keys = dataset.as_slice();
+        let mut queries: Vec<u64> = Workload::uniform_keys(&dataset, 3_000, 1)
+            .queries()
+            .to_vec();
+        queries.extend_from_slice(Workload::non_indexed(&dataset, 3_000, 2).queries());
+        queries.extend_from_slice(Workload::uniform_domain(&dataset, 3_000, 3).queries());
+        let (min, max) = (keys[0], keys[keys.len() - 1]);
+        queries.extend([0, 1, min.saturating_sub(1), max.saturating_add(1), u64::MAX]);
+        let expected: Vec<usize> = queries
+            .iter()
+            .map(|&q| keys.partition_point(|&k| k < q))
+            .collect();
+        for spec in ["im+r1", "im+s10", "im+none", "rmi:4096+r1"] {
+            let index = IndexSpec::parse(spec)
+                .unwrap()
+                .build_corrected(dataset.to_shared())
+                .unwrap();
+            let mut out = vec![usize::MAX; queries.len()];
+            index.lower_bound_batch(&queries, &mut out);
+            assert_eq!(out, expected, "{name:?} {spec} batch");
+            for (&q, &e) in queries.iter().zip(&expected) {
+                assert_eq!(index.lower_bound(q), e, "{name:?} {spec} scalar q={q}");
+            }
+            if let CorrectionLayer::Range(t) = index.layer() {
+                for &q in &queries {
+                    let window = t.correct(index.predict_uncorrected(q)).window;
+                    widest = widest.max(window.unwrap());
+                }
+            }
+        }
+    }
+    assert!(widest >= 1_000, "widest R-1 window {widest}");
 }
 
 /// Spec strings round-trip through `Display`/`parse`, and malformed specs are
