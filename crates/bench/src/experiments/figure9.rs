@@ -84,7 +84,8 @@ fn measure_config<K: Key>(
     let per_key = index.layer().size_bytes() as f64 / shared.len().max(1) as f64;
     let size = match index.layer() {
         CorrectionLayer::Range(table) => {
-            format!("{per_key:.2} ({} patches)", table.patches())
+            let (patches, shifted) = (table.patches(), table.shifted_lines());
+            format!("{per_key:.2} ({patches} patches, {shifted} shifted lines)")
         }
         _ => format!("{per_key:.3}"),
     };
@@ -106,7 +107,7 @@ pub fn run_subset(cfg: BenchConfig, datasets: &[SosdName]) -> Vec<Table> {
         ],
     );
     let mut size = Table::new(
-        "Figure 9c — layer size (bytes per key; R-1 with its drifts in escaped lines) (IM model)",
+        "Figure 9c — layer size (bytes per key; R-1 with its drifts in escaped lines and its shifted lines) (IM model)",
         &[
             "dataset", "R-1", "S-1", "S-10", "S-100", "S-1000", "without",
         ],

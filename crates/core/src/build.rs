@@ -26,8 +26,11 @@
 //! no read-modify-write on the layer, no backward pass, no key read beyond
 //! the model's own. The layer is written once, line by line, in the layout
 //! it is served from — a line that does not fit is appended to the patch
-//! array, nothing stored is re-encoded. The last drift of a line is the
-//! first of the next, so it stays staged until that line is appended.
+//! array, nothing stored is re-encoded. The layer knows the column's
+//! length from the start (`Packed::new`), so it escapes a shifted line
+//! whose windows would overhang the column as it appends it. The last
+//! drift of a line is the first of the next, so it stays staged until that
+//! line is appended.
 //!
 //! A model that does fall — one a caller wrote — is not trusted to rise:
 //! every prediction is taken at the largest one before it, so the layer is
@@ -170,9 +173,9 @@ pub(crate) fn build_range_layer<K: Key, M: CdfModel<K> + ?Sized>(
     debug_assert!(audited.is_none_or(|audited| audited.len() == keys.len()));
     let n = keys.len();
     if n == 0 {
-        return Packed::with_capacity(0);
+        return Packed::new(0);
     }
-    let mut layer = Packed::with_capacity(n + 1);
+    let mut layer = Packed::new(n);
     // Partitions below `next` are staged. `open` is the partition whose
     // keys are being walked; its first key sits at `open_start`, where it
     // and the empty partitions on its left all start (§3.1). Partition 0
@@ -352,9 +355,10 @@ pub(crate) mod testing {
     const UNSET: i32 = i32::MAX;
 
     impl Packed {
-        /// Pack a finished drift array.
+        /// Pack a finished drift array: the layer over `drifts.len() − 1`
+        /// keys.
         pub(crate) fn from_drifts(drifts: &[i32]) -> Self {
-            let mut packed = Self::with_capacity(drifts.len());
+            let mut packed = Self::new(drifts.len().saturating_sub(1));
             packed.extend(drifts);
             packed.finish();
             packed
@@ -728,7 +732,7 @@ mod tests {
     fn an_over_wide_block_is_patched_and_an_over_long_count_coded() {
         // Stairs of 70 000 keys: every window is 70 000 records, and `Δ`
         // falls from 69 999 back to 0 at a stair's first partition — the
-        // line holding both drifts spreads past a byte and is escaped.
+        // line holding both drifts spreads past 2 039 and is escaped.
         // Three stairs' worth, three escaped lines of 60 drifts.
         let n = 150_000;
         let keys: Vec<u64> = (0..n as u64).collect();
@@ -737,7 +741,7 @@ mod tests {
         let layer = assert_emitter_matches_reference(&stairs(70_000), &keys, "long stairs");
         assert_eq!((layer.patches(), layer.size_bytes()), (180, bytes(180)));
         // The window ends where the next stair starts: served exactly.
-        assert_eq!(layer.pair(0), Some((0, 0, 69_999)));
+        assert_eq!(layer.pair(0), Some((0, 0, 70_000)));
         assert_eq!(layer.delta(8), 69_992);
         // Stairs of 40 000, and one duplicate run of 70 000 among them.
         let layer = assert_emitter_matches_reference(&stairs(40_000), &keys, "short stairs");
@@ -746,7 +750,7 @@ mod tests {
         dups[50_000..120_000].fill(50_000);
         let layer = assert_emitter_matches_reference(&stairs(40_000), &dups, "duplicate run");
         // Partition 40 000 takes 80 000 keys: its window ends at 120 000.
-        assert_eq!(layer.pair(40_000), Some((40_000, 0, 120_000 - 40_001)));
+        assert_eq!(layer.pair(40_000), Some((40_000, 0, 80_000)));
         assert_eq!((layer.patches(), layer.size_bytes()), (180, bytes(180)));
         // Every key predicted into the last partition: every other one is
         // empty and starts at the first key, drifting down by one a
@@ -759,7 +763,7 @@ mod tests {
             dip: None,
         };
         let layer = assert_emitter_matches_reference(&model, &vec![n as u64; n], "last");
-        assert_eq!(layer.pair(n - 1), Some((n - 1, 1 - n as i32, 0)));
+        assert_eq!(layer.pair(n - 1), Some((n - 1, 1 - n as i32, n)));
         let bytes = 64 * n.div_ceil(PAIRS) + 240;
         assert_eq!((layer.patches(), layer.size_bytes()), (60, bytes));
     }
@@ -786,7 +790,8 @@ mod tests {
             table.entry(at),
             ShiftEntry::new(delta.into(), longest as u64)
         );
-        // Every window past 255 records escapes its line: 3 % of them.
+        // Every window past 2 040 records escapes its line: under 3 % of
+        // them.
         assert!(layer.patches() < n / 25, "{} patches", layer.patches());
         assert!(layer.size_bytes() < n * 14 / 10);
     }

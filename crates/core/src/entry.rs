@@ -23,17 +23,24 @@
 //!   lookup. What [`ShiftTable::entries`](crate::ShiftTable::entries),
 //!   `window_lengths` and `expected_error` report are these served windows
 //!   — 0 for an empty partition, so they sum to `N`.
-//! * **`Δ` is exact, and line-relative.** The drift of a model is
-//!   *locally* smooth even where it is globally large — the paper's own
-//!   premise — so a 64-byte, 64-aligned line of 60 neighbouring drifts
-//!   carries one `i32` base, its minimum, and each drift a `u8` offset from
-//!   it, below 255. A line's 60th drift repeats the next line's first, so
-//!   the two drifts of every window — `Δ_k` and `Δ_{k+1}` — lie in line
+//! * **`Δ` is line-relative, and exact where a byte holds it.** The drift
+//!   of a model is *locally* smooth even where it is globally large — the
+//!   paper's own premise — so a 64-byte, 64-aligned line of 60 neighbouring
+//!   drifts carries one base, its minimum, and each drift a `u8` offset
+//!   from it, below 255. A line's 60th drift repeats the next line's first,
+//!   so the two drifts of every window — `Δ_k` and `Δ_{k+1}` — lie in line
 //!   `k / 59`: one cache line a correction, with no second array to read.
-//! * **The line that does not fit is escaped**: its 60 drifts are stored in
-//!   full — `i32`, exact — in a side array its base points into, at 240
-//!   bytes more. A window longer than 255 records steps `Δ` past a byte
-//!   between its two drifts, so it escapes its line wherever it sits.
+//! * **A line spreading past 254 is shifted**: its offsets count units of
+//!   `2^s` records, the least `s ≤ 3` with `spread ≤ 255·2^s − 1`, kept in
+//!   the base's top two bits. Each offset is rounded down, and a fetch
+//!   widens the window's end by `2^s − 1`, so the window served holds the
+//!   exact one and overhangs each end by at most 7 records — one 64-byte
+//!   line of `u64` keys. A window longer than 255 records steps `Δ` past a
+//!   byte between its two drifts, so it shifts its line wherever it sits.
+//! * **The line that does not fit is escaped**: spreading past 2 039, or
+//!   shifted windows that would overhang the column. Its 60 drifts are
+//!   stored in full — `i32`, exact — in a side array its base points into,
+//!   at 240 bytes more.
 //!
 //! There is one layout and nothing to choose per layer: plain encodings
 //! of 4 to 8 bytes an entry (`(i16, u16)` up to `(i32, u32)`) are smaller
@@ -45,13 +52,13 @@
 //! nothing stored ever re-encoded ([`crate::build`]). A layer over `N` keys
 //! has `N + 1` drifts — the last, of the virtual partition `N`, is 0 — in
 //! `⌈N / 59⌉` lines, and `|Δ| ≤ N`, so up to
-//! [`ShiftTable::MAX_KEYS`](crate::ShiftTable::MAX_KEYS) keys nothing
-//! truncates.
+//! [`ShiftTable::MAX_KEYS`](crate::ShiftTable::MAX_KEYS) `= 2^29 − 1` keys
+//! every base fits the 30 bits a line leaves it.
 
-/// The most keys a range-mode layer can cover: drifts are stored in at
-/// most 32 bits. Public as
+/// The most keys a range-mode layer can cover, `2^29 − 1`: a line's base
+/// is a drift in 30 bits, its top two hold the line's shift. Public as
 /// [`ShiftTable::MAX_KEYS`](crate::ShiftTable::MAX_KEYS).
-pub(crate) const MAX_KEYS: usize = i32::MAX as usize;
+pub(crate) const MAX_KEYS: usize = (1 << 29) - 1;
 
 /// A single correction entry: the drift of the first key of the partition and
 /// the length of the local-search window.
@@ -151,11 +158,12 @@ mod tests {
     #[test]
     fn the_encoder_patches_a_misfit_wherever_it_sits() {
         // A window of `C` records steps the drift up by `C − 1` from its
-        // partition to the next. Past 254 that escapes the one line holding
-        // both drifts — the first, a middle one, either side of a seam, the
-        // short last one — and no other.
+        // partition to the next. Up to 254 a byte holds it; past 2 039 no
+        // shift fits it, and it escapes the one line holding both drifts —
+        // the first, a middle one, either side of a seam, the short last
+        // one — and no other.
         let n = 5 * PAIRS + 3;
-        for long in [255, 256, 1 << 23] {
+        for long in [255, 2_041, 2_042, 1 << 23] {
             for long_at in [1, PAIRS - 1, PAIRS, PAIRS + 1, 2 * PAIRS + 4, n - 2] {
                 let mut drifts = vec![7; n];
                 drifts[long_at + 1..]
@@ -165,7 +173,7 @@ mod tests {
                 let patches = if long > 255 { LINE } else { 0 };
                 let tag = format!("{long} {long_at}");
                 assert_eq!(packed.patches(), patches, "{tag}");
-                let pair = Some((long_at, 7, 7 + long - 1));
+                let pair = Some((long_at, 7, long as usize));
                 assert_eq!(packed.pair(long_at), pair, "{tag}");
                 assert_eq!(
                     packed.size_bytes(),
@@ -187,7 +195,7 @@ mod tests {
         let packed = pack(&drifts);
         assert_eq!(packed.patches(), LINE);
         let last = n as usize - 1;
-        assert_eq!(packed.pair(last), Some((last, 1 - n, 0)));
+        assert_eq!(packed.pair(last), Some((last, 1 - n, n as usize)));
         assert_eq!(packed.size_bytes(), 64 * (n as usize).div_ceil(PAIRS) + 240);
     }
 

@@ -638,7 +638,7 @@ mod tests {
             Some(too_many.clone())
         );
         assert_eq!(builder().with_auto_tuning().build().err(), Some(too_many));
-        // (Nothing else is built here: validating 2^31 keys for order is
+        // (Nothing else is built here: validating 2^29 keys for order is
         // slow unoptimised.) The other layers hold 64-bit drifts.
         let spec = |s: &str| crate::spec::IndexSpec::parse(s).unwrap();
         assert!(spec("im+r1").check_key_count(LEN).is_err());

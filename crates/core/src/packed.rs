@@ -5,36 +5,56 @@
 //! window of partition `k` ends where partition `k + 1`'s starts
 //! ([`crate::table`]), so a fetch reads two neighbouring drifts. They are
 //! stored in 64-byte, 64-aligned [`Line`]s: one `i32` base — the line's
-//! minimum — and [`LINE`] = 60 `u8` offsets from it, `0..=254`,
-//! `Δ = base + offset`. Line `j` holds the drifts `59j ..= 59j + 59`: its
-//! last repeats the first of line `j + 1`, so the pair `(k, k + 1)` of every
-//! fetch lies in line `k / 59` — one cache line a correction, the paper's
-//! "at most one memory lookup" — at 64 bytes per [`PAIRS`] = 59 drifts,
-//! ≈ 1.085 bytes a key. A line whose drifts spread past 254 is
-//! **escaped**: every one of its offsets is [`ESCAPE`], its 60 drifts go in
-//! full to a patch array (240 bytes more), and its base holds where they
-//! start there, so with `i = k % 59` a fetch is
+//! minimum in its low 30 bits and the line's **shift** `s ∈ 0..=3` in its
+//! top two — and [`LINE`] = 60 `u8` offsets from it, `0..=254`, in units of
+//! `2^s` records: `Δ = base + (offset << s)`. Line `j` holds the drifts
+//! `59j ..= 59j + 59`: its last repeats the first of line `j + 1`, so the
+//! pair `(k, k + 1)` of every fetch lies in line `k / 59` — one cache line
+//! a correction, the paper's "at most one memory lookup" — at 64 bytes per
+//! [`PAIRS`] = 59 drifts, ≈ 1.085 bytes a key.
+//!
+//! A line's shift is the least `s` with `spread ≤ 255·2^s − 1`, its
+//! drifts' spread counted from its minimum. A line spreading at most 254
+//! has `s = 0` and stores every drift exactly. A shifted line rounds each
+//! offset down, so a fetch serves a window from the rounded start to the
+//! rounded end plus `2^s − 1`: the exact window, overhanging each end by
+//! at most `2^s − 1 ≤ 7` records — one 64-byte line of `u64` keys.
+//!
+//! A line is **escaped** when no shift fits it — its drifts spread past
+//! `255·8 − 1 = 2 039` — when a shifted window would overhang the column
+//! (below position 0 or past `N`), or when its base does not fit 30 bits
+//! (no built layer's: `|Δ| ≤ N ≤` [`crate::ShiftTable::MAX_KEYS`]). Every
+//! one of its offsets is [`ESCAPE`], its 60 drifts go in full to a patch
+//! array (240 bytes more), and its base holds where they start there, so
+//! with `i = k % 59`, `o = offsets[i]` and `p = offsets[i + 1]` a fetch
+//! serves the drift `Δ` and the window length
 //!
 //! ```text
-//! base + offsets[i],   base + offsets[i + 1]        offsets[i] != 255
-//! patches[base + i],   patches[base + i + 1]        offsets[i] == 255
+//! base + (o << s),      (p + 1 − o) << s,    0 where p < o    o != 255
+//! patches[base + i],    1 + Δ' − Δ,          0 where Δ' < Δ   o == 255, Δ' = patches[base + i + 1]
 //! ```
 //!
 //! — one dependent load more on the escape, no directory and no search. A
-//! layer without an escaped line keeps no patch array.
+//! layer without an escaped line keeps no patch array. The length of a
+//! line in place is taken from its offsets, not from its two decoded
+//! drifts: fewer instructions a fetch, so more of the 64 fetches of a
+//! block can wait on memory at once. In seven alternating traced
+//! `static_narrow` runs of the benchmark (2-vCPU x86), a fetch that decoded
+//! both drifts read a median `core.table.correct_ns` of 39 ns, this one
+//! 33, and the unshifted layout before it 36.
 //!
 //! An escaped line is, in practice, a stretch where a dense region climbs
-//! `Δ` by `C − 1` a partition past 254 inside one line, or a long window's
-//! partition beside the empty ones after it. Whether a fetch reads one is a
-//! property of the query, not of the layer: on the amzn64 IM layer (4 Mi
-//! keys) 1.3 % of the lines are escaped and 71 % of the gap queries fetch
-//! from one (with blocks of 8 drifts, 0.21 % and 59 %), so the branch on
-//! the escape is mispredicted about every third fetch there. Reading a
-//! patch slot on every fetch and selecting without a branch won there and
-//! lost where escapes are rare — timed on the blocks of 8, 64 fetches at a
-//! time between cache-evicting searches (2-vCPU x86): 26 against 32 ns a
-//! fetch on that layer, 26 against 19 on osmc64 under `rmi:4096`, where
-//! 0.6 % of the fetches were escaped — so the branch stays.
+//! `Δ` by `C − 1` a partition past 2 039 inside one line, or a window of
+//! that many records. Whether a fetch reads one is a property of the
+//! query, not of the layer: on the amzn64 IM layer (4 Mi keys) 0.2 % of
+//! the lines are escaped and 58 % of the gap queries fetch from one (71 %
+//! when every line spreading past 254 was escaped), so the branch on the
+//! escape is mispredicted often there. Reading a patch slot on every fetch
+//! and selecting without a branch won there and lost where escapes are
+//! rare — timed on blocks of 8 drifts, 64 fetches at a time between
+//! cache-evicting searches (2-vCPU x86): 26 against 32 ns a fetch on that
+//! layer, 26 against 19 on osmc64 under `rmi:4096`, where 0.6 % of the
+//! fetches were escaped — so the branch stays.
 
 /// Drifts one line holds: its 59 pairs' and the first of the next line.
 pub(crate) const LINE: usize = 60;
@@ -47,26 +67,72 @@ pub(crate) const PAIRS: usize = LINE - 1;
 /// it.
 const ESCAPE: u8 = u8::MAX;
 
+/// The largest shift a line takes: a window overhangs each end by at most
+/// `2^3 − 1 = 7` records. A constant, not a knob — a larger one widens
+/// the windows of the lines it saves.
+const MAX_SHIFT: u32 = 3;
+
 /// One cache line of the layer: a base and an offset a drift, or for an
 /// escaped line where its drifts start in the patch array.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[repr(C, align(64))]
 struct Line {
-    /// The line's smallest drift; an escaped line's first slot in
-    /// `patches`, as the bits of a `u32`.
+    /// The line's smallest drift in the low 30 bits, two's complement, and
+    /// its shift in the top two; an escaped line's first slot in
+    /// `patches`, as the bits of a `u32` below `2^30`.
     base: i32,
-    /// One offset a drift; [`ESCAPE`] throughout an escaped line.
+    /// One offset a drift, in units of `2^shift`; [`ESCAPE`] throughout an
+    /// escaped line.
     offsets: [u8; LINE],
 }
 
 // lint: allow(panic) evaluated at compile time: a line is one cache line
 const _: () = assert!(size_of::<Line>() == 64 && align_of::<Line>() == 64);
 
+impl Line {
+    /// A line in place: `base` must fit 30 bits, `shift` 2.
+    fn new(base: i32, shift: u32, offsets: [u8; LINE]) -> Self {
+        debug_assert!(fits_30_bits(base) && shift <= MAX_SHIFT);
+        let base = (base as u32 & u32::MAX >> 2 | shift << 30) as i32;
+        Self { base, offsets }
+    }
+
+    /// The line's smallest drift (not for an escaped line).
+    #[inline]
+    fn base(&self) -> i32 {
+        self.base << 2 >> 2
+    }
+
+    /// The line's shift (not for an escaped line).
+    #[inline]
+    fn shift(&self) -> u32 {
+        self.base as u32 >> 30
+    }
+
+    /// True for an escaped line: a line is escaped in every offset or in
+    /// none.
+    fn is_escaped(&self) -> bool {
+        self.offsets[0] == ESCAPE
+    }
+}
+
+/// True if `base` survives the two bits a line's shift takes.
+#[inline]
+fn fits_30_bits(base: i32) -> bool {
+    base << 2 >> 2 == base
+}
+
 /// `delta − base` for a `delta` no smaller than its line's `base`: the
 /// wrapped difference is the true one even where that is past `i32`.
 #[inline]
 fn offset_from(base: i32, delta: i32) -> u32 {
     delta.wrapping_sub(base) as u32
+}
+
+/// The least shift `s` with `spread ≤ 255·2^s − 1`, if one up to
+/// [`MAX_SHIFT`] is.
+fn shift_for(spread: u32) -> Option<u32> {
+    (0..=MAX_SHIFT).find(|&shift| spread >> shift < u32::from(ESCAPE))
 }
 
 /// The range layer's drift array.
@@ -80,15 +146,21 @@ pub(crate) struct Packed {
     patches: Vec<i32>,
     /// Number of drifts.
     len: usize,
+    /// Keys of the column the layer covers: a shifted line serves every
+    /// window inside `0..=column`.
+    column: usize,
 }
 
 impl Packed {
-    /// An empty array with room for `n` drifts (and no patch).
-    pub fn with_capacity(n: usize) -> Self {
+    /// An empty array for the layer over `column` keys — `column + 1`
+    /// drifts to come, none over no keys — with room for its lines (and
+    /// no patch).
+    pub fn new(column: usize) -> Self {
         Self {
-            lines: Vec::with_capacity(n.div_ceil(PAIRS)),
+            lines: Vec::with_capacity(column.div_ceil(PAIRS)),
             patches: Vec::new(),
             len: 0,
+            column,
         }
     }
 
@@ -100,15 +172,49 @@ impl Packed {
             .fold((i32::MAX, i32::MIN), |(min, max), &delta| {
                 (min.min(delta), max.max(delta))
             });
-        if offset_from(base, max) < ESCAPE as u32 {
+        let spread = offset_from(base, max);
+        if spread < u32::from(ESCAPE) && fits_30_bits(base) {
             let offsets = drifts.map(|delta| offset_from(base, delta) as u8);
-            self.lines.push(Line { base, offsets });
+            self.lines.push(Line::new(base, 0, offsets));
         } else {
-            self.push_escaped(drifts);
+            self.push_wide(drifts, base, spread);
         }
     }
 
-    /// Append a line whose drifts spread past a byte.
+    /// Append a line whose drifts spread past 254, or whose base does not
+    /// fit 30 bits: shifted if a shift fits it and keeps its windows
+    /// inside the column, else escaped.
+    #[cold]
+    fn push_wide(&mut self, drifts: &[i32; LINE], base: i32, spread: u32) {
+        if let Some(shift) = shift_for(spread).filter(|_| fits_30_bits(base)) {
+            let offsets = drifts.map(|delta| (offset_from(base, delta) >> shift) as u8);
+            let line = Line::new(base, shift, offsets);
+            if self.inside_column(&line) {
+                self.lines.push(line);
+                return;
+            }
+        }
+        self.push_escaped(drifts);
+    }
+
+    /// True if every window `line`, the next to be appended, serves lies
+    /// inside `0..=column`: from its start to the larger of its start and
+    /// its end. A line padded past the last drift serves no pair there.
+    fn inside_column(&self, line: &Line) -> bool {
+        let first = PAIRS * self.lines.len();
+        let column = self.column as i64;
+        let drift =
+            |slot: usize| i64::from(line.base()) + (i64::from(line.offsets[slot]) << line.shift());
+        let pairs = PAIRS.min(self.column.saturating_sub(first));
+        (0..pairs).all(|i| {
+            let k = (first + i) as i64;
+            let start = k + drift(i);
+            let end = k + 1 + drift(i + 1) + (1 << line.shift()) - 1;
+            start >= 0 && start.max(end) <= column
+        })
+    }
+
+    /// Append a line no shift stores in place.
     #[cold]
     fn push_escaped(&mut self, drifts: &[i32; LINE]) {
         // A slot index below 60 a line: it fits a `u32`.
@@ -157,6 +263,7 @@ impl Packed {
 
     /// Give back the patch array's spare capacity.
     pub fn finish(&mut self) {
+        debug_assert!(self.len <= self.column + 1, "drifts past the column's end");
         self.patches.shrink_to_fit();
     }
 
@@ -178,8 +285,23 @@ impl Packed {
         self.patches.len()
     }
 
-    /// Drift `i`, exact: slot `i % 59` of line `i / 59`, the last drift of
-    /// an array of `59j + 1` the 60th slot of line `j − 1`.
+    /// Number of lines in place with a shift above 0.
+    pub fn shifted_lines(&self) -> usize {
+        let shifted = |line: &&Line| !line.is_escaped() && line.shift() > 0;
+        self.lines.iter().filter(shifted).count()
+    }
+
+    /// The shift of the line pair `k` is read from, `None` if it is
+    /// escaped.
+    #[cfg(test)]
+    pub fn shift(&self, k: usize) -> Option<u32> {
+        let line = &self.lines[k / PAIRS];
+        (!line.is_escaped()).then(|| line.shift())
+    }
+
+    /// Drift `i` as stored: slot `i % 59` of line `i / 59`, the last drift
+    /// of an array of `59j + 1` the 60th slot of line `j − 1` — exact
+    /// unless its line is shifted, then rounded down by less than `2^s`.
     #[cfg(test)]
     pub fn delta(&self, i: usize) -> i32 {
         assert!(i < self.len, "drift {i} of {}", self.len);
@@ -189,32 +311,52 @@ impl Packed {
         };
         match line.offsets[slot] {
             ESCAPE => self.patches[line.base as u32 as usize + slot],
-            offset => line.base.wrapping_add_unsigned(offset.into()),
+            offset => line
+                .base()
+                .wrapping_add_unsigned(u32::from(offset) << line.shift()),
         }
     }
 
     /// The pair of neighbours `prediction` falls in — `k`, clamped to the
-    /// last pair — with drifts `k` and `k + 1`: two adjacent offset bytes of
-    /// line `k / 59` and its base, or, from an escaped line, two adjacent
-    /// patches. This is the "single memory lookup" the paper's layer costs.
-    /// `None` without a pair: the layer over no keys. One branch a fetch,
-    /// on the escape: a line is escaped in every offset or in none.
+    /// last pair — with the drift its window starts at and the window's
+    /// length: from two adjacent offset bytes of line `k / 59` and its
+    /// base, or, from an escaped line, two adjacent patches. This is the
+    /// "single memory lookup" the paper's layer costs. The window runs
+    /// from `k + Δ_k` to `k + 1 + Δ_{k+1}`, empty where that is not past
+    /// its start; in a line of shift `s` both ends are rounded, the start
+    /// down and the end up, by at most `2^s − 1`. `None` without a pair:
+    /// the layer over no keys. One branch a fetch, on the escape: a line
+    /// is escaped in every offset or in none.
     #[inline]
-    pub fn pair(&self, prediction: usize) -> Option<(usize, i32, i32)> {
+    pub fn pair(&self, prediction: usize) -> Option<(usize, i32, usize)> {
         let k = prediction.min(self.len.checked_sub(2)?);
-        let (line, i) = (&self.lines[k / PAIRS], k % PAIRS);
+        // Every pair index is below `MAX_KEYS < 2^29`: on `u32` the
+        // division by 59 is a 64-bit multiply and a shift.
+        let (j, i) = (k as u32 / PAIRS as u32, k as u32 % PAIRS as u32);
+        let (line, i) = (&self.lines[j as usize], i as usize);
         let (this, next) = (line.offsets[i], line.offsets[i + 1]);
+        // The window is empty exactly when its end is not past its start.
+        // A select compiles to a conditional move: whether a query falls
+        // into an empty partition is data — gap queries often do — so a
+        // branch on it would be mispredicted.
         if this != ESCAPE {
-            // `base + offset` is a drift that was an `i32` before packing.
-            let base = line.base;
-            let (delta, next) = (
-                base.wrapping_add_unsigned(this.into()),
-                base.wrapping_add_unsigned(next.into()),
-            );
-            Some((k, delta, next))
+            // `base + offset` is a drift that was an `i32` before packing,
+            // rounded down to the shift; the end is rounded up to it.
+            let (base, shift) = (line.base(), line.shift());
+            let delta = base.wrapping_add_unsigned(u32::from(this) << shift);
+            // Wraps where `next < this`; the select drops it there.
+            let units = (u32::from(next) + 1).wrapping_sub(u32::from(this));
+            let len = std::hint::select_unpredictable(next >= this, units << shift, 0);
+            Some((k, delta, len as usize))
         } else {
             let patches = &self.patches[line.base as u32 as usize + i..][..2];
-            Some((k, patches[0], patches[1]))
+            let (delta, next) = (patches[0], patches[1]);
+            let len = (1 + i64::from(next) - i64::from(delta)) as usize;
+            Some((
+                k,
+                delta,
+                std::hint::select_unpredictable(next >= delta, len, 0),
+            ))
         }
     }
 
@@ -238,16 +380,47 @@ pub(crate) mod tests {
         }
     }
 
+    /// How line `j` of `drifts`, the layer over `drifts.len() − 1` keys,
+    /// is stored: `Some((base, shift))` in place, `None` escaped. The shift
+    /// rule, restated from the drifts alone: the least `s` with
+    /// `spread ≤ 255·2^s − 1`, and the line is escaped exactly when that
+    /// `s > 3`, when a window it would serve overhangs the column, or when
+    /// its minimum does not fit 30 bits.
+    fn expected_line(drifts: &[i32], j: usize) -> Option<(i32, u32)> {
+        let line = &drifts[PAIRS * j..drifts.len().min(PAIRS * j + LINE)];
+        let (min, max) = (*line.iter().min().unwrap(), *line.iter().max().unwrap());
+        let spread = i64::from(max) - i64::from(min);
+        // `spread ≤ 255·2^s − 1`.
+        let shift = (0u32..).find(|&s| spread < 255i64 << s).unwrap();
+        if shift > 3 || !(-(1 << 29)..1 << 29).contains(&min) {
+            return None;
+        }
+        let stored = |i: usize| {
+            let offset = (i64::from(line[i]) - i64::from(min)) >> shift << shift;
+            i64::from(min) + offset
+        };
+        let column = drifts.len() as i64 - 1;
+        let inside = (0..line.len() - 1).all(|i| {
+            let k = (PAIRS * j + i) as i64;
+            let start = k + stored(i);
+            let end = k + 1 + stored(i + 1) + (1i64 << shift) - 1;
+            start >= 0 && start.max(end) <= column
+        });
+        (shift == 0 || inside).then_some((min, shift))
+    }
+
     /// Pack `drifts` and check what holds of every packed array: feeding
-    /// the whole lines 1, 3 or all at a call reaches the same array, every
-    /// drift and every pair of neighbours comes back exact, a line's 60th
-    /// drift is the next line's first, a line is escaped exactly when its
-    /// drifts spread past 254, and the patch array holds the escaped lines'
-    /// drifts.
+    /// the whole lines 1, 3 or all at a call reaches the same array, a
+    /// line's 60th drift is the next line's first, every line is shifted
+    /// or escaped by the shift rule ([`expected_line`]), the patch array
+    /// holds the escaped lines' drifts, every drift of a line in place is
+    /// its offset rounded down to its shift — exact at shift 0 — and every
+    /// pair serves a window that holds the exact one and overhangs each of
+    /// its ends by less than `2^s`.
     pub(crate) fn pack(drifts: &[i32]) -> Packed {
         let packed = Packed::from_drifts(drifts);
         for lines_per_call in [1, 3] {
-            let mut streamed = Packed::with_capacity(drifts.len());
+            let mut streamed = Packed::new(drifts.len().saturating_sub(1));
             let mut from = 0;
             loop {
                 // Each call repeats the last drift of the one before.
@@ -263,36 +436,60 @@ pub(crate) mod tests {
         }
         assert_eq!(packed.len(), drifts.len());
         assert_eq!(packed.lines.len(), line_count(drifts.len()));
-        let mut escaped_lines = 0;
+        let (mut escaped_lines, mut shifted_lines) = (0, 0);
         for (j, line) in packed.lines.iter().enumerate() {
-            let drifts = &drifts[PAIRS * j..drifts.len().min(PAIRS * j + LINE)];
-            let spread = drifts
+            let own = &drifts[PAIRS * j..drifts.len().min(PAIRS * j + LINE)];
+            assert!(line
+                .offsets
                 .iter()
-                .max()
-                .unwrap()
-                .abs_diff(*drifts.iter().min().unwrap());
-            let escaped = line.offsets[0] == ESCAPE;
-            assert_eq!(escaped, spread > 254, "line {j}");
-            assert!(line.offsets.iter().all(|&o| (o == ESCAPE) == escaped));
-            if escaped {
-                let at = line.base as usize;
-                assert_eq!(packed.patches[at..][..drifts.len()], *drifts, "line {j}");
-                escaped_lines += 1;
+                .all(|&o| (o == ESCAPE) == line.is_escaped()));
+            match expected_line(drifts, j) {
+                Some((base, shift)) => {
+                    assert!(!line.is_escaped(), "line {j}");
+                    assert_eq!((line.base(), line.shift()), (base, shift), "line {j}");
+                    shifted_lines += usize::from(shift > 0);
+                }
+                None => {
+                    assert!(line.is_escaped(), "line {j}");
+                    let at = line.base as usize;
+                    assert_eq!(packed.patches[at..][..own.len()], *own, "line {j}");
+                    escaped_lines += 1;
+                }
             }
         }
         assert_eq!(packed.patches(), LINE * escaped_lines);
+        assert_eq!(packed.shifted_lines(), shifted_lines);
         assert_eq!(
             packed.size_bytes(),
             64 * packed.lines.len() + 240 * escaped_lines
         );
+        // The unit a drift is stored in: `2^s` in a line in place, 1 in an
+        // escaped line.
+        let unit = |k: usize| 1 << packed.shift(k).unwrap_or(0);
         for (i, &delta) in drifts.iter().enumerate() {
-            assert_eq!(packed.delta(i), delta, "drift {i}");
+            let stored = packed.delta(i);
+            let slot_unit = unit(i.saturating_sub(1));
+            assert!(stored <= delta && delta - stored < slot_unit, "drift {i}");
             if i + 1 < drifts.len() {
-                assert_eq!(packed.pair(i), Some((i, delta, drifts[i + 1])), "pair {i}");
+                // Pair `i` reads line `i / 59`: its start rounded down, its
+                // end `Δ_{i+1}` rounded down plus `2^s − 1`, and no window
+                // where the end is not past the start.
+                let unit = unit(i);
+                let rounded = |delta: i32| match expected_line(drifts, i / PAIRS) {
+                    Some((base, shift)) => base + ((delta - base) >> shift << shift),
+                    None => delta,
+                };
+                let start = rounded(delta);
+                let end = i64::from(rounded(drifts[i + 1])) + i64::from(unit) - 1;
+                let len = (1 + end - i64::from(start)).max(0) as usize;
+                assert_eq!(packed.pair(i), Some((i, start, len)), "pair {i}");
+                assert!(start <= delta && delta - start < unit, "pair {i}");
+                let next = i64::from(drifts[i + 1]);
+                assert!(end >= next && end - next < i64::from(unit), "pair {i}");
             }
         }
         if let Some(last) = drifts.len().checked_sub(2) {
-            let pair = Some((last, drifts[last], drifts[last + 1]));
+            let pair = packed.pair(last);
             assert_eq!(packed.pair(usize::MAX), pair, "clamped to the last pair");
         } else {
             assert_eq!(packed.pair(0), None);
@@ -306,10 +503,39 @@ pub(crate) mod tests {
         (0..len as i32).map(|i| from + 3 * i).collect()
     }
 
+    /// The drifts of a layer over `n` keys, one a partition: partition `at`
+    /// holds `keys` of them, every other one key while they last, and the
+    /// partitions after the last key are empty and start at `n`. Its one
+    /// long window climbs `Δ` by `keys − 1` inside line `at / 59`.
+    fn one_long_window(n: usize, at: usize, keys: usize) -> Vec<i32> {
+        (0..=n)
+            .map(|k| {
+                let start = if k <= at { k } else { n.min(k + keys - 1) };
+                start as i32 - k as i32
+            })
+            .collect()
+    }
+
+    /// The drifts of a layer over `n` keys whose last partition holds
+    /// `keys` of them, the partitions before it one key each while they
+    /// last and empty after: its last line spreads `keys − 1`, from the
+    /// last partition's `1 − keys` to the end's 0.
+    fn a_long_last_window(n: usize, keys: usize) -> Vec<i32> {
+        let last = n - keys;
+        (0..=n)
+            .map(|k| match k {
+                k if k < last => 0,
+                k if k < n => last as i32 - k as i32,
+                _ => 0,
+            })
+            .collect()
+    }
+
     #[test]
     fn random_entries_come_back_with_exact_drift_and_a_count_no_shorter() {
-        // A window is the difference of two neighbouring drifts: both come
-        // back exact, so it is served at its exact length.
+        // A window is the difference of two neighbouring drifts: in a line
+        // of shift 0 both come back exact, so it is served at its exact
+        // length; in a shifted one it is served no shorter.
         use sosd_data::rng::SplitMix64;
         let mut rng = SplitMix64::new(0xC0DE);
         for round in 0..40 {
@@ -329,6 +555,42 @@ pub(crate) mod tests {
     }
 
     #[test]
+    fn random_layers_of_clustered_windows_shift_their_wide_lines() {
+        // The layers of monotone models over random columns: keys crowd
+        // into clusters of up to 3 000, so lines spread anywhere from 0 to
+        // past 2 039 — in place, shifted and escaped — and every window
+        // they serve lies inside the column.
+        use sosd_data::rng::SplitMix64;
+        let mut rng = SplitMix64::new(0x5A1F7);
+        let mut shifted = 0;
+        for _ in 0..30 {
+            let n = 1 + rng.next_below(6_000) as usize;
+            let mut predictions: Vec<usize> = Vec::with_capacity(n);
+            while predictions.len() < n {
+                let at = rng.next_below(n as u64) as usize;
+                let keys = 1 + rng.next_below([1, 40, 3_000][predictions.len() % 3]) as usize;
+                let keys = keys.min(n - predictions.len());
+                predictions.extend(std::iter::repeat_n(at, keys));
+            }
+            predictions.sort_unstable();
+            let drifts: Vec<i32> = (0..=n)
+                .map(|k| predictions.partition_point(|&p| p < k) as i32 - k as i32)
+                .collect();
+            let packed = pack(&drifts);
+            shifted += packed.shifted_lines();
+            for k in 0..n {
+                let (_, delta, len) = packed.pair(k).unwrap();
+                let start = k as i64 + i64::from(delta);
+                assert!(
+                    0 <= start && start + len as i64 <= n as i64,
+                    "pair {k} of {n}"
+                );
+            }
+        }
+        assert!(shifted > 10, "{shifted} shifted lines");
+    }
+
+    #[test]
     fn a_line_is_64_bytes_for_59_pairs() {
         // 59 pairs are 60 drifts: one line, however far they sit.
         assert_eq!(pack(&[1; LINE]).size_bytes(), 64);
@@ -337,10 +599,14 @@ pub(crate) mod tests {
         assert_eq!(pack(&[1; LINE + 1]).size_bytes(), 128);
         assert_eq!(pack(&[1; LINE + PAIRS]).size_bytes(), 128);
         assert_eq!(pack(&[1; LINE + PAIRS + 1]).size_bytes(), 192);
-        // An escaped line: its 60 drifts cost 240 bytes more.
+        // An escaped line, spreading past 2 039: its 60 drifts cost 240
+        // bytes more. A shifted line costs nothing more.
         let mut drifts = [1; LINE + 1];
-        drifts[9] = 256;
+        drifts[9] = 2_041;
         assert_eq!(pack(&drifts).size_bytes(), 128 + 240);
+        let shifted = pack(&one_long_window(1_000, 70, 600));
+        assert_eq!(shifted.shifted_lines(), 1);
+        assert_eq!(shifted.size_bytes(), 64 * 17);
     }
 
     #[test]
@@ -349,27 +615,23 @@ pub(crate) mod tests {
         let packed = pack(&drifts);
         assert_eq!(packed.lines.len(), 5);
         for k in [58, 59, 60] {
-            assert_eq!(packed.pair(k), Some((k, drifts[k], drifts[k + 1])));
+            assert_eq!(packed.pair(k), Some((k, drifts[k], 4)));
         }
         // Pair 58 is line 0's last, pair 59 line 1's first; drift 59 is in
         // both.
         assert_eq!(packed.lines[0].offsets[PAIRS], 3 * 59);
-        assert_eq!(packed.lines[1].base, drifts[PAIRS]);
+        assert_eq!(packed.lines[1].base(), drifts[PAIRS]);
         assert_eq!(packed.lines[1].offsets[0], 0);
         for seam in (PAIRS..drifts.len() - 1).step_by(PAIRS) {
             let (line, next) = (&packed.lines[seam / PAIRS - 1], &packed.lines[seam / PAIRS]);
-            let shared = line.base + i32::from(line.offsets[PAIRS]);
+            let shared = line.base() + i32::from(line.offsets[PAIRS]);
             assert_eq!(
-                (shared, next.base),
+                (shared, next.base()),
                 (drifts[seam], drifts[seam]),
                 "seam {seam}"
             );
             for k in [seam - 1, seam] {
-                assert_eq!(
-                    packed.pair(k),
-                    Some((k, drifts[k], drifts[k + 1])),
-                    "seam {seam}"
-                );
+                assert_eq!(packed.pair(k), Some((k, drifts[k], 4)), "seam {seam}");
             }
         }
     }
@@ -382,9 +644,10 @@ pub(crate) mod tests {
             let packed = pack(&drifts);
             assert_eq!(packed.lines.len(), 3, "{pairs} pairs");
             assert_eq!(packed.size_bytes(), 192, "{pairs} pairs");
-            // Escaped by its last drift: 60 patches, the padding included.
+            // Escaped by its last drift, past what a shift fits: 60
+            // patches, the padding included.
             let mut spiked = drifts.clone();
-            *spiked.last_mut().unwrap() += 1_000;
+            *spiked.last_mut().unwrap() += 3_000;
             let packed = pack(&spiked);
             assert_eq!(packed.patches(), LINE, "{pairs} pairs");
             assert_eq!(
@@ -398,6 +661,67 @@ pub(crate) mod tests {
         assert_eq!(pack(&[5]).size_bytes(), 64);
         assert_eq!(pack(&[5, 0]).size_bytes(), 64);
         assert_eq!(pack(&[i32::MAX, 0]).patches(), LINE);
+    }
+
+    #[test]
+    fn a_shifted_short_last_line_ends_at_the_column() {
+        // The last window of a layer ends at the end's drift of 0. A
+        // spread of `255·2^s − 1` rounds that drift down by `2^s − 1`, and
+        // the window, widened by as much, ends exactly at `n`: the short
+        // last line is shifted. One record more rounds it down by `2^s`
+        // under the next shift, the window would end past `n`, and the
+        // line is escaped.
+        let n = 40 * PAIRS + 30;
+        for (keys, shift) in [(510, 1), (1_020, 2), (2_040, 3)] {
+            let packed = pack(&a_long_last_window(n, keys));
+            let last = packed.lines.len() - 1;
+            assert_eq!(packed.shift(n - 1), Some(shift), "{keys} keys");
+            assert_eq!(packed.patches(), 0, "{keys} keys");
+            let (_, delta, len) = packed.pair(n - 1).unwrap();
+            let start = (n - 1).wrapping_add_signed(delta as isize);
+            assert_eq!((start, start + len), (n - keys, n), "{keys} keys");
+            assert!(packed.lines[..last].iter().all(|line| line.shift() == 0));
+            let packed = pack(&a_long_last_window(n, keys + 1));
+            assert_eq!(packed.shift(n - 1), None, "{} keys", keys + 1);
+            assert_eq!(packed.patches(), LINE, "{} keys", keys + 1);
+        }
+        // A spread of 254 needs no shift.
+        assert_eq!(pack(&a_long_last_window(n, 255)).shift(n - 1), Some(0));
+    }
+
+    #[test]
+    fn spreads_at_each_shifts_edge_take_the_least_shift_that_fits() {
+        // One long window in line 1 spreads it `keys − 1`: at most
+        // `255·2^s − 1` fits shift `s`, one more takes the next, and past
+        // `255·8 − 1 = 2 039` the line is escaped. Every other line keeps
+        // shift 0.
+        let at = PAIRS + 20;
+        let edges = [
+            (254, Some(0)),
+            (255, Some(1)),
+            (509, Some(1)),
+            (510, Some(2)),
+            (1_019, Some(2)),
+            (1_020, Some(3)),
+            (2_039, Some(3)),
+            (2_040, None),
+        ];
+        for (spread, shift) in edges {
+            let n = at + spread + 200;
+            let drifts = one_long_window(n, at, spread + 1);
+            let packed = pack(&drifts);
+            assert_eq!(packed.shift(at), shift, "spread {spread}");
+            let shifted = usize::from(shift.is_some_and(|s| s > 0));
+            assert_eq!(packed.shifted_lines(), shifted, "spread {spread}");
+            let escaped = usize::from(shift.is_none());
+            assert_eq!(packed.patches(), LINE * escaped, "spread {spread}");
+            // The long window of `spread + 1` records: its start is exact,
+            // its end rounded up to less than one unit of the shift past it.
+            let unit = 1 << shift.unwrap_or(0);
+            let (_, start, len) = packed.pair(at).unwrap();
+            assert_eq!(start, 0, "spread {spread}");
+            assert!((0..unit).contains(&(len - spread - 1)), "spread {spread}");
+        }
     }
 
     #[test]
@@ -417,10 +741,11 @@ pub(crate) mod tests {
             assert_eq!(packed.patches(), LINE, "line {line}");
             assert_eq!(packed.lines[line].base, 0, "line {line}");
             let at = line * PAIRS + 19;
-            let pair = Some((at, drifts[at], 8_000_000));
-            assert_eq!(packed.pair(at), pair, "line {line}");
+            let len = (1 + 8_000_000 - drifts[at]) as usize;
+            assert_eq!(packed.pair(at), Some((at, drifts[at], len)), "line {line}");
         }
-        // All three: each base is its first slot.
+        // All three, each spreading past 254 with no window inside the
+        // column to shift: each base is its first slot.
         let mut drifts = clean.clone();
         for line in 0..3 {
             drifts[line * PAIRS + 1] = -300;
@@ -438,9 +763,11 @@ pub(crate) mod tests {
 
     #[test]
     fn offsets_and_counts_are_stored_in_place_up_to_the_width() {
-        // An offset of 254 is stored in place — and with it the window it
-        // ends or starts, however long; 255 is the escape. At the array's
-        // first and last drift one line holds it, at a seam two do.
+        // An offset of 254 is stored in place, unshifted — and with it the
+        // window it ends or starts, however long. At the array's first and
+        // last drift one line holds it, at a seam two do. These drifts
+        // start no window inside the column, so a line spreading 255 is
+        // not shifted but escaped.
         let base = -7_000;
         let len = 3 * PAIRS + 1;
         let ends: [(usize, &[usize]); 3] = [(0, &[0]), (PAIRS, &[0, 1]), (len - 1, &[2])];
@@ -450,7 +777,8 @@ pub(crate) mod tests {
             let packed = pack(&drifts);
             assert_eq!(packed.patches(), 0, "{at}");
             for &line in lines {
-                assert_eq!(packed.lines[line].base, base, "{at}");
+                assert_eq!(packed.lines[line].base(), base, "{at}");
+                assert_eq!(packed.lines[line].shift(), 0, "{at}");
                 let slot = at - line * PAIRS;
                 assert_eq!(packed.lines[line].offsets[slot], 254, "{at}");
             }
@@ -466,28 +794,37 @@ pub(crate) mod tests {
     #[test]
     fn a_low_outlier_is_the_base_and_patches_its_block() {
         // The base is the line's minimum: one drift far below the rest
-        // pushes the others past a byte, and the line is escaped.
+        // pushes the others past a byte, and the line — starting no window
+        // inside the column — is escaped.
         let mut drifts = vec![500; 2 * PAIRS + 1];
         drifts[2] = 100;
         let packed = pack(&drifts);
         assert_eq!(packed.lines[0].base, 0);
-        assert_eq!(packed.lines[1].base, 500);
+        assert_eq!(packed.lines[1].base(), 500);
         assert_eq!(packed.patches, drifts[..LINE]);
         assert_eq!(packed.delta(2), 100);
         // Within a byte of the rest, it is the base of a line in place.
         drifts[2] = 300;
         let packed = pack(&drifts);
-        assert_eq!(packed.lines[0].base, 300);
+        assert_eq!(packed.lines[0].base(), 300);
         assert_eq!(packed.lines[0].offsets[..3], [200, 200, 0]);
     }
 
     #[test]
     fn bases_reach_both_ends_of_i32() {
-        let drifts = [i32::MIN, i32::MIN + 254, i32::MIN + 3];
+        // A base in place has 30 bits: both of their ends are stored in
+        // place, shift 0 beside them.
+        let (min, max) = (-(1 << 29), (1 << 29) - 1);
+        let drifts = [min, min + 254, min + 3];
         let packed = pack(&drifts);
-        assert_eq!(packed.lines[0].base, i32::MIN);
+        assert_eq!((packed.lines[0].base(), packed.lines[0].shift()), (min, 0));
         assert_eq!(packed.patches(), 0);
-        assert_eq!(pack(&[i32::MAX, i32::MAX - 254]).patches(), 0);
+        assert_eq!(pack(&[max, max - 254]).patches(), 0);
+        // One past them, and the ends of `i32`, are escaped and exact.
+        assert_eq!(pack(&[min - 1, min + 3]).patches[..2], [min - 1, min + 3]);
+        assert_eq!(pack(&[max + 1, max + 5]).patches[..2], [max + 1, max + 5]);
+        let drifts = [i32::MIN, i32::MIN + 254, i32::MIN + 3];
+        assert_eq!(pack(&drifts).patches[..3], drifts);
         // A line spanning the whole of `i32`: the spread is taken without
         // overflow, and does not fit.
         let drifts = [i32::MIN, i32::MAX, -1];
@@ -495,7 +832,9 @@ pub(crate) mod tests {
         // The extremes a layer over `MAX_KEYS` keys can hold come back as
         // they are.
         let max = crate::entry::MAX_KEYS as i32;
-        let drifts = [i32::MAX, -max, 0, max];
+        let drifts = [max, -max, 0, max];
         assert_eq!(pack(&drifts).patches[..4], drifts);
+        let drifts = [-max, -max + 254, -max];
+        assert_eq!(pack(&drifts).lines[0].base(), -max);
     }
 }

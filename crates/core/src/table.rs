@@ -16,7 +16,11 @@
 //! Both drifts of a window come from one 64-byte line of 60 drifts, the
 //! last of which repeats the next line's first (`crate::packed`): a
 //! correction reads one cache line, and the layer weighs
-//! `64·⌈N/59⌉ + 240·(escaped lines)` bytes.
+//! `64·⌈N/59⌉ + 240·(escaped lines)` bytes. A line whose drifts spread
+//! past 254 stores them in units of `2^s` records, `s ≤ 3`, so its windows
+//! hold the exact ones and overhang each end by at most `2^s − 1 ≤ 7`
+//! records, still inside the column; only a line spreading past 2 039 is
+//! escaped.
 
 use crate::build;
 use crate::correction::{Correction, SearchHint};
@@ -36,8 +40,9 @@ pub struct ShiftTable {
 }
 
 impl ShiftTable {
-    /// The most keys one layer can cover (drifts are stored in at most 32
-    /// bits). The validating builders
+    /// The most keys one layer can cover, `2^29 − 1` (a line's base is a
+    /// drift in 30 bits; its top two bits hold the line's shift). The
+    /// validating builders
     /// ([`crate::CorrectedIndexBuilder::build`], [`crate::spec::IndexSpec`])
     /// reject longer columns with [`BuildError::TooManyKeys`].
     pub const MAX_KEYS: usize = crate::entry::MAX_KEYS;
@@ -103,25 +108,22 @@ impl ShiftTable {
     }
 
     /// The partition `prediction` falls in — the last one past the end —
-    /// its drift, and its served window `(start, length)`: from its own
-    /// start to the next partition's, empty where that is not past it.
-    /// Every start is a key's position or the end of the column, so the
-    /// window lies inside the column. `None` for a layer over no keys.
+    /// its served drift, and its served window `(start, length)`: from its
+    /// own start to the next partition's, empty where that is not past it.
+    /// In a shifted line the start is rounded down and the end up, by at
+    /// most `2^s − 1` each. Every start is a key's position or the end of
+    /// the column, and the builder escapes a line whose rounding would
+    /// leave it, so the window lies inside the column. `None` for a layer
+    /// over no keys.
     #[inline]
     fn window(&self, prediction: usize) -> Option<(i32, usize, usize)> {
-        let (k, delta, next) = self.drifts.pair(prediction)?;
-        let start = k.wrapping_add_signed(delta as isize);
-        let end = (k + 1).wrapping_add_signed(next as isize);
-        // `end > start` exactly when `next ≥ delta`: a select on the drifts
-        // compiles to a conditional move. Whether a query falls into an
-        // empty partition is data — gap queries often do — so a branch on it
-        // would be mispredicted.
-        let len = std::hint::select_unpredictable(next >= delta, end.wrapping_sub(start), 0);
-        Some((delta, start, len))
+        let (k, delta, len) = self.drifts.pair(prediction)?;
+        Some((delta, k.wrapping_add_signed(delta as isize), len))
     }
 
-    /// Fetch the entry for prediction `k` (clamped into range): its exact
-    /// `Δ_k` and its served window length — 0 for an empty partition.
+    /// Fetch the entry for prediction `k` (clamped into range): its served
+    /// `Δ_k` and window length — 0 for an empty partition; exact unless
+    /// its line is shifted.
     #[inline]
     pub fn entry(&self, k: usize) -> ShiftEntry {
         self.window(k)
@@ -132,21 +134,31 @@ impl ShiftTable {
 
     /// How many drifts are stored in the patch array: those of the escaped
     /// lines, 60 a line — a short last line's padding included — whose
-    /// drifts spread past a byte (they cost 4 bytes more each, and a fetch
-    /// from such a line reads two patches instead of its base and offsets).
+    /// drifts spread past 2 039, or whose shifted windows would leave the
+    /// column (they cost 4 bytes more each, and a fetch from such a line
+    /// reads two patches instead of its base and offsets).
     pub fn patches(&self) -> usize {
         self.drifts.patches()
     }
 
+    /// How many lines store their drifts in units of `2^s` records,
+    /// `s ∈ 1..=3`: those spreading past 254 that no escape took. Their
+    /// windows overhang the exact ones by at most `2^s − 1` at each end.
+    pub fn shifted_lines(&self) -> usize {
+        self.drifts.shifted_lines()
+    }
+
     /// Iterate over the window lengths `C_k` as the layer serves them (used
     /// by the cost model and by the Eq. 8 error estimate): 0 for an empty
-    /// partition, so they sum to [`ShiftTable::len`].
+    /// partition, so they sum to [`ShiftTable::len`] when no line is
+    /// shifted, and to more when one is.
     pub fn window_lengths(&self) -> impl Iterator<Item = u64> + '_ {
         self.entries().map(|entry| entry.count)
     }
 
     /// Iterate over the `<Δ_k, C_k>` entries as the layer serves them:
-    /// every `Δ_k` exact, every `C_k` as [`ShiftTable::window_lengths`]
+    /// every `Δ_k` exact outside shifted lines (rounded down by less than
+    /// `2^s` in them), every `C_k` as [`ShiftTable::window_lengths`]
     /// reports it.
     pub fn entries(&self) -> impl Iterator<Item = ShiftEntry> + '_ {
         (0..self.n).map(move |k| self.entry(k))
@@ -298,7 +310,7 @@ mod tests {
     #[test]
     fn corrected_windows_cover_every_indexed_key() {
         // Under IM at 200 k keys several generators' layers hold escaped
-        // lines (a dense region climbs the drift past a line's byte).
+        // lines (a dense region climbs the drift past 2 039 in one line).
         let mut patched = 0;
         for n in [10_000, 200_000] {
             for name in SosdName::all() {
@@ -317,20 +329,25 @@ mod tests {
     #[cfg_attr(miri, ignore = "dataset too large for Miri")]
     #[test]
     fn monotone_layers_serve_exact_windows_and_empty_ones_at_the_next_start() {
-        // Every model over every generator: a partition with keys serves
-        // exactly the run of positions predicted into it, an empty one an
-        // empty window where the next partition with keys starts (or at the
-        // end). The next test puts every query's lower bound in its window.
+        // Every model over every generator: in a line of shift 0 a
+        // partition with keys serves exactly the run of positions predicted
+        // into it, an empty one an empty window where the next partition
+        // with keys starts (or at the end). In a line of shift `s` the
+        // window holds that one and overhangs each of its ends by at most
+        // `2^s − 1`. The next test puts every query's lower bound in its
+        // window.
         use learned_index::spec::ModelSpec;
         let specs = [
             "im", "linear", "cubic", "rmi:64", "rmi:4096", "rs:32", "pgm:64",
         ];
+        let mut shifted = 0;
         for spec in specs.map(|spec| ModelSpec::parse(spec).unwrap()) {
             for name in SosdName::all() {
                 let d: Dataset<u64> = name.generate(20_000, 21);
                 let (keys, n) = (d.as_slice(), d.len());
                 let model = spec.build(keys);
                 let table = ShiftTable::build(&*model, keys);
+                shifted += table.shifted_lines();
                 let mut runs = vec![(n, 0); n];
                 for (i, &key) in keys.iter().enumerate() {
                     let (first, count) = &mut runs[model.predict_clamped(key)];
@@ -341,12 +358,28 @@ mod tests {
                 for (k, &(first, count)) in runs.iter().enumerate().rev() {
                     let start = if count > 0 { first } else { next_start };
                     let tag = format!("{name} {spec} partition {k}");
-                    assert_eq!(table.correct(k), SearchHint::bounded(start, count), "{tag}");
-                    assert_eq!(table.entry(k).count, count as u64, "{tag}");
+                    let hint = table.correct(k);
+                    match table.drifts.shift(k).unwrap_or(0) {
+                        0 => {
+                            assert_eq!(hint, SearchHint::bounded(start, count), "{tag}");
+                            assert_eq!(table.entry(k).count, count as u64, "{tag}");
+                        }
+                        shift => {
+                            let (end, served_end) =
+                                (start + count, hint.start + hint.window.unwrap());
+                            let overhang = (1 << shift) - 1;
+                            assert!(
+                                hint.start <= start && start - hint.start <= overhang,
+                                "{tag}"
+                            );
+                            assert!(served_end >= end && served_end - end <= overhang, "{tag}");
+                        }
+                    }
                     next_start = start;
                 }
             }
         }
+        assert!(shifted > 0, "the matrix holds shifted lines");
     }
 
     #[cfg_attr(miri, ignore = "dataset too large for Miri")]
@@ -434,12 +467,26 @@ mod tests {
     #[test]
     fn window_lengths_sum_to_the_key_count() {
         // Eq. 8–10 sum over the keys: an empty partition's window is 0, so
-        // the windows add up to `N` exactly.
+        // the windows add up to `N` exactly — when no line is shifted. A
+        // shifted line's windows overhang the exact ones, so they add up to
+        // more.
         let d: Dataset<u64> = SosdName::Amzn64.generate(4_000, 42);
         let model = InterpolationModel::build(&d);
         let table = ShiftTable::build(&model, d.as_slice());
         assert!(table.window_lengths().any(|c| c == 0), "empty partitions");
-        assert_eq!(table.window_lengths().sum::<u64>(), d.len() as u64);
+        assert!(table.shifted_lines() > 0);
+        assert!(table.window_lengths().sum::<u64>() > d.len() as u64);
+        let mut exact = 0;
+        for name in SosdName::all() {
+            let d: Dataset<u64> = name.generate(4_000, 42);
+            let table = ShiftTable::build(&InterpolationModel::build(&d), d.as_slice());
+            let sum = table.window_lengths().sum::<u64>();
+            let tag = format!("{name}: {} shifted lines", table.shifted_lines());
+            assert!(sum >= d.len() as u64, "{tag}");
+            assert_eq!(sum == d.len() as u64, table.shifted_lines() == 0, "{tag}");
+            exact += usize::from(table.shifted_lines() == 0);
+        }
+        assert!(exact > 0, "layers without a shifted line");
     }
 
     #[cfg_attr(miri, ignore = "dataset too large for Miri")]
@@ -568,7 +615,7 @@ mod tests {
             assert_eq!(plain_bytes(&table) * 2, plain * n, "{}", d.name());
             let bytes = layer_bytes(n, table.patches());
             assert_eq!(Correction::size_bytes(&table), bytes);
-            // Every window past 255 records escapes its line: a few.
+            // Every window past 2 040 records escapes its line: a few.
             let patches = table.patches();
             assert!(patches < n / 40, "{}: {patches} patches", d.name());
             assert_eq!(table.entry_count(), n);
@@ -595,7 +642,7 @@ mod tests {
             ShiftTable::check_len(ShiftTable::MAX_KEYS + 1),
             Err(BuildError::TooManyKeys {
                 len: ShiftTable::MAX_KEYS + 1,
-                max: i32::MAX as usize,
+                max: (1 << 29) - 1,
             })
         );
     }

@@ -63,10 +63,12 @@ pub struct ShardSnapshot<K: Key> {
     keys: Arc<[K]>,
     index: DynRangeIndex<K>,
     /// What the index's correction layer occupies, noted before the index
-    /// went behind `dyn RangeIndex`: its bytes, and the drifts a range
-    /// layer keeps in escaped lines. Both 0 on a cold snapshot.
+    /// went behind `dyn RangeIndex`: its bytes, the drifts a range layer
+    /// keeps in escaped lines, and its shifted lines. All 0 on a cold
+    /// snapshot.
     layer_bytes: usize,
     layer_patches: usize,
+    layer_shifted_lines: usize,
     epoch: u64,
     /// `Some` while the base is still encoded in a mounted v2 snapshot
     /// file; hydration replaces the whole snapshot with a hot epoch.
@@ -80,14 +82,15 @@ impl<K: Key> ShardSnapshot<K> {
     /// sortedness scan runs per (re)build.
     pub(crate) fn build(spec: &IndexSpec, keys: Arc<[K]>, epoch: u64) -> Self {
         let index = spec.build_corrected_prevalidated_with(keys.clone(), Default::default());
-        let layer_patches = match index.layer() {
-            CorrectionLayer::Range(table) => table.patches(),
-            CorrectionLayer::Midpoint(_) | CorrectionLayer::None => 0,
+        let (layer_patches, layer_shifted_lines) = match index.layer() {
+            CorrectionLayer::Range(table) => (table.patches(), table.shifted_lines()),
+            CorrectionLayer::Midpoint(_) | CorrectionLayer::None => (0, 0),
         };
         Self {
             keys,
             layer_bytes: index.layer().size_bytes(),
             layer_patches,
+            layer_shifted_lines,
             index: Box::new(index),
             epoch,
             cold: None,
@@ -103,6 +106,7 @@ impl<K: Key> ShardSnapshot<K> {
             index: Box::new(crate::persist::v2::ColdBlockIndex(base.clone())),
             layer_bytes: 0,
             layer_patches: 0,
+            layer_shifted_lines: 0,
             epoch,
             cold: Some(base),
         }
@@ -130,6 +134,13 @@ impl<K: Key> ShardSnapshot<K> {
     /// every other layer.
     pub fn layer_patches(&self) -> usize {
         self.layer_patches
+    }
+
+    /// Lines a Shift-Table range layer stores in units of `2^s` records
+    /// (see [`shift_table::ShiftTable::shifted_lines`]); 0 for every other
+    /// layer.
+    pub fn layer_shifted_lines(&self) -> usize {
+        self.layer_shifted_lines
     }
 
     /// Number of keys in the base column, decoded or not.

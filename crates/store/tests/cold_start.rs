@@ -723,7 +723,7 @@ fn a_seed_column_past_max_keys_is_a_typed_error_that_writes_nothing() {
     let dir = scratch("seed-too-many");
     let err = ShardedStore::open_seeded(&dir, durable_config().shards(1), &column[..])
         .err()
-        .expect("2^31 keys do not fit one range layer");
+        .expect("2^29 keys do not fit one range layer");
     match err {
         StoreError::Build(shift_table::error::BuildError::TooManyKeys { len, max }) => {
             assert_eq!((len, max), (LEN, LEN - 1));

@@ -278,7 +278,8 @@ fn catalogue_is_complete_and_prometheus_roundtrips() {
 /// The layer gauges say what the hot shards' Shift-Table layers weigh and
 /// how many of their drifts are patches: under `im+r1` two shards of 200 k
 /// amzn64 keys take 64 bytes per line of 59 keys and 240 more per escaped
-/// line, whose 60 drifts are patches; three of evenly spaced keys hold no
+/// line, whose 60 drifts are patches, and hold shifted lines beside those
+/// at no extra cost; three of evenly spaced keys hold no
 /// patch, and a least-squares line over lognormal keys few, under 1.4
 /// bytes a key.
 #[test]
@@ -302,9 +303,16 @@ fn layer_gauges_report_bytes_and_patches_of_every_hot_shard() {
         .iter()
         .map(|s| s.snapshot().layer_patches())
         .sum();
-    // A few hundred escaped lines of 60 drifts.
+    // A few dozen escaped lines of 60 drifts, beside a few hundred
+    // shifted ones that cost nothing more.
     assert!((1..24_000).contains(&patches), "{patches} patches");
     assert_eq!(patches % 60, 0, "60 patches an escaped line");
+    let shifted: usize = table
+        .shards()
+        .iter()
+        .map(|s| s.snapshot().layer_shifted_lines())
+        .sum();
+    assert!(shifted > 0, "{shifted} shifted lines");
     assert_eq!(gauge(&big, "store_layer_patches"), patches as f64);
     let layer_bytes = |len: usize| 64 * len.div_ceil(59);
     let bytes: usize = table.shards().iter().map(|s| layer_bytes(s.len())).sum();
@@ -322,7 +330,7 @@ fn layer_gauges_report_bytes_and_patches_of_every_hot_shard() {
     assert_eq!(gauge(&small, "store_layer_patches"), 0.0);
 
     // Few partitions holding keys between long stretches of empty ones:
-    // long windows, each past 255 records escaping its line: few patches.
+    // long windows, each past 2 040 records escaping its line: few patches.
     let linear = IndexSpec::parse("linear+r1").unwrap();
     for (name, n) in [(SosdName::Logn32, 6_000), (SosdName::Logn64, 70_000)] {
         let logn: Dataset<u64> = name.generate(n, 21);

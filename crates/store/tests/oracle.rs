@@ -274,12 +274,16 @@ fn store_reads_match_a_sorted_vec_oracle_for_every_spec_and_shard_count() {
     }
 }
 
-/// Keys, layer bytes and patched drifts of every shard's range layer.
-fn layers(store: &ShardedStore<u64>) -> Vec<(usize, usize, usize)> {
+/// Keys, layer bytes, patched drifts and shifted lines of every shard's
+/// range layer.
+fn layers(store: &ShardedStore<u64>) -> Vec<(usize, usize, usize, usize)> {
     let table = store.table();
     let shards = table.shards().iter().map(|s| s.snapshot());
     shards
-        .map(|s| (s.base_len(), s.layer_bytes(), s.layer_patches()))
+        .map(|s| {
+            let shifted = s.layer_shifted_lines();
+            (s.base_len(), s.layer_bytes(), s.layer_patches(), shifted)
+        })
         .collect()
 }
 
@@ -295,7 +299,7 @@ fn a_store_matches_the_oracle_through_rebuild_split_and_reopen(
     spec: &str,
     shards: usize,
     written: usize,
-    expect: impl Fn(&str, Option<usize>, &[(usize, usize, usize)]),
+    expect: impl Fn(&str, Option<usize>, &[(usize, usize, usize, usize)]),
 ) {
     let dir = std::path::PathBuf::from(env!("CARGO_TARGET_TMPDIR"))
         .join(format!("oracle-{spec}-{}", std::process::id()));
@@ -434,7 +438,7 @@ fn a_coded_count_store_matches_the_oracle_through_rebuild_split_and_reopen() {
         2,
         1,
         |stage, _, layers| {
-            for &(keys, bytes, _) in layers {
+            for &(keys, bytes, _, _) in layers {
                 assert!(bytes * 10 <= keys * 14, "{stage}: {layers:?}");
             }
         },
@@ -456,7 +460,7 @@ fn rmi_stores_match_the_oracle_through_rebuild_split_and_reopen() {
             2,
             1,
             |stage, _, layers| {
-                for &(keys, bytes, _) in layers {
+                for &(keys, bytes, _, _) in layers {
                     assert!(bytes * 10 <= keys * 14, "{stage}: {layers:?}");
                 }
             },
@@ -466,9 +470,11 @@ fn rmi_stores_match_the_oracle_through_rebuild_split_and_reopen() {
 
 /// A patched shard end to end: amzn64 under `im+r1`, whose first shards
 /// hold dense regions that climb the drift past 254 inside one line of 60
-/// — a few hundred escaped lines. Every read of the trace that lands on
-/// one of those lines (the batch kernel's correct stage included) goes
-/// through the patch array, before and after rebuild, split and reopen.
+/// — a few hundred shifted lines across the store, and a few dozen
+/// escaped ones that climb past 2 039. Every read of the trace that lands on one of those lines
+/// (the batch kernel's correct stage included) goes through the shifted
+/// offsets or the patch array, before and after rebuild, split and
+/// reopen.
 #[cfg_attr(miri, ignore = "dataset too large for Miri")]
 #[test]
 fn a_patched_byte_tier_store_matches_the_oracle_through_rebuild_split_and_reopen() {
@@ -481,9 +487,12 @@ fn a_patched_byte_tier_store_matches_the_oracle_through_rebuild_split_and_reopen
         |stage, written, layers| {
             let patched = match written {
                 Some(shard) => layers[shard].2,
-                None => layers.iter().map(|&(_, _, patches)| patches).sum(),
+                None => layers.iter().map(|&(_, _, patches, _)| patches).sum(),
             };
             assert!(patched > 0, "{stage}: {layers:?}");
+            // The written shard climbs past 2 039 only; the others shift.
+            let shifted: usize = layers.iter().map(|&(_, _, _, shifted)| shifted).sum();
+            assert!(shifted > 0, "{stage}: {layers:?}");
         },
     );
 }

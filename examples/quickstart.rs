@@ -36,15 +36,17 @@ fn main() {
     );
     // The layer is 64-byte cache lines of one base and 60 byte offsets, 59
     // entries a line (≈ 1.09 B/key) — a window ends where the next entry's
-    // starts, so its length costs nothing, and a correction reads one line
-    // — and 240 bytes more for each line whose drifts spread past a byte,
-    // its 60 drifts kept in full in a patch array.
-    let patches = match index.layer() {
-        CorrectionLayer::Range(table) => table.patches(),
-        _ => 0,
+    // starts, so its length costs nothing, and a correction reads one line.
+    // A line whose drifts spread past a byte counts them in units of up to
+    // 8 records (a shifted line, at no extra bytes), and one spreading past
+    // 2 039 costs 240 bytes more, its 60 drifts kept in full in a patch
+    // array.
+    let (patches, shifted) = match index.layer() {
+        CorrectionLayer::Range(table) => (table.patches(), table.shifted_lines()),
+        _ => (0, 0),
     };
     println!(
-        "index footprint      : {:.1} MiB ({} entries, {:.2} B/key, {patches} patches)",
+        "index footprint      : {:.1} MiB ({} entries, {:.2} B/key, {patches} patches, {shifted} shifted lines)",
         index.index_size_bytes() as f64 / (1024.0 * 1024.0),
         dataset.len(),
         index.index_size_bytes() as f64 / dataset.len() as f64,

@@ -6,8 +6,9 @@
 //!
 //! * [`shift_table`] — the Shift-Table correction layer (the paper's
 //!   contribution; 64 bytes per 59 keys plus 240 per escaped line, one
-//!   cache line a correction, in one layout for every model and key column
-//!   — [`shift_table::entry`]), the
+//!   cache line a correction, a line spreading past a byte shifted to
+//!   units of up to 8 records, in one layout for every model and key
+//!   column — [`shift_table::entry`]), the
 //!   owned [`shift_table::CorrectedIndex`] and the runtime
 //!   [`shift_table::spec::IndexSpec`] composition layer,
 //! * [`learned_index`] — CDF models (IM, linear, cubic, RMI, RadixSpline,
