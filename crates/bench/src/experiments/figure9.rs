@@ -6,7 +6,7 @@
 //! shape: R-1 and S-1 are the fastest, error and latency grow as the layer is
 //! compressed, and the bare model is far worse on the hard datasets. A third
 //! table puts the price next to it: bytes per key of every layer, and the
-//! drifts the R-1 layer keeps in its patch array (60 per escaped line).
+//! drifts the R-1 layer keeps in its patch array (68 per escaped line).
 
 use crate::datasets::{dataset_u32, dataset_u64, BenchConfig};
 use crate::report::{fmt_ns, Table};

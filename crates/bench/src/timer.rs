@@ -79,48 +79,30 @@ pub fn measure_build<T, F: FnOnce() -> T>(build: F) -> (f64, T) {
     (ms, black_box(value))
 }
 
-/// Latency percentiles of a per-operation sample, in nanoseconds.
+/// The tail of a per-operation latency sample, in nanoseconds.
 ///
 /// Serving latency is dominated by its tail — a mean hides the p99 stall a
 /// rebuild swap or a chain merge causes — so the store's metrics-overhead
 /// gate compares the p99 beside the mean.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Percentiles {
-    /// Median latency.
-    pub p50: f64,
-    /// 90th percentile.
-    pub p90: f64,
     /// 99th percentile.
     pub p99: f64,
-    /// 99.9th percentile.
-    pub p999: f64,
-    /// Number of samples the percentiles were computed from.
+    /// Number of samples the percentile was computed from.
     pub count: usize,
 }
 
 impl Percentiles {
-    /// Compute percentiles from unsorted nanosecond samples. Returns zeros
-    /// for an empty sample.
+    /// Compute the percentile from unsorted nanosecond samples. Returns
+    /// zeros for an empty sample.
     pub fn from_ns(samples: &mut [u64]) -> Self {
         if samples.is_empty() {
-            return Self {
-                p50: 0.0,
-                p90: 0.0,
-                p99: 0.0,
-                p999: 0.0,
-                count: 0,
-            };
+            return Self { p99: 0.0, count: 0 };
         }
         samples.sort_unstable();
-        let at = |q: f64| -> f64 {
-            let idx = ((samples.len() - 1) as f64 * q).round() as usize;
-            samples[idx] as f64
-        };
+        let idx = ((samples.len() - 1) as f64 * 0.99).round() as usize;
         Self {
-            p50: at(0.50),
-            p90: at(0.90),
-            p99: at(0.99),
-            p999: at(0.999),
+            p99: samples[idx] as f64,
             count: samples.len(),
         }
     }
@@ -130,8 +112,7 @@ impl Percentiles {
 ///
 /// The recorder times each closure with one `Instant` pair (~20–40 ns of
 /// overhead per op — acceptable for the store's serving path, whose
-/// operations cost hundreds of nanoseconds). Pool recorders from several
-/// threads with [`LatencyRecorder::absorb`] before computing percentiles.
+/// operations cost hundreds of nanoseconds).
 #[derive(Debug, Clone, Default)]
 pub struct LatencyRecorder {
     samples: Vec<u64>,
@@ -153,27 +134,6 @@ impl LatencyRecorder {
         let r = black_box(op());
         self.samples.push(start.elapsed().as_nanos() as u64);
         r
-    }
-
-    /// Record an externally measured latency.
-    #[inline]
-    pub fn record_ns(&mut self, ns: u64) {
-        self.samples.push(ns);
-    }
-
-    /// Number of recorded samples.
-    pub fn len(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// True when nothing was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
-    }
-
-    /// Fold another recorder's samples into this one (thread pooling).
-    pub fn absorb(&mut self, other: LatencyRecorder) {
-        self.samples.extend(other.samples);
     }
 
     /// Mean latency in nanoseconds (0 for an empty recorder).
@@ -262,31 +222,23 @@ mod tests {
         let mut samples: Vec<u64> = (1..=1000).collect();
         let p = Percentiles::from_ns(&mut samples);
         assert_eq!(p.count, 1000);
-        assert!((p.p50 - 500.0).abs() <= 1.0, "p50 {}", p.p50);
-        assert!((p.p90 - 900.0).abs() <= 1.0, "p90 {}", p.p90);
         assert!((p.p99 - 990.0).abs() <= 1.0, "p99 {}", p.p99);
-        assert!((p.p999 - 999.0).abs() <= 1.0, "p99.9 {}", p.p999);
-        assert!(p.p50 <= p.p90 && p.p90 <= p.p99 && p.p99 <= p.p999);
         let empty = Percentiles::from_ns(&mut []);
         assert_eq!(empty.count, 0);
-        assert_eq!(empty.p999, 0.0);
+        assert_eq!(empty.p99, 0.0);
     }
 
     #[test]
-    fn recorder_times_pools_and_summarises() {
+    fn recorder_times_and_summarises() {
         let mut a = LatencyRecorder::with_capacity(8);
-        assert!(a.is_empty());
         let v = a.time(|| 21 * 2);
         assert_eq!(v, 42);
-        a.record_ns(100);
-        let mut b = LatencyRecorder::default();
-        b.record_ns(300);
-        a.absorb(b);
-        assert_eq!(a.len(), 3);
+        let spin = a.time(|| (0..10_000u64).map(black_box).sum::<u64>());
+        assert_eq!(spin, 49_995_000);
         assert!(a.mean_ns() > 0.0);
         let p = a.percentiles();
-        assert_eq!(p.count, 3);
-        assert!(p.p999 >= p.p50);
+        assert_eq!(p.count, 2);
+        assert!(p.p99 > 0.0);
         assert_eq!(LatencyRecorder::default().mean_ns(), 0.0);
     }
 

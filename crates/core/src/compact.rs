@@ -274,7 +274,7 @@ mod tests {
     fn s1_footprint_is_half_of_r1() {
         // §4.3: "the memory footprint of S-1 is half the size of R-1" — of
         // the paper's 4-byte `<Δ, C>` entries. Storing one `Δ` a partition
-        // and no `C` brings R-1 to 64 bytes per 59 keys, below S-1's 2 a
+        // and no `C` brings R-1 to 64 bytes per 67 keys, below S-1's 2 a
         // key.
         let d: Dataset<u64> = SosdName::Uspr64.generate(20_000, 3);
         let model = InterpolationModel::build(&d);

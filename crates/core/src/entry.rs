@@ -3,8 +3,8 @@
 //! One entry per possible model prediction: the signed drift `Δ` and the
 //! local-search window length `C`. The paper's case against big models —
 //! parameters that miss the cache cost memory lookups — holds for the layer
-//! itself, so every range layer is stored in one layout of 64 bytes per 59
-//! entries (≈ 1.09 bytes an entry), the same for every model and every key
+//! itself, so every range layer is stored in one layout of 64 bytes per 67
+//! entries (≈ 0.96 bytes an entry), the same for every model and every key
 //! column, and a fetch reads one cache line (the `packed` module has the
 //! lines and the fetch):
 //!
@@ -23,24 +23,25 @@
 //!   lookup. What [`ShiftTable::entries`](crate::ShiftTable::entries),
 //!   `window_lengths` and `expected_error` report are these served windows
 //!   — 0 for an empty partition, so they sum to `N`.
-//! * **`Δ` is line-relative, and exact where a byte holds it.** The drift
+//! * **`Δ` is line-relative, and exact where 7 bits hold it.** The drift
 //!   of a model is *locally* smooth even where it is globally large — the
-//!   paper's own premise — so a 64-byte, 64-aligned line of 60 neighbouring
-//!   drifts carries one base, its minimum, and each drift a `u8` offset
-//!   from it, below 255. A line's 60th drift repeats the next line's first,
+//!   paper's own premise — so a 64-byte, 64-aligned line of 68 neighbouring
+//!   drifts carries one base, its minimum, and each drift a 7-bit offset
+//!   from it, below 127. A line's 68th drift repeats the next line's first,
 //!   so the two drifts of every window — `Δ_k` and `Δ_{k+1}` — lie in line
-//!   `k / 59`: one cache line a correction, with no second array to read.
-//! * **A line spreading past 254 is shifted**: its offsets count units of
-//!   `2^s` records, the least `s ≤ 3` with `spread ≤ 255·2^s − 1`, kept in
+//!   `k / 67`: one cache line a correction, with no second array to read.
+//! * **A line spreading past 126 is shifted**: its offsets count units of
+//!   `2^s` records, the least `s ≤ 3` with `spread ≤ 127·2^s − 1`, kept in
 //!   the base's top two bits. Each offset is rounded down, and a fetch
 //!   widens the window's end by `2^s − 1`, so the window served holds the
 //!   exact one and overhangs each end by at most 7 records — one 64-byte
-//!   line of `u64` keys. A window longer than 255 records steps `Δ` past a
-//!   byte between its two drifts, so it shifts its line wherever it sits.
-//! * **The line that does not fit is escaped**: spreading past 2 039, or
-//!   shifted windows that would overhang the column. Its 60 drifts are
+//!   line of `u64` keys. A window longer than 127 records steps `Δ` past
+//!   an offset between its two drifts, so it shifts its line wherever it
+//!   sits.
+//! * **The line that does not fit is escaped**: spreading past 1 015, or
+//!   shifted windows that would overhang the column. Its 68 drifts are
 //!   stored in full — `i32`, exact — in a side array its base points into,
-//!   at 240 bytes more.
+//!   at 272 bytes more.
 //!
 //! There is one layout and nothing to choose per layer: plain encodings
 //! of 4 to 8 bytes an entry (`(i16, u16)` up to `(i32, u32)`) are smaller
@@ -51,7 +52,7 @@
 //! The builder writes the layout strictly left to right, line by line,
 //! nothing stored ever re-encoded ([`crate::build`]). A layer over `N` keys
 //! has `N + 1` drifts — the last, of the virtual partition `N`, is 0 — in
-//! `⌈N / 59⌉` lines, and `|Δ| ≤ N`, so up to
+//! `⌈N / 67⌉` lines, and `|Δ| ≤ N`, so up to
 //! [`ShiftTable::MAX_KEYS`](crate::ShiftTable::MAX_KEYS) `= 2^29 − 1` keys
 //! every base fits the 30 bits a line leaves it.
 
@@ -144,10 +145,10 @@ mod tests {
 
     #[test]
     fn byte_tier_sizes_at_the_small_lengths() {
-        for n in [1usize, 2, 59, 60, 61, 118, 119, 120, 255, 256, 257] {
-            let drifts: Vec<i32> = (0..n).map(|i| 2_000_000 - 3 * i as i32).collect();
+        for n in [1usize, 2, 67, 68, 69, 134, 135, 136, 255, 256, 257] {
+            let drifts: Vec<i32> = (0..n).map(|i| 2_000_000 - i as i32).collect();
             let packed = pack(&drifts);
-            // 64 bytes a line of 59 pairs.
+            // 64 bytes a line of 67 pairs.
             assert_eq!(packed.size_bytes(), 64 * line_count(n), "n={n}");
             assert_eq!(packed.patches(), 0);
         }
@@ -158,19 +159,19 @@ mod tests {
     #[test]
     fn the_encoder_patches_a_misfit_wherever_it_sits() {
         // A window of `C` records steps the drift up by `C − 1` from its
-        // partition to the next. Up to 254 a byte holds it; past 2 039 no
-        // shift fits it, and it escapes the one line holding both drifts —
-        // the first, a middle one, either side of a seam, the short last
-        // one — and no other.
+        // partition to the next. Up to 126 an offset holds it; past 1 015
+        // no shift fits it, and it escapes the one line holding both
+        // drifts — the first, a middle one, either side of a seam, the
+        // short last one — and no other.
         let n = 5 * PAIRS + 3;
-        for long in [255, 2_041, 2_042, 1 << 23] {
+        for long in [127, 1_017, 1_018, 1 << 23] {
             for long_at in [1, PAIRS - 1, PAIRS, PAIRS + 1, 2 * PAIRS + 4, n - 2] {
                 let mut drifts = vec![7; n];
                 drifts[long_at + 1..]
                     .iter_mut()
                     .for_each(|d| *d += long - 1);
                 let packed = pack(&drifts);
-                let patches = if long > 255 { LINE } else { 0 };
+                let patches = if long > 127 { LINE } else { 0 };
                 let tag = format!("{long} {long_at}");
                 assert_eq!(packed.patches(), patches, "{tag}");
                 let pair = Some((long_at, 7, long as usize));
@@ -196,7 +197,7 @@ mod tests {
         assert_eq!(packed.patches(), LINE);
         let last = n as usize - 1;
         assert_eq!(packed.pair(last), Some((last, 1 - n, n as usize)));
-        assert_eq!(packed.size_bytes(), 64 * (n as usize).div_ceil(PAIRS) + 240);
+        assert_eq!(packed.size_bytes(), 64 * (n as usize).div_ceil(PAIRS) + 272);
     }
 
     #[test]

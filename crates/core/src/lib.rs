@@ -23,13 +23,13 @@
 //! ## Crate layout
 //!
 //! * [`ShiftTable`] — the full-resolution `<Δ, C>` layer (the paper's R-1
-//!   configuration, Algorithm 2), stored at 64 bytes per 59 keys whatever
-//!   the model and the keys: only `Δ`, as a `u8` offset from one base per
-//!   64-byte line of 60 drifts, so a correction reads one cache line — a
+//!   configuration, Algorithm 2), stored at 64 bytes per 67 keys whatever
+//!   the model and the keys: only `Δ`, as a 7-bit offset from one base per
+//!   64-byte line of 68 drifts, so a correction reads one cache line — a
 //!   window ends where the next partition's starts, so `C` is not stored.
-//!   A line whose drifts spread past 254 stores them in units of up to 8
+//!   A line whose drifts spread past 126 stores them in units of up to 8
 //!   records, widening its windows by at most 7 at each end, and the rare
-//!   line spreading past 2 039 keeps them in full in a patch array — see
+//!   line spreading past 1 015 keeps them in full in a patch array — see
 //!   [`entry`],
 //! * [`CompactShiftTable`] — the compressed midpoint layer with one `Δ̄`
 //!   entry per `X` records (the S-X configurations, §3.4),

@@ -158,7 +158,7 @@ pub const CATALOGUE: &[(&str, &str, &str)] = &[
     (
         "store_layer_patches",
         "entries",
-        "Drifts the hot shards' Shift-Table layers keep in their patch arrays: the 60 of every escaped line, whose drifts spread past 2,039 (240 bytes more a line; a fetch from one reads two patches instead of the line's base and offsets).",
+        "Drifts the hot shards' Shift-Table layers keep in their patch arrays: the 68 of every escaped line, whose drifts spread past 1,015 (272 bytes more a line; a fetch from one reads two patches instead of the line's base and offsets).",
     ),
     (
         "store_delta_runs",

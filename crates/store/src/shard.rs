@@ -129,7 +129,7 @@ impl<K: Key> ShardSnapshot<K> {
         self.layer_bytes
     }
 
-    /// Drifts a Shift-Table range layer keeps in its patch array, 60 an
+    /// Drifts a Shift-Table range layer keeps in its patch array, 68 an
     /// escaped line (see [`shift_table::ShiftTable::patches`]); 0 for
     /// every other layer.
     pub fn layer_patches(&self) -> usize {
@@ -922,11 +922,11 @@ mod tests {
         assert!(!cold.snapshot().is_cold());
         assert_eq!(cold.snapshot().epoch(), 1);
         let n = cold.snapshot().base_len();
-        // 64 bytes a line of 59 keys and 240 an escaped line.
-        let escaped = cold.snapshot().layer_patches() / 60;
+        // 64 bytes a line of 67 keys and 272 an escaped line.
+        let escaped = cold.snapshot().layer_patches() / 68;
         assert_eq!(
             cold.snapshot().layer_bytes(),
-            64 * n.div_ceil(59) + 240 * escaped
+            64 * n.div_ceil(67) + 272 * escaped
         );
         assert!(
             !cold.rebuild().unwrap(),

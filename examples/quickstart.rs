@@ -34,13 +34,13 @@ fn main() {
         index.name(),
         index.correction_error()
     );
-    // The layer is 64-byte cache lines of one base and 60 byte offsets, 59
-    // entries a line (≈ 1.09 B/key) — a window ends where the next entry's
-    // starts, so its length costs nothing, and a correction reads one line.
-    // A line whose drifts spread past a byte counts them in units of up to
-    // 8 records (a shifted line, at no extra bytes), and one spreading past
-    // 2 039 costs 240 bytes more, its 60 drifts kept in full in a patch
-    // array.
+    // The layer is 64-byte cache lines of one base and 68 seven-bit
+    // offsets, 67 entries a line (≈ 0.96 B/key) — a window ends where the
+    // next entry's starts, so its length costs nothing, and a correction
+    // reads one line. A line whose drifts spread past 126 counts them in
+    // units of up to 8 records (a shifted line, at no extra bytes), and one
+    // spreading past 1 015 costs 272 bytes more, its 68 drifts kept in full
+    // in a patch array.
     let (patches, shifted) = match index.layer() {
         CorrectionLayer::Range(table) => (table.patches(), table.shifted_lines()),
         _ => (0, 0),

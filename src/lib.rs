@@ -5,8 +5,8 @@
 //! downstream users who want "everything" can depend on one crate:
 //!
 //! * [`shift_table`] — the Shift-Table correction layer (the paper's
-//!   contribution; 64 bytes per 59 keys plus 240 per escaped line, one
-//!   cache line a correction, a line spreading past a byte shifted to
+//!   contribution; 64 bytes per 67 keys plus 272 per escaped line, one
+//!   cache line a correction, a line spreading past 126 shifted to
 //!   units of up to 8 records, in one layout for every model and key
 //!   column — [`shift_table::entry`]), the
 //!   owned [`shift_table::CorrectedIndex`] and the runtime
