@@ -2,23 +2,29 @@
 //!
 //! PR 2 buffered writes in a mutex-guarded `BTreeMap`; every read locked the
 //! map to merge it with the base. This module replaces that buffer with a
-//! **chain of immutable, sorted delta runs**: each [`DeltaRun`] is a frozen,
-//! sorted array of *(key, cumulative net occurrence delta)* pairs, and a
-//! [`DeltaChain`] is a short newest-first list of `Arc`-shared runs. The
-//! merged view of a shard is then
+//! **chain of immutable, sorted delta runs**: each [`DeltaRun`] is a frozen
+//! pair of columns in one buffer — its keys, sorted, and beside them each
+//! key's *cumulative net occurrence delta* as an `i32` — and a
+//! [`DeltaChain`] is a short newest-first list of runs whose buffers are
+//! `Arc`-shared. The merged view of a shard is then
 //!
 //! ```text
 //! count(k)        = base_count(k) + Σ_runs net_of(k)
 //! lower_bound(q)  = base_lower_bound(q) + Σ_runs net_below(q)
 //! ```
 //!
-//! where each per-run term is a binary search over an immutable array — no
-//! lock is required to evaluate either sum. Writers never mutate a published
-//! run: recording an operation produces a **new chain** that either replaces
-//! the small head run with an amended copy (bounded by [`MAX_RUN_LEN`]) or
-//! prepends a fresh singleton run; every other run is
-//! shared by `Arc` with the previous chain. The chain is published to readers
-//! as part of the shard's immutable state (see `shard.rs`).
+//! where each per-run term is a binary search over the run's key column —
+//! no lock is required to evaluate either sum. Writers never mutate a
+//! published run: recording an operation produces a **new chain** that
+//! either replaces the small head run with an amended copy (bounded by
+//! [`MAX_RUN_LEN`]) or prepends a fresh singleton run; every other run's
+//! buffer is shared with the previous chain. The chain is published to
+//! readers as part of the shard's immutable state (see `shard.rs`).
+//!
+//! No run's cumulative ever leaves `i32`: a write whose amendment would
+//! push one out opens a fresh head run instead, and a fold starts a new run
+//! where its cumulative would leave it. Every read sums over runs, so the
+//! split changes no answer.
 //!
 //! The chain's shape is fixed by two constants rather than configuration:
 //! a head run is amended up to [`MAX_RUN_LEN`] entries, and a writer folds
@@ -50,6 +56,7 @@
 
 use crate::merge;
 use sosd_data::key::Key;
+use std::marker::PhantomData;
 use std::ops::{Bound, RangeBounds};
 use std::sync::Arc;
 
@@ -64,81 +71,172 @@ pub const COMPACT_RUNS: usize = 8;
 
 /// One immutable, sorted run of net occurrence deltas.
 ///
-/// Entries are `(key, cumulative net delta up to and including that key)`
-/// pairs sorted by key, so both [`DeltaRun::net_below`] (a prefix sum) and
+/// A run of `n` entries owns one buffer of `u64` words: its `n` keys
+/// (`Key::to_u64`, which preserves order), sorted, then `⌈n/2⌉` words
+/// holding each key's cumulative net delta (up to and including that key)
+/// as an `i32`, two to a word, entry `2j` in the low half of word `j`. An
+/// entry costs 12 bytes. [`DeltaRun::net_below`] (a prefix sum) and
 /// [`DeltaRun::net_of`] (a difference of adjacent prefix sums) are one
-/// binary search. Keys whose net delta cancelled to zero are dropped from
-/// the entry array; the churn they represented is still counted by
-/// [`DeltaRun::ops`], which feeds the rebuild threshold.
+/// binary search over the key column and one read of the cumulatives.
+/// Keys whose net delta cancelled to zero are dropped; the churn they
+/// represented is still counted by [`DeltaRun::ops`], which feeds the
+/// rebuild threshold.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DeltaRun<K: Key> {
-    /// Sorted `(key, cumulative net)` pairs; no trailing-zero-net keys.
-    entries: Vec<(K, i64)>,
+    /// `len` sorted keys, then `⌈len/2⌉` words of packed `i32` cumulatives.
+    buf: Arc<[u64]>,
+    /// Entries in the run.
+    len: usize,
     /// Write operations folded into this run (cancelled pairs included).
     ops: usize,
+    _key: PhantomData<K>,
+}
+
+/// Set entry `i`'s cumulative in a run's zeroed cumulative words. `cum`
+/// must fit in `i32`.
+#[inline]
+fn pack(cums: &mut [u64], i: usize, cum: i64) {
+    cums[i / 2] |= u64::from(cum as i32 as u32) << (32 * (i & 1));
+}
+
+/// Entry `i`'s cumulative in a run's packed cumulative words.
+#[inline]
+fn unpack(cums: &[u64], i: usize) -> i64 {
+    (cums[i / 2] >> (32 * (i & 1))) as u32 as i32 as i64
 }
 
 impl<K: Key> DeltaRun<K> {
-    /// A run holding a single operation: `net` is `+1` for an insert, `-1`
-    /// for a tombstone.
-    pub fn singleton(k: K, net: i64) -> Self {
+    /// The run of `n` entries that `fill` writes, in one allocation:
+    /// `fill` gets the key column and the zeroed cumulative words, which
+    /// it sets through [`pack`].
+    fn build(n: usize, ops: usize, fill: impl FnOnce(&mut [u64], &mut [u64])) -> Self {
+        let mut buf: Arc<[u64]> = std::iter::repeat_n(0, n + n.div_ceil(2)).collect();
+        // lint: allow(panic) a buffer collected a line above has no other owner yet
+        let words = Arc::get_mut(&mut buf).expect("a fresh buffer is unique");
+        let (keys, cums) = words.split_at_mut(n);
+        fill(keys, cums);
         Self {
-            entries: vec![(k, net)],
-            ops: 1,
+            buf,
+            len: n,
+            ops,
+            _key: PhantomData,
         }
     }
 
-    /// Build a run from sorted per-key net deltas, dropping zero nets.
-    /// `ops` is the operation count the run accounts for.
-    fn from_net_pairs(pairs: impl IntoIterator<Item = (K, i64)>, ops: usize) -> Self {
-        let mut entries: Vec<(K, i64)> = Vec::new();
+    /// A run holding a single operation on `k` of net `net`.
+    fn singleton(k: K, net: i32) -> Self {
+        Self::build(1, 1, |keys, cums| {
+            keys[0] = k.to_u64();
+            pack(cums, 0, net as i64);
+        })
+    }
+
+    /// Append to `out` the runs holding sorted per-key net deltas, dropping
+    /// zero nets; the first run accounts for `ops` operations. A run ends
+    /// where its cumulative would leave `i32`, and the key there goes on
+    /// into the next run (split across runs if its own net is that large).
+    /// Nothing is appended for no nets and no operations.
+    fn push_runs(out: &mut Vec<Self>, pairs: &[(K, i64)], ops: usize) {
+        // The common case, no zero net and no cumulative past `i32`: one
+        // run written straight from `pairs`.
         let mut acc = 0i64;
-        for (k, net) in pairs {
+        let whole = pairs.iter().all(|&(_, net)| {
+            acc = acc.saturating_add(net);
+            net != 0 && i32::try_from(acc).is_ok()
+        });
+        if whole {
+            if !pairs.is_empty() || ops > 0 {
+                out.push(Self::build(pairs.len(), ops, |keys, cums| {
+                    let mut acc = 0;
+                    for (i, &(k, net)) in pairs.iter().enumerate() {
+                        acc += net;
+                        keys[i] = k.to_u64();
+                        pack(cums, i, acc);
+                    }
+                }));
+            }
+            return;
+        }
+        let mut entries: Vec<(u64, i64)> = Vec::new();
+        let mut acc = 0i64;
+        let mut ops = ops;
+        let mut flush = |entries: &mut Vec<(u64, i64)>, ops: usize| {
+            out.push(Self::build(entries.len(), ops, |keys, cums| {
+                for (i, &(k, cum)) in entries.iter().enumerate() {
+                    keys[i] = k;
+                    pack(cums, i, cum);
+                }
+            }));
+            entries.clear();
+        };
+        for &(k, mut net) in pairs {
             debug_assert!(
-                entries.last().map(|&(p, _)| p < k).unwrap_or(true),
+                entries.last().map(|&(p, _)| p < k.to_u64()).unwrap_or(true),
                 "net pairs must be strictly sorted"
             );
-            if net == 0 {
-                continue;
+            while net != 0 {
+                // `acc` lies in `i32`, so the bounds are ordered.
+                let take = net.clamp(i32::MIN as i64 - acc, i32::MAX as i64 - acc);
+                if take != 0 {
+                    acc += take;
+                    net -= take;
+                    entries.push((k.to_u64(), acc));
+                }
+                if net != 0 {
+                    flush(&mut entries, ops);
+                    ops = 0;
+                    acc = 0;
+                }
             }
-            acc += net;
-            entries.push((k, acc));
         }
-        Self { entries, ops }
+        if !entries.is_empty() || ops > 0 {
+            flush(&mut entries, ops);
+        }
     }
 
-    /// A copy of this run with one more operation on `k` folded in. One
-    /// `O(len)` pass and one allocation — this is the hot write path, which
+    /// The run's two columns: its keys and its packed cumulative words.
+    #[inline]
+    fn columns(&self) -> (&[u64], &[u64]) {
+        self.buf.split_at(self.len)
+    }
+
+    /// A copy of this run with one more operation on `k` folded in, or
+    /// `None` when a cumulative of the copy would leave `i32` (the caller
+    /// then opens a fresh run). Two `O(len)` passes (the `i32` check, then
+    /// the copy) and one allocation — this is the hot write path, which
     /// bounds `len` by [`MAX_RUN_LEN`].
-    pub fn amended(&self, k: K, net: i64) -> Self {
-        let mut entries: Vec<(K, i64)> = Vec::with_capacity(self.entries.len() + 1);
-        let mut prev = 0i64; // previous *input* cumulative net
-        let mut shift = 0i64; // correction applied to cumulatives ≥ k
-        let mut inserted = false;
-        for &(key, cum) in &self.entries {
-            if !inserted && k <= key {
-                inserted = true;
-                shift = net;
-                if k == key {
-                    // Fold into this key; drop it if the net cancels.
-                    if cum - prev + net != 0 {
-                        entries.push((key, cum + shift));
-                    }
-                    prev = cum;
-                    continue;
-                }
-                entries.push((k, prev + net));
+    pub fn amended(&self, k: K, net: i64) -> Option<Self> {
+        let (keys, old) = self.columns();
+        let (n, q) = (keys.len(), k.to_u64());
+        let p = keys.partition_point(|&key| key < q);
+        let found = p < n && keys[p] == q;
+        let prev = if p == 0 { 0 } else { unpack(old, p - 1) };
+        // Fold into `k`'s entry (dropping it if its net cancels), or insert
+        // it at `p`: the entries from `src` on move to `dst` on.
+        let skip = usize::from(found && unpack(old, p).saturating_add(net) == prev);
+        let (src, dst) = if found { (p + skip, p) } else { (p, p + 1) };
+        let mut fits = true;
+        let run = Self::build(dst + n - src, self.ops + 1, |out, cums| {
+            // Entries before `p` are unchanged: copy their words.
+            out[..p].copy_from_slice(&keys[..p]);
+            cums[..p.div_ceil(2)].copy_from_slice(&old[..p.div_ceil(2)]);
+            if p % 2 == 1 {
+                cums[p / 2] &= u64::from(u32::MAX);
             }
-            entries.push((key, cum + shift));
-            prev = cum;
-        }
-        if !inserted {
-            entries.push((k, prev + net));
-        }
-        Self {
-            entries,
-            ops: self.ops + 1,
-        }
+            let mut put = |cums: &mut [u64], j: usize, cum: i64| {
+                fits &= i32::try_from(cum).is_ok();
+                pack(cums, j, cum);
+            };
+            if !found {
+                out[p] = q;
+                put(cums, p, prev.saturating_add(net));
+            }
+            out[dst..].copy_from_slice(&keys[src..]);
+            for (j, i) in (dst..).zip(src..n) {
+                put(cums, j, unpack(old, i).saturating_add(net));
+            }
+        });
+        fits.then_some(run)
     }
 
     /// The per-key net deltas of the keys inside `range`, sorted by key,
@@ -146,58 +244,66 @@ impl<K: Key> DeltaRun<K> {
     /// in-range entries (the cumulative just before the range start
     /// recovers each net exactly). An inverted range is empty.
     pub(crate) fn nets(&self, range: impl RangeBounds<K>) -> impl Iterator<Item = (K, i64)> + '_ {
+        let (keys, cums) = self.columns();
         let start = match range.start_bound() {
-            Bound::Included(&lo) => self.entries.partition_point(|&(k, _)| k < lo),
-            Bound::Excluded(&lo) => self.entries.partition_point(|&(k, _)| k <= lo),
+            Bound::Included(&lo) => keys.partition_point(|&k| k < lo.to_u64()),
+            Bound::Excluded(&lo) => keys.partition_point(|&k| k <= lo.to_u64()),
             Bound::Unbounded => 0,
         };
         let end = match range.end_bound() {
-            Bound::Included(&hi) => self.entries.partition_point(|&(k, _)| k <= hi),
-            Bound::Excluded(&hi) => self.entries.partition_point(|&(k, _)| k < hi),
-            Bound::Unbounded => self.entries.len(),
+            Bound::Included(&hi) => keys.partition_point(|&k| k <= hi.to_u64()),
+            Bound::Excluded(&hi) => keys.partition_point(|&k| k < hi.to_u64()),
+            Bound::Unbounded => keys.len(),
         }
         .max(start);
-        let mut prev = match start {
-            0 => 0,
-            _ => self.entries[start - 1].1,
+        let mut prev = if start == 0 {
+            0
+        } else {
+            unpack(cums, start - 1)
         };
-        self.entries[start..end].iter().map(move |&(k, cum)| {
+        (start..end).zip(&keys[start..end]).map(move |(i, &k)| {
+            let cum = unpack(cums, i);
             let net = cum - prev;
             prev = cum;
-            (k, net)
+            (K::from_u64_saturating(k), net)
         })
     }
 
     /// Sum of net deltas of all keys `< q`: one binary search.
     #[inline]
     pub fn net_below(&self, q: K) -> i64 {
-        let idx = self.entries.partition_point(|&(k, _)| k < q);
+        let (keys, cums) = self.columns();
+        let idx = keys.partition_point(|&k| k < q.to_u64());
         if idx == 0 {
             0
         } else {
-            self.entries[idx - 1].1
+            unpack(cums, idx - 1)
         }
     }
 
     /// Net occurrence delta of exactly `k` (0 when absent).
     #[inline]
     pub fn net_of(&self, k: K) -> i64 {
-        match self.entries.binary_search_by(|&(key, _)| key.cmp(&k)) {
+        let (keys, cums) = self.columns();
+        match keys.binary_search(&k.to_u64()) {
             Err(_) => 0,
-            Ok(i) => self.entries[i].1 - if i == 0 { 0 } else { self.entries[i - 1].1 },
+            Ok(i) => unpack(cums, i) - if i == 0 { 0 } else { unpack(cums, i - 1) },
         }
     }
 
     /// Net change to the merged key count contributed by this run.
     #[inline]
     pub fn len_delta(&self) -> i64 {
-        self.entries.last().map(|&(_, cum)| cum).unwrap_or(0)
+        match self.len {
+            0 => 0,
+            n => unpack(self.columns().1, n - 1),
+        }
     }
 
     /// Number of distinct keys with a non-zero net delta.
     #[inline]
     pub fn entry_count(&self) -> usize {
-        self.entries.len()
+        self.len
     }
 
     /// Write operations folded into this run.
@@ -206,22 +312,28 @@ impl<K: Key> DeltaRun<K> {
         self.ops
     }
 
-    /// Approximate heap footprint in bytes.
+    /// Heap bytes the run owns: its buffer, 12 bytes an entry plus 4 for
+    /// an odd count.
     pub fn size_bytes(&self) -> usize {
-        self.entries.len() * (K::size_bytes() + std::mem::size_of::<i64>())
+        std::mem::size_of_val(&*self.buf)
+    }
+
+    /// Whether `self` and `other` are the same published run (one buffer).
+    fn same_run(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.buf, &other.buf)
     }
 }
 
 /// A newest-first chain of immutable delta runs, plus cached totals.
 ///
 /// The chain itself is an immutable value: every mutation-shaped method
-/// returns a new chain sharing unaffected runs by `Arc`. `runs[..unsealed]`
+/// returns a new chain sharing unaffected runs' buffers. `runs[..unsealed]`
 /// is the live prefix writers may still amend; `runs[unsealed..]` is the
 /// sealed suffix a rebuild has frozen (see [`DeltaChain::sealed`]).
 #[derive(Debug, Clone, Default)]
 pub struct DeltaChain<K: Key> {
     /// Newest first: `runs[0]` is the head the next write amends or shadows.
-    runs: Vec<Arc<DeltaRun<K>>>,
+    runs: Vec<DeltaRun<K>>,
     /// Runs `[..unsealed]` are amendable; `[unsealed..]` are sealed.
     unsealed: usize,
     /// Cached `Σ runs.ops`.
@@ -246,7 +358,7 @@ impl<K: Key> DeltaChain<K> {
 
     /// Rebuild a chain value from its runs and seal boundary, recomputing
     /// the cached totals.
-    fn from_runs(runs: Vec<Arc<DeltaRun<K>>>, unsealed: usize) -> Self {
+    fn from_runs(runs: Vec<DeltaRun<K>>, unsealed: usize) -> Self {
         debug_assert!(unsealed <= runs.len());
         let ops = runs.iter().map(|r| r.ops()).sum();
         let len_delta = runs.iter().map(|r| r.len_delta()).sum();
@@ -260,36 +372,55 @@ impl<K: Key> DeltaChain<K> {
         }
     }
 
-    /// A chain of one unsealed run holding the consolidated `nets` and
+    /// A chain of unsealed runs holding the consolidated `nets` and
     /// accounting for `ops` operations (recovery's replayed WAL tail over a
-    /// cold base); the empty chain when nothing was applied.
+    /// cold base) — one run unless a cumulative leaves `i32`; the empty
+    /// chain when nothing was applied.
     pub(crate) fn from_nets(nets: Vec<(K, i64)>, ops: usize) -> Self {
         if ops == 0 {
             return Self::new();
         }
-        Self::from_runs(vec![Arc::new(DeltaRun::from_net_pairs(nets, ops))], 1)
+        let mut runs = Vec::new();
+        DeltaRun::push_runs(&mut runs, &nets, ops);
+        let unsealed = runs.len();
+        Self::from_runs(runs, unsealed)
     }
 
     /// Record one operation (`net` is `+1` insert / `-1` tombstone),
     /// returning the successor chain. The head run is amended in place-by-
     /// copy while it stays below `max_run_len` (the store passes
-    /// [`MAX_RUN_LEN`]) and unsealed; otherwise a fresh singleton run is
-    /// prepended.
+    /// [`MAX_RUN_LEN`]), unsealed, and inside `i32`; otherwise a fresh
+    /// singleton run is prepended.
     pub fn with_op(&self, k: K, net: i64, max_run_len: usize) -> Self {
-        let mut runs = self.runs.clone();
-        let mut unsealed = self.unsealed;
-        let amend = unsealed > 0
-            && runs
-                .first()
-                .map(|r| r.entry_count() < max_run_len.max(1))
-                .unwrap_or(false);
-        if amend {
-            runs[0] = Arc::new(runs[0].amended(k, net));
-        } else {
-            runs.insert(0, Arc::new(DeltaRun::singleton(k, net)));
-            unsealed += 1;
+        let amended = match self.runs.first() {
+            Some(head) if self.unsealed > 0 && head.entry_count() < max_run_len.max(1) => {
+                head.amended(k, net).map(|run| (run, head.entry_count()))
+            }
+            _ => None,
+        };
+        let mut runs = Vec::with_capacity(self.runs.len() + 1);
+        let (kept, unsealed, dropped) = match amended {
+            Some((run, dropped)) => {
+                runs.push(run);
+                (&self.runs[1..], self.unsealed, dropped)
+            }
+            None => {
+                match i32::try_from(net) {
+                    Ok(net) => runs.push(DeltaRun::singleton(k, net)),
+                    Err(_) => DeltaRun::push_runs(&mut runs, &[(k, net)], 1),
+                }
+                (&self.runs[..], self.unsealed + runs.len(), 0)
+            }
+        };
+        let added: usize = runs.iter().map(|r| r.entry_count()).sum();
+        runs.extend(kept.iter().cloned());
+        Self {
+            runs,
+            unsealed,
+            ops: self.ops + 1,
+            len_delta: self.len_delta + net,
+            entries: self.entries - dropped + added,
         }
-        Self::from_runs(runs, unsealed)
     }
 
     /// Sum of net deltas of all keys `< q`: one binary search per run.
@@ -306,7 +437,7 @@ impl<K: Key> DeltaChain<K> {
 
     /// Batched [`DeltaChain::net_below`]: accumulate the prefix sum of every
     /// query into `acc` (callers zero it first). The loop nest is
-    /// **run-outer** so one run's entry array stays cache-resident across
+    /// **run-outer** so one run's buffer stays cache-resident across
     /// the whole query block — the chain-side half of the store's batch
     /// read path (see `shard.rs`).
     pub fn net_below_batch(&self, queries: &[K], acc: &mut [i64]) {
@@ -355,7 +486,7 @@ impl<K: Key> DeltaChain<K> {
     }
 
     /// The chain with every run sealed: writers will start a fresh head run,
-    /// leaving the sealed suffix byte-identical (and `Arc`-shared) until
+    /// leaving the sealed suffix byte-identical (its buffers shared) until
     /// [`DeltaChain::strip_sealed`] removes it. Moves an index, not data.
     pub fn sealed(&self) -> Self {
         let mut chain = self.clone();
@@ -377,7 +508,7 @@ impl<K: Key> DeltaChain<K> {
     /// Remove the sealed suffix previously captured by `frozen` (a chain
     /// returned by [`DeltaChain::sealed`]): what remains is exactly the runs
     /// recorded since the seal. The suffix is matched structurally — the
-    /// frozen runs must still sit, `Arc`-identical, at the tail of `self`.
+    /// frozen runs must still sit, buffer-identical, at the tail of `self`.
     pub fn strip_sealed(&self, frozen: &Self) -> Self {
         let f = frozen.runs.len();
         // lint: allow(panic) structural invariant: a shorter chain means the seal was violated; stripping anyway would drop live runs
@@ -389,7 +520,7 @@ impl<K: Key> DeltaChain<K> {
         if f > 0 {
             // lint: allow(panic) structural invariant: a moved suffix means concurrent mutation of sealed runs; continuing would double-apply them
             assert!(
-                Arc::ptr_eq(&self.runs[keep], &frozen.runs[0]),
+                self.runs[keep].same_run(&frozen.runs[0]),
                 "strip_sealed: sealed suffix was modified concurrently"
             );
         }
@@ -397,9 +528,10 @@ impl<K: Key> DeltaChain<K> {
         Self::from_runs(self.runs[..keep].to_vec(), self.unsealed)
     }
 
-    /// Fold the unsealed runs into one run, leaving the sealed suffix
-    /// untouched. Returns `self` unchanged when fewer than two unsealed runs
-    /// exist. Keeps read cost at one binary search per run.
+    /// Fold the unsealed runs into one run (more only where a cumulative
+    /// would leave `i32`), leaving the sealed suffix untouched. Returns
+    /// `self` unchanged when fewer than two unsealed runs exist. Keeps read
+    /// cost at one binary search per run.
     pub fn compact(&self) -> Self {
         if self.unsealed < 2 {
             return self.clone();
@@ -407,15 +539,9 @@ impl<K: Key> DeltaChain<K> {
         let live = &self.runs[..self.unsealed];
         let ops = live.iter().map(|r| r.ops()).sum();
         let folded = merge::consolidate(live.iter().flat_map(|r| r.nets(..)));
-        let mut runs: Vec<Arc<DeltaRun<K>>> =
-            Vec::with_capacity(1 + self.runs.len() - self.unsealed);
-        let folded = DeltaRun::from_net_pairs(folded, ops);
-        let unsealed = if folded.entry_count() == 0 && folded.ops() == 0 {
-            0
-        } else {
-            runs.push(Arc::new(folded));
-            1
-        };
+        let mut runs = Vec::with_capacity(1 + self.runs.len() - self.unsealed);
+        DeltaRun::push_runs(&mut runs, &folded, ops);
+        let unsealed = runs.len();
         runs.extend(self.runs[self.unsealed..].iter().cloned());
         Self::from_runs(runs, unsealed)
     }
@@ -455,21 +581,16 @@ impl<K: Key> DeltaChain<K> {
     /// churn of cancelled pairs cannot be attributed to a side and is
     /// dropped — it only ever under-counts dirtiness).
     pub fn partition(&self, split_key: K) -> (Self, Self) {
-        let mut left: Vec<Arc<DeltaRun<K>>> = Vec::new();
-        let mut right: Vec<Arc<DeltaRun<K>>> = Vec::new();
-        let side = |nets: Vec<(K, i64)>| {
+        let mut left = Vec::new();
+        let mut right = Vec::new();
+        // A side with no entries has no operations either, so pushes no run.
+        let side = |out: &mut Vec<DeltaRun<K>>, nets: Vec<(K, i64)>| {
             let ops = nets.iter().map(|&(_, n)| n.unsigned_abs() as usize).sum();
-            DeltaRun::from_net_pairs(nets, ops)
+            DeltaRun::push_runs(out, &nets, ops);
         };
         for run in &self.runs {
-            let l = side(run.nets(..split_key).collect());
-            let r = side(run.nets(split_key..).collect());
-            if l.entry_count() > 0 {
-                left.push(Arc::new(l));
-            }
-            if r.entry_count() > 0 {
-                right.push(Arc::new(r));
-            }
+            side(&mut left, run.nets(..split_key).collect());
+            side(&mut right, run.nets(split_key..).collect());
         }
         let lu = left.len();
         let ru = right.len();
@@ -492,237 +613,4 @@ impl<K: Key> DeltaChain<K> {
 }
 
 #[cfg(test)]
-mod tests {
-    use super::*;
-    use std::collections::BTreeMap;
-
-    fn chain_of(ops: &[(u64, i64)], max_run_len: usize) -> DeltaChain<u64> {
-        let mut c = DeltaChain::new();
-        for &(k, net) in ops {
-            c = c.with_op(k, net, max_run_len);
-        }
-        c
-    }
-
-    #[test]
-    fn run_prefix_sums_and_point_nets() {
-        let run = DeltaRun::singleton(5u64, 1)
-            .amended(2, 2)
-            .amended(7, -1)
-            .amended(9, 1);
-        assert_eq!(run.ops(), 4);
-        assert_eq!(run.net_below(0), 0);
-        assert_eq!(run.net_below(2), 0);
-        assert_eq!(run.net_below(3), 2);
-        assert_eq!(run.net_below(8), 2);
-        assert_eq!(run.net_below(u64::MAX), 3);
-        assert_eq!(run.net_of(2), 2);
-        assert_eq!(run.net_of(7), -1);
-        assert_eq!(run.net_of(4), 0);
-        assert_eq!(run.len_delta(), 3);
-    }
-
-    #[test]
-    fn amend_cancellation_drops_the_entry_but_keeps_ops() {
-        let run = DeltaRun::singleton(5u64, 1).amended(5, -1);
-        assert_eq!(run.entry_count(), 0, "net cancelled to zero");
-        assert_eq!(run.ops(), 2, "churn still counts towards dirtiness");
-        assert_eq!(run.len_delta(), 0);
-    }
-
-    #[test]
-    fn chain_bookkeeping_matches_a_reference_map() {
-        let ops: Vec<(u64, i64)> = vec![
-            (2, 1),
-            (2, 1),
-            (7, -1),
-            (9, 1),
-            (2, -1),
-            (100, 1),
-            (50, 1),
-            (50, -1),
-        ];
-        for max_run_len in [1usize, 2, 4, 64] {
-            let c = chain_of(&ops, max_run_len);
-            assert_eq!(c.ops(), ops.len());
-            assert_eq!(c.len_delta(), ops.iter().map(|&(_, n)| n).sum::<i64>());
-            let mut reference: BTreeMap<u64, i64> = BTreeMap::new();
-            for &(k, n) in &ops {
-                *reference.entry(k).or_insert(0) += n;
-            }
-            for q in [0u64, 1, 2, 3, 7, 8, 9, 10, 50, 51, 100, u64::MAX] {
-                let expect: i64 = reference
-                    .iter()
-                    .filter(|&(&k, _)| k < q)
-                    .map(|(_, &n)| n)
-                    .sum();
-                assert_eq!(c.net_below(q), expect, "q={q} max_run_len={max_run_len}");
-                assert_eq!(
-                    c.net_of(q),
-                    reference.get(&q).copied().unwrap_or(0),
-                    "net_of {q}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn net_below_batch_matches_scalar_and_accumulates() {
-        let ops: Vec<(u64, i64)> = vec![(2, 1), (2, 1), (7, -1), (9, 1), (50, 1), (50, -1)];
-        for max_run_len in [1usize, 2, 64] {
-            let c = chain_of(&ops, max_run_len);
-            let queries = [0u64, 2, 3, 7, 8, 9, 10, 50, 51, u64::MAX];
-            let mut acc = [0i64; 10];
-            c.net_below_batch(&queries, &mut acc);
-            for (&q, &a) in queries.iter().zip(acc.iter()) {
-                assert_eq!(a, c.net_below(q), "q={q} max_run_len={max_run_len}");
-            }
-            // The batch accumulates into (not overwrites) the scratch, so a
-            // pre-seeded accumulator keeps its floor.
-            let mut seeded = [100i64; 10];
-            c.net_below_batch(&queries, &mut seeded);
-            for (&q, &a) in queries.iter().zip(seeded.iter()) {
-                assert_eq!(a, 100 + c.net_below(q), "seeded q={q}");
-            }
-        }
-        // The empty chain is a no-op.
-        let mut acc = [7i64; 3];
-        DeltaChain::<u64>::new().net_below_batch(&[1, 2, 3], &mut acc);
-        assert_eq!(acc, [7, 7, 7]);
-    }
-
-    #[test]
-    fn run_length_bound_controls_chain_growth() {
-        let ops: Vec<(u64, i64)> = (0..64u64).map(|i| (i * 3, 1)).collect();
-        let tight = chain_of(&ops, 4);
-        assert_eq!(tight.run_count(), 16, "64 ops in runs of 4");
-        let loose = chain_of(&ops, 64);
-        assert_eq!(loose.run_count(), 1);
-        assert_eq!(tight.net_below(u64::MAX), loose.net_below(u64::MAX));
-    }
-
-    #[test]
-    fn compact_folds_unsealed_runs_only() {
-        let c = chain_of(&[(1, 1), (2, 1), (3, 1), (4, 1)], 1);
-        assert_eq!(c.run_count(), 4);
-        let sealed = c.sealed();
-        // Writes after the seal start fresh runs.
-        let c2 = sealed.with_op(10, 1, 1).with_op(11, 1, 1).with_op(12, 1, 1);
-        assert_eq!(c2.run_count(), 7);
-        assert_eq!(c2.unsealed_run_count(), 3);
-        let compacted = c2.compact();
-        assert_eq!(compacted.run_count(), 5, "3 unsealed folded into 1");
-        assert_eq!(compacted.unsealed_run_count(), 1);
-        assert_eq!(compacted.ops(), c2.ops());
-        assert_eq!(compacted.len_delta(), c2.len_delta());
-        for q in [0u64, 2, 5, 11, 100] {
-            assert_eq!(compacted.net_below(q), c2.net_below(q), "q={q}");
-        }
-        // Fully-cancelling unsealed runs fold to an entry-less run that
-        // still carries the churn (ops feed the rebuild threshold).
-        let cancel = DeltaChain::new()
-            .sealed()
-            .with_op(5, 1, 1)
-            .with_op(5, -1, 1);
-        let compacted = cancel.compact();
-        assert_eq!(compacted.run_count(), 1);
-        assert_eq!(compacted.entry_count(), 0);
-        assert_eq!(compacted.ops(), 2);
-        assert_eq!(compacted.net_below(u64::MAX), 0);
-    }
-
-    #[test]
-    fn seal_then_strip_leaves_the_residual() {
-        let c = chain_of(&[(1, 1), (2, 1)], 64);
-        let frozen = c.sealed();
-        // Writes arriving "during the rebuild".
-        let live = frozen.with_op(2, 1, 64).with_op(1, -1, 64);
-        assert_eq!(live.run_count(), 2, "post-seal ops opened a fresh head");
-        let residual = live.strip_sealed(&frozen);
-        assert_eq!(residual.net_of(1), -1, "the in-flight delete survives");
-        assert_eq!(residual.net_of(2), 1, "the in-flight insert survives");
-        assert_eq!(residual.ops(), 2);
-        // Stripping an empty freeze is the identity.
-        let empty = DeltaChain::<u64>::new();
-        assert_eq!(c.strip_sealed(&empty.sealed()).ops(), c.ops());
-    }
-
-    #[test]
-    fn merge_splices_inserts_and_drops_tombstones() {
-        let base = vec![1u64, 4, 4, 4, 9];
-        let c = chain_of(&[(0, 1), (4, 1), (9, -1), (12, 1), (12, 1)], 2);
-        assert_eq!(c.merge_into(&base), vec![0, 1, 4, 4, 4, 4, 12, 12]);
-
-        // Deleting from the middle of a run shortens it.
-        let c = chain_of(&[(4, -1), (4, -1)], 2);
-        assert_eq!(c.merge_into(&base), vec![1, 4, 9]);
-
-        // Empty base: only inserts can exist.
-        let c = chain_of(&[(3, 1), (1, 1), (3, 1)], 1);
-        assert_eq!(c.merge_into(&[]), vec![1, 3, 3]);
-        assert_eq!(DeltaChain::<u64>::new().merge_into(&[]), Vec::<u64>::new());
-    }
-
-    #[test]
-    fn merge_range_agrees_with_the_full_merge() {
-        let base = vec![1u64, 4, 4, 4, 9, 12, 15];
-        let c = chain_of(&[(0, 1), (4, 1), (9, -1), (13, 1), (13, 1), (4, -1)], 2);
-        let full = c.merge_into(&base);
-        // Inverted range: empty pair set, base passed through (no panic).
-        assert_eq!(c.merge_range(&[], 10, 1), Vec::<u64>::new());
-        for (lo, hi) in [(0u64, u64::MAX), (4, 9), (2, 13), (5, 8), (13, 13)] {
-            let start = base.partition_point(|&x| x < lo);
-            let end = base.partition_point(|&x| x <= hi);
-            let got = c.merge_range(&base[start..end], lo, hi);
-            let expect: Vec<u64> = full
-                .iter()
-                .copied()
-                .filter(|&k| lo <= k && k <= hi)
-                .collect();
-            assert_eq!(got, expect, "[{lo}, {hi}]");
-        }
-    }
-
-    #[test]
-    fn partition_splits_nets_at_the_key() {
-        let c = chain_of(&[(1, 1), (5, 1), (5, 1), (9, -1), (3, -1)], 2);
-        let (l, r) = c.partition(5);
-        assert_eq!(l.net_of(1), 1);
-        assert_eq!(l.net_of(3), -1);
-        assert_eq!(l.net_of(5), 0, "split key goes right");
-        assert_eq!(r.net_of(5), 2);
-        assert_eq!(r.net_of(9), -1);
-        assert_eq!(l.len_delta() + r.len_delta(), c.len_delta());
-        assert_eq!(
-            l.net_below(u64::MAX) + r.net_below(u64::MAX),
-            c.net_below(u64::MAX)
-        );
-        // Both sides stay amendable.
-        assert_eq!(l.unsealed_run_count(), l.run_count());
-    }
-
-    #[test]
-    fn concat_sums_both_sides() {
-        let a = chain_of(&[(1, 1), (2, 1)], 64);
-        let b = chain_of(&[(10, 1), (11, -1)], 64);
-        let c = a.concat(&b);
-        assert_eq!(c.ops(), 4);
-        assert_eq!(c.len_delta(), 2);
-        assert_eq!(c.net_below(5), 2);
-        assert_eq!(c.net_below(u64::MAX), 2);
-        assert_eq!(c.net_of(11), -1);
-    }
-
-    #[test]
-    fn published_chains_share_runs_structurally() {
-        let a = chain_of(&[(1, 1)], 1);
-        let b = a.with_op(2, 1, 1); // new head, old run shared
-        assert_eq!(b.run_count(), 2);
-        assert!(Arc::ptr_eq(&a.runs[0], &b.runs[1]));
-        // Amending within the run bound copies the head only.
-        let c = chain_of(&[(1, 1)], 8);
-        let d = c.with_op(2, 1, 8);
-        assert_eq!(d.run_count(), 1);
-        assert!(!Arc::ptr_eq(&c.runs[0], &d.runs[0]));
-    }
-}
+mod tests;

@@ -26,7 +26,7 @@
 //! kernel ([`shift_table::kernel`]): per-shard query groups run the
 //! corrected index's predict → correct → resolve stages, the
 //! delta shift is accumulated **run-outer** per block
-//! ([`DeltaChain::net_below_batch`]) so a run's entry array stays
+//! ([`DeltaChain::net_below_batch`]) so a run's buffer stays
 //! cache-resident across the whole block, and a still-cold base answers
 //! batches through its own route → touch → resolve stage split
 //! ([`persist::v2::ColdBase::lower_bound_batch`]). Ranges ride the same
@@ -48,11 +48,14 @@
 //!   lock is held while probing the index — and a read that finds an empty
 //!   chain skips the merge machinery entirely.
 //! * The delta chain is a short, newest-first list of immutable sorted
-//!   runs ([`DeltaRun`]). A write publishes a successor chain that amends
-//!   the small head run by copy (up to [`delta::MAX_RUN_LEN`] entries) or
+//!   runs ([`DeltaRun`]), each one `Arc`-shared buffer of two columns: its
+//!   keys, then each key's cumulative net as an `i32` (12 bytes an entry).
+//!   A write publishes a successor chain that amends the small head run by
+//!   copy (up to [`delta::MAX_RUN_LEN`] entries, one allocation) or
 //!   prepends a singleton, folding the unsealed runs into one once there
-//!   are [`delta::COMPACT_RUNS`] of them; all other runs are shared by
-//!   `Arc`. Both bounds are constants, so live chains have one shape.
+//!   are [`delta::COMPACT_RUNS`] of them; all other runs' buffers are
+//!   shared. A cumulative that would leave `i32` starts a new run instead.
+//!   Both bounds are constants, so live chains have one shape.
 //!   Writers are serialised by a per-shard mutex that readers never take.
 //! * **One merge path.** Everything that combines sorted deltas with a
 //!   sorted column — the rebuild, split, merge, checkpoint and scan views

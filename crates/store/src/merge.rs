@@ -31,7 +31,10 @@
 //! | `persist::recovery` (WAL-tail replay, per shard) | `fold_ops`, `splice`, `count_in` |
 //!
 //! `DeltaRun::amended`, the ≤ 32-entry copy on the hot write path, stays
-//! outside: it adds one operation to one run and never merges two.
+//! outside: it adds one operation to one run and never merges two, writing
+//! the copy's key and cumulative columns straight into one new buffer (and
+//! declining, so the write opens a fresh run, when a cumulative would leave
+//! `i32`).
 
 use crate::batch::BatchOp;
 use sosd_data::key::Key;

@@ -238,7 +238,7 @@ impl<K: Key> ShardState<K> {
     /// positions go through the pinned index's batch kernel
     /// ([`shift_table::kernel`]), then each block of positions is shifted by
     /// the chain's prefix sums — accumulated run-outer into a stack scratch
-    /// ([`DeltaChain::net_below_batch`]) so a run's entry array stays
+    /// ([`DeltaChain::net_below_batch`]) so a run's buffer stays
     /// cache-resident across the block. With an empty chain the shift stage
     /// is skipped entirely.
     pub fn lower_bound_batch(&self, queries: &[K], out: &mut [usize]) {
