@@ -11,16 +11,6 @@ use crate::model::CdfModel;
 use sosd_data::dataset::Dataset;
 use sosd_data::key::Key;
 
-/// The prediction `p` clamped to `[0, last]` in `f64` (a negative or NaN
-/// one to 0), then truncated once. A position is below 2^53, so both
-/// conversions go through `i64`, one instruction each on baseline x86-64
-/// where the unsigned ones are branchy sequences; the result equals
-/// `(p as usize).min(last)` for a positive `p` and 0 otherwise.
-#[inline]
-pub(crate) fn clamp_to(p: f64, last: usize) -> usize {
-    p.max(0.0).min(last as i64 as f64) as i64 as usize
-}
-
 /// "Interpolation as a Model" (IM): predicts
 /// `(x - min) / (max - min) · (N - 1)`, i.e. a straight line through the
 /// first and last key. Two parameters, never needs training data beyond the
@@ -73,7 +63,10 @@ impl<K: Key> CdfModel<K> for InterpolationModel {
         if self.n == 0 {
             return 0;
         }
-        clamp_to((key.to_f64() - self.min) * self.slope, self.n - 1)
+        let p = (key.to_f64() - self.min) * self.slope;
+        // Negative predictions (key below min) clamp to 0.
+        let p = if p > 0.0 { p } else { 0.0 };
+        (p as usize).min(self.n - 1)
     }
 
     fn key_count(&self) -> usize {
@@ -209,7 +202,7 @@ impl<K: Key> CdfModel<K> for LinearModel {
 }
 
 #[cfg(test)]
-pub(crate) mod tests {
+mod tests {
     use super::*;
     use sosd_data::generators::SosdName;
 
@@ -230,38 +223,6 @@ pub(crate) mod tests {
         let m = InterpolationModel::build(&d);
         assert_eq!(CdfModel::<u64>::predict(&m, 0), 0);
         assert_eq!(CdfModel::<u64>::predict(&m, 10_000), 2);
-    }
-
-    /// IM's prediction before the one-conversion clamp: `u64 as f64`, a
-    /// saturating `as usize`, then the cap.
-    fn predict_reference(min: f64, slope: f64, n: usize, key: u64) -> usize {
-        let p = (key as f64 - min) * slope;
-        let p = if p > 0.0 { p } else { 0.0 };
-        (p as usize).min(n - 1)
-    }
-
-    /// Keys at the edges of both conversions.
-    pub(crate) fn conversion_edges() -> Vec<u64> {
-        let p53 = 1u64 << 53;
-        let p63 = 1u64 << 63;
-        vec![0, 1, p53 - 1, p53, p53 + 1, p63 - 1, p63, p63 + 1, u64::MAX]
-    }
-
-    #[test]
-    fn the_one_conversion_clamp_predicts_like_the_reference() {
-        let stride = |n: u64, step: u64| (0..n).map(move |i| i * step).collect::<Vec<u64>>();
-        let mut columns: Vec<Vec<u64>> =
-            vec![vec![7], vec![3, 9], vec![5; 64], stride(4 << 20, 4099)];
-        columns.extend(SosdName::all().map(|name| name.generate(20_000, 11).as_slice().to_vec()));
-        columns.push(conversion_edges());
-        for keys in &columns {
-            let m = InterpolationModel::from_sorted_keys(keys);
-            let queries = keys.iter().step_by(7).copied().chain(conversion_edges());
-            for q in queries.flat_map(|k| [k.saturating_sub(1), k, k.saturating_add(1)]) {
-                let want = predict_reference(m.min, m.slope, m.n, q);
-                assert_eq!(CdfModel::<u64>::predict(&m, q), want, "n={} key {q}", m.n);
-            }
-        }
     }
 
     #[test]

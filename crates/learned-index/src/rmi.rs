@@ -35,7 +35,7 @@
 //! on clustered data) train as fast as dense ones.
 
 use crate::cubic::CubicModel;
-use crate::linear::{clamp_to, LinearModel};
+use crate::linear::LinearModel;
 use crate::model::CdfModel;
 use sosd_data::dataset::Dataset;
 use sosd_data::key::Key;
@@ -230,6 +230,15 @@ impl LeafSums {
     }
 }
 
+#[inline]
+fn clamp_pred(p: f64, n: usize) -> usize {
+    if n == 0 || p <= 0.0 {
+        0
+    } else {
+        (p as usize).min(n - 1)
+    }
+}
+
 /// The maximal stretches of consecutive keys a root routes to one leaf, in
 /// key order, as `(leaf, positions)`: the one walk that training, its audit
 /// and [`CdfModel::predict_clamped_into`] share. A root never falls, so it
@@ -358,7 +367,8 @@ impl RmiIndex {
     fn predict_stretch<K: Key>(&self, leaf: usize, keys: &[K], out: &mut [u32]) {
         let (line, (lo, last)) = (&self.leaves[leaf], self.bounds(leaf));
         for (slot, key) in out.iter_mut().zip(keys) {
-            *slot = clamp_to(line.predict_f64(key.to_f64()), last).max(lo) as u32;
+            let p = clamp_pred(line.predict_f64(key.to_f64()), self.n);
+            *slot = p.min(last).max(lo) as u32;
         }
     }
 }
@@ -372,7 +382,9 @@ impl<K: Key> CdfModel<K> for RmiIndex {
         let x = key.to_f64();
         let leaf = self.root.route(x, self.n, self.leaves.len());
         let (lo, last) = self.bounds(leaf);
-        clamp_to(self.leaves[leaf].predict_f64(x), last).max(lo)
+        clamp_pred(self.leaves[leaf].predict_f64(x), self.n)
+            .min(last)
+            .max(lo)
     }
 
     /// The leaf is looked up once per stretch of keys routed to it instead
@@ -644,68 +656,6 @@ mod tests {
         let dup = Dataset::from_keys("dup", vec![4u64; 100]);
         let rmi = RmiIndex::build(&dup);
         assert!(CdfModel::<u64>::predict(&rmi, 4) < 100);
-    }
-
-    /// A leaf prediction before the one-conversion clamp: `u64 as f64`, a
-    /// saturating `as usize` capped at `n − 1`, then the leaf's bounds.
-    fn predict_reference(rmi: &RmiIndex, key: u64) -> usize {
-        let x = key as f64;
-        let leaf = rmi.root.route(x, rmi.n, rmi.leaves.len());
-        let (lo, last) = rmi.bounds(leaf);
-        let p = rmi.leaves[leaf].predict_f64(x);
-        let p = if p <= 0.0 {
-            0
-        } else {
-            (p as usize).min(rmi.n - 1)
-        };
-        p.min(last).max(lo)
-    }
-
-    #[test]
-    fn the_one_conversion_clamp_predicts_like_the_reference() {
-        let edges = crate::linear::tests::conversion_edges();
-        let stride: Vec<u64> = (0..4u64 << 20).map(|i| i * 4099).collect();
-        let mut columns: Vec<Vec<u64>> = vec![vec![7], vec![3, 9], vec![5; 64], stride];
-        columns.extend(SosdName::all().map(|name| name.generate(20_000, 11).as_slice().to_vec()));
-        columns.push(edges.clone());
-        for keys in &columns {
-            let d = Dataset::from_keys("c", keys.clone());
-            for root in [RootModelKind::Linear, RootModelKind::Cubic] {
-                let rmi = RmiIndex::builder()
-                    .leaf_count(1024)
-                    .root_model(root)
-                    .build(&d);
-                let mut queries: Vec<u64> = keys
-                    .iter()
-                    .step_by(7)
-                    .copied()
-                    .chain(edges.clone())
-                    .collect();
-                queries.extend(
-                    queries
-                        .clone()
-                        .iter()
-                        .flat_map(|&k| [k.saturating_sub(1), k.saturating_add(1)]),
-                );
-                queries.sort_unstable();
-                let want: Vec<usize> = queries
-                    .iter()
-                    .map(|&q| predict_reference(&rmi, q))
-                    .collect();
-                let got: Vec<usize> = queries
-                    .iter()
-                    .map(|&q| CdfModel::<u64>::predict(&rmi, q))
-                    .collect();
-                assert_eq!(got, want, "n={} {root:?}", keys.len());
-                let mut into = vec![0u32; queries.len()];
-                CdfModel::<u64>::predict_clamped_into(&rmi, &queries, &mut into);
-                assert!(
-                    into.iter().zip(&want).all(|(&a, &b)| a as usize == b),
-                    "n={}",
-                    keys.len()
-                );
-            }
-        }
     }
 
     #[test]

@@ -137,27 +137,7 @@ impl<K: Key> DeltaRun<K> {
     /// into the next run (split across runs if its own net is that large).
     /// Nothing is appended for no nets and no operations.
     fn push_runs(out: &mut Vec<Self>, pairs: &[(K, i64)], ops: usize) {
-        // The common case, no zero net and no cumulative past `i32`: one
-        // run written straight from `pairs`.
-        let mut acc = 0i64;
-        let whole = pairs.iter().all(|&(_, net)| {
-            acc = acc.saturating_add(net);
-            net != 0 && i32::try_from(acc).is_ok()
-        });
-        if whole {
-            if !pairs.is_empty() || ops > 0 {
-                out.push(Self::build(pairs.len(), ops, |keys, cums| {
-                    let mut acc = 0;
-                    for (i, &(k, net)) in pairs.iter().enumerate() {
-                        acc += net;
-                        keys[i] = k.to_u64();
-                        pack(cums, i, acc);
-                    }
-                }));
-            }
-            return;
-        }
-        let mut entries: Vec<(u64, i64)> = Vec::new();
+        let mut entries: Vec<(u64, i64)> = Vec::with_capacity(pairs.len());
         let mut acc = 0i64;
         let mut ops = ops;
         let mut flush = |entries: &mut Vec<(u64, i64)>, ops: usize| {
@@ -202,8 +182,8 @@ impl<K: Key> DeltaRun<K> {
 
     /// A copy of this run with one more operation on `k` folded in, or
     /// `None` when a cumulative of the copy would leave `i32` (the caller
-    /// then opens a fresh run). Two `O(len)` passes (the `i32` check, then
-    /// the copy) and one allocation — this is the hot write path, which
+    /// then opens a fresh run). One `O(len)` copy, which checks the bound
+    /// as it goes, and one allocation — this is the hot write path, which
     /// bounds `len` by [`MAX_RUN_LEN`].
     pub fn amended(&self, k: K, net: i64) -> Option<Self> {
         let (keys, old) = self.columns();
