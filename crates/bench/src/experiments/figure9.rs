@@ -6,7 +6,8 @@
 //! shape: R-1 and S-1 are the fastest, error and latency grow as the layer is
 //! compressed, and the bare model is far worse on the hard datasets. A third
 //! table puts the price next to it: bytes per key of every layer, and the
-//! drifts the R-1 layer keeps in its patch array (68 per escaped line).
+//! drifts the R-1 layer keeps in its patch array (68 per escaped seven-bit
+//! line, 80 per six-bit one).
 
 use crate::datasets::{dataset_u32, dataset_u64, BenchConfig};
 use crate::report::{fmt_ns, Table};

@@ -22,15 +22,18 @@
 //! `PREDICT_RUN` keys the emitter predicts, compacts the change positions
 //! without a branch, stages every window's drifts — empty partitions
 //! included — as one fixed-size store, and appends the staged whole lines
-//! of 68 drifts strictly left to right to the layer itself: no blank fill,
-//! no read-modify-write on the layer, no backward pass, no key read beyond
-//! the model's own. The layer is written once, line by line, in the layout
-//! it is served from — a line that does not fit is appended to the patch
-//! array, nothing stored is re-encoded. The layer knows the column's
-//! length from the start (`Packed::new`), so it escapes a shifted line
-//! whose windows would overhang the column as it appends it. The last
-//! drift of a line is the first of the next, so it stays staged until that
-//! line is appended.
+//! strictly left to right to the layer itself, at both offset widths
+//! (`Packer`: 68 drifts a seven-bit line, 80 a six-bit one): no blank
+//! fill, no read-modify-write on the layer, no backward pass, no key read
+//! beyond the model's own. Each width is written once, line by line, in the
+//! layout it is served from — a line that does not fit is appended to the
+//! patch array, nothing stored is re-encoded — and the six-bit lines are
+//! dropped as soon as more of them are shifted or escaped than the layer
+//! keeps six bits for. The packer knows the column's length from the
+//! start, so it escapes a shifted line whose windows would overhang the
+//! column as it appends it, and it knows how many lines the layer will
+//! have. The last drift of a line is the first of the next, so it stays
+//! staged until each width has appended that line.
 //!
 //! A model that does fall — one a caller wrote — is not trusted to rise:
 //! every prediction is taken at the largest one before it, so the layer is
@@ -45,7 +48,7 @@
 //! by array.
 
 use crate::entry::MAX_KEYS;
-use crate::packed::{Packed, PAIRS};
+use crate::packed::{Packed, Packer};
 use learned_index::model::CdfModel;
 use sosd_data::key::Key;
 use std::ops::Range;
@@ -103,18 +106,21 @@ const WIDTH: usize = 8;
 /// [`WIDTH`] of drifts, whether or not that many partitions start at it —
 /// the next window overwrites the surplus — so writing a window costs no
 /// branch that depends on its length, and the layer is fed whole lines.
-struct Stage<'a> {
-    layer: &'a mut Packed,
+struct Stage {
+    layer: Packer,
     drifts: [i32; STAGE + WIDTH],
     len: usize,
+    /// The layer's index of `drifts[0]`.
+    first: usize,
 }
 
-impl<'a> Stage<'a> {
-    fn new(layer: &'a mut Packed) -> Self {
+impl Stage {
+    fn new(layer: Packer) -> Self {
         Self {
             layer,
             drifts: [0; STAGE + WIDTH],
             len: 0,
+            first: 0,
         }
     }
 
@@ -138,18 +144,20 @@ impl<'a> Stage<'a> {
         }
     }
 
-    /// Append the staged whole lines to the layer, keeping the last drift
-    /// staged: it is also the first of the next line.
+    /// Append the staged whole lines to the layer at each width it packs,
+    /// keeping staged what a width's next line needs: its first drift is
+    /// also the last of the line before.
     fn drain(&mut self) {
-        let whole = (self.len - 1) / PAIRS * PAIRS;
-        self.layer.extend(&self.drifts[..=whole]);
-        self.drifts.copy_within(whole..self.len, 0);
-        self.len -= whole;
+        self.layer.extend(&self.drifts[..self.len], self.first);
+        let done = self.layer.next_drift() - self.first;
+        self.drifts.copy_within(done..self.len, 0);
+        self.len -= done;
+        self.first += done;
     }
 
-    /// Append everything staged to the layer: the last call it gets.
-    fn finish(self) {
-        self.layer.extend(&self.drifts[..self.len]);
+    /// The layer, with everything staged appended.
+    fn finish(self) -> Packed {
+        self.layer.finish(&self.drifts[..self.len], self.first)
     }
 }
 
@@ -165,6 +173,17 @@ pub(crate) fn build_range_layer<K: Key, M: CdfModel<K> + ?Sized>(
     keys: &[K],
     audited: Option<&[u32]>,
 ) -> Packed {
+    emit(Packer::new(keys.len()), model, keys, audited)
+}
+
+/// [`build_range_layer`] into `layer`, the packer of the layer over
+/// `keys.len()` keys.
+fn emit<K: Key, M: CdfModel<K> + ?Sized>(
+    layer: Packer,
+    model: &M,
+    keys: &[K],
+    audited: Option<&[u32]>,
+) -> Packed {
     // lint: allow(panic) the validating builders turn longer columns into BuildError::TooManyKeys; past them a drift would silently truncate
     assert!(
         keys.len() <= MAX_KEYS,
@@ -172,10 +191,10 @@ pub(crate) fn build_range_layer<K: Key, M: CdfModel<K> + ?Sized>(
     );
     debug_assert!(audited.is_none_or(|audited| audited.len() == keys.len()));
     let n = keys.len();
+    let mut stage = Stage::new(layer);
     if n == 0 {
-        return Packed::new(0);
+        return stage.finish();
     }
-    let mut layer = Packed::new(n);
     // Partitions below `next` are staged. `open` is the partition whose
     // keys are being walked; its first key sits at `open_start`, where it
     // and the empty partitions on its left all start (§3.1). Partition 0
@@ -188,7 +207,6 @@ pub(crate) fn build_range_layer<K: Key, M: CdfModel<K> + ?Sized>(
     // its `predict_clamped_into` contract never makes — is taken there, so
     // the layer holds `n + 1` drifts whatever the model hands over.
     let last = (n - 1) as u32;
-    let mut stage = Stage::new(&mut layer);
     let mut predictions = Predictions::new(model, audited);
     let mut changes = [0u16; PREDICT_RUN];
     for start in (0..n).step_by(PREDICT_RUN) {
@@ -223,9 +241,7 @@ pub(crate) fn build_range_layer<K: Key, M: CdfModel<K> + ?Sized>(
     // Right of the last partition with keys, every partition — and the
     // end, partition `n` — starts past the last key.
     stage.fill(open + 1..n + 1, n);
-    stage.finish();
-    layer.finish();
-    layer
+    stage.finish()
 }
 
 /// The emitter's compaction of a run of `predictions` from a model that
@@ -355,14 +371,20 @@ pub(crate) mod testing {
     const UNSET: i32 = i32::MAX;
 
     impl Packed {
-        /// Pack a finished drift array: the layer over `drifts.len() − 1`
-        /// keys.
+        /// Pack a finished drift array in one call, at the width the rule
+        /// picks: the layer over `drifts.len() − 1` keys.
         pub(crate) fn from_drifts(drifts: &[i32]) -> Self {
-            let mut packed = Self::new(drifts.len().saturating_sub(1));
-            packed.extend(drifts);
-            packed.finish();
-            packed
+            Packer::new(drifts.len().saturating_sub(1)).finish(drifts, 0)
         }
+    }
+
+    /// [`build_range_layer`] at `bits` alone, 7 or 6, whatever its lines.
+    pub(crate) fn build_range_layer_at<K: Key, M: CdfModel<K> + ?Sized>(
+        model: &M,
+        keys: &[K],
+        bits: u32,
+    ) -> Packed {
+        emit(Packer::with_bits(keys.len(), bits), model, keys, None)
     }
 
     /// The scatter builder: the drifts of the layer for *any* model, those
@@ -727,6 +749,9 @@ mod tests {
         }
     }
 
+    /// Pairs a seven-bit line serves.
+    const SEVEN_PAIRS: usize = crate::packed::Line::<7>::PAIRS;
+
     #[cfg_attr(miri, ignore = "dataset too large for Miri")]
     #[test]
     fn an_over_wide_block_is_patched_and_an_over_long_count_coded() {
@@ -737,8 +762,11 @@ mod tests {
         let n = 150_000;
         let keys: Vec<u64> = (0..n as u64).collect();
         let stairs = |step| Stairs { n, step, dip: None };
-        let bytes = |patches: usize| 64 * n.div_ceil(PAIRS) + 4 * patches;
+        let bytes = |patches: usize| 64 * n.div_ceil(SEVEN_PAIRS) + 4 * patches;
         let layer = assert_emitter_matches_reference(&stairs(70_000), &keys, "long stairs");
+        // A stair's empty partitions fall by one apiece: 79 across a
+        // six-bit line, which is shifted, so the layer keeps seven bits.
+        assert_eq!(layer.offset_bits(), 7);
         assert_eq!((layer.patches(), layer.size_bytes()), (204, bytes(204)));
         // The window ends where the next stair starts: served exactly.
         assert_eq!(layer.pair(0), Some((0, 0, 70_000)));
@@ -764,7 +792,7 @@ mod tests {
         };
         let layer = assert_emitter_matches_reference(&model, &vec![n as u64; n], "last");
         assert_eq!(layer.pair(n - 1), Some((n - 1, 1 - n as i32, n)));
-        let bytes = 64 * n.div_ceil(PAIRS) + 272;
+        let bytes = 64 * n.div_ceil(SEVEN_PAIRS) + 272;
         assert_eq!((layer.patches(), layer.size_bytes()), (68, bytes));
     }
 

@@ -23,14 +23,16 @@
 //! ## Crate layout
 //!
 //! * [`ShiftTable`] — the full-resolution `<Δ, C>` layer (the paper's R-1
-//!   configuration, Algorithm 2), stored at 64 bytes per 67 keys whatever
-//!   the model and the keys: only `Δ`, as a 7-bit offset from one base per
-//!   64-byte line of 68 drifts, so a correction reads one cache line — a
+//!   configuration, Algorithm 2), stored in 64-byte lines: only `Δ`, as an
+//!   offset from one base a line, so a correction reads one cache line — a
 //!   window ends where the next partition's starts, so `C` is not stored.
-//!   A line whose drifts spread past 126 stores them in units of up to 8
-//!   records, widening its windows by at most 7 at each end, and the rare
-//!   line spreading past 1 015 keeps them in full in a patch array — see
-//!   [`entry`],
+//!   An accurate model's layer, at most 1/32 of whose six-bit lines would
+//!   be shifted or escaped, takes 6-bit offsets, 80 drifts a line and
+//!   64 bytes per 79 keys; every other takes 7-bit ones, 68 a line and
+//!   64 bytes per 67 keys. A line whose drifts spread past what an offset
+//!   holds stores them in units of up to 8 records, widening its windows by
+//!   at most 7 at each end, and the rare line spreading past 1 015 (503 at
+//!   six bits) keeps them in full in a patch array — see [`entry`],
 //! * [`CompactShiftTable`] — the compressed midpoint layer with one `Δ̄`
 //!   entry per `X` records (the S-X configurations, §3.4),
 //! * [`CorrectedIndex`] — a complete range index assembled from any

@@ -13,14 +13,17 @@
 //! running maximum ([`crate::build`]); where its window misses, the §3.8
 //! repair closes the lookup.
 //!
-//! Both drifts of a window come from one 64-byte line of 68 seven-bit
-//! drift offsets, the last of which repeats the next line's first
-//! (`crate::packed`): a correction reads one cache line, and the layer
-//! weighs `64·⌈N/67⌉ + 272·(escaped lines)` bytes. A line whose drifts
-//! spread past 126 stores them in units of `2^s` records, `s ≤ 3`, so its
+//! Both drifts of a window come from one 64-byte line of drift offsets,
+//! the last of which repeats the next line's first (`crate::packed`): a
+//! correction reads one cache line. A layer whose model is accurate — at
+//! most 1/32 of its six-bit lines shifted or escaped — keeps 80 six-bit
+//! offsets a line and weighs `64·⌈N/79⌉ + 320·(escaped lines)` bytes;
+//! every other keeps 68 seven-bit ones and weighs
+//! `64·⌈N/67⌉ + 272·(escaped lines)`. A line whose drifts spread past
+//! `2^b − 2` stores them in units of `2^s` records, `s ≤ 3`, so its
 //! windows hold the exact ones and overhang each end by at most
 //! `2^s − 1 ≤ 7` records, still inside the column; only a line spreading
-//! past 1 015 is escaped.
+//! past 1 015 (503 at six bits) is escaped.
 
 use crate::build;
 use crate::correction::{Correction, SearchHint};
@@ -83,6 +86,20 @@ impl ShiftTable {
         }
     }
 
+    /// [`ShiftTable::build`] at `bits` an offset, 7 or 6, whatever its
+    /// lines.
+    #[cfg(test)]
+    pub(crate) fn build_at<K: Key, M: CdfModel<K> + ?Sized>(
+        model: &M,
+        keys: &[K],
+        bits: u32,
+    ) -> Self {
+        Self {
+            drifts: build::testing::build_range_layer_at(model, keys, bits),
+            n: keys.len(),
+        }
+    }
+
     /// Assemble a layer from hand-written partition starts `S_k`, one per
     /// key.
     #[cfg(test)]
@@ -132,18 +149,27 @@ impl ShiftTable {
             })
     }
 
+    /// Bits a drift offset takes: 6 for a layer at most 1/32 of whose
+    /// six-bit lines are shifted or escaped, 80 offsets a line, else 7, 68
+    /// a line.
+    pub fn offset_bits(&self) -> u32 {
+        self.drifts.offset_bits()
+    }
+
     /// How many drifts are stored in the patch array: those of the escaped
-    /// lines, 68 a line — a short last line's padding included — whose
-    /// drifts spread past 1 015, or whose shifted windows would leave the
-    /// column (they cost 4 bytes more each, and a fetch from such a line
-    /// reads two patches instead of its base and offsets).
+    /// lines, 68 a seven-bit line and 80 a six-bit one — a short last
+    /// line's padding included — whose drifts spread past what a shift fits
+    /// (1 015 or 503), or whose shifted windows would leave the column
+    /// (they cost 4 bytes more each, and a fetch from such a line reads two
+    /// patches instead of its base and offsets).
     pub fn patches(&self) -> usize {
         self.drifts.patches()
     }
 
     /// How many lines store their drifts in units of `2^s` records,
-    /// `s ∈ 1..=3`: those spreading past 126 that no escape took. Their
-    /// windows overhang the exact ones by at most `2^s − 1` at each end.
+    /// `s ∈ 1..=3`: those spreading past 126 (62 at six bits) that no
+    /// escape took. Their windows overhang the exact ones by at most
+    /// `2^s − 1` at each end.
     pub fn shifted_lines(&self) -> usize {
         self.drifts.shifted_lines()
     }
@@ -189,9 +215,9 @@ impl Correction for ShiftTable {
         SearchHint::bounded(start, len)
     }
 
-    /// `64·⌈N/67⌉ + 272·(escaped lines)` over `N` keys: one 64-byte line
-    /// per 67 partitions, and an escaped line's 68 drifts in full — 0 over
-    /// no keys.
+    /// `64·⌈N/67⌉ + 272·(escaped lines)` over `N` keys at seven bits, one
+    /// 64-byte line per 67 partitions and an escaped line's 68 drifts in
+    /// full, or `64·⌈N/79⌉ + 320·(escaped lines)` at six — 0 over no keys.
     fn size_bytes(&self) -> usize {
         self.drifts.size_bytes()
     }
@@ -275,13 +301,20 @@ mod tests {
         }
     }
 
-    /// Bytes of a layer over `n` keys with `patches` drifts in escaped
-    /// lines: `64·⌈n/67⌉ + 272·(escaped lines)` — a 64-byte line serves 67
+    /// Bytes of `table`, a layer over `n` keys with `p` drifts in escaped
+    /// lines: `64·⌈n/67⌉ + 4·p` at seven bits — a 64-byte line serves 67
     /// of the `n` pairs of neighbouring drifts, and an escaped line's 68
-    /// drifts cost 4 bytes more each.
-    fn layer_bytes(n: usize, patches: usize) -> usize {
-        assert_eq!(patches % 68, 0, "68 patches an escaped line");
-        64 * n.div_ceil(67) + 272 * (patches / 68)
+    /// drifts cost 4 bytes more each — or `64·⌈n/79⌉ + 4·p` at six, 80
+    /// drifts an escaped line.
+    fn layer_bytes(table: &ShiftTable) -> usize {
+        let (line, pairs) = match table.offset_bits() {
+            7 => (68, 67),
+            6 => (80, 79),
+            bits => panic!("{bits}-bit offsets"),
+        };
+        let patches = table.patches();
+        assert_eq!(patches % line, 0, "{line} patches an escaped line");
+        64 * table.len().div_ceil(pairs) + 4 * patches
     }
 
     /// Build the layer and check every indexed key lies inside its
@@ -334,20 +367,24 @@ mod tests {
         // into it, an empty one an empty window where the next partition
         // with keys starts (or at the end). In a line of shift `s` the
         // window holds that one and overhangs each of its ends by at most
-        // `2^s − 1`. The next test puts every query's lower bound in its
-        // window.
+        // `2^s − 1`. At both offset widths, whichever the layer keeps. The
+        // next test puts every query's lower bound in its window.
         use learned_index::spec::ModelSpec;
         let specs = [
             "im", "linear", "cubic", "rmi:64", "rmi:4096", "rs:32", "pgm:64",
         ];
-        let mut shifted = 0;
+        let mut shifted = [0; 2];
         for spec in specs.map(|spec| ModelSpec::parse(spec).unwrap()) {
-            for name in SosdName::all() {
+            for (name, bits) in SosdName::all()
+                .into_iter()
+                .flat_map(|name| [(name, 7), (name, 6)])
+            {
                 let d: Dataset<u64> = name.generate(20_000, 21);
                 let (keys, n) = (d.as_slice(), d.len());
                 let model = spec.build(keys);
-                let table = ShiftTable::build(&*model, keys);
-                shifted += table.shifted_lines();
+                let table = ShiftTable::build_at(&*model, keys, bits);
+                assert_eq!(table.offset_bits(), bits);
+                shifted[bits as usize - 6] += table.shifted_lines();
                 let mut runs = vec![(n, 0); n];
                 for (i, &key) in keys.iter().enumerate() {
                     let (first, count) = &mut runs[model.predict_clamped(key)];
@@ -357,7 +394,7 @@ mod tests {
                 let mut next_start = n;
                 for (k, &(first, count)) in runs.iter().enumerate().rev() {
                     let start = if count > 0 { first } else { next_start };
-                    let tag = format!("{name} {spec} partition {k}");
+                    let tag = format!("{name} {spec} {bits} bits partition {k}");
                     let hint = table.correct(k);
                     match table.drifts.shift(k).unwrap_or(0) {
                         0 => {
@@ -379,7 +416,10 @@ mod tests {
                 }
             }
         }
-        assert!(shifted > 0, "the matrix holds shifted lines");
+        assert!(
+            shifted.iter().all(|&s| s > 0),
+            "the matrix holds shifted lines"
+        );
     }
 
     #[cfg_attr(miri, ignore = "dataset too large for Miri")]
@@ -469,24 +509,108 @@ mod tests {
         // Eq. 8–10 sum over the keys: an empty partition's window is 0, so
         // the windows add up to `N` exactly — when no line is shifted. A
         // shifted line's windows overhang the exact ones, so they add up to
-        // more.
-        let d: Dataset<u64> = SosdName::Amzn64.generate(4_000, 42);
-        let model = InterpolationModel::build(&d);
-        let table = ShiftTable::build(&model, d.as_slice());
-        assert!(table.window_lengths().any(|c| c == 0), "empty partitions");
-        assert!(table.shifted_lines() > 0);
-        assert!(table.window_lengths().sum::<u64>() > d.len() as u64);
-        let mut exact = 0;
-        for name in SosdName::all() {
-            let d: Dataset<u64> = name.generate(4_000, 42);
-            let table = ShiftTable::build(&InterpolationModel::build(&d), d.as_slice());
-            let sum = table.window_lengths().sum::<u64>();
-            let tag = format!("{name}: {} shifted lines", table.shifted_lines());
-            assert!(sum >= d.len() as u64, "{tag}");
-            assert_eq!(sum == d.len() as u64, table.shifted_lines() == 0, "{tag}");
-            exact += usize::from(table.shifted_lines() == 0);
+        // more. At both offset widths.
+        for bits in [7, 6] {
+            let d: Dataset<u64> = SosdName::Amzn64.generate(4_000, 42);
+            let model = InterpolationModel::build(&d);
+            let table = ShiftTable::build_at(&model, d.as_slice(), bits);
+            assert!(table.window_lengths().any(|c| c == 0), "empty partitions");
+            assert!(table.shifted_lines() > 0);
+            assert!(table.window_lengths().sum::<u64>() > d.len() as u64);
+            let mut exact = 0;
+            for name in SosdName::all() {
+                let d: Dataset<u64> = name.generate(4_000, 42);
+                let model = InterpolationModel::build(&d);
+                let table = ShiftTable::build_at(&model, d.as_slice(), bits);
+                let sum = table.window_lengths().sum::<u64>();
+                let tag = format!(
+                    "{name} {bits} bits: {} shifted lines",
+                    table.shifted_lines()
+                );
+                assert!(sum >= d.len() as u64, "{tag}");
+                assert_eq!(sum == d.len() as u64, table.shifted_lines() == 0, "{tag}");
+                exact += usize::from(table.shifted_lines() == 0);
+            }
+            assert!(exact > 0, "{bits} bits: layers without a shifted line");
         }
-        assert!(exact > 0, "layers without a shifted line");
+    }
+
+    /// Bits the width rule gives the layer of `model` over `keys`, derived
+    /// from its exact drifts: 6 when at most 1/32 of the six-bit lines are
+    /// shifted or escaped, else 7.
+    fn expected_bits<M: CdfModel<u64> + ?Sized>(model: &M, keys: &[u64]) -> u32 {
+        use crate::build::testing::compute_range_drifts;
+        use crate::packed::tests::expected_line;
+        let drifts = compute_range_drifts(model, keys);
+        let lines = keys.len().div_ceil(79);
+        let inexact = (0..lines)
+            .filter(|&j| expected_line::<6>(&drifts, j).is_none_or(|(_, shift)| shift > 0))
+            .count();
+        if 32 * inexact <= lines {
+            6
+        } else {
+            7
+        }
+    }
+
+    #[cfg_attr(miri, ignore = "dataset too large for Miri")]
+    #[test]
+    fn every_generator_keeps_the_width_its_exact_drifts_call_for() {
+        // IM, the benchmark's RMI and a PGM over every generator at 200 k
+        // keys: both widths are kept somewhere, and each layer keeps the one
+        // its model's exact drifts call for — the six-bit layer where at
+        // most 1/32 of its lines would be shifted or escaped.
+        use learned_index::spec::ModelSpec;
+        let mut kept = [0; 2];
+        for spec in ["im", "rmi:4096", "pgm:64"].map(|spec| ModelSpec::parse(spec).unwrap()) {
+            for name in SosdName::all() {
+                let d: Dataset<u64> = name.generate(200_000, 21);
+                let model = spec.build(d.as_slice());
+                let table = ShiftTable::build(&*model, d.as_slice());
+                let bits = expected_bits(&*model, d.as_slice());
+                assert_eq!(table.offset_bits(), bits, "{name} {spec}");
+                kept[bits as usize - 6] += 1;
+            }
+        }
+        assert!(
+            kept.iter().all(|&k| k > 0),
+            "{kept:?} layers at 6 and 7 bits"
+        );
+    }
+
+    #[cfg_attr(miri, ignore = "dataset too large for Miri")]
+    #[test]
+    fn accurate_models_pack_under_0_87_bytes_a_key() {
+        // The layers of accurate models keep six bits: 64 bytes a line of
+        // 79 pairs, ≈ 0.81 bytes a key, and a few escaped lines. At 200 k
+        // keys every one is under 0.87 bytes a key (the worst, logn64 under
+        // the RMI, reads 0.837). Not every layer of these models is one: a
+        // PGM's ±64 error spreads more than 1/32 of the six-bit lines past
+        // 62 on face and osmc keys, and wiki64's duplicate runs do so under
+        // every model; those layers keep seven bits.
+        use SosdName::*;
+        let mut layers: Vec<(SosdName, &str)> = vec![(Osmc64, "rmi:4096"), (Logn64, "rmi:4096")];
+        for name in SosdName::all() {
+            if name != Wiki64 {
+                layers.push((name, "rs:32"));
+            }
+            if ![Face32, Face64, Osmc64, Wiki64].contains(&name) {
+                layers.push((name, "pgm:64"));
+            }
+        }
+        let n = 200_000;
+        for (name, spec) in layers {
+            let d: Dataset<u64> = name.generate(n, 21);
+            let model = learned_index::spec::ModelSpec::parse(spec)
+                .unwrap()
+                .build(d.as_slice());
+            let table = ShiftTable::build(&*model, d.as_slice());
+            let bytes = Correction::size_bytes(&table);
+            let tag = format!("{name} {spec}: {} bits, {bytes} bytes", table.offset_bits());
+            assert_eq!(table.offset_bits(), 6, "{tag}");
+            assert_eq!(bytes, layer_bytes(&table), "{tag}");
+            assert!(bytes * 100 < n * 87, "{tag}");
+        }
     }
 
     #[cfg_attr(miri, ignore = "dataset too large for Miri")]
@@ -517,7 +641,7 @@ mod tests {
                     let table = ShiftTable::build(&*model, d.as_slice());
                     let bytes = Correction::size_bytes(&table);
                     let tag = format!("{name} {spec} n={n}: {} patches", table.patches());
-                    assert_eq!(bytes, layer_bytes(n, table.patches()), "{tag}");
+                    assert_eq!(bytes, layer_bytes(&table), "{tag}");
                     let hundredths = match n {
                         6_000 => 110,
                         70_000 => 105,
@@ -550,10 +674,10 @@ mod tests {
         let table = ShiftTable::build(&model, d.as_slice());
         assert!(table.expected_error() <= 1.0);
         assert!(table.window_lengths().all(|c| c <= 2));
-        // A perfect model's layer is 64 bytes a line of 67 keys: nothing to
-        // patch.
-        assert_eq!(table.patches(), 0);
-        assert_eq!(Correction::size_bytes(&table), layer_bytes(5_000, 0));
+        // A perfect model's layer is 64 bytes a line of 79 keys at six
+        // bits: nothing to shift or patch.
+        assert_eq!((table.offset_bits(), table.patches()), (6, 0));
+        assert_eq!(Correction::size_bytes(&table), 64 * 5_000usize.div_ceil(79));
     }
 
     #[cfg_attr(miri, ignore = "dataset too large for Miri")]
@@ -576,7 +700,7 @@ mod tests {
         // its drift and the end's, which share the last line, escape it.
         let table = ShiftTable::build(&Constant { n, at: n - 1 }, &keys);
         assert_eq!(table.patches(), 68);
-        assert_eq!(Correction::size_bytes(&table), layer_bytes(n, 68));
+        assert_eq!(Correction::size_bytes(&table), layer_bytes(&table));
         for k in [0, n / 2] {
             assert_eq!(table.entry(k), ShiftEntry::new(-(k as i64), 0));
             assert_eq!(table.correct(k), SearchHint::bounded(0, 0));
@@ -617,8 +741,7 @@ mod tests {
             let n = d.len();
             let table = ShiftTable::build(&*model, d.as_slice());
             assert_eq!(plain_bytes(&table) * 2, plain * n, "{}", d.name());
-            let bytes = layer_bytes(n, table.patches());
-            assert_eq!(Correction::size_bytes(&table), bytes);
+            assert_eq!(Correction::size_bytes(&table), layer_bytes(&table));
             // Every window past 1 016 records escapes its line: a few.
             let patches = table.patches();
             assert!(patches < n / 40, "{}: {patches} patches", d.name());
@@ -633,10 +756,7 @@ mod tests {
         let d: Dataset<u64> = SosdName::Logn64.generate(n, 21);
         let table = ShiftTable::build(&InterpolationModel::build(&d), d.as_slice());
         assert!((1..n / 100).contains(&table.patches()));
-        assert_eq!(
-            Correction::size_bytes(&table),
-            layer_bytes(n, table.patches())
-        );
+        assert_eq!(Correction::size_bytes(&table), layer_bytes(&table));
     }
 
     #[test]

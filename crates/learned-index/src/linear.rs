@@ -11,6 +11,16 @@ use crate::model::CdfModel;
 use sosd_data::dataset::Dataset;
 use sosd_data::key::Key;
 
+/// `p` clamped to `[lo, hi]` in `f64` — a NaN to `lo` — and truncated
+/// once. `lo ≤ hi` are positions, below 2^53, so the truncation goes
+/// through `i64`: one instruction on baseline x86-64, where the unsigned
+/// one is a branchy sequence. It equals truncating first (saturating) and
+/// clamping after, as `predict_clamped` does.
+#[inline]
+pub(crate) fn truncate_clamped(p: f64, lo: f64, hi: f64) -> usize {
+    p.max(lo).min(hi) as i64 as usize
+}
+
 /// "Interpolation as a Model" (IM): predicts
 /// `(x - min) / (max - min) · (N - 1)`, i.e. a straight line through the
 /// first and last key. Two parameters, never needs training data beyond the
@@ -67,6 +77,17 @@ impl<K: Key> CdfModel<K> for InterpolationModel {
         // Negative predictions (key below min) clamp to 0.
         let p = if p > 0.0 { p } else { 0.0 };
         (p as usize).min(self.n - 1)
+    }
+
+    /// The predictions of `predict_clamped`, each clamped in `f64` and
+    /// truncated once.
+    fn predict_clamped_into(&self, keys: &[K], out: &mut [u32]) {
+        assert_eq!(keys.len(), out.len(), "one output slot per key");
+        let last = self.n.saturating_sub(1) as f64;
+        for (slot, &key) in out.iter_mut().zip(keys) {
+            let p = (key.to_f64() - self.min) * self.slope;
+            *slot = truncate_clamped(p, 0.0, last) as u32;
+        }
     }
 
     fn key_count(&self) -> usize {
@@ -202,7 +223,7 @@ impl<K: Key> CdfModel<K> for LinearModel {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use sosd_data::generators::SosdName;
 
@@ -223,6 +244,39 @@ mod tests {
         let m = InterpolationModel::build(&d);
         assert_eq!(CdfModel::<u64>::predict(&m, 0), 0);
         assert_eq!(CdfModel::<u64>::predict(&m, 10_000), 2);
+    }
+
+    /// Keys at the edges of the `u64` → `f64` conversions.
+    pub(crate) fn conversion_edges() -> Vec<u64> {
+        let (p53, p63) = (1u64 << 53, 1u64 << 63);
+        vec![0, 1, p53 - 1, p53, p53 + 1, p63 - 1, p63, p63 + 1, u64::MAX]
+    }
+
+    #[test]
+    fn batched_predictions_equal_the_per_key_ones() {
+        // IM's run of predictions clamps in `f64` and truncates once; key by
+        // key it equals `predict_clamped`, on every generator, on columns of
+        // one, two and equal keys, and at the conversions' edges.
+        let stride: Vec<u64> = (0..1u64 << 16).map(|i| i * 4_099).collect();
+        let mut columns: Vec<Vec<u64>> = vec![vec![], vec![7], vec![3, 9], vec![5; 64], stride];
+        columns.extend(SosdName::all().map(|name| name.generate(20_000, 11).into_keys()));
+        columns.push(conversion_edges());
+        for keys in &columns {
+            let m = InterpolationModel::from_sorted_keys(keys);
+            let mut queries: Vec<u64> = keys
+                .iter()
+                .step_by(7)
+                .chain(&conversion_edges())
+                .flat_map(|&k| [k.saturating_sub(1), k, k.saturating_add(1)])
+                .collect();
+            queries.sort_unstable();
+            let mut out = vec![u32::MAX; queries.len()];
+            CdfModel::<u64>::predict_clamped_into(&m, &queries, &mut out);
+            for (&q, &p) in queries.iter().zip(&out) {
+                let want = CdfModel::<u64>::predict_clamped(&m, q);
+                assert_eq!(p as usize, want, "n={} key {q}", keys.len());
+            }
+        }
     }
 
     #[test]

@@ -35,7 +35,7 @@
 //! on clustered data) train as fast as dense ones.
 
 use crate::cubic::CubicModel;
-use crate::linear::LinearModel;
+use crate::linear::{truncate_clamped, LinearModel};
 use crate::model::CdfModel;
 use sosd_data::dataset::Dataset;
 use sosd_data::key::Key;
@@ -362,13 +362,16 @@ impl RmiIndex {
 
     /// Write the clamped predictions of `keys`, all routed to `leaf`, into
     /// `out`: the leaf's line and bounds stay in registers for the whole
-    /// stretch.
+    /// stretch. Each is clamped in `f64` and truncated once — the
+    /// prediction `predict` makes by truncating first, capping at `last`
+    /// and raising to `lo`, so a leaf whose `last` is below its `lo`
+    /// serves `lo`.
     #[inline]
     fn predict_stretch<K: Key>(&self, leaf: usize, keys: &[K], out: &mut [u32]) {
         let (line, (lo, last)) = (&self.leaves[leaf], self.bounds(leaf));
+        let (lo, hi) = (lo as f64, last.max(lo) as f64);
         for (slot, key) in out.iter_mut().zip(keys) {
-            let p = clamp_pred(line.predict_f64(key.to_f64()), self.n);
-            *slot = p.min(last).max(lo) as u32;
+            *slot = truncate_clamped(line.predict_f64(key.to_f64()), lo, hi) as u32;
         }
     }
 }
@@ -656,6 +659,40 @@ mod tests {
         let dup = Dataset::from_keys("dup", vec![4u64; 100]);
         let rmi = RmiIndex::build(&dup);
         assert!(CdfModel::<u64>::predict(&rmi, 4) < 100);
+    }
+
+    #[test]
+    fn batched_predictions_equal_the_per_key_ones_at_the_conversion_edges() {
+        // A stretch's predictions clamp in `f64` and truncate once; key by
+        // key they equal `predict`'s, which truncates first — on keys at the
+        // `u64` → `f64` conversions' edges, beside them, and over columns
+        // whose RMIs hold empty leaves.
+        let edges = crate::linear::tests::conversion_edges();
+        let stride: Vec<u64> = (0..1u64 << 16).map(|i| i * 4_099).collect();
+        let mut columns: Vec<Vec<u64>> = vec![vec![7], vec![3, 9], vec![5; 64], stride];
+        columns.push(edges.clone());
+        columns.push((0..64).map(|b| 1u64 << b).collect());
+        for keys in &columns {
+            let d = Dataset::from_keys("c", keys.clone());
+            for root in [RootModelKind::Linear, RootModelKind::Cubic] {
+                let rmi = RmiIndex::builder()
+                    .leaf_count(1024)
+                    .root_model(root)
+                    .build(&d);
+                let mut queries: Vec<u64> = keys
+                    .iter()
+                    .chain(&edges)
+                    .flat_map(|&k| [k.saturating_sub(1), k, k.saturating_add(1)])
+                    .collect();
+                queries.sort_unstable();
+                let mut out = vec![u32::MAX; queries.len()];
+                CdfModel::<u64>::predict_clamped_into(&rmi, &queries, &mut out);
+                for (&q, &p) in queries.iter().zip(&out) {
+                    let want = CdfModel::<u64>::predict_clamped(&rmi, q);
+                    assert_eq!(p as usize, want, "n={} {root:?} key {q}", keys.len());
+                }
+            }
+        }
     }
 
     #[test]

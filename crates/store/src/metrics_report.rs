@@ -37,6 +37,7 @@ impl<K: Key> StoreCore<K> {
         let mut cold = 0u64;
         let mut layer_bytes = 0u64;
         let mut layer_patches = 0u64;
+        let mut narrow = 0u64;
         let mut delta_runs = 0u64;
         let mut delta_depth_max = 0u64;
         let mut delta_keys = 0u64;
@@ -46,6 +47,7 @@ impl<K: Key> StoreCore<K> {
             cold += u64::from(snapshot.is_cold());
             layer_bytes += snapshot.layer_bytes() as u64;
             layer_patches += snapshot.layer_patches() as u64;
+            narrow += u64::from(snapshot.layer_offset_bits() == 6);
             let runs = shard.state().delta().unsealed_run_count() as u64;
             delta_runs += runs;
             delta_depth_max = delta_depth_max.max(runs);
@@ -58,6 +60,10 @@ impl<K: Key> StoreCore<K> {
         metrics.push(obs::gauge_metric(
             "store_layer_patches",
             layer_patches as f64,
+        ));
+        metrics.push(obs::gauge_metric(
+            "store_layer_narrow_shards",
+            narrow as f64,
         ));
         metrics.push(obs::gauge_metric("store_delta_runs", delta_runs as f64));
         metrics.push(obs::gauge_metric(

@@ -64,11 +64,12 @@ pub struct ShardSnapshot<K: Key> {
     index: DynRangeIndex<K>,
     /// What the index's correction layer occupies, noted before the index
     /// went behind `dyn RangeIndex`: its bytes, the drifts a range layer
-    /// keeps in escaped lines, and its shifted lines. All 0 on a cold
-    /// snapshot.
+    /// keeps in escaped lines, its shifted lines and the bits of its drift
+    /// offsets. All 0 on a cold snapshot.
     layer_bytes: usize,
     layer_patches: usize,
     layer_shifted_lines: usize,
+    layer_offset_bits: u32,
     epoch: u64,
     /// `Some` while the base is still encoded in a mounted v2 snapshot
     /// file; hydration replaces the whole snapshot with a hot epoch.
@@ -82,15 +83,18 @@ impl<K: Key> ShardSnapshot<K> {
     /// sortedness scan runs per (re)build.
     pub(crate) fn build(spec: &IndexSpec, keys: Arc<[K]>, epoch: u64) -> Self {
         let index = spec.build_corrected_prevalidated_with(keys.clone(), Default::default());
-        let (layer_patches, layer_shifted_lines) = match index.layer() {
-            CorrectionLayer::Range(table) => (table.patches(), table.shifted_lines()),
-            CorrectionLayer::Midpoint(_) | CorrectionLayer::None => (0, 0),
+        let (layer_patches, layer_shifted_lines, layer_offset_bits) = match index.layer() {
+            CorrectionLayer::Range(table) => {
+                (table.patches(), table.shifted_lines(), table.offset_bits())
+            }
+            CorrectionLayer::Midpoint(_) | CorrectionLayer::None => (0, 0, 0),
         };
         Self {
             keys,
             layer_bytes: index.layer().size_bytes(),
             layer_patches,
             layer_shifted_lines,
+            layer_offset_bits,
             index: Box::new(index),
             epoch,
             cold: None,
@@ -107,6 +111,7 @@ impl<K: Key> ShardSnapshot<K> {
             layer_bytes: 0,
             layer_patches: 0,
             layer_shifted_lines: 0,
+            layer_offset_bits: 0,
             epoch,
             cold: Some(base),
         }
@@ -130,8 +135,8 @@ impl<K: Key> ShardSnapshot<K> {
     }
 
     /// Drifts a Shift-Table range layer keeps in its patch array, 68 an
-    /// escaped line (see [`shift_table::ShiftTable::patches`]); 0 for
-    /// every other layer.
+    /// escaped seven-bit line and 80 a six-bit one (see
+    /// [`shift_table::ShiftTable::patches`]); 0 for every other layer.
     pub fn layer_patches(&self) -> usize {
         self.layer_patches
     }
@@ -141,6 +146,12 @@ impl<K: Key> ShardSnapshot<K> {
     /// layer.
     pub fn layer_shifted_lines(&self) -> usize {
         self.layer_shifted_lines
+    }
+
+    /// Bits a Shift-Table range layer's drift offsets take, 6 or 7 (see
+    /// [`shift_table::ShiftTable::offset_bits`]); 0 for every other layer.
+    pub fn layer_offset_bits(&self) -> u32 {
+        self.layer_offset_bits
     }
 
     /// Number of keys in the base column, decoded or not.
@@ -922,11 +933,18 @@ mod tests {
         assert!(!cold.snapshot().is_cold());
         assert_eq!(cold.snapshot().epoch(), 1);
         let n = cold.snapshot().base_len();
-        // 64 bytes a line of 67 keys and 272 an escaped line.
-        let escaped = cold.snapshot().layer_patches() / 68;
+        // 64 bytes a line of 67 keys and 4 a patched drift at seven bits,
+        // a line of 79 at six.
+        let pairs = match cold.snapshot().layer_offset_bits() {
+            7 => 67,
+            bits => {
+                assert_eq!(bits, 6);
+                79
+            }
+        };
         assert_eq!(
             cold.snapshot().layer_bytes(),
-            64 * n.div_ceil(67) + 272 * escaped
+            64 * n.div_ceil(pairs) + 4 * cold.snapshot().layer_patches()
         );
         assert!(
             !cold.rebuild().unwrap(),

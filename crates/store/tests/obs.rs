@@ -7,7 +7,7 @@ use algo_index::RangeIndex;
 use shift_obs::{parse_prometheus, HistogramSnapshot, MetricValue, MetricsReport};
 use shift_store::obs::{CATALOGUE, LATENCY_SAMPLE, TRACE_CAPACITY};
 use shift_store::{
-    DurabilityConfig, HydrationReason, ShardedStore, StoreConfig, TraceKind, WriteBatch,
+    DurabilityConfig, HydrationReason, ShardedStore, StoreConfig, StoreShard, TraceKind, WriteBatch,
 };
 use shift_table::spec::IndexSpec;
 use std::path::PathBuf;
@@ -275,13 +275,14 @@ fn catalogue_is_complete_and_prometheus_roundtrips() {
         .any(|s| s.name == "store_shard_accesses" && !s.labels.is_empty()));
 }
 
-/// The layer gauges say what the hot shards' Shift-Table layers weigh and
-/// how many of their drifts are patches: under `im+r1` two shards of 200 k
-/// amzn64 keys take 64 bytes per line of 67 keys and 272 more per escaped
-/// line, whose 68 drifts are patches, and hold shifted lines beside those
-/// at no extra cost; three of evenly spaced keys hold no
-/// patch, and a least-squares line over lognormal keys few, under 1.05
-/// bytes a key.
+/// The layer gauges say what the hot shards' Shift-Table layers weigh, how
+/// many of their drifts are patches and how many store six-bit offsets:
+/// under `im+r1` two shards of 200 k amzn64 keys keep seven bits, take 64
+/// bytes per line of 67 keys and 272 more per escaped line, whose 68
+/// drifts are patches, and hold shifted lines beside those at no extra
+/// cost; three of evenly spaced keys keep six bits, 64 bytes per line of
+/// 79 keys, and hold no patch, and a least-squares line over lognormal
+/// keys few, under 1.05 bytes a key.
 #[test]
 fn layer_gauges_report_bytes_and_patches_of_every_hot_shard() {
     use sosd_data::prelude::*;
@@ -314,20 +315,40 @@ fn layer_gauges_report_bytes_and_patches_of_every_hot_shard() {
         .sum();
     assert!(shifted > 0, "{shifted} shifted lines");
     assert_eq!(gauge(&big, "store_layer_patches"), patches as f64);
-    let layer_bytes = |len: usize| 64 * len.div_ceil(67);
-    let bytes: usize = table.shards().iter().map(|s| layer_bytes(s.len())).sum();
-    let bytes = bytes + 272 * (patches / 68);
+    // 64 bytes a line of 67 keys at seven bits, of 79 at six, and 4 a
+    // patched drift.
+    let layer_bytes = |shard: &StoreShard<u64>| {
+        let snapshot = shard.snapshot();
+        let pairs = match snapshot.layer_offset_bits() {
+            7 => 67,
+            6 => 79,
+            bits => panic!("{bits}-bit offsets"),
+        };
+        64 * shard.len().div_ceil(pairs) + 4 * snapshot.layer_patches()
+    };
+    let bytes: usize = table.shards().iter().map(|s| layer_bytes(s)).sum();
     assert_eq!(gauge(&big, "store_layer_bytes"), bytes as f64);
+    let bits = table
+        .shards()
+        .iter()
+        .map(|s| s.snapshot().layer_offset_bits());
+    assert!(
+        bits.clone().all(|bits| bits == 7),
+        "{:?}",
+        bits.collect::<Vec<_>>()
+    );
+    assert_eq!(gauge(&big, "store_layer_narrow_shards"), 0.0);
 
     let keys: Vec<u64> = (0..5_000u64).collect();
     let small = ShardedStore::build(StoreConfig::new(spec()).shards(3), &keys).unwrap();
     let small_table = small.table();
-    let bytes = small_table.shards().iter().map(|s| layer_bytes(s.len()));
+    let bytes = small_table.shards().iter().map(|s| layer_bytes(s));
     assert_eq!(
         gauge(&small, "store_layer_bytes"),
         bytes.sum::<usize>() as f64
     );
     assert_eq!(gauge(&small, "store_layer_patches"), 0.0);
+    assert_eq!(gauge(&small, "store_layer_narrow_shards"), 3.0);
 
     // Few partitions holding keys between long stretches of empty ones:
     // long windows, each past 1 016 records escaping its line: few patches.
@@ -348,6 +369,7 @@ fn layer_gauges_report_bytes_and_patches_of_every_hot_shard() {
     let none = ShardedStore::build(StoreConfig::new(bare).shards(3), &keys).unwrap();
     assert_eq!(gauge(&none, "store_layer_bytes"), 0.0);
     assert_eq!(gauge(&none, "store_layer_patches"), 0.0);
+    assert_eq!(gauge(&none, "store_layer_narrow_shards"), 0.0);
 }
 
 /// A read that touches a still-cold shard enqueues its own hydration and

@@ -469,7 +469,8 @@ fn rmi_stores_match_the_oracle_through_rebuild_split_and_reopen() {
 }
 
 /// A patched shard end to end: amzn64 under `im+r1`, whose first shards
-/// hold dense regions that climb the drift past 126 inside one line of 68
+/// hold dense regions that climb the drift past 126 inside one seven-bit
+/// line of 68
 /// — a few hundred shifted lines across the store, and a few dozen
 /// escaped ones that climb past 1 015. Every read of the trace that lands on one of those lines
 /// (the batch kernel's correct stage included) goes through the shifted

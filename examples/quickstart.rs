@@ -35,18 +35,22 @@ fn main() {
         index.correction_error()
     );
     // The layer is 64-byte cache lines of one base and 68 seven-bit
-    // offsets, 67 entries a line (≈ 0.96 B/key) — a window ends where the
-    // next entry's starts, so its length costs nothing, and a correction
-    // reads one line. A line whose drifts spread past 126 counts them in
-    // units of up to 8 records (a shifted line, at no extra bytes), and one
-    // spreading past 1 015 costs 272 bytes more, its 68 drifts kept in full
-    // in a patch array.
-    let (patches, shifted) = match index.layer() {
-        CorrectionLayer::Range(table) => (table.patches(), table.shifted_lines()),
-        _ => (0, 0),
+    // offsets, 67 entries a line (≈ 0.96 B/key), or 80 six-bit ones, 79
+    // entries a line (≈ 0.81 B/key), where at most 1/32 of those lines
+    // would be shifted or escaped — a window ends where the next entry's
+    // starts, so its length costs nothing, and a correction reads one
+    // line. A line whose drifts spread past what an offset holds (126 at
+    // seven bits) counts them in units of up to 8 records (a shifted line,
+    // at no extra bytes), and one spreading past 1 015 (503) costs 272
+    // (320) bytes more, its drifts kept in full in a patch array.
+    let (bits, patches, shifted) = match index.layer() {
+        CorrectionLayer::Range(table) => {
+            (table.offset_bits(), table.patches(), table.shifted_lines())
+        }
+        _ => (0, 0, 0),
     };
     println!(
-        "index footprint      : {:.1} MiB ({} entries, {:.2} B/key, {patches} patches, {shifted} shifted lines)",
+        "index footprint      : {:.1} MiB ({} entries, {:.2} B/key, {bits}-bit offsets, {patches} patches, {shifted} shifted lines)",
         index.index_size_bytes() as f64 / (1024.0 * 1024.0),
         dataset.len(),
         index.index_size_bytes() as f64 / dataset.len() as f64,
