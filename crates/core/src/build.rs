@@ -22,18 +22,18 @@
 //! `PREDICT_RUN` keys the emitter predicts, compacts the change positions
 //! without a branch, stages every window's drifts — empty partitions
 //! included — as one fixed-size store, and appends the staged whole lines
-//! strictly left to right to the layer itself, at both offset widths
-//! (`Packer`: 68 drifts a seven-bit line, 80 a six-bit one): no blank
+//! of `LINE` drifts strictly left to right to the layer itself: no blank
 //! fill, no read-modify-write on the layer, no backward pass, no key read
-//! beyond the model's own. Each width is written once, line by line, in the
+//! beyond the model's own. The layer is written once, line by line, in the
 //! layout it is served from — a line that does not fit is appended to the
-//! patch array, nothing stored is re-encoded — and the six-bit lines are
-//! dropped as soon as more of them are shifted or escaped than the layer
-//! keeps six bits for. The packer knows the column's length from the
-//! start, so it escapes a shifted line whose windows would overhang the
-//! column as it appends it, and it knows how many lines the layer will
-//! have. The last drift of a line is the first of the next, so it stays
-//! staged until each width has appended that line.
+//! patch array, nothing stored is re-encoded. The layer knows the column's
+//! length from the start (`Lines::new`), so it escapes a shifted line
+//! whose windows would overhang the column as it appends it. The last
+//! drift of a line is the first of the next, so it stays staged until that
+//! line is appended. The emitter runs at six bits first and stops once
+//! more of the six-bit lines are shifted or escaped than the layer keeps
+//! six bits for (`Lines::spent`, checked every `PREDICT_RUN` keys); it then
+//! runs again at seven bits, which keep every line.
 //!
 //! A model that does fall — one a caller wrote — is not trusted to rise:
 //! every prediction is taken at the largest one before it, so the layer is
@@ -48,7 +48,7 @@
 //! by array.
 
 use crate::entry::MAX_KEYS;
-use crate::packed::{Packed, Packer};
+use crate::packed::{Line, Lines, Packed};
 use learned_index::model::CdfModel;
 use sosd_data::key::Key;
 use std::ops::Range;
@@ -106,21 +106,18 @@ const WIDTH: usize = 8;
 /// [`WIDTH`] of drifts, whether or not that many partitions start at it —
 /// the next window overwrites the surplus — so writing a window costs no
 /// branch that depends on its length, and the layer is fed whole lines.
-struct Stage {
-    layer: Packer,
+struct Stage<const BITS: u32> {
+    layer: Lines<BITS>,
     drifts: [i32; STAGE + WIDTH],
     len: usize,
-    /// The layer's index of `drifts[0]`.
-    first: usize,
 }
 
-impl Stage {
-    fn new(layer: Packer) -> Self {
+impl<const BITS: u32> Stage<BITS> {
+    fn new(layer: Lines<BITS>) -> Self {
         Self {
             layer,
             drifts: [0; STAGE + WIDTH],
             len: 0,
-            first: 0,
         }
     }
 
@@ -144,20 +141,21 @@ impl Stage {
         }
     }
 
-    /// Append the staged whole lines to the layer at each width it packs,
-    /// keeping staged what a width's next line needs: its first drift is
-    /// also the last of the line before.
+    /// Append the staged whole lines to the layer, keeping the last drift
+    /// staged: it is also the first of the next line.
     fn drain(&mut self) {
-        self.layer.extend(&self.drifts[..self.len], self.first);
-        let done = self.layer.next_drift() - self.first;
-        self.drifts.copy_within(done..self.len, 0);
-        self.len -= done;
-        self.first += done;
+        let pairs = Line::<BITS>::PAIRS;
+        let whole = (self.len - 1) / pairs * pairs;
+        self.layer.extend(&self.drifts[..=whole]);
+        self.drifts.copy_within(whole..self.len, 0);
+        self.len -= whole;
     }
 
     /// The layer, with everything staged appended.
-    fn finish(self) -> Packed {
-        self.layer.finish(&self.drifts[..self.len], self.first)
+    fn finish(mut self) -> Lines<BITS> {
+        self.layer.extend(&self.drifts[..self.len]);
+        self.layer.finish();
+        self.layer
     }
 }
 
@@ -173,17 +171,24 @@ pub(crate) fn build_range_layer<K: Key, M: CdfModel<K> + ?Sized>(
     keys: &[K],
     audited: Option<&[u32]>,
 ) -> Packed {
-    emit(Packer::new(keys.len()), model, keys, audited)
+    let n = keys.len();
+    let six = emit(Lines::budgeted(n), model, keys, audited);
+    if six.spent() {
+        Packed::Seven(emit(Lines::new(n), model, keys, audited))
+    } else {
+        Packed::Six(six)
+    }
 }
 
-/// [`build_range_layer`] into `layer`, the packer of the layer over
-/// `keys.len()` keys.
-fn emit<K: Key, M: CdfModel<K> + ?Sized>(
-    layer: Packer,
+/// [`build_range_layer`] into `layer`, the array of the layer over
+/// `keys.len()` keys at one width — or, as soon as its budget is
+/// [`Lines::spent`], the lines appended so far.
+fn emit<const BITS: u32, K: Key, M: CdfModel<K> + ?Sized>(
+    layer: Lines<BITS>,
     model: &M,
     keys: &[K],
     audited: Option<&[u32]>,
-) -> Packed {
+) -> Lines<BITS> {
     // lint: allow(panic) the validating builders turn longer columns into BuildError::TooManyKeys; past them a drift would silently truncate
     assert!(
         keys.len() <= MAX_KEYS,
@@ -210,6 +215,9 @@ fn emit<K: Key, M: CdfModel<K> + ?Sized>(
     let mut predictions = Predictions::new(model, audited);
     let mut changes = [0u16; PREDICT_RUN];
     for start in (0..n).step_by(PREDICT_RUN) {
+        if stage.layer.spent() {
+            return stage.layer;
+        }
         let run = &keys[start..n.min(start + PREDICT_RUN)];
         let predictions = predictions.of(start, run);
         // Compact the positions where the prediction changes: every
@@ -374,7 +382,13 @@ pub(crate) mod testing {
         /// Pack a finished drift array in one call, at the width the rule
         /// picks: the layer over `drifts.len() − 1` keys.
         pub(crate) fn from_drifts(drifts: &[i32]) -> Self {
-            Packer::new(drifts.len().saturating_sub(1)).finish(drifts, 0)
+            let column = drifts.len().saturating_sub(1);
+            let six = Lines::budgeted(column).with(drifts);
+            if six.spent() {
+                Self::Seven(Lines::new(column).with(drifts))
+            } else {
+                Self::Six(six)
+            }
         }
     }
 
@@ -384,7 +398,11 @@ pub(crate) mod testing {
         keys: &[K],
         bits: u32,
     ) -> Packed {
-        emit(Packer::with_bits(keys.len(), bits), model, keys, None)
+        let n = keys.len();
+        match bits {
+            6 => Packed::Six(emit(Lines::new(n), model, keys, None)),
+            _ => Packed::Seven(emit(Lines::new(n), model, keys, None)),
+        }
     }
 
     /// The scatter builder: the drifts of the layer for *any* model, those
@@ -751,6 +769,25 @@ mod tests {
 
     /// Pairs a seven-bit line serves.
     const SEVEN_PAIRS: usize = crate::packed::Line::<7>::PAIRS;
+
+    #[cfg_attr(miri, ignore = "dataset too large for Miri")]
+    #[test]
+    fn a_wide_layer_stops_at_six_bits_once_the_budget_is_spent() {
+        // amzn64 under IM: most six-bit lines are shifted or escaped, so
+        // the six-bit pass stops a run of predictions past the line that
+        // spends its budget of 79 (1/32 of 2 532 lines), and the layer is
+        // the seven-bit pass's.
+        let n = 200_000;
+        let d: Dataset<u64> = SosdName::Amzn64.generate(n, 42);
+        let model = InterpolationModel::build(&d);
+        let six = emit(Lines::<6>::budgeted(n), &model, d.as_slice(), None);
+        assert!(six.spent());
+        let six = Packed::Six(six);
+        assert!(six.len() < n / 10, "stopped at drift {}", six.len());
+        let layer = build_range_layer(&model, d.as_slice(), None);
+        assert!(layer == Packed::Seven(emit(Lines::new(n), &model, d.as_slice(), None)));
+        assert!(layer == reference(&model, d.as_slice()));
+    }
 
     #[cfg_attr(miri, ignore = "dataset too large for Miri")]
     #[test]

@@ -161,11 +161,12 @@ mod tests {
     fn every_length_across_wave_and_block_edges_matches_reference() {
         // Uniform keys a thousand apart (narrow R-1 windows) plus a cluster
         // of 300 keys inside 300 units (one prediction slot, a window of
-        // hundreds of keys). The first block queries the uniform part only —
-        // every lane scans linearly, but one predicted into the cluster's
-        // line, which is shifted: at six bits an offset its windows
-        // overhang each end by up to 7 records. From the second block on
-        // every fifth query hits the cluster, so blocks mix scanned,
+        // hundreds of keys). The first block queries the uniform part only,
+        // and none of it within 150 000 units of the cluster — about 160
+        // predictions, two lines of either width — so no lane reads the
+        // cluster's line, which is shifted at six bits and overhangs each
+        // window's ends: every lane scans linearly. From the second block
+        // on every fifth query hits the cluster, so blocks mix scanned,
         // binary-searched and tail lanes.
         let mut keys: Vec<u64> = (0..4_000u64).map(|i| i * 1_000).collect();
         keys.extend((0..300u64).map(|j| 2_000_000 + j));
@@ -177,7 +178,12 @@ mod tests {
                 if i >= BATCH_BLOCK && i % 5 == 0 {
                     2_000_000 + rng.next_below(300)
                 } else {
-                    rng.next_below(4_000_000)
+                    loop {
+                        let q = rng.next_below(4_000_000);
+                        if i >= BATCH_BLOCK || q.abs_diff(2_000_000) > 150_000 {
+                            break q;
+                        }
+                    }
                 }
             })
             .collect();
@@ -185,19 +191,7 @@ mod tests {
         let table = ShiftTable::build(&model, &keys);
         let window = |q: u64| table.correct(model.predict_clamped(q)).window.unwrap();
         let (head, rest) = pool.split_at(BATCH_BLOCK);
-        let pairs = if table.offset_bits() == 6 { 79 } else { 67 };
-        let line = |q: u64| model.predict_clamped(q) / pairs;
-        let (shifted, uniform): (Vec<u64>, Vec<u64>) =
-            head.iter().partition(|&&q| line(q) == line(2_000_000));
-        assert!(
-            uniform.iter().all(|&q| window(q) < THRESHOLD),
-            "narrow block"
-        );
-        assert!(
-            shifted.len() <= 2,
-            "{} lanes in the cluster's line",
-            shifted.len()
-        );
+        assert!(head.iter().all(|&q| window(q) < THRESHOLD), "narrow block");
         let second = &rest[..BATCH_BLOCK];
         assert!(second.iter().any(|&q| window(q) > 100));
         assert!(second.iter().any(|&q| window(q) < THRESHOLD));

@@ -58,11 +58,12 @@
 //! `core.table.correct_ns` of 39 ns, one that took the length from the
 //! offsets 33.
 //!
-//! **The width is chosen per layer, from its own drifts.** The builder
-//! ([`Packer`]) packs every drift at both widths and keeps the six-bit
-//! layer when at most 1/32 of its lines are shifted or escaped; it drops
-//! the six-bit pack as soon as that budget is spent, the line count being
-//! known from the column's length. An accurate model's drifts are narrow
+//! **The width is chosen per layer, from its own drifts.** A layer keeps
+//! six bits when at most 1/32 of its lines are shifted or escaped: the
+//! builder packs it at six bits first, with that budget
+//! ([`Lines::budgeted`]; the line count is known from the column's
+//! length), stops as soon as the budget is spent and packs it again at
+//! seven bits. An accurate model's drifts are narrow
 //! and its layer keeps six bits: at the benchmark's dataset seed, 2.1 % of
 //! the 79-pair lines of `static_narrow` (osmc64 under `rmi:4096`) are
 //! inexact, its layer falls from 0.9946 to 0.8567 bytes a key and its
@@ -265,6 +266,8 @@ pub(crate) struct Lines<const BITS: u32> {
     column: usize,
     /// Lines shifted or escaped.
     inexact: usize,
+    /// Lines that may be shifted or escaped before the width is dropped.
+    budget: usize,
 }
 
 impl<const BITS: u32> Lines<BITS> {
@@ -274,15 +277,33 @@ impl<const BITS: u32> Lines<BITS> {
 
     /// An empty array for the layer over `column` keys — `column + 1`
     /// drifts to come, none over no keys — with room for its lines (and no
-    /// patch).
-    fn new(column: usize) -> Self {
+    /// patch), kept whatever its lines.
+    pub fn new(column: usize) -> Self {
         Self {
             lines: Vec::with_capacity(Self::line_count(column + usize::from(column > 0))),
             patches: Vec::new(),
             len: 0,
             column,
             inexact: 0,
+            budget: usize::MAX,
         }
+    }
+
+    /// [`Lines::new`], with a budget of one shifted or escaped line in
+    /// [`NARROW_SHARE`]: past it, [`Lines::spent`].
+    pub fn budgeted(column: usize) -> Self {
+        let budget = Self::line_count(column + usize::from(column > 0)) / NARROW_SHARE;
+        Self {
+            budget,
+            ..Self::new(column)
+        }
+    }
+
+    /// True once more lines are shifted or escaped than the budget: the
+    /// layer is not kept at this width.
+    #[inline]
+    pub fn spent(&self) -> bool {
+        self.inexact > self.budget
     }
 
     /// Lines an array of `len` drifts holds.
@@ -291,13 +312,6 @@ impl<const BITS: u32> Lines<BITS> {
             0 | 1 => len,
             len => (len - 1).div_ceil(Self::PAIRS),
         }
-    }
-
-    /// The drift the next line starts at: the last one appended, which it
-    /// repeats.
-    #[inline]
-    fn next_drift(&self) -> usize {
-        Self::PAIRS * self.lines.len()
     }
 
     /// Append one line of `LINE` drifts.
@@ -340,7 +354,7 @@ impl<const BITS: u32> Lines<BITS> {
     /// inside `0..=column`: from its start to the larger of its start and
     /// its end. A line padded past the last drift serves no pair there.
     fn inside_column(&self, line: &Line<BITS>) -> bool {
-        let first = self.next_drift();
+        let first = Self::PAIRS * self.lines.len();
         let column = self.column as i64;
         let drift =
             |slot: usize| i64::from(line.base()) + (i64::from(line.offset(slot)) << line.shift());
@@ -353,33 +367,48 @@ impl<const BITS: u32> Lines<BITS> {
         })
     }
 
-    /// Append every whole line of `staged`, the drifts from `first` on,
-    /// past those already appended: `staged` starts no later than
-    /// [`Lines::next_drift`].
-    fn extend(&mut self, staged: &[i32], first: usize) {
-        let mut at = self.next_drift() - first;
-        while let Some(line) = staged.get(at..at + Self::LINE) {
-            self.push_line(line);
-            at += Self::PAIRS;
+    /// Append `drifts`, which continue the array from its last drift on:
+    /// `drifts[0]` repeats that drift unless the array is empty, as the
+    /// last drift of a line repeats the next line's first. Whole lines —
+    /// `PAIRS` drifts past the first — except at the end of the array,
+    /// where a short last line is padded with copies of its last drift,
+    /// which moves none of its extremes.
+    pub fn extend(&mut self, drifts: &[i32]) {
+        debug_assert!(
+            self.len == 0 || (self.len - 1).is_multiple_of(Self::PAIRS),
+            "the array ends at a whole line"
+        );
+        if drifts.is_empty() {
+            return;
         }
-    }
-
-    /// Append `staged`, the last drifts of the array from `first` on: its
-    /// whole lines, then a short last one padded with copies of its last
-    /// drift, which moves none of its extremes.
-    fn finish(&mut self, staged: &[i32], first: usize) {
-        self.extend(staged, first);
-        let rest = &staged[self.next_drift() - first..];
+        let fresh = self.len == 0;
+        let mut rest = drifts;
+        while rest.len() >= Self::LINE {
+            self.push_line(rest);
+            rest = &rest[Self::PAIRS..];
+        }
         // A lone last drift is the last of a line already appended — or,
-        // alone in the array, a line of its own.
-        if rest.len() > 1 || (self.lines.is_empty() && rest.len() == 1) {
+        // alone in an empty array, a line of its own.
+        if rest.len() > 1 || (fresh && drifts.len() == 1) {
             let mut line = [rest[rest.len() - 1]; MAX_LINE];
             line[..rest.len()].copy_from_slice(rest);
             self.push_line(&line);
         }
-        self.len = first + staged.len();
+        self.len += drifts.len() - usize::from(!fresh);
+    }
+
+    /// Give back the patch array's spare capacity.
+    pub fn finish(&mut self) {
         debug_assert!(self.len <= self.column + 1, "drifts past the column's end");
         self.patches.shrink_to_fit();
+    }
+
+    /// The array with every one of `drifts` appended in one call, finished.
+    #[cfg(test)]
+    pub fn with(mut self, drifts: &[i32]) -> Self {
+        self.extend(drifts);
+        self.finish();
+        self
     }
 
     /// Number of drifts stored in the patch array: `LINE` an escaped line.
@@ -551,74 +580,6 @@ impl Packed {
     /// Bytes of the lines and the patch array.
     pub fn size_bytes(&self) -> usize {
         at_width!(self, lines => lines.size_bytes())
-    }
-}
-
-/// The builder of a [`Packed`] array: it appends every drift at both
-/// widths and keeps the six-bit lines unless more than 1/32 of them are
-/// shifted or escaped, dropping them as soon as they are.
-pub(crate) struct Packer {
-    seven: Lines<7>,
-    /// `None` once dropped.
-    six: Option<Lines<6>>,
-    /// Six-bit lines that may be shifted or escaped.
-    budget: usize,
-}
-
-impl Packer {
-    /// The builder of the layer over `column` keys.
-    pub fn new(column: usize) -> Self {
-        let lines = Lines::<6>::line_count(column + usize::from(column > 0));
-        Self {
-            seven: Lines::new(column),
-            six: Some(Lines::new(column)),
-            budget: lines / NARROW_SHARE,
-        }
-    }
-
-    /// The builder of the layer over `column` keys that keeps `bits`, 7 or
-    /// 6, whatever its lines.
-    #[cfg(test)]
-    pub fn with_bits(column: usize, bits: u32) -> Self {
-        Self {
-            seven: Lines::new(column),
-            six: (bits == 6).then(|| Lines::new(column)),
-            budget: usize::MAX,
-        }
-    }
-
-    /// The first drift a width still needs: the first of its next line.
-    /// The drifts before it need not be staged again.
-    #[inline]
-    pub fn next_drift(&self) -> usize {
-        let six = self.six.as_ref().map_or(usize::MAX, Lines::next_drift);
-        self.seven.next_drift().min(six)
-    }
-
-    /// Append every whole line of `staged`, the drifts from `first` on, at
-    /// each width: `first` is at most [`Packer::next_drift`]. The six-bit
-    /// lines are dropped once more of them are inexact than the budget.
-    pub fn extend(&mut self, staged: &[i32], first: usize) {
-        self.seven.extend(staged, first);
-        if let Some(six) = &mut self.six {
-            six.extend(staged, first);
-            if six.inexact > self.budget {
-                self.six = None;
-            }
-        }
-    }
-
-    /// The finished array, `staged` holding its last drifts from `first`
-    /// on: six-bit lines if they kept to their budget, else seven-bit.
-    pub fn finish(mut self, staged: &[i32], first: usize) -> Packed {
-        if let Some(mut six) = self.six {
-            six.finish(staged, first);
-            if six.inexact <= self.budget {
-                return Packed::Six(six);
-            }
-        }
-        self.seven.finish(staged, first);
-        Packed::Seven(self.seven)
     }
 }
 

@@ -56,13 +56,11 @@ fn restated<const BITS: u32>(line: &Line<BITS>, slot: usize) -> (u32, u32) {
 /// `drifts.len() − 1` keys.
 #[cfg(test)]
 fn lines_of<const BITS: u32>(drifts: &[i32]) -> Lines<BITS> {
-    let mut lines = Lines::new(drifts.len().saturating_sub(1));
-    lines.finish(drifts, 0);
-    lines
+    Lines::new(drifts.len().saturating_sub(1)).with(drifts)
 }
 
 /// Pack `drifts` at `BITS` bits and check what holds of every packed
-/// array: feeding them in runs of any length reaches the same array, every
+/// array: feeding them a line or three lines a call reaches the same array, every
 /// offset and base sits at the bits the layout says and the bits past the
 /// last offset are clear, a line's last drift is the next line's first,
 /// every line is shifted or escaped by the shift rule
@@ -74,18 +72,20 @@ fn lines_of<const BITS: u32>(drifts: &[i32]) -> Lines<BITS> {
 pub(crate) fn pack<const BITS: u32>(drifts: &[i32]) -> Lines<BITS> {
     let (line_len, pairs) = (Line::<BITS>::LINE, Line::<BITS>::PAIRS);
     let packed = lines_of::<BITS>(drifts);
-    for run in [1, 50, pairs, 3 * pairs + 5] {
-        // Each run staged from the first drift the array still needs, as
-        // the emitter stages them.
+    for lines_per_call in [1, 3] {
         let mut streamed = Lines::<BITS>::new(drifts.len().saturating_sub(1));
-        let (mut first, mut to) = (0, 0);
-        while to + run < drifts.len() {
-            to += run;
-            streamed.extend(&drifts[first..to], first);
-            first = streamed.next_drift();
+        let mut from = 0;
+        loop {
+            // Each call repeats the last drift of the one before.
+            let to = drifts.len().min(from + lines_per_call * pairs + 1);
+            streamed.extend(&drifts[from..to]);
+            if to == drifts.len() {
+                break;
+            }
+            from = to - 1;
         }
-        streamed.finish(&drifts[first..], first);
-        assert!(streamed == packed, "runs of {run}");
+        streamed.finish();
+        assert!(streamed == packed, "{lines_per_call} lines a call");
     }
     assert_eq!(packed.len, drifts.len());
     assert_eq!(packed.lines.len(), Lines::<BITS>::line_count(drifts.len()));
@@ -647,23 +647,6 @@ fn bases_reach_both_ends_of_i32() {
     at_width::<6>();
 }
 
-/// `drifts` packed by the width rule, in runs of `run` drifts staged as
-/// the emitter stages them; the same array as in one call.
-#[cfg(test)]
-fn packed_by_the_rule(drifts: &[i32], run: usize) -> Packed {
-    let column = drifts.len().saturating_sub(1);
-    let mut packer = Packer::new(column);
-    let (mut first, mut to) = (0, 0);
-    while to + run < drifts.len() {
-        to += run;
-        packer.extend(&drifts[first..to], first);
-        first = packer.next_drift();
-    }
-    let packed = packer.finish(&drifts[first..], first);
-    assert!(packed == Packed::from_drifts(drifts), "runs of {run}");
-    packed
-}
-
 #[test]
 fn six_bits_are_kept_up_to_one_inexact_line_in_32() {
     // 64 six-bit lines of climbing drifts, exact at both widths: a budget
@@ -677,45 +660,44 @@ fn six_bits_are_kept_up_to_one_inexact_line_in_32() {
         for line in 0..spiked {
             drifts[(10 * line + 3) * pairs + 40] += 70;
         }
-        for run in [1, 100, 1_000, len] {
-            let packed = packed_by_the_rule(&drifts, run);
-            let bits = if spiked <= 2 { 6 } else { 7 };
-            assert_eq!(packed.offset_bits(), bits, "{spiked} spiked, runs of {run}");
-            let inexact = if bits == 6 { spiked } else { 0 };
-            let six = lines_of::<6>(&drifts);
-            assert_eq!(six.inexact, spiked, "{spiked} spiked");
-            assert_eq!(packed.shifted_lines() + packed.patches() / 80, inexact);
-        }
+        let packed = Packed::from_drifts(&drifts);
+        let bits = if spiked <= 2 { 6 } else { 7 };
+        assert_eq!(packed.offset_bits(), bits, "{spiked} spiked");
+        let inexact = if bits == 6 { spiked } else { 0 };
+        let six = lines_of::<6>(&drifts);
+        assert_eq!(six.inexact, spiked, "{spiked} spiked");
+        assert_eq!(packed.shifted_lines() + packed.patches() / 80, inexact);
     }
     // A layer of fewer than 32 lines has no budget: one inexact line
     // keeps seven bits, none six.
     let drifts = climbing(0, 31 * pairs + 1);
-    assert_eq!(packed_by_the_rule(&drifts, 500).offset_bits(), 6);
+    assert_eq!(Packed::from_drifts(&drifts).offset_bits(), 6);
     let mut spiked = drifts;
     spiked[500] += 70;
-    assert_eq!(packed_by_the_rule(&spiked, 500).offset_bits(), 7);
+    assert_eq!(Packed::from_drifts(&spiked).offset_bits(), 7);
     // The empty array and the array of one drift.
-    assert_eq!(packed_by_the_rule(&[], 1).offset_bits(), 6);
-    assert_eq!(packed_by_the_rule(&[3], 1).size_bytes(), 64);
+    assert_eq!(Packed::from_drifts(&[]).offset_bits(), 6);
+    assert_eq!(Packed::from_drifts(&[3]).size_bytes(), 64);
 }
 
 #[test]
-fn six_bits_are_dropped_as_soon_as_the_budget_is_spent() {
-    // Every six-bit line inexact: the packer drops them at the first
-    // line past the budget of 2, and stages only what seven bits need
-    // from then on.
-    let drifts = climbing(0, 64 * Line::<6>::PAIRS + 1)
+fn the_budget_is_spent_at_the_first_inexact_line_past_it() {
+    // Every 40th drift raised by 70: every six-bit line inexact, a budget
+    // of 2 over 64 lines. The third line spends it, whole lines appended
+    // one at a time or all at once.
+    let pairs = Line::<6>::PAIRS;
+    let drifts = climbing(0, 64 * pairs + 1)
         .iter()
         .enumerate()
         .map(|(k, &delta)| delta + if k % 40 == 20 { 70 } else { 0 })
         .collect::<Vec<_>>();
-    let mut packer = Packer::new(drifts.len() - 1);
-    packer.extend(&drifts[..160], 0);
-    assert!(packer.six.is_some(), "two inexact lines are in the budget");
-    packer.extend(&drifts[..240], 0);
-    assert!(packer.six.is_none(), "the third is past it");
-    assert_eq!(packer.next_drift(), packer.seven.next_drift());
-    let first = packer.next_drift();
-    let packed = packer.finish(&drifts[first..], first);
-    assert!(packed == Packed::Seven(lines_of::<7>(&drifts)));
+    let mut six = Lines::<6>::budgeted(drifts.len() - 1);
+    for line in 0..3 {
+        assert!(!six.spent(), "{line} inexact lines are in the budget");
+        six.extend(&drifts[pairs * line..=pairs * (line + 1)]);
+    }
+    assert!(six.spent(), "the third is past it");
+    let all = Lines::<6>::budgeted(drifts.len() - 1).with(&drifts);
+    assert!(all.spent() && all.lines == lines_of::<6>(&drifts).lines);
+    assert!(Packed::from_drifts(&drifts) == Packed::Seven(lines_of::<7>(&drifts)));
 }
