@@ -8,6 +8,7 @@
 
 use crate::counters::ProbeCounter;
 use crate::datasets::{dataset_u64, BenchConfig};
+use crate::midpoint::MidpointIndex;
 use crate::report::{fmt_ns, Table};
 use crate::timer::{measure_build, measure_lookups};
 use algo_index::prelude::*;
@@ -143,27 +144,38 @@ fn sweep_rbs(d: &Dataset<u64>, w: &Workload<u64>, out: &mut Vec<SweepPoint>) {
 }
 
 fn sweep_shift_table(d: &Dataset<u64>, w: &Workload<u64>, out: &mut Vec<SweepPoint>) {
-    // IM + Shift-Table across layer sizes: R-1 plus the S-X ladder, each
-    // configuration named by its layer spec.
+    // IM + Shift-Table across layer sizes: R-1 (the `im+r1` spec) plus the
+    // S-X ladder of `crate::midpoint` layers.
     let shared = d.to_shared();
-    for layer in ["r1", "s1", "s10", "s100", "s1000"] {
-        let spec = IndexSpec::parse(&format!("im+{layer}")).unwrap();
-        let (_, index) =
-            measure_build(|| spec.build_corrected(shared.clone()).expect("sorted keys"));
-        let (ns, _) = measure_lookups(w.queries(), |q| index.lower_bound(q));
+    let spec = IndexSpec::parse("im+r1").unwrap();
+    let r1 = spec.build_corrected(shared.clone()).expect("sorted keys");
+    out.push(shift_table_point(
+        "R-1".to_string(),
+        &r1,
+        r1.correction_error(),
+        w,
+    ));
+    for x in [1usize, 10, 100, 1000] {
+        let model = InterpolationModel::from_sorted_keys(&shared);
+        let index = MidpointIndex::build(shared.clone(), model, x);
         let err = index.correction_error();
-        out.push(SweepPoint {
-            index: "IM+Shift-Table",
-            parameter: if layer == "r1" {
-                "R-1".to_string()
-            } else {
-                format!("S-{}", &layer[1..])
-            },
-            size_bytes: index.index_size_bytes(),
-            lookup_ns: ns,
-            mean_log2_error: err.mean_log2,
-            probes: ProbeCounter::corrected(0.0, err.mean_abs.max(1.0)),
-        });
+        out.push(shift_table_point(format!("S-{x}"), &index, err, w));
+    }
+}
+
+fn shift_table_point<I: RangeIndex<u64>>(
+    parameter: String,
+    index: &I,
+    err: CorrectionErrorStats,
+    w: &Workload<u64>,
+) -> SweepPoint {
+    SweepPoint {
+        index: "IM+Shift-Table",
+        parameter,
+        size_bytes: index.index_size_bytes(),
+        lookup_ns: measure_lookups(w.queries(), |q| index.lower_bound(q)).0,
+        mean_log2_error: err.mean_log2,
+        probes: ProbeCounter::corrected(0.0, err.mean_abs.max(1.0)),
     }
 }
 

@@ -8,11 +8,17 @@
 //! table puts the price next to it: bytes per key of every layer, and the
 //! drifts the R-1 layer keeps in its patch array (68 per escaped seven-bit
 //! line, 80 per six-bit one).
+//!
+//! R-1 and the bare model are built from `im+r1` / `im+none` specs, as the
+//! serving path builds them. The S-X layers serve no lookup there: they are
+//! this crate's [`crate::midpoint`] layers, under the same IM model.
 
 use crate::datasets::{dataset_u32, dataset_u64, BenchConfig};
+use crate::midpoint::MidpointIndex;
 use crate::report::{fmt_ns, Table};
 use crate::timer::measure_lookups;
 use algo_index::RangeIndex;
+use learned_index::linear::InterpolationModel;
 use shift_table::prelude::*;
 use sosd_data::prelude::*;
 
@@ -60,15 +66,6 @@ impl LayerConfig {
             Self::Without => "Without Shift-Table".to_string(),
         }
     }
-
-    /// The layer half of the IM index spec this configuration maps to.
-    pub fn layer_spec(self) -> String {
-        match self {
-            Self::R1 => "r1".to_string(),
-            Self::S(x) => format!("s{x}"),
-            Self::Without => "none".to_string(),
-        }
-    }
 }
 
 /// Lookup ns, mean absolute error after correction, and the layer's size
@@ -78,17 +75,29 @@ fn measure_config<K: Key>(
     w: &Workload<K>,
     config: LayerConfig,
 ) -> (f64, f64, String) {
-    let spec = IndexSpec::parse(&format!("im+{}", config.layer_spec())).unwrap();
+    let per_key = |bytes: usize| bytes as f64 / shared.len().max(1) as f64;
+    let layer = match config {
+        LayerConfig::S(x) => {
+            let model = InterpolationModel::from_sorted_keys(shared);
+            let index = MidpointIndex::build(shared.clone(), model, x);
+            let (ns, _) = measure_lookups(w.queries(), |q| index.lower_bound(q));
+            let bytes = per_key(index.table().size_bytes());
+            return (ns, index.correction_error().mean_abs, format!("{bytes:.3}"));
+        }
+        LayerConfig::R1 => "r1",
+        LayerConfig::Without => "none",
+    };
+    let spec = IndexSpec::parse(&format!("im+{layer}")).unwrap();
     let index = spec.build_corrected(shared.clone()).expect("sorted keys");
     let (ns, _) = measure_lookups(w.queries(), |q| index.lower_bound(q));
     let err = index.correction_error().mean_abs;
-    let per_key = index.layer().size_bytes() as f64 / shared.len().max(1) as f64;
+    let bytes = per_key(index.layer().size_bytes());
     let size = match index.layer() {
         CorrectionLayer::Range(table) => {
             let (patches, shifted) = (table.patches(), table.shifted_lines());
-            format!("{per_key:.2} ({patches} patches, {shifted} shifted lines)")
+            format!("{bytes:.2} ({patches} patches, {shifted} shifted lines)")
         }
-        _ => format!("{per_key:.3}"),
+        CorrectionLayer::None => format!("{bytes:.3}"),
     };
     (ns, err, size)
 }

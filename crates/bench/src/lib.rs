@@ -16,6 +16,10 @@
 //!   `SOSD_N` reaches the size CI runs them at. The store itself is
 //!   measured end to end by the repo benchmark (`benchmark/`), not here.
 //!
+//! The paper's S-X midpoint layers live here too, in [`midpoint`]: only
+//! Figures 8 and 9 and the `layer_size` bench sweep them, and the serving
+//! path's one layer is R-1.
+//!
 //! Scale is controlled by environment variables so the same code runs on a
 //! laptop (default 2M keys) or at the paper's 200M-key scale:
 //!
@@ -32,6 +36,7 @@ pub mod counters;
 pub mod datasets;
 pub mod experiments;
 pub mod memlat;
+pub mod midpoint;
 pub mod report;
 pub mod store_gates;
 pub mod suites;
@@ -46,6 +51,7 @@ pub mod prelude {
     pub use crate::datasets::BenchConfig;
     pub use crate::experiments;
     pub use crate::memlat;
+    pub use crate::midpoint::MidpointIndex;
     pub use crate::report::{experiments_dir, Table};
     pub use crate::store_gates;
     pub use crate::suites::{self, Competitor, MeasuredResult};

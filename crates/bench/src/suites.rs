@@ -324,13 +324,35 @@ mod tests {
         };
         let d = dataset_u64(SosdName::Osmc64, cfg);
         let w = Workload::uniform_keys(&d, cfg.queries, 11);
-        let im = measure_one(Competitor::Im, &d, w.queries(), w.expected());
-        let st = measure_one(Competitor::ImShiftTable, &d, w.queries(), w.expected());
+
+        // The deterministic half: the layer's error and probe estimate.
+        let shared = d.to_shared();
+        let build = |spec: &str| {
+            let spec = IndexSpec::parse(spec).unwrap();
+            spec.build_corrected(shared.clone()).unwrap()
+        };
+        let (im, st) = (build("im+none"), build("im+r1"));
+        let probes = |index: &shift_table::DynCorrectedIndex<u64>| -> usize {
+            w.queries().iter().map(|&q| index.probe_estimate(q)).sum()
+        };
+        assert!(probes(&st) < probes(&im), "probe estimate");
         assert!(
-            st.lookup_ns.unwrap() < im.lookup_ns.unwrap(),
-            "IM+Shift-Table ({:.0} ns) should beat IM alone ({:.0} ns) on osmc",
-            st.lookup_ns.unwrap(),
-            im.lookup_ns.unwrap()
+            st.correction_error().mean_abs < im.correction_error().mean_abs,
+            "corrected error"
+        );
+
+        // The timed half runs beside the rest of a parallel `cargo test`:
+        // the best of five alternating rounds a side.
+        let (mut im_ns, mut st_ns) = (f64::INFINITY, f64::INFINITY);
+        for _ in 0..5 {
+            let im = measure_one(Competitor::Im, &d, w.queries(), w.expected());
+            im_ns = im_ns.min(im.lookup_ns.unwrap());
+            let st = measure_one(Competitor::ImShiftTable, &d, w.queries(), w.expected());
+            st_ns = st_ns.min(st.lookup_ns.unwrap());
+        }
+        assert!(
+            st_ns < im_ns,
+            "IM+Shift-Table ({st_ns:.0} ns) should beat IM alone ({im_ns:.0} ns) on osmc"
         );
     }
 }

@@ -274,100 +274,6 @@ fn rises_of_running_maximum(
     found
 }
 
-/// Compute the midpoint drifts `Δ̄` of a compact (S-X) layer with `m`
-/// partitions over every `sample_step`-th key (§3.4; `sample_step = 1` uses
-/// every key, larger values implement the sampling-based construction),
-/// plus the root-mean-square residual `sqrt(E[(drift − Δ̄)²])` of the
-/// sampled keys — derived from the per-partition drift moments accumulated
-/// by the same single pass, so the layer's build-time error statistic costs
-/// no extra model evaluation.
-pub(crate) fn compute_midpoint_deltas_and_residual<K: Key, M: CdfModel<K> + ?Sized>(
-    model: &M,
-    keys: &[K],
-    m: usize,
-    sample_step: usize,
-) -> (Vec<i64>, f64) {
-    let n = keys.len();
-    let m = m.max(1);
-    let sample_step = sample_step.max(1);
-    let mut sums = vec![0i128; m];
-    let mut sums_sq = vec![0.0f64; m];
-    let mut counts = vec![0u64; m];
-    if n > 0 {
-        let mut first_occurrence = 0usize;
-        for i in 0..n {
-            if i > 0 && keys[i] == keys[i - 1] {
-                // keep first_occurrence
-            } else {
-                first_occurrence = i;
-            }
-            if i % sample_step != 0 {
-                continue;
-            }
-            let prediction = model.predict_clamped(keys[i]);
-            let partition = partition_of(prediction, m, n);
-            let drift = first_occurrence as i128 - prediction as i128;
-            sums[partition] += drift;
-            sums_sq[partition] += (drift as f64) * (drift as f64);
-            counts[partition] += 1;
-        }
-    }
-    let mut deltas = vec![i64::MAX; m];
-    for k in 0..m {
-        if counts[k] > 0 {
-            deltas[k] = (sums[k] / counts[k] as i128) as i64;
-        }
-    }
-    // RMS residual from the moments: E[(x − Δ̄)²] = E[x²] − 2Δ̄E[x] + Δ̄²
-    // per populated partition, weighted by partition cardinality.
-    let mut residual_sq = 0.0f64;
-    let mut total = 0u64;
-    for k in 0..m {
-        if counts[k] > 0 {
-            let c = counts[k] as f64;
-            let d = deltas[k] as f64;
-            residual_sq += sums_sq[k] - 2.0 * d * (sums[k] as f64) + c * d * d;
-            total += counts[k];
-        }
-    }
-    let residual = if total == 0 {
-        0.0
-    } else {
-        (residual_sq.max(0.0) / total as f64).sqrt()
-    };
-    // Empty partitions copy the nearest populated neighbour (right first,
-    // matching the range-mode backward fill, then left for trailing gaps).
-    let mut next: i64 = 0;
-    let mut have_next = false;
-    for k in (0..m).rev() {
-        if deltas[k] != i64::MAX {
-            next = deltas[k];
-            have_next = true;
-        } else if have_next {
-            deltas[k] = next;
-        }
-    }
-    let mut prev: i64 = 0;
-    for d in deltas.iter_mut() {
-        if *d == i64::MAX {
-            *d = prev;
-        } else {
-            prev = *d;
-        }
-    }
-    (deltas, residual)
-}
-
-/// Map a prediction (on the `[0, n)` record scale) to a partition index on
-/// the `[0, m)` layer scale.
-#[inline]
-pub(crate) fn partition_of(prediction: usize, m: usize, n: usize) -> usize {
-    if n == 0 || m == 0 {
-        return 0;
-    }
-    (((prediction as u128) * (m as u128)) / (n as u128)) as usize
-}
-
 /// Reference code the tests check the emitter and the packed layout
 /// against: the paper's scatter builder, and packing a finished drift
 /// array in one call.
@@ -910,81 +816,10 @@ mod tests {
     }
 
     #[test]
-    fn midpoint_deltas_average_the_drift() {
-        // Model that always predicts position 0 over 10 keys: drifts are
-        // 0..9, the midpoint over one partition is their mean = 4.
-        struct Zero;
-        impl CdfModel<u64> for Zero {
-            fn predict(&self, _key: u64) -> usize {
-                0
-            }
-            fn key_count(&self) -> usize {
-                10
-            }
-            fn size_bytes(&self) -> usize {
-                0
-            }
-            fn name(&self) -> &'static str {
-                "zero"
-            }
-        }
-        let keys: Vec<u64> = (0..10u64).collect();
-        let (deltas, residual) = compute_midpoint_deltas_and_residual(&Zero, &keys, 1, 1);
-        assert_eq!(deltas, vec![4]);
-        // Drifts 0..=9 around Δ̄ = 4: residuals −4..=5, RMS = sqrt(8.5).
-        assert!(
-            (residual - 8.5f64.sqrt()).abs() < 1e-9,
-            "residual {residual}"
-        );
-    }
-
-    #[test]
-    fn midpoint_empty_partitions_copy_neighbours() {
-        let keys: Vec<u64> = (0..100u64).map(|i| i * 3).collect();
-        let d = Dataset::from_keys("d", keys);
-        let model = InterpolationModel::build(&d);
-        let (deltas, _) = compute_midpoint_deltas_and_residual(&model, d.as_slice(), 400, 1);
-        assert_eq!(deltas.len(), 400);
-        assert!(deltas.iter().all(|&d| d != i64::MAX));
-    }
-
-    #[cfg_attr(miri, ignore = "dataset too large for Miri")]
-    #[test]
-    fn sampling_build_is_close_to_full_build() {
-        let d: Dataset<u64> = SosdName::Face64.generate(50_000, 5);
-        let model = InterpolationModel::build(&d);
-        let full = compute_midpoint_deltas_and_residual(&model, d.as_slice(), 1000, 1).0;
-        let sampled = compute_midpoint_deltas_and_residual(&model, d.as_slice(), 1000, 16).0;
-        let mut diffs = 0usize;
-        for (f, s) in full.iter().zip(sampled.iter()) {
-            if (f - s).abs() > 200 {
-                diffs += 1;
-            }
-        }
-        assert!(
-            diffs < full.len() / 10,
-            "sampled layer diverges from the full layer in {diffs}/{} partitions",
-            full.len()
-        );
-    }
-
-    #[test]
-    fn partition_of_maps_edges_correctly() {
-        assert_eq!(partition_of(0, 10, 100), 0);
-        assert_eq!(partition_of(99, 10, 100), 9);
-        assert_eq!(partition_of(50, 10, 100), 5);
-        assert_eq!(partition_of(0, 10, 0), 0);
-        assert_eq!(partition_of(5, 0, 100), 0);
-    }
-
-    #[test]
     fn empty_keys_produce_empty_layers() {
         let d: Dataset<u64> = Dataset::from_keys("e", vec![]);
         let model = InterpolationModel::build(&d);
         assert!(compute_range_drifts(&model, d.as_slice()).is_empty());
         assert!(build_range_layer(&model, d.as_slice(), None).is_empty());
-        let (deltas, residual) = compute_midpoint_deltas_and_residual(&model, d.as_slice(), 4, 1);
-        assert_eq!(deltas, vec![0, 0, 0, 0]);
-        assert_eq!(residual, 0.0);
     }
 }

@@ -8,8 +8,8 @@ pub struct SearchHint {
     pub start: usize,
     /// Guaranteed window length containing the result, when the correction
     /// layer can provide one (`<Δ, C>` range mode). `None` means the hint is
-    /// a bare position (midpoint mode) and an unbounded search such as
-    /// exponential search must be used (§3.4/§3.8).
+    /// a bare position — the raw prediction when no layer serves — and an
+    /// unbounded search such as exponential search must be used (§3.8).
     pub window: Option<usize>,
 }
 
@@ -41,12 +41,6 @@ pub trait Correction: Send + Sync {
 
     /// Memory footprint of the layer in bytes.
     fn size_bytes(&self) -> usize;
-
-    /// Number of entries in the layer (the paper's `M`).
-    fn entry_count(&self) -> usize;
-
-    /// Display name used in reports (e.g. `"Shift-Table(R-1)"`).
-    fn name(&self) -> &'static str;
 }
 
 /// The identity correction: the model's prediction, unbounded. It serves
@@ -61,12 +55,6 @@ impl Correction for Uncorrected {
     fn size_bytes(&self) -> usize {
         0
     }
-    fn entry_count(&self) -> usize {
-        0
-    }
-    fn name(&self) -> &'static str {
-        "uncorrected"
-    }
 }
 
 impl<T: Correction + ?Sized> Correction for &T {
@@ -75,27 +63,6 @@ impl<T: Correction + ?Sized> Correction for &T {
     }
     fn size_bytes(&self) -> usize {
         (**self).size_bytes()
-    }
-    fn entry_count(&self) -> usize {
-        (**self).entry_count()
-    }
-    fn name(&self) -> &'static str {
-        (**self).name()
-    }
-}
-
-impl<T: Correction + ?Sized> Correction for Box<T> {
-    fn correct(&self, prediction: usize) -> SearchHint {
-        (**self).correct(prediction)
-    }
-    fn size_bytes(&self) -> usize {
-        (**self).size_bytes()
-    }
-    fn entry_count(&self) -> usize {
-        (**self).entry_count()
-    }
-    fn name(&self) -> &'static str {
-        (**self).name()
     }
 }
 
@@ -121,23 +88,15 @@ mod tests {
         fn size_bytes(&self) -> usize {
             4
         }
-        fn entry_count(&self) -> usize {
-            1
-        }
-        fn name(&self) -> &'static str {
-            "fixed"
-        }
     }
 
     #[test]
-    fn trait_forwarding_through_ref_and_box() {
+    fn trait_forwarding_through_ref() {
         let f = Fixed;
         let r: &dyn Correction = &f;
         assert_eq!(r.correct(3).start, 4);
         assert_eq!(r.size_bytes(), 4);
-        let b: Box<dyn Correction> = Box::new(Fixed);
-        assert_eq!(b.correct(0), SearchHint::bounded(1, 2));
-        assert_eq!(b.name(), "fixed");
-        assert_eq!(b.entry_count(), 1);
+        assert_eq!((&r).correct(0), SearchHint::bounded(1, 2));
+        assert_eq!(Correction::size_bytes(&&f), 4);
     }
 }

@@ -84,65 +84,8 @@ impl ShiftEntry {
     }
 }
 
-/// Packed storage for midpoint-only (`Δ̄`) tables.
-#[derive(Debug, Clone)]
-pub(crate) enum MidpointStorage {
-    /// 2-byte entries.
-    Narrow(Vec<i16>),
-    /// 8-byte entries.
-    Wide(Vec<i64>),
-}
-
-impl MidpointStorage {
-    /// Pack midpoint drifts, choosing the narrowest lossless encoding.
-    pub fn pack(deltas: &[i64]) -> Self {
-        let narrow_ok = deltas
-            .iter()
-            .all(|&d| d >= i16::MIN as i64 && d <= i16::MAX as i64);
-        if narrow_ok {
-            Self::Narrow(deltas.iter().map(|&d| d as i16).collect())
-        } else {
-            Self::Wide(deltas.to_vec())
-        }
-    }
-
-    /// Number of entries.
-    #[inline]
-    pub fn len(&self) -> usize {
-        match self {
-            Self::Narrow(v) => v.len(),
-            Self::Wide(v) => v.len(),
-        }
-    }
-
-    /// Fetch an entry.
-    #[inline]
-    pub fn get(&self, i: usize) -> i64 {
-        match self {
-            Self::Narrow(v) => v[i] as i64,
-            Self::Wide(v) => v[i],
-        }
-    }
-
-    /// Size of the packed array in bytes.
-    #[inline]
-    pub fn size_bytes(&self) -> usize {
-        match self {
-            Self::Narrow(v) => v.len() * 2,
-            Self::Wide(v) => v.len() * 8,
-        }
-    }
-
-    /// True if the narrow encoding was selected.
-    #[inline]
-    pub fn is_narrow(&self) -> bool {
-        matches!(self, Self::Narrow(_))
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::packed::tests::pack_seven as pack;
     use crate::packed::{Line, Lines};
 
@@ -210,23 +153,6 @@ mod tests {
         let last = n as usize - 1;
         assert_eq!(packed.pair(last), Some((last, 1 - n, n as usize)));
         assert_eq!(packed.size_bytes(), 64 * (n as usize).div_ceil(PAIRS) + 272);
-    }
-
-    #[test]
-    fn midpoint_storage_roundtrips() {
-        let small = vec![-3i64, 0, 12, 32_000];
-        let packed = MidpointStorage::pack(&small);
-        assert!(packed.is_narrow());
-        assert_eq!(packed.size_bytes(), 8);
-        for (i, &d) in small.iter().enumerate() {
-            assert_eq!(packed.get(i), d);
-        }
-
-        let big = vec![1i64, -40_000_000];
-        let packed = MidpointStorage::pack(&big);
-        assert!(!packed.is_narrow());
-        assert_eq!(packed.get(1), -40_000_000);
-        assert_eq!(packed.len(), 2);
     }
 
     #[test]

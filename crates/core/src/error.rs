@@ -76,8 +76,8 @@ impl CorrectionErrorStats {
     /// Measure the error of `correction ∘ model` over every distinct key.
     ///
     /// For range-mode corrections the "corrected prediction" is the start of
-    /// the search window (the first record the local search touches); for
-    /// midpoint corrections it is the corrected position itself.
+    /// the search window (the first record the local search touches); for an
+    /// unbounded hint it is the hinted position itself.
     pub fn compute<K: Key, M, C>(model: &M, correction: &C, keys: &[K]) -> Self
     where
         M: CdfModel<K> + ?Sized,
@@ -154,7 +154,6 @@ impl std::fmt::Display for CorrectionErrorStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compact::CompactShiftTable;
     use crate::table::ShiftTable;
     use learned_index::linear::InterpolationModel;
     use learned_index::ModelErrorStats;
@@ -192,40 +191,6 @@ mod tests {
         assert!(
             before > 100.0 * after.max(0.1),
             "error must drop by orders of magnitude: {before} -> {after}"
-        );
-    }
-
-    #[test]
-    fn midpoint_error_is_roughly_quarter_of_window() {
-        // §3.5: with midpoint correction the average error is ≈ C_k / 4 for
-        // partitions of cardinality C_k. Use a model that lumps every key
-        // into windows of 8.
-        struct Coarse(usize);
-        impl learned_index::CdfModel<u64> for Coarse {
-            fn predict(&self, key: u64) -> usize {
-                ((key as usize) / 8) * 8
-            }
-            fn key_count(&self) -> usize {
-                self.0
-            }
-            fn size_bytes(&self) -> usize {
-                0
-            }
-            fn name(&self) -> &'static str {
-                "coarse"
-            }
-        }
-        let n = 8_000usize;
-        let keys: Vec<u64> = (0..n as u64).collect();
-        let model = Coarse(n);
-        let s1 = CompactShiftTable::build(&model, &keys, 1);
-        let stats = CorrectionErrorStats::compute(&model, &s1, &keys);
-        // Each partition has 8 keys; the expected |error| of midpoint
-        // correction is ≈ 8/4 = 2.
-        assert!(
-            (stats.mean_abs - 2.0).abs() < 0.6,
-            "mean error {} should be ≈ C/4 = 2",
-            stats.mean_abs
         );
     }
 

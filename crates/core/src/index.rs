@@ -10,7 +10,6 @@
 //! * a borrowed `&[K]` keeps the zero-copy construction path that the
 //!   benchmark harness uses to build many indexes over one key column.
 
-use crate::compact::CompactShiftTable;
 use crate::config::ShiftTableConfig;
 use crate::correction::{Correction, SearchHint, Uncorrected};
 use crate::cost::{TuningAdvisor, TuningDecision};
@@ -33,8 +32,6 @@ pub enum CorrectionLayer {
     None,
     /// Full-resolution `<Δ, C>` range layer (R-1).
     Range(ShiftTable),
-    /// Compressed midpoint layer (S-X).
-    Midpoint(CompactShiftTable),
 }
 
 impl CorrectionLayer {
@@ -43,7 +40,6 @@ impl CorrectionLayer {
         match self {
             Self::None => 0,
             Self::Range(t) => Correction::size_bytes(t),
-            Self::Midpoint(t) => Correction::size_bytes(t),
         }
     }
 
@@ -96,14 +92,6 @@ impl<K: Key, M: CdfModel<K>, S: AsRef<[K]> + Send + Sync> CorrectedIndexBuilder<
     /// recommended default, §3.9).
     pub fn with_range_table(self) -> Self {
         self.layer(LayerSpec::Range)
-    }
-
-    /// Attach a compressed midpoint layer with one entry per
-    /// `records_per_entry` records (the paper's S-X).
-    pub fn with_compact_table(self, records_per_entry: usize) -> Self {
-        self.layer(LayerSpec::Midpoint {
-            records_per_entry: records_per_entry.max(1),
-        })
     }
 
     /// Use the model alone (no correction layer).
@@ -159,9 +147,6 @@ impl<K: Key, M: CdfModel<K>, S: AsRef<[K]> + Send + Sync> CorrectedIndexBuilder<
             LayerSpec::Range => {
                 CorrectionLayer::Range(ShiftTable::build_with(&self.model, keys, predictions))
             }
-            LayerSpec::Midpoint { records_per_entry } => CorrectionLayer::Midpoint(
-                CompactShiftTable::build(&self.model, keys, records_per_entry),
-            ),
             LayerSpec::Auto => {
                 let table = ShiftTable::build_with(&self.model, keys, predictions);
                 let before = ModelErrorStats::mean_abs_on_keys(&self.model, keys);
@@ -262,13 +247,9 @@ impl<K: Key, M: CdfModel<K>, S: AsRef<[K]> + Send + Sync> CorrectedIndex<K, M, S
     /// The corrected position hint for a key (window start for range mode).
     pub fn predict_corrected(&self, q: K) -> usize {
         let pred = self.model.predict_clamped(q);
-        if !self.enabled {
-            return pred;
-        }
-        match &self.layer {
-            CorrectionLayer::None => pred,
-            CorrectionLayer::Range(t) => t.correct(pred).start,
-            CorrectionLayer::Midpoint(t) => t.correct(pred).start,
+        match (&self.layer, self.enabled) {
+            (CorrectionLayer::Range(t), true) => t.correct(pred).start,
+            _ => pred,
         }
     }
 
@@ -277,7 +258,6 @@ impl<K: Key, M: CdfModel<K>, S: AsRef<[K]> + Send + Sync> CorrectedIndex<K, M, S
         let keys = self.keys.as_ref();
         match &self.layer {
             CorrectionLayer::Range(t) => CorrectionErrorStats::compute(&self.model, t, keys),
-            CorrectionLayer::Midpoint(t) => CorrectionErrorStats::compute(&self.model, t, keys),
             // The "correction" is the identity: measure the raw model.
             CorrectionLayer::None => CorrectionErrorStats::compute(&self.model, &Uncorrected, keys),
         }
@@ -289,29 +269,22 @@ impl<K: Key, M: CdfModel<K>, S: AsRef<[K]> + Send + Sync> CorrectedIndex<K, M, S
     /// # Contract
     /// Per call, the estimate never probes the key array: it is derived from
     /// the model prediction plus cached drift/error statistics — the
-    /// guaranteed window length for the range layer, the RMS residual the
-    /// midpoint layer records at build time, and (for the uncorrected path)
-    /// the model's mean absolute error, computed once on first use and
-    /// cached. (A proxy that located the true position per estimate would
-    /// perturb the very cache behaviour it stands in for, and would cost a
-    /// full lookup each call.)
+    /// guaranteed window length for the range layer, and (for the
+    /// uncorrected path) the model's mean absolute error, computed once on
+    /// first use and cached. (A proxy that located the true position per
+    /// estimate would perturb the very cache behaviour it stands in for, and
+    /// would cost a full lookup each call.)
     pub fn probe_estimate(&self, q: K) -> usize {
         match (&self.layer, self.enabled) {
             // Only the range layer needs the query's prediction (to fetch
-            // its per-partition window); the other arms are distributional.
+            // its per-partition window); the uncorrected arm is
+            // distributional.
             (CorrectionLayer::Range(t), true) => {
                 let hint = t.correct(self.model.predict_clamped(q));
                 1 + crate::local_search::window_probe_count(
                     hint.window.unwrap_or(1).max(1),
                     self.config.linear_to_binary_threshold,
                 )
-            }
-            (CorrectionLayer::Midpoint(t), true) => {
-                // Exponential search from the corrected position: the RMS
-                // residual the layer recorded at build time stands in for
-                // the (unknown) distance to the true position.
-                let distance = (t.expected_error().ceil() as usize).max(1);
-                1 + 2 * (usize::BITS - distance.leading_zeros()) as usize
             }
             _ => {
                 // Raw model prediction: the model's mean absolute error is
@@ -363,9 +336,6 @@ impl<K: Key, M: CdfModel<K>, S: AsRef<[K]> + Send + Sync> RangeIndex<K>
         let threshold = self.config.linear_to_binary_threshold;
         match (&self.layer, self.enabled) {
             (CorrectionLayer::Range(t), true) => kernel::resolve(keys, t.correct(p), q, threshold),
-            (CorrectionLayer::Midpoint(t), true) => {
-                kernel::resolve(keys, t.correct(p), q, threshold)
-            }
             _ => kernel::resolve(keys, SearchHint::unbounded(p), q, threshold),
         }
     }
@@ -374,8 +344,8 @@ impl<K: Key, M: CdfModel<K>, S: AsRef<[K]> + Send + Sync> RangeIndex<K>
     /// predict and correct stages run as per-block loops of
     /// [`kernel::BATCH_BLOCK`] queries (issuing their independent loads
     /// back-to-back), then each lane runs the scalar
-    /// [`RangeIndex::lower_bound`]'s local search. Every layer — R-1, S-X and
-    /// none — goes through this one loop.
+    /// [`RangeIndex::lower_bound`]'s local search. Both layers — R-1 and
+    /// none — go through this one loop.
     fn lower_bound_batch(&self, queries: &[K], out: &mut [usize]) {
         // lint: allow(panic) API contract: unequal lengths would silently write predictions to wrong slots
         assert_eq!(
@@ -387,9 +357,6 @@ impl<K: Key, M: CdfModel<K>, S: AsRef<[K]> + Send + Sync> RangeIndex<K>
         let threshold = self.config.linear_to_binary_threshold;
         match (&self.layer, self.enabled) {
             (CorrectionLayer::Range(t), true) => {
-                kernel::run(model, t, keys, threshold, queries, out)
-            }
-            (CorrectionLayer::Midpoint(t), true) => {
                 kernel::run(model, t, keys, threshold, queries, out)
             }
             _ => kernel::run(model, &Uncorrected, keys, threshold, queries, out),
@@ -426,7 +393,6 @@ impl<K: Key, M: CdfModel<K>, S: AsRef<[K]> + Send + Sync> RangeIndex<K>
     fn name(&self) -> &'static str {
         match (&self.layer, self.enabled) {
             (CorrectionLayer::Range(_), true) => "Model+Shift-Table(R)",
-            (CorrectionLayer::Midpoint(_), true) => "Model+Shift-Table(S)",
             _ => "Model",
         }
     }
@@ -495,21 +461,6 @@ mod tests {
                 .build()
                 .unwrap();
             check_index(&d, &index);
-        }
-    }
-
-    #[cfg_attr(miri, ignore = "dataset too large for Miri")]
-    #[test]
-    fn im_with_compact_table_is_correct_on_every_dataset() {
-        for name in SosdName::all() {
-            let d: Dataset<u64> = name.generate(8_000, 43);
-            for x in [1usize, 10, 100] {
-                let index = CorrectedIndex::builder(d.as_slice(), InterpolationModel::build(&d))
-                    .with_compact_table(x)
-                    .build()
-                    .unwrap();
-                check_index(&d, &index);
-            }
         }
     }
 
@@ -639,12 +590,12 @@ mod tests {
         );
         assert_eq!(builder().with_auto_tuning().build().err(), Some(too_many));
         // (Nothing else is built here: validating 2^29 keys for order is
-        // slow unoptimised.) The other layers hold 64-bit drifts.
+        // slow unoptimised.) `s<X>` reads as `r1`; `none` has no layer.
         let spec = |s: &str| crate::spec::IndexSpec::parse(s).unwrap();
         assert!(spec("im+r1").check_key_count(LEN).is_err());
         assert!(spec("im+auto").check_key_count(LEN).is_err());
         assert!(spec("im+r1").check_key_count(LEN - 1).is_ok());
-        assert!(spec("im+s64").check_key_count(LEN).is_ok());
+        assert!(spec("im+s64").check_key_count(LEN).is_err());
         assert!(spec("im+none").check_key_count(LEN).is_ok());
     }
 
@@ -809,10 +760,6 @@ mod tests {
                 .build()
                 .unwrap(),
             CorrectedIndex::builder(keys, model.clone())
-                .with_compact_table(7)
-                .build()
-                .unwrap(),
-            CorrectedIndex::builder(keys, model.clone())
                 .without_correction()
                 .build()
                 .unwrap(),
@@ -863,15 +810,12 @@ mod tests {
         assert_eq!(d.lower_bound(a), 1);
         assert_eq!(d.lower_bound(b), 5_001);
 
-        let midpoint = CorrectedIndex::builder(d.as_slice(), model.clone())
-            .with_compact_table(50)
+        let range = CorrectedIndex::builder(d.as_slice(), model.clone())
+            .with_range_table()
             .build()
             .unwrap();
-        assert_eq!(
-            midpoint.predict_uncorrected(a),
-            midpoint.predict_uncorrected(b)
-        );
-        assert_eq!(midpoint.probe_estimate(a), midpoint.probe_estimate(b));
+        assert_eq!(range.predict_uncorrected(a), range.predict_uncorrected(b));
+        assert_eq!(range.probe_estimate(a), range.probe_estimate(b));
 
         let raw = CorrectedIndex::builder(d.as_slice(), model)
             .without_correction()

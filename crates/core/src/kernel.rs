@@ -2,9 +2,10 @@
 //!
 //! The stage-blocked batch lower-bound loop behind
 //! [`crate::index::CorrectedIndex`]'s `lower_bound_batch`. It is one lookup
-//! for every layer: generic over the [`Correction`], it predicts, corrects
-//! once and resolves each hint — a bounded `<Δ, C>` window (R-1) or an
-//! unbounded position (S-X, or the raw prediction when no layer serves).
+//! for both layers: generic over the [`Correction`] — instantiated for the
+//! [`crate::ShiftTable`] and for no layer — it predicts, corrects once and
+//! resolves each hint: a bounded `<Δ, C>` window (R-1) or the raw
+//! prediction as an unbounded position (no layer, or one switched off).
 //!
 //! ## Stages
 //!
@@ -116,7 +117,6 @@ pub(crate) fn run<K: Key, M: CdfModel<K> + ?Sized, C: Correction + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compact::CompactShiftTable;
     use crate::correction::Uncorrected;
     use crate::table::ShiftTable;
     use learned_index::linear::InterpolationModel;
@@ -129,7 +129,7 @@ mod tests {
     /// two blocks, and a three-block run with a tail.
     const LENGTHS: [usize; 11] = [1, 7, 8, 9, 63, 64, 65, 127, 128, 129, 3 * BATCH_BLOCK + 19];
 
-    /// Run `run` and the scalar `resolve` with each of the three corrections
+    /// Run `run` and the scalar `resolve` with each of the two corrections
     /// over `queries` and assert both match `partition_point`.
     fn assert_all_paths<M: CdfModel<u64>>(model: &M, keys: &[u64], queries: &[u64]) {
         let expected: Vec<usize> = queries
@@ -137,12 +137,8 @@ mod tests {
             .map(|&q| keys.partition_point(|&k| k < q))
             .collect();
         let table = ShiftTable::build(model, keys);
-        let compact = CompactShiftTable::build(model, keys, 4);
-        let corrections: [(&str, &dyn Correction); 3] = [
-            ("range", &table),
-            ("midpoint", &compact),
-            ("uncorrected", &Uncorrected),
-        ];
+        let corrections: [(&str, &dyn Correction); 2] =
+            [("range", &table), ("uncorrected", &Uncorrected)];
         let mut out = vec![usize::MAX; queries.len()];
         for (name, c) in corrections {
             run(model, c, keys, THRESHOLD, queries, &mut out);

@@ -33,10 +33,8 @@
 //!   holds stores them in units of up to 8 records, widening its windows by
 //!   at most 7 at each end, and the rare line spreading past 1 015 (503 at
 //!   six bits) keeps them in full in a patch array — see [`entry`],
-//! * [`CompactShiftTable`] — the compressed midpoint layer with one `Δ̄`
-//!   entry per `X` records (the S-X configurations, §3.4),
 //! * [`CorrectedIndex`] — a complete range index assembled from any
-//!   [`learned_index::CdfModel`], an optional correction layer and the local
+//!   [`learned_index::CdfModel`], an optional range layer and the local
 //!   search routines (Algorithm 1), implementing
 //!   [`algo_index::RangeIndex`]. The index is generic over its key storage:
 //!   the default `Arc<[K]>` makes it owned (`'static + Send + Sync`), while
@@ -51,19 +49,23 @@
 //!   §3.7/§3.9 (should the layer be enabled? which local search?),
 //! * [`error`] — construction errors ([`BuildError`]), the error estimates of
 //!   §3.5 (Eq. 8) and empirical error measurement,
-//! * [`build`] — the layer builders: the one-pass run-boundary emitter,
+//! * [`build`] — the layer builder: the one-pass run-boundary emitter,
 //!   which writes the range layer's one packed layout for every model (one
-//!   that falls is taken at its running maximum), and the compact layer's
-//!   midpoint pass.
+//!   that falls is taken at its running maximum).
+//!
+//! The paper's compressed midpoint layers (S-X, §3.4) trade accuracy for
+//! memory; they serve no lookup here and are reproduced beside the Figure
+//! 8/9 experiments, in the `shift-bench` crate's `midpoint` module.
 //!
 //! ## Batch kernel
 //!
 //! Batched lookups ([`algo_index::RangeIndex::lower_bound_batch`]) run
 //! through the stage-blocked loop in [`kernel`], one loop generic over the
-//! [`Correction`] for every layer: each block of [`kernel::BATCH_BLOCK`]
-//! queries is predicted and corrected in stage loops (so the independent
-//! model/layer loads overlap in the memory system), then each lane runs
-//! Algorithm 1's local search exactly as the scalar `lower_bound` does.
+//! [`Correction`], for the range layer and for none: each block of
+//! [`kernel::BATCH_BLOCK`] queries is predicted and corrected in stage loops
+//! (so the independent model/layer loads overlap in the memory system),
+//! then each lane runs Algorithm 1's local search exactly as the scalar
+//! `lower_bound` does.
 //! See the [`kernel`] module docs for the stages and the tail-truncation
 //! invariant its reused stage buffers rely on.
 //!
@@ -101,7 +103,6 @@
 #![warn(missing_docs)]
 
 pub mod build;
-pub mod compact;
 pub mod config;
 pub mod correction;
 pub mod cost;
@@ -115,7 +116,6 @@ pub mod snapshot;
 pub mod spec;
 pub mod table;
 
-pub use compact::CompactShiftTable;
 pub use config::ShiftTableConfig;
 pub use correction::{Correction, SearchHint};
 pub use cost::{LatencyModel, TuningAdvisor, TuningDecision};
@@ -128,7 +128,6 @@ pub use table::ShiftTable;
 
 /// Convenient glob import for downstream crates and examples.
 pub mod prelude {
-    pub use crate::compact::CompactShiftTable;
     pub use crate::config::ShiftTableConfig;
     pub use crate::correction::{Correction, SearchHint};
     pub use crate::cost::{LatencyModel, TuningAdvisor, TuningDecision};

@@ -10,7 +10,8 @@
 //! * [`binary_in_window`] — binary search inside a known window; best for
 //!   larger bounded windows,
 //! * [`exponential_around`] — galloping search from an unbounded hint; used
-//!   when only a corrected *position* (midpoint mode) is known, not a window.
+//!   when only a *position* is known, not a window — the raw prediction when
+//!   no layer serves, and the §3.8 repair of a window that missed.
 //!
 //! All routines return lower-bound positions over the whole array and are
 //! correct for any window/hint: if the true position lies outside the given

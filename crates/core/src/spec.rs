@@ -7,16 +7,15 @@
 //! ```text
 //! <model>[+<layer>]
 //! model := im | linear | cubic | rmi:<leafs>[:linear|:cubic] | rs:<max_error> | pgm:<epsilon>
-//! layer := none | r1 | s<X> | auto          (default: r1)
+//! layer := none | r1 | auto                 (default: r1)
 //! ```
 //!
 //! so `"rmi:256+r1"` is a 256-leaf RMI corrected by a full-resolution
-//! Shift-Table and `"im+s10"` is the dummy interpolation model with a
-//! midpoint layer holding one entry per 10 records. [`IndexSpec::build`]
-//! trains the model, builds the layer and returns the finished index as a
-//! [`DynRangeIndex`] (`Box<dyn RangeIndex<K>>`) over shared `Arc<[K]>`
-//! storage — `'static + Send + Sync`, selectable from a config file at run
-//! time.
+//! Shift-Table and `"im+none"` is the dummy interpolation model alone.
+//! [`IndexSpec::build`] trains the model, builds the layer and returns the
+//! finished index as a [`DynRangeIndex`] (`Box<dyn RangeIndex<K>>`) over
+//! shared `Arc<[K]>` storage — `'static + Send + Sync`, selectable from a
+//! config file at run time.
 //!
 //! ## Persistence contract
 //!
@@ -27,6 +26,12 @@
 //! its checkpoint manifests and *retrains* the model over the recovered
 //! keys), so changes here must never break parsing of previously displayed
 //! specs — the round-trip property test below is that contract's guard.
+//!
+//! Earlier versions also displayed `s<X>` (`X ≥ 1`), a midpoint layer of one
+//! entry per `X` records (the paper's S-X, now reproduced only by the Figure
+//! 8/9 benches). It still parses, as `r1`: the layer is rebuilt from the
+//! spec on every load, so a store whose manifest names `s<X>` opens and
+//! answers exactly as before, and the spec it displays is `r1` from then on.
 //!
 //! ```
 //! use shift_table::spec::IndexSpec;
@@ -59,19 +64,16 @@ pub type DynCorrectedIndex<K> = CorrectedIndex<K, Box<dyn CdfModel<K>>, Arc<[K]>
 pub enum LayerSpec {
     /// No correction layer (plain learned index).
     None,
-    /// Full-resolution `<Δ, C>` range layer (the paper's R-1).
+    /// Full-resolution `<Δ, C>` range layer (the paper's R-1); also what
+    /// the retired `s<X>` token reads as (module docs).
     Range,
-    /// Midpoint layer with one entry per `X` records (the paper's S-X).
-    Midpoint {
-        /// Records per layer entry (the `X` in S-X).
-        records_per_entry: usize,
-    },
     /// Let the §3.9 tuning rule decide whether the range layer pays off.
     Auto,
 }
 
 impl LayerSpec {
-    /// Parse a layer token: `none | r1 | s<X> | auto`.
+    /// Parse a layer token: `none | r1 | auto`, or the retired `s<X>`
+    /// (`X ≥ 1`), read as `r1`.
     pub fn parse(s: &str) -> Result<Self, SpecParseError> {
         let s = s.trim();
         match s {
@@ -80,6 +82,8 @@ impl LayerSpec {
             "r1" => Ok(Self::Range),
             "auto" => Ok(Self::Auto),
             _ => {
+                // The retired S-X layer (module docs): validated, then
+                // read as `r1`.
                 if let Some(x) = s.strip_prefix('s') {
                     let records_per_entry: usize =
                         x.parse().map_err(|_| SpecParseError::InvalidParameter {
@@ -92,7 +96,7 @@ impl LayerSpec {
                             reason: "s<X> requires X >= 1",
                         });
                     }
-                    Ok(Self::Midpoint { records_per_entry })
+                    Ok(Self::Range)
                 } else {
                     Err(SpecParseError::UnknownLayer(s.to_string()))
                 }
@@ -100,17 +104,10 @@ impl LayerSpec {
         }
     }
 
-    /// One spec per layer family (with a small midpoint factor) — for
-    /// exhaustively exercising the spec machinery in tests.
-    pub fn all_families() -> [LayerSpec; 4] {
-        [
-            Self::None,
-            Self::Range,
-            Self::Midpoint {
-                records_per_entry: 10,
-            },
-            Self::Auto,
-        ]
+    /// One spec per layer family — for exhaustively exercising the spec
+    /// machinery in tests.
+    pub fn all_families() -> [LayerSpec; 3] {
+        [Self::None, Self::Range, Self::Auto]
     }
 }
 
@@ -119,7 +116,6 @@ impl std::fmt::Display for LayerSpec {
         match *self {
             Self::None => write!(f, "none"),
             Self::Range => write!(f, "r1"),
-            Self::Midpoint { records_per_entry } => write!(f, "s{records_per_entry}"),
             Self::Auto => write!(f, "auto"),
         }
     }
@@ -203,7 +199,7 @@ impl IndexSpec {
     pub fn check_key_count(&self, len: usize) -> Result<(), BuildError> {
         match self.layer {
             LayerSpec::Range | LayerSpec::Auto => crate::ShiftTable::check_len(len),
-            LayerSpec::None | LayerSpec::Midpoint { .. } => Ok(()),
+            LayerSpec::None => Ok(()),
         }
     }
 
@@ -285,14 +281,28 @@ mod tests {
         // too, including through surrounding whitespace.
         for text in [
             "rmi:512+r1",
-            "rmi:64:cubic+s10",
+            "rmi:64:cubic+none",
             "rs:32+none",
             "pgm:16+auto",
-            "im+s3",
         ] {
             let spec = IndexSpec::parse(text).unwrap();
             assert_eq!(spec.to_string(), text, "display is canonical");
             assert_eq!(IndexSpec::parse(&format!(" {text} ")), Ok(spec));
+        }
+    }
+
+    #[test]
+    fn retired_midpoint_layers_read_as_r1() {
+        // Manifests written before S-X left the serving path may name it.
+        for (text, canonical) in [
+            ("rmi:64:cubic+s10", "rmi:64:cubic+r1"),
+            ("im+s3", "im+r1"),
+            ("rmi:16+s1", "rmi:16+r1"),
+        ] {
+            let spec = IndexSpec::parse(text).unwrap();
+            assert_eq!(spec.layer, LayerSpec::Range, "{text}");
+            assert_eq!(spec.to_string(), canonical);
+            assert_eq!(IndexSpec::parse(&spec.to_string()), Ok(spec));
         }
     }
 

@@ -221,14 +221,6 @@ impl Correction for ShiftTable {
     fn size_bytes(&self) -> usize {
         self.drifts.size_bytes()
     }
-
-    fn entry_count(&self) -> usize {
-        self.n
-    }
-
-    fn name(&self) -> &'static str {
-        "Shift-Table(R-1)"
-    }
 }
 
 #[cfg(test)]
@@ -745,7 +737,7 @@ mod tests {
             // Every window past 1 016 records escapes its line: a few.
             let patches = table.patches();
             assert!(patches < n / 40, "{}: {patches} patches", d.name());
-            assert_eq!(table.entry_count(), n);
+            assert_eq!(table.len(), n);
             // All in the last partition: one escaped line, the last.
             if plain == 16 {
                 assert_eq!(table.patches(), 68);

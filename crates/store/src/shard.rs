@@ -87,7 +87,7 @@ impl<K: Key> ShardSnapshot<K> {
             CorrectionLayer::Range(table) => {
                 (table.patches(), table.shifted_lines(), table.offset_bits())
             }
-            CorrectionLayer::Midpoint(_) | CorrectionLayer::None => (0, 0, 0),
+            CorrectionLayer::None => (0, 0, 0),
         };
         Self {
             keys,

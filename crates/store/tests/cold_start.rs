@@ -3,7 +3,8 @@
 //! opens (cold reads equal hot reads, hydration converges), block-confined
 //! corruption detection, the typed rejection of files that are not v2
 //! snapshots, byte-for-byte compatibility with a checked-in store
-//! directory, and online WAL repair.
+//! directory, the opening of one whose manifest names a retired midpoint
+//! layer, and online WAL repair.
 
 use algo_index::RangeIndex;
 use shift_store::persist::{manifest, snapshot_name, wal};
@@ -202,6 +203,39 @@ fn store_directory_written_by_the_parent_commit_is_reproduced_and_recovered() {
         let _ = std::fs::remove_dir_all(&image);
     }
     let _ = std::fs::remove_dir_all(&fresh);
+}
+
+/// `tests/data/sx-store` holds what the commit before S-X left the serving
+/// path wrote for `write_golden_store`'s history under `rmi:16+s10` in place
+/// of `rmi:16+r1`. Its manifest names `s10`, which now reads as `r1`: the
+/// directory opens eagerly and cold to the same content, and the store
+/// reports the persisted spec as `rmi:16+r1`.
+#[test]
+fn store_directory_written_with_a_midpoint_spec_opens_as_r1() {
+    let written = Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/tests/data/sx-store"));
+    let history = scratch("sx-history");
+    let oracle = write_golden_store(&history);
+    let _ = std::fs::remove_dir_all(&history);
+    for cold in [false, true] {
+        let image = scratch(if cold { "sx-cold" } else { "sx-eager" });
+        clone_dir(written, &image);
+        // Opened under another spec: the persisted one wins.
+        let config = golden_config().cold_start(cold);
+        let config = StoreConfig {
+            spec: spec(),
+            ..config
+        };
+        let store: ShardedStore<u64> = ShardedStore::open(&image, config).unwrap();
+        assert_eq!(store.config().spec.to_string(), "rmi:16+r1", "cold={cold}");
+        assert!(store.durability_stats().unwrap().replayed_records > 0);
+        assert_eq!(store.scan(0, u64::MAX), oracle, "cold={cold}");
+        if cold {
+            await_hydration(&store);
+            assert_eq!(store.scan(0, u64::MAX), oracle, "after hydration");
+        }
+        drop(store);
+        let _ = std::fs::remove_dir_all(&image);
+    }
 }
 
 /// The tentpole oracle test: the same disk image opened eagerly and opened

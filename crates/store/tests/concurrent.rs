@@ -234,7 +234,7 @@ fn concurrent_reads_stay_between_oracle_epochs_for_every_spec() {
     let readers = env_usize("STRESS_READERS", 2);
     let writers = env_usize("STRESS_WRITERS", 2);
     let ops = env_usize("STRESS_OPS", 250);
-    let specs = ["im+r1", "rmi:64+r1", "rs:32+s10"];
+    let specs = ["im+r1", "rmi:64+r1", "rs:32+none"];
     let probes = probes();
     let mut seed = 0xD1CE_u64;
     for spec_text in specs {

@@ -702,7 +702,7 @@ fn crashed_seed_leaves_a_retryable_directory() {
 #[test]
 fn persisted_spec_wins_and_misc_contracts() {
     let dir = scratch("spec-roundtrip");
-    let persisted = IndexSpec::parse("rmi:64+s10").unwrap();
+    let persisted = IndexSpec::parse("rmi:64+none").unwrap();
     let keys: Vec<u64> = (0..3_000u64).map(|i| i * 2).collect();
     let store =
         ShardedStore::open_seeded(&dir, StoreConfig::new(persisted).shards(3), &keys).unwrap();

@@ -106,7 +106,7 @@ fn pinned_snapshots_serve_batched_reads_from_their_frozen_cut_during_churn() {
     let mut rng = SplitMix64::new(0xBA7C_4E11);
     for spec_str in [
         "im+r1",
-        "rmi:64+s8",
+        "rmi:64+none",
         "pgm:32+auto",
         "rmi:4096+r1",
         "rmi:64:cubic+r1",
@@ -208,7 +208,7 @@ fn pinned_snapshots_serve_batched_reads_from_their_frozen_cut_during_churn() {
 #[test]
 fn store_reads_match_a_sorted_vec_oracle_for_every_spec_and_shard_count() {
     let combos = IndexSpec::all_combinations();
-    assert_eq!(combos.len(), 24, "6 model families x 4 layer families");
+    assert_eq!(combos.len(), 18, "6 model families x 3 layer families");
     let mut rng = SplitMix64::new(0x570E_E0E1);
     for &spec in &combos {
         for shards in [1usize, 4, 13] {

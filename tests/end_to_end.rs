@@ -31,10 +31,6 @@ fn all_indexes_agree_with_the_reference_on_all_datasets() {
             .with_range_table()
             .build()
             .unwrap();
-        let im_s10 = CorrectedIndex::builder(keys, InterpolationModel::build(&dataset))
-            .with_compact_table(10)
-            .build()
-            .unwrap();
         let rs_st =
             CorrectedIndex::builder(keys, RadixSpline::builder().max_error(32).build(&dataset))
                 .with_range_table()
@@ -52,7 +48,7 @@ fn all_indexes_agree_with_the_reference_on_all_datasets() {
 
         // The same learned configurations, composed at run time.
         let spec_built: Vec<(String, DynRangeIndex<u64>)> =
-            ["im+r1", "im+s10", "rs:32+r1", "rmi:256+none", "pgm:64+r1"]
+            ["im+r1", "rs:32+r1", "rmi:256+none", "pgm:64+r1"]
                 .iter()
                 .map(|s| {
                     let index = IndexSpec::parse(s).unwrap().build(shared.clone()).unwrap();
@@ -70,7 +66,6 @@ fn all_indexes_agree_with_the_reference_on_all_datasets() {
             ("FAST".into(), &fast),
             ("ART".into(), &art),
             ("IM+ShiftTable".into(), &im_st),
-            ("IM+S-10".into(), &im_s10),
             ("RS+ShiftTable".into(), &rs_st),
             ("RMI".into(), &rmi),
             ("PGM+ShiftTable".into(), &pgm_st),

@@ -88,31 +88,6 @@ fn auto_tuning_matches_the_papers_configuration_choices() {
     }
 }
 
-/// Figure 9: compressing the layer monotonically increases the corrected
-/// error; the R-1/S-1 configurations are the most accurate.
-#[test]
-fn layer_compression_trades_accuracy_for_memory() {
-    let dataset: Dataset<u64> = SosdName::Amzn64.generate(N, 9);
-    let model = InterpolationModel::build(&dataset);
-    let mut previous_error = -1.0f64;
-    let mut previous_size = usize::MAX;
-    for x in [1usize, 10, 100, 1000] {
-        let index = CorrectedIndex::builder(dataset.as_slice(), model.clone())
-            .with_compact_table(x)
-            .build()
-            .unwrap();
-        let err = index.correction_error().mean_abs;
-        let size = index.layer().size_bytes();
-        assert!(
-            err + 1e-9 >= previous_error,
-            "S-{x}: error {err} should not decrease when compressing"
-        );
-        assert!(size < previous_size, "S-{x}: layer must shrink");
-        previous_error = err;
-        previous_size = size;
-    }
-}
-
 /// §2.2: the cache-optimised FAST-style tree and the B+tree outperform plain
 /// binary search in memory probes per lookup (the mechanism behind their
 /// speedup), and the corrected learned index needs fewer still on hard data.

@@ -83,30 +83,6 @@ fn corrected_index_matches_reference() {
     }
 }
 
-/// The compact (midpoint) layer is exact too, at any compression factor.
-#[test]
-fn compact_corrected_index_matches_reference() {
-    let mut rng = SplitMix64::new(0x5EED_0002);
-    for case in 0..CASES {
-        let keys = arb_keys(&mut rng);
-        let queries = arb_queries(&mut rng, &keys);
-        let x = 1 + rng.next_below(199) as usize;
-        let dataset = Dataset::from_sorted_keys("prop", keys);
-        let index =
-            CorrectedIndex::builder(dataset.as_slice(), InterpolationModel::build(&dataset))
-                .with_compact_table(x)
-                .build()
-                .unwrap();
-        for &q in &queries {
-            assert_eq!(
-                index.lower_bound(q),
-                reference(dataset.as_slice(), q),
-                "case {case} S-{x} q={q}"
-            );
-        }
-    }
-}
-
 /// Every algorithmic baseline agrees with the reference lower bound.
 #[test]
 fn baselines_match_reference() {
@@ -144,7 +120,7 @@ fn baselines_match_reference() {
 fn every_spec_combination_is_exact_on_all_sosd_generators() {
     let n = 2_000;
     let combos = IndexSpec::all_combinations();
-    assert_eq!(combos.len(), 24, "6 model families x 4 layer families");
+    assert_eq!(combos.len(), 18, "6 model families x 3 layer families");
     for name in SosdName::all() {
         let dataset: Dataset<u64> = name.generate(n, 77);
         let shared = dataset.to_shared();
@@ -256,7 +232,7 @@ fn batched_kernel_is_exact_across_wave_and_block_lengths() {
         .iter()
         .map(|&q| dataset.as_slice().partition_point(|&k| k < q))
         .collect();
-    for spec in ["im+r1", "im+s10", "im+none"] {
+    for spec in ["im+r1", "im+none"] {
         let index = IndexSpec::parse(spec)
             .unwrap()
             .build_corrected(shared.clone())
@@ -297,7 +273,7 @@ fn batch_lower_bound_equals_scalar_on_sosd_columns() {
             .iter()
             .map(|&q| keys.partition_point(|&k| k < q))
             .collect();
-        for spec in ["im+r1", "im+s10", "im+none", "rmi:4096+r1"] {
+        for spec in ["im+r1", "im+none", "rmi:4096+r1"] {
             let index = IndexSpec::parse(spec)
                 .unwrap()
                 .build_corrected(dataset.to_shared())
