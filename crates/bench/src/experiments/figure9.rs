@@ -7,7 +7,7 @@
 //! compressed, and the bare model is far worse on the hard datasets. A third
 //! table puts the price next to it: bytes per key of every layer, and the
 //! drifts the R-1 layer keeps in its patch array (68 per escaped seven-bit
-//! line, 80 per six-bit one).
+//! line, 93 per five-bit one).
 //!
 //! R-1 and the bare model are built from `im+r1` / `im+none` specs, as the
 //! serving path builds them. The S-X layers serve no lookup there: they are

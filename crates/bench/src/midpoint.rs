@@ -40,7 +40,7 @@ impl CompactShiftTable {
     /// Build with an explicit number of entries `m`.
     fn with_entry_count<K: Key, M: CdfModel<K> + ?Sized>(model: &M, keys: &[K], m: usize) -> Self {
         let m = m.max(1);
-        let (deltas, _) = compute_midpoint_deltas_and_residual(model, keys, m, 1);
+        let deltas = compute_midpoint_deltas(model, keys, m);
         Self {
             deltas: MidpointStorage::pack(&deltas),
             m,
@@ -109,36 +109,25 @@ impl MidpointStorage {
 }
 
 /// Compute the midpoint drifts `Δ̄` of a compact (S-X) layer with `m`
-/// partitions over every `sample_step`-th key (§3.4; `sample_step = 1` uses
-/// every key, larger values implement the sampling-based construction),
-/// plus the root-mean-square residual `sqrt(E[(drift − Δ̄)²])` of the
-/// sampled keys — derived from the per-partition drift moments accumulated
-/// by the same single pass.
-fn compute_midpoint_deltas_and_residual<K: Key, M: CdfModel<K> + ?Sized>(
+/// partitions (§3.4): each partition's mean drift over every key, in one
+/// pass.
+fn compute_midpoint_deltas<K: Key, M: CdfModel<K> + ?Sized>(
     model: &M,
     keys: &[K],
     m: usize,
-    sample_step: usize,
-) -> (Vec<i64>, f64) {
+) -> Vec<i64> {
     let n = keys.len();
     let m = m.max(1);
-    let sample_step = sample_step.max(1);
     let mut sums = vec![0i128; m];
-    let mut sums_sq = vec![0.0f64; m];
     let mut counts = vec![0u64; m];
     let mut first_occurrence = 0usize;
     for i in 0..n {
         if i == 0 || keys[i] != keys[i - 1] {
             first_occurrence = i;
         }
-        if i % sample_step != 0 {
-            continue;
-        }
         let prediction = model.predict_clamped(keys[i]);
         let partition = partition_of(prediction, m, n);
-        let drift = first_occurrence as i128 - prediction as i128;
-        sums[partition] += drift;
-        sums_sq[partition] += (drift as f64) * (drift as f64);
+        sums[partition] += first_occurrence as i128 - prediction as i128;
         counts[partition] += 1;
     }
     let mut deltas = vec![i64::MAX; m];
@@ -147,23 +136,6 @@ fn compute_midpoint_deltas_and_residual<K: Key, M: CdfModel<K> + ?Sized>(
             deltas[k] = (sums[k] / counts[k] as i128) as i64;
         }
     }
-    // RMS residual from the moments: E[(x − Δ̄)²] = E[x²] − 2Δ̄E[x] + Δ̄²
-    // per populated partition, weighted by partition cardinality.
-    let mut residual_sq = 0.0f64;
-    let mut total = 0u64;
-    for k in 0..m {
-        if counts[k] > 0 {
-            let c = counts[k] as f64;
-            let d = deltas[k] as f64;
-            residual_sq += sums_sq[k] - 2.0 * d * (sums[k] as f64) + c * d * d;
-            total += counts[k];
-        }
-    }
-    let residual = if total == 0 {
-        0.0
-    } else {
-        (residual_sq.max(0.0) / total as f64).sqrt()
-    };
     // Empty partitions copy the nearest populated neighbour (right first,
     // matching the range-mode backward fill, then left for trailing gaps).
     let mut next: Option<i64> = None;
@@ -182,7 +154,7 @@ fn compute_midpoint_deltas_and_residual<K: Key, M: CdfModel<K> + ?Sized>(
             prev = *d;
         }
     }
-    (deltas, residual)
+    deltas
 }
 
 /// Map a prediction (on the `[0, n)` record scale) to a partition index on
@@ -487,13 +459,8 @@ mod tests {
             }
         }
         let keys: Vec<u64> = (0..10u64).collect();
-        let (deltas, residual) = compute_midpoint_deltas_and_residual(&Zero, &keys, 1, 1);
+        let deltas = compute_midpoint_deltas(&Zero, &keys, 1);
         assert_eq!(deltas, vec![4]);
-        // Drifts 0..=9 around Δ̄ = 4: residuals −4..=5, RMS = sqrt(8.5).
-        assert!(
-            (residual - 8.5f64.sqrt()).abs() < 1e-9,
-            "residual {residual}"
-        );
     }
 
     #[test]
@@ -501,28 +468,9 @@ mod tests {
         let keys: Vec<u64> = (0..100u64).map(|i| i * 3).collect();
         let d = Dataset::from_keys("d", keys);
         let model = InterpolationModel::build(&d);
-        let (deltas, _) = compute_midpoint_deltas_and_residual(&model, d.as_slice(), 400, 1);
+        let deltas = compute_midpoint_deltas(&model, d.as_slice(), 400);
         assert_eq!(deltas.len(), 400);
         assert!(deltas.iter().all(|&d| d != i64::MAX));
-    }
-
-    #[test]
-    fn sampling_build_is_close_to_full_build() {
-        let d: Dataset<u64> = SosdName::Face64.generate(50_000, 5);
-        let model = InterpolationModel::build(&d);
-        let full = compute_midpoint_deltas_and_residual(&model, d.as_slice(), 1000, 1).0;
-        let sampled = compute_midpoint_deltas_and_residual(&model, d.as_slice(), 1000, 16).0;
-        let mut diffs = 0usize;
-        for (f, s) in full.iter().zip(sampled.iter()) {
-            if (f - s).abs() > 200 {
-                diffs += 1;
-            }
-        }
-        assert!(
-            diffs < full.len() / 10,
-            "sampled layer diverges from the full layer in {diffs}/{} partitions",
-            full.len()
-        );
     }
 
     #[test]
@@ -538,9 +486,8 @@ mod tests {
     fn empty_keys_produce_empty_layers() {
         let d: Dataset<u64> = Dataset::from_keys("e", vec![]);
         let model = InterpolationModel::build(&d);
-        let (deltas, residual) = compute_midpoint_deltas_and_residual(&model, d.as_slice(), 4, 1);
+        let deltas = compute_midpoint_deltas(&model, d.as_slice(), 4);
         assert_eq!(deltas, vec![0, 0, 0, 0]);
-        assert_eq!(residual, 0.0);
     }
 
     #[test]

@@ -30,10 +30,13 @@
 //! length from the start (`Lines::new`), so it escapes a shifted line
 //! whose windows would overhang the column as it appends it. The last
 //! drift of a line is the first of the next, so it stays staged until that
-//! line is appended. The emitter runs at six bits first and stops once
-//! more of the six-bit lines are shifted or escaped than the layer keeps
-//! six bits for (`Lines::spent`, checked every `PREDICT_RUN` keys); it then
-//! runs again at seven bits, which keep every line.
+//! line is appended. The emitter runs at five bits first and stops once
+//! more of the five-bit lines are shifted or escaped than the layer keeps
+//! five bits for (`Lines::spent`, checked every `PREDICT_RUN` keys); it
+//! then runs again at seven bits, which keep every line. Each line takes
+//! its slope as it is appended, from its own drifts (`crate::packed`), so
+//! a layer whose drifts climb or fall steadily, up to 256 records a
+//! partition, stays exact at five bits in one pass.
 //!
 //! A model that does fall — one a caller wrote — is not trusted to rise:
 //! every prediction is taken at the largest one before it, so the layer is
@@ -172,11 +175,11 @@ pub(crate) fn build_range_layer<K: Key, M: CdfModel<K> + ?Sized>(
     audited: Option<&[u32]>,
 ) -> Packed {
     let n = keys.len();
-    let six = emit(Lines::budgeted(n), model, keys, audited);
-    if six.spent() {
+    let five = emit(Lines::budgeted(n), model, keys, audited);
+    if five.spent() {
         Packed::Seven(emit(Lines::new(n), model, keys, audited))
     } else {
-        Packed::Six(six)
+        Packed::Five(five)
     }
 }
 
@@ -285,20 +288,30 @@ pub(crate) mod testing {
     const UNSET: i32 = i32::MAX;
 
     impl Packed {
+        /// Pack a finished drift array in one call at `bits`, 7 or 5,
+        /// whatever its lines: the layer over `drifts.len() − 1` keys.
+        pub(crate) fn from_drifts_at(drifts: &[i32], bits: u32) -> Self {
+            let column = drifts.len().saturating_sub(1);
+            match bits {
+                5 => Self::Five(Lines::new(column).with(drifts)),
+                _ => Self::Seven(Lines::new(column).with(drifts)),
+            }
+        }
+
         /// Pack a finished drift array in one call, at the width the rule
         /// picks: the layer over `drifts.len() − 1` keys.
         pub(crate) fn from_drifts(drifts: &[i32]) -> Self {
             let column = drifts.len().saturating_sub(1);
-            let six = Lines::budgeted(column).with(drifts);
-            if six.spent() {
+            let five = Lines::budgeted(column).with(drifts);
+            if five.spent() {
                 Self::Seven(Lines::new(column).with(drifts))
             } else {
-                Self::Six(six)
+                Self::Five(five)
             }
         }
     }
 
-    /// [`build_range_layer`] at `bits` alone, 7 or 6, whatever its lines.
+    /// [`build_range_layer`] at `bits` alone, 7 or 5, whatever its lines.
     pub(crate) fn build_range_layer_at<K: Key, M: CdfModel<K> + ?Sized>(
         model: &M,
         keys: &[K],
@@ -306,7 +319,7 @@ pub(crate) mod testing {
     ) -> Packed {
         let n = keys.len();
         match bits {
-            6 => Packed::Six(emit(Lines::new(n), model, keys, None)),
+            5 => Packed::Five(emit(Lines::new(n), model, keys, None)),
             _ => Packed::Seven(emit(Lines::new(n), model, keys, None)),
         }
     }
@@ -364,6 +377,7 @@ mod tests {
     use super::*;
     use crate::correction::{Correction, SearchHint};
     use crate::entry::ShiftEntry;
+    use crate::packed::tests::assert_no_wider_than_plain;
     use crate::table::ShiftTable;
     use learned_index::linear::InterpolationModel;
     use sosd_data::prelude::*;
@@ -493,18 +507,27 @@ mod tests {
         Packed::from_drifts(&compute_range_drifts(model, keys))
     }
 
-    /// Assert that the emitter builds the scatter reference: the same
-    /// lines and patches, so the same `size_bytes`.
+    /// Assert that the emitter builds the scatter reference — the same
+    /// lines and patches, so the same `size_bytes` — at the width the rule
+    /// picks and at each of the two.
     fn assert_emitter_matches_reference<K: Key, M: CdfModel<K> + ?Sized>(
         model: &M,
         keys: &[K],
         tag: &str,
     ) -> Packed {
-        let expected = reference(model, keys);
+        let drifts = compute_range_drifts(model, keys);
+        let expected = Packed::from_drifts(&drifts);
         assert!(
             build_range_layer(model, keys, None) == expected,
             "{tag}: emitted layer differs"
         );
+        for bits in [5, 7] {
+            assert!(
+                testing::build_range_layer_at(model, keys, bits)
+                    == Packed::from_drifts_at(&drifts, bits),
+                "{tag}: emitted {bits}-bit layer differs"
+            );
+        }
         expected
     }
 
@@ -516,8 +539,10 @@ mod tests {
         // is the emitter's. The matrix holds layers with escaped lines and
         // layers of long windows throughout: a least-squares line over
         // lognormal keys crowds its predictions into few partitions between
-        // long stretches of empty ones.
-        let mut patched = 0;
+        // long stretches of empty ones. On every layer a sloped seven-bit
+        // line is shifted or escaped only where a plain one would be, and
+        // on many the slopes leave fewer such lines.
+        let (mut patched, mut narrowed) = (0, 0);
         let adversaries = sosd_data::generators::adversary_columns();
         let specs = [
             "im",
@@ -531,8 +556,13 @@ mod tests {
         ];
         for spec in specs.map(|spec| ModelSpec::parse(spec).unwrap()) {
             let mut check = |keys: &[u64], tag: String| {
-                let layer = assert_emitter_matches_reference(&*spec.build(keys), keys, &tag);
+                let model = spec.build(keys);
+                let layer = assert_emitter_matches_reference(&*model, keys, &tag);
                 patched += usize::from(layer.patches() > 0);
+                // Sloped seven-bit lines against plain ones, line for line.
+                let drifts = compute_range_drifts(&*model, keys);
+                let (sloped, plain) = assert_no_wider_than_plain(&drifts, &tag);
+                narrowed += usize::from(sloped < plain);
             };
             for n in [4_096, 6_000, 70_000, 200_000] {
                 for name in SosdName::all() {
@@ -545,6 +575,7 @@ mod tests {
             }
         }
         assert!(patched > 20, "and patches: {patched} layers hold some");
+        assert!(narrowed > 100, "slopes narrow {narrowed} seven-bit layers");
     }
 
     #[cfg_attr(miri, ignore = "dataset too large for Miri")]
@@ -673,23 +704,23 @@ mod tests {
         }
     }
 
-    /// Pairs a seven-bit line serves.
-    const SEVEN_PAIRS: usize = crate::packed::Line::<7>::PAIRS;
+    /// Pairs a five-bit line serves.
+    const FIVE_PAIRS: usize = crate::packed::Line::<5>::PAIRS;
 
     #[cfg_attr(miri, ignore = "dataset too large for Miri")]
     #[test]
-    fn a_wide_layer_stops_at_six_bits_once_the_budget_is_spent() {
-        // amzn64 under IM: most six-bit lines are shifted or escaped, so
-        // the six-bit pass stops a run of predictions past the line that
-        // spends its budget of 79 (1/32 of 2 532 lines), and the layer is
+    fn a_wide_layer_stops_at_five_bits_once_the_budget_is_spent() {
+        // face64 under IM: most five-bit lines are shifted or escaped, so
+        // the five-bit pass stops a run of predictions past the line that
+        // spends its budget of 67 (1/32 of 2 174 lines), and the layer is
         // the seven-bit pass's.
         let n = 200_000;
-        let d: Dataset<u64> = SosdName::Amzn64.generate(n, 42);
+        let d: Dataset<u64> = SosdName::Face64.generate(n, 42);
         let model = InterpolationModel::build(&d);
-        let six = emit(Lines::<6>::budgeted(n), &model, d.as_slice(), None);
-        assert!(six.spent());
-        let six = Packed::Six(six);
-        assert!(six.len() < n / 10, "stopped at drift {}", six.len());
+        let five = emit(Lines::<5>::budgeted(n), &model, d.as_slice(), None);
+        assert!(five.spent());
+        let five = Packed::Five(five);
+        assert!(five.len() < n / 10, "stopped at drift {}", five.len());
         let layer = build_range_layer(&model, d.as_slice(), None);
         assert!(layer == Packed::Seven(emit(Lines::new(n), &model, d.as_slice(), None)));
         assert!(layer == reference(&model, d.as_slice()));
@@ -700,29 +731,29 @@ mod tests {
     fn an_over_wide_block_is_patched_and_an_over_long_count_coded() {
         // Stairs of 70 000 keys: every window is 70 000 records, and `Δ`
         // falls from 69 999 back to 0 at a stair's first partition — the
-        // line holding both drifts spreads past 1 015 and is escaped.
-        // Three stairs' worth, three escaped lines of 68 drifts.
+        // line holding both drifts spreads past 247 and is escaped.
+        // Three stairs' worth, three escaped lines of 93 drifts.
         let n = 150_000;
         let keys: Vec<u64> = (0..n as u64).collect();
         let stairs = |step| Stairs { n, step, dip: None };
-        let bytes = |patches: usize| 64 * n.div_ceil(SEVEN_PAIRS) + 4 * patches;
+        let bytes = |patches: usize| 64 * n.div_ceil(FIVE_PAIRS) + 4 * patches;
         let layer = assert_emitter_matches_reference(&stairs(70_000), &keys, "long stairs");
-        // A stair's empty partitions fall by one apiece: 79 across a
-        // six-bit line, which is shifted, so the layer keeps seven bits.
-        assert_eq!(layer.offset_bits(), 7);
-        assert_eq!((layer.patches(), layer.size_bytes()), (204, bytes(204)));
+        // A stair's empty partitions fall by one apiece: a slope of −1
+        // stores them exactly, so the layer keeps five bits.
+        assert_eq!(layer.offset_bits(), 5);
+        assert_eq!((layer.patches(), layer.size_bytes()), (279, bytes(279)));
         // The window ends where the next stair starts: served exactly.
         assert_eq!(layer.pair(0), Some((0, 0, 70_000)));
         assert_eq!(layer.delta(8), 69_992);
         // Stairs of 40 000, and one duplicate run of 70 000 among them.
         let layer = assert_emitter_matches_reference(&stairs(40_000), &keys, "short stairs");
-        assert_eq!((layer.patches(), layer.size_bytes()), (272, bytes(272)));
+        assert_eq!((layer.patches(), layer.size_bytes()), (372, bytes(372)));
         let mut dups = keys.clone();
         dups[50_000..120_000].fill(50_000);
         let layer = assert_emitter_matches_reference(&stairs(40_000), &dups, "duplicate run");
         // Partition 40 000 takes 80 000 keys: its window ends at 120 000.
         assert_eq!(layer.pair(40_000), Some((40_000, 0, 80_000)));
-        assert_eq!((layer.patches(), layer.size_bytes()), (204, bytes(204)));
+        assert_eq!((layer.patches(), layer.size_bytes()), (279, bytes(279)));
         // Every key predicted into the last partition: every other one is
         // empty and starts at the first key, drifting down by one a
         // partition. Only the last line, where the end's drift of 0 follows
@@ -735,8 +766,8 @@ mod tests {
         };
         let layer = assert_emitter_matches_reference(&model, &vec![n as u64; n], "last");
         assert_eq!(layer.pair(n - 1), Some((n - 1, 1 - n as i32, n)));
-        let bytes = 64 * n.div_ceil(SEVEN_PAIRS) + 272;
-        assert_eq!((layer.patches(), layer.size_bytes()), (68, bytes));
+        let bytes = 64 * n.div_ceil(FIVE_PAIRS) + 372;
+        assert_eq!((layer.patches(), layer.size_bytes()), (93, bytes));
     }
 
     #[cfg_attr(miri, ignore = "dataset too large for Miri")]

@@ -4,9 +4,10 @@
 //! local-search window length `C`. The paper's case against big models —
 //! parameters that miss the cache cost memory lookups — holds for the layer
 //! itself, so every range layer is stored in 64-byte lines — 67 entries a
-//! line (≈ 0.955 bytes an entry) at seven bits an offset, 79 (≈ 0.810) at
-//! six — the same layout for every model and every key column, and a fetch
-//! reads one cache line (the `packed` module has the lines and the fetch):
+//! line (≈ 0.955 bytes an entry) at seven bits an offset, 92 (≈ 0.696) at
+//! five — the same layout for every model and every key column, and a
+//! fetch reads one cache line (the `packed` module has the lines and the
+//! fetch):
 //!
 //! * **Only `Δ` is stored.** Under a valid-CDF model (§3.1, §3.8) the keys
 //!   of partition `k` are one run of positions starting at
@@ -25,27 +26,32 @@
 //!   — 0 for an empty partition, so they sum to `N`.
 //! * **`Δ` is line-relative, and exact where `b` bits hold it.** The drift
 //!   of a model is *locally* smooth even where it is globally large — the
-//!   paper's own premise — so a 64-byte, 64-aligned line of 68 (`b = 7`)
-//!   or 80 (`b = 6`) neighbouring drifts carries one base, its minimum, and
-//!   each drift a `b`-bit offset from it, below `2^b − 1`. A line's last
-//!   drift repeats the next line's first, so the two drifts of every
-//!   window — `Δ_k` and `Δ_{k+1}` — lie in one line: one cache line a
-//!   correction, with no second array to read.
-//! * **A line spreading past `2^b − 2` is shifted**: its offsets count
-//!   units of `2^s` records, the least `s ≤ 3` with
+//!   paper's own premise — and mostly climbs or falls at a steady rate
+//!   inside a line: the model's local slope error. So a 64-byte, 64-aligned
+//!   line of 68 (`b = 7`) or 93 (`b = 5`) neighbouring drifts carries one
+//!   slope `a`, in the bits its offsets leave, and one base, the least
+//!   residual `Δ_i − ((a·i) >> F)`, and each drift a `b`-bit offset of
+//!   its residual from the base, below `2^b − 1`. A line's last drift
+//!   repeats the next line's first, so the two drifts of every window —
+//!   `Δ_k` and `Δ_{k+1}` — lie in one line: one cache line a correction,
+//!   with no second array to read.
+//! * **A line whose residuals spread past `2^b − 2` is shifted**: its
+//!   offsets count units of `2^s` records, the least `s ≤ 3` with
 //!   `spread ≤ (2^b − 1)·2^s − 1`, kept in the base's top two bits. Each
 //!   offset is rounded down, and a fetch widens the window's end by
 //!   `2^s − 1`, so the window served holds the exact one and overhangs
 //!   each end by at most 7 records — one 64-byte line of `u64` keys. A
-//!   window longer than `2^b − 1` records steps `Δ` past an offset between
-//!   its two drifts, so it shifts its line wherever it sits.
-//! * **The line that does not fit is escaped**: spreading past 1 015 (503
-//!   at six bits), or shifted windows that would overhang the column. Its
-//!   68 (80) drifts are stored in full — `i32`, exact — in a side array its
-//!   base points into, at 272 (320) bytes more.
-//! * **The width is the layer's own**: six bits when at most 1/32 of the
-//!   six-bit lines are shifted or escaped — an accurate model's layer —
-//!   else seven ([`ShiftTable::offset_bits`](crate::ShiftTable::offset_bits)).
+//!   window longer than `2^b − 1` records, less the line's climb across
+//!   it, steps the residual past an offset between its two drifts, so it
+//!   shifts its line wherever it sits.
+//! * **The line that does not fit is escaped**: its residuals spreading
+//!   past 1 015 (247 at five bits), or shifted windows that would overhang
+//!   the column. Its 68 (93) drifts are stored in full — `i32`, exact — in
+//!   a side array its base points into, at 272 (372) bytes more.
+//! * **The width is the layer's own**: five bits when at most 1/32 of the
+//!   five-bit lines are shifted or escaped — a layer whose drifts are
+//!   narrow or climb steadily — else seven
+//!   ([`ShiftTable::offset_bits`](crate::ShiftTable::offset_bits)).
 //!
 //! There is nothing to tune per layer: plain encodings of 4 to 8 bytes an
 //! entry (`(i16, u16)` up to `(i32, u32)`) are smaller for no layer of 14
@@ -55,7 +61,7 @@
 //! The builder writes the layout strictly left to right, line by line,
 //! nothing stored ever re-encoded ([`crate::build`]). A layer over `N` keys
 //! has `N + 1` drifts — the last, of the virtual partition `N`, is 0 — in
-//! `⌈N / 67⌉` or `⌈N / 79⌉` lines, and `|Δ| ≤ N`, so up to
+//! `⌈N / 67⌉` or `⌈N / 92⌉` lines, and `|Δ| ≤ N`, so up to
 //! [`ShiftTable::MAX_KEYS`](crate::ShiftTable::MAX_KEYS) `= 2^29 − 1` keys
 //! every base fits the 30 bits a line leaves it.
 

@@ -160,8 +160,8 @@ mod tests {
         // hundreds of keys). The first block queries the uniform part only,
         // and none of it within 150 000 units of the cluster — about 160
         // predictions, two lines of either width — so no lane reads the
-        // cluster's line, which is shifted at six bits and overhangs each
-        // window's ends: every lane scans linearly. From the second block
+        // cluster's line, whose long window escapes it at five bits: every
+        // lane scans linearly. From the second block
         // on every fifth query hits the cluster, so blocks mix scanned,
         // binary-searched and tail lanes.
         let mut keys: Vec<u64> = (0..4_000u64).map(|i| i * 1_000).collect();

@@ -26,13 +26,14 @@
 //!   configuration, Algorithm 2), stored in 64-byte lines: only `Δ`, as an
 //!   offset from one base a line, so a correction reads one cache line — a
 //!   window ends where the next partition's starts, so `C` is not stored.
-//!   An accurate model's layer, at most 1/32 of whose six-bit lines would
-//!   be shifted or escaped, takes 6-bit offsets, 80 drifts a line and
-//!   64 bytes per 79 keys; every other takes 7-bit ones, 68 a line and
-//!   64 bytes per 67 keys. A line whose drifts spread past what an offset
-//!   holds stores them in units of up to 8 records, widening its windows by
-//!   at most 7 at each end, and the rare line spreading past 1 015 (503 at
-//!   six bits) keeps them in full in a patch array — see [`entry`],
+//!   Each line has a slope, and its offsets store what is left of the
+//!   drifts after it. A layer at most 1/32 of whose five-bit lines would
+//!   be shifted or escaped takes 5-bit offsets, 93 drifts a line and 64
+//!   bytes per 92 keys; every other takes 7-bit ones, 68 a line and 64
+//!   bytes per 67 keys. A line whose residuals spread past what an offset
+//!   holds stores them in units of up to 8 records, widening its windows
+//!   by at most 7 at each end, and the rare line spreading past 1 015 (247
+//!   at five bits) keeps them in full in a patch array — see [`entry`],
 //! * [`CorrectedIndex`] — a complete range index assembled from any
 //!   [`learned_index::CdfModel`], an optional range layer and the local
 //!   search routines (Algorithm 1), implementing

@@ -1,51 +1,74 @@
-//! The layout of the range layer: cache lines of one base and 68 seven-bit
-//! or 80 six-bit offsets, one drift a partition, the width chosen per
-//! layer.
+//! The layout of the range layer: cache lines of one base, one slope and
+//! 68 seven-bit or 93 five-bit offsets, one drift a partition, the width
+//! chosen per layer.
 //!
 //! The layer stores each partition's drift `Δ_k` and no window length: the
 //! window of partition `k` ends where partition `k + 1`'s starts
 //! ([`crate::table`]), so a fetch reads two neighbouring drifts. They are
 //! stored in 64-byte, 64-aligned [`Line`]s. Bytes `0..60` hold `LINE`
 //! offsets of `b` bits each, LSB first — offset `i` at bits `b·i..b·i + b`
-//! — and bytes `60..64` one little-endian `i32` base: the line's minimum in
-//! its low 30 bits and the line's **shift** `s ∈ 0..=3` in its top two. An
-//! offset, below `2^b − 1`, counts units of `2^s` records:
-//! `Δ = base + (offset << s)`. A line holds `LINE` drifts and serves
-//! `PAIRS = LINE − 1` pairs: line `j` holds the drifts
-//! `PAIRS·j ..= PAIRS·j + PAIRS`, its last repeating the first of line
-//! `j + 1`, so the pair `(k, k + 1)` of every fetch lies in line
-//! `k / PAIRS` — one cache line a correction, the paper's "at most one
-//! memory lookup". Both offsets of pair `i` sit in the four bytes from
-//! byte `⌊b·i/8⌋ ≤ 58` on: one unaligned `u32` load, shifted right by
-//! `b·i mod 8` and masked twice. The last pair's load reaches the base's
-//! first bytes, which the masks drop. There are two widths:
+//! — and in the bits they leave, up to bit 480, the line's **slope** `a`,
+//! two's complement; bytes `60..64` hold one little-endian `i32` base: the
+//! line's least residual in its low 30 bits and its **shift** `s ∈ 0..=3`
+//! in its top two. An offset, below `2^b − 1`, counts units of `2^s`
+//! records above the base, and the slope, in units of `2^−F` records a
+//! partition, adds the line's climb to slot `i`:
 //!
-//! | `b` | offsets a line (bits)  | pairs a line | bytes a key | escaped line  |
-//! |-----|------------------------|--------------|-------------|---------------|
-//! | 7   | 68 (476 of 480)        | 67           | ≈ 0.955     | 68 drifts, 272 B more |
-//! | 6   | 80 (all 480)           | 79           | ≈ 0.810     | 80 drifts, 320 B more |
+//! ```text
+//! Δ_i = base + ((a·i) >> F) + (o_i << s)        (>> flooring)
+//! ```
+//!
+//! Inside one line an inaccurate model's drifts mostly climb or fall at a
+//! steady rate — its local slope error — and offsets counted from the
+//! line's minimum would have to cover that whole climb; under the slope
+//! they cover only what is left, the **residuals** `Δ_i − ((a·i) >> F)`.
+//! A line holds `LINE` drifts and serves `PAIRS = LINE − 1` pairs: line
+//! `j` holds the drifts `PAIRS·j ..= PAIRS·j + PAIRS`, its last repeating
+//! the first of line `j + 1`, so the pair `(k, k + 1)` of every fetch lies
+//! in line `k / PAIRS` — one cache line a correction, the paper's "at most
+//! one memory lookup". Both offsets of pair `i` sit in the four bytes from
+//! byte `⌊b·i/8⌋ ≤ 57` on: one unaligned `u32` load, shifted right by
+//! `b·i mod 8` and masked twice. The last pair's load reaches the slope's
+//! bits — and at seven bits the base's first byte — which the masks drop.
+//! There are two widths; the slope takes the bits the offsets leave, so
+//! neither loses an offset to it:
+//!
+//! | `b` | offsets (bits) | slope: bits, unit `2^−F`, range | pairs a line | bytes a key | escaped line |
+//! |-----|----------------|---------------------------------|--------------|-------------|--------------|
+//! | 7   | 68 (476)       | 4, 1 record, `−8..=7`           | 67           | ≈ 0.955     | 68 drifts, 272 B more |
+//! | 5   | 93 (465)       | 15, 1/64 record, `−2^14..=2^14 − 1` | 92       | ≈ 0.696     | 93 drifts, 372 B more |
+//!
+//! **The slope is the line's own.** The builder offers each line its
+//! endpoint slope, `a = round(2^F·(Δ_last − Δ_first) / PAIRS)` (half up)
+//! clamped to the field, and keeps it where it leaves the residuals a
+//! smaller spread than slope 0 does — both spreads found in one pass over
+//! the line — so a seven-bit line is never wider than a plain one. A line
+//! whose drifts leave 30 bits (no built layer's: `|Δ| ≤ N ≤`
+//! [`crate::ShiftTable::MAX_KEYS`]) keeps slope 0, so no residual wraps,
+//! and a slope under which a line cannot be stored gives way to slope 0
+//! before the line is escaped. A short last line is padded with copies of
+//! its last drift, and its slope runs to the last of them.
 //!
 //! A line's shift is the least `s` with `spread ≤ (2^b − 1)·2^s − 1`, its
-//! drifts' spread counted from its minimum. A line spreading at most
+//! residuals' spread counted from their minimum. A line spreading at most
 //! `2^b − 2` has `s = 0` and stores every drift exactly. A shifted line
 //! rounds each offset down, so a fetch serves a window from the rounded
 //! start to the rounded end plus `2^s − 1`: the exact window, overhanging
 //! each end by at most `2^s − 1 ≤ 7` records — one 64-byte line of `u64`
 //! keys.
 //!
-//! A line is **escaped** when no shift fits it — its drifts spread past
-//! `127·8 − 1 = 1 015` (seven bits) or `63·8 − 1 = 503` (six) — when a
-//! shifted window would overhang the column (below position 0 or past
-//! `N`), or when its base does not fit 30 bits (no built layer's:
-//! `|Δ| ≤ N ≤` [`crate::ShiftTable::MAX_KEYS`]). Every one of its offsets
-//! is `ESCAPE = 2^b − 1`, its drifts go in full to a patch array, and its
-//! base holds where they start there, so with `i = k % PAIRS` and `o`, `p`
-//! its offsets `i` and `i + 1` a fetch serves the drift `Δ` and the window
-//! length
+//! A line is **escaped** when no shift fits it — its residuals spread past
+//! `127·8 − 1 = 1 015` (seven bits) or `31·8 − 1 = 247` (five) under
+//! either slope — when a shifted window would overhang the column (below
+//! position 0 or past `N`), or when its base does not fit 30 bits. Every
+//! one of its offsets is `ESCAPE = 2^b − 1`, its slope 0, its drifts go in
+//! full to a patch array, and its base holds where they start there, so
+//! with `i = k % PAIRS`, `o` and `p` its offsets `i` and `i + 1`, and
+//! `r(i) = (a·i) >> F`, a fetch serves the drift `Δ` and the window length
 //!
 //! ```text
-//! base + (o << s),      (p + 1 − o) << s,    0 where p < o    o != ESCAPE
-//! patches[base + i],    1 + Δ' − Δ,          0 where Δ' < Δ   o == ESCAPE, Δ' = patches[base + i + 1]
+//! base + r(i) + (o << s),   r(i + 1) − r(i) + ((p − o) << s) + 2^s, 0 where not positive   o != ESCAPE
+//! patches[base + i],        1 + Δ' − Δ,  0 where Δ' < Δ                 o == ESCAPE, Δ' = patches[base + i + 1]
 //! ```
 //!
 //! — one dependent load more on the escape, no directory and no search. A
@@ -59,54 +82,65 @@
 //! offsets 33.
 //!
 //! **The width is chosen per layer, from its own drifts.** A layer keeps
-//! six bits when at most 1/32 of its lines are shifted or escaped: the
-//! builder packs it at six bits first, with that budget
+//! five bits when at most 1/32 of its five-bit lines are shifted or
+//! escaped: the builder packs it at five bits first, with that budget
 //! ([`Lines::budgeted`]; the line count is known from the column's
 //! length), stops as soon as the budget is spent and packs it again at
-//! seven bits. An accurate model's drifts are narrow
-//! and its layer keeps six bits: at the benchmark's dataset seed, 2.1 % of
-//! the 79-pair lines of `static_narrow` (osmc64 under `rmi:4096`) are
-//! inexact, its layer falls from 0.9946 to 0.8567 bytes a key and its
-//! key-weighted mean window moves 10.390 → 10.409 keys. A model whose
-//! drifts are wide keeps seven bits: six would make 73 % of `static_wide`'s
-//! lines inexact (amzn64 under IM), 53–55 % of each `store_mixed` shard's
-//! and 21–100 % of each `durable_ingest` shard's, and forced six bits on
-//! `static_wide` read a slower `lookup_p50_ns` (442 → 488 ns) in every
-//! trial. Seven bits against eight cut every benchmark layer by 11–12 %
-//! and widened its mean window by under 3 %. There is no knob: the rule is
-//! the layer's.
+//! seven bits. At the benchmark's dataset seed (layer only, key-weighted
+//! mean window after): `static_wide` (amzn64 under IM, 4 Mi keys), whose
+//! plain six-bit lines were 73 % inexact and which kept seven bits, keeps
+//! five, 0.9742 → 0.7191 bytes a key (window 1 362.21 → 1 362.18);
+//! `static_narrow` (osmc64 under `rmi:4096`) keeps five where it kept six,
+//! 0.8176 → 0.6973 (window 10.41 → 10.38); five of `durable_ingest`'s
+//! seven wiki64 shards keep five (0.9555 → 0.7612 over all of them); and
+//! `store_mixed`'s face64 shards keep seven, unchanged at 0.9553, their
+//! shifted lines 3 530 → 87. A model whose error is noise rather than
+//! slope spreads the five-bit residuals past 30 and keeps seven bits: at
+//! 200 k keys RadixSpline's on face and osmc keys and PGM's on amzn and
+//! wiki keys, which kept six bits (≈ 0.81 bytes a key) before five
+//! replaced six. There is no knob: the rule is the layer's.
 //!
 //! An escaped line is, in practice, a stretch where a dense region climbs
 //! `Δ` by `C − 1` a partition past what a shift fits inside one line, or a
 //! window of that many records. Whether a fetch reads one is a property of
-//! the query, not of the layer: on the amzn64 IM layer (4 Mi keys) 0.5 %
-//! of the lines are escaped and about 63 % of the gap queries fetch from
-//! one, so the branch on the escape is mispredicted often there. Reading a
+//! the query, not of the layer: on the seven-bit amzn64 IM layer (4 Mi
+//! keys) 0.5 % of the lines are escaped and about 63 % of the gap queries
+//! fetch from one, so the branch on the escape is mispredicted often
+//! there. Reading a
 //! patch slot on every fetch and selecting without a branch won there and
 //! lost where escapes are rare — timed on blocks of 8 drifts, 64 fetches
 //! at a time between cache-evicting searches (2-vCPU x86): 26 against
 //! 32 ns a fetch on that layer, 26 against 19 on osmc64 under `rmi:4096`,
 //! where 0.6 % of the fetches were escaped — so the branch stays.
 
-/// Bytes of a line in front of its base: its offsets' bits, at most 480.
+/// Bytes of a line in front of its base: its offsets' and its slope's 480
+/// bits.
 const OFFSET_BYTES: usize = 60;
+
+/// The first byte of the word whose top bits are the line's slope: the
+/// four bytes in front of the base.
+const SLOPE_WORD: usize = OFFSET_BYTES - 4;
 
 /// The largest shift a line takes: a window overhangs each end by at most
 /// `2^3 − 1 = 7` records. A constant, not a knob — a larger one widens
 /// the windows of the lines it saves.
 const MAX_SHIFT: u32 = 3;
 
-/// The most drifts a line of either width holds: 80 six-bit offsets.
-const MAX_LINE: usize = 80;
+/// The most drifts a line of either width holds: 93 five-bit offsets.
+const MAX_LINE: usize = 93;
 
-/// A layer keeps six-bit lines when at most one line in this many is
+/// Offsets a line is staged in before it is packed: whole groups of eight.
+const STAGED: usize = MAX_LINE.next_multiple_of(8);
+
+/// A layer keeps five-bit lines when at most one line in this many is
 /// shifted or escaped.
 const NARROW_SHARE: usize = 32;
 
 /// One cache line of the layer: [`Line::LINE`] offsets of `BITS` bits,
-/// one a drift, then a little-endian base word — the line's smallest drift
-/// in the low 30 bits, two's complement, and its shift in the top two, or
-/// for an escaped line its first slot in the patch array.
+/// one a drift, its slope in the bits they leave, then a little-endian
+/// base word — the smallest residual in the low 30 bits, two's complement,
+/// and the shift in the top two, or for an escaped line its first slot in
+/// the patch array.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[repr(C, align(64))]
 pub(crate) struct Line<const BITS: u32>([u8; 64]);
@@ -123,8 +157,16 @@ const fn lanes(width: u32, lane: u32) -> u64 {
 }
 
 impl<const BITS: u32> Line<BITS> {
-    /// Drifts a line holds: as many offsets as fit its 480 bits.
-    pub(crate) const LINE: usize = 8 * OFFSET_BYTES / BITS as usize;
+    /// Bits of the slope: the 4 that 68 seven-bit offsets leave of 480,
+    /// or 15 beside 93 five-bit ones.
+    pub(crate) const SLOPE_BITS: u32 = if BITS == 7 { 4 } else { 15 };
+
+    /// Fraction bits of the slope: a seven-bit line climbs whole records a
+    /// partition, a five-bit one 1/64 of a record.
+    pub(crate) const FRACTION: u32 = if BITS == 7 { 0 } else { 6 };
+
+    /// Drifts a line holds: as many offsets as fit beside the slope.
+    pub(crate) const LINE: usize = (8 * OFFSET_BYTES - Self::SLOPE_BITS as usize) / BITS as usize;
 
     /// Pairs of neighbouring drifts a line serves.
     pub(crate) const PAIRS: usize = Self::LINE - 1;
@@ -133,39 +175,66 @@ impl<const BITS: u32> Line<BITS> {
     /// stored offset is below it.
     const ESCAPE: u32 = (1 << BITS) - 1;
 
-    // lint: allow(panic) evaluated at compile time: a line is one cache line, its offsets fit in front of its base and in the staging of the widest line
+    /// The least and the greatest slope the field holds.
+    pub(crate) const SLOPES: (i32, i32) = (
+        -(1 << (Self::SLOPE_BITS - 1)),
+        (1 << (Self::SLOPE_BITS - 1)) - 1,
+    );
+
+    // lint: allow(panic) evaluated at compile time: a line is one cache line of five- or seven-bit offsets, which with the slope fill the bits in front of its base
     const LAYOUT: () = assert!(
         size_of::<Self>() == 64
             && align_of::<Self>() == 64
+            && (BITS == 5 || BITS == 7)
             && Self::LINE <= MAX_LINE
-            && BITS as usize * Self::LINE <= 8 * OFFSET_BYTES
-            && BITS <= 8
+            && BITS as usize * Self::LINE + Self::SLOPE_BITS as usize == 8 * OFFSET_BYTES
     );
 
-    /// A line in place: the `LINE` `drifts` as offsets from `base` in
-    /// units of `2^shift`, each below [`Line::ESCAPE`]. `base` must fit 30
-    /// bits, `shift` 2.
+    /// How far a line of `slope` climbs from slot 0 to `slot`:
+    /// `(slope·slot) >> FRACTION`, rounded down.
+    #[inline(always)]
+    pub(crate) fn rise(slope: i32, slot: usize) -> i32 {
+        (slope * slot as i32) >> Self::FRACTION
+    }
+
+    /// The slope from a line's first drift to its last, in units of
+    /// `2^−FRACTION` records a partition, rounded half up and clamped to
+    /// the field.
     #[inline]
-    fn in_place(drifts: &[i32], base: i32, shift: u32) -> Self {
+    pub(crate) fn endpoint_slope(first: i32, last: i32) -> i32 {
+        let climb = (i64::from(last) - i64::from(first)) << Self::FRACTION;
+        let pairs = Self::PAIRS as i64;
+        let slope = (2 * climb + pairs).div_euclid(2 * pairs);
+        slope.clamp(Self::SLOPES.0.into(), Self::SLOPES.1.into()) as i32
+    }
+
+    /// A line in place: the `LINE` `drifts`, less the line's rise under
+    /// `slope`, as offsets from `base` in units of `2^shift`, each below
+    /// [`Line::ESCAPE`]. `base` must fit 30 bits, `shift` 2, `slope` the
+    /// field.
+    #[inline]
+    fn in_place(drifts: &[i32], base: i32, shift: u32, slope: i32) -> Self {
         debug_assert!(fits_30_bits(base) && shift <= MAX_SHIFT);
-        let mut offsets = [0; MAX_LINE];
-        for (offset, &delta) in offsets.iter_mut().zip(&drifts[..Self::LINE]) {
-            *offset = (offset_from(base, delta) >> shift) as u8;
+        debug_assert!((Self::SLOPES.0..=Self::SLOPES.1).contains(&slope));
+        let mut offsets = [0; STAGED];
+        for (slot, (offset, &delta)) in offsets.iter_mut().zip(&drifts[..Self::LINE]).enumerate() {
+            let residual = delta.wrapping_sub(Self::rise(slope, slot));
+            *offset = (offset_from(base, residual) >> shift) as u8;
         }
-        Self::pack(&offsets, base as u32 & u32::MAX >> 2 | shift << 30)
+        Self::pack(&offsets, slope, base as u32 & u32::MAX >> 2 | shift << 30)
     }
 
     /// An escaped line whose drifts start at `slot` of the patch array.
     fn escaped(slot: u32) -> Self {
-        let mut offsets = [0; MAX_LINE];
+        let mut offsets = [0; STAGED];
         offsets[..Self::LINE].fill(Self::ESCAPE as u8);
-        Self::pack(&offsets, slot)
+        Self::pack(&offsets, 0, slot)
     }
 
     /// A line of the first `LINE` `offsets`, each below `2^BITS` and
-    /// those past them 0, in front of the base word `word`.
+    /// those past them 0, then `slope`, in front of the base word `word`.
     #[inline]
-    fn pack(offsets: &[u8; MAX_LINE], word: u32) -> Self {
+    fn pack(offsets: &[u8; STAGED], slope: i32, word: u32) -> Self {
         let () = Self::LAYOUT;
         let mut bytes = [0; 64];
         // Eight offsets are `8·BITS` bits: group `g` is stored as the 8
@@ -176,6 +245,11 @@ impl<const BITS: u32> Line<BITS> {
             let bits = Self::squeeze(u64::from_le_bytes(group));
             bytes[BITS as usize * g..][..8].copy_from_slice(&bits.to_le_bytes());
         }
+        // The offsets past the last are clear: the slope takes their bits,
+        // the top of the word in front of the base.
+        let slope = (slope as u32) << (32 - Self::SLOPE_BITS);
+        let top = Self::word_at(&bytes, SLOPE_WORD) | slope;
+        bytes[SLOPE_WORD..OFFSET_BYTES].copy_from_slice(&top.to_le_bytes());
         bytes[OFFSET_BYTES..].copy_from_slice(&word.to_le_bytes());
         Self(bytes)
     }
@@ -191,13 +265,19 @@ impl<const BITS: u32> Line<BITS> {
         x & four | (x & four << 32) >> (32 - 4 * BITS)
     }
 
+    /// The little-endian `u32` from byte `at` on.
+    #[inline]
+    fn word_at(bytes: &[u8; 64], at: usize) -> u32 {
+        u32::from_le_bytes(bytes[at..][..4].try_into().unwrap_or_default())
+    }
+
     /// The base word.
     #[inline]
     fn word(&self) -> u32 {
-        u32::from_le_bytes(self.0[OFFSET_BYTES..].try_into().unwrap_or_default())
+        Self::word_at(&self.0, OFFSET_BYTES)
     }
 
-    /// The line's smallest drift (not for an escaped line).
+    /// The line's smallest residual (not for an escaped line).
     #[inline]
     fn base(&self) -> i32 {
         (self.word() as i32) << 2 >> 2
@@ -209,6 +289,13 @@ impl<const BITS: u32> Line<BITS> {
         self.word() >> 30
     }
 
+    /// The line's slope, in units of `2^−FRACTION` records a partition: 0
+    /// for an escaped line.
+    #[inline]
+    fn slope(&self) -> i32 {
+        Self::word_at(&self.0, SLOPE_WORD) as i32 >> (32 - Self::SLOPE_BITS)
+    }
+
     /// Where an escaped line's drifts start in the patch array.
     #[inline]
     fn patch_slot(&self) -> usize {
@@ -216,18 +303,25 @@ impl<const BITS: u32> Line<BITS> {
     }
 
     /// Offset `slot`, then offset `slot + 1` where there is one, from the
-    /// low bit on: one `u32` load, from byte `⌊BITS·slot/8⌋ ≤ 59`.
+    /// low bit on: one `u32` load, from byte `⌊BITS·slot/8⌋ ≤ 58`.
     #[inline]
     fn offsets_from(&self, slot: usize) -> u32 {
         let bit = BITS as usize * slot;
-        let bytes = self.0[bit / 8..][..4].try_into().unwrap_or_default();
-        u32::from_le_bytes(bytes) >> (bit % 8)
+        Self::word_at(&self.0, bit / 8) >> (bit % 8)
     }
 
     /// Offset `slot`.
     #[inline]
     fn offset(&self, slot: usize) -> u32 {
         self.offsets_from(slot) & Self::ESCAPE
+    }
+
+    /// Drift `slot` as served: its residual, rounded down to the shift,
+    /// plus the line's rise (not for an escaped line).
+    fn drift(&self, slot: usize) -> i64 {
+        i64::from(self.base())
+            + i64::from(Self::rise(self.slope(), slot))
+            + (i64::from(self.offset(slot)) << self.shift())
     }
 
     /// True for an escaped line: a line is escaped in every offset or in
@@ -248,6 +342,15 @@ fn fits_30_bits(base: i32) -> bool {
 #[inline]
 fn offset_from(base: i32, delta: i32) -> u32 {
     delta.wrapping_sub(base) as u32
+}
+
+/// How a line may store its drifts: the base, the spread of the residuals
+/// from it and the slope they are taken under.
+#[derive(Clone, Copy)]
+struct Fit {
+    base: i32,
+    spread: u32,
+    slope: i32,
 }
 
 /// The range layer's drift array at one offset width.
@@ -314,36 +417,60 @@ impl<const BITS: u32> Lines<BITS> {
         }
     }
 
-    /// Append one line of `LINE` drifts.
+    /// Append one line of `LINE` drifts, under its endpoint slope where
+    /// that leaves the residuals a smaller spread than slope 0 does.
     #[inline]
     fn push_line(&mut self, drifts: &[i32]) {
-        let (base, max) = drifts[..Self::LINE]
-            .iter()
-            .fold((i32::MAX, i32::MIN), |(min, max), &delta| {
-                (min.min(delta), max.max(delta))
-            });
-        let spread = offset_from(base, max);
-        if spread < Self::ESCAPE && fits_30_bits(base) {
-            self.lines.push(Line::in_place(drifts, base, 0));
+        let drifts = &drifts[..Self::LINE];
+        let slope = Line::<BITS>::endpoint_slope(drifts[0], drifts[Self::LINE - 1]);
+        // One pass: the extremes of the drifts and of their residuals.
+        let (mut min, mut max) = (i32::MAX, i32::MIN);
+        let (mut low, mut high) = (i32::MAX, i32::MIN);
+        for (slot, &delta) in drifts.iter().enumerate() {
+            let residual = delta.wrapping_sub(Line::<BITS>::rise(slope, slot));
+            (min, max) = (min.min(delta), max.max(delta));
+            (low, high) = (low.min(residual), high.max(residual));
+        }
+        let plain = Fit {
+            base: min,
+            spread: offset_from(min, max),
+            slope: 0,
+        };
+        let sloped = Fit {
+            base: low,
+            spread: offset_from(low, high),
+            slope,
+        };
+        // A residual wraps only past 30 bits of drift: no built layer's.
+        let tilted = sloped.spread < plain.spread && fits_30_bits(min) && fits_30_bits(max);
+        let fit = if tilted { sloped } else { plain };
+        if fit.spread < Self::ESCAPE && fits_30_bits(fit.base) {
+            self.lines
+                .push(Line::in_place(drifts, fit.base, 0, fit.slope));
+        } else if tilted {
+            self.push_wide(drifts, &[sloped, plain]);
         } else {
-            self.push_wide(drifts, base, spread);
+            self.push_wide(drifts, &[plain]);
         }
     }
 
-    /// Append a line whose drifts spread past `ESCAPE − 1`, or whose base
-    /// does not fit 30 bits: shifted if a shift fits it and keeps its
-    /// windows inside the column, else escaped.
+    /// Append a line no fit stores exactly: under the first of `fits` that
+    /// a shift fits with its base in 30 bits and its windows inside the
+    /// column, else escaped. Where the slope does not fit, slope 0 may.
     #[cold]
-    fn push_wide(&mut self, drifts: &[i32], base: i32, spread: u32) {
-        self.inexact += 1;
-        let shift = (0..=MAX_SHIFT).find(|&shift| spread >> shift < Self::ESCAPE);
-        if let Some(shift) = shift.filter(|_| fits_30_bits(base)) {
-            let line = Line::in_place(drifts, base, shift);
-            if self.inside_column(&line) {
-                self.lines.push(line);
-                return;
+    fn push_wide(&mut self, drifts: &[i32], fits: &[Fit]) {
+        for fit in fits {
+            let shift = (0..=MAX_SHIFT).find(|&shift| fit.spread >> shift < Self::ESCAPE);
+            if let Some(shift) = shift.filter(|_| fits_30_bits(fit.base)) {
+                let line = Line::in_place(drifts, fit.base, shift, fit.slope);
+                if shift == 0 || self.inside_column(&line) {
+                    self.inexact += usize::from(shift > 0);
+                    self.lines.push(line);
+                    return;
+                }
             }
         }
+        self.inexact += 1;
         // A slot index below `LINE` a line: it fits the base word below
         // `2^30`.
         self.lines.push(Line::escaped(self.patches.len() as u32));
@@ -356,13 +483,11 @@ impl<const BITS: u32> Lines<BITS> {
     fn inside_column(&self, line: &Line<BITS>) -> bool {
         let first = Self::PAIRS * self.lines.len();
         let column = self.column as i64;
-        let drift =
-            |slot: usize| i64::from(line.base()) + (i64::from(line.offset(slot)) << line.shift());
         let pairs = Self::PAIRS.min(self.column.saturating_sub(first));
         (0..pairs).all(|i| {
             let k = (first + i) as i64;
-            let start = k + drift(i);
-            let end = k + 1 + drift(i + 1) + (1 << line.shift()) - 1;
+            let start = k + line.drift(i);
+            let end = k + 1 + line.drift(i + 1) + (1 << line.shift()) - 1;
             start >= 0 && start.max(end) <= column
         })
     }
@@ -371,8 +496,7 @@ impl<const BITS: u32> Lines<BITS> {
     /// `drifts[0]` repeats that drift unless the array is empty, as the
     /// last drift of a line repeats the next line's first. Whole lines —
     /// `PAIRS` drifts past the first — except at the end of the array,
-    /// where a short last line is padded with copies of its last drift,
-    /// which moves none of its extremes.
+    /// where a short last line is padded with copies of its last drift.
     pub fn extend(&mut self, drifts: &[i32]) {
         debug_assert!(
             self.len == 0 || (self.len - 1).is_multiple_of(Self::PAIRS),
@@ -446,20 +570,21 @@ impl<const BITS: u32> Lines<BITS> {
         };
         match line.offset(slot) {
             offset if offset == Self::ESCAPE => self.patches[line.patch_slot() + slot],
-            offset => line.base().wrapping_add_unsigned(offset << line.shift()),
+            _ => line.drift(slot) as i32,
         }
     }
 
     /// The pair of neighbours `prediction` falls in — `k`, clamped to the
     /// last pair — with the drift its window starts at and the window's
     /// length: from two adjacent offsets of line `k / PAIRS`, one `u32`
-    /// load, and its base, or, from an escaped line, two adjacent patches.
-    /// This is the "single memory lookup" the paper's layer costs. The
-    /// window runs from `k + Δ_k` to `k + 1 + Δ_{k+1}`, empty where that is
-    /// not past its start; in a line of shift `s` both ends are rounded,
-    /// the start down and the end up, by at most `2^s − 1`. `None` without
-    /// a pair: the layer over no keys. One branch a fetch, on the escape: a
-    /// line is escaped in every offset or in none.
+    /// load, its slope and its base, or, from an escaped line, two
+    /// adjacent patches. This is the "single memory lookup" the paper's
+    /// layer costs. The window runs from `k + Δ_k` to `k + 1 + Δ_{k+1}`,
+    /// empty where that is not past its start; in a line of shift `s` both
+    /// ends are rounded, the start down and the end up, by at most
+    /// `2^s − 1`. `None` without a pair: the layer over no keys. One
+    /// branch a fetch, on the escape: a line is escaped in every offset or
+    /// in none.
     #[inline(always)]
     fn pair(&self, prediction: usize) -> Option<(usize, i32, usize)> {
         let k = prediction.min(self.len.checked_sub(2)?);
@@ -475,13 +600,18 @@ impl<const BITS: u32> Lines<BITS> {
         // into an empty partition is data — gap queries often do — so a
         // branch on it would be mispredicted.
         if this != Self::ESCAPE {
-            // `base + offset` is a drift that was an `i32` before packing,
-            // rounded down to the shift; the end is rounded up to it.
-            let (base, shift) = (line.base(), line.shift());
-            let delta = base.wrapping_add_unsigned(this << shift);
-            // Wraps where `next < this`; the select drops it there.
-            let units = (next + 1).wrapping_sub(this);
-            let len = std::hint::select_unpredictable(next >= this, units << shift, 0);
+            // `base + rise + offset` is a drift that was an `i32` before
+            // packing, rounded down to the shift; the end is rounded up to
+            // it. Every term is below `2^30` in magnitude.
+            let (word, slope) = (line.word(), line.slope());
+            let (base, shift) = ((word as i32) << 2 >> 2, word >> 30);
+            let climb = slope * i as i32;
+            let fraction = Line::<BITS>::FRACTION;
+            let (rise, next_rise) = (climb >> fraction, (climb + slope) >> fraction);
+            let delta = base + rise + (this << shift) as i32;
+            let units = next as i32 - this as i32;
+            let len = next_rise - rise + (units << shift) + (1 << shift);
+            let len = std::hint::select_unpredictable(len > 0, len, 0);
             Some((k, delta, len as usize))
         } else {
             let patches = &self.patches[line.patch_slot() + i..][..2];
@@ -507,10 +637,11 @@ impl<const BITS: u32> Lines<BITS> {
 /// chose.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) enum Packed {
-    /// 68 seven-bit offsets a line, 67 pairs.
+    /// 68 seven-bit offsets and a whole-record slope a line, 67 pairs.
     Seven(Lines<7>),
-    /// 80 six-bit offsets a line, 79 pairs.
-    Six(Lines<6>),
+    /// 93 five-bit offsets and a slope in 1/64 of a record a line, 92
+    /// pairs.
+    Five(Lines<5>),
 }
 
 /// `$body` with `$lines` bound to the lines of `$packed`, whatever their
@@ -519,21 +650,21 @@ macro_rules! at_width {
     ($packed:expr, $lines:ident => $body:expr) => {
         match $packed {
             Packed::Seven($lines) => $body,
-            Packed::Six($lines) => $body,
+            Packed::Five($lines) => $body,
         }
     };
 }
 
 impl Packed {
-    /// Bits an offset takes: 7 or 6.
+    /// Bits an offset takes: 7 or 5.
     pub fn offset_bits(&self) -> u32 {
         match self {
             Self::Seven(_) => 7,
-            Self::Six(_) => 6,
+            Self::Five(_) => 5,
         }
     }
 
-    /// Number of drifts stored in the patch array: 68 or 80 an escaped
+    /// Number of drifts stored in the patch array: 68 or 93 an escaped
     /// line.
     #[inline]
     pub fn patches(&self) -> usize {

@@ -15,15 +15,16 @@
 //!
 //! Both drifts of a window come from one 64-byte line of drift offsets,
 //! the last of which repeats the next line's first (`crate::packed`): a
-//! correction reads one cache line. A layer whose model is accurate — at
-//! most 1/32 of its six-bit lines shifted or escaped — keeps 80 six-bit
-//! offsets a line and weighs `64·⌈N/79⌉ + 320·(escaped lines)` bytes;
-//! every other keeps 68 seven-bit ones and weighs
-//! `64·⌈N/67⌉ + 272·(escaped lines)`. A line whose drifts spread past
-//! `2^b − 2` stores them in units of `2^s` records, `s ≤ 3`, so its
-//! windows hold the exact ones and overhang each end by at most
-//! `2^s − 1 ≤ 7` records, still inside the column; only a line spreading
-//! past 1 015 (503 at six bits) is escaped.
+//! correction reads one cache line. Each line carries a slope, and its
+//! offsets store the residuals the slope leaves. A layer at most 1/32 of
+//! whose five-bit lines are shifted or escaped keeps 93 five-bit offsets
+//! a line and weighs `64·⌈N/92⌉ + 372·(escaped lines)` bytes; every other
+//! keeps 68 seven-bit ones and weighs `64·⌈N/67⌉ + 272·(escaped lines)`.
+//! A line whose residuals spread past `2^b − 2` stores them in units of
+//! `2^s` records, `s ≤ 3`, so its windows hold the exact ones and
+//! overhang each end by at most `2^s − 1 ≤ 7` records, still inside the
+//! column; only a line spreading past 1 015 (247 at five bits) is
+//! escaped.
 
 use crate::build;
 use crate::correction::{Correction, SearchHint};
@@ -86,7 +87,7 @@ impl ShiftTable {
         }
     }
 
-    /// [`ShiftTable::build`] at `bits` an offset, 7 or 6, whatever its
+    /// [`ShiftTable::build`] at `bits` an offset, 7 or 5, whatever its
     /// lines.
     #[cfg(test)]
     pub(crate) fn build_at<K: Key, M: CdfModel<K> + ?Sized>(
@@ -149,17 +150,17 @@ impl ShiftTable {
             })
     }
 
-    /// Bits a drift offset takes: 6 for a layer at most 1/32 of whose
-    /// six-bit lines are shifted or escaped, 80 offsets a line, else 7, 68
+    /// Bits a drift offset takes: 5 for a layer at most 1/32 of whose
+    /// five-bit lines are shifted or escaped, 93 offsets a line, else 7, 68
     /// a line.
     pub fn offset_bits(&self) -> u32 {
         self.drifts.offset_bits()
     }
 
     /// How many drifts are stored in the patch array: those of the escaped
-    /// lines, 68 a seven-bit line and 80 a six-bit one — a short last
-    /// line's padding included — whose drifts spread past what a shift fits
-    /// (1 015 or 503), or whose shifted windows would leave the column
+    /// lines, 68 a seven-bit line and 93 a five-bit one — a short last
+    /// line's padding included — whose residuals spread past what a shift
+    /// fits (1 015 or 247), or whose shifted windows would leave the column
     /// (they cost 4 bytes more each, and a fetch from such a line reads two
     /// patches instead of its base and offsets).
     pub fn patches(&self) -> usize {
@@ -167,8 +168,8 @@ impl ShiftTable {
     }
 
     /// How many lines store their drifts in units of `2^s` records,
-    /// `s ∈ 1..=3`: those spreading past 126 (62 at six bits) that no
-    /// escape took. Their windows overhang the exact ones by at most
+    /// `s ∈ 1..=3`: those whose residuals spread past 126 (30 at five
+    /// bits) that no escape took. Their windows overhang the exact ones by at most
     /// `2^s − 1` at each end.
     pub fn shifted_lines(&self) -> usize {
         self.drifts.shifted_lines()
@@ -217,7 +218,8 @@ impl Correction for ShiftTable {
 
     /// `64·⌈N/67⌉ + 272·(escaped lines)` over `N` keys at seven bits, one
     /// 64-byte line per 67 partitions and an escaped line's 68 drifts in
-    /// full, or `64·⌈N/79⌉ + 320·(escaped lines)` at six — 0 over no keys.
+    /// full, or `64·⌈N/92⌉ + 372·(escaped lines)` at five — 0 over no
+    /// keys.
     fn size_bytes(&self) -> usize {
         self.drifts.size_bytes()
     }
@@ -293,17 +295,23 @@ mod tests {
         }
     }
 
+    /// Drifts and pairs a line of `table` holds: 68 and 67 at seven bits,
+    /// 93 and 92 at five.
+    fn line_of(table: &ShiftTable) -> (usize, usize) {
+        match table.offset_bits() {
+            7 => (68, 67),
+            5 => (93, 92),
+            bits => panic!("{bits}-bit offsets"),
+        }
+    }
+
     /// Bytes of `table`, a layer over `n` keys with `p` drifts in escaped
     /// lines: `64·⌈n/67⌉ + 4·p` at seven bits — a 64-byte line serves 67
     /// of the `n` pairs of neighbouring drifts, and an escaped line's 68
-    /// drifts cost 4 bytes more each — or `64·⌈n/79⌉ + 4·p` at six, 80
+    /// drifts cost 4 bytes more each — or `64·⌈n/92⌉ + 4·p` at five, 93
     /// drifts an escaped line.
     fn layer_bytes(table: &ShiftTable) -> usize {
-        let (line, pairs) = match table.offset_bits() {
-            7 => (68, 67),
-            6 => (80, 79),
-            bits => panic!("{bits}-bit offsets"),
-        };
+        let (line, pairs) = line_of(table);
         let patches = table.patches();
         assert_eq!(patches % line, 0, "{line} patches an escaped line");
         64 * table.len().div_ceil(pairs) + 4 * patches
@@ -359,8 +367,9 @@ mod tests {
         // into it, an empty one an empty window where the next partition
         // with keys starts (or at the end). In a line of shift `s` the
         // window holds that one and overhangs each of its ends by at most
-        // `2^s − 1`. At both offset widths, whichever the layer keeps. The
-        // next test puts every query's lower bound in its window.
+        // `2^s − 1`. At both offset widths, whichever the layer keeps, and
+        // under the lines' slopes. The next test puts every query's lower
+        // bound in its window.
         use learned_index::spec::ModelSpec;
         let specs = [
             "im", "linear", "cubic", "rmi:64", "rmi:4096", "rs:32", "pgm:64",
@@ -369,14 +378,14 @@ mod tests {
         for spec in specs.map(|spec| ModelSpec::parse(spec).unwrap()) {
             for (name, bits) in SosdName::all()
                 .into_iter()
-                .flat_map(|name| [(name, 7), (name, 6)])
+                .flat_map(|name| [(name, 7), (name, 5)])
             {
                 let d: Dataset<u64> = name.generate(20_000, 21);
                 let (keys, n) = (d.as_slice(), d.len());
                 let model = spec.build(keys);
                 let table = ShiftTable::build_at(&*model, keys, bits);
                 assert_eq!(table.offset_bits(), bits);
-                shifted[bits as usize - 6] += table.shifted_lines();
+                shifted[usize::from(bits == 7)] += table.shifted_lines();
                 let mut runs = vec![(n, 0); n];
                 for (i, &key) in keys.iter().enumerate() {
                     let (first, count) = &mut runs[model.predict_clamped(key)];
@@ -502,7 +511,7 @@ mod tests {
         // the windows add up to `N` exactly — when no line is shifted. A
         // shifted line's windows overhang the exact ones, so they add up to
         // more. At both offset widths.
-        for bits in [7, 6] {
+        for bits in [7, 5] {
             let d: Dataset<u64> = SosdName::Amzn64.generate(4_000, 42);
             let model = InterpolationModel::build(&d);
             let table = ShiftTable::build_at(&model, d.as_slice(), bits);
@@ -528,18 +537,19 @@ mod tests {
     }
 
     /// Bits the width rule gives the layer of `model` over `keys`, derived
-    /// from its exact drifts: 6 when at most 1/32 of the six-bit lines are
-    /// shifted or escaped, else 7.
+    /// from its exact drifts: 5 when at most 1/32 of the five-bit lines,
+    /// each under the slope the rule gives it, are shifted or escaped, else
+    /// 7.
     fn expected_bits<M: CdfModel<u64> + ?Sized>(model: &M, keys: &[u64]) -> u32 {
         use crate::build::testing::compute_range_drifts;
         use crate::packed::tests::expected_line;
         let drifts = compute_range_drifts(model, keys);
-        let lines = keys.len().div_ceil(79);
+        let lines = keys.len().div_ceil(92);
         let inexact = (0..lines)
-            .filter(|&j| expected_line::<6>(&drifts, j).is_none_or(|(_, shift)| shift > 0))
+            .filter(|&j| expected_line::<5>(&drifts, j).is_none_or(|(_, shift, _)| shift > 0))
             .count();
         if 32 * inexact <= lines {
-            6
+            5
         } else {
             7
         }
@@ -550,8 +560,8 @@ mod tests {
     fn every_generator_keeps_the_width_its_exact_drifts_call_for() {
         // IM, the benchmark's RMI and a PGM over every generator at 200 k
         // keys: both widths are kept somewhere, and each layer keeps the one
-        // its model's exact drifts call for — the six-bit layer where at
-        // most 1/32 of its lines would be shifted or escaped.
+        // its model's exact drifts call for — the five-bit layer where at
+        // most 1/32 of its sloped lines would be shifted or escaped.
         use learned_index::spec::ModelSpec;
         let mut kept = [0; 2];
         for spec in ["im", "rmi:4096", "pgm:64"].map(|spec| ModelSpec::parse(spec).unwrap()) {
@@ -561,32 +571,33 @@ mod tests {
                 let table = ShiftTable::build(&*model, d.as_slice());
                 let bits = expected_bits(&*model, d.as_slice());
                 assert_eq!(table.offset_bits(), bits, "{name} {spec}");
-                kept[bits as usize - 6] += 1;
+                kept[usize::from(bits == 7)] += 1;
             }
         }
         assert!(
             kept.iter().all(|&k| k > 0),
-            "{kept:?} layers at 6 and 7 bits"
+            "{kept:?} layers at 5 and 7 bits"
         );
     }
 
     #[cfg_attr(miri, ignore = "dataset too large for Miri")]
     #[test]
     fn accurate_models_pack_under_0_87_bytes_a_key() {
-        // The layers of accurate models keep six bits: 64 bytes a line of
-        // 79 pairs, ≈ 0.81 bytes a key, and a few escaped lines. At 200 k
-        // keys every one is under 0.87 bytes a key (the worst, logn64 under
-        // the RMI, reads 0.837). Not every layer of these models is one: a
-        // PGM's ±64 error spreads more than 1/32 of the six-bit lines past
-        // 62 on face and osmc keys, and wiki64's duplicate runs do so under
-        // every model; those layers keep seven bits.
+        // The layers of accurate models keep five bits: 64 bytes a line of
+        // 92 pairs, ≈ 0.696 bytes a key, and a few escaped lines. At 200 k
+        // keys every one is under 0.87 bytes a key, and under 0.71 too (the
+        // worst, logn64 under the RMI, reads 0.703). Not every layer of these models is one:
+        // a RadixSpline's ±32 and a PGM's ±64 error spread the residuals of
+        // more than 1/32 of the five-bit lines past 30 on face and osmc
+        // keys, the PGM's on amzn and wiki keys too; those layers keep
+        // seven bits.
         use SosdName::*;
         let mut layers: Vec<(SosdName, &str)> = vec![(Osmc64, "rmi:4096"), (Logn64, "rmi:4096")];
         for name in SosdName::all() {
-            if name != Wiki64 {
+            if ![Face32, Face64, Osmc64].contains(&name) {
                 layers.push((name, "rs:32"));
             }
-            if ![Face32, Face64, Osmc64, Wiki64].contains(&name) {
+            if ![Amzn32, Amzn64, Face32, Face64, Osmc64, Wiki64].contains(&name) {
                 layers.push((name, "pgm:64"));
             }
         }
@@ -599,20 +610,20 @@ mod tests {
             let table = ShiftTable::build(&*model, d.as_slice());
             let bytes = Correction::size_bytes(&table);
             let tag = format!("{name} {spec}: {} bits, {bytes} bytes", table.offset_bits());
-            assert_eq!(table.offset_bits(), 6, "{tag}");
+            assert_eq!(table.offset_bits(), 5, "{tag}");
             assert_eq!(bytes, layer_bytes(&table), "{tag}");
-            assert!(bytes * 100 < n * 87, "{tag}");
+            assert!(bytes * 100 < n * 71, "{tag}");
         }
     }
 
     #[cfg_attr(miri, ignore = "dataset too large for Miri")]
     #[test]
     fn every_generator_packs_under_1_1_bytes_a_key() {
-        // 64 bytes a line of 67 pairs and 4 bytes a patched drift: for
-        // every model there is under 1.10 bytes a key at 6 k keys, 1.05 at
-        // 70 k and 1.00 at 200 k — the worst layers read 1.096, 1.021 and
-        // 0.994 — and never more than the smallest plain encoding of the
-        // same served entries.
+        // 64 bytes a line of 67 or 92 pairs and 4 bytes a patched drift:
+        // for every model there is under 1.06 bytes a key at 6 k keys, 1.01
+        // at 70 k and 0.99 at 200 k — the worst layers, which keep seven
+        // bits, read 1.051, 0.998 and 0.990 — and never more than the
+        // smallest plain encoding of the same served entries.
         use learned_index::spec::ModelSpec;
         let specs = [
             "im",
@@ -635,9 +646,9 @@ mod tests {
                     let tag = format!("{name} {spec} n={n}: {} patches", table.patches());
                     assert_eq!(bytes, layer_bytes(&table), "{tag}");
                     let hundredths = match n {
-                        6_000 => 110,
-                        70_000 => 105,
-                        _ => 100,
+                        6_000 => 106,
+                        70_000 => 101,
+                        _ => 99,
                     };
                     assert!(bytes * 100 < n * hundredths, "{tag}: {bytes} bytes");
                     let plain = plain_bytes(&table);
@@ -666,10 +677,10 @@ mod tests {
         let table = ShiftTable::build(&model, d.as_slice());
         assert!(table.expected_error() <= 1.0);
         assert!(table.window_lengths().all(|c| c <= 2));
-        // A perfect model's layer is 64 bytes a line of 79 keys at six
+        // A perfect model's layer is 64 bytes a line of 92 keys at five
         // bits: nothing to shift or patch.
-        assert_eq!((table.offset_bits(), table.patches()), (6, 0));
-        assert_eq!(Correction::size_bytes(&table), 64 * 5_000usize.div_ceil(79));
+        assert_eq!((table.offset_bits(), table.patches()), (5, 0));
+        assert_eq!(Correction::size_bytes(&table), 64 * 5_000usize.div_ceil(92));
     }
 
     #[cfg_attr(miri, ignore = "dataset too large for Miri")]
@@ -677,12 +688,14 @@ mod tests {
     fn huge_drift_either_way_is_a_base_and_a_long_window_a_code() {
         // A model with an enormous bias, either way. Every key predicted
         // at 0: one window over everything — its `Δ` of 0 is its line's
-        // base, so the line, whose other 67 drift `n − 1` and less, is
-        // escaped — and partitions right of it that start at the end.
+        // base, so the line, whose other 92 drift `n − 1` and less, is
+        // escaped — and partitions right of it that start at the end, their
+        // drifts falling by one a partition: a slope of −1 stores the rest
+        // exactly at five bits.
         let n = 100_000;
         let keys: Vec<u64> = (0..n as u64).collect();
         let table = ShiftTable::build(&Constant { n, at: 0 }, &keys);
-        assert_eq!(table.patches(), 68);
+        assert_eq!((table.offset_bits(), table.patches()), (5, 93));
         assert_eq!(table.entry(0), ShiftEntry::new(0, n as u64));
         assert_eq!(table.correct(0), SearchHint::bounded(0, n));
         assert_eq!(table.entry(1), ShiftEntry::new(n as i64 - 1, 0));
@@ -691,7 +704,7 @@ mod tests {
         // empty and starts at the first key; its window is the column, so
         // its drift and the end's, which share the last line, escape it.
         let table = ShiftTable::build(&Constant { n, at: n - 1 }, &keys);
-        assert_eq!(table.patches(), 68);
+        assert_eq!((table.offset_bits(), table.patches()), (5, 93));
         assert_eq!(Correction::size_bytes(&table), layer_bytes(&table));
         for k in [0, n / 2] {
             assert_eq!(table.entry(k), ShiftEntry::new(-(k as i64), 0));
@@ -726,9 +739,9 @@ mod tests {
     #[cfg_attr(miri, ignore = "dataset too large for Miri")]
     #[test]
     fn size_bytes_reflects_encoding() {
-        // 64 bytes a line of 67 keys and 272 an escaped line — also where
-        // the smallest plain encoding of the served entries is 4, 4.5 and 8
-        // bytes an entry.
+        // 64 bytes a line of 67 or 92 keys and 272 or 372 an escaped line —
+        // also where the smallest plain encoding of the served entries is
+        // 4, 4.5 and 8 bytes an entry.
         for ((model, d), plain) in hard_layers().into_iter().zip([8, 9, 16]) {
             let n = d.len();
             let table = ShiftTable::build(&*model, d.as_slice());
@@ -740,7 +753,7 @@ mod tests {
             assert_eq!(table.len(), n);
             // All in the last partition: one escaped line, the last.
             if plain == 16 {
-                assert_eq!(table.patches(), 68);
+                assert_eq!(table.patches(), line_of(&table).0);
             }
         }
         // IM over 200 k lognormal keys: a few escaped lines.

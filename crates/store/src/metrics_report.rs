@@ -47,7 +47,7 @@ impl<K: Key> StoreCore<K> {
             cold += u64::from(snapshot.is_cold());
             layer_bytes += snapshot.layer_bytes() as u64;
             layer_patches += snapshot.layer_patches() as u64;
-            narrow += u64::from(snapshot.layer_offset_bits() == 6);
+            narrow += u64::from(snapshot.layer_offset_bits() == 5);
             let runs = shard.state().delta().unsealed_run_count() as u64;
             delta_runs += runs;
             delta_depth_max = delta_depth_max.max(runs);

@@ -158,12 +158,12 @@ pub const CATALOGUE: &[(&str, &str, &str)] = &[
     (
         "store_layer_patches",
         "entries",
-        "Drifts the hot shards' Shift-Table layers keep in their patch arrays: every drift of an escaped line, one whose drifts spread past what a shift fits (68 drifts and 272 bytes more a seven-bit line, past 1,015; 80 and 320 a six-bit one, past 503); a fetch from one reads two patches instead of the line's base and offsets.",
+        "Drifts the hot shards' Shift-Table layers keep in their patch arrays: every drift of an escaped line, one whose drifts spread past what a shift fits (68 drifts and 272 bytes more a seven-bit line, past 1,015; 93 and 372 a five-bit one, past 247 — spreads of the drifts less the line's slope); a fetch from one reads two patches instead of the line's base and offsets.",
     ),
     (
         "store_layer_narrow_shards",
         "shards",
-        "Hot shards whose Shift-Table layer stores six-bit drift offsets, 79 pairs a 64-byte line (at most 1/32 of its lines shifted or escaped); the others store seven bits, 67 pairs a line.",
+        "Hot shards whose Shift-Table layer stores five-bit drift offsets under a per-line slope, 92 pairs a 64-byte line (at most 1/32 of its lines shifted or escaped); the others store seven bits under a whole-record slope, 67 pairs a line.",
     ),
     (
         "store_delta_runs",

@@ -135,7 +135,7 @@ impl<K: Key> ShardSnapshot<K> {
     }
 
     /// Drifts a Shift-Table range layer keeps in its patch array, 68 an
-    /// escaped seven-bit line and 80 a six-bit one (see
+    /// escaped seven-bit line and 93 a five-bit one (see
     /// [`shift_table::ShiftTable::patches`]); 0 for every other layer.
     pub fn layer_patches(&self) -> usize {
         self.layer_patches
@@ -148,7 +148,7 @@ impl<K: Key> ShardSnapshot<K> {
         self.layer_shifted_lines
     }
 
-    /// Bits a Shift-Table range layer's drift offsets take, 6 or 7 (see
+    /// Bits a Shift-Table range layer's drift offsets take, 5 or 7 (see
     /// [`shift_table::ShiftTable::offset_bits`]); 0 for every other layer.
     pub fn layer_offset_bits(&self) -> u32 {
         self.layer_offset_bits
@@ -934,12 +934,12 @@ mod tests {
         assert_eq!(cold.snapshot().epoch(), 1);
         let n = cold.snapshot().base_len();
         // 64 bytes a line of 67 keys and 4 a patched drift at seven bits,
-        // a line of 79 at six.
+        // a line of 92 at five.
         let pairs = match cold.snapshot().layer_offset_bits() {
             7 => 67,
             bits => {
-                assert_eq!(bits, 6);
-                79
+                assert_eq!(bits, 5);
+                92
             }
         };
         assert_eq!(

@@ -276,12 +276,12 @@ fn catalogue_is_complete_and_prometheus_roundtrips() {
 }
 
 /// The layer gauges say what the hot shards' Shift-Table layers weigh, how
-/// many of their drifts are patches and how many store six-bit offsets:
+/// many of their drifts are patches and how many store five-bit offsets:
 /// under `im+r1` two shards of 200 k amzn64 keys keep seven bits, take 64
 /// bytes per line of 67 keys and 272 more per escaped line, whose 68
 /// drifts are patches, and hold shifted lines beside those at no extra
-/// cost; three of evenly spaced keys keep six bits, 64 bytes per line of
-/// 79 keys, and hold no patch, and a least-squares line over lognormal
+/// cost; three of evenly spaced keys keep five bits, 64 bytes per line of
+/// 92 keys, and hold no patch, and a least-squares line over lognormal
 /// keys few, under 1.05 bytes a key.
 #[test]
 fn layer_gauges_report_bytes_and_patches_of_every_hot_shard() {
@@ -315,13 +315,13 @@ fn layer_gauges_report_bytes_and_patches_of_every_hot_shard() {
         .sum();
     assert!(shifted > 0, "{shifted} shifted lines");
     assert_eq!(gauge(&big, "store_layer_patches"), patches as f64);
-    // 64 bytes a line of 67 keys at seven bits, of 79 at six, and 4 a
+    // 64 bytes a line of 67 keys at seven bits, of 92 at five, and 4 a
     // patched drift.
     let layer_bytes = |shard: &StoreShard<u64>| {
         let snapshot = shard.snapshot();
         let pairs = match snapshot.layer_offset_bits() {
             7 => 67,
-            6 => 79,
+            5 => 92,
             bits => panic!("{bits}-bit offsets"),
         };
         64 * shard.len().div_ceil(pairs) + 4 * snapshot.layer_patches()

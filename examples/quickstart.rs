@@ -34,15 +34,17 @@ fn main() {
         index.name(),
         index.correction_error()
     );
-    // The layer is 64-byte cache lines of one base and 68 seven-bit
-    // offsets, 67 entries a line (≈ 0.96 B/key), or 80 six-bit ones, 79
-    // entries a line (≈ 0.81 B/key), where at most 1/32 of those lines
-    // would be shifted or escaped — a window ends where the next entry's
-    // starts, so its length costs nothing, and a correction reads one
-    // line. A line whose drifts spread past what an offset holds (126 at
-    // seven bits) counts them in units of up to 8 records (a shifted line,
-    // at no extra bytes), and one spreading past 1 015 (503) costs 272
-    // (320) bytes more, its drifts kept in full in a patch array.
+    // The layer is 64-byte cache lines of one base, one slope and 68
+    // seven-bit offsets, 67 entries a line (≈ 0.96 B/key), or 93 five-bit
+    // ones, 92 entries a line (≈ 0.70 B/key), where at most 1/32 of those
+    // lines would be shifted or escaped — a window ends where the next
+    // entry's starts, so its length costs nothing, and a correction reads
+    // one line. Each offset stores what is left of a drift after the
+    // line's slope. A line whose residuals spread past what an offset
+    // holds (126 at seven bits) counts them in units of up to 8 records (a
+    // shifted line, at no extra bytes), and one spreading past 1 015 (247)
+    // costs 272 (372) bytes more, its drifts kept in full in a patch
+    // array.
     let (bits, patches, shifted) = match index.layer() {
         CorrectionLayer::Range(table) => {
             (table.offset_bits(), table.patches(), table.shifted_lines())
