@@ -712,7 +712,7 @@ mod tests {
     fn a_wide_layer_stops_at_five_bits_once_the_budget_is_spent() {
         // face64 under IM: most five-bit lines are shifted or escaped, so
         // the five-bit pass stops a run of predictions past the line that
-        // spends its budget of 67 (1/32 of 2 174 lines), and the layer is
+        // spends its budget of 135 (1/16 of 2 174 lines), and the layer is
         // the seven-bit pass's.
         let n = 200_000;
         let d: Dataset<u64> = SosdName::Face64.generate(n, 42);

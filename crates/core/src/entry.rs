@@ -48,7 +48,7 @@
 //!   past 1 015 (247 at five bits), or shifted windows that would overhang
 //!   the column. Its 68 (93) drifts are stored in full — `i32`, exact — in
 //!   a side array its base points into, at 272 (372) bytes more.
-//! * **The width is the layer's own**: five bits when at most 1/32 of the
+//! * **The width is the layer's own**: five bits when at most 1/16 of the
 //!   five-bit lines are shifted or escaped — a layer whose drifts are
 //!   narrow or climb steadily — else seven
 //!   ([`ShiftTable::offset_bits`](crate::ShiftTable::offset_bits)).

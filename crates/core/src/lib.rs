@@ -27,7 +27,7 @@
 //!   offset from one base a line, so a correction reads one cache line — a
 //!   window ends where the next partition's starts, so `C` is not stored.
 //!   Each line has a slope, and its offsets store what is left of the
-//!   drifts after it. A layer at most 1/32 of whose five-bit lines would
+//!   drifts after it. A layer at most 1/16 of whose five-bit lines would
 //!   be shifted or escaped takes 5-bit offsets, 93 drifts a line and 64
 //!   bytes per 92 keys; every other takes 7-bit ones, 68 a line and 64
 //!   bytes per 67 keys. A line whose residuals spread past what an offset

@@ -899,30 +899,30 @@ fn bases_reach_both_ends_of_i32() {
 }
 
 #[test]
-fn five_bits_are_kept_up_to_one_inexact_line_in_32() {
+fn five_bits_are_kept_up_to_one_inexact_line_in_16() {
     // 64 five-bit lines of climbing drifts, exact under their slopes at
-    // both widths: a budget of 2 inexact lines. Raising one drift inside
+    // both widths: a budget of 4 inexact lines. Raising one drift inside
     // a line by 70 spreads its residuals past 30, so that line is shifted
     // at five bits and exact at seven.
     let pairs = Line::<5>::PAIRS;
     let len = 64 * pairs + 1;
     let clean = climbing(-50, len);
-    for spiked in 0..=3 {
+    for spiked in 0..=5 {
         let mut drifts = clean.clone();
         for line in 0..spiked {
             drifts[(10 * line + 3) * pairs + 40] += 70;
         }
         let packed = Packed::from_drifts(&drifts);
-        let bits = if spiked <= 2 { 5 } else { 7 };
+        let bits = if spiked <= 4 { 5 } else { 7 };
         assert_eq!(packed.offset_bits(), bits, "{spiked} spiked");
         let inexact = if bits == 5 { spiked } else { 0 };
         let five = lines_of::<5>(&drifts);
         assert_eq!(five.inexact, spiked, "{spiked} spiked");
         assert_eq!(packed.shifted_lines() + packed.patches() / 93, inexact);
     }
-    // A layer of fewer than 32 lines has no budget: one inexact line
+    // A layer of fewer than 16 lines has no budget: one inexact line
     // keeps seven bits, none five.
-    let drifts = climbing(0, 31 * pairs + 1);
+    let drifts = climbing(0, 15 * pairs + 1);
     assert_eq!(Packed::from_drifts(&drifts).offset_bits(), 5);
     let mut spiked = drifts;
     spiked[500] += 70;
@@ -935,7 +935,7 @@ fn five_bits_are_kept_up_to_one_inexact_line_in_32() {
 #[test]
 fn the_budget_is_spent_at_the_first_inexact_line_past_it() {
     // Every 40th drift raised by 70: every five-bit line inexact, a budget
-    // of 2 over 64 lines. The third line spends it, whole lines appended
+    // of 4 over 64 lines. The fifth line spends it, whole lines appended
     // one at a time or all at once.
     let pairs = Line::<5>::PAIRS;
     let drifts = climbing(0, 64 * pairs + 1)
@@ -944,11 +944,11 @@ fn the_budget_is_spent_at_the_first_inexact_line_past_it() {
         .map(|(k, &delta)| delta + if k % 40 == 20 { 70 } else { 0 })
         .collect::<Vec<_>>();
     let mut five = Lines::<5>::budgeted(drifts.len() - 1);
-    for line in 0..3 {
+    for line in 0..5 {
         assert!(!five.spent(), "{line} inexact lines are in the budget");
         five.extend(&drifts[pairs * line..=pairs * (line + 1)]);
     }
-    assert!(five.spent(), "the third is past it");
+    assert!(five.spent(), "the fifth is past it");
     let all = Lines::<5>::budgeted(drifts.len() - 1).with(&drifts);
     assert!(all.spent() && all.lines == lines_of::<5>(&drifts).lines);
     assert!(Packed::from_drifts(&drifts) == Packed::Seven(lines_of::<7>(&drifts)));

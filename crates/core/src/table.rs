@@ -16,7 +16,7 @@
 //! Both drifts of a window come from one 64-byte line of drift offsets,
 //! the last of which repeats the next line's first (`crate::packed`): a
 //! correction reads one cache line. Each line carries a slope, and its
-//! offsets store the residuals the slope leaves. A layer at most 1/32 of
+//! offsets store the residuals the slope leaves. A layer at most 1/16 of
 //! whose five-bit lines are shifted or escaped keeps 93 five-bit offsets
 //! a line and weighs `64·⌈N/92⌉ + 372·(escaped lines)` bytes; every other
 //! keeps 68 seven-bit ones and weighs `64·⌈N/67⌉ + 272·(escaped lines)`.
@@ -150,7 +150,7 @@ impl ShiftTable {
             })
     }
 
-    /// Bits a drift offset takes: 5 for a layer at most 1/32 of whose
+    /// Bits a drift offset takes: 5 for a layer at most 1/16 of whose
     /// five-bit lines are shifted or escaped, 93 offsets a line, else 7, 68
     /// a line.
     pub fn offset_bits(&self) -> u32 {
@@ -537,7 +537,7 @@ mod tests {
     }
 
     /// Bits the width rule gives the layer of `model` over `keys`, derived
-    /// from its exact drifts: 5 when at most 1/32 of the five-bit lines,
+    /// from its exact drifts: 5 when at most 1/16 of the five-bit lines,
     /// each under the slope the rule gives it, are shifted or escaped, else
     /// 7.
     fn expected_bits<M: CdfModel<u64> + ?Sized>(model: &M, keys: &[u64]) -> u32 {
@@ -548,7 +548,7 @@ mod tests {
         let inexact = (0..lines)
             .filter(|&j| expected_line::<5>(&drifts, j).is_none_or(|(_, shift, _)| shift > 0))
             .count();
-        if 32 * inexact <= lines {
+        if 16 * inexact <= lines {
             5
         } else {
             7
@@ -561,7 +561,7 @@ mod tests {
         // IM, the benchmark's RMI and a PGM over every generator at 200 k
         // keys: both widths are kept somewhere, and each layer keeps the one
         // its model's exact drifts call for — the five-bit layer where at
-        // most 1/32 of its sloped lines would be shifted or escaped.
+        // most 1/16 of its sloped lines would be shifted or escaped.
         use learned_index::spec::ModelSpec;
         let mut kept = [0; 2];
         for spec in ["im", "rmi:4096", "pgm:64"].map(|spec| ModelSpec::parse(spec).unwrap()) {
@@ -588,17 +588,13 @@ mod tests {
         // keys every one is under 0.87 bytes a key, and under 0.71 too (the
         // worst, logn64 under the RMI, reads 0.703). Not every layer of these models is one:
         // a RadixSpline's ±32 and a PGM's ±64 error spread the residuals of
-        // more than 1/32 of the five-bit lines past 30 on face and osmc
-        // keys, the PGM's on amzn and wiki keys too; those layers keep
-        // seven bits.
+        // more than 1/16 of the five-bit lines past 30 on face and osmc
+        // keys; those layers keep seven bits.
         use SosdName::*;
         let mut layers: Vec<(SosdName, &str)> = vec![(Osmc64, "rmi:4096"), (Logn64, "rmi:4096")];
         for name in SosdName::all() {
             if ![Face32, Face64, Osmc64].contains(&name) {
-                layers.push((name, "rs:32"));
-            }
-            if ![Amzn32, Amzn64, Face32, Face64, Osmc64, Wiki64].contains(&name) {
-                layers.push((name, "pgm:64"));
+                layers.extend([(name, "rs:32"), (name, "pgm:64")]);
             }
         }
         let n = 200_000;

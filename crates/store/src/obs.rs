@@ -163,7 +163,7 @@ pub const CATALOGUE: &[(&str, &str, &str)] = &[
     (
         "store_layer_narrow_shards",
         "shards",
-        "Hot shards whose Shift-Table layer stores five-bit drift offsets under a per-line slope, 92 pairs a 64-byte line (at most 1/32 of its lines shifted or escaped); the others store seven bits under a whole-record slope, 67 pairs a line.",
+        "Hot shards whose Shift-Table layer stores five-bit drift offsets under a per-line slope, 92 pairs a 64-byte line (at most 1/16 of its lines shifted or escaped); the others store seven bits under a whole-record slope, 67 pairs a line.",
     ),
     (
         "store_delta_runs",

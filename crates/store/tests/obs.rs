@@ -277,7 +277,7 @@ fn catalogue_is_complete_and_prometheus_roundtrips() {
 
 /// The layer gauges say what the hot shards' Shift-Table layers weigh, how
 /// many of their drifts are patches and how many store five-bit offsets:
-/// under `im+r1` two shards of 200 k amzn64 keys keep seven bits, take 64
+/// under `im+r1` two shards of 200 k osmc64 keys keep seven bits, take 64
 /// bytes per line of 67 keys and 272 more per escaped line, whose 68
 /// drifts are patches, and hold shifted lines beside those at no extra
 /// cost; three of evenly spaced keys keep five bits, 64 bytes per line of
@@ -296,16 +296,16 @@ fn layer_gauges_report_bytes_and_patches_of_every_hot_shard() {
         assert!(family.next().is_none(), "{name} has one member");
         value
     };
-    let amzn: Dataset<u64> = SosdName::Amzn64.generate(400_000, 7);
-    let big = ShardedStore::build(StoreConfig::new(spec()).shards(2), amzn.as_slice()).unwrap();
+    let osmc: Dataset<u64> = SosdName::Osmc64.generate(400_000, 7);
+    let big = ShardedStore::build(StoreConfig::new(spec()).shards(2), osmc.as_slice()).unwrap();
     let table = big.table();
     let patches: usize = table
         .shards()
         .iter()
         .map(|s| s.snapshot().layer_patches())
         .sum();
-    // A few dozen escaped lines of 68 drifts, beside a few hundred
-    // shifted ones that cost nothing more.
+    // A dozen escaped lines of 68 drifts, beside dozens of shifted ones
+    // that cost nothing more.
     assert!((1..24_000).contains(&patches), "{patches} patches");
     assert_eq!(patches % 68, 0, "68 patches an escaped line");
     let shifted: usize = table

@@ -36,7 +36,7 @@ fn main() {
     );
     // The layer is 64-byte cache lines of one base, one slope and 68
     // seven-bit offsets, 67 entries a line (≈ 0.96 B/key), or 93 five-bit
-    // ones, 92 entries a line (≈ 0.70 B/key), where at most 1/32 of those
+    // ones, 92 entries a line (≈ 0.70 B/key), where at most 1/16 of those
     // lines would be shifted or escaped — a window ends where the next
     // entry's starts, so its length costs nothing, and a correction reads
     // one line. Each offset stores what is left of a drift after the
