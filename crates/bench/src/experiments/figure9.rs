@@ -6,8 +6,8 @@
 //! shape: R-1 and S-1 are the fastest, error and latency grow as the layer is
 //! compressed, and the bare model is far worse on the hard datasets. A third
 //! table puts the price next to it: bytes per key of every layer, and the
-//! drifts the R-1 layer keeps in its patch array (68 per escaped seven-bit
-//! line, 93 per five-bit one).
+//! words the R-1 layer keeps in its patch array (48 per escaped line whose
+//! drifts spread at most 65 535, 93 per one that spreads more).
 //!
 //! R-1 and the bare model are built from `im+r1` / `im+none` specs, as the
 //! serving path builds them. The S-X layers serve no lookup there: they are
@@ -95,7 +95,7 @@ fn measure_config<K: Key>(
     let size = match index.layer() {
         CorrectionLayer::Range(table) => {
             let (patches, shifted) = (table.patches(), table.shifted_lines());
-            format!("{bytes:.2} ({patches} patches, {shifted} shifted lines)")
+            format!("{bytes:.2} ({patches} patch words, {shifted} shifted lines)")
         }
         CorrectionLayer::None => format!("{bytes:.3}"),
     };
@@ -117,7 +117,7 @@ pub fn run_subset(cfg: BenchConfig, datasets: &[SosdName]) -> Vec<Table> {
         ],
     );
     let mut size = Table::new(
-        "Figure 9c — layer size (bytes per key; R-1 with its drifts in escaped lines and its shifted lines) (IM model)",
+        "Figure 9c — layer size (bytes per key; R-1 with the words of its escaped lines' patches and its shifted lines) (IM model)",
         &[
             "dataset", "R-1", "S-1", "S-10", "S-100", "S-1000", "without",
         ],

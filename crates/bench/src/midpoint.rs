@@ -72,7 +72,7 @@ impl Correction for CompactShiftTable {
     }
 }
 
-/// Packed storage for midpoint-only (`Δ̄`) tables.
+/// Bit-packed storage for midpoint-only (`Δ̄`) tables.
 #[derive(Debug)]
 enum MidpointStorage {
     /// 2-byte entries.

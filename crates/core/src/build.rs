@@ -30,13 +30,10 @@
 //! length from the start (`Lines::new`), so it escapes a shifted line
 //! whose windows would overhang the column as it appends it. The last
 //! drift of a line is the first of the next, so it stays staged until that
-//! line is appended. The emitter runs at five bits first and stops once
-//! more of the five-bit lines are shifted or escaped than the layer keeps
-//! five bits for (`Lines::spent`, checked every `PREDICT_RUN` keys); it
-//! then runs again at seven bits, which keep every line. Each line takes
-//! its slope as it is appended, from its own drifts (`crate::packed`), so
-//! a layer whose drifts climb or fall steadily, up to 256 records a
-//! partition, stays exact at five bits in one pass.
+//! line is appended. Each line takes its slope as it is appended, from its
+//! own drifts (`crate::packed`), so a layer whose drifts climb or fall
+//! steadily, up to 256 records a partition, stays exact in one pass, and
+//! one whose drifts are noise shifts the lines they widen.
 //!
 //! A model that does fall — one a caller wrote — is not trusted to rise:
 //! every prediction is taken at the largest one before it, so the layer is
@@ -51,7 +48,7 @@
 //! by array.
 
 use crate::entry::MAX_KEYS;
-use crate::packed::{Line, Lines, Packed};
+use crate::packed::{Line, Lines};
 use learned_index::model::CdfModel;
 use sosd_data::key::Key;
 use std::ops::Range;
@@ -109,14 +106,14 @@ const WIDTH: usize = 8;
 /// [`WIDTH`] of drifts, whether or not that many partitions start at it —
 /// the next window overwrites the surplus — so writing a window costs no
 /// branch that depends on its length, and the layer is fed whole lines.
-struct Stage<const BITS: u32> {
-    layer: Lines<BITS>,
+struct Stage {
+    layer: Lines,
     drifts: [i32; STAGE + WIDTH],
     len: usize,
 }
 
-impl<const BITS: u32> Stage<BITS> {
-    fn new(layer: Lines<BITS>) -> Self {
+impl Stage {
+    fn new(layer: Lines) -> Self {
         Self {
             layer,
             drifts: [0; STAGE + WIDTH],
@@ -147,7 +144,7 @@ impl<const BITS: u32> Stage<BITS> {
     /// Append the staged whole lines to the layer, keeping the last drift
     /// staged: it is also the first of the next line.
     fn drain(&mut self) {
-        let pairs = Line::<BITS>::PAIRS;
+        let pairs = Line::PAIRS;
         let whole = (self.len - 1) / pairs * pairs;
         self.layer.extend(&self.drifts[..=whole]);
         self.drifts.copy_within(whole..self.len, 0);
@@ -155,7 +152,7 @@ impl<const BITS: u32> Stage<BITS> {
     }
 
     /// The layer, with everything staged appended.
-    fn finish(mut self) -> Lines<BITS> {
+    fn finish(mut self) -> Lines {
         self.layer.extend(&self.drifts[..self.len]);
         self.layer.finish();
         self.layer
@@ -173,25 +170,7 @@ pub(crate) fn build_range_layer<K: Key, M: CdfModel<K> + ?Sized>(
     model: &M,
     keys: &[K],
     audited: Option<&[u32]>,
-) -> Packed {
-    let n = keys.len();
-    let five = emit(Lines::budgeted(n), model, keys, audited);
-    if five.spent() {
-        Packed::Seven(emit(Lines::new(n), model, keys, audited))
-    } else {
-        Packed::Five(five)
-    }
-}
-
-/// [`build_range_layer`] into `layer`, the array of the layer over
-/// `keys.len()` keys at one width — or, as soon as its budget is
-/// [`Lines::spent`], the lines appended so far.
-fn emit<const BITS: u32, K: Key, M: CdfModel<K> + ?Sized>(
-    layer: Lines<BITS>,
-    model: &M,
-    keys: &[K],
-    audited: Option<&[u32]>,
-) -> Lines<BITS> {
+) -> Lines {
     // lint: allow(panic) the validating builders turn longer columns into BuildError::TooManyKeys; past them a drift would silently truncate
     assert!(
         keys.len() <= MAX_KEYS,
@@ -199,7 +178,7 @@ fn emit<const BITS: u32, K: Key, M: CdfModel<K> + ?Sized>(
     );
     debug_assert!(audited.is_none_or(|audited| audited.len() == keys.len()));
     let n = keys.len();
-    let mut stage = Stage::new(layer);
+    let mut stage = Stage::new(Lines::new(n));
     if n == 0 {
         return stage.finish();
     }
@@ -218,9 +197,6 @@ fn emit<const BITS: u32, K: Key, M: CdfModel<K> + ?Sized>(
     let mut predictions = Predictions::new(model, audited);
     let mut changes = [0u16; PREDICT_RUN];
     for start in (0..n).step_by(PREDICT_RUN) {
-        if stage.layer.spent() {
-            return stage.layer;
-        }
         let run = &keys[start..n.min(start + PREDICT_RUN)];
         let predictions = predictions.of(start, run);
         // Compact the positions where the prediction changes: every
@@ -287,40 +263,11 @@ pub(crate) mod testing {
     /// A partition no key has been predicted into yet: any drift is smaller.
     const UNSET: i32 = i32::MAX;
 
-    impl Packed {
-        /// Pack a finished drift array in one call at `bits`, 7 or 5,
-        /// whatever its lines: the layer over `drifts.len() − 1` keys.
-        pub(crate) fn from_drifts_at(drifts: &[i32], bits: u32) -> Self {
-            let column = drifts.len().saturating_sub(1);
-            match bits {
-                5 => Self::Five(Lines::new(column).with(drifts)),
-                _ => Self::Seven(Lines::new(column).with(drifts)),
-            }
-        }
-
-        /// Pack a finished drift array in one call, at the width the rule
-        /// picks: the layer over `drifts.len() − 1` keys.
+    impl Lines {
+        /// Pack a finished drift array in one call: the layer over
+        /// `drifts.len() − 1` keys.
         pub(crate) fn from_drifts(drifts: &[i32]) -> Self {
-            let column = drifts.len().saturating_sub(1);
-            let five = Lines::budgeted(column).with(drifts);
-            if five.spent() {
-                Self::Seven(Lines::new(column).with(drifts))
-            } else {
-                Self::Five(five)
-            }
-        }
-    }
-
-    /// [`build_range_layer`] at `bits` alone, 7 or 5, whatever its lines.
-    pub(crate) fn build_range_layer_at<K: Key, M: CdfModel<K> + ?Sized>(
-        model: &M,
-        keys: &[K],
-        bits: u32,
-    ) -> Packed {
-        let n = keys.len();
-        match bits {
-            5 => Packed::Five(emit(Lines::new(n), model, keys, None)),
-            _ => Packed::Seven(emit(Lines::new(n), model, keys, None)),
+            Lines::new(drifts.len().saturating_sub(1)).with(drifts)
         }
     }
 
@@ -428,11 +375,27 @@ mod tests {
         assert_eq!(drifts[76..=78], [-41, -41, -40]);
         // Each window ends where the next partition's starts: `C₇₇` = 38 −
         // 36 = 2, the figure's window [36, 37].
+        let window = |k: usize| (k + 1).wrapping_add_signed(drifts[k + 1] as isize);
+        let windows =
+            [76usize, 77, 78].map(|k| (k.wrapping_add_signed(drifts[k] as isize), window(k)));
+        assert_eq!(windows, [(35, 36), (36, 38), (38, 40)]);
+        // The layer's first line falls from 0 to −43 and climbs back to −7
+        // by its last drift: its residuals spread 37 under its slope, past
+        // the 30 five bits hold, so it is shifted by 1. Partition 77 — the
+        // running example — is served exactly; its neighbours' windows hold
+        // the figure's and overhang an end by one record.
         let table = ShiftTable::build(&DivTen, &keys);
-        assert_eq!(table.entry(76), ShiftEntry::new(-41, 1));
+        assert_eq!((table.shifted_lines(), table.patches()), (1, 0));
         assert_eq!(table.entry(77), ShiftEntry::new(-41, 2));
-        assert_eq!(table.entry(78), ShiftEntry::new(-40, 2));
         assert_eq!(table.correct(77), SearchHint::bounded(36, 2));
+        assert_eq!(table.correct(76), SearchHint::bounded(34, 3));
+        assert_eq!(table.correct(78), SearchHint::bounded(37, 4));
+        for (k, (start, end)) in [76usize, 77, 78].into_iter().zip(windows) {
+            let hint = table.correct(k);
+            let served = hint.start + hint.window.unwrap();
+            assert!(hint.start <= start && start - hint.start <= 1, "{k}");
+            assert!(served >= end && served - end <= 1, "{k}");
+        }
     }
 
     #[test]
@@ -503,31 +466,22 @@ mod tests {
     }
 
     /// The scatter builder's layer: the reference the emitter must equal.
-    fn reference<K: Key, M: CdfModel<K> + ?Sized>(model: &M, keys: &[K]) -> Packed {
-        Packed::from_drifts(&compute_range_drifts(model, keys))
+    fn reference<K: Key, M: CdfModel<K> + ?Sized>(model: &M, keys: &[K]) -> Lines {
+        Lines::from_drifts(&compute_range_drifts(model, keys))
     }
 
     /// Assert that the emitter builds the scatter reference — the same
-    /// lines and patches, so the same `size_bytes` — at the width the rule
-    /// picks and at each of the two.
+    /// lines and patches, so the same `size_bytes`.
     fn assert_emitter_matches_reference<K: Key, M: CdfModel<K> + ?Sized>(
         model: &M,
         keys: &[K],
         tag: &str,
-    ) -> Packed {
-        let drifts = compute_range_drifts(model, keys);
-        let expected = Packed::from_drifts(&drifts);
+    ) -> Lines {
+        let expected = reference(model, keys);
         assert!(
             build_range_layer(model, keys, None) == expected,
             "{tag}: emitted layer differs"
         );
-        for bits in [5, 7] {
-            assert!(
-                testing::build_range_layer_at(model, keys, bits)
-                    == Packed::from_drifts_at(&drifts, bits),
-                "{tag}: emitted {bits}-bit layer differs"
-            );
-        }
         expected
     }
 
@@ -539,9 +493,9 @@ mod tests {
         // is the emitter's. The matrix holds layers with escaped lines and
         // layers of long windows throughout: a least-squares line over
         // lognormal keys crowds its predictions into few partitions between
-        // long stretches of empty ones. On every layer a sloped seven-bit
-        // line is shifted or escaped only where a plain one would be, and
-        // on many the slopes leave fewer such lines.
+        // long stretches of empty ones. On every layer a sloped line is
+        // shifted or escaped only where a plain one would be, and on many
+        // the slopes leave fewer such lines.
         let (mut patched, mut narrowed) = (0, 0);
         let adversaries = sosd_data::generators::adversary_columns();
         let specs = [
@@ -559,7 +513,7 @@ mod tests {
                 let model = spec.build(keys);
                 let layer = assert_emitter_matches_reference(&*model, keys, &tag);
                 patched += usize::from(layer.patches() > 0);
-                // Sloped seven-bit lines against plain ones, line for line.
+                // Sloped lines against plain ones, line for line.
                 let drifts = compute_range_drifts(&*model, keys);
                 let (sloped, plain) = assert_no_wider_than_plain(&drifts, &tag);
                 narrowed += usize::from(sloped < plain);
@@ -575,7 +529,7 @@ mod tests {
             }
         }
         assert!(patched > 20, "and patches: {patched} layers hold some");
-        assert!(narrowed > 100, "slopes narrow {narrowed} seven-bit layers");
+        assert!(narrowed > 100, "slopes narrow {narrowed} layers");
     }
 
     #[cfg_attr(miri, ignore = "dataset too large for Miri")]
@@ -704,27 +658,8 @@ mod tests {
         }
     }
 
-    /// Pairs a five-bit line serves.
-    const FIVE_PAIRS: usize = crate::packed::Line::<5>::PAIRS;
-
-    #[cfg_attr(miri, ignore = "dataset too large for Miri")]
-    #[test]
-    fn a_wide_layer_stops_at_five_bits_once_the_budget_is_spent() {
-        // face64 under IM: most five-bit lines are shifted or escaped, so
-        // the five-bit pass stops a run of predictions past the line that
-        // spends its budget of 135 (1/16 of 2 174 lines), and the layer is
-        // the seven-bit pass's.
-        let n = 200_000;
-        let d: Dataset<u64> = SosdName::Face64.generate(n, 42);
-        let model = InterpolationModel::build(&d);
-        let five = emit(Lines::<5>::budgeted(n), &model, d.as_slice(), None);
-        assert!(five.spent());
-        let five = Packed::Five(five);
-        assert!(five.len() < n / 10, "stopped at drift {}", five.len());
-        let layer = build_range_layer(&model, d.as_slice(), None);
-        assert!(layer == Packed::Seven(emit(Lines::new(n), &model, d.as_slice(), None)));
-        assert!(layer == reference(&model, d.as_slice()));
-    }
+    /// Pairs a line serves.
+    const PAIRS: usize = Line::PAIRS;
 
     #[cfg_attr(miri, ignore = "dataset too large for Miri")]
     #[test]
@@ -732,28 +667,44 @@ mod tests {
         // Stairs of 70 000 keys: every window is 70 000 records, and `Δ`
         // falls from 69 999 back to 0 at a stair's first partition — the
         // line holding both drifts spreads past 247 and is escaped.
-        // Three stairs' worth, three escaped lines of 93 drifts.
+        // Three stairs' worth, three escaped lines: two patches of 93
+        // drifts, and a short one of 48 words where the last stair's
+        // 10 000 keys spread its line less than 65 536.
         let n = 150_000;
         let keys: Vec<u64> = (0..n as u64).collect();
         let stairs = |step| Stairs { n, step, dip: None };
-        let bytes = |patches: usize| 64 * n.div_ceil(FIVE_PAIRS) + 4 * patches;
+        let bytes = |patches: usize| 64 * n.div_ceil(PAIRS) + 4 * patches;
+        let (full, short) = (93, 48);
         let layer = assert_emitter_matches_reference(&stairs(70_000), &keys, "long stairs");
         // A stair's empty partitions fall by one apiece: a slope of −1
-        // stores them exactly, so the layer keeps five bits.
-        assert_eq!(layer.offset_bits(), 5);
-        assert_eq!((layer.patches(), layer.size_bytes()), (279, bytes(279)));
+        // stores them exactly.
+        let patches = 2 * full + short;
+        assert_eq!(
+            (layer.patches(), layer.size_bytes()),
+            (patches, bytes(patches))
+        );
         // The window ends where the next stair starts: served exactly.
         assert_eq!(layer.pair(0), Some((0, 0, 70_000)));
         assert_eq!(layer.delta(8), 69_992);
-        // Stairs of 40 000, and one duplicate run of 70 000 among them.
+        // Stairs of 40 000, four short patches, and one duplicate run of
+        // 70 000 among them.
         let layer = assert_emitter_matches_reference(&stairs(40_000), &keys, "short stairs");
-        assert_eq!((layer.patches(), layer.size_bytes()), (372, bytes(372)));
+        let patches = 4 * short;
+        assert_eq!(
+            (layer.patches(), layer.size_bytes()),
+            (patches, bytes(patches))
+        );
         let mut dups = keys.clone();
         dups[50_000..120_000].fill(50_000);
         let layer = assert_emitter_matches_reference(&stairs(40_000), &dups, "duplicate run");
-        // Partition 40 000 takes 80 000 keys: its window ends at 120 000.
+        // Partition 40 000 takes 80 000 keys: its window ends at 120 000,
+        // and its line takes a patch of 93 drifts.
         assert_eq!(layer.pair(40_000), Some((40_000, 0, 80_000)));
-        assert_eq!((layer.patches(), layer.size_bytes()), (279, bytes(279)));
+        let patches = full + 2 * short;
+        assert_eq!(
+            (layer.patches(), layer.size_bytes()),
+            (patches, bytes(patches))
+        );
         // Every key predicted into the last partition: every other one is
         // empty and starts at the first key, drifting down by one a
         // partition. Only the last line, where the end's drift of 0 follows
@@ -766,7 +717,7 @@ mod tests {
         };
         let layer = assert_emitter_matches_reference(&model, &vec![n as u64; n], "last");
         assert_eq!(layer.pair(n - 1), Some((n - 1, 1 - n as i32, n)));
-        let bytes = 64 * n.div_ceil(FIVE_PAIRS) + 372;
+        let bytes = 64 * n.div_ceil(PAIRS) + 372;
         assert_eq!((layer.patches(), layer.size_bytes()), (93, bytes));
     }
 
@@ -792,8 +743,8 @@ mod tests {
             table.entry(at),
             ShiftEntry::new(delta.into(), longest as u64)
         );
-        // Every window past 1 016 records escapes its line: under 3 % of
-        // them.
+        // A window past 248 records, less its line's climb, escapes its
+        // line: under 3 % of them.
         assert!(layer.patches() < n / 25, "{} patches", layer.patches());
         assert!(layer.size_bytes() < n * 14 / 10);
     }

@@ -159,8 +159,8 @@ mod tests {
         // of 300 keys inside 300 units (one prediction slot, a window of
         // hundreds of keys). The first block queries the uniform part only,
         // and none of it within 150 000 units of the cluster — about 160
-        // predictions, two lines of either width — so no lane reads the
-        // cluster's line, whose long window escapes it at five bits: every
+        // predictions, two lines — so no lane reads the cluster's line,
+        // whose long window escapes it: every
         // lane scans linearly. From the second block
         // on every fifth query hits the cluster, so blocks mix scanned,
         // binary-searched and tail lanes.

@@ -26,14 +26,12 @@
 //!   configuration, Algorithm 2), stored in 64-byte lines: only `Δ`, as an
 //!   offset from one base a line, so a correction reads one cache line — a
 //!   window ends where the next partition's starts, so `C` is not stored.
-//!   Each line has a slope, and its offsets store what is left of the
-//!   drifts after it. A layer at most 1/16 of whose five-bit lines would
-//!   be shifted or escaped takes 5-bit offsets, 93 drifts a line and 64
-//!   bytes per 92 keys; every other takes 7-bit ones, 68 a line and 64
-//!   bytes per 67 keys. A line whose residuals spread past what an offset
-//!   holds stores them in units of up to 8 records, widening its windows
-//!   by at most 7 at each end, and the rare line spreading past 1 015 (247
-//!   at five bits) keeps them in full in a patch array — see [`entry`],
+//!   Each line has a slope and 93 five-bit offsets, which store what is
+//!   left of the drifts after it: 64 bytes per 92 keys. A line whose
+//!   residuals spread past what an offset holds stores them in units of up
+//!   to 8 records, widening its windows by at most 7 at each end, and the
+//!   rare line spreading past 247 keeps them in a patch array, as 16-bit
+//!   offsets from their least or in full — see [`entry`],
 //! * [`CorrectedIndex`] — a complete range index assembled from any
 //!   [`learned_index::CdfModel`], an optional range layer and the local
 //!   search routines (Algorithm 1), implementing

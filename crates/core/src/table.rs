@@ -15,22 +15,21 @@
 //!
 //! Both drifts of a window come from one 64-byte line of drift offsets,
 //! the last of which repeats the next line's first (`crate::packed`): a
-//! correction reads one cache line. Each line carries a slope, and its
-//! offsets store the residuals the slope leaves. A layer at most 1/16 of
-//! whose five-bit lines are shifted or escaped keeps 93 five-bit offsets
-//! a line and weighs `64·⌈N/92⌉ + 372·(escaped lines)` bytes; every other
-//! keeps 68 seven-bit ones and weighs `64·⌈N/67⌉ + 272·(escaped lines)`.
-//! A line whose residuals spread past `2^b − 2` stores them in units of
-//! `2^s` records, `s ≤ 3`, so its windows hold the exact ones and
-//! overhang each end by at most `2^s − 1 ≤ 7` records, still inside the
-//! column; only a line spreading past 1 015 (247 at five bits) is
-//! escaped.
+//! correction reads one cache line. Each line carries a slope and 93
+//! five-bit offsets, which store the residuals the slope leaves, so a
+//! layer weighs `64·⌈N/92⌉ + 192·(short patches) + 372·(full patches)`
+//! bytes. A line whose residuals spread past 30 stores them in units of
+//! `2^s` records, `s ≤ 3`, so its windows hold the exact ones and overhang
+//! each end by at most `2^s − 1 ≤ 7` records, still inside the column;
+//! only a line spreading past 247 is escaped, its drifts kept in a patch:
+//! 16-bit offsets from their least where they spread at most 65 535 (a
+//! short patch), else in full.
 
 use crate::build;
 use crate::correction::{Correction, SearchHint};
 use crate::entry::ShiftEntry;
 use crate::error::BuildError;
-use crate::packed::Packed;
+use crate::packed::Lines;
 use learned_index::model::CdfModel;
 use sosd_data::key::Key;
 
@@ -39,7 +38,7 @@ use sosd_data::key::Key;
 #[derive(Debug, Clone)]
 pub struct ShiftTable {
     /// `n + 1` drifts over `n > 0` keys, none over none.
-    drifts: Packed,
+    drifts: Lines,
     n: usize,
 }
 
@@ -87,20 +86,6 @@ impl ShiftTable {
         }
     }
 
-    /// [`ShiftTable::build`] at `bits` an offset, 7 or 5, whatever its
-    /// lines.
-    #[cfg(test)]
-    pub(crate) fn build_at<K: Key, M: CdfModel<K> + ?Sized>(
-        model: &M,
-        keys: &[K],
-        bits: u32,
-    ) -> Self {
-        Self {
-            drifts: build::testing::build_range_layer_at(model, keys, bits),
-            n: keys.len(),
-        }
-    }
-
     /// Assemble a layer from hand-written partition starts `S_k`, one per
     /// key.
     #[cfg(test)]
@@ -108,7 +93,7 @@ impl ShiftTable {
         let drifts = starts.iter().enumerate().map(|(k, &s)| s as i32 - k as i32);
         let end = (!starts.is_empty()).then_some(0);
         Self {
-            drifts: Packed::from_drifts(&drifts.chain(end).collect::<Vec<_>>()),
+            drifts: Lines::from_drifts(&drifts.chain(end).collect::<Vec<_>>()),
             n: starts.len(),
         }
     }
@@ -150,27 +135,21 @@ impl ShiftTable {
             })
     }
 
-    /// Bits a drift offset takes: 5 for a layer at most 1/16 of whose
-    /// five-bit lines are shifted or escaped, 93 offsets a line, else 7, 68
-    /// a line.
-    pub fn offset_bits(&self) -> u32 {
-        self.drifts.offset_bits()
-    }
-
-    /// How many drifts are stored in the patch array: those of the escaped
-    /// lines, 68 a seven-bit line and 93 a five-bit one — a short last
-    /// line's padding included — whose residuals spread past what a shift
-    /// fits (1 015 or 247), or whose shifted windows would leave the column
-    /// (they cost 4 bytes more each, and a fetch from such a line reads two
-    /// patches instead of its base and offsets).
+    /// How many 4-byte words the patch array holds: the patches of the
+    /// escaped lines — those whose residuals spread past what a shift fits
+    /// (247), or whose shifted windows would leave the column — 48 words a
+    /// line whose drifts spread at most 65 535 (the least and 16-bit
+    /// offsets from it) and 93 one that spreads more (its drifts in full),
+    /// a short last line's padding included. A fetch from such a line reads
+    /// its patch instead of its base and offsets.
     pub fn patches(&self) -> usize {
         self.drifts.patches()
     }
 
     /// How many lines store their drifts in units of `2^s` records,
-    /// `s ∈ 1..=3`: those whose residuals spread past 126 (30 at five
-    /// bits) that no escape took. Their windows overhang the exact ones by at most
-    /// `2^s − 1` at each end.
+    /// `s ∈ 1..=3`: those whose residuals spread past 30 that no escape
+    /// took. Their windows overhang the exact ones by at most `2^s − 1` at
+    /// each end.
     pub fn shifted_lines(&self) -> usize {
         self.drifts.shifted_lines()
     }
@@ -216,10 +195,10 @@ impl Correction for ShiftTable {
         SearchHint::bounded(start, len)
     }
 
-    /// `64·⌈N/67⌉ + 272·(escaped lines)` over `N` keys at seven bits, one
-    /// 64-byte line per 67 partitions and an escaped line's 68 drifts in
-    /// full, or `64·⌈N/92⌉ + 372·(escaped lines)` at five — 0 over no
-    /// keys.
+    /// `64·⌈N/92⌉ + 192·(short patches) + 372·(full patches)` over `N`
+    /// keys, one 64-byte line per 92 partitions and an escaped line's
+    /// drifts as 16-bit offsets from their least or in full — 0 over
+    /// no keys.
     fn size_bytes(&self) -> usize {
         self.drifts.size_bytes()
     }
@@ -295,26 +274,21 @@ mod tests {
         }
     }
 
-    /// Drifts and pairs a line of `table` holds: 68 and 67 at seven bits,
-    /// 93 and 92 at five.
-    fn line_of(table: &ShiftTable) -> (usize, usize) {
-        match table.offset_bits() {
-            7 => (68, 67),
-            5 => (93, 92),
-            bits => panic!("{bits}-bit offsets"),
-        }
-    }
+    /// Drifts a line holds, the pairs it serves, and the words of a short
+    /// patch.
+    const LINE: usize = 93;
+    const PAIRS: usize = 92;
+    const SHORT: usize = 48;
 
-    /// Bytes of `table`, a layer over `n` keys with `p` drifts in escaped
-    /// lines: `64·⌈n/67⌉ + 4·p` at seven bits — a 64-byte line serves 67
-    /// of the `n` pairs of neighbouring drifts, and an escaped line's 68
-    /// drifts cost 4 bytes more each — or `64·⌈n/92⌉ + 4·p` at five, 93
-    /// drifts an escaped line.
+    /// Bytes of `table`, a layer over `n` keys with `p` words in its patch
+    /// array: `64·⌈n/92⌉ + 4·p` — a 64-byte line serves 92 of the `n`
+    /// pairs of neighbouring drifts, and an escaped line's patch costs 4
+    /// bytes a word, 48 words or 93.
     fn layer_bytes(table: &ShiftTable) -> usize {
-        let (line, pairs) = line_of(table);
         let patches = table.patches();
-        assert_eq!(patches % line, 0, "{line} patches an escaped line");
-        64 * table.len().div_ceil(pairs) + 4 * patches
+        let whole = (0..=patches / LINE).any(|full| (patches - full * LINE).is_multiple_of(SHORT));
+        assert!(whole, "{patches} words: patches of {SHORT} or {LINE}");
+        64 * table.len().div_ceil(PAIRS) + 4 * patches
     }
 
     /// Build the layer and check every indexed key lies inside its
@@ -343,7 +317,7 @@ mod tests {
     #[test]
     fn corrected_windows_cover_every_indexed_key() {
         // Under IM at 200 k keys several generators' layers hold escaped
-        // lines (a dense region climbs the drift past 1 015 in one line).
+        // lines (a dense region climbs the drift past 247 in one line).
         let mut patched = 0;
         for n in [10_000, 200_000] {
             for name in SosdName::all() {
@@ -367,25 +341,20 @@ mod tests {
         // into it, an empty one an empty window where the next partition
         // with keys starts (or at the end). In a line of shift `s` the
         // window holds that one and overhangs each of its ends by at most
-        // `2^s − 1`. At both offset widths, whichever the layer keeps, and
-        // under the lines' slopes. The next test puts every query's lower
-        // bound in its window.
+        // `2^s − 1`. Under the lines' slopes. The next test puts every
+        // query's lower bound in its window.
         use learned_index::spec::ModelSpec;
         let specs = [
             "im", "linear", "cubic", "rmi:64", "rmi:4096", "rs:32", "pgm:64",
         ];
-        let mut shifted = [0; 2];
+        let mut shifted = 0;
         for spec in specs.map(|spec| ModelSpec::parse(spec).unwrap()) {
-            for (name, bits) in SosdName::all()
-                .into_iter()
-                .flat_map(|name| [(name, 7), (name, 5)])
-            {
+            for name in SosdName::all() {
                 let d: Dataset<u64> = name.generate(20_000, 21);
                 let (keys, n) = (d.as_slice(), d.len());
                 let model = spec.build(keys);
-                let table = ShiftTable::build_at(&*model, keys, bits);
-                assert_eq!(table.offset_bits(), bits);
-                shifted[usize::from(bits == 7)] += table.shifted_lines();
+                let table = ShiftTable::build(&*model, keys);
+                shifted += table.shifted_lines();
                 let mut runs = vec![(n, 0); n];
                 for (i, &key) in keys.iter().enumerate() {
                     let (first, count) = &mut runs[model.predict_clamped(key)];
@@ -395,7 +364,7 @@ mod tests {
                 let mut next_start = n;
                 for (k, &(first, count)) in runs.iter().enumerate().rev() {
                     let start = if count > 0 { first } else { next_start };
-                    let tag = format!("{name} {spec} {bits} bits partition {k}");
+                    let tag = format!("{name} {spec} partition {k}");
                     let hint = table.correct(k);
                     match table.drifts.shift(k).unwrap_or(0) {
                         0 => {
@@ -417,10 +386,7 @@ mod tests {
                 }
             }
         }
-        assert!(
-            shifted.iter().all(|&s| s > 0),
-            "the matrix holds shifted lines"
-        );
+        assert!(shifted > 0, "the matrix holds shifted lines");
     }
 
     #[cfg_attr(miri, ignore = "dataset too large for Miri")]
@@ -510,92 +476,40 @@ mod tests {
         // Eq. 8–10 sum over the keys: an empty partition's window is 0, so
         // the windows add up to `N` exactly — when no line is shifted. A
         // shifted line's windows overhang the exact ones, so they add up to
-        // more. At both offset widths.
-        for bits in [7, 5] {
-            let d: Dataset<u64> = SosdName::Amzn64.generate(4_000, 42);
+        // more.
+        let d: Dataset<u64> = SosdName::Amzn64.generate(4_000, 42);
+        let model = InterpolationModel::build(&d);
+        let table = ShiftTable::build(&model, d.as_slice());
+        assert!(table.window_lengths().any(|c| c == 0), "empty partitions");
+        assert!(table.shifted_lines() > 0);
+        assert!(table.window_lengths().sum::<u64>() > d.len() as u64);
+        let mut exact = 0;
+        for name in SosdName::all() {
+            let d: Dataset<u64> = name.generate(4_000, 42);
             let model = InterpolationModel::build(&d);
-            let table = ShiftTable::build_at(&model, d.as_slice(), bits);
-            assert!(table.window_lengths().any(|c| c == 0), "empty partitions");
-            assert!(table.shifted_lines() > 0);
-            assert!(table.window_lengths().sum::<u64>() > d.len() as u64);
-            let mut exact = 0;
-            for name in SosdName::all() {
-                let d: Dataset<u64> = name.generate(4_000, 42);
-                let model = InterpolationModel::build(&d);
-                let table = ShiftTable::build_at(&model, d.as_slice(), bits);
-                let sum = table.window_lengths().sum::<u64>();
-                let tag = format!(
-                    "{name} {bits} bits: {} shifted lines",
-                    table.shifted_lines()
-                );
-                assert!(sum >= d.len() as u64, "{tag}");
-                assert_eq!(sum == d.len() as u64, table.shifted_lines() == 0, "{tag}");
-                exact += usize::from(table.shifted_lines() == 0);
-            }
-            assert!(exact > 0, "{bits} bits: layers without a shifted line");
+            let table = ShiftTable::build(&model, d.as_slice());
+            let sum = table.window_lengths().sum::<u64>();
+            let tag = format!("{name}: {} shifted lines", table.shifted_lines());
+            assert!(sum >= d.len() as u64, "{tag}");
+            assert_eq!(sum == d.len() as u64, table.shifted_lines() == 0, "{tag}");
+            exact += usize::from(table.shifted_lines() == 0);
         }
-    }
-
-    /// Bits the width rule gives the layer of `model` over `keys`, derived
-    /// from its exact drifts: 5 when at most 1/16 of the five-bit lines,
-    /// each under the slope the rule gives it, are shifted or escaped, else
-    /// 7.
-    fn expected_bits<M: CdfModel<u64> + ?Sized>(model: &M, keys: &[u64]) -> u32 {
-        use crate::build::testing::compute_range_drifts;
-        use crate::packed::tests::expected_line;
-        let drifts = compute_range_drifts(model, keys);
-        let lines = keys.len().div_ceil(92);
-        let inexact = (0..lines)
-            .filter(|&j| expected_line::<5>(&drifts, j).is_none_or(|(_, shift, _)| shift > 0))
-            .count();
-        if 16 * inexact <= lines {
-            5
-        } else {
-            7
-        }
-    }
-
-    #[cfg_attr(miri, ignore = "dataset too large for Miri")]
-    #[test]
-    fn every_generator_keeps_the_width_its_exact_drifts_call_for() {
-        // IM, the benchmark's RMI and a PGM over every generator at 200 k
-        // keys: both widths are kept somewhere, and each layer keeps the one
-        // its model's exact drifts call for — the five-bit layer where at
-        // most 1/16 of its sloped lines would be shifted or escaped.
-        use learned_index::spec::ModelSpec;
-        let mut kept = [0; 2];
-        for spec in ["im", "rmi:4096", "pgm:64"].map(|spec| ModelSpec::parse(spec).unwrap()) {
-            for name in SosdName::all() {
-                let d: Dataset<u64> = name.generate(200_000, 21);
-                let model = spec.build(d.as_slice());
-                let table = ShiftTable::build(&*model, d.as_slice());
-                let bits = expected_bits(&*model, d.as_slice());
-                assert_eq!(table.offset_bits(), bits, "{name} {spec}");
-                kept[usize::from(bits == 7)] += 1;
-            }
-        }
-        assert!(
-            kept.iter().all(|&k| k > 0),
-            "{kept:?} layers at 5 and 7 bits"
-        );
+        assert!(exact > 0, "layers without a shifted line");
     }
 
     #[cfg_attr(miri, ignore = "dataset too large for Miri")]
     #[test]
     fn accurate_models_pack_under_0_87_bytes_a_key() {
-        // The layers of accurate models keep five bits: 64 bytes a line of
-        // 92 pairs, ≈ 0.696 bytes a key, and a few escaped lines. At 200 k
-        // keys every one is under 0.87 bytes a key, and under 0.71 too (the
-        // worst, logn64 under the RMI, reads 0.703). Not every layer of these models is one:
-        // a RadixSpline's ±32 and a PGM's ±64 error spread the residuals of
-        // more than 1/16 of the five-bit lines past 30 on face and osmc
-        // keys; those layers keep seven bits.
+        // The layers of accurate models: 64 bytes a line of 92 pairs,
+        // ≈ 0.696 bytes a key, and a few escaped lines. At 200 k keys every
+        // one is under 0.87 bytes a key, and under 0.71 too (the worst,
+        // logn64 under the RMI, reads 0.703) — a RadixSpline's ±32 and a
+        // PGM's ±64 error on face and osmc keys included, which shift most
+        // of their lines and escape few.
         use SosdName::*;
         let mut layers: Vec<(SosdName, &str)> = vec![(Osmc64, "rmi:4096"), (Logn64, "rmi:4096")];
         for name in SosdName::all() {
-            if ![Face32, Face64, Osmc64].contains(&name) {
-                layers.extend([(name, "rs:32"), (name, "pgm:64")]);
-            }
+            layers.extend([(name, "rs:32"), (name, "pgm:64")]);
         }
         let n = 200_000;
         for (name, spec) in layers {
@@ -605,8 +519,7 @@ mod tests {
                 .build(d.as_slice());
             let table = ShiftTable::build(&*model, d.as_slice());
             let bytes = Correction::size_bytes(&table);
-            let tag = format!("{name} {spec}: {} bits, {bytes} bytes", table.offset_bits());
-            assert_eq!(table.offset_bits(), 5, "{tag}");
+            let tag = format!("{name} {spec}: {bytes} bytes");
             assert_eq!(bytes, layer_bytes(&table), "{tag}");
             assert!(bytes * 100 < n * 71, "{tag}");
         }
@@ -615,11 +528,12 @@ mod tests {
     #[cfg_attr(miri, ignore = "dataset too large for Miri")]
     #[test]
     fn every_generator_packs_under_1_1_bytes_a_key() {
-        // 64 bytes a line of 67 or 92 pairs and 4 bytes a patched drift:
-        // for every model there is under 1.06 bytes a key at 6 k keys, 1.01
-        // at 70 k and 0.99 at 200 k — the worst layers, which keep seven
-        // bits, read 1.051, 0.998 and 0.990 — and never more than the
-        // smallest plain encoding of the same served entries.
+        // 64 bytes a line of 92 pairs and 4 bytes a patch word: for every
+        // model there is under 1.00 byte a key at 6 k keys, 0.79 at 70 k
+        // and 0.72 at 200 k — the worst layers, osmc64 under IM and a line
+        // at 6 k and 70 k, amzn32 under a line at 200 k, read 0.992, 0.784
+        // and 0.717 — and never more than the smallest plain encoding of
+        // the same served entries.
         use learned_index::spec::ModelSpec;
         let specs = [
             "im",
@@ -642,9 +556,9 @@ mod tests {
                     let tag = format!("{name} {spec} n={n}: {} patches", table.patches());
                     assert_eq!(bytes, layer_bytes(&table), "{tag}");
                     let hundredths = match n {
-                        6_000 => 106,
-                        70_000 => 101,
-                        _ => 99,
+                        6_000 => 100,
+                        70_000 => 79,
+                        _ => 72,
                     };
                     assert!(bytes * 100 < n * hundredths, "{tag}: {bytes} bytes");
                     let plain = plain_bytes(&table);
@@ -673,9 +587,9 @@ mod tests {
         let table = ShiftTable::build(&model, d.as_slice());
         assert!(table.expected_error() <= 1.0);
         assert!(table.window_lengths().all(|c| c <= 2));
-        // A perfect model's layer is 64 bytes a line of 92 keys at five
-        // bits: nothing to shift or patch.
-        assert_eq!((table.offset_bits(), table.patches()), (5, 0));
+        // A perfect model's layer is 64 bytes a line of 92 keys: nothing to
+        // shift or patch.
+        assert_eq!((table.shifted_lines(), table.patches()), (0, 0));
         assert_eq!(Correction::size_bytes(&table), 64 * 5_000usize.div_ceil(92));
     }
 
@@ -687,11 +601,11 @@ mod tests {
         // base, so the line, whose other 92 drift `n − 1` and less, is
         // escaped — and partitions right of it that start at the end, their
         // drifts falling by one a partition: a slope of −1 stores the rest
-        // exactly at five bits.
+        // exactly.
         let n = 100_000;
         let keys: Vec<u64> = (0..n as u64).collect();
         let table = ShiftTable::build(&Constant { n, at: 0 }, &keys);
-        assert_eq!((table.offset_bits(), table.patches()), (5, 93));
+        assert_eq!(table.patches(), LINE);
         assert_eq!(table.entry(0), ShiftEntry::new(0, n as u64));
         assert_eq!(table.correct(0), SearchHint::bounded(0, n));
         assert_eq!(table.entry(1), ShiftEntry::new(n as i64 - 1, 0));
@@ -700,7 +614,7 @@ mod tests {
         // empty and starts at the first key; its window is the column, so
         // its drift and the end's, which share the last line, escape it.
         let table = ShiftTable::build(&Constant { n, at: n - 1 }, &keys);
-        assert_eq!((table.offset_bits(), table.patches()), (5, 93));
+        assert_eq!(table.patches(), LINE);
         assert_eq!(Correction::size_bytes(&table), layer_bytes(&table));
         for k in [0, n / 2] {
             assert_eq!(table.entry(k), ShiftEntry::new(-(k as i64), 0));
@@ -735,7 +649,7 @@ mod tests {
     #[cfg_attr(miri, ignore = "dataset too large for Miri")]
     #[test]
     fn size_bytes_reflects_encoding() {
-        // 64 bytes a line of 67 or 92 keys and 272 or 372 an escaped line —
+        // 64 bytes a line of 92 keys and 192 or 372 an escaped line —
         // also where the smallest plain encoding of the served entries is
         // 4, 4.5 and 8 bytes an entry.
         for ((model, d), plain) in hard_layers().into_iter().zip([8, 9, 16]) {
@@ -743,13 +657,14 @@ mod tests {
             let table = ShiftTable::build(&*model, d.as_slice());
             assert_eq!(plain_bytes(&table) * 2, plain * n, "{}", d.name());
             assert_eq!(Correction::size_bytes(&table), layer_bytes(&table));
-            // Every window past 1 016 records escapes its line: a few.
+            // Every window past 248 records, less its line's climb, escapes
+            // its line: a few.
             let patches = table.patches();
             assert!(patches < n / 40, "{}: {patches} patches", d.name());
             assert_eq!(table.len(), n);
             // All in the last partition: one escaped line, the last.
             if plain == 16 {
-                assert_eq!(table.patches(), line_of(&table).0);
+                assert_eq!(table.patches(), LINE);
             }
         }
         // IM over 200 k lognormal keys: a few escaped lines.

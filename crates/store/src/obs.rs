@@ -157,13 +157,8 @@ pub const CATALOGUE: &[(&str, &str, &str)] = &[
     ),
     (
         "store_layer_patches",
-        "entries",
-        "Drifts the hot shards' Shift-Table layers keep in their patch arrays: every drift of an escaped line, one whose drifts spread past what a shift fits (68 drifts and 272 bytes more a seven-bit line, past 1,015; 93 and 372 a five-bit one, past 247 — spreads of the drifts less the line's slope); a fetch from one reads two patches instead of the line's base and offsets.",
-    ),
-    (
-        "store_layer_narrow_shards",
-        "shards",
-        "Hot shards whose Shift-Table layer stores five-bit drift offsets under a per-line slope, 92 pairs a 64-byte line (at most 1/16 of its lines shifted or escaped); the others store seven bits under a whole-record slope, 67 pairs a line.",
+        "words",
+        "Words the hot shards' Shift-Table layers keep in their patch arrays: the patch of every escaped line, one whose drifts spread past what a shift fits (past 247, less the line's slope) or whose shifted windows would leave the column — its least drift and 16-bit offsets from it, 48 words and 192 bytes more, or where its drifts spread past 65,535 all 93 of them, 372 bytes more; a fetch from one reads its patch instead of the line's base and offsets.",
     ),
     (
         "store_delta_runs",

@@ -63,13 +63,12 @@ pub struct ShardSnapshot<K: Key> {
     keys: Arc<[K]>,
     index: DynRangeIndex<K>,
     /// What the index's correction layer occupies, noted before the index
-    /// went behind `dyn RangeIndex`: its bytes, the drifts a range layer
-    /// keeps in escaped lines, its shifted lines and the bits of its drift
-    /// offsets. All 0 on a cold snapshot.
+    /// went behind `dyn RangeIndex`: its bytes, the words a range layer
+    /// keeps in the patches of escaped lines and its shifted lines. All 0
+    /// on a cold snapshot.
     layer_bytes: usize,
     layer_patches: usize,
     layer_shifted_lines: usize,
-    layer_offset_bits: u32,
     epoch: u64,
     /// `Some` while the base is still encoded in a mounted v2 snapshot
     /// file; hydration replaces the whole snapshot with a hot epoch.
@@ -83,18 +82,15 @@ impl<K: Key> ShardSnapshot<K> {
     /// sortedness scan runs per (re)build.
     pub(crate) fn build(spec: &IndexSpec, keys: Arc<[K]>, epoch: u64) -> Self {
         let index = spec.build_corrected_prevalidated_with(keys.clone(), Default::default());
-        let (layer_patches, layer_shifted_lines, layer_offset_bits) = match index.layer() {
-            CorrectionLayer::Range(table) => {
-                (table.patches(), table.shifted_lines(), table.offset_bits())
-            }
-            CorrectionLayer::None => (0, 0, 0),
+        let (layer_patches, layer_shifted_lines) = match index.layer() {
+            CorrectionLayer::Range(table) => (table.patches(), table.shifted_lines()),
+            CorrectionLayer::None => (0, 0),
         };
         Self {
             keys,
             layer_bytes: index.layer().size_bytes(),
             layer_patches,
             layer_shifted_lines,
-            layer_offset_bits,
             index: Box::new(index),
             epoch,
             cold: None,
@@ -111,7 +107,6 @@ impl<K: Key> ShardSnapshot<K> {
             layer_bytes: 0,
             layer_patches: 0,
             layer_shifted_lines: 0,
-            layer_offset_bits: 0,
             epoch,
             cold: Some(base),
         }
@@ -134,8 +129,8 @@ impl<K: Key> ShardSnapshot<K> {
         self.layer_bytes
     }
 
-    /// Drifts a Shift-Table range layer keeps in its patch array, 68 an
-    /// escaped seven-bit line and 93 a five-bit one (see
+    /// Words a Shift-Table range layer keeps in its patch array, 48 or 93
+    /// an escaped line (see
     /// [`shift_table::ShiftTable::patches`]); 0 for every other layer.
     pub fn layer_patches(&self) -> usize {
         self.layer_patches
@@ -146,12 +141,6 @@ impl<K: Key> ShardSnapshot<K> {
     /// layer.
     pub fn layer_shifted_lines(&self) -> usize {
         self.layer_shifted_lines
-    }
-
-    /// Bits a Shift-Table range layer's drift offsets take, 5 or 7 (see
-    /// [`shift_table::ShiftTable::offset_bits`]); 0 for every other layer.
-    pub fn layer_offset_bits(&self) -> u32 {
-        self.layer_offset_bits
     }
 
     /// Number of keys in the base column, decoded or not.
@@ -933,18 +922,10 @@ mod tests {
         assert!(!cold.snapshot().is_cold());
         assert_eq!(cold.snapshot().epoch(), 1);
         let n = cold.snapshot().base_len();
-        // 64 bytes a line of 67 keys and 4 a patched drift at seven bits,
-        // a line of 92 at five.
-        let pairs = match cold.snapshot().layer_offset_bits() {
-            7 => 67,
-            bits => {
-                assert_eq!(bits, 5);
-                92
-            }
-        };
+        // 64 bytes a line of 92 keys and 4 a patch word.
         assert_eq!(
             cold.snapshot().layer_bytes(),
-            64 * n.div_ceil(pairs) + 4 * cold.snapshot().layer_patches()
+            64 * n.div_ceil(92) + 4 * cold.snapshot().layer_patches()
         );
         assert!(
             !cold.rebuild().unwrap(),

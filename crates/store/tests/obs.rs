@@ -275,14 +275,12 @@ fn catalogue_is_complete_and_prometheus_roundtrips() {
         .any(|s| s.name == "store_shard_accesses" && !s.labels.is_empty()));
 }
 
-/// The layer gauges say what the hot shards' Shift-Table layers weigh, how
-/// many of their drifts are patches and how many store five-bit offsets:
-/// under `im+r1` two shards of 200 k osmc64 keys keep seven bits, take 64
-/// bytes per line of 67 keys and 272 more per escaped line, whose 68
-/// drifts are patches, and hold shifted lines beside those at no extra
-/// cost; three of evenly spaced keys keep five bits, 64 bytes per line of
-/// 92 keys, and hold no patch, and a least-squares line over lognormal
-/// keys few, under 1.05 bytes a key.
+/// The layer gauges say what the hot shards' Shift-Table layers weigh and
+/// how many words their patches take: under `im+r1` two shards of 200 k
+/// osmc64 keys take 64 bytes per line of 92 keys and 4 more per patch word
+/// — 48 or 93 an escaped line — and hold shifted lines beside those at no
+/// extra cost; three of evenly spaced keys hold no patch, and a
+/// least-squares line over lognormal keys few, under 0.75 bytes a key.
 #[test]
 fn layer_gauges_report_bytes_and_patches_of_every_hot_shard() {
     use sosd_data::prelude::*;
@@ -304,10 +302,9 @@ fn layer_gauges_report_bytes_and_patches_of_every_hot_shard() {
         .iter()
         .map(|s| s.snapshot().layer_patches())
         .sum();
-    // A dozen escaped lines of 68 drifts, beside dozens of shifted ones
-    // that cost nothing more.
+    // A few dozen escaped lines, beside many shifted ones that cost
+    // nothing more.
     assert!((1..24_000).contains(&patches), "{patches} patches");
-    assert_eq!(patches % 68, 0, "68 patches an escaped line");
     let shifted: usize = table
         .shards()
         .iter()
@@ -315,29 +312,12 @@ fn layer_gauges_report_bytes_and_patches_of_every_hot_shard() {
         .sum();
     assert!(shifted > 0, "{shifted} shifted lines");
     assert_eq!(gauge(&big, "store_layer_patches"), patches as f64);
-    // 64 bytes a line of 67 keys at seven bits, of 92 at five, and 4 a
-    // patched drift.
+    // 64 bytes a line of 92 keys and 4 a patch word.
     let layer_bytes = |shard: &StoreShard<u64>| {
-        let snapshot = shard.snapshot();
-        let pairs = match snapshot.layer_offset_bits() {
-            7 => 67,
-            5 => 92,
-            bits => panic!("{bits}-bit offsets"),
-        };
-        64 * shard.len().div_ceil(pairs) + 4 * snapshot.layer_patches()
+        64 * shard.len().div_ceil(92) + 4 * shard.snapshot().layer_patches()
     };
     let bytes: usize = table.shards().iter().map(|s| layer_bytes(s)).sum();
     assert_eq!(gauge(&big, "store_layer_bytes"), bytes as f64);
-    let bits = table
-        .shards()
-        .iter()
-        .map(|s| s.snapshot().layer_offset_bits());
-    assert!(
-        bits.clone().all(|bits| bits == 7),
-        "{:?}",
-        bits.collect::<Vec<_>>()
-    );
-    assert_eq!(gauge(&big, "store_layer_narrow_shards"), 0.0);
 
     let keys: Vec<u64> = (0..5_000u64).collect();
     let small = ShardedStore::build(StoreConfig::new(spec()).shards(3), &keys).unwrap();
@@ -348,18 +328,17 @@ fn layer_gauges_report_bytes_and_patches_of_every_hot_shard() {
         bytes.sum::<usize>() as f64
     );
     assert_eq!(gauge(&small, "store_layer_patches"), 0.0);
-    assert_eq!(gauge(&small, "store_layer_narrow_shards"), 3.0);
 
     // Few partitions holding keys between long stretches of empty ones:
-    // long windows, each past 1 016 records escaping its line: few patches.
-    // The worst of the two reads 1.005 bytes a key.
+    // long windows, each past 248 records escaping its line: few patches.
+    // The worst of the two reads 0.736 bytes a key.
     let linear = IndexSpec::parse("linear+r1").unwrap();
     for (name, n) in [(SosdName::Logn32, 6_000), (SosdName::Logn64, 70_000)] {
         let logn: Dataset<u64> = name.generate(n, 21);
         let config = StoreConfig::new(linear).shards(1);
         let store = ShardedStore::build(config, logn.as_slice()).unwrap();
         let bytes = gauge(&store, "store_layer_bytes");
-        assert!(bytes < 1.05 * n as f64, "{name}: {bytes} bytes");
+        assert!(bytes < 0.75 * n as f64, "{name}: {bytes} bytes");
         assert!(gauge(&store, "store_layer_patches") < n as f64 / 40.0);
     }
 
@@ -369,7 +348,6 @@ fn layer_gauges_report_bytes_and_patches_of_every_hot_shard() {
     let none = ShardedStore::build(StoreConfig::new(bare).shards(3), &keys).unwrap();
     assert_eq!(gauge(&none, "store_layer_bytes"), 0.0);
     assert_eq!(gauge(&none, "store_layer_patches"), 0.0);
-    assert_eq!(gauge(&none, "store_layer_narrow_shards"), 0.0);
 }
 
 /// A read that touches a still-cold shard enqueues its own hydration and

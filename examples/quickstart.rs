@@ -34,25 +34,21 @@ fn main() {
         index.name(),
         index.correction_error()
     );
-    // The layer is 64-byte cache lines of one base, one slope and 68
-    // seven-bit offsets, 67 entries a line (≈ 0.96 B/key), or 93 five-bit
-    // ones, 92 entries a line (≈ 0.70 B/key), where at most 1/16 of those
-    // lines would be shifted or escaped — a window ends where the next
-    // entry's starts, so its length costs nothing, and a correction reads
-    // one line. Each offset stores what is left of a drift after the
-    // line's slope. A line whose residuals spread past what an offset
-    // holds (126 at seven bits) counts them in units of up to 8 records (a
-    // shifted line, at no extra bytes), and one spreading past 1 015 (247)
-    // costs 272 (372) bytes more, its drifts kept in full in a patch
-    // array.
-    let (bits, patches, shifted) = match index.layer() {
-        CorrectionLayer::Range(table) => {
-            (table.offset_bits(), table.patches(), table.shifted_lines())
-        }
-        _ => (0, 0, 0),
+    // The layer is 64-byte cache lines of one base, one slope and 93
+    // five-bit offsets, 92 entries a line (≈ 0.70 B/key) — a window ends
+    // where the next entry's starts, so its length costs nothing, and a
+    // correction reads one line. Each offset stores what is left of a
+    // drift after the line's slope. A line whose residuals spread past
+    // what an offset holds (30) counts them in units of up to 8 records (a
+    // shifted line, at no extra bytes), and one spreading past 247 costs
+    // 192 bytes more, its drifts kept as 16-bit offsets in a patch array
+    // (372, in full, where they spread past 65 535).
+    let (patches, shifted) = match index.layer() {
+        CorrectionLayer::Range(table) => (table.patches(), table.shifted_lines()),
+        _ => (0, 0),
     };
     println!(
-        "index footprint      : {:.1} MiB ({} entries, {:.2} B/key, {bits}-bit offsets, {patches} patches, {shifted} shifted lines)",
+        "index footprint      : {:.1} MiB ({} entries, {:.2} B/key, {shifted} shifted lines, {patches} patch words)",
         index.index_size_bytes() as f64 / (1024.0 * 1024.0),
         dataset.len(),
         index.index_size_bytes() as f64 / dataset.len() as f64,

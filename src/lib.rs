@@ -5,11 +5,11 @@
 //! downstream users who want "everything" can depend on one crate:
 //!
 //! * [`shift_table`] — the Shift-Table correction layer (the paper's
-//!   contribution; 64 bytes per 67 keys plus 272 per escaped line, or per
-//!   92 keys plus 372 where the model's drifts, less each line's slope,
-//!   fit five-bit offsets, one cache line a correction, a line spreading
-//!   past what an offset holds shifted to units of up to 8 records, in one
-//!   layout for every model and key column — [`shift_table::entry`]), the
+//!   contribution; 64 bytes per 92 keys, the model's drifts less each
+//!   line's slope in five-bit offsets, plus 192 or 372 per escaped line,
+//!   one cache line a correction, a line spreading past what an offset
+//!   holds shifted to units of up to 8 records, in one layout for every
+//!   model and key column — [`shift_table::entry`]), the
 //!   owned [`shift_table::CorrectedIndex`] and the runtime
 //!   [`shift_table::spec::IndexSpec`] composition layer,
 //! * [`learned_index`] — CDF models (IM, linear, cubic, RMI, RadixSpline,
