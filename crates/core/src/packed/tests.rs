@@ -542,6 +542,32 @@ fn a_five_bit_line_is_64_bytes_for_92_pairs() {
 }
 
 #[test]
+fn a_line_is_64_bytes_for_67_pairs() {
+    // 67 pairs, the 68 drifts a line of seven-bit offsets held, take 68 of
+    // a line's 93 slots: one 64-byte line however far they sit, and the
+    // pairs of fifteen such lines are eleven. A spread of 126, which seven
+    // bits held exactly, is one shifted line of the same 64 bytes.
+    for drifts in [vec![1; 68], vec![1_000_000; 68], climbing(-40, 68)] {
+        let packed = pack(&drifts);
+        assert_eq!((packed.lines.len(), packed.size_bytes()), (1, 64));
+        assert_eq!((packed.shifted_lines(), packed.patches()), (0, 0));
+    }
+    assert_eq!(Lines::line_count(15 * 67 + 1), 11);
+    assert_eq!(pack(&climbing(-40, 15 * 67 + 1)).size_bytes(), 64 * 11);
+    let shifted = pack(&spike(15 * 67, 20, 126));
+    assert_eq!(shifted.shift(20), Some(3));
+    assert_eq!(
+        (shifted.shifted_lines(), shifted.size_bytes()),
+        (1, 64 * 11)
+    );
+    // A step of 600, which seven bits held exactly, spreads past 247
+    // under either slope: the line escapes to a short patch.
+    let escaped = pack(&one_step(1_000, 70, 600));
+    assert_eq!(escaped.shift(70), None);
+    assert_eq!(escaped.size_bytes(), 64 * 11 + 4 * SHORT_PATCH);
+}
+
+#[test]
 fn five_bit_pairs_at_91_92_93_183_184_185_and_every_seam_come_from_one_line() {
     // Pairs either side of the first two seams and every seam of a
     // climbing array come from one line, the seam's drift stored in both.
@@ -570,6 +596,33 @@ fn five_bit_pairs_at_91_92_93_183_184_185_and_every_seam_come_from_one_line() {
             (shared, shared),
             "seam {seam}"
         );
+        for k in [seam - 1, seam] {
+            assert_eq!(packed.pair(k), window(k), "seam {seam}");
+        }
+    }
+}
+
+#[test]
+fn pairs_at_66_67_68_133_134_135_and_every_seam_come_from_one_line() {
+    // 67 and 134, the seams of lines of 67 pairs, sit inside lines 0 and
+    // 1 of 92 pairs: both drifts of pairs 66..=68 are slots of line 0 and
+    // those of 133..=135 slots of line 1, and every seam of 92 is still
+    // served from one line.
+    let drifts = climbing(-40, 5 * PAIRS + 1);
+    let packed = pack(&drifts);
+    let window = |k: usize| Some((k, drifts[k], (1 + drifts[k + 1] - drifts[k]) as usize));
+    for (k, j) in [(66, 0), (67, 0), (68, 0), (133, 1), (134, 1), (135, 1)] {
+        assert_eq!(k / PAIRS, j, "pair {k}");
+        let (line, slot) = (&packed.lines[j], k % PAIRS);
+        assert!(slot < PAIRS, "pair {k}");
+        assert_eq!(
+            (line.drift(slot), line.drift(slot + 1)),
+            (i64::from(drifts[k]), i64::from(drifts[k + 1])),
+            "pair {k}"
+        );
+        assert_eq!(packed.pair(k), window(k), "pair {k}");
+    }
+    for seam in (PAIRS..drifts.len() - 1).step_by(PAIRS) {
         for k in [seam - 1, seam] {
             assert_eq!(packed.pair(k), window(k), "seam {seam}");
         }
@@ -629,6 +682,57 @@ fn a_fetch_from_slot_91_drops_the_slope_bits_at_every_shift_and_beside_an_escape
         let last = 3 * pairs - 1;
         let len = (1 + drifts[last + 1] - drifts[last]) as usize;
         assert_eq!(packed.pair(last), Some((last, drifts[last], len)), "{tag}");
+    }
+}
+
+#[test]
+fn a_fetch_from_slot_66_drops_the_base_bytes_at_every_shift_and_beside_an_escape() {
+    // Slot 66, the last of a seven-bit line, whose load reached the base's
+    // low byte, sits mid-line at five bits: it loads bytes 41..45, offsets
+    // 66 and 67 between offset 65's top bits and offsets 68..=71, short of
+    // the slope's and the base's bytes. Line 1's residuals are −1 at slot
+    // 66 and `spread − 1` everywhere else under slope −1, so every offset
+    // but slot 66's is 30 — its bits set about the pair's — the slope
+    // field and the base are −1, and the fetch still reads the two
+    // offsets alone: at every shift, in place beside an escaped line and
+    // from the escaped line's own slot 66.
+    let load = BITS as usize * 66 / 8;
+    assert_eq!((load, BITS as usize * 66 % 8), (41, 2));
+    assert!(load + 4 <= SLOPE_WORD);
+    let at = PAIRS + 66;
+    let rise = |slot: usize| Line::rise(-1, slot);
+    for (spread, shift) in [(30, 0), (61, 1), (123, 2), (247, 3)] {
+        let n = 3 * PAIRS + 1_100;
+        let mut drifts = vec![0; n + 1];
+        for slot in 0..=PAIRS {
+            let residual = if slot == 66 { -1 } else { spread - 1 };
+            drifts[PAIRS + slot] = residual + rise(slot);
+        }
+        drifts[0] = spread - 1;
+        drifts[1..PAIRS].fill(-1);
+        let last = drifts[2 * PAIRS];
+        drifts[2 * PAIRS..].fill(last);
+        drifts[2 * PAIRS + 30] = 8_000_000;
+        let packed = pack(&drifts);
+        let tag = format!("spread {spread}");
+        let line = &packed.lines[1];
+        assert_eq!((line.base(), line.slope()), (-1, -1), "{tag}");
+        assert_eq!(line.0[OFFSET_BYTES], 0xFF, "{tag}");
+        let word = Line::word_at(&line.0, load);
+        assert_eq!((word >> 2) & 0x3FF, 30 << BITS, "{tag}");
+        assert_eq!(word & 0b11, 0b11, "{tag}");
+        assert_eq!(
+            word >> 12,
+            0xFFFFF & !(1 | 1 << 5 | 1 << 10 | 1 << 15),
+            "{tag}"
+        );
+        assert_eq!(packed.shift(at), Some(shift), "{tag}");
+        assert_eq!(packed.shift(at + PAIRS), None, "{tag}");
+        assert_eq!(packed.patches(), Line::LINE, "{tag}");
+        for k in [at, at + PAIRS] {
+            let len = (1 + drifts[k + 1] - drifts[k]) as usize;
+            assert_eq!(packed.pair(k), Some((k, drifts[k], len)), "{tag} pair {k}");
+        }
     }
 }
 
@@ -775,6 +879,28 @@ fn five_bit_spreads_at_each_shifts_edge_take_the_least_shift_that_fits() {
         assert_eq!(packed.patches(), SHORT_PATCH * escaped, "spread {spread}");
         // The long window of `spread + 1` records: its start is exact,
         // its end rounded up to less than one unit of the shift past it.
+        let unit = 1 << shift.unwrap_or(0);
+        let (_, start, len) = packed.pair(at - 1).unwrap();
+        assert_eq!(start, 0, "spread {spread}");
+        assert!((0..unit).contains(&(len - spread - 1)), "spread {spread}");
+    }
+}
+
+#[test]
+fn spreads_at_each_shifts_edge_take_the_least_shift_that_fits() {
+    // Every spread up to 1 016, one past the last edge of a seven-bit
+    // line's shifts, takes the least `s` with `spread ≤ 31·2^s − 1` — so
+    // each of five bits' edges, and seven bits' 126, 253 and 507 take
+    // shift 3 or escape — and past 247 an escape to a short patch.
+    let at = PAIRS + 20;
+    for spread in 0..=1_016usize {
+        let shift = (0..=MAX_SHIFT).find(|&s| spread < (31 << s));
+        let packed = pack(&spike(at + spread + 200, at, spread));
+        assert_eq!(packed.shift(at), shift, "spread {spread}");
+        let shifted = usize::from(shift.is_some_and(|s| s > 0));
+        assert_eq!(packed.shifted_lines(), shifted, "spread {spread}");
+        let escaped = usize::from(shift.is_none());
+        assert_eq!(packed.patches(), SHORT_PATCH * escaped, "spread {spread}");
         let unit = 1 << shift.unwrap_or(0);
         let (_, start, len) = packed.pair(at - 1).unwrap();
         assert_eq!(start, 0, "spread {spread}");
