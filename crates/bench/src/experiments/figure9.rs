@@ -6,8 +6,8 @@
 //! shape: R-1 and S-1 are the fastest, error and latency grow as the layer is
 //! compressed, and the bare model is far worse on the hard datasets. A third
 //! table puts the price next to it: bytes per key of every layer, and the
-//! words the R-1 layer keeps in its patch array (48 per escaped line whose
-//! drifts spread at most 65 535, 93 per one that spreads more).
+//! words the R-1 layer keeps in its patch array (59 per escaped line whose
+//! drifts spread at most 65 535, 116 per one that spreads more).
 //!
 //! R-1 and the bare model are built from `im+r1` / `im+none` specs, as the
 //! serving path builds them. The S-X layers serve no lookup there: they are

@@ -315,8 +315,9 @@ mod tests {
     #[test]
     fn shift_table_beats_plain_im_on_hard_data() {
         // The headline claim at smoke scale: corrected IM needs far fewer
-        // probes; its latency must be no worse than the uncorrected IM that
-        // exponential-searches from a wildly wrong prediction.
+        // probes, and its local searches read fewer keys than the
+        // uncorrected IM's, which exponential-searches from a wildly wrong
+        // prediction.
         let cfg = BenchConfig {
             keys: 200_000,
             queries: 5_000,
@@ -341,18 +342,35 @@ mod tests {
             "corrected error"
         );
 
-        // The timed half runs beside the rest of a parallel `cargo test`:
-        // the best of five alternating rounds a side.
-        let (mut im_ns, mut st_ns) = (f64::INFINITY, f64::INFINITY);
-        for _ in 0..5 {
-            let im = measure_one(Competitor::Im, &d, w.queries(), w.expected());
-            im_ns = im_ns.min(im.lookup_ns.unwrap());
-            let st = measure_one(Competitor::ImShiftTable, &d, w.queries(), w.expected());
-            st_ns = st_ns.min(st.lookup_ns.unwrap());
-        }
+        // The timed half, stated exactly: the keys each lookup's local
+        // search reads — its window, and the keys a gallop crosses from
+        // where it starts to the lower bound (the uncorrected search's
+        // whole way, a missed window's repair) — summed over the queries
+        // are fewer under the layer. How much faster that makes a lookup
+        // is the benchmark's `speedup_vs_model_only`: a debug build's wall
+        // clock beside a parallel `cargo test` is no test of it.
+        let searched = |index: &shift_table::DynCorrectedIndex<u64>| -> usize {
+            let targets = w.queries().iter().zip(w.expected());
+            targets
+                .map(|(&q, &target)| {
+                    let p = index.predict_uncorrected(q);
+                    match index.layer() {
+                        shift_table::CorrectionLayer::Range(table) => {
+                            let hint = table.correct(p);
+                            let (start, len) = (hint.start, hint.window.unwrap_or(0));
+                            let miss =
+                                start.saturating_sub(target) + target.saturating_sub(start + len);
+                            len + miss
+                        }
+                        shift_table::CorrectionLayer::None => 1 + p.abs_diff(target),
+                    }
+                })
+                .sum()
+        };
+        let (st_keys, im_keys) = (searched(&st), searched(&im));
         assert!(
-            st_ns < im_ns,
-            "IM+Shift-Table ({st_ns:.0} ns) should beat IM alone ({im_ns:.0} ns) on osmc"
+            st_keys < im_keys,
+            "IM+Shift-Table searches {st_keys} keys, IM alone {im_keys}, on osmc"
         );
     }
 }

@@ -379,22 +379,22 @@ mod tests {
         let windows =
             [76usize, 77, 78].map(|k| (k.wrapping_add_signed(drifts[k] as isize), window(k)));
         assert_eq!(windows, [(35, 36), (36, 38), (38, 40)]);
-        // The layer's first line falls from 0 to −43 and climbs back to −7
+        // The layer's one line falls from 0 to −43 and climbs back to −7
         // by its last drift: its residuals spread 37 under its slope, past
-        // the 30 five bits hold, so it is shifted by 1. Partition 77 — the
-        // running example — is served exactly; its neighbours' windows hold
-        // the figure's and overhang an end by one record.
+        // the 14 four bits hold, so it takes unit 3 — but rounded down by
+        // up to 2 records, its first window would start before position 0.
+        // It escapes to a short patch, and every window — partition 77's,
+        // the running example, and its neighbours' — is served exactly.
         let table = ShiftTable::build(&DivTen, &keys);
-        assert_eq!((table.shifted_lines(), table.patches()), (1, 0));
+        assert_eq!((table.shifted_lines(), table.patches()), (0, 59));
         assert_eq!(table.entry(77), ShiftEntry::new(-41, 2));
         assert_eq!(table.correct(77), SearchHint::bounded(36, 2));
-        assert_eq!(table.correct(76), SearchHint::bounded(34, 3));
-        assert_eq!(table.correct(78), SearchHint::bounded(37, 4));
         for (k, (start, end)) in [76usize, 77, 78].into_iter().zip(windows) {
-            let hint = table.correct(k);
-            let served = hint.start + hint.window.unwrap();
-            assert!(hint.start <= start && start - hint.start <= 1, "{k}");
-            assert!(served >= end && served - end <= 1, "{k}");
+            assert_eq!(
+                table.correct(k),
+                SearchHint::bounded(start, end - start),
+                "{k}"
+            );
         }
     }
 
@@ -666,19 +666,23 @@ mod tests {
     fn an_over_wide_block_is_patched_and_an_over_long_count_coded() {
         // Stairs of 70 000 keys: every window is 70 000 records, and `Δ`
         // falls from 69 999 back to 0 at a stair's first partition — the
-        // line holding both drifts spreads past 247 and is escaped.
-        // Three stairs' worth, three escaped lines: two patches of 93
-        // drifts, and a short one of 48 words where the last stair's
-        // 10 000 keys spread its line less than 65 536.
+        // line holding both drifts spreads past 239 and is escaped.
+        // Three stairs' worth, three escaped lines: two patches of 116
+        // drifts, and a short one of 59 words where the last stair's
+        // 10 000 keys spread its line less than 65 536. The short last
+        // line, 40 pairs falling to the end's 0 and 75 of flat padding,
+        // bends by more than 14 under its slope, and its rounded windows
+        // would end past the column: a second short patch.
         let n = 150_000;
         let keys: Vec<u64> = (0..n as u64).collect();
         let stairs = |step| Stairs { n, step, dip: None };
         let bytes = |patches: usize| 64 * n.div_ceil(PAIRS) + 4 * patches;
-        let (full, short) = (93, 48);
+        let (full, short) = (116, 59);
+        assert_eq!(n % PAIRS, 40);
         let layer = assert_emitter_matches_reference(&stairs(70_000), &keys, "long stairs");
         // A stair's empty partitions fall by one apiece: a slope of −1
         // stores them exactly.
-        let patches = 2 * full + short;
+        let patches = 2 * full + 2 * short;
         assert_eq!(
             (layer.patches(), layer.size_bytes()),
             (patches, bytes(patches))
@@ -686,10 +690,10 @@ mod tests {
         // The window ends where the next stair starts: served exactly.
         assert_eq!(layer.pair(0), Some((0, 0, 70_000)));
         assert_eq!(layer.delta(8), 69_992);
-        // Stairs of 40 000, four short patches, and one duplicate run of
-        // 70 000 among them.
+        // Stairs of 40 000, four short patches and the last line's, and one
+        // duplicate run of 70 000 among them.
         let layer = assert_emitter_matches_reference(&stairs(40_000), &keys, "short stairs");
-        let patches = 4 * short;
+        let patches = 5 * short;
         assert_eq!(
             (layer.patches(), layer.size_bytes()),
             (patches, bytes(patches))
@@ -698,9 +702,9 @@ mod tests {
         dups[50_000..120_000].fill(50_000);
         let layer = assert_emitter_matches_reference(&stairs(40_000), &dups, "duplicate run");
         // Partition 40 000 takes 80 000 keys: its window ends at 120 000,
-        // and its line takes a patch of 93 drifts.
+        // and its line takes a patch of 116 drifts.
         assert_eq!(layer.pair(40_000), Some((40_000, 0, 80_000)));
-        let patches = full + 2 * short;
+        let patches = full + 3 * short;
         assert_eq!(
             (layer.patches(), layer.size_bytes()),
             (patches, bytes(patches))
@@ -717,8 +721,8 @@ mod tests {
         };
         let layer = assert_emitter_matches_reference(&model, &vec![n as u64; n], "last");
         assert_eq!(layer.pair(n - 1), Some((n - 1, 1 - n as i32, n)));
-        let bytes = 64 * n.div_ceil(PAIRS) + 372;
-        assert_eq!((layer.patches(), layer.size_bytes()), (93, bytes));
+        let bytes = 64 * n.div_ceil(PAIRS) + 464;
+        assert_eq!((layer.patches(), layer.size_bytes()), (116, bytes));
     }
 
     #[cfg_attr(miri, ignore = "dataset too large for Miri")]

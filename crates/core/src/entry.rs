@@ -3,8 +3,8 @@
 //! One entry per possible model prediction: the signed drift `Δ` and the
 //! local-search window length `C`. The paper's case against big models —
 //! parameters that miss the cache cost memory lookups — holds for the layer
-//! itself, so every range layer is stored in 64-byte lines — 92 entries a
-//! line, ≈ 0.696 bytes an entry — the same layout for every model and
+//! itself, so every range layer is stored in 64-byte lines — 115 entries a
+//! line, ≈ 0.557 bytes an entry — the same layout for every model and
 //! every key column, and a fetch reads one cache line (the `packed` module
 //! has the lines and the fetch):
 //!
@@ -23,31 +23,31 @@
 //!   lookup. What [`ShiftTable::entries`](crate::ShiftTable::entries),
 //!   `window_lengths` and `expected_error` report are these served windows
 //!   — 0 for an empty partition, so they sum to `N`.
-//! * **`Δ` is line-relative, and exact where five bits hold it.** The
+//! * **`Δ` is line-relative, and exact where four bits hold it.** The
 //!   drift of a model is *locally* smooth even where it is globally large —
 //!   the paper's own premise — and mostly climbs or falls at a steady rate
 //!   inside a line: the model's local slope error. So a 64-byte, 64-aligned
-//!   line of 93 neighbouring drifts carries one slope `a`, in the 15 bits
-//!   its offsets leave, and one base, the least residual
-//!   `Δ_i − ((a·i) >> 6)`, and each drift a five-bit offset of its residual
-//!   from the base, below 31. A line's last drift
+//!   line of 116 neighbouring drifts carries one slope `a`, in 14 of the
+//!   16 bits its offsets leave, and one base, the least residual
+//!   `Δ_i − ((a·i) >> 6)`, and each drift a four-bit offset of its residual
+//!   from the base, below 15. A line's last drift
 //!   repeats the next line's first, so the two drifts of every window —
 //!   `Δ_k` and `Δ_{k+1}` — lie in one line: one cache line a correction,
 //!   with no second array to read.
-//! * **A line whose residuals spread past 30 is shifted**: its offsets
-//!   count units of `2^s` records, the least `s ≤ 3` with
-//!   `spread ≤ 31·2^s − 1`, kept in the base's top two bits. Each
-//!   offset is rounded down, and a fetch widens the window's end by
-//!   `2^s − 1`, so the window served holds the exact one and overhangs
-//!   each end by at most 7 records — one 64-byte line of `u64` keys. A
-//!   window longer than 31 records, less the line's climb across it, steps
-//!   the residual past an offset between its two drifts, so it shifts its
-//!   line wherever it sits.
+//! * **A line whose residuals spread past 14 is shifted**: its offsets
+//!   count units of `u` records, the least `u ≤ 16` with
+//!   `spread ≤ 15·u − 1`, kept as `u − 1` in the base's top two bits and
+//!   the two bits the offsets and the slope leave. Each offset is rounded
+//!   down, and a fetch widens the window's end by `u − 1`, so the window
+//!   served holds the exact one and overhangs each end by at most 15 records —
+//!   two 64-byte lines of `u64` keys. A window longer than 15 records,
+//!   less the line's climb across it, steps the residual past an offset
+//!   between its two drifts, so it shifts its line wherever it sits.
 //! * **The line that does not fit is escaped**: its residuals spreading
-//!   past 247, or shifted windows that would overhang the column. Its 93
+//!   past 239, or shifted windows that would overhang the column. Its 116
 //!   drifts are stored exactly in a side array its base points into: as
-//!   16-bit offsets from their least, at 192 bytes more, or where they
-//!   spread past 65 535 in full as `i32`, at 372.
+//!   16-bit offsets from their least, at 236 bytes more, or where they
+//!   spread past 65 535 in full as `i32`, at 464.
 //!
 //! There is nothing to tune per layer: plain encodings of 4 to 8 bytes an
 //! entry (`(i16, u16)` up to `(i32, u32)`) are smaller for no layer of 14
@@ -57,12 +57,13 @@
 //! The builder writes the layout strictly left to right, line by line,
 //! nothing stored ever re-encoded ([`crate::build`]). A layer over `N` keys
 //! has `N + 1` drifts — the last, of the virtual partition `N`, is 0 — in
-//! `⌈N / 92⌉` lines, and `|Δ| ≤ N`, so up to
+//! `⌈N / 115⌉` lines, and `|Δ| ≤ N`, so up to
 //! [`ShiftTable::MAX_KEYS`](crate::ShiftTable::MAX_KEYS) `= 2^29 − 1` keys
 //! every base fits the 30 bits a line leaves it.
 
 /// The most keys a range-mode layer can cover, `2^29 − 1`: a line's base
-/// is a drift in 30 bits, its top two hold the line's shift. Public as
+/// is a drift in 30 bits, its top two hold half of the line's unit code.
+/// Public as
 /// [`ShiftTable::MAX_KEYS`](crate::ShiftTable::MAX_KEYS).
 pub(crate) const MAX_KEYS: usize = (1 << 29) - 1;
 
@@ -97,10 +98,10 @@ mod tests {
 
     #[test]
     fn byte_tier_sizes_at_the_small_lengths() {
-        for n in [1usize, 2, 92, 93, 94, 184, 185, 186, 276, 277, 278] {
+        for n in [1usize, 2, 115, 116, 117, 230, 231, 232, 345, 346, 347] {
             let drifts: Vec<i32> = (0..n).map(|i| 2_000_000 - i as i32).collect();
             let packed = pack(&drifts);
-            // 64 bytes a line of 92 pairs.
+            // 64 bytes a line of 115 pairs.
             assert_eq!(packed.size_bytes(), 64 * Lines::line_count(n), "n={n}");
             assert_eq!(packed.patches(), 0);
         }
@@ -111,14 +112,14 @@ mod tests {
     #[test]
     fn the_encoder_patches_a_misfit_wherever_it_sits() {
         // A window of `C` records steps the drift up by `C − 1` from its
-        // partition to the next. Up to 31 an offset holds it; past what a
-        // shift fits under the line's slope, or with windows past the
+        // partition to the next. Up to 15 an offset holds it; past what a
+        // unit fits under the line's slope, or with windows past the
         // column's end, it escapes the one line holding both drifts — the
         // first, a middle one, either side of a seam, the short last one —
-        // and no other: a short patch of 48 words up to 65 536, 93 drifts
+        // and no other: a short patch of 59 words up to 65 536, 116 drifts
         // in full past it.
         let n = 5 * PAIRS + 3;
-        for long in [31, 300, 1_018, 1 << 23] {
+        for long in [15, 300, 1_018, 1 << 23] {
             for long_at in [1, PAIRS - 1, PAIRS, PAIRS + 1, 2 * PAIRS + 4, n - 2] {
                 let mut drifts = vec![7; n];
                 drifts[long_at + 1..]
@@ -126,8 +127,8 @@ mod tests {
                     .for_each(|d| *d += long - 1);
                 let packed = pack(&drifts);
                 let patches = match long {
-                    ..=31 => 0,
-                    32..=65_536 => 48,
+                    ..=15 => 0,
+                    16..=65_536 => 59,
                     _ => LINE,
                 };
                 let tag = format!("{long} {long_at}");
@@ -155,7 +156,7 @@ mod tests {
         assert_eq!(packed.patches(), LINE);
         let last = n as usize - 1;
         assert_eq!(packed.pair(last), Some((last, 1 - n, n as usize)));
-        assert_eq!(packed.size_bytes(), 64 * (n as usize).div_ceil(PAIRS) + 372);
+        assert_eq!(packed.size_bytes(), 64 * (n as usize).div_ceil(PAIRS) + 464);
     }
 
     #[test]

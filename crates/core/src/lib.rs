@@ -26,11 +26,12 @@
 //!   configuration, Algorithm 2), stored in 64-byte lines: only `Δ`, as an
 //!   offset from one base a line, so a correction reads one cache line — a
 //!   window ends where the next partition's starts, so `C` is not stored.
-//!   Each line has a slope and 93 five-bit offsets, which store what is
-//!   left of the drifts after it: 64 bytes per 92 keys. A line whose
+//!   Each line has a slope and 116 four-bit offsets, which store what is
+//!   left of the drifts after it: 64 bytes per 115 keys. A line whose
 //!   residuals spread past what an offset holds stores them in units of up
-//!   to 8 records, widening its windows by at most 7 at each end, and the
-//!   rare line spreading past 247 keeps them in a patch array, as 16-bit
+//!   to 16 records — the least unit that fits — widening its windows by at
+//!   most 15 at each end, and the
+//!   rare line spreading past 239 keeps them in a patch array, as 16-bit
 //!   offsets from their least or in full — see [`entry`],
 //! * [`CorrectedIndex`] — a complete range index assembled from any
 //!   [`learned_index::CdfModel`], an optional range layer and the local

@@ -1,41 +1,42 @@
 //! The layout of the range layer: cache lines of one base, one slope and
-//! 93 five-bit offsets, one drift a partition.
+//! 116 four-bit offsets, one drift a partition.
 //!
 //! The layer stores each partition's drift `Δ_k` and no window length: the
 //! window of partition `k` ends where partition `k + 1`'s starts
 //! ([`crate::table`]), so a fetch reads two neighbouring drifts. They are
-//! stored in 64-byte, 64-aligned [`Line`]s. Bytes `0..60` hold 93 offsets
-//! of 5 bits each, LSB first — offset `i` at bits `5·i..5·i + 5` — and in
-//! the 15 bits they leave, up to bit 480, the line's **slope** `a`, two's
-//! complement; bytes `60..64` hold one little-endian `i32` base: the line's
-//! least residual in its low 30 bits and its **shift** `s ∈ 0..=3` in its
-//! top two. An offset, below 31, counts units of `2^s` records above the
-//! base, and the slope, in units of `2^−6` records a partition, adds the
-//! line's climb to slot `i`:
+//! stored in 64-byte, 64-aligned [`Line`]s. Bytes `0..60` hold 116 offsets
+//! of 4 bits each, LSB first — offset `i` at bits `4·i..4·i + 4` — then at
+//! bits 464 and 465 the high half of the line's **unit** code `u − 1`,
+//! `u ∈ 1..=16`, and in the 14 bits above them, up to bit 480, the line's
+//! **slope** `a`, two's complement; bytes `60..64` hold one little-endian
+//! `i32` base: the line's least residual in its low 30 bits and the unit
+//! code's low half in its top two. An offset, below 15, counts units of
+//! `u` records above the base, and the slope, in units of `2^−6` records a
+//! partition, adds the line's climb to slot `i`:
 //!
 //! ```text
-//! Δ_i = base + ((a·i) >> 6) + (o_i << s)        (>> flooring)
+//! Δ_i = base + ((a·i) >> 6) + o_i·u        (>> flooring)
 //! ```
 //!
 //! Inside one line an inaccurate model's drifts mostly climb or fall at a
 //! steady rate — its local slope error — and offsets counted from the
 //! line's minimum would have to cover that whole climb; under the slope
 //! they cover only what is left, the **residuals** `Δ_i − ((a·i) >> 6)`.
-//! A line holds 93 drifts and serves `PAIRS = 92` pairs: line `j` holds
-//! the drifts `92·j ..= 92·j + 92`, its last repeating the first of line
-//! `j + 1`, so the pair `(k, k + 1)` of every fetch lies in line `k / 92`
+//! A line holds 116 drifts and serves `PAIRS = 115` pairs: line `j` holds
+//! the drifts `115·j ..= 115·j + 115`, its last repeating the first of line
+//! `j + 1`, so the pair `(k, k + 1)` of every fetch lies in line `k / 115`
 //! — one cache line a correction, the paper's "at most one memory lookup".
-//! Both offsets of pair `i` sit in the four bytes from byte `⌊5·i/8⌋ ≤ 56`
-//! on: one unaligned `u32` load, shifted right by `5·i mod 8` and masked
-//! twice. The last pair's load reaches the slope's bits, which the masks
-//! drop.
+//! Both offsets of pair `i` sit in the four bytes from byte `⌊i/2⌋ ≤ 57`
+//! on: one unaligned `u32` load, shifted right by `4·(i mod 2)` and masked
+//! twice. The last pair's load reaches the unit code's bits, the slope's
+//! and the base's low byte, which the masks drop.
 //!
 //! | offsets (bits) | slope: bits, unit, range | pairs a line | bytes a key | escaped line |
 //! |----------------|--------------------------|--------------|-------------|--------------|
-//! | 93 × 5 (465)   | 15, 1/64 record, `−2^14..=2^14 − 1` | 92 | ≈ 0.696 | 192 B more (372 past a spread of 65 535) |
+//! | 116 × 4 (464)  | 14, 1/64 record, `−2^13..=2^13 − 1` | 115 | ≈ 0.557 | 236 B more (464 past a spread of 65 535) |
 //!
 //! **The slope is the line's own.** The builder offers each line its
-//! endpoint slope, `a = round(64·(Δ_last − Δ_first) / 92)` (half up)
+//! endpoint slope, `a = round(64·(Δ_last − Δ_first) / 115)` (half up)
 //! clamped to the field, and keeps it where it leaves the residuals a
 //! smaller spread than slope 0 does — both spreads found in one pass over
 //! the line — so a line is never wider than a plain one. A line whose
@@ -45,28 +46,45 @@
 //! before the line is escaped. A short last line is padded with copies of
 //! its last drift, and its slope runs to the last of them.
 //!
-//! A line's shift is the least `s` with `spread ≤ 31·2^s − 1`, its
-//! residuals' spread counted from their minimum. A line spreading at most
-//! 30 has `s = 0` and stores every drift exactly. A shifted line rounds
-//! each offset down, so a fetch serves a window from the rounded start to
-//! the rounded end plus `2^s − 1`: the exact window, overhanging each end
-//! by at most `2^s − 1 ≤ 7` records — one 64-byte line of `u64` keys.
+//! A line's unit is the least `u` with `spread ≤ 15·u − 1`, that is
+//! `⌊spread / 15⌋ + 1`, its residuals' spread counted from their minimum.
+//! A line spreading at most 14 has `u = 1` and stores every drift exactly.
+//! A **shifted** line, `u > 1`, rounds each offset down, so a fetch serves
+//! a window from the rounded start to the rounded end plus `u − 1`: the
+//! exact window, overhanging each end by at most `u − 1 ≤ 15` records —
+//! two 64-byte lines of `u64` keys. The largest unit is 16 because four
+//! bits hold less than five: capped at 8, a line escapes past a spread of
+//! 119, and noisy models' lines spread past that often — `store_mixed`'s
+//! face64 shards under IM weigh 0.682 bytes a key against 0.631, and
+//! osmc64 under IM at 6 k keys 1.155 against 0.959.
 //!
-//! A line is **escaped** when no shift fits it — its residuals spread past
-//! `31·8 − 1 = 247` under either slope — when a shifted window would
+//! **Every unit up to 16, not powers of two.** A line's served windows
+//! overhang the exact ones by `u − 1` records on average, whatever the
+//! rounding, so the unit is the least that fits, not the next power of
+//! two: a line spreading 60 takes unit 5, not 8. Units of `2^s` read a
+//! corrected IM lookup on face64 at 100 k keys 5.12 key-array probes, past
+//! FAST's 5.0 (the paper's §2.2 claim, `tests/paper_claims.rs`); every
+//! unit up to 16 reads 4.93 (93 five-bit offsets read 4.57). The fetch
+//! multiplies by the unit instead of shifting by `s`, and the builder
+//! divides by it through a reciprocal. The unit code takes 4 bits, one
+//! from the slope: 14 bits hold `±128` records a partition.
+//!
+//! A line is **escaped** when no unit fits it — its residuals spread past
+//! `15·16 − 1 = 239` under either slope — when a shifted window would
 //! overhang the column (below position 0 or past `N`), or when its base
-//! does not fit 30 bits. Every one of its offsets is `ESCAPE = 31`, its
+//! does not fit 30 bits. Every one of its offsets is `ESCAPE = 15`, its
 //! drifts go to a **patch** in a patch array of `i32` words, and its base
 //! holds where the patch starts there. A short patch — the line's slope
 //! field −1 — holds the least drift `m`, then each drift less it as a
-//! 16-bit offset `q_i`, two a word, low half first: 48 words, 192 bytes,
-//! for any line whose drifts spread at most 65 535. A full patch — slope
-//! field 0 — holds the 93 drifts as they are, 372 bytes. So with
-//! `i = k % 92`, `o` and `p` its offsets `i` and `i + 1`, and
+//! 16-bit offset `q_i`, two a word, low half first: 59 words, 236 bytes,
+//! for any line whose drifts spread at most 65 535; its last word holds
+//! the last pair, `q_114` and `q_115`, whole. A full patch — slope field
+//! 0 — holds the 116 drifts as they are, 464 bytes. So with
+//! `i = k % 115`, `o` and `p` its offsets `i` and `i + 1`, and
 //! `r(i) = (a·i) >> 6`, a fetch serves the drift `Δ` and the window length
 //!
 //! ```text
-//! base + r(i) + (o << s),   r(i + 1) − r(i) + ((p − o) << s) + 2^s, 0 where not positive   o != ESCAPE
+//! base + r(i) + o·u,        r(i + 1) − r(i) + (p − o + 1)·u, 0 where not positive      o != ESCAPE
 //! m + q_i,                  1 + Δ' − Δ,  0 where Δ' < Δ                 o == ESCAPE, short: Δ' = m + q_{i+1}
 //! patches[base + i],        1 + Δ' − Δ,  0 where Δ' < Δ                 o == ESCAPE, full:  Δ' = patches[base + i + 1]
 //! ```
@@ -82,61 +100,66 @@
 //! offsets 33.
 //!
 //! **One width.** A model whose error is noise rather than slope spreads
-//! the residuals of many lines past 30, and those lines are shifted, not
+//! the residuals of many lines past 14, and those lines are shifted, not
 //! widened: the layer keeps its bytes and its windows overhang by a few
 //! records more. At the benchmark's dataset seed, `store_mixed`'s face64
-//! shards under IM shift most of their lines and weigh ≈ 0.696 bytes a key
-//! (0.955 with 68 seven-bit offsets a line), their key-weighted mean
-//! window 10.3 keys against 8.5. A shifted line's windows can leave the
-//! column only within `2^s − 1` records of its ends, so the builder checks
-//! them window by window only where the line's exact starts come that near
-//! position 0 or `N`.
+//! shards under IM shift most of their lines and weigh ≈ 0.63 bytes a key
+//! (0.77 with 93 five-bit offsets a line), their key-weighted mean window
+//! 12.9 keys against 10.3 (14.3 with units of `2^s`). A shifted line's
+//! windows can leave the column only within `u − 1` records of its ends,
+//! so the builder checks them window by window only where the line's
+//! exact starts come that near position 0 or `N`.
 //!
 //! An escaped line is, in practice, a stretch where a dense region climbs
-//! `Δ` past what a shift fits inside one line, or a window of that many
+//! `Δ` past what a unit fits inside one line, or a window of that many
 //! records. Whether a fetch reads one is a property of the query, not of
-//! the layer: on the amzn64 IM layer (4 Mi keys) 264 of 45 591 lines
-//! (0.6 %) are escaped and 59.6 % of the keys predict into one, so the
-//! branch on the escape is mispredicted often there. Reading a patch slot
-//! on every fetch and selecting without a branch won there and lost where
-//! escapes are rare — timed on blocks of 8 drifts, 64 fetches at a time
-//! between cache-evicting searches (2-vCPU x86): 26 against 32 ns a fetch
-//! on that layer, 26 against 19 on osmc64 under `rmi:4096`, where 0.6 % of
-//! the fetches were escaped — so the branch stays.
+//! the layer: on the amzn64 IM layer (4 Mi keys) with five-bit lines 264 of
+//! 45 591 lines (0.6 %) were escaped and 59.6 % of the keys predicted into
+//! one, so the branch on the escape is mispredicted often there. Reading a
+//! patch slot on every fetch and selecting without a branch won there and
+//! lost where escapes are rare — timed on blocks of 8 drifts, 64 fetches at
+//! a time between cache-evicting searches (2-vCPU x86): 26 against 32 ns a
+//! fetch on that layer, 26 against 19 on osmc64 under `rmi:4096`, where
+//! 0.6 % of the fetches were escaped — so the branch stays.
 
-/// Bytes of a line in front of its base: its offsets' and its slope's 480
-/// bits.
+/// Bytes of a line in front of its base: the 480 bits of its offsets, two
+/// unit bits and its slope.
 const OFFSET_BYTES: usize = 60;
 
 /// The first byte of the word whose top bits are the line's slope: the
 /// four bytes in front of the base.
 const SLOPE_WORD: usize = OFFSET_BYTES - 4;
 
-/// The largest shift a line takes: a window overhangs each end by at most
-/// `2^3 − 1 = 7` records. A constant, not a knob — a larger one widens
+/// The largest unit a line takes: a window overhangs each end by at most
+/// `16 − 1 = 15` records. A constant, not a knob — a larger one widens
 /// the windows of the lines it saves.
-const MAX_SHIFT: u32 = 3;
+const MAX_UNIT: u32 = 16;
 
 /// Bits of a drift offset.
-const BITS: u32 = 5;
+const BITS: u32 = 4;
+
+/// The first bit of the slope word ([`SLOPE_WORD`]) past the offsets: the
+/// two high bits of the line's unit code, the two bits below the slope.
+const HIGH_UNIT: u32 = 32 - Line::SLOPE_BITS - 2;
 
 /// Offsets a line is staged in before it is packed: whole groups of eight.
 const STAGED: usize = Line::LINE.next_multiple_of(8);
 
 /// One cache line of the layer: [`Line::LINE`] offsets of [`BITS`] bits,
-/// one a drift, its slope in the bits they leave, then a little-endian
-/// base word — the smallest residual in the low 30 bits, two's complement,
-/// and the shift in the top two, or for an escaped line its first slot in
-/// the patch array.
+/// one a drift, the high half of the unit code and the slope in the bits
+/// they leave, then a little-endian base word — the smallest residual in
+/// the low 30 bits, two's complement, and the unit code's low half in the
+/// top two, or for an escaped line its first slot in the patch array. The
+/// unit code is the line's unit less 1.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[repr(C, align(64))]
 pub(crate) struct Line([u8; 64]);
 
-// lint: allow(panic) evaluated at compile time: a line is one cache line of five-bit offsets, which with the slope fill the bits in front of its base
+// lint: allow(panic) evaluated at compile time: a line is one cache line of four-bit offsets, which with two unit bits and the slope fill the bits in front of its base
 const _: () = assert!(
     size_of::<Line>() == 64
         && align_of::<Line>() == 64
-        && BITS as usize * Line::LINE + Line::SLOPE_BITS as usize == 8 * OFFSET_BYTES
+        && BITS as usize * Line::LINE + 2 + Line::SLOPE_BITS as usize == 8 * OFFSET_BYTES
 );
 
 /// The `width` low bits of every `lane`-bit lane of a `u64`.
@@ -151,15 +174,18 @@ const fn lanes(width: u32, lane: u32) -> u64 {
 }
 
 impl Line {
-    /// Bits of the slope: the 15 that 93 five-bit offsets leave of 480.
-    pub(crate) const SLOPE_BITS: u32 = 15;
+    /// Bits of the slope: 14 of the 16 that 116 four-bit offsets leave of
+    /// 480.
+    pub(crate) const SLOPE_BITS: u32 = 14;
 
     /// Fraction bits of the slope: a line climbs in 1/64 of a record a
     /// partition.
     pub(crate) const FRACTION: u32 = 6;
 
-    /// Drifts a line holds: as many offsets as fit beside the slope.
-    pub(crate) const LINE: usize = (8 * OFFSET_BYTES - Self::SLOPE_BITS as usize) / BITS as usize;
+    /// Drifts a line holds: as many offsets as fit beside the slope and
+    /// the unit code's high half.
+    pub(crate) const LINE: usize =
+        (8 * OFFSET_BYTES - 2 - Self::SLOPE_BITS as usize) / BITS as usize;
 
     /// Pairs of neighbouring drifts a line serves.
     pub(crate) const PAIRS: usize = Self::LINE - 1;
@@ -193,19 +219,26 @@ impl Line {
     }
 
     /// A line in place: the `LINE` `drifts`, less the line's rise under
-    /// `slope`, as offsets from `base` in units of `2^shift`, each below
-    /// [`Line::ESCAPE`]. `base` must fit 30 bits, `shift` 2, `slope` the
-    /// field.
+    /// `slope`, as offsets from `base` in units of `unit` records, each
+    /// below [`Line::ESCAPE`] — residuals spreading at most
+    /// `15·unit − 1`. `base` must fit 30 bits, `unit` be `1..=MAX_UNIT`,
+    /// `slope` fit the field.
     #[inline]
-    fn in_place(drifts: &[i32], base: i32, shift: u32, slope: i32) -> Self {
-        debug_assert!(fits_30_bits(base) && shift <= MAX_SHIFT);
+    fn in_place(drifts: &[i32], base: i32, unit: u32, slope: i32) -> Self {
+        debug_assert!(fits_30_bits(base) && (1..=MAX_UNIT).contains(&unit));
         debug_assert!((Self::SLOPES.0..=Self::SLOPES.1).contains(&slope));
+        // `⌊x / unit⌋ = x·⌈2^16 / unit⌉ >> 16` for every `x` below
+        // `15·unit ≤ 240`: the product's excess, below `x / 2^16`, stays
+        // under the `1 / unit` that `x / unit` lies below the next integer.
+        let reciprocal = (1u32 << 16).div_ceil(unit);
         let mut offsets = [0; STAGED];
         for (slot, (offset, &delta)) in offsets.iter_mut().zip(&drifts[..Self::LINE]).enumerate() {
             let residual = delta.wrapping_sub(Self::rise(slope, slot));
-            *offset = (offset_from(base, residual) >> shift) as u8;
+            *offset = ((offset_from(base, residual) * reciprocal) >> 16) as u8;
         }
-        Self::pack(&offsets, slope, base as u32 & u32::MAX >> 2 | shift << 30)
+        let code = unit - 1;
+        let word = base as u32 & u32::MAX >> 2 | code << 30;
+        Self::pack(&offsets, slope, code >> 2, word)
     }
 
     /// An escaped line whose patch starts at `slot` of the patch array: a
@@ -213,13 +246,14 @@ impl Line {
     fn escaped(slot: u32, short: bool) -> Self {
         let mut offsets = [0; STAGED];
         offsets[..Self::LINE].fill(Self::ESCAPE as u8);
-        Self::pack(&offsets, -i32::from(short), slot)
+        Self::pack(&offsets, -i32::from(short), 0, slot)
     }
 
     /// A line of the first `LINE` `offsets`, each below `2^BITS` and
-    /// those past them 0, then `slope`, in front of the base word `word`.
+    /// those past them 0, then the unit code's high half `high` and `slope`,
+    /// in front of the base word `word`.
     #[inline]
-    fn pack(offsets: &[u8; STAGED], slope: i32, word: u32) -> Self {
+    fn pack(offsets: &[u8; STAGED], slope: i32, high: u32, word: u32) -> Self {
         let mut bytes = [0; 64];
         // Eight offsets are `8·BITS` bits: group `g` is stored as the 8
         // bytes from byte `BITS·g` on, whose clear top bytes the next group
@@ -229,10 +263,11 @@ impl Line {
             let bits = Self::squeeze(u64::from_le_bytes(group));
             bytes[BITS as usize * g..][..8].copy_from_slice(&bits.to_le_bytes());
         }
-        // The offsets past the last are clear: the slope takes their bits,
-        // the top of the word in front of the base.
+        // The offsets past the last are clear: the unit code's high half
+        // and the slope take their bits, the top of the word in front of
+        // the base.
         let slope = (slope as u32) << (32 - Self::SLOPE_BITS);
-        let top = Self::word_at(&bytes, SLOPE_WORD) | slope;
+        let top = Self::word_at(&bytes, SLOPE_WORD) | high << HIGH_UNIT | slope;
         bytes[SLOPE_WORD..OFFSET_BYTES].copy_from_slice(&top.to_le_bytes());
         bytes[OFFSET_BYTES..].copy_from_slice(&word.to_le_bytes());
         Self(bytes)
@@ -267,17 +302,32 @@ impl Line {
         (self.word() as i32) << 2 >> 2
     }
 
-    /// The line's shift (not for an escaped line).
+    /// The word whose top bits are the slope, below them the unit code's
+    /// high half.
     #[inline]
-    fn shift(&self) -> u32 {
-        self.word() >> 30
+    fn slope_word(&self) -> u32 {
+        Self::word_at(&self.0, SLOPE_WORD)
+    }
+
+    /// The unit of a line of base word `word` and slope word `top`: 1 more
+    /// than its code, whose low half is the base word's top two bits and
+    /// high half the slope word's two from [`HIGH_UNIT`].
+    #[inline(always)]
+    fn unit_of(word: u32, top: u32) -> u32 {
+        (word >> 30 | top >> (HIGH_UNIT - 2) & 0b1100) + 1
+    }
+
+    /// The records an offset of the line counts (not for an escaped line).
+    #[inline]
+    fn unit(&self) -> u32 {
+        Self::unit_of(self.word(), self.slope_word())
     }
 
     /// The line's slope, in units of `2^−FRACTION` records a partition; for
     /// an escaped line −1 if its patch is short, else 0.
     #[inline]
     fn slope(&self) -> i32 {
-        Self::word_at(&self.0, SLOPE_WORD) as i32 >> (32 - Self::SLOPE_BITS)
+        self.slope_word() as i32 >> (32 - Self::SLOPE_BITS)
     }
 
     /// Where an escaped line's patch starts in the patch array.
@@ -287,7 +337,7 @@ impl Line {
     }
 
     /// Offset `slot`, then offset `slot + 1` where there is one, from the
-    /// low bit on: one `u32` load, from byte `⌊BITS·slot/8⌋ ≤ 56`.
+    /// low bit on: one `u32` load, from byte `⌊BITS·slot/8⌋ ≤ 57`.
     #[inline]
     fn offsets_from(&self, slot: usize) -> u32 {
         let bit = BITS as usize * slot;
@@ -300,12 +350,12 @@ impl Line {
         self.offsets_from(slot) & Self::ESCAPE
     }
 
-    /// Drift `slot` as served: its residual, rounded down to the shift,
+    /// Drift `slot` as served: its residual, rounded down to the unit,
     /// plus the line's rise (not for an escaped line).
     fn drift(&self, slot: usize) -> i64 {
         i64::from(self.base())
             + i64::from(Self::rise(self.slope(), slot))
-            + (i64::from(self.offset(slot)) << self.shift())
+            + i64::from(self.offset(slot) * self.unit())
     }
 
     /// True for an escaped line: a line is escaped in every offset or in
@@ -315,7 +365,7 @@ impl Line {
     }
 }
 
-/// True if `base` survives the two bits a line's shift takes.
+/// True if `base` survives the two bits the line's unit code takes.
 #[inline]
 fn fits_30_bits(base: i32) -> bool {
     base << 2 >> 2 == base
@@ -409,7 +459,7 @@ impl Lines {
         let fit = if tilted { sloped } else { plain };
         if fit.spread < Line::ESCAPE && fits_30_bits(fit.base) {
             self.lines
-                .push(Line::in_place(drifts, fit.base, 0, fit.slope));
+                .push(Line::in_place(drifts, fit.base, 1, fit.slope));
         } else if tilted {
             self.push_wide(drifts, &[sloped, plain]);
         } else {
@@ -417,18 +467,19 @@ impl Lines {
         }
     }
 
-    /// Append a line no fit stores exactly: under the first of `fits` that
-    /// a shift fits with its base in 30 bits and its windows inside the
-    /// column, else escaped. Where the slope does not fit, slope 0 may.
-    /// Not cold: on a noisy model's layer most lines come here.
+    /// Append a line no fit stores exactly: under the first of `fits`
+    /// whose least unit, `⌊spread / 15⌋ + 1`, is at most [`MAX_UNIT`], with
+    /// its base in 30 bits and its windows inside the column, else escaped.
+    /// Where the slope does not fit, slope 0 may. Not cold: on a noisy
+    /// model's layer most lines come here.
     #[inline(never)]
     fn push_wide(&mut self, drifts: &[i32], fits: &[Fit]) {
         let ends = self.exact_starts(drifts);
         for fit in fits {
-            let shift = (0..=MAX_SHIFT).find(|&shift| fit.spread >> shift < Line::ESCAPE);
-            if let Some(shift) = shift.filter(|_| fits_30_bits(fit.base)) {
-                let line = Line::in_place(drifts, fit.base, shift, fit.slope);
-                if shift == 0 || self.stays_inside(&ends, shift) || self.inside_column(&line) {
+            let unit = fit.spread / Line::ESCAPE + 1;
+            if unit <= MAX_UNIT && fits_30_bits(fit.base) {
+                let line = Line::in_place(drifts, fit.base, unit, fit.slope);
+                if unit == 1 || self.stays_inside(&ends, unit) || self.inside_column(&line) {
                     self.lines.push(line);
                     return;
                 }
@@ -483,15 +534,15 @@ impl Lines {
         (low, high)
     }
 
-    /// True if a line of `shift` whose exact starts run from `low` to
+    /// True if a line of `unit` whose exact starts run from `low` to
     /// `high` keeps every window it serves inside `0..=column` whatever
-    /// its rounding: a served start lies at most `2^shift − 1` below the
+    /// its rounding: a served start lies at most `unit − 1` below the
     /// exact one, a served end at most as far past the exact one, so
     /// exact starts that far or farther from both ends of the column
     /// decide it without decoding the line ([`Lines::inside_column`]).
     #[inline]
-    fn stays_inside(&self, &(low, high): &(i64, i64), shift: u32) -> bool {
-        let overhang = (1 << shift) - 1;
+    fn stays_inside(&self, &(low, high): &(i64, i64), unit: u32) -> bool {
+        let overhang = i64::from(unit) - 1;
         low >= overhang && high + overhang <= self.column as i64
     }
 
@@ -504,7 +555,7 @@ impl Lines {
         (0..pairs).all(|i| {
             let k = (first + i) as i64;
             let start = k + line.drift(i);
-            let end = k + 1 + line.drift(i + 1) + (1 << line.shift()) - 1;
+            let end = k + 1 + line.drift(i + 1) + i64::from(line.unit()) - 1;
             start >= 0 && start.max(end) <= column
         })
     }
@@ -552,16 +603,16 @@ impl Lines {
         self
     }
 
-    /// Words of the patch array: 48 an escaped line whose drifts spread at
-    /// most 65 535, 93 one whose drifts spread more.
+    /// Words of the patch array: 59 an escaped line whose drifts spread at
+    /// most 65 535, 116 one whose drifts spread more.
     #[inline]
     pub fn patches(&self) -> usize {
         self.patches.len()
     }
 
-    /// Number of lines in place with a shift above 0.
+    /// Number of shifted lines: lines in place with a unit above 1.
     pub fn shifted_lines(&self) -> usize {
-        let shifted = |line: &&Line| !line.is_escaped() && line.shift() > 0;
+        let shifted = |line: &&Line| !line.is_escaped() && line.unit() > 1;
         self.lines.iter().filter(shifted).count()
     }
 
@@ -577,18 +628,18 @@ impl Lines {
         self.len == 0
     }
 
-    /// The shift of the line pair `k` is read from, `None` if it is
+    /// The unit of the line pair `k` is read from, `None` if it is
     /// escaped.
     #[cfg(test)]
-    pub fn shift(&self, k: usize) -> Option<u32> {
+    pub fn unit(&self, k: usize) -> Option<u32> {
         let line = &self.lines[k / Line::PAIRS];
-        (!line.is_escaped()).then(|| line.shift())
+        (!line.is_escaped()).then(|| line.unit())
     }
 
     /// Drift `i` as stored: slot `i % PAIRS` of line `i / PAIRS`, the last
     /// drift of an array of `PAIRS·j + 1` the last slot of line `j − 1` —
     /// exact unless its line is shifted, then rounded down by less than
-    /// `2^s`.
+    /// its unit.
     #[cfg(test)]
     pub fn delta(&self, i: usize) -> i32 {
         assert!(i < self.len, "drift {i} of {}", self.len);
@@ -624,9 +675,9 @@ impl Lines {
     /// load, its slope and its base, or, from an escaped line, two
     /// adjacent drifts of its patch. This is the "single memory lookup" the paper's
     /// layer costs. The window runs from `k + Δ_k` to `k + 1 + Δ_{k+1}`,
-    /// empty where that is not past its start; in a line of shift `s` both
+    /// empty where that is not past its start; in a line of unit `u` both
     /// ends are rounded, the start down and the end up, by at most
-    /// `2^s − 1`. `None` without a pair: the layer over no keys. One
+    /// `u − 1`. `None` without a pair: the layer over no keys. One
     /// branch a fetch, on the escape: a line is escaped in every offset or
     /// in none.
     #[inline(always)]
@@ -644,17 +695,18 @@ impl Lines {
         // into an empty partition is data — gap queries often do — so a
         // branch on it would be mispredicted.
         if this != Line::ESCAPE {
-            // `base + rise + offset` is a drift that was an `i32` before
-            // packing, rounded down to the shift; the end is rounded up to
-            // it. Every term is below `2^30` in magnitude.
-            let (word, slope) = (line.word(), line.slope());
-            let (base, shift) = ((word as i32) << 2 >> 2, word >> 30);
+            // `base + rise + offset·unit` is a drift that was an `i32`
+            // before packing, rounded down to the unit; the end is rounded
+            // up to it. Every term is below `2^30` in magnitude.
+            let (word, top) = (line.word(), line.slope_word());
+            let slope = top as i32 >> (32 - Line::SLOPE_BITS);
+            let (base, unit) = ((word as i32) << 2 >> 2, Line::unit_of(word, top) as i32);
             let climb = slope * i as i32;
             let fraction = Line::FRACTION;
             let (rise, next_rise) = (climb >> fraction, (climb + slope) >> fraction);
-            let delta = base + rise + (this << shift) as i32;
-            let units = next as i32 - this as i32;
-            let len = next_rise - rise + (units << shift) + (1 << shift);
+            let delta = base + rise + this as i32 * unit;
+            let units = next as i32 - this as i32 + 1;
+            let len = next_rise - rise + units * unit;
             let len = std::hint::select_unpredictable(len > 0, len, 0);
             Some((k, delta, len as usize))
         } else {
@@ -664,10 +716,13 @@ impl Lines {
                 (patches[0], patches[1])
             } else {
                 // Offsets `i` and `i + 1` of a short patch are the 32 bits
-                // from bit `16·i` of the words after its least drift.
-                let words = &self.patches[at + 1 + i / 2..][..2];
+                // from bit `16·i` of the words after its least drift: the
+                // top half of the two words from `at + ⌈i/2⌉` for an even
+                // `i`, their middle for an odd one. Those two words never
+                // pass the patch's last, which holds the last pair whole.
+                let words = &self.patches[at + i.div_ceil(2)..][..2];
                 let words = u64::from(words[1] as u32) << 32 | u64::from(words[0] as u32);
-                let offsets = words >> (16 * (i % 2));
+                let offsets = words >> (32 - 16 * (i % 2));
                 let least = self.patches[at];
                 (
                     least + i32::from(offsets as u16),

@@ -38,12 +38,12 @@ fn spread(drifts: &[i32], j: usize, slope: i64) -> i64 {
 }
 
 /// How line `j` of `drifts` is stored under `slope`:
-/// `Some((base, shift, slope))` in place, `None` if it cannot be. The
+/// `Some((base, unit, slope))` in place, `None` if it cannot be. The
 /// rule, restated from the drifts alone: the base is the least residual,
-/// the shift the least `s` with `spread ≤ 31·2^s − 1`, and the
-/// line cannot be stored when that `s > 3`, when its base does not fit 30
-/// bits, or when it is shifted and a window it would serve overhangs the
-/// column.
+/// the unit the least `u` with `spread ≤ 15·u − 1`, and the
+/// line cannot be stored when that `u > 16`, when its base does not fit 30
+/// bits, or when it is shifted (`u > 1`) and a window it would serve
+/// overhangs the column.
 #[cfg(test)]
 fn placed(drifts: &[i32], j: usize, slope: i64) -> Option<(i32, u32, i32)> {
     let pairs = Line::PAIRS;
@@ -51,23 +51,22 @@ fn placed(drifts: &[i32], j: usize, slope: i64) -> Option<(i32, u32, i32)> {
     let residuals = residuals(drifts, j, slope);
     let min = *residuals.iter().min().unwrap();
     let spread = residuals.iter().max().unwrap() - min;
-    let units = (1i64 << BITS) - 1;
-    let shift = (0u32..).find(|&s| spread < units << s).unwrap();
-    if shift > 3 || !(-(1 << 29)..1 << 29).contains(&min) {
+    let levels = (1i64 << BITS) - 1;
+    let unit = (1i64..).find(|&u| spread < levels * u).unwrap();
+    if unit > 16 || !(-(1 << 29)..1 << 29).contains(&min) {
         return None;
     }
-    let stored = |i: usize| {
-        min + ((residuals[i] - min) >> shift << shift) + ((slope * i as i64) >> fraction)
-    };
+    let stored =
+        |i: usize| min + (residuals[i] - min) / unit * unit + ((slope * i as i64) >> fraction);
     let column = drifts.len() as i64 - 1;
     let real = drifts.len().min(pairs * j + Line::LINE) - pairs * j;
     let inside = (0..real - 1).all(|i| {
         let k = (pairs * j + i) as i64;
         let start = k + stored(i);
-        let end = k + 1 + stored(i + 1) + (1i64 << shift) - 1;
+        let end = k + 1 + stored(i + 1) + unit - 1;
         start >= 0 && start.max(end) <= column
     });
-    (shift == 0 || inside).then_some((min as i32, shift, slope as i32))
+    (unit == 1 || inside).then_some((min as i32, unit as u32, slope as i32))
 }
 
 /// The slope line `j` of `drifts` is offered: from its
@@ -85,7 +84,7 @@ fn endpoint_slope(drifts: &[i32], j: usize) -> i64 {
 }
 
 /// How line `j` of `drifts`, the layer over `drifts.len() − 1` keys, is
-/// stored: `Some((base, shift, slope))` in place, `None`
+/// stored: `Some((base, unit, slope))` in place, `None`
 /// escaped. The line keeps its endpoint slope where that leaves its
 /// residuals a smaller spread than slope 0 and every drift fits 30 bits,
 /// else slope 0; where the kept slope cannot be stored ([`placed`]), slope
@@ -109,29 +108,34 @@ fn bit(line: &Line, at: usize) -> u32 {
     u32::from(line.0[at / 8] >> (at % 8) & 1)
 }
 
-/// Offset `slot` of `line`, its slope and its base word, read bit by bit
-/// as the layout puts them: offset `i` at bits `BITS·i..BITS·i + BITS`
-/// from byte 0 on, LSB first, the slope in the `w` bits up to bit 480, two's
-/// complement, and the base word little-endian in bytes `60..64`.
+/// Offset `slot` of `line`, its slope, its base word and its unit, read
+/// bit by bit as the layout puts them: offset `i` at bits
+/// `BITS·i..BITS·i + BITS` from byte 0 on, LSB first, the unit code's high
+/// half at bits 464 and 465, the slope in the `w` bits above them up to
+/// bit 480, two's complement, and the base word little-endian in bytes
+/// `60..64`, the unit code's low half its top two bits. The unit is 1
+/// more than its code.
 #[cfg(test)]
-fn restated(line: &Line, slot: usize) -> (u32, i32, u32) {
+fn restated(line: &Line, slot: usize) -> (u32, i32, u32, u32) {
     let offset = (0..BITS as usize)
         .map(|b| bit(line, BITS as usize * slot + b) << b)
         .sum();
     let width = Line::SLOPE_BITS as usize;
+    assert_eq!(BITS as usize * LINE, 464);
     let field: u32 = (0..width).map(|b| bit(line, 480 - width + b) << b).sum();
     let slope = (field << (32 - width)) as i32 >> (32 - width);
-    let word = (0..32).map(|b| bit(line, 480 + b) << b).sum();
-    (offset, slope, word)
+    let word: u32 = (0..32).map(|b| bit(line, 480 + b) << b).sum();
+    let unit = 1 + (word >> 30 | bit(line, 464) << 2 | bit(line, 465) << 3);
+    (offset, slope, word, unit)
 }
 
 /// Drift `slot` of a line in place, decoded from its bits alone:
-/// `base + ⌊slope·slot / 2^F⌋ + (offset << shift)`.
+/// `base + ⌊slope·slot / 2^F⌋ + offset·unit`.
 #[cfg(test)]
 fn decoded(line: &Line, slot: usize) -> i64 {
-    let (offset, slope, word) = restated(line, slot);
-    let (base, shift) = (i64::from((word as i32) << 2 >> 2), word >> 30);
-    base + ((i64::from(slope) * slot as i64) >> Line::FRACTION) + (i64::from(offset) << shift)
+    let (offset, slope, word, unit) = restated(line, slot);
+    let base = i64::from((word as i32) << 2 >> 2);
+    base + ((i64::from(slope) * slot as i64) >> Line::FRACTION) + i64::from(offset * unit)
 }
 
 /// Words of line `j`'s patch if it is escaped: a short patch where its
@@ -155,13 +159,13 @@ fn lines_of(drifts: &[i32]) -> Lines {
 /// array: feeding them a line or three lines a call reaches the same
 /// array, every offset, slope and base sits at the bits the layout says, a
 /// line's last drift is the next line's first, every line takes its slope,
-/// base and shift or is escaped by the rule ([`expected_line`]), the
+/// base and unit or is escaped by the rule ([`expected_line`]), the
 /// patch array holds the escaped lines' drifts — their least and 16-bit
 /// offsets from it where they spread at most 65 535 — every drift of a line in
-/// place, decoded from its bits, is its residual rounded down to the shift
-/// plus the line's rise — exact at shift 0 — and every pair serves a
+/// place, decoded from its bits, is its residual rounded down to the unit
+/// plus the line's rise — exact at unit 1 — and every pair serves a
 /// window that holds the exact one and overhangs each of its ends by less
-/// than `2^s`.
+/// than the unit.
 #[cfg(test)]
 pub(crate) fn pack(drifts: &[i32]) -> Lines {
     let (line_len, pairs) = (Line::LINE, Line::PAIRS);
@@ -188,18 +192,19 @@ pub(crate) fn pack(drifts: &[i32]) -> Lines {
     for (j, line) in packed.lines.iter().enumerate() {
         let own = &drifts[pairs * j..drifts.len().min(pairs * j + line_len)];
         for slot in 0..line_len {
-            let (offset, slope, word) = restated(line, slot);
+            let (offset, slope, word, unit) = restated(line, slot);
             let read = (line.offset(slot), line.slope(), line.word());
             assert_eq!(read, (offset, slope, word), "line {j} slot {slot}");
+            assert_eq!(line.unit(), unit, "line {j} slot {slot}");
             assert_eq!(offset == escape, line.is_escaped(), "line {j} slot {slot}");
         }
         match expected_line(drifts, j) {
-            Some((base, shift, slope)) => {
+            Some((base, unit, slope)) => {
                 assert!(!line.is_escaped(), "line {j}");
-                let read = (line.base(), line.shift(), line.slope());
-                assert_eq!(read, (base, shift, slope), "line {j}");
-                shifted_lines += usize::from(shift > 0);
-                let unit = 1i64 << shift;
+                let read = (line.base(), line.unit(), line.slope());
+                assert_eq!(read, (base, unit, slope), "line {j}");
+                shifted_lines += usize::from(unit > 1);
+                let unit = i64::from(unit);
                 for (slot, &delta) in own.iter().enumerate() {
                     let served = decoded(line, slot);
                     let delta = i64::from(delta);
@@ -220,11 +225,13 @@ pub(crate) fn pack(drifts: &[i32]) -> Lines {
                 let patched = (0..line_len).map(|slot| i64::from(packed.patched(line, slot)));
                 assert!(patched.eq(own.iter().copied()), "line {j}");
                 if short {
-                    // The least drift, then the offsets, the last word's
-                    // top half clear.
+                    // The least drift, then the offsets, two a word: the
+                    // last word holds the last two.
                     let least = own.iter().min().copied();
                     assert_eq!(Some(i64::from(packed.patches[at])), least, "line {j}");
-                    assert_eq!(packed.patches[at + words - 1] >> 16, 0, "line {j}");
+                    let last = packed.patches[at + words - 1] as u32;
+                    let ends = [own[line_len - 2], own[line_len - 1]].map(|d| d - least.unwrap());
+                    assert_eq!([last & 0xFFFF, last >> 16].map(i64::from), ends, "line {j}");
                 }
                 patch_words_in += words;
             }
@@ -236,16 +243,16 @@ pub(crate) fn pack(drifts: &[i32]) -> Lines {
         packed.size_bytes(),
         64 * packed.lines.len() + 4 * patch_words_in
     );
-    // The unit a drift is stored in: `2^s` in a line in place, 1 in an
-    // escaped line.
-    let unit = |k: usize| 1 << packed.shift(k).unwrap_or(0);
+    // The unit a drift is stored in: the line's in a line in place, 1 in
+    // an escaped line.
+    let unit = |k: usize| packed.unit(k).unwrap_or(1) as i32;
     for (i, &delta) in drifts.iter().enumerate() {
         let stored = packed.delta(i);
         let slot_unit = unit(i.saturating_sub(1));
         assert!(stored <= delta && delta - stored < slot_unit, "drift {i}");
         if i + 1 < drifts.len() {
             // Pair `i` reads line `i / PAIRS`: its start rounded down, its
-            // end `Δ_{i+1}` rounded down plus `2^s − 1`, and no window
+            // end `Δ_{i+1}` rounded down plus `u − 1`, and no window
             // where the end is not past the start.
             let (line, slot) = (&packed.lines[i / pairs], i % pairs);
             let served = |slot: usize| match line.is_escaped() {
@@ -284,8 +291,8 @@ pub(crate) fn assert_no_wider_than_plain(drifts: &[i32], tag: &str) -> (usize, u
     for (j, line) in sloped.lines.iter().enumerate() {
         let plain = placed(drifts, j, 0);
         let was = [
-            line.is_escaped() || line.shift() > 0,
-            plain.is_none_or(|(_, shift, _)| shift > 0),
+            line.is_escaped() || line.unit() > 1,
+            plain.is_none_or(|(_, unit, _)| unit > 1),
         ];
         assert!(
             !was[0] || was[1],
@@ -309,11 +316,11 @@ pub(crate) fn assert_no_wider_than_plain(drifts: &[i32], tag: &str) -> (usize, u
     (inexact[0], inexact[1])
 }
 
-/// `len` drifts climbing by 1 every other partition from `from`: windows
+/// `len` drifts climbing by 1 every fourth partition from `from`: windows
 /// of 1 and 2 records, a line exact under its slope.
 #[cfg(test)]
 fn climbing(from: i32, len: usize) -> Vec<i32> {
-    (0..len as i32).map(|i| from + i / 2).collect()
+    (0..len as i32).map(|i| from + i / 4).collect()
 }
 
 /// The `n + 1` drifts of one long window: partition `at` starts at `at`
@@ -349,7 +356,7 @@ fn a_long_last_window(n: usize, keys: usize) -> Vec<i32> {
 #[test]
 fn random_entries_come_back_with_exact_drift_and_a_count_no_shorter() {
     // A window is the difference of two neighbouring drifts: in a line
-    // of shift 0 both come back exact, so it is served at its exact
+    // of unit 1 both come back exact, so it is served at its exact
     // length; in a shifted one it is served no shorter.
     use sosd_data::rng::SplitMix64;
     let mut rng = SplitMix64::new(0xC0DE);
@@ -371,7 +378,7 @@ fn random_entries_come_back_with_exact_drift_and_a_count_no_shorter() {
 
 /// The drifts of a monotone model's layer over a random column of up to
 /// 6 000 keys, crowded into clusters of up to 3 000: lines spreading
-/// anywhere from 0 to past what a shift fits.
+/// anywhere from 0 to past what a unit fits.
 #[cfg(test)]
 fn clustered(rng: &mut sosd_data::rng::SplitMix64) -> Vec<i32> {
     let n = 1 + rng.next_below(6_000) as usize;
@@ -438,9 +445,10 @@ fn unguarded(drifts: &[i32]) -> Lines {
             false => vec![plain],
         };
         let line = fits.into_iter().find_map(|(base, spread, slope)| {
-            let shift = (0..=MAX_SHIFT).find(|&shift| spread >> shift < Line::ESCAPE)?;
-            let line = fits_30_bits(base).then(|| Line::in_place(&own, base, shift, slope))?;
-            (shift == 0 || packed.inside_column(&line)).then_some(line)
+            let unit = spread / Line::ESCAPE + 1;
+            let fits = unit <= MAX_UNIT && fits_30_bits(base);
+            let line = fits.then(|| Line::in_place(&own, base, unit, slope))?;
+            (unit == 1 || packed.inside_column(&line)).then_some(line)
         });
         match line {
             Some(line) => packed.lines.push(line),
@@ -456,7 +464,7 @@ fn unguarded(drifts: &[i32]) -> Lines {
 /// at position 0, so drift `k ≤ empty` is `−k` — the rest with one key
 /// each but for a window of `spread + 1` records at partition 59: a first
 /// line that spreads `spread + empty` under slope 0, whose start nearest 0
-/// its shift may round below 0.
+/// its unit may round below 0.
 #[cfg(test)]
 fn leading_empty(n: usize, empty: usize, spread: usize) -> Vec<i32> {
     (0..=n)
@@ -471,7 +479,7 @@ fn leading_empty(n: usize, empty: usize, spread: usize) -> Vec<i32> {
 #[test]
 fn the_near_end_guard_never_changes_a_line() {
     // A shifted line is packed without decoding its windows wherever its
-    // exact starts lie `2^s − 1` or more inside the column: every line
+    // exact starts lie `u − 1` or more inside the column: every line
     // comes out bit for bit as when each shifted line's windows are
     // checked one by one — on random clustered layers, and where a first
     // or a last line is shifted next to position 0 or `N`, kept where its
@@ -486,9 +494,9 @@ fn the_near_end_guard_never_changes_a_line() {
         shifted += packed.shifted_lines();
     }
     assert!(shifted > 10, "{shifted} shifted lines");
-    // Escaped by overhang: a shift fits the line's spread under slope 0.
+    // Escaped by overhang: a unit fits the line's spread under slope 0.
     let overhang = |drifts: &[i32], j: usize, packed: &Lines| {
-        packed.lines[j].is_escaped() && spread(drifts, j, 0) <= 247
+        packed.lines[j].is_escaped() && spread(drifts, j, 0) <= 239
     };
     // [first line kept shifted, first line escaped by overhang, last line
     // kept shifted, last line escaped by overhang]
@@ -500,7 +508,7 @@ fn the_near_end_guard_never_changes_a_line() {
             let packed = lines_of(&drifts);
             let tag = format!("{empty} empty, spread {spread}");
             assert!(packed == unguarded(&drifts), "{tag}");
-            seen[0] += usize::from(packed.shift(0).is_some_and(|s| s > 0));
+            seen[0] += usize::from(packed.unit(0).is_some_and(|u| u > 1));
             seen[1] += usize::from(overhang(&drifts, 0, &packed));
         }
     }
@@ -509,20 +517,21 @@ fn the_near_end_guard_never_changes_a_line() {
         let packed = lines_of(&drifts);
         assert!(packed == unguarded(&drifts), "{keys} keys");
         let last = packed.lines.len() - 1;
-        seen[2] += usize::from(packed.shift(n - 1).is_some_and(|s| s > 0));
+        seen[2] += usize::from(packed.unit(n - 1).is_some_and(|u| u > 1));
         seen[3] += usize::from(overhang(&drifts, last, &packed));
     }
     assert!(seen.iter().all(|&seen| seen > 0), "{seen:?}");
 }
 
 #[test]
-fn a_five_bit_line_is_64_bytes_for_92_pairs() {
-    // 92 pairs are 93 drifts and a slope in the 15 bits left: one line,
-    // however far they sit; one drift more is a second line, `PAIRS` more
-    // still is. An escaped line, spreading past 247, costs 192 bytes more
-    // — 372 where its drifts spread past 65 535 — a shifted one nothing.
-    assert_eq!((LINE, PAIRS), (93, 92));
-    assert_eq!((Line::SLOPE_BITS, Line::FRACTION), (15, 6));
+fn a_four_bit_line_is_64_bytes_for_115_pairs() {
+    // 115 pairs are 116 drifts, and two bits of the unit and a slope in
+    // the 16 bits left: one line, however far they sit; one drift more is
+    // a second line, `PAIRS` more still is. An escaped line, spreading past
+    // 239, costs 236 bytes more — 464 where its drifts spread past
+    // 65 535 — a shifted one nothing.
+    assert_eq!((LINE, PAIRS), (116, 115));
+    assert_eq!((Line::SLOPE_BITS, Line::FRACTION), (14, 6));
     let (line, pairs) = (LINE, PAIRS);
     assert_eq!(pack(&vec![1; line]).size_bytes(), 64);
     assert_eq!(pack(&vec![1_000_000; line]).size_bytes(), 64);
@@ -532,43 +541,40 @@ fn a_five_bit_line_is_64_bytes_for_92_pairs() {
     let mut drifts = vec![1; line + 1];
     drifts[9] = 1_017;
     assert_eq!(pack(&drifts).size_bytes(), 128 + 4 * SHORT_PATCH);
-    assert_eq!(SHORT_PATCH, 48);
+    assert_eq!(SHORT_PATCH, 59);
     drifts[9] = 65_537;
     assert_eq!(pack(&drifts).size_bytes(), 128 + 4 * line);
     let shifted = pack(&one_step(1_000, 70, 200));
-    assert_eq!(shifted.shifted_lines(), 1);
+    assert_eq!((shifted.shifted_lines(), shifted.unit(70)), (1, Some(14)));
     assert_eq!(shifted.size_bytes(), 64 * Lines::line_count(1_001));
-    assert_eq!(shifted.size_bytes(), 64 * 11);
+    assert_eq!(shifted.size_bytes(), 64 * 9);
 }
 
 #[test]
 fn a_line_is_64_bytes_for_67_pairs() {
     // 67 pairs, the 68 drifts a line of seven-bit offsets held, take 68 of
-    // a line's 93 slots: one 64-byte line however far they sit, and the
-    // pairs of fifteen such lines are eleven. A spread of 126, which seven
-    // bits held exactly, is one shifted line of the same 64 bytes.
+    // a line's 116 slots: one 64-byte line however far they sit, and the
+    // pairs of fifteen such lines are nine. A spread of 126, which seven
+    // bits held exactly, is one line of unit 9 and the same 64 bytes.
     for drifts in [vec![1; 68], vec![1_000_000; 68], climbing(-40, 68)] {
         let packed = pack(&drifts);
         assert_eq!((packed.lines.len(), packed.size_bytes()), (1, 64));
         assert_eq!((packed.shifted_lines(), packed.patches()), (0, 0));
     }
-    assert_eq!(Lines::line_count(15 * 67 + 1), 11);
-    assert_eq!(pack(&climbing(-40, 15 * 67 + 1)).size_bytes(), 64 * 11);
+    assert_eq!(Lines::line_count(15 * 67 + 1), 9);
+    assert_eq!(pack(&climbing(-40, 15 * 67 + 1)).size_bytes(), 64 * 9);
     let shifted = pack(&spike(15 * 67, 20, 126));
-    assert_eq!(shifted.shift(20), Some(3));
-    assert_eq!(
-        (shifted.shifted_lines(), shifted.size_bytes()),
-        (1, 64 * 11)
-    );
-    // A step of 600, which seven bits held exactly, spreads past 247
+    assert_eq!(shifted.unit(20), Some(9));
+    assert_eq!((shifted.shifted_lines(), shifted.size_bytes()), (1, 64 * 9));
+    // A step of 600, which seven bits held exactly, spreads past 239
     // under either slope: the line escapes to a short patch.
     let escaped = pack(&one_step(1_000, 70, 600));
-    assert_eq!(escaped.shift(70), None);
-    assert_eq!(escaped.size_bytes(), 64 * 11 + 4 * SHORT_PATCH);
+    assert_eq!(escaped.unit(70), None);
+    assert_eq!(escaped.size_bytes(), 64 * 9 + 4 * SHORT_PATCH);
 }
 
 #[test]
-fn five_bit_pairs_at_91_92_93_183_184_185_and_every_seam_come_from_one_line() {
+fn four_bit_pairs_at_114_115_116_229_230_231_and_every_seam_come_from_one_line() {
     // Pairs either side of the first two seams and every seam of a
     // climbing array come from one line, the seam's drift stored in both.
     let pairs = Line::PAIRS;
@@ -605,8 +611,8 @@ fn five_bit_pairs_at_91_92_93_183_184_185_and_every_seam_come_from_one_line() {
 #[test]
 fn pairs_at_66_67_68_133_134_135_and_every_seam_come_from_one_line() {
     // 67 and 134, the seams of lines of 67 pairs, sit inside lines 0 and
-    // 1 of 92 pairs: both drifts of pairs 66..=68 are slots of line 0 and
-    // those of 133..=135 slots of line 1, and every seam of 92 is still
+    // 1 of 115 pairs: both drifts of pairs 66..=68 are slots of line 0 and
+    // those of 133..=135 slots of line 1, and every seam of 115 is still
     // served from one line.
     let drifts = climbing(-40, 5 * PAIRS + 1);
     let packed = pack(&drifts);
@@ -630,18 +636,20 @@ fn pairs_at_66_67_68_133_134_135_and_every_seam_come_from_one_line() {
 }
 
 #[test]
-fn a_fetch_from_slot_91_drops_the_slope_bits_at_every_shift_and_beside_an_escape() {
-    // Slot 91 loads bytes 56..60: offsets 91 and 92 and the slope's 15
-    // bits, up to the base. A slope of −1 and a base of −1 set every one
-    // of those bits, and the fetch still reads the two offsets alone — at
-    // every shift, `edges` giving each one's largest residual spread, in
-    // place beside an escaped line and from the escaped line's own last
-    // slot.
-    let edges: [(usize, u32); 4] = [(30, 0), (61, 1), (123, 2), (247, 3)];
+fn a_fetch_from_slot_114_drops_the_slope_bits_at_every_unit_and_beside_an_escape() {
+    // Slot 114 loads bytes 57..61: offsets 114 and 115, the unit code's
+    // two high bits, the slope's 14 bits and the base's low byte. A slope
+    // of −1 and a base of −1 set every bit but the unit code's, which
+    // units 5 to 16 set, and the fetch still reads the two offsets alone —
+    // at units 1, 2, 4, 8 and 16, `edges` giving each one's largest
+    // residual spread, in place beside an escaped line and from the
+    // escaped line's own last slot.
+    assert_eq!(BITS as usize * 114 / 8, 57);
+    let edges: [(usize, u32); 5] = [(14, 1), (29, 2), (59, 4), (119, 8), (239, 16)];
     let pairs = Line::PAIRS;
     let at = 2 * pairs - 1;
     let rise = |slot: usize| Line::rise(-1, slot);
-    for (spread, shift) in edges {
+    for (spread, unit) in edges {
         // Line 1 falls under slope −1 from residual `spread − 1` at its
         // first drift to −1 and back to `spread − 1` at its last: its
         // endpoint slope is −1 and its residuals spread `spread`. Line 0
@@ -669,13 +677,19 @@ fn a_fetch_from_slot_91_drops_the_slope_bits_at_every_shift_and_beside_an_escape
         assert_eq!(line.0[OFFSET_BYTES], 0xFF, "{tag}");
         let field = u32::MAX << (32 - Line::SLOPE_BITS);
         assert_eq!(Line::word_at(&line.0, SLOPE_WORD) & field, field, "{tag}");
-        assert_eq!(packed.shift(at), Some(shift), "{tag}");
-        assert_eq!(packed.shift(at + 1), None, "{tag}");
+        let high = (unit - 1) >> 2;
+        assert_eq!(
+            (bit(line, 464), bit(line, 465)),
+            (high & 1, high >> 1),
+            "{tag}"
+        );
+        assert_eq!(packed.unit(at), Some(unit), "{tag}");
+        assert_eq!(packed.unit(at + 1), None, "{tag}");
         assert_eq!(packed.patches(), Line::LINE, "{tag}");
         // The long window: its start exact, its end rounded up to a whole
         // unit past the line's fall across the pair.
         let fall = rise(pairs) - rise(pairs - 1);
-        let len = fall + (((spread >> shift) + 1) << shift) as i32;
+        let len = fall + ((spread as u32 / unit + 1) * unit) as i32;
         let start = -1 + rise(pairs - 1);
         assert_eq!(packed.pair(at), Some((at, start, len as usize)), "{tag}");
         // The last slot of the escaped line: two patches.
@@ -688,20 +702,20 @@ fn a_fetch_from_slot_91_drops_the_slope_bits_at_every_shift_and_beside_an_escape
 #[test]
 fn a_fetch_from_slot_66_drops_the_base_bytes_at_every_shift_and_beside_an_escape() {
     // Slot 66, the last of a seven-bit line, whose load reached the base's
-    // low byte, sits mid-line at five bits: it loads bytes 41..45, offsets
-    // 66 and 67 between offset 65's top bits and offsets 68..=71, short of
-    // the slope's and the base's bytes. Line 1's residuals are −1 at slot
-    // 66 and `spread − 1` everywhere else under slope −1, so every offset
-    // but slot 66's is 30 — its bits set about the pair's — the slope
-    // field and the base are −1, and the fetch still reads the two
-    // offsets alone: at every shift, in place beside an escaped line and
-    // from the escaped line's own slot 66.
+    // low byte, sits mid-line at four bits: it loads bytes 33..37, offsets
+    // 66 and 67 below offsets 68..=73, short of the slope's and the base's
+    // bytes. Line 1's residuals are −1 at slot 66 and `spread − 1`
+    // everywhere else under slope −1, so every offset but slot 66's is
+    // 14 — its bits set above the pair's — the slope field and the base
+    // are −1, and the fetch still reads the two offsets alone: at units 1,
+    // 2, 4, 8 and 16, in place beside an escaped line and from the escaped
+    // line's own slot 66.
     let load = BITS as usize * 66 / 8;
-    assert_eq!((load, BITS as usize * 66 % 8), (41, 2));
+    assert_eq!((load, BITS as usize * 66 % 8), (33, 0));
     assert!(load + 4 <= SLOPE_WORD);
     let at = PAIRS + 66;
     let rise = |slot: usize| Line::rise(-1, slot);
-    for (spread, shift) in [(30, 0), (61, 1), (123, 2), (247, 3)] {
+    for (spread, unit) in [(14, 1), (29, 2), (59, 4), (119, 8), (239, 16)] {
         let n = 3 * PAIRS + 1_100;
         let mut drifts = vec![0; n + 1];
         for slot in 0..=PAIRS {
@@ -719,15 +733,10 @@ fn a_fetch_from_slot_66_drops_the_base_bytes_at_every_shift_and_beside_an_escape
         assert_eq!((line.base(), line.slope()), (-1, -1), "{tag}");
         assert_eq!(line.0[OFFSET_BYTES], 0xFF, "{tag}");
         let word = Line::word_at(&line.0, load);
-        assert_eq!((word >> 2) & 0x3FF, 30 << BITS, "{tag}");
-        assert_eq!(word & 0b11, 0b11, "{tag}");
-        assert_eq!(
-            word >> 12,
-            0xFFFFF & !(1 | 1 << 5 | 1 << 10 | 1 << 15),
-            "{tag}"
-        );
-        assert_eq!(packed.shift(at), Some(shift), "{tag}");
-        assert_eq!(packed.shift(at + PAIRS), None, "{tag}");
+        assert_eq!(word & 0xFF, 14 << BITS, "{tag}");
+        assert_eq!(word >> 8, 0xEE_EEEE, "{tag}");
+        assert_eq!(packed.unit(at), Some(unit), "{tag}");
+        assert_eq!(packed.unit(at + PAIRS), None, "{tag}");
         assert_eq!(packed.patches(), Line::LINE, "{tag}");
         for k in [at, at + PAIRS] {
             let len = (1 + drifts[k + 1] - drifts[k]) as usize;
@@ -741,32 +750,34 @@ fn slopes_at_the_fields_edges_decode_every_drift_and_clamped_ones_shift_or_escap
     // Line 0 climbs `rate` records a partition and every line after it is
     // flat. A rate the field holds is one slope and the line is exact; a
     // rate past it is clamped to the field's edge, and the residuals climb
-    // by the rest: a line exact, shifted or — past what a shift fits, as
+    // by the rest: a line exact, shifted or — past what a unit fits, as
     // it is without the slope — escaped. `pack` decodes every drift bit by
     // bit.
     let pairs = PAIRS as i32;
     let n = 30_000;
-    assert_eq!(Line::SLOPES, (-(1 << 14), (1 << 14) - 1));
+    assert_eq!(Line::SLOPES, (-(1 << 13), (1 << 13) - 1));
     let cases = [
-        (-256, -(1 << 14), Some(0)),
-        // 256 a partition is one unit past the field: the residuals
+        (-128, -(1 << 13), Some(1)),
+        // 128 a partition is one 1/64 past the field: the residuals
         // climb `⌈i/64⌉`, 2 over a line.
-        (256, (1 << 14) - 1, Some(0)),
-        (200, 200 << 6, Some(0)),
-        (257, (1 << 14) - 1, Some(2)),
-        (-257, -(1 << 14), Some(2)),
-        (258, (1 << 14) - 1, Some(3)),
-        (260, (1 << 14) - 1, None),
+        (128, (1 << 13) - 1, Some(1)),
+        (100, 100 << 6, Some(1)),
+        // 129 climbs `i + ⌈i/64⌉`, 117 over a line; −129 falls by `i`.
+        (129, (1 << 13) - 1, Some(8)),
+        (-129, -(1 << 13), Some(8)),
+        (130, (1 << 13) - 1, Some(16)),
+        (-130, -(1 << 13), Some(16)),
+        (131, (1 << 13) - 1, None),
     ];
-    for (rate, slope, shift) in cases {
+    for (rate, slope, unit) in cases {
         // Drifts that fall start high enough to keep every start in
         // the column.
         let from = (-rate * pairs).max(0);
         let drifts: Vec<i32> = (0..=n).map(|k: i32| from + rate * k.min(pairs)).collect();
         let packed = pack(&drifts);
         let tag = format!("rate {rate}");
-        assert_eq!(packed.shift(0), shift, "{tag}");
-        if shift.is_some() {
+        assert_eq!(packed.unit(0), unit, "{tag}");
+        if unit.is_some() {
             assert_eq!(packed.lines[0].slope(), slope, "{tag}");
         }
         assert!(packed.lines[1..].iter().all(|line| line.slope() == 0));
@@ -785,7 +796,7 @@ fn a_short_last_line_of_every_length() {
         assert_eq!(packed.lines.len(), 3, "{last} pairs");
         assert_eq!(packed.size_bytes(), 192, "{last} pairs");
         assert_eq!(packed.shifted_lines(), 0, "{last} pairs");
-        // Escaped by its last drift, past what a shift fits: a short
+        // Escaped by its last drift, past what a unit fits: a short
         // patch, the padding included.
         let mut spiked = drifts.clone();
         *spiked.last_mut().unwrap() += 3_000;
@@ -806,80 +817,86 @@ fn a_short_last_line_of_every_length() {
 
 #[test]
 fn a_short_padded_last_line_takes_the_slope_to_its_last_drift() {
-    // A last line of 10 pairs climbing 3 a partition, then copies of its
-    // last drift: its slope runs from its first drift to the padding's
-    // 30 across all `PAIRS` pairs, not across its 10 — 21/64 — and under
-    // it the line is exact and serves its windows of 4 records.
-    let n = 2 * PAIRS + 10;
+    // A last line of 100 pairs climbing 1 every fourth partition, then
+    // copies of its last drift: its slope runs from its first drift to the
+    // padding's 25 across all `PAIRS` pairs, not across its 100 — 14/64 —
+    // and under it the line, which spreads 25 under slope 0, is exact and
+    // serves its windows of 1 and 2 records.
+    let n = 2 * PAIRS + 100;
     let drifts: Vec<i32> = (0..=n)
-        .map(|k| 3 * k.saturating_sub(2 * PAIRS) as i32)
+        .map(|k| k.saturating_sub(2 * PAIRS) as i32 / 4)
         .collect();
     let packed = pack(&drifts);
-    assert_eq!(Line::endpoint_slope(0, 30), 21);
-    assert_eq!(
-        (packed.lines[2].slope(), packed.shift(n - 1)),
-        (21, Some(0))
-    );
+    assert_eq!(Line::endpoint_slope(0, 25), 14);
+    assert_eq!((packed.lines[2].slope(), packed.unit(n - 1)), (14, Some(1)));
     for (k, &delta) in drifts.iter().enumerate().take(n).skip(2 * PAIRS) {
-        assert_eq!(packed.pair(k), Some((k, delta, 4)), "pair {k}");
+        let len = (1 + drifts[k + 1] - delta) as usize;
+        assert_eq!(packed.pair(k), Some((k, delta, len)), "pair {k}");
     }
 }
 
 #[test]
 fn a_shifted_short_last_line_ends_at_the_column() {
     // The last window of a layer ends at the end's drift of 0. A spread
-    // of `31·2^s − 1` rounds that drift down by `2^s − 1`, and the window,
+    // of `15·u − 1` rounds that drift down by `u − 1`, and the window,
     // widened by as much, ends exactly at `n`: the short last line is
-    // shifted. One record more rounds it down by `2^s` under the next
-    // shift, the window would end past `n`, and the line is escaped.
+    // shifted. One record more takes unit `u + 1`, which rounds the drift
+    // down by less than `u` (or no unit fits past 16): the window would
+    // end past `n`, and the line is escaped.
     let n = 40 * PAIRS + 30;
-    for (keys, shift) in [(62, 1), (124, 2), (248, 3)] {
+    for (keys, unit) in [(30, 2), (45, 3), (60, 4), (120, 8), (240, 16)] {
         let packed = pack(&a_long_last_window(n, keys));
         let last = packed.lines.len() - 1;
-        assert_eq!(packed.shift(n - 1), Some(shift), "{keys} keys");
+        assert_eq!(packed.unit(n - 1), Some(unit), "{keys} keys");
         assert_eq!(packed.lines[last].slope(), 0, "{keys} keys");
         assert_eq!(packed.patches(), 0, "{keys} keys");
         let (_, delta, len) = packed.pair(n - 1).unwrap();
         let start = (n - 1).wrapping_add_signed(delta as isize);
         assert_eq!((start, start + len), (n - keys, n), "{keys} keys");
-        assert!(packed.lines[..last].iter().all(|line| line.shift() == 0));
+        assert!(packed.lines[..last].iter().all(|line| line.unit() == 1));
         let packed = pack(&a_long_last_window(n, keys + 1));
-        assert_eq!(packed.shift(n - 1), None, "{} keys", keys + 1);
+        assert_eq!(packed.unit(n - 1), None, "{} keys", keys + 1);
         assert_eq!(packed.patches(), SHORT_PATCH, "{} keys", keys + 1);
     }
-    // A spread of 30 needs no shift.
+    // A spread of 14 needs no unit past 1.
     let keys = Line::ESCAPE as usize;
-    assert_eq!(pack(&a_long_last_window(n, keys)).shift(n - 1), Some(0));
+    assert_eq!(pack(&a_long_last_window(n, keys)).unit(n - 1), Some(1));
 }
 
 #[test]
-fn five_bit_spreads_at_each_shifts_edge_take_the_least_shift_that_fits() {
-    // One long window in line 1 spreads it `spread`: at most `31·2^s − 1`
-    // fits shift `s`, one more takes the next, and past `31·8 − 1` the
-    // line is escaped. Every other line keeps shift 0.
-    let edges = [
-        (30, Some(0)),
-        (31, Some(1)),
-        (61, Some(1)),
-        (62, Some(2)),
-        (123, Some(2)),
-        (124, Some(3)),
-        (247, Some(3)),
-        (248, None),
-    ];
+fn four_bit_spreads_at_each_units_edge_take_the_least_unit_that_fits() {
+    // One long window in line 1 spreads it `spread`: at most `15·u − 1`
+    // fits unit `u`, one more takes the next, and past `15·16 − 1` the
+    // line is escaped. Every other line keeps unit 1.
+    let mut edges: Vec<(usize, Option<u32>)> = (1..=16)
+        .flat_map(|unit| {
+            [
+                (15 * unit as usize - 1, Some(unit)),
+                (15 * unit as usize, Some(unit + 1)),
+            ]
+        })
+        .collect();
+    edges.pop();
+    edges.push((240, None));
+    assert_eq!(
+        edges[..4],
+        [(14, Some(1)), (15, Some(2)), (29, Some(2)), (30, Some(3))]
+    );
+    assert!(edges.contains(&(59, Some(4))) && edges.contains(&(60, Some(5))));
+    assert!(edges.contains(&(119, Some(8))) && edges.contains(&(120, Some(9))));
     let at = PAIRS + 20;
-    for (spread, shift) in edges {
+    for (spread, unit) in edges {
         let n = at + spread + 200;
         let drifts = spike(n, at, spread);
         let packed = pack(&drifts);
-        assert_eq!(packed.shift(at), shift, "spread {spread}");
-        let shifted = usize::from(shift.is_some_and(|s| s > 0));
+        assert_eq!(packed.unit(at), unit, "spread {spread}");
+        let shifted = usize::from(unit.is_some_and(|u| u > 1));
         assert_eq!(packed.shifted_lines(), shifted, "spread {spread}");
-        let escaped = usize::from(shift.is_none());
+        let escaped = usize::from(unit.is_none());
         assert_eq!(packed.patches(), SHORT_PATCH * escaped, "spread {spread}");
         // The long window of `spread + 1` records: its start is exact,
-        // its end rounded up to less than one unit of the shift past it.
-        let unit = 1 << shift.unwrap_or(0);
+        // its end rounded up to less than one unit past it.
+        let unit = unit.unwrap_or(1) as usize;
         let (_, start, len) = packed.pair(at - 1).unwrap();
         assert_eq!(start, 0, "spread {spread}");
         assert!((0..unit).contains(&(len - spread - 1)), "spread {spread}");
@@ -889,19 +906,20 @@ fn five_bit_spreads_at_each_shifts_edge_take_the_least_shift_that_fits() {
 #[test]
 fn spreads_at_each_shifts_edge_take_the_least_shift_that_fits() {
     // Every spread up to 1 016, one past the last edge of a seven-bit
-    // line's shifts, takes the least `s` with `spread ≤ 31·2^s − 1` — so
-    // each of five bits' edges, and seven bits' 126, 253 and 507 take
-    // shift 3 or escape — and past 247 an escape to a short patch.
+    // line's shifts, takes the least unit `u` with `spread ≤ 15·u − 1` —
+    // so five bits' edges 30, 61 and 123 take units 3, 5 and 9, and seven
+    // bits' 126 unit 9 — and past 239 an escape to a short patch, five
+    // bits' 247 and seven bits' 253 and 507 included.
     let at = PAIRS + 20;
     for spread in 0..=1_016usize {
-        let shift = (0..=MAX_SHIFT).find(|&s| spread < (31 << s));
+        let unit = (1..=MAX_UNIT).find(|&u| spread < 15 * u as usize);
         let packed = pack(&spike(at + spread + 200, at, spread));
-        assert_eq!(packed.shift(at), shift, "spread {spread}");
-        let shifted = usize::from(shift.is_some_and(|s| s > 0));
+        assert_eq!(packed.unit(at), unit, "spread {spread}");
+        let shifted = usize::from(unit.is_some_and(|u| u > 1));
         assert_eq!(packed.shifted_lines(), shifted, "spread {spread}");
-        let escaped = usize::from(shift.is_none());
+        let escaped = usize::from(unit.is_none());
         assert_eq!(packed.patches(), SHORT_PATCH * escaped, "spread {spread}");
-        let unit = 1 << shift.unwrap_or(0);
+        let unit = unit.unwrap_or(1) as usize;
         let (_, start, len) = packed.pair(at - 1).unwrap();
         assert_eq!(start, 0, "spread {spread}");
         assert!((0..unit).contains(&(len - spread - 1)), "spread {spread}");
@@ -928,7 +946,7 @@ fn patches_in_the_first_a_middle_and_the_short_last_block() {
         let len = (1 + 8_000_000 - drifts[at]) as usize;
         assert_eq!(packed.pair(at), Some((at, drifts[at], len)), "line {line}");
     }
-    // All three, each spreading past what a shift fits with no window
+    // All three, each spreading past what a unit fits with no window
     // inside the column to shift: each base is its short patch's first
     // slot.
     let mut drifts = clean.clone();
@@ -948,11 +966,14 @@ fn patches_in_the_first_a_middle_and_the_short_last_block() {
 
 #[test]
 fn offsets_and_counts_are_stored_in_place_up_to_the_width() {
-    // A drift 30 past the rest is stored in place, unshifted and exact —
+    // A drift 14 past the rest is stored in place, unshifted and exact —
     // and with it the window it ends or starts, however long. At the
     // array's first and last drift one line holds it, at a seam two do.
     // These drifts start no window inside the column, so a line spreading
-    // 31 under either slope is not shifted but escaped.
+    // 15 under either slope is not shifted but escaped. A drift 15 above
+    // the rest as a line's first is in place still: under the line's
+    // endpoint slope, rounded down, the rest fall to 14 below it. As a
+    // line's last it escapes: there they fall by up to 15.
     let top = Line::ESCAPE as i32 - 1;
     let base = -7_000;
     let len = 3 * PAIRS + 1;
@@ -964,12 +985,21 @@ fn offsets_and_counts_are_stored_in_place_up_to_the_width() {
         assert_eq!(packed.patches(), 0, "{at}");
         assert_eq!(packed.delta(at), base + top, "{at}");
         for &line in lines {
-            assert_eq!(packed.lines[line].shift(), 0, "{at}");
+            assert_eq!(packed.lines[line].unit(), 1, "{at}");
             let slot = at - line * PAIRS;
             assert_eq!(packed.lines[line].drift(slot), (base + top).into(), "{at}");
         }
-        let escaped = SHORT_PATCH * lines.len();
         drifts[at] = base + top + 1;
+        let packed = pack(&drifts);
+        let last = lines.iter().filter(|&&line| at > line * PAIRS).count();
+        assert_eq!(packed.patches(), SHORT_PATCH * last, "{at}");
+        assert_eq!(packed.delta(at), base + top + 1, "{at}");
+        if at.is_multiple_of(PAIRS) && at < len - 1 {
+            let first = &packed.lines[at / PAIRS];
+            assert_eq!((first.unit(), first.slope()), (1, -8), "{at}");
+        }
+        let escaped = SHORT_PATCH * lines.len();
+        drifts[at] = base + top + 2;
         assert_eq!(pack(&drifts).patches(), escaped, "{at}");
         // The spread measured from the other end: a drift below.
         drifts[at] = base - top - 1;
@@ -991,22 +1021,22 @@ fn a_low_outlier_is_the_base_and_patches_its_block() {
     assert!(patched.eq(drifts[..LINE].iter().copied()));
     assert_eq!(packed.delta(2), 100);
     // Within an offset of the rest, it is the base of a line in place.
-    drifts[2] = 480;
+    drifts[2] = 490;
     let packed = pack(&drifts);
-    assert_eq!(packed.lines[0].base(), 480);
+    assert_eq!(packed.lines[0].base(), 490);
     let offsets = [0, 1, 2].map(|slot| packed.lines[0].offset(slot));
-    assert_eq!(offsets, [20, 20, 0]);
+    assert_eq!(offsets, [10, 10, 0]);
 }
 
 #[test]
 fn bases_reach_both_ends_of_i32() {
     let top = Line::ESCAPE as i32 - 1;
     // A base in place has 30 bits: both of their ends are stored in place,
-    // shift 0 beside them.
+    // unit 1 beside them.
     let (min, max) = (-(1 << 29), (1 << 29) - 1);
     let drifts = [min, min + top, min + 3];
     let packed = pack(&drifts);
-    assert_eq!((packed.lines[0].base(), packed.lines[0].shift()), (min, 0));
+    assert_eq!((packed.lines[0].base(), packed.lines[0].unit()), (min, 1));
     assert_eq!(packed.patches(), 0);
     assert_eq!(pack(&[max, max - top]).patches(), 0);
     // One past them, and the ends of `i32`, are escaped and exact.
@@ -1037,4 +1067,71 @@ fn bases_reach_both_ends_of_i32() {
     assert_eq!(escaped(&drifts), drifts);
     let drifts = [-max, -max + top, -max];
     assert_eq!(pack(&drifts).lines[0].base(), -max);
+}
+
+#[test]
+fn a_short_patchs_last_pair_reads_no_word_past_its_59_words() {
+    // The last pair of an escaped line, slot 114, is its patch's last word
+    // whole: with that patch the last of the array, a fetch reading one
+    // word past it would fail. Slot 113 takes the word before too.
+    let mut drifts = vec![0; LINE];
+    drifts[50] = 1_000;
+    drifts[113] = -5;
+    drifts[114] = -3;
+    let packed = pack(&drifts);
+    assert_eq!((packed.lines.len(), packed.unit(0)), (1, None));
+    assert_eq!(packed.patches.len(), SHORT_PATCH);
+    assert_eq!(SHORT_PATCH, 59);
+    assert_eq!(packed.pair(PAIRS - 1), Some((114, -3, 4)));
+    assert_eq!(packed.pair(PAIRS - 2), Some((113, -5, 3)));
+    assert_eq!(packed.pair(usize::MAX), Some((114, -3, 4)));
+}
+
+#[test]
+fn a_unit_16_lines_windows_overhang_by_at_most_15_and_stay_inside_the_column() {
+    // Every window a shifted line serves holds the exact one, starts at
+    // most `u − 1` records before it, ends at most `u − 1` past it and lies
+    // inside the column — on lines climbing 120 to 239 by one long window,
+    // whose drift falls back to 0 through empty partitions at the column's
+    // end, and on random clustered layers. A window of 240 records takes
+    // unit 16 and rounds the start after it down by the whole 15.
+    let at = PAIRS + 20;
+    let long_window = |spread: usize| {
+        let n = at + spread + 3 * PAIRS;
+        (0..=n)
+            .map(|k| if k <= at { 0 } else { spread.min(n - k) as i32 })
+            .collect()
+    };
+    let mut layers: Vec<Vec<i32>> = [120, 180, 239].map(long_window).into();
+    let mut rng = sosd_data::rng::SplitMix64::new(0x5EF4);
+    layers.extend((0..40).map(|_| clustered(&mut rng)));
+    let (mut sixteens, mut widest) = (0, 0);
+    for (round, drifts) in layers.iter().enumerate() {
+        let packed = lines_of(drifts);
+        let n = drifts.len() - 1;
+        let sixteen = |line: &&Line| !line.is_escaped() && line.unit() == 16;
+        sixteens += packed.lines.iter().filter(sixteen).count();
+        for k in 0..n {
+            let Some(unit) = packed.unit(k).filter(|&u| u > 1) else {
+                continue;
+            };
+            let (_, delta, len) = packed.pair(k).unwrap();
+            let (start, end) = (
+                k as i64 + i64::from(delta),
+                (k + len) as i64 + i64::from(delta),
+            );
+            let exact = (
+                k as i64 + i64::from(drifts[k]),
+                (k + 1) as i64 + i64::from(drifts[k + 1]),
+            );
+            let tag = format!("round {round} pair {k}");
+            assert!(0 <= start && end <= n as i64, "{tag}");
+            let overhang = i64::from(unit) - 1;
+            assert!((0..=overhang).contains(&(exact.0 - start)), "{tag}");
+            assert!((0..=overhang).contains(&(end - exact.1)), "{tag}");
+            widest = widest.max(exact.0 - start).max(end - exact.1);
+        }
+    }
+    assert!(sixteens > 0, "{sixteens} lines of unit 16");
+    assert_eq!(widest, 15);
 }

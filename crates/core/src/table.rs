@@ -15,13 +15,13 @@
 //!
 //! Both drifts of a window come from one 64-byte line of drift offsets,
 //! the last of which repeats the next line's first (`crate::packed`): a
-//! correction reads one cache line. Each line carries a slope and 93
-//! five-bit offsets, which store the residuals the slope leaves, so a
-//! layer weighs `64·⌈N/92⌉ + 192·(short patches) + 372·(full patches)`
-//! bytes. A line whose residuals spread past 30 stores them in units of
-//! `2^s` records, `s ≤ 3`, so its windows hold the exact ones and overhang
-//! each end by at most `2^s − 1 ≤ 7` records, still inside the column;
-//! only a line spreading past 247 is escaped, its drifts kept in a patch:
+//! correction reads one cache line. Each line carries a slope and 116
+//! four-bit offsets, which store the residuals the slope leaves, so a
+//! layer weighs `64·⌈N/115⌉ + 236·(short patches) + 464·(full patches)`
+//! bytes. A line whose residuals spread past 14 stores them in units of
+//! `u ≤ 16` records, so its windows hold the exact ones and overhang each
+//! end by at most `u − 1 ≤ 15` records, still inside the column;
+//! only a line spreading past 239 is escaped, its drifts kept in a patch:
 //! 16-bit offsets from their least where they spread at most 65 535 (a
 //! short patch), else in full.
 
@@ -44,7 +44,8 @@ pub struct ShiftTable {
 
 impl ShiftTable {
     /// The most keys one layer can cover, `2^29 − 1` (a line's base is a
-    /// drift in 30 bits; its top two bits hold the line's shift). The
+    /// drift in 30 bits; its top two bits hold half of the line's unit
+    /// code). The
     /// validating builders
     /// ([`crate::CorrectedIndexBuilder::build`], [`crate::spec::IndexSpec`])
     /// reject longer columns with [`BuildError::TooManyKeys`].
@@ -114,7 +115,7 @@ impl ShiftTable {
     /// its served drift, and its served window `(start, length)`: from its
     /// own start to the next partition's, empty where that is not past it.
     /// In a shifted line the start is rounded down and the end up, by at
-    /// most `2^s − 1` each. Every start is a key's position or the end of
+    /// most its unit less 1 each. Every start is a key's position or the end of
     /// the column, and the builder escapes a line whose rounding would
     /// leave it, so the window lies inside the column. `None` for a layer
     /// over no keys.
@@ -136,19 +137,19 @@ impl ShiftTable {
     }
 
     /// How many 4-byte words the patch array holds: the patches of the
-    /// escaped lines — those whose residuals spread past what a shift fits
-    /// (247), or whose shifted windows would leave the column — 48 words a
+    /// escaped lines — those whose residuals spread past what a unit fits
+    /// (239), or whose shifted windows would leave the column — 59 words a
     /// line whose drifts spread at most 65 535 (the least and 16-bit
-    /// offsets from it) and 93 one that spreads more (its drifts in full),
+    /// offsets from it) and 116 one that spreads more (its drifts in full),
     /// a short last line's padding included. A fetch from such a line reads
     /// its patch instead of its base and offsets.
     pub fn patches(&self) -> usize {
         self.drifts.patches()
     }
 
-    /// How many lines store their drifts in units of `2^s` records,
-    /// `s ∈ 1..=3`: those whose residuals spread past 30 that no escape
-    /// took. Their windows overhang the exact ones by at most `2^s − 1` at
+    /// How many lines store their drifts in units of `u` records,
+    /// `u ∈ 2..=16`: those whose residuals spread past 14 that no escape
+    /// took. Their windows overhang the exact ones by at most `u − 1` at
     /// each end.
     pub fn shifted_lines(&self) -> usize {
         self.drifts.shifted_lines()
@@ -164,7 +165,7 @@ impl ShiftTable {
 
     /// Iterate over the `<Δ_k, C_k>` entries as the layer serves them:
     /// every `Δ_k` exact outside shifted lines (rounded down by less than
-    /// `2^s` in them), every `C_k` as [`ShiftTable::window_lengths`]
+    /// their unit in them), every `C_k` as [`ShiftTable::window_lengths`]
     /// reports it.
     pub fn entries(&self) -> impl Iterator<Item = ShiftEntry> + '_ {
         (0..self.n).map(move |k| self.entry(k))
@@ -195,8 +196,8 @@ impl Correction for ShiftTable {
         SearchHint::bounded(start, len)
     }
 
-    /// `64·⌈N/92⌉ + 192·(short patches) + 372·(full patches)` over `N`
-    /// keys, one 64-byte line per 92 partitions and an escaped line's
+    /// `64·⌈N/115⌉ + 236·(short patches) + 464·(full patches)` over `N`
+    /// keys, one 64-byte line per 115 partitions and an escaped line's
     /// drifts as 16-bit offsets from their least or in full — 0 over
     /// no keys.
     fn size_bytes(&self) -> usize {
@@ -276,14 +277,14 @@ mod tests {
 
     /// Drifts a line holds, the pairs it serves, and the words of a short
     /// patch.
-    const LINE: usize = 93;
-    const PAIRS: usize = 92;
-    const SHORT: usize = 48;
+    const LINE: usize = 116;
+    const PAIRS: usize = 115;
+    const SHORT: usize = 59;
 
     /// Bytes of `table`, a layer over `n` keys with `p` words in its patch
-    /// array: `64·⌈n/92⌉ + 4·p` — a 64-byte line serves 92 of the `n`
+    /// array: `64·⌈n/115⌉ + 4·p` — a 64-byte line serves 115 of the `n`
     /// pairs of neighbouring drifts, and an escaped line's patch costs 4
-    /// bytes a word, 48 words or 93.
+    /// bytes a word, 59 words or 116.
     fn layer_bytes(table: &ShiftTable) -> usize {
         let patches = table.patches();
         let whole = (0..=patches / LINE).any(|full| (patches - full * LINE).is_multiple_of(SHORT));
@@ -317,7 +318,7 @@ mod tests {
     #[test]
     fn corrected_windows_cover_every_indexed_key() {
         // Under IM at 200 k keys several generators' layers hold escaped
-        // lines (a dense region climbs the drift past 247 in one line).
+        // lines (a dense region climbs the drift past 239 in one line).
         let mut patched = 0;
         for n in [10_000, 200_000] {
             for name in SosdName::all() {
@@ -336,12 +337,12 @@ mod tests {
     #[cfg_attr(miri, ignore = "dataset too large for Miri")]
     #[test]
     fn monotone_layers_serve_exact_windows_and_empty_ones_at_the_next_start() {
-        // Every model over every generator: in a line of shift 0 a
+        // Every model over every generator: in a line of unit 1 a
         // partition with keys serves exactly the run of positions predicted
         // into it, an empty one an empty window where the next partition
-        // with keys starts (or at the end). In a line of shift `s` the
+        // with keys starts (or at the end). In a line of unit `u` the
         // window holds that one and overhangs each of its ends by at most
-        // `2^s − 1`. Under the lines' slopes. The next test puts every
+        // `u − 1`. Under the lines' slopes. The next test puts every
         // query's lower bound in its window.
         use learned_index::spec::ModelSpec;
         let specs = [
@@ -366,15 +367,15 @@ mod tests {
                     let start = if count > 0 { first } else { next_start };
                     let tag = format!("{name} {spec} partition {k}");
                     let hint = table.correct(k);
-                    match table.drifts.shift(k).unwrap_or(0) {
-                        0 => {
+                    match table.drifts.unit(k).unwrap_or(1) {
+                        1 => {
                             assert_eq!(hint, SearchHint::bounded(start, count), "{tag}");
                             assert_eq!(table.entry(k).count, count as u64, "{tag}");
                         }
-                        shift => {
+                        unit => {
                             let (end, served_end) =
                                 (start + count, hint.start + hint.window.unwrap());
-                            let overhang = (1 << shift) - 1;
+                            let overhang = unit as usize - 1;
                             assert!(
                                 hint.start <= start && start - hint.start <= overhang,
                                 "{tag}"
@@ -500,12 +501,12 @@ mod tests {
     #[cfg_attr(miri, ignore = "dataset too large for Miri")]
     #[test]
     fn accurate_models_pack_under_0_87_bytes_a_key() {
-        // The layers of accurate models: 64 bytes a line of 92 pairs,
-        // ≈ 0.696 bytes a key, and a few escaped lines. At 200 k keys every
-        // one is under 0.87 bytes a key, and under 0.71 too (the worst,
-        // logn64 under the RMI, reads 0.703) — a RadixSpline's ±32 and a
-        // PGM's ±64 error on face and osmc keys included, which shift most
-        // of their lines and escape few.
+        // The layers of accurate models: 64 bytes a line of 115 pairs,
+        // ≈ 0.557 bytes a key, and a few escaped lines. At 200 k keys every
+        // one is under 0.87 bytes a key, and under 0.57 too (the worst,
+        // logn64 and osmc64 under the RMI, read 0.5615) — a RadixSpline's
+        // ±32 and a PGM's ±64 error on face and osmc keys included, which
+        // shift most of their lines and escape few.
         use SosdName::*;
         let mut layers: Vec<(SosdName, &str)> = vec![(Osmc64, "rmi:4096"), (Logn64, "rmi:4096")];
         for name in SosdName::all() {
@@ -521,18 +522,18 @@ mod tests {
             let bytes = Correction::size_bytes(&table);
             let tag = format!("{name} {spec}: {bytes} bytes");
             assert_eq!(bytes, layer_bytes(&table), "{tag}");
-            assert!(bytes * 100 < n * 71, "{tag}");
+            assert!(bytes * 100 < n * 57, "{tag}");
         }
     }
 
     #[cfg_attr(miri, ignore = "dataset too large for Miri")]
     #[test]
     fn every_generator_packs_under_1_1_bytes_a_key() {
-        // 64 bytes a line of 92 pairs and 4 bytes a patch word: for every
-        // model there is under 1.00 byte a key at 6 k keys, 0.79 at 70 k
-        // and 0.72 at 200 k — the worst layers, osmc64 under IM and a line
-        // at 6 k and 70 k, amzn32 under a line at 200 k, read 0.992, 0.784
-        // and 0.717 — and never more than the smallest plain encoding of
+        // 64 bytes a line of 115 pairs and 4 bytes a patch word: for every
+        // model there is under 1.00 byte a key at 6 k keys, 0.70 at 70 k
+        // and 0.59 at 200 k — the worst layers, osmc64 under a line at 6 k
+        // and 70 k and under the cubic-leaf RMI at 200 k, read 0.998, 0.698
+        // and 0.590 — and never more than the smallest plain encoding of
         // the same served entries.
         use learned_index::spec::ModelSpec;
         let specs = [
@@ -557,8 +558,8 @@ mod tests {
                     assert_eq!(bytes, layer_bytes(&table), "{tag}");
                     let hundredths = match n {
                         6_000 => 100,
-                        70_000 => 79,
-                        _ => 72,
+                        70_000 => 70,
+                        _ => 59,
                     };
                     assert!(bytes * 100 < n * hundredths, "{tag}: {bytes} bytes");
                     let plain = plain_bytes(&table);
@@ -587,10 +588,13 @@ mod tests {
         let table = ShiftTable::build(&model, d.as_slice());
         assert!(table.expected_error() <= 1.0);
         assert!(table.window_lengths().all(|c| c <= 2));
-        // A perfect model's layer is 64 bytes a line of 92 keys: nothing to
+        // A perfect model's layer is 64 bytes a line of 115 keys: nothing to
         // shift or patch.
         assert_eq!((table.shifted_lines(), table.patches()), (0, 0));
-        assert_eq!(Correction::size_bytes(&table), 64 * 5_000usize.div_ceil(92));
+        assert_eq!(
+            Correction::size_bytes(&table),
+            64 * 5_000usize.div_ceil(115)
+        );
     }
 
     #[cfg_attr(miri, ignore = "dataset too large for Miri")]
@@ -598,14 +602,18 @@ mod tests {
     fn huge_drift_either_way_is_a_base_and_a_long_window_a_code() {
         // A model with an enormous bias, either way. Every key predicted
         // at 0: one window over everything — its `Δ` of 0 is its line's
-        // base, so the line, whose other 92 drift `n − 1` and less, is
+        // base, so the line, whose other 115 drift `n − 1` and less, is
         // escaped — and partitions right of it that start at the end, their
         // drifts falling by one a partition: a slope of −1 stores the rest
-        // exactly.
+        // exactly, but for the short last line. Its 65 pairs fall to the
+        // end's 0 and its 50 of padding stay there, a bend no one slope
+        // holds in 14, and its shifted windows would end past the column:
+        // a short patch.
         let n = 100_000;
         let keys: Vec<u64> = (0..n as u64).collect();
         let table = ShiftTable::build(&Constant { n, at: 0 }, &keys);
-        assert_eq!(table.patches(), LINE);
+        assert_eq!(n % PAIRS, 65);
+        assert_eq!(table.patches(), LINE + SHORT);
         assert_eq!(table.entry(0), ShiftEntry::new(0, n as u64));
         assert_eq!(table.correct(0), SearchHint::bounded(0, n));
         assert_eq!(table.entry(1), ShiftEntry::new(n as i64 - 1, 0));
@@ -649,7 +657,7 @@ mod tests {
     #[cfg_attr(miri, ignore = "dataset too large for Miri")]
     #[test]
     fn size_bytes_reflects_encoding() {
-        // 64 bytes a line of 92 keys and 192 or 372 an escaped line —
+        // 64 bytes a line of 115 keys and 236 or 464 an escaped line —
         // also where the smallest plain encoding of the served entries is
         // 4, 4.5 and 8 bytes an entry.
         for ((model, d), plain) in hard_layers().into_iter().zip([8, 9, 16]) {
@@ -657,7 +665,7 @@ mod tests {
             let table = ShiftTable::build(&*model, d.as_slice());
             assert_eq!(plain_bytes(&table) * 2, plain * n, "{}", d.name());
             assert_eq!(Correction::size_bytes(&table), layer_bytes(&table));
-            // Every window past 248 records, less its line's climb, escapes
+            // Every window past 240 records, less its line's climb, escapes
             // its line: a few.
             let patches = table.patches();
             assert!(patches < n / 40, "{}: {patches} patches", d.name());

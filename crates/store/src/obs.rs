@@ -158,7 +158,7 @@ pub const CATALOGUE: &[(&str, &str, &str)] = &[
     (
         "store_layer_patches",
         "words",
-        "Words the hot shards' Shift-Table layers keep in their patch arrays: the patch of every escaped line, one whose drifts spread past what a shift fits (past 247, less the line's slope) or whose shifted windows would leave the column — its least drift and 16-bit offsets from it, 48 words and 192 bytes more, or where its drifts spread past 65,535 all 93 of them, 372 bytes more; a fetch from one reads its patch instead of the line's base and offsets.",
+        "Words the hot shards' Shift-Table layers keep in their patch arrays: the patch of every escaped line, one whose drifts spread past what a unit fits (past 239, less the line's slope) or whose shifted windows would leave the column — its least drift and 16-bit offsets from it, 59 words and 236 bytes more, or where its drifts spread past 65,535 all 116 of them, 464 bytes more; a fetch from one reads its patch instead of the line's base and offsets.",
     ),
     (
         "store_delta_runs",

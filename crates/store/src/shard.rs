@@ -129,14 +129,14 @@ impl<K: Key> ShardSnapshot<K> {
         self.layer_bytes
     }
 
-    /// Words a Shift-Table range layer keeps in its patch array, 48 or 93
+    /// Words a Shift-Table range layer keeps in its patch array, 59 or 116
     /// an escaped line (see
     /// [`shift_table::ShiftTable::patches`]); 0 for every other layer.
     pub fn layer_patches(&self) -> usize {
         self.layer_patches
     }
 
-    /// Lines a Shift-Table range layer stores in units of `2^s` records
+    /// Lines a Shift-Table range layer stores in units of 2 to 16 records
     /// (see [`shift_table::ShiftTable::shifted_lines`]); 0 for every other
     /// layer.
     pub fn layer_shifted_lines(&self) -> usize {
@@ -922,10 +922,10 @@ mod tests {
         assert!(!cold.snapshot().is_cold());
         assert_eq!(cold.snapshot().epoch(), 1);
         let n = cold.snapshot().base_len();
-        // 64 bytes a line of 92 keys and 4 a patch word.
+        // 64 bytes a line of 115 keys and 4 a patch word.
         assert_eq!(
             cold.snapshot().layer_bytes(),
-            64 * n.div_ceil(92) + 4 * cold.snapshot().layer_patches()
+            64 * n.div_ceil(115) + 4 * cold.snapshot().layer_patches()
         );
         assert!(
             !cold.rebuild().unwrap(),

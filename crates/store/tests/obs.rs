@@ -277,10 +277,10 @@ fn catalogue_is_complete_and_prometheus_roundtrips() {
 
 /// The layer gauges say what the hot shards' Shift-Table layers weigh and
 /// how many words their patches take: under `im+r1` two shards of 200 k
-/// osmc64 keys take 64 bytes per line of 92 keys and 4 more per patch word
-/// — 48 or 93 an escaped line — and hold shifted lines beside those at no
+/// osmc64 keys take 64 bytes per line of 115 keys and 4 more per patch word
+/// — 59 or 116 an escaped line — and hold shifted lines beside those at no
 /// extra cost; three of evenly spaced keys hold no patch, and a
-/// least-squares line over lognormal keys few, under 0.75 bytes a key.
+/// least-squares line over lognormal keys few, under 0.65 bytes a key.
 #[test]
 fn layer_gauges_report_bytes_and_patches_of_every_hot_shard() {
     use sosd_data::prelude::*;
@@ -312,9 +312,9 @@ fn layer_gauges_report_bytes_and_patches_of_every_hot_shard() {
         .sum();
     assert!(shifted > 0, "{shifted} shifted lines");
     assert_eq!(gauge(&big, "store_layer_patches"), patches as f64);
-    // 64 bytes a line of 92 keys and 4 a patch word.
+    // 64 bytes a line of 115 keys and 4 a patch word.
     let layer_bytes = |shard: &StoreShard<u64>| {
-        64 * shard.len().div_ceil(92) + 4 * shard.snapshot().layer_patches()
+        64 * shard.len().div_ceil(115) + 4 * shard.snapshot().layer_patches()
     };
     let bytes: usize = table.shards().iter().map(|s| layer_bytes(s)).sum();
     assert_eq!(gauge(&big, "store_layer_bytes"), bytes as f64);
@@ -330,15 +330,15 @@ fn layer_gauges_report_bytes_and_patches_of_every_hot_shard() {
     assert_eq!(gauge(&small, "store_layer_patches"), 0.0);
 
     // Few partitions holding keys between long stretches of empty ones:
-    // long windows, each past 248 records escaping its line: few patches.
-    // The worst of the two reads 0.736 bytes a key.
+    // long windows, each past 240 records escaping its line: few patches.
+    // The worst of the two reads 0.644 bytes a key.
     let linear = IndexSpec::parse("linear+r1").unwrap();
     for (name, n) in [(SosdName::Logn32, 6_000), (SosdName::Logn64, 70_000)] {
         let logn: Dataset<u64> = name.generate(n, 21);
         let config = StoreConfig::new(linear).shards(1);
         let store = ShardedStore::build(config, logn.as_slice()).unwrap();
         let bytes = gauge(&store, "store_layer_bytes");
-        assert!(bytes < 0.75 * n as f64, "{name}: {bytes} bytes");
+        assert!(bytes < 0.65 * n as f64, "{name}: {bytes} bytes");
         assert!(gauge(&store, "store_layer_patches") < n as f64 / 40.0);
     }
 

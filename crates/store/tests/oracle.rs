@@ -469,9 +469,9 @@ fn rmi_stores_match_the_oracle_through_rebuild_split_and_reopen() {
 }
 
 /// A patched shard end to end: amzn64 under `im+r1`, whose first shards
-/// hold dense regions that climb the drift past 30 inside one line of 93
+/// hold dense regions that climb the drift past 14 inside one line of 116
 /// — a few hundred shifted lines across the store, and a few dozen
-/// escaped ones that climb past 247. Every read of the trace that lands on one of those lines
+/// escaped ones that climb past 239. Every read of the trace that lands on one of those lines
 /// (the batch kernel's correct stage included) goes through the shifted
 /// offsets or the patch array, before and after rebuild, split and
 /// reopen.
@@ -490,7 +490,7 @@ fn a_patched_byte_tier_store_matches_the_oracle_through_rebuild_split_and_reopen
                 None => layers.iter().map(|&(_, _, patches, _)| patches).sum(),
             };
             assert!(patched > 0, "{stage}: {layers:?}");
-            // The written shard climbs past 247 only; the others shift.
+            // The written shard climbs past 239 only; the others shift.
             let shifted: usize = layers.iter().map(|&(_, _, _, shifted)| shifted).sum();
             assert!(shifted > 0, "{stage}: {layers:?}");
         },

@@ -34,15 +34,16 @@ fn main() {
         index.name(),
         index.correction_error()
     );
-    // The layer is 64-byte cache lines of one base, one slope and 93
-    // five-bit offsets, 92 entries a line (≈ 0.70 B/key) — a window ends
+    // The layer is 64-byte cache lines of one base, one slope and 116
+    // four-bit offsets, 115 entries a line (≈ 0.56 B/key) — a window ends
     // where the next entry's starts, so its length costs nothing, and a
     // correction reads one line. Each offset stores what is left of a
     // drift after the line's slope. A line whose residuals spread past
-    // what an offset holds (30) counts them in units of up to 8 records (a
-    // shifted line, at no extra bytes), and one spreading past 247 costs
-    // 192 bytes more, its drifts kept as 16-bit offsets in a patch array
-    // (372, in full, where they spread past 65 535).
+    // what an offset holds (14) counts them in the least unit of records
+    // that fits, up to 16 (a shifted line, at no extra bytes), and one
+    // spreading past 239
+    // costs 236 bytes more, its drifts kept as 16-bit offsets in a patch
+    // array (464, in full, where they spread past 65 535).
     let (patches, shifted) = match index.layer() {
         CorrectionLayer::Range(table) => (table.patches(), table.shifted_lines()),
         _ => (0, 0),

@@ -5,10 +5,10 @@
 //! downstream users who want "everything" can depend on one crate:
 //!
 //! * [`shift_table`] — the Shift-Table correction layer (the paper's
-//!   contribution; 64 bytes per 92 keys, the model's drifts less each
-//!   line's slope in five-bit offsets, plus 192 or 372 per escaped line,
+//!   contribution; 64 bytes per 115 keys, the model's drifts less each
+//!   line's slope in four-bit offsets, plus 236 or 464 per escaped line,
 //!   one cache line a correction, a line spreading past what an offset
-//!   holds shifted to units of up to 8 records, in one layout for every
+//!   holds shifted to units of up to 16 records, in one layout for every
 //!   model and key column — [`shift_table::entry`]), the
 //!   owned [`shift_table::CorrectedIndex`] and the runtime
 //!   [`shift_table::spec::IndexSpec`] composition layer,
