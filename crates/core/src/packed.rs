@@ -108,7 +108,8 @@
 //! 12.9 keys against 10.3 (14.3 with units of `2^s`). A shifted line's
 //! windows can leave the column only within `u − 1` records of its ends,
 //! so the builder checks them window by window only where the line's
-//! exact starts come that near position 0 or `N`.
+//! starts may come that near position 0 or `N`: where its first pair plus
+//! its least drift, or its last pair plus its greatest, does.
 //!
 //! An escaped line is, in practice, a stretch where a dense region climbs
 //! `Δ` past what a unit fits inside one line, or a window of that many
@@ -461,25 +462,25 @@ impl Lines {
             self.lines
                 .push(Line::in_place(drifts, fit.base, 1, fit.slope));
         } else if tilted {
-            self.push_wide(drifts, &[sloped, plain]);
+            self.push_wide(drifts, &[sloped, plain], (min, max));
         } else {
-            self.push_wide(drifts, &[plain]);
+            self.push_wide(drifts, &[plain], (min, max));
         }
     }
 
     /// Append a line no fit stores exactly: under the first of `fits`
     /// whose least unit, `⌊spread / 15⌋ + 1`, is at most [`MAX_UNIT`], with
     /// its base in 30 bits and its windows inside the column, else escaped.
-    /// Where the slope does not fit, slope 0 may. Not cold: on a noisy
-    /// model's layer most lines come here.
+    /// Where the slope does not fit, slope 0 may. `extremes` are the least
+    /// and the greatest of `drifts`. Not cold: on a noisy model's layer most
+    /// lines come here.
     #[inline(never)]
-    fn push_wide(&mut self, drifts: &[i32], fits: &[Fit]) {
-        let ends = self.exact_starts(drifts);
+    fn push_wide(&mut self, drifts: &[i32], fits: &[Fit], extremes: (i32, i32)) {
         for fit in fits {
             let unit = fit.spread / Line::ESCAPE + 1;
             if unit <= MAX_UNIT && fits_30_bits(fit.base) {
                 let line = Line::in_place(drifts, fit.base, unit, fit.slope);
-                if unit == 1 || self.stays_inside(&ends, unit) || self.inside_column(&line) {
+                if unit == 1 || self.stays_inside(extremes, unit) || self.inside_column(&line) {
                     self.lines.push(line);
                     return;
                 }
@@ -522,27 +523,24 @@ impl Lines {
         (first, Line::PAIRS.min(self.column.saturating_sub(first)))
     }
 
-    /// The least and the greatest exact start `k + Δ_k` of the drifts of
-    /// the pairs the next line to be appended serves.
-    fn exact_starts(&self, drifts: &[i32]) -> (i64, i64) {
-        let (first, pairs) = self.served_pairs();
-        let (mut low, mut high) = (i64::MAX, i64::MIN);
-        for (slot, &delta) in drifts[..=pairs].iter().enumerate() {
-            let start = (first + slot) as i64 + i64::from(delta);
-            (low, high) = (low.min(start), high.max(start));
-        }
-        (low, high)
-    }
-
-    /// True if a line of `unit` whose exact starts run from `low` to
-    /// `high` keeps every window it serves inside `0..=column` whatever
-    /// its rounding: a served start lies at most `unit − 1` below the
-    /// exact one, a served end at most as far past the exact one, so
-    /// exact starts that far or farther from both ends of the column
-    /// decide it without decoding the line ([`Lines::inside_column`]).
+    /// True if the next line to be appended, of `unit`, whose drifts run
+    /// from `min` to `max`, keeps every window it serves inside
+    /// `0..=column` whatever its rounding: a served start lies at most
+    /// `unit − 1` below the exact one, a served end at most as far past the
+    /// exact one, and every exact start `k + Δ_k` of the line lies between
+    /// its first pair plus `min` and its last plus `max`. Bounds that far or
+    /// farther from both ends of the column decide it without decoding the
+    /// line; near an end [`Lines::inside_column`] does. Walking the line for
+    /// its exact starts instead cost a wiki64 IM layer's build 5 % at four
+    /// bits.
     #[inline]
-    fn stays_inside(&self, &(low, high): &(i64, i64), unit: u32) -> bool {
+    fn stays_inside(&self, (min, max): (i32, i32), unit: u32) -> bool {
+        let first = (Line::PAIRS * self.lines.len()) as i64;
         let overhang = i64::from(unit) - 1;
+        let (low, high) = (
+            first + i64::from(min),
+            first + Line::PAIRS as i64 + i64::from(max),
+        );
         low >= overhang && high + overhang <= self.column as i64
     }
 

@@ -479,7 +479,8 @@ fn leading_empty(n: usize, empty: usize, spread: usize) -> Vec<i32> {
 #[test]
 fn the_near_end_guard_never_changes_a_line() {
     // A shifted line is packed without decoding its windows wherever its
-    // exact starts lie `u − 1` or more inside the column: every line
+    // first pair plus its least drift and its last pair plus its greatest
+    // lie `u − 1` or more inside the column: every line
     // comes out bit for bit as when each shifted line's windows are
     // checked one by one — on random clustered layers, and where a first
     // or a last line is shifted next to position 0 or `N`, kept where its
