@@ -5,12 +5,10 @@
 //! 0, the end of the column — and no window length: a window ends where the
 //! next partition's starts ([`crate::entry`]).
 //!
-//! It reads each key's clamped prediction from one of two sources. A
-//! trainer that audited every key already holds them (an RMI's does, see
-//! `learned_index::rmi`), and [`crate::spec::IndexSpec`]'s build hands them
-//! over, so the whole build evaluates the model once per key. Without them
-//! — every model with no audit pass, and [`crate::ShiftTable::build`] — the
-//! emitter asks the model, `PREDICT_RUN` keys at a time.
+//! It reads each key's clamped prediction from one source, the model's
+//! [`CdfModel::predict_clamped_into`], `PREDICT_RUN` keys at a time into
+//! one L1-resident buffer, so the build evaluates the model once per key
+//! (an RMI looks each leaf up once per stretch of keys routed to it).
 //!
 //! Over a sorted column a valid-CDF model's predictions never decrease —
 //! every model of `learned_index` is one, over every key (§3.8) — so the
@@ -56,43 +54,6 @@ use std::ops::Range;
 /// Keys per [`CdfModel::predict_clamped_into`] call: the predictions of
 /// one run (4 KiB) stay in L1 beside the keys.
 const PREDICT_RUN: usize = 1024;
-
-/// Where the emitter reads the clamped predictions of a run of keys: the
-/// trainer's audited ones when it handed them over, else the model's,
-/// computed into an L1-resident buffer.
-struct Predictions<'a, M: ?Sized> {
-    model: &'a M,
-    audited: Option<&'a [u32]>,
-    buffer: [u32; PREDICT_RUN],
-}
-
-impl<'a, M: ?Sized> Predictions<'a, M> {
-    fn new(model: &'a M, audited: Option<&'a [u32]>) -> Self {
-        Self {
-            model,
-            audited,
-            buffer: [0; PREDICT_RUN],
-        }
-    }
-
-    /// The predictions of `run`, at most `PREDICT_RUN` keys from position
-    /// `start` on. Through a `dyn` model that is one virtual call per run,
-    /// with the model's arithmetic inlined behind it.
-    #[inline]
-    fn of<K: Key>(&mut self, start: usize, run: &[K]) -> &[u32]
-    where
-        M: CdfModel<K>,
-    {
-        match self.audited {
-            Some(audited) => &audited[start..start + run.len()],
-            None => {
-                let out = &mut self.buffer[..run.len()];
-                self.model.predict_clamped_into(run, out);
-                out
-            }
-        }
-    }
-}
 
 /// Drifts the emitter stages before appending them to the layer (4 KiB,
 /// L1-resident beside the predictions).
@@ -162,21 +123,14 @@ impl Stage {
 /// Build the full-resolution (`M = N`) range layer of `model` over the
 /// sorted `keys` with the run-boundary emitter, straight into the layer's
 /// arrays: every partition's drift — empty or not, in order, those right
-/// of the last key and the end itself starting at `n`. `audited`, when
-/// given, holds `model.predict_clamped(key)` for every key, and the emitter
-/// reads it instead of the model. A prediction below the largest before it
-/// is taken at that largest (see the module docs).
-pub(crate) fn build_range_layer<K: Key, M: CdfModel<K> + ?Sized>(
-    model: &M,
-    keys: &[K],
-    audited: Option<&[u32]>,
-) -> Lines {
+/// of the last key and the end itself starting at `n`. A prediction below
+/// the largest before it is taken at that largest (see the module docs).
+pub(crate) fn build_range_layer<K: Key, M: CdfModel<K> + ?Sized>(model: &M, keys: &[K]) -> Lines {
     // lint: allow(panic) the validating builders turn longer columns into BuildError::TooManyKeys; past them a drift would silently truncate
     assert!(
         keys.len() <= MAX_KEYS,
         "a range layer covers at most {MAX_KEYS} keys"
     );
-    debug_assert!(audited.is_none_or(|audited| audited.len() == keys.len()));
     let n = keys.len();
     let mut stage = Stage::new(Lines::new(n));
     if n == 0 {
@@ -194,11 +148,14 @@ pub(crate) fn build_range_layer<K: Key, M: CdfModel<K> + ?Sized>(
     // its `predict_clamped_into` contract never makes — is taken there, so
     // the layer holds `n + 1` drifts whatever the model hands over.
     let last = (n - 1) as u32;
-    let mut predictions = Predictions::new(model, audited);
+    let mut buffer = [0u32; PREDICT_RUN];
     let mut changes = [0u16; PREDICT_RUN];
     for start in (0..n).step_by(PREDICT_RUN) {
         let run = &keys[start..n.min(start + PREDICT_RUN)];
-        let predictions = predictions.of(start, run);
+        // Through a `dyn` model, one virtual call per run, with the
+        // model's arithmetic inlined behind it.
+        let predictions = &mut buffer[..run.len()];
+        model.predict_clamped_into(run, predictions);
         // Compact the positions where the prediction changes: every
         // position is written, the cursor moves on only past a change.
         let mut found = 0;
@@ -479,7 +436,7 @@ mod tests {
     ) -> Lines {
         let expected = reference(model, keys);
         assert!(
-            build_range_layer(model, keys, None) == expected,
+            build_range_layer(model, keys) == expected,
             "{tag}: emitted layer differs"
         );
         expected
@@ -608,7 +565,7 @@ mod tests {
         });
         let maximum = Listed(maximum.collect());
         assert!(
-            build_range_layer(model, &keys, None) == reference(&maximum, &keys),
+            build_range_layer(model, &keys) == reference(&maximum, &keys),
             "{tag}: not the running maximum's layer"
         );
     }
@@ -798,7 +755,7 @@ mod tests {
             }
         }
         let keys: Vec<u64> = (0..20).collect();
-        assert!(build_range_layer(&Past, &keys, None) == reference(&Past, &keys));
+        assert!(build_range_layer(&Past, &keys) == reference(&Past, &keys));
     }
 
     #[test]
@@ -806,6 +763,6 @@ mod tests {
         let d: Dataset<u64> = Dataset::from_keys("e", vec![]);
         let model = InterpolationModel::build(&d);
         assert!(compute_range_drifts(&model, d.as_slice()).is_empty());
-        assert!(build_range_layer(&model, d.as_slice(), None).is_empty());
+        assert!(build_range_layer(&model, d.as_slice()).is_empty());
     }
 }

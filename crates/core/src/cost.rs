@@ -17,7 +17,6 @@
 //! layer when the model is already accurate, or when the layer does not buy
 //! a 10× error reduction.
 
-use crate::config::ShiftTableConfig;
 use crate::table::ShiftTable;
 
 /// Piecewise-linear (in log-error space) model of the last-mile search
@@ -142,22 +141,23 @@ pub enum TuningDecision {
 }
 
 /// Applies the paper's tuning rules to decide whether the layer should be
-/// enabled and which local search to use.
+/// enabled. Which local search a window takes is the lookup's own rule
+/// (`kernel::resolve`, at
+/// [`crate::ShiftTableConfig::linear_to_binary_threshold`]).
 #[derive(Debug, Clone)]
 pub struct TuningAdvisor {
     latency: LatencyModel,
-    config: ShiftTableConfig,
 }
 
 impl TuningAdvisor {
-    /// Advisor with the default latency curve and configuration.
+    /// Advisor with the default latency curve.
     pub fn new() -> Self {
-        Self::with(LatencyModel::default(), ShiftTableConfig::default())
+        Self::with(LatencyModel::default())
     }
 
-    /// Advisor with an explicit latency curve and configuration.
-    pub fn with(latency: LatencyModel, config: ShiftTableConfig) -> Self {
-        Self { latency, config }
+    /// Advisor with an explicit latency curve.
+    pub fn with(latency: LatencyModel) -> Self {
+        Self { latency }
     }
 
     /// The latency model in use.
@@ -191,31 +191,12 @@ impl TuningAdvisor {
             TuningDecision::ModelAlone
         }
     }
-
-    /// Which local search Algorithm 1 should use for a window of `window`
-    /// records (§3.8): linear below the threshold, binary above.
-    pub fn local_search_for_window(&self, window: usize) -> LocalSearchChoice {
-        if window < self.config.linear_to_binary_threshold {
-            LocalSearchChoice::Linear
-        } else {
-            LocalSearchChoice::Binary
-        }
-    }
 }
 
 impl Default for TuningAdvisor {
     fn default() -> Self {
         Self::new()
     }
-}
-
-/// Local-search algorithm selected for a bounded window.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LocalSearchChoice {
-    /// Short windows: forward linear scan.
-    Linear,
-    /// Longer windows: branchless binary search.
-    Binary,
 }
 
 #[cfg(test)]
@@ -336,28 +317,6 @@ mod tests {
             TuningDecision::ModelWithShiftTable,
             "face64: before={before}, after={}",
             table.expected_error()
-        );
-    }
-
-    #[cfg_attr(miri, ignore = "dataset too large for Miri")]
-    #[test]
-    fn local_search_choice_uses_the_threshold() {
-        let advisor = TuningAdvisor::new();
-        assert_eq!(
-            advisor.local_search_for_window(1),
-            LocalSearchChoice::Linear
-        );
-        assert_eq!(
-            advisor.local_search_for_window(7),
-            LocalSearchChoice::Linear
-        );
-        assert_eq!(
-            advisor.local_search_for_window(8),
-            LocalSearchChoice::Binary
-        );
-        assert_eq!(
-            advisor.local_search_for_window(10_000),
-            LocalSearchChoice::Binary
         );
     }
 

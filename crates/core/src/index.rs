@@ -53,9 +53,6 @@ impl CorrectionLayer {
 pub struct CorrectedIndexBuilder<K: Key, M: CdfModel<K>, S: AsRef<[K]> + Send + Sync> {
     keys: S,
     model: M,
-    /// The model's clamped prediction of every key, when its trainer
-    /// computed them: the range layer is built from these.
-    predictions: Option<Vec<u32>>,
     layer: LayerSpec,
     config: ShiftTableConfig,
     _key: PhantomData<fn(K) -> K>,
@@ -66,19 +63,10 @@ impl<K: Key, M: CdfModel<K>, S: AsRef<[K]> + Send + Sync> CorrectedIndexBuilder<
         Self {
             keys,
             model,
-            predictions: None,
             layer: LayerSpec::None,
             config: ShiftTableConfig::default(),
             _key: PhantomData,
         }
-    }
-
-    /// Build a range layer from `predictions` instead of the model: the
-    /// caller guarantees `predictions[i] == model.predict_clamped(keys[i])`
-    /// for every key ([`crate::spec::IndexSpec`] hands over a trainer's).
-    pub(crate) fn predictions(mut self, predictions: Option<Vec<u32>>) -> Self {
-        self.predictions = predictions;
-        self
     }
 
     /// Construct the layer `layer` names ([`crate::spec::IndexSpec`]
@@ -141,17 +129,14 @@ impl<K: Key, M: CdfModel<K>, S: AsRef<[K]> + Send + Sync> CorrectedIndexBuilder<
         // needs the statistic for its tuning decision anyway, so it seeds the
         // cache for free.
         let model_expected_error = OnceLock::new();
-        let predictions = self.predictions.as_deref();
         let layer = match self.layer {
             LayerSpec::None => CorrectionLayer::None,
-            LayerSpec::Range => {
-                CorrectionLayer::Range(ShiftTable::build_with(&self.model, keys, predictions))
-            }
+            LayerSpec::Range => CorrectionLayer::Range(ShiftTable::build(&self.model, keys)),
             LayerSpec::Auto => {
-                let table = ShiftTable::build_with(&self.model, keys, predictions);
+                let table = ShiftTable::build(&self.model, keys);
                 let before = ModelErrorStats::mean_abs_on_keys(&self.model, keys);
                 let _ = model_expected_error.set(before);
-                let advisor = TuningAdvisor::with(Default::default(), self.config);
+                let advisor = TuningAdvisor::new();
                 match advisor.decide(before, table.expected_error()) {
                     TuningDecision::ModelWithShiftTable => CorrectionLayer::Range(table),
                     TuningDecision::ModelAlone => CorrectionLayer::None,

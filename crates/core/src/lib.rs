@@ -46,7 +46,7 @@
 //!   to hand out point-in-time, repeatable [`algo_index::RangeIndex`]
 //!   views (the `shift-store` serving layer is the canonical implementor),
 //! * [`cost`] — the hardware cost model `L(s)` and the tuning rules of
-//!   §3.7/§3.9 (should the layer be enabled? which local search?),
+//!   §3.7/§3.9 (should the layer be enabled?),
 //! * [`error`] — construction errors ([`BuildError`]), the error estimates of
 //!   §3.5 (Eq. 8) and empirical error measurement,
 //! * [`build`] — the layer builder: the one-pass run-boundary emitter,

@@ -220,11 +220,8 @@ impl IndexSpec {
             crate::error::first_unsorted(keys.as_ref()).is_none(),
             "prevalidated build requires sorted keys"
         );
-        // A trainer that audited every key hands its predictions to the
-        // layer builder, which then evaluates no model.
-        let (model, predictions) = self.model.build_with_predictions(keys.as_ref());
+        let model = self.model.build(keys.as_ref());
         CorrectedIndex::builder(keys, model)
-            .predictions(predictions)
             .layer(self.layer)
             .config(config)
             .build_prevalidated()

@@ -70,19 +70,8 @@ impl ShiftTable {
     /// # Panics
     /// If `keys` is longer than [`ShiftTable::MAX_KEYS`].
     pub fn build<K: Key, M: CdfModel<K> + ?Sized>(model: &M, keys: &[K]) -> Self {
-        Self::build_with(model, keys, None)
-    }
-
-    /// [`ShiftTable::build`] reading each key's prediction from `audited`
-    /// — `model.predict_clamped(keys[i])` at `i`, as a trainer's audit
-    /// computed them — when given, instead of evaluating the model.
-    pub(crate) fn build_with<K: Key, M: CdfModel<K> + ?Sized>(
-        model: &M,
-        keys: &[K],
-        audited: Option<&[u32]>,
-    ) -> Self {
         Self {
-            drifts: build::build_range_layer(model, keys, audited),
+            drifts: build::build_range_layer(model, keys),
             n: keys.len(),
         }
     }
@@ -441,11 +430,10 @@ mod tests {
     #[cfg_attr(miri, ignore = "dataset too large for Miri")]
     #[test]
     fn a_layer_built_from_handed_over_predictions_equals_the_models() {
-        // An index spec's build hands an RMI trainer's audited predictions
-        // to the layer builder. The layer is the one `ShiftTable::build`
-        // gets from the model — lines and patches — and the
-        // families with no audit pass, which hand nothing over, build it as
-        // before.
+        // An index spec's build trains the model and builds its layer
+        // through the one emitter. The layer is the one `ShiftTable::build`
+        // gets from the trained model — lines and patches — for every
+        // family.
         use crate::index::CorrectionLayer;
         use crate::spec::{IndexSpec, LayerSpec};
         use learned_index::spec::ModelSpec;

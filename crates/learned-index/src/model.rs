@@ -29,13 +29,6 @@ pub trait CdfModel<K: Key>: Send + Sync {
     /// Figure 8 index-size sweeps and the cost model.
     fn size_bytes(&self) -> usize;
 
-    /// A guaranteed bound on `|predicted - actual|` over the training keys,
-    /// if the model tracks one (e.g. error-bounded splines). `None` means
-    /// unbounded / unknown.
-    fn max_error_bound(&self) -> Option<usize> {
-        None
-    }
-
     /// Short human-readable model name used in reports (e.g. `"RMI"`).
     fn name(&self) -> &'static str;
 
@@ -63,10 +56,10 @@ pub trait CdfModel<K: Key>: Send + Sync {
     /// which walk a sorted column, and an implementation may lean on the
     /// order — [`crate::rmi::RmiIndex`] looks up a leaf once for all the
     /// consecutive keys routed to it, with the stretch walker its trainer
-    /// and audit share. Keys out of order get unspecified (in-range)
-    /// predictions. A layer built through `IndexSpec` calls this only for
-    /// models whose trainer handed over no predictions
-    /// ([`crate::spec::ModelSpec::build_with_predictions`]).
+    /// uses. Keys out of order get unspecified (in-range) predictions. It is
+    /// the one source of predictions a Shift-Table build reads, a run of
+    /// keys at a time into one small buffer, so the build evaluates every
+    /// model once per key and needs no `4n`-byte array of predictions.
     ///
     /// # Panics
     /// If `keys` and `out` differ in length.
@@ -91,9 +84,6 @@ impl<K: Key, M: CdfModel<K> + ?Sized> CdfModel<K> for &M {
     fn size_bytes(&self) -> usize {
         (**self).size_bytes()
     }
-    fn max_error_bound(&self) -> Option<usize> {
-        (**self).max_error_bound()
-    }
     fn name(&self) -> &'static str {
         (**self).name()
     }
@@ -112,9 +102,6 @@ impl<K: Key, M: CdfModel<K> + ?Sized> CdfModel<K> for Box<M> {
     fn size_bytes(&self) -> usize {
         (**self).size_bytes()
     }
-    fn max_error_bound(&self) -> Option<usize> {
-        (**self).max_error_bound()
-    }
     fn name(&self) -> &'static str {
         (**self).name()
     }
@@ -132,9 +119,6 @@ impl<K: Key, M: CdfModel<K> + ?Sized> CdfModel<K> for std::sync::Arc<M> {
     }
     fn size_bytes(&self) -> usize {
         (**self).size_bytes()
-    }
-    fn max_error_bound(&self) -> Option<usize> {
-        (**self).max_error_bound()
     }
     fn name(&self) -> &'static str {
         (**self).name()
@@ -205,7 +189,6 @@ mod tests {
         assert_eq!(r.name(), "half");
         let b: Box<dyn CdfModel<u64>> = Box::new(Half { n: 10 });
         assert_eq!(b.predict_clamped(100), 9);
-        assert!(b.max_error_bound().is_none());
         let a = std::sync::Arc::new(Half { n: 4 });
         assert_eq!(a.predict(2), 1);
     }

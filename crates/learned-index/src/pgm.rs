@@ -159,12 +159,6 @@ impl<K: Key> CdfModel<K> for PgmModel {
             .sum()
     }
 
-    fn max_error_bound(&self) -> Option<usize> {
-        // Each level adds at most ε of indexing slack, but the bottom-level
-        // interpolation error is what matters for record positions.
-        Some(self.epsilon + 1)
-    }
-
     fn name(&self) -> &'static str {
         "PGM"
     }

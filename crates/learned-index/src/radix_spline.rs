@@ -183,10 +183,6 @@ impl<K: Key> CdfModel<K> for RadixSpline {
             + self.radix_table.len() * std::mem::size_of::<u32>()
     }
 
-    fn max_error_bound(&self) -> Option<usize> {
-        Some(self.max_error)
-    }
-
     fn name(&self) -> &'static str {
         "RS"
     }

@@ -21,18 +21,17 @@
 //!
 //! ## Training cost
 //!
-//! `O(n + L)` time for `n` keys and `L` leaves, two passes over the keys and
-//! one leaf evaluation per key. Both passes walk *leaf stretches* — maximal
-//! runs of consecutive keys routed to one leaf — found by galloping, so the
-//! root is evaluated `O(log len)` times a stretch. The first pass adds each
-//! stretch to its leaf's least-squares sums and records where it starts,
-//! the leaves are solved from the sums, and the audit pass predicts every
-//! key from its leaf once, measuring the error bound. Scratch is `40L`
-//! bytes of sums; the audit's `4n` bytes of clamped predictions are the
-//! result [`RmiBuilder::build_with_predictions`] hands back, so a
-//! Shift-Table built from them evaluates no model. Empty leaves cost
-//! nothing, so sparse configurations (most of a [`RmiBuilder::tuned`] sweep
-//! on clustered data) train as fast as dense ones.
+//! `O(n + L)` time for `n` keys and `L` leaves, one pass over the keys. It
+//! walks *leaf stretches* — maximal runs of consecutive keys routed to one
+//! leaf — found by galloping, so the root is evaluated `O(log len)` times a
+//! stretch; each stretch is added to its leaf's least-squares sums and
+//! where it starts is recorded, then the leaves are solved from the sums.
+//! Scratch is `40L` bytes of sums and no key is predicted: a Shift-Table
+//! built over the RMI asks [`CdfModel::predict_clamped_into`], which walks
+//! the same stretches and looks each leaf up once per stretch. Empty
+//! leaves cost nothing, so sparse configurations (most of a
+//! [`RmiBuilder::tuned`] sweep on clustered data) train as fast as dense
+//! ones.
 
 use crate::cubic::CubicModel;
 use crate::linear::{truncate_clamped, LinearModel};
@@ -88,25 +87,14 @@ impl RmiBuilder {
 
     /// Build the RMI over a sorted key slice.
     pub fn build_from_sorted_keys<K: Key>(self, keys: &[K]) -> RmiIndex {
-        self.build_with_predictions(keys).0
-    }
-
-    /// Build the RMI over a sorted key slice and return, beside it, the
-    /// clamped prediction of every key: `predictions[i] ==
-    /// predict_clamped(keys[i])`. The audit computes them anyway, so a layer
-    /// builder handed them evaluates no model at all. Positions are narrowed
-    /// to `u32`, as [`CdfModel::predict_clamped_into`]'s are.
-    pub fn build_with_predictions<K: Key>(self, keys: &[K]) -> (RmiIndex, Vec<u32>) {
         let n = keys.len();
         if n == 0 {
-            let empty = RmiIndex {
+            return RmiIndex {
                 root: RootModel::Linear(LinearModel::fit(std::iter::empty(), 0)),
                 leaves: Vec::new(),
                 lo: Vec::new(),
                 n: 0,
-                max_error: 0,
             };
-            return (empty, Vec::new());
         }
         let leaf_count = self.leaf_count.min(n).max(1);
 
@@ -148,26 +136,12 @@ impl RmiBuilder {
             leaves.push(model);
         }
 
-        // 4. The audit walks the stretches again: every key's clamped
-        //    prediction, from its leaf, into the buffer the caller gets,
-        //    and the error bound from it.
-        let mut rmi = RmiIndex {
+        RmiIndex {
             root,
             leaves,
             lo,
             n,
-            max_error: 0,
-        };
-        let mut predictions = vec![0u32; n];
-        for (leaf, stretch) in Stretches::new(&rmi.root, n, leaf_count, keys) {
-            let out = &mut predictions[stretch.clone()];
-            rmi.predict_stretch(leaf, &keys[stretch.clone()], out);
-            rmi.max_error = stretch
-                .zip(out.iter())
-                .map(|(i, &p)| i.abs_diff(p as usize))
-                .fold(rmi.max_error, usize::max);
         }
-        (rmi, predictions)
     }
 
     /// SOSD-style tuning: sweep leaf counts (and root kinds) and keep the
@@ -240,8 +214,8 @@ fn clamp_pred(p: f64, n: usize) -> usize {
 }
 
 /// The maximal stretches of consecutive keys a root routes to one leaf, in
-/// key order, as `(leaf, positions)`: the one walk that training, its audit
-/// and [`CdfModel::predict_clamped_into`] share. A root never falls, so it
+/// key order, as `(leaf, positions)`: the one walk that training and
+/// [`CdfModel::predict_clamped_into`] share. A root never falls, so it
 /// routes a non-decreasing run to non-decreasing leaves, and a stretch's
 /// end is found by galloping from its first key and bisecting the last
 /// step — `O(log len)` root evaluations a stretch.
@@ -326,7 +300,6 @@ pub struct RmiIndex {
     /// leaf, where the next leaf's keys start (`n` past the last key).
     lo: Vec<u32>,
     n: usize,
-    max_error: usize,
 }
 
 impl RmiIndex {
@@ -415,10 +388,6 @@ impl<K: Key> CdfModel<K> for RmiIndex {
             + self.lo.len() * std::mem::size_of::<u32>()
     }
 
-    fn max_error_bound(&self) -> Option<usize> {
-        Some(self.max_error)
-    }
-
     fn name(&self) -> &'static str {
         "RMI"
     }
@@ -466,40 +435,10 @@ mod tests {
         }
     }
 
-    #[test]
-    fn max_error_bound_covers_training_keys() {
-        // Every generator, both root families, sparse to dense leaf counts.
-        for name in SosdName::all() {
-            let d: Dataset<u64> = name.generate(20_000, 4);
-            for root in [RootModelKind::Linear, RootModelKind::Cubic] {
-                for leaves in [64, 512, 4096] {
-                    let rmi = RmiIndex::builder()
-                        .leaf_count(leaves)
-                        .root_model(root)
-                        .build(&d);
-                    let bound = CdfModel::<u64>::max_error_bound(&rmi).unwrap();
-                    for (i, &k) in d.as_slice().iter().enumerate() {
-                        if i > 0 && d.as_slice()[i - 1] == k {
-                            continue; // duplicates: only first occurrence is the target
-                        }
-                        let p = CdfModel::<u64>::predict(&rmi, k);
-                        let err = (p as i64 - i as i64).unsigned_abs() as usize;
-                        assert!(
-                            err <= bound,
-                            "{name} {root:?} {leaves} leaves: key {k} predicted {p}, \
-                             actual {i}, bound {bound}"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
     /// The per-key trainer the stretch trainer replaced: route every key
-    /// into an `n`-sized routing array and add it to its leaf's sums, solve
-    /// the leaves, start each leaf after the keys routed below it, then
-    /// audit every key through the stored routing. Kept as the reference
-    /// the stretch trainer must equal bit for bit.
+    /// and add it to its leaf's sums, solve the leaves, and start each leaf
+    /// after the keys routed below it. Kept as the reference the stretch
+    /// trainer must equal bit for bit.
     fn train_reference(builder: RmiBuilder, keys: &[u64]) -> RmiIndex {
         let n = keys.len();
         let leaf_count = builder.leaf_count.min(n).max(1);
@@ -507,13 +446,10 @@ mod tests {
             RootModelKind::Linear => RootModel::Linear(LinearModel::from_sorted_keys(keys)),
             RootModelKind::Cubic => RootModel::Cubic(CubicModel::from_sorted_keys(keys)),
         };
-        let mut assignments: Vec<u32> = Vec::with_capacity(n);
         let mut sums = vec![LeafSums::default(); leaf_count];
         for (i, k) in keys.iter().enumerate() {
             let x = k.to_f64();
-            let leaf = root.route(x, n, leaf_count);
-            assignments.push(leaf as u32);
-            sums[leaf].add(x, i as f64);
+            sums[root.route(x, n, leaf_count)].add(x, i as f64);
         }
         let mut leaves: Vec<LinearModel> = Vec::with_capacity(leaf_count);
         for s in &sums {
@@ -531,23 +467,22 @@ mod tests {
                 Some(lo)
             })
             .collect();
-        let mut rmi = RmiIndex {
+        RmiIndex {
             root,
             leaves,
             lo,
             n,
-            max_error: 0,
-        };
-        for (i, (k, &leaf)) in keys.iter().zip(&assignments).enumerate() {
-            let mut p = 0;
-            rmi.predict_stretch(leaf as usize, &[*k], std::slice::from_mut(&mut p));
-            rmi.max_error = rmi.max_error.max(i.abs_diff(p as usize));
         }
-        rmi
     }
 
+    /// Keys a Shift-Table build hands [`CdfModel::predict_clamped_into`]
+    /// at a time (`PREDICT_RUN` of `shift_table`'s layer builder).
+    const PREDICT_RUN: usize = 1024;
+
     /// Assert the stretch trainer equals the per-key reference bit for bit
-    /// on `keys`, and hands back the reference's clamped predictions.
+    /// on `keys`, and that fed the keys in a layer build's runs — which
+    /// start inside leaf stretches — it predicts what the reference's
+    /// `predict_clamped` does key by key.
     fn assert_trains_like_the_reference(builder: RmiBuilder, keys: &[u64], tag: &str) {
         let bits = |rmi: &RmiIndex| -> Vec<(u64, u64)> {
             let leaves = rmi.leaves.iter();
@@ -555,16 +490,19 @@ mod tests {
                 .map(|l| (l.intercept().to_bits(), l.slope().to_bits()))
                 .collect()
         };
-        let (new, predictions) = builder.clone().build_with_predictions(keys);
+        let new = builder.clone().build_from_sorted_keys(keys);
         let old = train_reference(builder, keys);
         assert!(bits(&new) == bits(&old), "{tag}: leaf models");
         assert!(new.lo == old.lo, "{tag}: leaf starts");
-        assert_eq!(new.max_error, old.max_error, "{tag}: max error");
-        assert_eq!(predictions.len(), keys.len(), "{tag}");
-        assert!(predictions.is_sorted(), "{tag}: predictions decrease");
-        for (&p, &k) in predictions.iter().zip(keys) {
-            let want = CdfModel::<u64>::predict_clamped(&old, k);
-            assert_eq!(p as usize, want, "{tag}: key {k}");
+        let mut run = [u32::MAX; PREDICT_RUN];
+        for (i, keys) in keys.chunks(PREDICT_RUN).enumerate() {
+            let out = &mut run[..keys.len()];
+            CdfModel::<u64>::predict_clamped_into(&new, keys, out);
+            let want = keys
+                .iter()
+                .map(|&k| CdfModel::predict_clamped(&old, k) as u32);
+            assert!(want.eq(out.iter().copied()), "{tag}: run {i}");
+            assert!(out.is_sorted(), "{tag}: run {i} decreases");
         }
     }
 
@@ -609,9 +547,11 @@ mod tests {
             used.len()
         );
         assert!(elapsed.as_secs() < 10, "training took {elapsed:?}");
+        // A cluster is routed to one leaf, which clamps its predictions to
+        // the cluster's 4 096 positions.
         for (i, &k) in keys.iter().enumerate().step_by(997) {
             let p = CdfModel::<u64>::predict(&rmi, k);
-            assert!((p as i64 - i as i64).unsigned_abs() as usize <= rmi.max_error);
+            assert!(p.abs_diff(i) < 1 << 12, "key {i} predicted {p}");
         }
     }
 

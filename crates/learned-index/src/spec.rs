@@ -174,37 +174,23 @@ impl ModelSpec {
 
     /// Train the specified model over a sorted key slice and box it.
     pub fn build<K: Key>(&self, keys: &[K]) -> Box<dyn CdfModel<K>> {
-        self.build_with_predictions(keys).0
-    }
-
-    /// [`ModelSpec::build`], plus the clamped prediction of every key when
-    /// training computed them anyway: `predictions[i] ==
-    /// model.predict_clamped(keys[i])`, for a layer builder to read instead
-    /// of evaluating the model again. An RMI's audit computes them; the
-    /// families without such a pass return `None`.
-    pub fn build_with_predictions<K: Key>(
-        &self,
-        keys: &[K],
-    ) -> (Box<dyn CdfModel<K>>, Option<Vec<u32>>) {
-        let model: Box<dyn CdfModel<K>> = match *self {
+        match *self {
             Self::Im => Box::new(InterpolationModel::from_sorted_keys(keys)),
             Self::Linear => Box::new(LinearModel::from_sorted_keys(keys)),
             Self::Cubic => Box::new(CubicModel::from_sorted_keys(keys)),
-            Self::Rmi { leaves, root } => {
-                let (rmi, predictions) = RmiBuilder::default()
+            Self::Rmi { leaves, root } => Box::new(
+                RmiBuilder::default()
                     .leaf_count(leaves)
                     .root_model(root)
-                    .build_with_predictions(keys);
-                return (Box::new(rmi), Some(predictions));
-            }
+                    .build_from_sorted_keys(keys),
+            ),
             Self::RadixSpline { max_error } => Box::new(
                 RadixSplineBuilder::default()
                     .max_error(max_error)
                     .build_from_sorted_keys(keys),
             ),
             Self::Pgm { epsilon } => Box::new(PgmModel::from_sorted_keys(keys, epsilon)),
-        };
-        (model, None)
+        }
     }
 
     /// One representative spec per model family (with small, test-friendly
@@ -364,36 +350,6 @@ mod tests {
         let mut slots = [7u32; 3];
         empty.predict_clamped_into(&[1, 2, 3], &mut slots);
         assert_eq!(slots, [0; 3], "an empty model predicts position 0");
-    }
-
-    #[test]
-    fn handed_over_predictions_equal_predict_clamped_key_by_key() {
-        // What a layer builder reads instead of the model: for an RMI, the
-        // audit's prediction of every key; for the families with no audit
-        // pass, nothing.
-        let rmis = ["rmi:4096", "rmi:64:cubic"].map(|spec| ModelSpec::parse(spec).unwrap());
-        for name in SosdName::all() {
-            let d: Dataset<u64> = name.generate(6_000, 17);
-            for spec in rmis.into_iter().chain(ModelSpec::all_families()) {
-                let (model, predictions) = spec.build_with_predictions(d.as_slice());
-                let is_rmi = matches!(spec, ModelSpec::Rmi { .. });
-                assert_eq!(predictions.is_some(), is_rmi, "{name} {spec}");
-                let Some(predictions) = predictions else {
-                    continue;
-                };
-                assert_eq!(predictions.len(), d.len(), "{name} {spec}");
-                for (&p, &k) in predictions.iter().zip(d.as_slice()) {
-                    assert_eq!(
-                        p as usize,
-                        model.predict_clamped(k),
-                        "{name} {spec}: key {k}"
-                    );
-                }
-            }
-        }
-        let rmi = ModelSpec::parse("rmi:8").unwrap();
-        let (model, predictions) = rmi.build_with_predictions::<u64>(&[]);
-        assert_eq!((model.key_count(), predictions), (0, Some(Vec::new())));
     }
 
     #[test]

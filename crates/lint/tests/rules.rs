@@ -164,7 +164,7 @@ fn crate_root_with_forbid_unsafe_is_clean() {
 #[test]
 fn crate_root_with_feature_gated_forbid_is_clean() {
     // The default build still forbids unsafe; an opt-in feature may relax to
-    // `deny` + audited `// SAFETY:` sites, which rule 3 keeps enforcing.
+    // `deny` + reviewed `// SAFETY:` sites, which rule 3 keeps enforcing.
     let src = "\
 #![cfg_attr(not(feature = \"prefetch\"), forbid(unsafe_code))]
 #![cfg_attr(feature = \"prefetch\", deny(unsafe_code))]

@@ -58,13 +58,12 @@ impl<K: Key> StoreCore<K> {
     /// memo, the counters and the truncation of the covered WAL prefix
     /// ([`StoreCore::publish_checkpoint`]).
     ///
-    /// With [`crate::DurabilityConfig::incremental_checkpoints`] (the
-    /// default), a shard whose `applied_cv` stamp has not moved since the
-    /// previous checkpoint is **skipped**: the new manifest re-references
-    /// the previous snapshot file (old name, old `applied` floor) instead
-    /// of rewriting identical bytes, and garbage collection keeps every
-    /// file the newest manifest references regardless of its sequence
-    /// number. A file that can no longer be found is not re-referenced —
+    /// Checkpoints are incremental: a shard whose `applied_cv` stamp has
+    /// not moved since the previous checkpoint is **skipped**: the new
+    /// manifest re-references the previous snapshot file (old name, old
+    /// `applied` floor) instead of rewriting identical bytes, and garbage
+    /// collection keeps every file the newest manifest references
+    /// regardless of its sequence number. A file that can no longer be found is not re-referenced —
     /// the shard is written again. Any topology change invalidates the
     /// whole memo.
     pub(crate) fn checkpoint(&self) -> Result<u64, StoreError> {
@@ -84,11 +83,7 @@ impl<K: Key> StoreCore<K> {
             .expect("checkpoint memo poisoned") // lint: allow(panic) lock poisoning propagates a holder's panic; no sound continuation
             .take();
         let prior: Option<Vec<MemoShard>> = memo
-            .filter(|m| {
-                p.durability().incremental_checkpoints
-                    && m.fences == fences
-                    && m.shards.len() == states.len()
-            })
+            .filter(|m| m.fences == fences && m.shards.len() == states.len())
             .map(|m| m.shards);
         let state_cvs: Vec<u64> = states.iter().map(|s| s.applied_cv()).collect();
         let mut tally = CheckpointTally::default();

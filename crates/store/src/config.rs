@@ -18,10 +18,7 @@
 //!   (versions [`crate::ShardedStore::snapshot_at`] can serve) an operator
 //!   pays for in retained cuts.
 //! * [`DurabilityConfig`]: `sync` and `checkpoint_ops` — the benchmark's
-//!   durable workloads set them; `group_commit` and
-//!   `incremental_checkpoints` — justified only by the repo benchmark
-//!   pinning them at their defaults (`true`): setting either to `false`
-//!   has no caller outside the tests; `snapshot_block_keys` — the golden
+//!   durable workloads set them; `snapshot_block_keys` — the golden
 //!   directory `tests/data/parent-store` was written with 64-key blocks
 //!   and is reproduced byte for byte.
 //!
@@ -29,9 +26,12 @@
 //! 4: split past 4× the mean shard size, merge below a quarter of it), the
 //! latency sampling stride ([`crate::obs::LATENCY_SAMPLE`], 1-in-1024) and
 //! the trace-ring size ([`crate::obs::TRACE_CAPACITY`], 1024 events). Retained versions are
-//! evicted by count only. The deprecated no-op
-//! [`StoreConfig::build_threads`] stays only because the repo benchmark
-//! still calls it.
+//! evicted by count only. Group commit under [`SyncPolicy::Always`] and
+//! incremental checkpoints are how the store always works. The deprecated
+//! no-ops [`StoreConfig::build_threads`],
+//! [`DurabilityConfig::group_commit`] and
+//! [`DurabilityConfig::incremental_checkpoints`] stay only because the
+//! repo benchmark still calls them.
 
 use shift_table::spec::IndexSpec;
 
@@ -60,21 +60,6 @@ pub struct DurabilityConfig {
     /// the WAL). `0` disables automatic checkpoints — only explicit
     /// [`crate::ShardedStore::checkpoint`] calls persist snapshots then.
     pub checkpoint_ops: u64,
-    /// Coalesce the `fdatasync`s of concurrent writers under
-    /// [`SyncPolicy::Always`] (on by default): each write still returns
-    /// only once its record is durable, but one leader's sync covers every
-    /// record appended before it, recovering most of the
-    /// [`SyncPolicy::EveryN`] throughput at full durability. Has no effect
-    /// under the other policies. Disable to force the strict
-    /// one-sync-per-record behaviour (e.g. to benchmark against it).
-    pub group_commit: bool,
-    /// When true (the default), a checkpoint rewrites only shards whose
-    /// applied commit version advanced since their last snapshot and
-    /// re-references the prior file for the rest (see
-    /// [`crate::persist`]'s incremental-checkpoint invariants). Disable to
-    /// force every checkpoint to rewrite every shard (e.g. to measure the
-    /// write amplification incremental checkpoints save).
-    pub incremental_checkpoints: bool,
     /// Keys per block of v2 snapshot files. Smaller blocks tighten the
     /// blast radius of a corrupt byte and the cost of one cold read;
     /// larger blocks shrink the per-block header/index overhead. Clamped
@@ -83,14 +68,12 @@ pub struct DurabilityConfig {
 }
 
 impl Default for DurabilityConfig {
-    /// Sync every 64 records, checkpoint every 8192 (incrementally), group
-    /// commit on, 4096-key snapshot blocks.
+    /// Sync every 64 records, checkpoint every 8192, 4096-key snapshot
+    /// blocks.
     fn default() -> Self {
         Self {
             sync: SyncPolicy::EveryN(64),
             checkpoint_ops: 8192,
-            group_commit: true,
-            incremental_checkpoints: true,
             snapshot_block_keys: 4096,
         }
     }
@@ -118,16 +101,21 @@ impl DurabilityConfig {
         self
     }
 
-    /// Enable or disable group commit under [`SyncPolicy::Always`].
-    pub fn group_commit(mut self, on: bool) -> Self {
-        self.group_commit = on;
+    /// Does nothing: under [`SyncPolicy::Always`] concurrent writers
+    /// always share a leader's `fdatasync` (each write still returns only
+    /// once its record is durable).
+    #[deprecated(
+        note = "group commit is always on under SyncPolicy::Always; this setting is ignored"
+    )]
+    pub fn group_commit(self, _on: bool) -> Self {
         self
     }
 
-    /// Enable or disable incremental checkpoints (skip-and-re-reference
-    /// for shards whose applied version has not advanced).
-    pub fn incremental_checkpoints(mut self, on: bool) -> Self {
-        self.incremental_checkpoints = on;
+    /// Does nothing: a checkpoint always rewrites only the shards whose
+    /// applied commit version advanced since their last snapshot and
+    /// re-references the prior file for the rest (see [`crate::persist`]).
+    #[deprecated(note = "checkpoints are always incremental; this setting is ignored")]
+    pub fn incremental_checkpoints(self, _on: bool) -> Self {
         self
     }
 
@@ -331,21 +319,9 @@ mod tests {
             Some(DurabilityConfig {
                 sync: SyncPolicy::EveryN(1),
                 checkpoint_ops: 8192,
-                group_commit: true,
-                incremental_checkpoints: true,
                 snapshot_block_keys: 4096,
             }),
             "EveryN(0) normalises to every record"
-        );
-        assert!(
-            !DurabilityConfig::new().group_commit(false).group_commit,
-            "group commit can be disabled"
-        );
-        assert!(
-            !DurabilityConfig::new()
-                .incremental_checkpoints(false)
-                .incremental_checkpoints,
-            "incremental checkpoints can be disabled"
         );
         assert_eq!(
             DurabilityConfig::new()

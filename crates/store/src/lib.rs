@@ -253,8 +253,7 @@
 //! the WAL segments whose records all sit at or below `cv`. Until the
 //! manifest rename nothing refers to the new files, so a failure or crash
 //! in any step leaves the previous checkpoint in force. Checkpoints are
-//! also **incremental** by default
-//! ([`DurabilityConfig::incremental_checkpoints`]): a shard whose merged
+//! also **incremental**: a shard whose merged
 //! view has not moved since the previous checkpoint is *skipped* — the new
 //! manifest re-references the prior snapshot file instead of rewriting
 //! identical bytes ([`DurabilityStats::checkpoint_shards_skipped`] and
@@ -382,7 +381,7 @@
 //! * **`panic-path`** — no `unwrap`/`expect`/`panic!`/`assert!` in this
 //!   crate's (or `shift-table`'s) non-test sources. Fallible conditions
 //!   return [`StoreError`]; the surviving sites are each annotated
-//!   `// lint: allow(panic) <why>` and fall into four audited classes:
+//!   `// lint: allow(panic) <why>` and fall into four reviewed classes:
 //!   lock-poisoning propagation (a dead writer has no sound continuation),
 //!   thread-join re-raises, provably infallible conversions (length-checked
 //!   `try_into`), and documented API contracts where truncating would

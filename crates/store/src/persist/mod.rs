@@ -336,8 +336,8 @@ pub(crate) struct Persistence {
     /// Logical operations recovery replayed before this layer was opened.
     replayed: u64,
     inner: Mutex<PersistInner>,
-    /// `Some` when [`SyncPolicy::Always`] syncs are coalesced across
-    /// concurrent writers (see [`GroupCommitter`]); appends then defer
+    /// `Some` under [`SyncPolicy::Always`], whose syncs are coalesced
+    /// across concurrent writers (see [`GroupCommitter`]): appends leave
     /// their sync to the commit wait below the WAL lock.
     group: Option<GroupCommitter>,
     /// Serialises whole checkpoints (worker vs. explicit calls); taken
@@ -381,10 +381,8 @@ impl Persistence {
         manifest_seq: u64,
         replayed: u64,
     ) -> Result<Self, StoreError> {
-        let group = (durability.sync == SyncPolicy::Always && durability.group_commit)
-            .then(GroupCommitter::new);
-        let mut wal = WalWriter::create(&dir, next_version, durability.sync)?;
-        wal.defer_sync(group.is_some());
+        let group = (durability.sync == SyncPolicy::Always).then(GroupCommitter::new);
+        let wal = WalWriter::create(&dir, next_version, durability.sync)?;
         Ok(Self {
             dir,
             durability,
@@ -438,9 +436,8 @@ impl Persistence {
     /// no frame is appended and no version is consumed: a conflicting
     /// transaction leaves no trace in the log.
     ///
-    /// Under group commit ([`SyncPolicy::Always`] with
-    /// [`DurabilityConfig::group_commit`]), the durability wait happens
-    /// *after* the lock is released, so concurrent writers share one
+    /// Under [`SyncPolicy::Always`] (group commit), the durability wait
+    /// happens *after* the lock is released, so concurrent writers share one
     /// `fdatasync`; the call still only returns once this record is durable
     /// (or the sync failed, poisoning the writer).
     pub(crate) fn append<K: sosd_data::key::Key, R>(
@@ -472,8 +469,8 @@ impl Persistence {
     }
 
     /// Wait until the record carrying `ticket` (its store version) is
-    /// durable. A no-op unless group commit is active — every other policy
-    /// synced (or deliberately didn't) inside the append.
+    /// durable. A no-op unless the policy is [`SyncPolicy::Always`] —
+    /// every other policy synced (or deliberately didn't) inside the append.
     ///
     /// On a sync failure the record **is** applied in memory but its
     /// durability is unknowable; the writer is poisoned so the divergence
@@ -571,26 +568,13 @@ impl Persistence {
         // applied write), so this checkpoint is exactly how a poisoned
         // store heals — durability is rebuilt from fresh files and the
         // damaged segment becomes garbage once the manifest lands.
-        let was_poisoned = inner.wal.is_poisoned();
-        if !was_poisoned {
+        if !inner.wal.is_poisoned() {
             // lint: allow(guard-across-sync) the WAL lock IS the checkpoint barrier: appends must stall while the outgoing segment flushes and rotates
             inner.wal.sync()?;
         }
-        self.wal_syncs_rotated
-            .fetch_add(inner.wal.sync_count(), Ordering::Relaxed); // lint: ordering(Relaxed) monotonic stats counter; no synchronising role
-        let mut wal = WalWriter::create(&self.dir, inner.next_version, self.durability.sync)?;
-        wal.defer_sync(self.group.is_some());
-        inner.wal = wal;
+        self.rotate(&mut inner)?;
         inner.since_checkpoint = 0;
         inner.manifest_seq += 1;
-        if was_poisoned {
-            // Heal the group committer in step with the writer it mirrors:
-            // new-segment tickets commit normally, poisoned-era tickets
-            // keep failing (their durability is unknowable).
-            if let Some(group) = &self.group {
-                group.reset(inner.next_version);
-            }
-        }
         let pinned = pin();
         Ok((cv, inner.manifest_seq, pinned))
     }
@@ -628,15 +612,24 @@ impl Persistence {
         if !inner.wal.is_poisoned() {
             return Ok(false);
         }
+        self.rotate(&mut inner)?;
+        Ok(true)
+    }
+
+    /// Retire the live WAL segment for a fresh one whose first record will
+    /// carry `next_version`, adding its syncs to the rotated tally. Past a
+    /// poisoned segment the group committer heals in step with the writer
+    /// it mirrors: new-segment tickets commit normally, poisoned-era
+    /// tickets keep failing (their durability is unknowable).
+    fn rotate(&self, inner: &mut PersistInner) -> Result<(), StoreError> {
+        let wal = WalWriter::create(&self.dir, inner.next_version, self.durability.sync)?;
+        let retired = std::mem::replace(&mut inner.wal, wal);
         self.wal_syncs_rotated
-            .fetch_add(inner.wal.sync_count(), Ordering::Relaxed); // lint: ordering(Relaxed) monotonic stats counter; no synchronising role
-        let mut wal = WalWriter::create(&self.dir, inner.next_version, self.durability.sync)?;
-        wal.defer_sync(self.group.is_some());
-        inner.wal = wal;
-        if let Some(group) = &self.group {
+            .fetch_add(retired.sync_count(), Ordering::Relaxed); // lint: ordering(Relaxed) monotonic stats counter; no synchronising role
+        if let (true, Some(group)) = (retired.is_poisoned(), &self.group) {
             group.reset(inner.next_version);
         }
-        Ok(true)
+        Ok(())
     }
 
     /// The WAL latency and group-commit-wave histogram families, scraped by

@@ -255,11 +255,10 @@ pub fn read_segment(path: &Path) -> std::io::Result<SegmentScan> {
 /// rollback fails the writer poisons itself and refuses further appends.
 pub(crate) struct WalWriter {
     file: File,
+    /// The sync policy. [`SyncPolicy::Always`] appends do **not** sync
+    /// inline: the [`GroupCommitter`] owns the sync (after the in-memory
+    /// apply, outside the append), so concurrent writers share it.
     policy: SyncPolicy,
-    /// When set, [`SyncPolicy::Always`] appends do **not** sync inline —
-    /// the [`GroupCommitter`] owns the sync instead (after the in-memory
-    /// apply, outside the append), so concurrent writers can share it.
-    defer_sync: bool,
     /// Appends since the last explicit sync (drives [`SyncPolicy::EveryN`]).
     unsynced: u32,
     /// `fdatasync`s issued against this segment (for the group-commit
@@ -293,7 +292,6 @@ impl WalWriter {
         Ok(Self {
             file,
             policy,
-            defer_sync: false,
             unsynced: 0,
             syncs: 0,
             len: 0,
@@ -305,12 +303,6 @@ impl WalWriter {
     /// `fdatasync`s issued against this segment so far.
     pub(crate) fn sync_count(&self) -> u64 {
         self.syncs
-    }
-
-    /// Hand [`SyncPolicy::Always`] syncs to the group committer (see the
-    /// module docs) instead of syncing inline on every append.
-    pub(crate) fn defer_sync(&mut self, defer: bool) {
-        self.defer_sync = defer;
     }
 
     /// True once an unrecoverable append/sync failure has been observed.
@@ -325,8 +317,8 @@ impl WalWriter {
     }
 
     /// Append the record `(version, ops)` as one frame in the given
-    /// encoding and apply the sync policy (unless deferred to the group
-    /// committer). Returns the bytes written (for write-amplification
+    /// encoding and apply the sync policy ([`SyncPolicy::Always`]'s sync is
+    /// the group committer's). Returns the bytes written (for write-amplification
     /// accounting). The record is one frame under one checksum — durable
     /// all-or-nothing — but it advances the [`SyncPolicy::EveryN`] counter
     /// by its full operation count, so the documented "lose at most `n − 1`
@@ -361,9 +353,8 @@ impl WalWriter {
         let ops = ops.len().min(u32::MAX as usize) as u32;
         self.unsynced = self.unsynced.saturating_add(ops);
         let sync_due = match self.policy {
-            SyncPolicy::Always => !self.defer_sync,
             SyncPolicy::EveryN(n) => self.unsynced >= n.max(1),
-            SyncPolicy::Os => false,
+            SyncPolicy::Always | SyncPolicy::Os => false,
         };
         if sync_due {
             if let Err(e) = self.sync() {

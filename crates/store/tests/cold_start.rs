@@ -390,20 +390,6 @@ fn incremental_checkpoints_skip_clean_shards_and_survive_reopen() {
     let s5 = store.durability_stats().unwrap();
     assert_eq!(s5.checkpoint_shards_written, grown);
     assert_eq!(s5.checkpoint_shards_skipped, 0);
-
-    // With the knob off, nothing is ever skipped.
-    drop(store);
-    let off = durable_config().durability(
-        DurabilityConfig::new()
-            .checkpoint_ops(0)
-            .incremental_checkpoints(false),
-    );
-    let store = ShardedStore::<u64>::open(&dir, off).unwrap();
-    store.checkpoint().unwrap();
-    store.checkpoint().unwrap();
-    let s6 = store.durability_stats().unwrap();
-    assert_eq!(s6.checkpoint_shards_written, 2 * store.shard_count() as u64);
-    assert_eq!(s6.checkpoint_shards_skipped, 0);
 }
 
 /// Names of the files in `dir` that start with `prefix`, sorted.
